@@ -217,25 +217,6 @@ func BenchmarkScaleHarness(b *testing.B) {
 	b.ReportMetric(res.AllocsPerDecision, "allocs/decision")
 }
 
-// BenchmarkScaleHarnessLegacy is the same workload on the pre-optimization
-// scheduler (flat locality-tree scan), so `go test -bench Scale` shows the
-// optimization ratio directly.
-func BenchmarkScaleHarnessLegacy(b *testing.B) {
-	var res *scale.Result
-	for i := 0; i < b.N; i++ {
-		cfg := scale.SmokeConfig()
-		cfg.Seed = int64(i + 1)
-		cfg.LegacyScan = true
-		r, err := scale.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	b.ReportMetric(res.DecisionsPerSec, "decisions/s")
-	b.ReportMetric(res.LatencyP99MS, "p99-sim-ms")
-}
-
 // ---------------------------------------------------------------------------
 // ablations
 // ---------------------------------------------------------------------------

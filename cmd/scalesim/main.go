@@ -1,80 +1,22 @@
-// Command scalesim runs the paper-scale scheduling stress harness
-// (internal/scale) and writes BENCH_scale.json: scheduling-decision
-// throughput, demand-to-grant latency percentiles in virtual time, and
-// allocation pressure per decision for a 5,000-machine / 100k-schedule-unit
-// churn. With -compare it replays the same workload against the
-// pre-optimization scheduler (legacy linear-scan locality tree), the serial
-// optimized scheduler, and the sharded parallel scheduler at each count in
-// -shard-counts, reporting speedups and the common-completed-prefix latency
-// so the wall-budget-truncated baseline stays comparable.
+// Command scalesim runs one lane of the paper-scale scheduling stress
+// harness (internal/scale) and writes its measurements — decision
+// throughput, demand-to-grant latency in virtual time, allocation and
+// message pressure, plus the lane's own section — as JSON. The lanes, their
+// pass/fail contracts and their budget gates are the scale.Lanes table; the
+// README lists what each exercises. `-lane smp` is the multi-core
+// shard-count sweep, with its own result type and artifact.
 //
-// With -gateway the workload instead flows through the multi-tenant
-// submission gateway (internal/gateway): an open-loop load generator
-// simulating a million-tenant population submits jobs through admission
-// control, rate limiting and weighted-fair dequeue, through a master
-// failover, with the admission-conservation invariant checked; the
-// measurements land in the `gateway` section of the output (use -merge to
-// fold that section into an existing BENCH_scale.json without discarding
-// the other sections).
-//
-// With -dataplane the workload is the paper's data plane running on the
-// scheduled cluster (internal/scale dataplane mode): GraySort map/sort/merge
-// chains with Pangu chunk locality and sampled kernel verification, Figure 6
-// DAG pipelines, and long-running streamline service residents sharing the
-// cluster with batch through the gateway's priority classes. The
-// application-level measurements — job makespan, locality hit rate, shuffle
-// volume, per-class SLO attainment — land in the `dataplane` section.
-//
-// With -replay the workload is a trace-driven diurnal replay (internal/scale
-// replay mode): a nonhomogeneous-Poisson session process sweeps a sinusoidal
-// day over the million-tenant population, each session submitting a
-// correlated burst of heavy-tailed jobs, with machine-failure storms
-// (internal/faults campaigns) landing mid-replay and one master failover.
-// Per-class admission and demand-to-grant SLO attainment, shed and
-// preemption rates, and per-phase (peak/trough/storm) utilization land in
-// the `replay` section, with the deterministic decision hash pinned across
-// scheduler shard counts.
-//
-// With -chaos the steady-state churn workload runs under an adversarial
-// network schedule (internal/scale chaos mode): partition storms isolating
-// agent groups from the control plane — one longer than the heartbeat
-// timeout, one shorter — link flaps, delay spikes, and a lock-service
-// partition of the primary master forcing a dueling-masters promotion. The
-// run must keep the invariant checker silent and reconverge every victim
-// machine's ledger after each heal; convergence-time percentiles,
-// lost/reissued grant counts and per-link loss attribution land in the
-// `chaos` section and are budget-gated.
-//
-// With -obs the churn workload runs with the observability plane enabled
-// (internal/scale obs mode): the master records a ring-buffered in-memory
-// time-series of per-round cluster state — free/granted capacity per rack,
-// queue depths per size class, preemption and flap totals, per-link loss on
-// watched machine links, checkpoint write/byte counters — with a strictly
-// alloc-free record path, while a query client interrogates it live over the
-// simulated transport (windowed scans with last/min/max/p50/p99 downsampling
-// and rack/class group-by). The master checkpoints through the incremental
-// delta log (anchor snapshots plus per-mutation deltas, periodic
-// compaction), and the measured byte saving over snapshot-per-write is
-// gated. Ring shape, query conversation totals and checksum, link-loss
-// attribution and checkpoint accounting land in the `obs` section.
-//
-// With -check-budgets the run is a CI regression gate: it exits non-zero
-// when allocs/decision, messages/grant, or (gateway mode) allocs/admission
-// and messages/admission exceed the budgets (which are also recorded in the
-// output JSON). With -prev the budgets default to the ones recorded in a
-// previous BENCH_scale.json, and the report is tagged with any sections
-// this build produces that the old baseline predates (a pre-gateway
-// baseline missing the `gateway` section is a tagged skip, not an error).
+// A run exits non-zero when it breaks its lane's contract or, with
+// -check-budgets, one of the lane's gates. -merge folds the run into an
+// existing -out file under the lane's name instead of overwriting it; -prev
+// names an earlier output file to diff sections against (a section the old
+// file predates is a tagged skip, not an error).
 //
 // Usage:
 //
-//	go run ./cmd/scalesim                     # full paper-scale run
-//	go run ./cmd/scalesim -smoke              # CI-sized smoke run
-//	go run ./cmd/scalesim -compare -out BENCH_scale.json
-//	go run ./cmd/scalesim -smoke -check-budgets   # perf regression gate
-//	go run ./cmd/scalesim -gateway -merge -out BENCH_scale.json
-//	go run ./cmd/scalesim -gateway -smoke -check-budgets -prev BENCH_scale.json
-//	go run ./cmd/scalesim -obs -merge -out BENCH_scale.json
+//	go run ./cmd/scalesim                               # classic lane, 5,000 machines
+//	go run ./cmd/scalesim -lane churn -smoke -check-budgets   # CI regression gate
+//	go run ./cmd/scalesim -lane gateway -merge -out BENCH_scale.json
 package main
 
 import (
@@ -84,246 +26,95 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/scale"
 	"repro/internal/sim"
 )
 
+// minSMPCoreSpeedupP4 gates the smp lane's core-kernel wall-clock speedup at
+// shards=4, on hosts that have four cores to show one.
+const minSMPCoreSpeedupP4 = 2.0
+
 func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		smoke    = flag.Bool("smoke", false, "run the CI-sized smoke configuration (100 machines)")
-		compare  = flag.Bool("compare", false, "also run the legacy-scheduler baseline and the parallel sections, reporting speedups")
-		out      = flag.String("out", "BENCH_scale.json", "output JSON path (- for stdout only)")
-		merge    = flag.Bool("merge", false, "merge this run's section into an existing -out file instead of overwriting it (single-run modes only)")
-		prev     = flag.String("prev", "", "previous BENCH_scale.json: budgets default to its recorded values and missing sections are tagged as skipped, not errors")
+		laneName = flag.String("lane", "classic", "lane to run: "+laneNames())
+		smoke    = flag.Bool("smoke", false, "run the lane's CI-sized configuration (100 machines)")
+		seed     = flag.Int64("seed", 1, "simulation seed")
 		racks    = flag.Int("racks", 0, "override rack count")
 		perRack  = flag.Int("machines-per-rack", 0, "override machines per rack")
 		apps     = flag.Int("apps", 0, "override application count")
 		units    = flag.Int("units-per-app", 0, "override schedule units per app")
-		seed     = flag.Int64("seed", 1, "simulation seed")
 		horizonS = flag.Int("horizon-sec", 0, "override simulation horizon (seconds)")
-		budget   = flag.Duration("baseline-budget", 2*time.Minute,
-			"wall-clock budget for the -compare baseline run (it is rate-measured, not run to completion)")
-		legacy    = flag.Bool("legacy", false, "run only the legacy baseline scheduler")
-		shards    = flag.Int("shards", 0, "scheduler shard count for single runs (0 = GOMAXPROCS; >1 enables batched rounds)")
-		shardList = flag.String("shard-counts", "1,4,8", "comma-separated shard counts for the -compare parallel sections")
-		roundMS   = flag.Int("round-window-ms", 0, "scheduling-round width in virtual ms (0 = default when sharded, off otherwise)")
-		mfailover = flag.Bool("master-failover", false,
-			"crash the active FuxiMaster mid-run (hot-standby promotion) and attach the cluster-wide invariant checker")
-		mfCount = flag.Int("master-failovers", 3, "number of mid-run master crashes in -master-failover mode")
-		gw      = flag.Bool("gateway", false,
-			"run the multi-tenant submission-gateway scenario (1M-user load generator, admission control, master failover, admission-conservation checks)")
-		gwUsers     = flag.Int("users", 0, "override the gateway tenant population")
-		gwSubs      = flag.Int("submissions", 0, "override the gateway submission count")
-		gwFailovers = flag.Int("gateway-failovers", 1, "number of mid-run master crashes in -gateway mode (0 disables)")
-		churn       = flag.Bool("churn", false,
-			"run the steady-state churn benchmark (long-horizon release/re-demand cycling, no failovers; measured after warmup)")
-		dataplane = flag.Bool("dataplane", false,
-			"run the data-plane scenario (GraySort chains, Figure 6 DAGs and streamline service residents on the scheduled cluster, with locality and kernel verification)")
-		replay = flag.Bool("replay", false,
-			"run the trace-driven replay scenario (diurnal million-tenant workload with burst sessions, heavy-tailed job shapes, failure storms and per-class SLO gates)")
-		rpDays   = flag.Int("replay-days", 0, "override the number of simulated days in -replay mode")
-		rpDaySec = flag.Int("replay-day-sec", 0, "override the simulated day length (seconds) in -replay mode")
-		rpRate   = flag.Float64("replay-sessions-per-sec", 0, "override the day-average session arrival rate in -replay mode")
-		rpStorm  = flag.Float64("replay-storm-pct", 0, "override the storm victim percentage in -replay mode")
-		chaos    = flag.Bool("chaos", false,
-			"run the churn workload under an adversarial network schedule (partition storms, link flaps, delay spikes, lock-service partition) with convergence-after-heal gates")
-		czPct = flag.Float64("chaos-partition-pct", 0, "override the partitioned machine percentage per storm in -chaos mode")
-		obsM  = flag.Bool("obs", false,
-			"run the churn workload with the observability plane (ring-buffered master time-series, live queries over transport, incremental delta checkpoints) and record the `obs` section")
-		obsRetain = flag.Int("obs-retain", 0, "override the time-series ring capacity (rows) in -obs mode")
-		smpMode   = flag.Bool("smp", false,
-			"run the SMP bench lane (core-kernel + rounds + churn at each -smp-shard-counts entry, decision-stream parity, wall-clock speedups); writes BENCH_scale_smp.json unless -out is set")
-		smpShards = flag.String("smp-shard-counts", "1,2,4,8", "comma-separated shard counts for the -smp sweep (first entry is the speedup baseline)")
-		tenx      = flag.Bool("tenx", false,
-			"run the 10x footprint (50k machines, 1M schedule units) churn workload with the invariant checker attached and record the `tenx` section")
-		minSMPSpeedup = flag.Float64("min-smp-core-speedup", 2.0,
-			"minimum core-lane wall-clock speedup at shards=4 enforced by -check-budgets in -smp mode on hosts with >= 4 cores (skipped with a tagged note otherwise)")
-		gate          = flag.Bool("check-budgets", false, "exit non-zero when the run exceeds the perf budgets (CI regression gate)")
-		maxObsAllocs  = flag.Float64("max-obs-allocs-per-sample", 0.004, "obs record-path allocs/sample budget enforced by -check-budgets in -obs mode (default trips on any allocation during calibration)")
-		maxCkptBpj    = flag.Float64("max-checkpoint-bytes-per-job", 0, "checkpoint bytes per registered job budget enforced by -check-budgets in -obs mode (0 disables; -prev supplies the recorded value)")
-		maxAllocs     = flag.Float64("max-allocs-per-decision", 10, "allocs/decision budget enforced by -check-budgets")
-		maxMsgPerG    = flag.Float64("max-messages-per-grant", 5.5, "messages/grant budget enforced by -check-budgets")
-		maxAllocsAdm  = flag.Float64("max-allocs-per-admission", 60, "allocs/admission budget enforced by -check-budgets in -gateway mode")
-		maxMsgAdm     = flag.Float64("max-messages-per-admission", 25, "messages/admission budget enforced by -check-budgets in -gateway mode")
-		maxAllocsChur = flag.Float64("max-allocs-per-decision-churn", 8, "steady-state allocs/decision budget enforced by -check-budgets in -churn mode")
-		maxAllocsFo   = flag.Float64("max-allocs-per-decision-failover", 15, "allocs/decision budget enforced by -check-budgets on master-failover scenarios")
-		minDpLocality = flag.Float64("min-dataplane-locality-pct", 40, "minimum locality hit rate enforced by -check-budgets in -dataplane mode")
-		maxDpMakespan = flag.Float64("max-dataplane-makespan-p99-ms", 0, "batch-job makespan p99 budget (virtual ms) enforced by -check-budgets in -dataplane mode (0 disables; -prev supplies the recorded value)")
-		minDpSLO      = flag.Float64("min-dataplane-service-slo-pct", 80, "minimum service-class demand-to-grant SLO attainment enforced by -check-budgets in -dataplane mode")
-		minRpSLO      = flag.Float64("min-replay-service-slo-pct", 80, "minimum service-class demand-to-grant SLO attainment enforced by -check-budgets in -replay mode")
-		maxRpAdmP99   = flag.Float64("max-replay-service-admission-p99-ms", 0, "service-class admission p99 budget (virtual ms) enforced by -check-budgets in -replay mode (0 disables; -prev supplies the recorded value)")
-		maxRpShed     = flag.Float64("max-replay-shed-pct", 15, "maximum overall gateway shed rate enforced by -check-budgets in -replay mode")
-		maxCzConvP99  = flag.Float64("max-chaos-convergence-p99-ms", 0, "convergence-after-heal p99 budget (virtual ms) enforced by -check-budgets in -chaos mode (0 disables; -prev supplies the recorded value)")
-		maxCzReissued = flag.Uint64("max-chaos-reissued", 0, "maximum grants reissued during heal windows enforced by -check-budgets in -chaos mode (0 disables; -prev supplies the recorded value)")
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile    = flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof -sample_index=alloc_space for hot allocators)")
+		shards   = flag.Int("shards", 0, "override scheduler shard count (0 keeps the lane's own, serial for most; >1 enables batched rounds)")
+		roundMS  = flag.Int("round-window-ms", 0, "override scheduling-round width in virtual ms")
+		smpList  = flag.String("smp-shard-counts", "1,2,4,8", "comma-separated shard counts for -lane smp (first entry is the speedup baseline)")
+		out      = flag.String("out", "", "output JSON path (- for stdout only; default BENCH_scale.json, BENCH_scale_smp.json for -lane smp)")
+		merge    = flag.Bool("merge", false, "fold this run into an existing -out file under the lane's name instead of overwriting it")
+		prev     = flag.String("prev", "", "previous output file to diff sections against")
+		gate     = flag.Bool("check-budgets", false, "exit non-zero when the run breaks one of its lane's budget gates (CI regression gate)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof -sample_index=alloc_space for hot allocators)")
 	)
 	flag.Parse()
 
-	// cfg is the classic workload configuration; gwCfg the gateway-mode
-	// one. They are kept separate so `-compare -gateway` runs the
-	// baseline/optimized/parallel sections on the classic workload (keeping
-	// them comparable with prior baselines) and only the gateway section on
-	// the gateway workload.
-	cfg := scale.DefaultConfig()
-	gwCfg := scale.DefaultGatewayConfig()
-	if *smoke {
-		cfg = scale.SmokeConfig()
-		gwCfg = scale.SmokeGatewayConfig()
-	}
+	// The generic overrides apply to whichever lane was picked; 0 keeps the
+	// lane's own value.
 	override := func(c *scale.Config) {
+		c.Seed = *seed
 		if *racks > 0 {
 			c.Racks = *racks
 		}
 		if *perRack > 0 {
 			c.MachinesPerRack = *perRack
 		}
+		if *apps > 0 {
+			c.Apps = *apps
+		}
+		if *units > 0 {
+			c.UnitsPerApp = *units
+		}
 		if *horizonS > 0 {
 			c.Horizon = sim.Time(*horizonS) * sim.Second
 		}
-		c.Seed = *seed
 		if *roundMS > 0 {
 			c.RoundWindow = sim.Time(*roundMS) * sim.Millisecond
 		}
-	}
-	override(&cfg)
-	override(&gwCfg)
-	if *apps > 0 {
-		cfg.Apps = *apps
-	}
-	if *units > 0 {
-		cfg.UnitsPerApp = *units
-	}
-	cfg.LegacyScan = *legacy
-	if *gwUsers > 0 {
-		gwCfg.GatewayUsers = *gwUsers
-	}
-	if *gwSubs > 0 {
-		gwCfg.GatewaySubmissions = *gwSubs
-	}
-	if *shards != 0 {
-		gwCfg.Shards = *shards
-		if gwCfg.Shards > 1 && gwCfg.RoundWindow == 0 {
-			gwCfg.RoundWindow = scale.DefaultRoundWindow
+		if *shards != 0 {
+			c.Shards = *shards
 		}
-	}
-	gwCfg = gwCfg.WithMasterFailovers(*gwFailovers)
-
-	dpCfg := scale.DefaultDataplaneConfig()
-	if *smoke {
-		dpCfg = scale.SmokeDataplaneConfig()
-	}
-	override(&dpCfg)
-	if *shards != 0 {
-		dpCfg.Shards = *shards
-		if dpCfg.Shards > 1 && dpCfg.RoundWindow == 0 {
-			dpCfg.RoundWindow = scale.DefaultRoundWindow
+		if c.Shards > 1 && c.RoundWindow == 0 {
+			c.RoundWindow = scale.DefaultRoundWindow
 		}
 	}
 
-	rpCfg := scale.DefaultReplayConfig()
-	if *smoke {
-		rpCfg = scale.SmokeReplayConfig()
-	}
-	override(&rpCfg)
-	if *rpDays > 0 {
-		rpCfg.ReplayDays = *rpDays
-	}
-	if *rpDaySec > 0 {
-		rpCfg.ReplayDayLength = sim.Time(*rpDaySec) * sim.Second
-	}
-	if *rpRate > 0 {
-		rpCfg.ReplaySessionsPerSec = *rpRate
-	}
-	if *rpStorm > 0 {
-		rpCfg.ReplayStormPct = *rpStorm
-	}
-	if *gwUsers > 0 {
-		rpCfg.GatewayUsers = *gwUsers
-	}
-	if *shards != 0 {
-		rpCfg.Shards = *shards
-		if rpCfg.Shards > 1 && rpCfg.RoundWindow == 0 {
-			rpCfg.RoundWindow = scale.DefaultRoundWindow
+	// smp is not a table entry: it sweeps shard counts over several
+	// workloads and has its own result type and artifact.
+	smp := *laneName == "smp"
+	lane := scale.LaneByName(*laneName)
+	var smpCounts []int
+	switch {
+	case smp:
+		var err error
+		if smpCounts, err = parseShardCounts(*smpList); err != nil {
+			fmt.Fprintln(os.Stderr, "scalesim:", err)
+			return 2
 		}
-	}
-
-	chCfg := scale.DefaultChurnConfig()
-	if *smoke {
-		chCfg = scale.SmokeChurnConfig()
-	}
-	override(&chCfg)
-	if *horizonS == 0 {
-		chCfg.Horizon = chCfg.ChurnWarmup + chCfg.ChurnMeasure
-	}
-	if *apps > 0 {
-		chCfg.Apps = *apps
-	}
-	if *units > 0 {
-		chCfg.UnitsPerApp = *units
-	}
-	if *shards != 0 {
-		chCfg.Shards = *shards
-	}
-
-	czCfg := scale.DefaultChaosConfig()
-	if *smoke {
-		czCfg = scale.SmokeChaosConfig()
-	}
-	override(&czCfg)
-	if *horizonS == 0 {
-		czCfg.Horizon = czCfg.ChurnWarmup + czCfg.ChurnMeasure
-	}
-	if *apps > 0 {
-		czCfg.Apps = *apps
-	}
-	if *units > 0 {
-		czCfg.UnitsPerApp = *units
-	}
-	if *shards != 0 {
-		czCfg.Shards = *shards
-	}
-	if *czPct > 0 {
-		czCfg.ChaosPartitionPct = *czPct
-	}
-
-	obCfg := scale.DefaultObsConfig()
-	if *smoke {
-		obCfg = scale.SmokeObsConfig()
-	}
-	override(&obCfg)
-	if *horizonS == 0 {
-		obCfg.Horizon = obCfg.ChurnWarmup + obCfg.ChurnMeasure
-	}
-	if *apps > 0 {
-		obCfg.Apps = *apps
-	}
-	if *units > 0 {
-		obCfg.UnitsPerApp = *units
-	}
-	if *shards != 0 {
-		obCfg.Shards = *shards
-	}
-	if *obsRetain > 0 {
-		obCfg.ObsRetain = *obsRetain
-	}
-
-	shardCounts, err := parseShardCounts(*shardList)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalesim:", err)
+	case lane == nil:
+		fmt.Fprintf(os.Stderr, "scalesim: unknown -lane %q (want %s)\n", *laneName, laneNames())
+		return 2
+	case *smoke && lane.Smoke == nil:
+		fmt.Fprintf(os.Stderr, "scalesim: -lane %s has no -smoke size\n", lane.Name)
 		return 2
 	}
-	smpCounts, err := parseShardCounts(*smpShards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalesim:", err)
-		return 2
+	if *out == "" {
+		*out = "BENCH_scale.json"
+		if smp {
+			*out = "BENCH_scale_smp.json"
+		}
 	}
 	// Give the worker goroutines cores to run on when the host has them —
 	// unless the operator pinned GOMAXPROCS explicitly (the CI matrix runs
@@ -331,13 +122,8 @@ func run() int {
 	// interleaving; silently raising it would defeat that leg).
 	if os.Getenv("GOMAXPROCS") == "" {
 		want := *shards
-		for _, p := range shardCounts {
-			if *compare && p > want {
-				want = p
-			}
-		}
 		for _, p := range smpCounts {
-			if *smpMode && p > want {
+			if p > want {
 				want = p
 			}
 		}
@@ -346,29 +132,8 @@ func run() int {
 		}
 	}
 
-	budgets := scale.Budgets{
-		MaxAllocsPerDecision:           *maxAllocs,
-		MaxMessagesPerGrant:            *maxMsgPerG,
-		MaxAllocsPerAdmission:          *maxAllocsAdm,
-		MaxMessagesPerAdmission:        *maxMsgAdm,
-		MaxAllocsPerDecisionChurn:      *maxAllocsChur,
-		MaxAllocsPerDecisionFailover:   *maxAllocsFo,
-		MinDataplaneLocalityPct:        *minDpLocality,
-		MaxDataplaneMakespanP99MS:      *maxDpMakespan,
-		MinDataplaneServiceSLOPct:      *minDpSLO,
-		MinReplayServiceSLOPct:         *minRpSLO,
-		MaxReplayServiceAdmissionP99MS: *maxRpAdmP99,
-		MaxReplayShedPct:               *maxRpShed,
-		MaxChaosConvergenceP99MS:       *maxCzConvP99,
-		MaxChaosReissued:               *maxCzReissued,
-		MaxObsAllocsPerSample:          *maxObsAllocs,
-		MaxCheckpointBytesPerJob:       *maxCkptBpj,
-		MinSMPCoreSpeedupP4:            *minSMPSpeedup,
-	}
-	prevSections, prevDiffBase := loadPrev(*prev, &budgets)
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scalesim: -cpuprofile:", err)
 			return 2
@@ -382,9 +147,9 @@ func run() int {
 			f.Close()
 		}()
 	}
-	if *memProfile != "" {
+	if *memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(*memProf)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "scalesim: -memprofile:", err)
 				return
@@ -398,39 +163,14 @@ func run() int {
 	}
 
 	var payload any
-	mergeKey := "run"
 	broken := false
-	gateViolations := func(label string, r *scale.Result) {
-		if !*gate {
-			return
-		}
-		if bad := r.CheckBudgets(budgets); len(bad) > 0 {
-			broken = true
-			fmt.Fprintf(os.Stderr, "scalesim: %s: BUDGET EXCEEDED: %v\n", label, bad)
-		}
-	}
-	switch {
-	case *smpMode:
-		// The SMP lane defaults to its own artifact: CI gates it with its
-		// own -prev baseline, independent of BENCH_scale.json.
-		if *out == "BENCH_scale.json" {
-			*out = "BENCH_scale_smp.json"
-		}
+	if smp {
 		opts := scale.DefaultSMPOptions()
 		if *smoke {
 			opts = scale.SmokeSMPOptions()
 		}
 		override(&opts.Rounds)
 		override(&opts.Churn)
-		if *horizonS == 0 {
-			opts.Churn.Horizon = opts.Churn.ChurnWarmup + opts.Churn.ChurnMeasure
-		}
-		if *apps > 0 {
-			opts.Rounds.Apps, opts.Churn.Apps = *apps, *apps
-		}
-		if *units > 0 {
-			opts.Rounds.UnitsPerApp, opts.Churn.UnitsPerApp = *units, *units
-		}
 		opts.ShardCounts = smpCounts
 		res, err := scale.RunSMP(opts)
 		if err != nil {
@@ -438,377 +178,99 @@ func run() int {
 			return 1
 		}
 		payload = res
-		mergeKey = "smp"
 		printSMP(res)
-		// Decision-stream divergence across shard counts is a correctness
-		// failure regardless of budgets; the speedup budget only applies on
-		// hosts that can actually exhibit one.
-		if !res.ParityOK() {
-			broken = true
-			fmt.Fprintln(os.Stderr, "scalesim: smp: DECISION STREAMS DIVERGED across shard counts")
+		broken = smpBroken(res, *gate)
+	} else {
+		cfg := lane.Full()
+		if *smoke {
+			cfg = lane.Smoke()
 		}
-		for i := range res.Core {
-			if res.Core[i].Invariants > 0 {
-				broken = true
-				fmt.Fprintf(os.Stderr, "scalesim: smp: core shards=%d: %d invariant violations\n",
-					res.Core[i].Shards, res.Core[i].Invariants)
-			}
-		}
-		for i := range res.Rounds {
-			broken = broken || len(res.Rounds[i].Invariants) > 0 || len(res.Churn[i].Invariants) > 0
-		}
-		if *gate && budgets.MinSMPCoreSpeedupP4 > 0 {
-			switch {
-			case !res.MultiCore:
-				fmt.Printf("smp: speedup gate SKIPPED: %s\n", res.Note)
-			case res.CoreSpeedupP4 == 0:
-				fmt.Println("smp: speedup gate SKIPPED: shards=4 not in the sweep")
-			case res.CoreSpeedupP4 < budgets.MinSMPCoreSpeedupP4:
-				broken = true
-				fmt.Fprintf(os.Stderr, "scalesim: smp: BUDGET EXCEEDED: core speedup at shards=4 %.2fx below budget %.2fx\n",
-					res.CoreSpeedupP4, budgets.MinSMPCoreSpeedupP4)
-			}
-		}
-	case *tenx:
-		txCfg := scale.TenXChurnConfig()
-		txCfg.Seed = *seed
-		if *shards != 0 {
-			txCfg.Shards = *shards
-		}
-		res, err := scale.Run(txCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"tenx"})
-		payload = res
-		mergeKey = "tenx"
-		printResult("tenx (10x footprint: 50k machines, 1M units)", res)
-		gateViolations("tenx", res)
-		broken = broken || len(res.Invariants) > 0
-	case *obsM:
-		res, err := scale.Run(obCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"obs"})
-		payload = res
-		mergeKey = "obs"
-		printResult("obs (observability plane)", res)
-		gateViolations("obs", res)
-		// The scenario's contract: samples were recorded and the ring
-		// wrapped, live queries were answered mid-run, flap loss showed up
-		// on the watched links, the delta log beat snapshot-per-write by
-		// the acceptance margin, and the checker stays silent.
-		broken = broken || obsBroken(res)
-	case *chaos:
-		res, err := scale.Run(czCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"chaos"})
-		payload = res
-		mergeKey = "chaos"
-		printResult("chaos (adversarial network)", res)
-		gateViolations("chaos", res)
-		// The scenario's contract: every scheduled storm landed and healed,
-		// every heal window reconverged, and the checker stays silent.
-		broken = broken || chaosBroken(res)
-	case *churn:
-		res, err := scale.Run(chCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.VsRoundsSpeedup = roundsSpeedup(res, prevSections)
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"churn"})
-		payload = res
-		mergeKey = "churn"
-		printResult("churn (steady state)", res)
-		if res.VsRoundsSpeedup > 0 {
-			fmt.Printf("speedup: %.2fx steady-state decisions/s vs the recorded rounds path\n", res.VsRoundsSpeedup)
-		}
-		gateViolations("churn", res)
-		broken = broken || len(res.Invariants) > 0
-	case *compare:
-		cmp, err := scale.RunCompare(cfg, *budget, shardCounts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		cmp.Budgets = &budgets
-		printResult("baseline (legacy scan)", &cmp.Baseline)
-		printResult("optimized (serial)", &cmp.Optimized)
-		for i := range cmp.Parallel {
-			p := &cmp.Parallel[i]
-			printResult(fmt.Sprintf("parallel (shards=%d, rounds)", p.Config.Shards), p)
-			gateViolations(fmt.Sprintf("parallel-%d", p.Config.Shards), p)
-		}
-		fmt.Printf("speedup: %.2fx scheduling-decision throughput (serial optimized vs legacy)\n", cmp.Speedup)
-		if cmp.SpeedupParallel > 0 {
-			fmt.Printf("speedup: %.2fx parallel sections vs serial optimized (best shard count)\n", cmp.SpeedupParallel)
-		}
-		if pl := cmp.CommonPrefixLatency; pl != nil {
-			fmt.Printf("common-prefix latency over %d apps completed by every section:\n", pl.Apps)
-			batched := false
-			for _, name := range sortedKeys(pl.MeanMS) {
-				note := ""
-				if w := pl.RoundWindowMS[name]; w > 0 {
-					note = fmt.Sprintf("  [+%.0fms round window]", w)
-					batched = true
-				}
-				fmt.Printf("  %-12s mean %.2fms max %.2fms%s\n", name, pl.MeanMS[name], pl.MaxMS[name], note)
-			}
-			if batched {
-				fmt.Println("  note: sections tagged with a round window buffer demand/returns into" +
-					" scheduling rounds of that width; their latency includes the configured" +
-					" batching delay (a throughput/latency trade), not a scheduling regression.")
-			}
-		}
-		broken = broken || len(cmp.Baseline.Invariants) > 0 || len(cmp.Optimized.Invariants) > 0
-		for i := range cmp.Parallel {
-			broken = broken || len(cmp.Parallel[i].Invariants) > 0
-		}
-		produced := []string{"baseline", "optimized", "parallel"}
-		if *mfailover {
-			fcfg := cfg.WithMasterFailovers(*mfCount)
-			// The failover scenario exercises the full PR 3 configuration:
-			// sharded rounds on top of hot-standby promotion.
-			fcfg.Shards = shardCounts[len(shardCounts)-1]
-			if fcfg.RoundWindow == 0 {
-				fcfg.RoundWindow = scale.DefaultRoundWindow
-			}
-			fo, err := scale.Run(fcfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scalesim:", err)
-				return 1
-			}
-			cmp.Failover = fo
-			printResult("master-failover", fo)
-			gateViolations("failover", fo)
-			broken = broken || len(fo.Invariants) > 0 || fo.CompletedApps != fo.Config.Apps
-			produced = append(produced, "failover")
-		}
-		if *gw {
-			gres, err := scale.Run(gwCfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scalesim:", err)
-				return 1
-			}
-			cmp.GatewayRun = gres
-			printResult("gateway", gres)
-			gateViolations("gateway", gres)
-			broken = broken || gatewayBroken(gres)
-			produced = append(produced, "gateway")
-		}
-		cmp.Prev = diffPrev(prevDiffBase, prevSections, produced)
-		payload = cmp
-	case *dataplane:
-		res, err := scale.Run(dpCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"dataplane"})
-		payload = res
-		mergeKey = "dataplane"
-		printResult("dataplane", res)
-		gateViolations("dataplane", res)
-		// The scenario's contract: every job completes, every sampled kernel
-		// check passes, and the checker stays silent.
-		broken = broken || dataplaneBroken(res)
-	case *replay:
-		res, err := scale.Run(rpCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"replay"})
-		payload = res
-		mergeKey = "replay"
-		printResult("replay", res)
-		gateViolations("replay", res)
-		// The scenario's contract: the trace drains (every submission
-		// completed or deterministically shed) through the storms and the
-		// failover, and the checker stays silent.
-		broken = broken || replayBroken(res)
-	case *gw:
-		res, err := scale.Run(gwCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"gateway"})
-		payload = res
-		mergeKey = "gateway"
-		printResult("gateway", res)
-		gateViolations("gateway", res)
-		// The scenario's contract: every submission settles (completed or
-		// deterministically shed) despite the master crashes, and the
-		// checker — admission conservation included — stays silent.
-		broken = broken || gatewayBroken(res)
-	case *mfailover:
-		fcfg := cfg.WithMasterFailovers(*mfCount)
-		if *shards != 0 {
-			fcfg.Shards = *shards
-			if fcfg.RoundWindow == 0 {
-				fcfg.RoundWindow = scale.DefaultRoundWindow
-			}
-		}
-		res, err := scale.Run(fcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"failover"})
-		payload = res
-		mergeKey = "failover"
-		printResult("master-failover", res)
-		gateViolations("master-failover", res)
-		// The scenario's contract: every app completes despite the crashes
-		// and the checker stays silent.
-		broken = broken || len(res.Invariants) > 0 || res.CompletedApps != res.Config.Apps
-	default:
-		if *shards != 0 {
-			cfg.Shards = *shards
-			if cfg.Shards > 1 && cfg.RoundWindow == 0 {
-				cfg.RoundWindow = scale.DefaultRoundWindow
-			}
-		}
+		override(&cfg)
 		res, err := scale.Run(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scalesim:", err)
 			return 1
 		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"optimized"})
+		res.Prev = diffPrev(*prev, lane.Name)
 		payload = res
-		printResult("run", res)
-		gateViolations("run", res)
-		broken = broken || len(res.Invariants) > 0
+		printResult(lane.Name, res)
+		if lane.Broken(res) {
+			broken = true
+			fmt.Fprintf(os.Stderr, "scalesim: %s: the run broke the lane's contract\n", lane.Name)
+		}
+		if *gate {
+			if bad := lane.Check(res, *smoke); len(bad) > 0 {
+				broken = true
+				fmt.Fprintf(os.Stderr, "scalesim: %s: BUDGET EXCEEDED: %v\n", lane.Name, bad)
+			}
+		}
 	}
 
 	if *out != "-" {
-		// Refresh the recorded budgets on merge only when -check-budgets is
-		// in force: an unrelated merge must not quietly overwrite the
-		// tightened thresholds a compare run recorded (CI's -prev gate
-		// reads exactly that section).
-		var recordBudgets *scale.Budgets
-		if *gate {
-			recordBudgets = &budgets
-		}
-		if err := writeOut(*out, payload, mergeKey, *merge, *compare, recordBudgets); err != nil {
+		if err := writeOut(*out, payload, *laneName, *merge); err != nil {
 			fmt.Fprintln(os.Stderr, "scalesim:", err)
 			return 1
 		}
 		fmt.Println("wrote", *out)
 	}
 	if broken {
-		// Scheduler invariant violations and budget breaches are
-		// correctness/perf failures, not measurements: make CI smoke runs
-		// fail loudly.
+		// Contract and budget breaches are correctness/perf failures, not
+		// measurements: make CI smoke runs fail loudly.
 		return 1
 	}
 	return 0
 }
 
-// roundsSpeedup computes the churn section's decisions/s over the best
-// rounds-path section recorded in the -prev baseline: the parallel sections
-// (batched rounds) when present, else the serial optimized section. Zero
-// when no baseline is comparable.
-func roundsSpeedup(churn *scale.Result, sections map[string]json.RawMessage) float64 {
-	if churn.DecisionsPerSec == 0 || sections == nil {
-		return 0
+func laneNames() string {
+	names := make([]string, 0, len(scale.Lanes)+1)
+	for _, l := range scale.Lanes {
+		names = append(names, l.Name)
 	}
-	best := 0.0
-	if raw, ok := sections["parallel"]; ok {
-		var par []scale.Result
-		if err := json.Unmarshal(raw, &par); err == nil {
-			for _, p := range par {
-				if p.DecisionsPerSec > best {
-					best = p.DecisionsPerSec
-				}
-			}
+	return strings.Join(append(names, "smp"), ", ")
+}
+
+// smpBroken applies the smp lane's contract. Decision-stream divergence
+// across shard counts is a correctness failure regardless of budgets; the
+// speedup gate only applies on hosts that can actually exhibit one.
+func smpBroken(res *scale.SMPResult, gate bool) bool {
+	broken := false
+	if !res.ParityOK() {
+		broken = true
+		fmt.Fprintln(os.Stderr, "scalesim: smp: DECISION STREAMS DIVERGED across shard counts")
+	}
+	for i := range res.Core {
+		if res.Core[i].Invariants > 0 {
+			broken = true
+			fmt.Fprintf(os.Stderr, "scalesim: smp: core shards=%d: %d invariant violations\n",
+				res.Core[i].Shards, res.Core[i].Invariants)
 		}
 	}
-	if best == 0 {
-		if raw, ok := sections["optimized"]; ok {
-			var opt scale.Result
-			if err := json.Unmarshal(raw, &opt); err == nil {
-				best = opt.DecisionsPerSec
-			}
+	for i := range res.Rounds {
+		broken = broken || len(res.Rounds[i].Invariants) > 0 || len(res.Churn[i].Invariants) > 0
+	}
+	if gate {
+		switch {
+		case !res.MultiCore:
+			fmt.Printf("smp: speedup gate SKIPPED: %s\n", res.Note)
+		case res.CoreSpeedupP4 == 0:
+			fmt.Println("smp: speedup gate SKIPPED: shards=4 not in the sweep")
+		case res.CoreSpeedupP4 < minSMPCoreSpeedupP4:
+			broken = true
+			fmt.Fprintf(os.Stderr, "scalesim: smp: BUDGET EXCEEDED: core speedup at shards=4 %.2fx below budget %.2fx\n",
+				res.CoreSpeedupP4, minSMPCoreSpeedupP4)
 		}
 	}
-	if best == 0 {
-		return 0
-	}
-	return churn.DecisionsPerSec / best
-}
-
-// gatewayBroken applies the gateway scenario's pass/fail contract.
-func gatewayBroken(r *scale.Result) bool {
-	if len(r.Invariants) > 0 || r.Truncated || r.Gateway == nil {
-		return true
-	}
-	g := r.Gateway
-	return g.Completed+g.Shed != g.Submitted
-}
-
-// replayBroken applies the replay scenario's pass/fail contract.
-func replayBroken(r *scale.Result) bool {
-	if len(r.Invariants) > 0 || r.Truncated || r.Replay == nil || r.Gateway == nil {
-		return true
-	}
-	g := r.Gateway
-	rp := r.Replay
-	return g.Completed+g.Shed != g.Submitted || rp.Submissions == 0 ||
-		rp.Injections-rp.InjectionsSkipped == 0
-}
-
-// obsBroken applies the observability scenario's pass/fail contract.
-func obsBroken(r *scale.Result) bool {
-	if len(r.Invariants) > 0 || r.Obs == nil {
-		return true
-	}
-	o := r.Obs
-	return o.SamplesTotal == 0 || o.Queries == 0 || o.Responses == 0 ||
-		o.QueryResults == 0 ||
-		(o.FlapWindows > 0 && o.LinkDropsObserved == 0) ||
-		o.CheckpointSavingsX < 5
-}
-
-// chaosBroken applies the chaos scenario's pass/fail contract.
-func chaosBroken(r *scale.Result) bool {
-	if len(r.Invariants) > 0 || r.Chaos == nil {
-		return true
-	}
-	cz := r.Chaos
-	return cz.Partitions == 0 || cz.Heals != cz.Partitions ||
-		cz.Unconverged > 0 || cz.InjectionsSkipped > 0
-}
-
-// dataplaneBroken applies the data-plane scenario's pass/fail contract.
-func dataplaneBroken(r *scale.Result) bool {
-	if len(r.Invariants) > 0 || r.Truncated || r.Dataplane == nil {
-		return true
-	}
-	d := r.Dataplane
-	total := r.Config.GraySortJobs + r.Config.DAGJobs + r.Config.ServiceJobs
-	return d.CompletedJobs != total || d.VerifyFailures > 0 || d.ServiceOpFailures > 0
+	return broken
 }
 
 // writeOut writes the payload, either overwriting the file or — with
-// doMerge — folding the run's section into an existing JSON document under
-// mergeKey so e.g. a -gateway run extends BENCH_scale.json without
-// discarding the compare sections. Merging also refreshes the `budgets`
-// section, which is where CI's -prev gate reads its thresholds from.
-func writeOut(path string, payload any, mergeKey string, doMerge, isCompare bool, budgets *scale.Budgets) error {
+// doMerge — folding it into an existing JSON document under the lane's name,
+// so e.g. a gateway run extends BENCH_scale.json without discarding the
+// other sections. Merging also rewrites the `budgets` section from the lane
+// table.
+func writeOut(path string, payload any, lane string, doMerge bool) error {
 	var doc any = payload
 	if doMerge {
-		if isCompare {
-			return fmt.Errorf("-merge applies to single-run modes; -compare already writes all sections")
-		}
 		sections := map[string]json.RawMessage{}
 		if data, err := os.ReadFile(path); err == nil {
 			if err := json.Unmarshal(data, &sections); err != nil {
@@ -819,11 +281,9 @@ func writeOut(path string, payload any, mergeKey string, doMerge, isCompare bool
 		if err != nil {
 			return err
 		}
-		sections[mergeKey] = raw
-		if budgets != nil {
-			if raw, err := json.Marshal(budgets); err == nil {
-				sections["budgets"] = raw
-			}
+		sections[lane] = raw
+		if sections["budgets"], err = json.Marshal(scale.Budgets()); err != nil {
+			return err
 		}
 		doc = sections
 	}
@@ -834,112 +294,37 @@ func writeOut(path string, payload any, mergeKey string, doMerge, isCompare bool
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// loadPrev reads a previous BENCH_scale.json. Budgets recorded there
-// override the flag defaults (explicitly-set flags win); a missing or
-// partial budgets section is fine. Returns the section map and the diff
-// skeleton (nil when -prev is unset).
-func loadPrev(path string, budgets *scale.Budgets) (map[string]json.RawMessage, *scale.PrevDiff) {
+// diffPrev relates the run to a previous output file: when the old file has
+// the lane's section its throughput is printed for comparison; a section
+// the file predates is tagged skipped. A missing or malformed file degrades
+// to no baseline (nil), never an error.
+func diffPrev(path, section string) *scale.PrevDiff {
 	if path == "" {
-		return nil, nil
+		return nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scalesim: -prev: %v (continuing without a baseline)\n", err)
-		return nil, nil
+		return nil
 	}
 	sections := map[string]json.RawMessage{}
 	if err := json.Unmarshal(data, &sections); err != nil {
 		fmt.Fprintf(os.Stderr, "scalesim: -prev: %s is not a JSON object: %v (continuing)\n", path, err)
-		return nil, nil
-	}
-	if raw, ok := sections["budgets"]; ok {
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		var pb scale.Budgets
-		if err := json.Unmarshal(raw, &pb); err == nil {
-			if pb.MaxAllocsPerDecision > 0 && !explicit["max-allocs-per-decision"] {
-				budgets.MaxAllocsPerDecision = pb.MaxAllocsPerDecision
-			}
-			if pb.MaxMessagesPerGrant > 0 && !explicit["max-messages-per-grant"] {
-				budgets.MaxMessagesPerGrant = pb.MaxMessagesPerGrant
-			}
-			if pb.MaxAllocsPerAdmission > 0 && !explicit["max-allocs-per-admission"] {
-				budgets.MaxAllocsPerAdmission = pb.MaxAllocsPerAdmission
-			}
-			if pb.MaxAllocsPerDecisionChurn > 0 && !explicit["max-allocs-per-decision-churn"] {
-				budgets.MaxAllocsPerDecisionChurn = pb.MaxAllocsPerDecisionChurn
-			}
-			if pb.MaxAllocsPerDecisionFailover > 0 && !explicit["max-allocs-per-decision-failover"] {
-				budgets.MaxAllocsPerDecisionFailover = pb.MaxAllocsPerDecisionFailover
-			}
-			if pb.MaxMessagesPerAdmission > 0 && !explicit["max-messages-per-admission"] {
-				budgets.MaxMessagesPerAdmission = pb.MaxMessagesPerAdmission
-			}
-			if pb.MinDataplaneLocalityPct > 0 && !explicit["min-dataplane-locality-pct"] {
-				budgets.MinDataplaneLocalityPct = pb.MinDataplaneLocalityPct
-			}
-			if pb.MaxDataplaneMakespanP99MS > 0 && !explicit["max-dataplane-makespan-p99-ms"] {
-				budgets.MaxDataplaneMakespanP99MS = pb.MaxDataplaneMakespanP99MS
-			}
-			if pb.MinDataplaneServiceSLOPct > 0 && !explicit["min-dataplane-service-slo-pct"] {
-				budgets.MinDataplaneServiceSLOPct = pb.MinDataplaneServiceSLOPct
-			}
-			if pb.MinReplayServiceSLOPct > 0 && !explicit["min-replay-service-slo-pct"] {
-				budgets.MinReplayServiceSLOPct = pb.MinReplayServiceSLOPct
-			}
-			if pb.MaxReplayServiceAdmissionP99MS > 0 && !explicit["max-replay-service-admission-p99-ms"] {
-				budgets.MaxReplayServiceAdmissionP99MS = pb.MaxReplayServiceAdmissionP99MS
-			}
-			if pb.MaxReplayShedPct > 0 && !explicit["max-replay-shed-pct"] {
-				budgets.MaxReplayShedPct = pb.MaxReplayShedPct
-			}
-			if pb.MaxChaosConvergenceP99MS > 0 && !explicit["max-chaos-convergence-p99-ms"] {
-				budgets.MaxChaosConvergenceP99MS = pb.MaxChaosConvergenceP99MS
-			}
-			if pb.MaxChaosReissued > 0 && !explicit["max-chaos-reissued"] {
-				budgets.MaxChaosReissued = pb.MaxChaosReissued
-			}
-			if pb.MaxObsAllocsPerSample > 0 && !explicit["max-obs-allocs-per-sample"] {
-				budgets.MaxObsAllocsPerSample = pb.MaxObsAllocsPerSample
-			}
-			if pb.MaxCheckpointBytesPerJob > 0 && !explicit["max-checkpoint-bytes-per-job"] {
-				budgets.MaxCheckpointBytesPerJob = pb.MaxCheckpointBytesPerJob
-			}
-			if pb.MinSMPCoreSpeedupP4 > 0 && !explicit["min-smp-core-speedup"] {
-				budgets.MinSMPCoreSpeedupP4 = pb.MinSMPCoreSpeedupP4
-			}
-		}
-	}
-	return sections, &scale.PrevDiff{Path: path}
-}
-
-// diffPrev fills the prev-diff tag: sections this invocation produced that
-// the old baseline also has are compared (throughput summary to stdout);
-// sections the baseline predates are tagged skipped.
-func diffPrev(base *scale.PrevDiff, sections map[string]json.RawMessage, produced []string) *scale.PrevDiff {
-	if base == nil {
 		return nil
 	}
-	d := *base
-	for _, name := range produced {
-		raw, ok := sections[name]
-		if !ok {
-			d.SkippedSections = append(d.SkippedSections, name)
-			continue
-		}
-		d.Compared = append(d.Compared, name)
-		var old scale.Result
-		if err := json.Unmarshal(raw, &old); err == nil && old.DecisionsPerSec > 0 {
-			fmt.Printf("vs %s [%s]: %.0f decisions/s then\n", d.Path, name, old.DecisionsPerSec)
-		}
+	d := &scale.PrevDiff{Path: path}
+	raw, ok := sections[section]
+	if !ok {
+		d.SkippedSections = []string{section}
+		fmt.Printf("baseline %s predates section %s: skipped, not compared\n", path, section)
+		return d
 	}
-	if len(d.SkippedSections) > 0 {
-		fmt.Printf("baseline %s predates sections %v: skipped, not compared\n",
-			d.Path, d.SkippedSections)
+	d.Compared = []string{section}
+	var old scale.Result
+	if err := json.Unmarshal(raw, &old); err == nil && old.DecisionsPerSec > 0 {
+		fmt.Printf("vs %s [%s]: %.0f decisions/s then\n", path, section, old.DecisionsPerSec)
 	}
-	sort.Strings(d.Compared)
-	sort.Strings(d.SkippedSections)
-	return &d
+	return d
 }
 
 func parseShardCounts(s string) ([]int, error) {
@@ -951,7 +336,7 @@ func parseShardCounts(s string) ([]int, error) {
 		}
 		n, err := strconv.Atoi(part)
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -shard-counts entry %q", part)
+			return nil, fmt.Errorf("bad -smp-shard-counts entry %q", part)
 		}
 		out = append(out, n)
 	}
@@ -961,19 +346,10 @@ func parseShardCounts(s string) ([]int, error) {
 	return out, nil
 }
 
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func printResult(label string, r *scale.Result) {
 	trunc := ""
 	if r.Truncated {
-		trunc = " [TRUNCATED by wall budget/horizon: latency covers the completed prefix only]"
+		trunc = " [TRUNCATED by the horizon: latency covers the completed prefix only]"
 	}
 	fmt.Printf("%s: %d machines, %d units, %d decisions in %.2fs wall (sim %.1fs)%s\n",
 		label, r.Machines, r.Units, r.Decisions, r.WallSeconds, r.SimSeconds, trunc)

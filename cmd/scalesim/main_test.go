@@ -23,79 +23,78 @@ func readSections(t *testing.T, path string) map[string]json.RawMessage {
 }
 
 // TestWriteOutMergePreservesSections pins the -merge contract: folding a
-// gateway run into an existing compare-shaped BENCH_scale.json must keep
-// the old sections and refresh the budgets.
+// gateway run into an existing BENCH_scale.json must keep the old sections
+// and rewrite the budgets from the lane table.
 func TestWriteOutMergePreservesSections(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte(`{"baseline": {"decisions": 1}, "optimized": {"decisions": 2}}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"baseline": {"decisions": 1}, "budgets": {"max_allocs_per_admission": 1}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	res := &scale.Result{Decisions: 42}
-	budgets := &scale.Budgets{MaxAllocsPerDecision: 25, MaxAllocsPerAdmission: 150}
-	if err := writeOut(path, res, "gateway", true, false, budgets); err != nil {
+	if err := writeOut(path, res, "gateway", true); err != nil {
 		t.Fatal(err)
 	}
 	m := readSections(t, path)
-	for _, want := range []string{"baseline", "optimized", "gateway", "budgets"} {
+	for _, want := range []string{"baseline", "gateway", "budgets"} {
 		if _, ok := m[want]; !ok {
 			t.Errorf("merged file lost or lacks section %q", want)
 		}
 	}
-	var b scale.Budgets
-	if err := json.Unmarshal(m["budgets"], &b); err != nil || b.MaxAllocsPerAdmission != 150 {
-		t.Errorf("budgets not refreshed: %+v (%v)", b, err)
+	var b map[string]float64
+	if err := json.Unmarshal(m["budgets"], &b); err != nil || b["max_allocs_per_admission"] != 60 {
+		t.Errorf("budgets not rewritten from the lane table: %v (%v)", b, err)
 	}
 
 	// Merging into a missing file starts a fresh document.
 	fresh := filepath.Join(t.TempDir(), "new.json")
-	if err := writeOut(fresh, res, "gateway", true, false, budgets); err != nil {
+	if err := writeOut(fresh, res, "gateway", true); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := readSections(t, fresh)["gateway"]; !ok {
 		t.Error("merge into missing file lost the run section")
 	}
 
-	// -merge with -compare is a usage error (compare writes all sections).
-	if err := writeOut(path, res, "gateway", true, true, budgets); err == nil {
-		t.Error("merge+compare accepted")
+	// Without -merge the payload is the whole document.
+	if err := writeOut(fresh, res, "gateway", false); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := readSections(t, fresh)["decisions"]; !ok {
+		t.Error("overwrite did not write the bare result")
 	}
 }
 
-// TestPrevToleratesMissingSections pins the satellite contract: an old
-// baseline file without the newly added gateway section (or budgets) is a
-// tagged skip, never an error.
+// TestPrevToleratesMissingSections: an old baseline file without the lane's
+// section is a tagged skip, never an error.
 func TestPrevToleratesMissingSections(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.json")
-	old := `{"baseline": {"decisions_per_sec": 100}, "optimized": {"decisions_per_sec": 900},
-	         "budgets": {"max_allocs_per_decision": 25, "max_messages_per_grant": 4}}`
+	old := `{"baseline": {"decisions_per_sec": 100}, "classic": {"decisions_per_sec": 900}}`
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	budgets := scale.Budgets{MaxAllocsPerDecision: 99, MaxMessagesPerGrant: 99,
-		MaxAllocsPerAdmission: 150, MaxMessagesPerAdmission: 25}
-	sections, base := loadPrev(path, &budgets)
-	if base == nil {
-		t.Fatal("prev file not loaded")
+	d := diffPrev(path, "classic")
+	if d == nil || len(d.Compared) != 1 || d.Compared[0] != "classic" || len(d.SkippedSections) != 0 {
+		t.Errorf("diff = %+v, want classic compared", d)
 	}
-	// Recorded budgets override unset-flag defaults; sections the file
-	// lacks leave the flag values alone.
-	if budgets.MaxAllocsPerDecision != 25 || budgets.MaxMessagesPerGrant != 4 {
-		t.Errorf("recorded budgets not applied: %+v", budgets)
-	}
-	if budgets.MaxAllocsPerAdmission != 150 {
-		t.Errorf("missing recorded admission budget clobbered the default: %+v", budgets)
-	}
-
-	d := diffPrev(base, sections, []string{"optimized", "gateway"})
-	if len(d.Compared) != 1 || d.Compared[0] != "optimized" {
-		t.Errorf("compared = %v, want [optimized]", d.Compared)
-	}
-	if len(d.SkippedSections) != 1 || d.SkippedSections[0] != "gateway" {
-		t.Errorf("skipped = %v, want [gateway] (old baselines predate the section)", d.SkippedSections)
+	d = diffPrev(path, "gateway")
+	if d == nil || len(d.SkippedSections) != 1 || d.SkippedSections[0] != "gateway" || len(d.Compared) != 0 {
+		t.Errorf("diff = %+v, want gateway skipped (old baselines predate the section)", d)
 	}
 
 	// A missing or malformed prev file degrades to no baseline, no error.
-	if sections, base := loadPrev(filepath.Join(t.TempDir(), "absent.json"), &budgets); sections != nil || base != nil {
+	if d := diffPrev(filepath.Join(t.TempDir(), "absent.json"), "classic"); d != nil {
 		t.Error("missing prev file did not degrade gracefully")
+	}
+	if d := diffPrev("", "classic"); d != nil {
+		t.Error("unset -prev produced a diff")
+	}
+}
+
+func TestParseShardCountsNamesItsFlag(t *testing.T) {
+	if got, err := parseShardCounts("1, 4,8"); err != nil || len(got) != 3 || got[1] != 4 {
+		t.Errorf("parse = %v, %v", got, err)
+	}
+	_, err := parseShardCounts("1,x")
+	if err == nil || err.Error() != `bad -smp-shard-counts entry "x"` {
+		t.Errorf("err = %v, want it to name -smp-shard-counts", err)
 	}
 }

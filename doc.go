@@ -12,7 +12,8 @@
 //   - internal/core: the Cluster facade (boot a cluster, submit jobs)
 //   - internal/experiments: regenerate every table and figure of §5
 //   - cmd/fuxisim, cmd/faultsim, cmd/graysort, cmd/tracestats: experiment CLIs
-//   - cmd/scalesim: the 5,000-machine stress harness and perf budget gate
+//   - cmd/scalesim: the 5,000-machine stress harness — one `-lane` per
+//     scenario in the internal/scale Lanes table, each with its budget gates
 //   - examples/: runnable walkthroughs of the public API
 //
 // # Multi-core FuxiMaster: sharded rounds with a deterministic merge
@@ -29,8 +30,8 @@
 // to serial re-execution. Because counts and headrooms only shrink inside a
 // sweep, validated proposals provably reproduce the serial outcome, so the
 // decision stream is byte-identical for every shard count (the parity fuzz
-// in internal/master pins legacy ≡ serial ≡ parallel P∈{1,4,8}, under agent
-// and master failovers).
+// in internal/master pins the test-only reference tree ≡ serial ≡ parallel
+// P∈{1,4,8}, under agent and master failovers).
 //
 // # Incremental communication: delta/anchor epochs
 //
@@ -87,9 +88,9 @@
 // internal/invariant proves no master failover loses or duplicates a job,
 // and application masters now acknowledge-and-retry UnregisterApp so a job
 // completing during an interregnum cannot strand resurrected grants.
-// scalesim -gateway runs the scenario at paper scale and records admission
-// percentiles, shed rates and per-class Jain fairness in the `gateway`
-// section of BENCH_scale.json.
+// scalesim -lane gateway runs the scenario at paper scale and records
+// admission percentiles, shed rates and per-class Jain fairness in the
+// `gateway` section of BENCH_scale.json.
 //
 // # Partition tolerance: adversarial network schedules
 //
@@ -106,10 +107,10 @@
 // exponentially with deterministic FNV jitter, and the master's
 // lease-expiry fence self-demotes a primary partitioned from the lock
 // service so the promoted standby (higher epoch) is the only writer.
-// scalesim -chaos runs steady-state churn under a partition-storm schedule
-// and gates convergence-after-heal — heal instant until every victim
-// agent's allocation table equals the primary's ledger — in the `chaos`
-// section of BENCH_scale.json.
+// scalesim -lane chaos runs steady-state churn under a partition-storm
+// schedule and gates convergence-after-heal — heal instant until every
+// victim agent's allocation table equals the primary's ledger — in the
+// `chaos` section of BENCH_scale.json.
 //
 // See README.md for a tour (including the measured Seed → PR 1 → PR 3 → PR
 // 5 numbers), DESIGN.md for the system inventory, and EXPERIMENTS.md for

@@ -320,7 +320,7 @@ func BenchmarkInternLookup(b *testing.B) {
 // re-sorts per free-up. Both walks stream the same candidates.
 func BenchmarkTreeWalk(b *testing.B) {
 	build := func(legacy bool) (*Scheduler, waitTree) {
-		s := NewScheduler(benchTop(b, 125, 40), Options{LegacyScan: legacy})
+		s := newTestScheduler(benchTop(b, 125, 40), Options{}, legacy)
 		for i := 0; i < 64; i++ {
 			app := fmt.Sprintf("app-%03d", i)
 			if err := s.RegisterApp(app, "", []resource.ScheduleUnit{

@@ -126,14 +126,14 @@ func TestLegacyParityUnderFailovers(t *testing.T) {
 	newPair := func() [2]*Scheduler {
 		return [2]*Scheduler{
 			NewScheduler(testTop(t, 3, 4), Options{EnablePreemption: true, Groups: groups}),
-			NewScheduler(testTop(t, 3, 4), Options{EnablePreemption: true, Groups: groups, LegacyScan: true}),
+			newTestScheduler(testTop(t, 3, 4), Options{EnablePreemption: true, Groups: groups}, true),
 		}
 	}
 	// rebuild promotes a fresh scheduler over s's cluster the way a hot
 	// standby does, returning it and the decisions its soft-state replay
 	// produced (demand re-adds may grant immediately).
 	rebuild := func(s *Scheduler, legacy bool, groupOf map[string]string, unitsOf map[string][]resource.ScheduleUnit) (*Scheduler, []Decision) {
-		n := NewScheduler(s.top, Options{EnablePreemption: true, Groups: groups, LegacyScan: legacy})
+		n := newTestScheduler(s.top, Options{EnablePreemption: true, Groups: groups}, legacy)
 		apps := s.Apps()
 		// Hard state: app configurations and the blacklist.
 		for _, app := range apps {

@@ -78,10 +78,10 @@ type treeIdx struct {
 }
 
 // waitTree is the locality-tree contract the scheduler programs against.
-// Two implementations exist: localityTree (indexed per-level wait queues
-// over ID-indexed slices) and legacyTree (the original
-// linear-scan-and-sort structure, kept so the scale harness can measure the
-// optimization against its own baseline). Node operands are dense IDs:
+// The scheduler always runs localityTree (indexed per-level wait queues
+// over ID-indexed slices); the tests install legacyTree (the original
+// linear-scan-and-sort structure, in localitytree_legacy_test.go) as the
+// reference the parity fuzz compares it against. Node operands are dense IDs:
 // machine IDs at LocalityMachine, rack IDs at LocalityRack, 0 at
 // LocalityCluster (the scheduler resolves hint names to IDs once per
 // demand update, at the wire boundary).
@@ -111,7 +111,7 @@ type waitTree interface {
 	// minFit returns a conservative lower bound (CPU milli, memory MB) that
 	// any queued entry requires: a free fragment below either bound can be
 	// skipped without walking a single queue. (0, 0) disables the pruning —
-	// the legacy baseline always returns that, and the indexed tree falls
+	// the reference tree always returns that, and the indexed tree falls
 	// back to it once an opaque-size entry has ever been queued.
 	minFit() (int64, int64)
 }

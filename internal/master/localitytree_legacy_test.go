@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/resource"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // legacyQueueID addresses one flat legacy queue.
@@ -16,15 +17,28 @@ type legacyQueueID struct {
 // legacyTree is the original locality-tree implementation: flat per-node
 // queues that retain every indexed entry (including satisfied, zero-count
 // ones) and re-sort the combined candidate list on every free-up. It is
-// kept behind Options.LegacyScan so the scale harness can measure the
-// indexed tree against the pre-optimization baseline in the same build.
-// (It speaks the same interned-ID node operands as the indexed tree — the
-// scheduler resolves names exactly once either way — but keeps its original
-// map-keyed queues and scan-and-sort behaviour.)
+// the reference implementation the parity tests compare the indexed tree
+// against, installed on a fresh scheduler by newTestScheduler. (It speaks
+// the same interned-ID node operands as the indexed tree — the scheduler
+// resolves names exactly once either way — but keeps its original map-keyed
+// queues and scan-and-sort behaviour.)
 type legacyTree struct {
 	queues map[legacyQueueID][]*waitEntry
 	index  map[treeIdx]*waitEntry
 	seq    uint64
+}
+
+// newTestScheduler builds a scheduler on the indexed tree or, with legacy
+// set, on the reference tree (swapped in before any demand is queued; the
+// legacy tree has no parallel scoring walk, so shards are forced to 1).
+func newTestScheduler(top *topology.Topology, opts Options, legacy bool) *Scheduler {
+	if !legacy {
+		return NewScheduler(top, opts)
+	}
+	opts.Shards = 1
+	s := NewScheduler(top, opts)
+	s.tree = newLegacyTree()
+	return s
 }
 
 func newLegacyTree() *legacyTree {

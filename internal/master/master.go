@@ -545,7 +545,6 @@ func (m *Master) handle(from tr, msg transport.Message) {
 	if !m.primary || m.crashed {
 		return
 	}
-	start := time.Now()
 	switch t := msg.(type) {
 	case protocol.RegisterApp:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanReg, t.Seq) == protocol.Duplicate {
@@ -590,7 +589,6 @@ func (m *Master) handle(from tr, msg transport.Message) {
 	case obs.QueryRequest:
 		m.handleObsQuery(from, t)
 	}
-	m.reg.Histogram("master.request_ms").Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
 }
 
 func (m *Master) handleRegister(from tr, t protocol.RegisterApp) {

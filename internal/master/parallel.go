@@ -514,7 +514,7 @@ func (s *Scheduler) scoreMachine(tree *localityTree, machine int32, ov *overlay,
 // (seeded from per-rack machine counts) before any scoring happens.
 func (s *Scheduler) initShards(racks int, want int) {
 	s.shards = 1
-	if want <= 1 || s.opts.LegacyScan {
+	if want <= 1 {
 		return
 	}
 	p := want

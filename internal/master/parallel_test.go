@@ -67,13 +67,12 @@ func TestParallelParityFuzz(t *testing.T) {
 	newFleet := func() *fuzzFleet {
 		f := &fuzzFleet{t: t, names: names}
 		for i, p := range shardCounts {
-			f.scheds = append(f.scheds, NewScheduler(testTop(t, 8, 5), Options{
+			f.scheds = append(f.scheds, newTestScheduler(testTop(t, 8, 5), Options{
 				EnablePreemption: true,
 				Groups:           groups,
-				LegacyScan:       i == 0,
 				Shards:           p,
 				ForceSteal:       forceSteal[i],
-			}))
+			}, i == 0))
 		}
 		return f
 	}
@@ -82,9 +81,9 @@ func TestParallelParityFuzz(t *testing.T) {
 	// reports, demand from app full syncs), returning the decisions the
 	// soft-state replay produced.
 	rebuild := func(s *Scheduler, legacy bool, shards int, steal bool, groupOf map[string]string, unitsOf map[string][]resource.ScheduleUnit) (*Scheduler, []Decision) {
-		n := NewScheduler(s.top, Options{
-			EnablePreemption: true, Groups: groups, LegacyScan: legacy, Shards: shards, ForceSteal: steal,
-		})
+		n := newTestScheduler(s.top, Options{
+			EnablePreemption: true, Groups: groups, Shards: shards, ForceSteal: steal,
+		}, legacy)
 		apps := s.Apps()
 		for _, app := range apps {
 			if err := n.RegisterApp(app, groupOf[app], unitsOf[app]); err != nil {

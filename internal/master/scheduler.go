@@ -93,19 +93,13 @@ type Options struct {
 	// second queued, so low-priority demand cannot starve behind a steady
 	// stream of high-priority arrivals. 0 disables aging.
 	AgingBoostPerSecond float64
-	// LegacyScan selects the original flat-queue locality tree that
-	// re-scans and re-sorts waiting entries on every free-up. It exists so
-	// the scale harness can measure the indexed tree against the
-	// pre-optimization baseline; production paths leave it false.
-	LegacyScan bool
 	// Shards > 1 scores wide assignment sweeps in parallel across that many
 	// worker goroutines — racks are cut into contiguous shard spans
 	// balanced by observed sweep cost and idle workers steal unscored
 	// blocks from loaded shards
 	// — with a deterministic reducer committing grants in serial order: the
 	// decision stream is byte-identical to Shards == 1 (see parallel.go).
-	// Values above the rack count are clamped; LegacyScan and aging force
-	// the serial path.
+	// Values above the rack count are clamped; aging forces the serial path.
 	Shards int
 	// ForceSteal routes every scoring block (home shards included) through
 	// the work-stealing path with a fresh per-block overlay. Decisions are
@@ -282,11 +276,7 @@ func NewScheduler(top *topology.Topology, opts Options) *Scheduler {
 		apps:     make(map[string]*appState),
 		groups:   make(map[string]*groupState),
 		rackFree: make([]resource.Vector, top.NumRacks()),
-	}
-	if opts.LegacyScan {
-		s.tree = newLegacyTree()
-	} else {
-		s.tree = newLocalityTree()
+		tree:     newLocalityTree(),
 	}
 	for id := int32(0); id < n; id++ {
 		s.ids[id] = id
@@ -703,8 +693,8 @@ func (s *Scheduler) releaseOn(st *appState, u *unitState, machine int32, k int) 
 }
 
 // park pulls a saturated unit's entry out of the wait queues (indexed tree
-// only; the legacy baseline keeps its original rescan behaviour). The entry
-// is skipped in place until compaction drops it.
+// only; the tests' reference tree keeps its original rescan behaviour). The
+// entry is skipped in place until compaction drops it.
 func (s *Scheduler) park(e *waitEntry, u *unitState) {
 	if e.parked || s.opts.AgingBoostPerSecond > 0 {
 		return

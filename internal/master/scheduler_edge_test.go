@@ -20,7 +20,7 @@ func schedVariants(t *testing.T, fn func(t *testing.T, legacy bool)) {
 func TestWaitingByLevelAcrossMachineDownUp(t *testing.T) {
 	schedVariants(t, func(t *testing.T, legacy bool) {
 		top := testTop(t, 2, 2) // r000m000..r001m001, 12000/98304 each
-		s := NewScheduler(top, Options{LegacyScan: legacy})
+		s := newTestScheduler(top, Options{}, legacy)
 		mustRegister(t, s, "app", "", unit(1, 1, 100, 6000, 8192))
 		mustRegister(t, s, "filler", "", unit(1, 1, 100, 6000, 8192))
 
@@ -78,7 +78,7 @@ func TestWaitingByLevelAcrossMachineDownUp(t *testing.T) {
 func TestBlacklistedMachineExcludedFromAssignment(t *testing.T) {
 	schedVariants(t, func(t *testing.T, legacy bool) {
 		top := testTop(t, 1, 2)
-		s := NewScheduler(top, Options{LegacyScan: legacy})
+		s := newTestScheduler(top, Options{}, legacy)
 		mustRegister(t, s, "app", "", unit(1, 1, 100, 6000, 8192))
 
 		if ds := s.SetBlacklisted("r000m000", true, false); len(ds) != 0 {
@@ -129,7 +129,7 @@ func TestBlacklistedMachineExcludedFromAssignment(t *testing.T) {
 func TestRevokeExistingOnBlacklist(t *testing.T) {
 	schedVariants(t, func(t *testing.T, legacy bool) {
 		top := testTop(t, 1, 2)
-		s := NewScheduler(top, Options{LegacyScan: legacy})
+		s := newTestScheduler(top, Options{}, legacy)
 		mustRegister(t, s, "app", "", unit(1, 1, 100, 6000, 8192))
 		mustDemand(t, s, "app", 1, resource.LocalityHint{Type: resource.LocalityMachine, Value: "r000m000", Count: 1})
 

@@ -73,7 +73,7 @@ const (
 	chaosConvergePoll = 5 * sim.Millisecond
 	// chaosConvergeTimeout caps one heal's probe; a window that never
 	// converges records the cap and counts in Unconverged (which fails the
-	// budget check unconditionally).
+	// chaos lane's contract).
 	chaosConvergeTimeout = 30 * sim.Second
 	// chaosDefaultPartitionFor is the storm duration when the config lists
 	// none for a storm index.
@@ -366,7 +366,7 @@ type ChaosStats struct {
 	ConvergenceP99MS float64 `json:"convergence_p99_ms"`
 	ConvergenceMaxMS float64 `json:"convergence_max_ms"`
 	// Unconverged counts heal windows that hit the probe timeout (must be
-	// 0; CheckBudgets fails it unconditionally).
+	// 0; the chaos lane's contract fails on it).
 	Unconverged int `json:"unconverged,omitempty"`
 
 	// LostGrants are revocations applications observed while a partition

@@ -103,14 +103,6 @@ func TestChaosRunCompletes(t *testing.T) {
 		t.Errorf("worst link not attributed: %q dropped %d", cz.WorstLink, cz.WorstLinkDropped)
 	}
 
-	// Budget plumbing: unconverged heal windows fail unconditionally, and
-	// the calibrated gates trip when set below the measured values.
-	if bad := res.CheckBudgets(Budgets{MaxChaosConvergenceP99MS: cz.ConvergenceP99MS / 2}); len(bad) != 1 {
-		t.Errorf("convergence budget did not trip: %v", bad)
-	}
-	if bad := res.CheckBudgets(Budgets{MaxChaosConvergenceP99MS: cz.ConvergenceP99MS + 1}); len(bad) != 0 {
-		t.Errorf("in-budget run flagged: %v", bad)
-	}
 }
 
 // TestChaosDeterminismAndShardParity runs the identical chaos schedule twice

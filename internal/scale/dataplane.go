@@ -673,13 +673,6 @@ func (j *dpJob) onGrant(unitID int, machine int32, count int) {
 	if at := j.pendingReq[unitID]; at != 0 {
 		ms := float64(h.eng.Now()-at) / float64(sim.Millisecond)
 		h.latency.Observe(ms)
-		al := h.appLat[j.id]
-		al.SumMS += ms
-		al.N++
-		if ms > al.MaxMS {
-			al.MaxMS = ms
-		}
-		h.appLat[j.id] = al
 		dp := h.dp
 		dp.d2g[j.class].Observe(ms)
 		dp.d2gN[j.class]++

@@ -1,0 +1,242 @@
+package scale
+
+import "fmt"
+
+// Lane is one scenario the harness ships: cmd/scalesim runs it with
+// `-lane Name`, CI gates it, and its result is the Name section of
+// BENCH_scale.json.
+type Lane struct {
+	Name string
+	// Full is the paper-scale configuration, Smoke the CI-sized one (nil
+	// when the lane exists only at full size).
+	Full, Smoke func() Config
+	// Broken is the lane's pass/fail contract: a run that breaks it is a
+	// correctness failure whatever its numbers are.
+	Broken func(*Result) bool
+	// Gates are the perf regression bounds `-check-budgets` enforces.
+	Gates []Gate
+}
+
+// Gate bounds one measured value of a run: from above, or — with Min set —
+// from below. Name is the gate's key in the `budgets` section of
+// BENCH_scale.json. The Full bounds are the paper-scale budgets; smoke runs
+// amortize fixed boot and recovery costs over far fewer decisions, so some
+// Smoke bounds are looser.
+type Gate struct {
+	Name        string
+	Min         bool
+	Value       func(*Result) float64
+	Full, Smoke float64
+}
+
+// Lanes is every scenario, in the order the README documents them.
+var Lanes = []Lane{
+	{
+		Name: "classic", Full: DefaultConfig, Smoke: SmokeConfig,
+		Broken: invariantsBroken,
+		Gates: []Gate{
+			{Name: "max_allocs_per_decision", Value: allocsPerDecision, Full: 10, Smoke: 16},
+			{Name: "max_messages_per_grant", Value: messagesPerGrant, Full: 4, Smoke: 4.5},
+		},
+	},
+	{
+		Name: "failover", Full: defaultFailoverConfig, Smoke: smokeFailoverConfig,
+		Broken: failoverBroken,
+		Gates: []Gate{
+			{Name: "max_allocs_per_decision_failover", Value: allocsPerDecision, Full: 15, Smoke: 24},
+			{Name: "max_messages_per_grant", Value: messagesPerGrant, Full: 4, Smoke: 4.5},
+		},
+	},
+	{
+		Name: "churn", Full: DefaultChurnConfig, Smoke: SmokeChurnConfig,
+		Broken: invariantsBroken,
+		Gates:  churnGates,
+	},
+	{
+		Name: "gateway", Full: DefaultGatewayConfig, Smoke: SmokeGatewayConfig,
+		Broken: gatewayBroken,
+		// The front-door workload — tens of thousands of tiny jobs plus
+		// admission-control traffic — has a different per-decision profile
+		// than the saturated batch churn, so it is gated per admission.
+		Gates: []Gate{
+			{Name: "max_allocs_per_admission", Value: func(r *Result) float64 { return r.AllocsPerAdmission }, Full: 60, Smoke: 90},
+			{Name: "max_messages_per_admission", Value: func(r *Result) float64 { return r.MessagesPerAdmission }, Full: 25, Smoke: 25},
+		},
+	},
+	{
+		Name: "dataplane", Full: DefaultDataplaneConfig, Smoke: SmokeDataplaneConfig,
+		Broken: dataplaneBroken,
+		// A few heavy jobs: gated on the application-level metrics.
+		Gates: []Gate{
+			{Name: "min_dataplane_locality_pct", Min: true, Value: func(r *Result) float64 { return r.Dataplane.LocalityHitRatePct }, Full: 40, Smoke: 40},
+			{Name: "max_dataplane_makespan_p99_ms", Value: func(r *Result) float64 { return r.Dataplane.MakespanP99MS }, Full: 30000, Smoke: 30000},
+			{Name: "min_dataplane_service_slo_pct", Min: true, Value: func(r *Result) float64 { return r.Dataplane.Service.SLOAttainedPct }, Full: 80, Smoke: 80},
+		},
+	},
+	{
+		Name: "replay", Full: DefaultReplayConfig, Smoke: SmokeReplayConfig,
+		Broken: replayBroken,
+		// Gated on workload-level SLO attainment. The 4 s failover pause
+		// dominates the admission p99 over the smoke's small service-job
+		// count, hence the looser smoke bound.
+		Gates: []Gate{
+			{Name: "min_replay_service_slo_pct", Min: true, Value: func(r *Result) float64 { return r.Replay.Service.SLOAttainedPct }, Full: 80, Smoke: 80},
+			{Name: "max_replay_service_admission_p99_ms", Value: func(r *Result) float64 { return r.Replay.Service.AdmissionP99MS }, Full: 800, Smoke: 2000},
+			{Name: "max_replay_shed_pct", Value: func(r *Result) float64 { return r.Replay.ShedPct }, Full: 15, Smoke: 15},
+		},
+	},
+	{
+		Name: "chaos", Full: DefaultChaosConfig, Smoke: SmokeChaosConfig,
+		Broken: chaosBroken,
+		// Gated on recovery behaviour: convergence time and repair traffic.
+		Gates: []Gate{
+			{Name: "max_chaos_convergence_p99_ms", Value: func(r *Result) float64 { return r.Chaos.ConvergenceP99MS }, Full: 6000, Smoke: 6000},
+			{Name: "max_chaos_reissued", Value: func(r *Result) float64 { return float64(r.Chaos.ReissuedGrants) }, Full: 8000, Smoke: 8000},
+		},
+	},
+	{
+		Name: "obs", Full: DefaultObsConfig, Smoke: SmokeObsConfig,
+		Broken: obsBroken,
+		// The churn workload underneath faces the churn gates too. The
+		// allocs/sample bound trips on any allocation during calibration; a
+		// snapshot-per-write regression multiplies bytes/job by the job count.
+		Gates: append([]Gate{
+			{Name: "max_obs_allocs_per_sample", Value: func(r *Result) float64 { return r.Obs.AllocsPerSample }, Full: 0.004, Smoke: 0.004},
+			{Name: "max_checkpoint_bytes_per_job", Value: func(r *Result) float64 { return r.Obs.CheckpointBytesPerJob }, Full: 6000, Smoke: 6000},
+		}, churnGates...),
+	},
+	{
+		Name: "tenx", Full: TenXChurnConfig,
+		Broken: invariantsBroken,
+		Gates:  churnGates,
+	},
+}
+
+// churnGates hold the steady-state line: the measured window excludes
+// arrival and teardown costs, so the bound is tighter than the whole-run one.
+var churnGates = []Gate{
+	{Name: "max_allocs_per_decision_churn", Value: allocsPerDecision, Full: 8, Smoke: 8},
+	{Name: "max_messages_per_grant", Value: messagesPerGrant, Full: 4, Smoke: 4},
+}
+
+// LaneByName finds a lane (nil when there is none of that name).
+func LaneByName(name string) *Lane {
+	for i := range Lanes {
+		if Lanes[i].Name == name {
+			return &Lanes[i]
+		}
+	}
+	return nil
+}
+
+// Check returns one line per gate the run breaks at the given size.
+func (l *Lane) Check(r *Result, smoke bool) []string {
+	var bad []string
+	for _, g := range l.Gates {
+		v, bound := g.Value(r), g.Full
+		if smoke {
+			bound = g.Smoke
+		}
+		switch {
+		case g.Min && v < bound:
+			bad = append(bad, fmt.Sprintf("%s: %.4g is below %.4g", g.Name, v, bound))
+		case !g.Min && v > bound:
+			bad = append(bad, fmt.Sprintf("%s: %.4g exceeds %.4g", g.Name, v, bound))
+		}
+	}
+	return bad
+}
+
+// Budgets is the `budgets` section of BENCH_scale.json: every gate's
+// paper-scale bound by name.
+func Budgets() map[string]float64 {
+	out := map[string]float64{}
+	for _, l := range Lanes {
+		for _, g := range l.Gates {
+			out[g.Name] = g.Full
+		}
+	}
+	return out
+}
+
+func allocsPerDecision(r *Result) float64 { return r.AllocsPerDecision }
+
+func messagesPerGrant(r *Result) float64 {
+	if r.Grants == 0 {
+		return 0
+	}
+	return float64(r.MessagesSent) / float64(r.Grants)
+}
+
+// defaultFailoverConfig is the paper's headline fault-tolerance scenario:
+// the classic workload through three hot-standby promotions.
+func defaultFailoverConfig() Config { return DefaultConfig().WithMasterFailovers(3) }
+
+func smokeFailoverConfig() Config { return SmokeConfig().WithMasterFailovers(3) }
+
+func invariantsBroken(r *Result) bool { return len(r.Invariants) > 0 }
+
+// failoverBroken: every app completes despite the crashes and the checker
+// stays silent.
+func failoverBroken(r *Result) bool {
+	return len(r.Invariants) > 0 || r.CompletedApps != r.Config.Apps
+}
+
+// gatewayBroken: every submission settles (completed or deterministically
+// shed) despite the master crashes, and the checker — admission conservation
+// included — stays silent.
+func gatewayBroken(r *Result) bool {
+	if len(r.Invariants) > 0 || r.Truncated || r.Gateway == nil {
+		return true
+	}
+	g := r.Gateway
+	return g.Completed+g.Shed != g.Submitted
+}
+
+// dataplaneBroken: every job completes, every sampled kernel check passes,
+// and the checker stays silent.
+func dataplaneBroken(r *Result) bool {
+	if len(r.Invariants) > 0 || r.Truncated || r.Dataplane == nil {
+		return true
+	}
+	d := r.Dataplane
+	total := r.Config.GraySortJobs + r.Config.DAGJobs + r.Config.ServiceJobs
+	return d.CompletedJobs != total || d.VerifyFailures > 0 || d.ServiceOpFailures > 0
+}
+
+// replayBroken: the trace drains through the storms and the failover, no
+// storm injection is lost, and the checker stays silent.
+func replayBroken(r *Result) bool {
+	if len(r.Invariants) > 0 || r.Truncated || r.Replay == nil || r.Gateway == nil {
+		return true
+	}
+	g := r.Gateway
+	rp := r.Replay
+	return g.Completed+g.Shed != g.Submitted || rp.Submissions == 0 ||
+		rp.Injections-rp.InjectionsSkipped == 0
+}
+
+// chaosBroken: every scheduled storm landed and healed, every heal window
+// reconverged, and the checker stays silent.
+func chaosBroken(r *Result) bool {
+	if len(r.Invariants) > 0 || r.Chaos == nil {
+		return true
+	}
+	cz := r.Chaos
+	return cz.Partitions == 0 || cz.Heals != cz.Partitions ||
+		cz.Unconverged > 0 || cz.InjectionsSkipped > 0
+}
+
+// obsBroken: samples were recorded, live queries were answered mid-run,
+// flap loss showed up on the watched links, the delta log beat
+// snapshot-per-write by the acceptance margin, and the checker stays silent.
+func obsBroken(r *Result) bool {
+	if len(r.Invariants) > 0 || r.Obs == nil {
+		return true
+	}
+	o := r.Obs
+	return o.SamplesTotal == 0 || o.Queries == 0 || o.Responses == 0 ||
+		o.QueryResults == 0 ||
+		(o.FlapWindows > 0 && o.LinkDropsObserved == 0) ||
+		o.CheckpointSavingsX < 5
+}

@@ -1,0 +1,154 @@
+package scale
+
+import (
+	"math"
+	"sync"
+	"testing"
+)
+
+// golden pins what one smoke lane computes in virtual time at seed 1.
+type golden struct {
+	Decisions, Grants, Revokes uint64
+	MessagesSent, EventsFired  uint64
+	CompletedApps              int
+	GatewayHash, ReplayHash    string
+	QueryChecksum              uint64
+	DecisionStreamHash         string
+}
+
+// smokeGolden was recorded at the commit before scale.Lanes existed (PR 13),
+// by running each lane's smoke Config constructor directly: a refactor of
+// the harness, the lane table or the scheduler under them must leave every
+// row byte-identical.
+var smokeGolden = map[string]golden{
+	"classic":   {6808, 6404, 404, 23497, 37584, 100, "", "", 0x0, "21baea0118bb30a5"},
+	"failover":  {6860, 6430, 430, 19847, 31509, 100, "", "", 0x0, "82df709a2dbbc0aa"},
+	"churn":     {12701, 12701, 0, 26342, 41763, 0, "", "", 0x0, "49a852947b28de7d"},
+	"gateway":   {14496, 14213, 283, 101099, 158391, 6965, "f7cf980f895a0dc8", "", 0x0, "8cc030a1728f86e0"},
+	"dataplane": {214, 213, 1, 3353, 9283, 14, "ebea3147a48d748a", "", 0x0, "cbf29ce484222325"},
+	"replay":    {11470, 11463, 7, 66323, 120851, 4110, "b6e4f88a5389ab74", "b6e4f88a5389ab74", 0x0, "4822b9241cc911f4"},
+	"chaos":     {12806, 12652, 154, 26701, 41830, 0, "", "", 0x0, "009bc0a8e18804c2"},
+	"obs":       {12701, 12701, 0, 26374, 41839, 0, "", "", 0xabf6a7a9b68def38, "49a852947b28de7d"},
+}
+
+var smokeRuns struct {
+	once sync.Once
+	res  map[string]*Result
+	err  error
+}
+
+// smokeResults runs every lane's smoke configuration once per test binary
+// (seed 1, decision-stream hash on); the eight runs take about a second.
+func smokeResults(t *testing.T) map[string]*Result {
+	t.Helper()
+	smokeRuns.once.Do(func() {
+		smokeRuns.res = map[string]*Result{}
+		for _, l := range Lanes {
+			if l.Smoke == nil {
+				continue
+			}
+			cfg := l.Smoke()
+			cfg.Seed = 1
+			cfg.RecordDecisionHash = true
+			r, err := Run(cfg)
+			if err != nil {
+				smokeRuns.err = err
+				return
+			}
+			smokeRuns.res[l.Name] = r
+		}
+	})
+	if smokeRuns.err != nil {
+		t.Fatal(smokeRuns.err)
+	}
+	return smokeRuns.res
+}
+
+func TestSmokeLanesMatchGolden(t *testing.T) {
+	for name, r := range smokeResults(t) {
+		want, ok := smokeGolden[name]
+		if !ok {
+			t.Errorf("lane %s has no golden row", name)
+			continue
+		}
+		got := golden{
+			Decisions: r.Decisions, Grants: r.Grants, Revokes: r.Revokes,
+			MessagesSent: r.MessagesSent, EventsFired: r.EventsFired,
+			CompletedApps:      r.CompletedApps,
+			DecisionStreamHash: r.DecisionStreamHash,
+		}
+		if r.Gateway != nil {
+			got.GatewayHash = r.Gateway.DecisionHash
+		}
+		if r.Replay != nil {
+			got.ReplayHash = r.Replay.DecisionHash
+		}
+		if r.Obs != nil {
+			got.QueryChecksum = r.Obs.QueryChecksum
+		}
+		if got != want {
+			t.Errorf("lane %s diverged from its golden row:\n got  %+v\n want %+v", name, got, want)
+		}
+		if l := LaneByName(name); l.Broken(r) {
+			t.Errorf("lane %s: the smoke run breaks the lane's contract", name)
+		}
+	}
+	for name := range smokeGolden {
+		if l := LaneByName(name); l == nil || l.Smoke == nil {
+			t.Errorf("golden row %s has no smoke lane", name)
+		}
+	}
+}
+
+// TestGatesTripJustPastTheirBound moves each gate's smoke bound onto the
+// value the lane's smoke run measured: the gate must stay silent there and
+// trip one ulp past it, in the direction its Min flag says.
+func TestGatesTripJustPastTheirBound(t *testing.T) {
+	res := smokeResults(t)
+	mins, maxes := 0, 0
+	for _, l := range Lanes {
+		r := res[l.Name]
+		if r == nil {
+			continue // full-size only; its gates are shared with a smoke lane
+		}
+		for _, g := range l.Gates {
+			v := g.Value(r)
+			past := math.Nextafter(v, math.Inf(-1))
+			if g.Min {
+				past = math.Nextafter(v, math.Inf(1))
+				mins++
+			} else {
+				maxes++
+			}
+			at := Lane{Gates: []Gate{{Name: g.Name, Min: g.Min, Value: g.Value, Smoke: v}}}
+			if bad := at.Check(r, true); len(bad) != 0 {
+				t.Errorf("%s/%s: silent expected at its bound %v, got %v", l.Name, g.Name, v, bad)
+			}
+			at.Gates[0].Smoke = past
+			if bad := at.Check(r, true); len(bad) != 1 {
+				t.Errorf("%s/%s: value %v did not trip bound %v", l.Name, g.Name, v, past)
+			}
+			// The full bound is read only at full size.
+			at.Gates[0].Full = v
+			if bad := at.Check(r, false); len(bad) != 0 {
+				t.Errorf("%s/%s: full-size check read the smoke bound: %v", l.Name, g.Name, bad)
+			}
+		}
+	}
+	if mins == 0 || maxes == 0 {
+		t.Errorf("covered %d min and %d max gates, want both", mins, maxes)
+	}
+}
+
+// TestBudgetsSectionIsConsistent: gates that share a budgets-section key
+// across lanes must agree on the paper-scale bound recorded under it.
+func TestBudgetsSectionIsConsistent(t *testing.T) {
+	b := Budgets()
+	for _, l := range Lanes {
+		for _, g := range l.Gates {
+			if b[g.Name] != g.Full {
+				t.Errorf("%s/%s: full bound %v, budgets section records %v", l.Name, g.Name, g.Full, b[g.Name])
+			}
+		}
+	}
+}

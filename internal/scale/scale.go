@@ -3,10 +3,9 @@
 // population of application masters — at the 5,000-machine footprint of the
 // paper's production cluster (§5) and measures what the toy-sized
 // experiments cannot: scheduling-decision throughput, demand-to-grant
-// latency in virtual time, and allocation pressure per decision. The same
-// workload can be replayed against the pre-optimization scheduler
-// (Options.LegacyScan) so every optimization PR reports its speedup against
-// a baseline measured in the same build.
+// latency in virtual time, and allocation pressure per decision. Lanes
+// (lanes.go) is the table of scenarios the harness ships — each one a Config
+// constructor pair, a pass/fail contract and its budget gates.
 //
 // The harness also runs the paper's headline fault-tolerance scenario at
 // full scale: true FuxiMaster crash/promote cycles (Config.MasterFailoverAt)
@@ -96,10 +95,6 @@ type Config struct {
 	ChurnWarmup  sim.Time `json:"churn_warmup_us,omitempty"`
 	ChurnMeasure sim.Time `json:"churn_measure_us,omitempty"`
 
-	// LegacyScan replays the workload against the original linear-scan
-	// locality tree (the pre-optimization baseline).
-	LegacyScan bool `json:"legacy_scan"`
-
 	// Shards > 1 runs the FuxiMaster scheduling core with sharded parallel
 	// sweeps (master.Options.Shards); the decision stream is byte-identical
 	// to Shards <= 1 by construction.
@@ -121,12 +116,6 @@ type Config struct {
 	// this width (master.Config.BatchWindow) — the configuration under
 	// which wide sweeps exist for the shards to parallelize.
 	RoundWindow sim.Time `json:"round_window_us,omitempty"`
-
-	// WallBudget bounds real elapsed time (0 = unlimited): the run stops
-	// at the next slice boundary once exceeded and throughput is computed
-	// over the work actually done. It exists so the slow baseline can be
-	// rate-measured at full scale without running to completion.
-	WallBudget time.Duration `json:"wall_budget_ns"`
 
 	// GatewayUsers > 0 switches the workload to gateway mode: instead of a
 	// fixed app schedule, an open-loop load generator simulating this many
@@ -347,10 +336,9 @@ type Result struct {
 	MessageBatches    uint64  `json:"message_batches"`
 
 	CompletedApps int `json:"completed_apps"`
-	// Truncated marks a run stopped (by WallBudget or Horizon) before every
-	// app completed: its latency aggregates cover only the demand answered
-	// before the cut and are NOT comparable to a run-to-completion section —
-	// use the compare result's common-prefix latency for that.
+	// Truncated marks a run stopped by Horizon before every app completed:
+	// its latency aggregates cover only the demand answered before the cut
+	// and are NOT comparable to a run-to-completion section.
 	Truncated  bool     `json:"truncated,omitempty"`
 	SimSeconds float64  `json:"sim_seconds"`
 	Invariants []string `json:"invariant_violations,omitempty"`
@@ -431,11 +419,6 @@ type Result struct {
 	MessagesPerAdmission float64 `json:"messages_per_admission,omitempty"`
 	// GatewayDecisions is the full decision stream (parity tests only).
 	GatewayDecisions []gateway.Decision `json:"-"`
-	// VsRoundsSpeedup is the churn section's decisions/s over the best
-	// recorded rounds-path section (parallel-* / optimized) of the -prev
-	// baseline — the "≥1.5× on this container" claim, measured, not
-	// asserted. scalesim fills it when -churn runs with -prev.
-	VsRoundsSpeedup float64 `json:"vs_rounds_speedup,omitempty"`
 	// Prev tags single-run payloads with the previous-baseline diff (see
 	// PrevDiff); scalesim fills it when -prev is given.
 	Prev *PrevDiff `json:"prev_diff,omitempty"`
@@ -444,201 +427,6 @@ type Result struct {
 	// failover-transparency test (excluded from JSON: at paper scale it
 	// would dominate the benchmark file).
 	Completed []string `json:"-"`
-	// AppLatency aggregates demand-to-grant latency per application, for
-	// the common-completed-prefix comparison across runs (excluded from
-	// JSON for the same reason as Completed).
-	AppLatency map[string]AppLat `json:"-"`
-}
-
-// AppLat is one application's demand-to-grant latency aggregate.
-type AppLat struct {
-	SumMS float64
-	N     int
-	MaxMS float64
-}
-
-// PrefixLatency reports demand-to-grant latency restricted to the
-// applications every compared run completed — the apples-to-apples view
-// when a wall-budgeted baseline was truncated mid-workload (a truncated
-// run's whole-run latency_mean covers only the easy early demand and is
-// meaningless next to a run-to-completion section).
-type PrefixLatency struct {
-	Apps   int                `json:"apps"`
-	MeanMS map[string]float64 `json:"latency_mean_ms"`
-	MaxMS  map[string]float64 `json:"latency_max_ms"`
-	// RoundWindowMS records each section's scheduling-round width
-	// (master.Config.BatchWindow). Sections with a positive window buffer
-	// demand and returns for up to one window before scheduling, so their
-	// prefix latency carries that configured batching delay on top of pure
-	// scheduling time — e.g. the parallel sections' ~13 ms means next to
-	// the serial sections' sub-millisecond ones are the 20 ms round window,
-	// not a scheduling regression. The compare output attributes this
-	// explicitly so the gap cannot read as one.
-	RoundWindowMS map[string]float64 `json:"round_window_ms,omitempty"`
-}
-
-// Budgets are the perf regression gates scalesim enforces (and records in
-// BENCH_scale.json): a run whose allocation pressure per decision or
-// message volume per grant exceeds its budget exits non-zero in CI. The
-// per-admission budgets apply to gateway-mode runs only.
-type Budgets struct {
-	MaxAllocsPerDecision    float64 `json:"max_allocs_per_decision"`
-	MaxMessagesPerGrant     float64 `json:"max_messages_per_grant"`
-	MaxAllocsPerAdmission   float64 `json:"max_allocs_per_admission,omitempty"`
-	MaxMessagesPerAdmission float64 `json:"max_messages_per_admission,omitempty"`
-	// MaxAllocsPerDecisionChurn gates the steady-state churn section, which
-	// excludes arrival/teardown costs and therefore holds a much tighter
-	// line than the whole-run per-decision budget.
-	MaxAllocsPerDecisionChurn float64 `json:"max_allocs_per_decision_churn,omitempty"`
-	// MaxAllocsPerDecisionFailover gates the master-failover scenario,
-	// whose decisions carry the recovery waves (full soft-state rebuilds,
-	// re-registration storms) on top of normal scheduling.
-	MaxAllocsPerDecisionFailover float64 `json:"max_allocs_per_decision_failover,omitempty"`
-	// Dataplane gates (dataplane mode only): minimum locality hit rate over
-	// locality-tracked grants, maximum batch-job makespan p99, and minimum
-	// service-class demand-to-grant SLO attainment.
-	MinDataplaneLocalityPct   float64 `json:"min_dataplane_locality_pct,omitempty"`
-	MaxDataplaneMakespanP99MS float64 `json:"max_dataplane_makespan_p99_ms,omitempty"`
-	MinDataplaneServiceSLOPct float64 `json:"min_dataplane_service_slo_pct,omitempty"`
-	// Replay gates (replay mode only): minimum service-class demand-to-
-	// grant SLO attainment through the diurnal cycles and failure storms,
-	// maximum service-class admission p99, and maximum overall shed rate.
-	MinReplayServiceSLOPct         float64 `json:"min_replay_service_slo_pct,omitempty"`
-	MaxReplayServiceAdmissionP99MS float64 `json:"max_replay_service_admission_p99_ms,omitempty"`
-	MaxReplayShedPct               float64 `json:"max_replay_shed_pct,omitempty"`
-	// Chaos gates (chaos mode only): maximum convergence-after-heal p99 and
-	// maximum grants reissued during heal windows. Any unconverged heal
-	// window fails the check unconditionally — that is a correctness signal,
-	// not a calibrated budget.
-	MaxChaosConvergenceP99MS float64 `json:"max_chaos_convergence_p99_ms,omitempty"`
-	MaxChaosReissued         uint64  `json:"max_chaos_reissued,omitempty"`
-	// Obs gates (obs mode only): maximum allocations per time-series sample
-	// (the record path must stay alloc-free in steady state; the calibrated
-	// value is gated at a fraction of one) and maximum checkpoint bytes per
-	// registered job (the incremental-checkpoint regression line: a
-	// snapshot-per-write regression multiplies it by the job count).
-	MaxObsAllocsPerSample    float64 `json:"max_obs_allocs_per_sample,omitempty"`
-	MaxCheckpointBytesPerJob float64 `json:"max_checkpoint_bytes_per_job,omitempty"`
-	// MinSMPCoreSpeedupP4 gates the SMP lane's core-kernel wall-clock
-	// speedup at shards=4 — enforced only on hosts with >= 4 cores and
-	// GOMAXPROCS >= 4 (single-core runs are tagged and skipped).
-	MinSMPCoreSpeedupP4 float64 `json:"min_smp_core_speedup_p4,omitempty"`
-}
-
-// CheckBudgets returns the budget violations of this run (nil when within
-// budget; zero-valued budgets are not enforced). Gateway runs are gated on
-// the per-admission budgets only: the front-door workload — tens of
-// thousands of tiny jobs plus admission-control traffic — has a different
-// per-decision profile than the saturated batch churn the per-decision and
-// per-grant budgets were calibrated on.
-func (r *Result) CheckBudgets(b Budgets) []string {
-	var bad []string
-	if r.Obs != nil {
-		// Obs gates come first and do not dispatch away: an obs run is the
-		// churn workload underneath, so it faces the churn budgets too.
-		o := r.Obs
-		if b.MaxObsAllocsPerSample > 0 && o.AllocsPerSample > b.MaxObsAllocsPerSample {
-			bad = append(bad, fmt.Sprintf("obs allocs/sample %.3f exceeds budget %.3f",
-				o.AllocsPerSample, b.MaxObsAllocsPerSample))
-		}
-		if b.MaxCheckpointBytesPerJob > 0 && o.CheckpointBytesPerJob > b.MaxCheckpointBytesPerJob {
-			bad = append(bad, fmt.Sprintf("checkpoint bytes/job %.0f exceeds budget %.0f",
-				o.CheckpointBytesPerJob, b.MaxCheckpointBytesPerJob))
-		}
-	}
-	if r.Chaos != nil {
-		// Chaos runs are gated on recovery behaviour: any heal window that
-		// never reconverged is a hard failure, and the convergence-time and
-		// repair-traffic budgets hold the recovery path's regression line.
-		cz := r.Chaos
-		if cz.Unconverged > 0 {
-			bad = append(bad, fmt.Sprintf("%d heal window(s) never reconverged within the probe timeout",
-				cz.Unconverged))
-		}
-		if b.MaxChaosConvergenceP99MS > 0 && cz.ConvergenceP99MS > b.MaxChaosConvergenceP99MS {
-			bad = append(bad, fmt.Sprintf("chaos convergence p99 %.0f ms exceeds budget %.0f ms",
-				cz.ConvergenceP99MS, b.MaxChaosConvergenceP99MS))
-		}
-		if b.MaxChaosReissued > 0 && cz.ReissuedGrants > b.MaxChaosReissued {
-			bad = append(bad, fmt.Sprintf("chaos reissued grants %d exceed budget %d",
-				cz.ReissuedGrants, b.MaxChaosReissued))
-		}
-		return bad
-	}
-	if r.Replay != nil {
-		// Replay runs are gated on workload-level SLO attainment: the
-		// diurnal open-loop shape makes alloc-per-decision incomparable to
-		// the synthetic sections.
-		rp := r.Replay
-		if b.MinReplayServiceSLOPct > 0 && rp.Service.SLOAttainedPct < b.MinReplayServiceSLOPct {
-			bad = append(bad, fmt.Sprintf("replay service SLO attainment %.1f%% below budget %.1f%%",
-				rp.Service.SLOAttainedPct, b.MinReplayServiceSLOPct))
-		}
-		if b.MaxReplayServiceAdmissionP99MS > 0 && rp.Service.AdmissionP99MS > b.MaxReplayServiceAdmissionP99MS {
-			bad = append(bad, fmt.Sprintf("replay service admission p99 %.0f ms exceeds budget %.0f ms",
-				rp.Service.AdmissionP99MS, b.MaxReplayServiceAdmissionP99MS))
-		}
-		if b.MaxReplayShedPct > 0 && rp.ShedPct > b.MaxReplayShedPct {
-			bad = append(bad, fmt.Sprintf("replay shed rate %.1f%% exceeds budget %.1f%%",
-				rp.ShedPct, b.MaxReplayShedPct))
-		}
-		return bad
-	}
-	if r.Dataplane != nil {
-		// Dataplane runs are gated on the application-level metrics: the few
-		// heavy jobs behind the gateway make the per-admission (and
-		// per-decision) allocation profiles incomparable to the synthetic
-		// sections those budgets were calibrated on.
-		d := r.Dataplane
-		if b.MinDataplaneLocalityPct > 0 && d.LocalityHitRatePct < b.MinDataplaneLocalityPct {
-			bad = append(bad, fmt.Sprintf("dataplane locality %.1f%% below budget %.1f%%",
-				d.LocalityHitRatePct, b.MinDataplaneLocalityPct))
-		}
-		if b.MaxDataplaneMakespanP99MS > 0 && d.MakespanP99MS > b.MaxDataplaneMakespanP99MS {
-			bad = append(bad, fmt.Sprintf("dataplane makespan p99 %.0f ms exceeds budget %.0f ms",
-				d.MakespanP99MS, b.MaxDataplaneMakespanP99MS))
-		}
-		if b.MinDataplaneServiceSLOPct > 0 && d.Service.SLOAttainedPct < b.MinDataplaneServiceSLOPct {
-			bad = append(bad, fmt.Sprintf("dataplane service SLO attainment %.1f%% below budget %.1f%%",
-				d.Service.SLOAttainedPct, b.MinDataplaneServiceSLOPct))
-		}
-		return bad
-	}
-	if r.Gateway != nil {
-		if b.MaxAllocsPerAdmission > 0 && r.AllocsPerAdmission > b.MaxAllocsPerAdmission {
-			bad = append(bad, fmt.Sprintf("allocs/admission %.1f exceeds budget %.1f",
-				r.AllocsPerAdmission, b.MaxAllocsPerAdmission))
-		}
-		if b.MaxMessagesPerAdmission > 0 && r.MessagesPerAdmission > b.MaxMessagesPerAdmission {
-			bad = append(bad, fmt.Sprintf("messages/admission %.1f exceeds budget %.1f",
-				r.MessagesPerAdmission, b.MaxMessagesPerAdmission))
-		}
-		return bad
-	}
-	switch {
-	case r.Config.Churn:
-		if b.MaxAllocsPerDecisionChurn > 0 && r.AllocsPerDecision > b.MaxAllocsPerDecisionChurn {
-			bad = append(bad, fmt.Sprintf("churn allocs/decision %.1f exceeds budget %.1f",
-				r.AllocsPerDecision, b.MaxAllocsPerDecisionChurn))
-		}
-	case len(r.Config.MasterFailoverAt) > 0:
-		if b.MaxAllocsPerDecisionFailover > 0 && r.AllocsPerDecision > b.MaxAllocsPerDecisionFailover {
-			bad = append(bad, fmt.Sprintf("failover allocs/decision %.1f exceeds budget %.1f",
-				r.AllocsPerDecision, b.MaxAllocsPerDecisionFailover))
-		}
-	default:
-		if b.MaxAllocsPerDecision > 0 && r.AllocsPerDecision > b.MaxAllocsPerDecision {
-			bad = append(bad, fmt.Sprintf("allocs/decision %.1f exceeds budget %.1f",
-				r.AllocsPerDecision, b.MaxAllocsPerDecision))
-		}
-	}
-	if b.MaxMessagesPerGrant > 0 && r.Grants > 0 {
-		if mpg := float64(r.MessagesSent) / float64(r.Grants); mpg > b.MaxMessagesPerGrant {
-			bad = append(bad, fmt.Sprintf("messages/grant %.2f exceeds budget %.2f",
-				mpg, b.MaxMessagesPerGrant))
-		}
-	}
-	return bad
 }
 
 // PrevDiff tags a run with how it relates to a previous BENCH_scale.json:
@@ -649,29 +437,6 @@ type PrevDiff struct {
 	Path            string   `json:"path"`
 	Compared        []string `json:"compared,omitempty"`
 	SkippedSections []string `json:"skipped_sections,omitempty"`
-}
-
-// CompareResult pairs an optimized run with its same-build baseline, the
-// sharded parallel runs, and (when requested) the master-failover scenario
-// on the same workload.
-type CompareResult struct {
-	Baseline  Result  `json:"baseline"`
-	Optimized Result  `json:"optimized"`
-	Speedup   float64 `json:"speedup"`
-	// Parallel holds one run per requested shard count (rounds enabled),
-	// and SpeedupParallel is the best parallel throughput over the serial
-	// optimized section's.
-	Parallel        []Result `json:"parallel,omitempty"`
-	SpeedupParallel float64  `json:"speedup_parallel,omitempty"`
-	// CommonPrefixLatency compares latency over the apps every section
-	// completed (see PrefixLatency).
-	CommonPrefixLatency *PrefixLatency `json:"common_prefix_latency,omitempty"`
-	Budgets             *Budgets       `json:"budgets,omitempty"`
-	Failover            *Result        `json:"failover,omitempty"`
-	// GatewayRun holds the gateway-mode scenario on the same cluster
-	// footprint (scalesim -compare -gateway).
-	GatewayRun *Result   `json:"gateway,omitempty"`
-	Prev       *PrevDiff `json:"prev_diff,omitempty"`
 }
 
 // scaleApp drives one application master's churn: request, hold, return,
@@ -736,7 +501,6 @@ type harness struct {
 	rng     *rand.Rand
 
 	latency   *metrics.Histogram
-	appLat    map[string]AppLat
 	grants    uint64
 	revokes   uint64
 	completed int
@@ -909,7 +673,6 @@ func Run(cfg Config) (*Result, error) {
 	reg := metrics.NewRegistry()
 
 	mcfg := master.DefaultConfig("fm-scale-1")
-	mcfg.Sched.LegacyScan = cfg.LegacyScan
 	mcfg.Sched.Shards = cfg.Shards
 	mcfg.Sched.ForceSteal = cfg.ForceSteal
 	mcfg.BatchWindow = cfg.RoundWindow
@@ -927,7 +690,6 @@ func Run(cfg Config) (*Result, error) {
 		latency:    reg.Histogram("scale.demand_to_grant_ms"),
 		recovery:   reg.Histogram("scale.master_recovery_ms"),
 		schedPause: reg.Histogram("scale.sched_pause_ms"),
-		appLat:     make(map[string]AppLat, cfg.Apps),
 	}
 	h.holdFn = h.holdExpire
 	h.ckpt = ckpt
@@ -1094,9 +856,6 @@ func Run(cfg Config) (*Result, error) {
 		// pure steady-state cost.
 		for eng.Now() < cfg.ChurnWarmup {
 			eng.Run(eng.Now() + slice)
-			if cfg.WallBudget > 0 && time.Since(start) > cfg.WallBudget {
-				break
-			}
 		}
 		h.grants, h.revokes = 0, 0
 		h.latency.Reset()
@@ -1108,9 +867,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	for eng.Now() < cfg.Horizon && !h.workloadDone() {
 		eng.Run(eng.Now() + slice)
-		if cfg.WallBudget > 0 && time.Since(start) > cfg.WallBudget {
-			break
-		}
 	}
 	wall := time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
@@ -1168,7 +924,6 @@ func Run(cfg Config) (*Result, error) {
 		res.AllocsPerDecision = float64(after.Mallocs-before.Mallocs) / float64(res.Decisions)
 	}
 	res.Completed = h.names
-	res.AppLatency = h.appLat
 	res.Truncated = !h.workloadDone() && !cfg.Churn
 	if gwMode {
 		res.Units = h.completed * cfg.UnitsPerApp
@@ -1235,100 +990,6 @@ func Run(cfg Config) (*Result, error) {
 // DefaultRoundWindow is the scheduling-round width the parallel sections
 // use when the configuration does not set one.
 const DefaultRoundWindow = 20 * sim.Millisecond
-
-// RunCompare measures the serial optimized scheduler, the legacy baseline
-// (rate-limited by baselineBudget wall time), and — for each requested
-// shard count — the sharded parallel scheduler with batched rounds, all on
-// the same seeded workload. Latency over the common completed app prefix is
-// reported so the (typically truncated) baseline stays comparable.
-func RunCompare(cfg Config, baselineBudget time.Duration, shardCounts []int) (*CompareResult, error) {
-	opt := cfg
-	opt.LegacyScan = false
-	opt.Shards = 0
-	opt.RoundWindow = 0
-	optRes, err := Run(opt)
-	if err != nil {
-		return nil, err
-	}
-	base := cfg
-	base.LegacyScan = true
-	base.Shards = 0
-	base.RoundWindow = 0
-	base.WallBudget = baselineBudget
-	baseRes, err := Run(base)
-	if err != nil {
-		return nil, err
-	}
-	out := &CompareResult{Baseline: *baseRes, Optimized: *optRes}
-	if baseRes.DecisionsPerSec > 0 {
-		out.Speedup = optRes.DecisionsPerSec / baseRes.DecisionsPerSec
-	}
-	sections := map[string]*Result{"baseline": baseRes, "optimized": optRes}
-	for _, p := range shardCounts {
-		par := cfg
-		par.LegacyScan = false
-		par.Shards = p
-		if par.RoundWindow == 0 {
-			par.RoundWindow = DefaultRoundWindow
-		}
-		parRes, err := Run(par)
-		if err != nil {
-			return nil, err
-		}
-		out.Parallel = append(out.Parallel, *parRes)
-		sections[fmt.Sprintf("parallel-%d", p)] = parRes
-		if optRes.DecisionsPerSec > 0 {
-			if sp := parRes.DecisionsPerSec / optRes.DecisionsPerSec; sp > out.SpeedupParallel {
-				out.SpeedupParallel = sp
-			}
-		}
-	}
-	out.CommonPrefixLatency = commonPrefixLatency(sections)
-	return out, nil
-}
-
-// commonPrefixLatency restricts every section's demand-to-grant latency to
-// the applications all sections completed.
-func commonPrefixLatency(sections map[string]*Result) *PrefixLatency {
-	var common map[string]bool
-	for _, r := range sections {
-		set := make(map[string]bool, len(r.Completed))
-		for _, app := range r.Completed {
-			if common == nil || common[app] {
-				set[app] = true
-			}
-		}
-		common = set
-	}
-	if len(common) == 0 {
-		return nil
-	}
-	pl := &PrefixLatency{
-		Apps:          len(common),
-		MeanMS:        make(map[string]float64, len(sections)),
-		MaxMS:         make(map[string]float64, len(sections)),
-		RoundWindowMS: make(map[string]float64, len(sections)),
-	}
-	for name, r := range sections {
-		pl.RoundWindowMS[name] = float64(r.Config.RoundWindow) / float64(sim.Millisecond)
-		var sum float64
-		var n int
-		var max float64
-		for app := range common {
-			al := r.AppLatency[app]
-			sum += al.SumMS
-			n += al.N
-			if al.MaxMS > max {
-				max = al.MaxMS
-			}
-		}
-		if n > 0 {
-			pl.MeanMS[name] = sum / float64(n)
-		}
-		pl.MaxMS[name] = max
-	}
-	return pl
-}
 
 // unitSize varies container shapes across units so the multi-dimensional
 // matcher sees heterogeneous requests.
@@ -1450,17 +1111,6 @@ func (a *scaleApp) onGrant(unitID int, machine int32, count int) {
 		h.latency.Observe(ms)
 		if h.rp != nil {
 			h.rp.observeD2G(a.class, ms)
-		} else if !h.cfg.Churn {
-			// Per-app latency feeds the cross-run common-prefix comparison;
-			// the churn section has no completion prefix to compare, so it
-			// skips the per-grant map update.
-			al := h.appLat[a.name]
-			al.SumMS += ms
-			al.N++
-			if ms > al.MaxMS {
-				al.MaxMS = ms
-			}
-			h.appLat[a.name] = al
 		}
 		a.pendingReq[unitID] = 0
 	}

@@ -3,7 +3,6 @@ package scale
 import (
 	"sort"
 	"testing"
-	"time"
 )
 
 // tiny returns a configuration small enough for unit tests.
@@ -37,59 +36,6 @@ func TestSmokeRunCompletes(t *testing.T) {
 	}
 	if len(res.Invariants) > 0 {
 		t.Errorf("scheduler invariants violated: %v", res.Invariants)
-	}
-}
-
-// TestLegacyParity replays the identical workload against the indexed tree
-// and the legacy linear-scan tree: every scheduling outcome must match,
-// proving the optimization is behavior-preserving.
-func TestLegacyParity(t *testing.T) {
-	cfg := tiny()
-	opt, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := cfg
-	legacy.LegacyScan = true
-	base, err := Run(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.Grants != base.Grants || opt.Revokes != base.Revokes {
-		t.Errorf("decision streams diverge: optimized %d/%d grants/revokes, legacy %d/%d",
-			opt.Grants, opt.Revokes, base.Grants, base.Revokes)
-	}
-	if opt.CompletedApps != base.CompletedApps {
-		t.Errorf("completed apps diverge: %d vs %d", opt.CompletedApps, base.CompletedApps)
-	}
-	if opt.SimSeconds != base.SimSeconds {
-		t.Errorf("virtual end times diverge: %.6f vs %.6f", opt.SimSeconds, base.SimSeconds)
-	}
-	if opt.LatencyP99MS != base.LatencyP99MS {
-		t.Errorf("p99 latency diverges: %v vs %v", opt.LatencyP99MS, base.LatencyP99MS)
-	}
-}
-
-func TestRunCompareProducesSpeedup(t *testing.T) {
-	cfg := tiny()
-	cmp, err := RunCompare(cfg, time.Minute, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Speedup <= 0 {
-		t.Errorf("speedup = %v, want > 0", cmp.Speedup)
-	}
-	if cmp.Optimized.Config.LegacyScan || !cmp.Baseline.Config.LegacyScan {
-		t.Error("compare ran the wrong scheduler variants")
-	}
-	if len(cmp.Parallel) != 1 || cmp.Parallel[0].Config.Shards != 4 {
-		t.Fatalf("parallel sections = %+v, want one with shards=4", len(cmp.Parallel))
-	}
-	if cmp.Parallel[0].Config.RoundWindow != DefaultRoundWindow {
-		t.Errorf("parallel round window = %v, want default", cmp.Parallel[0].Config.RoundWindow)
-	}
-	if cmp.CommonPrefixLatency == nil || cmp.CommonPrefixLatency.Apps == 0 {
-		t.Error("no common-prefix latency computed")
 	}
 }
 

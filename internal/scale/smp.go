@@ -161,7 +161,6 @@ func RunSMP(opts SMPOptions) (*SMPResult, error) {
 		res.Core = append(res.Core, core)
 
 		rcfg := opts.Rounds
-		rcfg.LegacyScan = false
 		rcfg.Shards = p
 		if rcfg.RoundWindow == 0 {
 			rcfg.RoundWindow = DefaultRoundWindow
@@ -174,7 +173,6 @@ func RunSMP(opts SMPOptions) (*SMPResult, error) {
 		res.Rounds = append(res.Rounds, *rres)
 
 		ccfg := opts.Churn
-		ccfg.LegacyScan = false
 		ccfg.Shards = p
 		if ccfg.RoundWindow == 0 {
 			ccfg.RoundWindow = DefaultRoundWindow
