@@ -208,22 +208,16 @@ func (a *Agent) Capacity(app string, unitID int) int {
 	return a.capacity[makeCapKey(id, unitID)].count
 }
 
-// Allocations returns the agent's full capacity table as app -> unit ->
-// count (a copy, names at the boundary). The cluster-wide invariant checker
-// compares it against the master's grant ledger.
-func (a *Agent) Allocations() map[string]map[int]int {
-	out := make(map[string]map[int]int, len(a.capacity))
+// ForEachAllocation visits every (app, unit, count) of the agent's capacity
+// table with a positive count, in no particular order, without allocating.
+// The cluster-wide invariant checker and the chaos convergence probe compare
+// it against the master's grants on this machine.
+func (a *Agent) ForEachAllocation(fn func(app string, unitID, count int)) {
 	for k, e := range a.capacity {
-		if e.count <= 0 {
-			continue
+		if e.count > 0 {
+			fn(a.appTbl.Name(k.app()), k.unitID(), e.count)
 		}
-		app := a.appTbl.Name(k.app())
-		if out[app] == nil {
-			out[app] = make(map[int]int)
-		}
-		out[app][k.unitID()] = e.count
 	}
-	return out
 }
 
 // allocTable flattens the live capacity table into the sorted wire form an

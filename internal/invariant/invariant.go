@@ -104,37 +104,32 @@ func (c *Checker) CheckLedgers() []string {
 		return c.record(nil)
 	}
 	var bad []string
-	masterView := s.GrantedByMachine()
 
-	// Master vs agents, both directions per machine. Sort a copy: callers
-	// may hand over their own slice, and reordering it would perturb any
-	// index-based fault injection driving the same run.
+	// Master vs agents, both directions per machine: the master's grants on
+	// the machine against the agent's table, then the agent's table against
+	// the master's ledger. Sort a copy: callers may hand over their own
+	// slice, and reordering it would perturb any index-based fault injection
+	// driving the same run.
 	agents := append([]*agent.Agent(nil), c.Agents()...)
 	sort.Slice(agents, func(i, j int) bool { return agents[i].Machine < agents[j].Machine })
 	for _, a := range agents {
 		if !a.Up() {
 			continue
 		}
-		agentView := a.Allocations()
-		mView := masterView[a.Machine]
-		for app, units := range mView {
-			for unit, n := range units {
-				if got := agentView[app][unit]; got != n {
-					bad = append(bad, fmt.Sprintf(
-						"ledger: machine %s app %s unit %d: master grants %d, agent capacity %d",
-						a.Machine, app, unit, n, got))
-				}
+		s.ForEachGrantOn(a.ID(), func(app string, unit, n int) {
+			if got := a.Capacity(app, unit); got != n {
+				bad = append(bad, fmt.Sprintf(
+					"ledger: machine %s app %s unit %d: master grants %d, agent capacity %d",
+					a.Machine, app, unit, n, got))
 			}
-		}
-		for app, units := range agentView {
-			for unit, n := range units {
-				if mView[app][unit] == 0 && n > 0 {
-					bad = append(bad, fmt.Sprintf(
-						"ledger: machine %s app %s unit %d: agent holds %d unknown to master",
-						a.Machine, app, unit, n))
-				}
+		})
+		a.ForEachAllocation(func(app string, unit, n int) {
+			if s.GrantedOn(app, unit, a.ID()) == 0 {
+				bad = append(bad, fmt.Sprintf(
+					"ledger: machine %s app %s unit %d: agent holds %d unknown to master",
+					a.Machine, app, unit, n))
 			}
-		}
+		})
 	}
 
 	// Master vs application masters, both directions per (unit, machine).

@@ -90,25 +90,44 @@ func TestCheckerSilentAcrossMasterFailover(t *testing.T) {
 	}
 }
 
-// TestCheckerDetectsLedgerDivergence proves the checker can actually fail:
-// a rogue capacity update (epoch 0, so it bypasses fencing — the legacy
-// unstamped path) desynchronizes one agent's table from the master ledger.
+// TestCheckerDetectsLedgerDivergence proves the checker can actually fail,
+// in both directions of the master/agent comparison: a rogue capacity update
+// (epoch 0, so it bypasses fencing — the legacy unstamped path) either
+// strips capacity the master granted on a machine or plants capacity the
+// master never granted there.
 func TestCheckerDetectsLedgerDivergence(t *testing.T) {
-	cluster, _, ck := wire(t)
-	machine := cluster.Top.Machines()[0]
-	cluster.Net.Send("rogue", protocol.AgentEndpoint(machine), protocol.CapacityUpdate{
-		App: "app-inv", UnitID: 1, Size: resource.New(1000, 4096), Delta: 2, Seq: 1,
-	})
-	cluster.Run(sim.Second)
-	bad := ck.CheckLedgers()
-	if len(bad) == 0 {
-		t.Fatal("checker missed an agent/master ledger divergence")
-	}
-	if !strings.Contains(strings.Join(bad, "\n"), machine) {
-		t.Errorf("violation does not name the diverged machine %s: %v", machine, bad)
-	}
-	if len(ck.Violations) == 0 {
-		t.Error("violations were not accumulated for end-of-run reporting")
+	for _, tc := range []struct {
+		name, app string
+		delta     int
+		want      string
+	}{
+		{"agent lost a grant", "app-inv", -1, "master grants"},
+		{"agent holds a phantom", "app-ghost", 2, "unknown to master"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cluster, _, ck := wire(t)
+			// A machine the master granted unit 1 on.
+			var machine string
+			for m := range cluster.Scheduler().Granted("app-inv", 1) {
+				if machine == "" || m < machine {
+					machine = m
+				}
+			}
+			if machine == "" {
+				t.Fatal("setup: unit 1 granted nowhere")
+			}
+			cluster.Net.Send("rogue", protocol.AgentEndpoint(machine), protocol.CapacityUpdate{
+				App: tc.app, UnitID: 1, Size: resource.New(1000, 4096), Delta: tc.delta, Seq: 1,
+			})
+			cluster.Run(sim.Second)
+			bad := strings.Join(ck.CheckLedgers(), "\n")
+			if !strings.Contains(bad, tc.want) || !strings.Contains(bad, "machine "+machine+" app "+tc.app) {
+				t.Errorf("want a %q violation naming machine %s app %s, got: %s", tc.want, machine, tc.app, bad)
+			}
+			if len(ck.Violations) == 0 {
+				t.Error("violations were not accumulated for end-of-run reporting")
+			}
+		})
 	}
 }
 
@@ -134,9 +153,11 @@ func TestUnregisterDuringRecoveryWindow(t *testing.T) {
 		t.Fatal("app still registered after buffered unregister replay")
 	}
 	for name, a := range cluster.Agents {
-		if allocs := a.Allocations(); len(allocs["app-inv"]) > 0 {
-			t.Errorf("agent %s still holds capacity for the unregistered app: %v", name, allocs["app-inv"])
-		}
+		a.ForEachAllocation(func(app string, unit, n int) {
+			if app == "app-inv" {
+				t.Errorf("agent %s still holds %d of unit %d for the unregistered app", name, n, unit)
+			}
+		})
 	}
 	if bad := ck.CheckLedgers(); len(bad) != 0 {
 		t.Errorf("ledger divergence after unregister-during-recovery: %v", bad)

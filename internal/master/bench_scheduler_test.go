@@ -449,3 +449,112 @@ func BenchmarkCapacityDeltaDecode(b *testing.B) {
 		eng.Run(eng.Now() + sim.Millisecond)
 	}
 }
+
+// benchPaperLedger builds the paper-scale ledger the per-machine paths are
+// sized against: 5,000 machines, 2,500 apps × 40 units × 3 containers of
+// demand in the scale harness's unit shapes. Demand arrives one container
+// per unit per pass, so — as in the saturated churn steady state — the
+// ~100k containers the cluster holds are spread over nearly every unit
+// (~20 cells per machine) and the other two thirds of the demand queue.
+func benchPaperLedger(b *testing.B) *Scheduler {
+	b.Helper()
+	s := NewScheduler(benchTop(b, 125, 40), Options{})
+	sizes := []resource.Vector{resource.New(500, 2048), resource.New(1000, 4096), resource.New(250, 1024)}
+	names := make([]string, 2500)
+	for a := range names {
+		names[a] = fmt.Sprintf("scale-app-%04d", a)
+		units := make([]resource.ScheduleUnit, 40)
+		for u := range units {
+			units[u] = resource.ScheduleUnit{ID: u + 1, Priority: 1 + (a+u)%4, MaxCount: 3, Size: sizes[(a+u)%3]}
+		}
+		if err := s.RegisterApp(names[a], "", units); err != nil {
+			b.Fatal(err)
+		}
+	}
+	one := []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 1}}
+	for pass := 0; pass < 3; pass++ {
+		for _, app := range names {
+			for u := 1; u <= 40; u++ {
+				if _, err := s.UpdateDemand(app, u, one); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	return s
+}
+
+// BenchmarkEvacuate measures revoking every grant on one machine (the
+// heartbeat-timeout and blacklist path): index is the shipped walk over the
+// machine's cells, scan the all-apps scan it replaced (the test oracle).
+// The grants are put back outside the timer.
+func BenchmarkEvacuate(b *testing.B) {
+	s := benchPaperLedger(b)
+	putBack := func(m int32, ds []Decision) {
+		s.down[m] = false
+		s.setFree(m, s.top.MachineByID(m).Capacity)
+		for _, d := range ds {
+			s.restoreGrantID(d.App, d.UnitID, m, -d.Delta)
+		}
+	}
+	b.Run("index", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := int32(i*37) % s.nMach
+			ds := s.machineDownID(m)
+			b.StopTimer()
+			if len(ds) == 0 {
+				b.Fatal("nothing evacuated")
+			}
+			putBack(m, ds)
+			b.StartTimer()
+		}
+	})
+	b.Run("scan", func(b *testing.B) {
+		apps := s.Apps()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m := int32(i*37) % s.nMach
+			ds := scanEvacuation(s, apps, m, ReasonRevokeNodeDown)
+			if len(ds) == 0 {
+				b.Fatal("nothing to evacuate")
+			}
+		}
+	})
+}
+
+// BenchmarkCapacitySyncTable measures building one agent's CapacitySync
+// payload (agent restart, gap repair, heal): index vs the replaced scan.
+func BenchmarkCapacitySyncTable(b *testing.B) {
+	s := benchPaperLedger(b)
+	apps := s.Apps()
+	for _, v := range []struct {
+		name  string
+		table func(int32) []protocol.CapacityEntry
+	}{
+		{"index", s.capacityTable},
+		{"scan", func(m int32) []protocol.CapacityEntry { return scanGrantsOn(s, apps, m) }},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(v.table(int32(i*37)%s.nMach)) == 0 {
+					b.Fatal("empty capacity table")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCheckInvariants measures the once-a-virtual-second audit.
+func BenchmarkCheckInvariants(b *testing.B) {
+	s := benchPaperLedger(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if bad := s.CheckInvariants(); len(bad) > 0 {
+			b.Fatal(bad)
+		}
+	}
+}

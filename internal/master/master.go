@@ -1226,20 +1226,8 @@ func (m *Master) handleCapacityQuery(t protocol.CapacityQuery) {
 // anchor that re-baselines an agent's ledger after a restart, a detected
 // delta gap, or a healed partition.
 func (m *Master) sendCapacitySync(mc int32) {
-	var entries []protocol.CapacityEntry
-	for _, app := range m.sched.appsSorted {
-		st := m.sched.apps[app]
-		for i := range st.unitArr {
-			u := &st.unitArr[i]
-			if n := u.granted[mc]; n > 0 {
-				entries = append(entries, protocol.CapacityEntry{
-					App: app, UnitID: u.def.ID, Size: u.def.Size, Count: n,
-				})
-			}
-		}
-	}
 	m.net.SendID(m.epID, m.agentEP[mc], protocol.CapacitySync{
-		Machine: mc, Entries: entries, Epoch: m.epoch, Seq: m.capSeq[mc].Next(),
+		Machine: mc, Entries: m.sched.capacityTable(mc), Epoch: m.epoch, Seq: m.capSeq[mc].Next(),
 	})
 }
 

@@ -115,7 +115,8 @@ const DefaultGroup = "default"
 
 type unitState struct {
 	def     resource.ScheduleUnit
-	granted map[int32]int // machine ID -> container count
+	idx     int32         // position in the app's unitArr (grant-index cell key)
+	granted map[int32]int // machine ID -> container count (the unit-major ledger)
 	held    int
 	// parked holds this unit's wait entries pulled out of the queues while
 	// the unit is saturated (held == MaxCount with demand still queued —
@@ -197,19 +198,17 @@ type Scheduler struct {
 	nRack int32
 	ids   []int32 // the dense machine IDs 0..nMach-1, in order (sweep operand)
 
-	free  []resource.Vector // machine ID -> owned free vector
-	down  []bool            // machine ID -> down
-	black []bool            // machine ID -> blacklisted
+	free   []resource.Vector // machine ID -> owned free vector
+	down   []bool            // machine ID -> down
+	black  []bool            // machine ID -> blacklisted
+	grants grantIndex        // machine ID -> the grants on it (grantindex.go)
 
-	apps map[string]*appState
-	// appsSorted mirrors the apps map keys in sorted order (maintained on
-	// register/unregister), so evacuation sweeps need not sort per call.
-	appsSorted []string
-	appTbl     ident.Table // app name -> dense app ID (registration order)
-	appByID    []*appState // app ID -> live state (nil after unregister)
-	groups     map[string]*groupState
-	tree       waitTree
-	cursor     int // rotating first-fit cursor for cluster-level placement
+	apps    map[string]*appState
+	appTbl  ident.Table // app name -> dense app ID (registration order)
+	appByID []*appState // app ID -> live state (nil after unregister)
+	groups  map[string]*groupState
+	tree    waitTree
+	cursor  int // rotating first-fit cursor for cluster-level placement
 
 	// Incremental headroom accounting: aggregate free capacity for the
 	// cluster and per rack, maintained alongside every free-pool mutation.
@@ -248,6 +247,7 @@ type Scheduler struct {
 	// seenBuf/uniqBuf are the pooled dedup scratch of assignOnIDs.
 	seenBuf []bool
 	uniqBuf []int32
+	audit   auditScratch // CheckInvariants' reusable working memory
 }
 
 // assignCtx carries one assignOnMachine invocation's state; fn is the
@@ -273,6 +273,7 @@ func NewScheduler(top *topology.Topology, opts Options) *Scheduler {
 		free:     make([]resource.Vector, n),
 		down:     make([]bool, n),
 		black:    make([]bool, n),
+		grants:   newGrantIndex(int(n)),
 		apps:     make(map[string]*appState),
 		groups:   make(map[string]*groupState),
 		rackFree: make([]resource.Vector, top.NumRacks()),
@@ -376,15 +377,14 @@ func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit
 		st.unitArr = append(st.unitArr, unitState{def: u, granted: make(map[int32]int)})
 	}
 	sort.Slice(st.unitArr, func(i, j int) bool { return st.unitArr[i].def.ID < st.unitArr[j].def.ID })
+	for i := range st.unitArr {
+		st.unitArr[i].idx = int32(i)
+	}
 	s.apps[app] = st
 	for int(id) >= len(s.appByID) {
 		s.appByID = append(s.appByID, nil)
 	}
 	s.appByID[id] = st
-	i := sort.SearchStrings(s.appsSorted, app)
-	s.appsSorted = append(s.appsSorted, "")
-	copy(s.appsSorted[i+1:], s.appsSorted[i:])
-	s.appsSorted[i] = app
 	g.apps[app] = true
 	return nil
 }
@@ -419,9 +419,6 @@ func (s *Scheduler) UnregisterApp(app string) []Decision {
 	delete(s.groups[st.group].apps, app)
 	delete(s.apps, app)
 	s.appByID[st.id] = nil
-	if i := sort.SearchStrings(s.appsSorted, app); i < len(s.appsSorted) && s.appsSorted[i] == app {
-		s.appsSorted = append(s.appsSorted[:i], s.appsSorted[i+1:]...)
-	}
 	return s.assignOnIDs(touched)
 }
 
@@ -664,19 +661,36 @@ func (s *Scheduler) adjustFree(id int32, size resource.Vector, k int64) {
 
 // grantOn commits k containers of u on machine and records the decision.
 func (s *Scheduler) grantOn(st *appState, u *unitState, machine int32, k int, out *[]Decision) {
+	s.credit(st, u, machine, k)
+	*out = append(*out, Decision{App: st.name, UnitID: u.def.ID,
+		Machine: s.top.MachineName(machine), MachineID: machine, Delta: k, Reason: ReasonGrant})
+}
+
+// credit is the one place a grant enters the books: free pool, unit-major
+// ledger, machine-major index, held count and quota usage.
+func (s *Scheduler) credit(st *appState, u *unitState, machine int32, k int) {
 	s.adjustFree(machine, u.def.Size, -int64(k))
+	// The ledger keeps no zero entries, so the unit is new to the machine
+	// exactly when the assignment below grows the map.
+	on := len(u.granted)
 	u.granted[machine] += k
+	s.grants.add(machine, st.id, u.idx, k, len(u.granted) != on)
 	u.held += k
 	g := s.groups[st.group]
 	(&g.usage).AddScaledInPlace(u.def.Size, int64(k))
-	*out = append(*out, Decision{App: st.name, UnitID: u.def.ID,
-		Machine: s.top.MachineName(machine), MachineID: machine, Delta: k, Reason: ReasonGrant})
 }
 
 // releaseOn returns k containers of u on machine to the free pool (no
 // decision emitted; callers emit revocations themselves when the release
 // was not requested by the app).
 func (s *Scheduler) releaseOn(st *appState, u *unitState, machine int32, k int) {
+	s.grants.sub(machine, st.id, u.idx, k)
+	s.debit(st, u, machine, k)
+}
+
+// debit is releaseOn without the index update, for evacuate, which empties
+// the machine's whole table at once.
+func (s *Scheduler) debit(st *appState, u *unitState, machine int32, k int) {
 	if !s.down[machine] {
 		s.adjustFree(machine, u.def.Size, int64(k))
 	}
@@ -949,16 +963,14 @@ func (s *Scheduler) appStateByID(id int32) *appState {
 func (s *Scheduler) evacuate(machine int32, reason Reason) []Decision {
 	var out []Decision
 	name := s.top.MachineName(machine)
-	for _, appName := range s.appsSorted {
-		st := s.apps[appName]
-		for i := range st.unitArr {
-			u := &st.unitArr[i]
-			if n := u.granted[machine]; n > 0 {
-				s.releaseOn(st, u, machine, n)
-				out = append(out, Decision{App: appName, UnitID: u.def.ID,
-					Machine: name, MachineID: machine, Delta: -n, Reason: reason})
-			}
-		}
+	cells := s.cellsInOrder(machine)
+	s.grants.cells[machine] = cells[:0]
+	for _, c := range cells {
+		st := s.appByID[c.app]
+		u := &st.unitArr[c.unit]
+		s.debit(st, u, machine, int(c.n))
+		out = append(out, Decision{App: st.name, UnitID: u.def.ID,
+			Machine: name, MachineID: machine, Delta: -int(c.n), Reason: reason})
 	}
 	if s.down[machine] {
 		s.setFree(machine, resource.Vector{})

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/resource"
@@ -166,7 +167,12 @@ func (s *Scheduler) GroupUsage(group string) resource.Vector {
 
 // Apps returns the sorted registered application names.
 func (s *Scheduler) Apps() []string {
-	return append([]string(nil), s.appsSorted...)
+	out := make([]string, 0, len(s.apps))
+	for app := range s.apps {
+		out = append(out, app)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // AppGroup returns the quota group of an app ("" when unknown).
@@ -215,11 +221,7 @@ func (s *Scheduler) restoreGrantID(app string, unitID int, machine int32, count 
 	if u == nil || count <= 0 {
 		return false
 	}
-	s.adjustFree(machine, u.def.Size, -int64(count))
-	u.granted[machine] += count
-	u.held += count
-	g := s.groups[st.group]
-	(&g.usage).AddScaledInPlace(u.def.Size, int64(count))
+	s.credit(st, u, machine, count)
 	return true
 }
 
@@ -249,21 +251,37 @@ func (s *Scheduler) SetVirtualResource(machine, dim string, amount int64) []Deci
 
 // CheckInvariants verifies internal consistency; tests and the cluster-wide
 // invariant checker call it after scenario steps. It returns a non-nil error
-// description slice when any invariant is violated. The walk is a single
-// pass over granted entries plus one over machines — O(grants + machines) —
-// so paper-scale runs can afford to call it every scheduling round.
+// description slice when any invariant is violated. The walk is two passes
+// over the machine-major grant index plus one over units and one over
+// machines — O(grants + units + machines) — so paper-scale runs can afford
+// to call it every virtual second.
 func (s *Scheduler) CheckInvariants() []string {
 	var bad []string
-	// One pass over all grants builds the per-machine usage table; the same
-	// pass checks held == sum(granted) and held <= MaxCount per unit.
-	used := make([]resource.Vector, s.nMach)
+	// The audit walks apps and units in memory order against the index
+	// regrouped by unit, touching each unit's ledger once: every cell must be
+	// in the ledger with the same count and the ledger must hold no machine
+	// beyond the unit's cells (index ≡ transpose of the ledgers), and the
+	// cells must sum to held. The same cells give the per-machine usage.
+	s.audit.vecs = zeroed(s.audit.vecs, int(s.nMach+s.nRack))
+	used, rackSum := s.audit.vecs[:s.nMach], s.audit.vecs[s.nMach:]
+	base, at, byUnit := s.cellsByUnit(&bad)
 	for name, st := range s.apps {
 		for ui := range st.unitArr {
 			u := &st.unitArr[ui]
+			slot := base[st.id] + int32(ui)
+			cells := byUnit[at[slot]:at[slot+1]]
+			if len(cells) != len(u.granted) {
+				bad = append(bad, fmt.Sprintf("index: app %s unit %d: %d cells, ledger has %d machines",
+					name, u.def.ID, len(cells), len(u.granted)))
+			}
 			sum := 0
-			for m, n := range u.granted {
-				sum += n
-				(&used[m]).AddScaledInPlace(u.def.Size, int64(n))
+			for _, c := range cells {
+				if c.n <= 0 || u.granted[c.machine] != int(c.n) {
+					bad = append(bad, fmt.Sprintf("index: machine %s app %s unit %d: index holds %d, ledger %d",
+						s.top.MachineName(c.machine), name, u.def.ID, c.n, u.granted[c.machine]))
+				}
+				sum += int(c.n)
+				(&used[c.machine]).AddScaledInPlace(u.def.Size, int64(c.n))
 			}
 			if sum != u.held {
 				bad = append(bad, "app "+name+": unit held mismatch")
@@ -276,7 +294,6 @@ func (s *Scheduler) CheckInvariants() []string {
 	// Per machine: free + granted == capacity, physical free non-negative,
 	// and the rack/cluster aggregates agree with the per-machine pool.
 	var sumFree resource.Vector
-	rackSum := make([]resource.Vector, s.nRack)
 	for id := int32(0); id < s.nMach; id++ {
 		rack := s.top.RackIDOf(id)
 		(&rackSum[rack]).AddScaledInPlace(s.free[id], 1)
@@ -382,31 +399,4 @@ func (s *Scheduler) ClusterQueueDepths(fn func(cpuMilli, memMB int64, opaque boo
 			}
 		}
 	}
-}
-
-// GrantedByMachine builds machine -> app -> unit -> count from the grant
-// ledger — the master-side view the cluster-wide invariant checker compares
-// against each FuxiAgent's capacity table. Names at the boundary.
-func (s *Scheduler) GrantedByMachine() map[string]map[string]map[int]int {
-	out := make(map[string]map[string]map[int]int)
-	for name, st := range s.apps {
-		for ui := range st.unitArr {
-			u := &st.unitArr[ui]
-			id := u.def.ID
-			for m, n := range u.granted {
-				if n <= 0 {
-					continue
-				}
-				mn := s.top.MachineName(m)
-				if out[mn] == nil {
-					out[mn] = make(map[string]map[int]int)
-				}
-				if out[mn][name] == nil {
-					out[mn][name] = make(map[int]int)
-				}
-				out[mn][name][id] = n
-			}
-		}
-	}
-	return out
 }

@@ -90,9 +90,12 @@ type czState struct {
 	plan    []faults.Injection
 	skipped int
 
-	// victimActive marks machines inside a heal→converged window (by dense
-	// ID): grants arriving on them count as reissued repair traffic.
-	victimActive []bool
+	// victimActive counts, per machine (dense ID), the heal→converged
+	// windows it is inside: grants arriving while the count is positive are
+	// reissued repair traffic. A count, not a flag, so a machine still
+	// converging from one storm stays counted when an overlapping second
+	// storm's window over it closes first.
+	victimActive []int32
 	// partActive counts currently-open partitions: revocations observed
 	// while one is open are grants the partition cost the applications.
 	partActive int
@@ -114,7 +117,7 @@ func newCZState(h *harness, machines int) *czState {
 	return &czState{
 		h:            h,
 		frng:         rand.New(rand.NewSource(h.cfg.Seed + 5)),
-		victimActive: make([]bool, machines),
+		victimActive: make([]int32, machines),
 		conv:         h.reg.Histogram("scale.chaos_convergence_ms"),
 	}
 }
@@ -218,14 +221,14 @@ func (cz *czState) heal(victims []int32) {
 	h.net.Heal()
 	cz.heals++
 	for _, id := range victims {
-		cz.victimActive[id] = true
+		cz.victimActive[id]++
 	}
 	healAt := h.eng.Now()
 	deadline := healAt + chaosConvergeTimeout
 	finish := func(ms float64) {
 		cz.conv.Observe(ms)
 		for _, id := range victims {
-			cz.victimActive[id] = false
+			cz.victimActive[id]--
 		}
 	}
 	var poll func()
@@ -246,37 +249,30 @@ func (cz *czState) heal(victims []int32) {
 
 // convergedAll reports whether every victim machine's agent-side allocation
 // table equals the primary master's grant ledger for that machine. During an
-// interregnum there is no authoritative ledger, so nothing converges.
+// interregnum there is no authoritative ledger, so nothing converges. The
+// probe fires every chaosConvergePoll for as long as a heal takes, so it
+// reads only the victims' own cells and allocates nothing.
 func (cz *czState) convergedAll(victims []int32) bool {
 	h := cz.h
 	s := h.primarySched()
 	if s == nil {
 		return false
 	}
-	byMachine := s.GrantedByMachine()
 	for _, id := range victims {
-		if !ledgerEqual(byMachine[h.top.MachineName(id)], h.agents[id].Allocations()) {
+		// Every master cell has the agent's count, and the agent has no
+		// entry beyond them (both sides omit zero counts).
+		ag := h.agents[id]
+		cells, same := 0, true
+		s.ForEachGrantOn(id, func(app string, unit, n int) {
+			cells++
+			same = same && ag.Capacity(app, unit) == n
+		})
+		if !same {
 			return false
 		}
-	}
-	return true
-}
-
-// ledgerEqual compares two app → unit → count tables (both sides omit zero
-// counts, so length equality plus entry equality is exact).
-func ledgerEqual(a, b map[string]map[int]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for app, ua := range a {
-		ub := b[app]
-		if len(ua) != len(ub) {
+		ag.ForEachAllocation(func(string, int, int) { cells-- })
+		if cells != 0 {
 			return false
-		}
-		for unit, n := range ua {
-			if ub[unit] != n {
-				return false
-			}
 		}
 	}
 	return true
@@ -336,7 +332,7 @@ func (cz *czState) lockPartition() {
 // landing on a victim machine between heal and convergence is repair
 // traffic re-establishing the pre-storm allocation.
 func (cz *czState) noteGrant(machine int32, count int) {
-	if cz.victimActive[machine] {
+	if cz.victimActive[machine] > 0 {
 		cz.reissued += uint64(count)
 	}
 }

@@ -1,8 +1,11 @@
 package scale
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/protocol"
+	"repro/internal/resource"
 	"repro/internal/sim"
 )
 
@@ -160,5 +163,134 @@ func TestChaosRejectsGatewayMode(t *testing.T) {
 	cfg.GatewaySubmissions = 10
 	if _, err := Run(cfg); err == nil {
 		t.Error("expected error for chaos + gateway mode")
+	}
+}
+
+// settledProbe runs the armed harness forward on the probe's own 5 ms grid
+// until convergedAll over victims holds (the churn never stops, but between
+// scheduling rounds no capacity delta is in flight), so a caller measures a
+// probe that walked every victim's cells.
+func settledProbe(tb testing.TB, h *harness, victims []int32) {
+	tb.Helper()
+	for i := 0; i < 400; i++ {
+		if h.cz.convergedAll(victims) {
+			return
+		}
+		h.eng.Run(h.eng.Now() + chaosConvergePoll)
+	}
+	tb.Fatal("master and agent ledgers never agreed on a 2 s grid of probes")
+}
+
+// TestConvergenceProbeAllocatesNothing: one convergedAll call over every
+// machine of the settled smoke chaos cluster — the probe fires every 5
+// virtual ms for as long as a heal takes.
+func TestConvergenceProbeAllocatesNothing(t *testing.T) {
+	h, err := newHarness(SmokeChaosConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := h.run(); chaosBroken(res) {
+		t.Fatalf("smoke chaos run broke its contract: %+v", res.Chaos)
+	}
+	victims := make([]int32, h.top.Size())
+	grants := 0
+	for i := range victims {
+		victims[i] = int32(i)
+		h.primarySched().ForEachGrantOn(int32(i), func(string, int, int) { grants++ })
+	}
+	if grants == 0 {
+		t.Fatal("settled cluster holds no grants; the probe would compare nothing")
+	}
+	settledProbe(t, h, victims)
+	if n := testing.AllocsPerRun(20, func() { h.cz.convergedAll(victims) }); n != 0 {
+		t.Errorf("convergedAll allocates %v times per probe, want 0", n)
+	}
+}
+
+// TestOverlappingHealWindowsKeepCounting pins the per-machine window count:
+// machine 3 sits in two heal→converged windows at once (default schedules
+// never overlap); when the first closes, grants landing on it must still
+// count as reissued until the second closes too.
+func TestOverlappingHealWindowsKeepCounting(t *testing.T) {
+	cfg := czTiny()
+	cfg.Apps = 1 // one app, settled within the first second
+	cfg.ChaosPartitionAt, cfg.ChaosFlapAt, cfg.ChaosSpikeAt = nil, nil, nil
+	cfg.ChaosLockPartitionAt = 0
+	h, err := newHarness(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cz := h.cz
+	h.eng.Run(500 * sim.Millisecond)
+	// Machine 4's agent holds capacity the master never granted, so a window
+	// over it stays open until the phantom is withdrawn.
+	phantom := func(delta int, seq uint64) {
+		h.net.Send("rogue", protocol.AgentEndpoint(h.top.MachineName(4)), protocol.CapacityUpdate{
+			App: "ghost", UnitID: 1, Size: resource.New(250, 1024), Delta: delta, Seq: seq,
+		})
+		h.eng.Run(h.eng.Now() + sim.Millisecond)
+	}
+	phantom(1, 1)
+	cz.partActive = 2 // the two storms whose heals follow
+	cz.heal([]int32{3})
+	cz.heal([]int32{3, 4})
+	if cz.victimActive[3] != 2 || cz.victimActive[4] != 1 {
+		t.Fatalf("window counts after two heals: machine 3 = %d, machine 4 = %d, want 2 and 1",
+			cz.victimActive[3], cz.victimActive[4])
+	}
+	h.eng.Run(h.eng.Now() + 2*chaosConvergePoll)
+	if cz.conv.Count() != 1 {
+		t.Fatalf("%d windows closed, want only the first", cz.conv.Count())
+	}
+	before := cz.reissued
+	cz.noteGrant(3, 2)
+	if cz.reissued != before+2 {
+		t.Errorf("grant on a machine still inside the second window not counted: reissued %d -> %d", before, cz.reissued)
+	}
+	phantom(-1, 2)
+	h.eng.Run(h.eng.Now() + 2*chaosConvergePoll)
+	if cz.conv.Count() != 2 || cz.victimActive[3] != 0 || cz.victimActive[4] != 0 {
+		t.Fatalf("after both windows closed: %d observations, counts %d/%d", cz.conv.Count(), cz.victimActive[3], cz.victimActive[4])
+	}
+	before = cz.reissued
+	cz.noteGrant(3, 2)
+	if cz.reissued != before {
+		t.Error("grant outside every window counted as reissued")
+	}
+}
+
+var probeFixture struct {
+	once    sync.Once
+	h       *harness
+	victims []int32
+	err     error
+}
+
+// BenchmarkConvergenceProbe measures one convergedAll call at paper scale:
+// the 5,000-machine chaos lane warmed to its steady state (2,500 apps × 40
+// units × 3 containers), probing a storm's worth of victims (2% = 100
+// machines) whose ledgers agree, so every victim's cells are walked.
+func BenchmarkConvergenceProbe(b *testing.B) {
+	f := &probeFixture
+	f.once.Do(func() {
+		cfg := DefaultChaosConfig()
+		if f.h, f.err = newHarness(cfg); f.err != nil {
+			return
+		}
+		f.h.eng.Run(cfg.ChurnWarmup)
+		for id := int32(0); id < 100; id++ {
+			f.victims = append(f.victims, id*50)
+		}
+	})
+	if f.err != nil {
+		b.Fatal(f.err)
+	}
+	settledProbe(b, f.h, f.victims)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !f.h.cz.convergedAll(f.victims) {
+			b.Fatal("settled victims diverged")
+		}
 	}
 }

@@ -144,6 +144,12 @@ func TestGatesTripJustPastTheirBound(t *testing.T) {
 // across lanes must agree on the paper-scale bound recorded under it.
 func TestBudgetsSectionIsConsistent(t *testing.T) {
 	b := Budgets()
+	// The chaos lane is the churn workload plus a probe and an audit that
+	// must allocate nothing: it is held to the churn allocation line.
+	if got, ok := b["max_allocs_per_decision_chaos"]; !ok || got != b["max_allocs_per_decision_churn"] {
+		t.Errorf("max_allocs_per_decision_chaos = %v (present %v), want the churn bound %v",
+			got, ok, b["max_allocs_per_decision_churn"])
+	}
 	for _, l := range Lanes {
 		for _, g := range l.Gates {
 			if b[g.Name] != g.Full {

@@ -614,7 +614,20 @@ func (h *harness) onRecovered(epoch, reissuedGrants int) {
 
 // Run executes one stress run and returns its measurements.
 func Run(cfg Config) (*Result, error) {
-	gwMode := cfg.GatewayUsers > 0 || cfg.Dataplane || cfg.Replay
+	h, err := newHarness(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return h.run(), nil
+}
+
+// gatewayMode reports whether jobs enter through the submission gateway.
+func (c Config) gatewayMode() bool { return c.GatewayUsers > 0 || c.Dataplane || c.Replay }
+
+// newHarness validates cfg, wires the cluster and arms the whole workload
+// and fault schedule; nothing beyond the election has run yet.
+func newHarness(cfg Config) (*harness, error) {
+	gwMode := cfg.gatewayMode()
 	if cfg.Racks <= 0 || cfg.MachinesPerRack <= 0 || cfg.UnitsPerApp <= 0 {
 		return nil, fmt.Errorf("scale: non-positive cluster or workload dimension")
 	}
@@ -843,7 +856,14 @@ func Run(cfg Config) (*Result, error) {
 			eng.After(cfg.FailoverDowntime, a.RestartMachine)
 		})
 	}
+	return h, nil
+}
 
+// run drives the armed harness to its horizon (or until the workload
+// drains) and collects the measurements.
+func (h *harness) run() *Result {
+	cfg, eng, net, top := h.cfg, h.eng, h.net, h.top
+	gwMode := cfg.gatewayMode()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -984,7 +1004,7 @@ func Run(cfg Config) (*Result, error) {
 			res.CheckpointBytesPerJob = float64(h.ckpt.Bytes()) / float64(saved)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // DefaultRoundWindow is the scheduling-round width the parallel sections
