@@ -55,18 +55,24 @@
 // their topology index — assigned from the sorted name list, so every
 // process derives identical IDs and they are safe on the simulated wire:
 // GrantUpdate/GrantReturn/CapacityQuery/heartbeat traffic all speak machine
-// IDs. Applications are interned per component (the master's scheduler
-// assigns registration-order IDs; each agent interns the app names in its
-// capacity ledger), transport endpoints are interned by the Net (handlers
-// receive sender EndpointIDs; dedup high-water marks key on them), and the
-// scheduler/master wrapper keep per-machine state — free vectors, down and
-// blacklist marks, heartbeat clocks, flap scores, wait queues — in slices
-// indexed by those IDs.
+// IDs. Transport endpoints are interned by the Net (handlers receive sender
+// EndpointIDs; dedup high-water marks are indexed by them), and an
+// application master's endpoint ID doubles as the application's identity
+// between FuxiMaster and the agents: capacity deltas, capacity syncs and
+// heartbeat allocation tables carry it, the agents key their ledgers by it,
+// and the master finds a sender's state by it — the network never reuses
+// one, so unlike the scheduler's own registration-order app IDs it survives
+// a master failover. The scheduler/master wrapper keep per-machine state —
+// free vectors, down and blacklist marks, heartbeat clocks, flap scores,
+// wait queues — in slices indexed by machine ID, and every per-unit book
+// (where a unit is granted, what an application master holds and still
+// wants, a unit's wait entries) in compact sorted tables (internal/dense)
+// rather than hash maps.
 //
-// The boundary rule: names exist only at the edges. Wire messages carry
-// application names (app identity must survive a master failover, which
-// re-interns), worker-management traffic carries machine names for the job
-// layer, checkpoint snapshots serialize names exclusively (the encoding
+// The boundary rule: names exist only at the edges. Messages from an
+// application master carry its name (RegisterApp introduces it, and it is
+// what the checkpoint stores), worker-management traffic carries machine
+// names for the job layer, checkpoint snapshots serialize names exclusively (the encoding
 // cannot express an interned ID, so none can leak into durable state), and
 // every public inspection API converts on the way out. Steady-state
 // scheduling — the `churn` section of BENCH_scale.json — runs allocation-

@@ -10,18 +10,22 @@
 // §4.3.1), while a machine crash kills everything.
 //
 // Hot-path identifiers: the agent speaks its dense machine ID on the wire
-// (heartbeats, capacity queries) and keys its capacity ledger by a locally
-// interned application ID, so the steady-state beat and the per-round
-// capacity-delta decode hash integers, not names. Names survive at the
-// boundaries: the anchor allocation table (apps must be recognizable across
-// master failovers) and the worker-management messages of the job layer.
+// (heartbeats, capacity queries) and keys its capacity ledger by the
+// application master's transport endpoint ID — the integer the master's
+// capacity messages carry and the heartbeat tables send back, the same in
+// every master epoch — so neither the per-round capacity-delta decode nor the
+// beat resolves a name. Names appear at the boundaries: the order heartbeat
+// tables leave in, the public accessors, and the worker-management messages
+// of the job layer.
 package agent
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
-	"repro/internal/ident"
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -56,22 +60,113 @@ func DefaultConfig() Config {
 	}
 }
 
-// capKey packs one (app, unit) capacity address into a single integer —
-// the agent's local app intern ID in the high half, the unit ID in the low
-// half — so the per-delta hot path runs on a value map with 8-byte keys:
-// no per-entry pointer, no struct hashing, nothing for the GC to chase.
+// capKey packs one (app, unit) capacity address into a single integer — the
+// application master's endpoint ID in the high half, the unit ID in the low
+// half.
 type capKey uint64
 
-func makeCapKey(app int32, unitID int) capKey {
+func makeCapKey(app transport.EndpointID, unitID int) capKey {
 	return capKey(uint64(uint32(app))<<32 | uint64(uint32(unitID)))
 }
 
-func (k capKey) app() int32  { return int32(uint32(k >> 32)) }
-func (k capKey) unitID() int { return int(int32(uint32(k))) }
+func (k capKey) app() transport.EndpointID { return transport.EndpointID(int32(uint32(k >> 32))) }
+func (k capKey) unitID() int               { return int(int32(uint32(k))) }
 
-type capEntry struct {
+// capRow is one (app, unit)'s granted capacity.
+type capRow struct {
 	size  resource.Vector
 	count int
+}
+
+// capTable is the machine's capacity ledger: the packed keys in one
+// contiguous array, each key's row at the same index beside it, in arrival
+// order, and one bit per row marking a count that changed since the last
+// heartbeat. A machine holds a few dozen (app, unit) rows, so finding one is a
+// scan of a handful of cache lines of integers, and the delta beat's "what
+// changed" is a word of bits next to the rows the deltas just wrote rather
+// than a second table to insert into, iterate and look up again. Zero-count
+// rows stay until the next anchor so a returning grant reuses its row.
+type capTable struct {
+	keys   []capKey
+	rows   []capRow
+	dirty  []uint64 // bit i: rows[i].count changed since the last beat
+	nDirty int
+}
+
+// find returns k's index, or -1.
+func (t *capTable) find(k capKey) int {
+	for i, have := range t.keys {
+		if have == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// slot returns k's index, appending an empty row when k is new.
+func (t *capTable) slot(k capKey) int {
+	i := t.find(k)
+	if i < 0 {
+		i = len(t.keys)
+		if i == cap(t.keys) {
+			// Both arrays grow together, from a size most machines never
+			// outgrow twice.
+			n := max(16, 2*i)
+			t.keys = append(make([]capKey, 0, n), t.keys...)
+			t.rows = append(make([]capRow, 0, n), t.rows...)
+		}
+		t.keys = append(t.keys, k)
+		t.rows = append(t.rows, capRow{})
+		if i>>6 >= len(t.dirty) {
+			t.dirty = append(t.dirty, 0)
+		}
+	}
+	return i
+}
+
+// count returns k's granted container count (0 when absent).
+func (t *capTable) count(k capKey) int {
+	if i := t.find(k); i >= 0 {
+		return t.rows[i].count
+	}
+	return 0
+}
+
+// mark flags row i as changed since the last beat.
+func (t *capTable) mark(i int) {
+	if bit := uint64(1) << (i & 63); t.dirty[i>>6]&bit == 0 {
+		t.dirty[i>>6] |= bit
+		t.nDirty++
+	}
+}
+
+// clean clears every changed mark.
+func (t *capTable) clean() {
+	clear(t.dirty)
+	t.nDirty = 0
+}
+
+// reap drops the zero-count rows, keeping the others in order. Rows move, so
+// the changed marks are cleared with them: reaping is part of an anchor, and
+// an anchor supersedes every pending change.
+func (t *capTable) reap() {
+	w := 0
+	for i := range t.keys {
+		if t.rows[i].count > 0 {
+			t.keys[w], t.rows[w] = t.keys[i], t.rows[i]
+			w++
+		}
+	}
+	clear(t.rows[w:]) // release the dropped rows' size vectors
+	t.keys, t.rows = t.keys[:w], t.rows[:w]
+	t.clean()
+}
+
+// reset empties the table, keeping its storage.
+func (t *capTable) reset() {
+	clear(t.rows)
+	t.keys, t.rows = t.keys[:0], t.rows[:0]
+	t.clean()
 }
 
 // Proc is one supervised worker process.
@@ -104,11 +199,9 @@ type Agent struct {
 	// not the daemon, so it survives daemon crashes.
 	procs map[string]*Proc
 
-	// appTbl interns application names; capacity/dirty key by the local ID.
-	// The table survives daemon crashes (it is only a name dictionary; the
-	// ledger itself is rebuilt from the master's CapacitySync).
-	appTbl    ident.Table
-	capacity  map[capKey]capEntry
+	// capacity is the granted-capacity ledger (daemon memory: lost on a
+	// daemon crash and rebuilt from the master's CapacitySync).
+	capacity  capTable
 	daemonUp  bool
 	machineUp bool
 	broken    bool // disk corrupted: processes cannot be launched
@@ -129,14 +222,16 @@ type Agent struct {
 	// not one per surviving delta.
 	nextAnchorReq sim.Time
 
-	// Delta-heartbeat state: dirty marks capacity entries whose count
-	// changed since the last beat, sinceAnchor counts beats since the last
-	// full-table anchor, and forceAnchor requests an immediate anchor (a
-	// restart, a capacity sync replacing the whole table, or a MasterHello
-	// from a promoted primary collecting soft state).
-	dirty       map[capKey]struct{}
+	// Delta-heartbeat state (the changed-since-last-beat marks live in the
+	// capacity rows): sinceAnchor counts beats since the last full-table
+	// anchor, and forceAnchor requests an immediate anchor (a restart, a
+	// capacity sync replacing the whole table, or a MasterHello from a
+	// promoted primary collecting soft state).
 	sinceAnchor int
 	forceAnchor bool
+	// byAppUnit orders heartbeat entries by (application name, unit ID),
+	// bound once so sorting a beat's table allocates nothing.
+	byAppUnit func(x, y protocol.AllocDelta) int
 	// hbRing/hbBufs are the reusable heartbeat messages and their payload
 	// buffers (Changes or Allocations), rotated per send. A slot is only
 	// rewritten hbRingLen sends later, and the receiver consumes each
@@ -153,6 +248,11 @@ type Agent struct {
 	// KilledForCapacity and KilledForOverload count enforcement actions.
 	KilledForCapacity int
 	KilledForOverload int
+	// ClampedNegative counts capacity deltas that would have taken a count
+	// below zero and were clamped there: the master released more than this
+	// ledger held, i.e. the two had diverged (a release racing a CapacitySync
+	// that already reflected it, or a lost grant). Fault-free runs keep it 0.
+	ClampedNegative int
 }
 
 // New starts a FuxiAgent for machine m and registers its endpoint.
@@ -165,12 +265,11 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, m *topology.Machine) *
 		cap:       m.Capacity,
 		id:        m.ID(),
 		procs:     make(map[string]*Proc),
-		capacity:  make(map[capKey]capEntry),
 		daemonUp:  true,
 		machineUp: true,
 		health:    100,
-		dirty:     make(map[capKey]struct{}),
 	}
+	a.byAppUnit = a.compareAllocs
 	if a.cfg.AnchorEvery <= 0 {
 		a.cfg.AnchorEvery = 10
 	}
@@ -201,11 +300,11 @@ func (a *Agent) Proc(workerID string) *Proc { return a.procs[workerID] }
 
 // Capacity returns the granted container count for (app, unit).
 func (a *Agent) Capacity(app string, unitID int) int {
-	id := a.appTbl.ID(app)
-	if id < 0 {
+	ep := a.net.Lookup(app)
+	if ep == transport.None {
 		return 0
 	}
-	return a.capacity[makeCapKey(id, unitID)].count
+	return a.capacity.count(makeCapKey(ep, unitID))
 }
 
 // ForEachAllocation visits every (app, unit, count) of the agent's capacity
@@ -213,23 +312,55 @@ func (a *Agent) Capacity(app string, unitID int) int {
 // The cluster-wide invariant checker and the chaos convergence probe compare
 // it against the master's grants on this machine.
 func (a *Agent) ForEachAllocation(fn func(app string, unitID, count int)) {
-	for k, e := range a.capacity {
-		if e.count > 0 {
-			fn(a.appTbl.Name(k.app()), k.unitID(), e.count)
+	t := &a.capacity
+	for i, k := range t.keys {
+		if n := t.rows[i].count; n > 0 {
+			fn(a.net.Name(k.app()), k.unitID(), n)
 		}
 	}
+}
+
+// compareAllocs orders heartbeat entries by (application name, unit ID) —
+// the order the tables have always left in. Names are only compared between
+// different applications, and resolving one is a slice index on the network.
+func (a *Agent) compareAllocs(x, y protocol.AllocDelta) int {
+	if x.App != y.App {
+		return strings.Compare(a.net.Name(transport.EndpointID(x.App)), a.net.Name(transport.EndpointID(y.App)))
+	}
+	return x.UnitID - y.UnitID
+}
+
+// emit appends row i in heartbeat form.
+func (t *capTable) emit(out []protocol.AllocDelta, i int) []protocol.AllocDelta {
+	k := t.keys[i]
+	return append(out, protocol.AllocDelta{App: int32(k.app()), UnitID: k.unitID(), Count: t.rows[i].count})
 }
 
 // allocTable flattens the live capacity table into the sorted wire form an
 // anchor heartbeat carries, reusing the heartbeat payload buffer.
 func (a *Agent) allocTable(buf []protocol.AllocDelta) []protocol.AllocDelta {
 	out := buf[:0]
-	for k, e := range a.capacity {
-		if e.count > 0 {
-			out = append(out, protocol.AllocDelta{App: a.appTbl.Name(k.app()), UnitID: k.unitID(), Count: e.count})
+	t := &a.capacity
+	for i := range t.keys {
+		if t.rows[i].count > 0 {
+			out = t.emit(out, i)
 		}
 	}
-	protocol.SortAllocDeltas(out)
+	slices.SortFunc(out, a.byAppUnit)
+	return out
+}
+
+// changeList is allocTable for a delta beat: the rows whose count changed
+// since the last beat, zero counts (removals) included.
+func (a *Agent) changeList(buf []protocol.AllocDelta) []protocol.AllocDelta {
+	out := buf[:0]
+	t := &a.capacity
+	for w, word := range t.dirty {
+		for ; word != 0; word &= word - 1 {
+			out = t.emit(out, w<<6+bits.TrailingZeros64(word))
+		}
+	}
+	slices.SortFunc(out, a.byAppUnit)
 	return out
 }
 
@@ -273,29 +404,17 @@ func (a *Agent) sendHeartbeat() {
 		hb.Full = true
 		a.hbBufs[slot] = a.allocTable(a.hbBufs[slot])
 		hb.Allocations = a.hbBufs[slot]
-		// Anchor time is also reaping time: zero-count entries are kept
-		// between anchors so a returning grant for the same (app, unit)
-		// reuses its entry, but entries dead for a whole anchor period
-		// (typically unregistered apps) would otherwise accumulate forever.
-		for k, e := range a.capacity {
-			if e.count <= 0 {
-				delete(a.capacity, k)
-			}
-		}
+		// Anchor time is also reaping time: zero-count rows are kept between
+		// anchors so a returning grant for the same (app, unit) reuses its
+		// row, but rows dead for a whole anchor period (typically unregistered
+		// apps) would otherwise accumulate forever.
+		a.capacity.reap()
 		a.forceAnchor = false
 		a.sinceAnchor = 0
-		clear(a.dirty)
-	} else if len(a.dirty) > 0 {
-		changes := a.hbBufs[slot][:0]
-		for k := range a.dirty {
-			changes = append(changes, protocol.AllocDelta{
-				App: a.appTbl.Name(k.app()), UnitID: k.unitID(), Count: a.capacity[k].count,
-			})
-		}
-		protocol.SortAllocDeltas(changes)
-		a.hbBufs[slot] = changes
-		hb.Changes = changes
-		clear(a.dirty)
+	} else if a.capacity.nDirty > 0 {
+		a.hbBufs[slot] = a.changeList(a.hbBufs[slot])
+		hb.Changes = a.hbBufs[slot]
+		a.capacity.clean()
 	}
 	a.net.SendID(a.epID, a.masterID, hb)
 }
@@ -378,7 +497,9 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 		if a.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) == protocol.Duplicate {
 			return
 		}
-		a.applyCapacity(t.App, t.UnitID, t.Size, t.Delta)
+		// The single-update form names the application (scripted senders,
+		// tests); the endpoint table resolves it.
+		a.applyCapacity(makeCapKey(a.net.Endpoint(t.App), t.UnitID), t.Size, t.Delta)
 	case protocol.CapacityDelta:
 		if a.staleEpoch(t.Epoch) {
 			return
@@ -396,15 +517,8 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 			// repair sync of its own).
 			a.requestAnchor()
 		}
-		// One intern per run of equal app names: a round's delta lists the
-		// same app's units contiguously, and string equality short-circuits
-		// on the header, so the memo kills most per-entry string hashing.
-		lastApp, lastID := "", int32(-1)
 		for _, e := range t.Entries {
-			if lastID < 0 || e.App != lastApp {
-				lastApp, lastID = e.App, a.appTbl.Intern(e.App)
-			}
-			a.applyCapacityID(lastID, e.UnitID, e.Size, e.Count)
+			a.applyCapacity(makeCapKey(transport.EndpointID(e.App), e.UnitID), e.Size, e.Count)
 		}
 	case protocol.CapacitySync:
 		if a.staleEpoch(t.Epoch) {
@@ -443,24 +557,19 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 	}
 }
 
-func (a *Agent) applyCapacity(app string, unitID int, size resource.Vector, delta int) {
-	a.applyCapacityID(a.appTbl.Intern(app), unitID, size, delta)
-}
-
-func (a *Agent) applyCapacityID(app int32, unitID int, size resource.Vector, delta int) {
-	k := makeCapKey(app, unitID)
-	a.dirty[k] = struct{}{}
-	e := a.capacity[k]
-	e.size = size
-	e.count += delta
-	if e.count < 0 {
-		e.count = 0
+// applyCapacity applies one signed capacity change to the ledger and marks
+// the row for the next delta beat.
+func (a *Agent) applyCapacity(k capKey, size resource.Vector, delta int) {
+	i := a.capacity.slot(k)
+	a.capacity.mark(i)
+	r := &a.capacity.rows[i]
+	r.size = size
+	r.count += delta
+	if r.count < 0 {
+		r.count = 0
+		a.ClampedNegative++
 	}
-	// Zero-count entries stay in the table for reuse: the scale workload
-	// cycles (app, unit) capacity on a machine many times, and re-creating
-	// the entry each cycle showed up in the paper-scale allocation profile.
-	a.capacity[k] = e
-	a.ensureCapacity(k, e.count)
+	a.ensureCapacity(k, r.count)
 }
 
 // ensureCapacity kills excess processes when granted capacity shrank below
@@ -470,7 +579,7 @@ func (a *Agent) ensureCapacity(k capKey, count int) {
 	if len(a.procs) == 0 {
 		return // nothing supervised (the common state at control-plane scale)
 	}
-	app := a.appTbl.Name(k.app())
+	app := a.net.Name(k.app())
 	var owned []*Proc
 	for _, p := range a.procs {
 		if p.App == app && p.UnitID == k.unitID() {
@@ -510,10 +619,7 @@ func (a *Agent) startWorker(from transport.EndpointID, t protocol.WorkPlan) {
 		})
 		return
 	}
-	capCount := 0
-	if id := a.appTbl.ID(t.App); id >= 0 {
-		capCount = a.capacity[makeCapKey(id, t.UnitID)].count
-	}
+	capCount := a.Capacity(t.App, t.UnitID)
 	running := 0
 	for _, p := range a.procs {
 		if p.App == t.App && p.UnitID == t.UnitID {
@@ -613,7 +719,7 @@ func (a *Agent) CrashDaemon() {
 	a.timers = nil
 	a.net.Unregister(a.endpoint())
 	// In-memory daemon state is lost.
-	a.capacity = make(map[capKey]capEntry)
+	a.capacity.reset()
 	a.dedup = protocol.Dedup{}
 }
 
@@ -648,38 +754,28 @@ func (a *Agent) RestartDaemon() {
 }
 
 func (a *Agent) applyCapacitySync(t protocol.CapacitySync) {
-	// The whole table is replaced: the next beat re-anchors rather than
-	// enumerating every entry as a change.
+	// The whole table is replaced (in its own storage): the next beat
+	// re-anchors rather than enumerating every entry as a change.
 	a.forceAnchor = true
-	clear(a.dirty)
-	a.capacity = make(map[capKey]capEntry, len(t.Entries))
+	a.capacity.reset()
 	for _, e := range t.Entries {
 		if e.Count > 0 {
-			a.capacity[makeCapKey(a.appTbl.Intern(e.App), e.UnitID)] = capEntry{size: e.Size, count: e.Count}
+			a.capacity.rows[a.capacity.slot(makeCapKey(transport.EndpointID(e.App), e.UnitID))] = capRow{size: e.Size, count: e.Count}
 		}
+	}
+	if len(a.procs) == 0 {
+		return // nothing supervised (the control-plane lanes): nothing to enforce
 	}
 	// Enforce (and below, reap) in sorted name order so the enforcement
-	// kills and their failure reports are seed-reproducible (local intern
-	// IDs follow first-sight order, not name order, so sort by name).
-	keys := make([]capKey, 0, len(a.capacity))
-	for k := range a.capacity {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ni, nj := a.appTbl.Name(keys[i].app()), a.appTbl.Name(keys[j].app())
-		if ni != nj {
-			return ni < nj
-		}
-		return keys[i].unitID() < keys[j].unitID()
-	})
-	for _, k := range keys {
-		a.ensureCapacity(k, a.capacity[k].count)
+	// kills and their failure reports are seed-reproducible (rows sit in
+	// arrival order, endpoint IDs in first-sight order; neither is name order).
+	for _, d := range a.allocTable(nil) {
+		a.ensureCapacity(makeCapKey(transport.EndpointID(d.App), d.UnitID), d.Count)
 	}
 	// Processes whose capacity vanished entirely while the daemon was down:
 	var orphans []*Proc
 	for _, p := range a.procs {
-		id := a.appTbl.ID(p.App)
-		if id < 0 || a.capacity[makeCapKey(id, p.UnitID)].count == 0 {
+		if a.Capacity(p.App, p.UnitID) == 0 {
 			orphans = append(orphans, p)
 		}
 	}
@@ -745,7 +841,7 @@ func (a *Agent) CrashMachine() {
 		p.State = protocol.WorkerFailed
 		delete(a.procs, id)
 	}
-	a.capacity = make(map[capKey]capEntry)
+	a.capacity.reset()
 	a.net.SetDown(a.endpoint(), true)
 }
 
@@ -758,7 +854,6 @@ func (a *Agent) RestartMachine() {
 	a.machineUp = true
 	a.daemonUp = true
 	a.forceAnchor = true
-	clear(a.dirty)
 	a.dedup = protocol.Dedup{}
 	a.net.SetDown(a.endpoint(), false)
 	a.net.Register(a.endpoint(), a.handle)

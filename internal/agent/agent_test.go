@@ -48,6 +48,9 @@ func newHarness(t *testing.T) *harness {
 	return h
 }
 
+// ep returns the wire identity of an application: its endpoint ID.
+func (h *harness) ep(app string) int32 { return int32(h.net.Endpoint(app)) }
+
 func (h *harness) grantCapacity(app string, unitID, count int, size resource.Vector) {
 	h.net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(h.agent.Machine), protocol.CapacityUpdate{
 		App: app, UnitID: unitID, Size: size, Delta: count, Seq: uint64(h.eng.Fired() + 1e6),
@@ -100,12 +103,12 @@ func TestHeartbeatCarriesAllocations(t *testing.T) {
 			continue
 		}
 		for _, d := range hb.Allocations {
-			if d.App == "app1" && d.UnitID == 1 && d.Count == 3 {
+			if d.App == h.ep("app1") && d.UnitID == 1 && d.Count == 3 {
 				found = true
 			}
 		}
 		for _, d := range hb.Changes {
-			if d.App == "app1" && d.UnitID == 1 && d.Count == 3 {
+			if d.App == h.ep("app1") && d.UnitID == 1 && d.Count == 3 {
 				found = true
 			}
 		}
@@ -317,7 +320,7 @@ func TestDaemonRestartAdoptsAndResyncs(t *testing.T) {
 	// the process is adopted, not killed.
 	h.net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(h.agent.Machine), protocol.CapacitySync{
 		Machine: h.agent.ID(),
-		Entries: []protocol.CapacityEntry{{App: "app1", UnitID: 1, Size: size, Count: 1}},
+		Entries: []protocol.CapacityEntry{{App: h.ep("app1"), UnitID: 1, Size: size, Count: 1}},
 		Seq:     999,
 	})
 	h.net.Send("app1", protocol.AgentEndpoint(h.agent.Machine), protocol.WorkerListReply{

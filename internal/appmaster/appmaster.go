@@ -14,6 +14,8 @@ package appmaster
 import (
 	"sort"
 
+	"repro/internal/dense"
+	"repro/internal/ident"
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -49,20 +51,32 @@ type Callbacks struct {
 	OnMessage func(from string, msg any)
 }
 
-type locTarget struct {
-	typ   resource.LocalityType
-	value string
+// unitLedger is one ScheduleUnit's books: the containers it holds and the
+// demand it has stated that no grant has answered yet. Both are compact
+// tables keyed by dense IDs — a unit holds containers on a handful of
+// machines and waits at a handful of locality nodes — so a grant, a return or
+// a re-demand touches a cache line or two of integers, hashes nothing and
+// never builds a machine or rack name.
+type unitLedger struct {
+	held dense.Map[int] // machine ID -> containers held (no zero rows)
+	out  dense.Map[int] // nodeKey(level, node ID) -> demand outstanding (no zero rows)
 }
 
-// heldKey packs (unit ID, machine ID) into the container ledger's map key.
-type heldKey uint64
-
-func makeHeldKey(unitID int, machine int32) heldKey {
-	return heldKey(uint64(uint32(unitID))<<32 | uint64(uint32(machine)))
+// nodeKey packs one locality node — (level, machine or rack ID; 0 at cluster
+// level) — into a table key. Keys order by level first, then node ID.
+func nodeKey(level resource.LocalityType, node int32) uint64 {
+	return dense.Pack(int32(level), node)
 }
 
-func (k heldKey) unitID() int    { return int(int32(uint32(k >> 32))) }
-func (k heldKey) machine() int32 { return int32(uint32(k)) }
+func machineKey(machine int32) uint64 { return uint64(uint32(machine)) }
+
+// extNodes names the locality targets an application asked for that the
+// topology does not know. Such demand can never be granted, but it is stated
+// to FuxiMaster, withdrawn and re-stated in full syncs like any other, so it
+// needs an ID: one past the topology's range, in first-request order.
+type extNodes struct {
+	mach, rack ident.Table
+}
 
 // AM is one application master.
 type AM struct {
@@ -75,13 +89,15 @@ type AM struct {
 	epID     transport.EndpointID // own endpoint
 	masterID transport.EndpointID // the logical master endpoint
 
-	// outstanding is this side's view of still-unfulfilled demand and held
-	// the container ledger; both are created on first use — a large
-	// fraction of gateway-scale jobs never populate more than one unit, and
-	// the per-job map count was measurable. held packs (unit, machine ID)
-	// into one 8-byte key, so the whole ledger is a single value map.
-	outstanding map[int]map[locTarget]int
-	held        map[heldKey]int
+	// units holds each ScheduleUnit's ledger, parallel to cfg.Units. It is
+	// created on first use (one allocation, sized by the job's unit count,
+	// whatever the cluster's size) and its tables grow with what the job
+	// actually holds: tens of thousands of short-lived jobs each pay for a
+	// few rows, not for a map apiece.
+	units []unitLedger
+	// ext names requested locality targets outside the topology (nil until
+	// an application asks for one).
+	ext *extNodes
 	// workers tracks every worker this application asked agents to run
 	// (nil until the first StartWorker/AdoptWorker — gateway-scale job
 	// populations never start simulated workers).
@@ -104,6 +120,7 @@ type AM struct {
 	// end-of-instant flush event as scheduled.
 	pendRet  []protocol.ReturnEntry
 	retArmed bool
+	retFn    func() // the once-bound flushReturns, so arming the flush allocates no closure
 	// nextGrantSync throttles gap-triggered early full syncs (see handle's
 	// GrantUpdate case).
 	nextGrantSync sim.Time
@@ -143,16 +160,95 @@ func (a *AM) send(to string, msg transport.Message) { a.net.SendID(a.epID, a.net
 
 func (a *AM) sendToMaster(msg transport.Message) { a.net.SendID(a.epID, a.masterID, msg) }
 
-// unit returns the definition of unitID (found reports success). A linear
-// scan of the config slice: unit counts are small and the scan beats a
-// per-AM map at gateway population scales.
-func (a *AM) unit(unitID int) (resource.ScheduleUnit, bool) {
-	for i := range a.cfg.Units {
-		if a.cfg.Units[i].ID == unitID {
-			return a.cfg.Units[i], true
+// unitIndex returns the position of unitID in cfg.Units, or -1. Units are
+// almost always numbered 1..n in order, so the guess is checked first; the
+// fallback scan of the config slice beats a per-AM map at gateway population
+// scales.
+func (a *AM) unitIndex(unitID int) int {
+	units := a.cfg.Units
+	if i := unitID - 1; i >= 0 && i < len(units) && units[i].ID == unitID {
+		return i
+	}
+	for i := range units {
+		if units[i].ID == unitID {
+			return i
 		}
 	}
+	return -1
+}
+
+// unit returns the definition of unitID (found reports success).
+func (a *AM) unit(unitID int) (resource.ScheduleUnit, bool) {
+	if i := a.unitIndex(unitID); i >= 0 {
+		return a.cfg.Units[i], true
+	}
 	return resource.ScheduleUnit{}, false
+}
+
+// ledger returns the books of the unit at position ui of cfg.Units.
+func (a *AM) ledger(ui int) *unitLedger {
+	if a.units == nil {
+		a.units = make([]unitLedger, len(a.cfg.Units))
+	}
+	return &a.units[ui]
+}
+
+// peekLedger is ledger for readers: nil when the unit is unknown or nothing
+// has been booked yet.
+func (a *AM) peekLedger(unitID int) *unitLedger {
+	if ui := a.unitIndex(unitID); ui >= 0 && a.units != nil {
+		return &a.units[ui]
+	}
+	return nil
+}
+
+// hintKey resolves a locality hint's target name to its table key — the one
+// place this side turns a name into an ID, once per stated hint.
+func (a *AM) hintKey(h resource.LocalityHint) uint64 {
+	switch h.Type {
+	case resource.LocalityMachine:
+		id := a.top.MachineID(h.Value)
+		if id < 0 {
+			id = int32(a.top.Size()) + a.extNames().mach.Intern(h.Value)
+		}
+		return nodeKey(h.Type, id)
+	case resource.LocalityRack:
+		id := a.top.RackID(h.Value)
+		if id < 0 {
+			id = int32(a.top.NumRacks()) + a.extNames().rack.Intern(h.Value)
+		}
+		return nodeKey(h.Type, id)
+	default:
+		return nodeKey(resource.LocalityCluster, 0)
+	}
+}
+
+func (a *AM) extNames() *extNodes {
+	if a.ext == nil {
+		a.ext = &extNodes{}
+	}
+	return a.ext
+}
+
+// keyHint is the inverse of hintKey at the full-sync boundary.
+func (a *AM) keyHint(k uint64, count int) resource.LocalityHint {
+	level, node := resource.LocalityType(k>>32), int32(uint32(k))
+	h := resource.LocalityHint{Type: level, Count: count}
+	switch level {
+	case resource.LocalityMachine:
+		if n := int32(a.top.Size()); node < n {
+			h.Value = a.top.MachineName(node)
+		} else {
+			h.Value = a.ext.mach.Name(node - n)
+		}
+	case resource.LocalityRack:
+		if n := int32(a.top.NumRacks()); node < n {
+			h.Value = a.top.RackName(node)
+		} else {
+			h.Value = a.ext.rack.Name(node - n)
+		}
+	}
+	return h
 }
 
 // MachineName converts a dense machine ID to its name (the job-layer
@@ -166,17 +262,11 @@ func (a *AM) MachineName(id int32) string { return a.top.MachineName(id) }
 // after the call.
 func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 	a.flushReturns() // keep the master-bound message stream in order
-	if _, known := a.unit(unitID); !known {
+	ui := a.unitIndex(unitID)
+	if ui < 0 {
 		return
 	}
-	out := a.outstanding[unitID]
-	if out == nil {
-		if a.outstanding == nil {
-			a.outstanding = make(map[int]map[locTarget]int, len(a.cfg.Units))
-		}
-		out = make(map[locTarget]int)
-		a.outstanding[unitID] = out
-	}
+	out := &a.ledger(ui).out
 	// Fast path: additions can never need dropping or clamping (clamping
 	// only guards withdrawals, and checking those per-hint would miss
 	// cumulative over-withdrawal on a repeated target) — ship the caller's
@@ -191,7 +281,7 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 	deltas := hints
 	if clean {
 		for _, h := range hints {
-			out[locTarget{h.Type, h.Value}] += h.Count
+			*out.Put(a.hintKey(h)) += h.Count
 		}
 		if len(deltas) == 0 {
 			return
@@ -202,8 +292,8 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 			if h.Count == 0 {
 				continue
 			}
-			k := locTarget{h.Type, h.Value}
-			n := out[k] + h.Count
+			k := a.hintKey(h)
+			n := out.Get(k) + h.Count
 			if n < 0 {
 				h.Count -= n // clamp withdrawal at zero outstanding
 				n = 0
@@ -211,7 +301,11 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 			if h.Count == 0 {
 				continue
 			}
-			out[k] = n
+			if n == 0 {
+				out.Delete(k)
+			} else {
+				*out.Put(k) = n
+			}
 			valid = append(valid, h)
 		}
 		if len(valid) == 0 {
@@ -230,20 +324,21 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 // flushed at the end of the instant (or eagerly, before any other
 // master-bound message, so the protocol stream stays ordered).
 func (a *AM) ReturnContainers(unitID int, machine int32, count int) {
-	k := makeHeldKey(unitID, machine)
-	held := a.held[k]
-	if count <= 0 || held < count {
+	l := a.peekLedger(unitID)
+	if l == nil || count <= 0 {
 		return
 	}
-	if held == count {
-		delete(a.held, k)
-	} else {
-		a.held[k] = held - count
+	if l.held.Get(machineKey(machine)) < count {
+		return
 	}
+	dense.Take(&l.held, machineKey(machine), count)
 	a.pendRet = append(a.pendRet, protocol.ReturnEntry{UnitID: unitID, Machine: machine, Count: count})
 	if !a.retArmed {
 		a.retArmed = true
-		a.eng.PostFunc(0, a.flushReturns)
+		if a.retFn == nil {
+			a.retFn = a.flushReturns
+		}
+		a.eng.PostFunc(0, a.retFn)
 	}
 }
 
@@ -457,16 +552,13 @@ func (a *AM) finishUnregister() {
 	a.net.Unregister(a.cfg.App)
 }
 
-// addHeld adds count to the ledger entry for (unit, machine).
-func (a *AM) addHeld(unitID int, machine int32, count int) {
-	if a.held == nil {
-		a.held = make(map[heldKey]int, 2*len(a.cfg.Units))
-	}
-	a.held[makeHeldKey(unitID, machine)] += count
-}
-
 // Held returns the container count held for unit on a machine (by ID).
-func (a *AM) Held(unitID int, machine int32) int { return a.held[makeHeldKey(unitID, machine)] }
+func (a *AM) Held(unitID int, machine int32) int {
+	if l := a.peekLedger(unitID); l != nil {
+		return l.held.Get(machineKey(machine))
+	}
+	return 0
+}
 
 // HeldOn returns the container count held for unit on a machine by name.
 func (a *AM) HeldOn(unitID int, machine string) int {
@@ -474,33 +566,30 @@ func (a *AM) HeldOn(unitID int, machine string) int {
 	if id < 0 {
 		return 0
 	}
-	return a.held[makeHeldKey(unitID, id)]
+	return a.Held(unitID, id)
 }
 
 // HeldTotal returns all containers held for a unit.
 func (a *AM) HeldTotal(unitID int) int {
 	n := 0
-	for k, c := range a.held {
-		if k.unitID() == unitID {
-			n += c
+	if l := a.peekLedger(unitID); l != nil {
+		for _, c := range l.held.Cells() {
+			n += c.Val
 		}
 	}
 	return n
 }
 
-// HeldMachines returns the sorted machine names holding containers for a
-// unit.
+// HeldMachines returns the machine names holding containers for a unit, in
+// machine-ID (= sorted-name) order.
 func (a *AM) HeldMachines(unitID int) []string {
-	var ids []int32
-	for k, c := range a.held {
-		if k.unitID() == unitID && c > 0 {
-			ids = append(ids, k.machine())
-		}
+	l := a.peekLedger(unitID)
+	if l == nil || l.held.Len() == 0 {
+		return nil
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]string, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, a.top.MachineName(id))
+	out := make([]string, 0, l.held.Len())
+	for _, c := range l.held.Cells() {
+		out = append(out, a.top.MachineName(int32(c.Key)))
 	}
 	return out
 }
@@ -509,9 +598,10 @@ func (a *AM) HeldMachines(unitID int) []string {
 // paper's AM_obtained metric).
 func (a *AM) ObtainedTotal() resource.Vector {
 	var t resource.Vector
-	for k, c := range a.held {
-		u, _ := a.unit(k.unitID())
-		t = t.Add(u.Size.Scale(int64(c)))
+	for ui := range a.units {
+		if n := a.HeldTotal(a.cfg.Units[ui].ID); n > 0 {
+			t = t.Add(a.cfg.Units[ui].Size.Scale(int64(n)))
+		}
 	}
 	return t
 }
@@ -519,8 +609,10 @@ func (a *AM) ObtainedTotal() resource.Vector {
 // Outstanding returns this side's view of unfulfilled demand for a unit.
 func (a *AM) Outstanding(unitID int) int {
 	n := 0
-	for _, c := range a.outstanding[unitID] {
-		n += c
+	if l := a.peekLedger(unitID); l != nil {
+		for _, c := range l.out.Cells() {
+			n += c.Val
+		}
 	}
 	return n
 }
@@ -546,16 +638,16 @@ func (a *AM) MasterEpoch() int { return a.gate.Current() }
 // (unit -> machine name -> count), for the cluster-wide invariant checker.
 func (a *AM) HeldSnapshot() map[int]map[string]int {
 	out := make(map[int]map[string]int, len(a.cfg.Units))
-	for k, c := range a.held {
-		if c <= 0 {
+	for ui := range a.units {
+		cells := a.units[ui].held.Cells()
+		if len(cells) == 0 {
 			continue
 		}
-		mc := out[k.unitID()]
-		if mc == nil {
-			mc = make(map[string]int)
-			out[k.unitID()] = mc
+		mc := make(map[string]int, len(cells))
+		for _, c := range cells {
+			mc[a.top.MachineName(int32(c.Key))] = c.Val
 		}
-		mc[a.top.MachineName(k.machine())] = c
+		out[a.cfg.Units[ui].ID] = mc
 	}
 	return out
 }
@@ -633,27 +725,28 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 }
 
 func (a *AM) applyGrant(t protocol.GrantUpdate) {
+	ui := a.unitIndex(t.UnitID)
+	if ui < 0 {
+		return // not a unit this application defined
+	}
+	// The callbacks may re-enter (a revocation handler re-requests at once),
+	// so no table pointer is held across one; l itself is stable, the ledger
+	// slice is never reallocated.
+	l := a.ledger(ui)
 	for _, ch := range t.Changes {
+		k := machineKey(ch.Machine)
 		if ch.Delta > 0 {
-			a.addHeld(t.UnitID, ch.Machine, ch.Delta)
-			a.consumeOutstanding(t.UnitID, ch.Machine, ch.Delta)
+			*l.held.Put(k) += ch.Delta
+			a.consumeOutstanding(l, ch.Machine, ch.Delta)
 			if a.cb.OnGrant != nil {
 				a.cb.OnGrant(t.UnitID, ch.Machine, ch.Delta)
 			}
 		} else if ch.Delta < 0 {
-			k := makeHeldKey(t.UnitID, ch.Machine)
-			n := -ch.Delta
-			if held := a.held[k]; held < n {
-				n = held
-			}
+			n := min(-ch.Delta, l.held.Get(k))
 			if n == 0 {
 				continue
 			}
-			if a.held[k] == n {
-				delete(a.held, k)
-			} else {
-				a.held[k] -= n
-			}
+			dense.Take(&l.held, k, n)
 			if a.cb.OnRevoke != nil {
 				a.cb.OnRevoke(t.UnitID, ch.Machine, n)
 			}
@@ -665,20 +758,17 @@ func (a *AM) applyGrant(t protocol.GrantUpdate) {
 // view: a grant on machine M consumes machine-level demand on M first, then
 // rack-level demand on rack(M), then cluster-level demand. Any residual
 // divergence is repaired by the periodic full sync.
-func (a *AM) consumeOutstanding(unitID int, machine int32, count int) {
-	out := a.outstanding[unitID]
-	take := func(k locTarget) {
-		for count > 0 && out[k] > 0 {
-			out[k]--
-			count--
+func (a *AM) consumeOutstanding(l *unitLedger, machine int32, count int) {
+	for _, k := range [...]uint64{
+		nodeKey(resource.LocalityMachine, machine),
+		nodeKey(resource.LocalityRack, a.top.RackIDOf(machine)),
+		nodeKey(resource.LocalityCluster, 0),
+	} {
+		if count == 0 {
+			return
 		}
-		if out[k] == 0 {
-			delete(out, k)
-		}
+		count -= dense.Take(&l.out, k, count)
 	}
-	take(locTarget{resource.LocalityMachine, a.top.MachineName(machine)})
-	take(locTarget{resource.LocalityRack, a.top.RackName(a.top.RackIDOf(machine))})
-	take(locTarget{resource.LocalityCluster, ""})
 }
 
 func (a *AM) applyWorkerStatus(t protocol.WorkerStatus) {
@@ -740,30 +830,29 @@ func (a *AM) fullSync() {
 	// flush them first or the master would see phantom grants and emit
 	// revocation fixes for containers the app already gave back.
 	a.flushReturns()
-	demand := make(map[int][]resource.LocalityHint, len(a.outstanding))
-	for unitID, out := range a.outstanding {
-		var hints []resource.LocalityHint
-		for k, c := range out {
-			if c > 0 {
-				hints = append(hints, resource.LocalityHint{Type: k.typ, Value: k.value, Count: c})
-			}
-		}
-		sort.Slice(hints, func(i, j int) bool {
-			if hints[i].Type != hints[j].Type {
-				return hints[i].Type < hints[j].Type
-			}
-			return hints[i].Value < hints[j].Value
-		})
-		demand[unitID] = hints
-	}
+	// A unit appears in Demand while it has demand outstanding and in Held
+	// while it holds anything; the master reads an absent unit as empty.
+	demand := make(map[int][]resource.LocalityHint, len(a.units))
 	heldCopy := make(map[int]map[int32]int, len(a.cfg.Units))
-	for k, c := range a.held {
-		mc := heldCopy[k.unitID()]
-		if mc == nil {
-			mc = make(map[int32]int)
-			heldCopy[k.unitID()] = mc
+	for ui := range a.units {
+		l, unitID := &a.units[ui], a.cfg.Units[ui].ID
+		if cells := l.out.Cells(); len(cells) > 0 {
+			hints := make([]resource.LocalityHint, 0, len(cells))
+			for _, c := range cells {
+				hints = append(hints, a.keyHint(c.Key, c.Val))
+			}
+			// Key order is (level, node ID); the wire order is (level, name).
+			// They differ only for names outside the topology.
+			resource.SortHints(hints)
+			demand[unitID] = hints
 		}
-		mc[k.machine()] = c
+		if cells := l.held.Cells(); len(cells) > 0 {
+			mc := make(map[int32]int, len(cells))
+			for _, c := range cells {
+				mc[int32(c.Key)] = c.Val
+			}
+			heldCopy[unitID] = mc
+		}
 	}
 	a.sendToMaster(protocol.FullDemandSync{
 		App: a.cfg.App, QuotaGroup: a.cfg.QuotaGroup, Units: a.cfg.Units,

@@ -4,14 +4,30 @@
 // so steady-state code indexes slices instead of hashing strings.
 //
 // The boundary rule the repo follows: names exist at the edges — wire
-// serialization, checkpoints, logs, public APIs — and are resolved to IDs
-// exactly once, at registration / session-hello time. Everything inside a
-// component's hot loop (free pools, wait queues, ledgers, dedup tables)
-// is keyed by the dense ID. IDs are NOT stable across processes or
-// restarts (they depend on registration order), which is why they never
-// appear in durable state; topology-derived machine IDs are the one
-// exception — every process derives them from the same sorted machine
-// list, so they are safe on the simulated wire.
+// serialization of messages that introduce a name, checkpoints, logs, public
+// APIs — and are resolved to IDs exactly once, at registration / session-hello
+// time. Everything inside a component's hot loop (free pools, wait queues,
+// ledgers, dedup tables) is keyed by the dense ID, and keyed means indexed:
+// a slice, or a compact table such as internal/dense's, not a map[id].
+//
+// Which integers may cross the simulated wire, and which may not:
+//
+//   - Topology machine and rack IDs are wire-safe. Every process derives them
+//     from the same sorted machine list, so an ID means the same machine to
+//     all of them, in every master epoch. Grants, returns, heartbeats and
+//     capacity queries carry them.
+//   - Transport endpoint IDs are wire-safe. The network hands one out per
+//     endpoint name at first sight and never reuses it, every handler already
+//     receives its peer's as `from`, and it outlives any process: it is how
+//     capacity deltas, capacity syncs and heartbeat allocation tables name an
+//     application (an application master's endpoint is named after the app),
+//     and how FuxiMaster finds the sender's state without hashing its name.
+//   - Scheduler app IDs (master.Scheduler's own Table) are process-local. A
+//     promoted master interns the checkpointed apps afresh, in a different
+//     order; such an ID never leaves the scheduler that assigned it. The same
+//     goes for any other Table a single component owns.
+//
+// No ID of any kind appears in durable state: checkpoints store names.
 //
 // Determinism: ID assignment depends only on the order of Intern calls,
 // never on map iteration, so a seeded run re-interns identically.

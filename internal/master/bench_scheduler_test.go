@@ -403,7 +403,7 @@ func BenchmarkHeartbeatDeltaEncode(b *testing.B) {
 	entries := make([]protocol.CapacityEntry, 40)
 	for i := range entries {
 		entries[i] = protocol.CapacityEntry{
-			App: fmt.Sprintf("app-%02d", i), UnitID: 1 + i%4,
+			App: int32(net.Endpoint(fmt.Sprintf("app-%02d", i))), UnitID: 1 + i%4,
 			Size: resource.New(1000, 4096), Count: 2,
 		}
 	}
@@ -432,7 +432,7 @@ func BenchmarkCapacityDeltaDecode(b *testing.B) {
 	revoke := make([]protocol.CapacityEntry, 16)
 	for i := range grant {
 		grant[i] = protocol.CapacityEntry{
-			App: fmt.Sprintf("app-%02d", i), UnitID: 1, Size: resource.New(1000, 4096), Count: 1,
+			App: int32(net.Endpoint(fmt.Sprintf("app-%02d", i))), UnitID: 1, Size: resource.New(1000, 4096), Count: 1,
 		}
 		revoke[i] = grant[i]
 		revoke[i].Count = -1
@@ -494,7 +494,7 @@ func BenchmarkEvacuate(b *testing.B) {
 		s.down[m] = false
 		s.setFree(m, s.top.MachineByID(m).Capacity)
 		for _, d := range ds {
-			s.restoreGrantID(d.App, d.UnitID, m, -d.Delta)
+			s.restoreGrant(s.apps[d.App], d.UnitID, m, -d.Delta)
 		}
 	}
 	b.Run("index", func(b *testing.B) {

@@ -135,7 +135,7 @@ func (s *Scheduler) capacityTable(machine int32) []protocol.CapacityEntry {
 	for i, c := range cells {
 		st := s.appByID[c.app]
 		u := &st.unitArr[c.unit]
-		entries[i] = protocol.CapacityEntry{App: st.name, UnitID: u.def.ID, Size: u.def.Size, Count: int(c.n)}
+		entries[i] = protocol.CapacityEntry{App: int32(st.ep), UnitID: u.def.ID, Size: u.def.Size, Count: int(c.n)}
 	}
 	return entries
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/protocol"
 	"repro/internal/resource"
+	"repro/internal/transport"
 )
 
 // The all-apps scans the machine-major index replaced, kept as the reference
@@ -16,15 +17,17 @@ import (
 // They read only the unit-major ledgers.
 
 // scanGrantsOn lists machine's grants in (app name, unit index) order; apps
-// is s.Apps(), the sorted names the replaced scans kept incrementally.
+// is s.Apps(), the sorted names the replaced scans kept incrementally. The
+// entries identify each app the way the wire does, by endpoint ID, so the
+// caller gives its apps distinct ones.
 func scanGrantsOn(s *Scheduler, apps []string, machine int32) []protocol.CapacityEntry {
 	var out []protocol.CapacityEntry
 	for _, app := range apps {
 		st := s.apps[app]
 		for i := range st.unitArr {
 			u := &st.unitArr[i]
-			if n := u.granted[machine]; n > 0 {
-				out = append(out, protocol.CapacityEntry{App: app, UnitID: u.def.ID, Size: u.def.Size, Count: n})
+			if n := u.granted.Get(uint64(machine)); n > 0 {
+				out = append(out, protocol.CapacityEntry{App: int32(st.ep), UnitID: u.def.ID, Size: u.def.Size, Count: n})
 			}
 		}
 	}
@@ -34,9 +37,15 @@ func scanGrantsOn(s *Scheduler, apps []string, machine int32) []protocol.Capacit
 // scanEvacuation is the revocation stream evacuate(machine, reason) must emit.
 func scanEvacuation(s *Scheduler, apps []string, machine int32, reason Reason) []Decision {
 	var out []Decision
-	for _, e := range scanGrantsOn(s, apps, machine) {
-		out = append(out, Decision{App: e.App, UnitID: e.UnitID, Machine: s.top.MachineName(machine),
-			MachineID: machine, Delta: -e.Count, Reason: reason})
+	for _, app := range apps {
+		st := s.apps[app]
+		for i := range st.unitArr {
+			u := &st.unitArr[i]
+			if n := u.granted.Get(uint64(machine)); n > 0 {
+				out = append(out, Decision{App: app, UnitID: u.def.ID, Machine: s.top.MachineName(machine),
+					MachineID: machine, Delta: -n, Reason: reason})
+			}
+		}
 	}
 	return out
 }
@@ -79,6 +88,11 @@ func TestGrantIndexMatchesScanOracle(t *testing.T) {
 			if err := s.RegisterApp(app, "", units); err != nil {
 				t.Fatal(err)
 			}
+			// What Master.registerApp does: a wire identity per app, in an
+			// order unrelated to the names'.
+			var n int
+			fmt.Sscanf(app, "app-%d", &n)
+			s.apps[app].ep = transport.EndpointID(5000 + n*5%24)
 			registered[app] = true
 		}
 		for _, a := range apps {

@@ -4,12 +4,15 @@ import (
 	"math/bits"
 	"sort"
 
+	"repro/internal/dense"
 	"repro/internal/resource"
 	"repro/internal/sim"
 )
 
 // waitKey identifies one (application, ScheduleUnit) waiting in the tree,
-// in interned form: app is the scheduler-assigned dense application ID.
+// in interned form: app is the scheduler-assigned dense application ID and
+// unit the unit's position in that application's unit array — both small
+// and dense, so the tree finds a key's entries by indexing, not hashing.
 type waitKey struct {
 	app  int32
 	unit int32
@@ -69,8 +72,7 @@ func (e *waitEntry) effectivePriority(now sim.Time, boostPerSec float64) int {
 	return p
 }
 
-// treeIdx addresses one tree entry: (key, level, node), all interned IDs —
-// the index map hashes three integers, never a string.
+// treeIdx addresses one tree entry: (key, level, node), all interned IDs.
 type treeIdx struct {
 	key   waitKey
 	level resource.LocalityType
@@ -389,31 +391,47 @@ func (b *treeBucket) compactInto(out *[]*waitEntry) bool {
 
 // treeQueue is the waiting queue of one locality node, bucketed by priority
 // so candidate collection walks entries already in scheduling order instead
-// of sorting the queue on every free-up.
+// of sorting the queue on every free-up. A queue has one to three priorities,
+// so the buckets sit in a slice beside their sorted priorities: a free-up
+// walks both in step and never looks a bucket up.
 type treeQueue struct {
-	buckets map[int]*treeBucket
-	prios   []int // sorted priorities with live buckets
+	prios   []int         // sorted priorities with a bucket
+	buckets []*treeBucket // buckets[i] holds priority prios[i]
 }
 
 func (q *treeQueue) bucket(prio int) *treeBucket {
-	b := q.buckets[prio]
-	if b == nil {
-		b = &treeBucket{}
-		q.buckets[prio] = b
-		i := sort.SearchInts(q.prios, prio)
-		q.prios = append(q.prios, 0)
-		copy(q.prios[i+1:], q.prios[i:])
-		q.prios[i] = prio
+	i := sort.SearchInts(q.prios, prio)
+	if i < len(q.prios) && q.prios[i] == prio {
+		return q.buckets[i]
 	}
+	b := &treeBucket{}
+	q.prios = append(q.prios, 0)
+	copy(q.prios[i+1:], q.prios[i:])
+	q.prios[i] = prio
+	q.buckets = append(q.buckets, nil)
+	copy(q.buckets[i+1:], q.buckets[i:])
+	q.buckets[i] = b
 	return b
 }
 
-func (q *treeQueue) dropPrio(prio int) {
-	delete(q.buckets, prio)
-	i := sort.SearchInts(q.prios, prio)
-	if i < len(q.prios) && q.prios[i] == prio {
-		q.prios = append(q.prios[:i], q.prios[i+1:]...)
+// dropAt removes the i-th priority and its bucket.
+func (q *treeQueue) dropAt(i int) {
+	q.prios = append(q.prios[:i], q.prios[i+1:]...)
+	copy(q.buckets[i:], q.buckets[i+1:])
+	q.buckets[len(q.buckets)-1] = nil
+	q.buckets = q.buckets[:len(q.buckets)-1]
+}
+
+// nextPrio returns the smallest priority at the three queues' cursors (ok
+// false when all are exhausted): the step of a three-way merge over sorted
+// lists of one to three elements each.
+func nextPrio(qs *[3]*treeQueue, cur *[3]int) (prio int, ok bool) {
+	for i, q := range qs {
+		if q != nil && cur[i] < len(q.prios) && (!ok || q.prios[cur[i]] < prio) {
+			prio, ok = q.prios[cur[i]], true
+		}
 	}
+	return prio, ok
 }
 
 // localityTree holds the three-level waiting queues of the FuxiMaster
@@ -421,18 +439,20 @@ func (q *treeQueue) dropPrio(prio int) {
 // own queue; a freed machine consults only its own queue, its rack's queue
 // and the cluster queue. The per-machine and per-rack queues live in
 // slices indexed by the dense machine/rack ID — a free-up reaches its three
-// queues with two slice indexes, no hashing — and the entry index map is
-// keyed by interned integers only. Queues are indexed per priority and keep
-// only entries with live demand, so a free-up touches O(candidates) entries
-// rather than every (app, unit) that ever waited there. A satisfied entry
-// keeps its index record (and original seq); re-raised demand re-inserts it
-// at its original queue position, preserving the legacy FIFO semantics.
+// queues with two slice indexes, no hashing — and an entry is found from its
+// key the same way: byApp[app ID][unit index] is that unit's own small table
+// of entries by locality node (one row for the usual cluster-level demand, a
+// few when the unit also waits on machines or racks). Queues are indexed per
+// priority and keep only entries with live demand, so a free-up touches
+// O(candidates) entries rather than every (app, unit) that ever waited there.
+// A satisfied entry keeps its index record (and original seq); re-raised
+// demand re-inserts it at its original queue position, preserving the legacy
+// FIFO semantics.
 type localityTree struct {
 	mq    []*treeQueue // machine ID (plus overflow nodes) -> queue
 	rq    []*treeQueue // rack ID (plus overflow nodes) -> queue
 	cq    *treeQueue   // the cluster queue
-	index map[treeIdx]*waitEntry
-	byApp [][]*waitEntry // app ID -> entries
+	byApp [][]unitWait // app ID -> unit index -> entries
 	seq   uint64
 
 	// minCpu/minMem are monotone lower bounds over every size class that
@@ -442,16 +462,19 @@ type localityTree struct {
 	minCpu, minMem int64
 
 	scratch []*waitEntry // reused candidate buffer (scheduler is single-threaded)
-	prioSet []int        // reused priority-union buffer
+}
+
+// unitWait holds one (app, unit)'s entries, keyed by nodeKey(level, node).
+type unitWait = dense.Map[*waitEntry]
+
+// nodeKey packs one locality node into a unitWait key.
+func nodeKey(level resource.LocalityType, node int32) uint64 {
+	return dense.Pack(int32(level), node)
 }
 
 func newLocalityTree() *localityTree {
 	const maxInt64 = 1<<63 - 1
-	return &localityTree{
-		index:  make(map[treeIdx]*waitEntry),
-		minCpu: maxInt64,
-		minMem: maxInt64,
-	}
+	return &localityTree{minCpu: maxInt64, minMem: maxInt64}
 }
 
 // minFit implements waitTree (see the interface doc).
@@ -480,7 +503,7 @@ func (t *localityTree) queue(level resource.LocalityType, node int32) *treeQueue
 		slot = &t.cq
 	}
 	if *slot == nil {
-		*slot = &treeQueue{buckets: make(map[int]*treeBucket)}
+		*slot = &treeQueue{}
 	}
 	return *slot
 }
@@ -536,29 +559,58 @@ func (t *localityTree) enqueue(e *waitEntry) {
 	c.rebuild() // renumber positions and bitmaps
 }
 
-// appEntries returns (growing on demand) the entry list slot for an app ID.
-func (t *localityTree) appEntries(app int32) *[]*waitEntry {
-	for int(app) >= len(t.byApp) {
+// entries returns key's entry table, nil when the key never waited anywhere.
+func (t *localityTree) entries(key waitKey) *unitWait {
+	if int(key.app) < len(t.byApp) && int(key.unit) < len(t.byApp[key.app]) {
+		return &t.byApp[key.app][key.unit]
+	}
+	return nil
+}
+
+// lookup returns key's entry at (level, node), nil when there is none.
+func (t *localityTree) lookup(key waitKey, level resource.LocalityType, node int32) *waitEntry {
+	if w := t.entries(key); w != nil {
+		return w.Get(nodeKey(level, node))
+	}
+	return nil
+}
+
+// growEntries returns key's entry table, making room for it. An app's row is
+// sized for all its units the first time one of them waits (st is nil only in
+// tree-level tests, which grow one unit at a time).
+func (t *localityTree) growEntries(key waitKey, st *appState) *unitWait {
+	for int(key.app) >= len(t.byApp) {
 		t.byApp = append(t.byApp, nil)
 	}
-	return &t.byApp[app]
+	units := t.byApp[key.app]
+	if int(key.unit) >= len(units) {
+		n := int(key.unit) + 1
+		if st != nil {
+			n = max(n, len(st.unitArr))
+		}
+		if units == nil {
+			units = make([]unitWait, n)
+		}
+		for len(units) < n {
+			units = append(units, unitWait{})
+		}
+		t.byApp[key.app] = units
+	}
+	return &units[key.unit]
 }
 
 // add increments the waiting count for key at (level, node), creating the
 // entry at the queue tail when new. Negative deltas decrement, flooring at
 // zero. It returns the entry's resulting count.
 func (t *localityTree) add(key waitKey, priority int, level resource.LocalityType, node int32, delta int, now sim.Time, st *appState, u *unitState) int {
-	idx := treeIdx{key: key, level: level, node: node}
-	e := t.index[idx]
+	e := t.lookup(key, level, node)
 	if e == nil {
 		if delta <= 0 {
 			return 0
 		}
 		t.seq++
 		e = &waitEntry{key: key, priority: priority, seq: t.seq, level: level, node: node, enqueuedAt: now, st: st, u: u}
-		t.index[idx] = e
-		ae := t.appEntries(key.app)
-		*ae = append(*ae, e)
+		*t.growEntries(key, st).Put(nodeKey(level, node)) = e
 	}
 	if e.count == 0 && delta > 0 {
 		e.enqueuedAt = now // waiting clock restarts after a zero crossing
@@ -583,7 +635,7 @@ func (t *localityTree) add(key waitKey, priority int, level resource.LocalityTyp
 
 // get returns the current waiting count for key at (level, node).
 func (t *localityTree) get(key waitKey, level resource.LocalityType, node int32) int {
-	if e := t.index[treeIdx{key: key, level: level, node: node}]; e != nil {
+	if e := t.lookup(key, level, node); e != nil {
 		return e.count
 	}
 	return 0
@@ -592,7 +644,7 @@ func (t *localityTree) get(key waitKey, level resource.LocalityType, node int32)
 // setCount forces the waiting count at one node without touching the aging
 // clock (full-state reconciliation semantics).
 func (t *localityTree) setCount(key waitKey, priority int, level resource.LocalityType, node int32, count int, now sim.Time, st *appState, u *unitState) {
-	e := t.index[treeIdx{key: key, level: level, node: node}]
+	e := t.lookup(key, level, node)
 	if e == nil {
 		if count > 0 {
 			t.add(key, priority, level, node, count, now, st, u)
@@ -618,12 +670,9 @@ func (t *localityTree) setCount(key waitKey, priority int, level resource.Locali
 
 // nodesFor appends the locality nodes where key has an entry to buf.
 func (t *localityTree) nodesFor(key waitKey, buf []treeIdx) []treeIdx {
-	if int(key.app) >= len(t.byApp) {
-		return buf
-	}
-	for _, e := range t.byApp[key.app] {
-		if e.key == key {
-			buf = append(buf, treeIdx{key: key, level: e.level, node: e.node})
+	if w := t.entries(key); w != nil {
+		for _, c := range w.Cells() {
+			buf = append(buf, treeIdx{key: key, level: c.Val.level, node: c.Val.node})
 		}
 	}
 	return buf
@@ -636,17 +685,19 @@ func (t *localityTree) removeApp(app int32) {
 	if int(app) >= len(t.byApp) {
 		return
 	}
-	for _, e := range t.byApp[app] {
-		if e.count > 0 && !e.parked {
-			noteKilled(e)
+	for ui := range t.byApp[app] {
+		for _, c := range t.byApp[app][ui].Cells() {
+			e := c.Val
+			if e.count > 0 && !e.parked {
+				noteKilled(e)
+			}
+			e.count = 0
+			e.gone = true
+			if e.queued && e.cls != nil {
+				e.cls.tomb++
+				e.cls.maybeRebuild()
+			}
 		}
-		e.count = 0
-		e.gone = true
-		if e.queued && e.cls != nil {
-			e.cls.tomb++
-			e.cls.maybeRebuild()
-		}
-		delete(t.index, treeIdx{key: e.key, level: e.level, node: e.node})
 	}
 	t.byApp[app] = nil
 }
@@ -673,13 +724,9 @@ func (t *localityTree) forEachCandidate(machine, rack int32, now sim.Time, aging
 			if q == nil {
 				continue
 			}
-			for _, p := range append([]int(nil), q.prios...) {
-				b := q.buckets[p]
-				if b == nil {
-					continue
-				}
-				if b.compactInto(&out) {
-					q.dropPrio(p)
+			for i := len(q.buckets) - 1; i >= 0; i-- {
+				if q.buckets[i].compactInto(&out) {
+					q.dropAt(i)
 				}
 			}
 		}
@@ -703,36 +750,24 @@ func (t *localityTree) forEachCandidate(machine, rack int32, now sim.Time, aging
 		return
 	}
 	// Merge the three queues' sorted priority lists, walking buckets in
-	// (priority, level, seq) order — already the output order.
-	prios := t.prioSet[:0]
-	for _, q := range qs {
-		if q != nil {
-			prios = append(prios, q.prios...)
+	// (priority, level, seq) order — already the output order. fn grants and
+	// parks but never queues, so no bucket appears under the cursors.
+	var cur [3]int
+	for {
+		p, ok := nextPrio(&qs, &cur)
+		if !ok {
+			return
 		}
-	}
-	sort.Ints(prios)
-	last := 0
-	for i, p := range prios {
-		if i > 0 && p == prios[last-1] {
-			continue
-		}
-		prios[last] = p
-		last++
-	}
-	prios = prios[:last]
-	t.prioSet = prios
-	for _, p := range prios {
-		for _, q := range qs {
-			if q == nil {
+		for i, q := range qs {
+			if q == nil || cur[i] >= len(q.prios) || q.prios[cur[i]] != p {
 				continue
 			}
-			b := q.buckets[p]
-			if b == nil {
-				continue
-			}
+			b := q.buckets[cur[i]]
 			cont := b.walk(free, fn)
 			if b.empty() {
-				q.dropPrio(p)
+				q.dropAt(cur[i])
+			} else {
+				cur[i]++
 			}
 			if !cont {
 				return
@@ -746,7 +781,6 @@ func (t *localityTree) forEachCandidate(machine, rack int32, now sim.Time, aging
 // without sharing the mutable cursors the compacting walk keeps inside the
 // tree itself.
 type walkScratch struct {
-	prios   []int
 	cursors []int
 }
 
@@ -765,35 +799,20 @@ func (t *localityTree) forEachCandidateView(machine, rack int32, free *resource.
 		t.peek(resource.LocalityRack, rack),
 		t.cq,
 	}
-	prios := ws.prios[:0]
-	for _, q := range qs {
-		if q != nil {
-			prios = append(prios, q.prios...)
+	var cur [3]int
+	for {
+		p, ok := nextPrio(&qs, &cur)
+		if !ok {
+			return
 		}
-	}
-	sort.Ints(prios)
-	last := 0
-	for i, p := range prios {
-		if i > 0 && p == prios[last-1] {
-			continue
-		}
-		prios[last] = p
-		last++
-	}
-	prios = prios[:last]
-	ws.prios = prios
-	for _, p := range prios {
-		for _, q := range qs {
-			if q == nil {
+		for i, q := range qs {
+			if q == nil || cur[i] >= len(q.prios) || q.prios[cur[i]] != p {
 				continue
 			}
-			b := q.buckets[p]
-			if b == nil {
-				continue
-			}
-			if !walkBucketView(b, free, ws, count, fn) {
+			if !walkBucketView(q.buckets[cur[i]], free, ws, count, fn) {
 				return
 			}
+			cur[i]++
 		}
 	}
 }
@@ -847,12 +866,9 @@ func walkBucketView(b *treeBucket, free *resource.Vector, ws *walkScratch, count
 // tests and state dumps).
 func (t *localityTree) totalWaiting(key waitKey) int {
 	n := 0
-	if int(key.app) >= len(t.byApp) {
-		return 0
-	}
-	for _, e := range t.byApp[key.app] {
-		if e.key == key {
-			n += e.count
+	if w := t.entries(key); w != nil {
+		for _, c := range w.Cells() {
+			n += c.Val.count
 		}
 	}
 	return n
@@ -861,14 +877,12 @@ func (t *localityTree) totalWaiting(key waitKey) int {
 // waitingByLevel reports the per-level aggregate counts for a key, mirroring
 // the paper's Figure 5 view of the scheduling tree.
 func (t *localityTree) waitingByLevel(key waitKey) (machine, rack, cluster int) {
-	if int(key.app) >= len(t.byApp) {
+	w := t.entries(key)
+	if w == nil {
 		return
 	}
-	for _, e := range t.byApp[key.app] {
-		if e.key != key {
-			continue
-		}
-		switch e.level {
+	for _, c := range w.Cells() {
+		switch e := c.Val; e.level {
 		case resource.LocalityMachine:
 			machine += e.count
 		case resource.LocalityRack:

@@ -1,7 +1,9 @@
 package master
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/lockservice"
@@ -152,6 +154,12 @@ type Master struct {
 	epID    tr // cached endpoint IDs: own, gateway, per-machine agents
 	gwID    tr
 	agentEP []tr // by machine ID
+	// byEP resolves the sender of an application-master message — and the
+	// app of a heartbeat allocation entry — to its scheduler state by
+	// transport endpoint ID: a slice index per message where there used to be
+	// a hash of the app's name. nil for endpoints that are not (or no longer)
+	// registered apps; rebuilt with the scheduler at every promotion.
+	byEP []*appState
 
 	seq   protocol.Sequencer
 	dedup protocol.Dedup
@@ -176,17 +184,21 @@ type Master struct {
 	// Both are soft state: a promoted successor starts them fresh.
 	flap      []int
 	flapBlack []bool
-	badVotes  []map[string]bool                  // machine ID -> set of reporting apps
-	pendDem   map[string][]protocol.DemandUpdate // app -> buffered updates (batch mode)
-	pendRet   []protocol.GrantReturn             // buffered returns (batch mode)
-	flushArm  bool
-	dsp       dispatchScratch // pooled fan-out accumulators
-	touched   []int32         // pooled touched-machine list (release batches)
+	badVotes  []map[string]bool // machine ID -> set of reporting apps
+	// pendDem and pendRet buffer one scheduling round's demand updates and
+	// returns in arrival order (batch mode), each with its sender so the flush
+	// resolves the app by index; round stamps the apps the flush has seen.
+	pendDem  []demandRec
+	pendRet  []returnRec
+	round    uint32
+	flushArm bool
+	dsp      dispatchScratch // pooled fan-out accumulators
+	touched  []int32         // pooled touched-machine list (release batches)
 	// Pooled round-merge buffers (flushRound) and batch-unpacking scratch.
-	appBuf  []string
+	appBuf  []*appState
 	unitBuf []int
 	hintBuf []resource.LocalityHint
-	retBuf  []protocol.GrantReturn
+	retBuf  []returnRec
 	// Full-sync reconciliation scratch (one sync touches every unit of an
 	// app; pooled so the periodic safety syncs do not allocate per unit).
 	syncTgt map[syncTarget]int
@@ -211,8 +223,8 @@ type Master struct {
 	// and subtracts as reports arrive), double-booking machines — and an
 	// early unregister would strand capacity on agents whose restore
 	// report had not landed yet.
-	recDem    []protocol.DemandUpdate
-	recRet    []protocol.GrantReturn
+	recDem    []demandRec
+	recRet    []returnRec
 	recUnreg  []protocol.UnregisterApp
 	timers    []sim.Cancel
 	lockAbort sim.Cancel
@@ -223,6 +235,20 @@ type Master struct {
 
 // tr abbreviates the transport endpoint ID in struct fields.
 type tr = transport.EndpointID
+
+// demandRec and returnRec are a buffered DemandUpdate / GrantReturn with the
+// endpoint it arrived from. next chains one app's updates inside a round
+// flush (-1 ends the chain).
+type demandRec struct {
+	upd  protocol.DemandUpdate
+	from tr
+	next int32
+}
+
+type returnRec struct {
+	ret  protocol.GrantReturn
+	from tr
+}
 
 const arenaBlock = 2048
 
@@ -274,7 +300,6 @@ func NewMaster(cfg Config, eng *sim.Engine, net *transport.Net, lock *lockservic
 		flap:      make([]int, n),
 		flapBlack: make([]bool, n),
 		badVotes:  make([]map[string]bool, n),
-		pendDem:   make(map[string][]protocol.DemandUpdate),
 		agentEP:   make([]tr, n),
 		epID:      net.Endpoint(protocol.MasterEndpoint),
 		gwID:      net.Endpoint(protocol.GatewayEndpoint),
@@ -286,12 +311,40 @@ func NewMaster(cfg Config, eng *sim.Engine, net *transport.Net, lock *lockservic
 	return m
 }
 
-// appEndpoint resolves (and caches) an app's transport endpoint ID.
-func (m *Master) appEndpoint(st *appState) tr {
-	if st.ep == transport.None {
-		st.ep = m.net.Endpoint(st.name)
+// registerApp registers an application with the scheduler and binds it to
+// its transport endpoint — the endpoint named after the app, which is where
+// the application-master framework listens (grants and the unregister ack go
+// there) and what identifies the app in capacity and heartbeat messages.
+func (m *Master) registerApp(name, group string, units []resource.ScheduleUnit) (*appState, error) {
+	if err := m.sched.RegisterApp(name, group, units); err != nil {
+		return nil, err
 	}
-	return st.ep
+	st := m.sched.apps[name]
+	st.ep = m.net.Endpoint(name)
+	for int(st.ep) >= len(m.byEP) {
+		m.byEP = append(m.byEP, nil)
+	}
+	m.byEP[st.ep] = st
+	return st, nil
+}
+
+// appAt resolves a wire application ID (an endpoint ID) to its state, nil
+// when no registered app listens there.
+func (m *Master) appAt(ep tr) *appState {
+	if ep >= 0 && int(ep) < len(m.byEP) {
+		return m.byEP[ep]
+	}
+	return nil
+}
+
+// appFrom resolves the app a message names by the endpoint it came from. A
+// sender other than the app's own endpoint (a scripted test client) falls
+// back to the name.
+func (m *Master) appFrom(from tr, name string) *appState {
+	if st := m.appAt(from); st != nil && st.name == name {
+		return st
+	}
+	return m.sched.apps[name]
 }
 
 // compete (re-)enters the election. While partitioned from the lock service
@@ -324,13 +377,14 @@ func (m *Master) promote() {
 		sched.Clock = m.eng.Now
 	}
 	m.sched = NewScheduler(m.top, sched)
+	clear(m.byEP)
 
 	// Hard state: application configurations and the cluster blacklist.
 	snap := m.ckpt.Load()
 	for _, app := range snap.Apps {
 		// Hard-state apps re-register silently; their demand arrives via
 		// FullDemandSync during the recovery window.
-		_ = m.sched.RegisterApp(app.Name, app.Group, app.Units)
+		_, _ = m.registerApp(app.Name, app.Group, app.Units)
 	}
 	for _, b := range snap.Blacklist {
 		m.sched.SetBlacklisted(b, true, false)
@@ -371,7 +425,7 @@ func (m *Master) promote() {
 		}
 		for _, app := range snap.Apps {
 			if st := m.sched.apps[app.Name]; st != nil {
-				m.net.SendID(m.epID, m.appEndpoint(st), hello)
+				m.net.SendID(m.epID, st.ep, hello)
 			}
 		}
 		// The submission gateway (when deployed) replays its
@@ -397,8 +451,8 @@ func (m *Master) finishRecovery() {
 	m.recDem, m.recRet, m.recUnreg = nil, nil, nil
 	var ds []Decision
 	m.applyReleases(ret)
-	for _, t := range dem {
-		out, err := m.sched.UpdateDemand(t.App, t.UnitID, t.Deltas)
+	for _, r := range dem {
+		out, err := m.sched.UpdateDemand(r.upd.App, r.upd.UnitID, r.upd.Deltas)
 		if err != nil {
 			continue
 		}
@@ -499,8 +553,7 @@ func (m *Master) Crash() {
 	m.sched = nil
 	m.recovering = false
 	m.recDem, m.recRet, m.recUnreg = nil, nil, nil
-	m.pendDem = make(map[string][]protocol.DemandUpdate)
-	m.pendRet = nil
+	m.pendDem, m.pendRet = nil, nil
 	m.wheel = nil
 	m.flushArm = false
 }
@@ -518,7 +571,6 @@ func (m *Master) Restart() {
 	m.flap = make([]int, n)
 	m.flapBlack = make([]bool, n)
 	m.badVotes = make([]map[string]bool, n)
-	m.pendDem = make(map[string][]protocol.DemandUpdate)
 	m.compete()
 }
 
@@ -550,22 +602,23 @@ func (m *Master) handle(from tr, msg transport.Message) {
 		if m.dedup.ObserveCh(int32(from), protocol.ChanReg, t.Seq) == protocol.Duplicate {
 			return
 		}
-		m.handleRegister(from, t)
+		m.handleRegister(t)
 	case protocol.DemandUpdate:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
 			return
 		}
-		m.handleDemand(t)
+		m.handleDemand(from, t)
 	case protocol.GrantReturn:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanRet, t.Seq) == protocol.Duplicate {
 			return
 		}
-		m.handleReturns([]protocol.GrantReturn{t})
+		m.retBuf = append(m.retBuf[:0], returnRec{ret: t, from: from})
+		m.handleReturns(m.retBuf)
 	case protocol.GrantReturnBatch:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanRet, t.Seq) == protocol.Duplicate {
 			return
 		}
-		m.handleReturnBatch(t)
+		m.handleReturnBatch(from, t)
 	case protocol.UnregisterApp:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanUnreg, t.Seq) == protocol.Duplicate {
 			return
@@ -591,47 +644,43 @@ func (m *Master) handle(from tr, msg transport.Message) {
 	}
 }
 
-func (m *Master) handleRegister(from tr, t protocol.RegisterApp) {
-	if st := m.sched.apps[t.App]; st != nil {
-		st.ep = from // failover re-registration; config already restored
+func (m *Master) handleRegister(t protocol.RegisterApp) {
+	if m.sched.Registered(t.App) {
+		return // failover re-registration; config already restored
+	}
+	if _, err := m.registerApp(t.App, t.QuotaGroup, t.Units); err != nil {
 		return
 	}
-	if err := m.sched.RegisterApp(t.App, t.QuotaGroup, t.Units); err != nil {
-		return
-	}
-	m.sched.apps[t.App].ep = from
 	// Hard state changes only on job submission/stop (paper §4.3.1).
 	m.ckpt.SaveApp(AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
 }
 
-func (m *Master) handleDemand(t protocol.DemandUpdate) {
+func (m *Master) handleDemand(from tr, t protocol.DemandUpdate) {
 	if m.recovering {
 		// Granting before all agents re-reported would double-book machines
 		// whose allocations are not yet subtracted from the free pool.
-		m.recDem = append(m.recDem, t)
+		m.recDem = append(m.recDem, demandRec{upd: t, from: from})
 		return
 	}
 	if m.cfg.BatchWindow > 0 {
-		m.bufferDemand(t)
+		m.pendDem = append(m.pendDem, demandRec{upd: t, from: from})
+		m.armFlush()
 		return
 	}
-	m.applyDemand(t)
-}
-
-func (m *Master) applyDemand(t protocol.DemandUpdate) {
 	start := time.Now()
 	ds := m.dsBuf[:0]
-	err := m.sched.updateDemandInto(t.App, t.UnitID, t.Deltas, &ds)
+	placed := false
+	if st := m.appFrom(from, t.App); st != nil {
+		if u := st.unit(t.UnitID); u != nil {
+			m.sched.applyDemand(st, u, t.Deltas, &ds)
+			placed = true
+		}
+	}
 	m.reg.Histogram("master.sched_ms").Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-	if err == nil {
+	if placed {
 		m.dispatch(ds)
 	}
 	m.dsBuf = ds[:0]
-}
-
-func (m *Master) bufferDemand(t protocol.DemandUpdate) {
-	m.pendDem[t.App] = append(m.pendDem[t.App], t)
-	m.armFlush()
 }
 
 func (m *Master) armFlush() {
@@ -652,19 +701,15 @@ func (m *Master) flushRound() {
 	}
 	if m.recovering {
 		// A round buffered before this process was deposed and re-promoted:
-		// reroute it through the recovery buffers so it replays once every
-		// agent has re-reported.
-		apps := make([]string, 0, len(m.pendDem))
-		for app := range m.pendDem {
-			apps = append(apps, app)
-		}
-		sort.Strings(apps)
-		for _, app := range apps {
-			m.recDem = append(m.recDem, m.pendDem[app]...)
-		}
+		// reroute it through the recovery buffers — the demand grouped by app
+		// in name order, as the round would have taken it — so it replays
+		// once every agent has re-reported.
+		n := len(m.recDem)
+		m.recDem = append(m.recDem, m.pendDem...)
+		moved := m.recDem[n:]
+		sort.SliceStable(moved, func(i, j int) bool { return moved[i].upd.App < moved[j].upd.App })
 		m.recRet = append(m.recRet, m.pendRet...)
-		m.pendDem = make(map[string][]protocol.DemandUpdate)
-		m.pendRet = m.pendRet[:0]
+		m.pendDem, m.pendRet = m.pendDem[:0], m.pendRet[:0]
 		return
 	}
 	start := time.Now()
@@ -674,36 +719,44 @@ func (m *Master) flushRound() {
 		m.pendRet = m.pendRet[:0]
 		m.sched.assignOnIDsInto(touched, &ds)
 	}
+	// Chain each app's updates in arrival order, listing the apps as they
+	// first appear. Updates whose app is not registered (any more) are
+	// dropped, as a scheduler lookup by name would have refused them.
+	m.round++
 	apps := m.appBuf[:0]
-	for app := range m.pendDem {
-		apps = append(apps, app)
+	for i := range m.pendDem {
+		p := &m.pendDem[i]
+		p.next = -1
+		st := m.appFrom(p.from, p.upd.App)
+		if st == nil {
+			continue
+		}
+		if st.pendRound != m.round {
+			st.pendRound, st.pendHead = m.round, int32(i)
+			apps = append(apps, st)
+		} else {
+			m.pendDem[st.pendTail].next = int32(i)
+		}
+		st.pendTail = int32(i)
 	}
-	sort.Strings(apps)
+	slices.SortFunc(apps, func(a, b *appState) int { return strings.Compare(a.name, b.name) })
 	// Merge per (app, unit, locality target) before scheduling — the
 	// paper's compact batch handling of "frequently changing resource
 	// requests from one application" — using pooled buffers: concatenate
 	// the unit's hint lists, sort by (type, value) and sum adjacent runs,
 	// which yields exactly the map-and-sort result without the maps.
-	for _, app := range apps {
-		ups := m.pendDem[app]
+	for _, st := range apps {
 		units := m.unitBuf[:0]
-		for _, p := range ups {
-			seen := false
-			for _, u := range units {
-				if u == p.UnitID {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				units = append(units, p.UnitID)
+		for i := st.pendHead; i >= 0; i = m.pendDem[i].next {
+			if !slices.Contains(units, m.pendDem[i].upd.UnitID) {
+				units = append(units, m.pendDem[i].upd.UnitID)
 			}
 		}
 		m.unitBuf = units
 		for _, unitID := range units {
 			hb := m.hintBuf[:0]
-			for _, p := range ups {
-				if p.UnitID == unitID {
+			for i := st.pendHead; i >= 0; i = m.pendDem[i].next {
+				if p := &m.pendDem[i].upd; p.UnitID == unitID {
 					hb = append(hb, p.Deltas...)
 				}
 			}
@@ -721,13 +774,15 @@ func (m *Master) flushRound() {
 				i = j
 			}
 			m.hintBuf = hb
-			if err := m.sched.updateDemandInto(app, unitID, hb[:w], &ds); err != nil {
-				continue
+			if u := st.unit(unitID); u != nil {
+				m.sched.applyDemand(st, u, hb[:w], &ds)
 			}
 		}
 	}
-	m.appBuf = apps
-	clear(m.pendDem)
+	clear(apps) // the pooled list must not pin unregistered apps
+	m.appBuf = apps[:0]
+	clear(m.pendDem) // nor the buffer their hint slices
+	m.pendDem = m.pendDem[:0]
 	m.reg.Histogram("master.sched_ms").Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
 	m.dispatch(ds)
 	m.dsBuf = ds[:0]
@@ -739,18 +794,18 @@ func (m *Master) flushRound() {
 // handleReturnBatch unpacks a coalesced return batch into the shared path
 // through a pooled scratch slice (the unpacked form feeds the same
 // recovery-buffer / round-buffer / immediate branches as single returns).
-func (m *Master) handleReturnBatch(t protocol.GrantReturnBatch) {
+func (m *Master) handleReturnBatch(from tr, t protocol.GrantReturnBatch) {
 	rets := m.retBuf[:0]
 	for _, r := range t.Returns {
-		rets = append(rets, protocol.GrantReturn{
+		rets = append(rets, returnRec{from: from, ret: protocol.GrantReturn{
 			App: t.App, UnitID: r.UnitID, Machine: r.Machine, Count: r.Count, Seq: t.Seq,
-		})
+		}})
 	}
 	m.retBuf = rets
 	m.handleReturns(rets)
 }
 
-func (m *Master) handleReturns(rets []protocol.GrantReturn) {
+func (m *Master) handleReturns(rets []returnRec) {
 	if m.recovering {
 		// The grants being returned may not have been restored yet (their
 		// agents' reports are still in flight); replay after the window.
@@ -775,21 +830,16 @@ func (m *Master) handleReturns(rets []protocol.GrantReturn) {
 // reassigning), fans the capacity releases out as one delta message per
 // affected agent — the agents must release capacity even though the apps
 // initiated it — and returns the touched machines in first-seen order.
-func (m *Master) applyReleases(rets []protocol.GrantReturn) []int32 {
+func (m *Master) applyReleases(rets []returnRec) []int32 {
 	if len(rets) == 0 {
 		return nil
 	}
 	d := &m.dsp
-	d.reset()
+	d.reset(m.top.Size())
 	m.touched = m.touched[:0]
-	var lastApp string
-	var lastSt *appState
-	for _, t := range rets {
-		st := lastSt
-		if st == nil || t.App != lastApp {
-			st = m.sched.apps[t.App]
-			lastApp, lastSt = t.App, st
-		}
+	for i := range rets {
+		t := &rets[i].ret
+		st := m.appFrom(rets[i].from, t.App)
 		if st == nil {
 			continue
 		}
@@ -805,7 +855,7 @@ func (m *Master) applyReleases(rets []protocol.GrantReturn) []int32 {
 			m.touched = append(m.touched, t.Machine)
 		}
 		ag.entries = append(ag.entries, protocol.CapacityEntry{
-			App: t.App, UnitID: t.UnitID, Size: u.def.Size, Count: -t.Count,
+			App: int32(st.ep), UnitID: t.UnitID, Size: u.def.Size, Count: -t.Count,
 		})
 	}
 	for i := range d.agents {
@@ -836,22 +886,18 @@ func (m *Master) handleUnregister(t protocol.UnregisterApp) {
 	// the old sorted-name order, for reproducible runs), instead of one
 	// message per (unit, machine).
 	d := &m.dsp
-	d.reset()
+	d.reset(m.top.Size())
 	if st := m.sched.apps[t.App]; st != nil {
 		for i := range st.unitArr {
 			u := &st.unitArr[i]
-			machines := make([]int32, 0, len(u.granted))
-			for mc := range u.granted {
-				machines = append(machines, mc)
-			}
-			sortInt32s(machines)
-			for _, mc := range machines {
-				ag := d.agentFor(mc)
+			for _, c := range u.granted.Cells() {
+				ag := d.agentFor(int32(c.Key))
 				ag.entries = append(ag.entries, protocol.CapacityEntry{
-					App: t.App, UnitID: u.def.ID, Size: u.def.Size, Count: -u.granted[mc],
+					App: int32(st.ep), UnitID: u.def.ID, Size: u.def.Size, Count: -c.Val,
 				})
 			}
 		}
+		m.byEP[st.ep] = nil
 	}
 	for i := range d.agents {
 		ag := &d.agents[i]
@@ -874,14 +920,13 @@ func (m *Master) handleUnregister(t protocol.UnregisterApp) {
 
 func (m *Master) handleFullSync(from tr, t protocol.FullDemandSync) {
 	if !m.sched.Registered(t.App) {
-		_ = m.sched.RegisterApp(t.App, t.QuotaGroup, t.Units)
+		_, _ = m.registerApp(t.App, t.QuotaGroup, t.Units)
 		m.ckpt.SaveApp(AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
 	}
 	st := m.sched.apps[t.App]
 	if st == nil {
 		return
 	}
-	st.ep = from
 	// Fence against the sync/grant crossing race: when grants dispatched to
 	// this app are still in flight (the sync's SeenGrantSeq is behind the
 	// last GrantUpdate sent, and that send is recent enough to still be on
@@ -902,19 +947,7 @@ func (m *Master) handleFullSync(from tr, t protocol.FullDemandSync) {
 		// round flush replay them would double-apply the demand (the same
 		// exactly-once rule the recovery buffer applies below). Later deltas
 		// (Seq beyond the sync) remain genuinely incremental.
-		if ups := m.pendDem[t.App]; len(ups) > 0 {
-			kept := ups[:0]
-			for _, d := range ups {
-				if d.Seq > t.Seq {
-					kept = append(kept, d)
-				}
-			}
-			if len(kept) == 0 {
-				delete(m.pendDem, t.App)
-			} else {
-				m.pendDem[t.App] = kept
-			}
-		}
+		m.pendDem = dropSynced(m.pendDem, t)
 		// Demand reconciliation: force tree counts to the app's view. When
 		// the sync surfaces demand the master had lost (a dropped delta),
 		// run an assignment pass so it doesn't starve waiting for the next
@@ -960,27 +993,23 @@ func (m *Master) handleFullSync(from tr, t protocol.FullDemandSync) {
 	// the sync) remain genuinely incremental and stay buffered. Buffered
 	// GrantReturns are untouched: the agents' reports still carry the
 	// returned containers, so the replay is their exactly-once release.
-	if !stale && m.recovering && len(m.recDem) > 0 {
-		kept := m.recDem[:0]
-		for _, d := range m.recDem {
-			if d.App == t.App && d.Seq <= t.Seq {
-				continue
-			}
-			kept = append(kept, d)
-		}
-		m.recDem = kept
+	if !stale && m.recovering {
+		m.recDem = dropSynced(m.recDem, t)
 	}
 }
 
-// pendingReturnsFor reports whether the current round buffer holds a
-// GrantReturn from app (round windows are small, so the scan is short).
-func (m *Master) pendingReturnsFor(app string) bool {
-	for i := range m.pendRet {
-		if m.pendRet[i].App == app {
-			return true
+// dropSynced removes from a demand buffer the updates a full sync from the
+// same app already accounts for (sequence numbers up to the sync's), in
+// place, keeping the rest in order.
+func dropSynced(buf []demandRec, t protocol.FullDemandSync) []demandRec {
+	kept := buf[:0]
+	for _, d := range buf {
+		if d.upd.App != t.App || d.upd.Seq > t.Seq {
+			kept = append(kept, d)
 		}
 	}
-	return false
+	clear(buf[len(kept):])
+	return kept
 }
 
 // syncFenceWindow bounds how long after a grant send a behind-sequence
@@ -999,11 +1028,11 @@ type syncTarget struct {
 // reconcileDemand forces the tree counts for (app, unit) to the app's view
 // and reports whether any count increased.
 func (m *Master) reconcileDemand(st *appState, unitID int, want []resource.LocalityHint) bool {
-	key := waitKey{app: st.id, unit: int32(unitID)}
 	u := st.unit(unitID)
 	if u == nil {
 		return false
 	}
+	key := waitKey{app: st.id, unit: u.idx}
 	if m.syncTgt == nil {
 		m.syncTgt = make(map[syncTarget]int)
 	}
@@ -1057,24 +1086,24 @@ func (m *Master) reconcileHeld(st *appState, unitID int, appView map[int32]int) 
 		return
 	}
 	var fixes []protocol.MachineDelta
-	for mc, n := range u.granted {
-		if appView[mc] != n {
-			fixes = append(fixes, protocol.MachineDelta{Machine: mc, Delta: n - appView[mc]})
+	for _, c := range u.granted.Cells() {
+		if mc := int32(c.Key); appView[mc] != c.Val {
+			fixes = append(fixes, protocol.MachineDelta{Machine: mc, Delta: c.Val - appView[mc]})
 		}
 	}
 	for mc, n := range appView {
-		if _, ok := u.granted[mc]; !ok && n > 0 {
+		if n > 0 && u.granted.Index(uint64(mc)) < 0 {
 			fixes = append(fixes, protocol.MachineDelta{Machine: mc, Delta: -n})
 		}
 	}
 	if len(fixes) > 0 {
-		// Sort by machine ID so the fix order is reproducible (the ledgers
-		// are maps; iteration order must not reach the wire).
+		// Sort by machine ID so the fix order is reproducible (the app's view
+		// is a map; iteration order must not reach the wire).
 		sort.Slice(fixes, func(i, j int) bool { return fixes[i].Machine < fixes[j].Machine })
 		seq := st.grantSeq.Next()
 		st.lastGrantSeq = seq
 		st.lastGrantAt = m.eng.Now()
-		m.net.SendID(m.epID, m.appEndpoint(st), protocol.GrantUpdate{
+		m.net.SendID(m.epID, st.ep, protocol.GrantUpdate{
 			App: st.name, UnitID: unitID, Changes: fixes, Epoch: m.epoch, Seq: seq,
 		})
 	}
@@ -1106,7 +1135,11 @@ func (m *Master) handleHeartbeat(t *protocol.AgentHeartbeat) {
 			// allocations.
 			m.restored[mc] = true
 			for _, d := range t.Allocations {
-				m.sched.restoreGrantID(d.App, d.UnitID, mc, d.Count)
+				// Allocations of apps the checkpoint did not name are left to
+				// the re-registration that follows.
+				if st := m.appAt(tr(d.App)); st != nil {
+					m.sched.restoreGrant(st, d.UnitID, mc, d.Count)
+				}
 			}
 		} else {
 			// A delta beat from a machine whose anchor has not landed (the
@@ -1298,6 +1331,17 @@ type dispatchScratch struct {
 	apps   []appAcc
 	agents []agentAcc
 	batch  []transport.Message
+	// slot finds a machine's accumulator without searching: slot[machine]
+	// is its index in agents if stamped with the current use's gen, stale
+	// otherwise — a wide round touches hundreds of machines, and a scan per
+	// decision was quadratic in them.
+	slot []agentSlot
+	gen  uint32
+}
+
+type agentSlot struct {
+	gen uint32
+	idx int32
 }
 
 type unitAcc struct {
@@ -1315,10 +1359,18 @@ type agentAcc struct {
 	entries []protocol.CapacityEntry
 }
 
-func (d *dispatchScratch) reset() {
+// reset starts a new use over a cluster of the given size.
+func (d *dispatchScratch) reset(machines int) {
 	d.apps = d.apps[:0]
 	d.agents = d.agents[:0]
 	d.batch = d.batch[:0]
+	if d.slot == nil {
+		d.slot = make([]agentSlot, machines)
+	}
+	if d.gen++; d.gen == 0 { // wrapped: every stale stamp would look current
+		clear(d.slot)
+		d.gen = 1
+	}
 }
 
 // appFor returns the accumulator for an app, creating (or reviving a
@@ -1360,11 +1412,10 @@ func (a *appAcc) unitFor(unit int) *unitAcc {
 }
 
 func (d *dispatchScratch) agentFor(machine int32) *agentAcc {
-	for i := range d.agents {
-		if d.agents[i].machine == machine {
-			return &d.agents[i]
-		}
+	if sl := &d.slot[machine]; sl.gen == d.gen {
+		return &d.agents[sl.idx]
 	}
+	d.slot[machine] = agentSlot{gen: d.gen, idx: int32(len(d.agents))}
 	if len(d.agents) < cap(d.agents) {
 		d.agents = d.agents[:len(d.agents)+1]
 		a := &d.agents[len(d.agents)-1]
@@ -1390,7 +1441,7 @@ func (m *Master) dispatch(ds []Decision) {
 		return
 	}
 	d := &m.dsp
-	d.reset()
+	d.reset(m.top.Size())
 	var lastApp string
 	var lastSt *appState
 	for _, dec := range ds {
@@ -1407,7 +1458,7 @@ func (m *Master) dispatch(ds []Decision) {
 		if u := st.unit(dec.UnitID); u != nil {
 			ag := d.agentFor(dec.MachineID)
 			ag.entries = append(ag.entries, protocol.CapacityEntry{
-				App: dec.App, UnitID: dec.UnitID, Size: u.def.Size, Count: dec.Delta,
+				App: int32(st.ep), UnitID: dec.UnitID, Size: u.def.Size, Count: dec.Delta,
 			})
 		}
 	}
@@ -1432,7 +1483,7 @@ func (m *Master) dispatch(ds []Decision) {
 				Epoch:   m.epoch, Seq: seq,
 			})
 		}
-		m.net.SendBatchID(m.epID, m.appEndpoint(aa.st), batch)
+		m.net.SendBatchID(m.epID, aa.st.ep, batch)
 		d.batch = batch[:0]
 	}
 }

@@ -87,7 +87,7 @@ func TestUnregisterBufferedDuringRecovery(t *testing.T) {
 			case protocol.CapacityDelta:
 				for _, e := range cu.Entries {
 					agentMsgs[mc] = append(agentMsgs[mc], protocol.CapacityUpdate{
-						App: e.App, UnitID: e.UnitID, Size: e.Size, Delta: e.Count,
+						App: net.Name(transport.EndpointID(e.App)), UnitID: e.UnitID, Size: e.Size, Delta: e.Count,
 						Epoch: cu.Epoch, Seq: cu.Seq,
 					})
 				}
@@ -127,7 +127,7 @@ func TestUnregisterBufferedDuringRecovery(t *testing.T) {
 	for mc, n := range granted {
 		net.Send(protocol.AgentEndpoint(mc), protocol.MasterEndpoint, protocol.AgentHeartbeat{
 			Machine: top.MachineID(mc), Full: true,
-			Allocations: []protocol.AllocDelta{{App: "app1", UnitID: 1, Count: n}},
+			Allocations: []protocol.AllocDelta{{App: int32(net.Endpoint("app1")), UnitID: 1, Count: n}},
 			HealthScore: 100, Seq: 1,
 		})
 	}
@@ -308,7 +308,7 @@ func TestMasterCapacityQueryAnswersFullTable(t *testing.T) {
 	want := h.m1.Scheduler().Granted("app1", 1)[machine]
 	found := false
 	for _, e := range sync.Entries {
-		if e.App == "app1" && e.UnitID == 1 && e.Count == want {
+		if e.App == int32(h.net.Endpoint("app1")) && e.UnitID == 1 && e.Count == want {
 			found = true
 		}
 	}

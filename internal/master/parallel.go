@@ -480,10 +480,10 @@ func (s *Scheduler) scoreMachine(tree *localityTree, machine int32, ov *overlay,
 			if st == nil {
 				return true
 			}
-			u = st.unit(int(e.key.unit))
-			if u == nil {
+			if int(e.key.unit) >= len(st.unitArr) {
 				return true
 			}
+			u = &st.unitArr[e.key.unit]
 		}
 		head := u.headroom() - ov.headUsed[u]
 		want := cnt

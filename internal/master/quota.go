@@ -33,7 +33,7 @@ func (s *Scheduler) preemptFor(st *appState, u *unitState) []Decision {
 // deficit is the number of containers of u still queued in the tree,
 // capped by the unit's remaining headroom.
 func (s *Scheduler) deficit(st *appState, u *unitState) int {
-	key := waitKey{app: st.id, unit: int32(u.def.ID)}
+	key := waitKey{app: st.id, unit: u.idx}
 	d := s.tree.totalWaiting(key)
 	if hr := u.headroom(); d > hr {
 		d = hr
@@ -150,15 +150,10 @@ func (s *Scheduler) collectVictims(match func(*appState, *unitState) bool) []vic
 			if !match(vapp, vu) {
 				continue
 			}
-			machines := make([]int32, 0, len(vu.granted))
-			for m := range vu.granted {
-				machines = append(machines, m)
-			}
-			sortInt32s(machines)
-			for _, m := range machines {
+			for _, c := range vu.granted.Cells() {
 				victims = append(victims, victimGrant{
-					app: vapp, unit: vu, machine: m,
-					count: vu.granted[m], priority: vu.def.Priority,
+					app: vapp, unit: vu, machine: int32(c.Key),
+					count: c.Val, priority: vu.def.Priority,
 				})
 			}
 		}

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/dense"
 	"repro/internal/ident"
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -114,9 +115,14 @@ type Options struct {
 const DefaultGroup = "default"
 
 type unitState struct {
-	def     resource.ScheduleUnit
-	idx     int32         // position in the app's unitArr (grant-index cell key)
-	granted map[int32]int // machine ID -> container count (the unit-major ledger)
+	def resource.ScheduleUnit
+	idx int32 // position in the app's unitArr (grant-index cell and wait key)
+	// granted is the unit-major ledger: machine ID -> container count, no
+	// zero rows, in machine-ID order. A unit sits on a handful of machines,
+	// so the per-decision credit/debit is a scan of one cache line, and the
+	// unit-major walks (unregister, held reconciliation, preemption victims)
+	// read it in the sorted order they need.
+	granted dense.Map[int]
 	held    int
 	// parked holds this unit's wait entries pulled out of the queues while
 	// the unit is saturated (held == MaxCount with demand still queued —
@@ -132,14 +138,17 @@ type appState struct {
 	id    int32 // dense scheduler intern ID (stable per name within a Scheduler)
 	name  string
 	group string
+	quota *groupState // s.groups[group], resolved once: every grant and release charges it
 	// unitArr holds the app's units sorted by ID, frozen at registration —
 	// one allocation for the whole app, iterated directly by the
 	// deterministic revocation/unregister walks and searched by unit (the
 	// entry pointers handed to the wait tree stay valid because the slice
 	// never reallocates after registration).
 	unitArr []unitState
-	// ep caches the app's transport endpoint ID; the Master wrapper fills
-	// it lazily (transport.None until first needed).
+	// ep is the application master's transport endpoint ID — where its grants
+	// go, and the app's identity in capacity and heartbeat messages. The
+	// Master wrapper sets it at registration (transport.None in a bare
+	// Scheduler).
 	ep transport.EndpointID
 	// lastGrantSeq/lastGrantAt identify the last GrantUpdate dispatched to
 	// this app; a full-state sync carrying an older SeenGrantSeq within the
@@ -154,6 +163,11 @@ type appState struct {
 	// message to ME was lost" — under a shared sequencer every receiver saw
 	// permanent artificial gaps and loss was undetectable.
 	grantSeq protocol.Sequencer
+	// pendRound/pendHead/pendTail thread this app's buffered DemandUpdates
+	// through the Master's round buffer during one flush (valid while
+	// pendRound equals the Master's round counter).
+	pendRound          uint32
+	pendHead, pendTail int32
 }
 
 // unit returns the state of one unit ID (nil when unknown): binary search
@@ -363,7 +377,7 @@ func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit
 		return fmt.Errorf("master: unknown quota group %q", group)
 	}
 	id := s.appTbl.Intern(app)
-	st := &appState{id: id, name: app, group: group, ep: transport.None}
+	st := &appState{id: id, name: app, group: group, quota: g, ep: transport.None}
 	st.unitArr = make([]unitState, 0, len(units))
 	for _, u := range units {
 		if err := u.Validate(); err != nil {
@@ -374,7 +388,7 @@ func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit
 				return fmt.Errorf("master: app %q: duplicate unit %d", app, u.ID)
 			}
 		}
-		st.unitArr = append(st.unitArr, unitState{def: u, granted: make(map[int32]int)})
+		st.unitArr = append(st.unitArr, unitState{def: u})
 	}
 	sort.Slice(st.unitArr, func(i, j int) bool { return st.unitArr[i].def.ID < st.unitArr[j].def.ID })
 	for i := range st.unitArr {
@@ -405,15 +419,13 @@ func (s *Scheduler) UnregisterApp(app string) []Decision {
 	var touched []int32
 	for i := range st.unitArr {
 		u := &st.unitArr[i]
-		machines := make([]int32, 0, len(u.granted))
-		for m := range u.granted {
-			machines = append(machines, m)
-		}
-		sortInt32s(machines)
-		for _, m := range machines {
-			s.releaseOn(st, u, m, u.granted[m])
+		for _, c := range u.granted.Cells() {
+			m := int32(c.Key)
+			s.grants.sub(m, st.id, u.idx, c.Val)
+			s.debit(st, u, m, c.Val)
 			touched = append(touched, m)
 		}
+		u.granted.Reset()
 	}
 	s.tree.removeApp(st.id)
 	delete(s.groups[st.group].apps, app)
@@ -442,7 +454,14 @@ func (s *Scheduler) updateDemandInto(app string, unitID int, hints []resource.Lo
 	if err != nil {
 		return err
 	}
-	key := waitKey{app: st.id, unit: int32(unitID)}
+	s.applyDemand(st, u, hints, out)
+	return nil
+}
+
+// applyDemand is UpdateDemand past the name lookups, for the master's
+// message path, which resolves the app from the sender's endpoint ID.
+func (s *Scheduler) applyDemand(st *appState, u *unitState, hints []resource.LocalityHint, out *[]Decision) {
+	key := waitKey{app: st.id, unit: u.idx}
 	for _, h := range hints {
 		if h.Count == 0 {
 			continue
@@ -462,7 +481,6 @@ func (s *Scheduler) updateDemandInto(app string, unitID int, hints []resource.Lo
 	if s.opts.EnablePreemption {
 		*out = append(*out, s.preemptFor(st, u)...)
 	}
-	return nil
 }
 
 // Return releases count granted containers on machine back to the pool and
@@ -499,9 +517,9 @@ func (s *Scheduler) releaseChecked(st *appState, u *unitState, machine int32, co
 	if count <= 0 {
 		return fmt.Errorf("master: non-positive return count %d", count)
 	}
-	if u.granted[machine] < count {
+	if holds := u.granted.Get(uint64(machine)); holds < count {
 		return fmt.Errorf("master: app %q unit %d returns %d on %s but holds %d",
-			st.name, u.def.ID, count, s.top.MachineName(machine), u.granted[machine])
+			st.name, u.def.ID, count, s.top.MachineName(machine), holds)
 	}
 	s.releaseOn(st, u, machine, count)
 	return nil
@@ -670,14 +688,13 @@ func (s *Scheduler) grantOn(st *appState, u *unitState, machine int32, k int, ou
 // ledger, machine-major index, held count and quota usage.
 func (s *Scheduler) credit(st *appState, u *unitState, machine int32, k int) {
 	s.adjustFree(machine, u.def.Size, -int64(k))
-	// The ledger keeps no zero entries, so the unit is new to the machine
-	// exactly when the assignment below grows the map.
-	on := len(u.granted)
-	u.granted[machine] += k
-	s.grants.add(machine, st.id, u.idx, k, len(u.granted) != on)
+	// The ledger keeps no zero rows, so the unit is new to the machine
+	// exactly when its row holds just this grant.
+	n := u.granted.Put(uint64(machine))
+	*n += k
+	s.grants.add(machine, st.id, u.idx, k, *n == k)
 	u.held += k
-	g := s.groups[st.group]
-	(&g.usage).AddScaledInPlace(u.def.Size, int64(k))
+	(&st.quota.usage).AddScaledInPlace(u.def.Size, int64(k))
 }
 
 // releaseOn returns k containers of u on machine to the free pool (no
@@ -685,22 +702,19 @@ func (s *Scheduler) credit(st *appState, u *unitState, machine int32, k int) {
 // was not requested by the app).
 func (s *Scheduler) releaseOn(st *appState, u *unitState, machine int32, k int) {
 	s.grants.sub(machine, st.id, u.idx, k)
+	dense.Take(&u.granted, uint64(machine), k)
 	s.debit(st, u, machine, k)
 }
 
-// debit is releaseOn without the index update, for evacuate, which empties
-// the machine's whole table at once.
+// debit is releaseOn without the two ledger updates, for the walks that
+// empty a whole table at once: evacuate the machine's cells, UnregisterApp
+// the unit's rows.
 func (s *Scheduler) debit(st *appState, u *unitState, machine int32, k int) {
 	if !s.down[machine] {
 		s.adjustFree(machine, u.def.Size, int64(k))
 	}
-	u.granted[machine] -= k
-	if u.granted[machine] <= 0 {
-		delete(u.granted, machine)
-	}
 	u.held -= k
-	g := s.groups[st.group]
-	(&g.usage).AddScaledInPlace(u.def.Size, -int64(k))
+	(&st.quota.usage).AddScaledInPlace(u.def.Size, -int64(k))
 	if len(u.parked) > 0 {
 		s.unpark(u)
 	}
@@ -915,10 +929,10 @@ func (c *assignCtx) candidate(e *waitEntry) bool {
 		if st == nil {
 			return true
 		}
-		u = st.unit(int(e.key.unit))
-		if u == nil {
+		if int(e.key.unit) >= len(st.unitArr) {
 			return true
 		}
+		u = &st.unitArr[e.key.unit]
 		e.st, e.u = st, u
 	}
 	want := e.count
@@ -968,6 +982,7 @@ func (s *Scheduler) evacuate(machine int32, reason Reason) []Decision {
 	for _, c := range cells {
 		st := s.appByID[c.app]
 		u := &st.unitArr[c.unit]
+		dense.Take(&u.granted, uint64(machine), int(c.n))
 		s.debit(st, u, machine, int(c.n))
 		out = append(out, Decision{App: st.name, UnitID: u.def.ID,
 			Machine: name, MachineID: machine, Delta: -int(c.n), Reason: reason})

@@ -68,9 +68,9 @@ func (s *Scheduler) Granted(app string, unitID int) map[string]int {
 	if u == nil {
 		return nil
 	}
-	out := make(map[string]int, len(u.granted))
-	for m, n := range u.granted {
-		out[s.top.MachineName(m)] = n
+	out := make(map[string]int, u.granted.Len())
+	for _, c := range u.granted.Cells() {
+		out[s.top.MachineName(int32(c.Key))] = c.Val
 	}
 	return out
 }
@@ -87,9 +87,9 @@ func (s *Scheduler) GrantedByID(app string, unitID int) map[int32]int {
 	if u == nil {
 		return nil
 	}
-	out := make(map[int32]int, len(u.granted))
-	for m, n := range u.granted {
-		out[m] = n
+	out := make(map[int32]int, u.granted.Len())
+	for _, c := range u.granted.Cells() {
+		out[int32(c.Key)] = c.Val
 	}
 	return out
 }
@@ -99,7 +99,7 @@ func (s *Scheduler) GrantedByID(app string, unitID int) map[int32]int {
 func (s *Scheduler) GrantedOn(app string, unitID int, machine int32) int {
 	if st, ok := s.apps[app]; ok {
 		if u := st.unit(unitID); u != nil {
-			return u.granted[machine]
+			return u.granted.Get(uint64(machine))
 		}
 	}
 	return 0
@@ -121,7 +121,11 @@ func (s *Scheduler) Waiting(app string, unitID int) int {
 	if !ok {
 		return 0
 	}
-	return s.tree.totalWaiting(waitKey{app: st.id, unit: int32(unitID)})
+	u := st.unit(unitID)
+	if u == nil {
+		return 0
+	}
+	return s.tree.totalWaiting(waitKey{app: st.id, unit: u.idx})
 }
 
 // WaitingByLevel reports queued counts per locality level for (app, unit),
@@ -131,7 +135,11 @@ func (s *Scheduler) WaitingByLevel(app string, unitID int) (machine, rack, clust
 	if !ok {
 		return 0, 0, 0
 	}
-	return s.tree.waitingByLevel(waitKey{app: st.id, unit: int32(unitID)})
+	u := st.unit(unitID)
+	if u == nil {
+		return 0, 0, 0
+	}
+	return s.tree.waitingByLevel(waitKey{app: st.id, unit: u.idx})
 }
 
 // WaitingNodes lists the locality nodes where (app, unit) currently has a
@@ -142,7 +150,11 @@ func (s *Scheduler) WaitingNodes(app string, unitID int) []resource.LocalityHint
 	if !ok {
 		return nil
 	}
-	key := waitKey{app: st.id, unit: int32(unitID)}
+	u := st.unit(unitID)
+	if u == nil {
+		return nil
+	}
+	key := waitKey{app: st.id, unit: u.idx}
 	var out []resource.LocalityHint
 	for _, idx := range s.tree.nodesFor(key, nil) {
 		c := s.tree.get(key, idx.level, idx.node)
@@ -203,20 +215,14 @@ func (s *Scheduler) Units(app string) []resource.ScheduleUnit {
 // ignored: their agents' processes will be reconciled once the app
 // re-registers.
 func (s *Scheduler) RestoreGrant(app string, unitID int, machine string, count int) bool {
+	st, ok := s.apps[app]
 	id := s.top.MachineID(machine)
-	if id < 0 {
-		return false
-	}
-	return s.restoreGrantID(app, unitID, id, count)
+	return ok && id >= 0 && s.restoreGrant(st, unitID, id, count)
 }
 
-// restoreGrantID is the hot-path form of RestoreGrant, fed straight from
+// restoreGrant is the hot-path form of RestoreGrant, fed straight from
 // anchor-heartbeat allocation tables during recovery.
-func (s *Scheduler) restoreGrantID(app string, unitID int, machine int32, count int) bool {
-	st, ok := s.apps[app]
-	if !ok {
-		return false
-	}
+func (s *Scheduler) restoreGrant(st *appState, unitID int, machine int32, count int) bool {
 	u := st.unit(unitID)
 	if u == nil || count <= 0 {
 		return false
@@ -270,15 +276,15 @@ func (s *Scheduler) CheckInvariants() []string {
 			u := &st.unitArr[ui]
 			slot := base[st.id] + int32(ui)
 			cells := byUnit[at[slot]:at[slot+1]]
-			if len(cells) != len(u.granted) {
+			if len(cells) != u.granted.Len() {
 				bad = append(bad, fmt.Sprintf("index: app %s unit %d: %d cells, ledger has %d machines",
-					name, u.def.ID, len(cells), len(u.granted)))
+					name, u.def.ID, len(cells), u.granted.Len()))
 			}
 			sum := 0
 			for _, c := range cells {
-				if c.n <= 0 || u.granted[c.machine] != int(c.n) {
+				if holds := u.granted.Get(uint64(c.machine)); c.n <= 0 || holds != int(c.n) {
 					bad = append(bad, fmt.Sprintf("index: machine %s app %s unit %d: index holds %d, ledger %d",
-						s.top.MachineName(c.machine), name, u.def.ID, c.n, u.granted[c.machine]))
+						s.top.MachineName(c.machine), name, u.def.ID, c.n, holds))
 				}
 				sum += int(c.n)
 				(&used[c.machine]).AddScaledInPlace(u.def.Size, int64(c.n))
@@ -388,11 +394,7 @@ func (s *Scheduler) ClusterQueueDepths(fn func(cpuMilli, memMB int64, opaque boo
 	if !ok || t.cq == nil {
 		return
 	}
-	for _, prio := range t.cq.prios {
-		b := t.cq.buckets[prio]
-		if b == nil {
-			continue
-		}
+	for _, b := range t.cq.buckets {
 		for _, c := range b.classes {
 			if c.nLive > 0 {
 				fn(c.cpu, c.mem, c.opaque, c.nLive)

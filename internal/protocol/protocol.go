@@ -10,19 +10,21 @@
 // returns, capacity deltas, heartbeats) carry machines as dense int32 IDs —
 // the topology-derived index every process computes identically from the
 // shared sorted machine list — so receivers index slices instead of hashing
-// names. Application names stay strings on the wire: app identity must
-// survive master failover (a successor assigns fresh internal IDs), so apps
-// are resolved to interned state once per message at the receiving
-// component's edge. Worker-management messages (WorkPlan, WorkerStatus)
-// keep machine names: they cross into the job layer, which speaks names.
+// names. Applications travel two ways. Messages an application master sends
+// keep its name (RegisterApp must introduce it, and the name is what the
+// checkpoint stores), but the receiver does not hash it: the sender's
+// transport endpoint ID arrives with every message and the master indexes
+// its application state by that. Messages between FuxiMaster and the agents
+// (capacity deltas and syncs, heartbeat allocation tables) identify the
+// application by that same endpoint ID and carry no name at all — unlike the
+// scheduler's own app IDs, which a successor master reassigns, an endpoint ID
+// is handed out once by the network and never reused, so it means the same
+// application to every process in every master epoch. Worker-management
+// messages (WorkPlan, WorkerStatus) keep names: they cross into the job
+// layer, which speaks names.
 package protocol
 
-import (
-	"slices"
-	"strings"
-
-	"repro/internal/resource"
-)
+import "repro/internal/resource"
 
 // ---------------------------------------------------------------------------
 // Application master <-> FuxiMaster
@@ -177,20 +179,9 @@ type AgentHeartbeat struct {
 // AllocDelta is one allocation entry in a heartbeat: the absolute container
 // count held for (App, UnitID).
 type AllocDelta struct {
-	App    string
+	App    int32 // the application master's transport endpoint ID
 	UnitID int
 	Count  int
-}
-
-// SortAllocDeltas orders entries by (App, UnitID) in place, allocation-free
-// (the heartbeat path must not pay sort.Slice's reflective swapper).
-func SortAllocDeltas(ds []AllocDelta) {
-	slices.SortFunc(ds, func(a, b AllocDelta) int {
-		if c := strings.Compare(a.App, b.App); c != 0 {
-			return c
-		}
-		return a.UnitID - b.UnitID
-	})
 }
 
 // CapacityUpdate tells an agent the granted capacity for one application
@@ -241,10 +232,10 @@ type CapacityQuery struct {
 	Seq     uint64
 }
 
-// CapacityEntry is one absolute (not delta) capacity record in a
-// CapacitySync.
+// CapacityEntry is one capacity record: absolute in a CapacitySync, a signed
+// change in a CapacityDelta.
 type CapacityEntry struct {
-	App    string
+	App    int32 // the application master's transport endpoint ID
 	UnitID int
 	Size   resource.Vector
 	Count  int

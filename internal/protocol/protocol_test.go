@@ -157,7 +157,7 @@ func TestWireSizesPositiveAndProportional(t *testing.T) {
 		RegisterApp{App: "a"},
 		GrantReturn{App: "a", Machine: 0},
 		GrantUpdate{App: "a", Changes: []MachineDelta{{Machine: 0, Delta: 1}}},
-		AgentHeartbeat{Machine: 0, Allocations: []AllocDelta{{App: "a", UnitID: 1, Count: 2}}},
+		AgentHeartbeat{Machine: 0, Allocations: []AllocDelta{{App: 3, UnitID: 1, Count: 2}}},
 		CapacityUpdate{App: "a"},
 		WorkPlan{App: "a", WorkerID: "w"},
 		WorkerStatus{App: "a", WorkerID: "w"},

@@ -17,11 +17,9 @@ func (s *Sequencer) Next() uint64 {
 func (s *Sequencer) Current() uint64 { return s.next }
 
 // Chan enumerates the per-sender logical channels multiplexed over one
-// Dedup. Hot paths key the high-water map by (sender endpoint ID, Chan)
-// instead of hashing sender name strings per message — at paper scale that
-// hashing was a measurable slice of the control-plane budget. Free-form
-// string channels (e.g. per-worker plan channels) remain available through
-// Observe.
+// Dedup. Hot paths address a high-water mark by (sender endpoint ID, Chan)
+// instead of hashing sender name strings per message. Free-form string
+// channels (e.g. per-worker plan channels) remain available through Observe.
 type Chan uint8
 
 const (
@@ -39,26 +37,39 @@ const (
 	ChanCap
 	// ChanGrant carries GrantUpdate.
 	ChanGrant
+
+	numChans
 )
 
-// chanKey packs (sender endpoint ID, Chan) into one integer-keyed map key:
-// no string hashing on the per-message dedup path.
-type chanKey struct {
-	sender int32
-	ch     Chan
-}
+// chanMarks holds one sender's high-water marks, indexed by Chan.
+type chanMarks [numChans]uint64
 
 // Dedup tracks the highest sequence number seen from each sender and
 // classifies incoming numbers. Delta messages must be applied exactly once
 // and in order (paper §3.1); duplicates are dropped and gaps flagged so the
 // receiver can request (or await) a full-state sync.
+//
+// The fixed channels keep their marks where the receiver's population puts
+// them. An agent or an application master has exactly one fixed-channel
+// stream — its capacity or grant stream from the logical master endpoint —
+// and keeps that mark inline (peer, peerCh, peerSeq): no table, no allocation,
+// one compare per message. A receiver that hears a second stream (the master,
+// which hears every application master on five channels) moves to a slice of
+// marks indexed by the sender's endpoint ID, which the transport hands out
+// densely and never reuses.
 type Dedup struct {
-	last   map[string]uint64
-	lastCh map[chanKey]uint64
-	gaps   uint64
+	last map[string]uint64 // free-form channels, by name
+
+	peer    int32 // sender of the inline stream; meaningful once peerSet
+	peerCh  Chan
+	peerSet bool
+	peerSeq uint64
+	many    []chanMarks // by sender endpoint ID; nil while one stream suffices
+
+	gaps uint64
 }
 
-// NewDedup returns an empty tracker (maps are created on first use, so an
+// NewDedup returns an empty tracker (tables are created on first use, so an
 // idle receiver — e.g. one of a hundred thousand short-lived application
 // masters — costs nothing).
 func NewDedup() *Dedup {
@@ -102,29 +113,58 @@ func (d *Dedup) Observe(sender string, seq uint64) Verdict {
 	}
 }
 
-// ObserveCh is Observe keyed by (sender endpoint ID, channel) — the
+// mark returns the high-water mark cell of (sender, ch). With grow false it
+// returns nil for a stream never written; with grow true it makes room. A
+// negative sender (transport.None) never has a cell.
+func (d *Dedup) mark(sender int32, ch Chan, grow bool) *uint64 {
+	if d.many == nil && d.peerSet && d.peer == sender && d.peerCh == ch {
+		return &d.peerSeq
+	}
+	if sender < 0 {
+		return nil
+	}
+	if d.many == nil {
+		if !grow {
+			return nil
+		}
+		if !d.peerSet {
+			d.peer, d.peerCh, d.peerSet = sender, ch, true
+			return &d.peerSeq
+		}
+		// A second stream: this receiver is a hub. Move the inline mark into
+		// the by-sender table.
+		d.many = make([]chanMarks, max(d.peer, sender)+1)
+		d.many[d.peer][d.peerCh] = d.peerSeq
+	}
+	if int(sender) >= len(d.many) {
+		if !grow {
+			return nil
+		}
+		// Endpoint IDs arrive roughly in ascending order (every new
+		// application master is a new endpoint), so this usually appends one
+		// cell; append's doubling keeps the growth amortized.
+		for int(sender) >= len(d.many) {
+			d.many = append(d.many, chanMarks{})
+		}
+	}
+	return &d.many[sender][ch]
+}
+
+// ObserveCh is Observe addressed by (sender endpoint ID, channel) — the
 // hashing-free form for the protocol's fixed channels. The sender is the
 // transport-layer EndpointID of the peer (cast to int32).
 func (d *Dedup) ObserveCh(sender int32, ch Chan, seq uint64) Verdict {
-	k := chanKey{sender, ch}
-	last := d.lastCh[k]
-	switch {
-	case seq <= last:
+	m := d.mark(sender, ch, seq > 0)
+	if m == nil || seq <= *m {
 		return Duplicate
-	case seq == last+1:
-		if d.lastCh == nil {
-			d.lastCh = make(map[chanKey]uint64)
-		}
-		d.lastCh[k] = seq
-		return Accept
-	default:
-		if d.lastCh == nil {
-			d.lastCh = make(map[chanKey]uint64)
-		}
-		d.lastCh[k] = seq
-		d.gaps++
-		return Gap
 	}
+	last := *m
+	*m = seq
+	if seq == last+1 {
+		return Accept
+	}
+	d.gaps++
+	return Gap
 }
 
 // Reset forgets a sender, e.g. after a full-state sync re-baselines it or
@@ -132,7 +172,11 @@ func (d *Dedup) ObserveCh(sender int32, ch Chan, seq uint64) Verdict {
 func (d *Dedup) Reset(sender string) { delete(d.last, sender) }
 
 // ResetCh forgets one (sender, channel) high-water mark.
-func (d *Dedup) ResetCh(sender int32, ch Chan) { delete(d.lastCh, chanKey{sender, ch}) }
+func (d *Dedup) ResetCh(sender int32, ch Chan) {
+	if m := d.mark(sender, ch, false); m != nil {
+		*m = 0
+	}
+}
 
 // ResetTo sets the high-water mark for a sender, used when a full sync
 // carries the sender's current sequence number.
@@ -145,17 +189,21 @@ func (d *Dedup) ResetTo(sender string, seq uint64) {
 
 // ResetToCh sets the high-water mark for one (sender, channel).
 func (d *Dedup) ResetToCh(sender int32, ch Chan, seq uint64) {
-	if d.lastCh == nil {
-		d.lastCh = make(map[chanKey]uint64)
+	if m := d.mark(sender, ch, seq > 0); m != nil {
+		*m = seq
 	}
-	d.lastCh[chanKey{sender, ch}] = seq
 }
 
 // LastCh returns the high-water mark for one (sender, channel) — e.g. the
 // highest grant sequence an application master has observed, which the
 // full-state sync carries so the master can fence reconciliation against
 // its own in-flight grants.
-func (d *Dedup) LastCh(sender int32, ch Chan) uint64 { return d.lastCh[chanKey{sender, ch}] }
+func (d *Dedup) LastCh(sender int32, ch Chan) uint64 {
+	if m := d.mark(sender, ch, false); m != nil {
+		return *m
+	}
+	return 0
+}
 
 // Gaps returns the number of gaps observed since construction.
 func (d *Dedup) Gaps() uint64 { return d.gaps }

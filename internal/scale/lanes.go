@@ -93,11 +93,12 @@ var Lanes = []Lane{
 		// the invariant audit run inside the measured window, and either one
 		// rebuilding the ledger per call shows up here. The smoke heals
 		// converge in two probes, so the smoke bound sits close to the
-		// measured 6.07: a map-building probe already costs 7.0 there.
+		// measured 5.10: a map-building probe costs a whole alloc/decision
+		// more there.
 		Gates: []Gate{
 			{Name: "max_chaos_convergence_p99_ms", Value: func(r *Result) float64 { return r.Chaos.ConvergenceP99MS }, Full: 6000, Smoke: 6000},
 			{Name: "max_chaos_reissued", Value: func(r *Result) float64 { return float64(r.Chaos.ReissuedGrants) }, Full: 8000, Smoke: 8000},
-			{Name: "max_allocs_per_decision_chaos", Value: allocsPerDecision, Full: 8, Smoke: 6.75},
+			{Name: "max_allocs_per_decision_chaos", Value: allocsPerDecision, Full: 4, Smoke: 5.75},
 		},
 	},
 	{
@@ -120,8 +121,11 @@ var Lanes = []Lane{
 
 // churnGates hold the steady-state line: the measured window excludes
 // arrival and teardown costs, so the bound is tighter than the whole-run one.
+// The allocation line is shared with the chaos lane and set by it: paper-scale
+// chaos measures 3.16 (churn itself 2.41, the smokes 3.50), and the bounds sit
+// the usual ~1.27x above.
 var churnGates = []Gate{
-	{Name: "max_allocs_per_decision_churn", Value: allocsPerDecision, Full: 8, Smoke: 8},
+	{Name: "max_allocs_per_decision_churn", Value: allocsPerDecision, Full: 4, Smoke: 4.5},
 	{Name: "max_messages_per_grant", Value: messagesPerGrant, Full: 4, Smoke: 4},
 }
 

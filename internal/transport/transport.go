@@ -214,6 +214,11 @@ func (n *Net) Endpoint(name string) EndpointID {
 // Name returns the string name of an interned endpoint ID.
 func (n *Net) Name(id EndpointID) string { return n.tbl.Name(int32(id)) }
 
+// Lookup returns the ID of an endpoint name some earlier call interned, or
+// None — the read-only counterpart of Endpoint for accessors that are handed
+// a name and must not grow the table when it is unknown.
+func (n *Net) Lookup(name string) EndpointID { return EndpointID(n.tbl.ID(name)) }
+
 // Register installs (or replaces) the handler for endpoint name and returns
 // its EndpointID. Replacing is deliberate: a restarted component
 // re-registers under its old name (and keeps its ID).
