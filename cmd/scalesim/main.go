@@ -3,14 +3,11 @@
 // throughput, demand-to-grant latency in virtual time, allocation and
 // message pressure, plus the lane's own section — as JSON. The lanes, their
 // pass/fail contracts and their budget gates are the scale.Lanes table; the
-// README lists what each exercises. `-lane smp` is the multi-core
-// shard-count sweep, with its own result type and artifact.
+// README lists what each exercises.
 //
 // A run exits non-zero when it breaks its lane's contract or, with
 // -check-budgets, one of the lane's gates. -merge folds the run into an
-// existing -out file under the lane's name instead of overwriting it; -prev
-// names an earlier output file to diff sections against (a section the old
-// file predates is a tagged skip, not an error).
+// existing -out file under the lane's name instead of overwriting it.
 //
 // Usage:
 //
@@ -26,16 +23,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"repro/internal/scale"
 	"repro/internal/sim"
 )
-
-// minSMPCoreSpeedupP4 gates the smp lane's core-kernel wall-clock speedup at
-// shards=4, on hosts that have four cores to show one.
-const minSMPCoreSpeedupP4 = 2.0
 
 func main() { os.Exit(run()) }
 
@@ -49,87 +41,23 @@ func run() int {
 		apps     = flag.Int("apps", 0, "override application count")
 		units    = flag.Int("units-per-app", 0, "override schedule units per app")
 		horizonS = flag.Int("horizon-sec", 0, "override simulation horizon (seconds)")
-		shards   = flag.Int("shards", 0, "override scheduler shard count (0 keeps the lane's own, serial for most; >1 enables batched rounds)")
 		roundMS  = flag.Int("round-window-ms", 0, "override scheduling-round width in virtual ms")
-		smpList  = flag.String("smp-shard-counts", "1,2,4,8", "comma-separated shard counts for -lane smp (first entry is the speedup baseline)")
-		out      = flag.String("out", "", "output JSON path (- for stdout only; default BENCH_scale.json, BENCH_scale_smp.json for -lane smp)")
+		out      = flag.String("out", "BENCH_scale.json", "output JSON path (- for stdout only)")
 		merge    = flag.Bool("merge", false, "fold this run into an existing -out file under the lane's name instead of overwriting it")
-		prev     = flag.String("prev", "", "previous output file to diff sections against")
 		gate     = flag.Bool("check-budgets", false, "exit non-zero when the run breaks one of its lane's budget gates (CI regression gate)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof -sample_index=alloc_space for hot allocators)")
 	)
 	flag.Parse()
 
-	// The generic overrides apply to whichever lane was picked; 0 keeps the
-	// lane's own value.
-	override := func(c *scale.Config) {
-		c.Seed = *seed
-		if *racks > 0 {
-			c.Racks = *racks
-		}
-		if *perRack > 0 {
-			c.MachinesPerRack = *perRack
-		}
-		if *apps > 0 {
-			c.Apps = *apps
-		}
-		if *units > 0 {
-			c.UnitsPerApp = *units
-		}
-		if *horizonS > 0 {
-			c.Horizon = sim.Time(*horizonS) * sim.Second
-		}
-		if *roundMS > 0 {
-			c.RoundWindow = sim.Time(*roundMS) * sim.Millisecond
-		}
-		if *shards != 0 {
-			c.Shards = *shards
-		}
-		if c.Shards > 1 && c.RoundWindow == 0 {
-			c.RoundWindow = scale.DefaultRoundWindow
-		}
-	}
-
-	// smp is not a table entry: it sweeps shard counts over several
-	// workloads and has its own result type and artifact.
-	smp := *laneName == "smp"
 	lane := scale.LaneByName(*laneName)
-	var smpCounts []int
 	switch {
-	case smp:
-		var err error
-		if smpCounts, err = parseShardCounts(*smpList); err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 2
-		}
 	case lane == nil:
 		fmt.Fprintf(os.Stderr, "scalesim: unknown -lane %q (want %s)\n", *laneName, laneNames())
 		return 2
 	case *smoke && lane.Smoke == nil:
 		fmt.Fprintf(os.Stderr, "scalesim: -lane %s has no -smoke size\n", lane.Name)
 		return 2
-	}
-	if *out == "" {
-		*out = "BENCH_scale.json"
-		if smp {
-			*out = "BENCH_scale_smp.json"
-		}
-	}
-	// Give the worker goroutines cores to run on when the host has them —
-	// unless the operator pinned GOMAXPROCS explicitly (the CI matrix runs
-	// the same commands at GOMAXPROCS=1 to exercise single-core
-	// interleaving; silently raising it would defeat that leg).
-	if os.Getenv("GOMAXPROCS") == "" {
-		want := *shards
-		for _, p := range smpCounts {
-			if p > want {
-				want = p
-			}
-		}
-		if want > runtime.GOMAXPROCS(0) {
-			runtime.GOMAXPROCS(want)
-		}
 	}
 
 	if *cpuProf != "" {
@@ -162,52 +90,51 @@ func run() int {
 		}()
 	}
 
-	var payload any
+	cfg := lane.Full()
+	if *smoke {
+		cfg = lane.Smoke()
+	}
+	// The generic overrides apply to whichever lane was picked; 0 keeps the
+	// lane's own value.
+	cfg.Seed = *seed
+	if *racks > 0 {
+		cfg.Racks = *racks
+	}
+	if *perRack > 0 {
+		cfg.MachinesPerRack = *perRack
+	}
+	if *apps > 0 {
+		cfg.Apps = *apps
+	}
+	if *units > 0 {
+		cfg.UnitsPerApp = *units
+	}
+	if *horizonS > 0 {
+		cfg.Horizon = sim.Time(*horizonS) * sim.Second
+	}
+	if *roundMS > 0 {
+		cfg.RoundWindow = sim.Time(*roundMS) * sim.Millisecond
+	}
+	res, err := scale.Run(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scalesim:", err)
+		return 1
+	}
+	printResult(lane.Name, res)
 	broken := false
-	if smp {
-		opts := scale.DefaultSMPOptions()
-		if *smoke {
-			opts = scale.SmokeSMPOptions()
-		}
-		override(&opts.Rounds)
-		override(&opts.Churn)
-		opts.ShardCounts = smpCounts
-		res, err := scale.RunSMP(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		payload = res
-		printSMP(res)
-		broken = smpBroken(res, *gate)
-	} else {
-		cfg := lane.Full()
-		if *smoke {
-			cfg = lane.Smoke()
-		}
-		override(&cfg)
-		res, err := scale.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(*prev, lane.Name)
-		payload = res
-		printResult(lane.Name, res)
-		if lane.Broken(res) {
+	if lane.Broken(res) {
+		broken = true
+		fmt.Fprintf(os.Stderr, "scalesim: %s: the run broke the lane's contract\n", lane.Name)
+	}
+	if *gate {
+		if bad := lane.Check(res, *smoke); len(bad) > 0 {
 			broken = true
-			fmt.Fprintf(os.Stderr, "scalesim: %s: the run broke the lane's contract\n", lane.Name)
-		}
-		if *gate {
-			if bad := lane.Check(res, *smoke); len(bad) > 0 {
-				broken = true
-				fmt.Fprintf(os.Stderr, "scalesim: %s: BUDGET EXCEEDED: %v\n", lane.Name, bad)
-			}
+			fmt.Fprintf(os.Stderr, "scalesim: %s: BUDGET EXCEEDED: %v\n", lane.Name, bad)
 		}
 	}
 
 	if *out != "-" {
-		if err := writeOut(*out, payload, *laneName, *merge); err != nil {
+		if err := writeOut(*out, res, lane.Name, *merge); err != nil {
 			fmt.Fprintln(os.Stderr, "scalesim:", err)
 			return 1
 		}
@@ -222,45 +149,11 @@ func run() int {
 }
 
 func laneNames() string {
-	names := make([]string, 0, len(scale.Lanes)+1)
+	names := make([]string, 0, len(scale.Lanes))
 	for _, l := range scale.Lanes {
 		names = append(names, l.Name)
 	}
-	return strings.Join(append(names, "smp"), ", ")
-}
-
-// smpBroken applies the smp lane's contract. Decision-stream divergence
-// across shard counts is a correctness failure regardless of budgets; the
-// speedup gate only applies on hosts that can actually exhibit one.
-func smpBroken(res *scale.SMPResult, gate bool) bool {
-	broken := false
-	if !res.ParityOK() {
-		broken = true
-		fmt.Fprintln(os.Stderr, "scalesim: smp: DECISION STREAMS DIVERGED across shard counts")
-	}
-	for i := range res.Core {
-		if res.Core[i].Invariants > 0 {
-			broken = true
-			fmt.Fprintf(os.Stderr, "scalesim: smp: core shards=%d: %d invariant violations\n",
-				res.Core[i].Shards, res.Core[i].Invariants)
-		}
-	}
-	for i := range res.Rounds {
-		broken = broken || len(res.Rounds[i].Invariants) > 0 || len(res.Churn[i].Invariants) > 0
-	}
-	if gate {
-		switch {
-		case !res.MultiCore:
-			fmt.Printf("smp: speedup gate SKIPPED: %s\n", res.Note)
-		case res.CoreSpeedupP4 == 0:
-			fmt.Println("smp: speedup gate SKIPPED: shards=4 not in the sweep")
-		case res.CoreSpeedupP4 < minSMPCoreSpeedupP4:
-			broken = true
-			fmt.Fprintf(os.Stderr, "scalesim: smp: BUDGET EXCEEDED: core speedup at shards=4 %.2fx below budget %.2fx\n",
-				res.CoreSpeedupP4, minSMPCoreSpeedupP4)
-		}
-	}
-	return broken
+	return strings.Join(names, ", ")
 }
 
 // writeOut writes the payload, either overwriting the file or — with
@@ -294,58 +187,6 @@ func writeOut(path string, payload any, lane string, doMerge bool) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// diffPrev relates the run to a previous output file: when the old file has
-// the lane's section its throughput is printed for comparison; a section
-// the file predates is tagged skipped. A missing or malformed file degrades
-// to no baseline (nil), never an error.
-func diffPrev(path, section string) *scale.PrevDiff {
-	if path == "" {
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scalesim: -prev: %v (continuing without a baseline)\n", err)
-		return nil
-	}
-	sections := map[string]json.RawMessage{}
-	if err := json.Unmarshal(data, &sections); err != nil {
-		fmt.Fprintf(os.Stderr, "scalesim: -prev: %s is not a JSON object: %v (continuing)\n", path, err)
-		return nil
-	}
-	d := &scale.PrevDiff{Path: path}
-	raw, ok := sections[section]
-	if !ok {
-		d.SkippedSections = []string{section}
-		fmt.Printf("baseline %s predates section %s: skipped, not compared\n", path, section)
-		return d
-	}
-	d.Compared = []string{section}
-	var old scale.Result
-	if err := json.Unmarshal(raw, &old); err == nil && old.DecisionsPerSec > 0 {
-		fmt.Printf("vs %s [%s]: %.0f decisions/s then\n", path, section, old.DecisionsPerSec)
-	}
-	return d
-}
-
-func parseShardCounts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -smp-shard-counts entry %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		out = []int{runtime.GOMAXPROCS(0)}
-	}
-	return out, nil
-}
-
 func printResult(label string, r *scale.Result) {
 	trunc := ""
 	if r.Truncated {
@@ -362,13 +203,6 @@ func printResult(label string, r *scale.Result) {
 	fmt.Printf("  %.1f allocs/decision, %d events, %d msgs (%d batches), %d/%d apps completed\n",
 		r.AllocsPerDecision, r.EventsFired, r.MessagesSent, r.MessageBatches,
 		r.CompletedApps, wantApps)
-	if r.ParallelSweeps > 0 {
-		fmt.Printf("  %d sharded sweeps, %.0f%% of machines committed from speculative proposals\n",
-			r.ParallelSweeps, 100*r.ParallelCommitRatio)
-		fmt.Printf("  %d blocks, %d stolen (%.1f%%), score imbalance %.2f, %d shard rebalances\n",
-			r.ParallelBlocks, r.ParallelSteals, 100*r.ParallelStealRate,
-			r.ParallelImbalance, r.ParallelRebalances)
-	}
 	if r.DecisionStreamHash != "" {
 		fmt.Printf("  decision stream hash %s\n", r.DecisionStreamHash)
 	}
@@ -445,37 +279,5 @@ func printResult(label string, r *scale.Result) {
 	}
 	if len(r.Invariants) > 0 {
 		fmt.Printf("  INVARIANT VIOLATIONS: %v\n", r.Invariants)
-	}
-}
-
-// printSMP summarizes the three-lane shard-count sweep: one line per lane
-// per shard count, then the parity verdict.
-func printSMP(r *scale.SMPResult) {
-	fmt.Printf("smp: %d cores, GOMAXPROCS %d\n", r.Cores, r.GOMAXPROCS)
-	if r.Note != "" {
-		fmt.Printf("  note: %s\n", r.Note)
-	}
-	for i, p := range r.ShardCounts {
-		c := &r.Core[i]
-		fmt.Printf("  core   shards=%d: %d decisions over %d rounds in %.2fs wall (%.0f/s, %.2fx), commit %.0f%%, steal %.1f%%, imbalance %.2f\n",
-			p, c.Decisions, c.Rounds, c.WallSeconds, c.DecisionsPerSec, c.SpeedupVsP1,
-			100*c.CommitRatio, 100*c.StealRate, c.Imbalance)
-	}
-	for i, p := range r.ShardCounts {
-		h := &r.Rounds[i]
-		fmt.Printf("  rounds shards=%d: %d decisions in %.2fs wall (%.2fx), commit %.0f%%\n",
-			p, h.Decisions, h.WallSeconds, r.RoundsSpeedup[i], 100*h.ParallelCommitRatio)
-	}
-	for i, p := range r.ShardCounts {
-		h := &r.Churn[i]
-		fmt.Printf("  churn  shards=%d: %d decisions in %.2fs wall (%.2fx), commit %.0f%%\n",
-			p, h.Decisions, h.WallSeconds, r.ChurnSpeedup[i], 100*h.ParallelCommitRatio)
-	}
-	if r.ParityOK() {
-		fmt.Printf("  parity: decision streams byte-identical across all shard counts (core %s)\n",
-			r.Core[0].DecisionHash)
-	} else {
-		fmt.Printf("  parity: DIVERGED (core %v, rounds %v, churn %v)\n",
-			r.CoreParityOK, r.RoundsParityOK, r.ChurnParityOK)
 	}
 }

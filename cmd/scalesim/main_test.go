@@ -63,38 +63,14 @@ func TestWriteOutMergePreservesSections(t *testing.T) {
 	}
 }
 
-// TestPrevToleratesMissingSections: an old baseline file without the lane's
-// section is a tagged skip, never an error.
-func TestPrevToleratesMissingSections(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.json")
-	old := `{"baseline": {"decisions_per_sec": 100}, "classic": {"decisions_per_sec": 900}}`
-	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d := diffPrev(path, "classic")
-	if d == nil || len(d.Compared) != 1 || d.Compared[0] != "classic" || len(d.SkippedSections) != 0 {
-		t.Errorf("diff = %+v, want classic compared", d)
-	}
-	d = diffPrev(path, "gateway")
-	if d == nil || len(d.SkippedSections) != 1 || d.SkippedSections[0] != "gateway" || len(d.Compared) != 0 {
-		t.Errorf("diff = %+v, want gateway skipped (old baselines predate the section)", d)
-	}
-
-	// A missing or malformed prev file degrades to no baseline, no error.
-	if d := diffPrev(filepath.Join(t.TempDir(), "absent.json"), "classic"); d != nil {
-		t.Error("missing prev file did not degrade gracefully")
-	}
-	if d := diffPrev("", "classic"); d != nil {
-		t.Error("unset -prev produced a diff")
-	}
-}
-
-func TestParseShardCountsNamesItsFlag(t *testing.T) {
-	if got, err := parseShardCounts("1, 4,8"); err != nil || len(got) != 3 || got[1] != 4 {
-		t.Errorf("parse = %v, %v", got, err)
-	}
-	_, err := parseShardCounts("1,x")
-	if err == nil || err.Error() != `bad -smp-shard-counts entry "x"` {
-		t.Errorf("err = %v, want it to name -smp-shard-counts", err)
+// TestCheckedInArtifactHoldsOnlyLaneSections: every top-level key of the
+// repository's BENCH_scale.json is something `-lane <name> -merge` rewrites —
+// a scale.Lanes name or the budgets table. Frozen history lives in
+// docs/history/.
+func TestCheckedInArtifactHoldsOnlyLaneSections(t *testing.T) {
+	for key := range readSections(t, filepath.Join("..", "..", "BENCH_scale.json")) {
+		if key != "budgets" && scale.LaneByName(key) == nil {
+			t.Errorf("BENCH_scale.json has section %q, which no lane regenerates", key)
+		}
 	}
 }

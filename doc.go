@@ -16,22 +16,15 @@
 //     scenario in the internal/scale Lanes table, each with its budget gates
 //   - examples/: runnable walkthroughs of the public API
 //
-// # Multi-core FuxiMaster: sharded rounds with a deterministic merge
+// # One serial scheduling path
 //
-// The scheduling core (internal/master) can score wide assignment sweeps in
-// parallel: the rack set is split into Options.Shards contiguous blocks, a
-// worker goroutine per shard walks its machines with a read-only candidate
-// view and records speculative grants together with the (entry count, unit
-// headroom) values it observed, and a serial reducer then revisits the
-// machines in the exact order the serial scheduler would, committing a
-// machine's proposals only while every observed value still matches the
-// authoritative state. A mismatch — cross-shard contention on a
-// cluster-level queue entry or a shared unit headroom — demotes that shard
-// to serial re-execution. Because counts and headrooms only shrink inside a
-// sweep, validated proposals provably reproduce the serial outcome, so the
-// decision stream is byte-identical for every shard count (the parity fuzz
-// in internal/master pins the test-only reference tree ≡ serial ≡ parallel
-// P∈{1,4,8}, under agent and master failovers).
+// The scheduling core (internal/master) is a single goroutine: Fuxi's scale
+// comes from incremental, event-driven scheduling (§3.1–3.3 — a decision
+// costs work proportional to the delta), not from a parallel scheduler;
+// EXPERIMENTS.md ("Why the sharded scheduler was removed") has the
+// measurement behind that. The parity fuzz in internal/master pins the
+// test-only reference tree ≡ the shipped scheduler under agent and master
+// failovers.
 //
 // # Incremental communication: delta/anchor epochs
 //
@@ -46,7 +39,7 @@
 // masters coalesce same-instant container returns into one
 // GrantReturnBatch. With Config.BatchWindow the master batches demand and
 // returns into scheduling rounds, applying releases first, reassigning in
-// one (shard-parallel) sweep, then placing merged demand.
+// one sweep, then placing merged demand.
 //
 // # Integer-ID control plane: interned identities, slice-indexed hot state
 //
@@ -88,7 +81,7 @@
 // round-robin dequeue under an in-flight cap, and an explicit job
 // lifecycle (submitted → queued → admitted → registered → completed |
 // shed) driven entirely by the sim clock — the admit/shed decision stream
-// is byte-identical across scheduler shard counts. Admission hands jobs to
+// is byte-identical across repeated runs. Admission hands jobs to
 // the master as idempotent JobAdmits, replayed on a promoted primary's
 // hello until acknowledged; the admission-conservation rule in
 // internal/invariant proves no master failover loses or duplicates a job,

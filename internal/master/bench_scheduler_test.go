@@ -56,218 +56,48 @@ func BenchmarkSchedulerSingleDecision(b *testing.B) {
 // BenchmarkSchedulerFullRound measures a full batched scheduling round at
 // the paper's 5,000-machine footprint: release one application's grants,
 // sweep the whole cluster reassigning the freed capacity to queued demand,
-// re-queue the application — per shard count, so the sharded round's
-// scaling (and its single-core overhead) is visible in one table.
+// re-queue the application.
 func BenchmarkSchedulerFullRound(b *testing.B) {
 	const apps = 8
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("machines=5000/shards=%d", shards), func(b *testing.B) {
-			s := NewScheduler(benchTop(b, 125, 40), Options{Shards: shards})
-			names := make([]string, apps)
-			for i := range names {
-				names[i] = fmt.Sprintf("app-%02d", i)
-				if err := s.RegisterApp(names[i], "", []resource.ScheduleUnit{
-					{ID: 1, Priority: 10 + i%3, MaxCount: 1 << 30, Size: resource.New(1000, 4096)},
-				}); err != nil {
-					b.Fatal(err)
-				}
-				// Saturate: each app wants far more than its cluster share,
-				// so the tree always holds queued cluster-level demand.
-				if _, err := s.UpdateDemand(names[i], 1, []resource.LocalityHint{
-					{Type: resource.LocalityCluster, Count: 12_000}}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			machines := s.top.Machines()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				app := names[i%apps]
-				released := 0
-				granted := s.Granted(app, 1)
-				for _, m := range machines { // deterministic machine order
-					if n := granted[m]; n > 0 {
-						if err := s.Release(app, 1, m, n); err != nil {
-							b.Fatal(err)
-						}
-						released += n
-					}
-				}
-				ds := s.AssignOn(machines)
-				if len(ds) == 0 && released > 0 {
-					b.Fatal("sweep reassigned nothing")
-				}
-				if _, err := s.UpdateDemand(app, 1, []resource.LocalityHint{
-					{Type: resource.LocalityCluster, Count: released}}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := s.ParallelStats()
-			if st.Sweeps > 0 {
-				b.ReportMetric(float64(st.Committed)/float64(st.Committed+st.Reruns), "commit-ratio")
-			}
-		})
-	}
-}
-
-// benchSaturated builds the full-round fixture: the paper's 5,000-machine
-// cluster with 8 apps whose cluster-level demand far exceeds capacity, so
-// every sweep walks a populated queue.
-func benchSaturated(b *testing.B, shards int, forceSteal bool) *Scheduler {
-	b.Helper()
-	s := NewScheduler(benchTop(b, 125, 40), Options{Shards: shards, ForceSteal: forceSteal})
-	for i := 0; i < 8; i++ {
-		app := fmt.Sprintf("app-%02d", i)
-		if err := s.RegisterApp(app, "", []resource.ScheduleUnit{
+	s := NewScheduler(benchTop(b, 125, 40), Options{})
+	names := make([]string, apps)
+	for i := range names {
+		names[i] = fmt.Sprintf("app-%02d", i)
+		if err := s.RegisterApp(names[i], "", []resource.ScheduleUnit{
 			{ID: 1, Priority: 10 + i%3, MaxCount: 1 << 30, Size: resource.New(1000, 4096)},
 		}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.UpdateDemand(app, 1, []resource.LocalityHint{
+		// Saturate: each app wants far more than its cluster share,
+		// so the tree always holds queued cluster-level demand.
+		if _, err := s.UpdateDemand(names[i], 1, []resource.LocalityHint{
 			{Type: resource.LocalityCluster, Count: 12_000}}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	// Hold a round's release phase open: free one app's grants without
-	// reassigning, so every sweep scores real capacity against the queued
-	// backlog (a fully saturated cluster scores nothing).
-	granted := s.Granted("app-00", 1)
-	for _, m := range s.top.Machines() {
-		if n := granted[m]; n > 0 {
-			if err := s.Release("app-00", 1, m, n); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	return s
-}
-
-// BenchmarkScoreShard measures phase 1 alone — balanced distribution,
-// block chunking, and the parallel scoring walk — on the saturated paper
-// footprint. Scoring mutates nothing shared, so iterations are identical;
-// the steal variant forces every block through the fresh-overlay handoff.
-func BenchmarkScoreShard(b *testing.B) {
-	for _, c := range []struct {
-		shards int
-		steal  bool
-		name   string
-	}{{2, false, "shards=2"}, {4, false, "shards=4"}, {8, false, "shards=8"}, {4, true, "shards=4/steal"}} {
-		b.Run(c.name, func(b *testing.B) {
-			s := benchSaturated(b, c.shards, c.steal)
-			machines := s.ids
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.prepareSweep(machines)
-				s.scoreSweep()
-			}
-			b.StopTimer()
-			st := s.ParallelStats()
-			b.ReportMetric(st.StealRate(), "steal-rate")
-			b.ReportMetric(st.Imbalance(), "imbalance")
-		})
-	}
-}
-
-// BenchmarkReducerValidate measures the reducer's validation read path:
-// every scored proposal's observed entry count and unit headroom compared
-// against authoritative state (no commits, so iterations see the same
-// proposals).
-func BenchmarkReducerValidate(b *testing.B) {
-	s := benchSaturated(b, 4, false)
-	machines := s.ids
-	s.prepareSweep(machines)
-	s.scoreSweep()
-	b.ReportAllocs()
-	b.ResetTimer()
-	valid := 0
-	for i := 0; i < b.N; i++ {
-		for bi := range s.parBlocks {
-			blk := &s.parBlocks[bi]
-			for pi := range blk.props {
-				p := &blk.props[pi]
-				if p.e.count == p.expCount && p.u.headroom() == p.expHead {
-					valid++
-				}
-			}
-		}
-	}
-	if valid == 0 {
-		b.Fatal("no proposals validated; the fixture is not exercising the reducer")
-	}
-}
-
-// BenchmarkReducerCommit measures phase 2 end to end — validation plus
-// grant commits and serial re-runs — with the sweep's effects rolled back
-// outside the timer (release every granted container, restore the queued
-// demand).
-func BenchmarkReducerCommit(b *testing.B) {
-	s := benchSaturated(b, 4, false)
-	machines := s.ids
-	out := make([]Decision, 0, 8192)
-	committed := 0
+	machines := s.top.Machines()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s.prepareSweep(machines)
-		s.scoreSweep()
-		out = out[:0]
-		b.StartTimer()
-		s.reduceSweep(machines, &out)
-		b.StopTimer()
-		committed += len(out)
-		// Roll back outside the timer: restore every app's backlog while
-		// the cluster is still saturated (no grants can fire), then
-		// re-open the freed pool by releasing the sweep's grants.
-		for i := 0; i < 8; i++ {
-			if _, err := s.UpdateDemand(fmt.Sprintf("app-%02d", i), 1, []resource.LocalityHint{
-				{Type: resource.LocalityCluster, Count: 12_000}}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, d := range out {
-			if d.Delta > 0 {
-				if err := s.Release(d.App, d.UnitID, d.Machine, d.Delta); err != nil {
+		app := names[i%apps]
+		released := 0
+		granted := s.Granted(app, 1)
+		for _, m := range machines { // deterministic machine order
+			if n := granted[m]; n > 0 {
+				if err := s.Release(app, 1, m, n); err != nil {
 					b.Fatal(err)
 				}
+				released += n
 			}
 		}
-		b.StartTimer()
-	}
-	b.StopTimer()
-	if committed == 0 {
-		b.Fatal("reducer committed nothing; the fixture is not exercising the commit path")
-	}
-}
-
-// BenchmarkStealHandoff isolates the steal-phase orchestration — block
-// CAS claims, overlay resets, worker fan-out — by sweeping a cluster with
-// no queued demand, so scoring itself is a no-op and the handoff is the
-// cost. ForceSteal routes every block through the thief path; the home
-// variant is the baseline claim loop.
-func BenchmarkStealHandoff(b *testing.B) {
-	for _, steal := range []bool{false, true} {
-		name := "home"
-		if steal {
-			name = "steal"
+		ds := s.AssignOn(machines)
+		if len(ds) == 0 && released > 0 {
+			b.Fatal("sweep reassigned nothing")
 		}
-		b.Run(name, func(b *testing.B) {
-			s := NewScheduler(benchTop(b, 125, 40), Options{Shards: 4, ForceSteal: steal})
-			machines := s.ids
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.prepareSweep(machines)
-				s.scoreSweep()
-			}
-			b.StopTimer()
-			st := s.ParallelStats()
-			if st.Blocks > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Blocks), "ns/block")
-			}
-		})
+		if _, err := s.UpdateDemand(app, 1, []resource.LocalityHint{
+			{Type: resource.LocalityCluster, Count: released}}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

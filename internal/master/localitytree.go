@@ -159,7 +159,7 @@ type sizeClass struct {
 	sum      []uint64     // summary bitmap, bit per live word
 	nLive    int
 	tomb     int // gone tombstones awaiting rebuild
-	cur      int // serial walk cursor (valid during one walk)
+	cur      int // walk cursor (valid during one walk)
 }
 
 // eligible reports whether one unit of this class could fit free. A nil
@@ -772,92 +772,6 @@ func (t *localityTree) forEachCandidate(machine, rack int32, now sim.Time, aging
 			if !cont {
 				return
 			}
-		}
-	}
-}
-
-// walkScratch is per-walker cursor state for forEachCandidateView, so that
-// any number of concurrent read-only walks can stream the same queues
-// without sharing the mutable cursors the compacting walk keeps inside the
-// tree itself.
-type walkScratch struct {
-	cursors []int
-}
-
-// forEachCandidateView streams the live candidates for capacity freed on
-// machine exactly like forEachCandidate — same (priority, level, seq)
-// order, same size-class pruning against the shrinking free vector — but
-// read-only: cursor state lives in ws, entry counts are read through the
-// count overlay (the walker's private view of consumption it has already
-// simulated), and nothing is compacted or cached. This is the scoring walk
-// of the sharded parallel scheduler: many workers may run it concurrently
-// over a tree no one is mutating. Aging is not supported (the scheduler
-// falls back to the serial walk when aging is enabled).
-func (t *localityTree) forEachCandidateView(machine, rack int32, free *resource.Vector, ws *walkScratch, count func(*waitEntry) int, fn func(*waitEntry) bool) {
-	qs := [3]*treeQueue{
-		t.peek(resource.LocalityMachine, machine),
-		t.peek(resource.LocalityRack, rack),
-		t.cq,
-	}
-	var cur [3]int
-	for {
-		p, ok := nextPrio(&qs, &cur)
-		if !ok {
-			return
-		}
-		for i, q := range qs {
-			if q == nil || cur[i] >= len(q.prios) || q.prios[cur[i]] != p {
-				continue
-			}
-			if !walkBucketView(q.buckets[cur[i]], free, ws, count, fn) {
-				return
-			}
-			cur[i]++
-		}
-	}
-}
-
-// walkBucketView is treeBucket.walk without the mutation: it merges the
-// bucket's size classes in seq order with walker-local cursors, skipping
-// entries whose overlay count is zero and classes the current free fragment
-// cannot satisfy. It reports false when fn asked to stop.
-func walkBucketView(b *treeBucket, free *resource.Vector, ws *walkScratch, count func(*waitEntry) int, fn func(*waitEntry) bool) bool {
-	cur := ws.cursors[:0]
-	for range b.classes {
-		cur = append(cur, 0)
-	}
-	ws.cursors = cur[:0] // keep capacity; cur itself stays valid below
-	for {
-		best := -1
-		for ci, c := range b.classes {
-			if c.nLive == 0 || !c.eligible(free) {
-				continue
-			}
-			pos := cur[ci]
-			for {
-				pos = c.nextLive(pos)
-				// The overlay hides entries this walker already consumed.
-				if pos < len(c.entries) && count(c.entries[pos]) <= 0 {
-					pos++
-					continue
-				}
-				break
-			}
-			cur[ci] = pos
-			if pos >= len(c.entries) {
-				continue
-			}
-			if best == -1 || c.entries[pos].seq < b.classes[best].entries[cur[best]].seq {
-				best = ci
-			}
-		}
-		if best == -1 {
-			return true
-		}
-		e := b.classes[best].entries[cur[best]]
-		cur[best]++
-		if !fn(e) {
-			return false
 		}
 	}
 }

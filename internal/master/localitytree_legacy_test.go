@@ -29,15 +29,12 @@ type legacyTree struct {
 }
 
 // newTestScheduler builds a scheduler on the indexed tree or, with legacy
-// set, on the reference tree (swapped in before any demand is queued; the
-// legacy tree has no parallel scoring walk, so shards are forced to 1).
+// set, on the reference tree (swapped in before any demand is queued).
 func newTestScheduler(top *topology.Topology, opts Options, legacy bool) *Scheduler {
-	if !legacy {
-		return NewScheduler(top, opts)
-	}
-	opts.Shards = 1
 	s := NewScheduler(top, opts)
-	s.tree = newLegacyTree()
+	if legacy {
+		s.tree = newLegacyTree()
+	}
 	return s
 }
 

@@ -50,8 +50,7 @@ type Config struct {
 	// changing resource requests from one application") and GrantReturns
 	// into scheduling rounds flushed once per window: all buffered releases
 	// are applied first, one wide assignment sweep reassigns the freed
-	// capacity to queued demand (the sweep is where the sharded parallel
-	// scheduler earns its keep), then the merged demand is placed, and the
+	// capacity to queued demand, then the merged demand is placed, and the
 	// round's decisions fan out as one batch. Zero processes every update
 	// immediately.
 	BatchWindow sim.Time
@@ -445,8 +444,7 @@ func (m *Master) finishRecovery() {
 	// then one full assignment pass over all machines places everything
 	// collected. The releases are applied as one batch (their capacity
 	// echoes grouped per agent) and the reassignment they trigger is folded
-	// into the final full sweep — which the sharded scheduler runs in
-	// parallel at paper scale.
+	// into the final full sweep.
 	dem, ret, unreg := m.recDem, m.recRet, m.recUnreg
 	m.recDem, m.recRet, m.recUnreg = nil, nil, nil
 	var ds []Decision
@@ -691,9 +689,9 @@ func (m *Master) armFlush() {
 }
 
 // flushRound executes one batched scheduling round: apply every buffered
-// release, reassign the freed capacity to queued demand in one wide sweep
-// (shard-parallel at scale), place the merged demand, and fan the round's
-// decisions out as a single batch.
+// release, reassign the freed capacity to queued demand in one wide sweep,
+// place the merged demand, and fan the round's decisions out as a single
+// batch.
 func (m *Master) flushRound() {
 	m.flushArm = false
 	if !m.primary || m.crashed {

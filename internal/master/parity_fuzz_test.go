@@ -10,9 +10,8 @@ import (
 
 // fuzzFleet drives N schedulers through an identical operation stream and
 // fails the moment any decision stream diverges from fleet[0]'s. It is the
-// machinery behind the legacy ≡ serial ≡ parallel parity guarantee: the
-// sharded scheduler must emit byte-identical decisions for every shard
-// count, under every failure mode the fuzz can compose.
+// machinery behind the legacy ≡ serial parity guarantee, under every failure
+// mode the fuzz can compose.
 type fuzzFleet struct {
 	t      *testing.T
 	scheds []*Scheduler
@@ -44,35 +43,25 @@ func (f *fuzzFleet) each(fn func(s *Scheduler) []Decision) [][]Decision {
 	return outs
 }
 
-// TestParallelParityFuzz is the PR 1 legacy/optimized parity fuzz extended
-// to the sharded parallel scheduler: a legacy-tree scheduler, the serial
-// indexed scheduler, and parallel schedulers at P ∈ {1, 4, 8} run the same
-// random workload — demand churn, coalesced release bursts followed by
-// cluster-wide assignment sweeps (the batched-round shape where shards
-// genuinely contend for cluster-level queue entries and unit headrooms),
-// agent failovers, full master-failover rebuilds, blacklisting and app
-// churn — and every decision stream must stay byte-identical, with every
-// scheduler's conservation invariants intact after every step.
+// TestParallelParityFuzz (named for the sharded fleet members it once had)
+// is the legacy/optimized parity fuzz: a legacy-tree scheduler and the
+// indexed scheduler run the same random workload — demand churn, coalesced
+// release bursts followed by cluster-wide assignment sweeps (the
+// batched-round shape), agent failovers, full master-failover rebuilds,
+// blacklisting and app churn, preemption on — and the two decision streams
+// must stay byte-identical, with both schedulers' conservation invariants
+// intact after every step.
 func TestParallelParityFuzz(t *testing.T) {
 	groups := map[string]resource.Vector{
 		"gold":   resource.New(96_000, 768*1024),
 		"bronze": resource.New(48_000, 384*1024),
 	}
-	// 0 = legacy / plain serial; the two steal members run the balanced
-	// assignment policy with every block forced through the steal path, so
-	// the reducer's per-block taint handling sees maximal interference.
-	shardCounts := []int{0, 0, 1, 4, 8, 4, 8}
-	forceSteal := []bool{false, false, false, false, false, true, true}
-	names := []string{"legacy", "serial", "par1", "par4", "par8", "par4-steal", "par8-steal"}
+	opts := Options{EnablePreemption: true, Groups: groups}
+	names := []string{"legacy", "serial"}
 	newFleet := func() *fuzzFleet {
 		f := &fuzzFleet{t: t, names: names}
-		for i, p := range shardCounts {
-			f.scheds = append(f.scheds, newTestScheduler(testTop(t, 8, 5), Options{
-				EnablePreemption: true,
-				Groups:           groups,
-				Shards:           p,
-				ForceSteal:       forceSteal[i],
-			}, i == 0))
+		for i := range names {
+			f.scheds = append(f.scheds, newTestScheduler(testTop(t, 8, 5), opts, i == 0))
 		}
 		return f
 	}
@@ -80,10 +69,8 @@ func TestParallelParityFuzz(t *testing.T) {
 	// standby does (hard state from the checkpoint, grants from agent
 	// reports, demand from app full syncs), returning the decisions the
 	// soft-state replay produced.
-	rebuild := func(s *Scheduler, legacy bool, shards int, steal bool, groupOf map[string]string, unitsOf map[string][]resource.ScheduleUnit) (*Scheduler, []Decision) {
-		n := newTestScheduler(s.top, Options{
-			EnablePreemption: true, Groups: groups, Shards: shards, ForceSteal: steal,
-		}, legacy)
+	rebuild := func(s *Scheduler, legacy bool, groupOf map[string]string, unitsOf map[string][]resource.ScheduleUnit) (*Scheduler, []Decision) {
+		n := newTestScheduler(s.top, opts, legacy)
 		apps := s.Apps()
 		for _, app := range apps {
 			if err := n.RegisterApp(app, groupOf[app], unitsOf[app]); err != nil {
@@ -203,9 +190,8 @@ func TestParallelParityFuzz(t *testing.T) {
 					break
 				}
 				// Release on a random prefix of the app's machines, then one
-				// cluster-wide assignment sweep — the parallel scheduler's
-				// hot shape, with freed capacity spread across shards and
-				// shared cluster-level waiters contended by all of them.
+				// cluster-wide assignment sweep: freed capacity spread across
+				// the racks, shared cluster-level waiters offered all of it.
 				burst := 1 + rng.Intn(len(ms))
 				counts := make([]int, burst)
 				for i := 0; i < burst; i++ {
@@ -240,7 +226,7 @@ func TestParallelParityFuzz(t *testing.T) {
 			case op < 12: // master failover: promote fresh schedulers
 				outs := make([][]Decision, len(f.scheds))
 				for i := range f.scheds {
-					f.scheds[i], outs[i] = rebuild(f.scheds[i], i == 0, shardCounts[i], forceSteal[i], groupOf, unitsOf)
+					f.scheds[i], outs[i] = rebuild(f.scheds[i], i == 0, groupOf, unitsOf)
 				}
 				f.compare(seed, step, "master-failover", outs)
 			default: // app churn
@@ -258,121 +244,5 @@ func TestParallelParityFuzz(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestParallelSweepMatchesSerialAtScale pins the deterministic-merge
-// guarantee on a cluster wide enough that every shard holds several racks
-// and the reducer must arbitrate real cross-shard contention: a saturated
-// 40-rack cluster frees scattered capacity, and the P ∈ {1, 4, 8} sweeps
-// must reproduce the serial decision stream exactly.
-func TestParallelSweepMatchesSerialAtScale(t *testing.T) {
-	build := func(shards int, steal bool) *Scheduler {
-		s := NewScheduler(testTop(t, 40, 4), Options{Shards: shards, ForceSteal: steal})
-		for i, app := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-			mustRegister(t, s, app, "", unit(1, 10+i%3, 10_000, 1000, 4096))
-			mustDemand(t, s, app, 1, clusterHint(400))
-		}
-		return s
-	}
-	release := func(s *Scheduler, rng *rand.Rand) {
-		// Free scattered capacity without reassigning (a round's release
-		// phase). The RNG stream is identical across schedulers.
-		for _, app := range s.Apps() {
-			granted := s.Granted(app, 1)
-			ms := make([]string, 0, len(granted))
-			for m := range granted {
-				ms = append(ms, m)
-			}
-			sort.Strings(ms)
-			for _, m := range ms {
-				if rng.Intn(3) == 0 {
-					if err := s.Release(app, 1, m, 1+rng.Intn(granted[m])); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-	}
-	type cfg struct {
-		shards int
-		steal  bool
-		name   string
-	}
-	cfgs := []cfg{
-		{1, false, "P=1"},
-		{4, false, "P=4"},
-		{8, false, "P=8"},
-		{4, true, "P=4-steal"},
-		{8, true, "P=8-steal"},
-	}
-	streams := map[string][]Decision{}
-	for _, c := range cfgs {
-		s := build(c.shards, c.steal)
-		rng := rand.New(rand.NewSource(7))
-		var log []Decision
-		for round := 0; round < 5; round++ {
-			release(s, rng)
-			log = append(log, s.AssignOn(s.top.Machines())...)
-		}
-		streams[c.name] = log
-		checkInv(t, s)
-		if c.steal {
-			st := s.ParallelStats()
-			if st.Steals == 0 || st.Steals != st.Blocks {
-				t.Fatalf("%s: ForceSteal scored %d/%d blocks via the steal path", c.name, st.Steals, st.Blocks)
-			}
-		}
-	}
-	base := streams["P=1"]
-	if len(base) == 0 {
-		t.Fatal("sweeps produced no decisions; the scenario is not exercising the parallel path")
-	}
-	for _, c := range cfgs[1:] {
-		got := streams[c.name]
-		if len(got) != len(base) {
-			t.Fatalf("%s: %d decisions != serial %d", c.name, len(got), len(base))
-		}
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("%s: decision %d = %+v, serial has %+v", c.name, i, got[i], base[i])
-			}
-		}
-	}
-}
-
-// TestParallelBalancedAssignmentAndStats pins the new machinery's
-// bookkeeping: the LPT rebalance runs and covers every shard, sweeps are
-// chunked into blocks, and the forced-steal path accounts its handoffs.
-func TestParallelBalancedAssignmentAndStats(t *testing.T) {
-	s := NewScheduler(testTop(t, 16, 4), Options{Shards: 4})
-	for i, app := range []string{"a", "b", "c", "d"} {
-		mustRegister(t, s, app, "", unit(1, 10+i, 8_000, 1000, 4096))
-		mustDemand(t, s, app, 1, clusterHint(200))
-	}
-	for round := 0; round < 3; round++ {
-		s.AssignOn(s.top.Machines())
-	}
-	st := s.ParallelStats()
-	if st.Sweeps == 0 || st.Blocks == 0 {
-		t.Fatalf("parallel path did not run: %+v", st)
-	}
-	if st.Rebalances == 0 {
-		t.Fatalf("no LPT rebalance applied: %+v", st)
-	}
-	// Every shard must own at least one rack after rebalancing (16 racks,
-	// 4 shards, near-uniform seed costs).
-	owned := map[int32]bool{}
-	for _, sh := range s.rackShard {
-		owned[sh] = true
-	}
-	if len(owned) != 4 {
-		t.Fatalf("LPT assignment left shards empty: rackShard=%v", s.rackShard)
-	}
-	if st.Committed+st.Reruns == 0 {
-		t.Fatalf("reducer processed no machines: %+v", st)
-	}
-	if r := st.CommitRatio(); r < 0 || r > 1 {
-		t.Fatalf("commit ratio out of range: %v", r)
 	}
 }

@@ -94,21 +94,6 @@ type Options struct {
 	// second queued, so low-priority demand cannot starve behind a steady
 	// stream of high-priority arrivals. 0 disables aging.
 	AgingBoostPerSecond float64
-	// Shards > 1 scores wide assignment sweeps in parallel across that many
-	// worker goroutines — racks are cut into contiguous shard spans
-	// balanced by observed sweep cost and idle workers steal unscored
-	// blocks from loaded shards
-	// — with a deterministic reducer committing grants in serial order: the
-	// decision stream is byte-identical to Shards == 1 (see parallel.go).
-	// Values above the rack count are clamped; aging forces the serial path.
-	Shards int
-	// ForceSteal routes every scoring block (home shards included) through
-	// the work-stealing path with a fresh per-block overlay. Decisions are
-	// unchanged (the reducer validates every proposal); this exists so
-	// tests and benches can hammer the steal handoff and the per-block
-	// taint logic deterministically hard, and to measure the commit-ratio
-	// cost of stealing in isolation.
-	ForceSteal bool
 }
 
 // DefaultGroup is the quota group used when an app registers with "".
@@ -238,23 +223,10 @@ type Scheduler struct {
 	extMach ident.Table
 	extRack ident.Table
 
-	// Sharded parallel sweeps (parallel.go): racks are LPT-assigned to
-	// shards by EWMA'd observed sweep cost and rebalanced periodically;
-	// par holds each shard's reusable scoring scratch, parBlocks the
-	// per-sweep claimable steal blocks. shards == 1 means fully serial.
-	shards       int
-	rackShard    []int32 // rack ID -> shard (rewritten by rebalanceShards)
-	rackCost     []int64 // rack ID -> EWMA of observed sweep cost
-	rackWork     []int64 // rack ID -> work observed since the last rebalance
-	par          []*shardScratch
-	parBlocks    []parBlock
-	parBlockSize int
-	parStats     ParallelStats
-
 	// preempted counts units revoked by quota preemption (obs time-series).
 	preempted int64
 
-	// asg is the reusable serial-assignment walk state: binding the
+	// asg is the reusable assignment walk state: binding the
 	// candidate callback to a long-lived struct keeps the per-machine sweep
 	// from allocating a fresh escape-to-heap closure on every free-up.
 	asg assignCtx
@@ -302,7 +274,6 @@ func NewScheduler(top *topology.Topology, opts Options) *Scheduler {
 		(&s.totalFree).AddScaledInPlace(cap, 1)
 		(&s.rackFree[top.RackIDOf(id)]).AddScaledInPlace(cap, 1)
 	}
-	s.initShards(top.NumRacks(), opts.Shards)
 	for g, min := range opts.Groups {
 		s.groups[g] = &groupState{min: min, apps: make(map[string]bool)}
 	}
@@ -526,10 +497,7 @@ func (s *Scheduler) releaseChecked(st *appState, u *unitState, machine int32, co
 }
 
 // AssignOn runs the event-driven assignment pass over the given machine
-// names (duplicates tolerated) and returns the decisions. With
-// Options.Shards > 1 a wide pass is scored shard-parallel and committed
-// through the deterministic reducer; the decision stream is byte-identical
-// to the serial pass either way.
+// names (duplicates tolerated) and returns the decisions.
 func (s *Scheduler) AssignOn(machines []string) []Decision {
 	ids := make([]int32, 0, len(machines))
 	for _, m := range machines {
@@ -550,10 +518,6 @@ func (s *Scheduler) AssignOnAll() []Decision {
 }
 
 func (s *Scheduler) assignOnAllInto(out *[]Decision) {
-	if s.parallelReady(len(s.ids)) {
-		s.assignParallel(s.ids, out)
-		return
-	}
 	for _, m := range s.ids {
 		s.assignOnMachine(m, out)
 	}
@@ -872,10 +836,6 @@ func (s *Scheduler) assignOnIDsInto(machines []int32, out *[]Decision) {
 	for _, m := range uniq {
 		s.seenBuf[m] = false
 	}
-	if s.parallelReady(len(uniq)) {
-		s.assignParallel(uniq, out)
-		return
-	}
 	for _, m := range uniq {
 		s.assignOnMachine(m, out)
 	}
@@ -898,9 +858,9 @@ func (s *Scheduler) assignOnMachine(machine int32, out *[]Decision) {
 	// become satisfiable later in it. The stream stops the moment the
 	// freed capacity is exhausted, and the tree prunes whole size classes
 	// against the current remainder as it shrinks. The walk state and its
-	// callback live in the scheduler's reusable assignCtx (the serial path
-	// is single-threaded), so a sweep over thousands of machines allocates
-	// no per-machine closures.
+	// callback live in the scheduler's reusable assignCtx (the scheduler is
+	// single-threaded), so a sweep over thousands of machines allocates no
+	// per-machine closures.
 	c := &s.asg
 	if c.fn == nil {
 		c.s = s

@@ -69,7 +69,7 @@ func SmokeChaosConfig() Config {
 const (
 	// chaosConvergePoll is the convergence probe cadence after each heal. A
 	// fixed virtual-time grid keeps the recorded convergence times exact
-	// multiples of the poll period and identical across shard counts.
+	// multiples of the poll period and identical across runs.
 	chaosConvergePoll = 5 * sim.Millisecond
 	// chaosConvergeTimeout caps one heal's probe; a window that never
 	// converges records the cap and counts in Unconverged (which fails the
@@ -345,7 +345,7 @@ func (cz *czState) noteRevoke(count int) {
 
 // ChaosStats is the `chaos` section of BENCH_scale.json. The struct is
 // comparable (flat fields only) so determinism tests assert whole-struct
-// equality across repeated runs and shard counts.
+// equality across repeated runs.
 type ChaosStats struct {
 	Partitions          int `json:"partitions"`
 	MachinesPartitioned int `json:"machines_partitioned"`

@@ -108,11 +108,11 @@ func TestChaosRunCompletes(t *testing.T) {
 
 }
 
-// TestChaosDeterminismAndShardParity runs the identical chaos schedule twice
-// at shards=1 and once at shards=4: every measurement — storm accounting,
-// convergence percentiles, lost/reissued counts, per-link loss attribution —
-// must be identical. The whole ChaosStats struct is comparable, so the runs
-// must agree field for field.
+// TestChaosDeterminismAndShardParity runs the identical chaos schedule
+// twice (the name predates the sharded scheduler's removal): every
+// measurement — storm accounting, convergence percentiles, lost/reissued
+// counts, per-link loss attribution — must be identical. The whole
+// ChaosStats struct is comparable, so the runs must agree field for field.
 func TestChaosDeterminismAndShardParity(t *testing.T) {
 	base := czTiny()
 	base.ChurnMeasure = 16 * sim.Second
@@ -125,23 +125,16 @@ func TestChaosDeterminismAndShardParity(t *testing.T) {
 	base.ChaosLockPartitionFor = 0
 
 	var ref *ChaosStats
-	for _, variant := range []struct {
-		name   string
-		shards int
-	}{
-		{"shards-1-a", 1}, {"shards-1-b", 1}, {"shards-4", 4},
-	} {
-		cfg := base
-		cfg.Shards = variant.shards
-		res, err := Run(cfg)
+	for _, name := range []string{"run-a", "run-b"} {
+		res, err := Run(base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Chaos == nil {
-			t.Fatalf("%s: no chaos section", variant.name)
+			t.Fatalf("%s: no chaos section", name)
 		}
 		if len(res.Invariants) > 0 {
-			t.Errorf("%s: invariant violations: %v", variant.name, res.Invariants)
+			t.Errorf("%s: invariant violations: %v", name, res.Invariants)
 		}
 		if ref == nil {
 			ref = res.Chaos
@@ -152,7 +145,7 @@ func TestChaosDeterminismAndShardParity(t *testing.T) {
 		}
 		if *res.Chaos != *ref {
 			t.Errorf("%s: chaos stats diverge:\n got %+v\nwant %+v",
-				variant.name, *res.Chaos, *ref)
+				name, *res.Chaos, *ref)
 		}
 	}
 }

@@ -50,6 +50,26 @@ func SmokeChurnConfig() Config {
 	return c
 }
 
+// TenXChurnConfig is the 10× footprint: 50,000 machines and one million
+// schedule units cycling through the steady-state churn workload with the
+// cluster-wide invariant checker attached — the configuration that
+// stresses the int32-ID machine slices, the calendar queue and the
+// locality-tree bitmaps an order of magnitude past the paper's testbed.
+// The windows are shorter than the paper-scale churn run's: the point is
+// surviving the footprint with zero invariant violations, not a
+// throughput baseline.
+func TenXChurnConfig() Config {
+	c := DefaultChurnConfig()
+	c.Racks, c.MachinesPerRack = 1250, 40 // 50k machines
+	c.Apps, c.UnitsPerApp = 25_000, 40    // 1M units
+	c.ArrivalWindow = 20 * sim.Second
+	c.ChurnWarmup = 30 * sim.Second
+	c.ChurnMeasure = 20 * sim.Second
+	c.Horizon = c.ChurnWarmup + c.ChurnMeasure
+	c.CheckInvariants = true
+	return c
+}
+
 // holdRec is one pooled hold-expiry record: the churn driver schedules one
 // per grant through the engine's closure-free Post path, so the steady
 // state allocates no per-grant timer closures.

@@ -82,56 +82,48 @@ func TestDataplaneSmoke(t *testing.T) {
 	}
 }
 
-// TestDataplaneShardParity pins the decision-stream determinism contract in
-// dataplane mode: the sharded parallel scheduler must produce the same
-// grants, revocations, completions, locality classification, shuffle volume
-// and gateway decision hash as the serial scheduler.
+// TestDataplaneShardParity pins run-to-run determinism in dataplane mode
+// with batched rounds (the name predates the sharded scheduler's removal):
+// two runs of one configuration must produce the same grants, revocations,
+// completions, locality classification, shuffle volume and gateway decision
+// hash.
 func TestDataplaneShardParity(t *testing.T) {
-	base := tinyDataplane()
-	// Same 20ms scheduling rounds everywhere: the contract is that the shard
-	// count never changes outcomes, not that batched rounds equal unbatched
-	// scheduling.
-	base.RoundWindow = DefaultRoundWindow
-	run := func(shards int) *Result {
-		cfg := base
-		cfg.Shards = shards
+	cfg := tinyDataplane()
+	cfg.RoundWindow = DefaultRoundWindow
+	run := func() *Result {
 		r, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	serial := run(0)
-	// Shard counts beyond the sweep width must not change any outcome.
-	for _, shards := range []int{2, 4} {
-		par := run(shards)
-		if par.Truncated || serial.Truncated {
-			t.Fatal("parity run truncated")
-		}
-		if par.Dataplane.CompletedJobs != serial.Dataplane.CompletedJobs {
-			t.Errorf("shards=%d completed %d, serial %d", shards, par.Dataplane.CompletedJobs, serial.Dataplane.CompletedJobs)
-		}
-		if par.Gateway.DecisionHash != serial.Gateway.DecisionHash {
-			t.Errorf("shards=%d gateway decision hash %s, serial %s", shards, par.Gateway.DecisionHash, serial.Gateway.DecisionHash)
-		}
-		if par.Grants != serial.Grants || par.Revokes != serial.Revokes {
-			t.Errorf("shards=%d grants/revokes %d/%d, serial %d/%d",
-				shards, par.Grants, par.Revokes, serial.Grants, serial.Revokes)
-		}
-		ps, ss := par.Dataplane, serial.Dataplane
-		if ps.LocalityMachineGrants != ss.LocalityMachineGrants ||
-			ps.LocalityRackGrants != ss.LocalityRackGrants ||
-			ps.LocalityRemoteGrants != ss.LocalityRemoteGrants {
-			t.Errorf("shards=%d locality %d/%d/%d, serial %d/%d/%d", shards,
-				ps.LocalityMachineGrants, ps.LocalityRackGrants, ps.LocalityRemoteGrants,
-				ss.LocalityMachineGrants, ss.LocalityRackGrants, ss.LocalityRemoteGrants)
-		}
-		if ps.ShuffledMB != ss.ShuffledMB || ps.LocalMB != ss.LocalMB {
-			t.Errorf("shards=%d shuffle %f/%f, serial %f/%f", shards, ps.ShuffledMB, ps.LocalMB, ss.ShuffledMB, ss.LocalMB)
-		}
-		if ps.VerifyFailures != 0 || ps.ServiceOpFailures != 0 {
-			t.Errorf("shards=%d kernel failures: verify %d ops %d", shards, ps.VerifyFailures, ps.ServiceOpFailures)
-		}
+	first, again := run(), run()
+	if first.Truncated || again.Truncated {
+		t.Fatal("determinism run truncated")
+	}
+	if again.Dataplane.CompletedJobs != first.Dataplane.CompletedJobs {
+		t.Errorf("second run completed %d, first %d", again.Dataplane.CompletedJobs, first.Dataplane.CompletedJobs)
+	}
+	if again.Gateway.DecisionHash != first.Gateway.DecisionHash {
+		t.Errorf("second run gateway decision hash %s, first %s", again.Gateway.DecisionHash, first.Gateway.DecisionHash)
+	}
+	if again.Grants != first.Grants || again.Revokes != first.Revokes {
+		t.Errorf("second run grants/revokes %d/%d, first %d/%d",
+			again.Grants, again.Revokes, first.Grants, first.Revokes)
+	}
+	as, fs := again.Dataplane, first.Dataplane
+	if as.LocalityMachineGrants != fs.LocalityMachineGrants ||
+		as.LocalityRackGrants != fs.LocalityRackGrants ||
+		as.LocalityRemoteGrants != fs.LocalityRemoteGrants {
+		t.Errorf("second run locality %d/%d/%d, first %d/%d/%d",
+			as.LocalityMachineGrants, as.LocalityRackGrants, as.LocalityRemoteGrants,
+			fs.LocalityMachineGrants, fs.LocalityRackGrants, fs.LocalityRemoteGrants)
+	}
+	if as.ShuffledMB != fs.ShuffledMB || as.LocalMB != fs.LocalMB {
+		t.Errorf("second run shuffle %f/%f, first %f/%f", as.ShuffledMB, as.LocalMB, fs.ShuffledMB, fs.LocalMB)
+	}
+	if as.VerifyFailures != 0 || as.ServiceOpFailures != 0 {
+		t.Errorf("kernel failures: verify %d ops %d", as.VerifyFailures, as.ServiceOpFailures)
 	}
 }
 

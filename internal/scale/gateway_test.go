@@ -85,54 +85,43 @@ func submitVerdicts(ds []gateway.Decision) map[string]gateway.DecisionKind {
 }
 
 // TestGatewayTraceParity replays the identical 1M-user submission trace
-// twice, and across scheduler shard counts 1 vs 4: the admit/shed decision
-// stream — order, kinds, and virtual times, pinned by the stream hash and
-// the recorded stream — must be byte-identical. The gateway sits upstream
-// of the sharded scheduler, and the sharded scheduler is byte-identical to
-// serial by construction, so nothing downstream may leak back into
-// admission.
+// twice: the admit/shed decision stream — order, kinds, and virtual times,
+// pinned by the stream hash and the recorded stream — must be
+// byte-identical.
 func TestGatewayTraceParity(t *testing.T) {
 	base := gwTiny()
 	base.RecordGatewayDecisions = true
 
-	// Every variant runs the same batched-round configuration: admission is
+	// Both runs use the same batched-round configuration: admission is
 	// deliberately coupled to completion via the in-flight cap, so decision
 	// parity is only claimed across runs whose master configuration is
-	// identical — the same trace twice, and shard counts 1 vs 4 vs 8 (whose
-	// decision streams are byte-identical by the PR 3 construction).
+	// identical.
+	base.RoundWindow = DefaultRoundWindow
 	var ref *Result
-	for i, variant := range []struct {
-		name   string
-		shards int
-	}{
-		{"shards-1-a", 1}, {"shards-1-b", 1}, {"shards-4", 4}, {"shards-8", 8},
-	} {
-		cfg := base
-		cfg.Shards = variant.shards
-		cfg.RoundWindow = DefaultRoundWindow
-		res, err := Run(cfg)
+	for _, name := range []string{"run-a", "run-b"} {
+		res, err := Run(base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Truncated {
-			t.Fatalf("%s: run did not drain", variant.name)
+			t.Fatalf("%s: run did not drain", name)
 		}
-		if i == 0 {
+		if ref == nil {
 			ref = res
 			continue
 		}
 		if res.Gateway.DecisionHash != ref.Gateway.DecisionHash {
 			t.Errorf("%s: decision hash %s diverges from %s",
-				variant.name, res.Gateway.DecisionHash, ref.Gateway.DecisionHash)
+				name, res.Gateway.DecisionHash, ref.Gateway.DecisionHash)
 		}
 		if len(res.GatewayDecisions) != len(ref.GatewayDecisions) {
-			t.Fatalf("%s: %d decisions vs %d", variant.name,
+			t.Fatalf("%s: %d decisions vs %d", name,
 				len(res.GatewayDecisions), len(ref.GatewayDecisions))
 		}
 		for k := range res.GatewayDecisions {
 			if res.GatewayDecisions[k] != ref.GatewayDecisions[k] {
 				t.Fatalf("%s: decision %d diverges: %+v vs %+v",
-					variant.name, k, res.GatewayDecisions[k], ref.GatewayDecisions[k])
+					name, k, res.GatewayDecisions[k], ref.GatewayDecisions[k])
 			}
 		}
 	}

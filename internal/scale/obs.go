@@ -18,7 +18,7 @@ package scale
 //
 // The virtual-time-derived fields of ObsStats — everything except the
 // wall-clock query latencies and the allocation calibration — are
-// byte-identical across shard counts, and QueryChecksum (an FNV-1a hash
+// byte-identical across repeated runs, and QueryChecksum (an FNV-1a hash
 // over every query response's content, ServerNS excluded) pins the whole
 // live-query conversation, not just its volume.
 
@@ -269,7 +269,7 @@ func fnvString(h uint64, s string) uint64 {
 // ObsStats is the `obs` section of BENCH_scale.json. Every field except the
 // wall-clock query latencies (QueryP50US/QueryP99US) and the allocation
 // calibration (AllocsPerSample) derives from virtual time and is
-// byte-identical across shard counts; the struct is comparable so the
+// byte-identical across repeated runs; the struct is comparable so the
 // determinism test asserts whole-struct equality with those fields zeroed.
 type ObsStats struct {
 	// Ring shape: registered series, ring capacity in rows, rows currently

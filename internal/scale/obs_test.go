@@ -92,34 +92,28 @@ func TestObsRunRecordsAndQueriesLive(t *testing.T) {
 
 }
 
-// TestObsDeterminismAndShardParity runs the identical obs schedule twice at
-// shards=1 and once at shards=4: every virtual-time-derived field of the
-// obs section must be identical — including the query checksum, which pins
-// the full content of every live query response. Wall-clock fields (query
-// latencies, the allocation calibration) are zeroed before comparison.
+// TestObsDeterminismAndShardParity runs the identical obs schedule twice
+// (the name predates the sharded scheduler's removal): every
+// virtual-time-derived field of the obs section must be identical —
+// including the query checksum, which pins the full content of every live
+// query response. Wall-clock fields (query latencies, the allocation
+// calibration) are zeroed before comparison.
 func TestObsDeterminismAndShardParity(t *testing.T) {
 	base := obTiny()
 	base.ChurnMeasure = 16 * sim.Second
 	base.Horizon = base.ChurnWarmup + base.ChurnMeasure
 
 	var ref *ObsStats
-	for _, variant := range []struct {
-		name   string
-		shards int
-	}{
-		{"shards-1-a", 1}, {"shards-1-b", 1}, {"shards-4", 4},
-	} {
-		cfg := base
-		cfg.Shards = variant.shards
-		res, err := Run(cfg)
+	for _, name := range []string{"run-a", "run-b"} {
+		res, err := Run(base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Obs == nil {
-			t.Fatalf("%s: no obs section", variant.name)
+			t.Fatalf("%s: no obs section", name)
 		}
 		if len(res.Invariants) > 0 {
-			t.Errorf("%s: invariant violations: %v", variant.name, res.Invariants)
+			t.Errorf("%s: invariant violations: %v", name, res.Invariants)
 		}
 		got := *res.Obs
 		got.QueryP50US, got.QueryP99US, got.AllocsPerSample = 0, 0, 0
@@ -131,7 +125,7 @@ func TestObsDeterminismAndShardParity(t *testing.T) {
 			continue
 		}
 		if got != *ref {
-			t.Errorf("%s: obs stats diverge:\n got %+v\nwant %+v", variant.name, got, *ref)
+			t.Errorf("%s: obs stats diverge:\n got %+v\nwant %+v", name, got, *ref)
 		}
 	}
 }

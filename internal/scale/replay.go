@@ -602,7 +602,7 @@ type ReplayStats struct {
 	Batch   ReplayClassStats `json:"batch"`
 
 	// DecisionHash pins the gateway's deterministic decision stream (must
-	// be byte-identical across shard counts).
+	// be byte-identical across repeated runs).
 	DecisionHash string `json:"decision_hash"`
 }
 

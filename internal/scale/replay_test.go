@@ -136,10 +136,10 @@ func TestReplayRunCompletes(t *testing.T) {
 }
 
 // TestReplayDeterminismAndShardParity runs the identical replay trace twice
-// at shards=1 and once at shards=4: every virtual-time measurement — the
-// decision hash, per-class SLO numbers, phase utilization, storm accounting —
-// must be identical. The whole ReplayStats struct is comparable, so the runs
-// must agree field for field.
+// (the name predates the sharded scheduler's removal): every virtual-time
+// measurement — the decision hash, per-class SLO numbers, phase
+// utilization, storm accounting — must be identical. The whole ReplayStats
+// struct is comparable, so the runs must agree field for field.
 func TestReplayDeterminismAndShardParity(t *testing.T) {
 	base := rpTiny()
 	base.ReplayDays = 1
@@ -147,26 +147,19 @@ func TestReplayDeterminismAndShardParity(t *testing.T) {
 	base.ReplaySessionsPerSec = 6
 	base.ReplayStormAt = []sim.Time{2 * sim.Second}
 	base.MasterFailoverAt = nil
+	base.RoundWindow = DefaultRoundWindow
 
 	var ref *ReplayStats
-	for _, variant := range []struct {
-		name   string
-		shards int
-	}{
-		{"shards-1-a", 1}, {"shards-1-b", 1}, {"shards-4", 4},
-	} {
-		cfg := base
-		cfg.Shards = variant.shards
-		cfg.RoundWindow = DefaultRoundWindow
-		res, err := Run(cfg)
+	for _, name := range []string{"run-a", "run-b"} {
+		res, err := Run(base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Truncated {
-			t.Fatalf("%s: run did not drain", variant.name)
+			t.Fatalf("%s: run did not drain", name)
 		}
 		if res.Replay == nil {
-			t.Fatalf("%s: no replay section", variant.name)
+			t.Fatalf("%s: no replay section", name)
 		}
 		if ref == nil {
 			ref = res.Replay
@@ -177,7 +170,7 @@ func TestReplayDeterminismAndShardParity(t *testing.T) {
 		}
 		if *res.Replay != *ref {
 			t.Errorf("%s: replay stats diverge:\n got %+v\nwant %+v",
-				variant.name, *res.Replay, *ref)
+				name, *res.Replay, *ref)
 		}
 	}
 }

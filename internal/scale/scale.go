@@ -95,26 +95,20 @@ type Config struct {
 	ChurnWarmup  sim.Time `json:"churn_warmup_us,omitempty"`
 	ChurnMeasure sim.Time `json:"churn_measure_us,omitempty"`
 
-	// Shards > 1 runs the FuxiMaster scheduling core with sharded parallel
-	// sweeps (master.Options.Shards); the decision stream is byte-identical
-	// to Shards <= 1 by construction.
+	// Shards is inert: the sharded parallel scheduler it selected is gone
+	// (EXPERIMENTS.md, "Why the sharded scheduler was removed") and
+	// newHarness rejects values above 1. The field is still declared only
+	// because bench/bench_test.go reads it and bench/ is closed to
+	// non-benchmark PRs; ROADMAP's Parked "bench/ follow-ups" drops both.
 	Shards int `json:"shards,omitempty"`
-
-	// ForceSteal routes every parallel scoring block through the
-	// work-stealing handoff with a fresh per-block overlay
-	// (master.Options.ForceSteal) — a measurement knob that isolates the
-	// commit-ratio cost of stealing; decisions are unchanged.
-	ForceSteal bool `json:"force_steal,omitempty"`
 
 	// RecordDecisionHash accumulates an FNV-1a hash over the grant/revoke
 	// stream observed by the application masters (classic and churn
-	// workloads). The SMP lane compares it across shard counts as the
-	// byte-identity witness for the committed decision stream.
+	// workloads) — the byte-identity witness the golden lane rows pin.
 	RecordDecisionHash bool `json:"record_decision_hash,omitempty"`
 
 	// RoundWindow > 0 batches demand and returns into scheduling rounds of
-	// this width (master.Config.BatchWindow) — the configuration under
-	// which wide sweeps exist for the shards to parallelize.
+	// this width (master.Config.BatchWindow).
 	RoundWindow sim.Time `json:"round_window_us,omitempty"`
 
 	// GatewayUsers > 0 switches the workload to gateway mode: instead of a
@@ -345,25 +339,9 @@ type Result struct {
 	// InvariantChecks counts checker invocations (0 when not attached).
 	InvariantChecks int `json:"invariant_checks,omitempty"`
 
-	// Sharded-sweep reducer outcomes (Shards > 1 only): sweeps taken
-	// parallel, and the fraction of machines committed straight from
-	// validated speculative proposals (the rest re-ran serially). Blocks /
-	// Steals / StealRate count work-stealing block handoffs, Rebalances
-	// the cost-balanced cut-point recomputations, and Imbalance the mean per-sweep
-	// (slowest worker / mean worker) scoring wall-time ratio. StealRate
-	// and Imbalance describe the hardware run (they vary with real
-	// scheduling interleavings); the decision stream does not.
-	ParallelSweeps      uint64  `json:"parallel_sweeps,omitempty"`
-	ParallelCommitRatio float64 `json:"parallel_commit_ratio,omitempty"`
-	ParallelBlocks      uint64  `json:"parallel_blocks,omitempty"`
-	ParallelSteals      uint64  `json:"parallel_steals,omitempty"`
-	ParallelStealRate   float64 `json:"parallel_steal_rate,omitempty"`
-	ParallelImbalance   float64 `json:"parallel_score_imbalance,omitempty"`
-	ParallelRebalances  uint64  `json:"parallel_rebalances,omitempty"`
-
 	// DecisionStreamHash is the FNV-1a hash over the observed grant/revoke
-	// stream (Config.RecordDecisionHash) — equal across shard counts iff
-	// the committed decision streams are byte-identical.
+	// stream (Config.RecordDecisionHash) — equal between two runs iff their
+	// decision streams are byte-identical.
 	DecisionStreamHash string `json:"decision_stream_hash,omitempty"`
 
 	// Master-failover measurements (virtual milliseconds), present when
@@ -419,24 +397,11 @@ type Result struct {
 	MessagesPerAdmission float64 `json:"messages_per_admission,omitempty"`
 	// GatewayDecisions is the full decision stream (parity tests only).
 	GatewayDecisions []gateway.Decision `json:"-"`
-	// Prev tags single-run payloads with the previous-baseline diff (see
-	// PrevDiff); scalesim fills it when -prev is given.
-	Prev *PrevDiff `json:"prev_diff,omitempty"`
 
 	// Completed lists the completed application names, for the metamorphic
 	// failover-transparency test (excluded from JSON: at paper scale it
 	// would dominate the benchmark file).
 	Completed []string `json:"-"`
-}
-
-// PrevDiff tags a run with how it relates to a previous BENCH_scale.json:
-// which sections were compared and which this build produced but the old
-// baseline predates (e.g. a pre-gateway file has no `gateway` section —
-// that is a skip, not an error).
-type PrevDiff struct {
-	Path            string   `json:"path"`
-	Compared        []string `json:"compared,omitempty"`
-	SkippedSections []string `json:"skipped_sections,omitempty"`
 }
 
 // scaleApp drives one application master's churn: request, hold, return,
@@ -634,6 +599,9 @@ func newHarness(cfg Config) (*harness, error) {
 	if cfg.Chaos && gwMode {
 		return nil, fmt.Errorf("scale: chaos mode runs the classic or churn workload, not a gateway mode")
 	}
+	if cfg.Shards > 1 {
+		return nil, fmt.Errorf("scale: Shards = %d, but the sharded parallel scheduler was removed (EXPERIMENTS.md); there is one serial scheduling path", cfg.Shards)
+	}
 	if cfg.Obs && cfg.RoundWindow <= 0 {
 		return nil, fmt.Errorf("scale: obs mode samples per scheduling round and needs RoundWindow > 0")
 	}
@@ -686,8 +654,6 @@ func newHarness(cfg Config) (*harness, error) {
 	reg := metrics.NewRegistry()
 
 	mcfg := master.DefaultConfig("fm-scale-1")
-	mcfg.Sched.Shards = cfg.Shards
-	mcfg.Sched.ForceSteal = cfg.ForceSteal
 	mcfg.BatchWindow = cfg.RoundWindow
 	if gwMode {
 		// Gateway priority classes map onto scheduler quota groups (zero
@@ -967,17 +933,6 @@ func (h *harness) run() *Result {
 	if h.ob != nil {
 		res.Obs = h.ob.snapshot(h)
 	}
-	if s := h.primarySched(); s != nil {
-		if ps := s.ParallelStats(); ps.Sweeps > 0 {
-			res.ParallelSweeps = ps.Sweeps
-			res.ParallelCommitRatio = ps.CommitRatio()
-			res.ParallelBlocks = ps.Blocks
-			res.ParallelSteals = ps.Steals
-			res.ParallelStealRate = ps.StealRate()
-			res.ParallelImbalance = ps.Imbalance()
-			res.ParallelRebalances = ps.Rebalances
-		}
-	}
 	if h.decHash != 0 {
 		res.DecisionStreamHash = fmt.Sprintf("%016x", h.decHash)
 	}
@@ -1007,8 +962,8 @@ func (h *harness) run() *Result {
 	return res
 }
 
-// DefaultRoundWindow is the scheduling-round width the parallel sections
-// use when the configuration does not set one.
+// DefaultRoundWindow is the scheduling-round width of every lane that
+// batches rounds.
 const DefaultRoundWindow = 20 * sim.Millisecond
 
 // unitSize varies container shapes across units so the multi-dimensional
@@ -1086,9 +1041,9 @@ func (h *harness) spawnApp(idx int) {
 
 // hashDecision folds one grant/revoke the application masters observe
 // into the running FNV-1a decision-stream hash, in delivery order (the
-// simulator delivers deterministically): equal hashes across shard counts
-// and steal policies witness byte-identical decision streams. Constants
-// are shared with the observability checksum (obs.go).
+// simulator delivers deterministically): equal hashes witness
+// byte-identical decision streams. Constants are shared with the
+// observability checksum (obs.go).
 func (h *harness) hashDecision(name string, unitID int, machine int32, count int, revoke bool) {
 	if h.decHash == 0 {
 		return

@@ -2,6 +2,7 @@ package scale
 
 import (
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -39,44 +40,42 @@ func TestSmokeRunCompletes(t *testing.T) {
 	}
 }
 
-// TestParallelHarnessDeterministicAcrossShards runs the full control plane
-// (rounds enabled) at shard counts 1, 4 and 8 on the same seed: decision
-// counts, message counts, completion sets and virtual end times must be
-// identical — the tentpole's determinism guarantee measured end to end, not
-// just at the scheduler API.
-func TestParallelHarnessDeterministicAcrossShards(t *testing.T) {
+// TestHarnessDeterministicAcrossRuns runs the full control plane with
+// batched rounds twice on the same seed: decision counts, message counts,
+// completion counts and virtual end times must be identical — determinism
+// measured end to end, not just at the scheduler API.
+func TestHarnessDeterministicAcrossRuns(t *testing.T) {
 	var ref *Result
-	for _, p := range []int{1, 4, 8} {
+	for _, name := range []string{"run-a", "run-b"} {
 		cfg := tiny()
-		cfg.Shards = p
 		cfg.RoundWindow = DefaultRoundWindow
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.CompletedApps != cfg.Apps {
-			t.Fatalf("shards=%d: completed %d of %d apps", p, res.CompletedApps, cfg.Apps)
+			t.Fatalf("%s: completed %d of %d apps", name, res.CompletedApps, cfg.Apps)
 		}
 		if len(res.Invariants) > 0 {
-			t.Fatalf("shards=%d: invariant violations: %v", p, res.Invariants)
+			t.Fatalf("%s: invariant violations: %v", name, res.Invariants)
 		}
 		if ref == nil {
 			ref = res
 			continue
 		}
 		if res.Grants != ref.Grants || res.Revokes != ref.Revokes {
-			t.Errorf("shards=%d: decisions %d/%d diverge from shards=1 %d/%d",
-				p, res.Grants, res.Revokes, ref.Grants, ref.Revokes)
+			t.Errorf("%s: decisions %d/%d diverge from the first run's %d/%d",
+				name, res.Grants, res.Revokes, ref.Grants, ref.Revokes)
 		}
 		if res.MessagesSent != ref.MessagesSent || res.EventsFired != ref.EventsFired {
-			t.Errorf("shards=%d: traffic %d msgs/%d events diverges from shards=1 %d/%d",
-				p, res.MessagesSent, res.EventsFired, ref.MessagesSent, ref.EventsFired)
+			t.Errorf("%s: traffic %d msgs/%d events diverges from the first run's %d/%d",
+				name, res.MessagesSent, res.EventsFired, ref.MessagesSent, ref.EventsFired)
 		}
 		if res.SimSeconds != ref.SimSeconds {
-			t.Errorf("shards=%d: sim end %.6f diverges from %.6f", p, res.SimSeconds, ref.SimSeconds)
+			t.Errorf("%s: sim end %.6f diverges from %.6f", name, res.SimSeconds, ref.SimSeconds)
 		}
 		if res.LatencyP99MS != ref.LatencyP99MS {
-			t.Errorf("shards=%d: p99 %.3f diverges from %.3f", p, res.LatencyP99MS, ref.LatencyP99MS)
+			t.Errorf("%s: p99 %.3f diverges from %.3f", name, res.LatencyP99MS, ref.LatencyP99MS)
 		}
 	}
 }
@@ -160,5 +159,12 @@ func TestRejectsBadConfig(t *testing.T) {
 	cfg.Racks = 0
 	if _, err := Run(cfg); err == nil {
 		t.Error("expected error for zero racks")
+	}
+	// The sharded scheduler is gone; asking for it must not silently run
+	// serial.
+	cfg = tiny()
+	cfg.Shards = 2
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Errorf("Shards > 1: err = %v, want one naming the removal", err)
 	}
 }
