@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/protocol"
@@ -163,7 +164,7 @@ func TestWeightedFairDequeue(t *testing.T) {
 	perTenant := map[string]int{}
 	for _, d := range f.gw.Decisions() {
 		if d.Kind == DecisionAdmit {
-			perTenant[f.gw.jobs[d.JobID].job.Tenant]++
+			perTenant[f.gw.rec(f.gw.jobs[d.JobID]).job.Tenant]++
 		}
 	}
 	for i := 0; i < 4; i++ {
@@ -312,15 +313,123 @@ func TestTenantClassIsSticky(t *testing.T) {
 	f.check(t, false)
 }
 
-// TestConservationCatchesTampering sanity-checks that the checker is not
-// vacuous: forging a counter trips it.
-func TestConservationCatchesTampering(t *testing.T) {
-	f := newFixture(t, DefaultLimits())
-	f.gw.Submit(Job{ID: "j0", Tenant: "t0", Class: ClassService})
+// tamperFixture leaves a gateway with a record in every lifecycle state and
+// every tally non-zero: j0 completed, j1–j3 registered, j4 admitted into a
+// dead master (no ack), j5 queued behind the in-flight cap, h2 shed by the
+// hot tenant's rate limit, and one duplicate submission of j1.
+func tamperFixture(t *testing.T) *fixture {
+	t.Helper()
+	lim := DefaultLimits()
+	lim.Burst = 2
+	lim.MaxInFlight = 4
+	f := newFixture(t, lim)
+	for i := 0; i < 4; i++ {
+		f.gw.Submit(Job{ID: fmt.Sprintf("j%d", i), Tenant: fmt.Sprintf("t%d", i), Class: ClassService})
+	}
 	f.run(sim.Second)
-	f.gw.registered++ // forge a duplicate registration
-	if bad := f.gw.CheckConservation(false); len(bad) == 0 {
-		t.Fatal("forged registration count not detected")
+	if !f.gw.JobCompleted("j0") {
+		t.Fatal("j0 did not complete")
+	}
+	f.master.crash()
+	f.gw.Submit(Job{ID: "j4", Tenant: "t4", Class: ClassBatch})
+	f.gw.Submit(Job{ID: "j5", Tenant: "t5", Class: ClassBatch})
+	f.gw.Submit(Job{ID: "j1", Tenant: "t1", Class: ClassService})
+	for i := 0; i < 3; i++ {
+		f.gw.Submit(Job{ID: fmt.Sprintf("h%d", i), Tenant: "hot", Class: ClassBatch})
+	}
+	f.run(100 * sim.Millisecond)
+	want := map[string]State{"j0": StateCompleted, "j1": StateRegistered, "j4": StateAdmitted,
+		"j5": StateQueued, "h0": StateQueued, "h2": StateShed}
+	for id, st := range want {
+		if _, got, ok := f.gw.lookup(id); !ok || got != st {
+			t.Fatalf("fixture: job %s in state %d (known %v), want %d", id, got, ok, st)
+		}
+	}
+	if f.gw.dupSubmits != 1 {
+		t.Fatalf("fixture: %d duplicate submissions, want 1", f.gw.dupSubmits)
+	}
+	f.check(t, false)
+	return f
+}
+
+// TestConservationCatchesTampering shows that no rule of CheckConservation
+// is vacuous: each case corrupts one tally or one state row of a clean
+// gateway and names the rule that must report it.
+func TestConservationCatchesTampering(t *testing.T) {
+	row := func(g *Gateway, id string) *State { return &g.states[g.jobs[id]] }
+	cases := []struct {
+		name    string
+		tamper  func(g *Gateway)
+		settled bool
+		want    string // a fragment of the violated rule's message
+	}{
+		{"forged submitted", func(g *Gateway) { g.submitted++ }, false, "submissions but"},
+		{"forged dupSubmits", func(g *Gateway) { g.dupSubmits++ }, false, "submissions but"},
+		{"forged queued", func(g *Gateway) { g.queued++ }, false, "in queued state"},
+		{"forged shed", func(g *Gateway) { g.shed[0]++ }, false, "shed records"},
+		{"forged inflight", func(g *Gateway) { g.inflight++ }, false, "in flight by state"},
+		{"forged admitted", func(g *Gateway) { g.admitted++ }, false, "past admission"},
+		{"forged registered", func(g *Gateway) { g.registered++ }, false, "past registration"},
+		{"forged completed", func(g *Gateway) { g.completed++ }, false, "completed records"},
+		{"forged class tally", func(g *Gateway) { g.cAdm[ClassBatch]++ }, false, "per-class tallies"},
+		{"row flipped behind the counters", func(g *Gateway) { *row(g, "j1") = StateCompleted }, false, "completed records"},
+		{"row un-admitted behind the counters", func(g *Gateway) { *row(g, "j4") = StateQueued }, false, "past admission"},
+		{"row dropped", func(g *Gateway) { g.states = g.states[:len(g.states)-1] }, false, "state rows but"},
+		{"row appended", func(g *Gateway) { g.states = append(g.states, StateShed) }, false, "state rows but"},
+		{"row holds no state", func(g *Gateway) { *row(g, "j2") = StateShed + 7 }, false, "no lifecycle state"},
+		{"settled with an admitted row", func(g *Gateway) {}, true, "settled with 1 admitted"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tamperFixture(t)
+			tc.tamper(f.gw)
+			bad := f.gw.CheckConservation(tc.settled)
+			for _, v := range bad {
+				if strings.Contains(v, tc.want) {
+					return
+				}
+			}
+			t.Fatalf("rule %q silent; violations: %q", tc.want, bad)
+		})
+	}
+}
+
+// auditGateway returns a gateway holding n job records (half queued, half
+// shed at the default 50k backlog cap when n is 100k).
+func auditGateway(tb testing.TB, n int) *Gateway {
+	tb.Helper()
+	eng := sim.NewEngine(1)
+	g := New(Config{Limits: DefaultLimits()}, eng, transport.NewNet(eng))
+	for i := 0; i < n; i++ {
+		g.Submit(Job{ID: fmt.Sprintf("j%06d", i), Tenant: fmt.Sprintf("t%06d", i), Class: Class(i % NumClasses)})
+	}
+	if len(g.states) != n {
+		tb.Fatalf("%d records, want %d", len(g.states), n)
+	}
+	return g
+}
+
+// TestConservationSweepAllocatesNothing: the audit runs once a virtual
+// second over every record the gateway ever kept; a clean sweep must cost a
+// pass over the state column and no allocation.
+func TestConservationSweepAllocatesNothing(t *testing.T) {
+	g := auditGateway(t, 100_000)
+	if bad := g.CheckConservation(false); len(bad) > 0 {
+		t.Fatalf("conservation violated: %v", bad)
+	}
+	if n := testing.AllocsPerRun(10, func() { g.CheckConservation(false) }); n != 0 {
+		t.Fatalf("clean sweep over 100k records allocated %v times", n)
+	}
+}
+
+func BenchmarkCheckConservation(b *testing.B) {
+	g := auditGateway(b, 100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if bad := g.CheckConservation(false); len(bad) > 0 {
+			b.Fatal(bad)
+		}
 	}
 }
 

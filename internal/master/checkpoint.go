@@ -3,6 +3,7 @@ package master
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/resource"
 )
@@ -39,17 +40,41 @@ const defaultCompactEvery = 256
 // the log is compacted into a full anchor snapshot. Checkpoint bytes
 // therefore scale with churn — jobs arriving and stopping — rather than
 // with the amount of state a full snapshot would re-encode on every write.
-// A promotion replays anchor+deltas (Load); the in-memory maps below are
-// the writer's materialized view, used only to encode the next anchor.
+// A promotion replays anchor+deltas (Load).
+//
+// The writer's own view exists only to encode the next anchor, and it is
+// kept already encoded: a slot table in insertion order whose live slots
+// each name the appendApp bytes SaveApp wrote into the delta log, copied
+// once into an arena. An anchor is then header + the live slots' bytes +
+// the blacklist section, with no AppConfig retained and nothing re-encoded,
+// so what a write costs does not depend on how many other applications are
+// live: RemoveApp tombstones its slot, and tombstones are squeezed out
+// (order-preserving) once they outnumber the live slots.
 type CheckpointStore struct {
-	epoch     int
-	apps      map[string]AppConfig
-	order     []string
-	blacklist []string
+	epoch int
+	// slots is the application table in insertion order, tombstones
+	// included; index maps a live application's name to its slot. dead
+	// counts tombstones.
+	slots []ckptSlot
+	index map[string]int
+	dead  int
+	// arena holds the slots' encoded records; liveBytes is the part live
+	// slots reference (the rest is garbage left by removes and replaces,
+	// reclaimed by squeeze into spare).
+	arena, spare []byte
+	liveBytes    int
+	// blk is the encoded blacklist section (count, then names) — the
+	// payload of the last opSetBlacklist record, which is also exactly the
+	// anchor's blacklist section.
+	blk []byte
 
 	anchor  []byte // last compacted full snapshot (nil = the empty snapshot)
 	log     []byte // delta records appended since the anchor
 	logRecs int    // records currently in log
+	// anchorSpare is the other half of the double-buffered anchor: a
+	// compaction builds into it and swaps, so the previous anchor stays
+	// intact until the new one is complete and neither is reallocated.
+	anchorSpare []byte
 
 	// Writes counts checkpoint mutations, demonstrating in tests that the
 	// fast path never touches the store. BlacklistWrites is the subset from
@@ -75,15 +100,24 @@ type CheckpointStore struct {
 	// TrackFullCost, when set, additionally accumulates into FullBytes
 	// what the same write sequence would have cost under the pre-delta
 	// codec (a full EncodeSnapshot per write) — the counterfactual behind
-	// the obs section's checkpoint-savings report. It costs one full
-	// encode per write; enable it only in measurement harnesses.
+	// the obs section's checkpoint-savings report. The size of that
+	// snapshot follows from the running byte totals, so tracking it costs
+	// a few additions per write.
 	TrackFullCost bool
 	FullBytes     int64
 }
 
+// ckptSlot is one application's place in the writer's view: arena[off:off+n]
+// is its appendApp encoding. n == 0 marks a tombstone (an encoded record is
+// never empty).
+type ckptSlot struct {
+	name   string
+	off, n int
+}
+
 // NewCheckpointStore returns an empty store.
 func NewCheckpointStore() *CheckpointStore {
-	return &CheckpointStore{apps: make(map[string]AppConfig)}
+	return &CheckpointStore{index: make(map[string]int), blk: []byte{0}}
 }
 
 // Bytes returns the total bytes written to durable storage (deltas plus
@@ -109,31 +143,61 @@ func (c *CheckpointStore) wrote(recStart int) {
 	c.logRecs++
 	c.Writes++
 	if c.TrackFullCost {
-		c.FullBytes += int64(len(EncodeSnapshot(c.materialize())))
+		c.FullBytes += int64(c.snapshotSize())
 	}
 	if c.logRecs >= c.CompactionCadence() {
 		c.compact()
 	}
 }
 
-// compact folds the delta log into a fresh full anchor snapshot.
+// live returns the number of applications in the writer's view.
+func (c *CheckpointStore) live() int { return len(c.slots) - c.dead }
+
+// snapshotSize is len(EncodeSnapshot(view)) without encoding anything.
+func (c *CheckpointStore) snapshotSize() int {
+	return 1 + uvarintLen(uint64(c.epoch)) + uvarintLen(uint64(c.live())) + c.liveBytes + len(c.blk)
+}
+
+// compact folds the delta log into a fresh full anchor snapshot — byte for
+// byte what EncodeSnapshot produces for the writer's view.
 func (c *CheckpointStore) compact() {
-	c.anchor = EncodeSnapshot(c.materialize())
-	c.AnchorBytes += int64(len(c.anchor))
+	b := growBytes(c.anchorSpare[:0], c.snapshotSize())
+	b = append(b, snapshotVersion)
+	b = binary.AppendUvarint(b, uint64(c.epoch))
+	b = binary.AppendUvarint(b, uint64(c.live()))
+	for i := range c.slots {
+		s := &c.slots[i]
+		b = append(b, c.arena[s.off:s.off+s.n]...)
+	}
+	b = append(b, c.blk...)
+	c.anchorSpare, c.anchor = c.anchor, b
+	c.AnchorBytes += int64(len(b))
 	c.log = c.log[:0]
 	c.logRecs = 0
 	c.Compactions++
 }
 
-// materialize builds the writer's current Snapshot view (for anchors and
-// the full-cost counterfactual; promotions never read it — see Load).
-func (c *CheckpointStore) materialize() Snapshot {
-	s := Snapshot{Epoch: c.epoch}
-	for _, name := range c.order {
-		s.Apps = append(s.Apps, c.apps[name])
+// squeeze drops the tombstones and the arena garbage, preserving order.
+func (c *CheckpointStore) squeeze() {
+	arena := growBytes(c.spare[:0], c.liveBytes)
+	w := 0
+	for i, s := range c.slots {
+		if s.n == 0 {
+			continue
+		}
+		off := len(arena)
+		arena = append(arena, c.arena[s.off:s.off+s.n]...)
+		c.slots[w] = ckptSlot{name: s.name, off: off, n: s.n}
+		if w != i {
+			c.index[s.name] = w
+		}
+		w++
 	}
-	s.Blacklist = append([]string(nil), c.blacklist...)
-	return s
+	for i := w; i < len(c.slots); i++ {
+		c.slots[i] = ckptSlot{}
+	}
+	c.slots, c.dead = c.slots[:w], 0
+	c.arena, c.spare = arena, c.arena
 }
 
 // BumpEpoch increments and returns the election epoch (durable so a third
@@ -147,45 +211,65 @@ func (c *CheckpointStore) BumpEpoch() int {
 	return c.epoch
 }
 
-// SaveApp records an application's configuration.
+// SaveApp records an application's configuration. Only its encoding is
+// kept: the caller's AppConfig (and its Units slice) is not retained.
 func (c *CheckpointStore) SaveApp(a AppConfig) {
-	if _, ok := c.apps[a.Name]; !ok {
-		c.order = append(c.order, a.Name)
-	}
-	c.apps[a.Name] = a
 	start := len(c.log)
 	c.log = append(c.log, opSaveApp)
 	c.log = appendApp(c.log, a)
+	rec := c.log[start+1:]
+	i, ok := c.index[a.Name]
+	if !ok {
+		i = len(c.slots)
+		c.slots = append(c.slots, ckptSlot{name: a.Name})
+		c.index[a.Name] = i
+	}
+	s := &c.slots[i]
+	c.liveBytes += len(rec) - s.n
+	s.off, s.n = len(c.arena), len(rec)
+	c.arena = append(growBytes(c.arena, len(rec)), rec...)
+	c.reclaim()
 	c.wrote(start)
 }
 
 // RemoveApp deletes an application's record (job stopped).
 func (c *CheckpointStore) RemoveApp(name string) {
-	if _, ok := c.apps[name]; !ok {
+	i, ok := c.index[name]
+	if !ok {
 		return
 	}
-	delete(c.apps, name)
-	for i, n := range c.order {
-		if n == name {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
+	delete(c.index, name)
+	c.liveBytes -= c.slots[i].n
+	c.slots[i] = ckptSlot{}
+	c.dead++
+	c.reclaim()
 	start := len(c.log)
 	c.log = append(c.log, opRemoveApp)
 	c.log = appendString(c.log, name)
 	c.wrote(start)
 }
 
+// reclaim squeezes once tombstones outnumber live slots or garbage outweighs
+// live bytes, so the view stays within a constant factor of what is live and
+// each squeeze is paid for by the removes and replaces that preceded it.
+func (c *CheckpointStore) reclaim() {
+	if c.dead > c.live() || len(c.arena) > 2*c.liveBytes+ckptArenaSlack {
+		c.squeeze()
+	}
+}
+
+// ckptArenaSlack keeps a small store from squeezing on every replace.
+const ckptArenaSlack = 4096
+
 // SetBlacklist replaces the persisted cluster blacklist.
 func (c *CheckpointStore) SetBlacklist(machines []string) {
-	c.blacklist = append([]string(nil), machines...)
 	start := len(c.log)
 	c.log = append(c.log, opSetBlacklist)
 	c.log = binary.AppendUvarint(c.log, uint64(len(machines)))
 	for _, m := range machines {
 		c.log = appendString(c.log, m)
 	}
+	c.blk = append(c.blk[:0], c.log[start+1:]...)
 	c.wrote(start)
 	c.BlacklistWrites++
 }
@@ -230,6 +314,23 @@ const (
 	opBumpEpoch    = 4
 )
 
+// growBytes returns b with room for n more bytes. It doubles: append's own
+// growth for large slices is 1.25x, which copies a buffer that only ever
+// grows (the arena, an anchor) four times over.
+func growBytes(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	c := 2 * cap(b)
+	if c < len(b)+n {
+		c = len(b) + n
+	}
+	return append(make([]byte, 0, c), b...)
+}
+
+// uvarintLen is len(binary.AppendUvarint(nil, x)).
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
@@ -240,6 +341,17 @@ func appendVector(b []byte, v resource.Vector) []byte {
 	// record and anchor encode, and the sorted-copy allocation showed up
 	// as ~2 allocs/decision on the failover profile.
 	b = binary.AppendUvarint(b, uint64(v.NumDimensions()))
+	if !v.HasVirtual() {
+		// CPU and memory only, as nearly every unit is: the same two
+		// dimensions in the same order, without a callback per dimension.
+		if cpu := v.CPUMilli(); cpu != 0 {
+			b = binary.AppendVarint(appendString(b, resource.CPU), cpu)
+		}
+		if mem := v.MemoryMB(); mem != 0 {
+			b = binary.AppendVarint(appendString(b, resource.Memory), mem)
+		}
+		return b
+	}
 	v.ForEachDimension(func(d string, amount int64) {
 		b = appendString(b, d)
 		b = binary.AppendVarint(b, amount)

@@ -23,13 +23,12 @@ func TestDeltaLogReplayMatchesWriterView(t *testing.T) {
 	// Interleaved saves, replaces, removes, blacklist and epoch writes:
 	// Load (anchor+delta replay) must reproduce exactly what a full
 	// snapshot of the writer's view encodes, at every step.
-	s := NewCheckpointStore()
-	s.CompactEvery = 4 // force several compactions mid-sequence
+	s := newMirrored(4, false) // force several compactions mid-sequence
 	step := 0
 	check := func() {
 		step++
 		got := s.Load()
-		want, err := DecodeSnapshot(EncodeSnapshot(s.materialize()))
+		want, err := DecodeSnapshot(EncodeSnapshot(s.oracle.materialize()))
 		if err != nil {
 			t.Fatalf("step %d: shadow encode failed: %v", step, err)
 		}

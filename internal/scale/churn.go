@@ -70,9 +70,9 @@ func TenXChurnConfig() Config {
 	return c
 }
 
-// holdRec is one pooled hold-expiry record: the churn driver schedules one
-// per grant through the engine's closure-free Post path, so the steady
-// state allocates no per-grant timer closures.
+// holdRec is one pooled hold-expiry record: every grant schedules one
+// through the engine's closure-free Post path, so holding a container
+// allocates no per-grant timer closure.
 type holdRec struct {
 	app     *scaleApp
 	unit    int
@@ -90,6 +90,31 @@ func (h *harness) getHold() *holdRec {
 	return &holdRec{}
 }
 
+func (h *harness) putHold(rec *holdRec) {
+	rec.app = nil
+	h.holdFree = append(h.holdFree, rec)
+}
+
+// postHold arms a closure-free timer that carries one grant to fn in a
+// pooled record. The timer bodies are plain functions — they reach the
+// harness through the record's application — so arming one binds nothing.
+func (h *harness) postHold(d sim.Time, fn func(any), a *scaleApp, unit int, machine int32, count int) {
+	rec := h.getHold()
+	rec.app, rec.unit, rec.machine, rec.count = a, unit, machine, count
+	h.eng.Post(d, fn, rec)
+}
+
+// takeHold recycles a fired record and returns the grant it carried, the
+// count clamped to what the application still holds on that machine.
+func takeHold(rec *holdRec) (a *scaleApp, unit int, machine int32, n int) {
+	a, unit, machine, n = rec.app, rec.unit, rec.machine, rec.count
+	a.h.putHold(rec)
+	if held := a.am.Held(unit, machine); held < n {
+		n = held
+	}
+	return a, unit, machine, n
+}
+
 // holdExpire is the churn cycle's second half: return the held containers
 // and restate the demand at cluster scope, keeping the cluster in its
 // saturated steady state. The re-demand is deferred to the end of the
@@ -97,15 +122,15 @@ func (h *harness) getHold() *holdRec {
 // returns merge into one GrantReturnBatch before its first demand update
 // flushes them, and the master still applies the whole round's releases
 // before its demand phase.
-func (h *harness) holdExpire(a any) {
+func holdExpire(a any) {
 	rec := a.(*holdRec)
 	app, unit, mc, n := rec.app, rec.unit, rec.machine, rec.count
+	h := app.h
 	if held := app.am.Held(unit, mc); held < n {
 		n = held
 	}
 	if n <= 0 {
-		rec.app = nil
-		h.holdFree = append(h.holdFree, rec)
+		h.putHold(rec)
 		return
 	}
 	app.am.ReturnContainers(unit, mc, n)
@@ -116,8 +141,7 @@ func (h *harness) holdExpire(a any) {
 		rec.count = 0 // rec now just marks the (app, unit) pair
 		h.reqPend = append(h.reqPend, rec)
 	} else {
-		rec.app = nil
-		h.holdFree = append(h.holdFree, rec)
+		h.putHold(rec)
 	}
 	app.reqCount[unit] += n
 	if !h.reqArmed {
@@ -138,8 +162,7 @@ func (h *harness) flushRedemand() {
 			app.pendingReq[unit] = h.eng.Now()
 		}
 		app.am.Request(unit, resource.LocalityHint{Type: resource.LocalityCluster, Count: n})
-		rec.app = nil
-		h.holdFree = append(h.holdFree, rec)
+		h.putHold(rec)
 	}
 	h.reqPend = h.reqPend[:0]
 }

@@ -14,7 +14,6 @@ import (
 	"hash/fnv"
 	"strconv"
 
-	"repro/internal/appmaster"
 	"repro/internal/gateway"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -180,7 +179,6 @@ func (h *harness) gwUnits(prio, sizeIdx int) []resource.ScheduleUnit {
 // on revocation, unregister when done (which completes the job at the
 // gateway and frees its in-flight slot).
 func (h *harness) spawnGatewayJob(j gateway.Job) {
-	cfg := h.cfg
 	mix := jobMix(j.ID)
 	// Service jobs schedule ahead of batch jobs inside the cluster too.
 	prio := 3
@@ -188,49 +186,42 @@ func (h *harness) spawnGatewayJob(j gateway.Job) {
 		prio = 1
 	}
 	sizeIdx := int((mix >> 8) % 3)
-	units := h.gwUnits(prio, sizeIdx)
-	app := &scaleApp{
-		h:          h,
-		name:       j.ID,
-		remaining:  cfg.UnitsPerApp * cfg.ContainersPerUnit,
-		pendingReq: make([]sim.Time, cfg.UnitsPerApp+1),
-	}
-	h.apps = append(h.apps, app)
-	fullSync := cfg.FullSyncEvery
-	if fullSync == 0 {
-		fullSync = 10 * sim.Second
-	}
-	app.am = appmaster.New(appmaster.Config{
-		App: j.ID, QuotaGroup: j.Class.QuotaGroup(), Units: units,
-		FullSyncInterval: fullSync,
-	}, h.eng, h.net, h.top, appmaster.Callbacks{
-		OnGrant:  app.onGrant,
-		OnRevoke: app.onRevoke,
-	})
+	app := h.startApp(j.ID, j.Class.QuotaGroup(), h.gwUnits(prio, sizeIdx),
+		h.cfg.ContainersPerUnit, h.cfg.HoldTime)
+	h.eng.Post(sim.Millisecond, hashedDemand, app)
+}
+
+// hashedDemand sends a gateway or replay job's first demand, a registration
+// round-trip's worth of delay after its application master started: every
+// unit asks for the job's width with a locality mix keyed off the job-ID
+// hash (one in eight pins a machine, one in eight prefers a rack). It is the
+// engine's closure-free timer body; the argument is the *scaleApp.
+func hashedDemand(x any) {
+	app := x.(*scaleApp)
+	h := app.h
+	mix := jobMix(app.name)
 	machines := h.top.Machines()
 	racks := h.top.Racks()
-	h.eng.PostFunc(sim.Millisecond, func() {
-		for u := 1; u <= cfg.UnitsPerApp; u++ {
-			var hints []resource.LocalityHint
-			rest := cfg.ContainersPerUnit
-			pick := mix + uint64(u)*2654435761
-			switch pick % 8 {
-			case 0:
-				hints = append(hints, resource.LocalityHint{
-					Type: resource.LocalityMachine, Value: machines[pick>>16%uint64(len(machines))], Count: 1,
-				})
-				rest--
-			case 1:
-				hints = append(hints, resource.LocalityHint{
-					Type: resource.LocalityRack, Value: racks[pick>>16%uint64(len(racks))], Count: 1,
-				})
-				rest--
-			}
-			if rest > 0 {
-				hints = append(hints, resource.LocalityHint{Type: resource.LocalityCluster, Count: rest})
-			}
-			app.pendingReq[u] = h.eng.Now()
-			app.am.Request(u, hints...)
+	for u := 1; u < len(app.pendingReq); u++ {
+		hints := make([]resource.LocalityHint, 0, 2)
+		rest := app.width
+		pick := mix + uint64(u)*2654435761
+		switch pick % 8 {
+		case 0:
+			hints = append(hints, resource.LocalityHint{
+				Type: resource.LocalityMachine, Value: machines[pick>>16%uint64(len(machines))], Count: 1,
+			})
+			rest--
+		case 1:
+			hints = append(hints, resource.LocalityHint{
+				Type: resource.LocalityRack, Value: racks[pick>>16%uint64(len(racks))], Count: 1,
+			})
+			rest--
 		}
-	})
+		if rest > 0 {
+			hints = append(hints, resource.LocalityHint{Type: resource.LocalityCluster, Count: rest})
+		}
+		app.pendingReq[u] = h.eng.Now()
+		app.am.Request(u, hints...)
+	}
 }

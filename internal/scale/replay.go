@@ -17,7 +17,6 @@ package scale
 import (
 	"math/rand"
 
-	"repro/internal/appmaster"
 	"repro/internal/faults"
 	"repro/internal/gateway"
 	"repro/internal/metrics"
@@ -235,33 +234,36 @@ func (h *harness) scheduleReplay() {
 
 	// Open-loop session generator: each firing submits one tenant's burst
 	// (gaps drawn up front, jobs scheduled at absolute instants) and chains
-	// the next arrival through the thinned diurnal process.
+	// the next arrival through the thinned diurnal process. Nothing here is
+	// ever cancelled, so the timers go through PostFunc (no handle).
 	var fire func()
 	fire = func() {
 		rp.sessions++
 		tenant := rp.pickTenant()
 		size := rp.burst.SampleSize(rp.rng)
-		at := h.eng.Now()
+		now := h.eng.Now()
+		submit := func() { rp.submitOne(tenant) } // one closure per session
+		at := now
 		for k := 0; k < size; k++ {
 			if k > 0 {
 				at += rp.burst.SampleGap(rp.rng)
 			}
 			rp.pendingBurst++
-			h.eng.At(at, func() { rp.submitOne(tenant) })
+			h.eng.PostFunc(at-now, submit)
 		}
-		next := rp.arr.NextArrival(rp.rng, h.eng.Now())
+		next := rp.arr.NextArrival(rp.rng, now)
 		if next >= rp.end {
 			rp.genDone = true
 			return
 		}
-		h.eng.At(next, fire)
+		h.eng.PostFunc(next-now, fire)
 	}
 	first := rp.arr.NextArrival(rp.rng, start)
 	if first >= rp.end {
 		rp.genDone = true
 		return
 	}
-	h.eng.At(first, fire)
+	h.eng.PostFunc(first-start, fire)
 }
 
 // pickTenant mirrors the gateway generator's population skew on the
@@ -344,46 +346,9 @@ func (h *harness) spawnReplayJob(j gateway.Job) {
 	units := []resource.ScheduleUnit{{
 		ID: 1, Priority: prio, Size: unitSize(sizeIdx), MaxCount: w,
 	}}
-	app := &scaleApp{
-		h: h, name: j.ID, remaining: w, hold: hold, class: j.Class,
-		pendingReq: make([]sim.Time, 2),
-	}
-	h.apps = append(h.apps, app)
-	fullSync := h.cfg.FullSyncEvery
-	if fullSync == 0 {
-		fullSync = 10 * sim.Second
-	}
-	app.am = appmaster.New(appmaster.Config{
-		App: j.ID, QuotaGroup: j.Class.QuotaGroup(), Units: units,
-		FullSyncInterval: fullSync,
-	}, h.eng, h.net, h.top, appmaster.Callbacks{
-		OnGrant:  app.onGrant,
-		OnRevoke: app.onRevoke,
-	})
-	machines := h.top.Machines()
-	racks := h.top.Racks()
-	h.eng.PostFunc(sim.Millisecond, func() {
-		var hints []resource.LocalityHint
-		rest := w
-		pick := mix + 2654435761
-		switch pick % 8 {
-		case 0:
-			hints = append(hints, resource.LocalityHint{
-				Type: resource.LocalityMachine, Value: machines[pick>>16%uint64(len(machines))], Count: 1,
-			})
-			rest--
-		case 1:
-			hints = append(hints, resource.LocalityHint{
-				Type: resource.LocalityRack, Value: racks[pick>>16%uint64(len(racks))], Count: 1,
-			})
-			rest--
-		}
-		if rest > 0 {
-			hints = append(hints, resource.LocalityHint{Type: resource.LocalityCluster, Count: rest})
-		}
-		app.pendingReq[1] = h.eng.Now()
-		app.am.Request(1, hints...)
-	})
+	app := h.startApp(j.ID, j.Class.QuotaGroup(), units, w, hold)
+	app.class = j.Class
+	h.eng.Post(sim.Millisecond, hashedDemand, app)
 }
 
 func (rp *rpState) observeD2G(c gateway.Class, ms float64) {
@@ -405,23 +370,7 @@ func (rp *rpState) grant(a *scaleApp, unitID int, machine int32, count int) {
 		// corrupted disks refuse to launch workers. The job master notices
 		// the failed launch, returns the grant, and re-demands elsewhere.
 		rp.launchFails += uint64(count)
-		h.eng.PostFunc(replayLaunchFailDelay, func() {
-			n := count
-			if held := a.am.Held(unitID, machine); held < n {
-				n = held
-			}
-			if n <= 0 {
-				return
-			}
-			a.am.ReturnContainers(unitID, machine, n)
-			if a.done {
-				return
-			}
-			if a.pendingReq[unitID] == 0 {
-				a.pendingReq[unitID] = h.eng.Now()
-			}
-			a.am.Request(unitID, resource.LocalityHint{Type: resource.LocalityCluster, Count: n})
-		})
+		h.postHold(replayLaunchFailDelay, launchFailed, a, unitID, machine, count)
 		return
 	}
 	hold := a.hold
@@ -429,24 +378,25 @@ func (rp *rpState) grant(a *scaleApp, unitID int, machine int32, count int) {
 		hold = sim.Time(float64(hold) * f)
 		rp.slowHeld += uint64(count)
 	}
-	h.eng.PostFunc(hold, func() {
-		n := count
-		if held := a.am.Held(unitID, machine); held < n {
-			n = held
-		}
-		if n <= 0 {
-			return
-		}
-		a.am.ReturnContainers(unitID, machine, n)
-		a.remaining -= n
-		if a.remaining <= 0 && !a.done {
-			a.done = true
-			a.am.Unregister()
-			h.completed++
-			h.names = append(h.names, a.name)
-			h.gw.JobCompleted(a.name)
-		}
-	})
+	h.postHold(hold, holdReturn, a, unitID, machine, count)
+}
+
+// launchFailed is the timer body behind a grant bounced off a broken
+// machine: return what is still held of it and restate the demand at
+// cluster scope.
+func launchFailed(x any) {
+	a, unitID, machine, n := takeHold(x.(*holdRec))
+	if n <= 0 {
+		return
+	}
+	a.am.ReturnContainers(unitID, machine, n)
+	if a.done {
+		return
+	}
+	if a.pendingReq[unitID] == 0 {
+		a.pendingReq[unitID] = a.h.eng.Now()
+	}
+	a.am.Request(unitID, resource.LocalityHint{Type: resource.LocalityCluster, Count: n})
 }
 
 // dayPhase classifies an instant against the diurnal cycle alone: the

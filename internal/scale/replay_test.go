@@ -187,3 +187,46 @@ func TestReplayRejectsBadConfig(t *testing.T) {
 		t.Error("expected error for replay + dataplane")
 	}
 }
+
+// TestFinishedJobsLeaveTheHarness: h.apps is walked by every failover
+// measurement and every checker sweep, and pins each job's application
+// master; it must track the jobs still open, not the jobs ever served.
+func TestFinishedJobsLeaveTheHarness(t *testing.T) {
+	h, err := newHarness(SmokeReplayConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes, worst := 0, 0
+	h.eng.Every(sim.Second, func() {
+		open := 0
+		for _, a := range h.apps {
+			if !a.done {
+				open++
+			}
+		}
+		if open != len(h.apps)-h.appsDone {
+			t.Errorf("t=%v: %d open apps in the list, appsDone says %d", h.eng.Now(), open, len(h.apps)-h.appsDone)
+		}
+		if len(h.apps) > 2*open+appsSqueezeSlack {
+			t.Errorf("t=%v: %d apps listed for %d open", h.eng.Now(), len(h.apps), open)
+		}
+		if len(h.apps) > worst {
+			worst = len(h.apps)
+		}
+		probes++
+	})
+	res := h.run()
+	if res.Truncated || len(res.Invariants) > 0 {
+		t.Fatalf("truncated=%v invariants=%v", res.Truncated, res.Invariants)
+	}
+	if probes == 0 || res.CompletedApps < 4*worst {
+		t.Fatalf("%d probes, %d jobs served against a longest list of %d: the run does not exercise the squeeze",
+			probes, res.CompletedApps, worst)
+	}
+	if len(h.apps) > appsSqueezeSlack {
+		t.Errorf("%d apps still listed after the run drained", len(h.apps))
+	}
+	if len(res.Completed) != res.CompletedApps {
+		t.Errorf("%d completed names for %d completed apps", len(res.Completed), res.CompletedApps)
+	}
+}

@@ -413,15 +413,20 @@ type scaleApp struct {
 	name      string
 	remaining int
 	done      bool
-	// hold and class are replay-mode per-job shape: how long granted
-	// containers are held (drawn from the heavy-tailed hold distribution)
-	// and the gateway service class the job was admitted under.
+	// width is the container count each unit demands; hold is how long
+	// granted containers are held. Classic and gateway jobs take both from
+	// the configuration, replay jobs draw them from the heavy-tailed
+	// distributions. class is the gateway service class the job was
+	// admitted under.
+	width int
 	hold  sim.Time
 	class gateway.Class
 	// pendingReq records, per unit (dense, 0 = none pending), when the
 	// oldest unanswered demand was sent, for the demand-to-grant latency
-	// histogram.
+	// histogram. Single-unit jobs — every gateway and replay job — slice
+	// pendingOne, so the table is not a heap object of its own.
 	pendingReq []sim.Time
+	pendingOne [2]sim.Time
 	// reqCount accumulates one instant's churn re-demand per unit, so the
 	// expiries of several machines' containers merge into one DemandUpdate.
 	reqCount []int
@@ -461,9 +466,14 @@ type harness struct {
 	// masters is the hot-standby pair (second entry nil without master
 	// failover); whichever holds the lease is primary.
 	masters []*master.Master
-	apps    []*scaleApp
-	reg     *metrics.Registry
-	rng     *rand.Rand
+	// apps lists the applications in start order; appsDone counts the
+	// finished ones still in it (see finish: they are squeezed out, order
+	// kept, so the list — and everything reachable from it — stays
+	// proportional to the jobs still open, not to the jobs ever served).
+	apps     []*scaleApp
+	appsDone int
+	reg      *metrics.Registry
+	rng      *rand.Rand
 
 	latency   *metrics.Histogram
 	grants    uint64
@@ -475,10 +485,9 @@ type harness struct {
 	// (Config.RecordDecisionHash); 0 means disabled.
 	decHash uint64
 
-	// Churn-mode hold-expiry pool (see churn.go): holdFn is bound once and
-	// every grant borrows a pooled record for its closure-free hold timer;
-	// reqPend defers one instant's re-demands past its returns.
-	holdFn   func(any)
+	// Hold-expiry pool (see churn.go): every grant borrows a pooled record
+	// for its closure-free hold timer; reqPend defers one instant's churn
+	// re-demands past its returns.
 	holdFree []*holdRec
 	reqPend  []*holdRec
 	reqArmed bool
@@ -670,7 +679,6 @@ func newHarness(cfg Config) (*harness, error) {
 		recovery:   reg.Histogram("scale.master_recovery_ms"),
 		schedPause: reg.Histogram("scale.sched_pause_ms"),
 	}
-	h.holdFn = h.holdExpire
 	h.ckpt = ckpt
 	if cfg.RecordDecisionHash {
 		h.decHash = fnvOffset
@@ -979,6 +987,62 @@ func unitSize(i int) resource.Vector {
 	}
 }
 
+// startApp creates one application and starts its application master (which
+// registers with FuxiMaster at once); the caller sends the first demand.
+func (h *harness) startApp(name, group string, units []resource.ScheduleUnit, width int, hold sim.Time) *scaleApp {
+	app := &scaleApp{h: h, name: name, width: width, hold: hold, remaining: len(units) * width}
+	if n := len(units) + 1; n <= len(app.pendingOne) {
+		app.pendingReq = app.pendingOne[:n]
+	} else {
+		app.pendingReq = make([]sim.Time, n)
+	}
+	h.apps = append(h.apps, app)
+	fullSync := h.cfg.FullSyncEvery
+	if fullSync == 0 {
+		fullSync = 10 * sim.Second
+	}
+	app.am = appmaster.New(appmaster.Config{
+		App: name, QuotaGroup: group, Units: units, FullSyncInterval: fullSync,
+	}, h.eng, h.net, h.top, appmaster.Callbacks{
+		OnGrant:  app.onGrant,
+		OnRevoke: app.onRevoke,
+	})
+	return app
+}
+
+// appsSqueezeSlack is how far finished applications may outnumber open ones
+// in h.apps before they are squeezed out.
+const appsSqueezeSlack = 64
+
+// finish ends an application whose last container came back: unregister,
+// count it, complete it at the gateway (freeing its in-flight slot), and
+// drop it from h.apps once the finished outnumber the open. The squeeze
+// keeps order, so onRecovered and the checker's AMs() walk the open
+// applications in the same sequence as if nothing had been removed.
+func (h *harness) finish(a *scaleApp) {
+	a.done = true
+	a.am.Unregister()
+	h.completed++
+	h.names = append(h.names, a.name)
+	if h.gw != nil {
+		h.gw.JobCompleted(a.name)
+	}
+	h.appsDone++
+	if h.appsDone <= len(h.apps)-h.appsDone+appsSqueezeSlack {
+		return
+	}
+	open := h.apps[:0]
+	for _, o := range h.apps {
+		if !o.done {
+			open = append(open, o)
+		}
+	}
+	for i := len(open); i < len(h.apps); i++ {
+		h.apps[i] = nil
+	}
+	h.apps, h.appsDone = open, 0
+}
+
 func (h *harness) spawnApp(idx int) {
 	cfg := h.cfg
 	name := fmt.Sprintf("scale-app-%04d", idx)
@@ -991,23 +1055,7 @@ func (h *harness) spawnApp(idx int) {
 			MaxCount: cfg.ContainersPerUnit,
 		})
 	}
-	app := &scaleApp{
-		h:          h,
-		name:       name,
-		remaining:  cfg.UnitsPerApp * cfg.ContainersPerUnit,
-		pendingReq: make([]sim.Time, cfg.UnitsPerApp+1),
-	}
-	h.apps = append(h.apps, app)
-	fullSync := cfg.FullSyncEvery
-	if fullSync == 0 {
-		fullSync = 10 * sim.Second
-	}
-	app.am = appmaster.New(appmaster.Config{
-		App: name, Units: units, FullSyncInterval: fullSync,
-	}, h.eng, h.net, h.top, appmaster.Callbacks{
-		OnGrant:  app.onGrant,
-		OnRevoke: app.onRevoke,
-	})
+	app := h.startApp(name, "", units, cfg.ContainersPerUnit, cfg.HoldTime)
 	// Demand with a locality mix: some units pin a machine, some prefer a
 	// rack, the rest are cluster-wide — exercising all three tree levels.
 	// The demand follows registration after a registration round-trip's
@@ -1094,35 +1142,28 @@ func (a *scaleApp) onGrant(unitID int, machine int32, count int) {
 		return
 	}
 	if h.cfg.Churn {
-		// Steady-state cycle: hold, then return-and-re-demand forever,
-		// through a pooled record on the closure-free timer path.
-		rec := h.getHold()
-		rec.app, rec.unit, rec.machine, rec.count = a, unitID, machine, count
-		h.eng.Post(h.cfg.HoldTime, h.holdFn, rec)
+		// Steady-state cycle: hold, then return-and-re-demand forever.
+		h.postHold(a.hold, holdExpire, a, unitID, machine, count)
 		return
 	}
-	// Hold the containers, then return them; revoked containers skip the
-	// return (they re-enter via onRevoke's re-request).
-	h.eng.PostFunc(h.cfg.HoldTime, func() {
-		n := count
-		if held := a.am.Held(unitID, machine); held < n {
-			n = held
-		}
-		if n <= 0 {
-			return
-		}
-		a.am.ReturnContainers(unitID, machine, n)
-		a.remaining -= n
-		if a.remaining <= 0 && !a.done {
-			a.done = true
-			a.am.Unregister()
-			h.completed++
-			h.names = append(h.names, a.name)
-			if h.gw != nil {
-				h.gw.JobCompleted(a.name)
-			}
-		}
-	})
+	// Hold the containers, then return them.
+	h.postHold(a.hold, holdReturn, a, unitID, machine, count)
+}
+
+// holdReturn is the hold timer of every workload but churn: return what is
+// still held of the grant — revoked containers skip the return, they
+// re-entered via onRevoke's re-request — and finish the job with its last
+// container.
+func holdReturn(x any) {
+	a, unitID, machine, n := takeHold(x.(*holdRec))
+	if n <= 0 {
+		return
+	}
+	a.am.ReturnContainers(unitID, machine, n)
+	a.remaining -= n
+	if a.remaining <= 0 && !a.done {
+		a.h.finish(a)
+	}
 }
 
 func (a *scaleApp) onRevoke(unitID int, machine int32, count int) {

@@ -321,7 +321,10 @@ func (e *Engine) Every(interval Time, fn func()) Cancel {
 	}
 	r := &everyRec{e: e, interval: interval, fn: fn}
 	e.Post(interval, everyTick, r)
-	return func() { r.stopped = true }
+	// The queued tick still fires once after a cancel (as a no-op), up to a
+	// whole interval later; dropping the callback now keeps the record from
+	// pinning whatever fn closes over until then.
+	return func() { r.stopped, r.fn = true, nil }
 }
 
 // Run executes events with firing times <= until, then advances the clock

@@ -74,6 +74,59 @@ func TestEvery(t *testing.T) {
 	}
 }
 
+// pendingEveryRecs digs the periodic-timer records out of the queue.
+func pendingEveryRecs(e *Engine) []*everyRec {
+	var out []*everyRec
+	add := func(ev *event) {
+		if ev == nil {
+			return
+		}
+		if r, ok := ev.arg.(*everyRec); ok {
+			out = append(out, r)
+		}
+	}
+	for i := range e.ring {
+		for _, g := range e.ring[i].groups {
+			for _, ev := range g.events[g.next:] {
+				add(ev)
+			}
+		}
+	}
+	for _, ev := range e.far {
+		add(ev)
+	}
+	return out
+}
+
+// TestCancelledEveryDropsItsCallback: the tick queued before a cancel still
+// fires (as a no-op, so event counts do not depend on cancellation), but
+// until it does — up to a whole interval — the record must not keep the
+// callback, and with it the timer's owner, reachable.
+func TestCancelledEveryDropsItsCallback(t *testing.T) {
+	e := NewEngine(1)
+	called := 0
+	near := e.Every(10*Millisecond, func() { called++ }) // ring
+	far := e.Every(30*Second, func() { called++ })       // far heap
+	near()
+	far()
+	recs := pendingEveryRecs(e)
+	if len(recs) != 2 {
+		t.Fatalf("found %d queued periodic records, want 2", len(recs))
+	}
+	for _, r := range recs {
+		if r.fn != nil || !r.stopped {
+			t.Errorf("cancelled %v timer: stopped=%v, callback kept=%v", r.interval, r.stopped, r.fn != nil)
+		}
+	}
+	e.Run(Minute)
+	if called != 0 {
+		t.Errorf("cancelled timers ran their callbacks %d times", called)
+	}
+	if e.Fired() != 2 || e.Pending() != 0 {
+		t.Errorf("fired=%d pending=%d, want each stopped tick fired once and not rescheduled", e.Fired(), e.Pending())
+	}
+}
+
 func TestEveryPanicsOnBadInterval(t *testing.T) {
 	defer func() {
 		if recover() == nil {
