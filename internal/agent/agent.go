@@ -451,6 +451,9 @@ func (a *Agent) requestAnchor() {
 // Virtual resources are scheduler-side concurrency tokens, not measurable
 // machine load, so they are excluded here.
 func (a *Agent) enforceOverload() {
+	if len(a.procs) == 0 {
+		return // nothing supervised: every tick of every idle agent comes through here
+	}
 	for {
 		var total resource.Vector
 		for _, p := range a.procs {

@@ -11,8 +11,14 @@
 //
 //   - Scheduler checks hold at any instant on the live primary: per-machine
 //     free + granted == capacity, non-negative physical free, per-unit held
-//     sums, quota-group usage ledgers, and the rack/cluster aggregate
-//     headroom caches.
+//     sums, quota-group usage ledgers, the rack/cluster aggregate headroom
+//     caches and the planned/up-capacity running totals. The contract is a
+//     dirty set: the scheduler marks every unit, machine and group its
+//     mutations touch, a periodic CheckScheduler audits the marked ones and
+//     clears the marks (cost: what changed, not what exists), and a full
+//     audit over everything runs on a new scheduler's first check, on every
+//     sixteenth, and at settled points (CheckAll(true)). A violation noticed
+//     by a partial audit is always reported from a full one.
 //
 //   - Ledger checks compare three independently-maintained views of the
 //     same grants — the master's scheduler ledger, each FuxiAgent's
@@ -84,12 +90,21 @@ func (c *Checker) record(bad []string) []string {
 
 // CheckScheduler runs the any-instant scheduler invariants on the live
 // primary: conservation per machine, held-count consistency, quota usage
-// ledgers, and aggregate headroom caches. Safe to call after every
-// scheduling round — the walk is O(grants + machines).
-func (c *Checker) CheckScheduler() []string {
+// ledgers, the aggregate headroom caches and the planned/capacity totals.
+// Safe to call after every scheduling round: the scheduler keeps a dirty set
+// (see master.Scheduler.CheckInvariants), so a call audits the units,
+// machines and groups touched since the previous call — and everything on a
+// scheduler's first call, which is every promoted master's, and on every
+// sixteenth.
+func (c *Checker) CheckScheduler() []string { return c.checkScheduler(false) }
+
+func (c *Checker) checkScheduler(all bool) []string {
 	s := c.Sched()
 	if s == nil {
 		return c.record(nil) // interregnum: nothing to check
+	}
+	if all {
+		return c.record(s.CheckAllInvariants())
 	}
 	return c.record(s.CheckInvariants())
 }
@@ -238,10 +253,11 @@ func (c *Checker) CheckCheckpointBytes(budget int64) []string {
 
 // CheckAll runs every check appropriate for the moment: scheduler and
 // admission checks always, ledger and quota checks only when settled is
-// true.
+// true — and at a settled point the scheduler audit covers everything, not
+// only what changed since the last one.
 func (c *Checker) CheckAll(settled bool) []string {
 	var bad []string
-	bad = append(bad, c.CheckScheduler()...)
+	bad = append(bad, c.checkScheduler(settled)...)
 	if c.Gateway != nil {
 		bad = append(bad, c.CheckAdmission(settled)...)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/protocol"
-	"repro/internal/resource"
 )
 
 // The machine-major grant index. The per-unit ledgers (unitState.granted)
@@ -15,7 +14,7 @@ import (
 // answered here, from a flat table of the (app, unit, count) cells on that
 // machine, in O(grants on the machine) instead of a scan over every app's
 // every unit. credit (grants and failover restores), releaseOn and evacuate
-// maintain it next to the ledger; CheckInvariants asserts the two are each
+// maintain it next to the ledger; the audit (audit.go) asserts the two are each
 // other's transpose.
 
 // grantCell is one (app, unit) holding on one machine.
@@ -138,68 +137,4 @@ func (s *Scheduler) capacityTable(machine int32) []protocol.CapacityEntry {
 		entries[i] = protocol.CapacityEntry{App: int32(st.ep), UnitID: u.def.ID, Size: u.def.Size, Count: int(c.n)}
 	}
 	return entries
-}
-
-// unitCell is a grantCell seen from its unit: where, and how many.
-type unitCell struct{ machine, n int32 }
-
-// auditScratch is CheckInvariants' working memory, kept between calls: the
-// audit runs every virtual second inside measured windows, and like the
-// convergence probe it should leave no garbage behind.
-type auditScratch struct {
-	vecs     []resource.Vector
-	base, at []int32
-	byUnit   []unitCell
-}
-
-// zeroed returns buf resized to n zero elements, reallocating only to grow.
-func zeroed[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// cellsByUnit regroups the whole index by unit for CheckInvariants (a
-// counting sort over the cells): the cells of app a's i-th unit are
-// byUnit[at[slot]:at[slot+1]] with slot = base[a.id]+i. Cells naming no
-// registered app or unit are reported into bad and left out.
-func (s *Scheduler) cellsByUnit(bad *[]string) (base, at []int32, byUnit []unitCell) {
-	a := &s.audit
-	a.base = zeroed(a.base, len(s.appByID))
-	units := int32(0)
-	for _, st := range s.apps {
-		a.base[st.id] = units
-		units += int32(len(st.unitArr))
-	}
-	known := func(c grantCell) bool {
-		st := s.appStateByID(c.app)
-		return st != nil && int(c.unit) < len(st.unitArr)
-	}
-	a.at = zeroed(a.at, int(units)+1)
-	for m, cells := range s.grants.cells {
-		for _, c := range cells {
-			if !known(c) {
-				*bad = append(*bad, "index: machine "+s.top.MachineName(int32(m))+": cell of an unregistered app or unit")
-				continue
-			}
-			a.at[a.base[c.app]+c.unit]++
-		}
-	}
-	for i := int32(1); i <= units; i++ {
-		a.at[i] += a.at[i-1] // the end of slot i's run; at[units] is the total
-	}
-	a.byUnit = zeroed(a.byUnit, int(a.at[units]))
-	for m, cells := range s.grants.cells {
-		for _, c := range cells {
-			if known(c) {
-				slot := a.base[c.app] + c.unit
-				a.at[slot]-- // fill each run from its end, leaving at[slot] at its start
-				a.byUnit[a.at[slot]] = unitCell{machine: int32(m), n: c.n}
-			}
-		}
-	}
-	return a.base, a.at, a.byUnit
 }

@@ -164,7 +164,9 @@ func TestGrantIndexMatchesScanOracle(t *testing.T) {
 
 // TestCheckInvariantsCatchesCorruptIndex corrupts the index three ways —
 // a wrong count, a dropped cell, a cell the ledger never had — and expects
-// the index ≡ ledger assertion inside CheckInvariants to fire on each.
+// the index ≡ ledger assertion inside the audit to fire on each. The writes
+// go behind the scheduler's back (no mark), so the audit is asked for
+// everything.
 func TestCheckInvariantsCatchesCorruptIndex(t *testing.T) {
 	build := func() (*Scheduler, int32) {
 		s := NewScheduler(testTop(t, 2, 2), Options{})
@@ -203,7 +205,7 @@ func TestCheckInvariantsCatchesCorruptIndex(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, m := build()
 			tc.corrupt(s, m)
-			bad := strings.Join(s.CheckInvariants(), "\n")
+			bad := strings.Join(s.CheckAllInvariants(), "\n")
 			if !strings.Contains(bad, "index: ") {
 				t.Errorf("corrupt index not reported: %q", bad)
 			}

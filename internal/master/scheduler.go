@@ -102,6 +102,14 @@ const DefaultGroup = "default"
 type unitState struct {
 	def resource.ScheduleUnit
 	idx int32 // position in the app's unitArr (grant-index cell and wait key)
+	// dirty says a grant or release touched the unit since the last audit
+	// sweep; seen* are the sweep's tally of the unit's index cells, valid
+	// while seenGen is the sweep's generation (audit.go). They sit beside def
+	// because the sweep's machine pass reads the size and writes the tally.
+	dirty     bool
+	seenGen   uint32
+	seenCells int32
+	seenSum   int32
 	// granted is the unit-major ledger: machine ID -> container count, no
 	// zero rows, in machine-ID order. A unit sits on a handful of machines,
 	// so the per-decision credit/debit is a scan of one cache line, and the
@@ -109,6 +117,9 @@ type unitState struct {
 	// read it in the sorted order they need.
 	granted dense.Map[int]
 	held    int
+	// auditedHeld is held as the last audit sweep saw it: this unit's share
+	// of its group's audited sum (audit.go).
+	auditedHeld int
 	// parked holds this unit's wait entries pulled out of the queues while
 	// the unit is saturated (held == MaxCount with demand still queued —
 	// e.g. a safety-sync repair raised demand the unit cannot absorb yet).
@@ -183,9 +194,13 @@ func (st *appState) unit(id int) *unitState {
 }
 
 type groupState struct {
+	name  string
 	min   resource.Vector
 	usage resource.Vector
-	apps  map[string]bool
+	// audited is Σ auditedHeld × size over the group's units: usage as the
+	// audit derives it from the units' held counts, one sweep behind for the
+	// units touched since (audit.go).
+	audited resource.Vector
 }
 
 // Scheduler is the FuxiMaster scheduling core. It is deterministic and
@@ -216,6 +231,15 @@ type Scheduler struct {
 	totalFree resource.Vector
 	rackFree  []resource.Vector // rack ID -> aggregate free
 
+	// planned is everything granted (Σ held × size, the paper's FM_planned)
+	// and upCap the capacity of the machines that are up (FM_total), kept as
+	// running totals in the bodies that change them — credit/debit, machine
+	// down/up, capacity changes — so the once-a-second utilisation samplers
+	// read two vectors instead of re-summing the ledger. The audit recomputes
+	// both on every full sweep.
+	planned resource.Vector
+	upCap   resource.Vector
+
 	// extMach/extRack intern locality-hint values naming machines or racks
 	// outside the topology. They map to node IDs past the real ID range, so
 	// the demand queues in the tree (and is counted) exactly as before but
@@ -233,7 +257,7 @@ type Scheduler struct {
 	// seenBuf/uniqBuf are the pooled dedup scratch of assignOnIDs.
 	seenBuf []bool
 	uniqBuf []int32
-	audit   auditScratch // CheckInvariants' reusable working memory
+	audit   auditState // what changed since the last CheckInvariants (audit.go)
 }
 
 // assignCtx carries one assignOnMachine invocation's state; fn is the
@@ -264,6 +288,7 @@ func NewScheduler(top *topology.Topology, opts Options) *Scheduler {
 		groups:   make(map[string]*groupState),
 		rackFree: make([]resource.Vector, top.NumRacks()),
 		tree:     newLocalityTree(),
+		audit:    newAuditState(int(n), top.NumRacks()),
 	}
 	for id := int32(0); id < n; id++ {
 		s.ids[id] = id
@@ -272,13 +297,14 @@ func NewScheduler(top *topology.Topology, opts Options) *Scheduler {
 		// in place, so they must not alias the topology's capacity maps.
 		s.free[id] = cap.Clone()
 		(&s.totalFree).AddScaledInPlace(cap, 1)
+		(&s.upCap).AddScaledInPlace(cap, 1)
 		(&s.rackFree[top.RackIDOf(id)]).AddScaledInPlace(cap, 1)
 	}
 	for g, min := range opts.Groups {
-		s.groups[g] = &groupState{min: min, apps: make(map[string]bool)}
+		s.groups[g] = &groupState{name: g, min: min}
 	}
 	if _, ok := s.groups[DefaultGroup]; !ok {
-		s.groups[DefaultGroup] = &groupState{apps: make(map[string]bool)}
+		s.groups[DefaultGroup] = &groupState{name: DefaultGroup}
 	}
 	return s
 }
@@ -370,7 +396,7 @@ func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit
 		s.appByID = append(s.appByID, nil)
 	}
 	s.appByID[id] = st
-	g.apps[app] = true
+	s.audit.growApps(len(s.appByID))
 	return nil
 }
 
@@ -397,9 +423,11 @@ func (s *Scheduler) UnregisterApp(app string) []Decision {
 			touched = append(touched, m)
 		}
 		u.granted.Reset()
+		// The unit leaves the audit's books with what they last showed it
+		// holding, as the debits above took what it held out of usage.
+		(&st.quota.audited).AddScaledInPlace(u.def.Size, -int64(u.auditedHeld))
 	}
 	s.tree.removeApp(st.id)
-	delete(s.groups[st.group].apps, app)
 	delete(s.apps, app)
 	s.appByID[st.id] = nil
 	return s.assignOnIDs(touched)
@@ -539,6 +567,7 @@ func (s *Scheduler) machineDownID(id int32) []Decision {
 		return nil
 	}
 	s.down[id] = true
+	(&s.upCap).AddScaledInPlace(s.top.MachineByID(id).Capacity, -1)
 	return s.evacuate(id, ReasonRevokeNodeDown)
 }
 
@@ -558,6 +587,7 @@ func (s *Scheduler) machineUpID(id int32) []Decision {
 		return nil
 	}
 	s.down[id] = false
+	(&s.upCap).AddScaledInPlace(s.top.MachineByID(id).Capacity, 1)
 	s.setFree(id, s.top.MachineByID(id).Capacity)
 	return s.assignOnIDs([]int32{id})
 }
@@ -649,8 +679,11 @@ func (s *Scheduler) grantOn(st *appState, u *unitState, machine int32, k int, ou
 }
 
 // credit is the one place a grant enters the books: free pool, unit-major
-// ledger, machine-major index, held count and quota usage.
+// ledger, machine-major index, held count, quota usage and the planned total
+// — and the audit's dirty marks for all of them.
 func (s *Scheduler) credit(st *appState, u *unitState, machine int32, k int) {
+	s.audit.touch(st, u, machine)
+	(&s.planned).AddScaledInPlace(u.def.Size, int64(k))
 	s.adjustFree(machine, u.def.Size, -int64(k))
 	// The ledger keeps no zero rows, so the unit is new to the machine
 	// exactly when its row holds just this grant.
@@ -674,6 +707,8 @@ func (s *Scheduler) releaseOn(st *appState, u *unitState, machine int32, k int) 
 // empty a whole table at once: evacuate the machine's cells, UnregisterApp
 // the unit's rows.
 func (s *Scheduler) debit(st *appState, u *unitState, machine int32, k int) {
+	s.audit.touch(st, u, machine)
+	(&s.planned).AddScaledInPlace(u.def.Size, -int64(k))
 	if !s.down[machine] {
 		s.adjustFree(machine, u.def.Size, int64(k))
 	}
@@ -959,6 +994,7 @@ func (s *Scheduler) evacuate(machine int32, reason Reason) []Decision {
 // setFree replaces machine's free-pool entry with an owned copy of v,
 // keeping the cluster and rack aggregates consistent.
 func (s *Scheduler) setFree(machine int32, v resource.Vector) {
+	s.audit.touchMachine(machine)
 	old := s.free[machine]
 	(&s.totalFree).AddScaledInPlace(old, -1)
 	rack := s.top.RackIDOf(machine)

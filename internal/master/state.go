@@ -1,7 +1,6 @@
 package master
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/resource"
@@ -32,30 +31,14 @@ func (s *Scheduler) TotalFree() resource.Vector {
 	return t
 }
 
-// TotalCapacity sums capacity over machines that are up (the paper's
-// FM_total).
-func (s *Scheduler) TotalCapacity() resource.Vector {
-	var t resource.Vector
-	for id := int32(0); id < s.nMach; id++ {
-		if !s.down[id] {
-			t = t.Add(s.top.MachineByID(id).Capacity)
-		}
-	}
-	return t
-}
+// TotalCapacity is the capacity of the machines that are up (the paper's
+// FM_total), a running total (a copy).
+func (s *Scheduler) TotalCapacity() resource.Vector { return s.upCap.Clone() }
 
-// PlannedTotal sums all granted resources (the paper's FM_planned: "the
-// total amount of assigned resources to all application masters").
-func (s *Scheduler) PlannedTotal() resource.Vector {
-	var t resource.Vector
-	for _, st := range s.apps {
-		for i := range st.unitArr {
-			u := &st.unitArr[i]
-			t = t.Add(u.def.Size.Scale(int64(u.held)))
-		}
-	}
-	return t
-}
+// PlannedTotal is all granted resources (the paper's FM_planned: "the total
+// amount of assigned resources to all application masters"), a running
+// total (a copy).
+func (s *Scheduler) PlannedTotal() resource.Vector { return s.planned.Clone() }
 
 // Granted returns the app's current per-machine container counts for a
 // unit, keyed by machine name (a copy).
@@ -245,106 +228,20 @@ func (s *Scheduler) SetVirtualResource(machine, dim string, amount int64) []Deci
 	m := s.top.MachineByID(id)
 	old := m.Capacity.Get(dim)
 	m.Capacity = m.Capacity.With(dim, amount)
+	s.audit.touchMachine(id)
+	if s.down[id] {
+		return nil // a down machine has no free pool; MachineUp restores it from Capacity
+	}
 	// The free pool moves by the capacity delta; it may go negative on the
 	// virtual dimension (oversubscription), which only blocks further
 	// grants.
-	s.adjustFree(id, resource.FromMap(map[string]int64{dim: amount - old}), 1)
+	delta := resource.FromMap(map[string]int64{dim: amount - old})
+	s.adjustFree(id, delta, 1)
+	(&s.upCap).AddScaledInPlace(delta, 1)
 	if amount > old && s.schedulable(id) {
 		return s.assignOnIDs([]int32{id})
 	}
 	return nil
-}
-
-// CheckInvariants verifies internal consistency; tests and the cluster-wide
-// invariant checker call it after scenario steps. It returns a non-nil error
-// description slice when any invariant is violated. The walk is two passes
-// over the machine-major grant index plus one over units and one over
-// machines — O(grants + units + machines) — so paper-scale runs can afford
-// to call it every virtual second.
-func (s *Scheduler) CheckInvariants() []string {
-	var bad []string
-	// The audit walks apps and units in memory order against the index
-	// regrouped by unit, touching each unit's ledger once: every cell must be
-	// in the ledger with the same count and the ledger must hold no machine
-	// beyond the unit's cells (index ≡ transpose of the ledgers), and the
-	// cells must sum to held. The same cells give the per-machine usage.
-	s.audit.vecs = zeroed(s.audit.vecs, int(s.nMach+s.nRack))
-	used, rackSum := s.audit.vecs[:s.nMach], s.audit.vecs[s.nMach:]
-	base, at, byUnit := s.cellsByUnit(&bad)
-	for name, st := range s.apps {
-		for ui := range st.unitArr {
-			u := &st.unitArr[ui]
-			slot := base[st.id] + int32(ui)
-			cells := byUnit[at[slot]:at[slot+1]]
-			if len(cells) != u.granted.Len() {
-				bad = append(bad, fmt.Sprintf("index: app %s unit %d: %d cells, ledger has %d machines",
-					name, u.def.ID, len(cells), u.granted.Len()))
-			}
-			sum := 0
-			for _, c := range cells {
-				if holds := u.granted.Get(uint64(c.machine)); c.n <= 0 || holds != int(c.n) {
-					bad = append(bad, fmt.Sprintf("index: machine %s app %s unit %d: index holds %d, ledger %d",
-						s.top.MachineName(c.machine), name, u.def.ID, c.n, holds))
-				}
-				sum += int(c.n)
-				(&used[c.machine]).AddScaledInPlace(u.def.Size, int64(c.n))
-			}
-			if sum != u.held {
-				bad = append(bad, "app "+name+": unit held mismatch")
-			}
-			if u.held > u.def.MaxCount {
-				bad = append(bad, "app "+name+": unit over MaxCount")
-			}
-		}
-	}
-	// Per machine: free + granted == capacity, physical free non-negative,
-	// and the rack/cluster aggregates agree with the per-machine pool.
-	var sumFree resource.Vector
-	for id := int32(0); id < s.nMach; id++ {
-		rack := s.top.RackIDOf(id)
-		(&rackSum[rack]).AddScaledInPlace(s.free[id], 1)
-		(&sumFree).AddScaledInPlace(s.free[id], 1)
-		if s.down[id] {
-			continue
-		}
-		name := s.top.MachineName(id)
-		cap := s.top.MachineByID(id).Capacity
-		if !s.free[id].Add(used[id]).Equal(cap) {
-			bad = append(bad, "machine "+name+": free+used != capacity: "+s.free[id].String()+" + "+used[id].String()+" != "+cap.String())
-		}
-		if s.free[id].CPUMilli() < 0 || s.free[id].MemoryMB() < 0 {
-			// Physical dimensions may never go negative; virtual ones may
-			// (administratively lowering a virtual resource below current
-			// usage leaves the dimension oversubscribed by design).
-			bad = append(bad, "machine "+name+": negative physical free "+s.free[id].String())
-		}
-	}
-	if !sumFree.Equal(s.totalFree) {
-		bad = append(bad, "cluster aggregate free "+s.totalFree.String()+" != sum "+sumFree.String())
-	}
-	for rack := int32(0); rack < s.nRack; rack++ {
-		if !rackSum[rack].Equal(s.rackFree[rack]) {
-			bad = append(bad, "rack "+s.top.RackName(rack)+" aggregate free "+s.rackFree[rack].String()+" != sum "+rackSum[rack].String())
-		}
-	}
-	// Group usage equals sum of member grants.
-	for gname, g := range s.groups {
-		var sum resource.Vector
-		for app := range g.apps {
-			st := s.apps[app]
-			if st == nil {
-				continue
-			}
-			for ui := range st.unitArr {
-				u := &st.unitArr[ui]
-				(&sum).AddScaledInPlace(u.def.Size, int64(u.held))
-			}
-		}
-		if !sum.Equal(g.usage) {
-			bad = append(bad, "group "+gname+": usage mismatch "+g.usage.String()+" != "+sum.String())
-		}
-	}
-	return bad
 }
 
 // Groups returns the sorted quota-group names.

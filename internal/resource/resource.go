@@ -107,6 +107,9 @@ func (v *Vector) AddScaledInPlace(o Vector, n int64) {
 	}
 	v.cpu += o.cpu * n
 	v.mem += o.mem * n
+	if len(o.extras) == 0 {
+		return // ranging over even an empty map sets up an iterator; nearly every vector has none
+	}
 	for k, a := range o.extras {
 		sum := v.extras[k] + a*n
 		if sum == 0 {
@@ -234,6 +237,9 @@ func (v Vector) Contains(o Vector) bool {
 	if v.cpu < o.cpu || v.mem < o.mem {
 		return false
 	}
+	if len(o.extras) == 0 {
+		return true
+	}
 	for k, a := range o.extras {
 		if v.extras[k] < a {
 			return false
@@ -256,12 +262,14 @@ func (v Vector) FitCount(o Vector) int64 {
 			count = c
 		}
 	}
-	for k, a := range o.extras {
-		if a <= 0 {
-			continue
-		}
-		if c := v.extras[k] / a; c < count {
-			count = c
+	if len(o.extras) > 0 { // ranging over even an empty map sets up an iterator
+		for k, a := range o.extras {
+			if a <= 0 {
+				continue
+			}
+			if c := v.extras[k] / a; c < count {
+				count = c
+			}
 		}
 	}
 	if count < 0 {
@@ -287,6 +295,9 @@ func (v Vector) NonNegative() bool {
 func (v Vector) Equal(o Vector) bool {
 	if v.cpu != o.cpu || v.mem != o.mem || len(v.extras) != len(o.extras) {
 		return false
+	}
+	if len(v.extras) == 0 {
+		return true
 	}
 	for k, a := range v.extras {
 		if o.extras[k] != a {

@@ -108,12 +108,11 @@ func TestChaosRunCompletes(t *testing.T) {
 
 }
 
-// TestChaosDeterminismAndShardParity runs the identical chaos schedule
-// twice (the name predates the sharded scheduler's removal): every
-// measurement — storm accounting, convergence percentiles, lost/reissued
-// counts, per-link loss attribution — must be identical. The whole
+// TestChaosDeterministicAcrossRuns runs the identical chaos schedule twice:
+// every measurement — storm accounting, convergence percentiles,
+// lost/reissued counts, per-link loss attribution — must be identical. The whole
 // ChaosStats struct is comparable, so the runs must agree field for field.
-func TestChaosDeterminismAndShardParity(t *testing.T) {
+func TestChaosDeterministicAcrossRuns(t *testing.T) {
 	base := czTiny()
 	base.ChurnMeasure = 16 * sim.Second
 	base.Horizon = base.ChurnWarmup + base.ChurnMeasure

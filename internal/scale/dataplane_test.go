@@ -82,12 +82,11 @@ func TestDataplaneSmoke(t *testing.T) {
 	}
 }
 
-// TestDataplaneShardParity pins run-to-run determinism in dataplane mode
-// with batched rounds (the name predates the sharded scheduler's removal):
-// two runs of one configuration must produce the same grants, revocations,
-// completions, locality classification, shuffle volume and gateway decision
-// hash.
-func TestDataplaneShardParity(t *testing.T) {
+// TestDataplaneDeterministicAcrossRuns pins run-to-run determinism in
+// dataplane mode with batched rounds: two runs of one configuration must
+// produce the same grants, revocations, completions, locality
+// classification, shuffle volume and gateway decision hash.
+func TestDataplaneDeterministicAcrossRuns(t *testing.T) {
 	cfg := tinyDataplane()
 	cfg.RoundWindow = DefaultRoundWindow
 	run := func() *Result {

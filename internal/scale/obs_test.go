@@ -92,13 +92,12 @@ func TestObsRunRecordsAndQueriesLive(t *testing.T) {
 
 }
 
-// TestObsDeterminismAndShardParity runs the identical obs schedule twice
-// (the name predates the sharded scheduler's removal): every
-// virtual-time-derived field of the obs section must be identical —
+// TestObsDeterministicAcrossRuns runs the identical obs schedule twice:
+// every virtual-time-derived field of the obs section must be identical —
 // including the query checksum, which pins the full content of every live
 // query response. Wall-clock fields (query latencies, the allocation
 // calibration) are zeroed before comparison.
-func TestObsDeterminismAndShardParity(t *testing.T) {
+func TestObsDeterministicAcrossRuns(t *testing.T) {
 	base := obTiny()
 	base.ChurnMeasure = 16 * sim.Second
 	base.Horizon = base.ChurnWarmup + base.ChurnMeasure

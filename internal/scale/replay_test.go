@@ -135,12 +135,11 @@ func TestReplayRunCompletes(t *testing.T) {
 	}
 }
 
-// TestReplayDeterminismAndShardParity runs the identical replay trace twice
-// (the name predates the sharded scheduler's removal): every virtual-time
-// measurement — the decision hash, per-class SLO numbers, phase
-// utilization, storm accounting — must be identical. The whole ReplayStats
+// TestReplayDeterministicAcrossRuns runs the identical replay trace twice:
+// every virtual-time measurement — the decision hash, per-class SLO numbers,
+// phase utilization, storm accounting — must be identical. The whole ReplayStats
 // struct is comparable, so the runs must agree field for field.
-func TestReplayDeterminismAndShardParity(t *testing.T) {
+func TestReplayDeterministicAcrossRuns(t *testing.T) {
 	base := rpTiny()
 	base.ReplayDays = 1
 	base.ReplayDayLength = 12 * sim.Second

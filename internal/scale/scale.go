@@ -948,7 +948,7 @@ func (h *harness) run() *Result {
 		res.Invariants = h.checker.Violations
 		res.InvariantChecks = h.checker.Checks
 	} else if s := h.primarySched(); s != nil {
-		res.Invariants = s.CheckInvariants()
+		res.Invariants = s.CheckAllInvariants()
 	}
 	if len(cfg.MasterFailoverAt) > 0 {
 		res.MasterFailovers = h.crashes

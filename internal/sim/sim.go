@@ -12,10 +12,24 @@
 // O(log pending) sift of a global heap — at paper scale the pending set is
 // dominated by a hundred thousand container hold timers, which made every
 // heap operation walk a 17-level sift path.
+//
+// Events are stored by value: a group is a []event of 32-byte records
+// (sequence number, callback, argument), so Post writes the record straight
+// into the group's array and firing reads it from there — no pooled event
+// struct, no pointer to chase on either side. Only At/After, which hand out
+// a Cancel, pay for identity: their event's argument is a small pooled
+// cancelCell that the Cancel closure and the queue both point at. A group's
+// array comes from, and once its slot has drained returns to, a free list in
+// the engine keyed by power-of-two capacity, so storage follows the events
+// around the ring instead of belonging to a slot: the 5,000 heartbeats that
+// share an instant once a virtual second land in a different slot each time
+// and still reuse one array. A warm engine allocates nothing to schedule or
+// fire, whatever the group size.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -42,16 +56,24 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 func (t Time) String() string { return t.Duration().String() }
 
+// event is one queued callback, stored by value in its group (or, with its
+// firing time, in the far heap).
 type event struct {
-	at  Time
 	seq uint64 // tie-breaker preserving scheduling order at equal times
-	fn  func()
-	// fnA/arg is the closure-free form used by Post: high-volume callers
+	// fn/arg is the closure-free form every event takes: high-volume callers
 	// (message delivery) pass a long-lived function and a pooled argument
-	// record instead of allocating a fresh closure per event.
-	fnA  func(any)
-	arg  any
-	gone bool // set true when the event was cancelled
+	// record instead of allocating a fresh closure per event. A nil fn marks
+	// a cancellable event, whose arg is its *cancelCell.
+	fn  func(any)
+	arg any
+}
+
+// cancelCell is the identity of an event scheduled through At: the one thing
+// a by-value event cannot give its Cancel closure. Cells are pooled, so seq
+// records which event the cell currently stands for.
+type cancelCell struct {
+	seq uint64
+	fn  func() // nil once cancelled (or fired)
 }
 
 // Calendar-queue geometry: 1024µs (~1ms) slots, 8192 slots — an 8.4s
@@ -70,51 +92,48 @@ const (
 // insertion path.
 type timeGroup struct {
 	at     Time
-	next   int // firing cursor
-	events []*event
+	next   int     // firing cursor; events before it are zeroed
+	events []event // from the engine's free list, never grown by append
 }
 
-// ringSlot holds one slot's groups, reused across ring laps.
+// ringSlot holds one slot's groups; the group table is reused across ring
+// laps, the groups' event arrays are not (see Engine.free).
 type ringSlot struct {
 	groups []timeGroup
 }
 
-// addGroup returns the slot's group for instant at, reviving a truncated
-// slot (and its events capacity) when available.
+// group returns the slot's group for instant at, opening an empty one when
+// the instant is new to the slot.
 func (s *ringSlot) group(at Time) *timeGroup {
 	for i := range s.groups {
 		if s.groups[i].at == at {
 			return &s.groups[i]
 		}
 	}
-	if len(s.groups) < cap(s.groups) {
-		s.groups = s.groups[:len(s.groups)+1]
-		g := &s.groups[len(s.groups)-1]
-		g.at = at
-		g.next = 0
-		g.events = g.events[:0]
-		return g
-	}
 	s.groups = append(s.groups, timeGroup{at: at})
 	return &s.groups[len(s.groups)-1]
 }
 
-// reset truncates the slot for its next ring lap, keeping capacities.
-func (s *ringSlot) reset() {
-	for i := range s.groups {
-		g := &s.groups[i]
-		for j := range g.events {
-			g.events[j] = nil
-		}
-		g.events = g.events[:0]
-		g.next = 0
-	}
-	s.groups = s.groups[:0]
+// Group arrays come in power-of-two capacities from groupCap0 up; class k is
+// capacity groupCap0<<k. Four 32-byte events are two cache lines, and most
+// instants hold one or two events.
+const (
+	groupCap0    = 4
+	groupClasses = 32
+)
+
+func groupClass(capacity int) int { return bits.Len(uint(capacity)) - bits.Len(uint(groupCap0)) }
+
+// farEvent is an event beyond the ring horizon, which has no group to carry
+// its firing time.
+type farEvent struct {
+	at Time
+	event
 }
 
 // farQueue is the min-heap of events beyond the ring horizon, ordered by
 // (at, seq).
-type farQueue []*event
+type farQueue []farEvent
 
 func (q farQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
@@ -123,7 +142,7 @@ func (q farQueue) less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 
-func (q *farQueue) push(e *event) {
+func (q *farQueue) push(e farEvent) {
 	*q = append(*q, e)
 	i := len(*q) - 1
 	h := *q
@@ -137,12 +156,12 @@ func (q *farQueue) push(e *event) {
 	}
 }
 
-func (q *farQueue) pop() *event {
+func (q *farQueue) pop() farEvent {
 	h := *q
 	e := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = nil
+	h[n] = farEvent{}
 	*q = h[:n]
 	i := 0
 	for {
@@ -174,7 +193,12 @@ type Engine struct {
 	rng     *rand.Rand
 	fired   uint64
 	halted  bool
-	pool    []*event // recycled event structs
+	// free holds drained group arrays by size class, most recently released
+	// last: a new or growing group takes the array a just-drained one gave
+	// back, so the arrays in use are as many as the instants pending, not as
+	// many as the slots ever visited.
+	free  [groupClasses][][]event
+	cells []*cancelCell // recycled cancel cells
 }
 
 // NewEngine returns an engine whose RNG is seeded with seed, making runs
@@ -195,25 +219,56 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // no-op.
 type Cancel func()
 
-func (e *Engine) getEvent() *event {
-	if n := len(e.pool); n > 0 {
-		ev := e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
-		return ev
+// push appends ev to g, moving a full group to an array of the next size
+// class first.
+func (e *Engine) push(g *timeGroup, ev event) {
+	if len(g.events) == cap(g.events) {
+		old := g.events
+		k := 0
+		if cap(old) > 0 {
+			k = groupClass(cap(old)) + 1
+		}
+		if n := len(e.free[k]); n > 0 {
+			g.events = e.free[k][n-1]
+			e.free[k] = e.free[k][:n-1]
+		} else {
+			g.events = make([]event, 0, groupCap0<<k)
+		}
+		g.events = append(g.events, old...)
+		clear(old) // the copy owns the callbacks and arguments now
+		e.release(old)
 	}
-	return &event{}
+	g.events = append(g.events, ev)
 }
 
-// schedule files ev into the ring or the far heap.
-func (e *Engine) schedule(ev *event) {
-	slot := int64(ev.at) >> slotShift
+// release returns a group array whose elements are all zero to the free
+// list.
+func (e *Engine) release(buf []event) {
+	if cap(buf) > 0 {
+		k := groupClass(cap(buf))
+		e.free[k] = append(e.free[k], buf[:0])
+	}
+}
+
+// reset empties a drained slot for its next ring lap: the group table keeps
+// its capacity, the groups' arrays (zeroed as they fired) go back to the
+// free list.
+func (e *Engine) reset(s *ringSlot) {
+	for i := range s.groups {
+		e.release(s.groups[i].events)
+		s.groups[i].events = nil
+	}
+	s.groups = s.groups[:0]
+}
+
+// schedule files ev, due at instant at, into the ring or the far heap.
+func (e *Engine) schedule(at Time, ev event) {
+	slot := int64(at) >> slotShift
 	if slot-e.nowSlot >= ringSlots {
-		e.far.push(ev)
+		e.far.push(farEvent{at: at, event: ev})
 		return
 	}
-	g := e.ring[slot&ringMask].group(ev.at)
-	g.events = append(g.events, ev)
+	e.push(e.ring[slot&ringMask].group(at), ev)
 	e.inRing++
 }
 
@@ -223,15 +278,14 @@ func (e *Engine) schedule(ev *event) {
 func (e *Engine) migrate() {
 	horizon := Time((e.nowSlot + ringSlots) << slotShift)
 	for len(e.far) > 0 && e.far[0].at < horizon {
-		ev := e.far.pop()
-		g := e.ring[(int64(ev.at)>>slotShift)&ringMask].group(ev.at)
+		fe := e.far.pop()
+		g := e.ring[(int64(fe.at)>>slotShift)&ringMask].group(fe.at)
 		i := len(g.events)
-		for i > g.next && g.events[i-1].seq > ev.seq {
-			i--
+		e.push(g, fe.event)
+		for ; i > g.next && g.events[i-1].seq > fe.seq; i-- {
+			g.events[i] = g.events[i-1]
 		}
-		g.events = append(g.events, nil)
-		copy(g.events[i+1:], g.events[i:])
-		g.events[i] = ev
+		g.events[i] = fe.event
 		e.inRing++
 	}
 }
@@ -243,17 +297,23 @@ func (e *Engine) At(at Time, fn func()) Cancel {
 	if at < e.now {
 		at = e.now
 	}
-	ev := e.getEvent()
-	*ev = event{at: at, seq: e.seq, fn: fn}
+	var c *cancelCell
+	if n := len(e.cells); n > 0 {
+		c = e.cells[n-1]
+		e.cells = e.cells[:n-1]
+	} else {
+		c = new(cancelCell)
+	}
+	seq := e.seq
 	e.seq++
-	e.schedule(ev)
+	c.seq, c.fn = seq, fn
+	e.schedule(at, event{seq: seq, arg: c})
 	// The cancel closure pins the event's identity via seq: once the event
-	// fires and the struct is recycled for a later schedule, a stale cancel
-	// becomes a no-op instead of killing the new occupant.
-	seq := ev.seq
+	// fires and the cell is recycled for a later At, a stale cancel becomes a
+	// no-op instead of killing the new occupant.
 	return func() {
-		if ev.seq == seq {
-			ev.gone = true
+		if c.seq == seq {
+			c.fn = nil
 		}
 	}
 }
@@ -268,19 +328,17 @@ func (e *Engine) After(d Time, fn func()) Cancel {
 
 // Post schedules fn(arg) after delay d with no cancellation handle — the
 // allocation-free fast path for fire-and-forget events. A warm engine
-// reuses a pooled event struct and allocates nothing: callers that would
-// otherwise capture state in a per-event closure (the transport's million
-// message deliveries per stress run) pass a long-lived fn and a pooled arg
-// record instead.
+// writes the event into a recycled group array and allocates nothing:
+// callers that would otherwise capture state in a per-event closure (the
+// transport's million message deliveries per stress run) pass a long-lived
+// fn and a pooled arg record instead.
 func (e *Engine) Post(d Time, fn func(any), arg any) {
 	at := e.now + d
 	if d < 0 || at < e.now {
 		at = e.now
 	}
-	ev := e.getEvent()
-	*ev = event{at: at, seq: e.seq, fnA: fn, arg: arg}
+	e.schedule(at, event{seq: e.seq, fn: fn, arg: arg})
 	e.seq++
-	e.schedule(ev)
 }
 
 // callFunc adapts a plain func() to the Post signature, so periodic timers
@@ -379,21 +437,24 @@ func (e *Engine) run(until Time) uint64 {
 				break
 			}
 			ev := g.events[g.next]
-			g.events[g.next] = nil
+			g.events[g.next] = event{}
 			g.next++
 			e.inRing--
-			gone, at := ev.gone, ev.at
-			fn, fnA, arg := ev.fn, ev.fnA, ev.arg
-			ev.fn, ev.fnA, ev.arg = nil, nil, nil
-			e.pool = append(e.pool, ev)
-			if gone {
-				continue
-			}
-			e.now = at
-			e.fired++
-			if fnA != nil {
-				fnA(arg)
+			at := g.at // g may move when the callback schedules into this slot
+			if ev.fn != nil {
+				e.now = at
+				e.fired++
+				ev.fn(ev.arg)
 			} else {
+				c := ev.arg.(*cancelCell)
+				fn := c.fn
+				c.fn = nil
+				e.cells = append(e.cells, c)
+				if fn == nil {
+					continue // cancelled
+				}
+				e.now = at
+				e.fired++
 				fn()
 			}
 			if e.halted {
@@ -404,7 +465,7 @@ func (e *Engine) run(until Time) uint64 {
 		if e.nowSlot >= untilSlot {
 			break
 		}
-		slot.reset()
+		e.reset(slot)
 		e.advanceTo(e.nowSlot + 1)
 	}
 	return e.fired - start

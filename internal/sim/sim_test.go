@@ -77,10 +77,7 @@ func TestEvery(t *testing.T) {
 // pendingEveryRecs digs the periodic-timer records out of the queue.
 func pendingEveryRecs(e *Engine) []*everyRec {
 	var out []*everyRec
-	add := func(ev *event) {
-		if ev == nil {
-			return
-		}
+	add := func(ev event) {
 		if r, ok := ev.arg.(*everyRec); ok {
 			out = append(out, r)
 		}
@@ -92,8 +89,8 @@ func pendingEveryRecs(e *Engine) []*everyRec {
 			}
 		}
 	}
-	for _, ev := range e.far {
-		add(ev)
+	for _, fe := range e.far {
+		add(fe.event)
 	}
 	return out
 }
