@@ -237,14 +237,14 @@ func BenchmarkAblationIncrementalVsFull(b *testing.B) {
 		demandMsgs := 0
 		c.Net.Tap = func(from, to string, msg transport.Message) {
 			switch msg.(type) {
-			case protocol.DemandUpdate, protocol.FullDemandSync:
+			case *protocol.DemandUpdate, protocol.FullDemandSync:
 				demandMsgs++
 			}
 		}
 		am := c.NewAppMaster(appmaster.Config{
 			App:   "incr",
 			Units: []resource.ScheduleUnit{{ID: 1, Priority: 1, MaxCount: 500, Size: resource.New(1000, 2048)}},
-		}, appmaster.Callbacks{})
+		}, appmaster.NoCallbacks{})
 		c.Run(100 * sim.Millisecond)
 		am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 500}) // far beyond capacity
 		c.Run(60 * sim.Second)
@@ -438,7 +438,7 @@ func BenchmarkAblationBatchedRequests(b *testing.B) {
 		am := c.NewAppMaster(appmaster.Config{
 			App:   "chatty",
 			Units: []resource.ScheduleUnit{{ID: 1, Priority: 1, MaxCount: 10_000, Size: resource.New(100, 256)}},
-		}, appmaster.Callbacks{})
+		}, appmaster.NoCallbacks{})
 		c.Run(100 * sim.Millisecond)
 		// A demand update every 2 ms for one virtual second: the paper's
 		// "frequently changing resource requests from one application".

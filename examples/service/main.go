@@ -22,6 +22,49 @@ const (
 	slotDim  = "FrontendSlot"
 )
 
+// service is the service master: the application's state and, through
+// appmaster.Callbacks, its reactions to resource and worker events.
+type service struct {
+	appmaster.NoCallbacks
+	am      *appmaster.AM
+	seq     int
+	running map[string]string // worker -> machine
+}
+
+func (s *service) nextID() string {
+	s.seq++
+	return fmt.Sprintf("fe-%03d", s.seq)
+}
+
+// OnGrant starts one replica in every granted container.
+func (s *service) OnGrant(unitID int, machine int32, count int) {
+	for i := 0; i < count; i++ {
+		s.am.StartWorker(unitID, machine, s.nextID())
+	}
+}
+
+// OnRevoke asks for replacements anywhere: the containers are lost (node
+// death, preemption).
+func (s *service) OnRevoke(unitID int, machine int32, count int) {
+	s.am.Request(unitID, resource.LocalityHint{Type: resource.LocalityCluster, Count: count})
+}
+
+// OnWorker tracks the running set and replaces a crashed replica in its
+// still-held container.
+func (s *service) OnWorker(st protocol.WorkerStatus) {
+	switch st.State {
+	case protocol.WorkerRunning:
+		s.running[st.WorkerID] = st.Machine
+	case protocol.WorkerFailed:
+		delete(s.running, st.WorkerID)
+		if s.am.HeldOn(1, st.Machine) > 0 {
+			s.am.StartWorkerOn(1, st.Machine, s.nextID())
+		}
+	case protocol.WorkerFinished:
+		delete(s.running, st.WorkerID)
+	}
+}
+
 func main() {
 	cluster, err := core.NewCluster(core.Config{Racks: 2, MachinesPerRack: 3, Seed: 5})
 	if err != nil {
@@ -38,41 +81,12 @@ func main() {
 		Size: resource.New(2000, 8192).With(slotDim, 1),
 	}
 
-	var am *appmaster.AM
-	seq := 0
-	running := map[string]string{} // worker -> machine
-	am = cluster.NewAppMaster(appmaster.Config{
+	svc := &service{running: map[string]string{}}
+	svc.am = cluster.NewAppMaster(appmaster.Config{
 		App: "frontend", Units: []resource.ScheduleUnit{unit},
 		FullSyncInterval: 10 * sim.Second,
-	}, appmaster.Callbacks{
-		OnGrant: func(unitID int, machine int32, count int) {
-			for i := 0; i < count; i++ {
-				seq++
-				id := fmt.Sprintf("fe-%03d", seq)
-				am.StartWorker(unitID, machine, id)
-			}
-		},
-		OnRevoke: func(unitID int, machine int32, count int) {
-			// Containers lost (node death, preemption): ask for
-			// replacements anywhere.
-			am.Request(unitID, resource.LocalityHint{Type: resource.LocalityCluster, Count: count})
-		},
-		OnWorker: func(s protocol.WorkerStatus) {
-			switch s.State {
-			case protocol.WorkerRunning:
-				running[s.WorkerID] = s.Machine
-			case protocol.WorkerFailed:
-				delete(running, s.WorkerID)
-				// Replace the crashed replica in its still-held container.
-				if am.HeldOn(1, s.Machine) > 0 {
-					seq++
-					am.StartWorkerOn(1, s.Machine, fmt.Sprintf("fe-%03d", seq))
-				}
-			case protocol.WorkerFinished:
-				delete(running, s.WorkerID)
-			}
-		},
-	})
+	}, svc)
+	am, running := svc.am, svc.running
 	cluster.Run(100 * sim.Millisecond)
 	am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: replicas})
 	cluster.Run(5 * sim.Second)

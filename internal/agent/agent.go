@@ -503,7 +503,9 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 		// The single-update form names the application (scripted senders,
 		// tests); the endpoint table resolves it.
 		a.applyCapacity(makeCapKey(a.net.Endpoint(t.App), t.UnitID), t.Size, t.Delta)
-	case protocol.CapacityDelta:
+	case *protocol.CapacityDelta:
+		// Pooled: the network takes t and its entries back when this returns;
+		// applyCapacity copies what the ledger keeps.
 		if a.staleEpoch(t.Epoch) {
 			return
 		}
@@ -523,6 +525,8 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 		for _, e := range t.Entries {
 			a.applyCapacity(makeCapKey(transport.EndpointID(e.App), e.UnitID), e.Size, e.Count)
 		}
+	case protocol.CapacityDelta:
+		a.handle(from, &t) // value form (tests, scripted masters)
 	case protocol.CapacitySync:
 		if a.staleEpoch(t.Epoch) {
 			return

@@ -9,6 +9,15 @@
 // IDs (the topology index carried on the wire); resource callbacks hand the
 // ID through, and MachineName converts at the job-layer boundary where
 // names are needed (work plans, status reports, logs).
+//
+// The computation layer receives resource and worker events through the
+// Callbacks interface, which the job's owner implements itself — a
+// job.JobMaster, the scale harness's per-job record, a data-plane job — so
+// starting an application master binds no closures; NoCallbacks is the
+// embeddable no-op for owners that want only some of the four events. The
+// grant and revoke callbacks run inside the handler of a pooled GrantUpdate
+// (see internal/transport): they may send and re-request freely, but the
+// message is the network's again once the handler returns.
 package appmaster
 
 import (
@@ -34,22 +43,39 @@ type Config struct {
 	FullSyncInterval sim.Time
 }
 
-// Callbacks let the computation layer react to resource and worker events.
-// All callbacks are optional.
-type Callbacks struct {
+// Callbacks is how the computation layer reacts to resource and worker
+// events. The application's owner implements it; embed NoCallbacks to
+// implement only the events of interest.
+type Callbacks interface {
 	// OnGrant fires when count containers of a unit arrive on a machine
 	// (identified by its dense ID; MachineName converts when needed).
-	OnGrant func(unitID int, machine int32, count int)
+	OnGrant(unitID int, machine int32, count int)
 	// OnRevoke fires when count containers of a unit are revoked from a
 	// machine (preemption, node death, blacklisting).
-	OnRevoke func(unitID int, machine int32, count int)
+	OnRevoke(unitID int, machine int32, count int)
 	// OnWorker fires for every WorkerStatus report.
-	OnWorker func(protocol.WorkerStatus)
+	OnWorker(protocol.WorkerStatus)
 	// OnMessage receives application-level messages addressed to the app
 	// endpoint that are not part of the resource protocol (e.g. worker →
 	// job-master task reports).
-	OnMessage func(from string, msg any)
+	OnMessage(from string, msg any)
 }
+
+// NoCallbacks ignores every event. It is what New uses for a nil Callbacks
+// and what partial implementations embed.
+type NoCallbacks struct{}
+
+// OnGrant implements Callbacks.
+func (NoCallbacks) OnGrant(int, int32, int) {}
+
+// OnRevoke implements Callbacks.
+func (NoCallbacks) OnRevoke(int, int32, int) {}
+
+// OnWorker implements Callbacks.
+func (NoCallbacks) OnWorker(protocol.WorkerStatus) {}
+
+// OnMessage implements Callbacks.
+func (NoCallbacks) OnMessage(string, any) {}
 
 // unitLedger is one ScheduleUnit's books: the containers it holds and the
 // demand it has stated that no grant has answered yet. Both are compact
@@ -89,12 +115,15 @@ type AM struct {
 	epID     transport.EndpointID // own endpoint
 	masterID transport.EndpointID // the logical master endpoint
 
-	// units holds each ScheduleUnit's ledger, parallel to cfg.Units. It is
-	// created on first use (one allocation, sized by the job's unit count,
-	// whatever the cluster's size) and its tables grow with what the job
-	// actually holds: tens of thousands of short-lived jobs each pay for a
-	// few rows, not for a map apiece.
+	// units holds each ScheduleUnit's ledger, parallel to cfg.Units, from
+	// first use on. A one-unit job — every gateway and replay job — books in
+	// unit0, inside the AM's own allocation, and units is a view of it; wider
+	// jobs get one slice sized by their unit count, whatever the cluster's
+	// size. The tables grow with what the job actually holds: tens of
+	// thousands of short-lived jobs each pay for a few rows, not for a map
+	// apiece.
 	units []unitLedger
+	unit0 [1]unitLedger
 	// ext names requested locality targets outside the topology (nil until
 	// an application asks for one).
 	ext *extNodes
@@ -103,24 +132,24 @@ type AM struct {
 	// populations never start simulated workers).
 	workers map[string]*Worker
 
-	seq     protocol.Sequencer
-	dedup   protocol.Dedup
-	timers  []sim.Cancel
+	seq   protocol.Sequencer
+	dedup protocol.Dedup
+	// sync is the periodic full-sync timer, owned here so starting it
+	// allocates nothing.
+	sync    sim.Ticker
 	stopped bool
 	// unregTries/unregArmed/unregDone drive the reliable-unregister retry
-	// loop (see Unregister) through the closure-free timer path; unregFn is
-	// the once-bound tick.
+	// loop (see Unregister) through the closure-free timer path.
 	unregTries int
 	unregArmed bool
 	unregDone  bool
-	unregFn    func()
-	// pendRet coalesces same-instant container returns into one
-	// GrantReturnBatch (incremental communication: a hold cycle releasing
-	// containers on many machines costs one message). retArmed marks the
-	// end-of-instant flush event as scheduled.
-	pendRet  []protocol.ReturnEntry
+	// ret coalesces same-instant container returns into one GrantReturnBatch
+	// (incremental communication: a hold cycle releasing containers on many
+	// machines costs one message): the pooled message itself, accumulating
+	// entries in its own payload buffer until the flush sends it, nil between
+	// batches. retArmed marks the end-of-instant flush event as scheduled.
+	ret      *protocol.GrantReturnBatch
 	retArmed bool
-	retFn    func() // the once-bound flushReturns, so arming the flush allocates no closure
 	// nextGrantSync throttles gap-triggered early full syncs (see handle's
 	// GrantUpdate case).
 	nextGrantSync sim.Time
@@ -144,16 +173,31 @@ type Worker struct {
 // New creates and starts an application master: it registers its endpoint
 // and announces itself to FuxiMaster.
 func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology, cb Callbacks) *AM {
+	if cb == nil {
+		cb = NoCallbacks{}
+	}
 	a := &AM{cfg: cfg, eng: eng, net: net, top: top, cb: cb}
 	a.epID = net.Register(cfg.App, a.handle)
 	a.masterID = net.Endpoint(protocol.MasterEndpoint)
-	a.sendToMaster(protocol.RegisterApp{
-		App: cfg.App, QuotaGroup: cfg.QuotaGroup, Units: cfg.Units, Seq: a.seq.Next(),
-	})
+	a.sendRegister()
 	if cfg.FullSyncInterval > 0 {
-		a.timers = append(a.timers, eng.Every(cfg.FullSyncInterval, a.fullSync))
+		a.sync.Start(eng, cfg.FullSyncInterval, tickFullSync, a)
 	}
 	return a
+}
+
+// The AM's timer bodies, as package-level functions of the AM: scheduling
+// one binds no method value.
+func tickFullSync(a any)     { a.(*AM).fullSync() }
+func tickFlushReturns(a any) { a.(*AM).flushReturns() }
+func tickUnregister(a any)   { a.(*AM).unregTick() }
+
+// sendRegister announces the application's configuration to FuxiMaster. Units
+// travels as the AM's own slice, which nobody mutates.
+func (a *AM) sendRegister() {
+	r := transport.Acquire[protocol.RegisterApp](a.net)
+	r.App, r.QuotaGroup, r.Units, r.Seq = a.cfg.App, a.cfg.QuotaGroup, a.cfg.Units, a.seq.Next()
+	a.sendToMaster(r)
 }
 
 func (a *AM) send(to string, msg transport.Message) { a.net.SendID(a.epID, a.net.Endpoint(to), msg) }
@@ -188,7 +232,11 @@ func (a *AM) unit(unitID int) (resource.ScheduleUnit, bool) {
 // ledger returns the books of the unit at position ui of cfg.Units.
 func (a *AM) ledger(ui int) *unitLedger {
 	if a.units == nil {
-		a.units = make([]unitLedger, len(a.cfg.Units))
+		if n := len(a.cfg.Units); n <= len(a.unit0) {
+			a.units = a.unit0[:n]
+		} else {
+			a.units = make([]unitLedger, n)
+		}
 	}
 	return &a.units[ui]
 }
@@ -258,8 +306,8 @@ func (a *AM) MachineName(id int32) string { return a.top.MachineName(id) }
 // Request adds (or with negative counts, withdraws) demand and sends the
 // incremental update. This is the only message needed no matter how much of
 // the demand is eventually fulfilled — FuxiMaster queues the remainder.
-// The hints slice may travel on the wire as-is; callers must not mutate it
-// after the call.
+// The hints are copied into the message, so the caller's slice (usually the
+// variadic call's own stack array) is free the moment Request returns.
 func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 	a.flushReturns() // keep the master-bound message stream in order
 	ui := a.unitIndex(unitID)
@@ -270,7 +318,7 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 	// Fast path: additions can never need dropping or clamping (clamping
 	// only guards withdrawals, and checking those per-hint would miss
 	// cumulative over-withdrawal on a repeated target) — ship the caller's
-	// slice without building a filtered copy.
+	// hints without building a filtered list.
 	clean := true
 	for _, h := range hints {
 		if h.Count <= 0 {
@@ -313,9 +361,10 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 		}
 		deltas = valid
 	}
-	a.sendToMaster(protocol.DemandUpdate{
-		App: a.cfg.App, UnitID: unitID, Deltas: deltas, Seq: a.seq.Next(),
-	})
+	du := transport.Acquire[protocol.DemandUpdate](a.net)
+	du.App, du.UnitID, du.Seq = a.cfg.App, unitID, a.seq.Next()
+	du.Deltas = append(du.Deltas, deltas...)
+	a.sendToMaster(du)
 }
 
 // ReturnContainers gives count held containers on a machine back to
@@ -332,13 +381,13 @@ func (a *AM) ReturnContainers(unitID int, machine int32, count int) {
 		return
 	}
 	dense.Take(&l.held, machineKey(machine), count)
-	a.pendRet = append(a.pendRet, protocol.ReturnEntry{UnitID: unitID, Machine: machine, Count: count})
+	if a.ret == nil {
+		a.ret = transport.Acquire[protocol.GrantReturnBatch](a.net)
+	}
+	a.ret.Returns = append(a.ret.Returns, protocol.ReturnEntry{UnitID: unitID, Machine: machine, Count: count})
 	if !a.retArmed {
 		a.retArmed = true
-		if a.retFn == nil {
-			a.retFn = a.flushReturns
-		}
-		a.eng.PostFunc(0, a.retFn)
+		a.eng.Post(0, tickFlushReturns, a)
 	}
 }
 
@@ -350,21 +399,24 @@ func (a *AM) ReturnContainersOn(unitID int, machine string, count int) {
 	}
 }
 
-// flushReturns sends the pending coalesced returns (no-op when empty or
-// after the process died — a crash loses unsent messages by design). The
-// batch slice is handed to the wire, so the next batch starts from a fresh
-// buffer — pre-sized to the one just shipped, so a steady return stream
-// pays one allocation per batch instead of append's doubling ladder.
+// flushReturns sends the pending coalesced returns, if any. The batch goes
+// to the wire as the pooled message it accumulated in and a.ret is cleared
+// first, so the eager flushes and the end-of-instant tick can never send one
+// message twice; the next batch draws its own. After the process died the
+// batch is dropped unsent — a crash loses unsent messages by design — and
+// left to the collector.
 func (a *AM) flushReturns() {
 	a.retArmed = false
-	if len(a.pendRet) == 0 || a.stopped {
+	r := a.ret
+	if r == nil {
 		return
 	}
-	rets := a.pendRet
-	a.pendRet = make([]protocol.ReturnEntry, 0, max(4, len(rets)))
-	a.sendToMaster(protocol.GrantReturnBatch{
-		App: a.cfg.App, Returns: rets, Seq: a.seq.Next(),
-	})
+	a.ret = nil
+	if a.stopped {
+		return
+	}
+	r.App, r.Seq = a.cfg.App, a.seq.Next()
+	a.sendToMaster(r)
 }
 
 // StartWorker sends a work plan to a machine's agent for one held container.
@@ -417,9 +469,7 @@ func (a *AM) Crash() {
 		return
 	}
 	a.stopped = true
-	for _, c := range a.timers {
-		c()
-	}
+	a.sync.Stop()
 	a.net.Unregister(a.cfg.App)
 }
 
@@ -509,10 +559,7 @@ func (a *AM) Unregister() {
 	}
 	a.flushReturns()
 	a.stopped = true
-	for _, c := range a.timers {
-		c()
-	}
-	a.timers = nil
+	a.sync.Stop()
 	a.sendUnregister()
 }
 
@@ -521,17 +568,16 @@ func (a *AM) sendUnregister() {
 		return
 	}
 	a.unregTries++
-	a.sendToMaster(protocol.UnregisterApp{App: a.cfg.App, Seq: a.seq.Next()})
+	u := transport.Acquire[protocol.UnregisterApp](a.net)
+	u.App, u.Seq = a.cfg.App, a.seq.Next()
+	a.sendToMaster(u)
 	if a.unregTries >= unregMaxTries {
 		a.finishUnregister()
 		return
 	}
 	if !a.unregArmed {
 		a.unregArmed = true
-		if a.unregFn == nil {
-			a.unregFn = a.unregTick
-		}
-		a.eng.PostFunc(a.unregDelay(), a.unregFn)
+		a.eng.Post(a.unregDelay(), tickUnregister, a)
 	}
 }
 
@@ -669,7 +715,7 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 		// (whose hello means it may just have resurrected this app's grants
 		// from agent anchors), ignore everything else.
 		switch t := msg.(type) {
-		case protocol.UnregisterAck:
+		case *protocol.UnregisterAck, protocol.UnregisterAck:
 			a.finishUnregister()
 		case protocol.MasterHello:
 			if !a.staleEpoch(t.Epoch) {
@@ -679,7 +725,10 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 		return
 	}
 	switch t := msg.(type) {
-	case protocol.GrantUpdate:
+	case *protocol.GrantUpdate:
+		// Pooled: t and t.Changes are the network's again when this returns.
+		// applyGrant books the changes into the ledger and hands the
+		// callbacks plain integers, so nothing of the message is kept.
 		if a.staleEpoch(t.Epoch) {
 			return
 		}
@@ -687,7 +736,7 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 		if v == protocol.Duplicate {
 			return
 		}
-		a.applyGrant(t)
+		a.applyGrant(*t)
 		if v == protocol.Gap {
 			// Grant updates are sequenced per application, so a gap means an
 			// update to THIS app was lost on the wire. Push the full picture
@@ -696,6 +745,8 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 			// on a lossy link that wait would dominate reconvergence.
 			a.requestGrantSync()
 		}
+	case protocol.GrantUpdate:
+		a.handle(from, &t) // value form (tests, scripted masters)
 	case protocol.WorkerStatus:
 		a.applyWorkerStatus(t)
 	case protocol.MasterHello:
@@ -708,19 +759,15 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 		if a.staleEpoch(t.Epoch) {
 			return
 		}
-		a.sendToMaster(protocol.RegisterApp{
-			App: a.cfg.App, QuotaGroup: a.cfg.QuotaGroup, Units: a.cfg.Units, Seq: a.seq.Next(),
-		})
+		a.sendRegister()
 		a.fullSync()
 	case protocol.WorkerListRequest:
 		a.replyWorkerList(t.Machine)
-	case protocol.UnregisterAck:
+	case *protocol.UnregisterAck, protocol.UnregisterAck:
 		// A stale ack for a previous application that reused this endpoint
 		// name; nothing to do.
 	default:
-		if a.cb.OnMessage != nil {
-			a.cb.OnMessage(a.net.Name(from), msg)
-		}
+		a.cb.OnMessage(a.net.Name(from), msg)
 	}
 }
 
@@ -738,18 +785,14 @@ func (a *AM) applyGrant(t protocol.GrantUpdate) {
 		if ch.Delta > 0 {
 			*l.held.Put(k) += ch.Delta
 			a.consumeOutstanding(l, ch.Machine, ch.Delta)
-			if a.cb.OnGrant != nil {
-				a.cb.OnGrant(t.UnitID, ch.Machine, ch.Delta)
-			}
+			a.cb.OnGrant(t.UnitID, ch.Machine, ch.Delta)
 		} else if ch.Delta < 0 {
 			n := min(-ch.Delta, l.held.Get(k))
 			if n == 0 {
 				continue
 			}
 			dense.Take(&l.held, k, n)
-			if a.cb.OnRevoke != nil {
-				a.cb.OnRevoke(t.UnitID, ch.Machine, n)
-			}
+			a.cb.OnRevoke(t.UnitID, ch.Machine, n)
 		}
 	}
 }
@@ -782,9 +825,7 @@ func (a *AM) applyWorkerStatus(t protocol.WorkerStatus) {
 			delete(a.workers, t.WorkerID)
 		}
 	}
-	if a.cb.OnWorker != nil {
-		a.cb.OnWorker(t)
-	}
+	a.cb.OnWorker(t)
 }
 
 func (a *AM) replyWorkerList(machine string) {

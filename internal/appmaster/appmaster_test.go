@@ -34,22 +34,22 @@ func newHarness(t *testing.T, fullSync sim.Time) *harness {
 	}
 	h := &harness{eng: eng, net: net, top: top, toAgent: map[string][]transport.Message{}}
 	net.Register(protocol.MasterEndpoint, func(_ transport.EndpointID, m transport.Message) {
-		h.toMaster = append(h.toMaster, m)
+		h.toMaster = append(h.toMaster, protocol.Keep(m)) // pooled messages end with the handler
 	})
 	for _, name := range top.Machines() {
 		name := name
 		net.Register(protocol.AgentEndpoint(name), func(_ transport.EndpointID, m transport.Message) {
-			h.toAgent[name] = append(h.toAgent[name], m)
+			h.toAgent[name] = append(h.toAgent[name], protocol.Keep(m))
 		})
 	}
 	h.am = New(Config{
 		App:              "app1",
 		Units:            []resource.ScheduleUnit{{ID: 1, Priority: 100, MaxCount: 20, Size: resource.New(1000, 2048)}},
 		FullSyncInterval: fullSync,
-	}, eng, net, top, Callbacks{
-		OnGrant:  func(u int, m int32, c int) { h.grants = append(h.grants, top.MachineName(m)) },
-		OnRevoke: func(u int, m int32, c int) { h.revokes = append(h.revokes, top.MachineName(m)) },
-		OnWorker: func(s protocol.WorkerStatus) { h.statuses = append(h.statuses, s) },
+	}, eng, net, top, cbFuncs{
+		Grant:  func(u int, m int32, c int) { h.grants = append(h.grants, top.MachineName(m)) },
+		Revoke: func(u int, m int32, c int) { h.revokes = append(h.revokes, top.MachineName(m)) },
+		Worker: func(s protocol.WorkerStatus) { h.statuses = append(h.statuses, s) },
 	})
 	return h
 }

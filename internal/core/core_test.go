@@ -32,8 +32,8 @@ func TestEndToEndGrantFlow(t *testing.T) {
 	var grants int
 	am := c.NewAppMaster(appmaster.Config{
 		App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 10)},
-	}, appmaster.Callbacks{
-		OnGrant: func(unitID int, machine int32, count int) { grants += count },
+	}, cbFuncs{
+		Grant: func(unitID int, machine int32, count int) { grants += count },
 	})
 	c.Run(100 * sim.Millisecond)
 	am.Request(1, clusterHint(10))
@@ -55,13 +55,13 @@ func TestEndToEndWorkerLifecycle(t *testing.T) {
 	running := map[string]bool{}
 	am = c.NewAppMaster(appmaster.Config{
 		App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 4)},
-	}, appmaster.Callbacks{
-		OnGrant: func(unitID int, machine int32, count int) {
+	}, cbFuncs{
+		Grant: func(unitID int, machine int32, count int) {
 			for i := 0; i < count; i++ {
 				am.StartWorker(unitID, machine, fmt.Sprintf("w-%d-%d", machine, i))
 			}
 		},
-		OnWorker: func(s protocol.WorkerStatus) {
+		Worker: func(s protocol.WorkerStatus) {
 			if s.State == protocol.WorkerRunning {
 				running[s.WorkerID] = true
 			}
@@ -87,12 +87,12 @@ func TestReturnTriggersReassignment(t *testing.T) {
 	c := newCluster(t, Config{Racks: 1, MachinesPerRack: 1, Seed: 3})
 	am1 := c.NewAppMaster(appmaster.Config{
 		App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 12)},
-	}, appmaster.Callbacks{})
+	}, appmaster.NoCallbacks{})
 	got2 := 0
 	am2 := c.NewAppMaster(appmaster.Config{
 		App: "app2", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 3)},
-	}, appmaster.Callbacks{
-		OnGrant: func(_ int, _ int32, count int) { got2 += count },
+	}, cbFuncs{
+		Grant: func(_ int, _ int32, count int) { got2 += count },
 	})
 	c.Run(100 * sim.Millisecond)
 	am1.Request(1, clusterHint(12)) // fills the single machine
@@ -117,9 +117,9 @@ func TestMasterFailoverPreservesAllocations(t *testing.T) {
 		Units: []resource.ScheduleUnit{simpleUnit(1, 100, 8)},
 		// Frequent full sync accelerates state repair in the test.
 		FullSyncInterval: 2 * sim.Second,
-	}, appmaster.Callbacks{
-		OnGrant:  func(_ int, _ int32, n int) { grants += n },
-		OnRevoke: func(_ int, _ int32, n int) { revokes += n },
+	}, cbFuncs{
+		Grant:  func(_ int, _ int32, n int) { grants += n },
+		Revoke: func(_ int, _ int32, n int) { revokes += n },
 	})
 	c.Run(100 * sim.Millisecond)
 	am.Request(1, clusterHint(8))
@@ -168,8 +168,8 @@ func TestMasterFailoverServesQueuedDemand(t *testing.T) {
 		App:              "app1",
 		Units:            []resource.ScheduleUnit{simpleUnit(1, 100, 20)},
 		FullSyncInterval: 2 * sim.Second,
-	}, appmaster.Callbacks{
-		OnGrant: func(_ int, _ int32, n int) { grants += n },
+	}, cbFuncs{
+		Grant: func(_ int, _ int32, n int) { grants += n },
 	})
 	c.Run(100 * sim.Millisecond)
 	am.Request(1, clusterHint(20)) // only 12 fit on one machine
@@ -193,8 +193,8 @@ func TestNodeDownDetectedAndRevoked(t *testing.T) {
 	var am *appmaster.AM
 	am = c.NewAppMaster(appmaster.Config{
 		App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 24)},
-	}, appmaster.Callbacks{
-		OnRevoke: func(_ int, machine int32, n int) { revoked[am.MachineName(machine)] += n },
+	}, cbFuncs{
+		Revoke: func(_ int, machine int32, n int) { revoked[am.MachineName(machine)] += n },
 	})
 	c.Run(100 * sim.Millisecond)
 	am.Request(1, clusterHint(24))
@@ -234,7 +234,7 @@ func TestHealthScoreBlacklisting(t *testing.T) {
 	// New demand avoids it.
 	am := c.NewAppMaster(appmaster.Config{
 		App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 24)},
-	}, appmaster.Callbacks{})
+	}, appmaster.NoCallbacks{})
 	c.Run(100 * sim.Millisecond)
 	am.Request(1, clusterHint(24))
 	c.Run(sim.Second)
@@ -257,8 +257,8 @@ func TestHealthScoreBlacklisting(t *testing.T) {
 
 func TestBadMachineVotesBlacklist(t *testing.T) {
 	c := newCluster(t, Config{Racks: 1, MachinesPerRack: 2, Seed: 8})
-	am1 := c.NewAppMaster(appmaster.Config{App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 1)}}, appmaster.Callbacks{})
-	am2 := c.NewAppMaster(appmaster.Config{App: "app2", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 1)}}, appmaster.Callbacks{})
+	am1 := c.NewAppMaster(appmaster.Config{App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 1)}}, appmaster.NoCallbacks{})
+	am2 := c.NewAppMaster(appmaster.Config{App: "app2", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 1)}}, appmaster.NoCallbacks{})
 	c.Run(100 * sim.Millisecond)
 	am1.ReportBadMachine("r000m001")
 	c.Run(sim.Second)
@@ -283,7 +283,7 @@ func TestProtocolSurvivesLossAndDuplication(t *testing.T) {
 		App:              "app1",
 		Units:            []resource.ScheduleUnit{simpleUnit(1, 100, 30)},
 		FullSyncInterval: sim.Second,
-	}, appmaster.Callbacks{})
+	}, appmaster.NoCallbacks{})
 	c.Run(200 * sim.Millisecond)
 	am.Request(1, clusterHint(30))
 	c.Run(30 * sim.Second)
@@ -304,8 +304,8 @@ func TestAgentDaemonFailoverEndToEnd(t *testing.T) {
 	var am *appmaster.AM
 	am = c.NewAppMaster(appmaster.Config{
 		App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 2)},
-	}, appmaster.Callbacks{
-		OnGrant: func(unitID int, machine int32, count int) {
+	}, cbFuncs{
+		Grant: func(unitID int, machine int32, count int) {
 			for i := 0; i < count; i++ {
 				am.StartWorker(unitID, machine, fmt.Sprintf("w%d", am.HeldTotal(unitID)*10+i))
 			}
@@ -340,8 +340,8 @@ func TestUtilizationAccountingConsistent(t *testing.T) {
 	started := 0
 	am = c.NewAppMaster(appmaster.Config{
 		App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 50)},
-	}, appmaster.Callbacks{
-		OnGrant: func(unitID int, machine int32, count int) {
+	}, cbFuncs{
+		Grant: func(unitID int, machine int32, count int) {
 			for i := 0; i < count; i++ {
 				started++
 				am.StartWorker(unitID, machine, fmt.Sprintf("w%d", started))
@@ -369,5 +369,38 @@ func TestUtilizationAccountingConsistent(t *testing.T) {
 func TestBadConfigRejected(t *testing.T) {
 	if _, err := NewCluster(Config{Racks: 0, MachinesPerRack: 5}); err == nil {
 		t.Error("zero racks accepted")
+	}
+}
+
+// cbFuncs adapts func literals to appmaster.Callbacks for tests that react
+// to an event or two; nil fields ignore theirs.
+type cbFuncs struct {
+	Grant   func(unitID int, machine int32, count int)
+	Revoke  func(unitID int, machine int32, count int)
+	Worker  func(protocol.WorkerStatus)
+	Message func(from string, msg any)
+}
+
+func (c cbFuncs) OnGrant(unitID int, machine int32, count int) {
+	if c.Grant != nil {
+		c.Grant(unitID, machine, count)
+	}
+}
+
+func (c cbFuncs) OnRevoke(unitID int, machine int32, count int) {
+	if c.Revoke != nil {
+		c.Revoke(unitID, machine, count)
+	}
+}
+
+func (c cbFuncs) OnWorker(s protocol.WorkerStatus) {
+	if c.Worker != nil {
+		c.Worker(s)
+	}
+}
+
+func (c cbFuncs) OnMessage(from string, msg any) {
+	if c.Message != nil {
+		c.Message(from, msg)
 	}
 }

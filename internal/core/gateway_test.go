@@ -36,7 +36,7 @@ func TestGatewayAcrossMasterFailover(t *testing.T) {
 				Units:      []resource.ScheduleUnit{{ID: 1, Priority: 1, Size: resource.New(100, 512), MaxCount: 2}},
 				// The safety sync repairs a RegisterApp that raced the crash.
 				FullSyncInterval: 2 * sim.Second,
-			}, appmaster.Callbacks{})
+			}, appmaster.NoCallbacks{})
 			am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 2})
 		},
 	}

@@ -35,9 +35,9 @@ func TestQuotaWorkConservingThenPreempted(t *testing.T) {
 	batchHeld, batchRevoked := 0, 0
 	batch := c.NewAppMaster(appmaster.Config{
 		App: "batchapp", QuotaGroup: "batch", Units: []resource.ScheduleUnit{quotaUnit()},
-	}, appmaster.Callbacks{
-		OnGrant:  func(_ int, _ int32, n int) { batchHeld += n },
-		OnRevoke: func(_ int, _ int32, n int) { batchHeld -= n; batchRevoked += n },
+	}, cbFuncs{
+		Grant:  func(_ int, _ int32, n int) { batchHeld += n },
+		Revoke: func(_ int, _ int32, n int) { batchHeld -= n; batchRevoked += n },
 	})
 	c.Run(100 * sim.Millisecond)
 	batch.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 12})
@@ -50,8 +50,8 @@ func TestQuotaWorkConservingThenPreempted(t *testing.T) {
 	prodHeld := 0
 	prod := c.NewAppMaster(appmaster.Config{
 		App: "prodapp", QuotaGroup: "prod", Units: []resource.ScheduleUnit{quotaUnit()},
-	}, appmaster.Callbacks{
-		OnGrant: func(_ int, _ int32, n int) { prodHeld += n },
+	}, cbFuncs{
+		Grant: func(_ int, _ int32, n int) { prodHeld += n },
 	})
 	c.Run(100 * sim.Millisecond)
 	prod.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 6})
@@ -77,8 +77,8 @@ func TestQuotaUnknownGroupRejectedSilently(t *testing.T) {
 	got := 0
 	am := c.NewAppMaster(appmaster.Config{
 		App: "stranger", QuotaGroup: "nosuchgroup", Units: []resource.ScheduleUnit{quotaUnit()},
-	}, appmaster.Callbacks{
-		OnGrant: func(_ int, _ int32, n int) { got += n },
+	}, cbFuncs{
+		Grant: func(_ int, _ int32, n int) { got += n },
 	})
 	c.Run(100 * sim.Millisecond)
 	am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 4})
@@ -104,9 +104,9 @@ func TestQuotaSurvivesMasterFailover(t *testing.T) {
 		App: "prodapp", QuotaGroup: "prod",
 		Units:            []resource.ScheduleUnit{quotaUnit()},
 		FullSyncInterval: 2 * sim.Second,
-	}, appmaster.Callbacks{
-		OnGrant:  func(_ int, _ int32, n int) { held += n },
-		OnRevoke: func(_ int, _ int32, n int) { held -= n },
+	}, cbFuncs{
+		Grant:  func(_ int, _ int32, n int) { held += n },
+		Revoke: func(_ int, _ int32, n int) { held -= n },
 	})
 	c.Run(100 * sim.Millisecond)
 	am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 6})

@@ -22,7 +22,7 @@ func TestAdmitRetryBackoff(t *testing.T) {
 	// outstanding and every re-send is visible with its arrival time.
 	var at []sim.Time
 	observe := func(_ transport.EndpointID, m transport.Message) {
-		if _, ok := m.(protocol.JobAdmit); ok {
+		if _, ok := m.(*protocol.JobAdmit); ok {
 			at = append(at, f.eng.Now())
 		}
 	}
@@ -72,7 +72,7 @@ func TestAdmitRetryJitterDesyncs(t *testing.T) {
 
 	sendsBy := map[string][]sim.Time{}
 	f.net.Register(protocol.MasterEndpoint, func(_ transport.EndpointID, m transport.Message) {
-		if a, ok := m.(protocol.JobAdmit); ok {
+		if a, ok := m.(*protocol.JobAdmit); ok {
 			sendsBy[a.JobID] = append(sendsBy[a.JobID], f.eng.Now())
 		}
 	})

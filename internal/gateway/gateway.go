@@ -284,6 +284,9 @@ type Gateway struct {
 	eng *sim.Engine
 	net *transport.Net
 
+	epID     transport.EndpointID // own endpoint
+	masterID transport.EndpointID // the logical master endpoint
+
 	// Tenants are interned: tenantTbl maps the identity string to a dense
 	// ID and tenants is the slab those IDs index — one allocation per slab
 	// growth instead of one per tenant, and the dequeue rotations carry
@@ -371,7 +374,8 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net) *Gateway {
 		admLat: metrics.NewHistogram("gateway.admission_ms"),
 		hash:   fnvOffset,
 	}
-	net.Register(protocol.GatewayEndpoint, g.handle)
+	g.epID = net.Register(protocol.GatewayEndpoint, g.handle)
+	g.masterID = net.Endpoint(protocol.MasterEndpoint)
 	eng.Every(cfg.AdmitPeriod, g.admitRound)
 	eng.Every(cfg.RetryEvery, g.retrySweep)
 	return g
@@ -587,13 +591,11 @@ func (g *Gateway) sendAdmit(rec *jobRec) {
 	}
 	h = (h ^ uint64(rec.attempts)) * fnvPrime
 	rec.retryAt = g.eng.Now() + d + sim.Time(h%uint64(d/4+1))
-	g.net.Send(protocol.GatewayEndpoint, protocol.MasterEndpoint, protocol.JobAdmit{
-		JobID:      rec.job.ID,
-		Tenant:     rec.job.Tenant,
-		Class:      uint8(rec.job.Class),
-		QuotaGroup: rec.job.Class.QuotaGroup(),
-		Seq:        g.seq.Next(),
-	})
+	adm := transport.Acquire[protocol.JobAdmit](g.net)
+	adm.JobID, adm.Tenant = rec.job.ID, rec.job.Tenant
+	adm.Class, adm.QuotaGroup = uint8(rec.job.Class), rec.job.Class.QuotaGroup()
+	adm.Seq = g.seq.Next()
+	g.net.SendID(g.epID, g.masterID, adm)
 }
 
 // retrySweep re-sends outstanding JobAdmits that are due — the safety net
@@ -637,7 +639,7 @@ func (g *Gateway) flushUnacked(replay bool) {
 // hello that triggers the failover replay.
 func (g *Gateway) handle(from transport.EndpointID, msg transport.Message) {
 	switch t := msg.(type) {
-	case protocol.JobAdmitAck:
+	case *protocol.JobAdmitAck: // pooled: valid until this returns
 		if t.Epoch > g.epoch {
 			g.epoch = t.Epoch
 		}
@@ -653,6 +655,8 @@ func (g *Gateway) handle(from transport.EndpointID, msg transport.Message) {
 		if g.cfg.OnRegistered != nil {
 			g.cfg.OnRegistered(rec.job)
 		}
+	case protocol.JobAdmitAck:
+		g.handle(from, &t) // value form (tests, scripted masters)
 	case protocol.MasterHello:
 		if t.Epoch > g.epoch {
 			// A newly-promoted primary: replay every admitted-but-unacked

@@ -26,7 +26,7 @@ func newStubMaster(net *transport.Net) *stubMaster {
 }
 
 func (m *stubMaster) handle(from transport.EndpointID, msg transport.Message) {
-	if t, ok := msg.(protocol.JobAdmit); ok {
+	if t, ok := msg.(*protocol.JobAdmit); ok {
 		m.acked++
 		m.net.Send(protocol.MasterEndpoint, protocol.GatewayEndpoint, protocol.JobAdmitAck{
 			JobID: t.JobID, Epoch: m.epoch, Seq: m.seq.Next(),

@@ -28,7 +28,7 @@ func wire(t *testing.T) (*core.Cluster, *appmaster.AM, *invariant.Checker) {
 			{ID: 1, Priority: 10, MaxCount: 8, Size: resource.New(1000, 4096)},
 			{ID: 2, Priority: 20, MaxCount: 4, Size: resource.New(2000, 8192)},
 		},
-	}, appmaster.Callbacks{})
+	}, appmaster.NoCallbacks{})
 	cluster.Run(sim.Second)
 	am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 8})
 	am.Request(2, resource.LocalityHint{Type: resource.LocalityCluster, Count: 4})

@@ -163,19 +163,7 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology
 	j.am = appmaster.New(appmaster.Config{
 		App: cfg.Desc.Name, QuotaGroup: cfg.QuotaGroup, Units: units,
 		FullSyncInterval: cfg.FullSyncInterval,
-	}, eng, net, top, appmaster.Callbacks{
-		// The resource protocol carries dense machine IDs; the job layer
-		// (blacklists, locality indexes, worker runtime) speaks names, so
-		// convert once at this boundary.
-		OnGrant: func(unitID int, machine int32, count int) {
-			j.onGrant(unitID, top.MachineName(machine), count)
-		},
-		OnRevoke: func(unitID int, machine int32, count int) {
-			j.onRevoke(unitID, top.MachineName(machine), count)
-		},
-		OnWorker:  j.onWorker,
-		OnMessage: j.onMessage,
-	})
+	}, eng, net, top, (*amEvents)(j))
 	j.startedAt = eng.Now()
 	j.timers = append(j.timers, eng.Every(cfg.Backup.ScanInterval, j.scanBackups))
 
@@ -294,6 +282,26 @@ func (j *JobMaster) finish() {
 // ---------------------------------------------------------------------------
 // resource and worker events
 // ---------------------------------------------------------------------------
+
+// amEvents is the JobMaster as its application master sees it: the
+// appmaster.Callbacks implementation, kept off JobMaster's own method set.
+// The resource protocol carries dense machine IDs; the job layer (blacklists,
+// locality indexes, worker runtime) speaks names, so convert once at this
+// boundary.
+type amEvents JobMaster
+
+func (e *amEvents) OnGrant(unitID int, machine int32, count int) {
+	j := (*JobMaster)(e)
+	j.onGrant(unitID, j.am.MachineName(machine), count)
+}
+
+func (e *amEvents) OnRevoke(unitID int, machine int32, count int) {
+	j := (*JobMaster)(e)
+	j.onRevoke(unitID, j.am.MachineName(machine), count)
+}
+
+func (e *amEvents) OnWorker(s protocol.WorkerStatus) { (*JobMaster)(e).onWorker(s) }
+func (e *amEvents) OnMessage(from string, msg any)   { (*JobMaster)(e).onMessage(from, msg) }
 
 func (j *JobMaster) onGrant(unitID int, machine string, count int) {
 	if j.recovering {

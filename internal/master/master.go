@@ -1,6 +1,7 @@
 package master
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -187,12 +188,18 @@ type Master struct {
 	// pendDem and pendRet buffer one scheduling round's demand updates and
 	// returns in arrival order (batch mode), each with its sender so the flush
 	// resolves the app by index; round stamps the apps the flush has seen.
-	pendDem  []demandRec
-	pendRet  []returnRec
-	round    uint32
-	flushArm bool
-	dsp      dispatchScratch // pooled fan-out accumulators
-	touched  []int32         // pooled touched-machine list (release batches)
+	pendDem []demandRec
+	pendRet []returnRec
+	// pendHints owns the hint lists of the buffered round's demand updates: a
+	// DemandUpdate's payload goes back to the network when its handler
+	// returns, so what the round keeps it copies, into one arena emptied with
+	// the round. (A slice carved before the arena grew keeps the array it was
+	// carved from; nothing is moved under it.)
+	pendHints []resource.LocalityHint
+	round     uint32
+	flushArm  bool
+	dsp       dispatchScratch // pooled fan-out accumulators
+	touched   []int32         // pooled touched-machine list (release batches)
 	// Pooled round-merge buffers (flushRound) and batch-unpacking scratch.
 	appBuf  []*appState
 	unitBuf []int
@@ -203,18 +210,9 @@ type Master struct {
 	syncTgt map[syncTarget]int
 	missBuf []syncTarget
 	idxBuf  []treeIdx
-	// dsBuf is the pooled decision accumulator of the round/immediate
-	// scheduling paths (dispatch copies decisions into wire messages, so
-	// nothing retains the buffer between uses).
+	// dsBuf is the pooled decision accumulator of the round, immediate and
+	// unregister scheduling paths (see decisions).
 	dsBuf []Decision
-	// entArena/mdArena are append-only arenas backing the payload slices of
-	// outgoing CapacityDelta/GrantUpdate messages: the wire must own its
-	// payload (deliveries are asynchronous), but carving messages out of a
-	// block costs one allocation per block instead of one per message. A
-	// full block is simply dropped for a fresh one — its memory lives
-	// exactly as long as the messages that reference it.
-	entArena []protocol.CapacityEntry
-	mdArena  []protocol.MachineDelta
 	// recDem, recRet and recUnreg buffer demand, return and unregister
 	// traffic that arrives during the recovery window: acting on it before
 	// every agent has re-reported its allocations would grant from a free
@@ -224,7 +222,7 @@ type Master struct {
 	// report had not landed yet.
 	recDem    []demandRec
 	recRet    []returnRec
-	recUnreg  []protocol.UnregisterApp
+	recUnreg  []unregRec
 	timers    []sim.Cancel
 	lockAbort sim.Cancel
 	// obs holds the pre-resolved series handles of the observability plane
@@ -249,37 +247,11 @@ type returnRec struct {
 	from tr
 }
 
-const arenaBlock = 2048
-
-// ownEntries copies src into the entry arena and returns the owned slice.
-func (m *Master) ownEntries(src []protocol.CapacityEntry) []protocol.CapacityEntry {
-	if len(src) > len(m.entArena) {
-		n := arenaBlock
-		if len(src) > n {
-			n = len(src)
-		}
-		m.entArena = make([]protocol.CapacityEntry, n)
-	}
-	out := m.entArena[:len(src):len(src)]
-	m.entArena = m.entArena[len(src):]
-	copy(out, src)
-	return out
-}
-
-// ownDeltas copies src into the machine-delta arena and returns the owned
-// slice.
-func (m *Master) ownDeltas(src []protocol.MachineDelta) []protocol.MachineDelta {
-	if len(src) > len(m.mdArena) {
-		n := arenaBlock
-		if len(src) > n {
-			n = len(src)
-		}
-		m.mdArena = make([]protocol.MachineDelta, n)
-	}
-	out := m.mdArena[:len(src):len(src)]
-	m.mdArena = m.mdArena[len(src):]
-	copy(out, src)
-	return out
+// unregRec is an UnregisterApp buffered through the recovery window: the
+// application and the endpoint to acknowledge.
+type unregRec struct {
+	app  string
+	from tr
 }
 
 // NewMaster wires a master process to the simulation. Both hot-standby
@@ -457,8 +429,8 @@ func (m *Master) finishRecovery() {
 		ds = append(ds, out...)
 	}
 	m.dispatch(ds)
-	for _, t := range unreg {
-		m.handleUnregister(t) // dispatches its own release fan-out
+	for _, r := range unreg {
+		m.unregister(r.from, r.app) // dispatches its own release fan-out
 	}
 	final := m.sched.AssignOnAll()
 	m.dispatch(final)
@@ -551,7 +523,7 @@ func (m *Master) Crash() {
 	m.sched = nil
 	m.recovering = false
 	m.recDem, m.recRet, m.recUnreg = nil, nil, nil
-	m.pendDem, m.pendRet = nil, nil
+	m.pendDem, m.pendRet, m.pendHints = nil, nil, nil
 	m.wheel = nil
 	m.flushArm = false
 }
@@ -595,33 +567,44 @@ func (m *Master) handle(from tr, msg transport.Message) {
 	if !m.primary || m.crashed {
 		return
 	}
+	// The pooled types arrive as pointers the network takes back when this
+	// returns (what a handler keeps, it copies); their value forms — tests,
+	// scripted senders — are adapted to the pointer case.
 	switch t := msg.(type) {
-	case protocol.RegisterApp:
+	case *protocol.RegisterApp:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanReg, t.Seq) == protocol.Duplicate {
 			return
 		}
 		m.handleRegister(t)
-	case protocol.DemandUpdate:
+	case protocol.RegisterApp:
+		m.handle(from, &t)
+	case *protocol.DemandUpdate:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
 			return
 		}
 		m.handleDemand(from, t)
+	case protocol.DemandUpdate:
+		m.handle(from, &t)
 	case protocol.GrantReturn:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanRet, t.Seq) == protocol.Duplicate {
 			return
 		}
 		m.retBuf = append(m.retBuf[:0], returnRec{ret: t, from: from})
 		m.handleReturns(m.retBuf)
-	case protocol.GrantReturnBatch:
+	case *protocol.GrantReturnBatch:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanRet, t.Seq) == protocol.Duplicate {
 			return
 		}
 		m.handleReturnBatch(from, t)
-	case protocol.UnregisterApp:
+	case protocol.GrantReturnBatch:
+		m.handle(from, &t)
+	case *protocol.UnregisterApp:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanUnreg, t.Seq) == protocol.Duplicate {
 			return
 		}
-		m.handleUnregister(t)
+		m.unregister(from, t.App)
+	case protocol.UnregisterApp:
+		m.handle(from, &t)
 	case protocol.FullDemandSync:
 		m.handleFullSync(from, t)
 	case *protocol.AgentHeartbeat:
@@ -635,14 +618,16 @@ func (m *Master) handle(from tr, msg transport.Message) {
 			return
 		}
 		m.handleBadReport(t)
-	case protocol.JobAdmit:
+	case *protocol.JobAdmit:
 		m.handleJobAdmit(t)
+	case protocol.JobAdmit:
+		m.handle(from, &t)
 	case obs.QueryRequest:
 		m.handleObsQuery(from, t)
 	}
 }
 
-func (m *Master) handleRegister(t protocol.RegisterApp) {
+func (m *Master) handleRegister(t *protocol.RegisterApp) {
 	if m.sched.Registered(t.App) {
 		return // failover re-registration; config already restored
 	}
@@ -653,32 +638,42 @@ func (m *Master) handleRegister(t protocol.RegisterApp) {
 	m.ckpt.SaveApp(AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
 }
 
-func (m *Master) handleDemand(from tr, t protocol.DemandUpdate) {
+func (m *Master) handleDemand(from tr, t *protocol.DemandUpdate) {
 	if m.recovering {
 		// Granting before all agents re-reported would double-book machines
 		// whose allocations are not yet subtracted from the free pool.
-		m.recDem = append(m.recDem, demandRec{upd: t, from: from})
+		rec := demandRec{upd: *t, from: from}
+		rec.upd.Deltas = slices.Clone(t.Deltas)
+		m.recDem = append(m.recDem, rec)
 		return
 	}
 	if m.cfg.BatchWindow > 0 {
-		m.pendDem = append(m.pendDem, demandRec{upd: t, from: from})
+		rec := demandRec{upd: *t, from: from}
+		n := len(m.pendHints)
+		m.pendHints = append(m.pendHints, t.Deltas...)
+		rec.upd.Deltas = m.pendHints[n:len(m.pendHints):len(m.pendHints)]
+		m.pendDem = append(m.pendDem, rec)
 		m.armFlush()
 		return
 	}
 	start := time.Now()
-	ds := m.dsBuf[:0]
-	placed := false
+	ds := m.decisions()
 	if st := m.appFrom(from, t.App); st != nil {
 		if u := st.unit(t.UnitID); u != nil {
-			m.sched.applyDemand(st, u, t.Deltas, &ds)
-			placed = true
+			m.sched.applyDemand(st, u, t.Deltas, ds)
 		}
 	}
 	m.reg.Histogram("master.sched_ms").Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-	if placed {
-		m.dispatch(ds)
-	}
-	m.dsBuf = ds[:0]
+	m.dispatch(*ds)
+}
+
+// decisions returns the pooled decision accumulator, emptied, by address: a
+// local slice header whose address reaches the scheduler's walk state is a
+// heap object per call. dispatch copies decisions into wire messages, so
+// nothing keeps the buffer between uses.
+func (m *Master) decisions() *[]Decision {
+	m.dsBuf = m.dsBuf[:0]
+	return &m.dsBuf
 }
 
 func (m *Master) armFlush() {
@@ -705,17 +700,21 @@ func (m *Master) flushRound() {
 		n := len(m.recDem)
 		m.recDem = append(m.recDem, m.pendDem...)
 		moved := m.recDem[n:]
+		for i := range moved {
+			moved[i].upd.Deltas = slices.Clone(moved[i].upd.Deltas) // out of the round's arena
+		}
 		sort.SliceStable(moved, func(i, j int) bool { return moved[i].upd.App < moved[j].upd.App })
 		m.recRet = append(m.recRet, m.pendRet...)
-		m.pendDem, m.pendRet = m.pendDem[:0], m.pendRet[:0]
+		m.dropRound()
+		m.pendRet = m.pendRet[:0]
 		return
 	}
 	start := time.Now()
-	ds := m.dsBuf[:0]
+	ds := m.decisions()
 	if len(m.pendRet) > 0 {
 		touched := m.applyReleases(m.pendRet)
 		m.pendRet = m.pendRet[:0]
-		m.sched.assignOnIDsInto(touched, &ds)
+		m.sched.assignOnIDsInto(touched, ds)
 	}
 	// Chain each app's updates in arrival order, listing the apps as they
 	// first appear. Updates whose app is not registered (any more) are
@@ -773,26 +772,33 @@ func (m *Master) flushRound() {
 			}
 			m.hintBuf = hb
 			if u := st.unit(unitID); u != nil {
-				m.sched.applyDemand(st, u, hb[:w], &ds)
+				m.sched.applyDemand(st, u, hb[:w], ds)
 			}
 		}
 	}
 	clear(apps) // the pooled list must not pin unregistered apps
 	m.appBuf = apps[:0]
-	clear(m.pendDem) // nor the buffer their hint slices
-	m.pendDem = m.pendDem[:0]
+	m.dropRound()
 	m.reg.Histogram("master.sched_ms").Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-	m.dispatch(ds)
-	m.dsBuf = ds[:0]
+	m.dispatch(*ds)
 	if m.cfg.Obs != nil {
 		m.sampleObs()
 	}
 }
 
+// dropRound empties the round's demand buffer and the arena behind its hint
+// lists, zeroed so the pooled storage pins no names.
+func (m *Master) dropRound() {
+	clear(m.pendDem)
+	m.pendDem = m.pendDem[:0]
+	clear(m.pendHints)
+	m.pendHints = m.pendHints[:0]
+}
+
 // handleReturnBatch unpacks a coalesced return batch into the shared path
 // through a pooled scratch slice (the unpacked form feeds the same
 // recovery-buffer / round-buffer / immediate branches as single returns).
-func (m *Master) handleReturnBatch(from tr, t protocol.GrantReturnBatch) {
+func (m *Master) handleReturnBatch(from tr, t *protocol.GrantReturnBatch) {
 	rets := m.retBuf[:0]
 	for _, r := range t.Returns {
 		rets = append(rets, returnRec{from: from, ret: protocol.GrantReturn{
@@ -817,11 +823,10 @@ func (m *Master) handleReturns(rets []returnRec) {
 	}
 	start := time.Now()
 	touched := m.applyReleases(rets)
-	ds := m.dsBuf[:0]
-	m.sched.assignOnIDsInto(touched, &ds)
+	ds := m.decisions()
+	m.sched.assignOnIDsInto(touched, ds)
 	m.reg.Histogram("master.sched_ms").Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-	m.dispatch(ds)
-	m.dsBuf = ds[:0]
+	m.dispatch(*ds)
 }
 
 // applyReleases gives the returned containers back to the pool (without
@@ -857,25 +862,31 @@ func (m *Master) applyReleases(rets []returnRec) []int32 {
 		})
 	}
 	for i := range d.agents {
-		ag := &d.agents[i]
-		if len(ag.entries) == 0 {
-			continue
+		if ag := &d.agents[i]; len(ag.entries) > 0 {
+			m.sendCapacityDelta(ag)
 		}
-		m.net.SendID(m.epID, m.agentEP[ag.machine], protocol.CapacityDelta{
-			Entries: m.ownEntries(ag.entries),
-			Epoch:   m.epoch, Seq: m.capSeq[ag.machine].Next(),
-		})
 	}
 	return m.touched
 }
 
-func (m *Master) handleUnregister(t protocol.UnregisterApp) {
+// sendCapacityDelta ships one agent's accumulated capacity changes as a
+// pooled CapacityDelta, which owns its copy of the entries.
+func (m *Master) sendCapacityDelta(ag *agentAcc) {
+	cd := transport.Acquire[protocol.CapacityDelta](m.net)
+	cd.Entries = append(cd.Entries, ag.entries...)
+	cd.Epoch, cd.Seq = m.epoch, m.capSeq[ag.machine].Next()
+	m.net.SendID(m.epID, m.agentEP[ag.machine], cd)
+}
+
+// unregister applies an UnregisterApp for app and acknowledges it to from,
+// the endpoint that sent it.
+func (m *Master) unregister(from tr, app string) {
 	if m.recovering {
 		// Unregistering now would release only the grants restored so far;
 		// agents yet to re-report would keep capacity entries for an app
 		// the master no longer knows, orphaning them forever. Replay once
 		// every restore has landed.
-		m.recUnreg = append(m.recUnreg, t)
+		m.recUnreg = append(m.recUnreg, unregRec{app: app, from: from})
 		return
 	}
 	// Tell the agents to release the app's capacity before the scheduler
@@ -885,7 +896,8 @@ func (m *Master) handleUnregister(t protocol.UnregisterApp) {
 	// message per (unit, machine).
 	d := &m.dsp
 	d.reset(m.top.Size())
-	if st := m.sched.apps[t.App]; st != nil {
+	st := m.sched.apps[app]
+	if st != nil {
 		for i := range st.unitArr {
 			u := &st.unitArr[i]
 			for _, c := range u.granted.Cells() {
@@ -898,22 +910,21 @@ func (m *Master) handleUnregister(t protocol.UnregisterApp) {
 		m.byEP[st.ep] = nil
 	}
 	for i := range d.agents {
-		ag := &d.agents[i]
-		m.net.SendID(m.epID, m.agentEP[ag.machine], protocol.CapacityDelta{
-			Entries: m.ownEntries(ag.entries),
-			Epoch:   m.epoch, Seq: m.capSeq[ag.machine].Next(),
-		})
+		m.sendCapacityDelta(&d.agents[i])
 	}
-	ds := m.sched.UnregisterApp(t.App)
-	m.ckpt.RemoveApp(t.App)
-	m.dispatch(ds)
+	ds := m.decisions()
+	if st != nil {
+		m.sched.unregister(st, ds)
+	}
+	m.ckpt.RemoveApp(app)
+	m.dispatch(*ds)
 	// Acknowledge — idempotently, so a re-sent unregister whose original
 	// (or whose ack) died with a deposed primary is confirmed too. Without
 	// the ack-and-retry loop, the app's capacity would be resurrected from
 	// agent anchors at the next promotion and stranded forever.
-	m.net.Send(protocol.MasterEndpoint, t.App, protocol.UnregisterAck{
-		App: t.App, Epoch: m.epoch, Seq: m.seq.Next(),
-	})
+	ack := transport.Acquire[protocol.UnregisterAck](m.net)
+	ack.App, ack.Epoch, ack.Seq = app, m.epoch, m.seq.Next()
+	m.net.SendID(m.epID, from, ack)
 }
 
 func (m *Master) handleFullSync(from tr, t protocol.FullDemandSync) {
@@ -1065,11 +1076,8 @@ func (m *Master) reconcileDemand(st *appState, unitID int, want []resource.Local
 		}
 	}
 	m.missBuf = missing
-	sort.Slice(missing, func(i, j int) bool {
-		if missing[i].typ != missing[j].typ {
-			return missing[i].typ < missing[j].typ
-		}
-		return missing[i].node < missing[j].node
+	slices.SortFunc(missing, func(a, b syncTarget) int {
+		return cmp.Or(cmp.Compare(a.typ, b.typ), cmp.Compare(a.node, b.node))
 	})
 	for _, n := range missing {
 		m.sched.tree.add(key, u.def.Priority, n.typ, n.node, target[n], m.sched.now(), st, u)
@@ -1097,13 +1105,14 @@ func (m *Master) reconcileHeld(st *appState, unitID int, appView map[int32]int) 
 	if len(fixes) > 0 {
 		// Sort by machine ID so the fix order is reproducible (the app's view
 		// is a map; iteration order must not reach the wire).
-		sort.Slice(fixes, func(i, j int) bool { return fixes[i].Machine < fixes[j].Machine })
+		slices.SortFunc(fixes, func(a, b protocol.MachineDelta) int { return cmp.Compare(a.Machine, b.Machine) })
 		seq := st.grantSeq.Next()
 		st.lastGrantSeq = seq
 		st.lastGrantAt = m.eng.Now()
-		m.net.SendID(m.epID, st.ep, protocol.GrantUpdate{
-			App: st.name, UnitID: unitID, Changes: fixes, Epoch: m.epoch, Seq: seq,
-		})
+		gu := transport.Acquire[protocol.GrantUpdate](m.net)
+		gu.App, gu.UnitID, gu.Epoch, gu.Seq = st.name, unitID, m.epoch, seq
+		gu.Changes = append(gu.Changes, fixes...)
+		m.net.SendID(m.epID, st.ep, gu)
 	}
 }
 
@@ -1173,10 +1182,10 @@ func (m *Master) handleHeartbeat(t *protocol.AgentHeartbeat) {
 // idempotent because it changes no scheduler state; the job's resources
 // enter through the application master's own RegisterApp/DemandUpdate once
 // the gateway releases it.
-func (m *Master) handleJobAdmit(t protocol.JobAdmit) {
-	m.net.SendID(m.epID, m.gwID, protocol.JobAdmitAck{
-		JobID: t.JobID, Epoch: m.epoch, Seq: m.seq.Next(),
-	})
+func (m *Master) handleJobAdmit(t *protocol.JobAdmit) {
+	ack := transport.Acquire[protocol.JobAdmitAck](m.net)
+	ack.JobID, ack.Epoch, ack.Seq = t.JobID, m.epoch, m.seq.Next()
+	m.net.SendID(m.epID, m.gwID, ack)
 }
 
 // noteFlap records one master-observed death of a machine and blacklists it
@@ -1322,9 +1331,9 @@ func (m *Master) scanHeartbeats() {
 
 // dispatchScratch holds the reusable fan-out accumulators behind dispatch,
 // applyReleases and the unregister fan-out. The accumulators grow in place
-// and are truncated (never freed) between uses, so a steady stream of
-// scheduling rounds allocates only the per-message payload copies that the
-// asynchronous transport must own.
+// and are truncated (never freed) between uses, and the messages they are
+// copied into are pooled with their payload buffers, so a steady stream of
+// scheduling rounds allocates nothing to fan out.
 type dispatchScratch struct {
 	apps   []appAcc
 	agents []agentAcc
@@ -1461,11 +1470,7 @@ func (m *Master) dispatch(ds []Decision) {
 		}
 	}
 	for i := range d.agents {
-		ag := &d.agents[i]
-		m.net.SendID(m.epID, m.agentEP[ag.machine], protocol.CapacityDelta{
-			Entries: m.ownEntries(ag.entries),
-			Epoch:   m.epoch, Seq: m.capSeq[ag.machine].Next(),
-		})
+		m.sendCapacityDelta(&d.agents[i])
 	}
 	for i := range d.apps {
 		aa := &d.apps[i]
@@ -1475,11 +1480,10 @@ func (m *Master) dispatch(ds []Decision) {
 			seq := aa.st.grantSeq.Next()
 			aa.st.lastGrantSeq = seq
 			aa.st.lastGrantAt = m.eng.Now()
-			batch = append(batch, protocol.GrantUpdate{
-				App: aa.st.name, UnitID: ua.unit,
-				Changes: m.ownDeltas(ua.deltas),
-				Epoch:   m.epoch, Seq: seq,
-			})
+			gu := transport.Acquire[protocol.GrantUpdate](m.net)
+			gu.App, gu.UnitID, gu.Epoch, gu.Seq = aa.st.name, ua.unit, m.epoch, seq
+			gu.Changes = append(gu.Changes, ua.deltas...)
+			batch = append(batch, gu)
 		}
 		m.net.SendBatchID(m.epID, aa.st.ep, batch)
 		d.batch = batch[:0]

@@ -39,7 +39,9 @@ func newMasterHarness(t *testing.T, cfg Config) *masterHarness {
 	}
 	h.top = testTop(t, 2, 2)
 	h.m1 = NewMaster(cfg, eng, h.net, h.lock, h.top, h.ckpt, h.reg)
-	h.net.Register("app1", func(_ transport.EndpointID, m transport.Message) { h.toApp = append(h.toApp, m) })
+	h.net.Register("app1", func(_ transport.EndpointID, m transport.Message) {
+		h.toApp = append(h.toApp, protocol.Keep(m)) // pooled messages end with the handler
+	})
 	return h
 }
 
@@ -84,7 +86,7 @@ func TestUnregisterBufferedDuringRecovery(t *testing.T) {
 			switch cu := msg.(type) {
 			case protocol.CapacityUpdate:
 				agentMsgs[mc] = append(agentMsgs[mc], cu)
-			case protocol.CapacityDelta:
+			case *protocol.CapacityDelta:
 				for _, e := range cu.Entries {
 					agentMsgs[mc] = append(agentMsgs[mc], protocol.CapacityUpdate{
 						App: net.Name(transport.EndpointID(e.App)), UnitID: e.UnitID, Size: e.Size, Delta: e.Count,

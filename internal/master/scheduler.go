@@ -18,9 +18,9 @@
 package master
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/dense"
 	"repro/internal/ident"
@@ -136,11 +136,14 @@ type appState struct {
 	group string
 	quota *groupState // s.groups[group], resolved once: every grant and release charges it
 	// unitArr holds the app's units sorted by ID, frozen at registration —
-	// one allocation for the whole app, iterated directly by the
-	// deterministic revocation/unregister walks and searched by unit (the
-	// entry pointers handed to the wait tree stay valid because the slice
-	// never reallocates after registration).
+	// iterated directly by the deterministic revocation/unregister walks and
+	// searched by unit (the entry pointers handed to the wait tree stay valid
+	// because the slice never reallocates after registration). A one-unit app
+	// — every gateway and replay job — keeps its unit in unit0, inside the
+	// app's own allocation, and unitArr is a view of it; wider apps get one
+	// slice for all their units.
 	unitArr []unitState
+	unit0   [1]unitState
 	// ep is the application master's transport endpoint ID — where its grants
 	// go, and the app's identity in capacity and heartbeat messages. The
 	// Master wrapper sets it at registration (transport.None in a bare
@@ -254,10 +257,12 @@ type Scheduler struct {
 	// candidate callback to a long-lived struct keeps the per-machine sweep
 	// from allocating a fresh escape-to-heap closure on every free-up.
 	asg assignCtx
-	// seenBuf/uniqBuf are the pooled dedup scratch of assignOnIDs.
-	seenBuf []bool
-	uniqBuf []int32
-	audit   auditState // what changed since the last CheckInvariants (audit.go)
+	// seenBuf/uniqBuf are the pooled dedup scratch of assignOnIDs; touchBuf
+	// is unregister's list of the machines it freed capacity on.
+	seenBuf  []bool
+	uniqBuf  []int32
+	touchBuf []int32
+	audit    auditState // what changed since the last CheckInvariants (audit.go)
 }
 
 // assignCtx carries one assignOnMachine invocation's state; fn is the
@@ -375,7 +380,11 @@ func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit
 	}
 	id := s.appTbl.Intern(app)
 	st := &appState{id: id, name: app, group: group, quota: g, ep: transport.None}
-	st.unitArr = make([]unitState, 0, len(units))
+	if len(units) <= len(st.unit0) {
+		st.unitArr = st.unit0[:0]
+	} else {
+		st.unitArr = make([]unitState, 0, len(units))
+	}
 	for _, u := range units {
 		if err := u.Validate(); err != nil {
 			return fmt.Errorf("master: app %q: %w", app, err)
@@ -387,7 +396,14 @@ func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit
 		}
 		st.unitArr = append(st.unitArr, unitState{def: u})
 	}
-	sort.Slice(st.unitArr, func(i, j int) bool { return st.unitArr[i].def.ID < st.unitArr[j].def.ID })
+	// Units nearly always arrive in ID order (and a one-unit app trivially
+	// does): look before sorting, which compares these wide records by value.
+	for i := 1; i < len(st.unitArr); i++ {
+		if st.unitArr[i-1].def.ID > st.unitArr[i].def.ID {
+			slices.SortFunc(st.unitArr, func(a, b unitState) int { return cmp.Compare(a.def.ID, b.def.ID) })
+			break
+		}
+	}
 	for i := range st.unitArr {
 		st.unitArr[i].idx = int32(i)
 	}
@@ -410,10 +426,18 @@ func (s *Scheduler) UnregisterApp(app string) []Decision {
 	if !ok {
 		return nil
 	}
+	var out []Decision
+	s.unregister(st, &out)
+	return out
+}
+
+// unregister is UnregisterApp past the name lookup, appending into a
+// caller-pooled buffer.
+func (s *Scheduler) unregister(st *appState, out *[]Decision) {
 	// Release and reassign in sorted order: map iteration order must not
 	// decide which waiting application is offered the freed capacity first.
 	// (Machine-ID order equals sorted-name order by construction.)
-	var touched []int32
+	touched := s.touchBuf[:0]
 	for i := range st.unitArr {
 		u := &st.unitArr[i]
 		for _, c := range u.granted.Cells() {
@@ -428,9 +452,10 @@ func (s *Scheduler) UnregisterApp(app string) []Decision {
 		(&st.quota.audited).AddScaledInPlace(u.def.Size, -int64(u.auditedHeld))
 	}
 	s.tree.removeApp(st.id)
-	delete(s.apps, app)
+	delete(s.apps, st.name)
 	s.appByID[st.id] = nil
-	return s.assignOnIDs(touched)
+	s.touchBuf = touched
+	s.assignOnIDsInto(touched, out)
 }
 
 // UpdateDemand applies incremental per-locality demand deltas for one unit

@@ -22,6 +22,22 @@
 // application to every process in every master epoch. Worker-management
 // messages (WorkPlan, WorkerStatus) keep names: they cross into the job
 // layer, which speaks names.
+//
+// Pooled messages: the nine types every job or every scheduling decision
+// sends — RegisterApp, DemandUpdate, GrantReturnBatch, GrantUpdate,
+// UnregisterApp, UnregisterAck, CapacityDelta, JobAdmit, JobAdmitAck — travel
+// as pointers drawn from the network's free lists (transport.Acquire) and
+// implement transport.Recycled (pool.go). Such a message and its payload
+// slice are valid until the receiving handler returns, then the network
+// zeroes and reuses them; a receiver that keeps a hint list, an entry or the
+// message itself past that point copies it. The payloads the message owns
+// (Deltas, Returns, Changes, Entries) are filled with append into whatever
+// capacity the last use left; RegisterApp.Units is the one borrowed payload —
+// it aliases the application master's own configuration, as it always has,
+// and is dropped, not zeroed, on release. The value forms of all nine remain
+// valid messages (tests and scripted senders use them) and every receiver
+// accepts both. WireSize is declared on the value types, so a pointer and a
+// value of one message report the same size.
 package protocol
 
 import "repro/internal/resource"

@@ -156,6 +156,7 @@ type dpStage struct {
 // dpJob is one data-plane job: a DAG of stages behind one application
 // master, admitted through the gateway.
 type dpJob struct {
+	appmaster.NoCallbacks
 	h     *harness
 	id    string
 	kind  dpKind
@@ -628,10 +629,7 @@ func (h *harness) spawnDataplaneJob(gj gateway.Job) {
 	j.am = appmaster.New(appmaster.Config{
 		App: j.id, QuotaGroup: gj.Class.QuotaGroup(), Units: units,
 		FullSyncInterval: fullSync,
-	}, h.eng, h.net, h.top, appmaster.Callbacks{
-		OnGrant:  j.onGrant,
-		OnRevoke: j.onRevoke,
-	})
+	}, h.eng, h.net, h.top, j)
 	// Root stages demand after the registration round-trip settles; inner
 	// stages are released incrementally as upstreams finish.
 	h.eng.PostFunc(sim.Millisecond, func() {
@@ -659,7 +657,8 @@ func (j *dpJob) stageAt(unitID int) *dpStage {
 	return j.stages[j.order[unitID-1]]
 }
 
-func (j *dpJob) onGrant(unitID int, machine int32, count int) {
+// OnGrant implements appmaster.Callbacks.
+func (j *dpJob) OnGrant(unitID int, machine int32, count int) {
 	h := j.h
 	h.grants += uint64(count)
 	if h.pauseAt != 0 && h.eng.Now()-h.pauseAt > sim.Millisecond {
@@ -707,7 +706,7 @@ func (j *dpJob) onGrant(unitID int, machine int32, count int) {
 
 // holdDone completes one grant's work slice: the containers return to the
 // master and the stage's executed count advances. Containers revoked
-// mid-hold were already re-demanded by onRevoke, so the return is clamped
+// mid-hold were already re-demanded by OnRevoke, so the return is clamped
 // to what the application master still holds.
 func (j *dpJob) holdDone(st *dpStage, machine int32, count int) {
 	h := j.h
@@ -792,7 +791,8 @@ func (j *dpJob) complete() {
 	h.dp.completedJobs++
 }
 
-func (j *dpJob) onRevoke(unitID int, machine int32, count int) {
+// OnRevoke implements appmaster.Callbacks.
+func (j *dpJob) OnRevoke(unitID int, machine int32, count int) {
 	h := j.h
 	h.revokes += uint64(count)
 	st := j.stageAt(unitID)

@@ -80,7 +80,7 @@ func TestPerProcessFootprint(t *testing.T) {
 		for i, name := range names {
 			am := appmaster.New(appmaster.Config{
 				App: name, QuotaGroup: "batch", Units: units[i], FullSyncInterval: cfg.FullSyncEvery,
-			}, eng, net, top, appmaster.Callbacks{})
+			}, eng, net, top, appmaster.NoCallbacks{})
 			home := int32(i % len(machines))
 			am.Request(1,
 				resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[home], Count: 1},

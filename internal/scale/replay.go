@@ -343,10 +343,9 @@ func (h *harness) spawnReplayJob(j gateway.Job) {
 		prio = 1
 	}
 	sizeIdx := int((mix >> 8) % 3)
-	units := []resource.ScheduleUnit{{
+	app := h.startUnitApp(j.ID, j.Class.QuotaGroup(), resource.ScheduleUnit{
 		ID: 1, Priority: prio, Size: unitSize(sizeIdx), MaxCount: w,
-	}}
-	app := h.startApp(j.ID, j.Class.QuotaGroup(), units, w, hold)
+	}, w, hold)
 	app.class = j.Class
 	h.eng.Post(sim.Millisecond, hashedDemand, app)
 }
@@ -359,7 +358,7 @@ func (rp *rpState) observeD2G(c gateway.Class, ms float64) {
 	}
 }
 
-// grant is the replay branch of scaleApp.onGrant: broken machines bounce
+// grant is the replay branch of scaleApp.OnGrant: broken machines bounce
 // the grant as a launch failure, slow machines stretch the hold, and
 // ordinary grants hold-then-return like the gateway churn.
 func (rp *rpState) grant(a *scaleApp, unitID int, machine int32, count int) {

@@ -187,6 +187,26 @@ func TestReplayRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestReplayAllocationsPerAdmittedJob is the alloc gate on a job's whole
+// lifecycle — admission record, application master, registration, demand,
+// grants, hold timers, returns, unregister and every message between them —
+// on the smoke replay, where 4,110 jobs also carry the run's fixed costs
+// (100 agents, two masters, a failover). It measured 51.4 when every message
+// was boxed into its interface and every job bound its callbacks and timers
+// as closures, 21.0 with pooled pointer messages and a closure-free job.
+func TestReplayAllocationsPerAdmittedJob(t *testing.T) {
+	res, err := Run(SmokeReplayConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || len(res.Invariants) > 0 || res.Gateway.Registered < 4000 {
+		t.Fatalf("truncated=%v invariants=%v registered=%d", res.Truncated, res.Invariants, res.Gateway.Registered)
+	}
+	if res.AllocsPerAdmission > 24 {
+		t.Errorf("%.1f allocations per admitted job, want <= 24", res.AllocsPerAdmission)
+	}
+}
+
 // TestFinishedJobsLeaveTheHarness: h.apps is walked by every failover
 // measurement and every checker sweep, and pins each job's application
 // master; it must track the jobs still open, not the jobs ever served.

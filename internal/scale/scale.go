@@ -406,8 +406,9 @@ type Result struct {
 
 // scaleApp drives one application master's churn: request, hold, return,
 // re-request on revocation, unregister when every container completed one
-// hold cycle.
+// hold cycle. It is its own appmaster.Callbacks.
 type scaleApp struct {
+	appmaster.NoCallbacks
 	h         *harness
 	am        *appmaster.AM
 	name      string
@@ -430,6 +431,10 @@ type scaleApp struct {
 	// reqCount accumulates one instant's churn re-demand per unit, so the
 	// expiries of several machines' containers merge into one DemandUpdate.
 	reqCount []int
+	// unit1 is the unit definition of a job whose one unit is its own (every
+	// replay job draws its width): the application master's configuration
+	// slices it, so the definition is not a heap object either.
+	unit1 [1]resource.ScheduleUnit
 }
 
 type harness struct {
@@ -990,7 +995,19 @@ func unitSize(i int) resource.Vector {
 // startApp creates one application and starts its application master (which
 // registers with FuxiMaster at once); the caller sends the first demand.
 func (h *harness) startApp(name, group string, units []resource.ScheduleUnit, width int, hold sim.Time) *scaleApp {
-	app := &scaleApp{h: h, name: name, width: width, hold: hold, remaining: len(units) * width}
+	return h.start(&scaleApp{h: h, name: name, width: width, hold: hold}, group, units)
+}
+
+// startUnitApp is startApp for a job with one unit that nothing else shares:
+// the definition is stored in the scaleApp itself.
+func (h *harness) startUnitApp(name, group string, unit resource.ScheduleUnit, width int, hold sim.Time) *scaleApp {
+	app := &scaleApp{h: h, name: name, width: width, hold: hold}
+	app.unit1[0] = unit
+	return h.start(app, group, app.unit1[:])
+}
+
+func (h *harness) start(app *scaleApp, group string, units []resource.ScheduleUnit) *scaleApp {
+	app.remaining = len(units) * app.width
 	if n := len(units) + 1; n <= len(app.pendingOne) {
 		app.pendingReq = app.pendingOne[:n]
 	} else {
@@ -1002,11 +1019,8 @@ func (h *harness) startApp(name, group string, units []resource.ScheduleUnit, wi
 		fullSync = 10 * sim.Second
 	}
 	app.am = appmaster.New(appmaster.Config{
-		App: name, QuotaGroup: group, Units: units, FullSyncInterval: fullSync,
-	}, h.eng, h.net, h.top, appmaster.Callbacks{
-		OnGrant:  app.onGrant,
-		OnRevoke: app.onRevoke,
-	})
+		App: app.name, QuotaGroup: group, Units: units, FullSyncInterval: fullSync,
+	}, h.eng, h.net, h.top, app)
 	return app
 }
 
@@ -1116,7 +1130,8 @@ func (h *harness) hashDecision(name string, unitID int, machine int32, count int
 	h.decHash = x
 }
 
-func (a *scaleApp) onGrant(unitID int, machine int32, count int) {
+// OnGrant implements appmaster.Callbacks.
+func (a *scaleApp) OnGrant(unitID int, machine int32, count int) {
 	h := a.h
 	h.grants += uint64(count)
 	h.hashDecision(a.name, unitID, machine, count, false)
@@ -1152,7 +1167,7 @@ func (a *scaleApp) onGrant(unitID int, machine int32, count int) {
 
 // holdReturn is the hold timer of every workload but churn: return what is
 // still held of the grant — revoked containers skip the return, they
-// re-entered via onRevoke's re-request — and finish the job with its last
+// re-entered via OnRevoke's re-request — and finish the job with its last
 // container.
 func holdReturn(x any) {
 	a, unitID, machine, n := takeHold(x.(*holdRec))
@@ -1166,7 +1181,8 @@ func holdReturn(x any) {
 	}
 }
 
-func (a *scaleApp) onRevoke(unitID int, machine int32, count int) {
+// OnRevoke implements appmaster.Callbacks.
+func (a *scaleApp) OnRevoke(unitID int, machine int32, count int) {
 	h := a.h
 	h.revokes += uint64(count)
 	h.hashDecision(a.name, unitID, machine, count, true)

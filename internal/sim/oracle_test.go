@@ -11,7 +11,10 @@ import (
 // (ptrengine_test.go). Everything observable must agree — the (time, id)
 // firing sequence, what every Run returned, Fired, Pending and Now after
 // every op. TestEngineOracle feeds it seeded random scripts;
-// FuzzEngineOracle lets the fuzzer write them.
+// FuzzEngineOracle lets the fuzzer write them. One op differs by side: where
+// the oracle arms an Every, the shipped engine starts a caller-owned Ticker,
+// which must fire at the same (time, order) through stops, restarts and
+// stops from inside its own callback.
 
 // queue is the surface both engines share.
 type queue interface {
@@ -39,7 +42,54 @@ type script struct {
 	ids     int
 	handles []Cancel // every Cancel ever handed out, live or long stale
 	everys  []Cancel
+	// tickers are the caller-owned periodic timers: the shipped engine's side
+	// drives a Ticker, the oracle's the Every it must be indistinguishable from.
+	tickers [2]periodic
 	budget  int // callbacks left before periodic timers are shut off
+}
+
+const tickerFloor = 20 * Millisecond
+
+// periodic is the one op the two sides perform differently.
+type periodic interface {
+	start(d Time, fn func())
+	stop()
+}
+
+type everyPeriodic struct {
+	q      queue
+	cancel Cancel
+}
+
+func (p *everyPeriodic) start(d Time, fn func()) {
+	p.stop()
+	p.cancel = p.q.Every(d, fn)
+}
+
+func (p *everyPeriodic) stop() {
+	if p.cancel != nil {
+		p.cancel()
+		p.cancel = nil
+	}
+}
+
+type tickerPeriodic struct {
+	e *Engine
+	t Ticker
+}
+
+func (p *tickerPeriodic) start(d Time, fn func()) { p.t.Start(p.e, d, callFunc, fn) }
+func (p *tickerPeriodic) stop()                   { p.t.Stop() }
+
+// stopPeriodic shuts off everything that would keep a drain from ending.
+func (s *script) stopPeriodic() {
+	for _, c := range s.everys {
+		c()
+	}
+	s.everys = nil
+	for _, p := range s.tickers {
+		p.stop()
+	}
 }
 
 func (s *script) byte() byte {
@@ -81,10 +131,7 @@ func (s *script) delay() Time {
 func (s *script) fire(id int) {
 	s.log = append(s.log, fmt.Sprintf("%d@%d", id, s.q.Now()))
 	if s.budget--; s.budget <= 0 {
-		for _, c := range s.everys {
-			c()
-		}
-		s.everys = nil
+		s.stopPeriodic()
 		return
 	}
 	switch id % 11 {
@@ -104,6 +151,10 @@ func (s *script) fire(id int) {
 		}
 	case 6:
 		s.post(Time(ringSlots) << slotShift) // first slot past the horizon
+	case 7:
+		s.tickers[id%2].stop() // its own, when this is that ticker's callback
+	case 8:
+		s.tickers[id%2].start(tickerFloor+Time(id%40)*Millisecond, s.callback()) // likewise a restart
 	}
 }
 
@@ -130,7 +181,7 @@ func (s *script) post(d Time) {
 
 func (s *script) run() []string {
 	for s.pos < len(s.in) {
-		switch op := s.byte(); op % 12 {
+		switch op := s.byte(); op % 14 {
 		case 0, 1, 2:
 			s.post(s.delay())
 		case 3:
@@ -159,18 +210,21 @@ func (s *script) run() []string {
 				s.post(d)
 			}
 		case 11:
-			for _, c := range s.everys {
-				c()
-			}
-			s.everys = nil
+			s.stopPeriodic()
 			n := s.q.RunUntilIdle()
 			s.log = append(s.log, fmt.Sprintf("idle=%d", n))
+		case 12:
+			// At least tickerFloor apart, so a long run leaves most of the
+			// script's callback budget to the other ops.
+			if p, d := s.tickers[s.byte()%2], s.delay(); d > 0 {
+				p.start(d+tickerFloor, s.callback())
+			}
+		case 13:
+			s.tickers[s.byte()%2].stop()
 		}
 		s.log = append(s.log, fmt.Sprintf("now=%d fired=%d pending=%d", s.q.Now(), s.q.Fired(), s.q.Pending()))
 	}
-	for _, c := range s.everys {
-		c()
-	}
+	s.stopPeriodic()
 	for s.q.Pending() > 0 { // a Halt may end a drain early
 		s.log = append(s.log, fmt.Sprintf("drain=%d now=%d fired=%d pending=%d",
 			s.q.RunUntilIdle(), s.q.Now(), s.q.Fired(), s.q.Pending()))
@@ -182,8 +236,11 @@ func (s *script) run() []string {
 // which they differ.
 func checkOracle(in []byte) error {
 	const budget = 20000 // callbacks per script: re-entrant events may breed
-	want := (&script{q: newPtrEngine(1), in: in, budget: budget}).run()
-	got := (&script{q: NewEngine(1), in: in, budget: budget}).run()
+	ref, eng := newPtrEngine(1), NewEngine(1)
+	want := (&script{q: ref, in: in, budget: budget,
+		tickers: [2]periodic{&everyPeriodic{q: ref}, &everyPeriodic{q: ref}}}).run()
+	got := (&script{q: eng, in: in, budget: budget,
+		tickers: [2]periodic{&tickerPeriodic{e: eng}, &tickerPeriodic{e: eng}}}).run()
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
 			g := "<end of log>"
@@ -221,7 +278,7 @@ func TestEngineOracleCoversTheHardCases(t *testing.T) {
 	rand.New(rand.NewSource(1)).Read(in)
 	e := NewEngine(1)
 	var far, classes, staleCancels int
-	s := &script{in: in, budget: 20000}
+	s := &script{in: in, budget: 20000, tickers: [2]periodic{&tickerPeriodic{e: e}, &tickerPeriodic{e: e}}}
 	s.q = probe{e, func() {
 		far = max(far, len(e.far))
 		for k := range e.free {
@@ -258,11 +315,13 @@ func (p probe) Run(until Time) uint64 {
 
 func FuzzEngineOracle(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{10, 4, 1, 200, 8, 3, 90, 11})                   // burst, run across the horizon, drain
-	f.Add([]byte{4, 2, 5, 7, 0, 8, 2, 9, 7, 0, 11})              // After, cancel, run, cancel again (stale)
-	f.Add([]byte{6, 2, 3, 0, 6, 5, 8, 3, 255, 11})               // Every, far Post, long run
-	f.Add([]byte{5, 5, 9, 3, 6, 1, 8, 0, 0, 0, 1, 7, 8, 4, 11})  // At in the past, horizon edge, zero-length run
-	f.Add([]byte{10, 0, 0, 40, 1, 0, 0, 8, 0, 0, 10, 0, 0, 255}) // same-instant bursts around a zero-length run
+	f.Add([]byte{10, 4, 1, 200, 8, 3, 90, 11})                            // burst, run across the horizon, drain
+	f.Add([]byte{4, 2, 5, 7, 0, 8, 2, 9, 7, 0, 11})                       // After, cancel, run, cancel again (stale)
+	f.Add([]byte{6, 2, 3, 0, 6, 5, 8, 3, 255, 11})                        // Every, far Post, long run
+	f.Add([]byte{5, 5, 9, 3, 6, 1, 8, 0, 0, 0, 1, 7, 8, 4, 11})           // At in the past, horizon edge, zero-length run
+	f.Add([]byte{10, 0, 0, 40, 1, 0, 0, 8, 0, 0, 10, 0, 0, 255})          // same-instant bursts around a zero-length run
+	f.Add([]byte{12, 0, 2, 30, 8, 3, 5, 13, 0, 12, 0, 2, 9, 8, 3, 9, 11}) // Ticker: run, stop, restart faster under the orphaned tick, run, drain
+	f.Add([]byte{12, 1, 3, 200, 12, 1, 3, 200, 13, 1, 8, 3, 255, 11})     // Ticker restarted at its own instant, stopped beyond the horizon
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) > 2000 {
 			in = in[:2000]

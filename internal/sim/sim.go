@@ -25,6 +25,12 @@
 // share an instant once a virtual second land in a different slot each time
 // and still reuse one array. A warm engine allocates nothing to schedule or
 // fire, whatever the group size.
+//
+// Periodic timers come in two forms with one firing schedule: Every, which
+// takes a closure and returns a Cancel, for the handful of long-lived timers
+// a component arms at start-up; and Ticker, a record its owner embeds, for
+// timers armed once per short-lived object (an application master's full
+// sync), which costs that object nothing.
 package sim
 
 import (
@@ -199,6 +205,7 @@ type Engine struct {
 	// many as the slots ever visited.
 	free  [groupClasses][][]event
 	cells []*cancelCell // recycled cancel cells
+	ticks []*tickRec    // recycled Ticker tick records
 }
 
 // NewEngine returns an engine whose RNG is seeded with seed, making runs
@@ -383,6 +390,73 @@ func (e *Engine) Every(interval Time, fn func()) Cancel {
 	// whole interval later; dropping the callback now keeps the record from
 	// pinning whatever fn closes over until then.
 	return func() { r.stopped, r.fn = true, nil }
+}
+
+// Ticker is Every for an owner that embeds its timer: the record sits inside
+// the owner (an application master has one), the callback is a long-lived
+// func(any) and its argument, and every tick rides the closure-free Post
+// path, so on a warm engine a periodic timer costs its owner no allocation
+// where Every costs three (record, cancel closure, and usually a method
+// value). The ticks fall exactly where Every's would: first one interval
+// after Start, re-armed after the callback returns, and a tick already queued
+// when Stop is called still fires — as a no-op, counted by Fired. The zero
+// value is a stopped ticker; a Ticker must not be copied once started.
+type Ticker struct {
+	e        *Engine
+	interval Time
+	fn       func(any)
+	arg      any
+	cur      *tickRec // the live tick's record, nil while stopped
+}
+
+// tickRec is what a queued tick points at. It comes from the engine's free
+// list, not from the Ticker, so the tick a Stop leaves in the queue — for up
+// to a whole interval — pins one word and not the ticker's owner (the reason
+// Every's cancel drops its callback).
+type tickRec struct {
+	e *Engine
+	t *Ticker // nil once the run this tick belongs to was stopped
+}
+
+// Start arms the ticker to call fn(arg) every interval, first after one
+// interval, stopping any earlier run.
+func (t *Ticker) Start(e *Engine, interval Time, fn func(any), arg any) {
+	if interval <= 0 {
+		panic(fmt.Sprintf("sim: non-positive interval %d", interval))
+	}
+	t.Stop()
+	t.e, t.interval, t.fn, t.arg = e, interval, fn, arg
+	var r *tickRec
+	if n := len(e.ticks); n > 0 {
+		r = e.ticks[n-1]
+		e.ticks = e.ticks[:n-1]
+	} else {
+		r = new(tickRec)
+	}
+	r.e, r.t, t.cur = e, t, r
+	e.Post(interval, tickerTick, r)
+}
+
+// Stop ends the run; Start may begin another.
+func (t *Ticker) Stop() {
+	if t.cur != nil {
+		t.cur.t, t.cur = nil, nil
+	}
+}
+
+func tickerTick(a any) {
+	r := a.(*tickRec)
+	if t := r.t; t != nil {
+		t.fn(t.arg)
+		if r.t != nil { // still this run's tick: the callback neither stopped nor restarted it
+			if !r.e.halted {
+				r.e.Post(t.interval, tickerTick, r)
+				return
+			}
+			t.cur, r.t = nil, nil // halted: the run ends here, as Every's does
+		}
+	}
+	r.e.ticks = append(r.e.ticks, r)
 }
 
 // Run executes events with firing times <= until, then advances the clock

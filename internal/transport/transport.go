@@ -32,6 +32,20 @@
 // messages are handed to the receiver in order, always. Protocol code that
 // needs FIFO within one instant must batch; everything else must tolerate
 // reordering (the dedup/gap machinery in internal/protocol does).
+//
+// Message lifetime: a message that implements Recycled — a pointer to one of
+// the protocol's pooled types, drawn with Acquire — belongs to the network
+// from the moment it is sent. It and its payload slices are valid until the
+// receiving handler returns; then the network clears it (header fields and
+// every payload element zeroed, payloads truncated with their capacity kept)
+// and returns it to the free list the next Acquire draws from. A handler, or
+// a Tap, that keeps anything past its own return copies it: a kept pointer or
+// slice reads zeros at once instead of another message's contents later. The
+// sender must not touch the message after the send either. A message the
+// network duplicated, or dropped at send time, is simply never recycled — the
+// collector takes it — so nothing is released twice and nothing still queued
+// is reused. Value messages are untouched by all of this: they are copied
+// into the interface by the sender and shared by nobody.
 package transport
 
 import (
@@ -42,9 +56,50 @@ import (
 	"repro/internal/sim"
 )
 
-// Message is any control-plane payload. Payloads are passed by value through
-// the simulated network; senders must not retain mutable references.
+// Message is any control-plane payload. Value payloads pass through the
+// simulated network by value and senders must not retain mutable references;
+// pointer payloads that implement Recycled are owned by the network (see the
+// package comment).
 type Message any
+
+// Recycled is implemented by pointer messages that travel through a Net's
+// free lists. Pool names the type's free list — a small dense integer, the
+// same for every message of the type and callable on a nil pointer — and
+// Clear zeroes the header and every payload element, then truncates the
+// payloads, keeping their capacity for the next use.
+type Recycled interface {
+	Pool() int
+	Clear()
+}
+
+// Acquire returns a cleared *T from the network's free list for T, or a new
+// one when the list is empty. The caller fills it (appending into the payload
+// slices, which keep their capacity across uses) and sends it; the network
+// takes it back after the receiving handler returns.
+func Acquire[T any, P interface {
+	*T
+	Recycled
+}](n *Net) P {
+	if id := P(nil).Pool(); id < len(n.free) {
+		if l := n.free[id]; len(l) > 0 {
+			m := l[len(l)-1]
+			l[len(l)-1] = nil
+			n.free[id] = l[:len(l)-1]
+			return m.(P)
+		}
+	}
+	return P(new(T))
+}
+
+// recycle clears a message whose one delivery is over and files it for reuse.
+func (n *Net) recycle(m Recycled) {
+	m.Clear()
+	id := m.Pool()
+	for id >= len(n.free) {
+		n.free = append(n.free, nil)
+	}
+	n.free[id] = append(n.free[id], m)
+}
 
 // Sizer lets a message report its approximate wire size in bytes for the
 // protocol-overhead ablation. Messages without Sizer count a nominal size.
@@ -117,7 +172,8 @@ type Net struct {
 	DropRate float64
 	DupRate  float64
 	// Tap, when set, observes every Send before routing — for traffic
-	// accounting in experiments. It must not mutate the message.
+	// accounting in experiments. It must not mutate the message, nor keep a
+	// Recycled one past its own return (protocol.Keep copies).
 	Tap func(from, to string, msg Message)
 
 	stats Stats
@@ -152,12 +208,16 @@ type Net struct {
 	// (the master's per-agent grant/capacity roll-ups) reuses a small set
 	// of buffers instead of allocating one per batch.
 	batchPool [][]Message
-	// Deliveries ride the engine's closure-free Post path: deliverFn is
-	// bound once and each in-flight message borrows a pooled delivery
-	// record, so a warm network allocates nothing per Send beyond the
-	// message itself.
-	deliverFn func(any)
-	dpool     []*delivery
+	// Deliveries ride the engine's closure-free Post path: deliverFn and
+	// deliverRecycleFn are bound once and each in-flight message borrows a
+	// pooled delivery record, so a warm network allocates nothing per Send —
+	// beyond the boxing of a value message; a Recycled pointer costs nothing
+	// at all.
+	deliverFn, deliverRecycleFn func(any)
+	dpool                       []*delivery
+	// free holds recycled pointer messages by Recycled.Pool: each list is as
+	// long as the type's in-flight high-water mark, like dpool.
+	free [][]Recycled
 }
 
 // delivery is one in-flight message (or batch) on the simulated wire.
@@ -189,7 +249,7 @@ func NewNet(eng *sim.Engine) *Net {
 		eng:     eng,
 		Latency: 200 * sim.Microsecond,
 	}
-	n.deliverFn = n.deliver
+	n.deliverFn, n.deliverRecycleFn = n.deliver, n.deliverRecycle
 	return n
 }
 
@@ -494,12 +554,24 @@ func (n *Net) LinkStats() []LinkStat {
 	return out
 }
 
-func messageSize(msg Message) int {
-	if s, ok := msg.(Sizer); ok {
-		return s.WireSize()
+// inspect reports a message's wire size and whether it is Recycled, in one
+// interface switch: a value message pays for one lookup per send, as it did
+// for its size alone, and nothing on arrival.
+func inspect(msg Message) (size int, recycled bool) {
+	switch m := msg.(type) {
+	case Recycled:
+		if s, ok := msg.(Sizer); ok {
+			return s.WireSize(), true
+		}
+		return nominalSize, true
+	case Sizer:
+		return m.WireSize(), false
 	}
-	return 64 // nominal header-ish size for unsized messages
+	return nominalSize, false
 }
+
+// nominalSize is the header-ish size counted for messages without Sizer.
+const nominalSize = 64
 
 // Send queues msg for asynchronous delivery between endpoint names — the
 // setup/test-path wrapper around SendID.
@@ -516,8 +588,9 @@ func (n *Net) SendID(from, to EndpointID, msg Message) {
 	if n.Tap != nil {
 		n.Tap(n.Name(from), n.Name(to), msg)
 	}
+	size, recycled := inspect(msg)
 	n.stats.Sent++
-	n.stats.Bytes += uint64(messageSize(msg))
+	n.stats.Bytes += uint64(size)
 	if n.linkStatsOn {
 		n.linkCnt(from, to).sent++
 	}
@@ -539,11 +612,25 @@ func (n *Net) SendID(from, to EndpointID, msg Message) {
 		n.dropped(from, to, 1)
 		return
 	}
-	n.deliverAfterLatency(from, to, msg, extra)
+	d := n.wireDelay(from, to, extra, 1)
 	if ruleDup || (n.DupRate > 0 && n.eng.Rand().Float64() < n.DupRate) {
 		n.stats.Duplicated++
-		n.deliverAfterLatency(from, to, msg, extra)
+		n.post(d, n.deliverFn, from, to, msg, nil)
+		n.post(n.wireDelay(from, to, extra, 1), n.deliverFn, from, to, msg, nil)
+		return
 	}
+	n.post(d, n.landing(recycled), from, to, msg, nil)
+}
+
+// landing picks how a wire unit's only delivery lands: through
+// deliverRecycleFn when it carries Recycled messages, which that delivery
+// then returns to the free lists, through deliverFn otherwise. The two copies
+// of a duplicated unit always land through deliverFn.
+func (n *Net) landing(recycled bool) func(any) {
+	if recycled {
+		return n.deliverRecycleFn
+	}
+	return n.deliverFn
 }
 
 // dropped accounts count messages lost on (from,to).
@@ -581,8 +668,11 @@ func (n *Net) SendBatchID(from, to EndpointID, msgs []Message) {
 	}
 	n.stats.Sent += uint64(len(msgs))
 	n.stats.Batches++
+	recycled := false
 	for _, msg := range msgs {
-		n.stats.Bytes += uint64(messageSize(msg))
+		size, r := inspect(msg)
+		n.stats.Bytes += uint64(size)
+		recycled = recycled || r
 	}
 	if n.linkStatsOn {
 		n.linkCnt(from, to).sent += uint64(len(msgs))
@@ -609,11 +699,14 @@ func (n *Net) SendBatchID(from, to EndpointID, msgs []Message) {
 	}
 	// Senders may reuse msgs, so each delivery gets its own pooled copy
 	// (returned to the pool once the receiver has consumed it).
-	n.deliverBatchAfterLatency(from, to, n.copyBatch(msgs), extra)
+	d := n.wireDelay(from, to, extra, uint64(len(msgs)))
 	if ruleDup || (n.DupRate > 0 && n.eng.Rand().Float64() < n.DupRate) {
 		n.stats.Duplicated += uint64(len(msgs))
-		n.deliverBatchAfterLatency(from, to, n.copyBatch(msgs), extra)
+		n.post(d, n.deliverFn, from, to, nil, n.copyBatch(msgs))
+		n.post(n.wireDelay(from, to, extra, uint64(len(msgs))), n.deliverFn, from, to, nil, n.copyBatch(msgs))
+		return
 	}
+	n.post(d, n.landing(recycled), from, to, nil, n.copyBatch(msgs))
 }
 
 // copyBatch snapshots msgs into a buffer drawn from the batch pool.
@@ -635,37 +728,38 @@ func (n *Net) recycleBatch(batch []Message) {
 	n.batchPool = append(n.batchPool, batch[:0])
 }
 
-func (n *Net) deliverBatchAfterLatency(from, to EndpointID, batch []Message, extra sim.Time) {
+// wireDelay draws one wire unit's delivery delay — base latency, the chaos
+// extra, uniform jitter — and accounts count messages as delayed when a
+// condition stretched it.
+func (n *Net) wireDelay(from, to EndpointID, extra sim.Time, count uint64) sim.Time {
 	d := n.Latency + extra
 	if n.Jitter > 0 {
 		d += sim.Time(n.eng.Rand().Int63n(int64(n.Jitter)))
 	}
 	if extra > 0 && n.linkStatsOn {
-		n.linkCnt(from, to).delayed += uint64(len(batch))
+		n.linkCnt(from, to).delayed += count
 	}
-	rec := n.getDelivery()
-	rec.from, rec.to, rec.batch = from, to, batch
-	n.eng.Post(d, n.deliverFn, rec)
+	return d
 }
 
-func (n *Net) deliverAfterLatency(from, to EndpointID, msg Message, extra sim.Time) {
-	d := n.Latency + extra
-	if n.Jitter > 0 {
-		d += sim.Time(n.eng.Rand().Int63n(int64(n.Jitter)))
-	}
-	if extra > 0 && n.linkStatsOn {
-		n.linkCnt(from, to).delayed++
-	}
+// post queues one delivery of msg (or batch) d from now, landing through fn
+// (see landing).
+func (n *Net) post(d sim.Time, fn func(any), from, to EndpointID, msg Message, batch []Message) {
 	rec := n.getDelivery()
-	rec.from, rec.to, rec.msg = from, to, msg
-	n.eng.Post(d, n.deliverFn, rec)
+	rec.from, rec.to, rec.msg, rec.batch = from, to, msg, batch
+	n.eng.Post(d, fn, rec)
 }
 
-// deliver lands one in-flight record: the arrival half of Send/SendBatch.
-// The down and cut checks repeat here — an endpoint that crashed, or a
-// partition that started, after the message was queued still loses it.
-func (n *Net) deliver(a any) {
-	rec := a.(*delivery)
+// deliver lands a delivery whose messages stay as they are; deliverRecycle
+// one that is the only delivery of Recycled messages, which go back to the
+// free lists once the handler has returned.
+func (n *Net) deliver(a any)        { n.land(a.(*delivery), false) }
+func (n *Net) deliverRecycle(a any) { n.land(a.(*delivery), true) }
+
+// land is the arrival half of Send/SendBatch. The down and cut checks repeat
+// here — an endpoint that crashed, or a partition that started, after the
+// message was queued still loses it.
+func (n *Net) land(rec *delivery, recycle bool) {
 	from, to := rec.from, rec.to
 	count := uint64(1)
 	if rec.batch != nil {
@@ -687,8 +781,18 @@ func (n *Net) deliver(a any) {
 			h(from, rec.msg)
 		}
 	}
+	// Delivered or lost on arrival, the record is done with its messages.
 	if rec.batch != nil {
+		if recycle {
+			for _, msg := range rec.batch {
+				if m, ok := msg.(Recycled); ok {
+					n.recycle(m)
+				}
+			}
+		}
 		n.recycleBatch(rec.batch)
+	} else if recycle {
+		n.recycle(rec.msg.(Recycled))
 	}
 	n.putDelivery(rec)
 }
