@@ -13,6 +13,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/graysort"
 	"repro/internal/job"
 	"repro/internal/master"
@@ -389,8 +390,10 @@ func BenchmarkAblationBackupInstances(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.SetSlowdown("r000m000", 10)
-		c.SetSlowdown("r001m000", 10)
+		c.Faults.Fire(faults.Fault{
+			Kind: faults.SlowMachine, Factor: 10,
+			Targets: []int32{c.Top.MachineID("r000m000"), c.Top.MachineID("r001m000")},
+		})
 		desc := &job.Description{
 			Name: "tail",
 			Tasks: map[string]job.TaskSpec{

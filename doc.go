@@ -98,9 +98,14 @@
 // pinned by a dedicated test): Partition/Isolate/Heal split the endpoint
 // set, SetLinkDown/SetLinkDelay/SetLinkRule drop, delay or duplicate
 // traffic on individual links, and per-link counters (off the hot path
-// unless enabled) attribute loss. internal/faults drives them as scheduled
-// campaigns (NetworkPartition, LinkFlap, DelaySpike) from a dedicated
-// random stream. The protocol layers are hardened to survive them:
+// unless enabled) attribute loss. internal/faults is the only caller that
+// turns them into faults: a fault is a value (faults.Fault — machine down,
+// workers broken, machine slow, master crash, partition, link flap, delay
+// spike, lock cut), a schedule a []Fault planned by a Campaign from a
+// dedicated random stream or written as a literal, and one faults.Injector
+// per assembled cluster fires them, retries the ones that cannot open yet,
+// posts each window's closing event and counts what it did. The protocol
+// layers are hardened to survive them:
 // receivers detect sequence gaps and force an immediate anchor/sync
 // instead of waiting out the epoch, gateway and appmaster retries back off
 // exponentially with deterministic FNV jitter, and the master's

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/appmaster"
+	"repro/internal/faults"
 	"repro/internal/gateway"
 	"repro/internal/lockservice"
 	"repro/internal/master"
@@ -63,8 +64,10 @@ type Cluster struct {
 	Agents  map[string]*agent.Agent
 	// Gateway is the submission front door (nil unless Config.Gateway).
 	Gateway *gateway.Gateway
-
-	slow map[string]float64 // SlowMachine fault factors
+	// Faults injects every fault the cluster suffers — a planned
+	// faults.Campaign or one literal faults.Fault — and holds the SlowMachine
+	// factors Slowdown reads.
+	Faults *faults.Injector
 }
 
 // NewCluster builds and boots a cluster. The first master wins the election
@@ -106,6 +109,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		FS:      pangu.New(top, eng.Rand()),
 		Metrics: metrics.NewRegistry(),
 		Agents:  make(map[string]*agent.Agent, top.Size()),
+		Faults:  faults.NewInjector(eng, net, top.Size()),
 	}
 
 	if cfg.Gateway != nil {
@@ -135,13 +139,21 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	mcfg.ProcessName = "fm-1"
-	c.Masters[0] = master.NewMaster(mcfg, eng, net, c.Lock, top, c.Ckpt, c.Metrics)
-	if cfg.Standby {
-		m2 := mcfg
-		m2.ProcessName = "fm-2"
-		c.Masters[1] = master.NewMaster(m2, eng, net, c.Lock, top, c.Ckpt, c.Metrics)
+	// Each process reaches the lock service unless a LockPartition fault has
+	// cut it off (or the caller models reachability itself).
+	newMaster := func(i int, name string) {
+		mi := mcfg
+		mi.ProcessName = name
+		if mi.LockReachable == nil {
+			mi.LockReachable = func() bool { return c.Faults.LockReachable(i) }
+		}
+		c.Masters[i] = master.NewMaster(mi, eng, net, c.Lock, top, c.Ckpt, c.Metrics)
 	}
+	newMaster(0, "fm-1")
+	if cfg.Standby {
+		newMaster(1, "fm-2")
+	}
+	c.Faults.Masters = c.Masters[:]
 
 	acfg := cfg.Agent
 	if acfg.HeartbeatInterval == 0 {
@@ -152,19 +164,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	for _, name := range top.Machines() {
 		c.Agents[name] = agent.New(acfg, eng, net, top.Machine(name))
+		c.Faults.Agents = append(c.Faults.Agents, c.Agents[name])
 	}
 	return c, nil
 }
 
 // Primary returns the current primary master (nil during an interregnum).
-func (c *Cluster) Primary() *master.Master {
-	for _, m := range c.Masters {
-		if m != nil && m.IsPrimary() {
-			return m
-		}
-	}
-	return nil
-}
+func (c *Cluster) Primary() *master.Master { return master.Primary(c.Masters[:]...) }
 
 // Scheduler returns the live scheduler of the primary (nil during
 // failover).

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/job"
 	"repro/internal/sim"
 )
@@ -96,13 +97,16 @@ func TestSlowdownHelpers(t *testing.T) {
 	if c.Slowdown("r000m000") != 1 {
 		t.Error("default slowdown != 1")
 	}
-	c.SetSlowdown("r000m000", 4)
+	c.Faults.Fire(faults.Fault{Kind: faults.SlowMachine, Targets: []int32{0}, Factor: 4, For: sim.Second})
 	if c.Slowdown("r000m000") != 4 {
 		t.Error("slowdown not applied")
 	}
-	c.SetSlowdown("r000m000", 1) // clearing
+	c.Run(2 * sim.Second) // the window closes
 	if c.Slowdown("r000m000") != 1 {
 		t.Error("slowdown not cleared")
+	}
+	if c.Slowdown("ghost-machine") != 1 {
+		t.Error("unknown machine slowed")
 	}
 	if c.ProcAlive("ghost-machine", "w") {
 		t.Error("unknown machine alive")

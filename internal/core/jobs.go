@@ -25,25 +25,10 @@ func (c *Cluster) ProcAlive(machine, workerID string) bool {
 
 // Slowdown returns machine's execution-time multiplier (SlowMachine fault).
 func (c *Cluster) Slowdown(machine string) float64 {
-	if c.slow == nil {
-		return 1
-	}
-	if f, ok := c.slow[machine]; ok && f > 0 {
-		return f
+	if id := c.Top.MachineID(machine); id >= 0 {
+		return c.Faults.Slowdown(id)
 	}
 	return 1
-}
-
-// SetSlowdown injects (or with factor <= 1 clears) a SlowMachine fault.
-func (c *Cluster) SetSlowdown(machine string, factor float64) {
-	if c.slow == nil {
-		c.slow = make(map[string]float64)
-	}
-	if factor <= 1 {
-		delete(c.slow, machine)
-		return
-	}
-	c.slow[machine] = factor
 }
 
 // JobHandle tracks one submitted job across JobMaster incarnations.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/blacklist"
+	"repro/internal/faults"
 	"repro/internal/job"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -212,7 +213,7 @@ func TestBackupInstancesRescueStraggler(t *testing.T) {
 		},
 	}
 	// Make one machine pathologically slow before the job starts.
-	c.SetSlowdown("r000m000", 50)
+	c.Faults.Fire(faults.Fault{Kind: faults.SlowMachine, Targets: []int32{0}, Factor: 50})
 	h, err := c.SubmitJob(desc, JobOptions{Config: job.Config{
 		Backup: job.BackupConfig{Enabled: true, DoneFraction: 0.5, Factor: 2, ScanInterval: sim.Second},
 	}})

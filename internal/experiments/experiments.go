@@ -309,7 +309,7 @@ func RunFaultMatrix(opt FaultOptions) ([]FaultRow, error) {
 			campaign := *camp
 			campaign.Start = 10 * sim.Second
 			campaign.Window = sim.Minute
-			if _, skipped := faults.Apply(c, campaign); skipped > 0 {
+			if _, skipped := c.Faults.ApplyCampaign(campaign, c.Eng.Rand()); skipped > 0 {
 				return 0, fmt.Errorf("experiments: campaign skipped %d injections (cluster smaller than %d victims)",
 					skipped, campaign.Total())
 			}

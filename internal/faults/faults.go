@@ -2,17 +2,22 @@
 // §5.4 (Table 3): NodeDown (random machine halts), PartialWorkerFailure
 // (corrupted disks that refuse to launch processes), SlowMachine
 // (deliberately stretched execution), and FuxiMasterFailure (killing the
-// primary master). Campaigns are applied to any Target — the core.Cluster
-// facade of the worker-level experiments, or the paper-scale replay harness
-// (internal/scale) — and are fully deterministic given the target's seed.
+// primary master), plus the conditions only a network produces (partition,
+// link flap, delay spike, lock-service cut).
+//
+// A fault is a value (Fault) and a schedule a []Fault. Producers — a
+// Campaign's seeded Plan, the scale harness's configured failover times and
+// storms, a test's literal — only emit values; one Injector per assembled
+// cluster (core.Cluster.Faults, the scale harness's) holds the only body of
+// each effect, its retry rule and its closing event, and keeps the counts
+// and per-machine tables the effects leave behind. Overlapping windows on
+// one machine are counted, so an effect holds until the last one closes.
 package faults
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
-	"repro/internal/core"
-	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -53,6 +58,9 @@ type Campaign struct {
 	// Window is the span after Start over which injections are spread.
 	Start  sim.Time
 	Window sim.Time
+	// Downtime is how long a machine fault holds before the victim recovers;
+	// zero (the paper's §5.4 runs) leaves it degraded for good.
+	Downtime sim.Time
 }
 
 // Paper5Percent reproduces Table 3's 5% column on a 300-node cluster:
@@ -98,266 +106,78 @@ func CampaignFor(machines int, pct, slowFactor float64) Campaign {
 // Total returns the number of machines the campaign degrades.
 func (c Campaign) Total() int { return c.NodeDown + c.PartialWorkerFailure + c.SlowMachine }
 
-// NetworkTotal returns the number of network conditions the campaign
-// schedules (partition storms + link flaps + delay spikes).
-func (c Campaign) NetworkTotal() int { return c.NetworkPartition + c.LinkFlap + c.DelaySpike }
-
-// Injection records one planned fault, for experiment logs. A Skipped entry
-// (Machine empty) records a fault the campaign could not place because the
-// pool of distinct victim machines ran out.
-type Injection struct {
-	At      sim.Time
-	Kind    string
-	Machine string
-	Skipped bool
-}
-
-// Target abstracts the cluster a campaign is injected into, so campaigns can
-// drive both the core.Cluster facade and harnesses that manage their agents
-// and masters directly.
-type Target interface {
-	// Rand is the seeded stream victims and fire times are drawn from.
-	Rand() *rand.Rand
-	// At schedules fn at virtual time t.
-	At(t sim.Time, fn func())
-	// Machines lists the victim pool in a deterministic order.
-	Machines() []string
-	// KillMachine halts a machine (NodeDown).
-	KillMachine(m string)
-	// BreakMachine corrupts a machine's disks so it refuses to launch new
-	// worker processes; existing workers crash (PartialWorkerFailure).
-	BreakMachine(m string)
-	// SlowMachine stretches execution on m by factor (SlowMachine).
-	SlowMachine(m string, factor float64)
-	// KillPrimaryMaster crashes the primary FuxiMaster (FuxiMasterFailure).
-	KillPrimaryMaster()
-}
-
-// NetworkTarget is the optional extension a Target implements when its
-// transport supports scheduled per-link conditions. Campaigns with network
-// faults applied to a Target without it record those faults as Skipped.
-type NetworkTarget interface {
-	// PartitionMachines cuts the group off from the rest of the cluster
-	// (intra-group links stay up) and heals after dur.
-	PartitionMachines(group []string, dur sim.Time)
-	// FlapMachineLink cycles m's link down for down / up for up, cycles
-	// times, starting now.
-	FlapMachineLink(m string, down, up sim.Time, cycles int)
-	// SpikeMachineLink adds extra one-way delay to every message crossing
-	// m's link for dur.
-	SpikeMachineLink(m string, extra, dur sim.Time)
-}
-
-// Apply schedules the campaign's faults onto the cluster. See ApplyTo.
-func Apply(c *core.Cluster, camp Campaign) ([]Injection, int) {
-	return ApplyTo(clusterTarget{c}, camp)
-}
-
-// ApplyTo schedules the campaign's faults onto the target: distinct victim
-// machines are drawn with the target's seeded RNG and each fault fires at a
-// random point inside [Start, Start+Window). All randomness is consumed at
-// call time, so the plan never interleaves with other seeded streams.
+// Plan turns the campaign into a schedule over machines 0..machines-1:
+// distinct victims come off one permutation shared by every per-machine
+// kind, and each fault fires at a random point inside [Start, Start+Window).
+// Nothing but rng is consumed, all of it now, so a plan never interleaves
+// with another seeded stream.
 //
-// It returns the planned injections and the number of faults that could not
-// be placed because distinct victims ran out. Skipped faults appear in the
-// plan as Skipped entries — they are never silently dropped (the old
-// behaviour truncated the current fault kind and starved every kind
-// scheduled after it on small clusters).
-func ApplyTo(tgt Target, camp Campaign) ([]Injection, int) {
-	rng := tgt.Rand()
-	machines := tgt.Machines()
-	perm := rng.Perm(len(machines))
-	next := 0
-	pick := func() string {
-		if next >= len(perm) {
-			return ""
-		}
-		m := machines[perm[next]]
-		next++
-		return m
-	}
-	window := camp.Window
-	if window <= 0 {
-		window = sim.Minute
-	}
-	at := func() sim.Time { return camp.Start + sim.Time(rng.Int63n(int64(window))) }
+// It also returns how many faults could not be placed because distinct
+// victims ran out. A skipped fault makes no rng draw, so the remaining
+// placements stay seed-stable and later kinds still get their share.
+func (c Campaign) Plan(rng *rand.Rand, machines int) (Schedule, int) {
+	perm := rng.Perm(machines)
+	window := orDefault(c.Window, sim.Minute)
+	at := func() sim.Time { return c.Start + sim.Time(rng.Int63n(int64(window))) }
 
-	var plan []Injection
+	var plan Schedule
 	skipped := 0
-	schedule := func(kind string, n int, fire func(m string)) {
+	place := func(n int, f Fault) {
 		for i := 0; i < n; i++ {
-			m := pick()
-			if m == "" {
-				// Out of distinct victims: record the skip (no rng draw,
-				// so the remaining placements stay seed-stable) and keep
-				// going so later kinds still get their share.
-				plan = append(plan, Injection{Kind: kind, Skipped: true})
+			if len(perm) == 0 {
 				skipped++
 				continue
 			}
-			t := at()
-			plan = append(plan, Injection{At: t, Kind: kind, Machine: m})
-			victim := m
-			tgt.At(t, func() { fire(victim) })
+			f.Targets, perm = []int32{int32(perm[0])}, perm[1:]
+			f.At = at()
+			plan = append(plan, f)
 		}
 	}
-	schedule("NodeDown", camp.NodeDown, tgt.KillMachine)
-	schedule("PartialWorkerFailure", camp.PartialWorkerFailure, tgt.BreakMachine)
-	schedule("SlowMachine", camp.SlowMachine, func(m string) {
-		factor := camp.SlowFactor
-		if factor <= 1 {
-			factor = 3
-		}
-		tgt.SlowMachine(m, factor)
-	})
-	if camp.KillFuxiMaster {
-		t := at()
-		plan = append(plan, Injection{At: t, Kind: "FuxiMasterFailure"})
-		tgt.At(t, tgt.KillPrimaryMaster)
+	factor := c.SlowFactor
+	if factor <= 1 {
+		factor = 3
+	}
+	place(c.NodeDown, Fault{Kind: NodeDown, For: c.Downtime})
+	place(c.PartialWorkerFailure, Fault{Kind: PartialWorkerFailure, For: c.Downtime})
+	place(c.SlowMachine, Fault{Kind: SlowMachine, For: c.Downtime, Factor: factor})
+	if c.KillFuxiMaster {
+		plan = append(plan, Fault{Kind: FuxiMasterFailure, At: at()})
 	}
 
-	// Network conditions come last so campaigns without them produce plans
-	// byte-identical to the pre-network format. A Target that does not
-	// implement NetworkTarget gets Skipped entries with no rng draws, same
-	// as the out-of-victims convention above.
-	if camp.NetworkTotal() > 0 {
-		net, _ := tgt.(NetworkTarget)
-		for i := 0; i < camp.NetworkPartition; i++ {
-			if net == nil {
-				plan = append(plan, Injection{Kind: "NetworkPartition", Skipped: true})
-				skipped++
-				continue
-			}
-			k := camp.PartitionMachines
-			if k < 1 {
-				k = 1
-			}
-			if k > len(machines) {
-				k = len(machines)
-			}
-			idx := rng.Perm(len(machines))[:k]
-			group := make([]string, k)
-			for j, gi := range idx {
-				group[j] = machines[gi]
-			}
-			sort.Strings(group)
-			dur := camp.PartitionFor
-			if dur <= 0 {
-				dur = 5 * sim.Second
-			}
-			t := at()
-			plan = append(plan, Injection{At: t, Kind: "NetworkPartition", Machine: group[0]})
-			g := group
-			tgt.At(t, func() { net.PartitionMachines(g, dur) })
+	// Network conditions come last, so a campaign without them plans exactly
+	// as it did before they existed.
+	for i := 0; i < c.NetworkPartition; i++ {
+		k := min(max(c.PartitionMachines, 1), machines)
+		group := make([]int32, k)
+		for j, m := range rng.Perm(machines)[:k] {
+			group[j] = int32(m)
 		}
-		schedNet := func(kind string, n int, fire func(m string)) {
-			for i := 0; i < n; i++ {
-				var m string
-				if net != nil {
-					m = pick()
-				}
-				if m == "" {
-					plan = append(plan, Injection{Kind: kind, Skipped: true})
-					skipped++
-					continue
-				}
-				t := at()
-				plan = append(plan, Injection{At: t, Kind: kind, Machine: m})
-				victim := m
-				tgt.At(t, func() { fire(victim) })
-			}
-		}
-		schedNet("LinkFlap", camp.LinkFlap, func(m string) {
-			down, up := camp.FlapDown, camp.FlapUp
-			if down <= 0 {
-				down = 500 * sim.Millisecond
-			}
-			if up <= 0 {
-				up = 500 * sim.Millisecond
-			}
-			cycles := camp.FlapCycles
-			if cycles < 1 {
-				cycles = 3
-			}
-			net.FlapMachineLink(m, down, up, cycles)
-		})
-		schedNet("DelaySpike", camp.DelaySpike, func(m string) {
-			extra := camp.SpikeDelay
-			if extra <= 0 {
-				extra = 5 * sim.Millisecond
-			}
-			dur := camp.SpikeFor
-			if dur <= 0 {
-				dur = sim.Second
-			}
-			net.SpikeMachineLink(m, extra, dur)
+		slices.Sort(group)
+		plan = append(plan, Fault{
+			Kind: NetworkPartition, Targets: group,
+			For: orDefault(c.PartitionFor, 5*sim.Second), At: at(),
 		})
 	}
+	cycles := c.FlapCycles
+	if cycles < 1 {
+		cycles = 3
+	}
+	place(c.LinkFlap, Fault{
+		Kind: LinkFlap, Cycles: cycles,
+		Down: orDefault(c.FlapDown, 500*sim.Millisecond), Up: orDefault(c.FlapUp, 500*sim.Millisecond),
+	})
+	place(c.DelaySpike, Fault{
+		Kind:  DelaySpike,
+		Delay: orDefault(c.SpikeDelay, 5*sim.Millisecond), For: orDefault(c.SpikeFor, sim.Second),
+	})
 	return plan, skipped
 }
 
-// clusterTarget adapts the core.Cluster facade to the Target interface.
-type clusterTarget struct{ c *core.Cluster }
-
-func (t clusterTarget) Rand() *rand.Rand                { return t.c.Eng.Rand() }
-func (t clusterTarget) At(at sim.Time, fn func())       { t.c.Eng.At(at, fn) }
-func (t clusterTarget) Machines() []string              { return t.c.Top.Machines() }
-func (t clusterTarget) KillMachine(m string)            { t.c.KillMachine(m) }
-func (t clusterTarget) SlowMachine(m string, f float64) { t.c.SetSlowdown(m, f) }
-func (t clusterTarget) KillPrimaryMaster()              { t.c.KillPrimaryMaster() }
-
-// The network fault kinds act on the cluster's transport: a partitioned or
-// flapped machine's process keeps running — unlike the machine faults above,
-// it goes on acting on state the rest of the cluster can no longer see.
-func (t clusterTarget) PartitionMachines(group []string, dur sim.Time) {
-	eps := make([]string, len(group))
-	for i, m := range group {
-		eps[i] = protocol.AgentEndpoint(m)
+func orDefault(v, def sim.Time) sim.Time {
+	if v <= 0 {
+		return def
 	}
-	t.c.Net.Isolate(eps)
-	t.c.Eng.After(dur, t.c.Net.Heal)
-}
-
-func (t clusterTarget) FlapMachineLink(m string, down, up sim.Time, cycles int) {
-	ep := protocol.AgentEndpoint(m)
-	var cycle func(k int)
-	cycle = func(k int) {
-		if k >= cycles {
-			return
-		}
-		t.c.Net.SetLinkDown(ep, true)
-		t.c.Eng.After(down, func() {
-			t.c.Net.SetLinkDown(ep, false)
-			t.c.Eng.After(up, func() { cycle(k + 1) })
-		})
-	}
-	cycle(0)
-}
-
-func (t clusterTarget) SpikeMachineLink(m string, extra, dur sim.Time) {
-	ep := protocol.AgentEndpoint(m)
-	t.c.Net.SetLinkDelay(ep, extra)
-	t.c.Eng.After(dur, func() { t.c.Net.SetLinkDelay(ep, 0) })
-}
-
-func (t clusterTarget) BreakMachine(m string) {
-	a := t.c.Agents[m]
-	if a == nil {
-		return
-	}
-	a.SetBroken(true)
-	// Existing processes on a machine with hung disks degrade too: crash
-	// them so their instances migrate.
-	ids := make([]string, 0, len(a.Procs()))
-	for id := range a.Procs() {
-		ids = append(ids, id)
-	}
-	// Crash in a fixed order: map iteration order must not leak into the
-	// simulation schedule (runs are seed-reproducible).
-	sort.Strings(ids)
-	for _, id := range ids {
-		a.CrashWorker(id, "disk I/O hang")
-	}
+	return v
 }
 
 // Shuffle is a tiny helper for deterministic victim sampling in tests.

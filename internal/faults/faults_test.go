@@ -1,38 +1,52 @@
-package faults
+package faults_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/protocol"
+	"repro/internal/resource"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 func newCluster(t *testing.T, racks, perRack int, seed int64) *core.Cluster {
 	t.Helper()
-	c, err := core.NewCluster(core.Config{Racks: racks, MachinesPerRack: perRack, Seed: seed})
+	c, err := core.NewCluster(core.Config{Racks: racks, MachinesPerRack: perRack, Seed: seed, Standby: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
+// apply plans camp on the cluster's own stream and arms it, as the
+// experiment drivers do.
+func apply(c *core.Cluster, camp faults.Campaign) (faults.Schedule, int) {
+	return c.Faults.ApplyCampaign(camp, c.Eng.Rand())
+}
+
 func TestPaperCampaignSizes(t *testing.T) {
-	if got := Paper5Percent().Total(); got != 15 {
+	if got := faults.Paper5Percent().Total(); got != 15 {
 		t.Errorf("5%% campaign = %d machines, want 15", got)
 	}
-	if got := Paper10Percent().Total(); got != 29 {
+	if got := faults.Paper10Percent().Total(); got != 29 {
 		t.Errorf("10%% campaign = %d machines, want 29 (paper reports ~30)", got)
 	}
 }
 
 func TestApplyInjectsAllKinds(t *testing.T) {
-	c := newCluster(t, 4, 10, 1)
-	camp := Campaign{
+	c, err := core.NewCluster(core.Config{Racks: 4, MachinesPerRack: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp := faults.Campaign{
 		NodeDown: 2, PartialWorkerFailure: 3, SlowMachine: 4, SlowFactor: 5,
 		Start: sim.Second, Window: 10 * sim.Second, KillFuxiMaster: true,
 	}
-	plan, skipped := Apply(c, camp)
+	plan, skipped := apply(c, camp)
 	if len(plan) != 10 {
 		t.Fatalf("plan size = %d, want 10 (9 machines + master kill)", len(plan))
 	}
@@ -40,38 +54,46 @@ func TestApplyInjectsAllKinds(t *testing.T) {
 		t.Fatalf("skipped = %d on a 40-machine cluster, want 0", skipped)
 	}
 	// Victims are distinct machines.
-	seen := map[string]bool{}
-	for _, inj := range plan {
-		if inj.Machine == "" {
-			continue
+	seen := map[int32]bool{}
+	for _, f := range plan {
+		if f.At < camp.Start || f.At >= camp.Start+camp.Window {
+			t.Fatalf("%v at %v outside window", f.Kind, f.At)
 		}
-		if seen[inj.Machine] {
-			t.Fatalf("machine %s injected twice", inj.Machine)
-		}
-		seen[inj.Machine] = true
-		if inj.At < camp.Start || inj.At >= camp.Start+camp.Window {
-			t.Fatalf("injection at %v outside window", inj.At)
+		for _, id := range f.Targets {
+			if seen[id] {
+				t.Fatalf("machine %d injected twice", id)
+			}
+			seen[id] = true
 		}
 	}
 	c.Run(20 * sim.Second)
-	// Effects landed.
-	downs, slow := 0, 0
-	for _, inj := range plan {
-		switch inj.Kind {
-		case "NodeDown":
-			if a := c.Agents[inj.Machine]; a.Up() {
-				t.Errorf("%s still up", inj.Machine)
+	// Effects landed, and (Downtime 0) stay.
+	for _, f := range plan {
+		if len(f.Targets) == 0 {
+			continue
+		}
+		name := c.Top.MachineName(f.Targets[0])
+		switch f.Kind {
+		case faults.NodeDown:
+			if c.Agents[name].Up() {
+				t.Errorf("%s still up", name)
 			}
-			downs++
-		case "SlowMachine":
-			if c.Slowdown(inj.Machine) != 5 {
-				t.Errorf("%s slowdown = %v", inj.Machine, c.Slowdown(inj.Machine))
+		case faults.PartialWorkerFailure:
+			if !c.Faults.Broken(f.Targets[0]) {
+				t.Errorf("%s not broken", name)
 			}
-			slow++
+		case faults.SlowMachine:
+			if c.Slowdown(name) != 5 {
+				t.Errorf("%s slowdown = %v", name, c.Slowdown(name))
+			}
 		}
 	}
-	if downs != 2 || slow != 4 {
-		t.Errorf("downs=%d slow=%d", downs, slow)
+	in := c.Faults
+	if in.Fired(faults.NodeDown) != 2 || in.Fired(faults.PartialWorkerFailure) != 3 ||
+		in.Fired(faults.SlowMachine) != 4 || in.Fired(faults.FuxiMasterFailure) != 1 {
+		t.Errorf("fired down=%d broken=%d slow=%d master=%d, want 2/3/4/1",
+			in.Fired(faults.NodeDown), in.Fired(faults.PartialWorkerFailure),
+			in.Fired(faults.SlowMachine), in.Fired(faults.FuxiMasterFailure))
 	}
 	// Master was killed; with no standby there is no primary.
 	if c.Primary() != nil {
@@ -80,260 +102,184 @@ func TestApplyInjectsAllKinds(t *testing.T) {
 }
 
 func TestApplyDeterministic(t *testing.T) {
-	planOf := func() []Injection {
-		c := newCluster(t, 3, 10, 7)
-		plan, _ := Apply(c, Paper5Percent())
+	planOf := func() faults.Schedule {
+		plan, _ := apply(newCluster(t, 3, 10, 7), faults.Paper5Percent())
 		return plan
 	}
-	a, b := planOf(), planOf()
-	if len(a) != len(b) {
-		t.Fatal("plan lengths differ")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("plans diverge at %d: %+v vs %+v", i, a[i], b[i])
-		}
+	if a, b := planOf(), planOf(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("plans diverge:\n%+v\n%+v", a, b)
 	}
 }
 
 func TestApplyMoreVictimsThanMachines(t *testing.T) {
 	c := newCluster(t, 1, 2, 3)
-	plan, skipped := Apply(c, Campaign{NodeDown: 10, Window: sim.Second})
-	if len(plan) != 10 {
-		t.Fatalf("plan = %d entries on a 2-machine cluster, want all 10 accounted for", len(plan))
+	plan, skipped := apply(c, faults.Campaign{NodeDown: 10, Window: sim.Second})
+	if len(plan) != 2 || skipped != 8 {
+		t.Fatalf("placed %d, skipped %d on a 2-machine cluster, want 2 and 8: all 10 accounted for", len(plan), skipped)
 	}
-	if skipped != 8 {
-		t.Errorf("skipped = %d, want 8", skipped)
-	}
-	real, skips := 0, 0
-	for _, inj := range plan {
-		if inj.Skipped {
-			skips++
-			if inj.Machine != "" {
-				t.Errorf("skipped injection carries machine %q", inj.Machine)
-			}
-		} else {
-			real++
+	for _, f := range plan {
+		if len(f.Targets) != 1 {
+			t.Errorf("placed fault without its victim: %+v", f)
 		}
-	}
-	if real != 2 || skips != 8 {
-		t.Errorf("real=%d skips=%d, want 2/8", real, skips)
 	}
 }
 
-// Regression: the old Apply returned early when distinct victims ran out —
-// the truncated kind AND every kind scheduled after it were silently
-// dropped from both the plan and the cluster. On a 3-machine cluster a
-// {NodeDown: 2, PartialWorkerFailure: 2, SlowMachine: 2} campaign planned
-// only 3 of 6 faults and SlowMachine never fired at all. Every configured
-// fault must now be accounted for: placed or explicitly skipped.
+// Regression: an early Apply returned when distinct victims ran out — the
+// truncated kind AND every kind scheduled after it were silently dropped.
+// Every configured fault must be accounted for: placed or counted as
+// skipped, with the victims going to the kinds in campaign order.
 func TestApplySkipsReportedNotSilent(t *testing.T) {
 	c := newCluster(t, 1, 3, 5)
-	camp := Campaign{NodeDown: 2, PartialWorkerFailure: 2, SlowMachine: 2, SlowFactor: 4, Window: sim.Second}
-	plan, skipped := Apply(c, camp)
-	if len(plan) != camp.Total() {
-		t.Fatalf("plan = %d entries, want every one of the %d configured faults accounted for", len(plan), camp.Total())
+	camp := faults.Campaign{NodeDown: 2, PartialWorkerFailure: 2, SlowMachine: 2, SlowFactor: 4, Window: sim.Second}
+	plan, skipped := apply(c, camp)
+	if len(plan)+skipped != camp.Total() {
+		t.Fatalf("%d placed + %d skipped, want every one of the %d configured faults accounted for", len(plan), skipped, camp.Total())
 	}
-	real := 0
-	perKind := map[string]int{}
-	for _, inj := range plan {
-		perKind[inj.Kind]++
-		if !inj.Skipped {
-			real++
-		}
+	var kinds []faults.Kind
+	for _, f := range plan {
+		kinds = append(kinds, f.Kind)
 	}
-	if real != 3 || skipped != 3 {
-		t.Errorf("real=%d skipped=%d on a 3-machine cluster, want 3/3", real, skipped)
-	}
-	// Later kinds must not be starved: each kind keeps its plan share.
-	for kind, n := range map[string]int{"NodeDown": 2, "PartialWorkerFailure": 2, "SlowMachine": 2} {
-		if perKind[kind] != n {
-			t.Errorf("%s has %d plan entries, want %d", kind, perKind[kind], n)
-		}
+	want := []faults.Kind{faults.NodeDown, faults.NodeDown, faults.PartialWorkerFailure}
+	if !reflect.DeepEqual(kinds, want) || skipped != 3 {
+		t.Errorf("placed %v, skipped %d on a 3-machine cluster, want %v and 3", kinds, skipped, want)
 	}
 }
 
+// A machine inside a PartialWorkerFailure window refuses to launch workers
+// (and says why); once the window closes it no longer does.
 func TestBrokenMachineRefusesWorkers(t *testing.T) {
 	c := newCluster(t, 1, 1, 4)
 	a := c.Agents["r000m000"]
-	a.SetBroken(true)
-	// Try to start a worker through the normal path.
-	_, _ = Apply(c, Campaign{}) // no-op campaign
-	c.Run(sim.Second)
+	var status []protocol.WorkerStatus
+	c.Net.Register("app", func(_ transport.EndpointID, msg transport.Message) {
+		if s, ok := msg.(protocol.WorkerStatus); ok {
+			status = append(status, s)
+		}
+	})
+	launch := func(worker string) {
+		c.Net.Send("app", protocol.AgentEndpoint(a.Machine), protocol.WorkPlan{
+			App: "app", UnitID: 1, WorkerID: worker, Size: resource.New(100, 100), Seq: uint64(len(status) + 1),
+		})
+		c.Run(sim.Second)
+	}
+	c.Faults.Fire(faults.Fault{Kind: faults.PartialWorkerFailure, Targets: []int32{0}, For: 5 * sim.Second})
+	launch("w1")
 	if len(a.Procs()) != 0 {
 		t.Error("broken machine started a process")
 	}
-}
-
-// fakeTarget records what ApplyTo drives through the Target interface.
-type fakeTarget struct {
-	rng       *rand.Rand
-	killed    []string
-	broken    []string
-	slowed    map[string]float64
-	masterHit bool
-}
-
-func (f *fakeTarget) Rand() *rand.Rand { return f.rng }
-func (f *fakeTarget) At(t sim.Time, fn func()) {
-	// Fire immediately: the fake has no event loop.
-	fn()
-}
-func (f *fakeTarget) Machines() []string {
-	return []string{"m0", "m1", "m2", "m3", "m4", "m5"}
-}
-func (f *fakeTarget) KillMachine(m string)  { f.killed = append(f.killed, m) }
-func (f *fakeTarget) BreakMachine(m string) { f.broken = append(f.broken, m) }
-func (f *fakeTarget) SlowMachine(m string, factor float64) {
-	if f.slowed == nil {
-		f.slowed = map[string]float64{}
+	if len(status) != 1 || status[0].State != protocol.WorkerFailed {
+		t.Fatalf("launch on a broken machine answered %+v, want one WorkerFailed", status)
 	}
-	f.slowed[m] = factor
+	broken := status[0].FailureDetail
+	c.Run(5 * sim.Second)
+	launch("w2")
+	if c.Faults.Broken(0) || (len(status) > 1 && status[1].FailureDetail == broken) {
+		t.Errorf("machine still refuses launches after its window closed: %+v", status)
+	}
 }
-func (f *fakeTarget) KillPrimaryMaster() { f.masterHit = true }
 
-func TestApplyToCustomTarget(t *testing.T) {
-	f := &fakeTarget{rng: rand.New(rand.NewSource(21))}
-	camp := Campaign{
+func TestPlanOverAPool(t *testing.T) {
+	camp := faults.Campaign{
 		NodeDown: 1, PartialWorkerFailure: 2, SlowMachine: 2, SlowFactor: 6,
-		KillFuxiMaster: true, Window: sim.Second,
+		KillFuxiMaster: true, Window: sim.Second, Downtime: 3 * sim.Second,
 	}
-	plan, skipped := ApplyTo(f, camp)
-	if skipped != 0 {
-		t.Fatalf("skipped = %d, want 0", skipped)
+	plan, skipped := camp.Plan(rand.New(rand.NewSource(21)), 6)
+	if skipped != 0 || len(plan) != 6 {
+		t.Fatalf("placed %d, skipped %d, want 6 and 0", len(plan), skipped)
 	}
-	if len(plan) != 6 {
-		t.Fatalf("plan = %d entries, want 6", len(plan))
-	}
-	if len(f.killed) != 1 || len(f.broken) != 2 || len(f.slowed) != 2 || !f.masterHit {
-		t.Errorf("target saw killed=%v broken=%v slowed=%v master=%v",
-			f.killed, f.broken, f.slowed, f.masterHit)
-	}
-	for m, factor := range f.slowed {
-		if factor != 6 {
-			t.Errorf("slow factor on %s = %v, want 6", m, factor)
-		}
-	}
-	// Victims distinct across kinds.
-	seen := map[string]bool{}
-	for _, m := range append(append(append([]string{}, f.killed...), f.broken...), "") {
-		if m == "" {
+	n := map[faults.Kind]int{}
+	seen := map[int32]bool{}
+	for _, f := range plan {
+		n[f.Kind]++
+		switch f.Kind {
+		case faults.FuxiMasterFailure:
+			if len(f.Targets) != 0 || f.For != 0 {
+				t.Errorf("master kill carries targets or a restart: %+v", f)
+			}
 			continue
+		case faults.SlowMachine:
+			if f.Factor != 6 {
+				t.Errorf("slow factor %v, want 6", f.Factor)
+			}
 		}
-		if seen[m] {
-			t.Errorf("victim %s reused", m)
+		if f.For != camp.Downtime {
+			t.Errorf("%v holds for %v, want the campaign's downtime", f.Kind, f.For)
 		}
-		seen[m] = true
+		if len(f.Targets) != 1 || seen[f.Targets[0]] {
+			t.Errorf("victims not distinct across kinds: %+v", f)
+		}
+		seen[f.Targets[0]] = true
 	}
-	for m := range f.slowed {
-		if seen[m] {
-			t.Errorf("victim %s reused", m)
-		}
+	if n[faults.NodeDown] != 1 || n[faults.PartialWorkerFailure] != 2 || n[faults.SlowMachine] != 2 || n[faults.FuxiMasterFailure] != 1 {
+		t.Errorf("kinds planned: %v", n)
 	}
 }
 
 func TestCampaignFor(t *testing.T) {
 	// 300 machines at 5% reproduces Table 3's column exactly.
-	c := CampaignFor(300, 5, 8)
-	if c != (Campaign{NodeDown: 2, PartialWorkerFailure: 2, SlowMachine: 11, SlowFactor: 8}) {
+	c := faults.CampaignFor(300, 5, 8)
+	if c != (faults.Campaign{NodeDown: 2, PartialWorkerFailure: 2, SlowMachine: 11, SlowFactor: 8}) {
 		t.Errorf("CampaignFor(300, 5%%) = %+v, want the Paper5Percent mix", c)
 	}
 	// Small clusters still get at least one victim of each kind.
-	small := CampaignFor(10, 5, 4)
+	small := faults.CampaignFor(10, 5, 4)
 	if small.NodeDown < 1 || small.PartialWorkerFailure < 1 || small.SlowMachine < 1 {
 		t.Errorf("small-cluster campaign starves a kind: %+v", small)
 	}
 	// Scales roughly with cluster size.
-	big := CampaignFor(5000, 5, 4)
+	big := faults.CampaignFor(5000, 5, 4)
 	if big.Total() < 240 || big.Total() > 260 {
 		t.Errorf("5000-machine 5%% campaign totals %d victims, want ≈ 250", big.Total())
 	}
 }
 
-// fakeNetTarget extends fakeTarget with the NetworkTarget surface.
-type fakeNetTarget struct {
-	fakeTarget
-	partitions [][]string
-	flapped    []string
-	spiked     []string
-}
-
-func (f *fakeNetTarget) PartitionMachines(group []string, dur sim.Time) {
-	f.partitions = append(f.partitions, group)
-}
-func (f *fakeNetTarget) FlapMachineLink(m string, down, up sim.Time, cycles int) {
-	f.flapped = append(f.flapped, m)
-}
-func (f *fakeNetTarget) SpikeMachineLink(m string, extra, dur sim.Time) {
-	f.spiked = append(f.spiked, m)
-}
-
-func TestApplyToNetworkFaults(t *testing.T) {
-	f := &fakeNetTarget{fakeTarget: fakeTarget{rng: rand.New(rand.NewSource(9))}}
-	camp := Campaign{
+func TestPlanNetworkFaults(t *testing.T) {
+	camp := faults.Campaign{
 		NodeDown:         1,
 		NetworkPartition: 2, PartitionMachines: 2, PartitionFor: 3 * sim.Second,
 		LinkFlap: 1, FlapDown: sim.Second, FlapUp: sim.Second, FlapCycles: 2,
 		DelaySpike: 1, SpikeDelay: sim.Millisecond, SpikeFor: sim.Second,
 		Window: sim.Second,
 	}
-	if camp.NetworkTotal() != 4 {
-		t.Fatalf("NetworkTotal = %d, want 4", camp.NetworkTotal())
+	plan, skipped := camp.Plan(rand.New(rand.NewSource(9)), 6)
+	if skipped != 0 || len(plan) != 5 {
+		t.Fatalf("placed %d, skipped %d, want 5 and 0", len(plan), skipped)
 	}
-	plan, skipped := ApplyTo(f, camp)
-	if skipped != 0 {
-		t.Fatalf("skipped = %d, want 0", skipped)
-	}
-	if len(plan) != 5 {
-		t.Fatalf("plan = %d entries, want 5", len(plan))
-	}
-	if len(f.partitions) != 2 {
-		t.Fatalf("partitions = %v, want 2 storms", f.partitions)
-	}
-	for _, g := range f.partitions {
-		if len(g) != 2 {
-			t.Errorf("partition group %v, want 2 machines", g)
+	var single []int32
+	for _, f := range plan {
+		switch f.Kind {
+		case faults.NetworkPartition:
+			if len(f.Targets) != 2 || f.Targets[0] >= f.Targets[1] || f.For != 3*sim.Second {
+				t.Errorf("partition %+v, want 2 machines in ID order for 3 s", f)
+			}
+			continue
+		case faults.LinkFlap:
+			if f.Down != sim.Second || f.Up != sim.Second || f.Cycles != 2 {
+				t.Errorf("flap parameters lost: %+v", f)
+			}
+		case faults.DelaySpike:
+			if f.Delay != sim.Millisecond || f.For != sim.Second {
+				t.Errorf("spike parameters lost: %+v", f)
+			}
 		}
-	}
-	if len(f.flapped) != 1 || len(f.spiked) != 1 {
-		t.Errorf("flapped=%v spiked=%v, want one each", f.flapped, f.spiked)
+		single = append(single, f.Targets...)
 	}
 	// Flap/spike victims come from the distinct pool shared with machine
 	// faults.
-	if f.flapped[0] == f.killed[0] || f.spiked[0] == f.killed[0] || f.flapped[0] == f.spiked[0] {
-		t.Errorf("victim reuse across kinds: killed=%v flapped=%v spiked=%v", f.killed, f.flapped, f.spiked)
+	if len(single) != 3 || single[0] == single[1] || single[0] == single[2] || single[1] == single[2] {
+		t.Errorf("victim reuse across kinds: killed, flapped, spiked = %v", single)
 	}
 }
 
-// A target without the NetworkTarget surface must get explicit Skipped
-// entries for every network fault, never a panic or silent drop.
-func TestApplyToNetworkFaultsUnsupported(t *testing.T) {
-	f := &fakeTarget{rng: rand.New(rand.NewSource(9))}
-	camp := Campaign{NetworkPartition: 2, LinkFlap: 1, DelaySpike: 1, Window: sim.Second}
-	plan, skipped := ApplyTo(f, camp)
-	if skipped != 4 {
-		t.Fatalf("skipped = %d, want all 4 network faults", skipped)
-	}
-	if len(plan) != 4 {
-		t.Fatalf("plan = %d entries, want 4", len(plan))
-	}
-	for _, inj := range plan {
-		if !inj.Skipped {
-			t.Errorf("injection %+v not marked skipped on a network-less target", inj)
-		}
-	}
-}
-
-// Campaigns without network faults must plan byte-identically to the
-// pre-network code: the network block may not consume randomness when its
-// counts are zero.
+// Campaigns without network faults must plan exactly as they did before the
+// network kinds existed: the network block may not consume randomness when
+// its counts are zero, and comes last when they are not.
 func TestNetworkFaultsDoNotPerturbMachinePlans(t *testing.T) {
-	planOf := func(camp Campaign) []Injection {
-		f := &fakeNetTarget{fakeTarget: fakeTarget{rng: rand.New(rand.NewSource(11))}}
-		plan, _ := ApplyTo(f, camp)
+	planOf := func(camp faults.Campaign) faults.Schedule {
+		plan, _ := camp.Plan(rand.New(rand.NewSource(11)), 6)
 		return plan
 	}
-	base := Campaign{NodeDown: 2, SlowMachine: 2, SlowFactor: 3, Window: sim.Second}
+	base := faults.Campaign{NodeDown: 2, SlowMachine: 2, SlowFactor: 3, Window: sim.Second}
 	a := planOf(base)
 	withNet := base
 	withNet.NetworkPartition = 1
@@ -342,19 +288,17 @@ func TestNetworkFaultsDoNotPerturbMachinePlans(t *testing.T) {
 	if len(b) != len(a)+1 {
 		t.Fatalf("plan lengths %d vs %d", len(a), len(b))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("machine-fault plan perturbed at %d: %+v vs %+v", i, a[i], b[i])
-		}
+	if !reflect.DeepEqual(a, b[:len(a)]) {
+		t.Fatalf("machine-fault plan perturbed:\n%+v\n%+v", a, b)
 	}
-	if b[len(b)-1].Kind != "NetworkPartition" {
+	if b[len(b)-1].Kind != faults.NetworkPartition {
 		t.Errorf("network fault not scheduled last: %+v", b[len(b)-1])
 	}
 }
 
 func TestShuffleHelper(t *testing.T) {
 	items := []string{"a", "b", "c", "d"}
-	out := Shuffle(rand.New(rand.NewSource(1)), items)
+	out := faults.Shuffle(rand.New(rand.NewSource(1)), items)
 	if len(out) != 4 {
 		t.Fatal("length changed")
 	}

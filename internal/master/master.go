@@ -547,6 +547,17 @@ func (m *Master) Restart() {
 // IsPrimary reports whether this process currently leads.
 func (m *Master) IsPrimary() bool { return m.primary && !m.crashed }
 
+// Primary returns whichever of the processes currently leads (nil entries
+// are skipped), or nil during an interregnum.
+func Primary(ms ...*Master) *Master {
+	for _, m := range ms {
+		if m != nil && m.IsPrimary() {
+			return m
+		}
+	}
+	return nil
+}
+
 // Scheduler exposes the live scheduling core (nil on standbys), for metrics
 // sampling by experiment harnesses.
 func (m *Master) Scheduler() *Scheduler {

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -75,9 +74,6 @@ const (
 	// converges records the cap and counts in Unconverged (which fails the
 	// chaos lane's contract).
 	chaosConvergeTimeout = 30 * sim.Second
-	// chaosDefaultPartitionFor is the storm duration when the config lists
-	// none for a storm index.
-	chaosDefaultPartitionFor = 5 * sim.Second
 )
 
 // czState is the chaos-mode bookkeeping.
@@ -87,139 +83,76 @@ type czState struct {
 	// storm placement cannot perturb the workload's random draws.
 	frng *rand.Rand
 
-	plan    []faults.Injection
-	skipped int
-
 	// victimActive counts, per machine (dense ID), the heal→converged
 	// windows it is inside: grants arriving while the count is positive are
 	// reissued repair traffic. A count, not a flag, so a machine still
 	// converging from one storm stays counted when an overlapping second
 	// storm's window over it closes first.
 	victimActive []int32
-	// partActive counts currently-open partitions: revocations observed
-	// while one is open are grants the partition cost the applications.
-	partActive int
 
-	partitions          int
-	machinesPartitioned int
-	heals               int
-	flapped             int
-	spiked              int
-	lockPartitions      int
-	unconverged         int
-	lost                uint64
-	reissued            uint64
+	unconverged int
+	lost        uint64
+	reissued    uint64
 
 	conv *metrics.Histogram
 }
 
-func newCZState(h *harness, machines int) *czState {
+func newCZState(h *harness) *czState {
 	return &czState{
 		h:            h,
 		frng:         rand.New(rand.NewSource(h.cfg.Seed + 5)),
-		victimActive: make([]int32, machines),
+		victimActive: make([]int32, h.top.Size()),
 		conv:         h.reg.Histogram("scale.chaos_convergence_ms"),
 	}
 }
 
 // scheduleChaos arms the whole adversarial schedule up front. Every random
 // draw (partition groups, flap/spike victims, fire times) happens now on the
-// dedicated fault stream, through the same faults.ApplyTo planner the
-// standalone fault driver uses.
+// dedicated fault stream, through the same Campaign.Plan the standalone fault
+// driver uses.
 func (h *harness) scheduleChaos() {
 	cz := h.cz
 	cfg := h.cfg
 	h.net.EnableLinkStats()
 
-	apply := func(camp faults.Campaign) {
-		plan, skipped := faults.ApplyTo(chaosTarget{h}, camp)
-		cz.plan = append(cz.plan, plan...)
-		cz.skipped += skipped
-	}
 	k := int(float64(h.top.Size()) * cfg.ChaosPartitionPct / 100)
 	if k < 1 {
 		k = 1
 	}
 	for i, at := range cfg.ChaosPartitionAt {
-		dur := chaosDefaultPartitionFor
-		if i < len(cfg.ChaosPartitionFor) && cfg.ChaosPartitionFor[i] > 0 {
+		var dur sim.Time // 0 takes the campaign's default, 5 s
+		if i < len(cfg.ChaosPartitionFor) {
 			dur = cfg.ChaosPartitionFor[i]
 		}
-		apply(faults.Campaign{
+		h.inj.ApplyCampaign(faults.Campaign{
 			Start: at, Window: sim.Millisecond,
 			NetworkPartition: 1, PartitionMachines: k, PartitionFor: dur,
-		})
+		}, cz.frng)
 	}
 	for _, at := range cfg.ChaosFlapAt {
-		apply(faults.Campaign{Start: at, Window: sim.Millisecond, LinkFlap: cfg.ChaosFlaps})
+		h.inj.ApplyCampaign(faults.Campaign{Start: at, Window: sim.Millisecond, LinkFlap: cfg.ChaosFlaps}, cz.frng)
 	}
 	for _, at := range cfg.ChaosSpikeAt {
-		apply(faults.Campaign{
+		h.inj.ApplyCampaign(faults.Campaign{
 			Start: at, Window: sim.Millisecond,
 			DelaySpike: cfg.ChaosSpikes, SpikeDelay: cfg.ChaosSpikeDelay,
-		})
+		}, cz.frng)
 	}
 	if cfg.ChaosLockPartitionAt > 0 && cfg.ChaosLockPartitionFor > 0 {
-		h.eng.At(cfg.ChaosLockPartitionAt, cz.lockPartition)
+		// Exactly one master may win: the dueling-masters shape the
+		// split-brain fencing exists for.
+		h.inj.Apply(faults.Schedule{{
+			Kind: faults.LockPartition, At: cfg.ChaosLockPartitionAt, For: cfg.ChaosLockPartitionFor,
+		}})
 	}
 }
 
-// chaosTarget adapts the harness to faults.Target + faults.NetworkTarget.
-// Chaos campaigns carry network faults only, so the machine-fault hooks are
-// deliberately inert (the churn workload keeps every machine alive).
-type chaosTarget struct{ h *harness }
-
-func (t chaosTarget) Rand() *rand.Rand            { return t.h.cz.frng }
-func (t chaosTarget) At(at sim.Time, fn func())   { t.h.eng.At(at, fn) }
-func (t chaosTarget) Machines() []string          { return t.h.top.Machines() }
-func (t chaosTarget) KillMachine(string)          {}
-func (t chaosTarget) BreakMachine(string)         {}
-func (t chaosTarget) SlowMachine(string, float64) {}
-func (t chaosTarget) KillPrimaryMaster()          {}
-
-func (t chaosTarget) PartitionMachines(group []string, dur sim.Time) {
-	t.h.cz.beginPartition(group, dur)
-}
-
-func (t chaosTarget) FlapMachineLink(m string, down, up sim.Time, cycles int) {
-	t.h.cz.flap(m, down, up, cycles)
-}
-
-func (t chaosTarget) SpikeMachineLink(m string, extra, dur sim.Time) {
-	t.h.cz.spike(m, extra, dur)
-}
-
-// beginPartition isolates the group's agents from the rest of the control
-// plane (the transport holds one partition at a time, so an overlapping
-// storm retries until the previous one healed) and schedules the heal.
-func (cz *czState) beginPartition(group []string, dur sim.Time) {
+// healed starts the convergence probe over a partition the injector has
+// just lifted: every chaosConvergePoll, compare each victim machine's agent
+// allocation table against the primary's grant ledger until they all match
+// (or the timeout records the window as unconverged).
+func (cz *czState) healed(victims []int32) {
 	h := cz.h
-	if h.net.Partitioned() {
-		h.eng.After(500*sim.Millisecond, func() { cz.beginPartition(group, dur) })
-		return
-	}
-	cz.partitions++
-	cz.machinesPartitioned += len(group)
-	cz.partActive++
-	eps := make([]string, len(group))
-	ids := make([]int32, len(group))
-	for i, m := range group {
-		eps[i] = protocol.AgentEndpoint(m)
-		ids[i] = h.top.MachineID(m)
-	}
-	h.net.Isolate(eps)
-	h.eng.After(dur, func() { cz.heal(ids) })
-}
-
-// heal lifts the partition and starts the convergence probe: every
-// chaosConvergePoll, compare each victim machine's agent allocation table
-// against the primary's grant ledger until they all match (or the timeout
-// records the window as unconverged).
-func (cz *czState) heal(victims []int32) {
-	h := cz.h
-	cz.partActive--
-	h.net.Heal()
-	cz.heals++
 	for _, id := range victims {
 		cz.victimActive[id]++
 	}
@@ -278,54 +211,6 @@ func (cz *czState) convergedAll(victims []int32) bool {
 	return true
 }
 
-// flap cycles one agent's link down/up without touching its process state.
-func (cz *czState) flap(m string, down, up sim.Time, cycles int) {
-	h := cz.h
-	cz.flapped++
-	ep := protocol.AgentEndpoint(m)
-	var cycle func(k int)
-	cycle = func(k int) {
-		if k >= cycles {
-			return
-		}
-		h.net.SetLinkDown(ep, true)
-		h.eng.After(down, func() {
-			h.net.SetLinkDown(ep, false)
-			h.eng.After(up, func() { cycle(k + 1) })
-		})
-	}
-	cycle(0)
-}
-
-// spike adds extra one-way delay on one agent's links for dur. Spiked
-// messages land out of order relative to un-spiked ones — exactly the
-// reordering the stale-sync and gap machinery must absorb.
-func (cz *czState) spike(m string, extra, dur sim.Time) {
-	h := cz.h
-	cz.spiked++
-	ep := protocol.AgentEndpoint(m)
-	h.net.SetLinkDelay(ep, extra)
-	h.eng.After(dur, func() { h.net.SetLinkDelay(ep, 0) })
-}
-
-// lockPartition cuts the current primary from the lock service while it
-// still reaches every agent: the lease expires server-side, the standby
-// promotes, and the deposed primary must self-demote at its lease deadline —
-// exactly one master may win. Fired during an interregnum it retries.
-func (cz *czState) lockPartition() {
-	h := cz.h
-	for i, m := range h.masters {
-		if m != nil && m.IsPrimary() {
-			cz.lockPartitions++
-			idx := i
-			h.lockReach[idx] = false
-			h.eng.After(h.cfg.ChaosLockPartitionFor, func() { h.lockReach[idx] = true })
-			return
-		}
-	}
-	h.eng.After(500*sim.Millisecond, cz.lockPartition)
-}
-
 // noteGrant/noteRevoke are the scaleApp callbacks' chaos hooks. A revoke
 // while a partition is open is a grant the storm cost the application (the
 // master declared the unreachable machine dead and evacuated it); a grant
@@ -338,7 +223,7 @@ func (cz *czState) noteGrant(machine int32, count int) {
 }
 
 func (cz *czState) noteRevoke(count int) {
-	if cz.partActive > 0 {
+	if cz.h.inj.OpenPartitions() > 0 {
 		cz.lost += uint64(count)
 	}
 }
@@ -385,15 +270,17 @@ type ChaosStats struct {
 }
 
 func (cz *czState) snapshot(h *harness) *ChaosStats {
+	in := h.inj
+	planned, skipped := in.Planned()
 	cs := &ChaosStats{
-		Partitions:          cz.partitions,
-		MachinesPartitioned: cz.machinesPartitioned,
-		Heals:               cz.heals,
-		LinkFlaps:           cz.flapped,
-		DelaySpikes:         cz.spiked,
-		LockPartitions:      cz.lockPartitions,
-		Injections:          len(cz.plan),
-		InjectionsSkipped:   cz.skipped,
+		Partitions:          in.Fired(faults.NetworkPartition),
+		MachinesPartitioned: in.Machines(faults.NetworkPartition),
+		Heals:               in.Fired(faults.NetworkPartition) - in.OpenPartitions(),
+		LinkFlaps:           in.Fired(faults.LinkFlap),
+		DelaySpikes:         in.Fired(faults.DelaySpike),
+		LockPartitions:      in.Fired(faults.LockPartition),
+		Injections:          planned,
+		InjectionsSkipped:   skipped,
 		ConvergenceP50MS:    cz.conv.Quantile(0.5),
 		ConvergenceP99MS:    cz.conv.Quantile(0.99),
 		ConvergenceMaxMS:    cz.conv.Max(),

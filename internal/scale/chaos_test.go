@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/master"
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -223,9 +225,8 @@ func TestOverlappingHealWindowsKeepCounting(t *testing.T) {
 		h.eng.Run(h.eng.Now() + sim.Millisecond)
 	}
 	phantom(1, 1)
-	cz.partActive = 2 // the two storms whose heals follow
-	cz.heal([]int32{3})
-	cz.heal([]int32{3, 4})
+	cz.healed([]int32{3})
+	cz.healed([]int32{3, 4})
 	if cz.victimActive[3] != 2 || cz.victimActive[4] != 1 {
 		t.Fatalf("window counts after two heals: machine 3 = %d, machine 4 = %d, want 2 and 1",
 			cz.victimActive[3], cz.victimActive[4])
@@ -284,5 +285,54 @@ func BenchmarkConvergenceProbe(b *testing.B) {
 		if !f.h.cz.convergedAll(f.victims) {
 			b.Fatal("settled victims diverged")
 		}
+	}
+}
+
+// TestOverlappingFaultSchedule is the first schedule in the repo whose
+// windows overlap, as one literal: a link flap on a machine inside an open
+// partition and still cycling when it heals, a second partition requested
+// while the first is open (it must wait for the heal, not replace it), and a
+// master crash inside a lock-service cut. The run must finish with the
+// checker silent and every heal converged.
+func TestOverlappingFaultSchedule(t *testing.T) {
+	cfg := SmokeChaosConfig()
+	cfg.ChaosPartitionAt, cfg.ChaosFlapAt, cfg.ChaosSpikeAt = nil, nil, nil
+	cfg.ChaosLockPartitionAt = 0
+	// Never fires; a configured master failover is what boots the standby.
+	cfg.MasterFailoverAt = []sim.Time{cfg.Horizon + sim.Minute}
+	h, err := newHarness(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := master.DefaultConfig("")
+	h.inj.Apply(faults.Schedule{
+		{Kind: faults.NetworkPartition, At: 22 * sim.Second, For: 6 * sim.Second, Targets: []int32{3, 17, 42, 58, 91}},
+		{Kind: faults.LinkFlap, At: 25 * sim.Second, Targets: []int32{17}, Down: 500 * sim.Millisecond, Up: 500 * sim.Millisecond, Cycles: 5},
+		{Kind: faults.NetworkPartition, At: 26 * sim.Second, For: 2 * sim.Second, Targets: []int32{5, 17}},
+		{Kind: faults.LockPartition, At: 34 * sim.Second, For: 5 * sim.Second},
+		{Kind: faults.FuxiMasterFailure, At: 35 * sim.Second, For: mc.LockTTL + mc.RecoveryWindow + sim.Second},
+	})
+	res := h.run()
+	if len(res.Invariants) > 0 {
+		t.Errorf("invariant violations: %v", res.Invariants)
+	}
+	if res.InvariantChecks == 0 {
+		t.Error("invariant checker never ran")
+	}
+	cz := res.Chaos
+	if cz.Partitions != 2 || cz.Heals != 2 || cz.MachinesPartitioned != 7 {
+		t.Errorf("partitions=%d heals=%d machines=%d, want 2/2/7", cz.Partitions, cz.Heals, cz.MachinesPartitioned)
+	}
+	if cz.Unconverged != 0 || cz.ConvergenceMaxMS <= 0 {
+		t.Errorf("%d heal windows never reconverged (max %.0f ms)", cz.Unconverged, cz.ConvergenceMaxMS)
+	}
+	if cz.LinkFlaps != 1 || cz.LockPartitions != 1 || res.MasterFailovers != 1 {
+		t.Errorf("flaps=%d lock cuts=%d master crashes=%d, want 1/1/1", cz.LinkFlaps, cz.LockPartitions, res.MasterFailovers)
+	}
+	if cz.MasterEpoch < 2 || h.primary() == nil {
+		t.Errorf("no successor after the crash inside the lock cut: epoch %d, primary %v", cz.MasterEpoch, h.primary())
+	}
+	if chaosBroken(res) {
+		t.Errorf("the run breaks the chaos lane's contract: %+v", cz)
 	}
 }

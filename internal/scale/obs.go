@@ -25,6 +25,7 @@ package scale
 import (
 	"runtime"
 
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -104,8 +105,6 @@ type obsState struct {
 	linkSent    []obs.SeriesID
 	linkDropped []obs.SeriesID
 
-	flapWindows int
-
 	// Live-query client state.
 	seq          uint64
 	queries      int
@@ -164,15 +163,13 @@ func (o *obsState) schedule() {
 		if !h.cfg.Churn {
 			measureStart, measure = 0, h.cfg.Horizon
 		}
-		victims := watch[1:]
+		victims := o.watched[1:]
 		flapAt := []sim.Time{measureStart + measure/4, measureStart + measure/2}
 		for i, at := range flapAt {
-			ep := protocol.AgentEndpoint(machines[victims[i%len(victims)]])
-			h.eng.At(at, func() {
-				o.flapWindows++
-				h.net.SetLinkDown(ep, true)
-				h.eng.After(obsFlapDur, func() { h.net.SetLinkDown(ep, false) })
-			})
+			h.inj.Apply(faults.Schedule{{
+				Kind: faults.LinkFlap, At: at, Down: obsFlapDur, Cycles: 1,
+				Targets: []int32{victims[i%len(victims)]},
+			}})
 		}
 	}
 
@@ -338,7 +335,7 @@ func (o *obsState) snapshot(h *harness) *ObsStats {
 		QueryP50US:      o.qlat.Quantile(0.5),
 		QueryP99US:      o.qlat.Quantile(0.99),
 		WatchedLinks:    len(o.watched),
-		FlapWindows:     o.flapWindows,
+		FlapWindows:     h.inj.Fired(faults.LinkFlap),
 	}
 	for _, ep := range o.watchedEP {
 		_, _, d1, _ := h.net.LinkCountsID(o.masterEP, ep)

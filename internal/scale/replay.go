@@ -8,7 +8,7 @@ package scale
 // hold times are heavy-tailed bounded-Pareto draws keyed off the job-ID hash
 // so shapes stay independent of scheduling timing. Machine-failure storms —
 // internal/faults campaigns scaled to the cluster with CampaignFor — land
-// mid-replay through the faults.Target interface: NodeDown crashes agents,
+// mid-replay through the harness's fault injector: NodeDown crashes agents,
 // PartialWorkerFailure makes grants bounce as launch failures, SlowMachine
 // stretches holds. Per-class admission and demand-to-grant percentiles, SLO
 // attainment, shed and preemption rates, and per-phase (peak / trough /
@@ -141,25 +141,17 @@ type rpState struct {
 	grants      [gateway.NumClasses]uint64
 	revokes     [gateway.NumClasses]uint64
 
-	// Per-machine fault state, indexed by interned machine ID. broken
-	// machines bounce grants as launch failures; slow machines stretch
-	// holds by their factor.
-	broken      []bool
-	slow        []float64
+	// Grants bounced off a broken machine as launch failures, and holds a
+	// slow machine stretched by its factor (the injector has both tables).
 	launchFails uint64
 	slowHeld    uint64
 
-	stormPlan    []faults.Injection
-	stormSkipped int
 	stormWindows [][2]sim.Time
-	killed       int
-	brokenN      int
-	slowedN      int
 
 	phase [rpNumPhases]rpPhaseAcc
 }
 
-func newRPState(h *harness, machines int) *rpState {
+func newRPState(h *harness) *rpState {
 	cfg := h.cfg
 	rp := &rpState{
 		h:    h,
@@ -170,9 +162,7 @@ func newRPState(h *harness, machines int) *rpState {
 			AmplitudePct:   cfg.ReplayAmplitudePct,
 			Day:            cfg.ReplayDayLength,
 		},
-		burst:  trace.BurstSessions{MeanJobs: cfg.ReplayBurstMean, MeanGap: cfg.ReplayBurstGap},
-		broken: make([]bool, machines),
-		slow:   make([]float64, machines),
+		burst: trace.BurstSessions{MeanJobs: cfg.ReplayBurstMean, MeanGap: cfg.ReplayBurstGap},
 	}
 	walpha := cfg.ReplayWidthAlpha
 	if walpha <= 0 {
@@ -223,9 +213,8 @@ func (h *harness) scheduleReplay() {
 		camp := faults.CampaignFor(h.top.Size(), cfg.ReplayStormPct, cfg.ReplaySlowFactor)
 		camp.Start = at
 		camp.Window = cfg.ReplayStormWindow
-		plan, skipped := faults.ApplyTo(replayTarget{h}, camp)
-		rp.stormPlan = append(rp.stormPlan, plan...)
-		rp.stormSkipped += skipped
+		camp.Downtime = rp.downtime()
+		h.inj.ApplyCampaign(camp, rp.frng)
 		rp.stormWindows = append(rp.stormWindows,
 			[2]sim.Time{at, at + camp.Window + rp.downtime()})
 	}
@@ -364,7 +353,7 @@ func (rp *rpState) observeD2G(c gateway.Class, ms float64) {
 func (rp *rpState) grant(a *scaleApp, unitID int, machine int32, count int) {
 	h := rp.h
 	rp.grants[a.class] += uint64(count)
-	if rp.broken[machine] {
+	if h.inj.Broken(machine) {
 		// PartialWorkerFailure: the machine accepted the containers but its
 		// corrupted disks refuse to launch workers. The job master notices
 		// the failed launch, returns the grant, and re-demands elsewhere.
@@ -373,7 +362,7 @@ func (rp *rpState) grant(a *scaleApp, unitID int, machine int32, count int) {
 		return
 	}
 	hold := a.hold
-	if f := rp.slow[machine]; f > 1 {
+	if f := h.inj.Slowdown(machine); f > 1 {
 		hold = sim.Time(float64(hold) * f)
 		rp.slowHeld += uint64(count)
 	}
@@ -451,48 +440,6 @@ func (rp *rpState) sampleUtil() {
 	acc.mem += float64(planned.MemoryMB()) / float64(total.MemoryMB())
 }
 
-// replayTarget adapts the harness to faults.Target so storm campaigns drive
-// the paper-scale agents directly.
-type replayTarget struct{ h *harness }
-
-func (t replayTarget) Rand() *rand.Rand          { return t.h.rp.frng }
-func (t replayTarget) At(at sim.Time, fn func()) { t.h.eng.At(at, fn) }
-func (t replayTarget) Machines() []string        { return t.h.top.Machines() }
-
-func (t replayTarget) KillMachine(m string) {
-	h := t.h
-	a := h.agents[h.top.MachineID(m)]
-	if !a.Up() {
-		return
-	}
-	h.machineCrashes++
-	h.rp.killed++
-	a.CrashMachine()
-	h.eng.After(h.rp.downtime(), a.RestartMachine)
-}
-
-func (t replayTarget) BreakMachine(m string) {
-	h := t.h
-	id := h.top.MachineID(m)
-	h.rp.broken[id] = true
-	h.agents[id].SetBroken(true)
-	h.rp.brokenN++
-	h.eng.After(h.rp.downtime(), func() {
-		h.rp.broken[id] = false
-		h.agents[id].SetBroken(false)
-	})
-}
-
-func (t replayTarget) SlowMachine(m string, factor float64) {
-	h := t.h
-	id := h.top.MachineID(m)
-	h.rp.slow[id] = factor
-	h.rp.slowedN++
-	h.eng.After(h.rp.downtime(), func() { h.rp.slow[id] = 1 })
-}
-
-func (t replayTarget) KillPrimaryMaster() { t.h.crashPrimary(t.h.mcfg) }
-
 // ReplayClassStats is one service class's replay measurements.
 type ReplayClassStats struct {
 	Jobs               int     `json:"jobs"`
@@ -531,6 +478,8 @@ type ReplayStats struct {
 	MeanBurstLen float64 `json:"mean_burst_len,omitempty"`
 	MaxBurstLen  int     `json:"max_burst_len,omitempty"`
 
+	// Storm accounting. MachinesKilled is every machine the run crashed: the
+	// storms' NodeDown victims, plus FailoverEvery's if a config combines them.
 	Storms            int    `json:"storms"`
 	Injections        int    `json:"injections"`
 	InjectionsSkipped int    `json:"injections_skipped,omitempty"`
@@ -558,6 +507,7 @@ type ReplayStats struct {
 func (rp *rpState) snapshot(h *harness) *ReplayStats {
 	cfg := h.cfg
 	gw := h.gw.Snapshot()
+	planned, skipped := h.inj.Planned()
 	rs := &ReplayStats{
 		Days:              cfg.ReplayDays,
 		DayLengthSec:      cfg.ReplayDayLength.Seconds(),
@@ -568,11 +518,11 @@ func (rp *rpState) snapshot(h *harness) *ReplayStats {
 		MeanBurstLen:      gw.MeanSessionLen,
 		MaxBurstLen:       gw.MaxSessionLen,
 		Storms:            len(cfg.ReplayStormAt),
-		Injections:        len(rp.stormPlan),
-		InjectionsSkipped: rp.stormSkipped,
-		MachinesKilled:    rp.killed,
-		MachinesBroken:    rp.brokenN,
-		MachinesSlowed:    rp.slowedN,
+		Injections:        planned,
+		InjectionsSkipped: skipped,
+		MachinesKilled:    h.inj.Fired(faults.NodeDown),
+		MachinesBroken:    h.inj.Fired(faults.PartialWorkerFailure),
+		MachinesSlowed:    h.inj.Fired(faults.SlowMachine),
 		LaunchFailures:    rp.launchFails,
 		SlowHolds:         rp.slowHeld,
 		ShedPct:           gw.ShedRate * 100,

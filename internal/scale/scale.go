@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/appmaster"
+	"repro/internal/faults"
 	"repro/internal/gateway"
 	"repro/internal/invariant"
 	"repro/internal/lockservice"
@@ -449,25 +450,19 @@ type harness struct {
 	gw          *gateway.Gateway
 	gwSubmitted int
 	gwUnitTmpl  map[int][]resource.ScheduleUnit
+	// inj injects every fault of the run; each Config fault field only
+	// produces faults.Fault values for it.
+	inj *faults.Injector
 	// dp is the data-plane workload state (dataplane mode only).
 	dp *dpState
-	// rp is the trace-replay workload state (replay mode only); mcfg is the
-	// primary master's configuration, kept so replay fault campaigns can
-	// crash the primary through the same path as scheduled failovers.
-	rp   *rpState
-	mcfg master.Config
-	// cz is the chaos-mode state (chaos mode only); lockReach is the
-	// per-master lock-service reachability the chaos lock partition toggles
-	// (index matches h.masters).
-	cz        *czState
-	lockReach [2]bool
+	// rp is the trace-replay workload state (replay mode only).
+	rp *rpState
+	// cz is the chaos-mode state (chaos mode only).
+	cz *czState
 	// ob is the observability-mode state (obs mode only); ckpt is the
 	// shared durable checkpoint store, kept for byte accounting.
 	ob   *obsState
 	ckpt *master.CheckpointStore
-	// machineCrashes counts injected machine failovers, bounding the
-	// blacklist slice of the checkpoint write budget.
-	machineCrashes int
 	// masters is the hot-standby pair (second entry nil without master
 	// failover); whichever holds the lease is primary.
 	masters []*master.Master
@@ -505,21 +500,13 @@ type harness struct {
 	schedPause *metrics.Histogram
 	crashAt    sim.Time
 	pauseAt    sim.Time
-	crashes    int
 	lost       uint64
 	reissued   uint64
 	checker    *invariant.Checker
 }
 
 // primary returns the current primary master (nil during an interregnum).
-func (h *harness) primary() *master.Master {
-	for _, m := range h.masters {
-		if m != nil && m.IsPrimary() {
-			return m
-		}
-	}
-	return nil
-}
+func (h *harness) primary() *master.Master { return master.Primary(h.masters...) }
 
 func (h *harness) primarySched() *master.Scheduler {
 	if p := h.primary(); p != nil {
@@ -528,23 +515,16 @@ func (h *harness) primarySched() *master.Scheduler {
 	return nil
 }
 
-// crashPrimary kills the active master; the standby takes over when the
-// lease expires, and the crashed process restarts as the new standby once
-// the successor's recovery window has passed. A crash time landing in an
-// interregnum (the previous failover's successor not yet promoted) retries
-// shortly after, so the configured crash count is always executed.
-func (h *harness) crashPrimary(mcfg master.Config) {
-	p := h.primary()
-	if p == nil {
-		h.eng.After(500*sim.Millisecond, func() { h.crashPrimary(mcfg) })
-		return
+// onFault is the injector's hook: a master crash starts the recovery and
+// scheduling-pause clocks, a healed partition the chaos convergence probe.
+func (h *harness) onFault(f faults.Fault, open bool) {
+	switch {
+	case f.Kind == faults.FuxiMasterFailure && open:
+		h.crashAt = h.eng.Now()
+		h.pauseAt = h.crashAt
+	case f.Kind == faults.NetworkPartition && !open && h.cz != nil:
+		h.cz.healed(f.Targets)
 	}
-	h.crashes++
-	h.crashAt = h.eng.Now()
-	h.pauseAt = h.crashAt
-	p.Crash()
-	restartAfter := mcfg.LockTTL + mcfg.RecoveryWindow + sim.Second
-	h.eng.After(restartAfter, p.Restart)
 }
 
 // onRecovered measures one completed failover: recovery latency, grants the
@@ -679,12 +659,17 @@ func newHarness(cfg Config) (*harness, error) {
 	}
 	h := &harness{
 		cfg: cfg, eng: eng, net: net, top: top, reg: reg,
+		inj:        faults.NewInjector(eng, net, top.Size()),
 		rng:        rand.New(rand.NewSource(cfg.Seed + 1)),
 		latency:    reg.Histogram("scale.demand_to_grant_ms"),
 		recovery:   reg.Histogram("scale.master_recovery_ms"),
 		schedPause: reg.Histogram("scale.sched_pause_ms"),
 	}
 	h.ckpt = ckpt
+	h.inj.Hook = h.onFault
+	// Each master reaches the lock service unless a LockPartition fault cut it
+	// off while its data-plane links stay up.
+	mcfg.LockReachable = func() bool { return h.inj.LockReachable(0) }
 	if cfg.RecordDecisionHash {
 		h.decHash = fnvOffset
 	}
@@ -696,20 +681,14 @@ func newHarness(cfg Config) (*harness, error) {
 		// section reports the delta log's measured saving.
 		ckpt.TrackFullCost = true
 	}
-	h.mcfg = mcfg
 	if cfg.Dataplane {
 		h.dp = newDPState(h)
 	}
 	if cfg.Replay {
-		h.rp = newRPState(h, top.Size())
+		h.rp = newRPState(h)
 	}
 	if cfg.Chaos {
-		h.cz = newCZState(h, top.Size())
-		// Route both masters' lease reachability through the harness so the
-		// chaos lock partition can cut the primary from the lock service
-		// while its data-plane links stay up.
-		h.lockReach = [2]bool{true, true}
-		mcfg.LockReachable = func() bool { return h.lockReach[0] }
+		h.cz = newCZState(h)
 	}
 	if len(cfg.MasterFailoverAt) > 0 {
 		mcfg.OnRecovered = h.onRecovered
@@ -744,15 +723,15 @@ func newHarness(cfg Config) (*harness, error) {
 	if needStandby {
 		m2 := mcfg
 		m2.ProcessName = "fm-scale-2"
-		if cfg.Chaos {
-			m2.LockReachable = func() bool { return h.lockReach[1] }
-		}
+		m2.LockReachable = func() bool { return h.inj.LockReachable(1) }
 		h.masters = append(h.masters, master.NewMaster(m2, eng, net, lock, top, ckpt, reg))
 	}
-	if len(cfg.MasterFailoverAt) > 0 {
-		for _, at := range cfg.MasterFailoverAt {
-			eng.At(at, func() { h.crashPrimary(mcfg) })
-		}
+	h.inj.Masters = h.masters
+	// The crashed process restarts as the new standby once its successor's
+	// recovery window has passed.
+	restartAfter := mcfg.LockTTL + mcfg.RecoveryWindow + sim.Second
+	for _, at := range cfg.MasterFailoverAt {
+		h.inj.Apply(faults.Schedule{{Kind: faults.FuxiMasterFailure, At: at, For: restartAfter}})
 	}
 	eng.Run(10 * sim.Millisecond) // let the election settle
 
@@ -760,6 +739,7 @@ func newHarness(cfg Config) (*harness, error) {
 	for _, m := range top.Machines() {
 		h.agents = append(h.agents, agent.New(acfg, eng, net, top.Machine(m)))
 	}
+	h.inj.Agents = h.agents
 
 	if cfg.CheckInvariants {
 		h.checker = &invariant.Checker{
@@ -821,18 +801,15 @@ func newHarness(cfg Config) (*harness, error) {
 		h.ob.schedule()
 	}
 
-	// Failover churn: crash a random up machine, restart after the
-	// downtime (long enough for the heartbeat timeout to declare it dead
-	// and revoke its grants).
+	// Failover churn: crash a random machine (drawn at fire time, from the
+	// workload stream), restart after the downtime — long enough for the
+	// heartbeat timeout to declare it dead and revoke its grants.
 	if cfg.FailoverEvery > 0 {
 		eng.Every(cfg.FailoverEvery, func() {
-			a := h.agents[h.rng.Intn(len(h.agents))]
-			if !a.Up() {
-				return
-			}
-			h.machineCrashes++
-			a.CrashMachine()
-			eng.After(cfg.FailoverDowntime, a.RestartMachine)
+			h.inj.Fire(faults.Fault{
+				Kind: faults.NodeDown, For: cfg.FailoverDowntime,
+				Targets: []int32{int32(h.rng.Intn(len(h.agents)))},
+			})
 		})
 	}
 	return h, nil
@@ -886,7 +863,7 @@ func (h *harness) run() *Result {
 		if gwMode {
 			saved = int(h.gw.Snapshot().Registered)
 		}
-		blkBudget := 2 * h.machineCrashes * (1 + len(cfg.MasterFailoverAt))
+		blkBudget := 2 * h.inj.Fired(faults.NodeDown) * (1 + len(cfg.MasterFailoverAt))
 		writeBudget := saved + h.completed + 1 + len(cfg.MasterFailoverAt) + blkBudget
 		h.checker.CheckCheckpointWrites(writeBudget)
 		// Byte budget: each delta record is bounded by one app config (a
@@ -956,7 +933,7 @@ func (h *harness) run() *Result {
 		res.Invariants = s.CheckAllInvariants()
 	}
 	if len(cfg.MasterFailoverAt) > 0 {
-		res.MasterFailovers = h.crashes
+		res.MasterFailovers = h.inj.Fired(faults.FuxiMasterFailure)
 		res.RecoveryMeanMS = h.recovery.Mean()
 		res.RecoveryP50MS = h.recovery.Quantile(0.5)
 		res.RecoveryP99MS = h.recovery.Quantile(0.99)
