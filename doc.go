@@ -9,12 +9,30 @@
 //
 // Entry points:
 //
-//   - internal/core: the Cluster facade (boot a cluster, submit jobs)
+//   - internal/core: NewCluster, the one place a cluster is wired, and the
+//     Cluster facade (submit jobs, sample utilisation, kill things)
 //   - internal/experiments: regenerate every table and figure of §5
 //   - cmd/fuxisim, cmd/faultsim, cmd/graysort, cmd/tracestats: experiment CLIs
 //   - cmd/scalesim: the 5,000-machine stress harness — one `-lane` per
 //     scenario in the internal/scale Lanes table, each with its budget gates
 //   - examples/: runnable walkthroughs of the public API
+//
+// # One assembler, one seam
+//
+// core.NewCluster is the only function that constructs a cluster's parts —
+// topology, engine, network, lock service, checkpoint store, gateway, the
+// hot-standby master pair, one agent per machine, the fault injector — in a
+// fixed boot order (gateway, masters, a 10 ms election settle, agents by
+// machine ID) that every decision-stream hash depends on.
+// Examples, experiments and the scale harness are built on it; CI greps the
+// constructors out of every other non-test file. The scale harness adds one
+// seam: a run is a workload (where jobs come from, what is measured, what
+// ends it: classic arrivals, churn, gateway generator, dataplane, replay)
+// and a list of probes (what each needs of the cluster, its fault and
+// grant/revoke hooks, its share of the result: failover timing, chaos
+// convergence, the obs client), chosen from scale.Config in one function.
+// Every job observes its grants and revocations through one path and
+// finishes through one path, so a lane is a Config and lanes compose.
 //
 // # One serial scheduling path
 //
@@ -103,7 +121,7 @@
 // workers broken, machine slow, master crash, partition, link flap, delay
 // spike, lock cut), a schedule a []Fault planned by a Campaign from a
 // dedicated random stream or written as a literal, and one faults.Injector
-// per assembled cluster fires them, retries the ones that cannot open yet,
+// per cluster (core.Cluster.Faults) fires them, retries the ones that cannot open yet,
 // posts each window's closing event and counts what it did. The protocol
 // layers are hardened to survive them:
 // receivers detect sequence gaps and force an immediate anchor/sync

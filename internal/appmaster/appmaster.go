@@ -24,7 +24,6 @@ import (
 	"sort"
 
 	"repro/internal/dense"
-	"repro/internal/ident"
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -96,14 +95,6 @@ func nodeKey(level resource.LocalityType, node int32) uint64 {
 
 func machineKey(machine int32) uint64 { return uint64(uint32(machine)) }
 
-// extNodes names the locality targets an application asked for that the
-// topology does not know. Such demand can never be granted, but it is stated
-// to FuxiMaster, withdrawn and re-stated in full syncs like any other, so it
-// needs an ID: one past the topology's range, in first-request order.
-type extNodes struct {
-	mach, rack ident.Table
-}
-
 // AM is one application master.
 type AM struct {
 	cfg Config
@@ -124,9 +115,8 @@ type AM struct {
 	// apiece.
 	units []unitLedger
 	unit0 [1]unitLedger
-	// ext names requested locality targets outside the topology (nil until
-	// an application asks for one).
-	ext *extNodes
+	// ext names requested locality targets outside the topology.
+	ext topology.Overflow
 	// workers tracks every worker this application asked agents to run
 	// (nil until the first StartWorker/AdoptWorker — gateway-scale job
 	// populations never start simulated workers).
@@ -253,50 +243,16 @@ func (a *AM) peekLedger(unitID int) *unitLedger {
 // hintKey resolves a locality hint's target name to its table key — the one
 // place this side turns a name into an ID, once per stated hint.
 func (a *AM) hintKey(h resource.LocalityHint) uint64 {
-	switch h.Type {
-	case resource.LocalityMachine:
-		id := a.top.MachineID(h.Value)
-		if id < 0 {
-			id = int32(a.top.Size()) + a.extNames().mach.Intern(h.Value)
-		}
-		return nodeKey(h.Type, id)
-	case resource.LocalityRack:
-		id := a.top.RackID(h.Value)
-		if id < 0 {
-			id = int32(a.top.NumRacks()) + a.extNames().rack.Intern(h.Value)
-		}
-		return nodeKey(h.Type, id)
-	default:
+	if h.Type != resource.LocalityMachine && h.Type != resource.LocalityRack {
 		return nodeKey(resource.LocalityCluster, 0)
 	}
-}
-
-func (a *AM) extNames() *extNodes {
-	if a.ext == nil {
-		a.ext = &extNodes{}
-	}
-	return a.ext
+	return nodeKey(h.Type, a.ext.Node(a.top, h.Type, h.Value))
 }
 
 // keyHint is the inverse of hintKey at the full-sync boundary.
 func (a *AM) keyHint(k uint64, count int) resource.LocalityHint {
 	level, node := resource.LocalityType(k>>32), int32(uint32(k))
-	h := resource.LocalityHint{Type: level, Count: count}
-	switch level {
-	case resource.LocalityMachine:
-		if n := int32(a.top.Size()); node < n {
-			h.Value = a.top.MachineName(node)
-		} else {
-			h.Value = a.ext.mach.Name(node - n)
-		}
-	case resource.LocalityRack:
-		if n := int32(a.top.NumRacks()); node < n {
-			h.Value = a.top.RackName(node)
-		} else {
-			h.Value = a.ext.rack.Name(node - n)
-		}
-	}
-	return h
+	return resource.LocalityHint{Type: level, Value: a.ext.Name(a.top, level, node), Count: count}
 }
 
 // MachineName converts a dense machine ID to its name (the job-layer

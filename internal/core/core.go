@@ -1,7 +1,9 @@
 // Package core wires the Fuxi components — hot-standby FuxiMaster pair,
-// one FuxiAgent per machine, the simulated network, lock service, Pangu DFS
-// and metrics — into a Cluster, the library's main entry point. Examples,
-// experiment drivers and benchmarks all build on this facade.
+// one FuxiAgent per machine, the simulated network, lock service, Pangu DFS,
+// submission gateway, fault injector and metrics — into a Cluster, the
+// library's main entry point. NewCluster is the only assembler: examples,
+// experiment drivers, benchmarks and the paper-scale harness (internal/scale)
+// all build on it.
 package core
 
 import (
@@ -33,11 +35,17 @@ type Config struct {
 	Seed int64
 	// NetLatency is the one-way message latency (default 200µs).
 	NetLatency sim.Time
-	// NetJitter, DropRate and DupRate inject network imperfection.
+	// NetJitter, DropRate and DupRate inject network imperfection. With all
+	// three zero, same-instant messages deliver in send order, which the
+	// incremental protocol's happy path assumes (an app's RegisterApp
+	// precedes its first DemandUpdate; reordering is legal but falls back to
+	// the slow full-sync repair path).
 	NetJitter sim.Time
 	DropRate  float64
 	DupRate   float64
-	// Master and Agent tune the daemons; zero values take defaults.
+	// Master and Agent tune the daemons. Every field a caller sets is kept;
+	// zero names, periods and thresholds take the packages' defaults. The
+	// pair's process names are the assembler's: fm-1 and fm-2.
 	Master master.Config
 	Agent  agent.Config
 	// Standby controls whether a second (hot-standby) FuxiMaster runs.
@@ -61,7 +69,8 @@ type Cluster struct {
 
 	// Masters holds the hot-standby pair (index 1 nil unless Standby).
 	Masters [2]*master.Master
-	Agents  map[string]*agent.Agent
+	// Agents holds one FuxiAgent per machine, indexed by dense machine ID.
+	Agents []*agent.Agent
 	// Gateway is the submission front door (nil unless Config.Gateway).
 	Gateway *gateway.Gateway
 	// Faults injects every fault the cluster suffers — a planned
@@ -70,8 +79,17 @@ type Cluster struct {
 	Faults *faults.Injector
 }
 
-// NewCluster builds and boots a cluster. The first master wins the election
-// immediately; agents heartbeat from t=0.
+// electionSettle is how long NewCluster runs the engine between booting the
+// masters and the agents: the first master holds the lease and has bumped
+// the checkpoint epoch before any agent says hello.
+const electionSettle = 10 * sim.Millisecond
+
+// NewCluster builds and boots a cluster — the only place one is wired. The
+// order is fixed, because every decision-stream hash depends on it: gateway
+// (so the epoch-1 promotion already finds its endpoint registered), the
+// master pair, the election settle, then the agents in machine-ID order. It
+// returns at virtual time electionSettle with the first master primary and
+// every agent about to send its first heartbeat.
 func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Racks <= 0 || cfg.MachinesPerRack <= 0 {
 		return nil, fmt.Errorf("core: topology must be positive, got %d racks x %d", cfg.Racks, cfg.MachinesPerRack)
@@ -108,24 +126,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Ckpt:    master.NewCheckpointStore(),
 		FS:      pangu.New(top, eng.Rand()),
 		Metrics: metrics.NewRegistry(),
-		Agents:  make(map[string]*agent.Agent, top.Size()),
+		Agents:  make([]*agent.Agent, 0, top.Size()),
 		Faults:  faults.NewInjector(eng, net, top.Size()),
 	}
 
 	if cfg.Gateway != nil {
-		// The gateway boots before the masters so a primary promoting at
-		// t=0 already finds the endpoint registered.
 		c.Gateway = gateway.New(*cfg.Gateway, eng, net)
 	}
 
-	mcfg := cfg.Master
-	if mcfg.LockName == "" {
-		mcfg = master.DefaultConfig("fm-1")
-		mcfg.Sched = cfg.Master.Sched
-		if cfg.Master.BatchWindow > 0 {
-			mcfg.BatchWindow = cfg.Master.BatchWindow
-		}
-	}
+	mcfg := cfg.Master.WithDefaults()
 	if cfg.Gateway != nil {
 		// Gateway priority classes map onto scheduler quota groups; make
 		// sure they exist (zero minimum = usage accounting only) so
@@ -154,19 +163,32 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		newMaster(1, "fm-2")
 	}
 	c.Faults.Masters = c.Masters[:]
+	eng.Run(electionSettle)
 
 	acfg := cfg.Agent
 	if acfg.HeartbeatInterval == 0 {
-		acfg = agent.DefaultConfig()
-		if cfg.Agent.WorkerStartDelay > 0 {
-			acfg.WorkerStartDelay = cfg.Agent.WorkerStartDelay
+		// A caller tuning one knob keeps it; the rest take the defaults
+		// (AnchorEvery's zero is the agent's own default).
+		def := agent.DefaultConfig()
+		acfg.HeartbeatInterval = def.HeartbeatInterval
+		if acfg.WorkerStartDelay == 0 {
+			acfg.WorkerStartDelay = def.WorkerStartDelay
 		}
 	}
 	for _, name := range top.Machines() {
-		c.Agents[name] = agent.New(acfg, eng, net, top.Machine(name))
-		c.Faults.Agents = append(c.Faults.Agents, c.Agents[name])
+		c.Agents = append(c.Agents, agent.New(acfg, eng, net, top.Machine(name)))
 	}
+	c.Faults.Agents = c.Agents
 	return c, nil
+}
+
+// Agent returns the named machine's FuxiAgent (nil for a name outside the
+// topology).
+func (c *Cluster) Agent(machine string) *agent.Agent {
+	if id := c.Top.MachineID(machine); id >= 0 {
+		return c.Agents[id]
+	}
+	return nil
 }
 
 // Primary returns the current primary master (nil during an interregnum).
@@ -204,14 +226,14 @@ func (c *Cluster) KillPrimaryMaster() *master.Master {
 
 // KillMachine halts a node entirely (processes die, heartbeats stop).
 func (c *Cluster) KillMachine(name string) {
-	if a := c.Agents[name]; a != nil {
+	if a := c.Agent(name); a != nil {
 		a.CrashMachine()
 	}
 }
 
 // RestartMachine reboots a halted node.
 func (c *Cluster) RestartMachine(name string) {
-	if a := c.Agents[name]; a != nil {
+	if a := c.Agent(name); a != nil {
 		a.RestartMachine()
 	}
 }

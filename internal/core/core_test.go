@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/appmaster"
+	"repro/internal/master"
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -226,7 +227,7 @@ func TestNodeDownDetectedAndRevoked(t *testing.T) {
 func TestHealthScoreBlacklisting(t *testing.T) {
 	c := newCluster(t, Config{Racks: 1, MachinesPerRack: 2, Seed: 7})
 	c.Run(sim.Second)
-	c.Agents["r000m000"].SetHealth(5) // sick but alive
+	c.Agent("r000m000").SetHealth(5) // sick but alive
 	c.Run(10 * sim.Second)
 	if !c.Scheduler().Blacklisted("r000m000") {
 		t.Fatal("sick machine not blacklisted")
@@ -245,7 +246,7 @@ func TestHealthScoreBlacklisting(t *testing.T) {
 		t.Errorf("held = %d, want 12", am.HeldTotal(1))
 	}
 	// Recovery rehabilitates it.
-	c.Agents["r000m000"].SetHealth(100)
+	c.Agent("r000m000").SetHealth(100)
 	c.Run(10 * sim.Second)
 	if c.Scheduler().Blacklisted("r000m000") {
 		t.Error("recovered machine still blacklisted")
@@ -314,7 +315,7 @@ func TestAgentDaemonFailoverEndToEnd(t *testing.T) {
 	c.Run(100 * sim.Millisecond)
 	am.Request(1, clusterHint(2))
 	c.Run(3 * sim.Second)
-	a := c.Agents["r000m000"]
+	a := c.Agent("r000m000")
 	if len(a.Procs()) != 2 {
 		t.Fatalf("procs = %d", len(a.Procs()))
 	}
@@ -363,6 +364,37 @@ func TestUtilizationAccountingConsistent(t *testing.T) {
 	}
 	if !faPlanned.Equal(want) {
 		t.Errorf("FA_planned = %v, want %v", faPlanned, want)
+	}
+}
+
+// TestCallerSetMasterFieldsSurvive: a caller that sets some Config.Master
+// fields and leaves the rest zero gets the defaults for the rest and keeps
+// what it set. (The assembler used to replace the whole master config with
+// the defaults unless LockName was set, keeping only Sched and BatchWindow.)
+func TestCallerSetMasterFieldsSurvive(t *testing.T) {
+	var c *Cluster
+	epoch, at := 0, sim.Time(0)
+	c = newCluster(t, Config{
+		Racks: 1, MachinesPerRack: 2, Seed: 5, Standby: true,
+		Master: master.Config{
+			OnRecovered:    func(e, reissued int) { epoch, at = e, c.Now() },
+			RecoveryWindow: 500 * sim.Millisecond,
+		},
+	})
+	c.Run(sim.Second)
+	killed := c.Now()
+	if c.KillPrimaryMaster() == nil {
+		t.Fatal("no primary to kill")
+	}
+	c.Run(10 * sim.Second)
+	if c.Primary() == nil || epoch != 2 {
+		t.Fatalf("caller-set OnRecovered saw epoch %d after the failover (a primary leads: %v), want 2", epoch, c.Primary() != nil)
+	}
+	// The lease (default TTL, the caller set none) expires within LockTTL of
+	// the crash; recovery then takes the caller's 500 ms, not the default 2 s.
+	def := master.DefaultConfig("")
+	if took := at - killed; took > def.LockTTL+sim.Second || took < 500*sim.Millisecond {
+		t.Errorf("recovered %v after the crash, want within LockTTL %v + the caller's 500 ms window", took, def.LockTTL)
 	}
 }
 

@@ -10,17 +10,12 @@ import (
 // The Cluster implements job.Env: worker liveness comes from the agents'
 // authoritative process tables and slowdown factors from fault injection.
 
-// ProcAlive reports whether a worker process is running on machine.
+// ProcAlive reports whether a worker process is running on machine. A
+// daemon-down machine still runs its processes, a machine-down one does not:
+// the agent's process table tracks the distinction.
 func (c *Cluster) ProcAlive(machine, workerID string) bool {
-	a := c.Agents[machine]
-	if a == nil || !a.Up() {
-		// Daemon-down machines still run processes; machine-down ones
-		// don't. The agent tracks the distinction via its process table.
-		if a == nil {
-			return false
-		}
-	}
-	return a.Proc(workerID) != nil
+	a := c.Agent(machine)
+	return a != nil && a.Proc(workerID) != nil
 }
 
 // Slowdown returns machine's execution-time multiplier (SlowMachine fault).

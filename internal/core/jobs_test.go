@@ -188,9 +188,9 @@ func TestJobSurvivesNodeDeath(t *testing.T) {
 	c.Run(3 * sim.Second)
 	// Kill a machine running workers.
 	var victim string
-	for name, a := range c.Agents {
+	for _, a := range c.Agents {
 		if len(a.Procs()) > 0 {
-			victim = name
+			victim = a.Machine
 			break
 		}
 	}
@@ -247,7 +247,7 @@ func TestWorkerCrashRescheduledAndBlacklisted(t *testing.T) {
 	bad := "r000m000"
 	crashes := 0
 	for i := 0; i < 40 && !h.Done(); i++ {
-		if a := c.Agents[bad]; a != nil {
+		if a := c.Agent(bad); a != nil {
 			for id := range a.Procs() {
 				a.CrashWorker(id, "disk error")
 				crashes++
@@ -279,7 +279,7 @@ func TestJobLevelBlacklistEscalatesToMaster(t *testing.T) {
 	h1 := mk("blj1")
 	h2 := mk("blj2")
 	for i := 0; i < 200 && !(h1.Done() && h2.Done()); i++ {
-		if a := c.Agents[bad]; a != nil {
+		if a := c.Agent(bad); a != nil {
 			ids := make([]string, 0, len(a.Procs()))
 			for id := range a.Procs() {
 				ids = append(ids, id)

@@ -86,7 +86,7 @@ func TestJobSurvivesRandomFaultSchedule(t *testing.T) {
 					}
 				case 2: // a worker process crashes
 					m := machines[rng.Intn(len(machines))]
-					if a := c.Agents[m]; a != nil {
+					if a := c.Agent(m); a != nil {
 						for id := range a.Procs() {
 							a.CrashWorker(id, "fuzz crash")
 							break
@@ -94,7 +94,7 @@ func TestJobSurvivesRandomFaultSchedule(t *testing.T) {
 					}
 				case 3: // agent daemon bounces
 					m := machines[rng.Intn(len(machines))]
-					if a := c.Agents[m]; a != nil && a.Up() {
+					if a := c.Agent(m); a != nil && a.Up() {
 						a.CrashDaemon()
 						c.Run(sim.Second)
 						a.RestartDaemon()

@@ -75,7 +75,7 @@ func TestApplyInjectsAllKinds(t *testing.T) {
 		name := c.Top.MachineName(f.Targets[0])
 		switch f.Kind {
 		case faults.NodeDown:
-			if c.Agents[name].Up() {
+			if c.Agents[f.Targets[0]].Up() {
 				t.Errorf("%s still up", name)
 			}
 		case faults.PartialWorkerFailure:
@@ -149,7 +149,7 @@ func TestApplySkipsReportedNotSilent(t *testing.T) {
 // (and says why); once the window closes it no longer does.
 func TestBrokenMachineRefusesWorkers(t *testing.T) {
 	c := newCluster(t, 1, 1, 4)
-	a := c.Agents["r000m000"]
+	a := c.Agent("r000m000")
 	var status []protocol.WorkerStatus
 	c.Net.Register("app", func(_ transport.EndpointID, msg transport.Message) {
 		if s, ok := msg.(protocol.WorkerStatus); ok {

@@ -1,7 +1,6 @@
 package invariant_test
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
@@ -35,22 +34,11 @@ func wire(t *testing.T) (*core.Cluster, *appmaster.AM, *invariant.Checker) {
 	cluster.Run(2 * sim.Second)
 
 	ck := &invariant.Checker{
-		Top:   cluster.Top,
-		Sched: cluster.Scheduler,
-		Agents: func() []*agent.Agent {
-			names := make([]string, 0, len(cluster.Agents))
-			for n := range cluster.Agents {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			out := make([]*agent.Agent, 0, len(names))
-			for _, n := range names {
-				out = append(out, cluster.Agents[n])
-			}
-			return out
-		},
-		AMs:  func() []*appmaster.AM { return []*appmaster.AM{am} },
-		Ckpt: cluster.Ckpt,
+		Top:    cluster.Top,
+		Sched:  cluster.Scheduler,
+		Agents: func() []*agent.Agent { return cluster.Agents },
+		AMs:    func() []*appmaster.AM { return []*appmaster.AM{am} },
+		Ckpt:   cluster.Ckpt,
 	}
 	return cluster, am, ck
 }
@@ -152,7 +140,8 @@ func TestUnregisterDuringRecoveryWindow(t *testing.T) {
 	if s := cluster.Scheduler(); s == nil || s.Registered("app-inv") {
 		t.Fatal("app still registered after buffered unregister replay")
 	}
-	for name, a := range cluster.Agents {
+	for _, a := range cluster.Agents {
+		name := a.Machine
 		a.ForEachAllocation(func(app string, unit, n int) {
 			if app == "app-inv" {
 				t.Errorf("agent %s still holds %d of unit %d for the unregistered app", name, n, unit)
@@ -183,7 +172,7 @@ func TestCheckerFencesStaleEpochMessages(t *testing.T) {
 	cluster.KillPrimaryMaster()
 	cluster.Run(10 * sim.Second)
 	machine := cluster.Top.Machines()[0]
-	a := cluster.Agents[machine]
+	a := cluster.Agent(machine)
 	if a.MasterEpoch() != 2 || am.MasterEpoch() != 2 {
 		t.Fatalf("epochs not propagated: agent %d, app %d", a.MasterEpoch(), am.MasterEpoch())
 	}

@@ -97,14 +97,12 @@ type CheckpointStore struct {
 	// <= 0 uses defaultCompactEvery. Set before the first write.
 	CompactEvery int
 
-	// TrackFullCost, when set, additionally accumulates into FullBytes
-	// what the same write sequence would have cost under the pre-delta
-	// codec (a full EncodeSnapshot per write) — the counterfactual behind
-	// the obs section's checkpoint-savings report. The size of that
-	// snapshot follows from the running byte totals, so tracking it costs
-	// a few additions per write.
-	TrackFullCost bool
-	FullBytes     int64
+	// FullBytes accumulates what the same write sequence would have cost
+	// under the pre-delta codec (a full EncodeSnapshot per write) — the
+	// counterfactual behind the obs section's checkpoint-savings report. The
+	// size of that snapshot follows from the running byte totals, so keeping
+	// it costs a few additions per write.
+	FullBytes int64
 }
 
 // ckptSlot is one application's place in the writer's view: arena[off:off+n]
@@ -142,9 +140,7 @@ func (c *CheckpointStore) wrote(recStart int) {
 	c.DeltaBytes += int64(len(c.log) - recStart)
 	c.logRecs++
 	c.Writes++
-	if c.TrackFullCost {
-		c.FullBytes += int64(c.snapshotSize())
-	}
+	c.FullBytes += int64(c.snapshotSize())
 	if c.logRecs >= c.CompactionCadence() {
 		c.compact()
 	}

@@ -86,7 +86,6 @@ func TestDeltaBytesScaleWithChurnNotClusterState(t *testing.T) {
 	// the delta log writes one app per record plus periodic anchors. The
 	// gate requires >= 5x; the margin grows with n.
 	s := NewCheckpointStore()
-	s.TrackFullCost = true
 	for i := 0; i < 200; i++ {
 		s.SaveApp(AppConfig{Name: fmt.Sprintf("job-%04d", i), Group: "batch", Units: deltaUnits(8)})
 	}

@@ -168,7 +168,10 @@ type mirrored struct {
 func newMirrored(compactEvery int, trackFull bool) mirrored {
 	m := mirrored{NewCheckpointStore(), newOracleStore()}
 	m.CompactEvery, m.oracle.CompactEvery = compactEvery, compactEvery
-	m.TrackFullCost, m.oracle.TrackFullCost = trackFull, trackFull
+	// The store always keeps FullBytes (arithmetic); the oracle re-encodes
+	// its whole view per write to get it, so it does so only when asked, and
+	// diverged compares the counter only then.
+	m.oracle.TrackFullCost = trackFull
 	return m
 }
 
@@ -205,7 +208,7 @@ func (m mirrored) diverged() string {
 		return fmt.Sprintf("log: %d bytes vs oracle's %d", len(n.log), len(o.log))
 	case n.Writes != o.Writes, n.BlacklistWrites != o.BlacklistWrites,
 		n.DeltaBytes != o.DeltaBytes, n.AnchorBytes != o.AnchorBytes,
-		n.Compactions != o.Compactions, n.FullBytes != o.FullBytes:
+		n.Compactions != o.Compactions, o.TrackFullCost && n.FullBytes != o.FullBytes:
 		return fmt.Sprintf("counters: writes %d/%d blacklist %d/%d delta %d/%d anchor %d/%d compactions %d/%d full %d/%d",
 			n.Writes, o.Writes, n.BlacklistWrites, o.BlacklistWrites, n.DeltaBytes, o.DeltaBytes,
 			n.AnchorBytes, o.AnchorBytes, n.Compactions, o.Compactions, n.FullBytes, o.FullBytes)

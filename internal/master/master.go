@@ -74,7 +74,8 @@ type Config struct {
 	// every FlapDecayEvery; once it falls back below the threshold (and no
 	// other signal pins the machine) it is rehabilitated — distinguishing a
 	// persistently flapping node from a one-off crash. FlapThreshold <= 0
-	// disables flap tracking.
+	// disables flap tracking; through WithDefaults (core.Config.Master) only
+	// a negative value does, because zero takes the default.
 	FlapPenalty    int
 	FlapThreshold  int
 	FlapDecayEvery sim.Time
@@ -127,6 +128,32 @@ func DefaultConfig(process string) Config {
 	}
 }
 
+// WithDefaults returns c with every zero name, period and threshold taken
+// from DefaultConfig. Everything the caller set stays — the callbacks, Sched,
+// BatchWindow (whose zero means no batching) and the obs plane have no
+// default to take. A zero that means "off" to NewMaster (FlapThreshold,
+// BlacklistCap, HealthScoreThreshold) means "default" here; pass a negative
+// value to switch the mechanism off. TestWithDefaultsCoversDefaultConfig
+// keeps this list and DefaultConfig's from drifting apart.
+func (c Config) WithDefaults() Config {
+	d := DefaultConfig(c.ProcessName)
+	c.LockName = cmp.Or(c.LockName, d.LockName)
+	c.LockTTL = cmp.Or(c.LockTTL, d.LockTTL)
+	c.RenewEvery = cmp.Or(c.RenewEvery, d.RenewEvery)
+	c.HeartbeatTimeout = cmp.Or(c.HeartbeatTimeout, d.HeartbeatTimeout)
+	c.HeartbeatScan = cmp.Or(c.HeartbeatScan, d.HeartbeatScan)
+	c.RecoveryWindow = cmp.Or(c.RecoveryWindow, d.RecoveryWindow)
+	c.HealthScoreThreshold = cmp.Or(c.HealthScoreThreshold, d.HealthScoreThreshold)
+	c.HealthScoreStrikes = cmp.Or(c.HealthScoreStrikes, d.HealthScoreStrikes)
+	c.BadReportThreshold = cmp.Or(c.BadReportThreshold, d.BadReportThreshold)
+	c.BlacklistCap = cmp.Or(c.BlacklistCap, d.BlacklistCap)
+	c.FlapPenalty = cmp.Or(c.FlapPenalty, d.FlapPenalty)
+	c.FlapThreshold = cmp.Or(c.FlapThreshold, d.FlapThreshold)
+	c.FlapDecayEvery = cmp.Or(c.FlapDecayEvery, d.FlapDecayEvery)
+	c.FlapDecayStep = cmp.Or(c.FlapDecayStep, d.FlapDecayStep)
+	return c
+}
+
 // Master is one FuxiMaster process of the hot-standby pair. When it holds
 // the election lock it registers the logical MasterEndpoint, drives the
 // Scheduler, and dispatches grant/revoke messages; otherwise it waits.
@@ -142,7 +169,8 @@ type Master struct {
 	lock *lockservice.Service
 	top  *topology.Topology
 	ckpt *CheckpointStore
-	reg  *metrics.Registry
+	// schedMS is master.sched_ms, the wall time of each scheduling pass.
+	schedMS *metrics.Histogram
 
 	sched      *Scheduler
 	primary    bool
@@ -265,7 +293,8 @@ func NewMaster(cfg Config, eng *sim.Engine, net *transport.Net, lock *lockservic
 	}
 	n := top.Size()
 	m := &Master{
-		cfg: cfg, eng: eng, net: net, lock: lock, top: top, ckpt: ckpt, reg: reg,
+		cfg: cfg, eng: eng, net: net, lock: lock, top: top, ckpt: ckpt,
+		schedMS:   reg.Histogram("master.sched_ms"),
 		lastBeat:  make([]sim.Time, n),
 		strikes:   make([]int, n),
 		flap:      make([]int, n),
@@ -280,6 +309,12 @@ func NewMaster(cfg Config, eng *sim.Engine, net *transport.Net, lock *lockservic
 	}
 	m.compete()
 	return m
+}
+
+// schedTook records one scheduling pass — a demand update, a return batch or
+// a round — that began at start.
+func (m *Master) schedTook(start time.Time) {
+	m.schedMS.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
 }
 
 // registerApp registers an application with the scheduler and binds it to
@@ -674,7 +709,7 @@ func (m *Master) handleDemand(from tr, t *protocol.DemandUpdate) {
 			m.sched.applyDemand(st, u, t.Deltas, ds)
 		}
 	}
-	m.reg.Histogram("master.sched_ms").Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+	m.schedTook(start)
 	m.dispatch(*ds)
 }
 
@@ -790,7 +825,7 @@ func (m *Master) flushRound() {
 	clear(apps) // the pooled list must not pin unregistered apps
 	m.appBuf = apps[:0]
 	m.dropRound()
-	m.reg.Histogram("master.sched_ms").Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+	m.schedTook(start)
 	m.dispatch(*ds)
 	if m.cfg.Obs != nil {
 		m.sampleObs()
@@ -836,7 +871,7 @@ func (m *Master) handleReturns(rets []returnRec) {
 	touched := m.applyReleases(rets)
 	ds := m.decisions()
 	m.sched.assignOnIDsInto(touched, ds)
-	m.reg.Histogram("master.sched_ms").Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+	m.schedTook(start)
 	m.dispatch(*ds)
 }
 

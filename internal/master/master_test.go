@@ -1,6 +1,7 @@
 package master
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -399,5 +400,19 @@ func TestMasterCrashAndRestartRejoinsElection(t *testing.T) {
 	h.eng.Run(h.eng.Now() + 2*cfg.LockTTL)
 	if !h.m1.IsPrimary() {
 		t.Error("restarted master did not re-win the vacant election")
+	}
+}
+
+// TestWithDefaultsCoversDefaultConfig keeps WithDefaults' hand-written field
+// list in step with DefaultConfig: a default added to one and not the other
+// fails here, and a value the caller set is never replaced.
+func TestWithDefaultsCoversDefaultConfig(t *testing.T) {
+	if got, want := (Config{ProcessName: "fm-x"}).WithDefaults(), DefaultConfig("fm-x"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero Config.WithDefaults() = %+v, want DefaultConfig %+v", got, want)
+	}
+	set := Config{ProcessName: "fm-x", LockTTL: 7 * sim.Second, FlapThreshold: -1, BatchWindow: sim.Millisecond}
+	got := set.WithDefaults()
+	if got.LockTTL != set.LockTTL || got.FlapThreshold != -1 || got.BatchWindow != set.BatchWindow {
+		t.Fatalf("WithDefaults replaced caller-set fields: %+v", got)
 	}
 }

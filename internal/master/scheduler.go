@@ -243,12 +243,10 @@ type Scheduler struct {
 	planned resource.Vector
 	upCap   resource.Vector
 
-	// extMach/extRack intern locality-hint values naming machines or racks
-	// outside the topology. They map to node IDs past the real ID range, so
-	// the demand queues in the tree (and is counted) exactly as before but
-	// is never walked by a free-up — the behaviour string keys gave for free.
-	extMach ident.Table
-	extRack ident.Table
+	// ext names locality-hint targets outside the topology. Their node IDs
+	// lie past the real ID range, so the demand queues in the tree (and is
+	// counted) like any other but is never walked by a free-up.
+	ext topology.Overflow
 
 	// preempted counts units revoked by quota preemption (obs time-series).
 	preempted int64
@@ -314,52 +312,9 @@ func NewScheduler(top *topology.Topology, opts Options) *Scheduler {
 	return s
 }
 
-// machNode resolves a machine name to its tree node ID: the dense topology
-// ID for real machines, an overflow ID past the range for unknown names
-// (the demand queues but can never be placed — same as before interning).
-func (s *Scheduler) machNode(name string) int32 {
-	if id := s.top.MachineID(name); id >= 0 {
-		return id
-	}
-	return s.nMach + s.extMach.Intern(name)
-}
-
-// rackNode resolves a rack name to its tree node ID (overflow for unknown).
-func (s *Scheduler) rackNode(name string) int32 {
-	if id := s.top.RackID(name); id >= 0 {
-		return id
-	}
-	return s.nRack + s.extRack.Intern(name)
-}
-
-// nodeName is the inverse of machNode/rackNode at the inspection boundary.
-func (s *Scheduler) nodeName(level resource.LocalityType, node int32) string {
-	switch level {
-	case resource.LocalityMachine:
-		if node < s.nMach {
-			return s.top.MachineName(node)
-		}
-		return s.extMach.Name(node - s.nMach)
-	case resource.LocalityRack:
-		if node < s.nRack {
-			return s.top.RackName(node)
-		}
-		return s.extRack.Name(node - s.nRack)
-	default:
-		return ""
-	}
-}
-
-// hintNode resolves one locality hint's target name to a node ID.
+// hintNode resolves one locality hint's target name to a tree node ID.
 func (s *Scheduler) hintNode(h resource.LocalityHint) int32 {
-	switch h.Type {
-	case resource.LocalityMachine:
-		return s.machNode(h.Value)
-	case resource.LocalityRack:
-		return s.rackNode(h.Value)
-	default:
-		return 0
-	}
+	return s.ext.Node(s.top, h.Type, h.Value)
 }
 
 // RegisterApp adds an application with its ScheduleUnit definitions. The

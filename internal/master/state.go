@@ -145,7 +145,7 @@ func (s *Scheduler) WaitingNodes(app string, unitID int) []resource.LocalityHint
 			continue
 		}
 		out = append(out, resource.LocalityHint{
-			Type: idx.level, Value: s.nodeName(idx.level, idx.node), Count: c,
+			Type: idx.level, Value: s.ext.Name(s.top, idx.level, idx.node), Count: c,
 		})
 	}
 	resource.SortHints(out)

@@ -19,6 +19,7 @@ package scale
 import (
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -76,8 +77,11 @@ const (
 	chaosConvergeTimeout = 30 * sim.Second
 )
 
-// czState is the chaos-mode bookkeeping.
-type czState struct {
+// chaosProbe arms the adversarial network schedule and measures what it
+// costs whichever workload runs under it: convergence after each heal, grants
+// lost to storms and reissued after them, per-link loss.
+type chaosProbe struct {
+	idleProbe
 	h *harness
 	// frng is the dedicated fault stream (victim draws, fire times), so
 	// storm placement cannot perturb the workload's random draws.
@@ -97,22 +101,28 @@ type czState struct {
 	conv *metrics.Histogram
 }
 
-func newCZState(h *harness) *czState {
-	return &czState{
-		h:            h,
-		frng:         rand.New(rand.NewSource(h.cfg.Seed + 5)),
-		victimActive: make([]int32, h.top.Size()),
-		conv:         h.reg.Histogram("scale.chaos_convergence_ms"),
+func newChaosProbe(h *harness) *chaosProbe {
+	return &chaosProbe{
+		h:    h,
+		frng: rand.New(rand.NewSource(h.cfg.Seed + 5)),
+		conv: metrics.NewHistogram("scale.chaos_convergence_ms"),
 	}
 }
 
-// scheduleChaos arms the whole adversarial schedule up front. Every random
-// draw (partition groups, flap/spike victims, fire times) happens now on the
+// need: a lock-service partition of the primary needs a standby to promote.
+func (cz *chaosProbe) need(cc *core.Config) {
+	if cfg := cz.h.cfg; cfg.ChaosLockPartitionAt > 0 && cfg.ChaosLockPartitionFor > 0 {
+		cc.Standby = true
+	}
+}
+
+// arm arms the whole adversarial schedule up front. Every random draw
+// (partition groups, flap/spike victims, fire times) happens now on the
 // dedicated fault stream, through the same Campaign.Plan the standalone fault
 // driver uses.
-func (h *harness) scheduleChaos() {
-	cz := h.cz
-	cfg := h.cfg
+func (cz *chaosProbe) arm() {
+	h, cfg := cz.h, cz.h.cfg
+	cz.victimActive = make([]int32, h.top.Size())
 	h.net.EnableLinkStats()
 
 	k := int(float64(h.top.Size()) * cfg.ChaosPartitionPct / 100)
@@ -147,11 +157,19 @@ func (h *harness) scheduleChaos() {
 	}
 }
 
+// fault is the injector's hook: a healed partition starts the convergence
+// probe over its victims.
+func (cz *chaosProbe) fault(f faults.Fault, open bool) {
+	if f.Kind == faults.NetworkPartition && !open {
+		cz.healed(f.Targets)
+	}
+}
+
 // healed starts the convergence probe over a partition the injector has
 // just lifted: every chaosConvergePoll, compare each victim machine's agent
 // allocation table against the primary's grant ledger until they all match
 // (or the timeout records the window as unconverged).
-func (cz *czState) healed(victims []int32) {
+func (cz *chaosProbe) healed(victims []int32) {
 	h := cz.h
 	for _, id := range victims {
 		cz.victimActive[id]++
@@ -185,7 +203,7 @@ func (cz *czState) healed(victims []int32) {
 // interregnum there is no authoritative ledger, so nothing converges. The
 // probe fires every chaosConvergePoll for as long as a heal takes, so it
 // reads only the victims' own cells and allocates nothing.
-func (cz *czState) convergedAll(victims []int32) bool {
+func (cz *chaosProbe) convergedAll(victims []int32) bool {
 	h := cz.h
 	s := h.primarySched()
 	if s == nil {
@@ -211,18 +229,18 @@ func (cz *czState) convergedAll(victims []int32) bool {
 	return true
 }
 
-// noteGrant/noteRevoke are the scaleApp callbacks' chaos hooks. A revoke
+// granted and revoked are the observed-decision path's hooks. A revoke
 // while a partition is open is a grant the storm cost the application (the
 // master declared the unreachable machine dead and evacuated it); a grant
 // landing on a victim machine between heal and convergence is repair
 // traffic re-establishing the pre-storm allocation.
-func (cz *czState) noteGrant(machine int32, count int) {
+func (cz *chaosProbe) granted(machine int32, count int) {
 	if cz.victimActive[machine] > 0 {
 		cz.reissued += uint64(count)
 	}
 }
 
-func (cz *czState) noteRevoke(count int) {
+func (cz *chaosProbe) revoked(count int) {
 	if cz.h.inj.OpenPartitions() > 0 {
 		cz.lost += uint64(count)
 	}
@@ -269,7 +287,8 @@ type ChaosStats struct {
 	WorstLinkDropped uint64 `json:"worst_link_dropped,omitempty"`
 }
 
-func (cz *czState) snapshot(h *harness) *ChaosStats {
+func (cz *chaosProbe) report(res *Result) {
+	h := cz.h
 	in := h.inj
 	planned, skipped := in.Planned()
 	cs := &ChaosStats{
@@ -288,7 +307,7 @@ func (cz *czState) snapshot(h *harness) *ChaosStats {
 		LostGrants:          cz.lost,
 		ReissuedGrants:      cz.reissued,
 	}
-	for _, m := range h.masters {
+	for _, m := range h.cl.Masters {
 		if m != nil && m.Epoch() > cs.MasterEpoch {
 			cs.MasterEpoch = m.Epoch()
 		}
@@ -304,5 +323,5 @@ func (cz *czState) snapshot(h *harness) *ChaosStats {
 			cs.WorstLink = ls.From + "->" + ls.To
 		}
 	}
-	return cs
+	res.Chaos = cs
 }

@@ -151,13 +151,65 @@ func TestChaosDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestChaosRejectsGatewayMode(t *testing.T) {
-	cfg := czTiny()
-	cfg.GatewayUsers = 100
-	cfg.GatewaySubmissions = 10
-	if _, err := Run(cfg); err == nil {
-		t.Error("expected error for chaos + gateway mode")
+// TestChaosOverReplaySmoke composes two lanes that had no business excluding
+// each other: the replay smoke (gateway-fed diurnal jobs, two machine-failure
+// storms, a master failover) under the chaos smoke's network schedule
+// (partitions, flaps, spikes, a lock-service cut). The probes and the injector
+// do not care which workload runs, so the composition must hold what each lane
+// holds alone — checker silent, every heal converged, every submission
+// completed or shed — and be as deterministic: two runs agree on every count
+// and on both decision hashes.
+func TestChaosOverReplaySmoke(t *testing.T) {
+	cfg, cz := SmokeReplayConfig(), SmokeChaosConfig()
+	cfg.Chaos = true
+	cfg.ChaosPartitionAt, cfg.ChaosPartitionFor, cfg.ChaosPartitionPct = cz.ChaosPartitionAt, cz.ChaosPartitionFor, cz.ChaosPartitionPct
+	cfg.ChaosFlapAt, cfg.ChaosFlaps = cz.ChaosFlapAt, cz.ChaosFlaps
+	cfg.ChaosSpikeAt, cfg.ChaosSpikes, cfg.ChaosSpikeDelay = cz.ChaosSpikeAt, cz.ChaosSpikes, cz.ChaosSpikeDelay
+	cfg.ChaosLockPartitionAt, cfg.ChaosLockPartitionFor = cz.ChaosLockPartitionAt, cz.ChaosLockPartitionFor
+	cfg.RecordDecisionHash = true
+
+	var ref *Result
+	for _, name := range []string{"run-a", "run-b"} {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replayBroken(res) || chaosBroken(res) {
+			t.Fatalf("%s breaks a lane contract: invariants %v, truncated %v, gateway %+v, chaos %+v",
+				name, res.Invariants, res.Truncated, res.Gateway, res.Chaos)
+		}
+		if res.InvariantChecks == 0 || res.Chaos.Partitions != 2 || res.Chaos.LockPartitions != 1 || res.MasterFailovers != 1 {
+			t.Fatalf("%s: %d checks, %d partitions, %d lock cuts, %d master crashes: the schedules did not both land",
+				name, res.InvariantChecks, res.Chaos.Partitions, res.Chaos.LockPartitions, res.MasterFailovers)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		got := [...]uint64{res.Decisions, res.Grants, res.Revokes, res.EventsFired, res.MessagesSent,
+			uint64(res.CompletedApps), res.Gateway.Submitted, res.Gateway.Shed}
+		want := [...]uint64{ref.Decisions, ref.Grants, ref.Revokes, ref.EventsFired, ref.MessagesSent,
+			uint64(ref.CompletedApps), ref.Gateway.Submitted, ref.Gateway.Shed}
+		if got != want || *res.Chaos != *ref.Chaos {
+			t.Errorf("%s diverged:\n got %v %+v\nwant %v %+v", name, got, *res.Chaos, want, *ref.Chaos)
+		}
+		if res.DecisionStreamHash != ref.DecisionStreamHash || res.Gateway.DecisionHash != ref.Gateway.DecisionHash {
+			t.Errorf("%s: hashes %s/%s, want %s/%s", name, res.DecisionStreamHash, res.Gateway.DecisionHash,
+				ref.DecisionStreamHash, ref.Gateway.DecisionHash)
+		}
 	}
+}
+
+// chaosOf returns the armed harness's chaos probe.
+func chaosOf(tb testing.TB, h *harness) *chaosProbe {
+	tb.Helper()
+	for _, p := range h.probes {
+		if cz, ok := p.(*chaosProbe); ok {
+			return cz
+		}
+	}
+	tb.Fatal("the harness runs no chaos probe")
+	return nil
 }
 
 // settledProbe runs the armed harness forward on the probe's own 5 ms grid
@@ -166,8 +218,9 @@ func TestChaosRejectsGatewayMode(t *testing.T) {
 // probe that walked every victim's cells.
 func settledProbe(tb testing.TB, h *harness, victims []int32) {
 	tb.Helper()
+	cz := chaosOf(tb, h)
 	for i := 0; i < 400; i++ {
-		if h.cz.convergedAll(victims) {
+		if cz.convergedAll(victims) {
 			return
 		}
 		h.eng.Run(h.eng.Now() + chaosConvergePoll)
@@ -196,7 +249,8 @@ func TestConvergenceProbeAllocatesNothing(t *testing.T) {
 		t.Fatal("settled cluster holds no grants; the probe would compare nothing")
 	}
 	settledProbe(t, h, victims)
-	if n := testing.AllocsPerRun(20, func() { h.cz.convergedAll(victims) }); n != 0 {
+	cz := chaosOf(t, h)
+	if n := testing.AllocsPerRun(20, func() { cz.convergedAll(victims) }); n != 0 {
 		t.Errorf("convergedAll allocates %v times per probe, want 0", n)
 	}
 }
@@ -214,7 +268,7 @@ func TestOverlappingHealWindowsKeepCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cz := h.cz
+	cz := chaosOf(t, h)
 	h.eng.Run(500 * sim.Millisecond)
 	// Machine 4's agent holds capacity the master never granted, so a window
 	// over it stays open until the phantom is withdrawn.
@@ -236,7 +290,7 @@ func TestOverlappingHealWindowsKeepCounting(t *testing.T) {
 		t.Fatalf("%d windows closed, want only the first", cz.conv.Count())
 	}
 	before := cz.reissued
-	cz.noteGrant(3, 2)
+	cz.granted(3, 2)
 	if cz.reissued != before+2 {
 		t.Errorf("grant on a machine still inside the second window not counted: reissued %d -> %d", before, cz.reissued)
 	}
@@ -246,7 +300,7 @@ func TestOverlappingHealWindowsKeepCounting(t *testing.T) {
 		t.Fatalf("after both windows closed: %d observations, counts %d/%d", cz.conv.Count(), cz.victimActive[3], cz.victimActive[4])
 	}
 	before = cz.reissued
-	cz.noteGrant(3, 2)
+	cz.granted(3, 2)
 	if cz.reissued != before {
 		t.Error("grant outside every window counted as reissued")
 	}
@@ -279,10 +333,11 @@ func BenchmarkConvergenceProbe(b *testing.B) {
 		b.Fatal(f.err)
 	}
 	settledProbe(b, f.h, f.victims)
+	cz := chaosOf(b, f.h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !f.h.cz.convergedAll(f.victims) {
+		if !cz.convergedAll(f.victims) {
 			b.Fatal("settled victims diverged")
 		}
 	}

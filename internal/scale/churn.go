@@ -13,10 +13,7 @@ package scale
 // excluded — this is the section the tightened allocs/decision budget
 // gates in CI.
 
-import (
-	"repro/internal/resource"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // DefaultChurnConfig is the paper-scale steady-state churn run: 5,000
 // machines, 100k schedule units cycling hold/return/re-demand forever,
@@ -70,6 +67,19 @@ func TenXChurnConfig() Config {
 	return c
 }
 
+// churnLoad is the classic arrivals in their steady state: no job ever
+// completes, every expiry re-demands (pick sets holdExpire as the run's
+// expiry), and only what follows ChurnWarmup is measured.
+type churnLoad struct{ arrivals }
+
+func (w *churnLoad) window() (from, length sim.Time) {
+	return w.h.cfg.ChurnWarmup, w.h.cfg.ChurnMeasure
+}
+func (*churnLoad) drained() bool { return false } // the horizon is the only exit
+
+// report: a window that ends at the horizon by design was not cut short.
+func (*churnLoad) report(res *Result) { res.Truncated = false }
+
 // holdRec is one pooled hold-expiry record: every grant schedules one
 // through the engine's closure-free Post path, so holding a container
 // allocates no per-grant timer closure.
@@ -122,26 +132,18 @@ func takeHold(rec *holdRec) (a *scaleApp, unit int, machine int32, n int) {
 // returns merge into one GrantReturnBatch before its first demand update
 // flushes them, and the master still applies the whole round's releases
 // before its demand phase.
-func holdExpire(a any) {
-	rec := a.(*holdRec)
-	app, unit, mc, n := rec.app, rec.unit, rec.machine, rec.count
-	h := app.h
-	if held := app.am.Held(unit, mc); held < n {
-		n = held
-	}
+func holdExpire(x any) {
+	app, unit, mc, n := takeHold(x.(*holdRec))
 	if n <= 0 {
-		h.putHold(rec)
 		return
 	}
+	h := app.h
 	app.am.ReturnContainers(unit, mc, n)
 	for unit >= len(app.reqCount) {
 		app.reqCount = append(app.reqCount, 0)
 	}
 	if app.reqCount[unit] == 0 {
-		rec.count = 0 // rec now just marks the (app, unit) pair
-		h.reqPend = append(h.reqPend, rec)
-	} else {
-		h.putHold(rec)
+		h.reqPend = append(h.reqPend, redemand{app, unit})
 	}
 	app.reqCount[unit] += n
 	if !h.reqArmed {
@@ -150,19 +152,20 @@ func holdExpire(a any) {
 	}
 }
 
+// redemand marks an (app, unit) pair with a re-demand pending this instant.
+type redemand struct {
+	app  *scaleApp
+	unit int
+}
+
 // flushRedemand issues the deferred re-demands of one instant, one
-// DemandUpdate per (app, unit), and recycles the hold records.
+// DemandUpdate per (app, unit).
 func (h *harness) flushRedemand() {
 	h.reqArmed = false
-	for _, rec := range h.reqPend {
-		app, unit := rec.app, rec.unit
-		n := app.reqCount[unit]
-		app.reqCount[unit] = 0
-		if app.pendingReq[unit] == 0 {
-			app.pendingReq[unit] = h.eng.Now()
-		}
-		app.am.Request(unit, resource.LocalityHint{Type: resource.LocalityCluster, Count: n})
-		h.putHold(rec)
+	for _, r := range h.reqPend {
+		n := r.app.reqCount[r.unit]
+		r.app.reqCount[r.unit] = 0
+		r.app.demand(r.unit, n)
 	}
 	h.reqPend = h.reqPend[:0]
 }

@@ -37,7 +37,6 @@ import (
 	"math/rand"
 	"strconv"
 
-	"repro/internal/appmaster"
 	"repro/internal/gateway"
 	"repro/internal/graysort"
 	"repro/internal/job"
@@ -156,43 +155,34 @@ type dpStage struct {
 // dpJob is one data-plane job: a DAG of stages behind one application
 // master, admitted through the gateway.
 type dpJob struct {
-	appmaster.NoCallbacks
-	h     *harness
-	id    string
-	kind  dpKind
-	class gateway.Class
-	prio  int
+	application
+	dp   *dataplaneLoad
+	kind dpKind
 
 	desc   *job.Description
 	order  []string
 	stages map[string]*dpStage
-	am     *appmaster.AM
 
 	dataMB    float64
 	inputFile string
 	width     int // graysort partition width (map/sort/merge stage width)
 
-	submitAt   sim.Time
-	pendingReq []sim.Time
-	remaining  int
-	done       bool
+	submitAt  sim.Time
+	remaining int
 
 	svcOps int // remaining service operations
 }
 
-// dpState is the harness's data-plane bookkeeping.
-type dpState struct {
-	fs    *pangu.FS
-	jobs  []*dpJob
-	byID  map[string]*dpJob
-	units int
+// dataplaneLoad is the data-plane workload: the planned jobs, the Pangu
+// namespace their inputs live in, and the application-level account.
+type dataplaneLoad struct {
+	wholeRun
+	submitted int
+	fs        *pangu.FS
+	byID      map[string]*dpJob
+	units     int
 
-	makespan  *metrics.Histogram
-	admission [gateway.NumClasses]*metrics.Histogram
-	d2g       [gateway.NumClasses]*metrics.Histogram
-	d2gN      [gateway.NumClasses]int
-	d2gOK     [gateway.NumClasses]int
-	jobsIn    [gateway.NumClasses]int
+	makespan *metrics.Histogram
 
 	locMachine, locRack, locRemote uint64
 	shuffledMB, localMB            float64
@@ -200,21 +190,6 @@ type dpState struct {
 	verified, verifyFail int
 	svcOpsRun, svcOpFail int
 	completedJobs        int
-}
-
-// DPClassStats is one priority class's data-plane view: admission and
-// demand-to-grant latency percentiles (virtual ms) and the fraction of
-// demand-to-grant observations inside the class SLO.
-type DPClassStats struct {
-	Jobs               int     `json:"jobs"`
-	AdmissionP50MS     float64 `json:"admission_p50_ms"`
-	AdmissionP99MS     float64 `json:"admission_p99_ms"`
-	AdmissionMaxMS     float64 `json:"admission_max_ms"`
-	DemandToGrantP50MS float64 `json:"demand_to_grant_p50_ms"`
-	DemandToGrantP99MS float64 `json:"demand_to_grant_p99_ms"`
-	DemandToGrantMaxMS float64 `json:"demand_to_grant_max_ms"`
-	SLOMS              float64 `json:"slo_ms"`
-	SLOAttainedPct     float64 `json:"slo_attained_pct"`
 }
 
 // DataplaneStats is the `dataplane` section's application-level block.
@@ -251,77 +226,61 @@ type DataplaneStats struct {
 	ServiceOpsRun     int `json:"service_ops_run"`
 	ServiceOpFailures int `json:"service_op_failures"`
 
-	Service DPClassStats `json:"service"`
-	Batch   DPClassStats `json:"batch"`
+	Service ClassStats `json:"service"`
+	Batch   ClassStats `json:"batch"`
 }
 
-func newDPState(h *harness) *dpState {
-	dp := &dpState{
-		fs:       pangu.New(h.top, rand.New(rand.NewSource(h.cfg.Seed+2))),
+func newDataplaneLoad(h *harness) *dataplaneLoad {
+	h.classes = newClassLedger(h.cfg)
+	return &dataplaneLoad{
+		wholeRun: wholeRun{h},
 		byID:     make(map[string]*dpJob),
-		makespan: h.reg.Histogram("scale.dp_makespan_ms"),
+		makespan: metrics.NewHistogram("scale.dp_makespan_ms"),
 	}
-	for cl := gateway.Class(0); cl < gateway.NumClasses; cl++ {
-		dp.admission[cl] = h.reg.Histogram("scale.dp_admission_ms." + cl.QuotaGroup())
-		dp.d2g[cl] = h.reg.Histogram("scale.dp_d2g_ms." + cl.QuotaGroup())
-	}
-	return dp
 }
 
-func (h *harness) classSLOMS(c gateway.Class) float64 {
-	if c == gateway.ClassService {
-		return h.cfg.ServiceSLOMS
-	}
-	return h.cfg.BatchSLOMS
+func (dp *dataplaneLoad) frontDoor() *gateway.Config { return dp.h.gatewayConfig(dp.spawn) }
+
+func (dp *dataplaneLoad) drained() bool {
+	return dp.submitted >= dp.h.cfg.GatewaySubmissions && dp.h.gw.Drained()
 }
 
-// scheduleDataplane plans every job up front (Pangu files and stage graphs
-// are part of the seeded workload, independent of scheduling timing) and
-// submits them through the gateway spread over ArrivalWindow, classes
-// interleaved so service and batch arrive mixed.
-func (h *harness) scheduleDataplane() error {
-	cfg := h.cfg
+// arm plans every job up front (Pangu files and stage graphs are part of the
+// seeded workload, independent of scheduling timing) and submits them through
+// the gateway spread over ArrivalWindow, classes interleaved so service and
+// batch arrive mixed.
+func (dp *dataplaneLoad) arm() error {
+	h, cfg := dp.h, dp.h.cfg
+	dp.fs = pangu.New(h.top, rand.New(rand.NewSource(cfg.Seed+2)))
+	kinds := []struct {
+		n    int
+		plan func(int) (*dpJob, error)
+	}{{cfg.ServiceJobs, dp.planService}, {cfg.GraySortJobs, dp.planGraySort}, {cfg.DAGJobs, dp.planDAG}}
 	var plans []*dpJob
-	for i := 0; i < maxInt(cfg.ServiceJobs, maxInt(cfg.GraySortJobs, cfg.DAGJobs)); i++ {
-		if i < cfg.ServiceJobs {
-			p, err := h.planService(i)
-			if err != nil {
-				return err
+	for i := 0; i < max(cfg.ServiceJobs, cfg.GraySortJobs, cfg.DAGJobs); i++ {
+		for _, kind := range kinds {
+			if i >= kind.n {
+				continue
 			}
-			plans = append(plans, p)
-		}
-		if i < cfg.GraySortJobs {
-			p, err := h.planGraySort(i)
-			if err != nil {
-				return err
-			}
-			plans = append(plans, p)
-		}
-		if i < cfg.DAGJobs {
-			p, err := h.planDAG(i)
+			p, err := kind.plan(i)
 			if err != nil {
 				return err
 			}
 			plans = append(plans, p)
 		}
 	}
-	if len(plans) == 0 {
-		return fmt.Errorf("scale: dataplane mode needs at least one job")
-	}
-	h.dp.jobs = plans
 	for _, p := range plans {
-		h.dp.byID[p.id] = p
-		h.dp.jobsIn[p.class]++
-		h.dp.units += len(p.order)
+		dp.byID[p.name] = p
+		h.classes.jobs[p.class]++
+		dp.units += len(p.order)
 	}
 	start := h.eng.Now()
 	for i, p := range plans {
-		p := p
 		at := start + sim.Time(int64(cfg.ArrivalWindow)*int64(i)/int64(len(plans)))
 		h.eng.At(at, func() {
 			p.submitAt = h.eng.Now()
-			h.gw.Submit(gateway.Job{ID: p.id, Tenant: "dp-" + p.id, Class: p.class})
-			h.gwSubmitted++
+			h.gw.Submit(gateway.Job{ID: p.name, Tenant: "dp-" + p.name, Class: p.class})
+			dp.submitted++
 		})
 	}
 	return nil
@@ -330,15 +289,15 @@ func (h *harness) scheduleDataplane() error {
 // planGraySort builds one GraySort job: a map → sort → merge chain over a
 // Pangu input file, stage width = chunk count, durations from the hardware
 // phase model scaled to the job's slice of the cluster.
-func (h *harness) planGraySort(i int) (*dpJob, error) {
-	cfg := h.cfg
-	id := "gs-" + pad4(i)
+func (dp *dataplaneLoad) planGraySort(i int) (*dpJob, error) {
+	cfg := dp.h.cfg
+	id := gwName("gs-", i, 4)
 	dataMB := cfg.GraySortDataMB
 	if dataMB <= 0 {
 		dataMB = pangu.DefaultChunkSizeMB
 	}
 	file := "pangu://" + id + "/input"
-	f, err := h.dp.fs.Create(file, dataMB)
+	f, err := dp.fs.Create(file, dataMB)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +322,7 @@ func (h *harness) planGraySort(i int) (*dpJob, error) {
 			{Source: job.AccessPoint{AccessPoint: "merge:out"}, Destination: job.AccessPoint{FilePattern: "pangu://" + id + "/output"}},
 		},
 	}
-	j, err := h.newDPJob(id, dpGraySort, gateway.ClassBatch, desc, float64(dataMB), file)
+	j, err := dp.newJob(id, dpGraySort, gateway.ClassBatch, desc, float64(dataMB), file)
 	if err != nil {
 		return nil, err
 	}
@@ -374,12 +333,12 @@ func (h *harness) planGraySort(i int) (*dpJob, error) {
 
 // planDAG builds one Figure 6 diamond: T1 reads a Pangu file, T2/T3 fan out
 // with rack affinity to T1's placements, T4 joins them.
-func (h *harness) planDAG(i int) (*dpJob, error) {
-	id := "dag-" + pad4(i)
+func (dp *dataplaneLoad) planDAG(i int) (*dpJob, error) {
+	id := gwName("dag-", i, 4)
 	const t1Width = 12
 	dataMB := int64(t1Width * pangu.DefaultChunkSizeMB)
 	file := "pangu://" + id + "/input"
-	if _, err := h.dp.fs.Create(file, dataMB); err != nil {
+	if _, err := dp.fs.Create(file, dataMB); err != nil {
 		return nil, err
 	}
 	desc := &job.Description{
@@ -399,23 +358,23 @@ func (h *harness) planDAG(i int) (*dpJob, error) {
 			{Source: job.AccessPoint{AccessPoint: "T4:output"}, Destination: job.AccessPoint{FilePattern: "pangu://" + id + "/output"}},
 		},
 	}
-	return h.newDPJob(id, dpDAG, gateway.ClassBatch, desc, float64(dataMB), file)
+	return dp.newJob(id, dpDAG, gateway.ClassBatch, desc, float64(dataMB), file)
 }
 
 // planService builds one long-running service resident: a single unit of
 // ServiceWorkers containers held for the job's configured lifetime, running
 // a streamline operation round every ServiceOpEvery.
-func (h *harness) planService(i int) (*dpJob, error) {
-	cfg := h.cfg
-	id := "svc-" + pad4(i)
+func (dp *dataplaneLoad) planService(i int) (*dpJob, error) {
+	cfg := dp.h.cfg
+	id := gwName("svc-", i, 4)
 	lifeMS := int64(cfg.ServiceOps)*int64(cfg.ServiceOpEvery/sim.Millisecond) + 2000
 	desc := &job.Description{
 		Name: id,
 		Tasks: map[string]job.TaskSpec{
-			"serve": {Instances: maxInt(cfg.ServiceWorkers, 1), CPUMilli: 2000, MemoryMB: 4096, DurationMS: clampMS(lifeMS)},
+			"serve": {Instances: max(cfg.ServiceWorkers, 1), CPUMilli: 2000, MemoryMB: 4096, DurationMS: clampMS(lifeMS)},
 		},
 	}
-	j, err := h.newDPJob(id, dpService, gateway.ClassService, desc, 0, "")
+	j, err := dp.newJob(id, dpService, gateway.ClassService, desc, 0, "")
 	if err != nil {
 		return nil, err
 	}
@@ -423,11 +382,11 @@ func (h *harness) planService(i int) (*dpJob, error) {
 	return j, nil
 }
 
-// newDPJob turns a job description into staged execution state. Stage input
+// newJob turns a job description into staged execution state. Stage input
 // volumes follow a pass-through model: a root stage's volume is the job's
 // data size, every stage forwards its input split evenly across its
 // downstream pipes.
-func (h *harness) newDPJob(id string, kind dpKind, class gateway.Class, desc *job.Description, dataMB float64, inputFile string) (*dpJob, error) {
+func (dp *dataplaneLoad) newJob(id string, kind dpKind, class gateway.Class, desc *job.Description, dataMB float64, inputFile string) (*dpJob, error) {
 	if err := desc.Validate(); err != nil {
 		return nil, fmt.Errorf("scale: dataplane job %s: %w", id, err)
 	}
@@ -435,16 +394,12 @@ func (h *harness) newDPJob(id string, kind dpKind, class gateway.Class, desc *jo
 	if err != nil {
 		return nil, fmt.Errorf("scale: dataplane job %s: %w", id, err)
 	}
-	prio := 3
-	if class == gateway.ClassService {
-		prio = 1
-	}
 	j := &dpJob{
-		h: h, id: id, kind: kind, class: class, prio: prio,
+		application: application{h: dp.h, name: id, class: class, pendingReq: make([]sim.Time, len(order)+1)},
+		dp:          dp, kind: kind,
 		desc: desc, order: order, stages: make(map[string]*dpStage, len(order)),
 		dataMB: dataMB, inputFile: inputFile,
-		pendingReq: make([]sim.Time, len(order)+1),
-		remaining:  len(order),
+		remaining: len(order),
 	}
 	inMB := make(map[string]float64, len(order))
 	for idx, t := range order {
@@ -490,7 +445,7 @@ func (j *dpJob) prepareChunkLocality(st *dpStage) {
 	st.wantM = make(map[int32]bool)
 	st.wantR = make(map[int32]bool)
 	counts := make(map[int32]int)
-	f, err := j.h.dp.fs.Open(j.inputFile)
+	f, err := j.dp.fs.Open(j.inputFile)
 	if err != nil {
 		st.locality = locCluster
 		return
@@ -579,7 +534,7 @@ func (j *dpJob) hintsFor(st *dpStage) []resource.LocalityHint {
 		if rest <= 0 {
 			break
 		}
-		c := minInt(st.hintCounts[i], rest)
+		c := min(st.hintCounts[i], rest)
 		if c <= 0 {
 			continue
 		}
@@ -592,7 +547,7 @@ func (j *dpJob) hintsFor(st *dpStage) []resource.LocalityHint {
 		if rest <= 0 {
 			break
 		}
-		c := minInt(st.hintRackCounts[i], rest)
+		c := min(st.hintRackCounts[i], rest)
 		if c <= 0 {
 			continue
 		}
@@ -607,29 +562,23 @@ func (j *dpJob) hintsFor(st *dpStage) []resource.LocalityHint {
 	return hints
 }
 
-// spawnDataplaneJob is the gateway's OnRegistered callback in dataplane
-// mode: boot the job's application master and release its root stages.
-func (h *harness) spawnDataplaneJob(gj gateway.Job) {
-	j := h.dp.byID[gj.ID]
+// spawn is the gateway's OnRegistered callback: boot the job's application
+// master and release its root stages.
+func (dp *dataplaneLoad) spawn(gj gateway.Job) {
+	h := dp.h
+	j := dp.byID[gj.ID]
 	if j == nil {
 		return
 	}
-	h.dp.admission[j.class].Observe(float64(h.eng.Now()-j.submitAt) / float64(sim.Millisecond))
+	h.classes.admission[j.class].Observe(float64(h.eng.Now()-j.submitAt) / float64(sim.Millisecond))
 	units := make([]resource.ScheduleUnit, 0, len(j.order))
 	for _, t := range j.order {
 		st := j.stages[t]
 		units = append(units, resource.ScheduleUnit{
-			ID: st.unitID, Priority: j.prio, Size: st.size, MaxCount: st.need,
+			ID: st.unitID, Priority: classPriority(j.class), Size: st.size, MaxCount: st.need,
 		})
 	}
-	fullSync := h.cfg.FullSyncEvery
-	if fullSync == 0 {
-		fullSync = 10 * sim.Second
-	}
-	j.am = appmaster.New(appmaster.Config{
-		App: j.id, QuotaGroup: gj.Class.QuotaGroup(), Units: units,
-		FullSyncInterval: fullSync,
-	}, h.eng, h.net, h.top, j)
+	h.launch(&j.application, j, gj.Class.QuotaGroup(), units)
 	// Root stages demand after the registration round-trip settles; inner
 	// stages are released incrementally as upstreams finish.
 	h.eng.PostFunc(sim.Millisecond, func() {
@@ -659,30 +608,15 @@ func (j *dpJob) stageAt(unitID int) *dpStage {
 
 // OnGrant implements appmaster.Callbacks.
 func (j *dpJob) OnGrant(unitID int, machine int32, count int) {
-	h := j.h
-	h.grants += uint64(count)
-	if h.pauseAt != 0 && h.eng.Now()-h.pauseAt > sim.Millisecond {
-		h.schedPause.Observe(float64(h.eng.Now()-h.pauseAt) / float64(sim.Millisecond))
-		h.pauseAt = 0
-	}
+	h, dp := j.h, j.dp
+	h.granted(&j.application, unitID, machine, count)
 	st := j.stageAt(unitID)
 	if st == nil || j.done {
 		return
 	}
-	if at := j.pendingReq[unitID]; at != 0 {
-		ms := float64(h.eng.Now()-at) / float64(sim.Millisecond)
-		h.latency.Observe(ms)
-		dp := h.dp
-		dp.d2g[j.class].Observe(ms)
-		dp.d2gN[j.class]++
-		if ms <= h.classSLOMS(j.class) {
-			dp.d2gOK[j.class]++
-		}
-		j.pendingReq[unitID] = 0
-	}
 	// One-wave execution: accept what the stage still needs, hand back the
 	// rest immediately (a late regrant racing a revocation's re-demand).
-	use := minInt(count, st.need-st.executed-st.inFlight)
+	use := min(count, st.need-st.executed-st.inFlight)
 	if excess := count - use; excess > 0 {
 		j.am.ReturnContainers(unitID, machine, excess)
 	}
@@ -691,7 +625,6 @@ func (j *dpJob) OnGrant(unitID int, machine int32, count int) {
 	}
 	st.inFlight += use
 	if st.locality != locCluster && st.wantM != nil {
-		dp := h.dp
 		switch {
 		case st.wantM[machine]:
 			dp.locMachine += uint64(use)
@@ -709,7 +642,6 @@ func (j *dpJob) OnGrant(unitID int, machine int32, count int) {
 // mid-hold were already re-demanded by OnRevoke, so the return is clamped
 // to what the application master still holds.
 func (j *dpJob) holdDone(st *dpStage, machine int32, count int) {
-	h := j.h
 	if j.done {
 		return
 	}
@@ -731,7 +663,7 @@ func (j *dpJob) holdDone(st *dpStage, machine int32, count int) {
 		st.placeOrder = append(st.placeOrder, machine)
 	}
 	st.placeCount[machine] += count
-	h.dp.accountRead(st, machine, count)
+	j.dp.accountRead(st, machine, count)
 	st.executed += count
 	if st.executed >= st.need {
 		st.finished = true
@@ -742,7 +674,7 @@ func (j *dpJob) holdDone(st *dpStage, machine int32, count int) {
 // accountRead attributes the stage's share of task-to-task input volume:
 // bytes whose upstream producer ran on the same machine are local reads,
 // the rest crossed the network (the shuffle).
-func (dp *dpState) accountRead(st *dpStage, machine int32, count int) {
+func (dp *dataplaneLoad) accountRead(st *dpStage, machine int32, count int) {
 	if st.inputMB <= 0 || st.srcTotal == 0 {
 		return
 	}
@@ -773,45 +705,36 @@ func (j *dpJob) stageDone(st *dpStage) {
 }
 
 func (j *dpJob) complete() {
-	h := j.h
-	j.done = true
+	h, dp := j.h, j.dp
 	if j.kind != dpService {
-		h.dp.makespan.Observe(float64(h.eng.Now()-j.submitAt) / float64(sim.Millisecond))
+		dp.makespan.Observe(float64(h.eng.Now()-j.submitAt) / float64(sim.Millisecond))
 	}
 	if j.kind == dpGraySort && h.cfg.VerifyRecords > 0 {
-		every := maxInt(h.cfg.VerifySampleEvery, 1)
-		if int(jobMix(j.id)%uint64(every)) == 0 {
-			h.dp.verifyGraySort(j, h.cfg.VerifyRecords)
+		every := max(h.cfg.VerifySampleEvery, 1)
+		if int(jobMix(j.name)%uint64(every)) == 0 {
+			dp.verifyGraySort(j, h.cfg.VerifyRecords)
 		}
 	}
-	j.am.Unregister()
-	h.completed++
-	h.names = append(h.names, j.id)
-	h.gw.JobCompleted(j.id)
-	h.dp.completedJobs++
+	// A grant that arrives after this answers no demand: with nothing
+	// pending, the shared granted path observes no demand-to-grant for it.
+	clear(j.pendingReq)
+	h.finish(&j.application)
+	dp.completedJobs++
 }
 
 // OnRevoke implements appmaster.Callbacks.
 func (j *dpJob) OnRevoke(unitID int, machine int32, count int) {
-	h := j.h
-	h.revokes += uint64(count)
+	j.h.revoked(&j.application, unitID, machine, count)
 	st := j.stageAt(unitID)
 	if st == nil || j.done {
 		return
 	}
-	st.inFlight -= count
-	if st.inFlight < 0 {
-		st.inFlight = 0
+	st.inFlight = max(st.inFlight-count, 0)
+	if !st.finished {
+		// Failover took the containers mid-stage; anywhere in the cluster
+		// will do for the retry.
+		j.demand(unitID, count)
 	}
-	if st.finished {
-		return
-	}
-	// Failover took the containers mid-stage: restate the demand (paper
-	// §3.1 step 7); anywhere in the cluster will do for the retry.
-	if j.pendingReq[unitID] == 0 {
-		j.pendingReq[unitID] = h.eng.Now()
-	}
-	j.am.Request(unitID, resource.LocalityHint{Type: resource.LocalityCluster, Count: count})
 }
 
 // svcTick runs one service operation and re-arms itself while the job is
@@ -821,7 +744,7 @@ func (j *dpJob) svcTick() {
 		return
 	}
 	j.svcOps--
-	j.h.dp.runServiceOp(j)
+	j.dp.runServiceOp(j)
 	if j.svcOps > 0 && !j.done {
 		j.h.eng.PostFunc(j.h.cfg.ServiceOpEvery, j.svcTick)
 	}
@@ -831,16 +754,16 @@ func (j *dpJob) svcTick() {
 // hash-partitioned word count and a range-partitioned sort, and asserts
 // record conservation — the service job's "request serving" is the data
 // plane actually computing.
-func (dp *dpState) runServiceOp(j *dpJob) {
+func (dp *dataplaneLoad) runServiceOp(j *dpJob) {
 	dp.svcOpsRun++
-	mix := jobMix(j.id) + uint64(j.svcOps)*0x9e3779b97f4a7c15
+	mix := jobMix(j.name) + uint64(j.svcOps)*0x9e3779b97f4a7c15
 	const nrec = 256
 	records := make([]streamline.Record, nrec)
 	x := mix
 	for i := range records {
 		x = x*6364136223846793005 + 1442695040888963407
 		records[i] = streamline.Record{
-			Key:   []byte("w" + pad4(int(x>>33%97))),
+			Key:   []byte(gwName("w", int(x>>33%97), 4)),
 			Value: []byte{1},
 		}
 	}
@@ -853,7 +776,7 @@ func (dp *dpState) runServiceOp(j *dpJob) {
 
 // serviceWordCount: two map halves through MapSide, buckets reduced with a
 // counting reducer; the counted total must equal the input record count.
-func (dp *dpState) serviceWordCount(records []streamline.Record) {
+func (dp *dataplaneLoad) serviceWordCount(records []streamline.Record) {
 	const buckets = 4
 	counting := func(key []byte, values [][]byte) []streamline.Record {
 		total := 0
@@ -889,7 +812,7 @@ func (dp *dpState) serviceWordCount(records []streamline.Record) {
 // serviceRangeSort: Terasort in miniature — range-partition on fixed
 // splits, sort each bucket, and check the concatenation is globally sorted
 // with no record lost.
-func (dp *dpState) serviceRangeSort(records []streamline.Record) {
+func (dp *dataplaneLoad) serviceRangeSort(records []streamline.Record) {
 	splits := [][]byte{[]byte("w0024"), []byte("w0048"), []byte("w0072")}
 	parts, err := streamline.RangePartition(records, splits)
 	if err != nil {
@@ -911,12 +834,12 @@ func (dp *dpState) serviceRangeSort(records []streamline.Record) {
 // job's deterministic seed and range-partitions them across the job width;
 // one sampled partition is then sorted per run and k-way merged — the
 // merged output must be sorted and conserve the records routed to it.
-func (dp *dpState) verifyGraySort(j *dpJob, recordsPerMap int) {
+func (dp *dataplaneLoad) verifyGraySort(j *dpJob, recordsPerMap int) {
 	w := j.width
 	if w <= 0 {
 		return
 	}
-	mix := jobMix(j.id)
+	mix := jobMix(j.name)
 	rng := rand.New(rand.NewSource(int64(mix)))
 	bucket := int(mix >> 32 % uint64(w))
 	runs := make([]graysort.Records, 0, w)
@@ -944,12 +867,13 @@ func (dp *dpState) verifyGraySort(j *dpJob, recordsPerMap int) {
 	dp.verified++
 }
 
-// snapshot assembles the DataplaneStats section.
-func (dp *dpState) snapshot(h *harness) *DataplaneStats {
+// report assembles the DataplaneStats section.
+func (dp *dataplaneLoad) report(res *Result) {
+	cfg := dp.h.cfg
 	s := &DataplaneStats{
-		GraySortJobs:          h.cfg.GraySortJobs,
-		DAGJobs:               h.cfg.DAGJobs,
-		ServiceJobs:           h.cfg.ServiceJobs,
+		GraySortJobs:          cfg.GraySortJobs,
+		DAGJobs:               cfg.DAGJobs,
+		ServiceJobs:           cfg.ServiceJobs,
 		CompletedJobs:         dp.completedJobs,
 		MakespanMeanMS:        dp.makespan.Mean(),
 		MakespanP50MS:         dp.makespan.Quantile(0.5),
@@ -964,40 +888,13 @@ func (dp *dpState) snapshot(h *harness) *DataplaneStats {
 		VerifyFailures:        dp.verifyFail,
 		ServiceOpsRun:         dp.svcOpsRun,
 		ServiceOpFailures:     dp.svcOpFail,
+		Service:               dp.h.classes.stats(gateway.ClassService),
+		Batch:                 dp.h.classes.stats(gateway.ClassBatch),
 	}
 	if total := dp.locMachine + dp.locRack + dp.locRemote; total > 0 {
 		s.LocalityHitRatePct = 100 * float64(dp.locMachine+dp.locRack) / float64(total)
 	}
-	s.Service = dp.classStats(h, gateway.ClassService)
-	s.Batch = dp.classStats(h, gateway.ClassBatch)
-	return s
-}
-
-func (dp *dpState) classStats(h *harness, c gateway.Class) DPClassStats {
-	cs := DPClassStats{
-		Jobs:               dp.jobsIn[c],
-		AdmissionP50MS:     dp.admission[c].Quantile(0.5),
-		AdmissionP99MS:     dp.admission[c].Quantile(0.99),
-		AdmissionMaxMS:     dp.admission[c].Max(),
-		DemandToGrantP50MS: dp.d2g[c].Quantile(0.5),
-		DemandToGrantP99MS: dp.d2g[c].Quantile(0.99),
-		DemandToGrantMaxMS: dp.d2g[c].Max(),
-		SLOMS:              h.classSLOMS(c),
-	}
-	if dp.d2gN[c] > 0 {
-		cs.SLOAttainedPct = 100 * float64(dp.d2gOK[c]) / float64(dp.d2gN[c])
-	}
-	return cs
-}
-
-func pad4(n int) string {
-	var buf [8]byte
-	s := strconv.AppendInt(buf[:0], int64(n), 10)
-	out := make([]byte, 0, 4+len(s))
-	for i := len(s); i < 4; i++ {
-		out = append(out, '0')
-	}
-	return string(append(out, s...))
+	res.Units, res.Dataplane = dp.units, s
 }
 
 func clampMS(ms int64) int64 {
@@ -1005,18 +902,4 @@ func clampMS(ms int64) int64 {
 		return 50
 	}
 	return ms
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,0 +1,121 @@
+package scale
+
+import (
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/master"
+	"repro/internal/metrics"
+	"repro/internal/sim"
+)
+
+// failoverProbe crashes the primary FuxiMaster at Config.MasterFailoverAt
+// and times what follows. Recovery is crash → soft state rebuilt and
+// scheduling resumed; scheduling pause is crash → first grant from the
+// promoted successor delivered to an application.
+type failoverProbe struct {
+	idleProbe
+	h *harness
+
+	recovery   *metrics.Histogram
+	schedPause *metrics.Histogram
+	// crashAt is the last crash instant; pauseAt arms the scheduling-pause
+	// measurement (cleared by the first grant arriving more than 1ms after
+	// the crash, which excludes the dead master's in-flight deliveries).
+	crashAt sim.Time
+	pauseAt sim.Time
+	// lost counts containers applications hold at recovery completion that
+	// the rebuilt master ledger does not carry; reissued the containers the
+	// promoted masters' post-recovery assignment passes granted.
+	lost     uint64
+	reissued uint64
+}
+
+func newFailoverProbe(h *harness) *failoverProbe {
+	return &failoverProbe{
+		h:          h,
+		recovery:   metrics.NewHistogram("scale.master_recovery_ms"),
+		schedPause: metrics.NewHistogram("scale.sched_pause_ms"),
+	}
+}
+
+// need asks for a hot standby that reports its recoveries here.
+func (p *failoverProbe) need(cc *core.Config) {
+	cc.Standby = true
+	cc.Master.OnRecovered = p.recovered
+}
+
+// arm schedules the crashes. Each crashed process restarts as the new
+// standby once its successor's recovery window has passed, so repeated
+// failovers alternate the pair.
+func (p *failoverProbe) arm() {
+	mc := master.DefaultConfig("")
+	for _, at := range p.h.cfg.MasterFailoverAt {
+		p.h.inj.Apply(faults.Schedule{{
+			Kind: faults.FuxiMasterFailure, At: at, For: mc.LockTTL + mc.RecoveryWindow + sim.Second,
+		}})
+	}
+}
+
+func (p *failoverProbe) fault(f faults.Fault, open bool) {
+	if f.Kind == faults.FuxiMasterFailure && open {
+		p.crashAt = p.h.eng.Now()
+		p.pauseAt = p.crashAt
+	}
+}
+
+func (p *failoverProbe) granted(int32, int) {
+	if now := p.h.eng.Now(); p.pauseAt != 0 && now-p.pauseAt > sim.Millisecond {
+		// First grant from the promoted successor (the dead master's
+		// in-flight deliveries all land within one message latency).
+		p.schedPause.Observe(float64(now-p.pauseAt) / float64(sim.Millisecond))
+		p.pauseAt = 0
+	}
+}
+
+// recovered is master.Config.OnRecovered: it measures one completed
+// failover — recovery latency, grants the rebuilt ledger lost versus the
+// applications' views, grants reissued by the post-recovery assignment pass.
+func (p *failoverProbe) recovered(epoch, reissuedGrants int) {
+	h := p.h
+	if p.crashAt != 0 {
+		p.recovery.Observe(float64(h.eng.Now()-p.crashAt) / float64(sim.Millisecond))
+	}
+	p.reissued += uint64(reissuedGrants)
+	s := h.primarySched()
+	if s == nil {
+		return
+	}
+	for _, a := range h.apps {
+		if a.done {
+			continue
+		}
+		for unitID, machines := range a.am.HeldSnapshot() {
+			granted := s.Granted(a.name, unitID)
+			for m, n := range machines {
+				if d := n - granted[m]; d > 0 {
+					p.lost += uint64(d)
+				}
+			}
+		}
+	}
+}
+
+func (p *failoverProbe) report(res *Result) {
+	h := p.h
+	res.MasterFailovers = h.inj.Fired(faults.FuxiMasterFailure)
+	res.RecoveryMeanMS = p.recovery.Mean()
+	res.RecoveryP50MS = p.recovery.Quantile(0.5)
+	res.RecoveryP99MS = p.recovery.Quantile(0.99)
+	res.RecoveryMaxMS = p.recovery.Max()
+	res.SchedPauseP50MS = p.schedPause.Quantile(0.5)
+	res.SchedPauseP99MS = p.schedPause.Quantile(0.99)
+	res.SchedPauseMaxMS = p.schedPause.Max()
+	res.GrantsLost = p.lost
+	res.GrantsReissued = p.reissued
+	ck := h.cl.Ckpt
+	res.CheckpointWrites = ck.Writes
+	res.CheckpointBytes = ck.Bytes()
+	if saved := h.cfg.Apps; saved > 0 {
+		res.CheckpointBytesPerJob = float64(ck.Bytes()) / float64(saved)
+	}
+}

@@ -12,6 +12,7 @@ package scale
 
 import (
 	"hash/fnv"
+	"math/rand"
 	"strconv"
 
 	"repro/internal/gateway"
@@ -57,54 +58,61 @@ func SmokeGatewayConfig() Config {
 	return c.WithMasterFailovers(1)
 }
 
-// workloadDone reports whether the run's workload finished: every app
-// completed (classic mode), or every submission issued and settled to
-// completed-or-shed (gateway mode).
-func (h *harness) workloadDone() bool {
-	if h.cfg.Churn {
-		return false // steady state: the horizon is the only exit
-	}
-	if h.rp != nil {
-		// Replay: the diurnal generator has passed its last day, every
-		// scheduled burst submission has fired, and the gateway drained.
-		return h.rp.genDone && h.rp.pendingBurst == 0 && h.gw.Drained()
-	}
-	if h.gw != nil {
-		return h.gwSubmitted >= h.cfg.GatewaySubmissions && h.gw.Drained()
-	}
-	return h.completed >= h.cfg.Apps
+// gatewayLoad is the open-loop load generator: submissions at deterministic
+// instants spread uniformly over ArrivalWindow, each from a tenant drawn
+// either from the heavy-hitter set or uniformly from the full population.
+// Tenant identity fixes the priority class. The run ends when every
+// submission was issued and settled to completed-or-shed.
+type gatewayLoad struct {
+	wholeRun
+	submitted int
 }
 
-// scheduleSubmissions drives the open-loop load generator: submissions at
-// deterministic instants spread uniformly over ArrivalWindow, each from a
-// tenant drawn either from the heavy-hitter set or uniformly from the full
-// population. Tenant identity fixes the priority class.
-func (h *harness) scheduleSubmissions() {
-	cfg := h.cfg
+// gatewayConfig is the front door every gateway-fed workload deploys; onReg
+// starts the application master of a job the primary acknowledged.
+func (h *harness) gatewayConfig(onReg func(gateway.Job)) *gateway.Config {
+	lim := gateway.DefaultLimits()
+	if h.cfg.GatewayLimits != nil {
+		lim = *h.cfg.GatewayLimits
+	}
+	return &gateway.Config{Limits: lim, OnRegistered: onReg, RecordDecisions: h.cfg.RecordGatewayDecisions}
+}
+
+// frontDoor: a registered job runs the same churn as the classic workload,
+// at the configured width and hold time.
+func (w *gatewayLoad) frontDoor() *gateway.Config {
+	return w.h.gatewayConfig(func(j gateway.Job) {
+		w.h.startGatewayJob(j, w.h.cfg.ContainersPerUnit, w.h.cfg.HoldTime)
+	})
+}
+
+func (w *gatewayLoad) drained() bool {
+	return w.submitted >= w.h.cfg.GatewaySubmissions && w.h.gw.Drained()
+}
+
+func (w *gatewayLoad) arm() error {
+	h, cfg := w.h, &w.h.cfg
 	start := h.eng.Now()
 	var next func()
 	next = func() {
-		i := h.gwSubmitted
+		i := w.submitted
 		if i >= cfg.GatewaySubmissions {
 			return
 		}
-		idx := h.pickTenant()
-		class := gateway.ClassBatch
-		if idx%100 < cfg.GatewayServicePct {
-			class = gateway.ClassService
-		}
+		idx := pickTenant(h.rng, cfg)
 		h.gw.Submit(gateway.Job{
 			ID:     gwName("gw-", i, 6),
 			Tenant: gwName("u-", idx, 7),
-			Class:  class,
+			Class:  tenantClass(idx, cfg),
 		})
-		h.gwSubmitted++
-		if h.gwSubmitted < cfg.GatewaySubmissions {
-			at := start + sim.Time(int64(cfg.ArrivalWindow)*int64(h.gwSubmitted)/int64(cfg.GatewaySubmissions))
+		w.submitted++
+		if w.submitted < cfg.GatewaySubmissions {
+			at := start + sim.Time(int64(cfg.ArrivalWindow)*int64(w.submitted)/int64(cfg.GatewaySubmissions))
 			h.eng.PostFunc(at-h.eng.Now(), next)
 		}
 	}
 	h.eng.PostFunc(start-h.eng.Now(), next)
+	return nil
 }
 
 // gwName builds "<prefix><zero-padded n>" with one allocation (the open-loop
@@ -122,13 +130,31 @@ func gwName(prefix string, n, width int) string {
 	return string(b)
 }
 
-func (h *harness) pickTenant() int {
-	cfg := h.cfg
+// pickTenant draws a submitting tenant from the population's skew: a
+// heavy-hitter set plus a uniform long tail.
+func pickTenant(rng *rand.Rand, cfg *Config) int {
 	if cfg.GatewayHotTenants > 0 && cfg.GatewayHotSharePct > 0 &&
-		h.rng.Intn(100) < cfg.GatewayHotSharePct {
-		return h.rng.Intn(cfg.GatewayHotTenants)
+		rng.Intn(100) < cfg.GatewayHotSharePct {
+		return rng.Intn(cfg.GatewayHotTenants)
 	}
-	return h.rng.Intn(cfg.GatewayUsers)
+	return rng.Intn(cfg.GatewayUsers)
+}
+
+// tenantClass is the service class a tenant's identity fixes.
+func tenantClass(tenant int, cfg *Config) gateway.Class {
+	if tenant%100 < cfg.GatewayServicePct {
+		return gateway.ClassService
+	}
+	return gateway.ClassBatch
+}
+
+// classPriority is the scheduling priority of a class's jobs: service jobs
+// schedule ahead of batch jobs inside the cluster too.
+func classPriority(c gateway.Class) int {
+	if c == gateway.ClassService {
+		return 1
+	}
+	return 3
 }
 
 // jobMix hashes a job ID into a deterministic per-job value for shaping
@@ -142,52 +168,29 @@ func jobMix(id string) uint64 {
 	return h.Sum64()
 }
 
-// gwUnits returns the shared single-unit definition slice for a (priority,
-// size) combination — jobs never mutate their unit definitions, and both
-// the AM and the master copy what they keep, so a handful of shared
-// templates replaces one slice allocation per job. Multi-unit
-// configurations fall back to per-job slices.
-func (h *harness) gwUnits(prio, sizeIdx int) []resource.ScheduleUnit {
-	if h.cfg.UnitsPerApp != 1 {
-		units := make([]resource.ScheduleUnit, 0, h.cfg.UnitsPerApp)
-		for u := 0; u < h.cfg.UnitsPerApp; u++ {
-			units = append(units, resource.ScheduleUnit{
-				ID: u + 1, Priority: prio, Size: unitSize(sizeIdx + u),
-				MaxCount: h.cfg.ContainersPerUnit,
-			})
+// startGatewayJob starts the application master of one job the gateway
+// registered, its OnRegistered callback's work: UnitsPerApp units of width
+// containers held for hold, priority from the class, size from the job-ID
+// hash, first demand a registration round-trip later. From there the job
+// requests with a locality mix, holds, returns, re-requests on revocation and
+// unregisters when done (which completes it at the gateway and frees its
+// in-flight slot).
+func (h *harness) startGatewayJob(j gateway.Job, width int, hold sim.Time) {
+	sizeIdx := int((jobMix(j.ID) >> 8) % 3)
+	unit := func(u int) resource.ScheduleUnit {
+		return resource.ScheduleUnit{ID: u + 1, Priority: classPriority(j.Class), Size: unitSize(sizeIdx + u), MaxCount: width}
+	}
+	var app *scaleApp
+	if n := h.cfg.UnitsPerApp; n == 1 {
+		app = h.startUnitApp(j.ID, j.Class.QuotaGroup(), unit(0), width, hold)
+	} else {
+		units := make([]resource.ScheduleUnit, n)
+		for u := range units {
+			units[u] = unit(u)
 		}
-		return units
+		app = h.startApp(j.ID, j.Class.QuotaGroup(), units, width, hold)
 	}
-	key := prio*3 + sizeIdx
-	if h.gwUnitTmpl == nil {
-		h.gwUnitTmpl = make(map[int][]resource.ScheduleUnit)
-	}
-	if t := h.gwUnitTmpl[key]; t != nil {
-		return t
-	}
-	t := []resource.ScheduleUnit{{
-		ID: 1, Priority: prio, Size: unitSize(sizeIdx),
-		MaxCount: h.cfg.ContainersPerUnit,
-	}}
-	h.gwUnitTmpl[key] = t
-	return t
-}
-
-// spawnGatewayJob starts the application master for one registered job —
-// the gateway's OnRegistered callback. The job runs the same churn as the
-// classic workload: request with a locality mix, hold, return, re-request
-// on revocation, unregister when done (which completes the job at the
-// gateway and frees its in-flight slot).
-func (h *harness) spawnGatewayJob(j gateway.Job) {
-	mix := jobMix(j.ID)
-	// Service jobs schedule ahead of batch jobs inside the cluster too.
-	prio := 3
-	if j.Class == gateway.ClassService {
-		prio = 1
-	}
-	sizeIdx := int((mix >> 8) % 3)
-	app := h.startApp(j.ID, j.Class.QuotaGroup(), h.gwUnits(prio, sizeIdx),
-		h.cfg.ContainersPerUnit, h.cfg.HoldTime)
+	app.class = j.Class
 	h.eng.Post(sim.Millisecond, hashedDemand, app)
 }
 

@@ -199,4 +199,11 @@ func TestGatewayRejectsBadConfig(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("expected error for gateway mode without submissions")
 	}
+	// A gateway-fed job that never completes never frees its admission slot:
+	// churn is the classic arrivals' steady state and nothing else's.
+	cfg = gwTiny()
+	cfg.Churn = true
+	if _, err := Run(cfg); err == nil {
+		t.Error("expected error for churn over a gateway-fed workload")
+	}
 }

@@ -1,6 +1,7 @@
 package scale
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -20,12 +21,20 @@ type golden struct {
 // by running each lane's smoke Config constructor directly: a refactor of
 // the harness, the lane table or the scheduler under them must leave every
 // row byte-identical.
+//
+// One cell moved since, in PR 24: dataplane's DecisionStreamHash was
+// cbf29ce484222325 — the FNV-1a offset basis, i.e. the hash of nothing —
+// because dpJob's OnGrant/OnRevoke never folded their decisions, so the row
+// pinned nothing about which grants the lane made. Every job now goes through
+// the one observed-decision path (harness.granted/revoked) and the cell is the
+// hash of the lane's 214 decisions; the row's counts did not move.
+// TestSmokeHashesPinDecisions keeps the old value from coming back.
 var smokeGolden = map[string]golden{
 	"classic":   {6808, 6404, 404, 23497, 37584, 100, "", "", 0x0, "21baea0118bb30a5"},
 	"failover":  {6860, 6430, 430, 19847, 31509, 100, "", "", 0x0, "82df709a2dbbc0aa"},
 	"churn":     {12701, 12701, 0, 26342, 41763, 0, "", "", 0x0, "49a852947b28de7d"},
 	"gateway":   {14496, 14213, 283, 101099, 158391, 6965, "f7cf980f895a0dc8", "", 0x0, "8cc030a1728f86e0"},
-	"dataplane": {214, 213, 1, 3353, 9283, 14, "ebea3147a48d748a", "", 0x0, "cbf29ce484222325"},
+	"dataplane": {214, 213, 1, 3353, 9283, 14, "ebea3147a48d748a", "", 0x0, "dee5948764ad432e"},
 	"replay":    {11470, 11463, 7, 66323, 120851, 4110, "b6e4f88a5389ab74", "b6e4f88a5389ab74", 0x0, "4822b9241cc911f4"},
 	"chaos":     {12806, 12652, 154, 26701, 41830, 0, "", "", 0x0, "009bc0a8e18804c2"},
 	"obs":       {12701, 12701, 0, 26374, 41839, 0, "", "", 0xabf6a7a9b68def38, "49a852947b28de7d"},
@@ -96,6 +105,19 @@ func TestSmokeLanesMatchGolden(t *testing.T) {
 	for name := range smokeGolden {
 		if l := LaneByName(name); l == nil || l.Smoke == nil {
 			t.Errorf("golden row %s has no smoke lane", name)
+		}
+	}
+}
+
+// TestSmokeHashesPinDecisions: a lane whose jobs bypass the observed-decision
+// path ends with the FNV-1a offset basis for a hash, which equals itself
+// across any two runs and so passes every determinism check while pinning
+// nothing.
+func TestSmokeHashesPinDecisions(t *testing.T) {
+	empty := fmt.Sprintf("%016x", uint64(fnvOffset))
+	for name, r := range smokeResults(t) {
+		if r.Decisions > 0 && r.DecisionStreamHash == empty {
+			t.Errorf("lane %s: %d decisions hash to the offset basis %s: they were never folded", name, r.Decisions, empty)
 		}
 	}
 }

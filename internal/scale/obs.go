@@ -25,6 +25,7 @@ package scale
 import (
 	"runtime"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -82,10 +83,11 @@ var obsQueryMetrics = []string{
 	"cluster.granted_cpu",
 }
 
-// obsState is the observability-mode bookkeeping: the shared store, the
-// harness-side series, the watched-link set, the flap schedule, and the
-// live query client.
-type obsState struct {
+// obsProbe is the observability plane's harness side: the shared store, the
+// harness series, the watched-link set, the flap schedule, and the live query
+// client.
+type obsProbe struct {
+	idleProbe
 	h     *harness
 	store *obs.Store
 
@@ -114,16 +116,16 @@ type obsState struct {
 	qlat         *metrics.Histogram // wall-clock server ns per query, in µs
 }
 
-func newObsState(h *harness) *obsState {
+func newObsProbe(h *harness) *obsProbe {
 	retain := h.cfg.ObsRetain
 	if retain <= 0 {
 		retain = 1024
 	}
-	o := &obsState{
+	o := &obsProbe{
 		h:        h,
 		store:    obs.NewStore(retain),
 		checksum: fnvOffset,
-		qlat:     h.reg.Histogram("scale.obs_query_us"),
+		qlat:     metrics.NewHistogram("scale.obs_query_us"),
 	}
 	o.grantsID = o.store.Register("churn.grants", "")
 	o.revokesID = o.store.Register("churn.revokes", "")
@@ -131,13 +133,18 @@ func newObsState(h *harness) *obsState {
 	return o
 }
 
-// schedule arms the watched-link set, the flap windows, and the live query
-// cadence. Called after the masters and workload are wired (it needs the
-// transport endpoints registered). The watched set is machine 0 (a control
+// need: the master pair records into the probe's store and calls its sampler.
+func (o *obsProbe) need(cc *core.Config) {
+	cc.Master.Obs, cc.Master.ObsSampler = o.store, o.sample
+}
+
+// arm arms the watched-link set, the flap windows, and the live query
+// cadence, once the masters and workload are wired (it needs the transport
+// endpoints registered). The watched set is machine 0 (a control
 // that never flaps) plus two victims; the two flap windows sit at one
 // quarter and one half of the measurement window, so the loss shows up as
 // two distinct bumps in the dropped-counter series.
-func (o *obsState) schedule() {
+func (o *obsProbe) arm() {
 	h := o.h
 	h.net.EnableLinkStats()
 	o.masterEP = h.net.Endpoint(protocol.MasterEndpoint)
@@ -158,11 +165,7 @@ func (o *obsState) schedule() {
 	}
 
 	if len(watch) > 1 {
-		measureStart := h.cfg.ChurnWarmup
-		measure := h.cfg.ChurnMeasure
-		if !h.cfg.Churn {
-			measureStart, measure = 0, h.cfg.Horizon
-		}
+		measureStart, measure := h.load.window()
 		victims := o.watched[1:]
 		flapAt := []sim.Time{measureStart + measure/4, measureStart + measure/2}
 		for i, at := range flapAt {
@@ -181,7 +184,7 @@ func (o *obsState) schedule() {
 // sample is the master's ObsSampler hook: the master has just advanced the
 // ring and recorded its own series into the current row; append the
 // harness's. Alloc-free — it is inside the calibrated record path.
-func (o *obsState) sample(now sim.Time) {
+func (o *obsProbe) sample(now sim.Time) {
 	st := o.store
 	st.Set(o.grantsID, int64(o.h.grants))
 	st.Set(o.revokesID, int64(o.h.revokes))
@@ -198,7 +201,7 @@ func (o *obsState) sample(now sim.Time) {
 
 // issueQuery sends the next query of the rotation: a windowed scan over the
 // last obsQueryWindow of one metric, group-by over all its series.
-func (o *obsState) issueQuery() {
+func (o *obsProbe) issueQuery() {
 	from := o.h.eng.Now() - obsQueryWindow
 	if from < 0 {
 		from = 0
@@ -214,7 +217,7 @@ func (o *obsState) issueQuery() {
 // onResponse folds each query response into the conversation checksum
 // (FNV-1a over everything but the wall-clock ServerNS) and the query
 // latency histogram.
-func (o *obsState) onResponse(_ transport.EndpointID, msg transport.Message) {
+func (o *obsProbe) onResponse(_ transport.EndpointID, msg transport.Message) {
 	r, ok := msg.(obs.QueryResponse)
 	if !ok {
 		return
@@ -307,7 +310,7 @@ type ObsStats struct {
 	// Incremental checkpoint accounting (the delta-log half of the PR):
 	// write counts, byte split, compactions, bytes per registered job, and
 	// the measured saving over re-encoding a full snapshot on every write
-	// (TrackFullCost; the acceptance gate requires >= 5x).
+	// (CheckpointStore.FullBytes; the acceptance gate requires >= 5x).
 	CheckpointWrites        int     `json:"checkpoint_writes"`
 	CheckpointDeltaBytes    int64   `json:"checkpoint_delta_bytes"`
 	CheckpointAnchorBytes   int64   `json:"checkpoint_anchor_bytes"`
@@ -318,10 +321,11 @@ type ObsStats struct {
 	CheckpointSavingsX      float64 `json:"checkpoint_savings_x"`
 }
 
-// snapshot builds the obs section. The ring-shape fields are captured
+// report builds the obs section. The ring-shape fields are captured
 // before the allocation calibration runs (the calibration advances the ring
 // by obsCalibrationRounds extra rows).
-func (o *obsState) snapshot(h *harness) *ObsStats {
+func (o *obsProbe) report(res *Result) {
+	h := o.h
 	st := &ObsStats{
 		Series:          o.store.SeriesCount(),
 		RingCapacity:    o.store.Cap(),
@@ -343,7 +347,7 @@ func (o *obsState) snapshot(h *harness) *ObsStats {
 		st.LinkDropsObserved += int64(d1 + d2)
 	}
 
-	ck := h.ckpt
+	ck := h.cl.Ckpt
 	st.CheckpointWrites = ck.Writes
 	st.CheckpointDeltaBytes = ck.DeltaBytes
 	st.CheckpointAnchorBytes = ck.AnchorBytes
@@ -355,11 +359,9 @@ func (o *obsState) snapshot(h *harness) *ObsStats {
 	}
 	if jobs > 0 {
 		st.CheckpointBytesPerJob = float64(ck.Bytes()) / float64(jobs)
-		if ck.TrackFullCost {
-			st.FullSnapshotBytesPerJob = float64(ck.FullBytes) / float64(jobs)
-		}
+		st.FullSnapshotBytesPerJob = float64(ck.FullBytes) / float64(jobs)
 	}
-	if ck.TrackFullCost && ck.Bytes() > 0 {
+	if ck.Bytes() > 0 {
 		st.CheckpointSavingsX = float64(ck.FullBytes) / float64(ck.Bytes())
 	}
 
@@ -375,5 +377,5 @@ func (o *obsState) snapshot(h *harness) *ObsStats {
 		runtime.ReadMemStats(&after)
 		st.AllocsPerSample = float64(after.Mallocs-before.Mallocs) / obsCalibrationRounds
 	}
-	return st
+	res.Obs = st
 }

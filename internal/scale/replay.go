@@ -19,8 +19,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/gateway"
-	"repro/internal/metrics"
-	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -84,11 +82,6 @@ func SmokeReplayConfig() Config {
 	return c
 }
 
-// replayLaunchFailDelay is how long a job master takes to detect that a
-// broken machine failed to launch its workers before it returns the grant
-// and re-demands elsewhere.
-const replayLaunchFailDelay = 150 * sim.Millisecond
-
 // replaySampleEvery is the per-phase utilization sampling period.
 const replaySampleEvery = 500 * sim.Millisecond
 
@@ -106,9 +99,10 @@ type rpPhaseAcc struct {
 	cpu, mem float64 // sums of planned/total ratios
 }
 
-// rpState is the replay-mode workload state.
-type rpState struct {
-	h *harness
+// replayLoad is the trace-replay workload: the diurnal session generator,
+// the storms it arms, and the per-phase account.
+type replayLoad struct {
+	wholeRun
 	// rng drives the arrival process (session times, tenants, burst shapes);
 	// frng drives the fault storms. Separate streams — and hash-derived job
 	// shapes — keep the workload reproducible even if one consumer changes.
@@ -126,6 +120,7 @@ type rpState struct {
 	end          sim.Time
 	genDone      bool
 	pendingBurst int
+	submitted    int
 	sessions     uint64
 	subPeak      int
 	subTrough    int
@@ -134,29 +129,18 @@ type rpState struct {
 	// number embedded in the job ID, for per-class admission latency.
 	subAt []sim.Time
 
-	admission   [gateway.NumClasses]*metrics.Histogram
-	d2g         [gateway.NumClasses]*metrics.Histogram
-	d2gN, d2gOK [gateway.NumClasses]int
-	jobs        [gateway.NumClasses]int
-	grants      [gateway.NumClasses]uint64
-	revokes     [gateway.NumClasses]uint64
-
-	// Grants bounced off a broken machine as launch failures, and holds a
-	// slow machine stretched by its factor (the injector has both tables).
-	launchFails uint64
-	slowHeld    uint64
-
 	stormWindows [][2]sim.Time
 
 	phase [rpNumPhases]rpPhaseAcc
 }
 
-func newRPState(h *harness) *rpState {
+func newReplayLoad(h *harness) *replayLoad {
 	cfg := h.cfg
-	rp := &rpState{
-		h:    h,
-		rng:  rand.New(rand.NewSource(cfg.Seed + 3)),
-		frng: rand.New(rand.NewSource(cfg.Seed + 4)),
+	h.classes = newClassLedger(cfg)
+	rp := &replayLoad{
+		wholeRun: wholeRun{h},
+		rng:      rand.New(rand.NewSource(cfg.Seed + 3)),
+		frng:     rand.New(rand.NewSource(cfg.Seed + 4)),
 		arr: trace.DiurnalRate{
 			BaseRatePerSec: cfg.ReplaySessionsPerSec,
 			AmplitudePct:   cfg.ReplayAmplitudePct,
@@ -168,41 +152,45 @@ func newRPState(h *harness) *rpState {
 	if walpha <= 0 {
 		walpha = 1.15
 	}
-	wmax := cfg.ReplayWidthMax
-	if wmax < 1 {
-		wmax = 1
-	}
-	rp.width = trace.BoundedPareto{Alpha: walpha, Min: 1, Max: float64(wmax)}
+	rp.width = trace.BoundedPareto{Alpha: walpha, Min: 1, Max: float64(max(cfg.ReplayWidthMax, 1))}
 	halpha := cfg.ReplayHoldAlpha
 	if halpha <= 0 {
 		halpha = 1.1
 	}
-	hmin, hmax := cfg.ReplayHoldMin, cfg.ReplayHoldMax
+	hmin := cfg.ReplayHoldMin
 	if hmin <= 0 {
 		hmin = sim.Second
 	}
-	if hmax < hmin {
-		hmax = hmin
-	}
-	rp.holdD = trace.BoundedPareto{Alpha: halpha, Min: float64(hmin), Max: float64(hmax)}
-	for cl := gateway.Class(0); cl < gateway.NumClasses; cl++ {
-		rp.admission[cl] = h.reg.Histogram("scale.rp_admission_ms." + cl.QuotaGroup())
-		rp.d2g[cl] = h.reg.Histogram("scale.rp_d2g_ms." + cl.QuotaGroup())
-	}
+	rp.holdD = trace.BoundedPareto{Alpha: halpha, Min: float64(hmin), Max: float64(max(cfg.ReplayHoldMax, hmin))}
 	return rp
 }
 
-func (rp *rpState) downtime() sim.Time {
+// frontDoor tracks burst sessions at the gateway: a gap of several mean
+// intra-burst spacings separates sessions.
+func (rp *replayLoad) frontDoor() *gateway.Config {
+	gc := rp.h.gatewayConfig(rp.spawn)
+	if gc.Limits.SessionGap == 0 && rp.h.cfg.ReplayBurstGap > 0 {
+		gc.Limits.SessionGap = 5 * rp.h.cfg.ReplayBurstGap
+	}
+	return gc
+}
+
+// drained: the diurnal generator has passed its last day, every scheduled
+// burst submission has fired, and the gateway drained.
+func (rp *replayLoad) drained() bool {
+	return rp.genDone && rp.pendingBurst == 0 && rp.h.gw.Drained()
+}
+
+func (rp *replayLoad) downtime() sim.Time {
 	if d := rp.h.cfg.ReplayStormDowntime; d > 0 {
 		return d
 	}
 	return 8 * sim.Second
 }
 
-// scheduleReplay arms the storms and starts the diurnal session generator.
-func (h *harness) scheduleReplay() {
-	rp := h.rp
-	cfg := h.cfg
+// arm arms the storms and starts the diurnal session generator.
+func (rp *replayLoad) arm() error {
+	h, cfg := rp.h, rp.h.cfg
 	start := h.eng.Now()
 	rp.end = start + sim.Time(cfg.ReplayDays)*cfg.ReplayDayLength
 
@@ -228,7 +216,7 @@ func (h *harness) scheduleReplay() {
 	var fire func()
 	fire = func() {
 		rp.sessions++
-		tenant := rp.pickTenant()
+		tenant := pickTenant(rp.rng, &h.cfg)
 		size := rp.burst.SampleSize(rp.rng)
 		now := h.eng.Now()
 		submit := func() { rp.submitOne(tenant) } // one closure per session
@@ -250,27 +238,17 @@ func (h *harness) scheduleReplay() {
 	first := rp.arr.NextArrival(rp.rng, start)
 	if first >= rp.end {
 		rp.genDone = true
-		return
+		return nil
 	}
 	h.eng.PostFunc(first-start, fire)
+	return nil
 }
 
-// pickTenant mirrors the gateway generator's population skew on the
-// replay-private stream: a heavy-hitter set plus a uniform long tail.
-func (rp *rpState) pickTenant() int {
-	cfg := rp.h.cfg
-	if cfg.GatewayHotTenants > 0 && cfg.GatewayHotSharePct > 0 &&
-		rp.rng.Intn(100) < cfg.GatewayHotSharePct {
-		return rp.rng.Intn(cfg.GatewayHotTenants)
-	}
-	return rp.rng.Intn(cfg.GatewayUsers)
-}
-
-func (rp *rpState) submitOne(tenant int) {
+func (rp *replayLoad) submitOne(tenant int) {
 	h := rp.h
 	rp.pendingBurst--
-	i := h.gwSubmitted
-	h.gwSubmitted++
+	i := rp.submitted
+	rp.submitted++
 	now := h.eng.Now()
 	rp.subAt = append(rp.subAt, now)
 	switch rp.dayPhase(now) {
@@ -279,14 +257,10 @@ func (rp *rpState) submitOne(tenant int) {
 	case rpTrough:
 		rp.subTrough++
 	}
-	class := gateway.ClassBatch
-	if tenant%100 < h.cfg.GatewayServicePct {
-		class = gateway.ClassService
-	}
 	h.gw.Submit(gateway.Job{
 		ID:     gwName("rp-", i, 7),
 		Tenant: gwName("u-", tenant, 7),
-		Class:  class,
+		Class:  tenantClass(tenant, &h.cfg),
 	})
 }
 
@@ -311,86 +285,24 @@ func hashU(bits uint64) float64 {
 	return float64(bits&((1<<21)-1)) / float64(1<<21)
 }
 
-// spawnReplayJob is the gateway's OnRegistered callback in replay mode: it
-// observes per-class admission latency and starts the job's application
-// master with hash-derived heavy-tailed width and hold time.
-func (h *harness) spawnReplayJob(j gateway.Job) {
-	rp := h.rp
-	now := h.eng.Now()
-	if seq := rpSeq(j.ID); seq >= 0 && seq < len(rp.subAt) {
-		rp.admission[j.Class].Observe(float64(now-rp.subAt[seq]) / float64(sim.Millisecond))
-	}
-	rp.jobs[j.Class]++
-	mix := jobMix(j.ID)
-	w := int(rp.width.Quantile(hashU(mix)))
-	if w < 1 {
-		w = 1
-	}
-	hold := sim.Time(rp.holdD.Quantile(hashU(mix >> 21)))
-	prio := 3
-	if j.Class == gateway.ClassService {
-		prio = 1
-	}
-	sizeIdx := int((mix >> 8) % 3)
-	app := h.startUnitApp(j.ID, j.Class.QuotaGroup(), resource.ScheduleUnit{
-		ID: 1, Priority: prio, Size: unitSize(sizeIdx), MaxCount: w,
-	}, w, hold)
-	app.class = j.Class
-	h.eng.Post(sim.Millisecond, hashedDemand, app)
-}
-
-func (rp *rpState) observeD2G(c gateway.Class, ms float64) {
-	rp.d2g[c].Observe(ms)
-	rp.d2gN[c]++
-	if ms <= rp.h.classSLOMS(c) {
-		rp.d2gOK[c]++
-	}
-}
-
-// grant is the replay branch of scaleApp.OnGrant: broken machines bounce
-// the grant as a launch failure, slow machines stretch the hold, and
-// ordinary grants hold-then-return like the gateway churn.
-func (rp *rpState) grant(a *scaleApp, unitID int, machine int32, count int) {
+// spawn is the gateway's OnRegistered callback: it observes per-class
+// admission latency and starts the job with hash-derived heavy-tailed width
+// and hold time.
+func (rp *replayLoad) spawn(j gateway.Job) {
 	h := rp.h
-	rp.grants[a.class] += uint64(count)
-	if h.inj.Broken(machine) {
-		// PartialWorkerFailure: the machine accepted the containers but its
-		// corrupted disks refuse to launch workers. The job master notices
-		// the failed launch, returns the grant, and re-demands elsewhere.
-		rp.launchFails += uint64(count)
-		h.postHold(replayLaunchFailDelay, launchFailed, a, unitID, machine, count)
-		return
+	if seq := rpSeq(j.ID); seq >= 0 && seq < len(rp.subAt) {
+		h.classes.admission[j.Class].Observe(float64(h.eng.Now()-rp.subAt[seq]) / float64(sim.Millisecond))
 	}
-	hold := a.hold
-	if f := h.inj.Slowdown(machine); f > 1 {
-		hold = sim.Time(float64(hold) * f)
-		rp.slowHeld += uint64(count)
-	}
-	h.postHold(hold, holdReturn, a, unitID, machine, count)
-}
-
-// launchFailed is the timer body behind a grant bounced off a broken
-// machine: return what is still held of it and restate the demand at
-// cluster scope.
-func launchFailed(x any) {
-	a, unitID, machine, n := takeHold(x.(*holdRec))
-	if n <= 0 {
-		return
-	}
-	a.am.ReturnContainers(unitID, machine, n)
-	if a.done {
-		return
-	}
-	if a.pendingReq[unitID] == 0 {
-		a.pendingReq[unitID] = a.h.eng.Now()
-	}
-	a.am.Request(unitID, resource.LocalityHint{Type: resource.LocalityCluster, Count: n})
+	h.classes.jobs[j.Class]++
+	mix := jobMix(j.ID)
+	w := max(int(rp.width.Quantile(hashU(mix))), 1)
+	h.startGatewayJob(j, w, sim.Time(rp.holdD.Quantile(hashU(mix>>21))))
 }
 
 // dayPhase classifies an instant against the diurnal cycle alone: the
 // quarter-day around the sinusoid's peak, the quarter around its trough, or
 // neither (-1, the shoulders).
-func (rp *rpState) dayPhase(t sim.Time) int {
+func (rp *replayLoad) dayPhase(t sim.Time) int {
 	day := rp.h.cfg.ReplayDayLength
 	if day <= 0 {
 		return -1
@@ -407,7 +319,7 @@ func (rp *rpState) dayPhase(t sim.Time) int {
 
 // phaseOf adds the storm override: instants inside a storm window (plus its
 // downtime, while effects persist) count as storm regardless of day phase.
-func (rp *rpState) phaseOf(t sim.Time) int {
+func (rp *replayLoad) phaseOf(t sim.Time) int {
 	for _, w := range rp.stormWindows {
 		if t >= w[0] && t < w[1] {
 			return rpStorm
@@ -419,7 +331,7 @@ func (rp *rpState) phaseOf(t sim.Time) int {
 	return rp.dayPhase(t)
 }
 
-func (rp *rpState) sampleUtil() {
+func (rp *replayLoad) sampleUtil() {
 	h := rp.h
 	idx := rp.phaseOf(h.eng.Now())
 	if idx < 0 {
@@ -442,17 +354,9 @@ func (rp *rpState) sampleUtil() {
 
 // ReplayClassStats is one service class's replay measurements.
 type ReplayClassStats struct {
-	Jobs               int     `json:"jobs"`
-	AdmissionP50MS     float64 `json:"admission_p50_ms"`
-	AdmissionP99MS     float64 `json:"admission_p99_ms"`
-	AdmissionMaxMS     float64 `json:"admission_max_ms"`
-	DemandToGrantP50MS float64 `json:"demand_to_grant_p50_ms"`
-	DemandToGrantP99MS float64 `json:"demand_to_grant_p99_ms"`
-	DemandToGrantMaxMS float64 `json:"demand_to_grant_max_ms"`
-	SLOMS              float64 `json:"slo_ms"`
-	SLOAttainedPct     float64 `json:"slo_attained_pct"`
-	Grants             uint64  `json:"grants"`
-	Revokes            uint64  `json:"revokes"`
+	ClassStats
+	Grants  uint64 `json:"grants"`
+	Revokes uint64 `json:"revokes"`
 	// PreemptionPct is revokes per hundred grants.
 	PreemptionPct float64 `json:"preemption_pct"`
 	// ShedPct is the class's gateway shed share of its submissions.
@@ -504,15 +408,15 @@ type ReplayStats struct {
 	DecisionHash string `json:"decision_hash"`
 }
 
-func (rp *rpState) snapshot(h *harness) *ReplayStats {
-	cfg := h.cfg
-	gw := h.gw.Snapshot()
+func (rp *replayLoad) report(res *Result) {
+	h, cfg := rp.h, rp.h.cfg
+	gw := res.Gateway
 	planned, skipped := h.inj.Planned()
 	rs := &ReplayStats{
 		Days:              cfg.ReplayDays,
 		DayLengthSec:      cfg.ReplayDayLength.Seconds(),
 		Sessions:          rp.sessions,
-		Submissions:       h.gwSubmitted,
+		Submissions:       rp.submitted,
 		SubmissionsPeak:   rp.subPeak,
 		SubmissionsTrough: rp.subTrough,
 		MeanBurstLen:      gw.MeanSessionLen,
@@ -523,49 +427,27 @@ func (rp *rpState) snapshot(h *harness) *ReplayStats {
 		MachinesKilled:    h.inj.Fired(faults.NodeDown),
 		MachinesBroken:    h.inj.Fired(faults.PartialWorkerFailure),
 		MachinesSlowed:    h.inj.Fired(faults.SlowMachine),
-		LaunchFailures:    rp.launchFails,
-		SlowHolds:         rp.slowHeld,
+		LaunchFailures:    h.launchFails,
+		SlowHolds:         h.slowHolds,
 		ShedPct:           gw.ShedRate * 100,
 		DecisionHash:      gw.DecisionHash,
+		Service:           rp.classStats(gateway.ClassService, gw.Service),
+		Batch:             rp.classStats(gateway.ClassBatch, gw.Batch),
 	}
-	for i := 0; i < rpNumPhases; i++ {
+	for i, out := range []*ReplayPhaseStats{rpPeak: &rs.Peak, rpTrough: &rs.Trough, rpStorm: &rs.Storm} {
 		acc := rp.phase[i]
-		ps := ReplayPhaseStats{Samples: acc.samples}
+		out.Samples = acc.samples
 		if acc.samples > 0 {
-			ps.CPUUtilPct = 100 * acc.cpu / float64(acc.samples)
-			ps.MemUtilPct = 100 * acc.mem / float64(acc.samples)
-		}
-		switch i {
-		case rpPeak:
-			rs.Peak = ps
-		case rpTrough:
-			rs.Trough = ps
-		case rpStorm:
-			rs.Storm = ps
+			out.CPUUtilPct = 100 * acc.cpu / float64(acc.samples)
+			out.MemUtilPct = 100 * acc.mem / float64(acc.samples)
 		}
 	}
-	rs.Service = rp.classStats(h, gateway.ClassService, gw.Service)
-	rs.Batch = rp.classStats(h, gateway.ClassBatch, gw.Batch)
-	return rs
+	res.Replay = rs
 }
 
-func (rp *rpState) classStats(h *harness, c gateway.Class, gcs gateway.ClassStats) ReplayClassStats {
-	adm, d2g := rp.admission[c], rp.d2g[c]
-	cs := ReplayClassStats{
-		Jobs:               rp.jobs[c],
-		AdmissionP50MS:     adm.Quantile(0.5),
-		AdmissionP99MS:     adm.Quantile(0.99),
-		AdmissionMaxMS:     adm.Max(),
-		DemandToGrantP50MS: d2g.Quantile(0.5),
-		DemandToGrantP99MS: d2g.Quantile(0.99),
-		DemandToGrantMaxMS: d2g.Max(),
-		SLOMS:              h.classSLOMS(c),
-		Grants:             rp.grants[c],
-		Revokes:            rp.revokes[c],
-	}
-	if rp.d2gN[c] > 0 {
-		cs.SLOAttainedPct = 100 * float64(rp.d2gOK[c]) / float64(rp.d2gN[c])
-	}
+func (rp *replayLoad) classStats(c gateway.Class, gcs gateway.ClassStats) ReplayClassStats {
+	l := rp.h.classes
+	cs := ReplayClassStats{ClassStats: l.stats(c), Grants: l.grants[c], Revokes: l.revokes[c]}
 	if cs.Grants > 0 {
 		cs.PreemptionPct = 100 * float64(cs.Revokes) / float64(cs.Grants)
 	}

@@ -7,6 +7,14 @@
 // (lanes.go) is the table of scenarios the harness ships — each one a Config
 // constructor pair, a pass/fail contract and its budget gates.
 //
+// The cluster itself comes from core.NewCluster, the one assembler. What a
+// Config adds to it is one workload — classic arrivals, churn, the gateway
+// generator, dataplane, replay — and a list of probes — failover timing,
+// chaos convergence, the obs client (workload.go; pick chooses them). The
+// harness calls through those two and names no mode, and every job reports
+// its grants and revocations through one path, so a lane is a Config and any
+// probe runs over any workload.
+//
 // The harness also runs the paper's headline fault-tolerance scenario at
 // full scale: true FuxiMaster crash/promote cycles (Config.MasterFailoverAt)
 // with hot-standby lease takeover, checkpoint epoch bumps, soft-state
@@ -23,13 +31,12 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/appmaster"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/gateway"
 	"repro/internal/invariant"
-	"repro/internal/lockservice"
 	"repro/internal/master"
 	"repro/internal/metrics"
-	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/transport"
@@ -98,7 +105,7 @@ type Config struct {
 
 	// Shards is inert: the sharded parallel scheduler it selected is gone
 	// (EXPERIMENTS.md, "Why the sharded scheduler was removed") and
-	// newHarness rejects values above 1. The field is still declared only
+	// Run rejects values above 1. The field is still declared only
 	// because bench/bench_test.go reads it and bench/ is closed to
 	// non-benchmark PRs; ROADMAP's Parked "bench/ follow-ups" drops both.
 	Shards int `json:"shards,omitempty"`
@@ -405,74 +412,39 @@ type Result struct {
 	Completed []string `json:"-"`
 }
 
-// scaleApp drives one application master's churn: request, hold, return,
-// re-request on revocation, unregister when every container completed one
-// hold cycle. It is its own appmaster.Callbacks.
-type scaleApp struct {
-	appmaster.NoCallbacks
-	h         *harness
-	am        *appmaster.AM
-	name      string
-	remaining int
-	done      bool
-	// width is the container count each unit demands; hold is how long
-	// granted containers are held. Classic and gateway jobs take both from
-	// the configuration, replay jobs draw them from the heavy-tailed
-	// distributions. class is the gateway service class the job was
-	// admitted under.
-	width int
-	hold  sim.Time
-	class gateway.Class
-	// pendingReq records, per unit (dense, 0 = none pending), when the
-	// oldest unanswered demand was sent, for the demand-to-grant latency
-	// histogram. Single-unit jobs — every gateway and replay job — slice
-	// pendingOne, so the table is not a heap object of its own.
-	pendingReq []sim.Time
-	pendingOne [2]sim.Time
-	// reqCount accumulates one instant's churn re-demand per unit, so the
-	// expiries of several machines' containers merge into one DemandUpdate.
-	reqCount []int
-	// unit1 is the unit definition of a job whose one unit is its own (every
-	// replay job draws its width): the application master's configuration
-	// slices it, so the definition is not a heap object either.
-	unit1 [1]resource.ScheduleUnit
-}
-
+// harness is one run: the cluster core.NewCluster wired, the workload that
+// feeds it jobs, the probes that measure it, and the counters every job's
+// observed decisions land in. Nothing below names a mode: what differs
+// between lanes is behind h.load and h.probes (pick chooses them).
 type harness struct {
-	cfg    Config
+	cfg Config
+	// cl is the cluster; eng, net, top, agents, gw (nil without a front door)
+	// and inj alias the parts the hot paths read.
+	cl     *core.Cluster
 	eng    *sim.Engine
 	net    *transport.Net
 	top    *topology.Topology
 	agents []*agent.Agent
-	// gw is the submission front door (gateway mode only); gwSubmitted
-	// counts load-generator submissions issued so far; gwUnitTmpl caches
-	// shared single-unit definition slices (see gwUnits).
-	gw          *gateway.Gateway
-	gwSubmitted int
-	gwUnitTmpl  map[int][]resource.ScheduleUnit
+	gw     *gateway.Gateway
 	// inj injects every fault of the run; each Config fault field only
 	// produces faults.Fault values for it.
 	inj *faults.Injector
-	// dp is the data-plane workload state (dataplane mode only).
-	dp *dpState
-	// rp is the trace-replay workload state (replay mode only).
-	rp *rpState
-	// cz is the chaos-mode state (chaos mode only).
-	cz *czState
-	// ob is the observability-mode state (obs mode only); ckpt is the
-	// shared durable checkpoint store, kept for byte accounting.
-	ob   *obsState
-	ckpt *master.CheckpointStore
-	// masters is the hot-standby pair (second entry nil without master
-	// failover); whichever holds the lease is primary.
-	masters []*master.Master
+
+	load   workload
+	probes []probe
+	// expire is the timer body that ends a synthetic job's hold on a grant:
+	// holdReturn, or holdExpire under churn.
+	expire func(any)
+	// classes is the per-class account of a workload whose jobs carry a
+	// gateway class it reports on (nil otherwise).
+	classes *classLedger
+
 	// apps lists the applications in start order; appsDone counts the
 	// finished ones still in it (see finish: they are squeezed out, order
 	// kept, so the list — and everything reachable from it — stays
 	// proportional to the jobs still open, not to the jobs ever served).
-	apps     []*scaleApp
+	apps     []*application
 	appsDone int
-	reg      *metrics.Registry
 	rng      *rand.Rand
 
 	latency   *metrics.Histogram
@@ -480,6 +452,11 @@ type harness struct {
 	revokes   uint64
 	completed int
 	names     []string
+	// launchFails counts grants bounced off a broken machine as launch
+	// failures, slowHolds holds a slow machine stretched by its factor (the
+	// injector has both tables).
+	launchFails uint64
+	slowHolds   uint64
 
 	// decHash is the running FNV-1a over the observed decision stream
 	// (Config.RecordDecisionHash); 0 means disabled.
@@ -489,87 +466,16 @@ type harness struct {
 	// for its closure-free hold timer; reqPend defers one instant's churn
 	// re-demands past its returns.
 	holdFree []*holdRec
-	reqPend  []*holdRec
+	reqPend  []redemand
 	reqArmed bool
 
-	// Master-failover bookkeeping. crashAt is the last crash instant;
-	// pauseAt arms the scheduling-pause measurement (cleared by the first
-	// grant arriving more than 1ms after the crash, which excludes the
-	// dead master's in-flight deliveries).
-	recovery   *metrics.Histogram
-	schedPause *metrics.Histogram
-	crashAt    sim.Time
-	pauseAt    sim.Time
-	lost       uint64
-	reissued   uint64
-	checker    *invariant.Checker
+	checker *invariant.Checker
 }
 
 // primary returns the current primary master (nil during an interregnum).
-func (h *harness) primary() *master.Master { return master.Primary(h.masters...) }
+func (h *harness) primary() *master.Master { return h.cl.Primary() }
 
-func (h *harness) primarySched() *master.Scheduler {
-	if p := h.primary(); p != nil {
-		return p.Scheduler()
-	}
-	return nil
-}
-
-// onFault is the injector's hook: a master crash starts the recovery and
-// scheduling-pause clocks, a healed partition the chaos convergence probe.
-func (h *harness) onFault(f faults.Fault, open bool) {
-	switch {
-	case f.Kind == faults.FuxiMasterFailure && open:
-		h.crashAt = h.eng.Now()
-		h.pauseAt = h.crashAt
-	case f.Kind == faults.NetworkPartition && !open && h.cz != nil:
-		h.cz.healed(f.Targets)
-	}
-}
-
-// onRecovered measures one completed failover: recovery latency, grants the
-// rebuilt ledger lost versus the application masters' views, and grants
-// reissued by the post-recovery assignment pass.
-func (h *harness) onRecovered(epoch, reissuedGrants int) {
-	if h.crashAt != 0 {
-		h.recovery.Observe(float64(h.eng.Now()-h.crashAt) / float64(sim.Millisecond))
-	}
-	h.reissued += uint64(reissuedGrants)
-	s := h.primarySched()
-	if s == nil {
-		return
-	}
-	for _, a := range h.apps {
-		if a.done {
-			continue
-		}
-		held := a.am.HeldSnapshot()
-		for unitID, machines := range held {
-			granted := s.Granted(a.name, unitID)
-			for m, n := range machines {
-				if d := n - granted[m]; d > 0 {
-					h.lost += uint64(d)
-				}
-			}
-		}
-	}
-	if h.dp != nil {
-		for _, j := range h.dp.jobs {
-			if j.am == nil || j.done {
-				continue
-			}
-			held := j.am.HeldSnapshot()
-			for unitID, machines := range held {
-				granted := s.Granted(j.id, unitID)
-				for m, n := range machines {
-					if d := n - granted[m]; d > 0 {
-						h.lost += uint64(d)
-					}
-				}
-			}
-		}
-	}
-}
+func (h *harness) primarySched() *master.Scheduler { return h.cl.Scheduler() }
 
 // Run executes one stress run and returns its measurements.
 func Run(cfg Config) (*Result, error) {
@@ -580,174 +486,87 @@ func Run(cfg Config) (*Result, error) {
 	return h.run(), nil
 }
 
-// gatewayMode reports whether jobs enter through the submission gateway.
-func (c Config) gatewayMode() bool { return c.GatewayUsers > 0 || c.Dataplane || c.Replay }
-
-// newHarness validates cfg, wires the cluster and arms the whole workload
-// and fault schedule; nothing beyond the election has run yet.
-func newHarness(cfg Config) (*harness, error) {
-	gwMode := cfg.gatewayMode()
-	if cfg.Racks <= 0 || cfg.MachinesPerRack <= 0 || cfg.UnitsPerApp <= 0 {
-		return nil, fmt.Errorf("scale: non-positive cluster or workload dimension")
-	}
-	if cfg.Chaos && gwMode {
-		return nil, fmt.Errorf("scale: chaos mode runs the classic or churn workload, not a gateway mode")
-	}
-	if cfg.Shards > 1 {
-		return nil, fmt.Errorf("scale: Shards = %d, but the sharded parallel scheduler was removed (EXPERIMENTS.md); there is one serial scheduling path", cfg.Shards)
-	}
-	if cfg.Obs && cfg.RoundWindow <= 0 {
-		return nil, fmt.Errorf("scale: obs mode samples per scheduling round and needs RoundWindow > 0")
-	}
-	if cfg.Replay {
-		if cfg.Dataplane {
-			return nil, fmt.Errorf("scale: replay and dataplane modes are mutually exclusive")
-		}
-		if cfg.ReplayDays <= 0 || cfg.ReplayDayLength <= 0 || cfg.ReplaySessionsPerSec <= 0 {
-			return nil, fmt.Errorf("scale: replay mode needs positive days, day length, and session rate")
-		}
-		if cfg.GatewayUsers <= 0 {
-			return nil, fmt.Errorf("scale: replay mode needs a tenant population")
-		}
+// validated checks cfg and returns it normalised. With pick, it is the only
+// reader of the fields that select a workload or a probe.
+func (cfg Config) validated() (Config, error) {
+	viaGateway := cfg.GatewayUsers > 0 || cfg.Dataplane || cfg.Replay
+	switch {
+	case cfg.Racks <= 0 || cfg.MachinesPerRack <= 0 || cfg.UnitsPerApp <= 0,
+		!viaGateway && cfg.Apps <= 0:
+		return cfg, fmt.Errorf("scale: non-positive cluster or workload dimension")
+	case cfg.Shards > 1:
+		return cfg, fmt.Errorf("scale: Shards = %d, but the sharded parallel scheduler was removed (EXPERIMENTS.md); there is one serial scheduling path", cfg.Shards)
+	case cfg.Obs && cfg.RoundWindow <= 0:
+		return cfg, fmt.Errorf("scale: obs mode samples per scheduling round and needs RoundWindow > 0")
+	case cfg.Churn && viaGateway:
+		return cfg, fmt.Errorf("scale: churn is the steady state of the classic arrivals; a gateway-fed job that never completes never frees its admission slot")
+	case cfg.Replay && cfg.Dataplane:
+		return cfg, fmt.Errorf("scale: replay and dataplane modes are mutually exclusive")
+	case cfg.Replay && (cfg.ReplayDays <= 0 || cfg.ReplayDayLength <= 0 || cfg.ReplaySessionsPerSec <= 0):
+		return cfg, fmt.Errorf("scale: replay mode needs positive days, day length, and session rate")
+	case cfg.Replay && cfg.GatewayUsers <= 0:
+		return cfg, fmt.Errorf("scale: replay mode needs a tenant population")
 	}
 	if cfg.Dataplane {
 		// Data-plane jobs ride the gateway admission path; the submission
-		// count workloadDone waits for is the job count.
-		total := cfg.GraySortJobs + cfg.DAGJobs + cfg.ServiceJobs
-		if total <= 0 {
-			return nil, fmt.Errorf("scale: dataplane mode needs at least one job")
+		// count the workload waits for is the job count.
+		cfg.GatewaySubmissions = cfg.GraySortJobs + cfg.DAGJobs + cfg.ServiceJobs
+		if cfg.GatewaySubmissions <= 0 {
+			return cfg, fmt.Errorf("scale: dataplane mode needs at least one job")
 		}
 		if cfg.ServiceJobs > 0 && (cfg.ServiceOps < 0 || cfg.ServiceOpEvery <= 0) {
-			return nil, fmt.Errorf("scale: dataplane service jobs need a positive op period")
+			return cfg, fmt.Errorf("scale: dataplane service jobs need a positive op period")
 		}
-		cfg.GatewaySubmissions = total
 	}
-	if gwMode && !cfg.Replay && cfg.GatewaySubmissions <= 0 {
+	if viaGateway && !cfg.Replay && cfg.GatewaySubmissions <= 0 {
 		// Replay is open-loop: the submission count follows from the arrival
 		// process rather than a preset target.
-		return nil, fmt.Errorf("scale: gateway mode needs a positive submission count")
+		return cfg, fmt.Errorf("scale: gateway mode needs a positive submission count")
 	}
-	if !gwMode && cfg.Apps <= 0 {
-		return nil, fmt.Errorf("scale: non-positive cluster or workload dimension")
-	}
-	top, err := topology.Build(topology.Spec{
-		Racks: cfg.Racks, MachinesPerRack: cfg.MachinesPerRack,
-		MachineCapacity: topology.PaperTestbedMachine(),
-	})
+	return cfg, nil
+}
+
+// newHarness validates cfg, has core.NewCluster wire the cluster the
+// workload and probes ask for, and arms the whole workload and fault
+// schedule; nothing beyond the election has run yet.
+func newHarness(cfg Config) (*harness, error) {
+	cfg, err := cfg.validated()
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine(cfg.Seed)
-	// Fixed latency, no jitter: same-instant messages then deliver in send
-	// order, which the incremental protocol's happy path assumes (an app's
-	// RegisterApp must precede its first DemandUpdate; reordering is legal
-	// but falls back to the slow full-sync repair path).
-	net := transport.NewNet(eng)
-	lock := lockservice.New(eng)
-	ckpt := master.NewCheckpointStore()
-	reg := metrics.NewRegistry()
-
-	mcfg := master.DefaultConfig("fm-scale-1")
-	mcfg.BatchWindow = cfg.RoundWindow
-	if gwMode {
-		// Gateway priority classes map onto scheduler quota groups (zero
-		// minimum: usage accounting, no guarantee).
-		mcfg.Sched.Groups = map[string]resource.Vector{}
-		for cl := gateway.Class(0); cl < gateway.NumClasses; cl++ {
-			mcfg.Sched.Groups[cl.QuotaGroup()] = resource.Vector{}
-		}
-	}
 	h := &harness{
-		cfg: cfg, eng: eng, net: net, top: top, reg: reg,
-		inj:        faults.NewInjector(eng, net, top.Size()),
-		rng:        rand.New(rand.NewSource(cfg.Seed + 1)),
-		latency:    reg.Histogram("scale.demand_to_grant_ms"),
-		recovery:   reg.Histogram("scale.master_recovery_ms"),
-		schedPause: reg.Histogram("scale.sched_pause_ms"),
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
+		latency: metrics.NewHistogram("scale.demand_to_grant_ms"),
 	}
-	h.ckpt = ckpt
-	h.inj.Hook = h.onFault
-	// Each master reaches the lock service unless a LockPartition fault cut it
-	// off while its data-plane links stay up.
-	mcfg.LockReachable = func() bool { return h.inj.LockReachable(0) }
 	if cfg.RecordDecisionHash {
 		h.decHash = fnvOffset
 	}
-	if cfg.Obs {
-		h.ob = newObsState(h)
-		mcfg.Obs = h.ob.store
-		mcfg.ObsSampler = h.ob.sample
-		// Track what full-snapshot-per-write would have cost, so the obs
-		// section reports the delta log's measured saving.
-		ckpt.TrackFullCost = true
+	h.pick()
+	cc := core.Config{
+		Racks: cfg.Racks, MachinesPerRack: cfg.MachinesPerRack, Seed: cfg.Seed,
+		Master:  master.Config{BatchWindow: cfg.RoundWindow},
+		Gateway: h.load.frontDoor(),
 	}
-	if cfg.Dataplane {
-		h.dp = newDPState(h)
+	for _, p := range h.probes {
+		p.need(&cc)
 	}
-	if cfg.Replay {
-		h.rp = newRPState(h)
+	if h.cl, err = core.NewCluster(cc); err != nil {
+		return nil, err
 	}
-	if cfg.Chaos {
-		h.cz = newCZState(h)
-	}
-	if len(cfg.MasterFailoverAt) > 0 {
-		mcfg.OnRecovered = h.onRecovered
-	}
-	if gwMode {
-		// The gateway boots before the masters so the epoch-1 promotion
-		// already finds its endpoint registered.
-		lim := gateway.DefaultLimits()
-		if cfg.GatewayLimits != nil {
-			lim = *cfg.GatewayLimits
+	cl := h.cl
+	h.eng, h.net, h.top, h.agents, h.gw, h.inj = cl.Eng, cl.Net, cl.Top, cl.Agents, cl.Gateway, cl.Faults
+	h.inj.Hook = func(f faults.Fault, open bool) {
+		for _, p := range h.probes {
+			p.fault(f, open)
 		}
-		if cfg.Replay && lim.SessionGap == 0 && cfg.ReplayBurstGap > 0 {
-			// Track burst sessions at the gateway: a gap of several mean
-			// intra-burst spacings separates sessions.
-			lim.SessionGap = 5 * cfg.ReplayBurstGap
-		}
-		onReg := h.spawnGatewayJob
-		if cfg.Dataplane {
-			onReg = h.spawnDataplaneJob
-		} else if cfg.Replay {
-			onReg = h.spawnReplayJob
-		}
-		h.gw = gateway.New(gateway.Config{
-			Limits:          lim,
-			OnRegistered:    onReg,
-			RecordDecisions: cfg.RecordGatewayDecisions,
-		}, eng, net)
 	}
-	h.masters = append(h.masters, master.NewMaster(mcfg, eng, net, lock, top, ckpt, reg))
-	needStandby := len(cfg.MasterFailoverAt) > 0 ||
-		(cfg.Chaos && cfg.ChaosLockPartitionAt > 0 && cfg.ChaosLockPartitionFor > 0)
-	if needStandby {
-		m2 := mcfg
-		m2.ProcessName = "fm-scale-2"
-		m2.LockReachable = func() bool { return h.inj.LockReachable(1) }
-		h.masters = append(h.masters, master.NewMaster(m2, eng, net, lock, top, ckpt, reg))
-	}
-	h.inj.Masters = h.masters
-	// The crashed process restarts as the new standby once its successor's
-	// recovery window has passed.
-	restartAfter := mcfg.LockTTL + mcfg.RecoveryWindow + sim.Second
-	for _, at := range cfg.MasterFailoverAt {
-		h.inj.Apply(faults.Schedule{{Kind: faults.FuxiMasterFailure, At: at, For: restartAfter}})
-	}
-	eng.Run(10 * sim.Millisecond) // let the election settle
-
-	acfg := agent.DefaultConfig()
-	for _, m := range top.Machines() {
-		h.agents = append(h.agents, agent.New(acfg, eng, net, top.Machine(m)))
-	}
-	h.inj.Agents = h.agents
 
 	if cfg.CheckInvariants {
 		h.checker = &invariant.Checker{
-			Top:   top,
-			Sched: h.primarySched,
-			Agents: func() []*agent.Agent {
-				return h.agents
-			},
+			Top:    h.top,
+			Sched:  h.primarySched,
+			Agents: func() []*agent.Agent { return h.agents },
 			AMs: func() []*appmaster.AM {
 				ams := make([]*appmaster.AM, 0, len(h.apps))
 				for _, a := range h.apps {
@@ -755,22 +574,15 @@ func newHarness(cfg Config) (*harness, error) {
 						ams = append(ams, a.am)
 					}
 				}
-				if h.dp != nil {
-					for _, j := range h.dp.jobs {
-						if j.am != nil && !j.done {
-							ams = append(ams, j.am)
-						}
-					}
-				}
 				return ams
 			},
-			Ckpt:    ckpt,
+			Ckpt:    cl.Ckpt,
 			Gateway: h.gw,
 		}
 		// Conservation invariants after every virtual second of scheduling
-		// rounds (plus admission conservation in gateway mode); ledger
+		// rounds (plus admission conservation behind a gateway); ledger
 		// agreement is checked at the settled end of the run.
-		eng.Every(sim.Second, func() {
+		h.eng.Every(sim.Second, func() {
 			h.checker.CheckScheduler()
 			if h.gw != nil {
 				h.checker.CheckAdmission(false)
@@ -778,34 +590,18 @@ func newHarness(cfg Config) (*harness, error) {
 		})
 	}
 
-	if cfg.Dataplane {
-		if err := h.scheduleDataplane(); err != nil {
-			return nil, err
-		}
-	} else if cfg.Replay {
-		h.scheduleReplay()
-	} else if gwMode {
-		h.scheduleSubmissions()
-	} else {
-		// Schedule app arrivals uniformly across the window.
-		for i := 0; i < cfg.Apps; i++ {
-			at := eng.Now() + sim.Time(int64(cfg.ArrivalWindow)*int64(i)/int64(cfg.Apps))
-			idx := i
-			eng.At(at, func() { h.spawnApp(idx) })
-		}
+	if err := h.load.arm(); err != nil {
+		return nil, err
 	}
-	if cfg.Chaos {
-		h.scheduleChaos()
-	}
-	if h.ob != nil {
-		h.ob.schedule()
+	for _, p := range h.probes {
+		p.arm()
 	}
 
 	// Failover churn: crash a random machine (drawn at fire time, from the
 	// workload stream), restart after the downtime — long enough for the
 	// heartbeat timeout to declare it dead and revoke its grants.
 	if cfg.FailoverEvery > 0 {
-		eng.Every(cfg.FailoverEvery, func() {
+		h.eng.Every(cfg.FailoverEvery, func() {
 			h.inj.Fire(faults.Fault{
 				Kind: faults.NodeDown, For: cfg.FailoverDowntime,
 				Targets: []int32{int32(h.rng.Intn(len(h.agents)))},
@@ -818,19 +614,18 @@ func newHarness(cfg Config) (*harness, error) {
 // run drives the armed harness to its horizon (or until the workload
 // drains) and collects the measurements.
 func (h *harness) run() *Result {
-	cfg, eng, net, top := h.cfg, h.eng, h.net, h.top
-	gwMode := cfg.gatewayMode()
+	cfg, eng, net := h.cfg, h.eng, h.net
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	slice := 500 * sim.Millisecond
 	evBase, msgBase, batchBase := uint64(0), uint64(0), uint64(0)
-	if cfg.Churn {
+	if from, _ := h.load.window(); from > 0 {
 		// Warmup: arrivals plus enough hold cycles to reach steady state.
 		// Everything measured — decisions, allocations, messages, events,
 		// latency — restarts at the warmup boundary, so the section reports
 		// pure steady-state cost.
-		for eng.Now() < cfg.ChurnWarmup {
+		for eng.Now() < from {
 			eng.Run(eng.Now() + slice)
 		}
 		h.grants, h.revokes = 0, 0
@@ -841,13 +636,13 @@ func (h *harness) run() *Result {
 		runtime.ReadMemStats(&before)
 		start = time.Now()
 	}
-	for eng.Now() < cfg.Horizon && !h.workloadDone() {
+	for eng.Now() < cfg.Horizon && !h.load.drained() {
 		eng.Run(eng.Now() + slice)
 	}
 	wall := time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
 
-	if h.checker != nil && h.workloadDone() {
+	if h.checker != nil && h.load.drained() {
 		// Let in-flight control traffic land (one-way latency is 200µs;
 		// two virtual seconds covers every outstanding round trip), then
 		// verify the settled cross-component ledgers and the checkpoint
@@ -860,7 +655,7 @@ func (h *harness) run() *Result {
 		eng.Run(eng.Now() + 2*sim.Second)
 		h.checker.CheckAll(true)
 		saved := cfg.Apps
-		if gwMode {
+		if h.gw != nil {
 			saved = int(h.gw.Snapshot().Registered)
 		}
 		blkBudget := 2 * h.inj.Fired(faults.NodeDown) * (1 + len(cfg.MasterFailoverAt))
@@ -872,14 +667,14 @@ func (h *harness) run() *Result {
 		// writes. A snapshot-per-write regression re-appears as O(apps) bytes
 		// per record and blows this line immediately.
 		perRec := int64(128 + 96*cfg.UnitsPerApp)
-		anchors := int64(writeBudget/h.ckpt.CompactionCadence() + 1)
+		anchors := int64(writeBudget/h.cl.Ckpt.CompactionCadence() + 1)
 		anchorCap := int64(saved+2) * perRec
 		h.checker.CheckCheckpointBytes(int64(writeBudget)*perRec + anchors*anchorCap)
 	}
 
 	res := &Result{
 		Config:         cfg,
-		Machines:       top.Size(),
+		Machines:       h.top.Size(),
 		Units:          cfg.Apps * cfg.UnitsPerApp,
 		Grants:         h.grants,
 		Revokes:        h.revokes,
@@ -894,14 +689,15 @@ func (h *harness) run() *Result {
 		MessageBatches: net.Stats().Batches - batchBase,
 		CompletedApps:  h.completed,
 		SimSeconds:     eng.Now().Seconds(),
+		Completed:      h.names,
+		Truncated:      !h.load.drained(),
 	}
 	if res.Decisions > 0 {
 		res.DecisionsPerSec = float64(res.Decisions) / wall
 		res.AllocsPerDecision = float64(after.Mallocs-before.Mallocs) / float64(res.Decisions)
 	}
-	res.Completed = h.names
-	res.Truncated = !h.workloadDone() && !cfg.Churn
-	if gwMode {
+	if h.gw != nil {
+		// Before the workload's report: replay's reads res.Gateway.
 		res.Units = h.completed * cfg.UnitsPerApp
 		res.Gateway = h.gw.Snapshot()
 		res.GatewayDecisions = h.gw.Decisions()
@@ -910,18 +706,9 @@ func (h *harness) run() *Result {
 			res.MessagesPerAdmission = float64(res.MessagesSent) / float64(res.Gateway.Registered)
 		}
 	}
-	if h.dp != nil {
-		res.Units = h.dp.units
-		res.Dataplane = h.dp.snapshot(h)
-	}
-	if h.rp != nil {
-		res.Replay = h.rp.snapshot(h)
-	}
-	if h.cz != nil {
-		res.Chaos = h.cz.snapshot(h)
-	}
-	if h.ob != nil {
-		res.Obs = h.ob.snapshot(h)
+	h.load.report(res)
+	for _, p := range h.probes {
+		p.report(res)
 	}
 	if h.decHash != 0 {
 		res.DecisionStreamHash = fmt.Sprintf("%016x", h.decHash)
@@ -932,247 +719,9 @@ func (h *harness) run() *Result {
 	} else if s := h.primarySched(); s != nil {
 		res.Invariants = s.CheckAllInvariants()
 	}
-	if len(cfg.MasterFailoverAt) > 0 {
-		res.MasterFailovers = h.inj.Fired(faults.FuxiMasterFailure)
-		res.RecoveryMeanMS = h.recovery.Mean()
-		res.RecoveryP50MS = h.recovery.Quantile(0.5)
-		res.RecoveryP99MS = h.recovery.Quantile(0.99)
-		res.RecoveryMaxMS = h.recovery.Max()
-		res.SchedPauseP50MS = h.schedPause.Quantile(0.5)
-		res.SchedPauseP99MS = h.schedPause.Quantile(0.99)
-		res.SchedPauseMaxMS = h.schedPause.Max()
-		res.GrantsLost = h.lost
-		res.GrantsReissued = h.reissued
-		res.CheckpointWrites = h.ckpt.Writes
-		res.CheckpointBytes = h.ckpt.Bytes()
-		if saved := cfg.Apps; saved > 0 {
-			res.CheckpointBytesPerJob = float64(h.ckpt.Bytes()) / float64(saved)
-		}
-	}
 	return res
 }
 
 // DefaultRoundWindow is the scheduling-round width of every lane that
 // batches rounds.
 const DefaultRoundWindow = 20 * sim.Millisecond
-
-// unitSize varies container shapes across units so the multi-dimensional
-// matcher sees heterogeneous requests.
-func unitSize(i int) resource.Vector {
-	switch i % 3 {
-	case 0:
-		return resource.New(500, 2048)
-	case 1:
-		return resource.New(1000, 4096)
-	default:
-		return resource.New(250, 1024)
-	}
-}
-
-// startApp creates one application and starts its application master (which
-// registers with FuxiMaster at once); the caller sends the first demand.
-func (h *harness) startApp(name, group string, units []resource.ScheduleUnit, width int, hold sim.Time) *scaleApp {
-	return h.start(&scaleApp{h: h, name: name, width: width, hold: hold}, group, units)
-}
-
-// startUnitApp is startApp for a job with one unit that nothing else shares:
-// the definition is stored in the scaleApp itself.
-func (h *harness) startUnitApp(name, group string, unit resource.ScheduleUnit, width int, hold sim.Time) *scaleApp {
-	app := &scaleApp{h: h, name: name, width: width, hold: hold}
-	app.unit1[0] = unit
-	return h.start(app, group, app.unit1[:])
-}
-
-func (h *harness) start(app *scaleApp, group string, units []resource.ScheduleUnit) *scaleApp {
-	app.remaining = len(units) * app.width
-	if n := len(units) + 1; n <= len(app.pendingOne) {
-		app.pendingReq = app.pendingOne[:n]
-	} else {
-		app.pendingReq = make([]sim.Time, n)
-	}
-	h.apps = append(h.apps, app)
-	fullSync := h.cfg.FullSyncEvery
-	if fullSync == 0 {
-		fullSync = 10 * sim.Second
-	}
-	app.am = appmaster.New(appmaster.Config{
-		App: app.name, QuotaGroup: group, Units: units, FullSyncInterval: fullSync,
-	}, h.eng, h.net, h.top, app)
-	return app
-}
-
-// appsSqueezeSlack is how far finished applications may outnumber open ones
-// in h.apps before they are squeezed out.
-const appsSqueezeSlack = 64
-
-// finish ends an application whose last container came back: unregister,
-// count it, complete it at the gateway (freeing its in-flight slot), and
-// drop it from h.apps once the finished outnumber the open. The squeeze
-// keeps order, so onRecovered and the checker's AMs() walk the open
-// applications in the same sequence as if nothing had been removed.
-func (h *harness) finish(a *scaleApp) {
-	a.done = true
-	a.am.Unregister()
-	h.completed++
-	h.names = append(h.names, a.name)
-	if h.gw != nil {
-		h.gw.JobCompleted(a.name)
-	}
-	h.appsDone++
-	if h.appsDone <= len(h.apps)-h.appsDone+appsSqueezeSlack {
-		return
-	}
-	open := h.apps[:0]
-	for _, o := range h.apps {
-		if !o.done {
-			open = append(open, o)
-		}
-	}
-	for i := len(open); i < len(h.apps); i++ {
-		h.apps[i] = nil
-	}
-	h.apps, h.appsDone = open, 0
-}
-
-func (h *harness) spawnApp(idx int) {
-	cfg := h.cfg
-	name := fmt.Sprintf("scale-app-%04d", idx)
-	units := make([]resource.ScheduleUnit, 0, cfg.UnitsPerApp)
-	for u := 0; u < cfg.UnitsPerApp; u++ {
-		units = append(units, resource.ScheduleUnit{
-			ID:       u + 1,
-			Priority: 1 + (idx+u)%4,
-			Size:     unitSize(idx + u),
-			MaxCount: cfg.ContainersPerUnit,
-		})
-	}
-	app := h.startApp(name, "", units, cfg.ContainersPerUnit, cfg.HoldTime)
-	// Demand with a locality mix: some units pin a machine, some prefer a
-	// rack, the rest are cluster-wide — exercising all three tree levels.
-	// The demand follows registration after a registration round-trip's
-	// worth of delay, mirroring how the example application masters behave.
-	machines := h.top.Machines()
-	racks := h.top.Racks()
-	h.eng.After(sim.Millisecond, func() {
-		for u := 1; u <= cfg.UnitsPerApp; u++ {
-			var hints []resource.LocalityHint
-			rest := cfg.ContainersPerUnit
-			switch u % 10 {
-			case 0:
-				hints = append(hints, resource.LocalityHint{
-					Type: resource.LocalityMachine, Value: machines[h.rng.Intn(len(machines))], Count: 1,
-				})
-				rest--
-			case 1:
-				hints = append(hints, resource.LocalityHint{
-					Type: resource.LocalityRack, Value: racks[h.rng.Intn(len(racks))], Count: 1,
-				})
-				rest--
-			}
-			if rest > 0 {
-				hints = append(hints, resource.LocalityHint{Type: resource.LocalityCluster, Count: rest})
-			}
-			app.pendingReq[u] = h.eng.Now()
-			app.am.Request(u, hints...)
-		}
-	})
-}
-
-// hashDecision folds one grant/revoke the application masters observe
-// into the running FNV-1a decision-stream hash, in delivery order (the
-// simulator delivers deterministically): equal hashes witness
-// byte-identical decision streams. Constants are shared with the
-// observability checksum (obs.go).
-func (h *harness) hashDecision(name string, unitID int, machine int32, count int, revoke bool) {
-	if h.decHash == 0 {
-		return
-	}
-	x := h.decHash
-	for i := 0; i < len(name); i++ {
-		x = (x ^ uint64(name[i])) * fnvPrime
-	}
-	fold := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			x = (x ^ (v >> s & 0xff)) * fnvPrime
-		}
-	}
-	fold(uint64(unitID))
-	fold(uint64(uint32(machine)))
-	fold(uint64(count))
-	if revoke {
-		fold(1)
-	} else {
-		fold(0)
-	}
-	h.decHash = x
-}
-
-// OnGrant implements appmaster.Callbacks.
-func (a *scaleApp) OnGrant(unitID int, machine int32, count int) {
-	h := a.h
-	h.grants += uint64(count)
-	h.hashDecision(a.name, unitID, machine, count, false)
-	if h.cz != nil {
-		h.cz.noteGrant(machine, count)
-	}
-	if h.pauseAt != 0 && h.eng.Now()-h.pauseAt > sim.Millisecond {
-		// First grant from the promoted successor (the dead master's
-		// in-flight deliveries all land within one message latency).
-		h.schedPause.Observe(float64(h.eng.Now()-h.pauseAt) / float64(sim.Millisecond))
-		h.pauseAt = 0
-	}
-	if at := a.pendingReq[unitID]; at != 0 {
-		ms := float64(h.eng.Now()-at) / float64(sim.Millisecond)
-		h.latency.Observe(ms)
-		if h.rp != nil {
-			h.rp.observeD2G(a.class, ms)
-		}
-		a.pendingReq[unitID] = 0
-	}
-	if h.rp != nil {
-		h.rp.grant(a, unitID, machine, count)
-		return
-	}
-	if h.cfg.Churn {
-		// Steady-state cycle: hold, then return-and-re-demand forever.
-		h.postHold(a.hold, holdExpire, a, unitID, machine, count)
-		return
-	}
-	// Hold the containers, then return them.
-	h.postHold(a.hold, holdReturn, a, unitID, machine, count)
-}
-
-// holdReturn is the hold timer of every workload but churn: return what is
-// still held of the grant — revoked containers skip the return, they
-// re-entered via OnRevoke's re-request — and finish the job with its last
-// container.
-func holdReturn(x any) {
-	a, unitID, machine, n := takeHold(x.(*holdRec))
-	if n <= 0 {
-		return
-	}
-	a.am.ReturnContainers(unitID, machine, n)
-	a.remaining -= n
-	if a.remaining <= 0 && !a.done {
-		a.h.finish(a)
-	}
-}
-
-// OnRevoke implements appmaster.Callbacks.
-func (a *scaleApp) OnRevoke(unitID int, machine int32, count int) {
-	h := a.h
-	h.revokes += uint64(count)
-	h.hashDecision(a.name, unitID, machine, count, true)
-	if h.cz != nil {
-		h.cz.noteRevoke(count)
-	}
-	if h.rp != nil {
-		h.rp.revokes[a.class] += uint64(count)
-	}
-	// Failover took the containers mid-hold: restate the demand so the
-	// churn completes (paper §3.1 step 7 — the JobMaster re-requests).
-	if a.pendingReq[unitID] == 0 {
-		a.pendingReq[unitID] = h.eng.Now()
-	}
-	a.am.Request(unitID, resource.LocalityHint{Type: resource.LocalityCluster, Count: count})
-}

@@ -168,3 +168,22 @@ func TestRejectsBadConfig(t *testing.T) {
 		t.Errorf("Shards > 1: err = %v, want one naming the removal", err)
 	}
 }
+
+// TestEarlyMasterFailoverIsMeasured: a crash time inside the assembler's
+// election settle fires as soon as the cluster is up — after the probes' hook
+// is installed — so it is timed like any other.
+func TestEarlyMasterFailoverIsMeasured(t *testing.T) {
+	cfg := tiny().WithMasterFailovers(1)
+	cfg.MasterFailoverAt[0] = 5 * 1000 // 5 sim-milliseconds
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MasterFailovers != 1 || res.RecoveryMaxMS <= 0 || res.SchedPauseMaxMS <= 0 {
+		t.Errorf("failovers %d, recovery max %.1f ms, pause max %.1f ms: the crash went unmeasured",
+			res.MasterFailovers, res.RecoveryMaxMS, res.SchedPauseMaxMS)
+	}
+	if res.CompletedApps != cfg.Apps || len(res.Invariants) > 0 {
+		t.Errorf("completed %d of %d apps, violations %v", res.CompletedApps, cfg.Apps, res.Invariants)
+	}
+}
