@@ -238,7 +238,7 @@ func BenchmarkAblationIncrementalVsFull(b *testing.B) {
 		demandMsgs := 0
 		c.Net.Tap = func(from, to string, msg transport.Message) {
 			switch msg.(type) {
-			case *protocol.DemandUpdate, protocol.FullDemandSync:
+			case *protocol.DemandUpdate, *protocol.FullDemandSync:
 				demandMsgs++
 			}
 		}

@@ -21,6 +21,8 @@
 package appmaster
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/dense"
@@ -636,22 +638,15 @@ func (a *AM) Stopped() bool { return a.stopped }
 // any epoch-stamped message arrived).
 func (a *AM) MasterEpoch() int { return a.gate.Current() }
 
-// HeldSnapshot returns a copy of the full container ledger
-// (unit -> machine name -> count), for the cluster-wide invariant checker.
-func (a *AM) HeldSnapshot() map[int]map[string]int {
-	out := make(map[int]map[string]int, len(a.cfg.Units))
-	for ui := range a.units {
-		cells := a.units[ui].held.Cells()
-		if len(cells) == 0 {
-			continue
-		}
-		mc := make(map[string]int, len(cells))
-		for _, c := range cells {
-			mc[a.top.MachineName(int32(c.Key))] = c.Val
-		}
-		out[a.cfg.Units[ui].ID] = mc
+// HeldCells returns a unit's container ledger as (machine ID, count) rows in
+// machine order, for the readers that compare it against the master's (the
+// invariant checker, the failover probe). The slice is the ledger itself:
+// read it, do not keep or modify it.
+func (a *AM) HeldCells(unitID int) []dense.Cell[int] {
+	if l := a.peekLedger(unitID); l != nil {
+		return l.held.Cells()
 	}
-	return out
+	return nil
 }
 
 // staleEpoch fences grant updates from a deposed primary, resetting the
@@ -827,33 +822,31 @@ func (a *AM) fullSync() {
 	// flush them first or the master would see phantom grants and emit
 	// revocation fixes for containers the app already gave back.
 	a.flushReturns()
-	// A unit appears in Demand while it has demand outstanding and in Held
-	// while it holds anything; the master reads an absent unit as empty.
-	demand := make(map[int][]resource.LocalityHint, len(a.units))
-	heldCopy := make(map[int]map[int32]int, len(a.cfg.Units))
+	s := transport.Acquire[protocol.FullDemandSync](a.net)
+	s.App, s.QuotaGroup, s.Units, s.Seq = a.cfg.App, a.cfg.QuotaGroup, a.cfg.Units, a.seq.Current()
+	s.SeenGrantSeq = a.dedup.LastCh(int32(a.masterID), protocol.ChanGrant)
+	// Each unit's ledgers become its runs, copied straight out of the
+	// key-sorted tables: held cells are in machine order already; demand
+	// cells are in (level, node ID) order, which differs from the wire's
+	// (level, name) only for names outside the topology.
 	for ui := range a.units {
 		l, unitID := &a.units[ui], a.cfg.Units[ui].ID
-		if cells := l.out.Cells(); len(cells) > 0 {
-			hints := make([]resource.LocalityHint, 0, len(cells))
-			for _, c := range cells {
-				hints = append(hints, a.keyHint(c.Key, c.Val))
-			}
-			// Key order is (level, node ID); the wire order is (level, name).
-			// They differ only for names outside the topology.
-			resource.SortHints(hints)
-			demand[unitID] = hints
+		n := len(s.Demand)
+		for _, c := range l.out.Cells() {
+			s.Demand = append(s.Demand, protocol.SyncHint{UnitID: unitID, LocalityHint: a.keyHint(c.Key, c.Val)})
 		}
-		if cells := l.held.Cells(); len(cells) > 0 {
-			mc := make(map[int32]int, len(cells))
-			for _, c := range cells {
-				mc[int32(c.Key)] = c.Val
-			}
-			heldCopy[unitID] = mc
+		slices.SortFunc(s.Demand[n:], func(x, y protocol.SyncHint) int {
+			return resource.CompareHints(x.LocalityHint, y.LocalityHint)
+		})
+		for _, c := range l.held.Cells() {
+			s.Held = append(s.Held, protocol.SyncHeld{UnitID: unitID, Machine: int32(c.Key), Count: c.Val})
 		}
 	}
-	a.sendToMaster(protocol.FullDemandSync{
-		App: a.cfg.App, QuotaGroup: a.cfg.QuotaGroup, Units: a.cfg.Units,
-		Demand: demand, Held: heldCopy, Seq: a.seq.Current(),
-		SeenGrantSeq: a.dedup.LastCh(int32(a.masterID), protocol.ChanGrant),
-	})
+	// Runs go in unit-ID order; a job that defined its units out of order
+	// has them re-ordered here, each run intact.
+	if !slices.IsSortedFunc(a.cfg.Units, func(x, y resource.ScheduleUnit) int { return cmp.Compare(x.ID, y.ID) }) {
+		slices.SortStableFunc(s.Demand, func(x, y protocol.SyncHint) int { return cmp.Compare(x.UnitID, y.UnitID) })
+		slices.SortStableFunc(s.Held, func(x, y protocol.SyncHeld) int { return cmp.Compare(x.UnitID, y.UnitID) })
+	}
+	a.sendToMaster(s)
 }

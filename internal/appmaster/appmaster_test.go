@@ -275,12 +275,14 @@ func TestMasterHelloTriggersReRegisterAndFullSync(t *testing.T) {
 			sawReg = true
 		case protocol.FullDemandSync:
 			sawSync = true
-			if s.Held[1][h.top.MachineID("r000m000")] != 4 {
+			if syncHeld(s, 1, h.top.MachineID("r000m000")) != 4 {
 				t.Errorf("sync held = %v", s.Held)
 			}
 			total := 0
-			for _, hnt := range s.Demand[1] {
-				total += hnt.Count
+			for _, hnt := range s.Demand {
+				if hnt.UnitID == 1 {
+					total += hnt.Count
+				}
 			}
 			if total != 6 {
 				t.Errorf("sync demand = %d, want 6", total)

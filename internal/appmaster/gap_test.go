@@ -18,6 +18,16 @@ func (h *harness) fullSyncs() []protocol.FullDemandSync {
 	return out
 }
 
+// syncHeld reads one (unit, machine) count out of a recorded full sync.
+func syncHeld(fs protocol.FullDemandSync, unitID int, machine int32) int {
+	for _, h := range fs.Held {
+		if h.UnitID == unitID && h.Machine == machine {
+			return h.Count
+		}
+	}
+	return 0
+}
+
 // A gap in the per-app grant stream means an update to THIS app was lost:
 // the app must push its full picture immediately instead of drifting until
 // the periodic safety sync.
@@ -40,7 +50,7 @@ func TestGrantGapTriggersEarlySync(t *testing.T) {
 	if len(syncs) != 1 {
 		t.Fatalf("%d full syncs after a gap, want 1", len(syncs))
 	}
-	if got := syncs[0].Held[1][h.top.MachineID("r001m000")]; got != 3 {
+	if got := syncHeld(syncs[0], 1, h.top.MachineID("r001m000")); got != 3 {
 		t.Errorf("sync snapshot held = %d, want 3 (must include the carried grant)", got)
 	}
 

@@ -207,59 +207,60 @@ func (o *mapLedgers) hello(from transport.EndpointID, t protocol.MasterHello) {
 	o.fullSync(from)
 }
 
-// fullSync is the old AM.fullSync.
+// fullSync is the old AM.fullSync, writing the flat wire shape from the maps:
+// the maps' keys sorted by unit, then (level, name) or machine.
 func (o *mapLedgers) fullSync(master transport.EndpointID) {
 	o.flushReturns()
-	demand := make(map[int][]resource.LocalityHint, len(o.outstanding))
+	var demand []protocol.SyncHint
 	for unitID, out := range o.outstanding {
-		var hints []resource.LocalityHint
 		for k, c := range out {
 			if c > 0 {
-				hints = append(hints, resource.LocalityHint{Type: k.typ, Value: k.value, Count: c})
+				demand = append(demand, protocol.SyncHint{UnitID: unitID,
+					LocalityHint: resource.LocalityHint{Type: k.typ, Value: k.value, Count: c}})
 			}
 		}
-		sort.Slice(hints, func(i, j int) bool {
-			if hints[i].Type != hints[j].Type {
-				return hints[i].Type < hints[j].Type
-			}
-			return hints[i].Value < hints[j].Value
-		})
-		demand[unitID] = hints
 	}
-	heldCopy := make(map[int]map[int32]int, len(o.units))
+	sort.Slice(demand, func(i, j int) bool {
+		a, b := demand[i], demand[j]
+		if a.UnitID != b.UnitID {
+			return a.UnitID < b.UnitID
+		}
+		if a.Type != b.Type {
+			return a.Type < b.Type
+		}
+		return a.Value < b.Value
+	})
+	var held []protocol.SyncHeld
 	for k, c := range o.held {
-		mc := heldCopy[k.unitID()]
-		if mc == nil {
-			mc = make(map[int32]int)
-			heldCopy[k.unitID()] = mc
-		}
-		mc[k.machine()] = c
+		held = append(held, protocol.SyncHeld{UnitID: k.unitID(), Machine: k.machine(), Count: c})
 	}
+	sort.Slice(held, func(i, j int) bool {
+		if held[i].UnitID != held[j].UnitID {
+			return held[i].UnitID < held[j].UnitID
+		}
+		return held[i].Machine < held[j].Machine
+	})
 	o.sent = append(o.sent, protocol.FullDemandSync{
-		App: o.app, Units: o.units, Demand: demand, Held: heldCopy, Seq: o.seq.Current(),
+		App: o.app, Units: o.units, Demand: demand, Held: held, Seq: o.seq.Current(),
 		SeenGrantSeq: o.dedup.LastCh(int32(master), protocol.ChanGrant),
 	})
 }
 
 // normalize rewrites a captured or predicted message into the form the two
-// sides are compared in. The only rewriting is of FullDemandSync.Demand: the
-// reference lists every unit that ever stated demand, with a nil hint list
-// once nothing is outstanding, while the AM lists a unit only while it has
-// hints. FuxiMaster reads the two identically (a missing key and a nil list
-// are both `t.Demand[id]` == nil, and WireSize counts hints, not keys), so
-// empty lists are dropped from both.
+// sides are compared in: a full sync's empty payloads as nil, whether the
+// recorded copy came out of a recycled message (empty, with capacity) or the
+// reference never appended (nil). FuxiMaster reads the two identically.
 func normalize(m transport.Message) transport.Message {
 	fs, ok := m.(protocol.FullDemandSync)
 	if !ok {
 		return m
 	}
-	demand := make(map[int][]resource.LocalityHint, len(fs.Demand))
-	for unit, hints := range fs.Demand {
-		if len(hints) > 0 {
-			demand[unit] = hints
-		}
+	if len(fs.Demand) == 0 {
+		fs.Demand = nil
 	}
-	fs.Demand = demand
+	if len(fs.Held) == 0 {
+		fs.Held = nil
+	}
 	return fs
 }
 

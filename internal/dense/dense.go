@@ -125,6 +125,28 @@ func (m *Map[V]) Reset() {
 // (app, unit). Keys order by hi first, then lo.
 func Pack(hi, lo int32) uint64 { return uint64(uint32(hi))<<32 | uint64(uint32(lo)) }
 
+// Merge walks two tables' rows (as Cells returns them) side by side in key
+// order, calling fn once for every key either holds with both values, the zero
+// V standing in for an absent row — how two ledgers of the same grants are
+// compared without copying either.
+func Merge[V any](a, b []Cell[V], fn func(k uint64, av, bv V)) {
+	var zero V
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		switch {
+		case j == len(b) || i < len(a) && a[i].Key < b[j].Key:
+			fn(a[i].Key, a[i].Val, zero)
+			i++
+		case i == len(a) || b[j].Key < a[i].Key:
+			fn(b[j].Key, zero, b[j].Val)
+			j++
+		default:
+			fn(a[i].Key, a[i].Val, b[j].Val)
+			i++
+			j++
+		}
+	}
+}
+
 // Take subtracts up to n from k's count in a table of counts that keeps no
 // zero rows, dropping the row when it empties, and returns how much it took
 // (0 when k is absent).

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/appmaster"
+	"repro/internal/dense"
 	"repro/internal/gateway"
 	"repro/internal/master"
 	"repro/internal/topology"
@@ -147,29 +148,26 @@ func (c *Checker) CheckLedgers() []string {
 		})
 	}
 
-	// Master vs application masters, both directions per (unit, machine).
+	// Master vs application masters, both directions per (unit, machine):
+	// one merge of the two machine-ordered ledgers per unit.
 	for _, am := range c.AMs() {
 		if am.Stopped() {
 			continue
 		}
 		app := am.App()
-		held := am.HeldSnapshot()
 		for _, u := range am.Units() {
-			granted := s.Granted(app, u.ID)
-			for m, n := range granted {
-				if held[u.ID][m] != n {
+			dense.Merge(s.GrantedCells(app, u.ID), am.HeldCells(u.ID), func(k uint64, granted, held int) {
+				switch m := int32(k); {
+				case granted != 0 && held != granted:
 					bad = append(bad, fmt.Sprintf(
 						"ledger: app %s unit %d machine %s: master grants %d, app holds %d",
-						app, u.ID, m, n, held[u.ID][m]))
-				}
-			}
-			for m, n := range held[u.ID] {
-				if granted[m] == 0 && n > 0 {
+						app, u.ID, c.Top.MachineName(m), granted, held))
+				case granted == 0 && held > 0:
 					bad = append(bad, fmt.Sprintf(
 						"ledger: app %s unit %d machine %s: app holds %d unknown to master",
-						app, u.ID, m, n))
+						app, u.ID, c.Top.MachineName(m), held))
 				}
-			}
+			})
 		}
 	}
 	sort.Strings(bad)

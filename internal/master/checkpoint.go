@@ -423,31 +423,48 @@ func (r *snapshotReader) varint() int64 {
 	return v
 }
 
-func (r *snapshotReader) string() string {
+// bytes reads one length-prefixed string, aliasing the snapshot.
+func (r *snapshotReader) bytes() []byte {
 	n := r.uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if uint64(len(r.b)) < n {
 		r.err = fmt.Errorf("master: truncated snapshot (string)")
-		return ""
+		return nil
 	}
-	s := string(r.b[:n])
+	s := r.b[:n]
 	r.b = r.b[n:]
 	return s
 }
+
+func (r *snapshotReader) string() string { return string(r.bytes()) }
 
 func (r *snapshotReader) vector() resource.Vector {
 	n := r.uvarint()
 	var v resource.Vector
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		dim := r.string()
+		dim := r.bytes()
 		amt := r.varint()
 		if r.err == nil {
-			v = v.With(dim, amt)
+			v = v.With(dimName(dim), amt)
 		}
 	}
 	return v
+}
+
+// dimName resolves a decoded dimension name. CPU and memory, which nearly
+// every unit carries, come back as the resource package's constants: a
+// promotion decodes every unit, and a fresh copy of both names per unit
+// showed up in the failover profile.
+func dimName(b []byte) string {
+	switch {
+	case string(b) == resource.CPU:
+		return resource.CPU
+	case string(b) == resource.Memory:
+		return resource.Memory
+	}
+	return string(b)
 }
 
 // app decodes one application config (the appendApp inverse).

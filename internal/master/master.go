@@ -235,8 +235,7 @@ type Master struct {
 	retBuf  []returnRec
 	// Full-sync reconciliation scratch (one sync touches every unit of an
 	// app; pooled so the periodic safety syncs do not allocate per unit).
-	syncTgt map[syncTarget]int
-	missBuf []syncTarget
+	syncBuf []syncNode
 	idxBuf  []treeIdx
 	// dsBuf is the pooled decision accumulator of the round, immediate and
 	// unregister scheduling paths (see decisions).
@@ -651,8 +650,10 @@ func (m *Master) handle(from tr, msg transport.Message) {
 		m.unregister(from, t.App)
 	case protocol.UnregisterApp:
 		m.handle(from, &t)
-	case protocol.FullDemandSync:
+	case *protocol.FullDemandSync:
 		m.handleFullSync(from, t)
+	case protocol.FullDemandSync:
+		m.handle(from, &t)
 	case *protocol.AgentHeartbeat:
 		m.handleHeartbeat(t)
 	case protocol.AgentHeartbeat:
@@ -973,7 +974,14 @@ func (m *Master) unregister(from tr, app string) {
 	m.net.SendID(m.epID, from, ack)
 }
 
-func (m *Master) handleFullSync(from tr, t protocol.FullDemandSync) {
+// handleFullSync reconciles the master's view of one app against the app's
+// full sync. t is pooled: nothing of it is kept past the return.
+func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
+	if !t.WellFormed() {
+		// No application master sends a malformed sync; whatever did gets
+		// nothing applied — not the registration, not the dedup re-baseline.
+		return
+	}
 	if !m.sched.Registered(t.App) {
 		_, _ = m.registerApp(t.App, t.QuotaGroup, t.Units)
 		m.ckpt.SaveApp(AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
@@ -1006,11 +1014,16 @@ func (m *Master) handleFullSync(from tr, t protocol.FullDemandSync) {
 		// Demand reconciliation: force tree counts to the app's view. When
 		// the sync surfaces demand the master had lost (a dropped delta),
 		// run an assignment pass so it doesn't starve waiting for the next
-		// free-up.
+		// free-up. Both the units and the sync's runs are in unit-ID order, so
+		// one cursor walks the runs beside the units (runs of units the app
+		// never registered are passed over).
 		raised := false
+		demand := t.Demand
 		for i := range st.unitArr {
-			id := st.unitArr[i].def.ID
-			if m.reconcileDemand(st, id, t.Demand[id]) {
+			u := &st.unitArr[i]
+			var run []protocol.SyncHint
+			run, demand = unitRun(demand, u.def.ID, func(h *protocol.SyncHint) int { return h.UnitID })
+			if m.reconcileDemand(st, u, run) {
 				raised = true
 			}
 		}
@@ -1021,9 +1034,12 @@ func (m *Master) handleFullSync(from tr, t protocol.FullDemandSync) {
 		// authoritative and arrive separately; outside recovery the master's
 		// ledger is authoritative and differences are re-announced to the app.
 		if !m.recovering {
+			held := t.Held
 			for i := range st.unitArr {
-				id := st.unitArr[i].def.ID
-				m.reconcileHeld(st, id, t.Held[id])
+				u := &st.unitArr[i]
+				var run []protocol.SyncHeld
+				run, held = unitRun(held, u.def.ID, func(h *protocol.SyncHeld) int { return h.UnitID })
+				m.reconcileHeld(st, u, run)
 			}
 		}
 	}
@@ -1056,7 +1072,7 @@ func (m *Master) handleFullSync(from tr, t protocol.FullDemandSync) {
 // dropSynced removes from a demand buffer the updates a full sync from the
 // same app already accounts for (sequence numbers up to the sync's), in
 // place, keeping the rest in order.
-func dropSynced(buf []demandRec, t protocol.FullDemandSync) []demandRec {
+func dropSynced(buf []demandRec, t *protocol.FullDemandSync) []demandRec {
 	kept := buf[:0]
 	for _, d := range buf {
 		if d.upd.App != t.App || d.upd.Seq > t.Seq {
@@ -1073,91 +1089,116 @@ func dropSynced(buf []demandRec, t protocol.FullDemandSync) []demandRec {
 // every configuration) while staying well under the full-sync period.
 const syncFenceWindow = 100 * sim.Millisecond
 
-// syncTarget identifies one locality node of a full-sync demand view, in
-// interned node-ID space.
-type syncTarget struct {
-	typ  resource.LocalityType
-	node int32
+// unitRun splits a unit-sorted sync payload at unit id: run is id's entries,
+// rest what follows them. Entries of lower unit IDs — units the app never
+// registered — are skipped.
+func unitRun[E any](list []E, id int, unitOf func(*E) int) (run, rest []E) {
+	i := 0
+	for i < len(list) && unitOf(&list[i]) < id {
+		i++
+	}
+	j := i
+	for j < len(list) && unitOf(&list[j]) == id {
+		j++
+	}
+	return list[i:j], list[j:]
+}
+
+// syncNode is one locality node of a full sync's demand run, in interned
+// node-ID space, with the count the app wants there; seen marks a node the
+// tree already has an entry at.
+type syncNode struct {
+	level resource.LocalityType
+	node  int32
+	count int
+	seen  bool
+}
+
+func compareSyncNodes(a, b syncNode) int {
+	return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.node, b.node))
 }
 
 // reconcileDemand forces the tree counts for (app, unit) to the app's view
 // and reports whether any count increased.
-func (m *Master) reconcileDemand(st *appState, unitID int, want []resource.LocalityHint) bool {
-	u := st.unit(unitID)
-	if u == nil {
-		return false
-	}
+func (m *Master) reconcileDemand(st *appState, u *unitState, want []protocol.SyncHint) bool {
 	key := waitKey{app: st.id, unit: u.idx}
-	if m.syncTgt == nil {
-		m.syncTgt = make(map[syncTarget]int)
+	// The view by (level, node ID), a repeated target summed.
+	tgt := m.syncBuf[:0]
+	for i := range want {
+		h := &want[i].LocalityHint
+		tgt = append(tgt, syncNode{level: h.Type, node: m.sched.hintNode(*h), count: h.Count})
 	}
-	target := m.syncTgt
-	clear(target)
-	for _, h := range want {
-		target[syncTarget{h.Type, m.sched.hintNode(h)}] += h.Count
+	slices.SortFunc(tgt, compareSyncNodes)
+	w := 0
+	for _, n := range tgt {
+		if w > 0 && compareSyncNodes(tgt[w-1], n) == 0 {
+			tgt[w-1].count += n.count
+		} else {
+			tgt[w] = n
+			w++
+		}
 	}
+	tgt = tgt[:w]
+	m.syncBuf = tgt
 	raised := false
 	// Zero out entries not in the app's view; set entries that are.
 	m.idxBuf = m.sched.tree.nodesFor(key, m.idxBuf[:0])
 	for _, idx := range m.idxBuf {
-		n := syncTarget{idx.level, idx.node}
-		if tc, ok := target[n]; ok {
+		tc := 0
+		if i, ok := slices.BinarySearchFunc(tgt, syncNode{level: idx.level, node: idx.node}, compareSyncNodes); ok {
+			tc, tgt[i].seen = tgt[i].count, true
 			if tc > m.sched.tree.get(key, idx.level, idx.node) {
 				raised = true
 			}
-			m.sched.tree.setCount(key, u.def.Priority, idx.level, idx.node, tc, m.sched.now(), st, u)
-			delete(target, n)
-		} else {
-			m.sched.tree.setCount(key, u.def.Priority, idx.level, idx.node, 0, m.sched.now(), st, u)
 		}
+		m.sched.tree.setCount(key, u.def.Priority, idx.level, idx.node, tc, m.sched.now(), st, u)
 	}
-	// Insert missing entries in a deterministic order: new tree entries get
-	// queue positions (seq) at insertion, and map iteration order must not
-	// leak into scheduling order. (Node-ID order equals the old
-	// name-sorted order for topology nodes.)
-	missing := m.missBuf[:0]
-	for n, c := range target {
-		if c > 0 {
-			missing = append(missing, n)
+	// Insert missing entries in (level, node) order: new tree entries get
+	// queue positions (seq) at insertion, so the order is scheduling order.
+	for _, n := range tgt {
+		if !n.seen && n.count > 0 {
+			m.sched.tree.add(key, u.def.Priority, n.level, n.node, n.count, m.sched.now(), st, u)
+			raised = true
 		}
-	}
-	m.missBuf = missing
-	slices.SortFunc(missing, func(a, b syncTarget) int {
-		return cmp.Or(cmp.Compare(a.typ, b.typ), cmp.Compare(a.node, b.node))
-	})
-	for _, n := range missing {
-		m.sched.tree.add(key, u.def.Priority, n.typ, n.node, target[n], m.sched.now(), st, u)
-		raised = true
 	}
 	return raised
 }
 
-func (m *Master) reconcileHeld(st *appState, unitID int, appView map[int32]int) {
-	u := st.unit(unitID)
-	if u == nil {
-		return
-	}
-	var fixes []protocol.MachineDelta
-	for _, c := range u.granted.Cells() {
-		if mc := int32(c.Key); appView[mc] != c.Val {
-			fixes = append(fixes, protocol.MachineDelta{Machine: mc, Delta: c.Val - appView[mc]})
+// reconcileHeld re-announces to the app every machine where its held view
+// differs from the master's ledger. Both sides are in machine order, so one
+// merge finds the differences in the order they go on the wire, straight into
+// a pooled GrantUpdate drawn at the first one.
+func (m *Master) reconcileHeld(st *appState, u *unitState, view []protocol.SyncHeld) {
+	var gu *protocol.GrantUpdate
+	cells := u.granted.Cells()
+	for i, j := 0, 0; i < len(cells) || j < len(view); {
+		var mc int32
+		granted, held := 0, 0
+		switch {
+		case j == len(view) || i < len(cells) && int32(cells[i].Key) < view[j].Machine:
+			mc, granted = int32(cells[i].Key), cells[i].Val
+			i++
+		case i == len(cells) || view[j].Machine < int32(cells[i].Key):
+			mc, held = view[j].Machine, view[j].Count
+			j++
+		default:
+			mc, granted, held = view[j].Machine, cells[i].Val, view[j].Count
+			i++
+			j++
 		}
-	}
-	for mc, n := range appView {
-		if n > 0 && u.granted.Index(uint64(mc)) < 0 {
-			fixes = append(fixes, protocol.MachineDelta{Machine: mc, Delta: -n})
+		if granted == held {
+			continue
 		}
+		if gu == nil {
+			seq := st.grantSeq.Next()
+			st.lastGrantSeq = seq
+			st.lastGrantAt = m.eng.Now()
+			gu = transport.Acquire[protocol.GrantUpdate](m.net)
+			gu.App, gu.UnitID, gu.Epoch, gu.Seq = st.name, u.def.ID, m.epoch, seq
+		}
+		gu.Changes = append(gu.Changes, protocol.MachineDelta{Machine: mc, Delta: granted - held})
 	}
-	if len(fixes) > 0 {
-		// Sort by machine ID so the fix order is reproducible (the app's view
-		// is a map; iteration order must not reach the wire).
-		slices.SortFunc(fixes, func(a, b protocol.MachineDelta) int { return cmp.Compare(a.Machine, b.Machine) })
-		seq := st.grantSeq.Next()
-		st.lastGrantSeq = seq
-		st.lastGrantAt = m.eng.Now()
-		gu := transport.Acquire[protocol.GrantUpdate](m.net)
-		gu.App, gu.UnitID, gu.Epoch, gu.Seq = st.name, unitID, m.epoch, seq
-		gu.Changes = append(gu.Changes, fixes...)
+	if gu != nil {
 		m.net.SendID(m.epID, st.ep, gu)
 	}
 }

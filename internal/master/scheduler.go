@@ -169,10 +169,15 @@ type appState struct {
 	pendHead, pendTail int32
 }
 
-// unit returns the state of one unit ID (nil when unknown): binary search
-// over the frozen sorted slice for wide apps, linear scan for narrow ones.
+// unit returns the state of one unit ID (nil when unknown). Units are almost
+// always numbered 1..n, so position id-1 is checked first; otherwise binary
+// search over the frozen sorted slice for wide apps, linear scan for narrow
+// ones.
 func (st *appState) unit(id int) *unitState {
 	arr := st.unitArr
+	if i := id - 1; i >= 0 && i < len(arr) && arr[i].def.ID == id {
+		return &arr[i]
+	}
 	if len(arr) > 8 {
 		lo, hi := 0, len(arr)
 		for lo < hi {
@@ -495,6 +500,10 @@ func (s *Scheduler) Release(app string, unitID int, machine string, count int) e
 func (s *Scheduler) releaseChecked(st *appState, u *unitState, machine int32, count int) error {
 	if count <= 0 {
 		return fmt.Errorf("master: non-positive return count %d", count)
+	}
+	if machine < 0 || machine >= s.nMach {
+		return fmt.Errorf("master: app %q unit %d returns %d on unknown machine ID %d",
+			st.name, u.def.ID, count, machine)
 	}
 	if holds := u.granted.Get(uint64(machine)); holds < count {
 		return fmt.Errorf("master: app %q unit %d returns %d on %s but holds %d",

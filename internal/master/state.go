@@ -3,6 +3,7 @@ package master
 import (
 	"sort"
 
+	"repro/internal/dense"
 	"repro/internal/resource"
 )
 
@@ -58,23 +59,17 @@ func (s *Scheduler) Granted(app string, unitID int) map[string]int {
 	return out
 }
 
-// GrantedByID returns the app's per-machine container counts for a unit,
-// keyed by dense machine ID (a copy) — the form the reconciliation path
-// compares against ID-keyed wire state.
-func (s *Scheduler) GrantedByID(app string, unitID int) map[int32]int {
-	st, ok := s.apps[app]
-	if !ok {
-		return nil
+// GrantedCells returns the app's grant ledger for a unit as (machine ID,
+// count) rows in machine order — what the recovery-time readers merge against
+// an application master's ledger without building a copy. The slice is the
+// ledger itself: read it, do not keep or modify it.
+func (s *Scheduler) GrantedCells(app string, unitID int) []dense.Cell[int] {
+	if st, ok := s.apps[app]; ok {
+		if u := st.unit(unitID); u != nil {
+			return u.granted.Cells()
+		}
 	}
-	u := st.unit(unitID)
-	if u == nil {
-		return nil
-	}
-	out := make(map[int32]int, u.granted.Len())
-	for _, c := range u.granted.Cells() {
-		out[int32(c.Key)] = c.Val
-	}
-	return out
+	return nil
 }
 
 // GrantedOn returns the container count granted to (app, unit) on one

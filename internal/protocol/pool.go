@@ -19,6 +19,7 @@ const (
 	poolCapacityDelta
 	poolJobAdmit
 	poolJobAdmitAck
+	poolFullDemandSync
 )
 
 // Pool implements transport.Recycled.
@@ -87,6 +88,16 @@ func (*JobAdmitAck) Pool() int { return poolJobAdmitAck }
 // Clear implements transport.Recycled.
 func (m *JobAdmitAck) Clear() { *m = JobAdmitAck{} }
 
+// Pool implements transport.Recycled.
+func (*FullDemandSync) Pool() int { return poolFullDemandSync }
+
+// Clear implements transport.Recycled. Units belongs to the sender.
+func (m *FullDemandSync) Clear() {
+	clear(m.Demand)
+	clear(m.Held)
+	*m = FullDemandSync{Demand: m.Demand[:0], Held: m.Held[:0]}
+}
+
 // Keep returns msg in a form that outlives the handler (or Tap) it was
 // handed to: a pooled pointer message becomes its value form with the owned
 // payload cloned, anything else is returned as it is. It is the copy the
@@ -119,6 +130,11 @@ func Keep(msg any) any {
 		return *t
 	case *JobAdmitAck:
 		return *t
+	case *FullDemandSync:
+		c := *t
+		c.Demand = slices.Clone(t.Demand)
+		c.Held = slices.Clone(t.Held)
+		return c
 	}
 	return msg
 }

@@ -23,21 +23,22 @@
 // messages (WorkPlan, WorkerStatus) keep names: they cross into the job
 // layer, which speaks names.
 //
-// Pooled messages: the nine types every job or every scheduling decision
-// sends — RegisterApp, DemandUpdate, GrantReturnBatch, GrantUpdate,
-// UnregisterApp, UnregisterAck, CapacityDelta, JobAdmit, JobAdmitAck — travel
-// as pointers drawn from the network's free lists (transport.Acquire) and
-// implement transport.Recycled (pool.go). Such a message and its payload
-// slice are valid until the receiving handler returns, then the network
-// zeroes and reuses them; a receiver that keeps a hint list, an entry or the
-// message itself past that point copies it. The payloads the message owns
-// (Deltas, Returns, Changes, Entries) are filled with append into whatever
-// capacity the last use left; RegisterApp.Units is the one borrowed payload —
-// it aliases the application master's own configuration, as it always has,
-// and is dropped, not zeroed, on release. The value forms of all nine remain
-// valid messages (tests and scripted senders use them) and every receiver
-// accepts both. WireSize is declared on the value types, so a pointer and a
-// value of one message report the same size.
+// Pooled messages: the ten types every job, every scheduling decision or
+// every safety sync sends — RegisterApp, DemandUpdate, GrantReturnBatch,
+// GrantUpdate, UnregisterApp, UnregisterAck, CapacityDelta, JobAdmit,
+// JobAdmitAck, FullDemandSync — travel as pointers drawn from the network's
+// free lists (transport.Acquire) and implement transport.Recycled (pool.go).
+// Such a message and its payload slices are valid until the receiving
+// handler returns, then the network zeroes and reuses them; a receiver that
+// keeps a hint list, an entry or the message itself past that point copies
+// it. The payloads the message owns (Deltas, Returns, Changes, Entries,
+// Demand, Held) are filled with append into whatever capacity the last use
+// left; the Units of RegisterApp and FullDemandSync are the borrowed
+// payloads — they alias the application master's own configuration, as they
+// always have, and are dropped, not zeroed, on release. The value forms of
+// all ten remain valid messages (tests and scripted senders use them) and
+// every receiver accepts both. WireSize is declared on the value types, so a
+// pointer and a value of one message report the same size.
 package protocol
 
 import "repro/internal/resource"
@@ -126,6 +127,12 @@ type GrantUpdate struct {
 // grant sequence), in which case the demand/held views are stale snapshots
 // and reconciling against them would re-raise demand the in-flight grants
 // already consumed; such syncs are skipped and the next one reconciles.
+//
+// Both payloads are flat lists sorted by unit ID, so the receiver reconciles
+// them in one pass beside its own ID-sorted units; a unit with nothing
+// outstanding (held) has no run in Demand (Held). A sync that breaks the
+// order, repeats a (unit, machine) pair or carries a negative count is not
+// WellFormed, and the receiver drops it whole.
 type FullDemandSync struct {
 	App        string
 	QuotaGroup string
@@ -133,12 +140,51 @@ type FullDemandSync struct {
 	// SeenGrantSeq is the highest GrantUpdate sequence number the app has
 	// observed from the current primary (0 before the first grant).
 	SeenGrantSeq uint64
-	// Demand[unitID] lists the full (not delta) per-locality wanted counts.
-	Demand map[int][]resource.LocalityHint
-	// Held[unitID][machineID] is the application's view of current grants,
-	// keyed by dense machine ID.
-	Held map[int]map[int32]int
+	// Demand lists the full (not delta) per-locality wanted counts, grouped
+	// by ascending unit ID, each unit's run in (level, name) order.
+	Demand []SyncHint
+	// Held is the application's view of current grants, strictly ascending
+	// by (unit, machine).
+	Held []SyncHeld
 	Seq  uint64
+}
+
+// SyncHint is one unit's wanted count at one locality target in a
+// FullDemandSync.
+type SyncHint struct {
+	UnitID int
+	resource.LocalityHint
+}
+
+// SyncHeld is the container count one unit holds on one machine in a
+// FullDemandSync.
+type SyncHeld struct {
+	UnitID  int
+	Machine int32 // dense machine ID
+	Count   int
+}
+
+// WellFormed reports whether the sync keeps the shape its receiver merges
+// by: demand runs in ascending unit order, held entries strictly ascending by
+// (unit, machine), and no negative count in either.
+func (m *FullDemandSync) WellFormed() bool {
+	for i, h := range m.Demand {
+		if h.Count < 0 || i > 0 && h.UnitID < m.Demand[i-1].UnitID {
+			return false
+		}
+	}
+	for i, h := range m.Held {
+		if h.Count < 0 {
+			return false
+		}
+		if i > 0 {
+			p := m.Held[i-1]
+			if h.UnitID < p.UnitID || h.UnitID == p.UnitID && h.Machine <= p.Machine {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // UnregisterApp releases everything the application holds. The sender
@@ -444,14 +490,8 @@ func (m GrantUpdate) WireSize() int {
 
 // WireSize implements transport.Sizer.
 func (m FullDemandSync) WireSize() int {
-	n := headerBytes + len(m.App) + len(m.Units)*unitBytes
-	for _, hints := range m.Demand {
-		n += len(hints) * hintBytes
-	}
-	for _, held := range m.Held {
-		n += len(held) * perEntryBytes
-	}
-	return n
+	return headerBytes + len(m.App) + len(m.Units)*unitBytes +
+		len(m.Demand)*hintBytes + len(m.Held)*perEntryBytes
 }
 
 // WireSize implements transport.Sizer.

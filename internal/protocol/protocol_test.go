@@ -146,11 +146,16 @@ func TestWireSizesPositiveAndProportional(t *testing.T) {
 	full := FullDemandSync{
 		App:    "a",
 		Units:  []resource.ScheduleUnit{{ID: 1}},
-		Demand: map[int][]resource.LocalityHint{1: make([]resource.LocalityHint, 10)},
-		Held:   map[int]map[int32]int{1: {0: 2, 1: 3}},
+		Demand: make([]SyncHint, 10),
+		Held:   []SyncHeld{{UnitID: 1, Machine: 0, Count: 2}, {UnitID: 1, Machine: 1, Count: 3}},
 	}
 	if full.WireSize() <= small.WireSize() {
 		t.Error("full sync should outweigh a small delta")
+	}
+	// The flat shape costs on the wire what the nested maps did: a header,
+	// the app, 48 bytes a unit, 24 a hint and 16 a held entry.
+	if got, want := full.WireSize(), headerBytes+1+unitBytes+10*hintBytes+2*perEntryBytes; got != want {
+		t.Errorf("full sync wire size %d, want %d", got, want)
 	}
 
 	msgs := []interface{ WireSize() int }{
@@ -166,5 +171,60 @@ func TestWireSizesPositiveAndProportional(t *testing.T) {
 		if m.WireSize() <= 0 {
 			t.Errorf("msg %d: non-positive wire size", i)
 		}
+	}
+}
+
+// TestFullDemandSyncWellFormed pins what a receiver may merge by: demand
+// runs in unit order (any order inside a run), held entries strictly
+// ascending by (unit, machine), no negative count.
+func TestFullDemandSyncWellFormed(t *testing.T) {
+	hint := func(unit, count int) SyncHint {
+		return SyncHint{UnitID: unit, LocalityHint: resource.LocalityHint{Type: resource.LocalityCluster, Count: count}}
+	}
+	for _, c := range []struct {
+		name   string
+		demand []SyncHint
+		held   []SyncHeld
+		ok     bool
+	}{
+		{"empty", nil, nil, true},
+		{"sorted", []SyncHint{hint(1, 2), hint(1, 0), hint(3, 1)},
+			[]SyncHeld{{1, 0, 2}, {1, 4, 1}, {2, 0, 3}}, true},
+		{"demand runs out of order", []SyncHint{hint(3, 1), hint(1, 2)}, nil, false},
+		{"negative demand", []SyncHint{hint(1, -1)}, nil, false},
+		{"held units out of order", nil, []SyncHeld{{2, 0, 1}, {1, 5, 1}}, false},
+		{"held machines out of order", nil, []SyncHeld{{1, 5, 1}, {1, 0, 1}}, false},
+		{"duplicate held pair", nil, []SyncHeld{{1, 5, 1}, {1, 5, 2}}, false},
+		{"negative held", nil, []SyncHeld{{1, 5, -1}}, false},
+	} {
+		s := FullDemandSync{Demand: c.demand, Held: c.held}
+		if got := s.WellFormed(); got != c.ok {
+			t.Errorf("%s: WellFormed = %v, want %v", c.name, got, c.ok)
+		}
+	}
+}
+
+// TestFullDemandSyncRecycles: Clear leaves nothing of the last use readable
+// but keeps both payloads' capacity, and Keep's copy outlives the Clear.
+func TestFullDemandSyncRecycles(t *testing.T) {
+	s := &FullDemandSync{
+		App: "a", Units: []resource.ScheduleUnit{{ID: 1}}, SeenGrantSeq: 3, Seq: 9,
+		Demand: []SyncHint{{UnitID: 1, LocalityHint: resource.LocalityHint{Type: resource.LocalityMachine, Value: "m", Count: 2}}},
+		Held:   []SyncHeld{{UnitID: 1, Machine: 4, Count: 2}},
+	}
+	kept := Keep(s).(FullDemandSync)
+	demand, held := s.Demand[:1], s.Held[:1]
+	s.Clear()
+	if s.App != "" || s.Units != nil || s.Seq != 0 || s.SeenGrantSeq != 0 || len(s.Demand) != 0 || len(s.Held) != 0 {
+		t.Errorf("cleared sync still carries %+v", *s)
+	}
+	if cap(s.Demand) == 0 || cap(s.Held) == 0 {
+		t.Error("Clear dropped the payloads' capacity")
+	}
+	if demand[0] != (SyncHint{}) || held[0] != (SyncHeld{}) {
+		t.Errorf("payload elements not zeroed: %+v %+v", demand[0], held[0])
+	}
+	if kept.App != "a" || kept.Demand[0].Value != "m" || kept.Held[0].Machine != 4 {
+		t.Errorf("Keep's copy did not survive the Clear: %+v", kept)
 	}
 }

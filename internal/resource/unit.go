@@ -86,11 +86,13 @@ func (h LocalityHint) String() string {
 // batched-round merge path must not pay sort.Slice's reflective swapper per
 // (app, unit) per round). Equal keys may be reordered; every caller either
 // has unique keys or merges equal keys by summing, so stability is moot.
-func SortHints(hints []LocalityHint) {
-	slices.SortFunc(hints, func(a, b LocalityHint) int {
-		if a.Type != b.Type {
-			return int(a.Type) - int(b.Type)
-		}
-		return strings.Compare(a.Value, b.Value)
-	})
+func SortHints(hints []LocalityHint) { slices.SortFunc(hints, CompareHints) }
+
+// CompareHints orders two hints by (Type, Value), the wire order of hint
+// lists.
+func CompareHints(a, b LocalityHint) int {
+	if a.Type != b.Type {
+		return int(a.Type) - int(b.Type)
+	}
+	return strings.Compare(a.Value, b.Value)
 }

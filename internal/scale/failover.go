@@ -2,6 +2,7 @@ package scale
 
 import (
 	"repro/internal/core"
+	"repro/internal/dense"
 	"repro/internal/faults"
 	"repro/internal/master"
 	"repro/internal/metrics"
@@ -89,13 +90,12 @@ func (p *failoverProbe) recovered(epoch, reissuedGrants int) {
 		if a.done {
 			continue
 		}
-		for unitID, machines := range a.am.HeldSnapshot() {
-			granted := s.Granted(a.name, unitID)
-			for m, n := range machines {
-				if d := n - granted[m]; d > 0 {
+		for _, u := range a.am.Units() {
+			dense.Merge(a.am.HeldCells(u.ID), s.GrantedCells(a.name, u.ID), func(_ uint64, held, granted int) {
+				if d := held - granted; d > 0 {
 					p.lost += uint64(d)
 				}
-			}
+			})
 		}
 	}
 }

@@ -34,8 +34,10 @@
 // reordering (the dedup/gap machinery in internal/protocol does).
 //
 // Message lifetime: a message that implements Recycled — a pointer to one of
-// the protocol's pooled types, drawn with Acquire — belongs to the network
-// from the moment it is sent. It and its payload slices are valid until the
+// the protocol's ten pooled types (RegisterApp, DemandUpdate,
+// GrantReturnBatch, GrantUpdate, UnregisterApp, UnregisterAck, CapacityDelta,
+// JobAdmit, JobAdmitAck, FullDemandSync), drawn with Acquire — belongs to the
+// network from the moment it is sent. It and its payload slices are valid until the
 // receiving handler returns; then the network clears it (header fields and
 // every payload element zeroed, payloads truncated with their capacity kept)
 // and returns it to the free list the next Acquire draws from. A handler, or
