@@ -57,7 +57,11 @@
 // masters coalesce same-instant container returns into one
 // GrantReturnBatch. With Config.BatchWindow the master batches demand and
 // returns into scheduling rounds, applying releases first, reassigning in
-// one sweep, then placing merged demand.
+// one sweep, then placing merged demand. The eleven message types every job,
+// every decision, every safety sync and every agent beat sends — heartbeats
+// among them — are pointers recycled through the network's free lists
+// (internal/protocol's package comment lists them), so an agent keeps a
+// count per capacity row and no heartbeat buffer of its own.
 //
 // # Integer-ID control plane: interned identities, slice-indexed hot state
 //

@@ -14,17 +14,14 @@
 // application master's transport endpoint ID — the integer the master's
 // capacity messages carry and the heartbeat tables send back, the same in
 // every master epoch — so neither the per-round capacity-delta decode nor the
-// beat resolves a name. Names appear at the boundaries: the order heartbeat
-// tables leave in, the public accessors, and the worker-management messages
-// of the job layer.
+// beat resolves a name. Names appear at the boundaries: the public accessors
+// and the worker-management messages of the job layer.
 package agent
 
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -48,9 +45,6 @@ type Config struct {
 	WorkerStartDelay sim.Time
 }
 
-// hbRingLen is the heartbeat reuse rotation depth (see Agent.hbRing).
-const hbRingLen = 8
-
 // DefaultConfig returns production-flavoured defaults.
 func DefaultConfig() Config {
 	return Config{
@@ -72,24 +66,21 @@ func makeCapKey(app transport.EndpointID, unitID int) capKey {
 func (k capKey) app() transport.EndpointID { return transport.EndpointID(int32(uint32(k >> 32))) }
 func (k capKey) unitID() int               { return int(int32(uint32(k))) }
 
-// capRow is one (app, unit)'s granted capacity.
-type capRow struct {
-	size  resource.Vector
-	count int
-}
-
 // capTable is the machine's capacity ledger: the packed keys in one
-// contiguous array, each key's row at the same index beside it, in arrival
-// order, and one bit per row marking a count that changed since the last
-// heartbeat. A machine holds a few dozen (app, unit) rows, so finding one is a
-// scan of a handful of cache lines of integers, and the delta beat's "what
-// changed" is a word of bits next to the rows the deltas just wrote rather
-// than a second table to insert into, iterate and look up again. Zero-count
-// rows stay until the next anchor so a returning grant reuses its row.
+// contiguous array, each key's granted container count at the same index
+// beside it, in arrival order, and one bit per row marking a count that
+// changed since the last heartbeat. A row is the count alone — enforcement
+// and the heartbeat read nothing else — so the table holds no pointers and
+// the collector never scans it. A machine holds a few dozen (app, unit) rows,
+// so finding one is a scan of a handful of cache lines of integers, and the
+// delta beat's "what changed" is a word of bits next to the rows the deltas
+// just wrote rather than a second table to insert into, iterate and look up
+// again. Zero-count rows stay until the next anchor so a returning grant
+// reuses its row.
 type capTable struct {
 	keys   []capKey
-	rows   []capRow
-	dirty  []uint64 // bit i: rows[i].count changed since the last beat
+	counts []int
+	dirty  []uint64 // bit i: counts[i] changed since the last beat
 	nDirty int
 }
 
@@ -113,10 +104,10 @@ func (t *capTable) slot(k capKey) int {
 			// outgrow twice.
 			n := max(16, 2*i)
 			t.keys = append(make([]capKey, 0, n), t.keys...)
-			t.rows = append(make([]capRow, 0, n), t.rows...)
+			t.counts = append(make([]int, 0, n), t.counts...)
 		}
 		t.keys = append(t.keys, k)
-		t.rows = append(t.rows, capRow{})
+		t.counts = append(t.counts, 0)
 		if i>>6 >= len(t.dirty) {
 			t.dirty = append(t.dirty, 0)
 		}
@@ -127,7 +118,7 @@ func (t *capTable) slot(k capKey) int {
 // count returns k's granted container count (0 when absent).
 func (t *capTable) count(k capKey) int {
 	if i := t.find(k); i >= 0 {
-		return t.rows[i].count
+		return t.counts[i]
 	}
 	return 0
 }
@@ -151,21 +142,19 @@ func (t *capTable) clean() {
 // an anchor supersedes every pending change.
 func (t *capTable) reap() {
 	w := 0
-	for i := range t.keys {
-		if t.rows[i].count > 0 {
-			t.keys[w], t.rows[w] = t.keys[i], t.rows[i]
+	for i, n := range t.counts {
+		if n > 0 {
+			t.keys[w], t.counts[w] = t.keys[i], n
 			w++
 		}
 	}
-	clear(t.rows[w:]) // release the dropped rows' size vectors
-	t.keys, t.rows = t.keys[:w], t.rows[:w]
+	t.keys, t.counts = t.keys[:w], t.counts[:w]
 	t.clean()
 }
 
 // reset empties the table, keeping its storage.
 func (t *capTable) reset() {
-	clear(t.rows)
-	t.keys, t.rows = t.keys[:0], t.rows[:0]
+	t.keys, t.counts = t.keys[:0], t.counts[:0]
 	t.clean()
 }
 
@@ -229,21 +218,6 @@ type Agent struct {
 	// promoted primary collecting soft state).
 	sinceAnchor int
 	forceAnchor bool
-	// byAppUnit orders heartbeat entries by (application name, unit ID),
-	// bound once so sorting a beat's table allocates nothing.
-	byAppUnit func(x, y protocol.AllocDelta) int
-	// hbRing/hbBufs are the reusable heartbeat messages and their payload
-	// buffers (Changes or Allocations), rotated per send. A slot is only
-	// rewritten hbRingLen sends later, and the receiver consumes each
-	// message synchronously at delivery (one network latency after the
-	// send), so reuse is safe as long as fewer than hbRingLen beats are
-	// sent within one delivery window — beats outside the 1 Hz tick come
-	// only from MasterHello-triggered anchors, which are paced by
-	// hello/beat round trips. The 5,000 agents' steady-state beat stream
-	// allocates nothing.
-	hbRing [hbRingLen]protocol.AgentHeartbeat
-	hbBufs [hbRingLen][]protocol.AllocDelta
-	hbIdx  int
 
 	// KilledForCapacity and KilledForOverload count enforcement actions.
 	KilledForCapacity int
@@ -269,7 +243,6 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, m *topology.Machine) *
 		machineUp: true,
 		health:    100,
 	}
-	a.byAppUnit = a.compareAllocs
 	if a.cfg.AnchorEvery <= 0 {
 		a.cfg.AnchorEvery = 10
 	}
@@ -314,53 +287,38 @@ func (a *Agent) Capacity(app string, unitID int) int {
 func (a *Agent) ForEachAllocation(fn func(app string, unitID, count int)) {
 	t := &a.capacity
 	for i, k := range t.keys {
-		if n := t.rows[i].count; n > 0 {
+		if n := t.counts[i]; n > 0 {
 			fn(a.net.Name(k.app()), k.unitID(), n)
 		}
 	}
 }
 
-// compareAllocs orders heartbeat entries by (application name, unit ID) —
-// the order the tables have always left in. Names are only compared between
-// different applications, and resolving one is a slice index on the network.
-func (a *Agent) compareAllocs(x, y protocol.AllocDelta) int {
-	if x.App != y.App {
-		return strings.Compare(a.net.Name(transport.EndpointID(x.App)), a.net.Name(transport.EndpointID(y.App)))
-	}
-	return x.UnitID - y.UnitID
-}
-
 // emit appends row i in heartbeat form.
 func (t *capTable) emit(out []protocol.AllocDelta, i int) []protocol.AllocDelta {
 	k := t.keys[i]
-	return append(out, protocol.AllocDelta{App: int32(k.app()), UnitID: k.unitID(), Count: t.rows[i].count})
+	return append(out, protocol.AllocDelta{App: int32(k.app()), UnitID: k.unitID(), Count: t.counts[i]})
 }
 
-// allocTable flattens the live capacity table into the sorted wire form an
-// anchor heartbeat carries, reusing the heartbeat payload buffer.
-func (a *Agent) allocTable(buf []protocol.AllocDelta) []protocol.AllocDelta {
-	out := buf[:0]
-	t := &a.capacity
-	for i := range t.keys {
-		if t.rows[i].count > 0 {
+// appendLive appends the live rows in the wire form an anchor heartbeat
+// carries, in ledger order: the one reader, a recovering master, restores
+// each entry on its own.
+func (t *capTable) appendLive(out []protocol.AllocDelta) []protocol.AllocDelta {
+	for i, n := range t.counts {
+		if n > 0 {
 			out = t.emit(out, i)
 		}
 	}
-	slices.SortFunc(out, a.byAppUnit)
 	return out
 }
 
-// changeList is allocTable for a delta beat: the rows whose count changed
+// appendChanged is appendLive for a delta beat: the rows whose count changed
 // since the last beat, zero counts (removals) included.
-func (a *Agent) changeList(buf []protocol.AllocDelta) []protocol.AllocDelta {
-	out := buf[:0]
-	t := &a.capacity
+func (t *capTable) appendChanged(out []protocol.AllocDelta) []protocol.AllocDelta {
 	for w, word := range t.dirty {
 		for ; word != 0; word &= word - 1 {
 			out = t.emit(out, w<<6+bits.TrailingZeros64(word))
 		}
 	}
-	slices.SortFunc(out, a.byAppUnit)
 	return out
 }
 
@@ -389,21 +347,17 @@ func (a *Agent) tick() {
 // sendHeartbeat emits the next beat of the delta-encoded stream: an anchor
 // (full allocation table) when due or forced, a change list when capacity
 // moved since the last beat, and a bare liveness/health beat otherwise —
-// the common case at steady state, which builds no maps at all.
+// the common case at steady state, which builds no maps at all. The beat is
+// drawn from the network's free list and filled into the payload capacity
+// its last use left, so the cluster's beats share the buffers of the few in
+// flight at once instead of each agent keeping its own.
 func (a *Agent) sendHeartbeat() {
-	slot := a.hbIdx % hbRingLen
-	a.hbIdx++
-	hb := &a.hbRing[slot]
-	*hb = protocol.AgentHeartbeat{
-		Machine:     a.id,
-		HealthScore: a.HealthCollector(),
-		Seq:         a.seq.Next(),
-	}
+	hb := transport.Acquire[protocol.AgentHeartbeat](a.net)
+	hb.Machine, hb.HealthScore, hb.Seq = a.id, a.HealthCollector(), a.seq.Next()
 	a.sinceAnchor++
 	if a.forceAnchor || a.sinceAnchor >= a.cfg.AnchorEvery {
 		hb.Full = true
-		a.hbBufs[slot] = a.allocTable(a.hbBufs[slot])
-		hb.Allocations = a.hbBufs[slot]
+		hb.Allocations = a.capacity.appendLive(hb.Allocations)
 		// Anchor time is also reaping time: zero-count rows are kept between
 		// anchors so a returning grant for the same (app, unit) reuses its
 		// row, but rows dead for a whole anchor period (typically unregistered
@@ -412,8 +366,7 @@ func (a *Agent) sendHeartbeat() {
 		a.forceAnchor = false
 		a.sinceAnchor = 0
 	} else if a.capacity.nDirty > 0 {
-		a.hbBufs[slot] = a.changeList(a.hbBufs[slot])
-		hb.Changes = a.hbBufs[slot]
+		hb.Changes = a.capacity.appendChanged(hb.Changes)
 		a.capacity.clean()
 	}
 	a.net.SendID(a.epID, a.masterID, hb)
@@ -502,11 +455,11 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 		}
 		// The single-update form names the application (scripted senders,
 		// tests); the endpoint table resolves it.
-		a.applyCapacity(makeCapKey(a.net.Endpoint(t.App), t.UnitID), t.Size, t.Delta)
+		a.applyCapacity(makeCapKey(a.net.Endpoint(t.App), t.UnitID), t.Delta)
 	case *protocol.CapacityDelta:
 		// Pooled: the network takes t and its entries back when this returns;
 		// applyCapacity copies what the ledger keeps.
-		if a.staleEpoch(t.Epoch) {
+		if !a.wellFormed(t.Entries) || a.staleEpoch(t.Epoch) {
 			return
 		}
 		switch a.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) {
@@ -523,12 +476,14 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 			a.requestAnchor()
 		}
 		for _, e := range t.Entries {
-			a.applyCapacity(makeCapKey(transport.EndpointID(e.App), e.UnitID), e.Size, e.Count)
+			a.applyCapacity(makeCapKey(transport.EndpointID(e.App), e.UnitID), e.Count)
 		}
 	case protocol.CapacityDelta:
 		a.handle(from, &t) // value form (tests, scripted masters)
 	case protocol.CapacitySync:
-		if a.staleEpoch(t.Epoch) {
+		// A sync carries one machine's whole table: another machine's would
+		// replace this ledger with a stranger's.
+		if t.Machine != a.id || !a.wellFormed(t.Entries) || a.staleEpoch(t.Epoch) {
 			return
 		}
 		// The sync shares the per-agent capacity sequence with the delta
@@ -564,19 +519,32 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 	}
 }
 
+// wellFormed reports whether every entry of a capacity message names an
+// endpoint the network handed out and a unit ID the wire's 32 bits hold —
+// the two things the ledger's packed key and its name lookups trust. A
+// message that fails is dropped whole, before it reaches the epoch gate, the
+// sequence marks or the ledger.
+func (a *Agent) wellFormed(es []protocol.CapacityEntry) bool {
+	for _, e := range es {
+		if !a.net.Known(transport.EndpointID(e.App)) || int(int32(e.UnitID)) != e.UnitID {
+			return false
+		}
+	}
+	return true
+}
+
 // applyCapacity applies one signed capacity change to the ledger and marks
 // the row for the next delta beat.
-func (a *Agent) applyCapacity(k capKey, size resource.Vector, delta int) {
+func (a *Agent) applyCapacity(k capKey, delta int) {
 	i := a.capacity.slot(k)
 	a.capacity.mark(i)
-	r := &a.capacity.rows[i]
-	r.size = size
-	r.count += delta
-	if r.count < 0 {
-		r.count = 0
+	n := &a.capacity.counts[i]
+	*n += delta
+	if *n < 0 {
+		*n = 0
 		a.ClampedNegative++
 	}
-	a.ensureCapacity(k, r.count)
+	a.ensureCapacity(k, *n)
 }
 
 // ensureCapacity kills excess processes when granted capacity shrank below
@@ -767,17 +735,17 @@ func (a *Agent) applyCapacitySync(t protocol.CapacitySync) {
 	a.capacity.reset()
 	for _, e := range t.Entries {
 		if e.Count > 0 {
-			a.capacity.rows[a.capacity.slot(makeCapKey(transport.EndpointID(e.App), e.UnitID))] = capRow{size: e.Size, count: e.Count}
+			a.capacity.counts[a.capacity.slot(makeCapKey(transport.EndpointID(e.App), e.UnitID))] = e.Count
 		}
 	}
 	if len(a.procs) == 0 {
 		return // nothing supervised (the control-plane lanes): nothing to enforce
 	}
-	// Enforce (and below, reap) in sorted name order so the enforcement
-	// kills and their failure reports are seed-reproducible (rows sit in
-	// arrival order, endpoint IDs in first-sight order; neither is name order).
-	for _, d := range a.allocTable(nil) {
-		a.ensureCapacity(makeCapKey(transport.EndpointID(d.App), d.UnitID), d.Count)
+	// Enforce in the sync's own order — the master sends its table in
+	// (application name, unit) order — so the enforcement kills and their
+	// failure reports are seed-reproducible.
+	for i, k := range a.capacity.keys {
+		a.ensureCapacity(k, a.capacity.counts[i])
 	}
 	// Processes whose capacity vanished entirely while the daemon was down:
 	var orphans []*Proc

@@ -32,16 +32,10 @@ func newHarness(t *testing.T) *harness {
 		t.Fatal(err)
 	}
 	h := &harness{eng: eng, net: net}
-	// Agents reuse one heartbeat struct per beat (the receiver consumes it
-	// synchronously at delivery); a capturing test must snapshot it.
+	// Heartbeats are pooled (the network reuses each once its handler
+	// returns); a capturing test keeps a copy.
 	net.Register(protocol.MasterEndpoint, func(_ transport.EndpointID, m transport.Message) {
-		if hb, ok := m.(*protocol.AgentHeartbeat); ok {
-			c := *hb
-			c.Allocations = append([]protocol.AllocDelta(nil), hb.Allocations...)
-			c.Changes = append([]protocol.AllocDelta(nil), hb.Changes...)
-			m = c
-		}
-		h.toMaster = append(h.toMaster, m)
+		h.toMaster = append(h.toMaster, protocol.Keep(m))
 	})
 	net.Register("app1", func(_ transport.EndpointID, m transport.Message) { h.toApp = append(h.toApp, m) })
 	h.agent = New(DefaultConfig(), eng, net, top.Machine(top.Machines()[0]))

@@ -19,13 +19,18 @@ import (
 // before the ledger became a compact table: a value map keyed by (locally
 // interned app ID, unit), a second map of changed keys, and the agent's own
 // ident.Table of application names, re-interned from every message. It is
-// kept as the reference the differential test below drives the shipped agent
-// against; the message fencing around it (epoch gate, dedup, repair throttle)
-// is the agent's, mirrored here so the reference sees what the agent sees.
+// kept as the reference the differential tests drive the shipped agent
+// against; the message fencing around it (malformed-message drop, epoch gate,
+// dedup, repair throttle) is the agent's, mirrored here so the reference sees
+// what the agent sees.
 type mapLedger struct {
 	appTbl   ident.Table
 	capacity map[oracleKey]oracleEntry
 	dirty    map[oracleKey]struct{}
+	// machine is the agent's own machine ID: a sync naming another is not
+	// this ledger's. clamped counts the releases clamped at zero.
+	machine int32
+	clamped int
 
 	anchorEvery   int
 	sinceAnchor   int
@@ -62,10 +67,11 @@ type oracleBeat struct {
 	Seq         uint64
 }
 
-func newMapLedger(anchorEvery int) *mapLedger {
+func newMapLedger(anchorEvery int, machine int32) *mapLedger {
 	return &mapLedger{
 		capacity:    map[oracleKey]oracleEntry{},
 		dirty:       map[oracleKey]struct{}{},
+		machine:     machine,
 		anchorEvery: anchorEvery,
 		forceAnchor: true,
 	}
@@ -119,22 +125,36 @@ func (l *mapLedger) apply(app string, unitID int, size resource.Vector, delta in
 	e.count += delta
 	if e.count < 0 {
 		e.count = 0
+		l.clamped++
 	}
 	l.capacity[k] = e
 }
 
 // handle mirrors Agent.handle for the capacity messages. name resolves a wire
-// entry's application (an endpoint ID now, the name itself then).
+// entry's application (an endpoint ID now, the name itself then), "" for an
+// endpoint nobody interned.
 func (l *mapLedger) handle(now sim.Time, from transport.EndpointID, msg transport.Message, name func(int32) string) {
 	stale := func(epoch int) bool { return l.gate.StaleCh(epoch, &l.dedup, int32(from), protocol.ChanCap) }
+	// A message with an entry naming no application, or a unit ID wider than
+	// the wire's 32 bits, is malformed: dropped whole, before any fencing.
+	malformed := func(es []protocol.CapacityEntry) bool {
+		for _, e := range es {
+			if name(e.App) == "" || int(int32(e.UnitID)) != e.UnitID {
+				return true
+			}
+		}
+		return false
+	}
 	switch t := msg.(type) {
 	case protocol.CapacityUpdate:
 		if stale(t.Epoch) || l.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) == protocol.Duplicate {
 			return
 		}
 		l.apply(t.App, t.UnitID, t.Size, t.Delta)
+	case *protocol.CapacityDelta:
+		l.handle(now, from, *t, name)
 	case protocol.CapacityDelta:
-		if stale(t.Epoch) {
+		if malformed(t.Entries) || stale(t.Epoch) {
 			return
 		}
 		switch l.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) {
@@ -151,7 +171,7 @@ func (l *mapLedger) handle(now sim.Time, from transport.EndpointID, msg transpor
 			l.apply(name(e.App), e.UnitID, e.Size, e.Count)
 		}
 	case protocol.CapacitySync:
-		if stale(t.Epoch) {
+		if t.Machine != l.machine || malformed(t.Entries) || stale(t.Epoch) {
 			return
 		}
 		if t.Seq != 0 && l.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) == protocol.Duplicate {
@@ -190,15 +210,63 @@ func (l *mapLedger) restartMachine() {
 	l.dedup = protocol.Dedup{}
 }
 
+// appName resolves a wire entry's application for the reference: its name, or
+// "" for an endpoint ID the network never interned.
+func appName(net *transport.Net) func(int32) string {
+	return func(ep int32) string {
+		if !net.Known(transport.EndpointID(ep)) {
+			return ""
+		}
+		return net.Name(transport.EndpointID(ep))
+	}
+}
+
+// checkBeats compares every heartbeat h's agent sends, at the instant it sends
+// it, with the one ref would have sent: anchor flag, sequence number, and the
+// allocation and change tables entry by entry. The agent's tables leave in
+// ledger order, which no receiver depends on, so each is compared as a copy
+// sorted into the reference's (name, unit) order. It returns the running count
+// of beats compared; label names the run in a failure.
+func checkBeats(t *testing.T, h *harness, ref *mapLedger, label func() string) *int {
+	name := appName(h.net)
+	beats := new(int)
+	h.net.Tap = func(from, to string, msg transport.Message) {
+		if _, ok := msg.(protocol.WorkerStatus); ok {
+			// Worker reports draw from the agent's one sequencer; the
+			// reference keeps no process table, so it only counts them.
+			ref.seq.Next()
+			return
+		}
+		hb, ok := msg.(*protocol.AgentHeartbeat)
+		if !ok || to != protocol.MasterEndpoint {
+			return
+		}
+		*beats++
+		want := ref.beat()
+		got := oracleBeat{Full: hb.Full, Seq: hb.Seq}
+		for _, d := range hb.Allocations {
+			got.Allocations = append(got.Allocations, namedAlloc{name(d.App), d.UnitID, d.Count})
+		}
+		for _, d := range hb.Changes {
+			got.Changes = append(got.Changes, namedAlloc{name(d.App), d.UnitID, d.Count})
+		}
+		sortNamed(got.Allocations)
+		sortNamed(got.Changes)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s beat %d at %v:\n agent  %+v\n oracle %+v", label(), *beats, h.eng.Now(), got, want)
+		}
+	}
+	return beats
+}
+
 // TestLedgerMatchesMapOracle drives the shipped agent and the map-based ledger
 // it replaced with the same seeded message stream — capacity deltas (in order,
 // duplicated, with gaps, from stale and newer epochs, over-releasing), named
 // single updates, full syncs (current, stale, unsequenced, with zero rows),
 // master hellos, daemon and machine crashes with restarts, and idle stretches
 // long enough for delta beats, anchors and the zero-count reap — and compares
-// every heartbeat the agent sends, at the instant it sends it, with the one
-// the reference would have sent: anchor flag, sequence number, and the
-// allocation and change tables entry by entry, in order.
+// every heartbeat the agent sends with the one the reference would have sent
+// (checkBeats).
 func TestLedgerMatchesMapOracle(t *testing.T) {
 	// Application names whose endpoint-ID order (registration order below) is
 	// neither their name order nor its reverse.
@@ -210,28 +278,9 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 		for _, app := range apps {
 			h.net.Endpoint(app)
 		}
-		name := func(ep int32) string { return h.net.Name(transport.EndpointID(ep)) }
-		ref := newMapLedger(a.cfg.AnchorEvery)
-
-		beats := 0
-		h.net.Tap = func(from, to string, msg transport.Message) {
-			hb, ok := msg.(*protocol.AgentHeartbeat)
-			if !ok || to != protocol.MasterEndpoint {
-				return
-			}
-			beats++
-			want := ref.beat()
-			got := oracleBeat{Full: hb.Full, Seq: hb.Seq}
-			for _, d := range hb.Allocations {
-				got.Allocations = append(got.Allocations, namedAlloc{name(d.App), d.UnitID, d.Count})
-			}
-			for _, d := range hb.Changes {
-				got.Changes = append(got.Changes, namedAlloc{name(d.App), d.UnitID, d.Count})
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d beat %d at %v:\n agent  %+v\n oracle %+v", seed, beats, h.eng.Now(), got, want)
-			}
-		}
+		name := appName(h.net)
+		ref := newMapLedger(a.cfg.AnchorEvery, a.id)
+		beats := checkBeats(t, h, ref, func() string { return fmt.Sprintf("seed %d", seed) })
 		// The reference sees each message exactly when the agent's handler
 		// does; a restart re-registers the agent's own handler, so re-wrap.
 		wrap := func() {
@@ -337,8 +386,8 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 				}
 			}
 		}
-		if beats < 500 {
-			t.Fatalf("seed %d: only %d beats compared", seed, beats)
+		if *beats < 500 {
+			t.Fatalf("seed %d: only %d beats compared", seed, *beats)
 		}
 		var live []string
 		a.ForEachAllocation(func(app string, unitID, count int) {
@@ -380,7 +429,7 @@ func churnAgents(tb testing.TB, n, rows int) (*transport.Net, *sim.Engine, []*Ag
 		a := New(DefaultConfig(), eng, net, top.Machine(m))
 		agents[i] = a
 		for r := 0; r < rows; r++ {
-			a.applyCapacity(makeCapKey(transport.EndpointID(apps[(i*7+r*61)%len(apps)]), 1+r%40), size, 1)
+			a.applyCapacity(makeCapKey(transport.EndpointID(apps[(i*7+r*61)%len(apps)]), 1+r%40), 1)
 		}
 		for r := 0; r < 4; r++ {
 			k := a.capacity.keys[(r*11+3)%rows]
@@ -393,36 +442,45 @@ func churnAgents(tb testing.TB, n, rows int) (*transport.Net, *sim.Engine, []*Ag
 
 // TestCapacityDeltaAndBeatAllocateNothing is the agent's share of "a delta
 // costs O(delta)": a warmed agent applies a four-entry CapacityDelta and sends
-// the delta beat that reports it without allocating.
+// the beat that reports it — a delta beat, or an anchor carrying the whole
+// table — without allocating. Both beats are drawn from the network's pool.
 func TestCapacityDeltaAndBeatAllocateNothing(t *testing.T) {
-	net, eng, agents, deltas := churnAgents(t, 1, 40)
-	a := agents[0]
-	master := net.Endpoint(protocol.MasterEndpoint)
-	const warm = 20000                          // twice round the engine's 8,192-slot calendar ring, so every slot a delivery event lands in is built
-	msgs := make([]transport.Message, warm+300) // boxed up front: the sender's cost
-	for i := range msgs {
-		es := append([]protocol.CapacityEntry(nil), deltas[0]...)
-		for j := range es {
-			es[j].Count = 1 - 2*(i%2) // grant, release, grant, ...
-		}
-		msgs[i] = protocol.CapacityDelta{Entries: es, Epoch: 1, Seq: uint64(i + 1)}
-	}
-	i := 0
-	step := func() {
-		a.handle(master, msgs[i])
-		i++
-		a.sinceAnchor = 0 // keep it a delta beat
-		a.sendHeartbeat()
-		eng.Run(eng.Now() + sim.Millisecond)
-	}
-	for i < warm {
-		step()
-	}
-	if n := testing.AllocsPerRun(200, step); n != 0 {
-		t.Fatalf("delta + beat allocate %v times on a warmed agent", n)
-	}
-	if a.ClampedNegative != 0 {
-		t.Fatalf("ClampedNegative = %d", a.ClampedNegative)
+	for _, anchor := range []bool{false, true} {
+		t.Run(map[bool]string{false: "delta", true: "anchor"}[anchor], func(t *testing.T) {
+			net, eng, agents, deltas := churnAgents(t, 1, 40)
+			a := agents[0]
+			master := net.Endpoint(protocol.MasterEndpoint)
+			const warm = 20000                          // twice round the engine's 8,192-slot calendar ring, so every slot a delivery event lands in is built
+			msgs := make([]transport.Message, warm+300) // boxed up front: the sender's cost
+			for i := range msgs {
+				es := append([]protocol.CapacityEntry(nil), deltas[0]...)
+				for j := range es {
+					es[j].Count = 1 - 2*(i%2) // grant, release, grant, ...
+				}
+				msgs[i] = protocol.CapacityDelta{Entries: es, Epoch: 1, Seq: uint64(i + 1)}
+			}
+			i := 0
+			step := func() {
+				a.handle(master, msgs[i])
+				i++
+				if anchor {
+					a.forceAnchor = true
+				} else {
+					a.sinceAnchor = 0
+				}
+				a.sendHeartbeat()
+				eng.Run(eng.Now() + sim.Millisecond)
+			}
+			for i < warm {
+				step()
+			}
+			if n := testing.AllocsPerRun(200, step); n != 0 {
+				t.Fatalf("delta + beat allocate %v times on a warmed agent", n)
+			}
+			if a.ClampedNegative != 0 {
+				t.Fatalf("ClampedNegative = %d", a.ClampedNegative)
+			}
+		})
 	}
 }
 
@@ -437,7 +495,7 @@ func BenchmarkAgentCapacityDelta(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			a, sign := agents[i%n], 1-2*(i/n%2)
 			for _, e := range deltas[i%n] {
-				a.applyCapacity(makeCapKey(transport.EndpointID(e.App), e.UnitID), e.Size, sign)
+				a.applyCapacity(makeCapKey(transport.EndpointID(e.App), e.UnitID), sign)
 			}
 		}
 	})
@@ -445,7 +503,7 @@ func BenchmarkAgentCapacityDelta(b *testing.B) {
 		refs := make([]*mapLedger, n)
 		names := make([][]string, n)
 		for i, a := range agents {
-			refs[i] = newMapLedger(10)
+			refs[i] = newMapLedger(10, a.id)
 			a.ForEachAllocation(func(app string, unitID, count int) { refs[i].apply(app, unitID, size, count) })
 			for _, e := range deltas[i] {
 				names[i] = append(names[i], net.Name(transport.EndpointID(e.App)))

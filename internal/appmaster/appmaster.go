@@ -148,6 +148,9 @@ type AM struct {
 	// gate fences grant updates from a deposed primary (see
 	// protocol.EpochGate).
 	gate protocol.EpochGate
+	// grantLevel is the narrowest locality level the grant being handed to
+	// OnGrant consumed demand at (see GrantLevel).
+	grantLevel resource.LocalityType
 }
 
 // Worker is the application's view of one worker process.
@@ -624,6 +627,11 @@ func (a *AM) Outstanding(unitID int) int {
 // Worker returns the application's view of a worker (nil when unknown).
 func (a *AM) Worker(id string) *Worker { return a.workers[id] }
 
+// GrantLevel is the narrowest locality level — machine, rack or cluster —
+// at which the grant OnGrant is handling consumed this application's
+// outstanding demand. It is meaningful only inside OnGrant.
+func (a *AM) GrantLevel() resource.LocalityType { return a.grantLevel }
+
 // App returns the application name.
 func (a *AM) App() string { return a.cfg.App }
 
@@ -735,7 +743,7 @@ func (a *AM) applyGrant(t protocol.GrantUpdate) {
 		k := machineKey(ch.Machine)
 		if ch.Delta > 0 {
 			*l.held.Put(k) += ch.Delta
-			a.consumeOutstanding(l, ch.Machine, ch.Delta)
+			a.grantLevel = a.consumeOutstanding(l, ch.Machine, ch.Delta)
 			a.cb.OnGrant(t.UnitID, ch.Machine, ch.Delta)
 		} else if ch.Delta < 0 {
 			n := min(-ch.Delta, l.held.Get(k))
@@ -751,18 +759,24 @@ func (a *AM) applyGrant(t protocol.GrantUpdate) {
 // consumeOutstanding mirrors the master's grant accounting on the demand
 // view: a grant on machine M consumes machine-level demand on M first, then
 // rack-level demand on rack(M), then cluster-level demand. Any residual
-// divergence is repaired by the periodic full sync.
-func (a *AM) consumeOutstanding(l *unitLedger, machine int32, count int) {
-	for _, k := range [...]uint64{
+// divergence is repaired by the periodic full sync. It returns the narrowest
+// level it consumed demand at (cluster when it found none).
+func (a *AM) consumeOutstanding(l *unitLedger, machine int32, count int) resource.LocalityType {
+	level := resource.LocalityCluster
+	for i, k := range [...]uint64{
 		nodeKey(resource.LocalityMachine, machine),
 		nodeKey(resource.LocalityRack, a.top.RackIDOf(machine)),
 		nodeKey(resource.LocalityCluster, 0),
 	} {
 		if count == 0 {
-			return
+			break
 		}
-		count -= dense.Take(&l.out, k, count)
+		if n := dense.Take(&l.out, k, count); n > 0 {
+			level = min(level, resource.LocalityType(i))
+			count -= n
+		}
 	}
+	return level
 }
 
 func (a *AM) applyWorkerStatus(t protocol.WorkerStatus) {

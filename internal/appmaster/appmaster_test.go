@@ -1,6 +1,7 @@
 package appmaster
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/protocol"
@@ -18,6 +19,7 @@ type harness struct {
 	toMaster []transport.Message
 	toAgent  map[string][]transport.Message
 	grants   []string
+	levels   []resource.LocalityType // GrantLevel, read inside each OnGrant
 	revokes  []string
 	statuses []protocol.WorkerStatus
 }
@@ -47,7 +49,10 @@ func newHarness(t *testing.T, fullSync sim.Time) *harness {
 		Units:            []resource.ScheduleUnit{{ID: 1, Priority: 100, MaxCount: 20, Size: resource.New(1000, 2048)}},
 		FullSyncInterval: fullSync,
 	}, eng, net, top, cbFuncs{
-		Grant:  func(u int, m int32, c int) { h.grants = append(h.grants, top.MachineName(m)) },
+		Grant: func(u int, m int32, c int) {
+			h.grants = append(h.grants, top.MachineName(m))
+			h.levels = append(h.levels, h.am.GrantLevel())
+		},
 		Revoke: func(u int, m int32, c int) { h.revokes = append(h.revokes, top.MachineName(m)) },
 		Worker: func(s protocol.WorkerStatus) { h.statuses = append(h.statuses, s) },
 	})
@@ -121,15 +126,23 @@ func TestGrantConsumesMachineDemandFirst(t *testing.T) {
 	h := newHarness(t, 0)
 	h.am.Request(1,
 		resource.LocalityHint{Type: resource.LocalityMachine, Value: "r000m000", Count: 2},
+		resource.LocalityHint{Type: resource.LocalityRack, Value: "r001", Count: 1},
 		resource.LocalityHint{Type: resource.LocalityCluster, Count: 3})
 	h.grant("r000m000", 2, 1)
 	// Machine-level demand must be consumed before cluster-level.
-	if h.am.Outstanding(1) != 3 {
-		t.Errorf("outstanding = %d, want 3 (cluster remainder)", h.am.Outstanding(1))
+	if h.am.Outstanding(1) != 4 {
+		t.Errorf("outstanding = %d, want 4 (rack and cluster remainder)", h.am.Outstanding(1))
 	}
 	h.grant("r001m000", 1, 2)
-	if h.am.Outstanding(1) != 2 {
-		t.Errorf("outstanding = %d, want 2", h.am.Outstanding(1))
+	h.grant("r001m001", 1, 3)
+	h.grant("r000m001", 3, 4) // two past the demand left
+	if h.am.Outstanding(1) != 0 {
+		t.Errorf("outstanding = %d, want 0", h.am.Outstanding(1))
+	}
+	// GrantLevel names the narrowest level each grant consumed demand at.
+	want := []resource.LocalityType{resource.LocalityMachine, resource.LocalityRack, resource.LocalityCluster, resource.LocalityCluster}
+	if !slices.Equal(h.levels, want) {
+		t.Errorf("grant levels %v, want %v", h.levels, want)
 	}
 }
 

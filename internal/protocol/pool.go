@@ -20,6 +20,7 @@ const (
 	poolJobAdmit
 	poolJobAdmitAck
 	poolFullDemandSync
+	poolAgentHeartbeat
 )
 
 // Pool implements transport.Recycled.
@@ -98,6 +99,16 @@ func (m *FullDemandSync) Clear() {
 	*m = FullDemandSync{Demand: m.Demand[:0], Held: m.Held[:0]}
 }
 
+// Pool implements transport.Recycled.
+func (*AgentHeartbeat) Pool() int { return poolAgentHeartbeat }
+
+// Clear implements transport.Recycled.
+func (m *AgentHeartbeat) Clear() {
+	clear(m.Allocations)
+	clear(m.Changes)
+	*m = AgentHeartbeat{Allocations: m.Allocations[:0], Changes: m.Changes[:0]}
+}
+
 // Keep returns msg in a form that outlives the handler (or Tap) it was
 // handed to: a pooled pointer message becomes its value form with the owned
 // payload cloned, anything else is returned as it is. It is the copy the
@@ -134,6 +145,11 @@ func Keep(msg any) any {
 		c := *t
 		c.Demand = slices.Clone(t.Demand)
 		c.Held = slices.Clone(t.Held)
+		return c
+	case *AgentHeartbeat:
+		c := *t
+		c.Allocations = slices.Clone(t.Allocations)
+		c.Changes = slices.Clone(t.Changes)
 		return c
 	}
 	return msg

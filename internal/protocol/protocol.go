@@ -23,22 +23,23 @@
 // messages (WorkPlan, WorkerStatus) keep names: they cross into the job
 // layer, which speaks names.
 //
-// Pooled messages: the ten types every job, every scheduling decision or
-// every safety sync sends — RegisterApp, DemandUpdate, GrantReturnBatch,
-// GrantUpdate, UnregisterApp, UnregisterAck, CapacityDelta, JobAdmit,
-// JobAdmitAck, FullDemandSync — travel as pointers drawn from the network's
-// free lists (transport.Acquire) and implement transport.Recycled (pool.go).
-// Such a message and its payload slices are valid until the receiving
-// handler returns, then the network zeroes and reuses them; a receiver that
-// keeps a hint list, an entry or the message itself past that point copies
-// it. The payloads the message owns (Deltas, Returns, Changes, Entries,
-// Demand, Held) are filled with append into whatever capacity the last use
-// left; the Units of RegisterApp and FullDemandSync are the borrowed
-// payloads — they alias the application master's own configuration, as they
-// always have, and are dropped, not zeroed, on release. The value forms of
-// all ten remain valid messages (tests and scripted senders use them) and
-// every receiver accepts both. WireSize is declared on the value types, so a
-// pointer and a value of one message report the same size.
+// Pooled messages: the eleven types every job, every scheduling decision,
+// every safety sync or every agent beat sends — RegisterApp, DemandUpdate,
+// GrantReturnBatch, GrantUpdate, UnregisterApp, UnregisterAck, CapacityDelta,
+// JobAdmit, JobAdmitAck, FullDemandSync, AgentHeartbeat — travel as pointers
+// drawn from the network's free lists (transport.Acquire) and implement
+// transport.Recycled (pool.go). Such a message and its payload slices are
+// valid until the receiving handler returns, then the network zeroes and
+// reuses them; a receiver that keeps a hint list, an entry or the message
+// itself past that point copies it. The payloads the message owns (Deltas,
+// Returns, Changes, Entries, Demand, Held, Allocations) are filled with append
+// into whatever capacity the last use left; the Units of RegisterApp and
+// FullDemandSync are the borrowed payloads — they alias the application
+// master's own configuration, as they always have, and are dropped, not
+// zeroed, on release. The value forms of all eleven remain valid messages
+// (tests and scripted senders use them) and every receiver accepts both.
+// WireSize is declared on the value types, so a pointer and a value of one
+// message report the same size.
 package protocol
 
 import "repro/internal/resource"
@@ -212,7 +213,7 @@ type UnregisterAck struct {
 
 // AgentHeartbeat reports a node's health and its current per-application
 // allocations. Heartbeats are delta-encoded: most beats carry only liveness
-// and the health score (Full false, no maps), a beat after local capacity
+// and the health score (Full false, no entries), a beat after local capacity
 // churn carries the changed entries in Changes, and periodic anchor beats
 // (plus the reply to a MasterHello and the first beat after a restart) carry
 // the complete Allocations table with Full true. The anchor is what the
@@ -223,14 +224,14 @@ type AgentHeartbeat struct {
 	Machine int32 // dense machine ID
 	// Full marks an anchor beat: Allocations is the complete table and a
 	// recovering master may restore from it. Non-anchor beats leave
-	// Allocations nil.
+	// Allocations empty.
 	Full bool
-	// Allocations is the complete table, sorted by (App, UnitID) — anchor
-	// beats only.
+	// Allocations is the complete table, one entry per (App, UnitID) with a
+	// positive count, in no particular order — anchor beats only.
 	Allocations []AllocDelta
 	// Changes lists entries whose count changed since the previous beat
-	// (absolute new counts, zero meaning removed); nil when nothing changed
-	// or on anchor beats.
+	// (absolute new counts, zero meaning removed), in no particular order;
+	// empty when nothing changed or on anchor beats.
 	Changes []AllocDelta
 	// HealthScore in [0,100]; derived from the agent's plugin collectors
 	// (disk statistics, machine load, network I/O). 100 is healthy.

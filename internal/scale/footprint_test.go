@@ -34,12 +34,16 @@ func heapCost(fn func()) (mallocs, bytes uint64) {
 // returns, unregister), and holds the objects and bytes per process to what
 // the same walk cost with the map-based tables these replaced (measured at
 // that commit with this file: 12.6 objects / 1,684 bytes per agent, 43.0 /
-// 3,078 per master, timers and transport included; both repeat exactly).
+// 3,078 per master, timers and transport included; both repeat exactly). It
+// also holds what an agent keeps once it runs: agentSteadyBytes.
 func TestPerProcessFootprint(t *testing.T) {
 	const (
 		maxAgentMallocs, maxAgentBytes = 12.6, 1684.0
-		maxAMMallocs, maxAMBytes       = 43.0, 3078.0
-		jobs                           = 2000
+		// agentSteadyBytes measures 7,870 live bytes (7,905 under -race);
+		// per-agent heartbeat buffers and sized capacity rows held 13,810.
+		maxAgentSteadyBytes      = 8200.0
+		maxAMMallocs, maxAMBytes = 43.0, 3078.0
+		jobs                     = 2000
 	)
 	cfg := SmokeReplayConfig()
 	top, err := topology.Build(topology.Spec{
@@ -67,6 +71,12 @@ func TestPerProcessFootprint(t *testing.T) {
 	if perAgentMallocs > maxAgentMallocs || perAgentBytes > maxAgentBytes {
 		t.Errorf("agent footprint %.1f objects / %.0f bytes, map-based tables cost %.1f / %.0f",
 			perAgentMallocs, perAgentBytes, maxAgentMallocs, maxAgentBytes)
+	}
+
+	steady := agentSteadyBytes(t)
+	t.Logf("per agent at steady state: %.0f live bytes", steady)
+	if steady > maxAgentSteadyBytes {
+		t.Errorf("agent steady-state footprint %.0f live bytes, bound %.0f", steady, maxAgentSteadyBytes)
 	}
 
 	// Names and unit definitions are the caller's, as in the harness.
@@ -110,6 +120,80 @@ func TestPerProcessFootprint(t *testing.T) {
 		t.Errorf("application master footprint %.1f objects / %.0f bytes, map-based tables cost %.1f / %.0f",
 			perAMMallocs, perAMBytes, maxAMMallocs, maxAMBytes)
 	}
+}
+
+// agentSteadyBytes is the live heap one agent holds at steady state, with
+// what the network keeps on its behalf: churn's shape of 40 capacity rows
+// per agent, a four-row CapacityDelta to every agent each quarter second,
+// and AnchorEvery+2 beats of it, so every agent has sent delta beats, anchor
+// beats and reaped. Agents boot in one instant, as core.NewCluster boots
+// them, so their beats travel together. The count covers the capacity rows,
+// the heartbeat payloads, the timers and the share of the network's free
+// lists; the application names the rows point at are interned first and
+// left out.
+func agentSteadyBytes(t *testing.T) float64 {
+	const n, rows, perDelta = 1000, 40, 4
+	top, err := topology.Build(topology.Spec{Racks: 25, MachinesPerRack: n / 25, MachineCapacity: topology.PaperTestbedMachine()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(1)
+	net := transport.NewNet(eng)
+	master := net.Register(protocol.MasterEndpoint, func(transport.EndpointID, transport.Message) {})
+	apps := make([]int32, 2500)
+	for i := range apps {
+		apps[i] = int32(net.Endpoint(fmt.Sprintf("app-%04d", i)))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	acfg := agent.DefaultConfig()
+	agents := make([]*agent.Agent, n)
+	eps := make([]transport.EndpointID, n)
+	seqs := make([]protocol.Sequencer, n)
+	for i, m := range top.Machines() {
+		agents[i] = agent.New(acfg, eng, net, top.Machine(m))
+		eps[i] = net.Endpoint(protocol.AgentEndpoint(m))
+	}
+	row := func(i, r int) protocol.CapacityEntry {
+		return protocol.CapacityEntry{App: apps[(i*7+r*61)%len(apps)], UnitID: 1 + r%40, Size: resource.New(500, 2048), Count: 1}
+	}
+	send := func(i int, entries func(d *protocol.CapacityDelta)) {
+		d := transport.Acquire[protocol.CapacityDelta](net)
+		d.Epoch, d.Seq = 1, seqs[i].Next()
+		entries(d)
+		net.SendID(master, eps[i], d)
+	}
+	for i := range agents {
+		send(i, func(d *protocol.CapacityDelta) {
+			for r := 0; r < rows; r++ {
+				d.Entries = append(d.Entries, row(i, r))
+			}
+		})
+	}
+	for round := 0; round < 4*(acfg.AnchorEvery+2); round++ {
+		eng.Run(eng.Now() + 250*sim.Millisecond)
+		for i := range agents {
+			send(i, func(d *protocol.CapacityDelta) {
+				for r := 0; r < perDelta; r++ {
+					e := row(i, (round/2*perDelta+r)%rows)
+					e.Count = 1 - 2*(round%2) // grant, release, grant, ...
+					d.Entries = append(d.Entries, e)
+				}
+			})
+		}
+	}
+	eng.Run(eng.Now() + 250*sim.Millisecond)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	for _, a := range agents {
+		if a.ClampedNegative != 0 {
+			t.Fatalf("agent %s clamped %d releases: the stream is not the one described", a.Machine, a.ClampedNegative)
+		}
+	}
+	runtime.KeepAlive(agents)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
 }
 
 // clampedNegative runs cfg to its end and sums the agents' ClampedNegative

@@ -37,6 +37,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/master"
 	"repro/internal/metrics"
+	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/transport"
@@ -331,6 +332,9 @@ type Result struct {
 	LatencyP50MS  float64 `json:"latency_p50_ms"`
 	LatencyP99MS  float64 `json:"latency_p99_ms"`
 	LatencyMaxMS  float64 `json:"latency_max_ms"`
+	// SlowestGrant is the grant behind LatencyMaxMS (nil when no demand was
+	// answered).
+	SlowestGrant *SlowGrant `json:"slowest_grant,omitempty"`
 
 	AllocsPerDecision float64 `json:"allocs_per_decision"`
 	EventsFired       uint64  `json:"events_fired"`
@@ -412,6 +416,28 @@ type Result struct {
 	Completed []string `json:"-"`
 }
 
+// SlowGrant identifies the grant behind a run's demand-to-grant maximum: the
+// unit that waited, the machine it got, the locality level at which the grant
+// met its demand, and when the demand left the application master and the
+// grant reached it (virtual milliseconds since boot).
+type SlowGrant struct {
+	App        string  `json:"app"`
+	UnitID     int     `json:"unit_id"`
+	Machine    string  `json:"machine"`
+	Level      string  `json:"locality_level"`
+	DemandAtMS float64 `json:"demand_at_ms"`
+	GrantAtMS  float64 `json:"grant_at_ms"`
+}
+
+// slowGrant is SlowGrant as the observed-decision path records it.
+type slowGrant struct {
+	app               string
+	unitID            int
+	machine           int32
+	level             resource.LocalityType
+	demandAt, grantAt sim.Time
+}
+
 // harness is one run: the cluster core.NewCluster wired, the workload that
 // feeds it jobs, the probes that measure it, and the counters every job's
 // observed decisions land in. Nothing below names a mode: what differs
@@ -447,7 +473,9 @@ type harness struct {
 	appsDone int
 	rng      *rand.Rand
 
-	latency   *metrics.Histogram
+	latency *metrics.Histogram
+	// slowest is the grant behind the latency maximum, kept beside it.
+	slowest   slowGrant
 	grants    uint64
 	revokes   uint64
 	completed int
@@ -630,6 +658,7 @@ func (h *harness) run() *Result {
 		}
 		h.grants, h.revokes = 0, 0
 		h.latency.Reset()
+		h.slowest = slowGrant{}
 		evBase = eng.Fired()
 		s := net.Stats()
 		msgBase, batchBase = s.Sent, s.Batches
@@ -691,6 +720,13 @@ func (h *harness) run() *Result {
 		SimSeconds:     eng.Now().Seconds(),
 		Completed:      h.names,
 		Truncated:      !h.load.drained(),
+	}
+	if g := h.slowest; g.app != "" {
+		res.SlowestGrant = &SlowGrant{
+			App: g.app, UnitID: g.unitID, Machine: h.top.MachineName(g.machine), Level: g.level.String(),
+			DemandAtMS: float64(g.demandAt) / float64(sim.Millisecond),
+			GrantAtMS:  float64(g.grantAt) / float64(sim.Millisecond),
+		}
 	}
 	if res.Decisions > 0 {
 		res.DecisionsPerSec = float64(res.Decisions) / wall

@@ -1,6 +1,7 @@
 package scale
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -185,5 +186,31 @@ func TestEarlyMasterFailoverIsMeasured(t *testing.T) {
 	}
 	if res.CompletedApps != cfg.Apps || len(res.Invariants) > 0 {
 		t.Errorf("completed %d of %d apps, violations %v", res.CompletedApps, cfg.Apps, res.Invariants)
+	}
+}
+
+// TestSlowestGrantIsTheLatencyMax: the observed-decision path keeps the grant
+// behind the demand-to-grant maximum, restarted with the histogram at the
+// warmup boundary. In churn's smoke it is a cluster-level grant that waited
+// tens of seconds — the shape EXPERIMENTS.md's "Churn's 75-second grant"
+// explains at paper scale.
+func TestSlowestGrantIsTheLatencyMax(t *testing.T) {
+	cfg := SmokeChurnConfig()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := res.SlowestGrant
+	if g == nil || g.App == "" || g.Machine == "" {
+		t.Fatalf("slowest grant %+v", g)
+	}
+	if wait := g.GrantAtMS - g.DemandAtMS; math.Abs(wait-res.LatencyMaxMS) > 1e-6 {
+		t.Errorf("slowest grant waited %.3f ms, latency max %.3f ms", wait, res.LatencyMaxMS)
+	}
+	if warm := cfg.ChurnWarmup.Seconds() * 1000; g.GrantAtMS < warm {
+		t.Errorf("slowest grant at %.1f ms, before the window opened at %.1f ms", g.GrantAtMS, warm)
+	}
+	if g.Level != "cluster" || g.GrantAtMS-g.DemandAtMS < 10_000 {
+		t.Errorf("slowest grant %+v: want a cluster-level grant that waited over 10 s", *g)
 	}
 }

@@ -122,7 +122,8 @@ func (j *application) demand(unitID, count int) {
 }
 
 // granted is the one path every grant an application observes takes:
-// counters, the decision-stream hash, the probes' hooks, demand-to-grant.
+// counters, the decision-stream hash, the probes' hooks, demand-to-grant and
+// the grant behind its maximum.
 func (h *harness) granted(j *application, unitID int, machine int32, count int) {
 	h.grants += uint64(count)
 	h.hashDecision(j.name, unitID, machine, count, false)
@@ -134,7 +135,11 @@ func (h *harness) granted(j *application, unitID int, machine int32, count int) 
 		l.grants[j.class] += uint64(count)
 	}
 	if at := j.pendingReq[unitID]; at != 0 {
-		ms := float64(h.eng.Now()-at) / float64(sim.Millisecond)
+		now := h.eng.Now()
+		if s := &h.slowest; now-at > s.grantAt-s.demandAt {
+			*s = slowGrant{app: j.name, unitID: unitID, machine: machine, level: j.am.GrantLevel(), demandAt: at, grantAt: now}
+		}
+		ms := float64(now-at) / float64(sim.Millisecond)
 		h.latency.Observe(ms)
 		if l != nil {
 			l.observeD2G(j.class, ms)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -177,6 +178,72 @@ func TestSharedOrQueuedMessagesAreNotRecycled(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestHeartbeatLifetime holds the agents' pooled heartbeat to the same
+// contract as the test note: a beat a link rule duplicates reaches the master
+// whole twice and is never recycled, and a handler that keeps a delivered
+// beat reads zeros once it returns while its protocol.Keep copy stays whole.
+func TestHeartbeatLifetime(t *testing.T) {
+	pool := (*protocol.AgentHeartbeat)(nil).Pool()
+	freeBeats := func(n *Net) int {
+		if pool < len(n.free) {
+			return len(n.free[pool])
+		}
+		return 0
+	}
+	beat := func(n *Net) *protocol.AgentHeartbeat {
+		hb := Acquire[protocol.AgentHeartbeat](n)
+		hb.Machine, hb.Full, hb.HealthScore, hb.Seq = 7, true, 90, 3
+		hb.Allocations = append(hb.Allocations, protocol.AllocDelta{App: 2, UnitID: 1, Count: 4}, protocol.AllocDelta{App: 5, UnitID: 3, Count: 1})
+		return hb
+	}
+	whole := func(hb *protocol.AgentHeartbeat) bool {
+		return hb.Machine == 7 && hb.Full && hb.Seq == 3 && len(hb.Allocations) == 2 && hb.Allocations[1].App == 5
+	}
+
+	t.Run("duplicated", func(t *testing.T) {
+		eng, net := newNet(t)
+		delivered := 0
+		net.Register("b", func(_ EndpointID, m Message) {
+			delivered++
+			if hb := m.(*protocol.AgentHeartbeat); !whole(hb) {
+				t.Errorf("delivery %d reads %+v: recycled under a reader", delivered, *hb)
+			}
+		})
+		net.SetLinkRule("a", "b", LinkRule{Dup: 1})
+		net.Send("a", "b", beat(net))
+		eng.RunUntilIdle()
+		if delivered != 2 || freeBeats(net) != 0 {
+			t.Errorf("delivered %d, released %d; want 2 deliveries and no release", delivered, freeBeats(net))
+		}
+	})
+
+	t.Run("kept", func(t *testing.T) {
+		eng, net := newNet(t)
+		var kept *protocol.AgentHeartbeat
+		var keptAllocs []protocol.AllocDelta
+		var copied protocol.AgentHeartbeat
+		net.Register("b", func(_ EndpointID, m Message) {
+			kept = m.(*protocol.AgentHeartbeat)
+			keptAllocs = kept.Allocations
+			copied = protocol.Keep(m).(protocol.AgentHeartbeat)
+		})
+		net.Send("a", "b", beat(net))
+		eng.RunUntilIdle()
+		if kept.Machine != 0 || kept.Full || kept.Seq != 0 || kept.HealthScore != 0 || len(kept.Allocations) != 0 {
+			t.Errorf("kept beat reads %+v after its handler returned, want zeros", *kept)
+		}
+		if !reflect.DeepEqual(keptAllocs, []protocol.AllocDelta{{}, {}}) {
+			t.Errorf("kept allocation table reads %v, want zeros", keptAllocs)
+		}
+		if !whole(&copied) {
+			t.Errorf("protocol.Keep copy reads %+v, want the beat as sent", copied)
+		}
+		if next := Acquire[protocol.AgentHeartbeat](net); next != kept || cap(next.Allocations) < 2 {
+			t.Errorf("Acquire returned %p (table cap %d), want the recycled %p with its buffer", next, cap(next.Allocations), kept)
+		}
+	})
 }
 
 // TestPooledSendsDeliverWhatValueSendsDo drives one seeded script of sends,

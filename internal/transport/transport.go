@@ -34,20 +34,20 @@
 // reordering (the dedup/gap machinery in internal/protocol does).
 //
 // Message lifetime: a message that implements Recycled — a pointer to one of
-// the protocol's ten pooled types (RegisterApp, DemandUpdate,
+// the protocol's eleven pooled types (RegisterApp, DemandUpdate,
 // GrantReturnBatch, GrantUpdate, UnregisterApp, UnregisterAck, CapacityDelta,
-// JobAdmit, JobAdmitAck, FullDemandSync), drawn with Acquire — belongs to the
-// network from the moment it is sent. It and its payload slices are valid until the
-// receiving handler returns; then the network clears it (header fields and
-// every payload element zeroed, payloads truncated with their capacity kept)
-// and returns it to the free list the next Acquire draws from. A handler, or
-// a Tap, that keeps anything past its own return copies it: a kept pointer or
-// slice reads zeros at once instead of another message's contents later. The
-// sender must not touch the message after the send either. A message the
-// network duplicated, or dropped at send time, is simply never recycled — the
-// collector takes it — so nothing is released twice and nothing still queued
-// is reused. Value messages are untouched by all of this: they are copied
-// into the interface by the sender and shared by nobody.
+// JobAdmit, JobAdmitAck, FullDemandSync, AgentHeartbeat), drawn with Acquire —
+// belongs to the network from the moment it is sent. It and its payload slices
+// are valid until the receiving handler returns; then the network clears it
+// (header fields and every payload element zeroed, payloads truncated with
+// their capacity kept) and returns it to the free list the next Acquire draws
+// from. A handler, or a Tap, that keeps anything past its own return copies
+// it: a kept pointer or slice reads zeros at once instead of another message's
+// contents later. The sender must not touch the message after the send either.
+// A message the network duplicated, or dropped at send time, is simply never
+// recycled — the collector takes it — so nothing is released twice and nothing
+// still queued is reused. Value messages are untouched by all of this: they
+// are copied into the interface by the sender and shared by nobody.
 package transport
 
 import (
@@ -280,6 +280,10 @@ func (n *Net) Name(id EndpointID) string { return n.tbl.Name(int32(id)) }
 // None — the read-only counterpart of Endpoint for accessors that are handed
 // a name and must not grow the table when it is unknown.
 func (n *Net) Lookup(name string) EndpointID { return EndpointID(n.tbl.ID(name)) }
+
+// Known reports whether id is one some earlier call interned — the check a
+// receiver makes before trusting an endpoint ID that arrived inside a message.
+func (n *Net) Known(id EndpointID) bool { return id >= 0 && int(id) < len(n.eps) }
 
 // Register installs (or replaces) the handler for endpoint name and returns
 // its EndpointID. Replacing is deliberate: a restarted component
