@@ -53,7 +53,9 @@
 // MasterHello from a freshly promoted primary — which restores soft state
 // only from anchors — and after restarts); the master's per-decision
 // capacity stream to each agent is rolled up into one CapacityDelta per
-// scheduling round with CapacitySync as the repair anchor; application
+// scheduling step — the releases a step applies and the grants and
+// revocations its reassignment makes, releases first, in one message — with
+// CapacitySync as the repair anchor; application
 // masters coalesce same-instant container returns into one
 // GrantReturnBatch. With Config.BatchWindow the master batches demand and
 // returns into scheduling rounds, applying releases first, reassigning in

@@ -90,6 +90,39 @@ func (s *agentScript) entries(net *transport.Net, signed bool) []protocol.Capaci
 	return es
 }
 
+// TestMixedSignDeltaEqualsTwoMessages: a CapacityDelta that releases one
+// app's container and grants another's — or releases and regrants the same
+// (app, unit) — leaves the agent exactly where two back-to-back messages,
+// the release and then the grant, leave it, and clamps nothing.
+func TestMixedSignDeltaEqualsTwoMessages(t *testing.T) {
+	for _, other := range []string{"app1", "app2"} {
+		t.Run(other, func(t *testing.T) {
+			var ledgers [2]map[string]int
+			for i := range ledgers {
+				h := newHarness(t)
+				h.net.Register("app2", func(transport.EndpointID, transport.Message) {})
+				h.sendDelta(1, protocol.CapacityEntry{App: h.ep("app1"), UnitID: 1, Size: size, Count: 2})
+				release := protocol.CapacityEntry{App: h.ep("app1"), UnitID: 1, Size: size, Count: -1}
+				grant := protocol.CapacityEntry{App: h.ep(other), UnitID: 1, Size: size, Count: 1}
+				if i == 0 {
+					h.sendDelta(2, release, grant)
+				} else {
+					h.sendDelta(2, release)
+					h.sendDelta(3, grant)
+				}
+				if h.agent.ClampedNegative != 0 {
+					t.Fatalf("ClampedNegative = %d, want 0", h.agent.ClampedNegative)
+				}
+				ledgers[i] = map[string]int{}
+				h.agent.ForEachAllocation(func(app string, unit, n int) { ledgers[i][fmt.Sprintf("%s/%d", app, unit)] = n })
+			}
+			if fmt.Sprint(ledgers[0]) != fmt.Sprint(ledgers[1]) {
+				t.Fatalf("one message left %v, two messages %v", ledgers[0], ledgers[1])
+			}
+		})
+	}
+}
+
 // TestCapacitySyncForAnotherMachineIsDropped: a CapacitySync carries one
 // machine's whole table, and the agent used to install whichever table
 // arrived — a sync misrouted from another machine's stream replaced the
@@ -177,6 +210,12 @@ func FuzzAgentHandle(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 0x3f, 1, 2, 1, 1, 2, 1, 8, 1, 3, 4, 3, 0, 1, 0, 4, 9})
 	f.Add([]byte{3, 9, 0, 1, 3, 0, 0, 1, 8, 2, 2, 4, 7, 0, 1, 4, 30, 0, 1, 3, 0xff, 2})
 	f.Add([]byte{1, 1, 4, 2, 8, 1, 2, 1, 0x10, 2, 0, 4, 20, 0, 3, 2, 8, 0xf8, 1, 4, 0, 0xe1})
+	// Mixed-sign deltas, as a master that folds a step's releases and grants
+	// into one message per agent sends them: a release and a grant of the
+	// same (app, unit) in either order, across two apps, and both from an
+	// empty row — none of them clamps.
+	f.Add([]byte{0, 4, 1, 0, 0, 2, 0, 4, 2, 0, 0, 0xff, 0, 0, 1, 0, 4, 2, 0, 0, 1, 0, 0, 0xff, 0, 4, 2, 0, 1, 1, 0, 1, 0xff, 4, 50})
+	f.Add([]byte{0, 4, 1, 0, 0, 1, 0, 4, 2, 0, 0, 0xff, 8, 0, 1, 0, 4, 2, 0, 0, 1, 8, 0, 0xff, 4, 50})
 	f.Fuzz(runAgentScript)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/appmaster"
+	"repro/internal/faults"
 	"repro/internal/master"
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -373,15 +374,23 @@ func TestUtilizationAccountingConsistent(t *testing.T) {
 // the defaults unless LockName was set, keeping only Sched and BatchWindow.)
 func TestCallerSetMasterFieldsSurvive(t *testing.T) {
 	var c *Cluster
-	epoch, at := 0, sim.Time(0)
+	epoch, promoted, at := 0, sim.Time(0), sim.Time(0)
 	c = newCluster(t, Config{
 		Racks: 1, MachinesPerRack: 2, Seed: 5, Standby: true,
 		Master: master.Config{
+			OnPromote: func(e int) {
+				if e == 2 {
+					promoted = c.Now()
+				}
+			},
 			OnRecovered:    func(e, reissued int) { epoch, at = e, c.Now() },
 			RecoveryWindow: 500 * sim.Millisecond,
 		},
 	})
 	c.Run(sim.Second)
+	// A dead machine never anchors to the successor, so its recovery runs to
+	// the window's deadline instead of ending once everyone has reported.
+	c.Faults.Fire(faults.Fault{Kind: faults.NodeDown, Targets: []int32{1}})
 	killed := c.Now()
 	if c.KillPrimaryMaster() == nil {
 		t.Fatal("no primary to kill")
@@ -392,9 +401,11 @@ func TestCallerSetMasterFieldsSurvive(t *testing.T) {
 	}
 	// The lease (default TTL, the caller set none) expires within LockTTL of
 	// the crash; recovery then takes the caller's 500 ms, not the default 2 s.
-	def := master.DefaultConfig("")
-	if took := at - killed; took > def.LockTTL+sim.Second || took < 500*sim.Millisecond {
-		t.Errorf("recovered %v after the crash, want within LockTTL %v + the caller's 500 ms window", took, def.LockTTL)
+	if def := master.DefaultConfig(""); promoted-killed > def.LockTTL {
+		t.Errorf("promoted %v after the crash, want within LockTTL %v", promoted-killed, def.LockTTL)
+	}
+	if took := at - promoted; took != 500*sim.Millisecond {
+		t.Errorf("recovered %v after the promotion, want the caller's 500 ms window", took)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/appmaster"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/invariant"
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -135,6 +136,10 @@ func TestUnregisterDuringRecoveryWindow(t *testing.T) {
 		}
 		cluster.Run(100 * sim.Microsecond)
 	}
+	// The successor ends recovery once every machine has anchored, one round
+	// trip after its hello; slowing one machine's link holds the window open
+	// while the unregister lands, so it takes the buffered branch.
+	cluster.Faults.Fire(faults.Fault{Kind: faults.DelaySpike, Targets: []int32{0}, Delay: 50 * sim.Millisecond, For: sim.Second})
 	am.Unregister()
 	cluster.Run(10 * sim.Second) // recovery window + settle
 	if s := cluster.Scheduler(); s == nil || s.Registered("app-inv") {

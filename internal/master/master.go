@@ -43,8 +43,12 @@ type Config struct {
 	// "heavy but not emergent requests ... captured at a fixed time
 	// interval ... in a roll-up manner").
 	HeartbeatScan sim.Time
-	// RecoveryWindow is how long a newly-promoted primary collects soft
-	// state before resuming normal scheduling.
+	// RecoveryWindow bounds how long a newly-promoted primary collects soft
+	// state before resuming normal scheduling. Recovery ends as soon as
+	// every machine has sent its anchor beat and every checkpointed
+	// application its full sync (or its unregister) — one round trip after
+	// the hello when everyone is alive — and at this deadline when some
+	// party stays silent.
 	RecoveryWindow sim.Time
 	// BatchWindow, when positive, coalesces incoming DemandUpdates (merged
 	// per application, the paper's batch-mode handling of "frequently
@@ -177,7 +181,11 @@ type Master struct {
 	crashed    bool
 	recovering bool
 	restored   []bool // by machine ID: allocations restored this recovery
-	epoch      int
+	// owedAnchors and owedSyncs count, during a recovery, the machines whose
+	// anchor beat and the checkpointed apps (appState.owesSync) whose full
+	// sync or unregister has not arrived yet; at zero the soft state is in.
+	owedAnchors, owedSyncs int
+	epoch                  int
 
 	epID    tr // cached endpoint IDs: own, gateway, per-machine agents
 	gwID    tr
@@ -415,6 +423,7 @@ func (m *Master) promote() {
 	if m.epoch > 1 {
 		m.recovering = true
 		m.restored = make([]bool, m.top.Size())
+		m.owedAnchors, m.owedSyncs = m.top.Size(), 0
 		// Baseline every machine's heartbeat clock: a machine that was
 		// already dead when the predecessor crashed never reports to the
 		// successor, and with no baseline it would never trip the timeout
@@ -429,7 +438,9 @@ func (m *Master) promote() {
 			m.net.SendID(m.epID, m.agentEP[id], hello)
 		}
 		for _, app := range snap.Apps {
-			if st := m.sched.apps[app.Name]; st != nil {
+			if st := m.sched.apps[app.Name]; st != nil && !st.owesSync {
+				st.owesSync = true
+				m.owedSyncs++
 				m.net.SendID(m.epID, st.ep, hello)
 			}
 		}
@@ -441,16 +452,31 @@ func (m *Master) promote() {
 	}
 }
 
+// reported records that one party owed to a recovery — a machine's anchor,
+// a checkpointed app's sync or unregister — has reported. When it was the
+// last, recovery ends at this instant, once the message in hand is handled,
+// instead of waiting out RecoveryWindow (paper §4.3.1: the successor
+// schedules again once its soft state is rebuilt).
+func (m *Master) reported(anchors, syncs int) {
+	m.owedAnchors -= anchors
+	m.owedSyncs -= syncs
+	if m.owedAnchors == 0 && m.owedSyncs == 0 {
+		m.timers = append(m.timers, m.eng.After(0, m.finishRecovery))
+	}
+}
+
+// finishRecovery ends a recovery: when every party has reported, or at the
+// RecoveryWindow deadline, whichever comes first (the later call no-ops).
 func (m *Master) finishRecovery() {
-	if !m.primary || m.crashed {
+	if !m.primary || m.crashed || !m.recovering {
 		return
 	}
 	m.recovering = false
 	// Apply demand, returns and unregisters buffered during the window,
 	// then one full assignment pass over all machines places everything
-	// collected. The releases are applied as one batch (their capacity
-	// echoes grouped per agent) and the reassignment they trigger is folded
-	// into the final full sweep.
+	// collected. The releases are applied as one batch and reach each agent
+	// in the same message as the buffered demand's grants there; the
+	// reassignment they enable is folded into the final full sweep.
 	dem, ret, unreg := m.recDem, m.recRet, m.recUnreg
 	m.recDem, m.recRet, m.recUnreg = nil, nil, nil
 	var ds []Decision
@@ -464,7 +490,7 @@ func (m *Master) finishRecovery() {
 	}
 	m.dispatch(ds)
 	for _, r := range unreg {
-		m.unregister(r.from, r.app) // dispatches its own release fan-out
+		m.unregister(r.from, r.app) // a step of its own: releases and their reassignment
 	}
 	final := m.sched.AssignOnAll()
 	m.dispatch(final)
@@ -740,20 +766,7 @@ func (m *Master) flushRound() {
 		return
 	}
 	if m.recovering {
-		// A round buffered before this process was deposed and re-promoted:
-		// reroute it through the recovery buffers — the demand grouped by app
-		// in name order, as the round would have taken it — so it replays
-		// once every agent has re-reported.
-		n := len(m.recDem)
-		m.recDem = append(m.recDem, m.pendDem...)
-		moved := m.recDem[n:]
-		for i := range moved {
-			moved[i].upd.Deltas = slices.Clone(moved[i].upd.Deltas) // out of the round's arena
-		}
-		sort.SliceStable(moved, func(i, j int) bool { return moved[i].upd.App < moved[j].upd.App })
-		m.recRet = append(m.recRet, m.pendRet...)
-		m.dropRound()
-		m.pendRet = m.pendRet[:0]
+		m.deferRound()
 		return
 	}
 	start := time.Now()
@@ -763,6 +776,35 @@ func (m *Master) flushRound() {
 		m.pendRet = m.pendRet[:0]
 		m.sched.assignOnIDsInto(touched, ds)
 	}
+	m.placeRound(ds)
+	m.dropRound()
+	m.schedTook(start)
+	m.dispatch(*ds)
+	if m.cfg.Obs != nil {
+		m.sampleObs()
+	}
+}
+
+// deferRound handles a round buffered before this process was deposed and
+// re-promoted: it reroutes the round through the recovery buffers — the
+// demand grouped by app in name order, as the round would have taken it — so
+// it replays once every agent has re-reported.
+func (m *Master) deferRound() {
+	n := len(m.recDem)
+	m.recDem = append(m.recDem, m.pendDem...)
+	moved := m.recDem[n:]
+	for i := range moved {
+		moved[i].upd.Deltas = slices.Clone(moved[i].upd.Deltas) // out of the round's arena
+	}
+	sort.SliceStable(moved, func(i, j int) bool { return moved[i].upd.App < moved[j].upd.App })
+	m.recRet = append(m.recRet, m.pendRet...)
+	m.dropRound()
+	m.pendRet = m.pendRet[:0]
+}
+
+// placeRound schedules the round's buffered demand into ds, merged per app
+// and unit.
+func (m *Master) placeRound(ds *[]Decision) {
 	// Chain each app's updates in arrival order, listing the apps as they
 	// first appear. Updates whose app is not registered (any more) are
 	// dropped, as a scheduler lookup by name would have refused them.
@@ -825,12 +867,6 @@ func (m *Master) flushRound() {
 	}
 	clear(apps) // the pooled list must not pin unregistered apps
 	m.appBuf = apps[:0]
-	m.dropRound()
-	m.schedTook(start)
-	m.dispatch(*ds)
-	if m.cfg.Obs != nil {
-		m.sampleObs()
-	}
 }
 
 // dropRound empties the round's demand buffer and the arena behind its hint
@@ -877,15 +913,19 @@ func (m *Master) handleReturns(rets []returnRec) {
 }
 
 // applyReleases gives the returned containers back to the pool (without
-// reassigning), fans the capacity releases out as one delta message per
-// affected agent — the agents must release capacity even though the apps
-// initiated it — and returns the touched machines in first-seen order.
+// reassigning) and returns the touched machines in first-seen order. The
+// agents must release the capacity even though the apps initiated it, but
+// the releases are not sent here: they stay open in m.dsp, one accumulator
+// per touched agent, and the dispatch that ends the step appends the grants
+// the freed capacity enables to the same accumulators — so an agent whose
+// capacity is released and regranted in one step hears it in one
+// CapacityDelta, releases first (paper §3.1's incremental roll-up). Every
+// caller ends its step with a dispatch, with or without decisions.
 func (m *Master) applyReleases(rets []returnRec) []int32 {
 	if len(rets) == 0 {
 		return nil
 	}
-	d := &m.dsp
-	d.reset(m.top.Size())
+	d := m.openReleases()
 	m.touched = m.touched[:0]
 	for i := range rets {
 		t := &rets[i].ret
@@ -908,21 +948,18 @@ func (m *Master) applyReleases(rets []returnRec) []int32 {
 			App: int32(st.ep), UnitID: t.UnitID, Size: u.def.Size, Count: -t.Count,
 		})
 	}
-	for i := range d.agents {
-		if ag := &d.agents[i]; len(ag.entries) > 0 {
-			m.sendCapacityDelta(ag)
-		}
-	}
 	return m.touched
 }
 
-// sendCapacityDelta ships one agent's accumulated capacity changes as a
-// pooled CapacityDelta, which owns its copy of the entries.
-func (m *Master) sendCapacityDelta(ag *agentAcc) {
-	cd := transport.Acquire[protocol.CapacityDelta](m.net)
-	cd.Entries = append(cd.Entries, ag.entries...)
-	cd.Epoch, cd.Seq = m.epoch, m.capSeq[ag.machine].Next()
-	m.net.SendID(m.epID, m.agentEP[ag.machine], cd)
+// openReleases returns the fan-out accumulators with release entries open:
+// started afresh unless a release of the same step is already open.
+func (m *Master) openReleases() *dispatchScratch {
+	d := &m.dsp
+	if !d.open {
+		d.reset(m.top.Size())
+		d.open = true
+	}
+	return d
 }
 
 // unregister applies an UnregisterApp for app and acknowledges it to from,
@@ -934,15 +971,17 @@ func (m *Master) unregister(from tr, app string) {
 		// the master no longer knows, orphaning them forever. Replay once
 		// every restore has landed.
 		m.recUnreg = append(m.recUnreg, unregRec{app: app, from: from})
+		if st := m.sched.apps[app]; st != nil && st.owesSync {
+			st.owesSync = false
+			m.reported(0, 1)
+		}
 		return
 	}
-	// Tell the agents to release the app's capacity before the scheduler
-	// state disappears — one capacity-delta message per affected agent
-	// covering all of the app's units (in machine-ID order, which equals
-	// the old sorted-name order, for reproducible runs), instead of one
-	// message per (unit, machine).
-	d := &m.dsp
-	d.reset(m.top.Size())
+	// Collect the agents' releases of the app's capacity before the
+	// scheduler state disappears: all of the app's units on one agent go
+	// into that agent's one message, which the dispatch below also carries
+	// the reassignment of the freed capacity in.
+	d := m.openReleases()
 	st := m.sched.apps[app]
 	if st != nil {
 		for i := range st.unitArr {
@@ -955,9 +994,6 @@ func (m *Master) unregister(from tr, app string) {
 			}
 		}
 		m.byEP[st.ep] = nil
-	}
-	for i := range d.agents {
-		m.sendCapacityDelta(&d.agents[i])
 	}
 	ds := m.decisions()
 	if st != nil {
@@ -1066,6 +1102,10 @@ func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
 	// returned containers, so the replay is their exactly-once release.
 	if !stale && m.recovering {
 		m.recDem = dropSynced(m.recDem, t)
+		if st.owesSync {
+			st.owesSync = false
+			m.reported(0, 1)
+		}
 	}
 }
 
@@ -1235,6 +1275,7 @@ func (m *Master) handleHeartbeat(t *protocol.AgentHeartbeat) {
 					m.sched.restoreGrant(st, d.UnitID, mc, d.Count)
 				}
 			}
+			m.reported(1, 0)
 		} else {
 			// A delta beat from a machine whose anchor has not landed (the
 			// hello or its reply was lost): nudge the agent to re-anchor
@@ -1431,6 +1472,10 @@ type dispatchScratch struct {
 	// decision was quadratic in them.
 	slot []agentSlot
 	gen  uint32
+	// open marks release entries accumulated in agents that the step's
+	// dispatch has not sent yet; until it has, the accumulators must not be
+	// reset.
+	open bool
 }
 
 type agentSlot struct {
@@ -1453,8 +1498,13 @@ type agentAcc struct {
 	entries []protocol.CapacityEntry
 }
 
-// reset starts a new use over a cluster of the given size.
+// reset starts a new use over a cluster of the given size. Resetting over
+// open release entries would drop them unsent, and an agent's ledger would
+// keep capacity its master has taken back.
 func (d *dispatchScratch) reset(machines int) {
+	if d.open {
+		panic("master: fan-out reset over unsent release entries")
+	}
 	d.apps = d.apps[:0]
 	d.agents = d.agents[:0]
 	d.batch = d.batch[:0]
@@ -1522,20 +1572,26 @@ func (d *dispatchScratch) agentFor(machine int32) *agentAcc {
 }
 
 // dispatch fans scheduling decisions out as GrantUpdates to application
-// masters and capacity deltas to the affected agents. Both sides are
-// delta-encoded and coalesced: grants per (app, unit) mirroring the paper's
-// "(M1,3), (M2,4)" multi-machine response form — an app's unit updates
-// travelling as one pooled transport batch — and all of an agent's capacity
-// changes as a single CapacityDelta message, so a wide scheduling round
-// costs one message per machine instead of one per decision. The decisions
-// carry interned app/machine state, so the fan-out hashes one app name per
-// app run, not one per decision.
+// masters and capacity deltas to the affected agents, and ends the step:
+// release entries left open by applyReleases or unregister go out with it,
+// even when the step made no decision. Both sides are delta-encoded and
+// coalesced: grants per (app, unit) mirroring the paper's "(M1,3), (M2,4)"
+// multi-machine response form — an app's unit updates travelling as one
+// pooled transport batch — and all of an agent's capacity changes, the
+// step's releases ahead of its grants and revocations, as a single
+// CapacityDelta message, so a wide scheduling round costs one message per
+// machine instead of one per decision. The decisions carry interned
+// app/machine state, so the fan-out hashes one app name per app run, not one
+// per decision.
 func (m *Master) dispatch(ds []Decision) {
-	if len(ds) == 0 {
-		return
-	}
 	d := &m.dsp
-	d.reset(m.top.Size())
+	if !d.open {
+		if len(ds) == 0 {
+			return
+		}
+		d.reset(m.top.Size())
+	}
+	d.open = false
 	var lastApp string
 	var lastSt *appState
 	for _, dec := range ds {
@@ -1557,7 +1613,12 @@ func (m *Master) dispatch(ds []Decision) {
 		}
 	}
 	for i := range d.agents {
-		m.sendCapacityDelta(&d.agents[i])
+		// A pooled CapacityDelta owns its copy of the entries.
+		ag := &d.agents[i]
+		cd := transport.Acquire[protocol.CapacityDelta](m.net)
+		cd.Entries = append(cd.Entries, ag.entries...)
+		cd.Epoch, cd.Seq = m.epoch, m.capSeq[ag.machine].Next()
+		m.net.SendID(m.epID, m.agentEP[ag.machine], cd)
 	}
 	for i := range d.apps {
 		aa := &d.apps[i]

@@ -167,6 +167,9 @@ type appState struct {
 	// pendRound equals the Master's round counter).
 	pendRound          uint32
 	pendHead, pendTail int32
+	// owesSync marks a checkpointed app whose full sync (or unregister) a
+	// recovering successor is still waiting for.
+	owesSync bool
 }
 
 // unit returns the state of one unit ID (nil when unknown). Units are almost
