@@ -55,9 +55,12 @@
 // capacity stream to each agent is rolled up into one CapacityDelta per
 // scheduling step — the releases a step applies and the grants and
 // revocations its reassignment makes, releases first, in one message — with
-// CapacitySync as the repair anchor; application
-// masters coalesce same-instant container returns into one
-// GrantReturnBatch. With Config.BatchWindow the master batches demand and
+// CapacitySync as the repair anchor, and each application hears one
+// GrantUpdate per step, every unit it decided for a run of (machine, ±count)
+// entries. In the other direction an application master says one thing per
+// instant: its same-instant container returns in one GrantReturnBatch, then
+// its demand for every unit it asked for in one DemandUpdate, each unit a run
+// in first-request order. With Config.BatchWindow the master batches demand and
 // returns into scheduling rounds, applying releases first, reassigning in
 // one sweep, then placing merged demand. The eleven message types every job,
 // every decision, every safety sync and every agent beat sends — heartbeats

@@ -18,6 +18,12 @@
 // grant and revoke callbacks run inside the handler of a pooled GrantUpdate
 // (see internal/transport): they may send and re-request freely, but the
 // message is the network's again once the handler returns.
+//
+// What an application master tells FuxiMaster in one virtual instant travels
+// together: the instant's container returns as one GrantReturnBatch and its
+// demand, for every unit it asked for, as one DemandUpdate, flushed in that
+// order at the instant's end — the incremental communication of paper §3.1,
+// one message per receiver per step in each direction.
 package appmaster
 
 import (
@@ -135,13 +141,16 @@ type AM struct {
 	unregTries int
 	unregArmed bool
 	unregDone  bool
-	// ret coalesces same-instant container returns into one GrantReturnBatch
-	// (incremental communication: a hold cycle releasing containers on many
-	// machines costs one message): the pooled message itself, accumulating
-	// entries in its own payload buffer until the flush sends it, nil between
-	// batches. retArmed marks the end-of-instant flush event as scheduled.
-	ret      *protocol.GrantReturnBatch
-	retArmed bool
+	// ret and dem coalesce one instant's master-bound traffic: its container
+	// returns into one GrantReturnBatch (a hold cycle releasing containers on
+	// many machines costs one message) and its demand into one DemandUpdate (a
+	// job asking for forty units costs one message). Each is the pooled
+	// message itself, accumulating entries in its own payload buffer until the
+	// flush sends it, nil between instants. armed marks the end-of-instant
+	// flush event as scheduled.
+	ret   *protocol.GrantReturnBatch
+	dem   *protocol.DemandUpdate
+	armed bool
 	// nextGrantSync throttles gap-triggered early full syncs (see handle's
 	// GrantUpdate case).
 	nextGrantSync sim.Time
@@ -183,9 +192,9 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology
 
 // The AM's timer bodies, as package-level functions of the AM: scheduling
 // one binds no method value.
-func tickFullSync(a any)     { a.(*AM).fullSync() }
-func tickFlushReturns(a any) { a.(*AM).flushReturns() }
-func tickUnregister(a any)   { a.(*AM).unregTick() }
+func tickFullSync(a any)   { a.(*AM).fullSync() }
+func tickFlush(a any)      { a.(*AM).flush() }
+func tickUnregister(a any) { a.(*AM).unregTick() }
 
 // sendRegister announces the application's configuration to FuxiMaster. Units
 // travels as the AM's own slice, which nobody mutates.
@@ -264,13 +273,14 @@ func (a *AM) keyHint(k uint64, count int) resource.LocalityHint {
 // boundary conversion; a slice index, not a hash).
 func (a *AM) MachineName(id int32) string { return a.top.MachineName(id) }
 
-// Request adds (or with negative counts, withdraws) demand and sends the
-// incremental update. This is the only message needed no matter how much of
-// the demand is eventually fulfilled — FuxiMaster queues the remainder.
-// The hints are copied into the message, so the caller's slice (usually the
-// variadic call's own stack array) is free the moment Request returns.
+// Request adds (or with negative counts, withdraws) demand for one unit. The
+// change joins the instant's DemandUpdate, which carries every unit the
+// application asked for in this instant and leaves at its end — the only
+// message needed no matter how much of the demand is eventually fulfilled,
+// since FuxiMaster queues the remainder. The hints are copied into the
+// message, so the caller's slice (usually the variadic call's own stack
+// array) is free the moment Request returns.
 func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
-	a.flushReturns() // keep the master-bound message stream in order
 	ui := a.unitIndex(unitID)
 	if ui < 0 {
 		return
@@ -322,17 +332,52 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 		}
 		deltas = valid
 	}
-	du := transport.Acquire[protocol.DemandUpdate](a.net)
-	du.App, du.UnitID, du.Seq = a.cfg.App, unitID, a.seq.Next()
-	du.Deltas = append(du.Deltas, deltas...)
-	a.sendToMaster(du)
+	if a.dem == nil {
+		a.dem = transport.Acquire[protocol.DemandUpdate](a.net)
+	}
+	a.dem.Deltas = insertRun(a.dem.Deltas, unitID, deltas)
+	a.arm()
+}
+
+// insertRun adds hints for unitID to a run-grouped demand payload: at the
+// end of the unit's run when it has one, as a new last run otherwise — so
+// each unit stays one contiguous run and the runs keep first-request order.
+func insertRun(ds []protocol.UnitHint, unitID int, hints []resource.LocalityHint) []protocol.UnitHint {
+	at := len(ds)
+	for i := range ds {
+		if ds[i].UnitID == unitID {
+			for at = i + 1; at < len(ds) && ds[at].UnitID == unitID; at++ {
+			}
+			break
+		}
+	}
+	n := len(ds)
+	for _, h := range hints {
+		ds = append(ds, protocol.UnitHint{UnitID: unitID, LocalityHint: h})
+	}
+	if at < n {
+		copy(ds[at+len(hints):], ds[at:n])
+		for i, h := range hints {
+			ds[at+i] = protocol.UnitHint{UnitID: unitID, LocalityHint: h}
+		}
+	}
+	return ds
+}
+
+// arm schedules the end-of-instant flush of the coalesced traffic.
+func (a *AM) arm() {
+	if !a.armed {
+		a.armed = true
+		a.eng.Post(0, tickFlush, a)
+	}
 }
 
 // ReturnContainers gives count held containers on a machine back to
 // FuxiMaster (workers inside them must already be stopped). Returns issued
 // within one virtual instant are coalesced into a single GrantReturnBatch,
-// flushed at the end of the instant (or eagerly, before any other
-// master-bound message, so the protocol stream stays ordered).
+// flushed at the end of the instant ahead of the instant's demand (or
+// eagerly, before any other master-bound message, so the protocol stream
+// stays ordered).
 func (a *AM) ReturnContainers(unitID int, machine int32, count int) {
 	l := a.peekLedger(unitID)
 	if l == nil || count <= 0 {
@@ -346,10 +391,7 @@ func (a *AM) ReturnContainers(unitID int, machine int32, count int) {
 		a.ret = transport.Acquire[protocol.GrantReturnBatch](a.net)
 	}
 	a.ret.Returns = append(a.ret.Returns, protocol.ReturnEntry{UnitID: unitID, Machine: machine, Count: count})
-	if !a.retArmed {
-		a.retArmed = true
-		a.eng.Post(0, tickFlushReturns, a)
-	}
+	a.arm()
 }
 
 // ReturnContainersOn is the name-keyed wrapper of ReturnContainers for
@@ -360,24 +402,28 @@ func (a *AM) ReturnContainersOn(unitID int, machine string, count int) {
 	}
 }
 
-// flushReturns sends the pending coalesced returns, if any. The batch goes
-// to the wire as the pooled message it accumulated in and a.ret is cleared
-// first, so the eager flushes and the end-of-instant tick can never send one
-// message twice; the next batch draws its own. After the process died the
-// batch is dropped unsent — a crash loses unsent messages by design — and
-// left to the collector.
-func (a *AM) flushReturns() {
-	a.retArmed = false
-	r := a.ret
-	if r == nil {
-		return
-	}
-	a.ret = nil
+// flush sends the instant's coalesced traffic: the pending returns first,
+// then the pending demand — a return frees capacity before the demand that
+// follows it is placed. Each goes to the wire as the pooled message it
+// accumulated in, and its field is cleared first, so the eager flushes and
+// the end-of-instant tick can never send one message twice; the next instant
+// draws its own. After the process died they are dropped unsent — a crash
+// loses unsent messages by design — and left to the collector.
+func (a *AM) flush() {
+	a.armed = false
+	r, d := a.ret, a.dem
+	a.ret, a.dem = nil, nil
 	if a.stopped {
 		return
 	}
-	r.App, r.Seq = a.cfg.App, a.seq.Next()
-	a.sendToMaster(r)
+	if r != nil {
+		r.App, r.Seq = a.cfg.App, a.seq.Next()
+		a.sendToMaster(r)
+	}
+	if d != nil {
+		d.App, d.Seq = a.cfg.App, a.seq.Next()
+		a.sendToMaster(d)
+	}
 }
 
 // StartWorker sends a work plan to a machine's agent for one held container.
@@ -461,7 +507,7 @@ func (a *AM) ReportBadMachine(machine string) {
 	if id < 0 {
 		return
 	}
-	a.flushReturns()
+	a.flush()
 	a.sendToMaster(protocol.BadMachineReport{
 		App: a.cfg.App, Machine: id, Seq: a.seq.Next(),
 	})
@@ -518,7 +564,7 @@ func (a *AM) Unregister() {
 	if a.stopped {
 		return
 	}
-	a.flushReturns()
+	a.flush()
 	a.stopped = true
 	a.sync.Stop()
 	a.sendUnregister()
@@ -688,14 +734,16 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 		// Pooled: t and t.Changes are the network's again when this returns.
 		// applyGrant books the changes into the ledger and hands the
 		// callbacks plain integers, so nothing of the message is kept.
-		if a.staleEpoch(t.Epoch) {
+		// A malformed update is dropped whole, before the epoch gate or the
+		// dedup mark moves.
+		if !a.wellFormed(t) || a.staleEpoch(t.Epoch) {
 			return
 		}
 		v := a.dedup.ObserveCh(int32(from), protocol.ChanGrant, t.Seq)
 		if v == protocol.Duplicate {
 			return
 		}
-		a.applyGrant(*t)
+		a.applyGrant(t)
 		if v == protocol.Gap {
 			// Grant updates are sequenced per application, so a gap means an
 			// update to THIS app was lost on the wire. Push the full picture
@@ -730,28 +778,49 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 	}
 }
 
-func (a *AM) applyGrant(t protocol.GrantUpdate) {
-	ui := a.unitIndex(t.UnitID)
-	if ui < 0 {
-		return // not a unit this application defined
-	}
-	// The callbacks may re-enter (a revocation handler re-requests at once),
-	// so no table pointer is held across one; l itself is stable, the ledger
-	// slice is never reallocated.
-	l := a.ledger(ui)
+// wellFormed is GrantUpdate.WellFormed — no unit's run split, no zero delta
+// — plus what only a receiver that knows the topology can check: every entry
+// names one of its machines. A grant on a machine outside it would index the
+// rack table out of range while booking the demand it consumed.
+func (a *AM) wellFormed(t *protocol.GrantUpdate) bool {
+	n := int32(a.top.Size())
 	for _, ch := range t.Changes {
-		k := machineKey(ch.Machine)
-		if ch.Delta > 0 {
-			*l.held.Put(k) += ch.Delta
-			a.grantLevel = a.consumeOutstanding(l, ch.Machine, ch.Delta)
-			a.cb.OnGrant(t.UnitID, ch.Machine, ch.Delta)
-		} else if ch.Delta < 0 {
-			n := min(-ch.Delta, l.held.Get(k))
-			if n == 0 {
-				continue
+		if ch.Machine < 0 || ch.Machine >= n {
+			return false
+		}
+	}
+	return t.WellFormed()
+}
+
+// applyGrant books a grant update's entries in order, unit run by unit run.
+// Entries of units this application never defined are passed over.
+func (a *AM) applyGrant(t *protocol.GrantUpdate) {
+	for rest := t.Changes; len(rest) > 0; {
+		var run []protocol.UnitDelta
+		run, rest = protocol.NextRun(rest)
+		unitID := run[0].UnitID
+		ui := a.unitIndex(unitID)
+		if ui < 0 {
+			continue
+		}
+		// The callbacks may re-enter (a revocation handler re-requests at
+		// once), so no table pointer is held across one; l itself is stable,
+		// the ledger slice is never reallocated.
+		l := a.ledger(ui)
+		for _, ch := range run {
+			k := machineKey(ch.Machine)
+			if ch.Delta > 0 {
+				*l.held.Put(k) += ch.Delta
+				a.grantLevel = a.consumeOutstanding(l, ch.Machine, ch.Delta)
+				a.cb.OnGrant(unitID, ch.Machine, ch.Delta)
+			} else if ch.Delta < 0 {
+				n := min(-ch.Delta, l.held.Get(k))
+				if n == 0 {
+					continue
+				}
+				dense.Take(&l.held, k, n)
+				a.cb.OnRevoke(unitID, ch.Machine, n)
 			}
-			dense.Take(&l.held, k, n)
-			a.cb.OnRevoke(t.UnitID, ch.Machine, n)
 		}
 	}
 }
@@ -832,10 +901,12 @@ func (a *AM) requestGrantSync() {
 
 // fullSync sends the complete demand and grant picture to FuxiMaster.
 func (a *AM) fullSync() {
-	// Pending returns are already subtracted from the held ledger below;
-	// flush them first or the master would see phantom grants and emit
-	// revocation fixes for containers the app already gave back.
-	a.flushReturns()
+	// Pending returns are already subtracted from the held ledger below, and
+	// pending demand is already added to the outstanding one; flush both
+	// first, or the master would see phantom grants and emit revocation fixes
+	// for containers the app already gave back, and apply the demand twice
+	// when its update arrived after the sync.
+	a.flush()
 	s := transport.Acquire[protocol.FullDemandSync](a.net)
 	s.App, s.QuotaGroup, s.Units, s.Seq = a.cfg.App, a.cfg.QuotaGroup, a.cfg.Units, a.seq.Current()
 	s.SeenGrantSeq = a.dedup.LastCh(int32(a.masterID), protocol.ChanGrant)
@@ -847,9 +918,9 @@ func (a *AM) fullSync() {
 		l, unitID := &a.units[ui], a.cfg.Units[ui].ID
 		n := len(s.Demand)
 		for _, c := range l.out.Cells() {
-			s.Demand = append(s.Demand, protocol.SyncHint{UnitID: unitID, LocalityHint: a.keyHint(c.Key, c.Val)})
+			s.Demand = append(s.Demand, protocol.UnitHint{UnitID: unitID, LocalityHint: a.keyHint(c.Key, c.Val)})
 		}
-		slices.SortFunc(s.Demand[n:], func(x, y protocol.SyncHint) int {
+		slices.SortFunc(s.Demand[n:], func(x, y protocol.UnitHint) int {
 			return resource.CompareHints(x.LocalityHint, y.LocalityHint)
 		})
 		for _, c := range l.held.Cells() {
@@ -859,7 +930,7 @@ func (a *AM) fullSync() {
 	// Runs go in unit-ID order; a job that defined its units out of order
 	// has them re-ordered here, each run intact.
 	if !slices.IsSortedFunc(a.cfg.Units, func(x, y resource.ScheduleUnit) int { return cmp.Compare(x.ID, y.ID) }) {
-		slices.SortStableFunc(s.Demand, func(x, y protocol.SyncHint) int { return cmp.Compare(x.UnitID, y.UnitID) })
+		slices.SortStableFunc(s.Demand, func(x, y protocol.UnitHint) int { return cmp.Compare(x.UnitID, y.UnitID) })
 		slices.SortStableFunc(s.Held, func(x, y protocol.SyncHeld) int { return cmp.Compare(x.UnitID, y.UnitID) })
 	}
 	a.sendToMaster(s)

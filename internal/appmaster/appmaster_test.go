@@ -61,8 +61,8 @@ func newHarness(t *testing.T, fullSync sim.Time) *harness {
 
 func (h *harness) grant(machine string, delta int, seq uint64) {
 	h.net.Send(protocol.MasterEndpoint, "app1", protocol.GrantUpdate{
-		App: "app1", UnitID: 1,
-		Changes: []protocol.MachineDelta{{Machine: h.top.MachineID(machine), Delta: delta}},
+		App:     "app1",
+		Changes: []protocol.UnitDelta{{UnitID: 1, Machine: h.top.MachineID(machine), Delta: delta}},
 		Seq:     seq,
 	})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)

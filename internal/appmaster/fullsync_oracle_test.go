@@ -29,7 +29,7 @@ type mapSync struct {
 // mapFullSync is AM.fullSync as it was before the flat wire shape, returning
 // the message it would have sent.
 func (a *AM) mapFullSync() mapSync {
-	a.flushReturns()
+	a.flush()
 	demand := make(map[int][]resource.LocalityHint, len(a.units))
 	heldCopy := make(map[int]map[int32]int, len(a.cfg.Units))
 	for ui := range a.units {
@@ -147,8 +147,8 @@ func fullSyncMatchesMapShape(t *testing.T, seed int64, units []resource.Schedule
 			}
 			am.Request(u, hints...)
 		case r < 7:
-			am.applyGrant(protocol.GrantUpdate{UnitID: u, Changes: []protocol.MachineDelta{
-				{Machine: int32(rng.Intn(len(machines))), Delta: rng.Intn(6) - 2},
+			am.applyGrant(&protocol.GrantUpdate{Changes: []protocol.UnitDelta{
+				{UnitID: u, Machine: int32(rng.Intn(len(machines))), Delta: rng.Intn(6) - 2},
 			}})
 		case r < 8:
 			mc := int32(rng.Intn(len(machines)))

@@ -18,9 +18,12 @@ import (
 // they were before they became per-unit compact tables: one value map keyed by
 // packed (unit, machine), and a map of maps keyed by the locality target's
 // *name*. It is kept as the reference the differential test below drives the
-// shipped AM against; the protocol around it (return batching, the grant
-// stream's dedup and epoch fence, the gap-triggered early sync) is the AM's,
-// mirrored here so the reference is asked the same questions at the same time.
+// shipped AM against; the protocol around it (return and demand coalescing,
+// the grant stream's dedup and epoch fence, the gap-triggered early sync) is
+// the AM's, mirrored here so the reference is asked the same questions at the
+// same time. Its demand coalescing keeps the instant's hints in a map by unit
+// beside the order units were first asked for, where the AM inserts into the
+// pooled message's runs.
 type mapLedgers struct {
 	app   string
 	units []resource.ScheduleUnit
@@ -33,6 +36,8 @@ type mapLedgers struct {
 	dedup         protocol.Dedup
 	gate          protocol.EpochGate
 	pendRet       []protocol.ReturnEntry
+	pendUnits     []int                           // units asked for this instant, first-request order
+	pendDem       map[int][]resource.LocalityHint // their hints, in request order
 	nextGrantSync sim.Time
 
 	sent   []transport.Message // what the AM should have sent to the master
@@ -62,23 +67,32 @@ func (o *mapLedgers) known(unitID int) bool {
 	return false
 }
 
-func (o *mapLedgers) flushReturns() {
-	if len(o.pendRet) == 0 {
-		return
+// flush sends the instant's returns, then its demand.
+func (o *mapLedgers) flush() {
+	if len(o.pendRet) > 0 {
+		o.sent = append(o.sent, protocol.GrantReturnBatch{App: o.app, Returns: o.pendRet, Seq: o.seq.Next()})
+		o.pendRet = nil
 	}
-	o.sent = append(o.sent, protocol.GrantReturnBatch{App: o.app, Returns: o.pendRet, Seq: o.seq.Next()})
-	o.pendRet = nil
+	if len(o.pendUnits) > 0 {
+		du := protocol.DemandUpdate{App: o.app, Seq: o.seq.Next()}
+		for _, u := range o.pendUnits {
+			for _, h := range o.pendDem[u] {
+				du.Deltas = append(du.Deltas, protocol.UnitHint{UnitID: u, LocalityHint: h})
+			}
+		}
+		o.sent = append(o.sent, du)
+		o.pendUnits, o.pendDem = nil, nil
+	}
 }
 
 // unregister is the old AM.Unregister, as far as the master hears it.
 func (o *mapLedgers) unregister() {
-	o.flushReturns()
+	o.flush()
 	o.sent = append(o.sent, protocol.UnregisterApp{App: o.app, Seq: o.seq.Next()})
 }
 
-// request is the old AM.Request.
+// request is the old AM.Request, its update joining the instant's.
 func (o *mapLedgers) request(unitID int, hints ...resource.LocalityHint) {
-	o.flushReturns()
 	if !o.known(unitID) {
 		return
 	}
@@ -128,7 +142,13 @@ func (o *mapLedgers) request(unitID int, hints ...resource.LocalityHint) {
 		}
 		deltas = valid
 	}
-	o.sent = append(o.sent, protocol.DemandUpdate{App: o.app, UnitID: unitID, Deltas: deltas, Seq: o.seq.Next()})
+	if o.pendDem == nil {
+		o.pendDem = map[int][]resource.LocalityHint{}
+	}
+	if _, ok := o.pendDem[unitID]; !ok {
+		o.pendUnits = append(o.pendUnits, unitID)
+	}
+	o.pendDem[unitID] = append(o.pendDem[unitID], deltas...)
 }
 
 // returnContainers is the old AM.ReturnContainers.
@@ -147,8 +167,18 @@ func (o *mapLedgers) returnContainers(unitID int, machine int32, count int) {
 }
 
 // grantUpdate is the old GrantUpdate case of AM.handle with applyGrant and
-// consumeOutstanding (the one-at-a-time decrement loop included).
+// consumeOutstanding (the one-at-a-time decrement loop included), taking a
+// multi-unit update entry by entry after checking its runs by a map.
 func (o *mapLedgers) grantUpdate(now sim.Time, from transport.EndpointID, t protocol.GrantUpdate) {
+	closed := map[int]bool{}
+	for i, ch := range t.Changes {
+		if ch.Delta == 0 || closed[ch.UnitID] || ch.Machine < 0 || int(ch.Machine) >= o.top.Size() {
+			return // malformed: dropped whole
+		}
+		if i+1 < len(t.Changes) && t.Changes[i+1].UnitID != ch.UnitID {
+			closed[ch.UnitID] = true
+		}
+	}
 	if o.gate.StaleCh(t.Epoch, &o.dedup, int32(from), protocol.ChanGrant) {
 		return
 	}
@@ -157,12 +187,15 @@ func (o *mapLedgers) grantUpdate(now sim.Time, from transport.EndpointID, t prot
 		return
 	}
 	for _, ch := range t.Changes {
+		if !o.known(ch.UnitID) {
+			continue
+		}
 		if ch.Delta > 0 {
 			if o.held == nil {
 				o.held = make(map[heldKey]int)
 			}
-			o.held[makeHeldKey(t.UnitID, ch.Machine)] += ch.Delta
-			out, count := o.outstanding[t.UnitID], ch.Delta
+			o.held[makeHeldKey(ch.UnitID, ch.Machine)] += ch.Delta
+			out, count := o.outstanding[ch.UnitID], ch.Delta
 			take := func(k locTarget) {
 				for count > 0 && out[k] > 0 {
 					out[k]--
@@ -175,9 +208,9 @@ func (o *mapLedgers) grantUpdate(now sim.Time, from transport.EndpointID, t prot
 			take(locTarget{resource.LocalityMachine, o.top.MachineName(ch.Machine)})
 			take(locTarget{resource.LocalityRack, o.top.RackName(o.top.RackIDOf(ch.Machine))})
 			take(locTarget{resource.LocalityCluster, ""})
-			o.events = append(o.events, fmt.Sprintf("grant u%d m%d x%d", t.UnitID, ch.Machine, ch.Delta))
+			o.events = append(o.events, fmt.Sprintf("grant u%d m%d x%d", ch.UnitID, ch.Machine, ch.Delta))
 		} else if ch.Delta < 0 {
-			k := makeHeldKey(t.UnitID, ch.Machine)
+			k := makeHeldKey(ch.UnitID, ch.Machine)
 			n := -ch.Delta
 			if held := o.held[k]; held < n {
 				n = held
@@ -190,7 +223,7 @@ func (o *mapLedgers) grantUpdate(now sim.Time, from transport.EndpointID, t prot
 			} else {
 				o.held[k] -= n
 			}
-			o.events = append(o.events, fmt.Sprintf("revoke u%d m%d x%d", t.UnitID, ch.Machine, n))
+			o.events = append(o.events, fmt.Sprintf("revoke u%d m%d x%d", ch.UnitID, ch.Machine, n))
 		}
 	}
 	if v == protocol.Gap && now >= o.nextGrantSync {
@@ -210,12 +243,12 @@ func (o *mapLedgers) hello(from transport.EndpointID, t protocol.MasterHello) {
 // fullSync is the old AM.fullSync, writing the flat wire shape from the maps:
 // the maps' keys sorted by unit, then (level, name) or machine.
 func (o *mapLedgers) fullSync(master transport.EndpointID) {
-	o.flushReturns()
-	var demand []protocol.SyncHint
+	o.flush()
+	var demand []protocol.UnitHint
 	for unitID, out := range o.outstanding {
 		for k, c := range out {
 			if c > 0 {
-				demand = append(demand, protocol.SyncHint{UnitID: unitID,
+				demand = append(demand, protocol.UnitHint{UnitID: unitID,
 					LocalityHint: resource.LocalityHint{Type: k.typ, Value: k.value, Count: c}})
 			}
 		}
@@ -269,7 +302,8 @@ func normalize(m transport.Message) transport.Message {
 // machine, rack and cluster level (known names and names outside the
 // topology, withdrawals past zero, repeated targets in one call), grants and
 // revocations (in order, duplicated, after a gap, from stale and newer
-// epochs, revoking more than is held), container returns (valid, too large,
+// epochs, revoking more than is held, several units in one update, units the
+// job never defined, malformed updates), container returns (valid, too large,
 // on machines holding nothing), master hellos and periodic full syncs — and
 // compares every message the AM sends FuxiMaster (DemandUpdate,
 // GrantReturnBatch, FullDemandSync, RegisterApp; payloads, sequence numbers
@@ -369,11 +403,15 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 		for op := 0; op <= ops; op++ {
 			switch r := rng.Intn(100); {
 			case op == ops:
-				// The job ends, as often as not with returns of this instant
-				// still unflushed: they go out ahead of the unregister.
+				// The job ends, as often as not with returns and demand of this
+				// instant still unflushed: they go out ahead of the unregister.
 				if mc := int32(rng.Intn(len(machines))); am.Held(defined[0], mc) > 0 {
 					am.ReturnContainers(defined[0], mc, 1)
 					ref.returnContainers(defined[0], mc, 1)
+				}
+				if rng.Intn(2) == 0 {
+					am.Request(defined[0], resource.LocalityHint{Type: resource.LocalityCluster, Count: 1})
+					ref.request(defined[0], resource.LocalityHint{Type: resource.LocalityCluster, Count: 1})
 				}
 				am.Unregister()
 				ref.unregister()
@@ -397,9 +435,18 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 				am.Request(u, hints...)
 				ref.request(u, hints...)
 			case r < 70:
-				changes := make([]protocol.MachineDelta, 1+rng.Intn(3))
-				for i := range changes {
-					changes[i] = protocol.MachineDelta{Machine: int32(rng.Intn(len(machines))), Delta: rng.Intn(7) - 2}
+				// One to three unit runs; a unit may come back in a later run
+				// and a delta may be zero, both making the update malformed.
+				var changes []protocol.UnitDelta
+				for runs := 1 + rng.Intn(3); runs > 0; runs-- {
+					u := unit()
+					for n := 1 + rng.Intn(3); n > 0; n-- {
+						d := rng.Intn(7) - 2
+						if d == 0 && rng.Intn(4) > 0 {
+							d = 1
+						}
+						changes = append(changes, protocol.UnitDelta{UnitID: u, Machine: int32(rng.Intn(len(machines))), Delta: d})
+					}
 				}
 				e, s := epoch, seq+1
 				switch rng.Intn(12) {
@@ -416,9 +463,8 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 				if e == epoch && s > seq {
 					seq = s
 				}
-				u := defined[rng.Intn(len(defined))]
 				net.Send(protocol.MasterEndpoint, "app1", protocol.GrantUpdate{
-					App: "app1", UnitID: u, Changes: changes, Epoch: e, Seq: s,
+					App: "app1", Changes: changes, Epoch: e, Seq: s,
 				})
 			case r < 90:
 				u, mc, n := unit(), int32(rng.Intn(len(machines))), rng.Intn(4)
@@ -439,7 +485,7 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 			}
 			settle()
 			if op < ops {
-				ref.flushReturns() // the AM's end-of-instant flush has run by now
+				ref.flush() // the AM's end-of-instant flush has run by now
 			}
 
 			if len(got) != len(ref.sent) {
@@ -514,7 +560,7 @@ func churnAMs(tb testing.TB, n int) (*sim.Engine, transport.EndpointID, []*AM, [
 		for u := range units {
 			mc := int32((i*131 + u*977) % top.Size())
 			where[i][u] = mc
-			ams[i].applyGrant(protocol.GrantUpdate{UnitID: u + 1, Changes: []protocol.MachineDelta{{Machine: mc, Delta: 1}}})
+			ams[i].applyGrant(&protocol.GrantUpdate{Changes: []protocol.UnitDelta{{UnitID: u + 1, Machine: mc, Delta: 1}}})
 		}
 	}
 	eng.Run(sim.Second)
@@ -534,7 +580,7 @@ func TestGrantCycleAllocatesOnlyItsMessages(t *testing.T) {
 	grants := make([]transport.Message, warm+300)
 	for i := range grants {
 		grants[i] = &protocol.GrantUpdate{
-			UnitID: 7, Changes: []protocol.MachineDelta{{Machine: mc, Delta: 1}}, Epoch: 1, Seq: uint64(i + 1),
+			Changes: []protocol.UnitDelta{{UnitID: 7, Machine: mc, Delta: 1}}, Epoch: 1, Seq: uint64(i + 1),
 		}
 	}
 	i := 0
@@ -571,14 +617,14 @@ func BenchmarkAMGrantCycle(b *testing.B) {
 			}
 		}
 		eng.Run(eng.Now() + sim.Second)
-		changes := make([]protocol.MachineDelta, 1)
+		gu := &protocol.GrantUpdate{Changes: make([]protocol.UnitDelta, 1)}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			am, u := ams[i%n], i/n%40
 			mc := where[i%n][u]
-			changes[0] = protocol.MachineDelta{Machine: mc, Delta: 1}
-			am.applyGrant(protocol.GrantUpdate{UnitID: u + 1, Changes: changes})
+			gu.Changes[0] = protocol.UnitDelta{UnitID: u + 1, Machine: mc, Delta: 1}
+			am.applyGrant(gu)
 			if am.Held(u+1, mc) == 1 {
 				am.ReturnContainers(u+1, mc, 1)
 			}
@@ -597,14 +643,14 @@ func BenchmarkAMGrantCycle(b *testing.B) {
 			}
 			refs[i].sent = nil
 		}
-		changes := make([]protocol.MachineDelta, 1)
+		changes := make([]protocol.UnitDelta, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ref, u := refs[i%n], i/n%40
 			mc := where[i%n][u]
-			changes[0] = protocol.MachineDelta{Machine: mc, Delta: 1}
-			ref.grantUpdate(0, master, protocol.GrantUpdate{UnitID: u + 1, Changes: changes, Seq: uint64(i/n + 1)})
+			changes[0] = protocol.UnitDelta{UnitID: u + 1, Machine: mc, Delta: 1}
+			ref.grantUpdate(0, master, protocol.GrantUpdate{Changes: changes, Seq: uint64(i/n + 1)})
 			if ref.held[makeHeldKey(u+1, mc)] == 1 {
 				ref.returnContainers(u+1, mc, 1)
 			}

@@ -187,8 +187,8 @@ func TestCheckerFencesStaleEpochMessages(t *testing.T) {
 		App: "app-inv", UnitID: 1, Size: resource.New(1000, 4096), Delta: 3, Epoch: 1, Seq: 999,
 	})
 	cluster.Net.Send(protocol.MasterEndpoint, "app-inv", protocol.GrantUpdate{
-		App: "app-inv", UnitID: 1, Epoch: 1, Seq: 999,
-		Changes: []protocol.MachineDelta{{Machine: cluster.Top.MachineID(machine), Delta: 3}},
+		App: "app-inv", Epoch: 1, Seq: 999,
+		Changes: []protocol.UnitDelta{{UnitID: 1, Machine: cluster.Top.MachineID(machine), Delta: 3}},
 	})
 	cluster.Run(sim.Second)
 	if got := a.Capacity("app-inv", 1); got != before {

@@ -150,11 +150,9 @@ func (m *Master) legacyFinishRecovery() {
 	var ds []Decision
 	m.legacyApplyReleases(ret)
 	for _, r := range dem {
-		out, err := m.sched.UpdateDemand(r.upd.App, r.upd.UnitID, r.upd.Deltas)
-		if err != nil {
-			continue
+		if st := m.sched.apps[r.upd.App]; st != nil {
+			m.applyRuns(st, r.upd.Deltas, &ds)
 		}
-		ds = append(ds, out...)
 	}
 	m.dispatch(ds)
 	for _, r := range unreg {
@@ -190,7 +188,7 @@ func (m *Master) legacyHandle(from tr, msg transport.Message) {
 			return
 		}
 		// The batch branch of handleDemand, arming the legacy round.
-		if m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
+		if !t.WellFormed() || m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
 			return
 		}
 		rec := demandRec{upd: t, from: from}
@@ -329,9 +327,11 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 				default:
 					hints[i] = resource.LocalityHint{Type: resource.LocalityCluster}
 				}
-				hints[i].Count = rng.Intn(9) - 2
+				if hints[i].Count = rng.Intn(8) - 2; hints[i].Count >= 0 {
+					hints[i].Count++ // a zero count makes the update malformed
+				}
 			}
-			send(a.name, protocol.DemandUpdate{App: a.name, UnitID: unitID, Deltas: hints, Seq: seqs[ai].Next()})
+			send(a.name, protocol.DemandUpdate{App: a.name, Deltas: unitHints(unitID, hints...), Seq: seqs[ai].Next()})
 		case r < 75:
 			cells := ws[0].m.sched.GrantedCells(a.name, unitID)
 			if len(cells) == 0 {
@@ -487,7 +487,7 @@ func TestReturnAndRegrantShareOneCapacityDelta(t *testing.T) {
 			}{{"A", &seqA}, {"B", &seqB}} {
 				net.Register(app.name, func(tr, transport.Message) {})
 				step(app.name, protocol.RegisterApp{App: app.name, Units: full, Seq: app.seq.Next()})
-				step(app.name, protocol.DemandUpdate{App: app.name, UnitID: 1, Deltas: cluster1, Seq: app.seq.Next()})
+				step(app.name, protocol.DemandUpdate{App: app.name, Deltas: unitHints(1, cluster1...), Seq: app.seq.Next()})
 			}
 			if m.sched.Held("A", 1) != 1 || m.sched.Held("B", 1) != 0 {
 				t.Fatalf("setup: A holds %d, B holds %d; want 1, 0", m.sched.Held("A", 1), m.sched.Held("B", 1))
@@ -517,8 +517,8 @@ func TestOpenReleasesFlushAndRefuseReset(t *testing.T) {
 	m := w.m
 	a := fanoutApps[0]
 	w.net.Send(a.name, protocol.MasterEndpoint, protocol.RegisterApp{App: a.name, QuotaGroup: a.group, Units: a.units, Seq: 1})
-	w.net.Send(a.name, protocol.MasterEndpoint, protocol.DemandUpdate{App: a.name, UnitID: 1, Seq: 2,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityMachine, Value: m.top.MachineName(0), Count: 2}}})
+	w.net.Send(a.name, protocol.MasterEndpoint, protocol.DemandUpdate{App: a.name, Seq: 2,
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityMachine, Value: m.top.MachineName(0), Count: 2})})
 	w.eng.Run(w.eng.Now() + 10*sim.Millisecond)
 	if m.sched.Held(a.name, 1) != 2 {
 		t.Fatalf("setup: %s holds %d, want 2", a.name, m.sched.Held(a.name, 1))

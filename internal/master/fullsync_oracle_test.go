@@ -72,9 +72,19 @@ func (m *Master) mapHandleFullSync(from tr, t mapSync) {
 			m.dispatch(m.sched.AssignOnAll())
 		}
 		if !m.recovering {
+			var fixes []protocol.UnitDelta
 			for i := range st.unitArr {
 				id := st.unitArr[i].def.ID
-				m.mapReconcileHeld(st, id, t.Held[id])
+				fixes = append(fixes, m.mapReconcileHeld(st, id, t.Held[id])...)
+			}
+			if len(fixes) > 0 {
+				seq := st.grantSeq.Next()
+				st.lastGrantSeq = seq
+				st.lastGrantAt = m.eng.Now()
+				gu := transport.Acquire[protocol.GrantUpdate](m.net)
+				gu.App, gu.Epoch, gu.Seq = st.name, m.epoch, seq
+				gu.Changes = append(gu.Changes, fixes...)
+				m.net.SendID(m.epID, st.ep, gu)
 			}
 		}
 	}
@@ -137,32 +147,25 @@ func (m *Master) mapReconcileDemand(st *appState, unitID int, want []resource.Lo
 
 // mapReconcileHeld is reconcileHeld as it was: fixes collected by probing
 // the view map per granted cell and the ledger per view entry, then sorted.
-func (m *Master) mapReconcileHeld(st *appState, unitID int, appView map[int32]int) {
+// The caller sends every unit's fixes in one GrantUpdate.
+func (m *Master) mapReconcileHeld(st *appState, unitID int, appView map[int32]int) []protocol.UnitDelta {
 	u := st.unit(unitID)
 	if u == nil {
-		return
+		return nil
 	}
-	var fixes []protocol.MachineDelta
+	var fixes []protocol.UnitDelta
 	for _, c := range u.granted.Cells() {
 		if mc := int32(c.Key); appView[mc] != c.Val {
-			fixes = append(fixes, protocol.MachineDelta{Machine: mc, Delta: c.Val - appView[mc]})
+			fixes = append(fixes, protocol.UnitDelta{UnitID: unitID, Machine: mc, Delta: c.Val - appView[mc]})
 		}
 	}
 	for mc, n := range appView {
 		if n > 0 && u.granted.Index(uint64(mc)) < 0 {
-			fixes = append(fixes, protocol.MachineDelta{Machine: mc, Delta: -n})
+			fixes = append(fixes, protocol.UnitDelta{UnitID: unitID, Machine: mc, Delta: -n})
 		}
 	}
-	if len(fixes) > 0 {
-		slices.SortFunc(fixes, func(a, b protocol.MachineDelta) int { return cmp.Compare(a.Machine, b.Machine) })
-		seq := st.grantSeq.Next()
-		st.lastGrantSeq = seq
-		st.lastGrantAt = m.eng.Now()
-		gu := transport.Acquire[protocol.GrantUpdate](m.net)
-		gu.App, gu.UnitID, gu.Epoch, gu.Seq = st.name, unitID, m.epoch, seq
-		gu.Changes = append(gu.Changes, fixes...)
-		m.net.SendID(m.epID, st.ep, gu)
-	}
+	slices.SortFunc(fixes, func(a, b protocol.UnitDelta) int { return cmp.Compare(a.Machine, b.Machine) })
+	return fixes
 }
 
 // syncApps are the differential test's applications: one unit, three units
@@ -285,9 +288,11 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 			hints := make([]resource.LocalityHint, 1+rng.Intn(3))
 			for i := range hints {
 				hints[i] = target()
-				hints[i].Count = rng.Intn(7) - 2
+				if hints[i].Count = rng.Intn(6) - 2; hints[i].Count >= 0 {
+					hints[i].Count++ // a zero count makes the update malformed
+				}
 			}
-			msg := protocol.DemandUpdate{App: a.name, UnitID: unitID, Deltas: hints, Seq: v.seq.Next()}
+			msg := protocol.DemandUpdate{App: a.name, Deltas: unitHints(unitID, hints...), Seq: v.seq.Next()}
 			for _, w := range ws {
 				w.net.Send(a.name, protocol.MasterEndpoint, msg)
 			}
@@ -356,7 +361,7 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 				}
 				rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
 				for _, h := range run {
-					s.Demand = append(s.Demand, protocol.SyncHint{UnitID: id, LocalityHint: h})
+					s.Demand = append(s.Demand, protocol.UnitHint{UnitID: id, LocalityHint: h})
 				}
 				held := map[int32]int{}
 				for mc, n := range v.held[id] {
@@ -403,12 +408,12 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 			// The app books what it is told, as the application master does.
 			v := &views[index[gu.App]]
 			v.seen = max(v.seen, gu.Seq)
-			held := v.held[gu.UnitID]
-			if held == nil {
-				held = map[int32]int{}
-				v.held[gu.UnitID] = held
-			}
 			for _, ch := range gu.Changes {
+				held := v.held[ch.UnitID]
+				if held == nil {
+					held = map[int32]int{}
+					v.held[ch.UnitID] = held
+				}
 				if held[ch.Machine] = max(0, held[ch.Machine]+ch.Delta); held[ch.Machine] == 0 {
 					delete(held, ch.Machine)
 				}

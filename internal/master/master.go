@@ -51,7 +51,7 @@ type Config struct {
 	// party stays silent.
 	RecoveryWindow sim.Time
 	// BatchWindow, when positive, coalesces incoming DemandUpdates (merged
-	// per application, the paper's batch-mode handling of "frequently
+	// per application and unit, the paper's batch-mode handling of "frequently
 	// changing resource requests from one application") and GrantReturns
 	// into scheduling rounds flushed once per window: all buffered releases
 	// are applied first, one wide assignment sweep reassigns the freed
@@ -231,12 +231,13 @@ type Master struct {
 	// returns, so what the round keeps it copies, into one arena emptied with
 	// the round. (A slice carved before the arena grew keeps the array it was
 	// carved from; nothing is moved under it.)
-	pendHints []resource.LocalityHint
+	pendHints []protocol.UnitHint
 	round     uint32
 	flushArm  bool
 	dsp       dispatchScratch // pooled fan-out accumulators
 	touched   []int32         // pooled touched-machine list (release batches)
-	// Pooled round-merge buffers (flushRound) and batch-unpacking scratch.
+	// Pooled round-merge buffers (flushRound), one unit run's hints as the
+	// scheduler takes them (hintBuf) and batch-unpacking scratch.
 	appBuf  []*appState
 	unitBuf []int
 	hintBuf []resource.LocalityHint
@@ -482,11 +483,9 @@ func (m *Master) finishRecovery() {
 	var ds []Decision
 	m.applyReleases(ret)
 	for _, r := range dem {
-		out, err := m.sched.UpdateDemand(r.upd.App, r.upd.UnitID, r.upd.Deltas)
-		if err != nil {
-			continue
+		if st := m.sched.apps[r.upd.App]; st != nil {
+			m.applyRuns(st, r.upd.Deltas, &ds)
 		}
-		ds = append(ds, out...)
 	}
 	m.dispatch(ds)
 	for _, r := range unreg {
@@ -650,7 +649,9 @@ func (m *Master) handle(from tr, msg transport.Message) {
 	case protocol.RegisterApp:
 		m.handle(from, &t)
 	case *protocol.DemandUpdate:
-		if m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
+		// A malformed update (a unit's run split, a zero count) is dropped
+		// whole, before its sequence number is marked seen.
+		if !t.WellFormed() || m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
 			return
 		}
 		m.handleDemand(from, t)
@@ -732,12 +733,30 @@ func (m *Master) handleDemand(from tr, t *protocol.DemandUpdate) {
 	start := time.Now()
 	ds := m.decisions()
 	if st := m.appFrom(from, t.App); st != nil {
-		if u := st.unit(t.UnitID); u != nil {
-			m.sched.applyDemand(st, u, t.Deltas, ds)
-		}
+		m.applyRuns(st, t.Deltas, ds)
 	}
 	m.schedTook(start)
 	m.dispatch(*ds)
+}
+
+// applyRuns places a demand payload's unit runs for st into ds, run by run
+// in the order the app asked for them; runs of units the app never defined
+// are passed over. Every run is placed before the step's one dispatch.
+func (m *Master) applyRuns(st *appState, deltas []protocol.UnitHint, ds *[]Decision) {
+	for rest := deltas; len(rest) > 0; {
+		var run []protocol.UnitHint
+		run, rest = protocol.NextRun(rest)
+		u := st.unit(run[0].UnitID)
+		if u == nil {
+			continue
+		}
+		hb := m.hintBuf[:0]
+		for i := range run {
+			hb = append(hb, run[i].LocalityHint)
+		}
+		m.hintBuf = hb
+		m.sched.applyDemand(st, u, hb, ds)
+	}
 }
 
 // decisions returns the pooled decision accumulator, emptied, by address: a
@@ -803,7 +822,7 @@ func (m *Master) deferRound() {
 }
 
 // placeRound schedules the round's buffered demand into ds, merged per app
-// and unit.
+// and unit: an app's units in the order its updates first asked for them.
 func (m *Master) placeRound(ds *[]Decision) {
 	// Chain each app's updates in arrival order, listing the apps as they
 	// first appear. Updates whose app is not registered (any more) are
@@ -834,16 +853,22 @@ func (m *Master) placeRound(ds *[]Decision) {
 	for _, st := range apps {
 		units := m.unitBuf[:0]
 		for i := st.pendHead; i >= 0; i = m.pendDem[i].next {
-			if !slices.Contains(units, m.pendDem[i].upd.UnitID) {
-				units = append(units, m.pendDem[i].upd.UnitID)
+			for rest := m.pendDem[i].upd.Deltas; len(rest) > 0; {
+				var run []protocol.UnitHint
+				run, rest = protocol.NextRun(rest)
+				if !slices.Contains(units, run[0].UnitID) {
+					units = append(units, run[0].UnitID)
+				}
 			}
 		}
 		m.unitBuf = units
 		for _, unitID := range units {
 			hb := m.hintBuf[:0]
 			for i := st.pendHead; i >= 0; i = m.pendDem[i].next {
-				if p := &m.pendDem[i].upd; p.UnitID == unitID {
-					hb = append(hb, p.Deltas...)
+				for _, h := range m.pendDem[i].upd.Deltas {
+					if h.UnitID == unitID {
+						hb = append(hb, h.LocalityHint)
+					}
 				}
 			}
 			resource.SortHints(hb)
@@ -1057,8 +1082,8 @@ func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
 		demand := t.Demand
 		for i := range st.unitArr {
 			u := &st.unitArr[i]
-			var run []protocol.SyncHint
-			run, demand = unitRun(demand, u.def.ID, func(h *protocol.SyncHint) int { return h.UnitID })
+			var run []protocol.UnitHint
+			run, demand = unitRun(demand, u.def.ID, func(h *protocol.UnitHint) int { return h.UnitID })
 			if m.reconcileDemand(st, u, run) {
 				raised = true
 			}
@@ -1068,14 +1093,19 @@ func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
 		}
 		// Grant reconciliation: during recovery the agents' reports are
 		// authoritative and arrive separately; outside recovery the master's
-		// ledger is authoritative and differences are re-announced to the app.
+		// ledger is authoritative and differences are re-announced to the app,
+		// every unit's in one GrantUpdate.
 		if !m.recovering {
+			var gu *protocol.GrantUpdate
 			held := t.Held
 			for i := range st.unitArr {
 				u := &st.unitArr[i]
 				var run []protocol.SyncHeld
 				run, held = unitRun(held, u.def.ID, func(h *protocol.SyncHeld) int { return h.UnitID })
-				m.reconcileHeld(st, u, run)
+				gu = m.reconcileHeld(st, u, run, gu)
+			}
+			if gu != nil {
+				m.net.SendID(m.epID, st.ep, gu)
 			}
 		}
 	}
@@ -1160,7 +1190,7 @@ func compareSyncNodes(a, b syncNode) int {
 
 // reconcileDemand forces the tree counts for (app, unit) to the app's view
 // and reports whether any count increased.
-func (m *Master) reconcileDemand(st *appState, u *unitState, want []protocol.SyncHint) bool {
+func (m *Master) reconcileDemand(st *appState, u *unitState, want []protocol.UnitHint) bool {
 	key := waitKey{app: st.id, unit: u.idx}
 	// The view by (level, node ID), a repeated target summed.
 	tgt := m.syncBuf[:0]
@@ -1204,12 +1234,13 @@ func (m *Master) reconcileDemand(st *appState, u *unitState, want []protocol.Syn
 	return raised
 }
 
-// reconcileHeld re-announces to the app every machine where its held view
-// differs from the master's ledger. Both sides are in machine order, so one
-// merge finds the differences in the order they go on the wire, straight into
-// a pooled GrantUpdate drawn at the first one.
-func (m *Master) reconcileHeld(st *appState, u *unitState, view []protocol.SyncHeld) {
-	var gu *protocol.GrantUpdate
+// reconcileHeld appends to the sync's re-announcement gu an entry for every
+// machine where the app's held view of u differs from the master's ledger,
+// and returns it. Both sides are in machine order, so one merge finds the
+// differences in the order they go on the wire, straight into a pooled
+// GrantUpdate drawn — with its sequence number — at the sync's first
+// difference.
+func (m *Master) reconcileHeld(st *appState, u *unitState, view []protocol.SyncHeld, gu *protocol.GrantUpdate) *protocol.GrantUpdate {
 	cells := u.granted.Cells()
 	for i, j := 0, 0; i < len(cells) || j < len(view); {
 		var mc int32
@@ -1234,13 +1265,11 @@ func (m *Master) reconcileHeld(st *appState, u *unitState, view []protocol.SyncH
 			st.lastGrantSeq = seq
 			st.lastGrantAt = m.eng.Now()
 			gu = transport.Acquire[protocol.GrantUpdate](m.net)
-			gu.App, gu.UnitID, gu.Epoch, gu.Seq = st.name, u.def.ID, m.epoch, seq
+			gu.App, gu.Epoch, gu.Seq = st.name, m.epoch, seq
 		}
-		gu.Changes = append(gu.Changes, protocol.MachineDelta{Machine: mc, Delta: granted - held})
+		gu.Changes = append(gu.Changes, protocol.UnitDelta{UnitID: u.def.ID, Machine: mc, Delta: granted - held})
 	}
-	if gu != nil {
-		m.net.SendID(m.epID, st.ep, gu)
-	}
+	return gu
 }
 
 func (m *Master) handleHeartbeat(t *protocol.AgentHeartbeat) {
@@ -1465,7 +1494,6 @@ func (m *Master) scanHeartbeats() {
 type dispatchScratch struct {
 	apps   []appAcc
 	agents []agentAcc
-	batch  []transport.Message
 	// slot finds a machine's accumulator without searching: slot[machine]
 	// is its index in agents if stamped with the current use's gen, stale
 	// otherwise — a wide round touches hundreds of machines, and a scan per
@@ -1485,7 +1513,7 @@ type agentSlot struct {
 
 type unitAcc struct {
 	unit   int
-	deltas []protocol.MachineDelta
+	deltas []protocol.UnitDelta
 }
 
 type appAcc struct {
@@ -1507,7 +1535,6 @@ func (d *dispatchScratch) reset(machines int) {
 	}
 	d.apps = d.apps[:0]
 	d.agents = d.agents[:0]
-	d.batch = d.batch[:0]
 	if d.slot == nil {
 		d.slot = make([]agentSlot, machines)
 	}
@@ -1575,12 +1602,13 @@ func (d *dispatchScratch) agentFor(machine int32) *agentAcc {
 // masters and capacity deltas to the affected agents, and ends the step:
 // release entries left open by applyReleases or unregister go out with it,
 // even when the step made no decision. Both sides are delta-encoded and
-// coalesced: grants per (app, unit) mirroring the paper's "(M1,3), (M2,4)"
-// multi-machine response form — an app's unit updates travelling as one
-// pooled transport batch — and all of an agent's capacity changes, the
-// step's releases ahead of its grants and revocations, as a single
-// CapacityDelta message, so a wide scheduling round costs one message per
-// machine instead of one per decision. The decisions carry interned
+// coalesced to one message per receiver: all of an app's grants and
+// revocations in one GrantUpdate, each unit's a run of (machine, ±count)
+// entries — the paper's "(M1,3), (M2,4)" multi-machine response form, for
+// every unit of the app at once — and all of an agent's capacity changes,
+// the step's releases ahead of its grants and revocations, in one
+// CapacityDelta, so a wide scheduling round costs one message per app and
+// one per machine instead of one per decision. The decisions carry interned
 // app/machine state, so the fan-out hashes one app name per app run, not one
 // per decision.
 func (m *Master) dispatch(ds []Decision) {
@@ -1604,7 +1632,7 @@ func (m *Master) dispatch(ds []Decision) {
 			continue
 		}
 		ua := d.appFor(st).unitFor(dec.UnitID)
-		ua.deltas = append(ua.deltas, protocol.MachineDelta{Machine: dec.MachineID, Delta: dec.Delta})
+		ua.deltas = append(ua.deltas, protocol.UnitDelta{UnitID: dec.UnitID, Machine: dec.MachineID, Delta: dec.Delta})
 		if u := st.unit(dec.UnitID); u != nil {
 			ag := d.agentFor(dec.MachineID)
 			ag.entries = append(ag.entries, protocol.CapacityEntry{
@@ -1621,19 +1649,17 @@ func (m *Master) dispatch(ds []Decision) {
 		m.net.SendID(m.epID, m.agentEP[ag.machine], cd)
 	}
 	for i := range d.apps {
+		// A pooled GrantUpdate owns its copy of the app's unit runs, in the
+		// order the step first decided for each unit.
 		aa := &d.apps[i]
-		batch := d.batch[:0]
+		seq := aa.st.grantSeq.Next()
+		aa.st.lastGrantSeq = seq
+		aa.st.lastGrantAt = m.eng.Now()
+		gu := transport.Acquire[protocol.GrantUpdate](m.net)
+		gu.App, gu.Epoch, gu.Seq = aa.st.name, m.epoch, seq
 		for j := range aa.units {
-			ua := &aa.units[j]
-			seq := aa.st.grantSeq.Next()
-			aa.st.lastGrantSeq = seq
-			aa.st.lastGrantAt = m.eng.Now()
-			gu := transport.Acquire[protocol.GrantUpdate](m.net)
-			gu.App, gu.UnitID, gu.Epoch, gu.Seq = aa.st.name, ua.unit, m.epoch, seq
-			gu.Changes = append(gu.Changes, ua.deltas...)
-			batch = append(batch, gu)
+			gu.Changes = append(gu.Changes, aa.units[j].deltas...)
 		}
-		m.net.SendBatchID(m.epID, aa.st.ep, batch)
-		d.batch = batch[:0]
+		m.net.SendID(m.epID, aa.st.ep, gu)
 	}
 }

@@ -51,6 +51,15 @@ func (h *masterHarness) send(msg transport.Message) {
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 }
 
+// unitHints is one unit's run of a DemandUpdate payload.
+func unitHints(unitID int, hints ...resource.LocalityHint) []protocol.UnitHint {
+	out := make([]protocol.UnitHint, len(hints))
+	for i, h := range hints {
+		out[i] = protocol.UnitHint{UnitID: unitID, LocalityHint: h}
+	}
+	return out
+}
+
 func (h *masterHarness) registerApp(t *testing.T) {
 	t.Helper()
 	h.send(protocol.RegisterApp{
@@ -106,8 +115,8 @@ func TestUnregisterBufferedDuringRecovery(t *testing.T) {
 	})
 	eng.Run(eng.Now() + 10*sim.Millisecond)
 	net.Send("app1", protocol.MasterEndpoint, protocol.DemandUpdate{
-		App: "app1", UnitID: 1,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 4}},
+		App:    "app1",
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 4}),
 		Seq:    appSeq.Next(),
 	})
 	eng.Run(eng.Now() + 10*sim.Millisecond)
@@ -163,8 +172,8 @@ func TestMasterCheckpointOnlyOnJobBoundaries(t *testing.T) {
 	// The scheduling fast path — demand, grants, returns — must not touch
 	// the checkpoint store (paper §4.3.1's light-weighted checkpoint).
 	for i := 0; i < 10; i++ {
-		h.send(protocol.DemandUpdate{App: "app1", UnitID: 1,
-			Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 1}},
+		h.send(protocol.DemandUpdate{App: "app1",
+			Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 1}),
 			Seq:    h.seq.Next()})
 	}
 	if h.ckpt.Writes != w {
@@ -184,8 +193,8 @@ func TestMasterBatchWindowMergesDemand(t *testing.T) {
 	// A burst of 20 single-container updates inside one window.
 	for i := 0; i < 20; i++ {
 		h.net.Send("app1", protocol.MasterEndpoint, protocol.DemandUpdate{
-			App: "app1", UnitID: 1,
-			Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 1}},
+			App:    "app1",
+			Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 1}),
 			Seq:    h.seq.Next(),
 		})
 	}
@@ -218,16 +227,16 @@ func TestMasterBatchWindowCoalescesReturns(t *testing.T) {
 		App: "app2", Units: []resource.ScheduleUnit{
 			{ID: 1, Priority: 100, MaxCount: 100, Size: resource.New(1000, 4096)},
 		}, Seq: seq2.Next()})
-	h.send(protocol.DemandUpdate{App: "app1", UnitID: 1,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 48}},
+	h.send(protocol.DemandUpdate{App: "app1",
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 48}),
 		Seq:    h.seq.Next()})
 	h.eng.Run(h.eng.Now() + sim.Second)
 	if held := h.m1.Scheduler().Held("app1", 1); held != 48 {
 		t.Fatalf("app1 held = %d, want 48 (saturated)", held)
 	}
 	h.net.Send("app2", protocol.MasterEndpoint, protocol.DemandUpdate{
-		App: "app2", UnitID: 1,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 20}},
+		App:    "app2",
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 20}),
 		Seq:    seq2.Next()})
 	h.eng.Run(h.eng.Now() + sim.Second)
 	if waiting := h.m1.Scheduler().Waiting("app2", 1); waiting != 20 {
@@ -268,8 +277,8 @@ func TestMasterBatchMergesCancellations(t *testing.T) {
 	// +5 then -5 inside one window: nothing should be scheduled.
 	for _, d := range []int{5, -5} {
 		h.net.Send("app1", protocol.MasterEndpoint, protocol.DemandUpdate{
-			App: "app1", UnitID: 1,
-			Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: d}},
+			App:    "app1",
+			Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: d}),
 			Seq:    h.seq.Next(),
 		})
 	}
@@ -282,8 +291,8 @@ func TestMasterBatchMergesCancellations(t *testing.T) {
 func TestMasterCapacityQueryAnswersFullTable(t *testing.T) {
 	h := newMasterHarness(t, DefaultConfig("fm-1"))
 	h.registerApp(t)
-	h.send(protocol.DemandUpdate{App: "app1", UnitID: 1,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 8}},
+	h.send(protocol.DemandUpdate{App: "app1",
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 8}),
 		Seq:    h.seq.Next()})
 
 	var sync *protocol.CapacitySync
@@ -323,8 +332,8 @@ func TestMasterCapacityQueryAnswersFullTable(t *testing.T) {
 func TestMasterDuplicateDemandIgnored(t *testing.T) {
 	h := newMasterHarness(t, DefaultConfig("fm-1"))
 	h.registerApp(t)
-	msg := protocol.DemandUpdate{App: "app1", UnitID: 1,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 3}},
+	msg := protocol.DemandUpdate{App: "app1",
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3}),
 		Seq:    h.seq.Next()}
 	h.send(msg)
 	h.send(msg) // replay
@@ -336,8 +345,8 @@ func TestMasterDuplicateDemandIgnored(t *testing.T) {
 func TestMasterDuplicateReturnIgnored(t *testing.T) {
 	h := newMasterHarness(t, DefaultConfig("fm-1"))
 	h.registerApp(t)
-	h.send(protocol.DemandUpdate{App: "app1", UnitID: 1,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 4}},
+	h.send(protocol.DemandUpdate{App: "app1",
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 4}),
 		Seq:    h.seq.Next()})
 	var machine string
 	for m := range h.m1.Scheduler().Granted("app1", 1) {

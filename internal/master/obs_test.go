@@ -26,8 +26,8 @@ func newObsHarness(t *testing.T) (*masterHarness, *obs.Store) {
 func TestMasterRecordsPerRoundSamples(t *testing.T) {
 	h, store := newObsHarness(t)
 	h.send(protocol.DemandUpdate{
-		App: "app1", UnitID: 1,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 3}},
+		App:    "app1",
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3}),
 		Seq:    h.seq.Next(),
 	})
 	h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
@@ -58,8 +58,8 @@ func TestQueueDepthSeriesAppearLazily(t *testing.T) {
 	// Demand beyond capacity: 4 machines x 12 fit of 1000m leaves overflow
 	// queued at cluster level, which must register a class series.
 	h.send(protocol.DemandUpdate{
-		App: "app1", UnitID: 1,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 60}},
+		App:    "app1",
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 60}),
 		Seq:    h.seq.Next(),
 	})
 	h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
@@ -77,8 +77,8 @@ func TestObsQueryAnsweredOverTransport(t *testing.T) {
 	h, store := newObsHarness(t)
 	_ = store
 	h.send(protocol.DemandUpdate{
-		App: "app1", UnitID: 1,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 2}},
+		App:    "app1",
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 2}),
 		Seq:    h.seq.Next(),
 	})
 	h.eng.Run(h.eng.Now() + 50*sim.Millisecond)
@@ -122,8 +122,8 @@ func TestMasterSamplingIsAllocFree(t *testing.T) {
 	// sweep, the queue-depth sweep and the class table are all exercised,
 	// then measure the steady-state sample.
 	h.send(protocol.DemandUpdate{
-		App: "app1", UnitID: 1,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 60}},
+		App:    "app1",
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 60}),
 		Seq:    h.seq.Next(),
 	})
 	h.eng.Run(h.eng.Now() + 100*sim.Millisecond)

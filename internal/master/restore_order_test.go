@@ -58,7 +58,7 @@ func restoreFromAnchors(t *testing.T, shuffle int64) restoreOutcome {
 	for _, app := range apps {
 		net.Register(app, func(_ transport.EndpointID, msg transport.Message) {
 			if g, ok := msg.(*protocol.GrantUpdate); ok && recording {
-				out.next = append(out.next, fmt.Sprintf("grant %s/%d %v", g.App, g.UnitID, g.Changes))
+				out.next = append(out.next, fmt.Sprintf("grant %s %v", g.App, g.Changes))
 			}
 		})
 	}
@@ -67,8 +67,8 @@ func restoreFromAnchors(t *testing.T, shuffle int64) restoreOutcome {
 		eng.Run(eng.Now() + 10*sim.Millisecond)
 	}
 	demand := func(i, unit, count int) {
-		send(i, protocol.DemandUpdate{App: apps[i], UnitID: unit, Seq: seqs[i].Next(),
-			Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: count}}})
+		send(i, protocol.DemandUpdate{App: apps[i], Seq: seqs[i].Next(),
+			Deltas: unitHints(unit, resource.LocalityHint{Type: resource.LocalityCluster, Count: count})})
 	}
 	eng.Run(10 * sim.Millisecond)
 	for i, app := range apps {

@@ -100,8 +100,8 @@ func (s *syncScript) seq(sq *protocol.Sequencer) uint64 {
 func TestReturnOnUnknownMachineIsRefused(t *testing.T) {
 	h := newMasterHarness(t, DefaultConfig("fm-1"))
 	h.registerApp(t)
-	h.send(protocol.DemandUpdate{App: "app1", UnitID: 1,
-		Deltas: []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 3}}, Seq: h.seq.Next()})
+	h.send(protocol.DemandUpdate{App: "app1",
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3}), Seq: h.seq.Next()})
 	s := h.m1.Scheduler()
 	if s.Held("app1", 1) != 3 {
 		t.Fatalf("setup: held %d, want 3", s.Held("app1", 1))
@@ -121,7 +121,8 @@ func TestReturnOnUnknownMachineIsRefused(t *testing.T) {
 
 // FuzzFullDemandSync drives a primary with a few registered multi-unit apps
 // through a byte-scripted sequence of hostile application-master messages —
-// demand updates, return batches and full syncs with unsorted, duplicated
+// multi-unit demand updates (split runs and zero counts among them), return
+// batches and full syncs with unsorted, duplicated
 // and negative entries, unknown unit IDs, machine IDs out of range, levels
 // no hint has, stale SeenGrantSeq and Seq below the high-water marks (and, for
 // contrast, well-formed syncs of the same content). After every message the
@@ -161,10 +162,15 @@ func runSyncScript(t *testing.T, data []byte) {
 		var what string
 		switch op := s.next() % 4; op {
 		case 0:
+			// Up to four unit runs of up to three hints: a unit may come back
+			// in a second run and a count may be zero, both malformed.
 			what = "demand"
-			msg := &protocol.DemandUpdate{App: a.name, UnitID: s.unit(a.units), Seq: s.seq(sq)}
-			for n := s.next() % 4; n > 0; n-- {
-				msg.Deltas = append(msg.Deltas, s.hint(machines, racks))
+			msg := &protocol.DemandUpdate{App: a.name, Seq: s.seq(sq)}
+			for runs := s.next() % 5; runs > 0; runs-- {
+				id := s.unit(a.units)
+				for n := 1 + s.next()%3; n > 0; n-- {
+					msg.Deltas = append(msg.Deltas, protocol.UnitHint{UnitID: id, LocalityHint: s.hint(machines, racks)})
+				}
 			}
 			m.handle(from, msg)
 		case 1:
@@ -189,7 +195,7 @@ func runSyncScript(t *testing.T, data []byte) {
 				msg.SeenGrantSeq = 1 << 62
 			}
 			for n := s.next() % 6; n > 0; n-- {
-				msg.Demand = append(msg.Demand, protocol.SyncHint{UnitID: s.unit(a.units), LocalityHint: s.hint(machines, racks)})
+				msg.Demand = append(msg.Demand, protocol.UnitHint{UnitID: s.unit(a.units), LocalityHint: s.hint(machines, racks)})
 			}
 			for n := s.next() % 6; n > 0; n-- {
 				msg.Held = append(msg.Held, protocol.SyncHeld{
@@ -197,7 +203,7 @@ func runSyncScript(t *testing.T, data []byte) {
 				})
 			}
 			if shape&1 == 1 { // the same content, put in the wire's order
-				slices.SortStableFunc(msg.Demand, func(x, y protocol.SyncHint) int { return cmp.Compare(x.UnitID, y.UnitID) })
+				slices.SortStableFunc(msg.Demand, func(x, y protocol.UnitHint) int { return cmp.Compare(x.UnitID, y.UnitID) })
 				slices.SortFunc(msg.Held, func(x, y protocol.SyncHeld) int {
 					return cmp.Or(cmp.Compare(x.UnitID, y.UnitID), cmp.Compare(x.Machine, y.Machine))
 				})

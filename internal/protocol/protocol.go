@@ -49,9 +49,10 @@ import "repro/internal/resource"
 // ---------------------------------------------------------------------------
 
 // RegisterApp announces an application to FuxiMaster, carrying everything
-// the scheduler must know up front: the ScheduleUnit definitions, the quota
-// group, and the first demand. It is also re-sent during FuxiMaster failover
-// so the new primary can rebuild soft state (paper Figure 7).
+// the scheduler must know up front: the ScheduleUnit definitions and the
+// quota group. Demand follows in DemandUpdates. It is also re-sent during
+// FuxiMaster failover so the new primary can rebuild soft state (paper
+// Figure 7).
 type RegisterApp struct {
 	App        string
 	QuotaGroup string
@@ -60,15 +61,31 @@ type RegisterApp struct {
 }
 
 // DemandUpdate carries incremental changes to an application's resource
-// demand: per-locality count deltas for one ScheduleUnit. Counts may be
-// negative (demand withdrawal). An application that never changes its mind
-// sends exactly one DemandUpdate per unit for its whole lifetime.
+// demand: per-locality count deltas for any of its ScheduleUnits. Counts may
+// be negative (demand withdrawal), never zero. Each unit's deltas are one
+// contiguous run, and the runs stand in the order the application first
+// asked for each unit — the order the receiver places them in. An
+// application master sends at most one DemandUpdate per virtual instant,
+// whatever it asked for in that instant, so an application that never
+// changes its mind sends one for its whole lifetime, however many units it
+// has. A message that splits a unit's run or carries a zero count is not
+// WellFormed, and the receiver drops it whole.
 type DemandUpdate struct {
 	App    string
-	UnitID int
-	Deltas []resource.LocalityHint
+	Deltas []UnitHint
 	Seq    uint64
 }
+
+// UnitHint is one unit's locality hint: a count delta in a DemandUpdate, the
+// full wanted count in a FullDemandSync.
+type UnitHint struct {
+	UnitID int
+	resource.LocalityHint
+}
+
+// WellFormed reports whether every unit's deltas form one contiguous run and
+// no count is zero.
+func (m *DemandUpdate) WellFormed() bool { return wellFormedRuns(m.Deltas) }
 
 // GrantReturn gives granted resources back to FuxiMaster: count containers
 // of the unit on one machine are released. Sent when workers exit and the
@@ -100,25 +117,82 @@ type GrantReturnBatch struct {
 	Seq     uint64
 }
 
-// MachineDelta is one (machine, ±count) entry of a grant response, matching
-// the paper's "(M1,3), (M2,4), ..., (Mn,1)" notation; negative counts are
-// revocations. Machines travel as dense IDs (see the package doc's
-// identifier convention).
-type MachineDelta struct {
+// UnitDelta is one (unit, machine, ±count) entry of a grant response,
+// matching the paper's "(M1,3), (M2,4), ..., (Mn,1)" notation; negative
+// counts are revocations. Machines travel as dense IDs (see the package
+// doc's identifier convention).
+type UnitDelta struct {
+	UnitID  int
 	Machine int32 // dense machine ID
 	Delta   int
 }
 
-// GrantUpdate notifies an application master of scheduling results for one
-// of its units: grants (positive) and revocations (negative). Epoch is the
-// sending primary's election epoch: receivers fence messages from a deposed
-// master that were still in flight when its successor promoted.
+// GrantUpdate notifies an application master of one scheduling step's
+// results for all of its units: grants (positive) and revocations
+// (negative), each unit's entries one contiguous run. FuxiMaster sends at
+// most one per application per step. Epoch is the sending primary's
+// election epoch: receivers fence messages from a deposed master that were
+// still in flight when its successor promoted. A message that splits a
+// unit's run or carries a zero delta is not WellFormed, and the receiver
+// drops it whole.
 type GrantUpdate struct {
 	App     string
-	UnitID  int
-	Changes []MachineDelta
+	Changes []UnitDelta
 	Epoch   int
 	Seq     uint64
+}
+
+// WellFormed reports whether every unit's entries form one contiguous run
+// and no delta is zero.
+func (m *GrantUpdate) WellFormed() bool { return wellFormedRuns(m.Changes) }
+
+// Unit returns the ScheduleUnit the hint belongs to.
+func (h UnitHint) Unit() int { return h.UnitID }
+
+func (h UnitHint) count() int { return h.Count }
+
+// Unit returns the ScheduleUnit the entry belongs to.
+func (d UnitDelta) Unit() int { return d.UnitID }
+
+func (d UnitDelta) count() int { return d.Delta }
+
+// UnitEntry is an entry of a payload grouped into per-unit runs.
+type UnitEntry interface {
+	Unit() int
+	count() int
+}
+
+// NextRun splits a run-grouped payload after its first run: run holds the
+// leading entries of one unit, rest what follows them.
+func NextRun[E UnitEntry](list []E) (run, rest []E) {
+	if len(list) == 0 {
+		return nil, nil
+	}
+	j := 1
+	for j < len(list) && list[j].Unit() == list[0].Unit() {
+		j++
+	}
+	return list[:j], list[j:]
+}
+
+// wellFormedRuns reports whether each unit's entries in list form one
+// contiguous run and no entry's count is zero. A new run's unit is looked for
+// among the entries before it, so the check allocates nothing.
+func wellFormedRuns[E UnitEntry](list []E) bool {
+	for i := range list {
+		if list[i].count() == 0 {
+			return false
+		}
+		if i == 0 || list[i].Unit() == list[i-1].Unit() {
+			continue
+		}
+		for j := 0; j < i-1; j++ {
+			if list[j].Unit() == list[i].Unit() {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // FullDemandSync is the periodic full-state safety message from an
@@ -143,18 +217,11 @@ type FullDemandSync struct {
 	SeenGrantSeq uint64
 	// Demand lists the full (not delta) per-locality wanted counts, grouped
 	// by ascending unit ID, each unit's run in (level, name) order.
-	Demand []SyncHint
+	Demand []UnitHint
 	// Held is the application's view of current grants, strictly ascending
 	// by (unit, machine).
 	Held []SyncHeld
 	Seq  uint64
-}
-
-// SyncHint is one unit's wanted count at one locality target in a
-// FullDemandSync.
-type SyncHint struct {
-	UnitID int
-	resource.LocalityHint
 }
 
 // SyncHeld is the container count one unit holds on one machine in a

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -134,8 +135,8 @@ func TestWorkerStateString(t *testing.T) {
 }
 
 func TestWireSizesPositiveAndProportional(t *testing.T) {
-	small := DemandUpdate{App: "a", Deltas: []resource.LocalityHint{{}}}
-	big := DemandUpdate{App: "a", Deltas: make([]resource.LocalityHint, 100)}
+	small := DemandUpdate{App: "a", Deltas: []UnitHint{{}}}
+	big := DemandUpdate{App: "a", Deltas: make([]UnitHint, 100)}
 	if small.WireSize() <= 0 {
 		t.Error("non-positive wire size")
 	}
@@ -146,7 +147,7 @@ func TestWireSizesPositiveAndProportional(t *testing.T) {
 	full := FullDemandSync{
 		App:    "a",
 		Units:  []resource.ScheduleUnit{{ID: 1}},
-		Demand: make([]SyncHint, 10),
+		Demand: make([]UnitHint, 10),
 		Held:   []SyncHeld{{UnitID: 1, Machine: 0, Count: 2}, {UnitID: 1, Machine: 1, Count: 3}},
 	}
 	if full.WireSize() <= small.WireSize() {
@@ -161,7 +162,7 @@ func TestWireSizesPositiveAndProportional(t *testing.T) {
 	msgs := []interface{ WireSize() int }{
 		RegisterApp{App: "a"},
 		GrantReturn{App: "a", Machine: 0},
-		GrantUpdate{App: "a", Changes: []MachineDelta{{Machine: 0, Delta: 1}}},
+		GrantUpdate{App: "a", Changes: []UnitDelta{{UnitID: 1, Machine: 0, Delta: 1}}},
 		AgentHeartbeat{Machine: 0, Allocations: []AllocDelta{{App: 3, UnitID: 1, Count: 2}}},
 		CapacityUpdate{App: "a"},
 		WorkPlan{App: "a", WorkerID: "w"},
@@ -178,20 +179,20 @@ func TestWireSizesPositiveAndProportional(t *testing.T) {
 // runs in unit order (any order inside a run), held entries strictly
 // ascending by (unit, machine), no negative count.
 func TestFullDemandSyncWellFormed(t *testing.T) {
-	hint := func(unit, count int) SyncHint {
-		return SyncHint{UnitID: unit, LocalityHint: resource.LocalityHint{Type: resource.LocalityCluster, Count: count}}
+	hint := func(unit, count int) UnitHint {
+		return UnitHint{UnitID: unit, LocalityHint: resource.LocalityHint{Type: resource.LocalityCluster, Count: count}}
 	}
 	for _, c := range []struct {
 		name   string
-		demand []SyncHint
+		demand []UnitHint
 		held   []SyncHeld
 		ok     bool
 	}{
 		{"empty", nil, nil, true},
-		{"sorted", []SyncHint{hint(1, 2), hint(1, 0), hint(3, 1)},
+		{"sorted", []UnitHint{hint(1, 2), hint(1, 0), hint(3, 1)},
 			[]SyncHeld{{1, 0, 2}, {1, 4, 1}, {2, 0, 3}}, true},
-		{"demand runs out of order", []SyncHint{hint(3, 1), hint(1, 2)}, nil, false},
-		{"negative demand", []SyncHint{hint(1, -1)}, nil, false},
+		{"demand runs out of order", []UnitHint{hint(3, 1), hint(1, 2)}, nil, false},
+		{"negative demand", []UnitHint{hint(1, -1)}, nil, false},
 		{"held units out of order", nil, []SyncHeld{{2, 0, 1}, {1, 5, 1}}, false},
 		{"held machines out of order", nil, []SyncHeld{{1, 5, 1}, {1, 0, 1}}, false},
 		{"duplicate held pair", nil, []SyncHeld{{1, 5, 1}, {1, 5, 2}}, false},
@@ -209,7 +210,7 @@ func TestFullDemandSyncWellFormed(t *testing.T) {
 func TestFullDemandSyncRecycles(t *testing.T) {
 	s := &FullDemandSync{
 		App: "a", Units: []resource.ScheduleUnit{{ID: 1}}, SeenGrantSeq: 3, Seq: 9,
-		Demand: []SyncHint{{UnitID: 1, LocalityHint: resource.LocalityHint{Type: resource.LocalityMachine, Value: "m", Count: 2}}},
+		Demand: []UnitHint{{UnitID: 1, LocalityHint: resource.LocalityHint{Type: resource.LocalityMachine, Value: "m", Count: 2}}},
 		Held:   []SyncHeld{{UnitID: 1, Machine: 4, Count: 2}},
 	}
 	kept := Keep(s).(FullDemandSync)
@@ -221,10 +222,63 @@ func TestFullDemandSyncRecycles(t *testing.T) {
 	if cap(s.Demand) == 0 || cap(s.Held) == 0 {
 		t.Error("Clear dropped the payloads' capacity")
 	}
-	if demand[0] != (SyncHint{}) || held[0] != (SyncHeld{}) {
+	if demand[0] != (UnitHint{}) || held[0] != (SyncHeld{}) {
 		t.Errorf("payload elements not zeroed: %+v %+v", demand[0], held[0])
 	}
 	if kept.App != "a" || kept.Demand[0].Value != "m" || kept.Held[0].Machine != 4 {
 		t.Errorf("Keep's copy did not survive the Clear: %+v", kept)
+	}
+}
+
+// TestRunPayloadsWellFormed pins what a DemandUpdate or GrantUpdate receiver
+// walks by: each unit's entries one contiguous run, runs in any unit order,
+// no zero count.
+func TestRunPayloadsWellFormed(t *testing.T) {
+	hint := func(unit, count int) UnitHint {
+		return UnitHint{UnitID: unit, LocalityHint: resource.LocalityHint{Type: resource.LocalityCluster, Count: count}}
+	}
+	for _, c := range []struct {
+		name string
+		hs   []UnitHint
+		ok   bool
+	}{
+		{"empty", nil, true},
+		{"one run", []UnitHint{hint(2, 3), hint(2, -1)}, true},
+		{"runs in first-request order", []UnitHint{hint(3, 1), hint(3, 2), hint(1, 4), hint(2, -2)}, true},
+		{"a unit in two runs", []UnitHint{hint(1, 1), hint(2, 1), hint(1, 1)}, false},
+		{"a unit in two runs, far apart", []UnitHint{hint(1, 1), hint(2, 1), hint(3, 1), hint(4, 1), hint(1, 2)}, false},
+		{"zero count", []UnitHint{hint(1, 1), hint(1, 0)}, false},
+	} {
+		deltas := make([]UnitDelta, len(c.hs))
+		for i, h := range c.hs {
+			deltas[i] = UnitDelta{UnitID: h.UnitID, Machine: int32(i), Delta: h.Count}
+		}
+		du, gu := DemandUpdate{Deltas: c.hs}, GrantUpdate{Changes: deltas}
+		if got := du.WellFormed(); got != c.ok {
+			t.Errorf("%s: DemandUpdate.WellFormed = %v, want %v", c.name, got, c.ok)
+		}
+		if got := gu.WellFormed(); got != c.ok {
+			t.Errorf("%s: GrantUpdate.WellFormed = %v, want %v", c.name, got, c.ok)
+		}
+	}
+}
+
+// TestNextRunSplitsByUnit: NextRun hands out the runs in order, each whole.
+func TestNextRunSplitsByUnit(t *testing.T) {
+	list := []UnitDelta{{UnitID: 4, Delta: 1}, {UnitID: 4, Delta: -1}, {UnitID: 1, Delta: 2}, {UnitID: 9, Delta: 3}}
+	var units, sizes []int
+	for rest := list; len(rest) > 0; {
+		var run []UnitDelta
+		run, rest = NextRun(rest)
+		units, sizes = append(units, run[0].UnitID), append(sizes, len(run))
+	}
+	if want := []int{4, 1, 9}; !slices.Equal(units, want) {
+		t.Errorf("runs of units %v, want %v", units, want)
+	}
+	if want := []int{2, 1, 1}; !slices.Equal(sizes, want) {
+		t.Errorf("run sizes %v, want %v", sizes, want)
+	}
+	if run, rest := NextRun[UnitHint](nil); run != nil || rest != nil {
+		t.Errorf("NextRun(nil) = %v, %v", run, rest)
 	}
 }

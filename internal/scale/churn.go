@@ -127,45 +127,15 @@ func takeHold(rec *holdRec) (a *scaleApp, unit int, machine int32, n int) {
 
 // holdExpire is the churn cycle's second half: return the held containers
 // and restate the demand at cluster scope, keeping the cluster in its
-// saturated steady state. The re-demand is deferred to the end of the
-// instant so that all of an instant's expiries coalesce: every app's
-// returns merge into one GrantReturnBatch before its first demand update
-// flushes them, and the master still applies the whole round's releases
-// before its demand phase.
+// saturated steady state. The application master coalesces an instant's
+// expiries: its returns and re-demands leave at the end of the instant as one
+// GrantReturnBatch followed by one DemandUpdate, and the master still applies
+// the whole round's releases before its demand phase.
 func holdExpire(x any) {
 	app, unit, mc, n := takeHold(x.(*holdRec))
 	if n <= 0 {
 		return
 	}
-	h := app.h
 	app.am.ReturnContainers(unit, mc, n)
-	for unit >= len(app.reqCount) {
-		app.reqCount = append(app.reqCount, 0)
-	}
-	if app.reqCount[unit] == 0 {
-		h.reqPend = append(h.reqPend, redemand{app, unit})
-	}
-	app.reqCount[unit] += n
-	if !h.reqArmed {
-		h.reqArmed = true
-		h.eng.PostFunc(0, h.flushRedemand)
-	}
-}
-
-// redemand marks an (app, unit) pair with a re-demand pending this instant.
-type redemand struct {
-	app  *scaleApp
-	unit int
-}
-
-// flushRedemand issues the deferred re-demands of one instant, one
-// DemandUpdate per (app, unit).
-func (h *harness) flushRedemand() {
-	h.reqArmed = false
-	for _, r := range h.reqPend {
-		n := r.app.reqCount[r.unit]
-		r.app.reqCount[r.unit] = 0
-		r.app.demand(r.unit, n)
-	}
-	h.reqPend = h.reqPend[:0]
+	app.demand(unit, n)
 }

@@ -95,12 +95,12 @@ func TestPerProcessFootprint(t *testing.T) {
 			am.Request(1,
 				resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[home], Count: 1},
 				resource.LocalityHint{Type: resource.LocalityCluster, Count: 5})
-			changes := make([]protocol.MachineDelta, 6)
+			changes := make([]protocol.UnitDelta, 6)
 			for k := range changes {
-				changes[k] = protocol.MachineDelta{Machine: (home + int32(7*k)) % int32(len(machines)), Delta: 1}
+				changes[k] = protocol.UnitDelta{UnitID: 1, Machine: (home + int32(7*k)) % int32(len(machines)), Delta: 1}
 			}
 			net.Send(protocol.MasterEndpoint, name, protocol.GrantUpdate{
-				App: name, UnitID: 1, Changes: changes, Epoch: 1, Seq: 1,
+				App: name, Changes: changes, Epoch: 1, Seq: 1,
 			})
 			eng.Run(eng.Now() + sim.Millisecond)
 			for _, ch := range changes {

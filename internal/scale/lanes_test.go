@@ -40,15 +40,25 @@ type golden struct {
 // window: replay's and chaos's decisions move with that, failover's do not
 // (machines are dead at each of its promotions, so the window's deadline
 // still ends them).
+//
+// Then an application master and FuxiMaster came to say one thing per step:
+// an app's instant of demand travels as one DemandUpdate carrying every unit
+// it asked for, flushed at the instant's end behind its returns, and a step
+// answers each app with one GrantUpdate carrying every unit it decided for.
+// That moved MessagesSent on every lane whose jobs have several units, and
+// EventsFired on every lane: fewer deliveries, and one end-of-instant flush
+// for a job whose first demand used to leave at once (gateway and replay jobs
+// have one unit, so their messages do not move and their events rise). No
+// decision moved — every hash and checksum is the parent's.
 var smokeGolden = map[string]golden{
-	"classic":   {6808, 6404, 404, 20952, 35076, 100, "", "", 0x0, "21baea0118bb30a5"},
-	"failover":  {6860, 6430, 430, 18686, 30362, 100, "", "", 0x0, "82df709a2dbbc0aa"},
-	"churn":     {12701, 12701, 0, 21392, 36813, 0, "", "", 0x0, "49a852947b28de7d"},
-	"gateway":   {14496, 14213, 283, 90331, 147759, 6965, "f7cf980f895a0dc8", "", 0x0, "8cc030a1728f86e0"},
-	"dataplane": {214, 213, 1, 3353, 9283, 14, "ebea3147a48d748a", "", 0x0, "dee5948764ad432e"},
-	"replay":    {11470, 11463, 7, 67137, 121546, 4110, "b6e4f88a5389ab74", "b6e4f88a5389ab74", 0x0, "8198ae00d57dd4a8"},
-	"chaos":     {12842, 12688, 154, 22602, 37924, 0, "", "", 0x0, "b0db56e70a254402"},
-	"obs":       {12701, 12701, 0, 21424, 36891, 0, "", "", 0x3f6b06b8ef229535, "49a852947b28de7d"},
+	"classic":   {6808, 6404, 404, 16265, 31555, 100, "", "", 0x0, "21baea0118bb30a5"},
+	"failover":  {6860, 6430, 430, 13612, 26660, 100, "", "", 0x0, "82df709a2dbbc0aa"},
+	"churn":     {12701, 12701, 0, 15980, 33896, 0, "", "", 0x0, "49a852947b28de7d"},
+	"gateway":   {14496, 14213, 283, 90331, 155004, 6965, "f7cf980f895a0dc8", "", 0x0, "8cc030a1728f86e0"},
+	"dataplane": {214, 213, 1, 3321, 9266, 14, "ebea3147a48d748a", "", 0x0, "dee5948764ad432e"},
+	"replay":    {11470, 11463, 7, 67137, 125663, 4110, "b6e4f88a5389ab74", "b6e4f88a5389ab74", 0x0, "8198ae00d57dd4a8"},
+	"chaos":     {12842, 12688, 154, 16969, 34965, 0, "", "", 0x0, "b0db56e70a254402"},
+	"obs":       {12701, 12701, 0, 16012, 33974, 0, "", "", 0x3f6b06b8ef229535, "49a852947b28de7d"},
 }
 
 var smokeRuns struct {

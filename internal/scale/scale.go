@@ -491,11 +491,8 @@ type harness struct {
 	decHash uint64
 
 	// Hold-expiry pool (see churn.go): every grant borrows a pooled record
-	// for its closure-free hold timer; reqPend defers one instant's churn
-	// re-demands past its returns.
+	// for its closure-free hold timer.
 	holdFree []*holdRec
-	reqPend  []redemand
-	reqArmed bool
 
 	checker *invariant.Checker
 }

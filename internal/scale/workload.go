@@ -226,9 +226,6 @@ type scaleApp struct {
 	// pendingOne backs pendingReq of a single-unit job — every gateway and
 	// replay job — so the table is not a heap object of its own.
 	pendingOne [2]sim.Time
-	// reqCount accumulates one instant's churn re-demand per unit, so the
-	// expiries of several machines' containers merge into one DemandUpdate.
-	reqCount []int
 	// unit1 is the unit definition of a job whose one unit is its own (every
 	// replay job draws its width): the application master's configuration
 	// slices it, so the definition is not a heap object either.

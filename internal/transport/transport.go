@@ -206,9 +206,8 @@ type Net struct {
 
 	// batchPool recycles the in-flight []Message copies SendBatch makes:
 	// a batch's backing array returns to the pool after its delivery event
-	// hands the messages to the receiver, so steady-state batched fan-out
-	// (the master's per-agent grant/capacity roll-ups) reuses a small set
-	// of buffers instead of allocating one per batch.
+	// hands the messages to the receiver, so a steady stream of batches
+	// reuses a small set of buffers instead of allocating one per batch.
 	batchPool [][]Message
 	// Deliveries ride the engine's closure-free Post path: deliverFn and
 	// deliverRecycleFn are bound once and each in-flight message borrows a
@@ -655,10 +654,10 @@ func (n *Net) SendBatch(from, to string, msgs []Message) {
 // SendBatchID queues msgs for delivery from one endpoint to another as a
 // single wire unit: one scheduled delivery event, one latency/jitter draw,
 // and one loss/duplication draw for the whole batch, with the messages
-// handed to the receiver individually and in order on arrival. The master
-// uses it to coalesce the per-decision grant and capacity fan-out (the
-// paper's "(M1,3), (M2,4)" roll-up applied to the agent side); at 5,000
-// machines the event-queue pressure drops by the batch factor.
+// handed to the receiver individually and in order on arrival: at 5,000
+// machines a fan-out sent as batches costs the event queue one event per
+// receiver instead of one per message. (FuxiMaster needs none: it rolls each
+// step up into one message per receiver, the paper's "(M1,3), (M2,4)" form.)
 func (n *Net) SendBatchID(from, to EndpointID, msgs []Message) {
 	switch len(msgs) {
 	case 0:
