@@ -408,21 +408,35 @@ func (a *AM) ReturnContainersOn(unitID int, machine string, count int) {
 // accumulated in, and its field is cleared first, so the eager flushes and
 // the end-of-instant tick can never send one message twice; the next instant
 // draws its own. After the process died they are dropped unsent — a crash
-// loses unsent messages by design — and left to the collector.
+// loses unsent messages by design.
 func (a *AM) flush() {
 	a.armed = false
-	r, d := a.ret, a.dem
-	a.ret, a.dem = nil, nil
 	if a.stopped {
+		a.drop()
 		return
 	}
-	if r != nil {
+	if r := a.ret; r != nil {
+		a.ret = nil
 		r.App, r.Seq = a.cfg.App, a.seq.Next()
 		a.sendToMaster(r)
 	}
-	if d != nil {
+	if d := a.dem; d != nil {
+		a.dem = nil
 		d.App, d.Seq = a.cfg.App, a.seq.Next()
 		a.sendToMaster(d)
+	}
+}
+
+// drop discards the instant's unsent returns and demand, handing the pooled
+// messages back to the network.
+func (a *AM) drop() {
+	if a.ret != nil {
+		a.net.Release(a.ret)
+		a.ret = nil
+	}
+	if a.dem != nil {
+		a.net.Release(a.dem)
+		a.dem = nil
 	}
 }
 
@@ -559,12 +573,15 @@ func (a *AM) unregDelay() sim.Time {
 // successor (which resurrects the app's grants from agent anchors and would
 // otherwise strand them forever), so the app lingers, re-sending on the
 // successor's MasterHello and on a bounded retry timer, and tears down on
-// the UnregisterAck.
+// the UnregisterAck. The unregister goes out alone: FuxiMaster's unregister
+// releases every container the app holds and withdraws all it waits for, so
+// the instant's unsent returns and demand are dropped, not flushed ahead of
+// it.
 func (a *AM) Unregister() {
 	if a.stopped {
 		return
 	}
-	a.flush()
+	a.drop()
 	a.stopped = true
 	a.sync.Stop()
 	a.sendUnregister()

@@ -213,3 +213,27 @@ func TestGrantOnMachineOutsideTopologyIsDropped(t *testing.T) {
 		t.Fatalf("held %d, outstanding %d, callbacks %v; want 0, 2, none", w.am.HeldTotal(1), w.am.Outstanding(1), w.events)
 	}
 }
+
+// TestUnregisterSendsAlone: a job that ends with returns and demand of the
+// instant still unsent sends FuxiMaster only its UnregisterApp — the master's
+// unregister releases everything the job holds and withdraws all it waits
+// for — and the two pooled messages go back to the network's free lists.
+func TestUnregisterSendsAlone(t *testing.T) {
+	w := newWideWorld(t, "app1", 2)
+	w.grant(protocol.GrantUpdate{Changes: []protocol.UnitDelta{{UnitID: 1, Machine: 0, Delta: 2}}, Seq: 1})
+	w.toMaster = nil
+	w.am.ReturnContainers(1, 0, 1)
+	w.am.Request(2, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3})
+	ret, dem := w.am.ret, w.am.dem
+	w.am.Unregister()
+	w.eng.Run(w.eng.Now() + sim.Millisecond)
+	if want := []transport.Message{protocol.UnregisterApp{App: "app1", Seq: 2}}; !reflect.DeepEqual(w.toMaster, want) {
+		t.Fatalf("the master heard %+v, want %+v", w.toMaster, want)
+	}
+	if r := transport.Acquire[protocol.GrantReturnBatch](w.net); r != ret || len(r.Returns) != 0 {
+		t.Errorf("the pending return batch was not handed back cleared: drew %p %+v, want %p", r, *r, ret)
+	}
+	if d := transport.Acquire[protocol.DemandUpdate](w.net); d != dem || len(d.Deltas) != 0 {
+		t.Errorf("the pending demand update was not handed back cleared: drew %p %+v, want %p", d, *d, dem)
+	}
+}

@@ -85,9 +85,10 @@ func (o *mapLedgers) flush() {
 	}
 }
 
-// unregister is the old AM.Unregister, as far as the master hears it.
+// unregister is the old AM.Unregister, as far as the master hears it: the
+// instant's unsent returns and demand are dropped.
 func (o *mapLedgers) unregister() {
-	o.flush()
+	o.pendRet, o.pendUnits, o.pendDem = nil, nil, nil
 	o.sent = append(o.sent, protocol.UnregisterApp{App: o.app, Seq: o.seq.Next()})
 }
 
@@ -404,7 +405,8 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 			switch r := rng.Intn(100); {
 			case op == ops:
 				// The job ends, as often as not with returns and demand of this
-				// instant still unflushed: they go out ahead of the unregister.
+				// instant still unflushed: they are dropped, and the unregister
+				// goes out alone.
 				if mc := int32(rng.Intn(len(machines))); am.Held(defined[0], mc) > 0 {
 					am.ReturnContainers(defined[0], mc, 1)
 					ref.returnContainers(defined[0], mc, 1)

@@ -49,14 +49,24 @@ type golden struct {
 // EventsFired on every lane: fewer deliveries, and one end-of-instant flush
 // for a job whose first demand used to leave at once (gateway and replay jobs
 // have one unit, so their messages do not move and their events rise). No
-// decision moved — every hash and checksum is the parent's.
+// decision moved — every hash and checksum stayed the parent's.
+//
+// And a finishing job sends its unregister alone: the returns and demand of
+// its last instant are dropped, not flushed ahead of it, since the master's
+// unregister releases everything the job holds. That removes a message from
+// every job that ends with a return (classic, dataplane, replay, gateway,
+// failover). On gateway and failover it moves decisions too: the containers
+// of that last return are freed by the unregister, which reassigns freed
+// capacity in ledger order — unit by unit, machine by machine — where the
+// return batch had freed them, and reassigned, in the order they were
+// returned.
 var smokeGolden = map[string]golden{
-	"classic":   {6808, 6404, 404, 16265, 31555, 100, "", "", 0x0, "21baea0118bb30a5"},
-	"failover":  {6860, 6430, 430, 13612, 26660, 100, "", "", 0x0, "82df709a2dbbc0aa"},
+	"classic":   {6808, 6404, 404, 16165, 31455, 100, "", "", 0x0, "21baea0118bb30a5"},
+	"failover":  {6828, 6414, 414, 14239, 27672, 100, "", "", 0x0, "2a97d21b65a7f6c6"},
 	"churn":     {12701, 12701, 0, 15980, 33896, 0, "", "", 0x0, "49a852947b28de7d"},
-	"gateway":   {14496, 14213, 283, 90331, 155004, 6965, "f7cf980f895a0dc8", "", 0x0, "8cc030a1728f86e0"},
-	"dataplane": {214, 213, 1, 3321, 9266, 14, "ebea3147a48d748a", "", 0x0, "dee5948764ad432e"},
-	"replay":    {11470, 11463, 7, 67137, 125663, 4110, "b6e4f88a5389ab74", "b6e4f88a5389ab74", 0x0, "8198ae00d57dd4a8"},
+	"gateway":   {14516, 14223, 293, 83894, 148615, 6965, "f7cf980f895a0dc8", "", 0x0, "f95f141fb5ad0122"},
+	"dataplane": {214, 213, 1, 3307, 9252, 14, "ebea3147a48d748a", "", 0x0, "dee5948764ad432e"},
+	"replay":    {11470, 11463, 7, 63027, 121553, 4110, "b6e4f88a5389ab74", "b6e4f88a5389ab74", 0x0, "8198ae00d57dd4a8"},
 	"chaos":     {12842, 12688, 154, 16969, 34965, 0, "", "", 0x0, "b0db56e70a254402"},
 	"obs":       {12701, 12701, 0, 16012, 33974, 0, "", "", 0x3f6b06b8ef229535, "49a852947b28de7d"},
 }

@@ -379,3 +379,18 @@ func BenchmarkSendDeliver(b *testing.B) {
 		}
 	}
 }
+
+// TestReleaseRecyclesUnsent: a message drawn and never sent goes back to the
+// free list through Release, cleared, and the next Acquire draws it.
+func TestReleaseRecyclesUnsent(t *testing.T) {
+	net := NewNet(sim.NewEngine(1))
+	m := newNote(net, 7, 1, 2, 3)
+	body := m.Body[:3]
+	net.Release(m)
+	if m.ID != 0 || len(m.Body) != 0 || body[0] != 0 {
+		t.Fatalf("released note still carries %+v (body %v)", *m, body)
+	}
+	if got := Acquire[note](net); got != m || cap(got.Body) < 3 {
+		t.Fatalf("Acquire after Release drew %p (cap %d), want the released %p", got, cap(got.Body), m)
+	}
+}

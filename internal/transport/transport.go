@@ -43,11 +43,13 @@
 // their capacity kept) and returns it to the free list the next Acquire draws
 // from. A handler, or a Tap, that keeps anything past its own return copies
 // it: a kept pointer or slice reads zeros at once instead of another message's
-// contents later. The sender must not touch the message after the send either.
-// A message the network duplicated, or dropped at send time, is simply never
-// recycled — the collector takes it — so nothing is released twice and nothing
-// still queued is reused. Value messages are untouched by all of this: they
-// are copied into the interface by the sender and shared by nobody.
+// contents later. The sender must not touch the message after the send either;
+// a sender that drew a message and decides not to send it hands it back with
+// Release. A message the network duplicated, or dropped at send time, is
+// simply never recycled — the collector takes it — so nothing is released
+// twice and nothing still queued is reused. Value messages are untouched by
+// all of this: they are copied into the interface by the sender and shared by
+// nobody.
 package transport
 
 import (
@@ -92,6 +94,11 @@ func Acquire[T any, P interface {
 	}
 	return P(new(T))
 }
+
+// Release hands back a message drawn with Acquire that will never be sent: the
+// network clears it and files it for reuse, as it does a delivered one. The
+// caller must not touch it afterwards.
+func (n *Net) Release(m Recycled) { n.recycle(m) }
 
 // recycle clears a message whose one delivery is over and files it for reuse.
 func (n *Net) recycle(m Recycled) {
