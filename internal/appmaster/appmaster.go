@@ -93,6 +93,9 @@ func (NoCallbacks) OnMessage(string, any) {}
 type unitLedger struct {
 	held dense.Map[int] // machine ID -> containers held (no zero rows)
 	out  dense.Map[int] // nodeKey(level, node ID) -> demand outstanding (no zero rows)
+	// demGen is the AM's demGen of the last pending DemandUpdate this unit
+	// put a run in: a unit whose mark differs has no run in the pending one.
+	demGen uint32
 }
 
 // nodeKey packs one locality node — (level, machine or rack ID; 0 at cluster
@@ -151,6 +154,8 @@ type AM struct {
 	ret   *protocol.GrantReturnBatch
 	dem   *protocol.DemandUpdate
 	armed bool
+	// demGen numbers the pending DemandUpdates (see unitLedger.demGen).
+	demGen uint32
 	// nextGrantSync throttles gap-triggered early full syncs (see handle's
 	// GrantUpdate case).
 	nextGrantSync sim.Time
@@ -285,7 +290,8 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 	if ui < 0 {
 		return
 	}
-	out := &a.ledger(ui).out
+	l := a.ledger(ui)
+	out := &l.out
 	// Fast path: additions can never need dropping or clamping (clamping
 	// only guards withdrawals, and checking those per-hint would miss
 	// cumulative over-withdrawal on a repeated target) — ship the caller's
@@ -334,21 +340,27 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 	}
 	if a.dem == nil {
 		a.dem = transport.Acquire[protocol.DemandUpdate](a.net)
+		a.demGen++
 	}
-	a.dem.Deltas = insertRun(a.dem.Deltas, unitID, deltas)
+	a.dem.Deltas = insertRun(a.dem.Deltas, unitID, deltas, l.demGen == a.demGen)
+	l.demGen = a.demGen
 	a.arm()
 }
 
 // insertRun adds hints for unitID to a run-grouped demand payload: at the
 // end of the unit's run when it has one, as a new last run otherwise — so
 // each unit stays one contiguous run and the runs keep first-request order.
-func insertRun(ds []protocol.UnitHint, unitID int, hints []resource.LocalityHint) []protocol.UnitHint {
+// Only a unit that may have a run, and whose run is not the last, is looked
+// for; every other request appends.
+func insertRun(ds []protocol.UnitHint, unitID int, hints []resource.LocalityHint, mayHaveRun bool) []protocol.UnitHint {
 	at := len(ds)
-	for i := range ds {
-		if ds[i].UnitID == unitID {
-			for at = i + 1; at < len(ds) && ds[at].UnitID == unitID; at++ {
+	if mayHaveRun && at > 0 && ds[at-1].UnitID != unitID {
+		for i := range ds {
+			if ds[i].UnitID == unitID {
+				for at = i + 1; at < len(ds) && ds[at].UnitID == unitID; at++ {
+				}
+				break
 			}
-			break
 		}
 	}
 	n := len(ds)

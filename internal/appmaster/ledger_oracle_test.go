@@ -418,24 +418,28 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 				am.Unregister()
 				ref.unregister()
 			case r < 30:
-				hints := make([]resource.LocalityHint, rng.Intn(4))
-				for i := range hints {
-					hints[i] = target()
-					hints[i].Count = rng.Intn(9) - 3 // withdrawals, zeros and additions
-					if rng.Intn(3) == 0 {
-						hints[i].Count = 1 + rng.Intn(4) // keep the all-additions fast path busy
-					}
-				}
-				if rng.Intn(2) == 0 {
+				// One to three requests in one instant, a unit now and then
+				// asked for again after another: they share one DemandUpdate.
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					hints := make([]resource.LocalityHint, rng.Intn(4))
 					for i := range hints {
-						if hints[i].Count <= 0 {
-							hints[i].Count = 1 + rng.Intn(4)
+						hints[i] = target()
+						hints[i].Count = rng.Intn(9) - 3 // withdrawals, zeros and additions
+						if rng.Intn(3) == 0 {
+							hints[i].Count = 1 + rng.Intn(4) // keep the all-additions fast path busy
 						}
 					}
+					if rng.Intn(2) == 0 {
+						for i := range hints {
+							if hints[i].Count <= 0 {
+								hints[i].Count = 1 + rng.Intn(4)
+							}
+						}
+					}
+					u := unit()
+					am.Request(u, hints...)
+					ref.request(u, hints...)
 				}
-				u := unit()
-				am.Request(u, hints...)
-				ref.request(u, hints...)
 			case r < 70:
 				// One to three unit runs; a unit may come back in a later run
 				// and a delta may be zero, both making the update malformed.

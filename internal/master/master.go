@@ -746,17 +746,21 @@ func (m *Master) applyRuns(st *appState, deltas []protocol.UnitHint, ds *[]Decis
 	for rest := deltas; len(rest) > 0; {
 		var run []protocol.UnitHint
 		run, rest = protocol.NextRun(rest)
-		u := st.unit(run[0].UnitID)
-		if u == nil {
-			continue
+		if u := st.unit(run[0].UnitID); u != nil {
+			m.sched.applyDemand(st, u, m.runHints(run), ds)
 		}
-		hb := m.hintBuf[:0]
-		for i := range run {
-			hb = append(hb, run[i].LocalityHint)
-		}
-		m.hintBuf = hb
-		m.sched.applyDemand(st, u, hb, ds)
 	}
+}
+
+// runHints copies one unit run's hints into the pooled buffer the scheduler
+// takes them from.
+func (m *Master) runHints(run []protocol.UnitHint) []resource.LocalityHint {
+	hb := m.hintBuf[:0]
+	for i := range run {
+		hb = append(hb, run[i].LocalityHint)
+	}
+	m.hintBuf = hb
+	return hb
 }
 
 // decisions returns the pooled decision accumulator, emptied, by address: a
@@ -851,6 +855,16 @@ func (m *Master) placeRound(ds *[]Decision) {
 	// the unit's hint lists, sort by (type, value) and sum adjacent runs,
 	// which yields exactly the map-and-sort result without the maps.
 	for _, st := range apps {
+		if st.pendHead == st.pendTail {
+			// One update from the app this round: its runs are its units'
+			// hint lists, in the order it asked for them.
+			for rest := m.pendDem[st.pendHead].upd.Deltas; len(rest) > 0; {
+				var run []protocol.UnitHint
+				run, rest = protocol.NextRun(rest)
+				m.placeMerged(st, run[0].UnitID, m.runHints(run), ds)
+			}
+			continue
+		}
 		units := m.unitBuf[:0]
 		for i := st.pendHead; i >= 0; i = m.pendDem[i].next {
 			for rest := m.pendDem[i].upd.Deltas; len(rest) > 0; {
@@ -871,27 +885,33 @@ func (m *Master) placeRound(ds *[]Decision) {
 					}
 				}
 			}
-			resource.SortHints(hb)
-			w := 0
-			for i := 0; i < len(hb); {
-				j, total := i, 0
-				for ; j < len(hb) && hb[j].Type == hb[i].Type && hb[j].Value == hb[i].Value; j++ {
-					total += hb[j].Count
-				}
-				if total != 0 {
-					hb[w] = resource.LocalityHint{Type: hb[i].Type, Value: hb[i].Value, Count: total}
-					w++
-				}
-				i = j
-			}
 			m.hintBuf = hb
-			if u := st.unit(unitID); u != nil {
-				m.sched.applyDemand(st, u, hb[:w], ds)
-			}
+			m.placeMerged(st, unitID, hb, ds)
 		}
 	}
 	clear(apps) // the pooled list must not pin unregistered apps
 	m.appBuf = apps[:0]
+}
+
+// placeMerged places one unit's hints for a round, sorted by (type, value)
+// with each target's counts summed.
+func (m *Master) placeMerged(st *appState, unitID int, hb []resource.LocalityHint, ds *[]Decision) {
+	resource.SortHints(hb)
+	w := 0
+	for i := 0; i < len(hb); {
+		j, total := i, 0
+		for ; j < len(hb) && hb[j].Type == hb[i].Type && hb[j].Value == hb[i].Value; j++ {
+			total += hb[j].Count
+		}
+		if total != 0 {
+			hb[w] = resource.LocalityHint{Type: hb[i].Type, Value: hb[i].Value, Count: total}
+			w++
+		}
+		i = j
+	}
+	if u := st.unit(unitID); u != nil {
+		m.sched.applyDemand(st, u, hb[:w], ds)
+	}
 }
 
 // dropRound empties the round's demand buffer and the arena behind its hint

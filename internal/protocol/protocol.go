@@ -176,18 +176,29 @@ func NextRun[E UnitEntry](list []E) (run, rest []E) {
 }
 
 // wellFormedRuns reports whether each unit's entries in list form one
-// contiguous run and no entry's count is zero. A new run's unit is looked for
-// among the entries before it, so the check allocates nothing.
+// contiguous run and no entry's count is zero. Units whose run has begun are
+// kept in a bitmap while their IDs stay below 64 — applications number their
+// units from 1 — and a wider unit ID is looked for among the entries before
+// it, so the check allocates nothing and is linear for up to 63 units.
 func wellFormedRuns[E UnitEntry](list []E) bool {
+	var begun uint64
 	for i := range list {
 		if list[i].count() == 0 {
 			return false
 		}
-		if i == 0 || list[i].Unit() == list[i-1].Unit() {
+		u := list[i].Unit()
+		if i > 0 && u == list[i-1].Unit() {
 			continue
 		}
-		for j := 0; j < i-1; j++ {
-			if list[j].Unit() == list[i].Unit() {
+		if u >= 0 && u < 64 {
+			if begun&(1<<u) != 0 {
+				return false
+			}
+			begun |= 1 << u
+			continue
+		}
+		for j := 0; j < i; j++ {
+			if list[j].Unit() == u {
 				return false
 			}
 		}

@@ -282,3 +282,26 @@ func TestNextRunSplitsByUnit(t *testing.T) {
 		t.Errorf("NextRun(nil) = %v, %v", run, rest)
 	}
 }
+
+// TestWellFormedRunsWideUnitIDs: unit IDs past the bitmap's 64 are checked
+// by looking back, and a split run is caught on either side of the line.
+func TestWellFormedRunsWideUnitIDs(t *testing.T) {
+	for _, c := range []struct {
+		units []int
+		ok    bool
+	}{
+		{[]int{63, 64, 64, 1 << 40, -1}, true},
+		{[]int{64, 3, 64}, false},
+		{[]int{1 << 40, 2, 1 << 40}, false},
+		{[]int{-5, 0, -5}, false},
+		{[]int{63, 64, 63}, false},
+	} {
+		gu := GrantUpdate{}
+		for i, u := range c.units {
+			gu.Changes = append(gu.Changes, UnitDelta{UnitID: u, Machine: int32(i), Delta: 1})
+		}
+		if got := gu.WellFormed(); got != c.ok {
+			t.Errorf("units %v: WellFormed = %v, want %v", c.units, got, c.ok)
+		}
+	}
+}
