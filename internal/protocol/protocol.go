@@ -65,11 +65,11 @@ type RegisterApp struct {
 // be negative (demand withdrawal), never zero. Each unit's deltas are one
 // contiguous run, and the runs stand in the order the application first
 // asked for each unit — the order the receiver places them in. An
-// application master sends at most one DemandUpdate per virtual instant,
-// whatever it asked for in that instant, so an application that never
-// changes its mind sends one for its whole lifetime, however many units it
-// has. A message that splits a unit's run or carries a zero count is not
-// WellFormed, and the receiver drops it whole.
+// application master coalesces whatever it asks for in one virtual instant
+// into one DemandUpdate, so an application that never changes its mind sends
+// one for its whole lifetime, however many units it has. A message that
+// splits a unit's run or carries a zero count is not WellFormed, and the
+// receiver drops it whole.
 type DemandUpdate struct {
 	App    string
 	Deltas []UnitHint

@@ -232,7 +232,7 @@ func TestFullDemandSyncRecycles(t *testing.T) {
 
 // TestRunPayloadsWellFormed pins what a DemandUpdate or GrantUpdate receiver
 // walks by: each unit's entries one contiguous run, runs in any unit order,
-// no zero count.
+// no zero count — for unit IDs inside the check's bitmap and past it.
 func TestRunPayloadsWellFormed(t *testing.T) {
 	hint := func(unit, count int) UnitHint {
 		return UnitHint{UnitID: unit, LocalityHint: resource.LocalityHint{Type: resource.LocalityCluster, Count: count}}
@@ -248,6 +248,11 @@ func TestRunPayloadsWellFormed(t *testing.T) {
 		{"a unit in two runs", []UnitHint{hint(1, 1), hint(2, 1), hint(1, 1)}, false},
 		{"a unit in two runs, far apart", []UnitHint{hint(1, 1), hint(2, 1), hint(3, 1), hint(4, 1), hint(1, 2)}, false},
 		{"zero count", []UnitHint{hint(1, 1), hint(1, 0)}, false},
+		{"wide unit IDs", []UnitHint{hint(63, 1), hint(64, 1), hint(64, 2), hint(1<<40, 1), hint(-1, 1)}, true},
+		{"a wide unit in two runs", []UnitHint{hint(64, 1), hint(3, 1), hint(64, 1)}, false},
+		{"a huge unit in two runs", []UnitHint{hint(1<<40, 1), hint(2, 1), hint(1<<40, 1)}, false},
+		{"a negative unit in two runs", []UnitHint{hint(-5, 1), hint(0, 1), hint(-5, 1)}, false},
+		{"the bitmap's last unit in two runs", []UnitHint{hint(63, 1), hint(64, 1), hint(63, 1)}, false},
 	} {
 		deltas := make([]UnitDelta, len(c.hs))
 		for i, h := range c.hs {
@@ -280,28 +285,5 @@ func TestNextRunSplitsByUnit(t *testing.T) {
 	}
 	if run, rest := NextRun[UnitHint](nil); run != nil || rest != nil {
 		t.Errorf("NextRun(nil) = %v, %v", run, rest)
-	}
-}
-
-// TestWellFormedRunsWideUnitIDs: unit IDs past the bitmap's 64 are checked
-// by looking back, and a split run is caught on either side of the line.
-func TestWellFormedRunsWideUnitIDs(t *testing.T) {
-	for _, c := range []struct {
-		units []int
-		ok    bool
-	}{
-		{[]int{63, 64, 64, 1 << 40, -1}, true},
-		{[]int{64, 3, 64}, false},
-		{[]int{1 << 40, 2, 1 << 40}, false},
-		{[]int{-5, 0, -5}, false},
-		{[]int{63, 64, 63}, false},
-	} {
-		gu := GrantUpdate{}
-		for i, u := range c.units {
-			gu.Changes = append(gu.Changes, UnitDelta{UnitID: u, Machine: int32(i), Delta: 1})
-		}
-		if got := gu.WellFormed(); got != c.ok {
-			t.Errorf("units %v: WellFormed = %v, want %v", c.units, got, c.ok)
-		}
 	}
 }

@@ -34,13 +34,13 @@ var Lanes = []Lane{
 	{
 		Name: "classic", Full: DefaultConfig, Smoke: SmokeConfig,
 		Broken: invariantsBroken,
-		// Messages a grant: 3.08 at paper scale, 3.27 in the smoke (failover
-		// 2.99 and 2.91 under the same line). The bounds sit ~10% above,
-		// below the 3.45 and 3.67 the master sent when an agent heard a
-		// release and the regrant it enabled in two CapacityDeltas.
+		// Messages a grant: 2.27 at paper scale, 2.52 in the smoke (failover
+		// 2.25 and 2.22 under the same line). The bounds sit ~15% above,
+		// below the 3.08 and 3.27 (failover 2.99 and 2.91) an application
+		// master and FuxiMaster sent when they spoke one message per unit.
 		Gates: []Gate{
 			{Name: "max_allocs_per_decision", Value: allocsPerDecision, Full: 3.4, Smoke: 4.0},
-			{Name: "max_messages_per_grant", Value: messagesPerGrant, Full: 3.4, Smoke: 3.6},
+			{Name: "max_messages_per_grant", Value: messagesPerGrant, Full: 2.6, Smoke: 2.9},
 		},
 	},
 	{
@@ -51,7 +51,7 @@ var Lanes = []Lane{
 		// ~1.15x above.
 		Gates: []Gate{
 			{Name: "max_allocs_per_decision_failover", Value: allocsPerDecision, Full: 4.6, Smoke: 7.1},
-			{Name: "max_messages_per_grant", Value: messagesPerGrant, Full: 3.4, Smoke: 3.6},
+			{Name: "max_messages_per_grant", Value: messagesPerGrant, Full: 2.6, Smoke: 2.9},
 		},
 	},
 	{
@@ -137,12 +137,13 @@ var Lanes = []Lane{
 // left is table growth. The paper-scale allocation line is shared with the
 // chaos lane and set by it: chaos measures 0.49 there (churn 0.0082, obs
 // 0.0087, tenx 0.0024). The smoke bound is churn's own: 0.143 and 0.159 (obs)
-// measured. A saturated loop sends 1.45 messages a grant at paper scale (tenx
-// 1.44) and 1.68 in the smoke; the bounds sit ~13% above, below the 1.83 and
-// 2.07 of a master that sends a step's releases apart from its regrants.
+// measured. A saturated loop sends 0.89 messages a grant at paper scale (tenx
+// 0.85) and 1.26 in the smoke; the bounds sit ~15% above, below the 1.45 and
+// 1.68 of an application master and FuxiMaster that speak one message per
+// unit.
 var churnGates = []Gate{
 	{Name: "max_allocs_per_decision_churn", Value: allocsPerDecision, Full: 0.57, Smoke: 0.18},
-	{Name: "max_messages_per_grant_churn", Value: messagesPerGrant, Full: 1.65, Smoke: 1.9},
+	{Name: "max_messages_per_grant_churn", Value: messagesPerGrant, Full: 1.03, Smoke: 1.45},
 }
 
 // LaneByName finds a lane (nil when there is none of that name).
