@@ -165,8 +165,8 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 // TestAppHearsOneGrantUpdatePerStep: a step answers each app with one grant
 // update, whatever it decided for however many of the app's units — a spawn
 // asking for four units at once, a batched round merging two of the app's
-// demand updates and a return, and a full sync whose held view is wrong on
-// two units.
+// demand updates (one unit in both) and a return, and a full sync whose held
+// view is wrong on two units.
 func TestAppHearsOneGrantUpdatePerStep(t *testing.T) {
 	units := []resource.ScheduleUnit{unit(1, 10, 8, 1000, 2048), unit(2, 20, 8, 2000, 4096),
 		unit(3, 30, 8, 500, 1024), unit(4, 40, 8, 1000, 1024)}
@@ -231,14 +231,14 @@ func TestAppHearsOneGrantUpdatePerStep(t *testing.T) {
 		got := w.step(
 			protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Deltas: []protocol.UnitHint{cluster(2, 1), cluster(3, 1)}},
 			protocol.GrantReturnBatch{App: "w", Seq: w.seq.Next(), Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}}},
-			protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Deltas: []protocol.UnitHint{cluster(4, 2), cluster(1, 1)}})
-		var ids []int
-		if len(got) == 1 {
-			ids = unitRuns(got[0])
-			slices.Sort(ids)
+			protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Deltas: []protocol.UnitHint{cluster(4, 2), cluster(2, 1), cluster(1, 1)}})
+		// The round merges unit 2's hints from both updates and places the
+		// units in the order they were first asked for.
+		if len(got) != 1 || !slices.Equal(unitRuns(got[0]), []int{2, 3, 4, 1}) || !got[0].WellFormed() {
+			t.Fatalf("the round earned %+v, want one update with runs for units 2, 3, 4, 1", got)
 		}
-		if !slices.Equal(ids, []int{1, 2, 3, 4}) || !got[0].WellFormed() {
-			t.Fatalf("the round earned %+v, want one update with a run for each of units 1–4", got)
+		if held := w.m.sched.Held("w", 2); held != 2 {
+			t.Fatalf("unit 2 holds %d after the round, want the 2 its two updates asked for", held)
 		}
 	})
 	t.Run("sync repair", func(t *testing.T) {

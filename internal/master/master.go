@@ -236,12 +236,15 @@ type Master struct {
 	flushArm  bool
 	dsp       dispatchScratch // pooled fan-out accumulators
 	touched   []int32         // pooled touched-machine list (release batches)
-	// Pooled round-merge buffers (flushRound), one unit run's hints as the
-	// scheduler takes them (hintBuf) and batch-unpacking scratch.
-	appBuf  []*appState
-	unitBuf []int
-	hintBuf []resource.LocalityHint
-	retBuf  []returnRec
+	// Pooled round-merge buffers (placeApp): the units an app's round places
+	// (unitBuf), each unit's row in it by unitState.idx (unitSlot, -1 outside
+	// placeApp), the hints as the scheduler takes them (hintBuf), and
+	// batch-unpacking scratch.
+	appBuf   []*appState
+	unitBuf  []roundUnit
+	unitSlot []int32
+	hintBuf  []resource.LocalityHint
+	retBuf   []returnRec
 	// Full-sync reconciliation scratch (one sync touches every unit of an
 	// app; pooled so the periodic safety syncs do not allocate per unit).
 	syncBuf []syncNode
@@ -281,6 +284,13 @@ type demandRec struct {
 type returnRec struct {
 	ret  protocol.GrantReturn
 	from tr
+}
+
+// roundUnit is one unit a batched round places for an app: its merged hints
+// are hintBuf[off:off+n].
+type roundUnit struct {
+	u      *unitState
+	off, n int32
 }
 
 // unregRec is an UnregisterApp buffered through the recovery window: the
@@ -849,53 +859,78 @@ func (m *Master) placeRound(ds *[]Decision) {
 		st.pendTail = int32(i)
 	}
 	slices.SortFunc(apps, func(a, b *appState) int { return strings.Compare(a.name, b.name) })
-	// Merge per (app, unit, locality target) before scheduling — the
-	// paper's compact batch handling of "frequently changing resource
-	// requests from one application" — using pooled buffers: concatenate
-	// the unit's hint lists, sort by (type, value) and sum adjacent runs,
-	// which yields exactly the map-and-sort result without the maps.
 	for _, st := range apps {
-		if st.pendHead == st.pendTail {
-			// One update from the app this round: its runs are its units'
-			// hint lists, in the order it asked for them.
-			for rest := m.pendDem[st.pendHead].upd.Deltas; len(rest) > 0; {
-				var run []protocol.UnitHint
-				run, rest = protocol.NextRun(rest)
-				m.placeMerged(st, run[0].UnitID, m.runHints(run), ds)
-			}
-			continue
-		}
-		units := m.unitBuf[:0]
-		for i := st.pendHead; i >= 0; i = m.pendDem[i].next {
-			for rest := m.pendDem[i].upd.Deltas; len(rest) > 0; {
-				var run []protocol.UnitHint
-				run, rest = protocol.NextRun(rest)
-				if !slices.Contains(units, run[0].UnitID) {
-					units = append(units, run[0].UnitID)
-				}
-			}
-		}
-		m.unitBuf = units
-		for _, unitID := range units {
-			hb := m.hintBuf[:0]
-			for i := st.pendHead; i >= 0; i = m.pendDem[i].next {
-				for _, h := range m.pendDem[i].upd.Deltas {
-					if h.UnitID == unitID {
-						hb = append(hb, h.LocalityHint)
-					}
-				}
-			}
-			m.hintBuf = hb
-			m.placeMerged(st, unitID, hb, ds)
-		}
+		m.placeApp(st, ds)
 	}
 	clear(apps) // the pooled list must not pin unregistered apps
 	m.appBuf = apps[:0]
 }
 
+// placeApp places one app's demand of a round, merged per (unit, locality
+// target) before scheduling — the paper's compact batch handling of
+// "frequently changing resource requests from one application". Each unit
+// gathers its hints from every update the app sent, and the units go in the
+// order they were first asked for. Gathering is linear in the hints: one
+// pass counts each unit's hints, laying the units out in unitBuf, and a
+// second copies them into the unit's own stretch of hintBuf.
+func (m *Master) placeApp(st *appState, ds *[]Decision) {
+	for len(m.unitSlot) < len(st.unitArr) {
+		m.unitSlot = append(m.unitSlot, -1)
+	}
+	units, total := m.unitBuf[:0], 0
+	for i := st.pendHead; i >= 0; i = m.pendDem[i].next {
+		for rest := m.pendDem[i].upd.Deltas; len(rest) > 0; {
+			var run []protocol.UnitHint
+			run, rest = protocol.NextRun(rest)
+			u := st.unit(run[0].UnitID)
+			if u == nil {
+				continue
+			}
+			k := m.unitSlot[u.idx]
+			if k < 0 {
+				k = int32(len(units))
+				m.unitSlot[u.idx] = k
+				units = append(units, roundUnit{u: u})
+			}
+			units[k].n += int32(len(run))
+			total += len(run)
+		}
+	}
+	off := int32(0)
+	for k := range units {
+		n := units[k].n
+		units[k].off, units[k].n = off, 0
+		off += n
+	}
+	hb := slices.Grow(m.hintBuf[:0], total)[:total]
+	for i := st.pendHead; i >= 0; i = m.pendDem[i].next {
+		for rest := m.pendDem[i].upd.Deltas; len(rest) > 0; {
+			var run []protocol.UnitHint
+			run, rest = protocol.NextRun(rest)
+			u := st.unit(run[0].UnitID)
+			if u == nil {
+				continue
+			}
+			r := &units[m.unitSlot[u.idx]]
+			for j := range run {
+				hb[r.off+r.n] = run[j].LocalityHint
+				r.n++
+			}
+		}
+	}
+	for k := range units {
+		r := &units[k]
+		m.placeMerged(st, r.u, hb[r.off:r.off+r.n], ds)
+		m.unitSlot[r.u.idx] = -1
+	}
+	clear(units) // the pooled list must not pin unregistered apps
+	m.unitBuf = units[:0]
+	m.hintBuf = hb
+}
+
 // placeMerged places one unit's hints for a round, sorted by (type, value)
-// with each target's counts summed.
-func (m *Master) placeMerged(st *appState, unitID int, hb []resource.LocalityHint, ds *[]Decision) {
+// with each target's counts summed: the map-and-sort result without the maps.
+func (m *Master) placeMerged(st *appState, u *unitState, hb []resource.LocalityHint, ds *[]Decision) {
 	resource.SortHints(hb)
 	w := 0
 	for i := 0; i < len(hb); {
@@ -909,9 +944,7 @@ func (m *Master) placeMerged(st *appState, unitID int, hb []resource.LocalityHin
 		}
 		i = j
 	}
-	if u := st.unit(unitID); u != nil {
-		m.sched.applyDemand(st, u, hb[:w], ds)
-	}
+	m.sched.applyDemand(st, u, hb[:w], ds)
 }
 
 // dropRound empties the round's demand buffer and the arena behind its hint
