@@ -58,11 +58,11 @@
 // CapacitySync as the repair anchor, and each application hears one
 // GrantUpdate per step, every unit it decided for a run of (machine, ±count)
 // entries. In the other direction an application master says one thing per
-// instant: its same-instant container returns in one GrantReturnBatch, then
-// its demand for every unit it asked for in one DemandUpdate, each unit a run
-// in first-request order. With Config.BatchWindow the master batches demand and
-// returns into scheduling rounds, applying releases first, reassigning in
-// one sweep, then placing merged demand. The eleven message types every job,
+// instant: one DemandUpdate carries its same-instant container returns and
+// its demand for every unit it asked for, in call order, and the master
+// applies the returns first. With Config.BatchWindow the master batches demand
+// and returns into scheduling rounds, applying releases first, reassigning in
+// one sweep, then placing merged demand. The ten message types every job,
 // every decision, every safety sync and every agent beat sends — heartbeats
 // among them — are pointers recycled through the network's free lists
 // (internal/protocol's package comment lists them), so an agent keeps a
@@ -74,8 +74,8 @@
 // (internal/ident is the interning primitive). Machines and racks carry
 // their topology index — assigned from the sorted name list, so every
 // process derives identical IDs and they are safe on the simulated wire:
-// GrantUpdate/GrantReturn/CapacityQuery/heartbeat traffic all speak machine
-// IDs. Transport endpoints are interned by the Net (handlers receive sender
+// GrantUpdate, DemandUpdate returns, CapacityQuery and heartbeat traffic all
+// speak machine IDs. Transport endpoints are interned by the Net (handlers receive sender
 // EndpointIDs; dedup high-water marks are indexed by them), and an
 // application master's endpoint ID doubles as the application's identity
 // between FuxiMaster and the agents: capacity deltas, capacity syncs and

@@ -446,16 +446,6 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 		return
 	}
 	switch t := msg.(type) {
-	case protocol.CapacityUpdate:
-		if a.staleEpoch(t.Epoch) {
-			return
-		}
-		if a.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) == protocol.Duplicate {
-			return
-		}
-		// The single-update form names the application (scripted senders,
-		// tests); the endpoint table resolves it.
-		a.applyCapacity(makeCapKey(a.net.Endpoint(t.App), t.UnitID), t.Delta)
 	case *protocol.CapacityDelta:
 		// Pooled: the network takes t and its entries back when this returns;
 		// applyCapacity copies what the ledger keeps.

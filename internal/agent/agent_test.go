@@ -46,8 +46,9 @@ func newHarness(t *testing.T) *harness {
 func (h *harness) ep(app string) int32 { return int32(h.net.Endpoint(app)) }
 
 func (h *harness) grantCapacity(app string, unitID, count int, size resource.Vector) {
-	h.net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(h.agent.Machine), protocol.CapacityUpdate{
-		App: app, UnitID: unitID, Size: size, Delta: count, Seq: uint64(h.eng.Fired() + 1e6),
+	h.net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(h.agent.Machine), protocol.CapacityDelta{
+		Entries: []protocol.CapacityEntry{{App: h.ep(app), UnitID: unitID, Size: size, Count: count}},
+		Seq:     uint64(h.eng.Fired() + 1e6),
 	})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 }

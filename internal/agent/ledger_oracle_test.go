@@ -146,11 +146,6 @@ func (l *mapLedger) handle(now sim.Time, from transport.EndpointID, msg transpor
 		return false
 	}
 	switch t := msg.(type) {
-	case protocol.CapacityUpdate:
-		if stale(t.Epoch) || l.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) == protocol.Duplicate {
-			return
-		}
-		l.apply(t.App, t.UnitID, t.Size, t.Delta)
 	case *protocol.CapacityDelta:
 		l.handle(now, from, *t, name)
 	case protocol.CapacityDelta:
@@ -339,10 +334,11 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 				send(protocol.CapacityDelta{Entries: entries(true), Epoch: e, Seq: s})
 			case r < 60:
 				e, s := stamp()
-				send(protocol.CapacityUpdate{
-					App: apps[rng.Intn(len(apps))], UnitID: 1 + rng.Intn(3), Size: size,
-					Delta: rng.Intn(5) - 2, Epoch: e, Seq: s,
-				})
+				// A one-entry delta, as a scripted master sends one.
+				send(protocol.CapacityDelta{Entries: []protocol.CapacityEntry{{
+					App: int32(h.net.Endpoint(apps[rng.Intn(len(apps))])), UnitID: 1 + rng.Intn(3), Size: size,
+					Count: rng.Intn(5) - 2,
+				}}, Epoch: e, Seq: s})
 			case r < 68:
 				e, s := stamp()
 				if rng.Intn(6) == 0 {

@@ -20,10 +20,10 @@
 // message is the network's again once the handler returns.
 //
 // What an application master tells FuxiMaster in one virtual instant travels
-// together: the instant's container returns as one GrantReturnBatch and its
-// demand, for every unit it asked for, as one DemandUpdate, flushed in that
-// order at the instant's end — the incremental communication of paper §3.1,
-// one message per receiver per step in each direction.
+// together: the instant's container returns and its demand, for every unit it
+// asked for, in one DemandUpdate flushed at the instant's end — the
+// incremental communication of paper §3.1, one message per receiver per step
+// in each direction.
 package appmaster
 
 import (
@@ -93,9 +93,6 @@ func (NoCallbacks) OnMessage(string, any) {}
 type unitLedger struct {
 	held dense.Map[int] // machine ID -> containers held (no zero rows)
 	out  dense.Map[int] // nodeKey(level, node ID) -> demand outstanding (no zero rows)
-	// demGen is the AM's demGen of the last pending DemandUpdate this unit
-	// put a run in: a unit whose mark differs has no run in the pending one.
-	demGen uint32
 }
 
 // nodeKey packs one locality node — (level, machine or rack ID; 0 at cluster
@@ -144,18 +141,14 @@ type AM struct {
 	unregTries int
 	unregArmed bool
 	unregDone  bool
-	// ret and dem coalesce one instant's master-bound traffic: its container
-	// returns into one GrantReturnBatch (a hold cycle releasing containers on
-	// many machines costs one message) and its demand into one DemandUpdate (a
-	// job asking for forty units costs one message). Each is the pooled
-	// message itself, accumulating entries in its own payload buffer until the
-	// flush sends it, nil between instants. armed marks the end-of-instant
-	// flush event as scheduled.
-	ret   *protocol.GrantReturnBatch
-	dem   *protocol.DemandUpdate
+	// upd coalesces one instant's master-bound traffic — its container
+	// returns and its demand — into one DemandUpdate: a hold cycle releasing
+	// containers on many machines and asking again for forty units costs one
+	// message. It is the pooled message itself, accumulating entries in its
+	// own payload buffers until the flush sends it, nil between instants.
+	// armed marks the end-of-instant flush event as scheduled.
+	upd   *protocol.DemandUpdate
 	armed bool
-	// demGen numbers the pending DemandUpdates (see unitLedger.demGen).
-	demGen uint32
 	// nextGrantSync throttles gap-triggered early full syncs (see handle's
 	// GrantUpdate case).
 	nextGrantSync sim.Time
@@ -279,12 +272,12 @@ func (a *AM) keyHint(k uint64, count int) resource.LocalityHint {
 func (a *AM) MachineName(id int32) string { return a.top.MachineName(id) }
 
 // Request adds (or with negative counts, withdraws) demand for one unit. The
-// change joins the instant's DemandUpdate, which carries every unit the
-// application asked for in this instant and leaves at its end — the only
-// message needed no matter how much of the demand is eventually fulfilled,
-// since FuxiMaster queues the remainder. The hints are copied into the
-// message, so the caller's slice (usually the variadic call's own stack
-// array) is free the moment Request returns.
+// change joins the instant's DemandUpdate, appended in call order, which
+// carries everything the application asked for in this instant and leaves at
+// its end — the only message needed no matter how much of the demand is
+// eventually fulfilled, since FuxiMaster queues the remainder. The hints are
+// copied into the message, so the caller's slice (usually the variadic call's
+// own stack array) is free the moment Request returns.
 func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 	ui := a.unitIndex(unitID)
 	if ui < 0 {
@@ -338,58 +331,30 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 		}
 		deltas = valid
 	}
-	if a.dem == nil {
-		a.dem = transport.Acquire[protocol.DemandUpdate](a.net)
-		a.demGen++
+	u := a.pending()
+	for _, h := range deltas {
+		u.Deltas = append(u.Deltas, protocol.UnitHint{UnitID: unitID, LocalityHint: h})
 	}
-	a.dem.Deltas = insertRun(a.dem.Deltas, unitID, deltas, l.demGen == a.demGen)
-	l.demGen = a.demGen
-	a.arm()
 }
 
-// insertRun adds hints for unitID to a run-grouped demand payload: at the
-// end of the unit's run when it has one, as a new last run otherwise — so
-// each unit stays one contiguous run and the runs keep first-request order.
-// Only a unit that may have a run, and whose run is not the last, is looked
-// for; every other request appends.
-func insertRun(ds []protocol.UnitHint, unitID int, hints []resource.LocalityHint, mayHaveRun bool) []protocol.UnitHint {
-	at := len(ds)
-	if mayHaveRun && at > 0 && ds[at-1].UnitID != unitID {
-		for i := range ds {
-			if ds[i].UnitID == unitID {
-				for at = i + 1; at < len(ds) && ds[at].UnitID == unitID; at++ {
-				}
-				break
-			}
-		}
+// pending returns the instant's DemandUpdate, drawn from the network's pool
+// on first use, with its end-of-instant flush scheduled.
+func (a *AM) pending() *protocol.DemandUpdate {
+	if a.upd == nil {
+		a.upd = transport.Acquire[protocol.DemandUpdate](a.net)
 	}
-	n := len(ds)
-	for _, h := range hints {
-		ds = append(ds, protocol.UnitHint{UnitID: unitID, LocalityHint: h})
-	}
-	if at < n {
-		copy(ds[at+len(hints):], ds[at:n])
-		for i, h := range hints {
-			ds[at+i] = protocol.UnitHint{UnitID: unitID, LocalityHint: h}
-		}
-	}
-	return ds
-}
-
-// arm schedules the end-of-instant flush of the coalesced traffic.
-func (a *AM) arm() {
 	if !a.armed {
 		a.armed = true
 		a.eng.Post(0, tickFlush, a)
 	}
+	return a.upd
 }
 
 // ReturnContainers gives count held containers on a machine back to
-// FuxiMaster (workers inside them must already be stopped). Returns issued
-// within one virtual instant are coalesced into a single GrantReturnBatch,
-// flushed at the end of the instant ahead of the instant's demand (or
-// eagerly, before any other master-bound message, so the protocol stream
-// stays ordered).
+// FuxiMaster (workers inside them must already be stopped). The return joins
+// the instant's DemandUpdate, which FuxiMaster applies returns first, and
+// leaves at the instant's end (or eagerly, before any other master-bound
+// message, so the protocol stream stays ordered).
 func (a *AM) ReturnContainers(unitID int, machine int32, count int) {
 	l := a.peekLedger(unitID)
 	if l == nil || count <= 0 {
@@ -399,11 +364,8 @@ func (a *AM) ReturnContainers(unitID int, machine int32, count int) {
 		return
 	}
 	dense.Take(&l.held, machineKey(machine), count)
-	if a.ret == nil {
-		a.ret = transport.Acquire[protocol.GrantReturnBatch](a.net)
-	}
-	a.ret.Returns = append(a.ret.Returns, protocol.ReturnEntry{UnitID: unitID, Machine: machine, Count: count})
-	a.arm()
+	u := a.pending()
+	u.Returns = append(u.Returns, protocol.ReturnEntry{UnitID: unitID, Machine: machine, Count: count})
 }
 
 // ReturnContainersOn is the name-keyed wrapper of ReturnContainers for
@@ -414,41 +376,30 @@ func (a *AM) ReturnContainersOn(unitID int, machine string, count int) {
 	}
 }
 
-// flush sends the instant's coalesced traffic: the pending returns first,
-// then the pending demand — a return frees capacity before the demand that
-// follows it is placed. Each goes to the wire as the pooled message it
-// accumulated in, and its field is cleared first, so the eager flushes and
-// the end-of-instant tick can never send one message twice; the next instant
-// draws its own. After the process died they are dropped unsent — a crash
-// loses unsent messages by design.
+// flush sends the instant's coalesced traffic as the pooled DemandUpdate it
+// accumulated in. The field is cleared first, so the eager flushes and the
+// end-of-instant tick can never send one message twice; the next instant
+// draws its own. After the process died it is dropped unsent — a crash loses
+// unsent messages by design.
 func (a *AM) flush() {
 	a.armed = false
 	if a.stopped {
 		a.drop()
 		return
 	}
-	if r := a.ret; r != nil {
-		a.ret = nil
-		r.App, r.Seq = a.cfg.App, a.seq.Next()
-		a.sendToMaster(r)
-	}
-	if d := a.dem; d != nil {
-		a.dem = nil
-		d.App, d.Seq = a.cfg.App, a.seq.Next()
-		a.sendToMaster(d)
+	if u := a.upd; u != nil {
+		a.upd = nil
+		u.App, u.Seq = a.cfg.App, a.seq.Next()
+		a.sendToMaster(u)
 	}
 }
 
 // drop discards the instant's unsent returns and demand, handing the pooled
-// messages back to the network.
+// message back to the network.
 func (a *AM) drop() {
-	if a.ret != nil {
-		a.net.Release(a.ret)
-		a.ret = nil
-	}
-	if a.dem != nil {
-		a.net.Release(a.dem)
-		a.dem = nil
+	if a.upd != nil {
+		a.net.Release(a.upd)
+		a.upd = nil
 	}
 }
 
@@ -587,8 +538,7 @@ func (a *AM) unregDelay() sim.Time {
 // successor's MasterHello and on a bounded retry timer, and tears down on
 // the UnregisterAck. The unregister goes out alone: FuxiMaster's unregister
 // releases every container the app holds and withdraws all it waits for, so
-// the instant's unsent returns and demand are dropped, not flushed ahead of
-// it.
+// the instant's unsent update is dropped, not flushed ahead of it.
 func (a *AM) Unregister() {
 	if a.stopped {
 		return
@@ -807,9 +757,9 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 	}
 }
 
-// wellFormed is GrantUpdate.WellFormed — no unit's run split, no zero delta
-// — plus what only a receiver that knows the topology can check: every entry
-// names one of its machines. A grant on a machine outside it would index the
+// wellFormed is GrantUpdate.WellFormed — no zero delta — plus what only a
+// receiver that knows the topology can check: every entry names one of its
+// machines. A grant on a machine outside it would index the
 // rack table out of range while booking the demand it consumed.
 func (a *AM) wellFormed(t *protocol.GrantUpdate) bool {
 	n := int32(a.top.Size())
@@ -821,8 +771,9 @@ func (a *AM) wellFormed(t *protocol.GrantUpdate) bool {
 	return t.WellFormed()
 }
 
-// applyGrant books a grant update's entries in order, unit run by unit run.
-// Entries of units this application never defined are passed over.
+// applyGrant books a grant update's entries in order, unit run by unit run;
+// a unit that comes back in a later run is booked there. Entries of units
+// this application never defined are passed over.
 func (a *AM) applyGrant(t *protocol.GrantUpdate) {
 	for rest := t.Changes; len(rest) > 0; {
 		var run []protocol.UnitDelta
@@ -931,7 +882,7 @@ func (a *AM) requestGrantSync() {
 // fullSync sends the complete demand and grant picture to FuxiMaster.
 func (a *AM) fullSync() {
 	// Pending returns are already subtracted from the held ledger below, and
-	// pending demand is already added to the outstanding one; flush both
+	// pending demand is already added to the outstanding one; flush them
 	// first, or the master would see phantom grants and emit revocation fixes
 	// for containers the app already gave back, and apply the demand twice
 	// when its update arrived after the sync.

@@ -212,8 +212,8 @@ func TestReturnContainersSendsAndDecrements(t *testing.T) {
 	}
 	found := false
 	for _, m := range h.toMaster {
-		if b, ok := m.(protocol.GrantReturnBatch); ok {
-			for _, r := range b.Returns {
+		if u, ok := m.(protocol.DemandUpdate); ok {
+			for _, r := range u.Returns {
 				if r.UnitID == 1 && r.Machine == h.top.MachineID("r000m000") && r.Count == 2 {
 					found = true
 				}
@@ -221,7 +221,7 @@ func TestReturnContainersSendsAndDecrements(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("no GrantReturnBatch carrying the return sent")
+		t.Error("no DemandUpdate carrying the return sent")
 	}
 	// Over-return is refused locally.
 	h.am.ReturnContainersOn(1, "r000m000", 99)

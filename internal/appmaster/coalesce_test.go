@@ -60,10 +60,10 @@ func (w *wideWorld) grant(gus ...protocol.GrantUpdate) {
 	w.eng.Run(w.eng.Now() + sim.Millisecond)
 }
 
-// TestOneInstantSendsOneDemandUpdate: what an application master asks for in
-// one instant — several units, one of them twice, a container returned in
-// between — reaches FuxiMaster as one GrantReturnBatch and then one
-// DemandUpdate, each unit one run, the runs in first-request order.
+// TestOneInstantSendsOneDemandUpdate: what an application master says in one
+// instant — several units asked for, one of them twice, a container returned
+// in between — reaches FuxiMaster as one DemandUpdate carrying the return and
+// the demand, the hints in call order.
 func TestOneInstantSendsOneDemandUpdate(t *testing.T) {
 	w := newWideWorld(t, "app1", 3)
 	w.grant(protocol.GrantUpdate{Changes: []protocol.UnitDelta{{UnitID: 1, Machine: 0, Delta: 2}}, Seq: 1})
@@ -82,17 +82,19 @@ func TestOneInstantSendsOneDemandUpdate(t *testing.T) {
 	w.eng.Run(w.eng.Now() + sim.Millisecond)
 
 	want := []transport.Message{
-		protocol.GrantReturnBatch{App: "app1", Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: 0, Count: 1}}, Seq: 2},
-		protocol.DemandUpdate{App: "app1", Seq: 3, Deltas: []protocol.UnitHint{
-			{UnitID: 2, LocalityHint: cluster(2)}, {UnitID: 2, LocalityHint: onR1},
-			{UnitID: 1, LocalityHint: onM1},
-			{UnitID: 3, LocalityHint: cluster(1)},
-		}},
+		protocol.DemandUpdate{App: "app1", Seq: 2,
+			Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: 0, Count: 1}},
+			Deltas: []protocol.UnitHint{
+				{UnitID: 2, LocalityHint: cluster(2)},
+				{UnitID: 1, LocalityHint: onM1},
+				{UnitID: 2, LocalityHint: onR1},
+				{UnitID: 3, LocalityHint: cluster(1)},
+			}},
 	}
 	if !reflect.DeepEqual(w.toMaster, want) {
 		t.Fatalf("the master heard\n %+v\nwant\n %+v", w.toMaster, want)
 	}
-	if du := want[1].(protocol.DemandUpdate); !du.WellFormed() {
+	if du := want[0].(protocol.DemandUpdate); !du.WellFormed() {
 		t.Fatal("the instant's DemandUpdate is not well-formed")
 	}
 }
@@ -168,19 +170,39 @@ func TestOneGrantUpdateEqualsPerUnitSplit(t *testing.T) {
 	}
 }
 
-// TestMalformedGrantUpdateIsDroppedWhole: a grant update that splits a unit's
-// run, carries a zero delta or names a machine outside the topology changes
-// nothing — not the ledger, not a callback, not the epoch gate, not the
-// dedup mark — even where a well-formed entry rides beside the bad one. The
-// well-formed update after it, at an older epoch and the same sequence
-// number, is applied.
+// TestMalformedGrantUpdateIsDroppedWhole: a grant update that carries a zero
+// delta or names a machine outside the topology changes nothing — not the
+// ledger, not a callback, not the epoch gate, not the dedup mark — even where
+// a well-formed entry rides beside the bad one. The well-formed update after
+// it, at an older epoch and the same sequence number, is applied. An update
+// that brings a unit back in a later run is not malformed: it is booked as
+// its contiguous form is.
 func TestMalformedGrantUpdateIsDroppedWhole(t *testing.T) {
 	good := protocol.UnitDelta{UnitID: 1, Machine: 2, Delta: 1}
+	t.Run("split run", func(t *testing.T) {
+		var got [2][]string
+		for i, changes := range [][]protocol.UnitDelta{
+			{good, {UnitID: 2, Machine: 3, Delta: 1}, {UnitID: 1, Machine: 4, Delta: 1}},
+			{good, {UnitID: 1, Machine: 4, Delta: 1}, {UnitID: 2, Machine: 3, Delta: 1}},
+		} {
+			w := newWideWorld(t, "app1", 2)
+			w.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3})
+			w.grant(protocol.GrantUpdate{Changes: changes, Epoch: 5, Seq: 1})
+			for u := 1; u <= 2; u++ {
+				got[i] = append(got[i], fmt.Sprint(w.am.HeldCells(u), w.am.Outstanding(u)))
+			}
+			if w.am.MasterEpoch() != 5 || len(w.events) != 3 {
+				t.Fatalf("changes %v: epoch %d, callbacks %v; want 5 and three grants", changes, w.am.MasterEpoch(), w.events)
+			}
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("the split form booked %v, the contiguous form %v", got[0], got[1])
+		}
+	})
 	for _, c := range []struct {
 		name string
 		bad  []protocol.UnitDelta
 	}{
-		{"split run", []protocol.UnitDelta{good, {UnitID: 2, Machine: 3, Delta: 1}, {UnitID: 1, Machine: 4, Delta: 1}}},
 		{"zero delta", []protocol.UnitDelta{good, {UnitID: 2, Machine: 3, Delta: 0}}},
 		{"machine past the topology", []protocol.UnitDelta{good, {UnitID: 2, Machine: 12, Delta: 1}}},
 		{"negative machine", []protocol.UnitDelta{good, {UnitID: 2, Machine: -1, Delta: -1}}},
@@ -217,23 +239,20 @@ func TestGrantOnMachineOutsideTopologyIsDropped(t *testing.T) {
 // TestUnregisterSendsAlone: a job that ends with returns and demand of the
 // instant still unsent sends FuxiMaster only its UnregisterApp — the master's
 // unregister releases everything the job holds and withdraws all it waits
-// for — and the two pooled messages go back to the network's free lists.
+// for — and the pooled update goes back to the network's free list.
 func TestUnregisterSendsAlone(t *testing.T) {
 	w := newWideWorld(t, "app1", 2)
 	w.grant(protocol.GrantUpdate{Changes: []protocol.UnitDelta{{UnitID: 1, Machine: 0, Delta: 2}}, Seq: 1})
 	w.toMaster = nil
 	w.am.ReturnContainers(1, 0, 1)
 	w.am.Request(2, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3})
-	ret, dem := w.am.ret, w.am.dem
+	upd := w.am.upd
 	w.am.Unregister()
 	w.eng.Run(w.eng.Now() + sim.Millisecond)
 	if want := []transport.Message{protocol.UnregisterApp{App: "app1", Seq: 2}}; !reflect.DeepEqual(w.toMaster, want) {
 		t.Fatalf("the master heard %+v, want %+v", w.toMaster, want)
 	}
-	if r := transport.Acquire[protocol.GrantReturnBatch](w.net); r != ret || len(r.Returns) != 0 {
-		t.Errorf("the pending return batch was not handed back cleared: drew %p %+v, want %p", r, *r, ret)
-	}
-	if d := transport.Acquire[protocol.DemandUpdate](w.net); d != dem || len(d.Deltas) != 0 {
-		t.Errorf("the pending demand update was not handed back cleared: drew %p %+v, want %p", d, *d, dem)
+	if d := transport.Acquire[protocol.DemandUpdate](w.net); d != upd || len(d.Returns) != 0 || len(d.Deltas) != 0 {
+		t.Errorf("the pending update was not handed back cleared: drew %p %+v, want %p", d, *d, upd)
 	}
 }

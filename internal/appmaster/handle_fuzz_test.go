@@ -86,8 +86,8 @@ func (s *amScript) stamp(epoch *int, seq *uint64) (int, uint64) {
 }
 
 // FuzzAMHandle drives one application master through a byte-scripted
-// sequence of hostile FuxiMaster traffic — multi-unit grant updates with
-// split runs, zero and huge deltas, units the job never defined and machines
+// sequence of hostile FuxiMaster traffic — multi-unit grant updates whose
+// units come back in later runs, with zero and huge deltas, units the job never defined and machines
 // outside the topology, stamped in order, duplicated, past a gap, from a
 // deposed epoch or a promoted one; master hellos; unregister acks, before and
 // after the job unregistered — interleaved with the job's own demand and

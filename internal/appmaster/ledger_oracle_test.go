@@ -21,9 +21,7 @@ import (
 // shipped AM against; the protocol around it (return and demand coalescing,
 // the grant stream's dedup and epoch fence, the gap-triggered early sync) is
 // the AM's, mirrored here so the reference is asked the same questions at the
-// same time. Its demand coalescing keeps the instant's hints in a map by unit
-// beside the order units were first asked for, where the AM inserts into the
-// pooled message's runs.
+// same time.
 type mapLedgers struct {
 	app   string
 	units []resource.ScheduleUnit
@@ -36,8 +34,7 @@ type mapLedgers struct {
 	dedup         protocol.Dedup
 	gate          protocol.EpochGate
 	pendRet       []protocol.ReturnEntry
-	pendUnits     []int                           // units asked for this instant, first-request order
-	pendDem       map[int][]resource.LocalityHint // their hints, in request order
+	pendDem       []protocol.UnitHint // the instant's hints, in call order
 	nextGrantSync sim.Time
 
 	sent   []transport.Message // what the AM should have sent to the master
@@ -67,28 +64,18 @@ func (o *mapLedgers) known(unitID int) bool {
 	return false
 }
 
-// flush sends the instant's returns, then its demand.
+// flush sends the instant's returns and demand in one update.
 func (o *mapLedgers) flush() {
-	if len(o.pendRet) > 0 {
-		o.sent = append(o.sent, protocol.GrantReturnBatch{App: o.app, Returns: o.pendRet, Seq: o.seq.Next()})
-		o.pendRet = nil
-	}
-	if len(o.pendUnits) > 0 {
-		du := protocol.DemandUpdate{App: o.app, Seq: o.seq.Next()}
-		for _, u := range o.pendUnits {
-			for _, h := range o.pendDem[u] {
-				du.Deltas = append(du.Deltas, protocol.UnitHint{UnitID: u, LocalityHint: h})
-			}
-		}
-		o.sent = append(o.sent, du)
-		o.pendUnits, o.pendDem = nil, nil
+	if len(o.pendRet) > 0 || len(o.pendDem) > 0 {
+		o.sent = append(o.sent, protocol.DemandUpdate{App: o.app, Returns: o.pendRet, Deltas: o.pendDem, Seq: o.seq.Next()})
+		o.pendRet, o.pendDem = nil, nil
 	}
 }
 
 // unregister is the old AM.Unregister, as far as the master hears it: the
 // instant's unsent returns and demand are dropped.
 func (o *mapLedgers) unregister() {
-	o.pendRet, o.pendUnits, o.pendDem = nil, nil, nil
+	o.pendRet, o.pendDem = nil, nil
 	o.sent = append(o.sent, protocol.UnregisterApp{App: o.app, Seq: o.seq.Next()})
 }
 
@@ -143,13 +130,9 @@ func (o *mapLedgers) request(unitID int, hints ...resource.LocalityHint) {
 		}
 		deltas = valid
 	}
-	if o.pendDem == nil {
-		o.pendDem = map[int][]resource.LocalityHint{}
+	for _, h := range deltas {
+		o.pendDem = append(o.pendDem, protocol.UnitHint{UnitID: unitID, LocalityHint: h})
 	}
-	if _, ok := o.pendDem[unitID]; !ok {
-		o.pendUnits = append(o.pendUnits, unitID)
-	}
-	o.pendDem[unitID] = append(o.pendDem[unitID], deltas...)
 }
 
 // returnContainers is the old AM.ReturnContainers.
@@ -169,15 +152,11 @@ func (o *mapLedgers) returnContainers(unitID int, machine int32, count int) {
 
 // grantUpdate is the old GrantUpdate case of AM.handle with applyGrant and
 // consumeOutstanding (the one-at-a-time decrement loop included), taking a
-// multi-unit update entry by entry after checking its runs by a map.
+// multi-unit update entry by entry, however its units are grouped.
 func (o *mapLedgers) grantUpdate(now sim.Time, from transport.EndpointID, t protocol.GrantUpdate) {
-	closed := map[int]bool{}
-	for i, ch := range t.Changes {
-		if ch.Delta == 0 || closed[ch.UnitID] || ch.Machine < 0 || int(ch.Machine) >= o.top.Size() {
+	for _, ch := range t.Changes {
+		if ch.Delta == 0 || ch.Machine < 0 || int(ch.Machine) >= o.top.Size() {
 			return // malformed: dropped whole
-		}
-		if i+1 < len(t.Changes) && t.Changes[i+1].UnitID != ch.UnitID {
-			closed[ch.UnitID] = true
 		}
 	}
 	if o.gate.StaleCh(t.Epoch, &o.dedup, int32(from), protocol.ChanGrant) {
@@ -281,21 +260,27 @@ func (o *mapLedgers) fullSync(master transport.EndpointID) {
 }
 
 // normalize rewrites a captured or predicted message into the form the two
-// sides are compared in: a full sync's empty payloads as nil, whether the
-// recorded copy came out of a recycled message (empty, with capacity) or the
-// reference never appended (nil). FuxiMaster reads the two identically.
+// sides are compared in: a full sync's or an update's empty payloads as nil,
+// whether the recorded copy came out of a recycled message (empty, with
+// capacity) or the reference never appended (nil). FuxiMaster reads the two
+// identically.
 func normalize(m transport.Message) transport.Message {
-	fs, ok := m.(protocol.FullDemandSync)
-	if !ok {
-		return m
+	switch t := m.(type) {
+	case protocol.FullDemandSync:
+		t.Demand, t.Held = nilIfEmpty(t.Demand), nilIfEmpty(t.Held)
+		return t
+	case protocol.DemandUpdate:
+		t.Returns, t.Deltas = nilIfEmpty(t.Returns), nilIfEmpty(t.Deltas)
+		return t
 	}
-	if len(fs.Demand) == 0 {
-		fs.Demand = nil
+	return m
+}
+
+func nilIfEmpty[E any](s []E) []E {
+	if len(s) == 0 {
+		return nil
 	}
-	if len(fs.Held) == 0 {
-		fs.Held = nil
-	}
-	return fs
+	return s
 }
 
 // TestLedgersMatchMapOracle drives the shipped AM and the map-based ledgers it
@@ -307,8 +292,7 @@ func normalize(m transport.Message) transport.Message {
 // job never defined, malformed updates), container returns (valid, too large,
 // on machines holding nothing), master hellos and periodic full syncs — and
 // compares every message the AM sends FuxiMaster (DemandUpdate,
-// GrantReturnBatch, FullDemandSync, RegisterApp; payloads, sequence numbers
-// and order), every callback it fires, and every accessor after every step,
+// FullDemandSync, RegisterApp; payloads, sequence numbers and order), every callback it fires, and every accessor after every step,
 // down to the unregister that ends the job with returns still pending. The
 // job is one, two, three or forty units wide: the one-unit job books in the
 // slot inside the AM, the others in the slice, and the oracle knows no
@@ -441,8 +425,8 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 					ref.request(u, hints...)
 				}
 			case r < 70:
-				// One to three unit runs; a unit may come back in a later run
-				// and a delta may be zero, both making the update malformed.
+				// One to three unit runs; a unit may come back in a later run,
+				// and a delta may be zero, which makes the update malformed.
 				var changes []protocol.UnitDelta
 				for runs := 1 + rng.Intn(3); runs > 0; runs-- {
 					u := unit()
@@ -576,8 +560,8 @@ func churnAMs(tb testing.TB, n int) (*sim.Engine, transport.EndpointID, []*AM, [
 // TestGrantCycleAllocatesOnlyItsMessages is the application master's share of
 // "a delta costs O(delta)": one turn of churn's cycle on a warmed AM — a grant
 // arrives, the holder checks Held, returns the container and restates the
-// demand — allocates nothing: not for its own books, and not for the two
-// messages it sends FuxiMaster, which are pooled and own their payloads.
+// demand — allocates nothing: not for its own books, and not for the message
+// it sends FuxiMaster, which is pooled and owns its payloads.
 func TestGrantCycleAllocatesOnlyItsMessages(t *testing.T) {
 	eng, master, ams, where := churnAMs(t, 1)
 	am, mc := ams[0], where[0][6]

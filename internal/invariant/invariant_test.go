@@ -105,8 +105,11 @@ func TestCheckerDetectsLedgerDivergence(t *testing.T) {
 			if machine == "" {
 				t.Fatal("setup: unit 1 granted nowhere")
 			}
-			cluster.Net.Send("rogue", protocol.AgentEndpoint(machine), protocol.CapacityUpdate{
-				App: tc.app, UnitID: 1, Size: resource.New(1000, 4096), Delta: tc.delta, Seq: 1,
+			cluster.Net.Send("rogue", protocol.AgentEndpoint(machine), protocol.CapacityDelta{
+				Entries: []protocol.CapacityEntry{{
+					App: int32(cluster.Net.Endpoint(tc.app)), UnitID: 1, Size: resource.New(1000, 4096), Count: tc.delta,
+				}},
+				Seq: 1,
 			})
 			cluster.Run(sim.Second)
 			bad := strings.Join(ck.CheckLedgers(), "\n")
@@ -183,8 +186,11 @@ func TestCheckerFencesStaleEpochMessages(t *testing.T) {
 	}
 	before := a.Capacity("app-inv", 1)
 	// Stale epoch-1 leftovers from the dead primary arrive late.
-	cluster.Net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(machine), protocol.CapacityUpdate{
-		App: "app-inv", UnitID: 1, Size: resource.New(1000, 4096), Delta: 3, Epoch: 1, Seq: 999,
+	cluster.Net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(machine), protocol.CapacityDelta{
+		Entries: []protocol.CapacityEntry{{
+			App: int32(cluster.Net.Endpoint("app-inv")), UnitID: 1, Size: resource.New(1000, 4096), Count: 3,
+		}},
+		Epoch: 1, Seq: 999,
 	})
 	cluster.Net.Send(protocol.MasterEndpoint, "app-inv", protocol.GrantUpdate{
 		App: "app-inv", Epoch: 1, Seq: 999,

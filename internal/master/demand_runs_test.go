@@ -14,10 +14,12 @@ import (
 	"repro/internal/transport"
 )
 
-// The per-unit form — one DemandUpdate per ScheduleUnit, as application
-// masters sent before an update carried every unit of the app — is kept as
-// the oracle of the multi-unit one: the master must decide the same whether
-// an app's instant arrives as one message or as its per-unit split.
+// Two earlier shapes of an application master's instant are kept as oracles
+// of the one DemandUpdate it sends now, and the master must decide the same
+// either way: the per-unit form — one DemandUpdate per ScheduleUnit, as
+// application masters sent before an update carried every unit of the app —
+// and the two-message form — the instant's returns in one message, then its
+// demand in another, as they were sent before one update carried both.
 
 // flatGrants concatenates every entry of the grant updates an app received,
 // in arrival order: the decisions it was told about, however many messages
@@ -116,7 +118,7 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 			c := cells[rng.Intn(len(cells))]
 			ret := protocol.ReturnEntry{UnitID: u, Machine: int32(c.Key), Count: 1 + rng.Intn(c.Val)}
 			for w := range ws {
-				send(w, a.name, protocol.GrantReturnBatch{App: a.name, Seq: seqs[w][ai].Next(), Returns: []protocol.ReturnEntry{ret}})
+				send(w, a.name, protocol.DemandUpdate{App: a.name, Seq: seqs[w][ai].Next(), Returns: []protocol.ReturnEntry{ret}})
 			}
 		case r < 80:
 			mc := int32(rng.Intn(len(machines)))
@@ -159,6 +161,160 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 	}
 	if batch == 0 && len(ws[0].got) >= len(ws[1].got) {
 		t.Fatalf("the whole updates cost %d grant updates, the split %d: a step did not answer once", len(ws[0].got), len(ws[1].got))
+	}
+}
+
+// byUnit groups the entries of the grant updates an app received by unit, each
+// unit's in arrival order: the decisions it was told about, however many
+// messages carried them and however each message grouped its runs.
+func byUnit(gus []protocol.GrantUpdate, app string) map[int][]protocol.UnitDelta {
+	out := map[int][]protocol.UnitDelta{}
+	for _, ch := range flatGrants(gus, app) {
+		out[ch.UnitID] = append(out[ch.UnitID], ch)
+	}
+	return out
+}
+
+// TestCombinedUpdateEqualsTwoMessageForm drives two masters through one seeded
+// script of application-master instants — returns (some of more than is held,
+// some on machines the unit holds nothing on), demand whose units come back in
+// later runs, or both — with machine deaths and recoveries, and recovery
+// windows that buffer everything and replay it at their end. One master hears
+// each instant as one update, the other as a returns-only update followed by
+// a demand-only one, back to back. With and without batched rounds, every
+// app must be told the same decisions, each unit's in the same order, and
+// every unit's grants and queued demand must match after every step. In
+// batched rounds the grant updates themselves are equal: a round sends each
+// app one.
+func TestCombinedUpdateEqualsTwoMessageForm(t *testing.T) {
+	for _, batch := range []sim.Time{0, 20 * sim.Millisecond} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("batch=%v/seed=%d", batch, seed), func(t *testing.T) {
+				combinedEqualsTwoMessages(t, seed, batch)
+			})
+		}
+	}
+}
+
+func combinedEqualsTwoMessages(t *testing.T, seed int64, batch sim.Time) {
+	cfg := DefaultConfig("fm-1")
+	cfg.BatchWindow = batch
+	ws := [2]*syncWorld{newSyncWorld(t, cfg, false), newSyncWorld(t, cfg, false)}
+	rng := rand.New(rand.NewSource(seed))
+	top := ws[0].m.top
+	machines, racks := top.Machines(), top.Racks()
+	seqs := [2][]protocol.Sequencer{make([]protocol.Sequencer, len(syncApps)), make([]protocol.Sequencer, len(syncApps))}
+	for i := range syncApps {
+		seqs[0][i].Next() // the registrations
+		seqs[1][i].Next()
+	}
+	send := func(w int, app string, msg transport.Message) { ws[w].net.Send(app, protocol.MasterEndpoint, msg) }
+	both, buffered, recovery := 0, 0, 0
+	for step := 0; step < 300; step++ {
+		ai := rng.Intn(len(syncApps))
+		a := syncApps[ai]
+		switch r := rng.Intn(100); {
+		case r < 70:
+			var rets []protocol.ReturnEntry
+			for n := rng.Intn(4); n > 0; n-- {
+				u := a.units[rng.Intn(len(a.units))].ID
+				mc := int32(rng.Intn(len(machines)))
+				if cells := ws[0].m.sched.GrantedCells(a.name, u); len(cells) > 0 && rng.Intn(4) > 0 {
+					mc = int32(cells[rng.Intn(len(cells))].Key)
+				}
+				rets = append(rets, protocol.ReturnEntry{UnitID: u, Machine: mc, Count: 1 + rng.Intn(3)})
+			}
+			var deltas []protocol.UnitHint
+			for runs := rng.Intn(4); runs > 0; runs-- {
+				id := a.units[rng.Intn(len(a.units))].ID
+				for n := 1 + rng.Intn(2); n > 0; n-- {
+					h := resource.LocalityHint{Type: resource.LocalityCluster}
+					switch rng.Intn(5) {
+					case 0, 1:
+						h = resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[rng.Intn(len(machines))]}
+					case 2:
+						h = resource.LocalityHint{Type: resource.LocalityRack, Value: racks[rng.Intn(len(racks))]}
+					}
+					if h.Count = rng.Intn(6) - 1; h.Count >= 0 {
+						h.Count++
+					}
+					deltas = append(deltas, protocol.UnitHint{UnitID: id, LocalityHint: h})
+				}
+			}
+			if len(rets) == 0 && len(deltas) == 0 {
+				break
+			}
+			send(0, a.name, protocol.DemandUpdate{App: a.name, Returns: rets, Deltas: deltas, Seq: seqs[0][ai].Next()})
+			if len(rets) > 0 {
+				send(1, a.name, protocol.DemandUpdate{App: a.name, Returns: rets, Seq: seqs[1][ai].Next()})
+			}
+			if len(deltas) > 0 {
+				send(1, a.name, protocol.DemandUpdate{App: a.name, Deltas: deltas, Seq: seqs[1][ai].Next()})
+			}
+			if len(rets) > 0 && len(deltas) > 0 {
+				both++
+				if recovery > 0 {
+					buffered++
+				}
+			}
+		case r < 85:
+			mc := int32(rng.Intn(len(machines)))
+			for _, w := range ws {
+				if w.m.sched.downID(mc) {
+					w.m.dispatch(w.m.sched.machineUpID(mc))
+				} else {
+					w.m.dispatch(w.m.sched.machineDownID(mc))
+				}
+			}
+		case r < 90 && recovery == 0:
+			// A recovery window opens: what arrives until it closes is
+			// buffered, then replayed by finishRecovery in one burst.
+			for _, w := range ws {
+				w.m.recovering = true
+			}
+			recovery = step + 3 + rng.Intn(6)
+		}
+		if step == recovery {
+			for _, w := range ws {
+				w.m.finishRecovery()
+			}
+			recovery = 0
+		}
+		// Steps are whole milliseconds plus an odd offset, so an action never
+		// lands on the instant a batched round flushes.
+		d := sim.Time(1+rng.Intn(60))*sim.Millisecond + 37*sim.Microsecond
+		for _, w := range ws {
+			w.eng.Run(w.eng.Now() + d)
+		}
+
+		if batch > 0 && !reflect.DeepEqual(ws[0].got, ws[1].got) {
+			t.Fatalf("step %d: a round's grant updates diverged\n one %+v\n two %+v", step, ws[0].got, ws[1].got)
+		}
+		for _, a := range syncApps {
+			if g, s := byUnit(ws[0].got, a.name), byUnit(ws[1].got, a.name); !reflect.DeepEqual(g, s) {
+				t.Fatalf("step %d: %s was told\n one %v\n two %v", step, a.name, g, s)
+			}
+			for _, u := range a.units {
+				s0, s1 := ws[0].m.sched, ws[1].m.sched
+				if !slices.Equal(s0.GrantedCells(a.name, u.ID), s1.GrantedCells(a.name, u.ID)) ||
+					!reflect.DeepEqual(s0.WaitingNodes(a.name, u.ID), s1.WaitingNodes(a.name, u.ID)) {
+					t.Fatalf("step %d: %s unit %d diverged", step, a.name, u.ID)
+				}
+			}
+		}
+		for i, w := range ws {
+			if bad := w.m.sched.CheckAllInvariants(); len(bad) > 0 {
+				t.Fatalf("step %d: world %d invariants: %v", step, i, bad)
+			}
+		}
+	}
+	if both == 0 || buffered == 0 || len(flatGrants(ws[0].got, "c")) == 0 {
+		t.Fatalf("vacuous script: %d instants returned and asked (%d of them buffered), %d entries told to the wide app",
+			both, buffered, len(flatGrants(ws[0].got, "c")))
+	}
+	if batch == 0 && len(ws[0].got) >= len(ws[1].got) {
+		t.Fatalf("the combined updates cost %d grant updates, the two-message form %d: a step did not answer once",
+			len(ws[0].got), len(ws[1].got))
 	}
 }
 
@@ -230,7 +386,7 @@ func TestAppHearsOneGrantUpdatePerStep(t *testing.T) {
 		mc := int32(w.m.sched.GrantedCells("w", 1)[0].Key)
 		got := w.step(
 			protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Deltas: []protocol.UnitHint{cluster(2, 1), cluster(3, 1)}},
-			protocol.GrantReturnBatch{App: "w", Seq: w.seq.Next(), Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}}},
+			protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}}},
 			protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Deltas: []protocol.UnitHint{cluster(4, 2), cluster(2, 1), cluster(1, 1)}})
 		// The round merges unit 2's hints from both updates and places the
 		// units in the order they were first asked for.
@@ -262,43 +418,94 @@ func TestAppHearsOneGrantUpdatePerStep(t *testing.T) {
 	})
 }
 
-// TestMalformedDemandIsDroppedWhole: a demand update that splits a unit's run
-// or carries a zero count changes nothing — no grant, no queued demand, no
-// dedup mark — even where well-formed runs ride beside the bad one; the
-// well-formed update with the same sequence number after it is applied.
+// TestMalformedDemandIsDroppedWhole: a demand update that carries a zero
+// count or a return of zero or fewer containers changes nothing — no release,
+// no grant, no queued demand, no dedup mark — even where well-formed entries
+// ride beside the bad one; the well-formed update with the same sequence
+// number after it is applied. An update that brings a unit back in a later
+// run is not malformed: it is placed like its contiguous form — to the
+// machine in a batched round, which merges a unit's hints wherever they
+// stand, and to the count when placed at once, run by run as they come.
 func TestMalformedDemandIsDroppedWhole(t *testing.T) {
 	h1 := func(id, n int) protocol.UnitHint {
 		return protocol.UnitHint{UnitID: id, LocalityHint: resource.LocalityHint{Type: resource.LocalityCluster, Count: n}}
 	}
+	// setup registers app1's two units and has unit 1 hold one container,
+	// on the machine it returns.
+	setup := func(t *testing.T, batch sim.Time) (*masterHarness, int32) {
+		cfg := DefaultConfig("fm-1")
+		cfg.BatchWindow = batch
+		h := newMasterHarness(t, cfg)
+		h.send(protocol.RegisterApp{App: "app1", Seq: h.seq.Next(), Units: []resource.ScheduleUnit{
+			unit(1, 100, 10, 1000, 2048), unit(2, 100, 10, 1000, 2048)}})
+		h.send(protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Deltas: []protocol.UnitHint{h1(1, 1)}})
+		h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
+		cells := h.m1.Scheduler().GrantedCells("app1", 1)
+		if len(cells) != 1 {
+			t.Fatalf("setup: unit 1 granted on %v, want one machine", cells)
+		}
+		return h, int32(cells[0].Key)
+	}
 	for _, batch := range []sim.Time{0, 20 * sim.Millisecond} {
 		for _, c := range []struct {
 			name string
-			bad  []protocol.UnitHint
+			bad  func(mc int32) protocol.DemandUpdate
 		}{
-			{"split run", []protocol.UnitHint{h1(1, 2), h1(2, 1), h1(1, 1)}},
-			{"zero count", []protocol.UnitHint{h1(1, 2), h1(2, 0)}},
+			{"zero count", func(mc int32) protocol.DemandUpdate {
+				return protocol.DemandUpdate{Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}},
+					Deltas: []protocol.UnitHint{h1(1, 2), h1(2, 0)}}
+			}},
+			{"zero return", func(mc int32) protocol.DemandUpdate {
+				return protocol.DemandUpdate{Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}, {UnitID: 1, Machine: mc, Count: 0}},
+					Deltas: []protocol.UnitHint{h1(1, 2), h1(2, 1)}}
+			}},
+			{"negative return", func(mc int32) protocol.DemandUpdate {
+				return protocol.DemandUpdate{Returns: []protocol.ReturnEntry{{UnitID: 2, Machine: mc, Count: -1}, {UnitID: 1, Machine: mc, Count: 1}},
+					Deltas: []protocol.UnitHint{h1(1, 2), h1(2, 1)}}
+			}},
 		} {
 			t.Run(fmt.Sprintf("%s/batch=%v", c.name, batch), func(t *testing.T) {
-				cfg := DefaultConfig("fm-1")
-				cfg.BatchWindow = batch
-				h := newMasterHarness(t, cfg)
-				h.send(protocol.RegisterApp{App: "app1", Seq: h.seq.Next(), Units: []resource.ScheduleUnit{
-					unit(1, 100, 10, 1000, 2048), unit(2, 100, 10, 1000, 2048)}})
+				h, mc := setup(t, batch)
 				seq := h.seq.Next()
-				h.send(protocol.DemandUpdate{App: "app1", Seq: seq, Deltas: c.bad})
+				bad := c.bad(mc)
+				bad.App, bad.Seq = "app1", seq
+				h.send(bad)
 				h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
 				s := h.m1.Scheduler()
-				for _, u := range []int{1, 2} {
-					if s.Held("app1", u) != 0 || s.Waiting("app1", u) != 0 {
-						t.Fatalf("unit %d after the malformed update: held %d, waiting %d", u, s.Held("app1", u), s.Waiting("app1", u))
-					}
+				if s.Held("app1", 1) != 1 || s.GrantedOn("app1", 1, mc) != 1 || s.Held("app1", 2) != 0 ||
+					s.Waiting("app1", 1) != 0 || s.Waiting("app1", 2) != 0 {
+					t.Fatalf("after the malformed update: held %d/%d, waiting %d/%d; want 1/0, 0/0",
+						s.Held("app1", 1), s.Held("app1", 2), s.Waiting("app1", 1), s.Waiting("app1", 2))
 				}
-				h.send(protocol.DemandUpdate{App: "app1", Seq: seq, Deltas: []protocol.UnitHint{h1(1, 2), h1(2, 1)}})
+				h.send(protocol.DemandUpdate{App: "app1", Seq: seq,
+					Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}},
+					Deltas:  []protocol.UnitHint{h1(1, 2), h1(2, 1)}})
 				h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
 				if s.Held("app1", 1) != 2 || s.Held("app1", 2) != 1 {
 					t.Fatalf("the well-formed update after it: held %d/%d, want 2/1", s.Held("app1", 1), s.Held("app1", 2))
 				}
 			})
 		}
+		t.Run(fmt.Sprintf("split run/batch=%v", batch), func(t *testing.T) {
+			var got [2][]string
+			for i, deltas := range [][]protocol.UnitHint{
+				{h1(1, 2), h1(2, 1), h1(1, 1)}, // unit 1 comes back in a later run
+				{h1(1, 2), h1(1, 1), h1(2, 1)},
+			} {
+				h, _ := setup(t, batch)
+				h.send(protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Deltas: deltas})
+				h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
+				s := h.m1.Scheduler()
+				for u := 1; u <= 2; u++ {
+					got[i] = append(got[i], fmt.Sprint(s.GrantedCells("app1", u), s.Waiting("app1", u)))
+				}
+				if s.Held("app1", 1) != 4 || s.Held("app1", 2) != 1 {
+					t.Fatalf("deltas %v: held %d/%d, want 4/1", deltas, s.Held("app1", 1), s.Held("app1", 2))
+				}
+			}
+			if batch > 0 && !slices.Equal(got[0], got[1]) {
+				t.Fatalf("the split form placed %v, the contiguous form %v", got[0], got[1])
+			}
+		})
 	}
 }

@@ -32,7 +32,7 @@ func (m *Master) legacyApplyReleases(rets []returnRec) []int32 {
 	m.touched = m.touched[:0]
 	for i := range rets {
 		t := &rets[i].ret
-		st := m.appFrom(rets[i].from, t.App)
+		st := m.appFrom(rets[i].from, rets[i].app)
 		if st == nil {
 			continue
 		}
@@ -163,26 +163,17 @@ func (m *Master) legacyFinishRecovery() {
 
 // legacyHandle stands in front of the legacy world's master: the traffic
 // whose handling releases capacity takes the legacy path, the rest the
-// shipped handler.
+// shipped handler. The script sends its returns in updates of their own.
 func (m *Master) legacyHandle(from tr, msg transport.Message) {
 	switch t := msg.(type) {
-	case protocol.GrantReturnBatch:
-		if m.dedup.ObserveCh(int32(from), protocol.ChanRet, t.Seq) == protocol.Duplicate {
-			return
-		}
-		var rets []returnRec
-		for _, r := range t.Returns {
-			rets = append(rets, returnRec{from: from, ret: protocol.GrantReturn{
-				App: t.App, UnitID: r.UnitID, Machine: r.Machine, Count: r.Count, Seq: t.Seq,
-			}})
-		}
-		m.legacyHandleReturns(rets)
-	case protocol.UnregisterApp:
-		if m.dedup.ObserveCh(int32(from), protocol.ChanUnreg, t.Seq) == protocol.Duplicate {
-			return
-		}
-		m.legacyUnregister(from, t.App)
 	case protocol.DemandUpdate:
+		if len(t.Returns) > 0 {
+			if m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
+				return
+			}
+			m.legacyHandleReturns(appendReturns(nil, from, &t))
+			return
+		}
 		if m.cfg.BatchWindow == 0 || m.recovering {
 			m.handle(from, msg)
 			return
@@ -197,6 +188,11 @@ func (m *Master) legacyHandle(from tr, msg transport.Message) {
 		rec.upd.Deltas = m.pendHints[n:len(m.pendHints):len(m.pendHints)]
 		m.pendDem = append(m.pendDem, rec)
 		m.legacyArmFlush()
+	case protocol.UnregisterApp:
+		if m.dedup.ObserveCh(int32(from), protocol.ChanUnreg, t.Seq) == protocol.Duplicate {
+			return
+		}
+		m.legacyUnregister(from, t.App)
 	default:
 		m.handle(from, msg)
 	}
@@ -337,7 +333,7 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 			if len(cells) == 0 {
 				break
 			}
-			b := protocol.GrantReturnBatch{App: a.name, Seq: seqs[ai].Next()}
+			b := protocol.DemandUpdate{App: a.name, Seq: seqs[ai].Next()}
 			for _, c := range cells {
 				if len(b.Returns) == 0 || rng.Intn(3) == 0 {
 					b.Returns = append(b.Returns, protocol.ReturnEntry{UnitID: unitID, Machine: int32(c.Key), Count: 1 + rng.Intn(c.Val)})
@@ -453,7 +449,7 @@ func TestReturnAndRegrantShareOneCapacityDelta(t *testing.T) {
 	full := []resource.ScheduleUnit{unit(1, 100, 1, 12000, 8192)}
 	release := map[string]func(seq uint64) transport.Message{
 		"return": func(seq uint64) transport.Message {
-			return protocol.GrantReturnBatch{App: "A", Seq: seq, Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: 0, Count: 1}}}
+			return protocol.DemandUpdate{App: "A", Seq: seq, Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: 0, Count: 1}}}
 		},
 		"unregister": func(seq uint64) transport.Message { return protocol.UnregisterApp{App: "A", Seq: seq} },
 	}
@@ -524,7 +520,7 @@ func TestOpenReleasesFlushAndRefuseReset(t *testing.T) {
 		t.Fatalf("setup: %s holds %d, want 2", a.name, m.sched.Held(a.name, 1))
 	}
 	before := len(w.caps[0])
-	touched := m.applyReleases([]returnRec{{from: m.net.Endpoint(a.name), ret: protocol.GrantReturn{App: a.name, UnitID: 1, Machine: 0, Count: 1}}})
+	touched := m.applyReleases([]returnRec{{from: m.net.Endpoint(a.name), app: a.name, ret: protocol.ReturnEntry{UnitID: 1, Machine: 0, Count: 1}}})
 	if !slices.Equal(touched, []int32{0}) || !m.dsp.open {
 		t.Fatalf("applyReleases touched %v, open %v; want [0], true", touched, m.dsp.open)
 	}

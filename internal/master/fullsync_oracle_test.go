@@ -88,8 +88,8 @@ func (m *Master) mapHandleFullSync(from tr, t mapSync) {
 			}
 		}
 	}
-	for _, ch := range []protocol.Chan{protocol.ChanDem, protocol.ChanRet,
-		protocol.ChanUnreg, protocol.ChanBad, protocol.ChanReg} {
+	for _, ch := range []protocol.Chan{protocol.ChanDem, protocol.ChanUnreg,
+		protocol.ChanBad, protocol.ChanReg} {
 		if !stale || t.Seq < m.dedup.LastCh(int32(from), ch) {
 			m.dedup.ResetToCh(int32(from), ch, t.Seq)
 		}
@@ -311,7 +311,7 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 			if held[mc] -= k; held[mc] == 0 {
 				delete(held, mc)
 			}
-			msg := protocol.GrantReturnBatch{App: a.name, Returns: []protocol.ReturnEntry{{UnitID: unitID, Machine: mc, Count: k}}, Seq: v.seq.Next()}
+			msg := protocol.DemandUpdate{App: a.name, Returns: []protocol.ReturnEntry{{UnitID: unitID, Machine: mc, Count: k}}, Seq: v.seq.Next()}
 			for _, w := range ws {
 				w.net.Send(a.name, protocol.MasterEndpoint, msg)
 			}

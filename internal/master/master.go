@@ -50,14 +50,14 @@ type Config struct {
 	// the hello when everyone is alive — and at this deadline when some
 	// party stays silent.
 	RecoveryWindow sim.Time
-	// BatchWindow, when positive, coalesces incoming DemandUpdates (merged
-	// per application and unit, the paper's batch-mode handling of "frequently
-	// changing resource requests from one application") and GrantReturns
-	// into scheduling rounds flushed once per window: all buffered releases
-	// are applied first, one wide assignment sweep reassigns the freed
-	// capacity to queued demand, then the merged demand is placed, and the
-	// round's decisions fan out as one batch. Zero processes every update
-	// immediately.
+	// BatchWindow, when positive, coalesces incoming DemandUpdates — their
+	// returns, and their demand merged per application and unit (the paper's
+	// batch-mode handling of "frequently changing resource requests from one
+	// application") — into scheduling rounds flushed once per window: all
+	// buffered releases are applied first, one wide assignment sweep
+	// reassigns the freed capacity to queued demand, then the merged demand
+	// is placed, and the round's decisions fan out as one batch. Zero
+	// processes every update immediately.
 	BatchWindow sim.Time
 	// HealthScoreThreshold and HealthScoreStrikes drive score-based
 	// graylisting: an agent reporting below the threshold for this many
@@ -221,9 +221,9 @@ type Master struct {
 	flap      []int
 	flapBlack []bool
 	badVotes  []map[string]bool // machine ID -> set of reporting apps
-	// pendDem and pendRet buffer one scheduling round's demand updates and
-	// returns in arrival order (batch mode), each with its sender so the flush
-	// resolves the app by index; round stamps the apps the flush has seen.
+	// pendDem and pendRet buffer one scheduling round's demand and returns in
+	// arrival order (batch mode), each with its sender so the flush resolves
+	// the app by index; round stamps the apps the flush has seen.
 	pendDem []demandRec
 	pendRet []returnRec
 	// pendHints owns the hint lists of the buffered round's demand updates: a
@@ -238,8 +238,8 @@ type Master struct {
 	touched   []int32         // pooled touched-machine list (release batches)
 	// Pooled round-merge buffers (placeApp): the units an app's round places
 	// (unitBuf), each unit's row in it by unitState.idx (unitSlot, -1 outside
-	// placeApp), the hints as the scheduler takes them (hintBuf), and
-	// batch-unpacking scratch.
+	// placeApp), the hints as the scheduler takes them (hintBuf), and the
+	// releases of an immediate step (retBuf).
 	appBuf   []*appState
 	unitBuf  []roundUnit
 	unitSlot []int32
@@ -252,8 +252,8 @@ type Master struct {
 	// dsBuf is the pooled decision accumulator of the round, immediate and
 	// unregister scheduling paths (see decisions).
 	dsBuf []Decision
-	// recDem, recRet and recUnreg buffer demand, return and unregister
-	// traffic that arrives during the recovery window: acting on it before
+	// recDem, recRet and recUnreg buffer demand, returns and unregisters
+	// that arrive during the recovery window: acting on them before
 	// every agent has re-reported its allocations would grant from a free
 	// pool that still over-counts (the successor starts from full capacity
 	// and subtracts as reports arrive), double-booking machines — and an
@@ -272,9 +272,10 @@ type Master struct {
 // tr abbreviates the transport endpoint ID in struct fields.
 type tr = transport.EndpointID
 
-// demandRec and returnRec are a buffered DemandUpdate / GrantReturn with the
-// endpoint it arrived from. next chains one app's updates inside a round
-// flush (-1 ends the chain).
+// demandRec is a buffered DemandUpdate's demand — upd carries no returns —
+// and returnRec one of its returns, each with the app and the endpoint it
+// arrived from. next chains one app's updates inside a round flush (-1 ends
+// the chain).
 type demandRec struct {
 	upd  protocol.DemandUpdate
 	from tr
@@ -282,7 +283,8 @@ type demandRec struct {
 }
 
 type returnRec struct {
-	ret  protocol.GrantReturn
+	ret  protocol.ReturnEntry
+	app  string
 	from tr
 }
 
@@ -329,8 +331,8 @@ func NewMaster(cfg Config, eng *sim.Engine, net *transport.Net, lock *lockservic
 	return m
 }
 
-// schedTook records one scheduling pass — a demand update, a return batch or
-// a round — that began at start.
+// schedTook records one scheduling pass — a demand update or a round — that
+// began at start.
 func (m *Master) schedTook(start time.Time) {
 	m.schedMS.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
 }
@@ -659,26 +661,13 @@ func (m *Master) handle(from tr, msg transport.Message) {
 	case protocol.RegisterApp:
 		m.handle(from, &t)
 	case *protocol.DemandUpdate:
-		// A malformed update (a unit's run split, a zero count) is dropped
+		// A malformed update (a zero count, a non-positive return) is dropped
 		// whole, before its sequence number is marked seen.
 		if !t.WellFormed() || m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
 			return
 		}
 		m.handleDemand(from, t)
 	case protocol.DemandUpdate:
-		m.handle(from, &t)
-	case protocol.GrantReturn:
-		if m.dedup.ObserveCh(int32(from), protocol.ChanRet, t.Seq) == protocol.Duplicate {
-			return
-		}
-		m.retBuf = append(m.retBuf[:0], returnRec{ret: t, from: from})
-		m.handleReturns(m.retBuf)
-	case *protocol.GrantReturnBatch:
-		if m.dedup.ObserveCh(int32(from), protocol.ChanRet, t.Seq) == protocol.Duplicate {
-			return
-		}
-		m.handleReturnBatch(from, t)
-	case protocol.GrantReturnBatch:
 		m.handle(from, &t)
 	case *protocol.UnregisterApp:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanUnreg, t.Seq) == protocol.Duplicate {
@@ -722,31 +711,47 @@ func (m *Master) handleRegister(t *protocol.RegisterApp) {
 	m.ckpt.SaveApp(AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
 }
 
+// handleDemand applies one application master's update: its returns, then
+// its demand. t is pooled: what a buffer keeps, it copies.
 func (m *Master) handleDemand(from tr, t *protocol.DemandUpdate) {
 	if m.recovering {
-		// Granting before all agents re-reported would double-book machines
-		// whose allocations are not yet subtracted from the free pool.
-		rec := demandRec{upd: *t, from: from}
-		rec.upd.Deltas = slices.Clone(t.Deltas)
-		m.recDem = append(m.recDem, rec)
+		// The grants being returned may not have been restored yet (their
+		// agents' reports are still in flight), and granting before every
+		// agent re-reported would double-book machines whose allocations are
+		// not yet subtracted from the free pool: replay after the window.
+		m.recRet = appendReturns(m.recRet, from, t)
+		m.recDem = append(m.recDem, demandRec{from: from, upd: protocol.DemandUpdate{
+			App: t.App, Deltas: slices.Clone(t.Deltas), Seq: t.Seq}})
 		return
 	}
 	if m.cfg.BatchWindow > 0 {
-		rec := demandRec{upd: *t, from: from}
+		m.pendRet = appendReturns(m.pendRet, from, t)
 		n := len(m.pendHints)
 		m.pendHints = append(m.pendHints, t.Deltas...)
-		rec.upd.Deltas = m.pendHints[n:len(m.pendHints):len(m.pendHints)]
-		m.pendDem = append(m.pendDem, rec)
+		m.pendDem = append(m.pendDem, demandRec{from: from, upd: protocol.DemandUpdate{
+			App: t.App, Deltas: m.pendHints[n:len(m.pendHints):len(m.pendHints)], Seq: t.Seq}})
 		m.armFlush()
 		return
 	}
+	// One step: release the returns, reassign the freed machines, place the
+	// demand, and tell everyone in one dispatch.
 	start := time.Now()
 	ds := m.decisions()
+	m.retBuf = appendReturns(m.retBuf[:0], from, t)
+	m.sched.assignOnIDsInto(m.applyReleases(m.retBuf), ds)
 	if st := m.appFrom(from, t.App); st != nil {
 		m.applyRuns(st, t.Deltas, ds)
 	}
 	m.schedTook(start)
 	m.dispatch(*ds)
+}
+
+// appendReturns appends an update's returns to a release buffer.
+func appendReturns(buf []returnRec, from tr, t *protocol.DemandUpdate) []returnRec {
+	for _, r := range t.Returns {
+		buf = append(buf, returnRec{ret: r, app: t.App, from: from})
+	}
+	return buf
 }
 
 // applyRuns places a demand payload's unit runs for st into ds, run by run
@@ -956,40 +961,6 @@ func (m *Master) dropRound() {
 	m.pendHints = m.pendHints[:0]
 }
 
-// handleReturnBatch unpacks a coalesced return batch into the shared path
-// through a pooled scratch slice (the unpacked form feeds the same
-// recovery-buffer / round-buffer / immediate branches as single returns).
-func (m *Master) handleReturnBatch(from tr, t *protocol.GrantReturnBatch) {
-	rets := m.retBuf[:0]
-	for _, r := range t.Returns {
-		rets = append(rets, returnRec{from: from, ret: protocol.GrantReturn{
-			App: t.App, UnitID: r.UnitID, Machine: r.Machine, Count: r.Count, Seq: t.Seq,
-		}})
-	}
-	m.retBuf = rets
-	m.handleReturns(rets)
-}
-
-func (m *Master) handleReturns(rets []returnRec) {
-	if m.recovering {
-		// The grants being returned may not have been restored yet (their
-		// agents' reports are still in flight); replay after the window.
-		m.recRet = append(m.recRet, rets...)
-		return
-	}
-	if m.cfg.BatchWindow > 0 {
-		m.pendRet = append(m.pendRet, rets...)
-		m.armFlush()
-		return
-	}
-	start := time.Now()
-	touched := m.applyReleases(rets)
-	ds := m.decisions()
-	m.sched.assignOnIDsInto(touched, ds)
-	m.schedTook(start)
-	m.dispatch(*ds)
-}
-
 // applyReleases gives the returned containers back to the pool (without
 // reassigning) and returns the touched machines in first-seen order. The
 // agents must release the capacity even though the apps initiated it, but
@@ -1007,7 +978,7 @@ func (m *Master) applyReleases(rets []returnRec) []int32 {
 	m.touched = m.touched[:0]
 	for i := range rets {
 		t := &rets[i].ret
-		st := m.appFrom(rets[i].from, t.App)
+		st := m.appFrom(rets[i].from, rets[i].app)
 		if st == nil {
 			continue
 		}
@@ -1171,8 +1142,8 @@ func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
 	// applied sync: advancing the marks past deltas still in flight (a
 	// reordered DemandUpdate under jitter) would drop them as duplicates
 	// with their content never reconciled.
-	for _, ch := range []protocol.Chan{protocol.ChanDem, protocol.ChanRet,
-		protocol.ChanUnreg, protocol.ChanBad, protocol.ChanReg} {
+	for _, ch := range []protocol.Chan{protocol.ChanDem, protocol.ChanUnreg,
+		protocol.ChanBad, protocol.ChanReg} {
 		if !stale || t.Seq < m.dedup.LastCh(int32(from), ch) {
 			m.dedup.ResetToCh(int32(from), ch, t.Seq)
 		}
@@ -1181,8 +1152,8 @@ func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
 	// folded into its absolute counts above; replaying them at the end of
 	// the window would double-apply the demand. Later deltas (Seq beyond
 	// the sync) remain genuinely incremental and stay buffered. Buffered
-	// GrantReturns are untouched: the agents' reports still carry the
-	// returned containers, so the replay is their exactly-once release.
+	// returns are untouched: the agents' reports still carry the returned
+	// containers, so the replay is their exactly-once release.
 	if !stale && m.recovering {
 		m.recDem = dropSynced(m.recDem, t)
 		if st.owesSync {

@@ -86,23 +86,14 @@ func TestUnregisterBufferedDuringRecovery(t *testing.T) {
 	m1 := NewMaster(DefaultConfig("fm-1"), eng, net, lock, top, ckpt, nil)
 	m2 := NewMaster(DefaultConfig("fm-2"), eng, net, lock, top, ckpt, nil)
 
-	// Scripted agent endpoints record every capacity change (single updates
-	// and batched deltas alike); no automatic heartbeats, so the test
-	// controls exactly when restore reports land.
-	agentMsgs := map[string][]protocol.CapacityUpdate{}
+	// Scripted agent endpoints record every capacity change; no automatic
+	// heartbeats, so the test controls exactly when restore reports land.
+	agentMsgs := map[string][]protocol.CapacityEntry{}
 	for _, mc := range top.Machines() {
 		mc := mc
 		net.Register(protocol.AgentEndpoint(mc), func(_ transport.EndpointID, msg transport.Message) {
-			switch cu := msg.(type) {
-			case protocol.CapacityUpdate:
-				agentMsgs[mc] = append(agentMsgs[mc], cu)
-			case *protocol.CapacityDelta:
-				for _, e := range cu.Entries {
-					agentMsgs[mc] = append(agentMsgs[mc], protocol.CapacityUpdate{
-						App: net.Name(transport.EndpointID(e.App)), UnitID: e.UnitID, Size: e.Size, Delta: e.Count,
-						Epoch: cu.Epoch, Seq: cu.Seq,
-					})
-				}
+			if cd, ok := msg.(*protocol.CapacityDelta); ok {
+				agentMsgs[mc] = append(agentMsgs[mc], cd.Entries...)
 			}
 		})
 	}
@@ -147,9 +138,9 @@ func TestUnregisterBufferedDuringRecovery(t *testing.T) {
 
 	for mc, n := range granted {
 		released := 0
-		for _, cu := range agentMsgs[mc] {
-			if cu.App == "app1" && cu.Delta < 0 {
-				released -= cu.Delta
+		for _, e := range agentMsgs[mc] {
+			if e.App == int32(net.Endpoint("app1")) && e.Count < 0 {
+				released -= e.Count
 			}
 		}
 		if released < n {
@@ -244,9 +235,9 @@ func TestMasterBatchWindowCoalescesReturns(t *testing.T) {
 	}
 	h.reg.Histogram("master.sched_ms").Reset()
 
-	// One coalesced batch returns 5 containers on each of 4 machines.
+	// One update returns 5 containers on each of 4 machines.
 	granted := h.m1.Scheduler().Granted("app1", 1)
-	batch := protocol.GrantReturnBatch{App: "app1", Seq: h.seq.Next()}
+	batch := protocol.DemandUpdate{App: "app1", Seq: h.seq.Next()}
 	machines := make([]string, 0, len(granted))
 	for mc := range granted {
 		machines = append(machines, mc)
@@ -353,7 +344,8 @@ func TestMasterDuplicateReturnIgnored(t *testing.T) {
 		machine = m
 		break
 	}
-	ret := protocol.GrantReturn{App: "app1", UnitID: 1, Machine: h.top.MachineID(machine), Count: 1, Seq: h.seq.Next()}
+	ret := protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(),
+		Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: h.top.MachineID(machine), Count: 1}}}
 	h.send(ret)
 	h.send(ret) // replayed by the network
 	if held := h.m1.Scheduler().Held("app1", 1); held != 3 {

@@ -124,7 +124,7 @@ func restoreFromAnchors(t *testing.T, shuffle int64) restoreOutcome {
 	eng.Run(eng.Now() + 10*sim.Millisecond)
 
 	recording = true
-	send(0, protocol.GrantReturnBatch{App: apps[0], Seq: seqs[0].Next(), Returns: []protocol.ReturnEntry{
+	send(0, protocol.DemandUpdate{App: apps[0], Seq: seqs[0].Next(), Returns: []protocol.ReturnEntry{
 		{UnitID: 1, Machine: top.MachineID(topMachineOf(t, m2, apps[0], 1)), Count: 1},
 	}})
 	demand(1, 2, 4)

@@ -11,16 +11,6 @@ import (
 // failover path. These are boundary APIs: they speak machine names and
 // return copies, converting from the ID-indexed hot state on the way out.
 
-// FreeOn returns the current free vector on machine (a copy: the pool's
-// own vectors are mutated in place by the hot path).
-func (s *Scheduler) FreeOn(machine string) resource.Vector {
-	id := s.top.MachineID(machine)
-	if id < 0 {
-		return resource.Vector{}
-	}
-	return s.free[id].Clone()
-}
-
 // TotalFree sums the free pool over schedulable machines.
 func (s *Scheduler) TotalFree() resource.Vector {
 	var t resource.Vector
@@ -165,14 +155,6 @@ func (s *Scheduler) Apps() []string {
 	return out
 }
 
-// AppGroup returns the quota group of an app ("" when unknown).
-func (s *Scheduler) AppGroup(app string) string {
-	if st, ok := s.apps[app]; ok {
-		return st.group
-	}
-	return ""
-}
-
 // Units returns the app's ScheduleUnit definitions sorted by ID.
 func (s *Scheduler) Units(app string) []resource.ScheduleUnit {
 	st, ok := s.apps[app]
@@ -239,16 +221,6 @@ func (s *Scheduler) SetVirtualResource(machine, dim string, amount int64) []Deci
 	return nil
 }
 
-// Groups returns the sorted quota-group names.
-func (s *Scheduler) Groups() []string {
-	out := make([]string, 0, len(s.groups))
-	for g := range s.groups {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // GroupMin returns a quota group's guaranteed minimum (zero when none).
 func (s *Scheduler) GroupMin(group string) resource.Vector {
 	if g, ok := s.groups[group]; ok {
@@ -256,9 +228,6 @@ func (s *Scheduler) GroupMin(group string) resource.Vector {
 	}
 	return resource.Vector{}
 }
-
-// PreemptionEnabled reports whether two-level preemption is active.
-func (s *Scheduler) PreemptionEnabled() bool { return s.opts.EnablePreemption }
 
 // Preemptions returns the cumulative count of resource units revoked by the
 // two-level quota preemption path since the scheduler was built. The obs

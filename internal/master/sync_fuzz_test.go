@@ -107,10 +107,12 @@ func TestReturnOnUnknownMachineIsRefused(t *testing.T) {
 		t.Fatalf("setup: held %d, want 3", s.Held("app1", 1))
 	}
 	n := int32(h.top.Size())
-	h.send(protocol.GrantReturnBatch{App: "app1", Seq: h.seq.Next(), Returns: []protocol.ReturnEntry{
+	h.send(protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Returns: []protocol.ReturnEntry{
 		{UnitID: 1, Machine: n, Count: 1}, {UnitID: 1, Machine: -1, Count: 1},
 	}})
-	h.send(protocol.GrantReturn{App: "app1", UnitID: 1, Machine: n + 5, Count: 2, Seq: h.seq.Next()})
+	h.send(protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Returns: []protocol.ReturnEntry{
+		{UnitID: 1, Machine: n + 5, Count: 2},
+	}})
 	if !h.m1.IsPrimary() || s.Held("app1", 1) != 3 {
 		t.Fatalf("after returns on unknown machines: primary %v, held %d (want true, 3)", h.m1.IsPrimary(), s.Held("app1", 1))
 	}
@@ -121,12 +123,14 @@ func TestReturnOnUnknownMachineIsRefused(t *testing.T) {
 
 // FuzzFullDemandSync drives a primary with a few registered multi-unit apps
 // through a byte-scripted sequence of hostile application-master messages —
-// multi-unit demand updates (split runs and zero counts among them), return
-// batches and full syncs with unsorted, duplicated
-// and negative entries, unknown unit IDs, machine IDs out of range, levels
-// no hint has, stale SeenGrantSeq and Seq below the high-water marks (and, for
-// contrast, well-formed syncs of the same content). After every message the
-// master must not have panicked and its scheduler must pass the full audit.
+// demand updates whose returns name machines outside the topology, units
+// never defined, counts of zero or less and more than is held, and whose
+// demand brings a unit back in a later run or carries a zero count; and full
+// syncs with unsorted, duplicated and negative entries, unknown unit IDs,
+// machine IDs out of range, levels no hint has, stale SeenGrantSeq and Seq
+// below the high-water marks (and, for contrast, well-formed syncs of the same
+// content). After every message the master must not have panicked and its
+// scheduler must pass the full audit.
 func FuzzFullDemandSync(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 9, 3, 1, 0x11, 2, 1, 3, 2, 8, 0, 1, 2, 2, 5, 3, 40})
@@ -161,25 +165,24 @@ func runSyncScript(t *testing.T, data []byte) {
 		from := net.Endpoint(a.name)
 		var what string
 		switch op := s.next() % 4; op {
-		case 0:
-			// Up to four unit runs of up to three hints: a unit may come back
-			// in a second run and a count may be zero, both malformed.
-			what = "demand"
+		case 0, 1:
+			// Up to three returns, then up to four unit runs of up to three
+			// hints: a unit may come back in a later run, and a zero count or
+			// (op 1 only) a return of zero or less makes the update malformed.
+			what = "update"
 			msg := &protocol.DemandUpdate{App: a.name, Seq: s.seq(sq)}
+			for n := s.next() % 4; n > 0; n-- {
+				r := protocol.ReturnEntry{UnitID: s.unit(a.units), Machine: s.machine(len(machines)), Count: s.count()}
+				if op == 0 && r.Count <= 0 {
+					r.Count = 1 - r.Count // well-formed, for the receiver to refuse or honour one by one
+				}
+				msg.Returns = append(msg.Returns, r)
+			}
 			for runs := s.next() % 5; runs > 0; runs-- {
 				id := s.unit(a.units)
 				for n := 1 + s.next()%3; n > 0; n-- {
 					msg.Deltas = append(msg.Deltas, protocol.UnitHint{UnitID: id, LocalityHint: s.hint(machines, racks)})
 				}
-			}
-			m.handle(from, msg)
-		case 1:
-			what = "returns"
-			msg := &protocol.GrantReturnBatch{App: a.name, Seq: s.seq(sq)}
-			for n := s.next() % 4; n > 0; n-- {
-				msg.Returns = append(msg.Returns, protocol.ReturnEntry{
-					UnitID: s.unit(a.units), Machine: s.machine(len(machines)), Count: s.count(),
-				})
 			}
 			m.handle(from, msg)
 		case 2:

@@ -12,7 +12,6 @@ import "slices"
 const (
 	poolRegisterApp = iota
 	poolDemandUpdate
-	poolGrantReturnBatch
 	poolGrantUpdate
 	poolUnregisterApp
 	poolUnregisterAck
@@ -34,17 +33,9 @@ func (*DemandUpdate) Pool() int { return poolDemandUpdate }
 
 // Clear implements transport.Recycled.
 func (m *DemandUpdate) Clear() {
-	clear(m.Deltas)
-	*m = DemandUpdate{Deltas: m.Deltas[:0]}
-}
-
-// Pool implements transport.Recycled.
-func (*GrantReturnBatch) Pool() int { return poolGrantReturnBatch }
-
-// Clear implements transport.Recycled.
-func (m *GrantReturnBatch) Clear() {
 	clear(m.Returns)
-	*m = GrantReturnBatch{Returns: m.Returns[:0]}
+	clear(m.Deltas)
+	*m = DemandUpdate{Returns: m.Returns[:0], Deltas: m.Deltas[:0]}
 }
 
 // Pool implements transport.Recycled.
@@ -119,11 +110,8 @@ func Keep(msg any) any {
 		return *t
 	case *DemandUpdate:
 		c := *t
-		c.Deltas = slices.Clone(t.Deltas)
-		return c
-	case *GrantReturnBatch:
-		c := *t
 		c.Returns = slices.Clone(t.Returns)
+		c.Deltas = slices.Clone(t.Deltas)
 		return c
 	case *GrantUpdate:
 		c := *t

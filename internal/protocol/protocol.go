@@ -6,6 +6,11 @@
 // masters exchange with FuxiMaster the full state of resources periodically
 // to fix any possible inconsistency").
 //
+// One message per direction per step: an application master says everything
+// of one instant — the containers it returns and the demand it adds or
+// withdraws — in one DemandUpdate, and FuxiMaster answers each step with one
+// GrantUpdate per application and one CapacityDelta per agent.
+//
 // Identifier convention: messages on the per-decision hot paths (grants,
 // returns, capacity deltas, heartbeats) carry machines as dense int32 IDs —
 // the topology-derived index every process computes identically from the
@@ -23,10 +28,10 @@
 // messages (WorkPlan, WorkerStatus) keep names: they cross into the job
 // layer, which speaks names.
 //
-// Pooled messages: the eleven types every job, every scheduling decision,
-// every safety sync or every agent beat sends — RegisterApp, DemandUpdate,
-// GrantReturnBatch, GrantUpdate, UnregisterApp, UnregisterAck, CapacityDelta,
-// JobAdmit, JobAdmitAck, FullDemandSync, AgentHeartbeat — travel as pointers
+// Pooled messages: the ten types every job, every scheduling decision, every
+// safety sync or every agent beat sends — RegisterApp, DemandUpdate,
+// GrantUpdate, UnregisterApp, UnregisterAck, CapacityDelta, JobAdmit,
+// JobAdmitAck, FullDemandSync, AgentHeartbeat — travel as pointers
 // drawn from the network's free lists (transport.Acquire) and implement
 // transport.Recycled (pool.go). Such a message and its payload slices are
 // valid until the receiving handler returns, then the network zeroes and
@@ -36,7 +41,7 @@
 // into whatever capacity the last use left; the Units of RegisterApp and
 // FullDemandSync are the borrowed payloads — they alias the application
 // master's own configuration, as they always have, and are dropped, not
-// zeroed, on release. The value forms of all eleven remain valid messages
+// zeroed, on release. The value forms of all ten remain valid messages
 // (tests and scripted senders use them) and every receiver accepts both.
 // WireSize is declared on the value types, so a pointer and a value of one
 // message report the same size.
@@ -60,20 +65,23 @@ type RegisterApp struct {
 	Seq        uint64
 }
 
-// DemandUpdate carries incremental changes to an application's resource
-// demand: per-locality count deltas for any of its ScheduleUnits. Counts may
-// be negative (demand withdrawal), never zero. Each unit's deltas are one
-// contiguous run, and the runs stand in the order the application first
-// asked for each unit — the order the receiver places them in. An
-// application master coalesces whatever it asks for in one virtual instant
-// into one DemandUpdate, so an application that never changes its mind sends
-// one for its whole lifetime, however many units it has. A message that
-// splits a unit's run or carries a zero count is not WellFormed, and the
-// receiver drops it whole.
+// DemandUpdate is what an application master tells FuxiMaster about its
+// containers in one virtual instant: the containers it gives back (Returns,
+// sent when workers exit and the application has no further use for them)
+// and the incremental changes to its demand (Deltas: per-locality count
+// deltas for any of its ScheduleUnits, negative for a withdrawal). The
+// receiver applies the returns first — a return frees capacity before the
+// demand that follows it is placed — then the deltas, walking them by
+// same-unit runs (NextRun) in any grouping. An application master coalesces
+// everything of one instant into one DemandUpdate, so a job that returns a
+// container and asks again, however many units and machines that spans,
+// costs one message. A zero count or a non-positive return makes the update
+// not WellFormed, and the receiver drops it whole.
 type DemandUpdate struct {
-	App    string
-	Deltas []UnitHint
-	Seq    uint64
+	App     string
+	Returns []ReturnEntry
+	Deltas  []UnitHint
+	Seq     uint64
 }
 
 // UnitHint is one unit's locality hint: a count delta in a DemandUpdate, the
@@ -83,38 +91,23 @@ type UnitHint struct {
 	resource.LocalityHint
 }
 
-// WellFormed reports whether every unit's deltas form one contiguous run and
-// no count is zero.
-func (m *DemandUpdate) WellFormed() bool { return wellFormedRuns(m.Deltas) }
-
-// GrantReturn gives granted resources back to FuxiMaster: count containers
-// of the unit on one machine are released. Sent when workers exit and the
-// application has no further use for the containers.
-type GrantReturn struct {
-	App     string
-	UnitID  int
-	Machine int32 // dense machine ID
-	Count   int
-	Seq     uint64
-}
-
-// ReturnEntry is one (unit, machine, count) release inside a
-// GrantReturnBatch.
+// ReturnEntry is one release in a DemandUpdate: count containers of the
+// unit on one machine go back to FuxiMaster.
 type ReturnEntry struct {
 	UnitID  int
 	Machine int32 // dense machine ID
 	Count   int
 }
 
-// GrantReturnBatch coalesces every GrantReturn an application produced in
-// one instant into a single wire message (the incremental-communication
-// counterpart of the paper's "(M1,3), (M2,4)" grant roll-up, applied to the
-// return direction). A hold cycle that frees containers on many machines at
-// once costs one message instead of one per machine.
-type GrantReturnBatch struct {
-	App     string
-	Returns []ReturnEntry
-	Seq     uint64
+// WellFormed reports whether every return gives back a positive count and
+// no demand count is zero.
+func (m *DemandUpdate) WellFormed() bool {
+	for _, r := range m.Returns {
+		if r.Count <= 0 {
+			return false
+		}
+	}
+	return noZeroCount(m.Deltas)
 }
 
 // UnitDelta is one (unit, machine, ±count) entry of a grant response,
@@ -129,12 +122,11 @@ type UnitDelta struct {
 
 // GrantUpdate notifies an application master of one scheduling step's
 // results for all of its units: grants (positive) and revocations
-// (negative), each unit's entries one contiguous run. FuxiMaster sends at
-// most one per application per step. Epoch is the sending primary's
-// election epoch: receivers fence messages from a deposed master that were
-// still in flight when its successor promoted. A message that splits a
-// unit's run or carries a zero delta is not WellFormed, and the receiver
-// drops it whole.
+// (negative), grouped into per-unit runs. FuxiMaster sends at most one per
+// application per step. Epoch is the sending primary's election epoch:
+// receivers fence messages from a deposed master that were still in flight
+// when its successor promoted. A message that carries a zero delta is not
+// WellFormed, and the receiver drops it whole.
 type GrantUpdate struct {
 	App     string
 	Changes []UnitDelta
@@ -142,9 +134,8 @@ type GrantUpdate struct {
 	Seq     uint64
 }
 
-// WellFormed reports whether every unit's entries form one contiguous run
-// and no delta is zero.
-func (m *GrantUpdate) WellFormed() bool { return wellFormedRuns(m.Changes) }
+// WellFormed reports whether no delta is zero.
+func (m *GrantUpdate) WellFormed() bool { return noZeroCount(m.Changes) }
 
 // Unit returns the ScheduleUnit the hint belongs to.
 func (h UnitHint) Unit() int { return h.UnitID }
@@ -163,7 +154,8 @@ type UnitEntry interface {
 }
 
 // NextRun splits a run-grouped payload after its first run: run holds the
-// leading entries of one unit, rest what follows them.
+// leading entries of one unit, rest what follows them. A unit may come back
+// in a later run; every receiver takes each run as it comes.
 func NextRun[E UnitEntry](list []E) (run, rest []E) {
 	if len(list) == 0 {
 		return nil, nil
@@ -175,32 +167,11 @@ func NextRun[E UnitEntry](list []E) (run, rest []E) {
 	return list[:j], list[j:]
 }
 
-// wellFormedRuns reports whether each unit's entries in list form one
-// contiguous run and no entry's count is zero. Units whose run has begun are
-// kept in a bitmap while their IDs stay below 64 — applications number their
-// units from 1 — and a wider unit ID is looked for among the entries before
-// it, so the check allocates nothing and is linear for up to 63 units.
-func wellFormedRuns[E UnitEntry](list []E) bool {
-	var begun uint64
+// noZeroCount reports whether no entry of list counts zero.
+func noZeroCount[E UnitEntry](list []E) bool {
 	for i := range list {
 		if list[i].count() == 0 {
 			return false
-		}
-		u := list[i].Unit()
-		if i > 0 && u == list[i-1].Unit() {
-			continue
-		}
-		if u >= 0 && u < 64 {
-			if begun&(1<<u) != 0 {
-				return false
-			}
-			begun |= 1 << u
-			continue
-		}
-		for j := 0; j < i; j++ {
-			if list[j].Unit() == u {
-				return false
-			}
 		}
 	}
 	return true
@@ -325,26 +296,11 @@ type AllocDelta struct {
 	Count  int
 }
 
-// CapacityUpdate tells an agent the granted capacity for one application
-// unit changed (the agent enforces "resource capacity ensurance": it kills a
-// process when capacity drops below running processes and the application
-// master does not act).
-type CapacityUpdate struct {
-	App    string
-	UnitID int
-	Size   resource.Vector
-	Delta  int
-	// Epoch fences updates from a deposed primary (see GrantUpdate.Epoch).
-	Epoch int
-	Seq   uint64
-}
-
-// CapacityDelta carries one scheduling round's capacity changes for a single
-// agent as a batch of signed per-(app, unit) deltas — the delta-encoded
-// replacement for a stream of per-decision CapacityUpdates. A wide round
-// that grants and revokes many containers on a machine costs the agent one
-// message (and one dedup observation) instead of one per decision; the
-// periodic CapacitySync anchor repairs any divergence.
+// CapacityDelta carries one scheduling step's capacity changes for a single
+// agent as a batch of signed per-(app, unit) deltas. A wide round that grants
+// and revokes many containers on a machine costs the agent one message (and
+// one dedup observation) instead of one per decision; the periodic
+// CapacitySync anchor repairs any divergence.
 type CapacityDelta struct {
 	// Entries hold signed container-count deltas in Count.
 	Entries []CapacityEntry
@@ -546,15 +502,7 @@ func (m RegisterApp) WireSize() int {
 
 // WireSize implements transport.Sizer.
 func (m DemandUpdate) WireSize() int {
-	return headerBytes + len(m.App) + len(m.Deltas)*hintBytes
-}
-
-// WireSize implements transport.Sizer.
-func (m GrantReturn) WireSize() int { return headerBytes + len(m.App) + 4 + 8 }
-
-// WireSize implements transport.Sizer.
-func (m GrantReturnBatch) WireSize() int {
-	return headerBytes + len(m.App) + len(m.Returns)*perEntryBytes
+	return headerBytes + len(m.App) + len(m.Returns)*perEntryBytes + len(m.Deltas)*hintBytes
 }
 
 // WireSize implements transport.Sizer.
@@ -577,9 +525,6 @@ func (m FullDemandSync) WireSize() int {
 func (m AgentHeartbeat) WireSize() int {
 	return headerBytes + 4 + (len(m.Allocations)+len(m.Changes))*perEntryBytes
 }
-
-// WireSize implements transport.Sizer.
-func (m CapacityUpdate) WireSize() int { return headerBytes + len(m.App) + 2*perEntryBytes }
 
 // WireSize implements transport.Sizer.
 func (m JobAdmit) WireSize() int {

@@ -143,6 +143,11 @@ func TestWireSizesPositiveAndProportional(t *testing.T) {
 	if big.WireSize() <= small.WireSize() {
 		t.Error("wire size not proportional to payload")
 	}
+	// A return costs what a (unit, machine, count) entry does anywhere else.
+	withRet := DemandUpdate{App: "a", Returns: []ReturnEntry{{UnitID: 1, Count: 1}}, Deltas: []UnitHint{{}}}
+	if got, want := withRet.WireSize(), small.WireSize()+perEntryBytes; got != want {
+		t.Errorf("update with one return: wire size %d, want %d", got, want)
+	}
 
 	full := FullDemandSync{
 		App:    "a",
@@ -161,10 +166,9 @@ func TestWireSizesPositiveAndProportional(t *testing.T) {
 
 	msgs := []interface{ WireSize() int }{
 		RegisterApp{App: "a"},
-		GrantReturn{App: "a", Machine: 0},
 		GrantUpdate{App: "a", Changes: []UnitDelta{{UnitID: 1, Machine: 0, Delta: 1}}},
 		AgentHeartbeat{Machine: 0, Allocations: []AllocDelta{{App: 3, UnitID: 1, Count: 2}}},
-		CapacityUpdate{App: "a"},
+		CapacityDelta{Entries: []CapacityEntry{{App: 3, UnitID: 1, Count: 1}}},
 		WorkPlan{App: "a", WorkerID: "w"},
 		WorkerStatus{App: "a", WorkerID: "w"},
 	}
@@ -231,8 +235,8 @@ func TestFullDemandSyncRecycles(t *testing.T) {
 }
 
 // TestRunPayloadsWellFormed pins what a DemandUpdate or GrantUpdate receiver
-// walks by: each unit's entries one contiguous run, runs in any unit order,
-// no zero count — for unit IDs inside the check's bitmap and past it.
+// refuses: a zero count. Runs come in any unit order, and a unit may come
+// back in a later run — every receiver takes each run as it comes.
 func TestRunPayloadsWellFormed(t *testing.T) {
 	hint := func(unit, count int) UnitHint {
 		return UnitHint{UnitID: unit, LocalityHint: resource.LocalityHint{Type: resource.LocalityCluster, Count: count}}
@@ -245,14 +249,10 @@ func TestRunPayloadsWellFormed(t *testing.T) {
 		{"empty", nil, true},
 		{"one run", []UnitHint{hint(2, 3), hint(2, -1)}, true},
 		{"runs in first-request order", []UnitHint{hint(3, 1), hint(3, 2), hint(1, 4), hint(2, -2)}, true},
-		{"a unit in two runs", []UnitHint{hint(1, 1), hint(2, 1), hint(1, 1)}, false},
-		{"a unit in two runs, far apart", []UnitHint{hint(1, 1), hint(2, 1), hint(3, 1), hint(4, 1), hint(1, 2)}, false},
-		{"zero count", []UnitHint{hint(1, 1), hint(1, 0)}, false},
+		{"a unit in two runs", []UnitHint{hint(1, 1), hint(2, 1), hint(1, 1)}, true},
 		{"wide unit IDs", []UnitHint{hint(63, 1), hint(64, 1), hint(64, 2), hint(1<<40, 1), hint(-1, 1)}, true},
-		{"a wide unit in two runs", []UnitHint{hint(64, 1), hint(3, 1), hint(64, 1)}, false},
-		{"a huge unit in two runs", []UnitHint{hint(1<<40, 1), hint(2, 1), hint(1<<40, 1)}, false},
-		{"a negative unit in two runs", []UnitHint{hint(-5, 1), hint(0, 1), hint(-5, 1)}, false},
-		{"the bitmap's last unit in two runs", []UnitHint{hint(63, 1), hint(64, 1), hint(63, 1)}, false},
+		{"zero count", []UnitHint{hint(1, 1), hint(1, 0)}, false},
+		{"zero count in a later run", []UnitHint{hint(1, 1), hint(2, 1), hint(1, 0)}, false},
 	} {
 		deltas := make([]UnitDelta, len(c.hs))
 		for i, h := range c.hs {
@@ -265,6 +265,55 @@ func TestRunPayloadsWellFormed(t *testing.T) {
 		if got := gu.WellFormed(); got != c.ok {
 			t.Errorf("%s: GrantUpdate.WellFormed = %v, want %v", c.name, got, c.ok)
 		}
+	}
+}
+
+// TestDemandUpdateReturnsWellFormed: a DemandUpdate whose return gives back
+// zero or fewer containers is not WellFormed, however well-formed its demand;
+// a return the receiver cannot honour (a machine it does not know, more than
+// is held) is the receiver's to refuse, entry by entry.
+func TestDemandUpdateReturnsWellFormed(t *testing.T) {
+	ok := []UnitHint{{UnitID: 1, LocalityHint: resource.LocalityHint{Type: resource.LocalityCluster, Count: 1}}}
+	for _, c := range []struct {
+		name string
+		rs   []ReturnEntry
+		want bool
+	}{
+		{"returns only", []ReturnEntry{{UnitID: 1, Machine: 2, Count: 1}}, true},
+		{"any machine, any unit", []ReturnEntry{{UnitID: 99, Machine: -1, Count: 1 << 40}}, true},
+		{"zero return", []ReturnEntry{{UnitID: 1, Machine: 2, Count: 1}, {UnitID: 1, Machine: 3, Count: 0}}, false},
+		{"negative return", []ReturnEntry{{UnitID: 1, Machine: 2, Count: -1}}, false},
+	} {
+		for _, deltas := range [][]UnitHint{nil, ok} {
+			u := DemandUpdate{Returns: c.rs, Deltas: deltas}
+			if got := u.WellFormed(); got != c.want {
+				t.Errorf("%s, %d hints: WellFormed = %v, want %v", c.name, len(deltas), got, c.want)
+			}
+		}
+	}
+}
+
+// TestDemandUpdateRecycles: Clear leaves nothing of the last use readable but
+// keeps both payloads' capacity, and Keep's copy outlives the Clear.
+func TestDemandUpdateRecycles(t *testing.T) {
+	u := &DemandUpdate{App: "a", Seq: 4,
+		Returns: []ReturnEntry{{UnitID: 1, Machine: 2, Count: 3}},
+		Deltas:  []UnitHint{{UnitID: 1, LocalityHint: resource.LocalityHint{Type: resource.LocalityMachine, Value: "m", Count: 2}}},
+	}
+	kept := Keep(u).(DemandUpdate)
+	rs, ds := u.Returns[:1], u.Deltas[:1]
+	u.Clear()
+	if u.App != "" || u.Seq != 0 || len(u.Returns) != 0 || len(u.Deltas) != 0 {
+		t.Errorf("cleared update still carries %+v", *u)
+	}
+	if cap(u.Returns) == 0 || cap(u.Deltas) == 0 {
+		t.Error("Clear dropped the payloads' capacity")
+	}
+	if rs[0] != (ReturnEntry{}) || ds[0] != (UnitHint{}) {
+		t.Errorf("payload elements not zeroed: %+v %+v", rs[0], ds[0])
+	}
+	if kept.App != "a" || kept.Returns[0].Count != 3 || kept.Deltas[0].Value != "m" {
+		t.Errorf("Keep's copy did not survive the Clear: %+v", kept)
 	}
 }
 

@@ -27,13 +27,11 @@ const (
 	ChanReg Chan = iota
 	// ChanDem carries DemandUpdate.
 	ChanDem
-	// ChanRet carries GrantReturn / GrantReturnBatch.
-	ChanRet
 	// ChanUnreg carries UnregisterApp.
 	ChanUnreg
 	// ChanBad carries BadMachineReport.
 	ChanBad
-	// ChanCap carries CapacityUpdate / CapacityDelta.
+	// ChanCap carries CapacityDelta and CapacitySync.
 	ChanCap
 	// ChanGrant carries GrantUpdate.
 	ChanGrant
@@ -54,7 +52,7 @@ type chanMarks [numChans]uint64
 // stream — its capacity or grant stream from the logical master endpoint —
 // and keeps that mark inline (peer, peerCh, peerSeq): no table, no allocation,
 // one compare per message. A receiver that hears a second stream (the master,
-// which hears every application master on five channels) moves to a slice of
+// which hears every application master on four channels) moves to a slice of
 // marks indexed by the sender's endpoint ID, which the transport hands out
 // densely and never reuses.
 type Dedup struct {

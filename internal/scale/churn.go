@@ -128,9 +128,9 @@ func takeHold(rec *holdRec) (a *scaleApp, unit int, machine int32, n int) {
 // holdExpire is the churn cycle's second half: return the held containers
 // and restate the demand at cluster scope, keeping the cluster in its
 // saturated steady state. The application master coalesces an instant's
-// expiries: its returns and re-demands leave at the end of the instant as one
-// GrantReturnBatch followed by one DemandUpdate, and the master still applies
-// the whole round's releases before its demand phase.
+// expiries: its returns and re-demands leave at the end of the instant in one
+// DemandUpdate, and the master still applies the whole round's releases
+// before its demand phase.
 func holdExpire(x any) {
 	app, unit, mc, n := takeHold(x.(*holdRec))
 	if n <= 0 {

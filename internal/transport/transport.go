@@ -34,9 +34,9 @@
 // reordering (the dedup/gap machinery in internal/protocol does).
 //
 // Message lifetime: a message that implements Recycled — a pointer to one of
-// the protocol's eleven pooled types (RegisterApp, DemandUpdate,
-// GrantReturnBatch, GrantUpdate, UnregisterApp, UnregisterAck, CapacityDelta,
-// JobAdmit, JobAdmitAck, FullDemandSync, AgentHeartbeat), drawn with Acquire —
+// the protocol's ten pooled types (RegisterApp, DemandUpdate, GrantUpdate,
+// UnregisterApp, UnregisterAck, CapacityDelta, JobAdmit, JobAdmitAck,
+// FullDemandSync, AgentHeartbeat), drawn with Acquire —
 // belongs to the network from the moment it is sent. It and its payload slices
 // are valid until the receiving handler returns; then the network clears it
 // (header fields and every payload element zeroed, payloads truncated with
