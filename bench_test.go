@@ -450,7 +450,8 @@ func BenchmarkAblationBatchedRequests(b *testing.B) {
 			c.Run(2 * sim.Millisecond)
 		}
 		c.Run(sim.Second)
-		return float64(c.Metrics.Histogram("master.sched_ms").Count())
+		passes, _, _ := c.Masters[0].SchedStats()
+		return float64(passes)
 	}
 	var batched, unbatched float64
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,6 @@
 // Package core wires the Fuxi components — hot-standby FuxiMaster pair,
 // one FuxiAgent per machine, the simulated network, lock service, Pangu DFS,
-// submission gateway, fault injector and metrics — into a Cluster, the
+// submission gateway and fault injector — into a Cluster, the
 // library's main entry point. NewCluster is the only assembler: examples,
 // experiment drivers, benchmarks and the paper-scale harness (internal/scale)
 // all build on it.
@@ -15,7 +15,6 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/lockservice"
 	"repro/internal/master"
-	"repro/internal/metrics"
 	"repro/internal/pangu"
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -59,13 +58,12 @@ type Config struct {
 
 // Cluster is a fully wired simulated Fuxi deployment.
 type Cluster struct {
-	Eng     *sim.Engine
-	Net     *transport.Net
-	Top     *topology.Topology
-	Lock    *lockservice.Service
-	Ckpt    *master.CheckpointStore
-	FS      *pangu.FS
-	Metrics *metrics.Registry
+	Eng  *sim.Engine
+	Net  *transport.Net
+	Top  *topology.Topology
+	Lock *lockservice.Service
+	Ckpt *master.CheckpointStore
+	FS   *pangu.FS
 
 	// Masters holds the hot-standby pair (index 1 nil unless Standby).
 	Masters [2]*master.Master
@@ -119,15 +117,14 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	net.DupRate = cfg.DupRate
 
 	c := &Cluster{
-		Eng:     eng,
-		Net:     net,
-		Top:     top,
-		Lock:    lockservice.New(eng),
-		Ckpt:    master.NewCheckpointStore(),
-		FS:      pangu.New(top, eng.Rand()),
-		Metrics: metrics.NewRegistry(),
-		Agents:  make([]*agent.Agent, 0, top.Size()),
-		Faults:  faults.NewInjector(eng, net, top.Size()),
+		Eng:    eng,
+		Net:    net,
+		Top:    top,
+		Lock:   lockservice.New(eng),
+		Ckpt:   master.NewCheckpointStore(),
+		FS:     pangu.New(top, eng.Rand()),
+		Agents: make([]*agent.Agent, 0, top.Size()),
+		Faults: faults.NewInjector(eng, net, top.Size()),
 	}
 
 	if cfg.Gateway != nil {
@@ -156,7 +153,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if mi.LockReachable == nil {
 			mi.LockReachable = func() bool { return c.Faults.LockReachable(i) }
 		}
-		c.Masters[i] = master.NewMaster(mi, eng, net, c.Lock, top, c.Ckpt, c.Metrics)
+		c.Masters[i] = master.NewMaster(mi, eng, net, c.Lock, top, c.Ckpt)
 	}
 	newMaster(0, "fm-1")
 	if cfg.Standby {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/graysort"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -52,20 +51,19 @@ func DefaultSyntheticOptions() SyntheticOptions {
 // SyntheticResult carries everything Figures 9/10 and Table 2 report.
 type SyntheticResult struct {
 	// Fig 9: per-request scheduling time (real wall time of the real
-	// scheduler), milliseconds.
+	// scheduler), milliseconds: the mean and the peak the paper reports, over
+	// SchedCount scheduling passes.
 	SchedMeanMS float64
-	SchedP99MS  float64
 	SchedMaxMS  float64
 	SchedCount  int
 
-	// Fig 10 series (fractions of FM_total, steady state).
+	// Fig 10 (fractions of FM_total, steady state).
 	MemPlannedFrac  float64
 	MemObtainedFrac float64
 	MemFAFrac       float64
 	CPUPlannedFrac  float64
 	CPUObtainedFrac float64
 	CPUFAFrac       float64
-	Series          *metrics.Registry
 
 	// Table 2 rows (seconds).
 	AvgJobRunSec        float64
@@ -102,7 +100,7 @@ func RunSynthetic(opt SyntheticOptions) (*SyntheticResult, error) {
 	// cluster.
 	gen.MaxWorkersPerTask = 2 * opt.Racks * opt.MachinesPerRack
 
-	res := &SyntheticResult{Series: c.Metrics}
+	res := &SyntheticResult{}
 	live := make(map[string]*core.JobHandle)
 	jobSeq := 0
 	var jmStartTotal, jobRunTotal float64
@@ -145,56 +143,59 @@ func RunSynthetic(opt SyntheticOptions) (*SyntheticResult, error) {
 		submit()
 	}
 
-	// Utilization sampling.
-	sampleEvery := sim.Time(opt.SampleEverySec) * sim.Second
-	c.Eng.Every(sampleEvery, func() {
-		now := c.Eng.Now()
-		total := c.FMTotal()
-		planned := c.FMPlanned()
+	// Utilization sampling. Warm-up covers JobMaster starts plus the first
+	// wave of worker downloads; from its end on, every sample adds FM_total,
+	// FM_planned, AM_obtained and FA_planned, per dimension, to a running sum
+	// in sample order.
+	warmup := 60 * sim.Second
+	dims := [2]string{resource.Memory, resource.CPU}
+	var sums [4][2]float64
+	samples := 0
+	c.Eng.Every(sim.Time(opt.SampleEverySec)*sim.Second, func() {
+		if c.Eng.Now() < warmup {
+			return
+		}
 		var obtained resource.Vector
 		for _, h := range live {
 			if h.JM != nil {
 				obtained = obtained.Add(h.JM.AM().ObtainedTotal())
 			}
 		}
-		fa := c.FAPlanned()
-		rec := func(name, dim string, v resource.Vector) {
-			c.Metrics.Series(name+"."+dim).Record(now, float64(v.Get(dim)))
+		for s, v := range [4]resource.Vector{c.FMTotal(), c.FMPlanned(), obtained, c.FAPlanned()} {
+			for d, dim := range dims {
+				sums[s][d] += float64(v.Get(dim))
+			}
 		}
-		for _, dim := range []string{resource.Memory, resource.CPU} {
-			rec("fm_total", dim, total)
-			rec("fm_planned", dim, planned)
-			rec("am_obtained", dim, obtained)
-			rec("fa_planned", dim, fa)
-		}
+		samples++
 	})
-
-	// Warm-up covers JobMaster starts plus the first wave of worker
-	// downloads before steady-state sampling begins.
-	warmup := 60 * sim.Second
 	c.Run(warmup + sim.Time(opt.DurationSimSec)*sim.Second)
 
-	// Fig 9 numbers from the master's real-time histogram.
-	sched := c.Metrics.Histogram("master.sched_ms")
-	res.SchedMeanMS = sched.Mean()
-	res.SchedP99MS = sched.Quantile(0.99)
-	res.SchedMaxMS = sched.Max()
-	res.SchedCount = sched.Count()
+	// Fig 9 from the masters' scheduling-pass counters (the standby's are
+	// zero unless it was promoted).
+	var passes int
+	var totalNS, maxNS int64
+	for _, m := range c.Masters {
+		if m != nil {
+			p, tot, peak := m.SchedStats()
+			passes, totalNS, maxNS = passes+p, totalNS+tot, max(maxNS, peak)
+		}
+	}
+	res.SchedCount = passes
+	if passes > 0 {
+		res.SchedMeanMS = float64(totalNS) / float64(passes) / 1e6
+	}
+	res.SchedMaxMS = float64(maxNS) / 1e6
 
-	// Fig 10 steady-state fractions.
-	frac := func(name, dim string) float64 {
-		t := c.Metrics.Series("fm_total." + dim).MeanAfter(warmup)
-		if t == 0 {
+	// Fig 10 steady-state fractions: each series' mean over FM_total's.
+	frac := func(s, d int) float64 {
+		if sums[0][d] == 0 {
 			return 0
 		}
-		return c.Metrics.Series(name+"."+dim).MeanAfter(warmup) / t
+		return (sums[s][d] / float64(samples)) / (sums[0][d] / float64(samples))
 	}
-	res.MemPlannedFrac = frac("fm_planned", resource.Memory)
-	res.MemObtainedFrac = frac("am_obtained", resource.Memory)
-	res.MemFAFrac = frac("fa_planned", resource.Memory)
-	res.CPUPlannedFrac = frac("fm_planned", resource.CPU)
-	res.CPUObtainedFrac = frac("am_obtained", resource.CPU)
-	res.CPUFAFrac = frac("fa_planned", resource.CPU)
+	res.MemPlannedFrac, res.CPUPlannedFrac = frac(1, 0), frac(1, 1)
+	res.MemObtainedFrac, res.CPUObtainedFrac = frac(2, 0), frac(2, 1)
+	res.MemFAFrac, res.CPUFAFrac = frac(3, 0), frac(3, 1)
 
 	if res.CompletedJobs > 0 {
 		res.AvgJobRunSec = jobRunTotal / float64(res.CompletedJobs)
@@ -210,7 +211,7 @@ func RunSynthetic(opt SyntheticOptions) (*SyntheticResult, error) {
 // PrintFig9 renders the Figure 9 summary.
 func (r *SyntheticResult) PrintFig9(w io.Writer) {
 	fmt.Fprintf(w, "Figure 9 — FuxiMaster request scheduling time (%d requests)\n", r.SchedCount)
-	fmt.Fprintf(w, "  mean %.3f ms   p99 %.3f ms   max %.3f ms\n", r.SchedMeanMS, r.SchedP99MS, r.SchedMaxMS)
+	fmt.Fprintf(w, "  mean %.3f ms   peak %.3f ms\n", r.SchedMeanMS, r.SchedMaxMS)
 	fmt.Fprintf(w, "  paper: mean 0.88 ms, peak < 3 ms\n")
 }
 

@@ -39,7 +39,7 @@ import (
 	"sort"
 
 	"repro/internal/ident"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -312,7 +312,7 @@ type Gateway struct {
 	seq     protocol.Sequencer
 	epoch   int // highest master election epoch observed
 
-	admLat *metrics.Histogram
+	admLat obs.Dist
 
 	// Streaming tallies; CheckConservation recomputes them from the state
 	// column and flags any drift.
@@ -367,12 +367,11 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net) *Gateway {
 		cfg.RetryEvery = def.RetryEvery
 	}
 	g := &Gateway{
-		cfg:    cfg,
-		eng:    eng,
-		net:    net,
-		jobs:   make(map[string]int32),
-		admLat: metrics.NewHistogram("gateway.admission_ms"),
-		hash:   fnvOffset,
+		cfg:  cfg,
+		eng:  eng,
+		net:  net,
+		jobs: make(map[string]int32),
+		hash: fnvOffset,
 	}
 	g.epID = net.Register(protocol.GatewayEndpoint, g.handle)
 	g.masterID = net.Endpoint(protocol.MasterEndpoint)
@@ -806,7 +805,7 @@ type Stats struct {
 // parts per thousand, integer-accumulated so the index is order-independent
 // and deterministic).
 func (g *Gateway) Snapshot() *Stats {
-	var jain [NumClasses]metrics.Jain
+	var fair [NumClasses]jain
 	var tenants [NumClasses]int
 	for i := range g.tenants {
 		tn := &g.tenants[i]
@@ -814,7 +813,7 @@ func (g *Gateway) Snapshot() *Stats {
 			continue
 		}
 		tenants[tn.class]++
-		jain[tn.class].Add(int64(tn.admitted) * 1000 / int64(tn.submitted))
+		fair[tn.class].add(int64(tn.admitted) * 1000 / int64(tn.submitted))
 	}
 	class := func(c Class) ClassStats {
 		return ClassStats{
@@ -826,7 +825,7 @@ func (g *Gateway) Snapshot() *Stats {
 			ShedRateLimit:   g.cShed[c][0],
 			ShedTenantQueue: g.cShed[c][1],
 			ShedBacklog:     g.cShed[c][2],
-			JainFairness:    jain[c].Index(),
+			JainFairness:    fair[c].index(),
 		}
 	}
 	s := &Stats{

@@ -342,7 +342,7 @@ func TestAppHearsOneGrantUpdatePerStep(t *testing.T) {
 		w := &world{eng: eng, net: transport.NewNet(eng)}
 		cfg := DefaultConfig("fm-1")
 		cfg.BatchWindow = batch
-		w.m = NewMaster(cfg, eng, w.net, lockservice.New(eng), testTop(t, 2, 3), NewCheckpointStore(), nil)
+		w.m = NewMaster(cfg, eng, w.net, lockservice.New(eng), testTop(t, 2, 3), NewCheckpointStore())
 		eng.Run(10 * sim.Millisecond)
 		w.net.Register("w", func(_ tr, msg transport.Message) {
 			if gu, ok := protocol.Keep(msg).(protocol.GrantUpdate); ok {

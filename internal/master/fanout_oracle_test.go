@@ -236,7 +236,7 @@ func newFanoutWorld(t *testing.T, batch sim.Time, legacy bool) *fanoutWorld {
 	cfg := DefaultConfig("fm-1")
 	cfg.BatchWindow = batch
 	cfg.Sched = Options{EnablePreemption: true, Groups: map[string]resource.Vector{"A": half, "B": half}}
-	w.m = NewMaster(cfg, eng, w.net, lockservice.New(eng), top, NewCheckpointStore(), nil)
+	w.m = NewMaster(cfg, eng, w.net, lockservice.New(eng), top, NewCheckpointStore())
 	w.caps = make([][]capMsg, top.Size())
 	for id := int32(0); id < int32(top.Size()); id++ {
 		w.net.Register(protocol.AgentEndpoint(top.MachineName(id)), func(_ tr, msg transport.Message) {
@@ -463,7 +463,7 @@ func TestReturnAndRegrantShareOneCapacityDelta(t *testing.T) {
 			top := testTop(t, 1, 1)
 			cfg := DefaultConfig("fm-1")
 			cfg.BatchWindow = tc.batch
-			m := NewMaster(cfg, eng, net, lockservice.New(eng), top, NewCheckpointStore(), nil)
+			m := NewMaster(cfg, eng, net, lockservice.New(eng), top, NewCheckpointStore())
 			var caps []capMsg
 			net.Register(protocol.AgentEndpoint(top.MachineName(0)), func(_ tr, msg transport.Message) {
 				if cd, ok := msg.(*protocol.CapacityDelta); ok {

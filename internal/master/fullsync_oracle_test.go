@@ -202,7 +202,7 @@ func newSyncWorld(t *testing.T, cfg Config, legacy bool) *syncWorld {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	w := &syncWorld{eng: eng, net: transport.NewNet(eng), legacy: legacy}
-	w.m = NewMaster(cfg, eng, w.net, lockservice.New(eng), testTop(t, 3, 4), NewCheckpointStore(), nil)
+	w.m = NewMaster(cfg, eng, w.net, lockservice.New(eng), testTop(t, 3, 4), NewCheckpointStore())
 	eng.Run(10 * sim.Millisecond)
 	for _, a := range syncApps {
 		w.net.Register(a.name, func(_ tr, msg transport.Message) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/lockservice"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -173,8 +172,11 @@ type Master struct {
 	lock *lockservice.Service
 	top  *topology.Topology
 	ckpt *CheckpointStore
-	// schedMS is master.sched_ms, the wall time of each scheduling pass.
-	schedMS *metrics.Histogram
+	// schedPasses counts the scheduling passes — immediate demand updates and
+	// batched rounds — this process ran, schedNS and schedMaxNS their total
+	// and largest wall time (paper Figure 9; see SchedStats).
+	schedPasses         int
+	schedNS, schedMaxNS int64
 
 	sched      *Scheduler
 	primary    bool
@@ -307,14 +309,10 @@ type unregRec struct {
 // lock service. The master starts in standby and competes for the lock
 // immediately.
 func NewMaster(cfg Config, eng *sim.Engine, net *transport.Net, lock *lockservice.Service,
-	top *topology.Topology, ckpt *CheckpointStore, reg *metrics.Registry) *Master {
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	top *topology.Topology, ckpt *CheckpointStore) *Master {
 	n := top.Size()
 	m := &Master{
 		cfg: cfg, eng: eng, net: net, lock: lock, top: top, ckpt: ckpt,
-		schedMS:   reg.Histogram("master.sched_ms"),
 		lastBeat:  make([]sim.Time, n),
 		strikes:   make([]int, n),
 		flap:      make([]int, n),
@@ -334,7 +332,18 @@ func NewMaster(cfg Config, eng *sim.Engine, net *transport.Net, lock *lockservic
 // schedTook records one scheduling pass — a demand update or a round — that
 // began at start.
 func (m *Master) schedTook(start time.Time) {
-	m.schedMS.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+	ns := time.Since(start).Nanoseconds()
+	m.schedPasses++
+	m.schedNS += ns
+	m.schedMaxNS = max(m.schedMaxNS, ns)
+}
+
+// SchedStats returns the scheduling passes this process has run — one per
+// immediate demand update, one per batched round — and their total and
+// largest wall time in nanoseconds: the paper's Figure 9 (scheduling time
+// per request), and how many scheduler invocations batching saved.
+func (m *Master) SchedStats() (passes int, totalNS, maxNS int64) {
+	return m.schedPasses, m.schedNS, m.schedMaxNS
 }
 
 // registerApp registers an application with the scheduler and binds it to

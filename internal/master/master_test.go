@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/lockservice"
-	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -21,7 +20,6 @@ type masterHarness struct {
 	net   *transport.Net
 	lock  *lockservice.Service
 	ckpt  *CheckpointStore
-	reg   *metrics.Registry
 	top   *topology.Topology
 	m1    *Master
 	toApp []transport.Message
@@ -36,10 +34,9 @@ func newMasterHarness(t *testing.T, cfg Config) *masterHarness {
 		net:  transport.NewNet(eng),
 		lock: lockservice.New(eng),
 		ckpt: NewCheckpointStore(),
-		reg:  metrics.NewRegistry(),
 	}
 	h.top = testTop(t, 2, 2)
-	h.m1 = NewMaster(cfg, eng, h.net, h.lock, h.top, h.ckpt, h.reg)
+	h.m1 = NewMaster(cfg, eng, h.net, h.lock, h.top, h.ckpt)
 	h.net.Register("app1", func(_ transport.EndpointID, m transport.Message) {
 		h.toApp = append(h.toApp, protocol.Keep(m)) // pooled messages end with the handler
 	})
@@ -83,8 +80,8 @@ func TestUnregisterBufferedDuringRecovery(t *testing.T) {
 	lock := lockservice.New(eng)
 	ckpt := NewCheckpointStore()
 	top := testTop(t, 2, 2)
-	m1 := NewMaster(DefaultConfig("fm-1"), eng, net, lock, top, ckpt, nil)
-	m2 := NewMaster(DefaultConfig("fm-2"), eng, net, lock, top, ckpt, nil)
+	m1 := NewMaster(DefaultConfig("fm-1"), eng, net, lock, top, ckpt)
+	m2 := NewMaster(DefaultConfig("fm-2"), eng, net, lock, top, ckpt)
 
 	// Scripted agent endpoints record every capacity change; no automatic
 	// heartbeats, so the test controls exactly when restore reports land.
@@ -191,8 +188,8 @@ func TestMasterBatchWindowMergesDemand(t *testing.T) {
 	}
 	h.eng.Run(h.eng.Now() + sim.Second)
 	// One merged scheduling pass, all 20 granted.
-	if calls := h.reg.Histogram("master.sched_ms").Count(); calls != 1 {
-		t.Errorf("scheduler invocations = %d, want 1 (merged)", calls)
+	if calls, total, peak := h.m1.SchedStats(); calls != 1 || peak != total {
+		t.Errorf("scheduler invocations = %d (total %d ns, largest %d ns), want 1 (merged)", calls, total, peak)
 	}
 	if held := h.m1.Scheduler().Held("app1", 1); held != 20 {
 		t.Errorf("held = %d, want 20", held)
@@ -233,7 +230,7 @@ func TestMasterBatchWindowCoalescesReturns(t *testing.T) {
 	if waiting := h.m1.Scheduler().Waiting("app2", 1); waiting != 20 {
 		t.Fatalf("app2 waiting = %d, want 20", waiting)
 	}
-	h.reg.Histogram("master.sched_ms").Reset()
+	before, _, _ := h.m1.SchedStats()
 
 	// One update returns 5 containers on each of 4 machines.
 	granted := h.m1.Scheduler().Granted("app1", 1)
@@ -255,8 +252,8 @@ func TestMasterBatchWindowCoalescesReturns(t *testing.T) {
 	if held := h.m1.Scheduler().Held("app2", 1); held != 20 {
 		t.Errorf("app2 held = %d after round, want 20 (freed capacity reassigned)", held)
 	}
-	if calls := h.reg.Histogram("master.sched_ms").Count(); calls != 1 {
-		t.Errorf("scheduler invocations = %d, want 1 (one round)", calls)
+	if calls, _, _ := h.m1.SchedStats(); calls-before != 1 {
+		t.Errorf("scheduler invocations = %d, want 1 (one round)", calls-before)
 	}
 }
 

@@ -37,8 +37,8 @@ func newRecoveryWorld(t *testing.T, silentMachine int32, silentApp bool) *recove
 		c.OnRecovered = func(int, int) { w.recoveries, w.recovered = w.recoveries+1, eng.Now() }
 		return c
 	}
-	primary := NewMaster(cfg("fm-1"), eng, w.net, lock, top, ckpt, nil)
-	NewMaster(cfg("fm-2"), eng, w.net, lock, top, ckpt, nil)
+	primary := NewMaster(cfg("fm-1"), eng, w.net, lock, top, ckpt)
+	NewMaster(cfg("fm-2"), eng, w.net, lock, top, ckpt)
 	for id := int32(0); id < int32(top.Size()); id++ {
 		var seq protocol.Sequencer
 		ep := protocol.AgentEndpoint(top.MachineName(id))

@@ -36,8 +36,8 @@ func newSplitBrainPair(t *testing.T) *splitBrainPair {
 	cfgB := DefaultConfig("fm-b")
 	cfgB.LockReachable = func() bool { return p.bReach }
 	p.lockName, p.ttl, p.renew = cfgA.LockName, cfgA.LockTTL, cfgA.RenewEvery
-	p.mA = NewMaster(cfgA, p.eng, net, p.lock, p.top, ckpt, nil)
-	p.mB = NewMaster(cfgB, p.eng, net, p.lock, p.top, ckpt, nil)
+	p.mA = NewMaster(cfgA, p.eng, net, p.lock, p.top, ckpt)
+	p.mB = NewMaster(cfgB, p.eng, net, p.lock, p.top, ckpt)
 	return p
 }
 

@@ -150,7 +150,7 @@ func runSyncScript(t *testing.T, data []byte) {
 	if s.next()&1 == 1 {
 		cfg.BatchWindow = 20 * sim.Millisecond
 	}
-	m := NewMaster(cfg, eng, net, lockservice.New(eng), top, NewCheckpointStore(), nil)
+	m := NewMaster(cfg, eng, net, lockservice.New(eng), top, NewCheckpointStore())
 	eng.Run(10 * sim.Millisecond)
 	apps := syncApps
 	seqs := make([]protocol.Sequencer, len(apps))

@@ -29,6 +29,11 @@
 //     interrogate a run while it is live instead of post-processing a
 //     benchmark file after the fact.
 //
+//   - Dist is the exact distribution every run-level percentile comes from
+//     (demand-to-grant, admission, recovery, convergence, makespan, query
+//     latency): all samples kept, the same nearest-rank rule as a windowed
+//     query, and a mean that no quantile read can reorder.
+//
 // Values are int64 throughout: gauges store the sampled level, monotone
 // counters store the cumulative count (consumers diff across the window).
 // All methods must be called from the simulation goroutine.

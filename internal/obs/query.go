@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -58,7 +58,7 @@ func (s *Store) Aggregate(id SeriesID, from, to sim.Time) (Agg, bool) {
 	}
 	// Nearest-rank quantiles over the window; the scratch sort is the only
 	// O(n log n) step and reuses the store-owned buffer.
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf)
 	a.P50 = buf[nearestRank(len(buf), 0.50)]
 	a.P99 = buf[nearestRank(len(buf), 0.99)]
 	return a, true

@@ -30,6 +30,22 @@ func TestQuantilesNearestRank(t *testing.T) {
 	}
 }
 
+// TestAggregateAllocatesNothing pins the read path's allocation budget: on a
+// warm store (the quantile scratch already grown) a windowed aggregate sorts
+// in place and allocates nothing.
+func TestAggregateAllocatesNothing(t *testing.T) {
+	s := NewStore(64)
+	id := s.Register("m", "")
+	for i := 1; i <= 100; i++ {
+		s.Advance(sim.Time(i) * sim.Millisecond)
+		s.Set(id, int64(i*7919%101))
+	}
+	s.Aggregate(id, 0, 0) // warm
+	if n := testing.AllocsPerRun(100, func() { s.Aggregate(id, 0, 0) }); n != 0 {
+		t.Fatalf("Aggregate allocates %v times per call on a warm store", n)
+	}
+}
+
 func TestGroupByReturnsEverySeriesOfMetric(t *testing.T) {
 	s := NewStore(16)
 	r0 := s.Register("rack.free", "r0")

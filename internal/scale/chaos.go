@@ -21,7 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -98,14 +98,13 @@ type chaosProbe struct {
 	lost        uint64
 	reissued    uint64
 
-	conv *metrics.Histogram
+	conv obs.Dist
 }
 
 func newChaosProbe(h *harness) *chaosProbe {
 	return &chaosProbe{
 		h:    h,
 		frng: rand.New(rand.NewSource(h.cfg.Seed + 5)),
-		conv: metrics.NewHistogram("scale.chaos_convergence_ms"),
 	}
 }
 

@@ -40,7 +40,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/graysort"
 	"repro/internal/job"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/pangu"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -182,7 +182,7 @@ type dataplaneLoad struct {
 	byID      map[string]*dpJob
 	units     int
 
-	makespan *metrics.Histogram
+	makespan obs.Dist
 
 	locMachine, locRack, locRemote uint64
 	shuffledMB, localMB            float64
@@ -235,7 +235,6 @@ func newDataplaneLoad(h *harness) *dataplaneLoad {
 	return &dataplaneLoad{
 		wholeRun: wholeRun{h},
 		byID:     make(map[string]*dpJob),
-		makespan: metrics.NewHistogram("scale.dp_makespan_ms"),
 	}
 }
 

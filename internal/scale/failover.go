@@ -5,7 +5,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/faults"
 	"repro/internal/master"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -17,8 +17,8 @@ type failoverProbe struct {
 	idleProbe
 	h *harness
 
-	recovery   *metrics.Histogram
-	schedPause *metrics.Histogram
+	recovery   obs.Dist
+	schedPause obs.Dist
 	// crashAt is the last crash instant; pauseAt arms the scheduling-pause
 	// measurement (cleared by the first grant arriving more than 1ms after
 	// the crash, which excludes the dead master's in-flight deliveries).
@@ -32,11 +32,7 @@ type failoverProbe struct {
 }
 
 func newFailoverProbe(h *harness) *failoverProbe {
-	return &failoverProbe{
-		h:          h,
-		recovery:   metrics.NewHistogram("scale.master_recovery_ms"),
-		schedPause: metrics.NewHistogram("scale.sched_pause_ms"),
-	}
+	return &failoverProbe{h: h}
 }
 
 // need asks for a hot standby that reports its recoveries here.

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -113,7 +112,7 @@ type obsProbe struct {
 	responses    int
 	queryResults int
 	checksum     uint64
-	qlat         *metrics.Histogram // wall-clock server ns per query, in µs
+	qlat         obs.Dist // wall-clock server ns per query, in µs
 }
 
 func newObsProbe(h *harness) *obsProbe {
@@ -125,7 +124,6 @@ func newObsProbe(h *harness) *obsProbe {
 		h:        h,
 		store:    obs.NewStore(retain),
 		checksum: fnvOffset,
-		qlat:     metrics.NewHistogram("scale.obs_query_us"),
 	}
 	o.grantsID = o.store.Register("churn.grants", "")
 	o.revokesID = o.store.Register("churn.revokes", "")

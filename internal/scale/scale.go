@@ -36,7 +36,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/invariant"
 	"repro/internal/master"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -473,7 +473,7 @@ type harness struct {
 	appsDone int
 	rng      *rand.Rand
 
-	latency *metrics.Histogram
+	latency obs.Dist
 	// slowest is the grant behind the latency maximum, kept beside it.
 	slowest   slowGrant
 	grants    uint64
@@ -560,9 +560,8 @@ func newHarness(cfg Config) (*harness, error) {
 		return nil, err
 	}
 	h := &harness{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
-		latency: metrics.NewHistogram("scale.demand_to_grant_ms"),
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
 	if cfg.RecordDecisionHash {
 		h.decHash = fnvOffset

@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/gateway"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/sim"
 )
@@ -328,7 +328,7 @@ func launchFailed(x any) {
 type classLedger struct {
 	slo            [gateway.NumClasses]float64
 	jobs           [gateway.NumClasses]int
-	admission, d2g [gateway.NumClasses]*metrics.Histogram
+	admission, d2g [gateway.NumClasses]obs.Dist
 	d2gN, d2gOK    [gateway.NumClasses]int
 	grants         [gateway.NumClasses]uint64
 	revokes        [gateway.NumClasses]uint64
@@ -337,10 +337,6 @@ type classLedger struct {
 func newClassLedger(cfg Config) *classLedger {
 	l := &classLedger{}
 	l.slo[gateway.ClassService], l.slo[gateway.ClassBatch] = cfg.ServiceSLOMS, cfg.BatchSLOMS
-	for cl := range l.admission {
-		l.admission[cl] = metrics.NewHistogram("scale.admission_ms")
-		l.d2g[cl] = metrics.NewHistogram("scale.d2g_ms")
-	}
 	return l
 }
 
@@ -368,7 +364,7 @@ type ClassStats struct {
 }
 
 func (l *classLedger) stats(c gateway.Class) ClassStats {
-	adm, d2g := l.admission[c], l.d2g[c]
+	adm, d2g := &l.admission[c], &l.d2g[c]
 	cs := ClassStats{
 		Jobs:               l.jobs[c],
 		AdmissionP50MS:     adm.Quantile(0.5),
