@@ -123,6 +123,9 @@ type AM struct {
 	// apiece.
 	units []unitLedger
 	unit0 [1]unitLedger
+	// slab gives the ledgers' tables their first cells, two tables a unit,
+	// so a forty-unit job's books cost a few chunks, not eighty allocations.
+	slab dense.Slab[int]
 	// ext names requested locality targets outside the topology.
 	ext topology.Overflow
 	// workers tracks every worker this application asked agents to run
@@ -239,6 +242,7 @@ func (a *AM) ledger(ui int) *unitLedger {
 		} else {
 			a.units = make([]unitLedger, n)
 		}
+		a.slab.Expect(2 * len(a.units))
 	}
 	return &a.units[ui]
 }
@@ -299,7 +303,7 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 	deltas := hints
 	if clean {
 		for _, h := range hints {
-			*out.Put(a.hintKey(h)) += h.Count
+			*out.PutFrom(&a.slab, a.hintKey(h)) += h.Count
 		}
 		if len(deltas) == 0 {
 			return
@@ -322,7 +326,7 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 			if n == 0 {
 				out.Delete(k)
 			} else {
-				*out.Put(k) = n
+				*out.PutFrom(&a.slab, k) = n
 			}
 			valid = append(valid, h)
 		}
@@ -790,7 +794,7 @@ func (a *AM) applyGrant(t *protocol.GrantUpdate) {
 		for _, ch := range run {
 			k := machineKey(ch.Machine)
 			if ch.Delta > 0 {
-				*l.held.Put(k) += ch.Delta
+				*l.held.PutFrom(&a.slab, k) += ch.Delta
 				a.grantLevel = a.consumeOutstanding(l, ch.Machine, ch.Delta)
 				a.cb.OnGrant(unitID, ch.Machine, ch.Delta)
 			} else if ch.Delta < 0 {

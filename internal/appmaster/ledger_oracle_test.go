@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/dense"
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -589,6 +590,34 @@ func TestGrantCycleAllocatesOnlyItsMessages(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, step); n != 0 {
 		t.Fatalf("grant cycle allocates %v times, want 0", n)
+	}
+}
+
+// TestWideAppBooksCostChunks: a forty-unit application master's books — each
+// unit's outstanding demand and held containers, from its first Request and
+// its first grant — cost the ledger slice and ten chunks of the AM's slab,
+// not two tables a unit. Each turn starts the books afresh.
+func TestWideAppBooksCostChunks(t *testing.T) {
+	_, _, ams, _ := churnAMs(t, 1)
+	am := ams[0]
+	grant := &protocol.GrantUpdate{}
+	for u := range am.cfg.Units {
+		grant.Changes = append(grant.Changes, protocol.UnitDelta{UnitID: u + 1, Machine: int32(u), Delta: 2})
+	}
+	turn := func() {
+		am.units, am.slab = nil, dense.Slab[int]{}
+		for u := range am.cfg.Units {
+			am.Request(u+1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3})
+		}
+		am.applyGrant(grant)
+		am.drop()
+		if am.Held(40, 39) != 2 || am.Outstanding(40) != 1 {
+			t.Fatal("the grant was not booked against the demand")
+		}
+	}
+	turn()
+	if n := testing.AllocsPerRun(20, turn); n > 1+10 {
+		t.Fatalf("a forty-unit AM's books cost %v allocations, want at most 11", n)
 	}
 }
 

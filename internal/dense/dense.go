@@ -72,7 +72,8 @@ func (m *Map[V]) Index(k uint64) int {
 
 // firstCap is a table's first allocation: four 16-byte cells, one cache line.
 // Most tables never outgrow it (a unit on three machines, demand at a machine
-// and the cluster), so most tables are allocated exactly once.
+// and the cluster), so most tables are allocated exactly once — or, drawn
+// from a Slab, not at all.
 const firstCap = 4
 
 // Put returns a pointer to k's value, inserting the zero V first when k is
@@ -91,6 +92,16 @@ func (m *Map[V]) Put(k uint64) *V {
 		m.cells[i] = Cell[V]{Key: k}
 	}
 	return &m.cells[i].Val
+}
+
+// PutFrom is Put for a table whose owner keeps a Slab: an empty table that
+// owns no storage yet takes its first cells from s instead of allocating
+// them. A nil s is plain Put.
+func (m *Map[V]) PutFrom(s *Slab[V], k uint64) *V {
+	if cap(m.cells) == 0 && s != nil {
+		m.cells = s.window()
+	}
+	return m.Put(k)
 }
 
 // Delete removes k; absent keys are ignored.

@@ -610,7 +610,11 @@ func (t *localityTree) add(key waitKey, priority int, level resource.LocalityTyp
 		}
 		t.seq++
 		e = &waitEntry{key: key, priority: priority, seq: t.seq, level: level, node: node, enqueuedAt: now, st: st, u: u}
-		*t.growEntries(key, st).Put(nodeKey(level, node)) = e
+		var slab *dense.Slab[*waitEntry]
+		if st != nil {
+			slab = &st.waits
+		}
+		*t.growEntries(key, st).PutFrom(slab, nodeKey(level, node)) = e
 	}
 	if e.count == 0 && delta > 0 {
 		e.enqueuedAt = now // waiting clock restarts after a zero crossing

@@ -144,6 +144,11 @@ type appState struct {
 	// slice for all their units.
 	unitArr []unitState
 	unit0   [1]unitState
+	// books and waits give the units' tables — each unit's granted ledger and
+	// its entry table in the locality tree — their first cells, so a wide app
+	// pays a few chunks for them instead of an allocation per unit.
+	books dense.Slab[int]
+	waits dense.Slab[*waitEntry]
 	// ep is the application master's transport endpoint ID — where its grants
 	// go, and the app's identity in capacity and heartbeat messages. The
 	// Master wrapper sets it at registration (transport.None in a bare
@@ -258,6 +263,8 @@ type Scheduler struct {
 
 	// preempted counts units revoked by quota preemption (obs time-series).
 	preempted int64
+	// clusterProbes counts the machines cluster-scope placement looked at.
+	clusterProbes int64
 
 	// asg is the reusable assignment walk state: binding the
 	// candidate callback to a long-lived struct keeps the per-machine sweep
@@ -370,6 +377,8 @@ func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit
 	for i := range st.unitArr {
 		st.unitArr[i].idx = int32(i)
 	}
+	st.books.Expect(len(st.unitArr))
+	st.waits.Expect(len(st.unitArr))
 	s.apps[app] = st
 	for int(id) >= len(s.appByID) {
 		s.appByID = append(s.appByID, nil)
@@ -679,7 +688,7 @@ func (s *Scheduler) credit(st *appState, u *unitState, machine int32, k int) {
 	s.adjustFree(machine, u.def.Size, -int64(k))
 	// The ledger keeps no zero rows, so the unit is new to the machine
 	// exactly when its row holds just this grant.
-	n := u.granted.Put(uint64(machine))
+	n := u.granted.PutFrom(&st.books, uint64(machine))
 	*n += k
 	s.grants.add(machine, st.id, u.idx, k, *n == k)
 	u.held += k
@@ -814,18 +823,18 @@ func (s *Scheduler) placeImmediate(st *appState, u *unitState, level resource.Lo
 				break
 			}
 			before := granted
-			skipRack := int32(-1)
-			for i := 0; i < n && granted < want; i++ {
+			for i := 0; i < n && granted < want; {
 				m := int32((s.cursor + i) % n)
-				rack := s.top.RackIDOf(m)
-				if rack == skipRack {
-					continue
-				}
-				if s.rackFree[rack].FitCount(u.def.Size) == 0 {
-					skipRack = rack
+				s.clusterProbes++
+				if s.rackFree[s.top.RackIDOf(m)].FitCount(u.def.Size) == 0 {
+					// Grants only shrink a rack's aggregate, so none of the
+					// rack's machines can fit for the rest of the pass: step
+					// past its run of IDs at once.
+					i += int(s.top.RackRunEnd(m) - m)
 					continue
 				}
 				tryMachine(m, perPass)
+				i++
 			}
 			if granted == before {
 				break // nothing fits anywhere

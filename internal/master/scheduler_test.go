@@ -564,3 +564,37 @@ func TestMultipleUnitsPerApp(t *testing.T) {
 	}
 	checkInv(t, s)
 }
+
+// TestWideAppBooksCostChunks: registering a forty-unit app, demanding three
+// containers a unit (two granted at once, the third queued in the locality
+// tree) and unregistering it costs a few allocations beyond the forty queued
+// wait entries: the app and its unit array, its row in the tree, and the
+// chunks its units' granted ledgers and tree tables draw their first cells
+// from — five of each — not two tables a unit.
+func TestWideAppBooksCostChunks(t *testing.T) {
+	s := NewScheduler(testTop(t, 4, 10), Options{})
+	units := make([]resource.ScheduleUnit, 40)
+	for i := range units {
+		units[i] = unit(i+1, 1, 2, 500, 2048)
+	}
+	hints := []resource.LocalityHint{clusterHint(3)}
+	var out []Decision
+	cycle := func() {
+		mustRegister(t, s, "wide", "", units...)
+		st := s.apps["wide"]
+		for i := range st.unitArr {
+			s.applyDemand(st, &st.unitArr[i], hints, &out)
+		}
+		if s.tree.totalWaiting(waitKey{app: st.id, unit: 39}) != 1 || st.unitArr[39].held != 2 {
+			t.Fatal("the demand was not split into two grants and one wait")
+		}
+		out = out[:0]
+		s.unregister(st, &out)
+		out = out[:0]
+	}
+	cycle()
+	const bound = 40 + 3 + 2*5 + 2 // entries, app/units/tree row, chunks, slack
+	if n := testing.AllocsPerRun(20, cycle); n > bound {
+		t.Fatalf("a forty-unit app's books cost %v allocations, want at most %d", n, bound)
+	}
+}

@@ -440,7 +440,10 @@ func (h *harness) spawnApp(idx int) {
 	racks := h.top.Racks()
 	h.eng.After(sim.Millisecond, func() {
 		for u := 1; u <= cfg.UnitsPerApp; u++ {
-			var hints []resource.LocalityHint
+			// At most a pinned hint and the cluster remainder: on the stack,
+			// as Request copies the hints into its message.
+			var buf [2]resource.LocalityHint
+			hints := buf[:0]
 			rest := cfg.ContainersPerUnit
 			switch u % 10 {
 			case 0:

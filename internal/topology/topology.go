@@ -50,6 +50,7 @@ type Topology struct {
 	rackOfID  []int32     // machine ID -> rack ID
 	rackIDs   [][]int32   // rack ID -> sorted machine IDs
 	rackNames []string    // alias of rackList (ID order)
+	runEnd    []int32     // machine ID -> end of its run of same-rack IDs
 }
 
 // New builds a topology from a machine list. Machine names must be unique.
@@ -97,6 +98,13 @@ func New(machines []Machine) (*Topology, error) {
 		rid := t.rackTbl.ID(m.Rack)
 		t.rackOfID[id] = rid
 		t.rackIDs[rid] = append(t.rackIDs[rid], id)
+	}
+	t.runEnd = make([]int32, len(t.names))
+	for id := int32(len(t.names)) - 1; id >= 0; id-- {
+		t.runEnd[id] = id + 1
+		if next := id + 1; int(next) < len(t.names) && t.rackOfID[next] == t.rackOfID[id] {
+			t.runEnd[id] = t.runEnd[next]
+		}
 	}
 	return t, nil
 }
@@ -197,6 +205,12 @@ func (t *Topology) RackName(id int32) string { return t.rackNames[id] }
 
 // RackIDOf returns the rack ID of a machine ID.
 func (t *Topology) RackIDOf(machine int32) int32 { return t.rackOfID[machine] }
+
+// RackRunEnd returns the first machine ID past machine's run of consecutive
+// IDs in its rack: a scan in ID order that rules out the rack skips to it in
+// one step. (Build's racks are one run each; a rack whose machine names
+// interleave with another's is several.)
+func (t *Topology) RackRunEnd(machine int32) int32 { return t.runEnd[machine] }
 
 // MachineIDsInRack returns the sorted machine IDs of a rack. The caller
 // must not modify the returned slice.
