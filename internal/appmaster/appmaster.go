@@ -582,10 +582,13 @@ func (a *AM) unregTick() {
 }
 
 // finishUnregister completes the teardown once the master confirmed (or the
-// retry budget ran out).
+// retry budget ran out). The books go with it: the job holds and wants nothing
+// any more, so an owner that keeps the finished AM — and a retry tick still
+// queued — keeps only the struct alive, not a ledger per unit.
 func (a *AM) finishUnregister() {
 	a.unregDone = true
 	a.net.Unregister(a.cfg.App)
+	a.units, a.unit0, a.slab = nil, [1]unitLedger{}, dense.Slab[int]{}
 }
 
 // Held returns the container count held for unit on a machine (by ID).

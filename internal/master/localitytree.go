@@ -52,8 +52,9 @@ type waitEntry struct {
 	gone bool
 	// st/u cache the scheduler-state resolution of key so the assignment
 	// loop does not repeat two map lookups per candidate per free-up. Only
-	// live (indexed) entries are ever handed out as candidates, so the
-	// pointers cannot outlive the app registration that created them.
+	// live (indexed) entries are ever handed out as candidates, and removeApp
+	// clears both on the app's tombstones, so the pointers never outlive the
+	// app registration that created them.
 	st *appState
 	u  *unitState
 }
@@ -697,6 +698,10 @@ func (t *localityTree) removeApp(app int32) {
 			}
 			e.count = 0
 			e.gone = true
+			// The tombstone may sit in its queue until the next rebuild; it
+			// must not keep the app's state — every unit and table — alive
+			// that long.
+			e.st, e.u = nil, nil
 			if e.queued && e.cls != nil {
 				e.cls.tomb++
 				e.cls.maybeRebuild()

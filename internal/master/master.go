@@ -196,7 +196,8 @@ type Master struct {
 	// app of a heartbeat allocation entry — to its scheduler state by
 	// transport endpoint ID: a slice index per message where there used to be
 	// a hash of the app's name. nil for endpoints that are not (or no longer)
-	// registered apps; rebuilt with the scheduler at every promotion.
+	// registered apps; filled with the scheduler at every promotion and
+	// cleared with it when the term ends (standDown).
 	byEP []*appState
 
 	seq   protocol.Sequencer
@@ -411,8 +412,7 @@ func (m *Master) promote() {
 	if sched.Clock == nil {
 		sched.Clock = m.eng.Now
 	}
-	m.sched = NewScheduler(m.top, sched)
-	clear(m.byEP)
+	m.sched = NewScheduler(m.top, sched) // byEP is all nil: a new or stood-down process
 
 	// Hard state: application configurations and the cluster blacklist.
 	snap := m.ckpt.Load()
@@ -569,14 +569,30 @@ func (m *Master) fenceCheck() {
 }
 
 func (m *Master) demote() {
+	m.standDown()
+	if !m.crashed {
+		m.compete()
+	}
+}
+
+// standDown ends a term as primary, deposed or crashed: the timers stop, and
+// the scheduler goes together with the endpoint index that points into it.
+// A process that no longer leads then keeps no application state alive: a
+// promotion rebuilds all of it from the checkpoint and the re-reports (paper
+// §4.3.1), so the old term's copy could only ever be read by mistake. What
+// stays carries names and numbers only: the pooled scratch (dispatch leaves
+// no app in it), and a demoted process's buffered round, which a
+// re-promotion replays through recovery (deferRound).
+func (m *Master) standDown() {
 	m.primary = false
 	for _, c := range m.timers {
 		c()
 	}
 	m.timers = nil
-	if !m.crashed {
-		m.compete()
-	}
+	m.sched = nil
+	clear(m.byEP) // its length is the endpoint count, kept for the next term
+	m.wheel = nil
+	m.recovering = false
 }
 
 // Crash kills this process: it stops renewing, drops its endpoint and all
@@ -590,21 +606,14 @@ func (m *Master) Crash() {
 	if m.lockAbort != nil {
 		m.lockAbort()
 	}
-	for _, c := range m.timers {
-		c()
-	}
-	m.timers = nil
 	if m.primary {
-		m.primary = false
 		// The endpoint stays registered until the successor replaces it;
 		// mark it unreachable by dropping the handler.
 		m.net.Unregister(protocol.MasterEndpoint)
 	}
-	m.sched = nil
-	m.recovering = false
+	m.standDown()
 	m.recDem, m.recRet, m.recUnreg = nil, nil, nil
 	m.pendDem, m.pendRet, m.pendHints = nil, nil, nil
-	m.wheel = nil
 	m.flushArm = false
 }
 
@@ -1694,5 +1703,6 @@ func (m *Master) dispatch(ds []Decision) {
 			gu.Changes = append(gu.Changes, aa.units[j].deltas...)
 		}
 		m.net.SendID(m.epID, aa.st.ep, gu)
+		aa.st = nil // the pooled accumulator must not pin an app that unregisters
 	}
 }

@@ -180,15 +180,18 @@ func (h *harness) hashDecision(name string, unitID int, machine int32, count int
 	h.decHash = x
 }
 
-// appsSqueezeSlack is how far finished applications may outnumber open ones
-// in h.apps before they are squeezed out.
+// appsSqueezeSlack is how far finished applications may outnumber a quarter
+// of the open ones in h.apps before they are squeezed out.
 const appsSqueezeSlack = 64
 
 // finish ends an application whose last work came back: unregister, count
 // it, complete it at the gateway (freeing its in-flight slot), and drop it
-// from h.apps once the finished outnumber the open. The squeeze keeps order,
-// so the failover probe and the checker's AMs() walk the open applications in
-// the same sequence as if nothing had been removed.
+// from h.apps once the finished outnumber a quarter of the open. A finished
+// application still listed pins its master's configuration, so the list
+// stays near the open jobs, and a squeeze still walks at most five entries
+// per job it drops. The squeeze keeps order, so the failover probe and the
+// checker's AMs() walk the open applications in the same sequence as if
+// nothing had been removed.
 func (h *harness) finish(a *application) {
 	a.done = true
 	a.am.Unregister()
@@ -198,7 +201,7 @@ func (h *harness) finish(a *application) {
 		h.gw.JobCompleted(a.name)
 	}
 	h.appsDone++
-	if h.appsDone <= len(h.apps)-h.appsDone+appsSqueezeSlack {
+	if h.appsDone <= (len(h.apps)-h.appsDone)/4+appsSqueezeSlack {
 		return
 	}
 	open := h.apps[:0]
