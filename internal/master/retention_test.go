@@ -35,12 +35,11 @@ func pinned(ws []<-chan struct{}) int {
 	n := len(ws)
 	for try := 0; try < 20 && n > 0; try++ {
 		runtime.GC()
-		time.Sleep(5 * time.Millisecond) // finalizers run on their own goroutine
 		n = 0
 		for _, w := range ws {
 			select {
 			case <-w:
-			default:
+			case <-time.After(5 * time.Millisecond): // finalizers run on their own goroutine
 				n++
 			}
 		}
