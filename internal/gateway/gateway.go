@@ -295,15 +295,20 @@ type Gateway struct {
 	tenants   []tenant
 	// Every job that kept a record has a dense index, issued in submission
 	// order and held for the whole run (conservation checking needs every
-	// record): jobs maps the ID to it, recs holds the records 256 to a slab
+	// row): jobs maps the ID to it, recs holds the records 256 to a slab
 	// (record i is recs[i/256][i%256], never moved), and states is the
 	// lifecycle column — the only home of a job's state, so the once-a-
 	// second audit and RegisteredOpen read one byte per job from a
-	// contiguous slice and never touch the map or the records.
-	jobs   map[string]int32
-	recs   [][]jobRec
-	states []State
-	rot    [NumClasses]rotation
+	// contiguous slice and never touch the map or the records. Nothing reads
+	// the record of a job that reached a terminal state (completed or shed):
+	// conservation counts the column and duplicate detection the map. So a
+	// full slab is dropped once its last job is terminal; unsettled counts,
+	// by slab, the records that are not.
+	jobs      map[string]int32
+	recs      [][]jobRec
+	unsettled []uint16
+	states    []State
+	rot       [NumClasses]rotation
 
 	queued   int // jobs in tenant queues
 	inflight int // admitted + registered, not completed
@@ -461,15 +466,29 @@ const recSlabSize = 256
 // the current slab, a row in the state column, and the ID's table entry.
 func (g *Gateway) newRec(j Job, st State, now sim.Time) {
 	i := len(g.states)
+	k := i / recSlabSize
 	if i%recSlabSize == 0 {
 		g.recs = append(g.recs, make([]jobRec, recSlabSize))
+		g.unsettled = append(g.unsettled, 0)
 	}
-	g.recs[i/recSlabSize][i%recSlabSize] = jobRec{job: j, submittedAt: now}
+	g.recs[k][i%recSlabSize] = jobRec{job: j, submittedAt: now}
 	g.states = append(g.states, st)
 	g.jobs[j.ID] = int32(i)
+	if st != StateShed {
+		g.unsettled[k]++
+	}
+	g.settle(k)
 }
 
-// rec returns record i (stable for the run: slabs never move).
+// settle drops slab k once it is full and every job in it is terminal.
+func (g *Gateway) settle(k int) {
+	if g.unsettled[k] == 0 && (k+1)*recSlabSize <= len(g.states) {
+		g.recs[k] = nil
+	}
+}
+
+// rec returns record i (stable while its job is not terminal: slabs never
+// move, and only a slab of terminal jobs is dropped).
 func (g *Gateway) rec(i int32) *jobRec { return &g.recs[i/recSlabSize][i%recSlabSize] }
 
 // lookup returns the dense index and state of a job ID, ok false when the
@@ -680,6 +699,9 @@ func (g *Gateway) JobCompleted(id string) bool {
 	g.completed++
 	g.cComp[g.rec(i).job.Class]++
 	g.inflight--
+	k := int(i) / recSlabSize
+	g.unsettled[k]--
+	g.settle(k)
 	return true
 }
 
