@@ -93,6 +93,11 @@ func (NoCallbacks) OnMessage(string, any) {}
 type unitLedger struct {
 	held dense.Map[int] // machine ID -> containers held (no zero rows)
 	out  dense.Map[int] // nodeKey(level, node ID) -> demand outstanding (no zero rows)
+	// askedAt is when the oldest positive Request no grant has answered yet
+	// was made, while waiting is set: the unit's next grant reports the wait
+	// and clears it.
+	askedAt sim.Time
+	waiting bool
 }
 
 // nodeKey packs one locality node — (level, machine or rack ID; 0 at cluster
@@ -159,8 +164,11 @@ type AM struct {
 	// protocol.EpochGate).
 	gate protocol.EpochGate
 	// grantLevel is the narrowest locality level the grant being handed to
-	// OnGrant consumed demand at (see GrantLevel).
+	// OnGrant consumed demand at, grantWait how long the request it answered
+	// waited, if it was the first to answer one (see GrantLevel, GrantWait).
 	grantLevel resource.LocalityType
+	grantWait  sim.Time
+	grantTimed bool
 }
 
 // Worker is the application's view of one worker process.
@@ -335,6 +343,14 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 		}
 		deltas = valid
 	}
+	// The wait clock: a positive request starts it unless it runs already, and
+	// it stops when nothing is left outstanding.
+	for _, h := range deltas {
+		if h.Count > 0 && !l.waiting {
+			l.askedAt, l.waiting = a.eng.Now(), true
+		}
+	}
+	l.waiting = l.waiting && out.Len() > 0
 	u := a.pending()
 	for _, h := range deltas {
 		u.Deltas = append(u.Deltas, protocol.UnitHint{UnitID: unitID, LocalityHint: h})
@@ -664,6 +680,11 @@ func (a *AM) Worker(id string) *Worker { return a.workers[id] }
 // outstanding demand. It is meaningful only inside OnGrant.
 func (a *AM) GrantLevel() resource.LocalityType { return a.grantLevel }
 
+// GrantWait is how long the unit's oldest unanswered positive Request waited
+// for the grant OnGrant is handling; ok is false when an earlier grant
+// already answered it. Like GrantLevel, it is meaningful only inside OnGrant.
+func (a *AM) GrantWait() (wait sim.Time, ok bool) { return a.grantWait, a.grantTimed }
+
 // App returns the application name.
 func (a *AM) App() string { return a.cfg.App }
 
@@ -799,6 +820,8 @@ func (a *AM) applyGrant(t *protocol.GrantUpdate) {
 			if ch.Delta > 0 {
 				*l.held.PutFrom(&a.slab, k) += ch.Delta
 				a.grantLevel = a.consumeOutstanding(l, ch.Machine, ch.Delta)
+				a.grantWait, a.grantTimed = a.eng.Now()-l.askedAt, l.waiting
+				l.waiting = false
 				a.cb.OnGrant(unitID, ch.Machine, ch.Delta)
 			} else if ch.Delta < 0 {
 				n := min(-ch.Delta, l.held.Get(k))

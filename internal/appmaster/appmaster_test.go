@@ -20,6 +20,7 @@ type harness struct {
 	toAgent  map[string][]transport.Message
 	grants   []string
 	levels   []resource.LocalityType // GrantLevel, read inside each OnGrant
+	waits    []sim.Time              // GrantWait, read inside each OnGrant; -1 untimed
 	revokes  []string
 	statuses []protocol.WorkerStatus
 }
@@ -52,6 +53,11 @@ func newHarness(t *testing.T, fullSync sim.Time) *harness {
 		Grant: func(u int, m int32, c int) {
 			h.grants = append(h.grants, top.MachineName(m))
 			h.levels = append(h.levels, h.am.GrantLevel())
+			w, ok := h.am.GrantWait()
+			if !ok {
+				w = -1
+			}
+			h.waits = append(h.waits, w)
 		},
 		Revoke: func(u int, m int32, c int) { h.revokes = append(h.revokes, top.MachineName(m)) },
 		Worker: func(s protocol.WorkerStatus) { h.statuses = append(h.statuses, s) },
@@ -143,6 +149,33 @@ func TestGrantConsumesMachineDemandFirst(t *testing.T) {
 	want := []resource.LocalityType{resource.LocalityMachine, resource.LocalityRack, resource.LocalityCluster, resource.LocalityCluster}
 	if !slices.Equal(h.levels, want) {
 		t.Errorf("grant levels %v, want %v", h.levels, want)
+	}
+}
+
+// TestGrantWaitClock pins the demand-to-grant clock: it starts at a unit's
+// first positive request, a withdrawal neither restarts it nor survives
+// emptying the demand, and the next grant reports the wait and clears it.
+func TestGrantWaitClock(t *testing.T) {
+	h := newHarness(t, 0)
+	lat := h.net.Latency
+	h.eng.Run(10 * sim.Millisecond)
+	asked := h.eng.Now()
+	h.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 4})
+	h.eng.Run(30 * sim.Millisecond)
+	h.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: -1})
+	sent := h.eng.Now()
+	h.grant("r000m000", 2, 1) // answers the first request: timed from asked
+	h.grant("r000m001", 1, 2) // the request was answered already: untimed
+	// A request withdrawn whole stops the clock; the next one restarts it.
+	h.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 2})
+	h.eng.Run(h.eng.Now() + 5*sim.Millisecond)
+	h.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: -2})
+	h.eng.Run(h.eng.Now() + 5*sim.Millisecond)
+	h.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 1})
+	h.grant("r001m000", 1, 3)
+	want := []sim.Time{sent + lat - asked, -1, lat}
+	if !slices.Equal(h.waits, want) {
+		t.Errorf("grant waits %v, want %v", h.waits, want)
 	}
 }
 

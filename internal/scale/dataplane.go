@@ -394,7 +394,7 @@ func (dp *dataplaneLoad) newJob(id string, kind dpKind, class gateway.Class, des
 		return nil, fmt.Errorf("scale: dataplane job %s: %w", id, err)
 	}
 	j := &dpJob{
-		application: application{h: dp.h, name: id, class: class, pendingReq: make([]sim.Time, len(order)+1)},
+		application: application{h: dp.h, name: id, class: class},
 		dp:          dp, kind: kind,
 		desc: desc, order: order, stages: make(map[string]*dpStage, len(order)),
 		dataMB: dataMB, inputFile: inputFile,
@@ -591,7 +591,6 @@ func (dp *dataplaneLoad) spawn(gj gateway.Job) {
 
 func (j *dpJob) startStage(st *dpStage) {
 	st.started = true
-	j.pendingReq[st.unitID] = j.h.eng.Now()
 	j.am.Request(st.unitID, j.hintsFor(st)...)
 	if j.kind == dpService && j.svcOps > 0 {
 		j.h.eng.PostFunc(j.h.cfg.ServiceOpEvery, j.svcTick)
@@ -714,9 +713,6 @@ func (j *dpJob) complete() {
 			dp.verifyGraySort(j, h.cfg.VerifyRecords)
 		}
 	}
-	// A grant that arrives after this answers no demand: with nothing
-	// pending, the shared granted path observes no demand-to-grant for it.
-	clear(j.pendingReq)
 	h.finish(&j.application)
 	dp.completedJobs++
 }

@@ -205,7 +205,7 @@ func hashedDemand(x any) {
 	mix := jobMix(app.name)
 	machines := h.top.Machines()
 	racks := h.top.Racks()
-	for u := 1; u < len(app.pendingReq); u++ {
+	for u := 1; u <= len(app.am.Units()); u++ {
 		hints := make([]resource.LocalityHint, 0, 2)
 		rest := app.width
 		pick := mix + uint64(u)*2654435761
@@ -224,7 +224,6 @@ func hashedDemand(x any) {
 		if rest > 0 {
 			hints = append(hints, resource.LocalityHint{Type: resource.LocalityCluster, Count: rest})
 		}
-		app.pendingReq[u] = h.eng.Now()
 		app.am.Request(u, hints...)
 	}
 }

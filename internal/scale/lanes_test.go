@@ -9,12 +9,13 @@ import (
 
 // golden pins what one smoke lane computes in virtual time at seed 1.
 type golden struct {
-	Decisions, Grants, Revokes uint64
-	MessagesSent, EventsFired  uint64
-	CompletedApps              int
-	GatewayHash, ReplayHash    string
-	QueryChecksum              uint64
-	DecisionStreamHash         string
+	Decisions, Grants, Revokes  uint64
+	MessagesSent, EventsFired   uint64
+	CompletedApps               int
+	GatewayHash, ReplayHash     string
+	QueryChecksum               uint64
+	DecisionStreamHash          string
+	LatencyMeanMS, LatencyMaxMS float64
 }
 
 // smokeGolden was recorded at the commit before scale.Lanes existed (PR 13),
@@ -67,22 +68,22 @@ type golden struct {
 // lanes that batch into rounds: the round took the returns and the demand
 // together either way. The rows say why beside each moved cell.
 var smokeGolden = map[string]golden{
-	"classic":  {6808, 6404, 404, 16165, 31455, 100, "", "", 0x0, "21baea0118bb30a5"},
-	"failover": {6828, 6414, 414, 14239, 27672, 100, "", "", 0x0, "2a97d21b65a7f6c6"},
+	"classic":  {6808, 6404, 404, 16165, 31455, 100, "", "", 0x0, "21baea0118bb30a5", 10605.432647922551, 35300.2},
+	"failover": {6828, 6414, 414, 14239, 27672, 100, "", "", 0x0, "2a97d21b65a7f6c6", 10097.651176983241, 29289.6},
 	// 2,639 instants returned and asked: messages 15,980 and events 33,896 each fall by that.
-	"churn":   {12701, 12701, 0, 13341, 31257, 0, "", "", 0x0, "49a852947b28de7d"},
-	"gateway": {14516, 14223, 293, 83894, 148615, 6965, "f7cf980f895a0dc8", "", 0x0, "f95f141fb5ad0122"},
+	"churn":   {12701, 12701, 0, 13341, 31257, 0, "", "", 0x0, "49a852947b28de7d", 253.56915887850465, 41454},
+	"gateway": {14516, 14223, 293, 83894, 148615, 6965, "f7cf980f895a0dc8", "", 0x0, "f95f141fb5ad0122", 3493.168812904933, 16320},
 	// Immediate mode: 16 merged instants, and each one's two dispatches became
 	// one, so 46 capacity deltas to the agents merged too — messages 3,307 and
 	// events 9,252 each fall by 62; the decisions do not move.
-	"dataplane": {214, 213, 1, 3245, 9190, 14, "ebea3147a48d748a", "", 0x0, "dee5948764ad432e"},
+	"dataplane": {214, 213, 1, 3245, 9190, 14, "ebea3147a48d748a", "", 0x0, "dee5948764ad432e", 0.4000000000000002, 0.4},
 	// 18 instants returned and asked: messages 63,027 and events 121,553 each fall by that.
-	"replay": {11470, 11463, 7, 63009, 121535, 4110, "b6e4f88a5389ab74", "b6e4f88a5389ab74", 0x0, "8198ae00d57dd4a8"},
+	"replay": {11470, 11463, 7, 63009, 121535, 4110, "b6e4f88a5389ab74", "b6e4f88a5389ab74", 0x0, "8198ae00d57dd4a8", 1.460962273276889, 1146.442},
 	// 2,758 instants returned and asked: messages 16,969 and events 34,965 each fall by that.
-	"chaos": {12842, 12688, 154, 14211, 32207, 0, "", "", 0x0, "b0db56e70a254402"},
+	"chaos": {12842, 12688, 154, 14211, 32207, 0, "", "", 0x0, "b0db56e70a254402", 1756.9008835341501, 42954},
 	// 2,639 instants, as churn: messages 16,012 and events 33,974 each fall by
 	// that; the query checksum did not move.
-	"obs": {12701, 12701, 0, 13373, 31335, 0, "", "", 0x3f6b06b8ef229535, "49a852947b28de7d"},
+	"obs": {12701, 12701, 0, 13373, 31335, 0, "", "", 0x3f6b06b8ef229535, "49a852947b28de7d", 253.56915887850465, 41454},
 }
 
 var smokeRuns struct {
@@ -130,6 +131,7 @@ func TestSmokeLanesMatchGolden(t *testing.T) {
 			MessagesSent: r.MessagesSent, EventsFired: r.EventsFired,
 			CompletedApps:      r.CompletedApps,
 			DecisionStreamHash: r.DecisionStreamHash,
+			LatencyMeanMS:      r.LatencyMeanMS, LatencyMaxMS: r.LatencyMaxMS,
 		}
 		if r.Gateway != nil {
 			got.GatewayHash = r.Gateway.DecisionHash

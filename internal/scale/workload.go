@@ -94,10 +94,6 @@ type application struct {
 	// class is the gateway service class the job was admitted under.
 	class gateway.Class
 	done  bool
-	// pendingReq records, per unit (dense, 0 = none pending), when the
-	// oldest unanswered demand was sent, for the demand-to-grant latency
-	// histogram.
-	pendingReq []sim.Time
 }
 
 // launch starts j's application master (which registers with FuxiMaster at
@@ -115,9 +111,6 @@ func (h *harness) launch(j *application, cb appmaster.Callbacks, group string, u
 // failed launch (paper §3.1 step 7: the JobMaster re-requests) and the churn
 // cycle's re-demand.
 func (j *application) demand(unitID, count int) {
-	if j.pendingReq[unitID] == 0 {
-		j.pendingReq[unitID] = j.h.eng.Now()
-	}
 	j.am.Request(unitID, resource.LocalityHint{Type: resource.LocalityCluster, Count: count})
 }
 
@@ -134,17 +127,16 @@ func (h *harness) granted(j *application, unitID int, machine int32, count int) 
 	if l != nil {
 		l.grants[j.class] += uint64(count)
 	}
-	if at := j.pendingReq[unitID]; at != 0 {
+	if wait, ok := j.am.GrantWait(); ok {
 		now := h.eng.Now()
-		if s := &h.slowest; now-at > s.grantAt-s.demandAt {
-			*s = slowGrant{app: j.name, unitID: unitID, machine: machine, level: j.am.GrantLevel(), demandAt: at, grantAt: now}
+		if s := &h.slowest; wait > s.grantAt-s.demandAt {
+			*s = slowGrant{app: j.name, unitID: unitID, machine: machine, level: j.am.GrantLevel(), demandAt: now - wait, grantAt: now}
 		}
-		ms := float64(now-at) / float64(sim.Millisecond)
+		ms := float64(wait) / float64(sim.Millisecond)
 		h.latency.Observe(ms)
 		if l != nil {
 			l.observeD2G(j.class, ms)
 		}
-		j.pendingReq[unitID] = 0
 	}
 }
 
@@ -226,9 +218,6 @@ type scaleApp struct {
 	// distributions.
 	width int
 	hold  sim.Time
-	// pendingOne backs pendingReq of a single-unit job — every gateway and
-	// replay job — so the table is not a heap object of its own.
-	pendingOne [2]sim.Time
 	// unit1 is the unit definition of a job whose one unit is its own (every
 	// replay job draws its width): the application master's configuration
 	// slices it, so the definition is not a heap object either.
@@ -251,11 +240,6 @@ func (h *harness) startUnitApp(name, group string, unit resource.ScheduleUnit, w
 
 func (h *harness) start(app *scaleApp, group string, units []resource.ScheduleUnit) *scaleApp {
 	app.remaining = len(units) * app.width
-	if n := len(units) + 1; n <= len(app.pendingOne) {
-		app.pendingReq = app.pendingOne[:n]
-	} else {
-		app.pendingReq = make([]sim.Time, n)
-	}
 	h.launch(&app.application, app, group, units)
 	return app
 }
@@ -463,7 +447,6 @@ func (h *harness) spawnApp(idx int) {
 			if rest > 0 {
 				hints = append(hints, resource.LocalityHint{Type: resource.LocalityCluster, Count: rest})
 			}
-			app.pendingReq[u] = h.eng.Now()
 			app.am.Request(u, hints...)
 		}
 	})
