@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/job"
+	"repro/internal/protocol"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 func TestJobHandleAPIErrors(t *testing.T) {
@@ -90,6 +94,90 @@ func TestJobMasterFailoverDuringReducePhase(t *testing.T) {
 		t.Errorf("map progress lost across failover: %d/%d", d, n)
 	}
 	runToCompletion(t, c, h, 15*sim.Minute)
+}
+
+// TestJobMasterRecoveryAssignsDeterministically: a successor re-feeds the
+// idle workers it adopted in one order, so one seeded crash and restart sends
+// the same assignments to the same workers in the same order every time.
+func TestJobMasterRecoveryAssignsDeterministically(t *testing.T) {
+	stream := func() string {
+		c := newCluster(t, Config{Racks: 2, MachinesPerRack: 2, Seed: 66})
+		desc := mapReduceDesc(t, c, "refeed", 12, 1, 1000)
+		spec := desc.Tasks["map"]
+		spec.MaxWorkers = 6
+		desc.Tasks["map"] = spec
+		var b strings.Builder
+		c.Net.Tap = func(_, to string, msg transport.Message) {
+			if a, ok := msg.(job.AssignInstance); ok {
+				fmt.Fprintf(&b, "%v %s %s/%d/%d\n", c.Now(), to, a.Task, a.Instance, a.Attempt)
+			}
+		}
+		h, err := c.SubmitJob(desc, JobOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Crash while the first instances run; they finish during the outage,
+		// so the successor adopts six idle workers and requeues their work.
+		c.Run(1200 * sim.Millisecond)
+		if err := h.CrashJobMaster(); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(2 * sim.Second)
+		if err := h.RestartJobMaster(); err != nil {
+			t.Fatal(err)
+		}
+		runToCompletion(t, c, h, 5*sim.Minute)
+		return b.String()
+	}
+	want := stream()
+	for i := 1; i < 20; i++ {
+		if got := stream(); got != want {
+			t.Fatalf("run %d sent another assignment stream:\n%s\nfirst run:\n%s", i, got, want)
+		}
+	}
+}
+
+// TestJobMasterIncarnationsMintDistinctWorkerIDs: two successors that come up
+// with the same number of live workers still name their workers apart, so a
+// successor's work plan never reaches a worker an earlier incarnation minted.
+func TestJobMasterIncarnationsMintDistinctWorkerIDs(t *testing.T) {
+	c := newCluster(t, Config{Racks: 2, MachinesPerRack: 2, Seed: 67})
+	desc := mapReduceDesc(t, c, "gens", 4, 1, 1000)
+	minted := map[string]int{}
+	c.Net.Tap = func(_, _ string, msg transport.Message) {
+		if p, ok := msg.(protocol.WorkPlan); ok {
+			minted[p.WorkerID]++
+		}
+	}
+	h, err := c.SubmitJob(desc, JobOptions{Config: job.Config{FullSyncInterval: sim.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each incarnation dies before its workers report running, so both
+	// successors start with the same live count.
+	var live []int
+	for _, up := range []sim.Time{100 * sim.Millisecond, 3300 * sim.Millisecond} {
+		c.Run(up)
+		if err := h.CrashJobMaster(); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, h.Rt.Live())
+		if err := h.RestartJobMaster(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Run(4 * sim.Second)
+	if live[0] != live[1] {
+		t.Fatalf("live workers at the restarts %v, want equal", live)
+	}
+	for id, n := range minted {
+		if n > 1 {
+			t.Errorf("worker %s minted %d times", id, n)
+		}
+	}
+	if len(minted) == 0 {
+		t.Fatal("no work plan was sent")
+	}
 }
 
 func TestSlowdownHelpers(t *testing.T) {

@@ -135,13 +135,14 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology
 
 	j := &JobMaster{
 		cfg: cfg, eng: eng, net: net, rt: cfg.Rt,
-		store:  cfg.Store,
-		black:  blacklist.New(cfg.Blacklist),
-		order:  order,
-		unitOf: make(map[string]int, len(order)),
-		taskOf: make(map[int]string, len(order)),
-		tms:    make(map[string]*taskMaster),
-		done:   make(map[string]bool),
+		store:      cfg.Store,
+		generation: cfg.Store.nextIncarnation(),
+		black:      blacklist.New(cfg.Blacklist),
+		order:      order,
+		unitOf:     make(map[string]int, len(order)),
+		taskOf:     make(map[int]string, len(order)),
+		tms:        make(map[string]*taskMaster),
+		done:       make(map[string]bool),
 	}
 	var units []resource.ScheduleUnit
 	for i, name := range order {
@@ -433,8 +434,6 @@ func (j *JobMaster) scanBackups() {
 // finally recover the inner instance scheduling results").
 func (j *JobMaster) recover() {
 	j.recovering = true
-	j.generation = j.rt.Live() // distinct worker-ID namespace per incarnation
-	j.generation++
 	// Rebuild completed-task set and live task masters from the snapshot.
 	for _, name := range j.order {
 		snap := j.store.Task(name)

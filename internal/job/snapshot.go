@@ -48,6 +48,9 @@ type TaskSnap struct {
 type SnapshotStore struct {
 	tasks  map[string]*TaskSnap
 	Writes int
+	// incarnations counts the JobMasters that ran the job; each names the
+	// workers it mints after its own number (see JobMaster.nextWorkerID).
+	incarnations int
 }
 
 // NewSnapshotStore returns an empty store.
@@ -82,6 +85,12 @@ func (s *SnapshotStore) SaveTask(task string, started, completed bool, instances
 
 // Task returns a task's snapshot (nil when never started).
 func (s *SnapshotStore) Task(task string) *TaskSnap { return s.tasks[task] }
+
+// nextIncarnation numbers the JobMaster starting now, from 0.
+func (s *SnapshotStore) nextIncarnation() int {
+	s.incarnations++
+	return s.incarnations - 1
+}
 
 // Empty reports whether nothing was ever written (fresh job).
 func (s *SnapshotStore) Empty() bool { return len(s.tasks) == 0 }

@@ -669,9 +669,17 @@ func (tm *taskMaster) finishRecovery() {
 	if want := tm.desiredWorkers(); want > have {
 		tm.requestWorkers(want - have)
 	}
-	// Re-feed idle workers.
-	for _, w := range tm.workers {
+	// Re-feed idle workers by ID, not in map order: each assignment is a
+	// message whose order must be seed-reproducible.
+	var idle []string
+	for id, w := range tm.workers {
 		if w.state == workerIdle {
+			idle = append(idle, id)
+		}
+	}
+	sort.Strings(idle)
+	for _, id := range idle {
+		if w := tm.workers[id]; w != nil {
 			tm.assignNext(w)
 		}
 	}
