@@ -12,9 +12,9 @@
 //
 // The computation layer receives resource and worker events through the
 // Callbacks interface, which the job's owner implements itself — a
-// job.JobMaster, the scale harness's per-job record, a data-plane job — so
-// starting an application master binds no closures; NoCallbacks is the
-// embeddable no-op for owners that want only some of the four events. The
+// job.JobMaster, the scale harness's synthetic job — so starting an
+// application master binds no closures; NoCallbacks is the embeddable no-op
+// for owners that want only some of the four events. The
 // grant and revoke callbacks run inside the handler of a pooled GrantUpdate
 // (see internal/transport): they may send and re-request freely, but the
 // message is the network's again once the handler returns.

@@ -54,6 +54,17 @@ type Config struct {
 	Priority int
 	// OnDone fires once when the last task completes.
 	OnDone func(*JobMaster)
+	// Observer, when set, sees every grant and revocation the job's
+	// application master delivers, before the JobMaster acts on it.
+	Observer Observer
+}
+
+// Observer watches a job's resource decisions (see Config.Observer). Inside
+// OnGrant, the application master's GrantLevel and GrantWait describe the
+// grant.
+type Observer interface {
+	OnGrant(unitID int, machine int32, count int)
+	OnRevoke(unitID int, machine int32, count int)
 }
 
 // JobMaster drives one DAG job: high-level task-topology scheduling, with a
@@ -136,7 +147,7 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology
 	j := &JobMaster{
 		cfg: cfg, eng: eng, net: net, rt: cfg.Rt,
 		store:      cfg.Store,
-		generation: cfg.Store.nextIncarnation(),
+		generation: cfg.Store.incarnations,
 		black:      blacklist.New(cfg.Blacklist),
 		order:      order,
 		unitOf:     make(map[string]int, len(order)),
@@ -160,6 +171,7 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology
 		})
 	}
 
+	j.store.incarnations++
 	recovery := !j.store.Empty()
 	j.am = appmaster.New(appmaster.Config{
 		App: cfg.Desc.Name, QuotaGroup: cfg.QuotaGroup, Units: units,
@@ -293,11 +305,17 @@ type amEvents JobMaster
 
 func (e *amEvents) OnGrant(unitID int, machine int32, count int) {
 	j := (*JobMaster)(e)
+	if j.cfg.Observer != nil {
+		j.cfg.Observer.OnGrant(unitID, machine, count)
+	}
 	j.onGrant(unitID, j.am.MachineName(machine), count)
 }
 
 func (e *amEvents) OnRevoke(unitID int, machine int32, count int) {
 	j := (*JobMaster)(e)
+	if j.cfg.Observer != nil {
+		j.cfg.Observer.OnRevoke(unitID, machine, count)
+	}
 	j.onRevoke(unitID, j.am.MachineName(machine), count)
 }
 

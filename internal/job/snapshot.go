@@ -32,6 +32,9 @@ type InstanceSnap struct {
 	State   InstanceState
 	Worker  string
 	Attempt int
+	// Machine is where a done instance finished: its output, which
+	// downstream tasks read, is there.
+	Machine string
 }
 
 // TaskSnap is one task's snapshot.
@@ -85,12 +88,6 @@ func (s *SnapshotStore) SaveTask(task string, started, completed bool, instances
 
 // Task returns a task's snapshot (nil when never started).
 func (s *SnapshotStore) Task(task string) *TaskSnap { return s.tasks[task] }
-
-// nextIncarnation numbers the JobMaster starting now, from 0.
-func (s *SnapshotStore) nextIncarnation() int {
-	s.incarnations++
-	return s.incarnations - 1
-}
 
 // Empty reports whether nothing was ever written (fresh job).
 func (s *SnapshotStore) Empty() bool { return len(s.tasks) == 0 }

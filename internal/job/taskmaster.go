@@ -121,9 +121,21 @@ func (tm *taskMaster) start() {
 	tm.jm.store.SaveTask(tm.name, true, false, len(tm.instances))
 }
 
-// computeLocality maps instance i to the replica machines of chunk i of the
-// task's input files.
+// computeLocality maps instance i to the machines holding its input: the
+// replicas of chunk i of the task's input files, and the machines where
+// instance i (modulo their width) of each upstream task finished.
 func (tm *taskMaster) computeLocality() {
+	for _, up := range tm.jm.cfg.Desc.Upstream(tm.name) {
+		snap := tm.jm.store.Task(up)
+		if snap == nil || len(snap.Instances) == 0 {
+			continue
+		}
+		for i, in := range tm.instances {
+			if m := snap.Instances[i%len(snap.Instances)].Machine; m != "" {
+				in.locations = append(in.locations, m)
+			}
+		}
+	}
 	if tm.jm.cfg.FS == nil {
 		return
 	}
@@ -138,7 +150,8 @@ func (tm *taskMaster) computeLocality() {
 			if idx >= len(tm.instances) {
 				return
 			}
-			tm.instances[idx].locations = file.Chunks[c].Replicas
+			in := tm.instances[idx]
+			in.locations = append(in.locations, file.Chunks[c].Replicas...)
 			idx++
 		}
 	}
@@ -271,16 +284,24 @@ func (tm *taskMaster) reapStuckStarts(timeout sim.Time) {
 		return
 	}
 	now := tm.jm.eng.Now()
-	var stuck []*tmWorker
-	for _, w := range tm.workers {
-		if w.state == workerStarting && now-w.plannedAt > timeout {
-			stuck = append(stuck, w)
-		}
-	}
-	sort.Slice(stuck, func(i, j int) bool { return stuck[i].id < stuck[j].id })
-	for _, w := range stuck {
+	for _, w := range tm.workersByID(func(w *tmWorker) bool {
+		return w.state == workerStarting && now-w.plannedAt > timeout
+	}) {
 		tm.workerFailed(w.id, w.machine, "worker start timed out")
 	}
+}
+
+// workersByID returns the workers keep accepts in worker-ID order: what the
+// task master sends them must be seed-reproducible, never in map order.
+func (tm *taskMaster) workersByID(keep func(*tmWorker) bool) []*tmWorker {
+	var out []*tmWorker
+	for _, w := range tm.workers {
+		if keep(w) {
+			out = append(out, w)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
 }
 
 // workerRunning handles the first Running status of a worker.
@@ -312,26 +333,10 @@ func (tm *taskMaster) workerFailed(id, machine, detail string) {
 		if tm.jm.black.RecordFailure(tm.name, -tm.startFailSeq, machine) {
 			tm.jm.am.ReportBadMachine(machine)
 		}
+	} else {
+		tm.failureOn(tm.instances[w.instance], machine)
 	}
-	if w.instance >= 0 {
-		in := tm.instances[w.instance]
-		tm.failureOn(in, machine)
-		if in.state == InstanceRunning {
-			if in.worker == id {
-				if in.backupWorker != "" {
-					// The backup keeps running; promote it.
-					in.worker = in.backupWorker
-					in.backupWorker = ""
-				} else {
-					in.attempt++
-					tm.enqueue(in)
-					tm.jm.store.SaveInstance(tm.name, in.id, InstanceSnap{State: InstancePending, Attempt: in.attempt})
-				}
-			} else if in.backupWorker == id {
-				in.backupWorker = ""
-			}
-		}
-	}
+	tm.release(w)
 	if tm.completed {
 		return
 	}
@@ -366,42 +371,35 @@ func (tm *taskMaster) failureOn(in *instance, machine string) {
 // revoked handles the master revoking count containers on machine (node
 // down, preemption, blacklist): workers there are lost.
 func (tm *taskMaster) revoked(machine string, count int) {
-	// Choose the lost workers deterministically (highest ID first — the
-	// most recently planned — mirroring the agent's capacity enforcement),
-	// never by map order.
-	onMachine := make([]string, 0, count)
-	for id, w := range tm.workers {
-		if w.machine == machine {
-			onMachine = append(onMachine, id)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(onMachine)))
-	lost := 0
-	for _, id := range onMachine {
-		if lost >= count {
-			break
-		}
-		w := tm.workers[id]
-		lost++
-		delete(tm.workers, id)
-		if w.instance >= 0 {
-			in := tm.instances[w.instance]
-			if in.state == InstanceRunning && in.worker == id {
-				if in.backupWorker != "" {
-					in.worker = in.backupWorker
-					in.backupWorker = ""
-				} else {
-					in.attempt++
-					tm.enqueue(in)
-					tm.jm.store.SaveInstance(tm.name, in.id, InstanceSnap{State: InstancePending, Attempt: in.attempt})
-				}
-			} else if in.backupWorker == id {
-				in.backupWorker = ""
-			}
-		}
+	// Lose the highest IDs first — the most recently planned — mirroring
+	// the agent's capacity enforcement.
+	on := tm.workersByID(func(w *tmWorker) bool { return w.machine == machine })
+	for i := len(on) - 1; i >= 0 && i >= len(on)-count; i-- {
+		delete(tm.workers, on[i].id)
+		tm.release(on[i])
 	}
 	if !tm.completed && tm.remainingWork() > 0 {
 		tm.requestWorkers(count)
+	}
+}
+
+// release gives up a lost worker's instance: a lost primary copy hands the
+// instance to its backup if one runs, or back to the queue; a lost backup
+// copy is dropped.
+func (tm *taskMaster) release(w *tmWorker) {
+	if w.instance < 0 {
+		return
+	}
+	in := tm.instances[w.instance]
+	switch {
+	case in.state == InstanceRunning && in.worker == w.id && in.backupWorker != "":
+		in.worker, in.backupWorker = in.backupWorker, ""
+	case in.state == InstanceRunning && in.worker == w.id:
+		in.attempt++
+		tm.enqueue(in)
+		tm.jm.store.SaveInstance(tm.name, in.id, InstanceSnap{State: InstancePending, Attempt: in.attempt})
+	case in.backupWorker == w.id:
+		in.backupWorker = ""
 	}
 }
 
@@ -442,7 +440,7 @@ func (tm *taskMaster) instanceDone(in *instance, r InstanceReport) {
 	in.state = InstanceDone
 	in.finishedAt = tm.jm.eng.Now()
 	tm.doneCount++
-	tm.jm.store.SaveInstance(tm.name, in.id, InstanceSnap{State: InstanceDone, Attempt: in.attempt})
+	tm.jm.store.SaveInstance(tm.name, in.id, InstanceSnap{State: InstanceDone, Attempt: in.attempt, Machine: r.Machine})
 	// Table 2 accounting: the difference between the AM-observed instance
 	// time and the nominal execution time is pure framework overhead
 	// (assignment and completion-report latency).
@@ -593,17 +591,11 @@ func (tm *taskMaster) scanBackups() {
 // leftover demand, unblock downstream tasks.
 func (tm *taskMaster) complete() {
 	tm.completed = true
-	ids := make([]string, 0, len(tm.workers))
-	for id := range tm.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	perMachine := map[string]int{}
-	for _, id := range ids {
-		w := tm.workers[id]
-		tm.jm.am.StopWorker(id)
+	for _, w := range tm.workersByID(func(*tmWorker) bool { return true }) {
+		tm.jm.am.StopWorker(w.id)
 		perMachine[w.machine]++
-		delete(tm.workers, id)
+		delete(tm.workers, w.id)
 	}
 	machines := make([]string, 0, len(perMachine))
 	for m := range perMachine {
@@ -669,19 +661,9 @@ func (tm *taskMaster) finishRecovery() {
 	if want := tm.desiredWorkers(); want > have {
 		tm.requestWorkers(want - have)
 	}
-	// Re-feed idle workers by ID, not in map order: each assignment is a
-	// message whose order must be seed-reproducible.
-	var idle []string
-	for id, w := range tm.workers {
-		if w.state == workerIdle {
-			idle = append(idle, id)
-		}
-	}
-	sort.Strings(idle)
-	for _, id := range idle {
-		if w := tm.workers[id]; w != nil {
-			tm.assignNext(w)
-		}
+	// Re-feed idle workers.
+	for _, w := range tm.workersByID(func(w *tmWorker) bool { return w.state == workerIdle }) {
+		tm.assignNext(w)
 	}
 }
 

@@ -2,29 +2,29 @@ package scale
 
 // Dataplane mode: the paper's data plane running on the scheduled cluster.
 // Instead of synthetic hold/return churn, the workload is real jobs built
-// from the data-plane packages, submitted through the multi-tenant gateway
-// and executed as staged application masters over the usual master/agent
+// from the data-plane packages, each a job.Description submitted through the
+// multi-tenant gateway and, once registered, run by a JobMaster (internal/job,
+// paper §4) that core.Cluster.SubmitJob launches over the usual master/agent
 // stack:
 //
 //   - GraySort jobs (§5.3): a map → sort → merge chain whose stage widths
 //     come from the input file's Pangu chunk count and whose simulated I/O
-//     durations come from the graysort hardware phase model. Map demand is
-//     pinned to the chunks' replica machines (the data-locality signal),
-//     sort demand to wherever map actually ran (container-reuse locality),
-//     and a sampled subset of jobs re-runs the real graysort kernels —
-//     generate, range-partition, per-run sort, k-way merge — to verify one
-//     partition's output end to end.
-//   - DAG pipelines: the Figure 6 diamond (T1 → {T2, T3} → T4) expressed as
-//     an internal/job description, T1 reading a Pangu file with replica
-//     locality and the inner stages demanding the racks their upstreams
-//     executed on. Stages are released incrementally: a task's demand is
-//     sent only when every upstream finished (§3.1's incremental
-//     scheduling).
+//     durations come from the graysort hardware phase model. A sampled subset
+//     of jobs re-runs the real graysort kernels — generate, range-partition,
+//     per-run sort, k-way merge — to verify one partition's output end to
+//     end.
+//   - DAG pipelines: the Figure 6 diamond (T1 → {T2, T3} → T4), T1 reading a
+//     Pangu file.
 //   - Streamline service jobs: long-running residents in the gateway's
 //     service class, sharing the cluster with the batch jobs above and
 //     periodically running real streamline map/reduce rounds (hash
 //     word count and a range-partitioned sort) whose conservation
 //     properties are asserted.
+//
+// Stage release, Pangu chunk locality and upstream locality are the
+// JobMaster's: the planner and the JobMasters share the cluster's one Pangu
+// namespace. The harness only watches: every grant and revocation a JobMaster
+// receives reaches the observed-decision path through job.Config.Observer.
 //
 // The application-level measurements — job makespan, locality hit rate,
 // MB shuffled versus read locally, per-class admission and demand-to-grant
@@ -33,10 +33,14 @@ package scale
 // budget gates like the existing alloc/message ones.
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 
+	"repro/internal/core"
+	"repro/internal/dense"
 	"repro/internal/gateway"
 	"repro/internal/graysort"
 	"repro/internal/job"
@@ -105,88 +109,42 @@ const (
 	dpService
 )
 
-// dpLocality is how a stage derives its locality demand.
-type dpLocality int
-
-const (
-	locCluster          dpLocality = iota // no placement preference
-	locChunks                             // replica machines of the stage's input file
-	locUpstreamMachines                   // exactly where the upstream stage executed
-	locUpstreamRacks                      // the racks covering upstream placements
-)
-
-// dpStage is one task of a data-plane job, scheduled as one ScheduleUnit
-// and executed in a single wave of `need` containers.
-type dpStage struct {
-	name     string
-	unitID   int
-	need     int
-	size     resource.Vector
-	duration sim.Time
-	locality dpLocality
-	// inputMB is the task-to-task volume flowing into this stage (zero for
-	// stages reading only from the DFS); it feeds the shuffle accounting.
-	inputMB float64
-
-	upstreams          int // not-yet-finished upstream stages
-	started, finished  bool
-	executed, inFlight int
-
-	// Deterministic locality demand: hint targets in first-seen order, and
-	// the machine/rack sets that classify a grant as machine- or rack-local.
-	hintMachines   []int32
-	hintCounts     []int
-	hintRacks      []int32
-	hintRackCounts []int
-	wantM          map[int32]bool
-	wantR          map[int32]bool
-
-	// Execution placements in first-seen order, consumed by downstream
-	// stages for locality demand and shuffle accounting.
-	placeOrder []int32
-	placeCount map[int32]int
-
-	// Upstream placement snapshot (filled when the stage becomes ready).
-	srcOrder  []int32
-	srcCounts []int
-	srcTotal  int
-}
-
-// dpJob is one data-plane job: a DAG of stages behind one application
-// master, admitted through the gateway.
-type dpJob struct {
+// dataJob is one data-plane job: the description a JobMaster runs once the
+// gateway registers it, and what the harness observes of that run. It is the
+// JobMaster's job.Observer.
+type dataJob struct {
 	application
 	dp   *dataplaneLoad
 	kind dpKind
+	desc *job.Description
+	// order lists the tasks in unit-ID order, the JobMaster's numbering.
+	order []string
 
-	desc   *job.Description
-	order  []string
-	stages map[string]*dpStage
+	dataMB float64
+	width  int // graysort partition width (map/sort/merge stage width)
 
-	dataMB    float64
-	inputFile string
-	width     int // graysort partition width (map/sort/merge stage width)
+	submitAt sim.Time
+	svcOps   int // remaining service operations
 
-	submitAt  sim.Time
-	remaining int
-
-	svcOps int // remaining service operations
+	// placed counts, per unit, the containers granted on each machine: the
+	// stage placements the shuffle account reads when the job completes.
+	placed []dense.Map[int]
 }
 
-// dataplaneLoad is the data-plane workload: the planned jobs, the Pangu
-// namespace their inputs live in, and the application-level account.
+// dataplaneLoad is the data-plane workload: the planned jobs and the
+// application-level account.
 type dataplaneLoad struct {
 	wholeRun
 	submitted int
-	fs        *pangu.FS
-	byID      map[string]*dpJob
+	byID      map[string]*dataJob
 	units     int
 
 	makespan obs.Dist
 
-	locMachine, locRack, locRemote uint64
-	shuffledMB, localMB            float64
-
+	// loc counts batch grants by the locality level at which they met their
+	// demand (resource.LocalityMachine, Rack, Cluster).
+	loc                  [3]uint64
+	shuffledMB, localMB  float64
 	verified, verifyFail int
 	svcOpsRun, svcOpFail int
 	completedJobs        int
@@ -205,9 +163,11 @@ type DataplaneStats struct {
 	MakespanP99MS  float64 `json:"makespan_p99_ms"`
 	MakespanMaxMS  float64 `json:"makespan_max_ms"`
 
-	// Locality classification of every grant to a locality-tracked stage:
-	// on a wanted machine (a chunk replica or an upstream's machine), in a
-	// wanted rack, or remote. HitRatePct = (machine + rack) / total.
+	// Locality classification of every batch-job grant: the level at which
+	// it met the JobMaster's demand (application master GrantLevel) — on a
+	// machine holding its input (a chunk replica or an upstream instance's
+	// output), in a rack it asked for, or anywhere. HitRatePct = (machine +
+	// rack) / total.
 	LocalityMachineGrants uint64  `json:"locality_machine_grants"`
 	LocalityRackGrants    uint64  `json:"locality_rack_grants"`
 	LocalityRemoteGrants  uint64  `json:"locality_remote_grants"`
@@ -234,7 +194,7 @@ func newDataplaneLoad(h *harness) *dataplaneLoad {
 	h.classes = newClassLedger(h.cfg)
 	return &dataplaneLoad{
 		wholeRun: wholeRun{h},
-		byID:     make(map[string]*dpJob),
+		byID:     make(map[string]*dataJob),
 	}
 }
 
@@ -244,18 +204,17 @@ func (dp *dataplaneLoad) drained() bool {
 	return dp.submitted >= dp.h.cfg.GatewaySubmissions && dp.h.gw.Drained()
 }
 
-// arm plans every job up front (Pangu files and stage graphs are part of the
-// seeded workload, independent of scheduling timing) and submits them through
-// the gateway spread over ArrivalWindow, classes interleaved so service and
-// batch arrive mixed.
+// arm plans every job up front (Pangu files and job descriptions are part of
+// the seeded workload, independent of scheduling timing) and submits them
+// through the gateway spread over ArrivalWindow, classes interleaved so
+// service and batch arrive mixed.
 func (dp *dataplaneLoad) arm() error {
 	h, cfg := dp.h, dp.h.cfg
-	dp.fs = pangu.New(h.top, rand.New(rand.NewSource(cfg.Seed+2)))
 	kinds := []struct {
 		n    int
-		plan func(int) (*dpJob, error)
+		plan func(int) (*dataJob, error)
 	}{{cfg.ServiceJobs, dp.planService}, {cfg.GraySortJobs, dp.planGraySort}, {cfg.DAGJobs, dp.planDAG}}
-	var plans []*dpJob
+	var plans []*dataJob
 	for i := 0; i < max(cfg.ServiceJobs, cfg.GraySortJobs, cfg.DAGJobs); i++ {
 		for _, kind := range kinds {
 			if i >= kind.n {
@@ -288,7 +247,7 @@ func (dp *dataplaneLoad) arm() error {
 // planGraySort builds one GraySort job: a map → sort → merge chain over a
 // Pangu input file, stage width = chunk count, durations from the hardware
 // phase model scaled to the job's slice of the cluster.
-func (dp *dataplaneLoad) planGraySort(i int) (*dpJob, error) {
+func (dp *dataplaneLoad) planGraySort(i int) (*dataJob, error) {
 	cfg := dp.h.cfg
 	id := gwName("gs-", i, 4)
 	dataMB := cfg.GraySortDataMB
@@ -296,7 +255,7 @@ func (dp *dataplaneLoad) planGraySort(i int) (*dpJob, error) {
 		dataMB = pangu.DefaultChunkSizeMB
 	}
 	file := "pangu://" + id + "/input"
-	f, err := dp.fs.Create(file, dataMB)
+	f, err := dp.h.cl.FS.Create(file, dataMB)
 	if err != nil {
 		return nil, err
 	}
@@ -321,23 +280,22 @@ func (dp *dataplaneLoad) planGraySort(i int) (*dpJob, error) {
 			{Source: job.AccessPoint{AccessPoint: "merge:out"}, Destination: job.AccessPoint{FilePattern: "pangu://" + id + "/output"}},
 		},
 	}
-	j, err := dp.newJob(id, dpGraySort, gateway.ClassBatch, desc, float64(dataMB), file)
+	j, err := dp.newJob(id, dpGraySort, gateway.ClassBatch, desc, float64(dataMB))
 	if err != nil {
 		return nil, err
 	}
 	j.width = w
-	j.stages["sort"].locality = locUpstreamMachines
 	return j, nil
 }
 
 // planDAG builds one Figure 6 diamond: T1 reads a Pangu file, T2/T3 fan out
-// with rack affinity to T1's placements, T4 joins them.
-func (dp *dataplaneLoad) planDAG(i int) (*dpJob, error) {
+// from it, T4 joins them.
+func (dp *dataplaneLoad) planDAG(i int) (*dataJob, error) {
 	id := gwName("dag-", i, 4)
 	const t1Width = 12
 	dataMB := int64(t1Width * pangu.DefaultChunkSizeMB)
 	file := "pangu://" + id + "/input"
-	if _, err := dp.fs.Create(file, dataMB); err != nil {
+	if _, err := dp.h.cl.FS.Create(file, dataMB); err != nil {
 		return nil, err
 	}
 	desc := &job.Description{
@@ -357,13 +315,13 @@ func (dp *dataplaneLoad) planDAG(i int) (*dpJob, error) {
 			{Source: job.AccessPoint{AccessPoint: "T4:output"}, Destination: job.AccessPoint{FilePattern: "pangu://" + id + "/output"}},
 		},
 	}
-	return dp.newJob(id, dpDAG, gateway.ClassBatch, desc, float64(dataMB), file)
+	return dp.newJob(id, dpDAG, gateway.ClassBatch, desc, float64(dataMB))
 }
 
-// planService builds one long-running service resident: a single unit of
-// ServiceWorkers containers held for the job's configured lifetime, running
-// a streamline operation round every ServiceOpEvery.
-func (dp *dataplaneLoad) planService(i int) (*dpJob, error) {
+// planService builds one long-running service resident: a single task of
+// ServiceWorkers instances that run for the job's configured lifetime, while
+// a streamline operation round runs every ServiceOpEvery.
+func (dp *dataplaneLoad) planService(i int) (*dataJob, error) {
 	cfg := dp.h.cfg
 	id := gwName("svc-", i, 4)
 	lifeMS := int64(cfg.ServiceOps)*int64(cfg.ServiceOpEvery/sim.Millisecond) + 2000
@@ -373,7 +331,7 @@ func (dp *dataplaneLoad) planService(i int) (*dpJob, error) {
 			"serve": {Instances: max(cfg.ServiceWorkers, 1), CPUMilli: 2000, MemoryMB: 4096, DurationMS: clampMS(lifeMS)},
 		},
 	}
-	j, err := dp.newJob(id, dpService, gateway.ClassService, desc, 0, "")
+	j, err := dp.newJob(id, dpService, gateway.ClassService, desc, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -381,188 +339,21 @@ func (dp *dataplaneLoad) planService(i int) (*dpJob, error) {
 	return j, nil
 }
 
-// newJob turns a job description into staged execution state. Stage input
-// volumes follow a pass-through model: a root stage's volume is the job's
-// data size, every stage forwards its input split evenly across its
-// downstream pipes.
-func (dp *dataplaneLoad) newJob(id string, kind dpKind, class gateway.Class, desc *job.Description, dataMB float64, inputFile string) (*dpJob, error) {
+// newJob wraps a validated job description in the harness's record of it.
+func (dp *dataplaneLoad) newJob(id string, kind dpKind, class gateway.Class, desc *job.Description, dataMB float64) (*dataJob, error) {
 	if err := desc.Validate(); err != nil {
 		return nil, fmt.Errorf("scale: dataplane job %s: %w", id, err)
 	}
-	order, err := desc.TopologicalOrder()
-	if err != nil {
-		return nil, fmt.Errorf("scale: dataplane job %s: %w", id, err)
-	}
-	j := &dpJob{
+	order, _ := desc.TopologicalOrder()
+	return &dataJob{
 		application: application{h: dp.h, name: id, class: class},
-		dp:          dp, kind: kind,
-		desc: desc, order: order, stages: make(map[string]*dpStage, len(order)),
-		dataMB: dataMB, inputFile: inputFile,
-		remaining: len(order),
-	}
-	inMB := make(map[string]float64, len(order))
-	for idx, t := range order {
-		spec := desc.Tasks[t]
-		st := &dpStage{
-			name:       t,
-			unitID:     idx + 1,
-			need:       spec.Instances,
-			size:       resource.New(spec.CPUMilli, spec.MemoryMB),
-			duration:   sim.Time(spec.DurationMS) * sim.Millisecond,
-			upstreams:  len(desc.Upstream(t)),
-			placeCount: make(map[int32]int),
-		}
-		if st.upstreams == 0 {
-			inMB[t] = dataMB
-			if inputFile != "" && len(desc.InputFiles(t)) > 0 {
-				st.locality = locChunks
-			}
-		} else {
-			st.locality = locUpstreamRacks
-			for _, up := range desc.Upstream(t) {
-				st.inputMB += inMB[up] / float64(len(desc.Downstream(up)))
-			}
-			inMB[t] = st.inputMB
-		}
-		j.stages[t] = st
-	}
-	// Chunk-locality demand is known at plan time.
-	for _, t := range order {
-		if st := j.stages[t]; st.locality == locChunks {
-			j.prepareChunkLocality(st)
-		}
-	}
-	return j, nil
+		dp:          dp, kind: kind, desc: desc, order: order, dataMB: dataMB,
+		placed: make([]dense.Map[int], len(order)),
+	}, nil
 }
 
-// prepareChunkLocality derives a root stage's locality demand from its
-// input file's chunk placement: one machine-level hint per chunk on the
-// chunk's first replica, with every replica (and its rack) counting as a
-// locality hit.
-func (j *dpJob) prepareChunkLocality(st *dpStage) {
-	h := j.h
-	st.wantM = make(map[int32]bool)
-	st.wantR = make(map[int32]bool)
-	counts := make(map[int32]int)
-	f, err := j.dp.fs.Open(j.inputFile)
-	if err != nil {
-		st.locality = locCluster
-		return
-	}
-	for _, c := range f.Chunks {
-		for ri, rep := range c.Replicas {
-			m := h.top.MachineID(rep)
-			if m < 0 {
-				continue
-			}
-			st.wantM[m] = true
-			st.wantR[h.top.RackIDOf(m)] = true
-			if ri == 0 {
-				if counts[m] == 0 {
-					st.hintMachines = append(st.hintMachines, m)
-				}
-				counts[m]++
-			}
-		}
-	}
-	st.hintCounts = make([]int, len(st.hintMachines))
-	for i, m := range st.hintMachines {
-		st.hintCounts[i] = counts[m]
-	}
-}
-
-// prepareUpstreamLocality derives a ready stage's locality demand and its
-// shuffle-accounting source from where the upstream stages actually ran.
-func (j *dpJob) prepareUpstreamLocality(st *dpStage) {
-	h := j.h
-	srcCount := make(map[int32]int)
-	for _, up := range j.desc.Upstream(st.name) {
-		us := j.stages[up]
-		for _, m := range us.placeOrder {
-			if srcCount[m] == 0 {
-				st.srcOrder = append(st.srcOrder, m)
-			}
-			srcCount[m] += us.placeCount[m]
-			st.srcTotal += us.placeCount[m]
-		}
-	}
-	st.srcCounts = make([]int, len(st.srcOrder))
-	for i, m := range st.srcOrder {
-		st.srcCounts[i] = srcCount[m]
-	}
-	if st.locality == locCluster || st.srcTotal == 0 {
-		return
-	}
-	st.wantM = make(map[int32]bool, len(st.srcOrder))
-	st.wantR = make(map[int32]bool)
-	for _, m := range st.srcOrder {
-		st.wantM[m] = true
-		st.wantR[h.top.RackIDOf(m)] = true
-	}
-	switch st.locality {
-	case locUpstreamMachines:
-		// Demand exactly the upstream placement distribution (container
-		// reuse: the sort stage wants the machines holding map output).
-		st.hintMachines = st.srcOrder
-		st.hintCounts = st.srcCounts
-	case locUpstreamRacks:
-		var racks []int32
-		seen := make(map[int32]bool)
-		for _, m := range st.srcOrder {
-			r := h.top.RackIDOf(m)
-			if !seen[r] {
-				seen[r] = true
-				racks = append(racks, r)
-			}
-		}
-		st.hintRacks = racks
-		st.hintRackCounts = make([]int, len(racks))
-		for i := 0; i < st.need; i++ {
-			st.hintRackCounts[i%len(racks)]++
-		}
-	}
-}
-
-// hintsFor builds the stage's demand hints, machine preferences first, rack
-// preferences next, any remainder cluster-wide.
-func (j *dpJob) hintsFor(st *dpStage) []resource.LocalityHint {
-	h := j.h
-	var hints []resource.LocalityHint
-	rest := st.need
-	for i, m := range st.hintMachines {
-		if rest <= 0 {
-			break
-		}
-		c := min(st.hintCounts[i], rest)
-		if c <= 0 {
-			continue
-		}
-		hints = append(hints, resource.LocalityHint{
-			Type: resource.LocalityMachine, Value: h.top.MachineName(m), Count: c,
-		})
-		rest -= c
-	}
-	for i, r := range st.hintRacks {
-		if rest <= 0 {
-			break
-		}
-		c := min(st.hintRackCounts[i], rest)
-		if c <= 0 {
-			continue
-		}
-		hints = append(hints, resource.LocalityHint{
-			Type: resource.LocalityRack, Value: h.top.RackName(r), Count: c,
-		})
-		rest -= c
-	}
-	if rest > 0 {
-		hints = append(hints, resource.LocalityHint{Type: resource.LocalityCluster, Count: rest})
-	}
-	return hints
-}
-
-// spawn is the gateway's OnRegistered callback: boot the job's application
-// master and release its root stages.
+// spawn is the gateway's OnRegistered callback: launch the job's JobMaster,
+// which registers its application master and releases the root tasks.
 func (dp *dataplaneLoad) spawn(gj gateway.Job) {
 	h := dp.h
 	j := dp.byID[gj.ID]
@@ -570,142 +361,46 @@ func (dp *dataplaneLoad) spawn(gj gateway.Job) {
 		return
 	}
 	h.classes.admission[j.class].Observe(float64(h.eng.Now()-j.submitAt) / float64(sim.Millisecond))
-	units := make([]resource.ScheduleUnit, 0, len(j.order))
-	for _, t := range j.order {
-		st := j.stages[t]
-		units = append(units, resource.ScheduleUnit{
-			ID: st.unitID, Priority: classPriority(j.class), Size: st.size, MaxCount: st.need,
-		})
+	jh, err := h.cl.SubmitJob(j.desc, core.JobOptions{Config: job.Config{
+		QuotaGroup: gj.Class.QuotaGroup(), Priority: classPriority(j.class),
+		FullSyncInterval: cmp.Or(h.cfg.FullSyncEvery, 10*sim.Second),
+		OnDone:           j.complete, Observer: j,
+	}})
+	if err != nil {
+		return // planned descriptions validate
 	}
-	h.launch(&j.application, j, gj.Class.QuotaGroup(), units)
-	// Root stages demand after the registration round-trip settles; inner
-	// stages are released incrementally as upstreams finish.
-	h.eng.PostFunc(sim.Millisecond, func() {
-		for _, t := range j.order {
-			if st := j.stages[t]; st.upstreams == 0 && !st.started {
-				j.startStage(st)
-			}
-		}
-	})
-}
-
-func (j *dpJob) startStage(st *dpStage) {
-	st.started = true
-	j.am.Request(st.unitID, j.hintsFor(st)...)
+	j.am = jh.JM.AM()
+	h.apps = append(h.apps, &j.application)
 	if j.kind == dpService && j.svcOps > 0 {
-		j.h.eng.PostFunc(j.h.cfg.ServiceOpEvery, j.svcTick)
+		h.eng.PostFunc(h.cfg.ServiceOpEvery, j.svcTick)
 	}
 }
 
-func (j *dpJob) stageAt(unitID int) *dpStage {
-	if unitID < 1 || unitID > len(j.order) {
-		return nil
-	}
-	return j.stages[j.order[unitID-1]]
-}
-
-// OnGrant implements appmaster.Callbacks.
-func (j *dpJob) OnGrant(unitID int, machine int32, count int) {
-	h, dp := j.h, j.dp
-	h.granted(&j.application, unitID, machine, count)
-	st := j.stageAt(unitID)
-	if st == nil || j.done {
+// OnGrant implements job.Observer: the grant takes the observed-decision
+// path, is booked as a placement of its stage and, for a batch job, is
+// classified by the locality level at which it met the JobMaster's demand.
+func (j *dataJob) OnGrant(unitID int, machine int32, count int) {
+	j.h.granted(&j.application, unitID, machine, count)
+	if unitID < 1 || unitID > len(j.placed) {
 		return
 	}
-	// One-wave execution: accept what the stage still needs, hand back the
-	// rest immediately (a late regrant racing a revocation's re-demand).
-	use := min(count, st.need-st.executed-st.inFlight)
-	if excess := count - use; excess > 0 {
-		j.am.ReturnContainers(unitID, machine, excess)
-	}
-	if use <= 0 {
-		return
-	}
-	st.inFlight += use
-	if st.locality != locCluster && st.wantM != nil {
-		switch {
-		case st.wantM[machine]:
-			dp.locMachine += uint64(use)
-		case st.wantR[h.top.RackIDOf(machine)]:
-			dp.locRack += uint64(use)
-		default:
-			dp.locRemote += uint64(use)
-		}
-	}
-	h.eng.PostFunc(st.duration, func() { j.holdDone(st, machine, use) })
-}
-
-// holdDone completes one grant's work slice: the containers return to the
-// master and the stage's executed count advances. Containers revoked
-// mid-hold were already re-demanded by OnRevoke, so the return is clamped
-// to what the application master still holds.
-func (j *dpJob) holdDone(st *dpStage, machine int32, count int) {
-	if j.done {
-		return
-	}
-	if held := j.am.Held(st.unitID, machine); held < count {
-		count = held
-	}
-	if count <= 0 {
-		return
-	}
-	j.am.ReturnContainers(st.unitID, machine, count)
-	st.inFlight -= count
-	if st.inFlight < 0 {
-		st.inFlight = 0
-	}
-	if st.finished {
-		return
-	}
-	if st.placeCount[machine] == 0 {
-		st.placeOrder = append(st.placeOrder, machine)
-	}
-	st.placeCount[machine] += count
-	j.dp.accountRead(st, machine, count)
-	st.executed += count
-	if st.executed >= st.need {
-		st.finished = true
-		j.stageDone(st)
+	*j.placed[unitID-1].Put(uint64(uint32(machine))) += count
+	if j.kind != dpService {
+		j.dp.loc[j.am.GrantLevel()] += uint64(count)
 	}
 }
 
-// accountRead attributes the stage's share of task-to-task input volume:
-// bytes whose upstream producer ran on the same machine are local reads,
-// the rest crossed the network (the shuffle).
-func (dp *dataplaneLoad) accountRead(st *dpStage, machine int32, count int) {
-	if st.inputMB <= 0 || st.srcTotal == 0 {
-		return
-	}
-	share := st.inputMB * float64(count) / float64(st.need)
-	for i, m := range st.srcOrder {
-		mb := share * float64(st.srcCounts[i]) / float64(st.srcTotal)
-		if m == machine {
-			dp.localMB += mb
-		} else {
-			dp.shuffledMB += mb
-		}
-	}
+// OnRevoke implements job.Observer.
+func (j *dataJob) OnRevoke(unitID int, machine int32, count int) {
+	j.h.revoked(&j.application, unitID, machine, count)
 }
 
-func (j *dpJob) stageDone(st *dpStage) {
-	j.remaining--
-	for _, dn := range j.desc.Downstream(st.name) {
-		ds := j.stages[dn]
-		ds.upstreams--
-		if ds.upstreams == 0 && !ds.started {
-			j.prepareUpstreamLocality(ds)
-			j.startStage(ds)
-		}
-	}
-	if j.remaining == 0 {
-		j.complete()
-	}
-}
-
-func (j *dpJob) complete() {
+// complete is the JobMaster's OnDone: account the job and finish it.
+func (j *dataJob) complete(*job.JobMaster) {
 	h, dp := j.h, j.dp
 	if j.kind != dpService {
 		dp.makespan.Observe(float64(h.eng.Now()-j.submitAt) / float64(sim.Millisecond))
+		dp.accountShuffle(j)
 	}
 	if j.kind == dpGraySort && h.cfg.VerifyRecords > 0 {
 		every := max(h.cfg.VerifySampleEvery, 1)
@@ -717,24 +412,50 @@ func (j *dpJob) complete() {
 	dp.completedJobs++
 }
 
-// OnRevoke implements appmaster.Callbacks.
-func (j *dpJob) OnRevoke(unitID int, machine int32, count int) {
-	j.h.revoked(&j.application, unitID, machine, count)
-	st := j.stageAt(unitID)
-	if st == nil || j.done {
-		return
+// accountShuffle attributes a finished job's task-to-task volume. A root
+// task's volume is the job's data size and every task forwards its input
+// split evenly across its downstream pipes; each pipe is an all-to-all
+// shuffle, so the share of it read on the machine that produced it is the
+// overlap of the two stages' placements.
+func (dp *dataplaneLoad) accountShuffle(j *dataJob) {
+	inMB := make([]float64, len(j.order))
+	for u, t := range j.order {
+		ups := j.desc.Upstream(t)
+		if len(ups) == 0 {
+			inMB[u] = j.dataMB
+			continue
+		}
+		for _, up := range ups {
+			src := slices.Index(j.order, up)
+			mb := inMB[src] / float64(len(j.desc.Downstream(up)))
+			inMB[u] += mb
+			local := mb * overlap(&j.placed[src], &j.placed[u])
+			dp.localMB += local
+			dp.shuffledMB += mb - local
+		}
 	}
-	st.inFlight = max(st.inFlight-count, 0)
-	if !st.finished {
-		// Failover took the containers mid-stage; anywhere in the cluster
-		// will do for the retry.
-		j.demand(unitID, count)
+}
+
+// overlap is Σ over machines of the product of their shares of a's and b's
+// containers.
+func overlap(a, b *dense.Map[int]) float64 {
+	var na, nb, both float64
+	for _, c := range a.Cells() {
+		na += float64(c.Val)
 	}
+	for _, c := range b.Cells() {
+		nb += float64(c.Val)
+		both += float64(c.Val) * float64(a.Get(c.Key))
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return both / (na * nb)
 }
 
 // svcTick runs one service operation and re-arms itself while the job is
 // live and operations remain.
-func (j *dpJob) svcTick() {
+func (j *dataJob) svcTick() {
 	if j.done || j.svcOps <= 0 {
 		return
 	}
@@ -749,7 +470,7 @@ func (j *dpJob) svcTick() {
 // hash-partitioned word count and a range-partitioned sort, and asserts
 // record conservation — the service job's "request serving" is the data
 // plane actually computing.
-func (dp *dataplaneLoad) runServiceOp(j *dpJob) {
+func (dp *dataplaneLoad) runServiceOp(j *dataJob) {
 	dp.svcOpsRun++
 	mix := jobMix(j.name) + uint64(j.svcOps)*0x9e3779b97f4a7c15
 	const nrec = 256
@@ -829,7 +550,7 @@ func (dp *dataplaneLoad) serviceRangeSort(records []streamline.Record) {
 // job's deterministic seed and range-partitions them across the job width;
 // one sampled partition is then sorted per run and k-way merged — the
 // merged output must be sorted and conserve the records routed to it.
-func (dp *dataplaneLoad) verifyGraySort(j *dpJob, recordsPerMap int) {
+func (dp *dataplaneLoad) verifyGraySort(j *dataJob, recordsPerMap int) {
 	w := j.width
 	if w <= 0 {
 		return
@@ -874,9 +595,9 @@ func (dp *dataplaneLoad) report(res *Result) {
 		MakespanP50MS:         dp.makespan.Quantile(0.5),
 		MakespanP99MS:         dp.makespan.Quantile(0.99),
 		MakespanMaxMS:         dp.makespan.Max(),
-		LocalityMachineGrants: dp.locMachine,
-		LocalityRackGrants:    dp.locRack,
-		LocalityRemoteGrants:  dp.locRemote,
+		LocalityMachineGrants: dp.loc[resource.LocalityMachine],
+		LocalityRackGrants:    dp.loc[resource.LocalityRack],
+		LocalityRemoteGrants:  dp.loc[resource.LocalityCluster],
 		ShuffledMB:            dp.shuffledMB,
 		LocalMB:               dp.localMB,
 		VerifiedPartitions:    dp.verified,
@@ -886,8 +607,8 @@ func (dp *dataplaneLoad) report(res *Result) {
 		Service:               dp.h.classes.stats(gateway.ClassService),
 		Batch:                 dp.h.classes.stats(gateway.ClassBatch),
 	}
-	if total := dp.locMachine + dp.locRack + dp.locRemote; total > 0 {
-		s.LocalityHitRatePct = 100 * float64(dp.locMachine+dp.locRack) / float64(total)
+	if total := s.LocalityMachineGrants + s.LocalityRackGrants + s.LocalityRemoteGrants; total > 0 {
+		s.LocalityHitRatePct = 100 * float64(s.LocalityMachineGrants+s.LocalityRackGrants) / float64(total)
 	}
 	res.Units, res.Dataplane = dp.units, s
 }

@@ -128,33 +128,43 @@ func TestDataplaneDeterministicAcrossRuns(t *testing.T) {
 
 // TestDataplaneSurvivesMachineFailover exercises the revoke → re-demand path:
 // with machines crashing every second, every job must still complete and
-// every sampled kernel check still pass.
+// every sampled kernel check still pass — and again through a FuxiMaster
+// failover, where the JobMasters' application masters rebuild the promoted
+// master's view with FullDemandSync.
 func TestDataplaneSurvivesMachineFailover(t *testing.T) {
-	cfg := tinyDataplane()
-	cfg.FailoverEvery = 1 * sim.Second
-	cfg.FailoverDowntime = 4 * sim.Second
-	cfg.Horizon = 4 * sim.Minute
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Truncated {
-		t.Fatalf("failover dataplane run truncated: %d jobs done at sim %.1fs",
-			r.Dataplane.CompletedJobs, r.SimSeconds)
-	}
-	if len(r.Invariants) > 0 {
-		t.Fatalf("invariant violations: %v", r.Invariants)
-	}
-	d := r.Dataplane
-	total := cfg.GraySortJobs + cfg.DAGJobs + cfg.ServiceJobs
-	if d.CompletedJobs != total {
-		t.Fatalf("completed %d/%d jobs under failover churn", d.CompletedJobs, total)
-	}
-	if d.VerifyFailures != 0 || d.ServiceOpFailures != 0 {
-		t.Errorf("kernel failures under failover: verify %d ops %d", d.VerifyFailures, d.ServiceOpFailures)
-	}
-	if r.Revokes == 0 {
-		t.Error("failover run saw no revocations — crash injection inert")
+	for _, masterCrash := range []sim.Time{0, 6 * sim.Second} {
+		cfg := tinyDataplane()
+		cfg.FailoverEvery = 1 * sim.Second
+		cfg.FailoverDowntime = 4 * sim.Second
+		cfg.Horizon = 4 * sim.Minute
+		if masterCrash > 0 {
+			cfg.MasterFailoverAt = []sim.Time{masterCrash}
+		}
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Truncated {
+			t.Fatalf("master crash at %v: failover dataplane run truncated: %d jobs done at sim %.1fs",
+				masterCrash, r.Dataplane.CompletedJobs, r.SimSeconds)
+		}
+		if len(r.Invariants) > 0 {
+			t.Fatalf("master crash at %v: invariant violations: %v", masterCrash, r.Invariants)
+		}
+		d := r.Dataplane
+		total := cfg.GraySortJobs + cfg.DAGJobs + cfg.ServiceJobs
+		if d.CompletedJobs != total {
+			t.Fatalf("master crash at %v: completed %d/%d jobs under failover churn", masterCrash, d.CompletedJobs, total)
+		}
+		if d.VerifyFailures != 0 || d.ServiceOpFailures != 0 {
+			t.Errorf("master crash at %v: kernel failures under failover: verify %d ops %d", masterCrash, d.VerifyFailures, d.ServiceOpFailures)
+		}
+		if r.Revokes == 0 {
+			t.Errorf("master crash at %v: no revocations — crash injection inert", masterCrash)
+		}
+		if r.MasterFailovers != len(cfg.MasterFailoverAt) {
+			t.Errorf("master crash at %v: %d master failovers, want %d", masterCrash, r.MasterFailovers, len(cfg.MasterFailoverAt))
+		}
 	}
 }
 

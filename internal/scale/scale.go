@@ -7,9 +7,10 @@
 // (lanes.go) is the table of scenarios the harness ships — each one a Config
 // constructor pair, a pass/fail contract and its budget gates.
 //
-// The cluster itself comes from core.NewCluster, the one assembler. What a
-// Config adds to it is one workload — classic arrivals, churn, the gateway
-// generator, dataplane, replay — and a list of probes — failover timing,
+// The cluster itself comes from core.NewCluster, the one assembler, and the
+// dataplane workload's jobs are JobMasters launched through its SubmitJob.
+// What a Config adds to it is one workload — classic arrivals, churn, the
+// gateway generator, dataplane, replay — and a list of probes — failover timing,
 // chaos convergence, the obs client (workload.go; pick chooses them). The
 // harness calls through those two and names no mode, and every job reports
 // its grants and revocations through one path, so a lane is a Config and any
@@ -147,8 +148,8 @@ type Config struct {
 	// Dataplane switches the workload to data-plane mode (see dataplane.go):
 	// instead of synthetic hold/return churn, the jobs submitted through the
 	// gateway are GraySort chains, Figure 6 DAG pipelines and long-running
-	// streamline service residents, with locality demand resolved against
-	// Pangu chunk placement and sampled kernel-level output verification.
+	// streamline service residents, each run by a JobMaster, with sampled
+	// kernel-level output verification.
 	// Apps and the synthetic gateway load generator are ignored in this mode.
 	Dataplane bool `json:"dataplane,omitempty"`
 	// GraySortJobs jobs each sort GraySortDataMB of simulated input; the

@@ -87,23 +87,12 @@ func (h *harness) pick() {
 // workload makes of it: the observed-decision path (granted, revoked) and the
 // finish path work on this part alone.
 type application struct {
-	appmaster.NoCallbacks
 	h    *harness
 	am   *appmaster.AM
 	name string
 	// class is the gateway service class the job was admitted under.
 	class gateway.Class
 	done  bool
-}
-
-// launch starts j's application master (which registers with FuxiMaster at
-// once) with cb as its callbacks; the caller sends the first demand.
-func (h *harness) launch(j *application, cb appmaster.Callbacks, group string, units []resource.ScheduleUnit) {
-	h.apps = append(h.apps, j)
-	j.am = appmaster.New(appmaster.Config{
-		App: j.name, QuotaGroup: group, Units: units,
-		FullSyncInterval: cmp.Or(h.cfg.FullSyncEvery, 10*sim.Second),
-	}, h.eng, h.net, h.top, cb)
 }
 
 // demand asks for count more containers of a unit anywhere in the cluster —
@@ -211,6 +200,7 @@ func (h *harness) finish(a *application) {
 // its own appmaster.Callbacks.
 type scaleApp struct {
 	application
+	appmaster.NoCallbacks
 	remaining int
 	// width is the container count each unit demands; hold is how long
 	// granted containers are held. Classic and gateway jobs take both from
@@ -224,8 +214,8 @@ type scaleApp struct {
 	unit1 [1]resource.ScheduleUnit
 }
 
-// startApp creates one synthetic job and starts its application master; the
-// caller sends the first demand.
+// startApp creates one synthetic job and starts its application master, which
+// registers with FuxiMaster at once; the caller sends the first demand.
 func (h *harness) startApp(name, group string, units []resource.ScheduleUnit, width int, hold sim.Time) *scaleApp {
 	return h.start(&scaleApp{application: application{h: h, name: name}, width: width, hold: hold}, group, units)
 }
@@ -240,7 +230,11 @@ func (h *harness) startUnitApp(name, group string, unit resource.ScheduleUnit, w
 
 func (h *harness) start(app *scaleApp, group string, units []resource.ScheduleUnit) *scaleApp {
 	app.remaining = len(units) * app.width
-	h.launch(&app.application, app, group, units)
+	h.apps = append(h.apps, &app.application)
+	app.am = appmaster.New(appmaster.Config{
+		App: app.name, QuotaGroup: group, Units: units,
+		FullSyncInterval: cmp.Or(h.cfg.FullSyncEvery, 10*sim.Second),
+	}, h.eng, h.net, h.top, app)
 	return app
 }
 
