@@ -31,8 +31,10 @@
 // and a list of probes (what each needs of the cluster, its fault and
 // grant/revoke hooks, its share of the result: failover timing, chaos
 // convergence, the obs client), chosen from scale.Config in one function.
-// Every job observes its grants and revocations through one path and
-// finishes through one path, so a lane is a Config and lanes compose.
+// Every job — a synthetic one, or a dataplane job run by the same §4
+// JobMaster core's job facade launches — observes its grants and revocations
+// through one path and finishes through one path, so a lane is a Config and
+// lanes compose.
 //
 // # One serial scheduling path
 //
