@@ -381,9 +381,6 @@ func (dp *dataplaneLoad) spawn(gj gateway.Job) {
 // classified by the locality level at which it met the JobMaster's demand.
 func (j *dataJob) OnGrant(unitID int, machine int32, count int) {
 	j.h.granted(&j.application, unitID, machine, count)
-	if unitID < 1 || unitID > len(j.placed) {
-		return
-	}
 	*j.placed[unitID-1].Put(uint64(uint32(machine))) += count
 	if j.kind != dpService {
 		j.dp.loc[j.am.GrantLevel()] += uint64(count)
