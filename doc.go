@@ -82,9 +82,12 @@
 // application master's endpoint ID doubles as the application's identity
 // between FuxiMaster and the agents: capacity deltas, capacity syncs and
 // heartbeat allocation tables carry it, the agents key their ledgers by it,
-// and the master finds a sender's state by it — the network never reuses
-// one, so unlike the scheduler's own registration-order app IDs it survives
-// a master failover. The scheduler/master wrapper keep per-machine state —
+// and the master finds a sender's state by it — unlike the scheduler's own
+// registration-order app IDs it survives a master failover. A finished
+// application's endpoint slot is recycled under a new generation (the ID
+// carries both), so tables indexed by slot follow the endpoints open at
+// once, and a late message naming the old generation is dropped on arrival.
+// The scheduler/master wrapper keep per-machine state —
 // free vectors, down and blacklist marks, heartbeat clocks, flap scores,
 // wait queues — in slices indexed by machine ID, and every per-unit book
 // (where a unit is granted, what an application master holds and still

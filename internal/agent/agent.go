@@ -56,7 +56,9 @@ func DefaultConfig() Config {
 
 // capKey packs one (app, unit) capacity address into a single integer — the
 // application master's endpoint ID in the high half, the unit ID in the low
-// half.
+// half. The ID is the full one, slot and generation: a row a finished
+// application master left behind (its release still in flight) never reads as
+// a row of the slot's later owner.
 type capKey uint64
 
 func makeCapKey(app transport.EndpointID, unitID int) capKey {
@@ -160,7 +162,11 @@ func (t *capTable) reset() {
 
 // Proc is one supervised worker process.
 type Proc struct {
-	App    string
+	App string
+	// ep is the application master's endpoint ID the capacity was granted to:
+	// enforcement matches rows by it and status reports go to it, so a
+	// finished application's name is never looked up again.
+	ep     transport.EndpointID
 	UnitID int
 	ID     string
 	Size   resource.Vector
@@ -283,7 +289,9 @@ func (a *Agent) Capacity(app string, unitID int) int {
 // ForEachAllocation visits every (app, unit, count) of the agent's capacity
 // table with a positive count, in no particular order, without allocating.
 // The cluster-wide invariant checker and the chaos convergence probe compare
-// it against the master's grants on this machine.
+// it against the master's grants on this machine. A row of a retired
+// application master (its release still in flight) is visited under the
+// name "": the name is gone with the endpoint, and no other app's is given.
 func (a *Agent) ForEachAllocation(fn func(app string, unitID, count int)) {
 	t := &a.capacity
 	for i, k := range t.keys {
@@ -487,6 +495,8 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 		}
 		a.applyCapacitySync(t)
 	case protocol.WorkPlan:
+		// from is a live endpoint (the network fences retired ones), so its
+		// name is the sender's own.
 		if a.dedup.Observe(a.net.Name(from)+"/plan/"+t.WorkerID, t.Seq) == protocol.Duplicate {
 			return
 		}
@@ -511,9 +521,12 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 
 // wellFormed reports whether every entry of a capacity message names an
 // endpoint the network handed out and a unit ID the wire's 32 bits hold —
-// the two things the ledger's packed key and its name lookups trust. A
-// message that fails is dropped whole, before it reaches the epoch gate, the
-// sequence marks or the ledger.
+// the two things the ledger's packed key trusts. A message that fails is
+// dropped whole, before it reaches the epoch gate, the sequence marks or the
+// ledger. An endpoint handed out and since retired passes: the master's
+// release of a finished application's capacity can land after the
+// application's endpoint was retired, and dropping it would strand that
+// capacity on this machine for good.
 func (a *Agent) wellFormed(es []protocol.CapacityEntry) bool {
 	for _, e := range es {
 		if !a.net.Known(transport.EndpointID(e.App)) || int(int32(e.UnitID)) != e.UnitID {
@@ -544,10 +557,9 @@ func (a *Agent) ensureCapacity(k capKey, count int) {
 	if len(a.procs) == 0 {
 		return // nothing supervised (the common state at control-plane scale)
 	}
-	app := a.net.Name(k.app())
 	var owned []*Proc
 	for _, p := range a.procs {
-		if p.App == app && p.UnitID == k.unitID() {
+		if p.ep == k.app() && p.UnitID == k.unitID() {
 			owned = append(owned, p)
 		}
 	}
@@ -601,7 +613,7 @@ func (a *Agent) startWorker(from transport.EndpointID, t protocol.WorkPlan) {
 		})
 		return
 	}
-	p := &Proc{App: t.App, UnitID: t.UnitID, ID: t.WorkerID, Size: t.Size, Usage: t.Size, State: protocol.WorkerStarting}
+	p := &Proc{App: t.App, ep: a.net.Lookup(t.App), UnitID: t.UnitID, ID: t.WorkerID, Size: t.Size, Usage: t.Size, State: protocol.WorkerStarting}
 	a.procs[t.WorkerID] = p
 	p.startTimer = a.eng.After(a.cfg.WorkerStartDelay, func() {
 		if a.procs[t.WorkerID] != p || !a.machineUp {
@@ -610,7 +622,7 @@ func (a *Agent) startWorker(from transport.EndpointID, t protocol.WorkPlan) {
 		p.State = protocol.WorkerRunning
 		// First status report: the AM measures worker-start overhead from
 		// plan to this message (Table 2).
-		a.net.Send(a.endpoint(), p.App, protocol.WorkerStatus{
+		a.net.SendID(a.epID, p.ep, protocol.WorkerStatus{
 			Machine: a.Machine, App: p.App, WorkerID: p.ID,
 			State: protocol.WorkerRunning, Seq: a.seq.Next(),
 		})
@@ -627,7 +639,7 @@ func (a *Agent) stopWorker(t protocol.StopWorker) {
 	}
 	delete(a.procs, t.WorkerID)
 	p.State = protocol.WorkerFinished
-	a.net.Send(a.endpoint(), p.App, protocol.WorkerStatus{
+	a.net.SendID(a.epID, p.ep, protocol.WorkerStatus{
 		Machine: a.Machine, App: p.App, WorkerID: p.ID,
 		State: protocol.WorkerFinished, Seq: a.seq.Next(),
 	})
@@ -641,7 +653,7 @@ func (a *Agent) killProc(p *Proc, detail string) {
 	delete(a.procs, p.ID)
 	p.State = protocol.WorkerFailed
 	if a.Up() {
-		a.net.Send(a.endpoint(), p.App, protocol.WorkerStatus{
+		a.net.SendID(a.epID, p.ep, protocol.WorkerStatus{
 			Machine: a.Machine, App: p.App, WorkerID: p.ID,
 			State: protocol.WorkerFailed, FailureDetail: detail, Seq: a.seq.Next(),
 		})
@@ -662,7 +674,7 @@ func (a *Agent) CrashWorker(workerID, detail string) {
 		return
 	}
 	// Auto-restart inside the still-granted container.
-	a.startWorker(a.net.Endpoint(p.App), protocol.WorkPlan{
+	a.startWorker(p.ep, protocol.WorkPlan{
 		App: p.App, UnitID: p.UnitID, WorkerID: p.ID, Size: p.Size, Seq: a.seq.Next(),
 	})
 }

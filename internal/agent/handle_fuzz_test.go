@@ -10,8 +10,14 @@ import (
 )
 
 // agentScript turns fuzz bytes into hostile master and application traffic
-// for one agent: a cursor that reads zeros once the bytes run out.
-type agentScript struct{ b []byte }
+// for one agent: a cursor that reads zeros once the bytes run out. apps holds
+// each script application's current endpoint name and retired the endpoint
+// IDs of the ones that finished, whose slots later names reuse.
+type agentScript struct {
+	b       []byte
+	apps    []string
+	retired []int32
+}
 
 func (s *agentScript) next() byte {
 	if len(s.b) == 0 {
@@ -26,14 +32,18 @@ func (s *agentScript) next() byte {
 // network in this order (neither their name order nor its reverse).
 var scriptApps = []string{"job-m", "job-c", "job-x", "job-a"}
 
-// app picks an application's endpoint ID, or (one time in eight) an ID the
-// network never handed out.
+// app picks an application's endpoint ID: now and then an ID the network
+// never handed out, or one of a finished application's, whose slot a later
+// application may hold by now.
 func (s *agentScript) app(net *transport.Net) int32 {
 	c := s.next()
-	if c&7 == 7 {
+	switch {
+	case c&7 == 7:
 		return []int32{-1, 1 << 20, 1 << 30, -(1 << 30)}[c>>3&3]
+	case c&7 == 6 && len(s.retired) > 0:
+		return s.retired[int(c>>3)%len(s.retired)]
 	}
-	return int32(net.Endpoint(scriptApps[int(c>>3)%len(scriptApps)]))
+	return int32(net.Endpoint(s.apps[int(c>>3)%len(s.apps)]))
 }
 
 // unit picks a unit ID: mostly 1–3, sometimes zero, negative, or wider than
@@ -149,6 +159,43 @@ func TestCapacitySyncForAnotherMachineIsDropped(t *testing.T) {
 	}
 }
 
+// TestReleaseForRetiredAppIsApplied: an application master retires its
+// endpoint at the unregister ack, and the master's release of its capacity can
+// reach an agent after that, or after a later application took the slot over.
+// The release names a generation the network has retired, and must still be
+// applied: wellFormed's check is "the network issued this ID", not "this ID
+// is live". With Known meaning live, the delta is dropped whole and the
+// finished job's capacity is stranded on the machine for good. The new
+// owner's row, on the same slot, is not touched.
+func TestReleaseForRetiredAppIsApplied(t *testing.T) {
+	h := newHarness(t)
+	old := h.ep("app1")
+	h.sendDelta(1, protocol.CapacityEntry{App: old, UnitID: 1, Size: size, Count: 2})
+	h.net.Retire("app1")
+	h.net.Register("app2", func(transport.EndpointID, transport.Message) {})
+	fresh := h.ep("app2")
+	if transport.EndpointID(fresh).Slot() != transport.EndpointID(old).Slot() {
+		t.Fatalf("app2 got slot %d, app1 had %d: the test needs the slot reused",
+			transport.EndpointID(fresh).Slot(), transport.EndpointID(old).Slot())
+	}
+	h.sendDelta(2, protocol.CapacityEntry{App: fresh, UnitID: 1, Size: size, Count: 1})
+	h.sendDelta(3, protocol.CapacityEntry{App: old, UnitID: 1, Size: size, Count: -2})
+	rows := map[capKey]int{}
+	for i, k := range h.agent.capacity.keys {
+		if n := h.agent.capacity.counts[i]; n > 0 {
+			rows[k] = n
+		}
+	}
+	want := map[capKey]int{makeCapKey(transport.EndpointID(fresh), 1): 1}
+	if fmt.Sprint(rows) != fmt.Sprint(want) || h.agent.ClampedNegative != 0 {
+		t.Fatalf("rows %v (clamped %d), want only app2's %v: the retired app's release was not applied",
+			rows, h.agent.ClampedNegative, want)
+	}
+	if got := h.agent.Capacity("app2", 1); got != 1 {
+		t.Fatalf("app2 holds %d, want 1", got)
+	}
+}
+
 // TestMalformedCapacityEntriesAreDropped: the ledger keys a row by the
 // entry's endpoint ID and the low 32 bits of its unit ID, and names the
 // application when it enforces or reports. A delta naming an endpoint the
@@ -197,10 +244,12 @@ func TestMalformedCapacityEntriesAreDropped(t *testing.T) {
 // hostile messages — capacity deltas and syncs with unknown applications,
 // units wider than the wire, over-releases and huge counts; syncs naming
 // another machine; master hellos; work plans, some beyond the granted
-// capacity; and every capacity message stamped in order, duplicated, past a
-// gap, from a deposed epoch or from a promoted one — with idle stretches for
-// beats, anchors and the reap. The map-based reference ledger sees the same
-// messages. After every message the agent must not have panicked, hold no
+// capacity; applications that finish (their endpoints retire and later ones
+// reuse the slots) and capacity entries that still name them; and every
+// capacity message stamped in order, duplicated, past a gap, from a deposed
+// epoch or from a promoted one — with idle stretches for beats, anchors and
+// the reap. The map-based reference ledger sees the same messages, keyed by
+// the name each endpoint had. After every message the agent must not have panicked, hold no
 // negative row, have clamped exactly the releases the reference clamped, sent
 // the repair queries the reference counts and hold the reference's ledger;
 // every beat it sends must be the reference's.
@@ -216,22 +265,32 @@ func FuzzAgentHandle(f *testing.F) {
 	// empty row — none of them clamps.
 	f.Add([]byte{0, 4, 1, 0, 0, 2, 0, 4, 2, 0, 0, 0xff, 0, 0, 1, 0, 4, 2, 0, 0, 1, 0, 0, 0xff, 0, 4, 2, 0, 1, 1, 0, 1, 0xff, 4, 50})
 	f.Add([]byte{0, 4, 1, 0, 0, 1, 0, 4, 2, 0, 0, 0xff, 8, 0, 1, 0, 4, 2, 0, 0, 1, 8, 0, 0xff, 4, 50})
+	// job-m is granted two containers and finishes; job-m.1 takes its slot
+	// and is granted one; the release naming job-m's retired generation lands
+	// after that, then a sync carries both generations' rows.
+	f.Add([]byte{0, 1, 1, 0, 0, 2, 5, 0, 0, 1, 1, 0, 0, 1, 0, 1, 6, 0, 0xfe, 1, 0, 2, 6, 0, 2, 0, 0, 1, 4, 50})
+	// Two applications finish in turn while deltas and plans name the old
+	// generations and the new ones.
+	f.Add([]byte{0, 2, 1, 0, 0, 2, 8, 0, 0, 1, 5, 0, 5, 1, 0, 3, 6, 0, 0xff, 14, 0, 0xff, 3, 0, 0, 0, 0, 4, 20, 0, 1, 6, 0, 1, 4, 50})
 	f.Fuzz(runAgentScript)
 }
 
 // runAgentScript is FuzzAgentHandle's body: one fresh agent, one script.
 func runAgentScript(t *testing.T, data []byte) {
-	s := &agentScript{b: data}
+	s := &agentScript{b: data, apps: append([]string(nil), scriptApps...)}
 	h := newHarness(t)
 	a := h.agent
-	for _, app := range scriptApps {
-		h.net.Register(app, func(transport.EndpointID, transport.Message) {})
+	name := appName(h.net)
+	register := func(app string) {
+		name(int32(h.net.Register(app, func(transport.EndpointID, transport.Message) {})))
+	}
+	for _, app := range s.apps {
+		register(app)
 	}
 	ref := newMapLedger(a.cfg.AnchorEvery, a.id)
 	step, what := 0, "start"
 	label := func() string { return fmt.Sprintf("step %d (%s)", step, what) }
-	checkBeats(t, h, ref, label)
-	name := appName(h.net)
+	checkBeats(t, h, ref, label, name)
 	master := h.net.Endpoint(protocol.MasterEndpoint)
 	// Each message is handed to both ledgers at once, then the agent's replies
 	// are given a millisecond to land.
@@ -244,7 +303,7 @@ func runAgentScript(t *testing.T, data []byte) {
 	epoch, seq, workers := 1, uint64(0), 0
 	var planSeq protocol.Sequencer
 	for ; len(s.b) > 0 && step < 256; step++ {
-		switch op := s.next() % 5; op {
+		switch op := s.next() % 6; op {
 		case 0:
 			what = "delta"
 			e, q := s.stamp(&epoch, &seq)
@@ -275,33 +334,41 @@ func runAgentScript(t *testing.T, data []byte) {
 			deliver(master, protocol.MasterHello{Epoch: e})
 		case 3:
 			what = "plan"
-			from := scriptApps[int(s.next())%len(scriptApps)]
+			from := s.apps[int(s.next())%len(s.apps)]
 			app := from
 			if c := s.next(); c&3 == 3 {
-				app = scriptApps[int(c>>2)%len(scriptApps)] // a plan naming another application
+				app = s.apps[int(c>>2)%len(s.apps)] // a plan naming another application
 			}
 			id := fmt.Sprintf("w%d", workers)
 			if c := s.next(); c&1 == 0 {
 				workers++
 			}
 			deliver(h.net.Endpoint(from), protocol.WorkPlan{App: app, UnitID: s.unit(), WorkerID: id, Size: size, Seq: planSeq.Next()})
-		default:
+		case 4:
 			what = "time"
 			h.eng.Run(h.eng.Now() + sim.Time(s.next())*10*sim.Millisecond)
+		default:
+			what = "finish"
+			k := int(s.next()) % len(s.apps)
+			s.retired = append(s.retired, int32(h.net.Lookup(s.apps[k])))
+			h.net.Retire(s.apps[k])
+			s.apps[k] = fmt.Sprintf("%s.%d", scriptApps[k], len(s.retired))
+			register(s.apps[k])
 		}
-		checkLedger(t, label(), a, ref)
+		checkLedger(t, label(), a, ref, name)
 		if got := len(h.repairQueries()); got != ref.repairQueries {
 			t.Fatalf("%s: %d repair queries sent, reference %d", label(), got, ref.repairQueries)
 		}
 	}
 	what = "settle"
 	h.eng.Run(h.eng.Now() + 3*sim.Second)
-	checkLedger(t, label(), a, ref)
+	checkLedger(t, label(), a, ref, name)
 }
 
 // checkLedger holds the agent's ledger to the reference: no negative row, the
-// reference's clamp count, and the same positive count for every (app, unit).
-func checkLedger(t *testing.T, label string, a *Agent, ref *mapLedger) {
+// reference's clamp count, and the same positive count for every (app, unit),
+// the app named as name names it (a retired endpoint by the name it had).
+func checkLedger(t *testing.T, label string, a *Agent, ref *mapLedger, name func(int32) string) {
 	t.Helper()
 	for i, n := range a.capacity.counts {
 		if n < 0 {
@@ -312,7 +379,11 @@ func checkLedger(t *testing.T, label string, a *Agent, ref *mapLedger) {
 		t.Fatalf("%s: ClampedNegative = %d, reference clamped %d", label, a.ClampedNegative, ref.clamped)
 	}
 	got := map[string]int{}
-	a.ForEachAllocation(func(app string, unitID, count int) { got[fmt.Sprintf("%s/%d", app, unitID)] = count })
+	for i, k := range a.capacity.keys {
+		if n := a.capacity.counts[i]; n > 0 {
+			got[fmt.Sprintf("%s/%d", name(int32(k.app())), k.unitID())] = n
+		}
+	}
 	want := map[string]int{}
 	for k, e := range ref.capacity {
 		if e.count > 0 {

@@ -206,13 +206,20 @@ func (l *mapLedger) restartMachine() {
 }
 
 // appName resolves a wire entry's application for the reference: its name, or
-// "" for an endpoint ID the network never interned.
+// "" for an endpoint ID the network never interned. A retired endpoint's name
+// is gone from the network; it resolves to the name it had when this resolver
+// last saw it live, so a script names each endpoint once while it lives.
 func appName(net *transport.Net) func(int32) string {
+	had := map[int32]string{}
 	return func(ep int32) string {
 		if !net.Known(transport.EndpointID(ep)) {
 			return ""
 		}
-		return net.Name(transport.EndpointID(ep))
+		if n := net.Name(transport.EndpointID(ep)); n != "" {
+			had[ep] = n
+			return n
+		}
+		return had[ep]
 	}
 }
 
@@ -220,10 +227,10 @@ func appName(net *transport.Net) func(int32) string {
 // it, with the one ref would have sent: anchor flag, sequence number, and the
 // allocation and change tables entry by entry. The agent's tables leave in
 // ledger order, which no receiver depends on, so each is compared as a copy
-// sorted into the reference's (name, unit) order. It returns the running count
-// of beats compared; label names the run in a failure.
-func checkBeats(t *testing.T, h *harness, ref *mapLedger, label func() string) *int {
-	name := appName(h.net)
+// sorted into the reference's (name, unit) order, with name naming the apps.
+// It returns the running count of beats compared; label names the run in a
+// failure.
+func checkBeats(t *testing.T, h *harness, ref *mapLedger, label func() string, name func(int32) string) *int {
 	beats := new(int)
 	h.net.Tap = func(from, to string, msg transport.Message) {
 		if _, ok := msg.(protocol.WorkerStatus); ok {
@@ -275,7 +282,7 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 		}
 		name := appName(h.net)
 		ref := newMapLedger(a.cfg.AnchorEvery, a.id)
-		beats := checkBeats(t, h, ref, func() string { return fmt.Sprintf("seed %d", seed) })
+		beats := checkBeats(t, h, ref, func() string { return fmt.Sprintf("seed %d", seed) }, name)
 		// The reference sees each message exactly when the agent's handler
 		// does; a restart re-registers the agent's own handler, so re-wrap.
 		wrap := func() {

@@ -600,10 +600,13 @@ func (a *AM) unregTick() {
 // finishUnregister completes the teardown once the master confirmed (or the
 // retry budget ran out). The books go with it: the job holds and wants nothing
 // any more, so an owner that keeps the finished AM — and a retry tick still
-// queued — keeps only the struct alive, not a ledger per unit.
+// queued — keeps only the struct alive, not a ledger per unit. So does the
+// endpoint: a finished application never comes back under its name, so the
+// network retires it and recycles its slot (a crashed one, which a successor
+// may resume, only unregisters).
 func (a *AM) finishUnregister() {
 	a.unregDone = true
-	a.net.Unregister(a.cfg.App)
+	a.net.Retire(a.cfg.App)
 	a.units, a.unit0, a.slab = nil, [1]unitLedger{}, dense.Slab[int]{}
 }
 
@@ -781,6 +784,8 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 		// A stale ack for a previous application that reused this endpoint
 		// name; nothing to do.
 	default:
+		// from is live (the network fences retired senders): its name is the
+		// sender's own, never a later owner's of its slot.
 		a.cb.OnMessage(a.net.Name(from), msg)
 	}
 }

@@ -90,8 +90,10 @@ func (s *amScript) stamp(epoch *int, seq *uint64) (int, uint64) {
 // units come back in later runs, with zero and huge deltas, units the job never defined and machines
 // outside the topology, stamped in order, duplicated, past a gap, from a
 // deposed epoch or a promoted one; master hellos; unregister acks, before and
-// after the job unregistered — interleaved with the job's own demand and
-// returns and idle stretches for its syncs and retries. The map-based
+// after the job unregistered; grant updates and acks sent, through the
+// network, to the finished job whose endpoint slot this one reuses, which the
+// network must drop — interleaved with the job's own demand and returns and
+// idle stretches for its syncs and retries. The map-based
 // ledgers of the differential test (ledger_oracle_test.go) hear the same
 // traffic. After every step the AM must not have panicked, hold no negative
 // count, and hold the reference's containers and demand and have fired its
@@ -102,6 +104,9 @@ func FuzzAMHandle(f *testing.F) {
 	f.Add([]byte{0, 4, 2, 0, 2, 0x10, 1, 3, 0xff, 0, 1, 1, 5, 9, 2, 1, 0, 3, 0})
 	f.Add([]byte{4, 1, 9, 0, 4, 2, 0, 8, 1, 4, 3, 0, 7, 0xfc, 5, 0xff, 2, 1, 3, 1})
 	f.Add([]byte{4, 0, 3, 0, 5, 1, 2, 0, 0, 3, 2, 0x0f, 0xfc, 1, 4, 2, 0, 0xf8, 3, 0})
+	// Late traffic to the slot's previous owner: a grant update and an ack
+	// for app0 land while app1 demands, then after app1 unregistered.
+	f.Add([]byte{4, 0, 3, 6, 0, 1, 0, 1, 6, 1, 0, 5, 0xff, 6, 1, 6, 0, 0, 2, 0, 1, 5, 10})
 	f.Fuzz(runAMScript)
 }
 
@@ -117,6 +122,10 @@ func runAMScript(t *testing.T, data []byte) {
 	}
 	n := top.Size()
 	master := net.Register(protocol.MasterEndpoint, func(transport.EndpointID, transport.Message) {})
+	// app0 finished before app1 started: its retired endpoint slot is app1's.
+	net.Register("app0", func(transport.EndpointID, transport.Message) {})
+	prev := net.Lookup("app0")
+	net.Retire("app0")
 	ref := &mapLedgers{app: "app1", units: scriptUnits, top: top}
 	var events []string
 	am := New(Config{App: "app1", Units: scriptUnits, FullSyncInterval: 2 * sim.Second}, eng, net, top, cbFuncs{
@@ -124,6 +133,9 @@ func runAMScript(t *testing.T, data []byte) {
 		Revoke: func(u int, m int32, c int) { events = append(events, fmt.Sprintf("revoke u%d m%d x%d", u, m, c)) },
 	})
 	eng.Run(sim.Millisecond)
+	if net.Lookup("app1").Slot() != prev.Slot() {
+		t.Fatalf("app1 on slot %d, app0 had %d", net.Lookup("app1").Slot(), prev.Slot())
+	}
 	// Each message reaches both sides at once: the reference as the old
 	// handler took it, the AM as the network hands it over.
 	deliver := func(msg transport.Message) {
@@ -145,7 +157,7 @@ func runAMScript(t *testing.T, data []byte) {
 	epoch, seq := 1, uint64(0)
 	step, what := 0, "start"
 	for ; len(s.b) > 0 && step < 256; step++ {
-		switch op := s.next() % 6; op {
+		switch op := s.next() % 7; op {
 		case 0, 1:
 			what = "grant"
 			e, q := s.stamp(&epoch, &seq)
@@ -194,7 +206,19 @@ func runAMScript(t *testing.T, data []byte) {
 				am.ReturnContainers(u, mc, int(c>>1)%3)
 				ref.returnContainers(u, mc, int(c>>1)%3)
 			}
-		default:
+		case 6:
+			// A late message for app0, through the network: it names a retired
+			// generation and never reaches app1, so the reference hears nothing.
+			what = "late"
+			if s.next()&1 == 0 {
+				gu := transport.Acquire[protocol.GrantUpdate](net)
+				gu.App, gu.Epoch, gu.Seq = "app0", epoch, seq+1
+				gu.Changes = append(gu.Changes, protocol.UnitDelta{UnitID: s.unit(), Machine: s.machine(n), Delta: 1 + int(s.next()%3)})
+				net.SendID(master, prev, gu)
+			} else {
+				net.SendID(master, prev, &protocol.UnregisterAck{App: "app0", Epoch: epoch})
+			}
+		case 5:
 			what = "time"
 			c := s.next()
 			if c == 0xff && !am.Stopped() {

@@ -17,20 +17,28 @@
 //     all of them, in every master epoch. Grants, returns, heartbeats and
 //     capacity queries carry them.
 //   - Transport endpoint IDs are wire-safe. The network hands one out per
-//     endpoint name at first sight and never reuses it, every handler already
-//     receives its peer's as `from`, and it outlives any process: it is how
-//     capacity deltas, capacity syncs and heartbeat allocation tables name an
-//     application (an application master's endpoint is named after the app),
-//     and how FuxiMaster finds the sender's state without hashing its name.
+//     endpoint name at first sight, every handler already receives its peer's
+//     as `from`, and it outlives any process that stops and comes back under
+//     its name: it is how capacity deltas, capacity syncs and heartbeat
+//     allocation tables name an application (an application master's endpoint
+//     is named after the app), and how FuxiMaster finds the sender's state
+//     without hashing its name. A name that never comes back (a finished
+//     application master) gives its slot up for reuse, so the ID is a
+//     generational one (Tag): the slot in the low SlotBits, the slot's
+//     generation above it. A late message naming an old generation is
+//     fenced by the network, the way an epoch fences a deposed master, and a
+//     table indexed by the slot (SlotOf) stays as long as the live endpoints,
+//     not the endpoints ever named.
 //   - Scheduler app IDs (master.Scheduler's own Table) are process-local. A
 //     promoted master interns the checkpointed apps afresh, in a different
-//     order; such an ID never leaves the scheduler that assigned it. The same
-//     goes for any other Table a single component owns.
+//     order, and an unregistered app's ID goes to the next app registered;
+//     such an ID never leaves the scheduler that assigned it. The same goes
+//     for any other Table a single component owns.
 //
 // No ID of any kind appears in durable state: checkpoints store names.
 //
-// Determinism: ID assignment depends only on the order of Intern calls,
-// never on map iteration, so a seeded run re-interns identically.
+// Determinism: ID assignment depends only on the order of Intern and Release
+// calls, never on map iteration, so a seeded run re-interns identically.
 package ident
 
 // None is the sentinel returned by ID for unknown names.
@@ -39,13 +47,22 @@ const None int32 = -1
 // Table is a deterministic string↔dense-ID intern table. The zero value is
 // ready to use. Not safe for concurrent mutation; concurrent read-only use
 // (Name, ID, Len) is safe once no more Intern calls happen.
+//
+// Release gives a name's ID back: the name is forgotten and the ID goes to a
+// later Intern of another name, oldest release first. A table whose names
+// come and go therefore holds as many IDs as were ever live at once.
 type Table struct {
 	ids   map[string]int32
-	names []string
+	names []string // by ID; "" for a released ID not yet reused
+	// free lists the released IDs in release order; free[head:] are the ones
+	// not yet reused.
+	free []int32
+	head int
 }
 
-// Intern returns the ID for name, assigning the next dense ID (starting at
-// 0, in call order) on first sight.
+// Intern returns the ID for name, assigning one on first sight: the oldest
+// released ID when there is one, else the next dense ID (starting at 0, in
+// call order).
 func (t *Table) Intern(name string) int32 {
 	if id, ok := t.ids[name]; ok {
 		return id
@@ -53,13 +70,42 @@ func (t *Table) Intern(name string) int32 {
 	if t.ids == nil {
 		t.ids = make(map[string]int32)
 	}
-	id := int32(len(t.names))
+	var id int32
+	if t.head < len(t.free) {
+		id = t.free[t.head]
+		t.head++
+		if t.head == len(t.free) {
+			t.free, t.head = t.free[:0], 0
+		}
+		t.names[id] = name
+	} else {
+		id = int32(len(t.names))
+		t.names = append(t.names, name)
+	}
 	t.ids[name] = id
-	t.names = append(t.names, name)
 	return id
 }
 
-// ID returns the ID for name, or None if it was never interned.
+// Release forgets the name of id and hands id to a later Intern. Releasing a
+// released ID does nothing.
+func (t *Table) Release(id int32) {
+	name := t.names[id]
+	if cur, ok := t.ids[name]; !ok || cur != id {
+		return
+	}
+	delete(t.ids, name)
+	t.names[id] = ""
+	if t.head > 0 && t.head >= len(t.free)/2 {
+		// The reused prefix is at least half the list: slide the rest down so
+		// the list stays as long as the IDs waiting in it.
+		n := copy(t.free, t.free[t.head:])
+		t.free, t.head = t.free[:n], 0
+	}
+	t.free = append(t.free, id)
+}
+
+// ID returns the ID for name, or None if it is not interned (never, or no
+// longer).
 func (t *Table) ID(name string) int32 {
 	if id, ok := t.ids[name]; ok {
 		return id
@@ -67,13 +113,43 @@ func (t *Table) ID(name string) int32 {
 	return None
 }
 
-// Name returns the name for id. It panics on out-of-range IDs, exactly like
-// a slice index — an invalid ID is a programming error, not input.
+// Name returns the name for id, "" for a released one. It panics on
+// out-of-range IDs, exactly like a slice index — an invalid ID is a
+// programming error, not input.
 func (t *Table) Name(id int32) string { return t.names[id] }
 
-// Len returns the number of interned names; valid IDs are [0, Len).
+// Len returns the number of IDs in use or released; valid IDs are [0, Len).
+// It is the most names the table ever held at once.
 func (t *Table) Len() int { return len(t.names) }
 
-// Names returns the interned names in ID order. The caller must not modify
-// the returned slice.
+// Live returns the number of names interned now.
+func (t *Table) Live() int { return len(t.ids) }
+
+// Names returns the names in ID order, "" at released IDs. The caller must
+// not modify the returned slice.
 func (t *Table) Names() []string { return t.names }
+
+// Generational IDs: an owner that hands a Table's IDs to parties it cannot
+// call back (the network's endpoint IDs travel inside messages) tags each
+// with its slot's generation, which it bumps whenever it releases the slot.
+// The tagged ID stays a non-negative int32: the slot in the low SlotBits, the
+// generation's low GenBits above it. A generation wraps after 1<<GenBits
+// releases of one slot, so an ID is told from its slot's later owners as
+// long as the slot is not recycled that often while the ID is still in use;
+// with Table's oldest-first reuse that takes 1<<GenBits times as many
+// releases as there are free slots.
+const (
+	SlotBits = 20
+	GenBits  = 31 - SlotBits
+	slotMask = 1<<SlotBits - 1
+	genMask  = 1<<GenBits - 1
+)
+
+// Tag returns the generational ID of slot at generation gen (gen's low GenBits).
+func Tag(slot int32, gen uint32) int32 { return int32(gen&genMask)<<SlotBits | slot }
+
+// SlotOf returns the slot of a generational ID.
+func SlotOf(id int32) int32 { return id & slotMask }
+
+// GenOf returns the generation bits of a generational ID.
+func GenOf(id int32) uint32 { return uint32(id) >> SlotBits }

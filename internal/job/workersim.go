@@ -72,7 +72,7 @@ func (r *Runtime) remove(w *WorkerSim) {
 	if w.doneTimer != nil {
 		w.doneTimer()
 	}
-	r.net.Unregister(WorkerEndpoint(r.app, w.ID))
+	r.net.Retire(WorkerEndpoint(r.app, w.ID))
 	delete(r.workers, w.ID)
 }
 

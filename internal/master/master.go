@@ -194,10 +194,12 @@ type Master struct {
 	agentEP []tr // by machine ID
 	// byEP resolves the sender of an application-master message — and the
 	// app of a heartbeat allocation entry — to its scheduler state by
-	// transport endpoint ID: a slice index per message where there used to be
-	// a hash of the app's name. nil for endpoints that are not (or no longer)
-	// registered apps; filled with the scheduler at every promotion and
-	// cleared with it when the term ends (standDown).
+	// transport endpoint slot: a slice index per message where there used to
+	// be a hash of the app's name. nil for slots that are not (or no longer)
+	// registered apps' endpoints; filled with the scheduler at every promotion
+	// and cleared with it when the term ends (standDown). A finished
+	// application master's slot goes to a later endpoint, so the table is as
+	// long as the endpoints open at once.
 	byEP []*appState
 
 	seq   protocol.Sequencer
@@ -357,21 +359,29 @@ func (m *Master) registerApp(name, group string, units []resource.ScheduleUnit) 
 	}
 	st := m.sched.apps[name]
 	st.ep = m.net.Endpoint(name)
-	for int(st.ep) >= len(m.byEP) {
+	for int(st.ep.Slot()) >= len(m.byEP) {
 		m.byEP = append(m.byEP, nil)
 	}
-	m.byEP[st.ep] = st
+	m.byEP[st.ep.Slot()] = st
 	return st, nil
 }
 
 // appAt resolves a wire application ID (an endpoint ID) to its state, nil
-// when no registered app listens there.
+// when no registered app listens there — an earlier generation of the slot
+// included.
 func (m *Master) appAt(ep tr) *appState {
-	if ep >= 0 && int(ep) < len(m.byEP) {
-		return m.byEP[ep]
+	if ep >= 0 && int(ep.Slot()) < len(m.byEP) {
+		if st := m.byEP[ep.Slot()]; st != nil && st.ep == ep {
+			return st
+		}
 	}
 	return nil
 }
+
+// Footprint returns the lengths of the tables this process keeps per
+// application-master endpoint slot: the endpoint index and the dedup
+// tracker's by-sender rows.
+func (m *Master) Footprint() (byEP, dedupSenders int) { return len(m.byEP), m.dedup.Senders() }
 
 // appFrom resolves the app a message names by the endpoint it came from. A
 // sender other than the app's own endpoint (a scripted test client) falls
@@ -590,7 +600,7 @@ func (m *Master) standDown() {
 	}
 	m.timers = nil
 	m.sched = nil
-	clear(m.byEP) // its length is the endpoint count, kept for the next term
+	clear(m.byEP) // its length is the endpoint slot count, kept for the next term
 	m.wheel = nil
 	m.recovering = false
 }
@@ -1060,7 +1070,9 @@ func (m *Master) unregister(from tr, app string) {
 				})
 			}
 		}
-		m.byEP[st.ep] = nil
+		if m.byEP[st.ep.Slot()] == st {
+			m.byEP[st.ep.Slot()] = nil
+		}
 	}
 	ds := m.decisions()
 	if st != nil {

@@ -131,7 +131,7 @@ type unitState struct {
 }
 
 type appState struct {
-	id    int32 // dense scheduler intern ID (stable per name within a Scheduler)
+	id    int32 // dense scheduler intern ID (the app's while it is registered)
 	name  string
 	group string
 	quota *groupState // s.groups[group], resolved once: every grant and release charges it
@@ -234,7 +234,7 @@ type Scheduler struct {
 	grants grantIndex        // machine ID -> the grants on it (grantindex.go)
 
 	apps    map[string]*appState
-	appTbl  ident.Table // app name -> dense app ID (registration order)
+	appTbl  ident.Table // app name -> dense app ID, released at unregister
 	appByID []*appState // app ID -> live state (nil after unregister)
 	groups  map[string]*groupState
 	tree    waitTree
@@ -426,6 +426,11 @@ func (s *Scheduler) unregister(st *appState, out *[]Decision) {
 	s.tree.removeApp(st.id)
 	delete(s.apps, st.name)
 	s.appByID[st.id] = nil
+	// The ID goes to the next app registered: the tables indexed by it stay
+	// as long as the most apps ever registered at once. Nothing orders by it
+	// (ties break by name or by queue position), so the reuse moves no
+	// decision.
+	s.appTbl.Release(st.id)
 	s.touchBuf = touched
 	s.assignOnIDsInto(touched, out)
 }

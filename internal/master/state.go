@@ -155,6 +155,17 @@ func (s *Scheduler) Apps() []string {
 	return out
 }
 
+// AppSlots returns the length of the scheduler's tables indexed by app ID —
+// the intern table, the app table and the locality tree's per-app rows —
+// whichever is longest: the most apps ever registered at once.
+func (s *Scheduler) AppSlots() int {
+	n := max(s.appTbl.Len(), len(s.appByID))
+	if t, ok := s.tree.(*localityTree); ok {
+		n = max(n, len(t.byApp))
+	}
+	return n
+}
+
 // Units returns the app's ScheduleUnit definitions sorted by ID.
 func (s *Scheduler) Units(app string) []resource.ScheduleUnit {
 	st, ok := s.apps[app]

@@ -3,6 +3,8 @@ package protocol
 import (
 	"math"
 	"testing"
+
+	"repro/internal/ident"
 )
 
 // dedupScript turns fuzz bytes into a receiver's traffic: a cursor that
@@ -55,26 +57,40 @@ func (s *dedupScript) epoch(current int) int {
 
 // FuzzDedupSequence drives the shipped Dedup and the map-based mapDedup it
 // replaced through one byte-scripted sequence of ObserveCh, ResetCh,
-// ResetToCh, LastCh and EpochGate.StaleCh calls — senders −1…63 on all six
-// channels, so a script can start as a leaf (one inline stream), become a hub
-// (the by-sender table) and address transport.None — plus restarts of the
-// receiving process. A negative sender never has a mark: ObserveCh calls it a
-// duplicate, LastCh reads 0 and ResetToCh does nothing, which is the one rule
-// the oracle is wrapped in. After every step the verdicts must agree, every
-// (sender, channel) mark must read the same, and so must the gap count.
+// ResetToCh, LastCh and EpochGate.StaleCh calls — senders in slots −1…63 on
+// all six channels, so a script can start as a leaf (one inline stream),
+// become a hub (the by-sender table) and address transport.None — plus
+// restarts of the receiving process and retirements of a sender: the
+// transport forgets the sender for good and hands its slot to a new sender
+// under the next generation, which starts with no marks. A negative sender
+// never has a mark: ObserveCh calls it a duplicate, LastCh reads 0 and
+// ResetToCh does nothing, which is the one rule the oracle is wrapped in.
+// After every step the verdicts must agree, every current (sender, channel)
+// mark must read the same, and so must the gap count.
 func FuzzDedupSequence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 6, 1, 0, 0, 6, 1, 0, 0, 6, 1, 3, 0, 7, 1, 0, 4, 6, 1, 9, 3, 6, 1, 2, 40})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 2, 0, 5, 2, 0, 1, 0, 0, 1, 0, 0, 7})
 	f.Add([]byte{0, 10, 5, 0, 4, 10, 5, 1, 0, 20, 3, 0, 5, 64, 0, 0, 2, 64, 0, 6, 0, 10, 5, 3})
+	// A hub hears two senders; one retires and its slot's next sender starts
+	// its stream at 1, which must be fresh, not a duplicate.
+	f.Add([]byte{0, 3, 1, 0, 0, 4, 1, 0, 0, 3, 1, 0, 6, 3, 1, 0, 3, 1, 0, 3, 3, 1, 0, 4, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &dedupScript{b: data}
 		var got Dedup
 		var want mapDedup
 		var gGot, gWant EpochGate
+		var gens [64]uint32 // by slot: the generation of its current sender
+		current := func(slot int32) int32 {
+			if slot < 0 {
+				return slot
+			}
+			return ident.Tag(slot, gens[slot])
+		}
 		for step := 0; len(s.b) > 0 && step < 256; step++ {
-			op := s.next() % 6
-			sender := int32(s.next()%65) - 1
+			op := s.next() % 7
+			slot := int32(s.next()%65) - 1
+			sender := current(slot)
 			ch := Chan(s.next() % byte(numChans))
 			switch op {
 			case 0:
@@ -104,11 +120,16 @@ func FuzzDedupSequence(f *testing.F) {
 				if a, b := gGot.StaleCh(e, &got, sender, ch), want.staleCh(&gWant, e, sender, ch); a != b {
 					t.Fatalf("step %d: StaleCh(%d, %d, %d) = %v, oracle %v", step, e, sender, ch, a, b)
 				}
-			default: // the receiving process restarts with empty state
+			case 5: // the receiving process restarts with empty state
 				got, want = Dedup{}, mapDedup{}
 				gGot, gWant = EpochGate{}, EpochGate{}
+			default: // the sender retires; its slot goes to a new sender
+				if slot >= 0 {
+					gens[slot]++
+				}
 			}
-			for snd := int32(-1); snd < 64; snd++ {
+			for slot := int32(-1); slot < 64; slot++ {
+				snd := current(slot)
 				for c := Chan(0); c < numChans; c++ {
 					if a, b := got.LastCh(snd, c), want.LastCh(snd, c); a != b {
 						t.Fatalf("step %d (op %d): LastCh(%d, %d) = %d, oracle %d", step, op, snd, c, a, b)

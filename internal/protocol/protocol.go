@@ -23,8 +23,10 @@
 // (capacity deltas and syncs, heartbeat allocation tables) identify the
 // application by that same endpoint ID and carry no name at all — unlike the
 // scheduler's own app IDs, which a successor master reassigns, an endpoint ID
-// is handed out once by the network and never reused, so it means the same
-// application to every process in every master epoch. Worker-management
+// means the same application to every process in every master epoch. The
+// network recycles a finished application's endpoint slot, but under a new
+// generation: the old ID never names the slot's next owner, and a message
+// still carrying it is fenced on arrival. Worker-management
 // messages (WorkPlan, WorkerStatus) keep names: they cross into the job
 // layer, which speaks names.
 //

@@ -1,5 +1,7 @@
 package protocol
 
+import "repro/internal/ident"
+
 // Sequencer issues monotonically increasing sequence numbers for one sender.
 // The zero value is ready to use; the first number issued is 1 so that a
 // receiver's zero "last seen" compares correctly.
@@ -42,6 +44,13 @@ const (
 // chanMarks holds one sender's high-water marks, indexed by Chan.
 type chanMarks [numChans]uint64
 
+// senderMarks is one row of a hub's by-sender table: the marks of the sender
+// whose endpoint ID is id.
+type senderMarks struct {
+	id    int32
+	marks chanMarks
+}
+
 // Dedup tracks the highest sequence number seen from each sender and
 // classifies incoming numbers. Delta messages must be applied exactly once
 // and in order (paper §3.1); duplicates are dropped and gaps flagged so the
@@ -53,8 +62,12 @@ type chanMarks [numChans]uint64
 // and keeps that mark inline (peer, peerCh, peerSeq): no table, no allocation,
 // one compare per message. A receiver that hears a second stream (the master,
 // which hears every application master on four channels) moves to a slice of
-// marks indexed by the sender's endpoint ID, which the transport hands out
-// densely and never reuses.
+// rows indexed by the sender endpoint ID's slot (ident.SlotOf). The transport
+// recycles a retired endpoint's slot under a new generation, so each row
+// carries the full ID it belongs to: the first mark a later generation writes
+// starts the row afresh, and the old generation reads as never seen — it can
+// send nothing more, as the transport fences its traffic. The table is as
+// long as the endpoints live at once, not the endpoints ever named.
 type Dedup struct {
 	last map[string]uint64 // free-form channels, by name
 
@@ -62,7 +75,7 @@ type Dedup struct {
 	peerCh  Chan
 	peerSet bool
 	peerSeq uint64
-	many    []chanMarks // by sender endpoint ID; nil while one stream suffices
+	many    []senderMarks // by sender slot; nil while one stream suffices
 
 	gaps uint64
 }
@@ -112,8 +125,9 @@ func (d *Dedup) Observe(sender string, seq uint64) Verdict {
 }
 
 // mark returns the high-water mark cell of (sender, ch). With grow false it
-// returns nil for a stream never written; with grow true it makes room. A
-// negative sender (transport.None) never has a cell.
+// returns nil for a stream never written; with grow true it makes room,
+// taking the slot's row over from an earlier generation. A negative sender
+// (transport.None) never has a cell.
 func (d *Dedup) mark(sender int32, ch Chan, grow bool) *uint64 {
 	if d.many == nil && d.peerSet && d.peer == sender && d.peerCh == ch {
 		return &d.peerSeq
@@ -131,22 +145,35 @@ func (d *Dedup) mark(sender int32, ch Chan, grow bool) *uint64 {
 		}
 		// A second stream: this receiver is a hub. Move the inline mark into
 		// the by-sender table.
-		d.many = make([]chanMarks, max(d.peer, sender)+1)
-		d.many[d.peer][d.peerCh] = d.peerSeq
+		peer := ident.SlotOf(d.peer)
+		d.many = make([]senderMarks, max(peer, ident.SlotOf(sender))+1)
+		d.many[peer].id = d.peer
+		d.many[peer].marks[d.peerCh] = d.peerSeq
 	}
-	if int(sender) >= len(d.many) {
+	slot := ident.SlotOf(sender)
+	if int(slot) >= len(d.many) {
 		if !grow {
 			return nil
 		}
-		// Endpoint IDs arrive roughly in ascending order (every new
-		// application master is a new endpoint), so this usually appends one
-		// cell; append's doubling keeps the growth amortized.
-		for int(sender) >= len(d.many) {
-			d.many = append(d.many, chanMarks{})
+		// New slots arrive roughly in ascending order, so this usually
+		// appends one row; append's doubling keeps the growth amortized.
+		for int(slot) >= len(d.many) {
+			d.many = append(d.many, senderMarks{})
 		}
 	}
-	return &d.many[sender][ch]
+	r := &d.many[slot]
+	if r.id != sender {
+		if !grow {
+			return nil
+		}
+		*r = senderMarks{id: sender}
+	}
+	return &r.marks[ch]
 }
+
+// Senders returns the length of the by-sender table: the highest sender slot
+// a hub has marks for, plus one (0 for a receiver with one inline stream).
+func (d *Dedup) Senders() int { return len(d.many) }
 
 // ObserveCh is Observe addressed by (sender endpoint ID, channel) — the
 // hashing-free form for the protocol's fixed channels. The sender is the

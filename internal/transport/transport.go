@@ -14,6 +14,17 @@
 // for setup code and tests. Handlers receive the sender's EndpointID and
 // can recover the name with Name when they need it at a boundary.
 //
+// Slots are recycled under a generation. An EndpointID is a slot and the
+// slot's generation (ident.Tag). Unregister keeps a name's ID for a name
+// that comes back (a crashed application master, a restarted agent daemon, a
+// deposed master); Retire ends a name that never does (a finished application
+// master, a finished worker): its slot's columns are cleared, its generation
+// is bumped and the slot goes to the next new name. A message whose sender or
+// receiver names a retired generation is dropped on arrival, the way one to
+// an unregistered endpoint is, and is counted as sent, so a finished job's
+// endpoint costs nothing and every table indexed by slot follows the
+// endpoints open at once, not the endpoints ever named.
+//
 // Beyond the uniform loss/jitter knobs, the network carries scheduled
 // per-link conditions for chaos campaigns (internal/faults NetworkPartition
 // / LinkFlap / DelaySpike): Partition/Isolate/Heal split the endpoint set
@@ -114,9 +125,14 @@ func (n *Net) recycle(m Recycled) {
 // protocol-overhead ablation. Messages without Sizer count a nominal size.
 type Sizer interface{ WireSize() int }
 
-// EndpointID is the dense interned ID of one endpoint name on a Net. IDs
-// are per-Net and assigned in first-sight order; None marks "no endpoint".
+// EndpointID is the interned ID of one endpoint name on a Net: a dense slot,
+// assigned in first-sight order or recycled from a retired name, and the
+// slot's generation (ident.Tag). IDs are per-Net; None marks "no endpoint".
 type EndpointID int32
+
+// Slot returns the ID's slot: the index of the per-endpoint tables the
+// network and its receivers keep, shared by the slot's generations.
+func (id EndpointID) Slot() int32 { return ident.SlotOf(int32(id)) }
 
 // None is the invalid EndpointID.
 const None EndpointID = -1
@@ -168,10 +184,11 @@ type linkCnt struct{ sent, delivered, dropped, delayed uint64 }
 // Net is the simulated network. All methods must be called from the
 // simulation goroutine.
 type Net struct {
-	eng *sim.Engine
-	tbl ident.Table // endpoint name -> EndpointID
-	eps []Handler   // by EndpointID; nil while unregistered
-	dwn []bool      // by EndpointID
+	eng  *sim.Engine
+	tbl  ident.Table // endpoint name -> slot
+	eps  []Handler   // by slot; nil while unregistered
+	dwn  []bool      // by slot
+	gens []uint32    // by slot: how often it was retired (its generation)
 
 	// Latency is the one-way base delivery latency; Jitter adds a uniform
 	// random extra in [0, Jitter).
@@ -261,68 +278,147 @@ func NewNet(eng *sim.Engine) *Net {
 	return n
 }
 
-// Endpoint interns an endpoint name, returning its dense ID. Interning a
-// name does not register a handler; messages to an unregistered ID are
-// dropped on arrival exactly like before.
+// Endpoint interns an endpoint name, returning its ID: the name's while it
+// is live, else a new one on a free slot (a retired name's, oldest first) or
+// a new slot. Interning a name does not register a handler; messages to an
+// unregistered ID are dropped on arrival exactly like before.
 func (n *Net) Endpoint(name string) EndpointID {
 	if name == "" {
 		panic("transport: empty endpoint name")
 	}
-	id := EndpointID(n.tbl.Intern(name))
-	for int(id) >= len(n.eps) {
+	s := n.tbl.Intern(name)
+	if s >= 1<<ident.SlotBits {
+		panic("transport: more live endpoints than an EndpointID has slots for")
+	}
+	for int(s) >= len(n.eps) {
 		n.eps = append(n.eps, nil)
 		n.dwn = append(n.dwn, false)
+		n.gens = append(n.gens, 0)
 		n.side = append(n.side, 0)
 		n.flapDown = append(n.flapDown, false)
 		n.linkDelay = append(n.linkDelay, 0)
 	}
-	return id
+	return n.idOf(s)
 }
 
-// Name returns the string name of an interned endpoint ID.
-func (n *Net) Name(id EndpointID) string { return n.tbl.Name(int32(id)) }
+// idOf returns the ID of slot's current generation.
+func (n *Net) idOf(s int32) EndpointID { return EndpointID(ident.Tag(s, n.gens[s])) }
 
-// Lookup returns the ID of an endpoint name some earlier call interned, or
-// None — the read-only counterpart of Endpoint for accessors that are handed
-// a name and must not grow the table when it is unknown.
-func (n *Net) Lookup(name string) EndpointID { return EndpointID(n.tbl.ID(name)) }
+// at returns id's slot while id is the slot's current generation, and -1 for
+// a retired generation, which sits in no partition group, flap or delay
+// spike: the conditions of the slot belong to its current owner.
+func (n *Net) at(id EndpointID) int32 {
+	if s := id.Slot(); n.idOf(s) == id {
+		return s
+	}
+	return -1
+}
 
-// Known reports whether id is one some earlier call interned — the check a
-// receiver makes before trusting an endpoint ID that arrived inside a message.
-func (n *Net) Known(id EndpointID) bool { return id >= 0 && int(id) < len(n.eps) }
+// Name returns the string name of an interned endpoint ID, and "" for a
+// retired one: never the name of the slot's later owner.
+func (n *Net) Name(id EndpointID) string {
+	if s := n.at(id); s >= 0 {
+		return n.tbl.Name(s)
+	}
+	return ""
+}
+
+// Lookup returns the ID of a live endpoint name, or None — the read-only
+// counterpart of Endpoint for accessors that are handed a name and must not
+// grow the table when it is unknown. A retired name is unknown.
+func (n *Net) Lookup(name string) EndpointID {
+	if s := n.tbl.ID(name); s >= 0 {
+		return n.idOf(s)
+	}
+	return None
+}
+
+// Known reports whether some earlier call issued id, live or since retired —
+// the check a receiver makes before trusting an endpoint ID that arrived
+// inside a message. A retired ID stays known: a capacity release that
+// names a finished application master must still be applied, or it strands
+// the capacity it releases. Once a slot's generation has wrapped, every
+// generation of the slot counts as issued.
+func (n *Net) Known(id EndpointID) bool {
+	s := id.Slot()
+	if id < 0 || int(s) >= len(n.gens) {
+		return false
+	}
+	g, gen := n.gens[s], ident.GenOf(int32(id))
+	return g >= 1<<ident.GenBits || gen < g || (gen == g && n.tbl.Name(s) != "")
+}
+
+// Slots returns how many endpoint slots the network keeps: the most
+// endpoint names it ever held live at once.
+func (n *Net) Slots() int { return len(n.eps) }
+
+// Live returns how many endpoint names are interned and not retired.
+func (n *Net) Live() int { return n.tbl.Live() }
 
 // Register installs (or replaces) the handler for endpoint name and returns
 // its EndpointID. Replacing is deliberate: a restarted component
 // re-registers under its old name (and keeps its ID).
 func (n *Net) Register(name string, h Handler) EndpointID {
 	id := n.Endpoint(name)
-	n.eps[id] = h
+	n.eps[id.Slot()] = h
 	return id
 }
 
 // Unregister removes an endpoint's handler; in-flight messages to it are
 // dropped on arrival. The name keeps its ID for re-registration.
 func (n *Net) Unregister(name string) {
-	if id := n.tbl.ID(name); id >= 0 {
-		n.eps[id] = nil
+	if s := n.tbl.ID(name); s >= 0 {
+		n.eps[s] = nil
 	}
+}
+
+// Retire ends an endpoint name that never comes back: its handler and its
+// conditions (down, partition group, flap, delay spike) are cleared, its
+// generation is bumped and its slot goes to a later new name. Messages in
+// flight to or from the retired ID are dropped on arrival, and the ID is
+// still Known. Per-link rules and per-link stats are keyed by the full ID and
+// stay as they are. Retiring an unknown name does nothing.
+func (n *Net) Retire(name string) {
+	s := n.tbl.ID(name)
+	if s < 0 {
+		return
+	}
+	n.eps[s], n.dwn[s], n.side[s] = nil, false, 0
+	if n.flapDown[s] {
+		n.flapDown[s] = false
+		n.flapN--
+	}
+	if n.linkDelay[s] > 0 {
+		n.linkDelay[s] = 0
+		n.delayN--
+	}
+	n.recomputeChaos()
+	n.gens[s]++
+	n.tbl.Release(s)
 }
 
 // Registered reports whether an endpoint currently has a handler.
 func (n *Net) Registered(name string) bool {
-	id := n.tbl.ID(name)
-	return id >= 0 && n.eps[id] != nil
+	s := n.tbl.ID(name)
+	return s >= 0 && n.eps[s] != nil
 }
 
 // SetDown marks an endpoint unreachable (both directions), simulating a
 // machine halt or network disconnection. Messages to or from a down
 // endpoint are silently dropped, like packets into a dead NIC.
-func (n *Net) SetDown(name string, down bool) { n.dwn[n.Endpoint(name)] = down }
+func (n *Net) SetDown(name string, down bool) { n.dwn[n.Endpoint(name).Slot()] = down }
 
 // IsDown reports whether the endpoint is marked unreachable.
 func (n *Net) IsDown(name string) bool {
-	id := n.tbl.ID(name)
-	return id >= 0 && n.dwn[id]
+	s := n.tbl.ID(name)
+	return s >= 0 && n.dwn[s]
+}
+
+// down reports whether id's endpoint is marked unreachable; a retired
+// generation never is.
+func (n *Net) down(id EndpointID) bool {
+	s := id.Slot()
+	return n.dwn[s] && n.idOf(s) == id
 }
 
 // Stats returns a copy of the traffic counters.
@@ -346,10 +442,10 @@ func (n *Net) ResetStats() { n.stats = Stats{} }
 func (n *Net) Partition(a, b []string) {
 	n.clearSides()
 	for _, name := range a {
-		n.side[n.Endpoint(name)] = 1
+		n.side[n.Endpoint(name).Slot()] = 1
 	}
 	for _, name := range b {
-		n.side[n.Endpoint(name)] = 2
+		n.side[n.Endpoint(name).Slot()] = 2
 	}
 	n.partActive, n.isolate = true, false
 	n.recomputeChaos()
@@ -363,7 +459,7 @@ func (n *Net) Partition(a, b []string) {
 func (n *Net) Isolate(group []string) {
 	n.clearSides()
 	for _, name := range group {
-		n.side[n.Endpoint(name)] = 1
+		n.side[n.Endpoint(name).Slot()] = 1
 	}
 	n.partActive, n.isolate = true, true
 	n.recomputeChaos()
@@ -390,11 +486,11 @@ func (n *Net) clearSides() {
 // NIC. Distinct from SetDown, which models the machine itself halting, so a
 // fault campaign's flaps never mask or clear a concurrent crash.
 func (n *Net) SetLinkDown(name string, down bool) {
-	id := n.Endpoint(name)
-	if n.flapDown[id] == down {
+	s := n.Endpoint(name).Slot()
+	if n.flapDown[s] == down {
 		return
 	}
-	n.flapDown[id] = down
+	n.flapDown[s] = down
 	if down {
 		n.flapN++
 	} else {
@@ -408,15 +504,15 @@ func (n *Net) SetLinkDown(name string, down bool) {
 // on top of Latency/Jitter; in-flight messages keep the delay they were
 // queued with.
 func (n *Net) SetLinkDelay(name string, extra sim.Time) {
-	id := n.Endpoint(name)
-	if (n.linkDelay[id] > 0) != (extra > 0) {
+	s := n.Endpoint(name).Slot()
+	if (n.linkDelay[s] > 0) != (extra > 0) {
 		if extra > 0 {
 			n.delayN++
 		} else {
 			n.delayN--
 		}
 	}
-	n.linkDelay[id] = extra
+	n.linkDelay[s] = extra
 	n.recomputeChaos()
 }
 
@@ -459,11 +555,18 @@ func (n *Net) recomputeChaos() {
 // Checked at send AND at arrival, so messages in flight when a partition or
 // flap starts are lost with it.
 func (n *Net) cut(from, to EndpointID) bool {
-	if n.flapDown[from] || n.flapDown[to] {
+	fs, ts := n.at(from), n.at(to)
+	if (fs >= 0 && n.flapDown[fs]) || (ts >= 0 && n.flapDown[ts]) {
 		return true
 	}
 	if n.partActive {
-		a, b := n.side[from], n.side[to]
+		var a, b int8
+		if fs >= 0 {
+			a = n.side[fs]
+		}
+		if ts >= 0 {
+			b = n.side[ts]
+		}
 		if n.isolate {
 			if (a == 1) != (b == 1) {
 				return true
@@ -486,7 +589,12 @@ func (n *Net) linkCheck(from, to EndpointID) (drop, dup bool, extra sim.Time) {
 	if n.cut(from, to) {
 		return true, false, 0
 	}
-	extra = n.linkDelay[from] + n.linkDelay[to]
+	if s := n.at(from); s >= 0 {
+		extra += n.linkDelay[s]
+	}
+	if s := n.at(to); s >= 0 {
+		extra += n.linkDelay[s]
+	}
 	if len(n.rules) > 0 {
 		if r, ok := n.rules[linkKey{from, to}]; ok {
 			if r.Drop > 0 && n.eng.Rand().Float64() < r.Drop {
@@ -606,7 +714,7 @@ func (n *Net) SendID(from, to EndpointID, msg Message) {
 	if n.linkStatsOn {
 		n.linkCnt(from, to).sent++
 	}
-	if n.dwn[from] || n.dwn[to] {
+	if n.down(from) || n.down(to) {
 		n.dropped(from, to, 1)
 		return
 	}
@@ -689,7 +797,7 @@ func (n *Net) SendBatchID(from, to EndpointID, msgs []Message) {
 	if n.linkStatsOn {
 		n.linkCnt(from, to).sent += uint64(len(msgs))
 	}
-	if n.dwn[from] || n.dwn[to] {
+	if n.down(from) || n.down(to) {
 		n.dropped(from, to, uint64(len(msgs)))
 		return
 	}
@@ -770,15 +878,21 @@ func (n *Net) deliverRecycle(a any) { n.land(a.(*delivery), true) }
 
 // land is the arrival half of Send/SendBatch. The down and cut checks repeat
 // here — an endpoint that crashed, or a partition that started, after the
-// message was queued still loses it.
+// message was queued still loses it — and so does the generation fence: a
+// message to or from a retired ID is lost like one to an unregistered
+// endpoint, never handed to the slot's later owner.
 func (n *Net) land(rec *delivery, recycle bool) {
 	from, to := rec.from, rec.to
 	count := uint64(1)
 	if rec.batch != nil {
 		count = uint64(len(rec.batch))
 	}
-	h := n.eps[to]
-	if n.dwn[to] || n.dwn[from] || h == nil || (n.chaos && n.cut(from, to)) {
+	var h Handler
+	fs, ts := n.at(from), n.at(to)
+	if fs >= 0 && ts >= 0 {
+		h = n.eps[ts]
+	}
+	if h == nil || n.dwn[ts] || n.dwn[fs] || (n.chaos && n.cut(from, to)) {
 		n.dropped(from, to, count)
 	} else {
 		n.stats.Delivered += count
