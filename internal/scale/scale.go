@@ -411,10 +411,12 @@ type Result struct {
 	// GatewayDecisions is the full decision stream (parity tests only).
 	GatewayDecisions []gateway.Decision `json:"-"`
 
-	// Completed lists the completed application names, for the metamorphic
-	// failover-transparency test (excluded from JSON: at paper scale it
-	// would dominate the benchmark file).
-	Completed []string `json:"-"`
+	// CompletedHash is the wrapping sum of the completed applications' FNV-1a
+	// name hashes: two runs that completed the same set of applications, in
+	// whatever order (a failover may reorder completions), have equal sums.
+	// The metamorphic failover-transparency tests compare it beside
+	// CompletedApps; the harness keeps no per-job name for it.
+	CompletedHash uint64 `json:"-"`
 }
 
 // SlowGrant identifies the grant behind a run's demand-to-grant maximum: the
@@ -476,11 +478,11 @@ type harness struct {
 
 	latency obs.Dist
 	// slowest is the grant behind the latency maximum, kept beside it.
-	slowest   slowGrant
-	grants    uint64
-	revokes   uint64
-	completed int
-	names     []string
+	slowest       slowGrant
+	grants        uint64
+	revokes       uint64
+	completed     int
+	completedHash uint64 // see Result.CompletedHash
 	// launchFails counts grants bounced off a broken machine as launch
 	// failures, slowHolds holds a slow machine stretched by its factor (the
 	// injector has both tables).
@@ -715,7 +717,7 @@ func (h *harness) run() *Result {
 		MessageBatches: net.Stats().Batches - batchBase,
 		CompletedApps:  h.completed,
 		SimSeconds:     eng.Now().Seconds(),
-		Completed:      h.names,
+		CompletedHash:  h.completedHash,
 		Truncated:      !h.load.drained(),
 	}
 	if g := h.slowest; g.app != "" {

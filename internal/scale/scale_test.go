@@ -2,7 +2,6 @@ package scale
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -88,11 +87,6 @@ func TestHarnessDeterministicAcrossRuns(t *testing.T) {
 func TestMasterFailoverTransparency(t *testing.T) {
 	cfg := tiny()
 	cfg.CheckInvariants = true
-	completedSet := func(r *Result) []string {
-		out := append([]string(nil), r.Completed...)
-		sort.Strings(out)
-		return out
-	}
 
 	base, err := Run(cfg)
 	if err != nil {
@@ -104,7 +98,6 @@ func TestMasterFailoverTransparency(t *testing.T) {
 	if len(base.Invariants) > 0 {
 		t.Fatalf("baseline invariant violations: %v", base.Invariants)
 	}
-	want := completedSet(base)
 
 	for _, failovers := range []int{1, 3} {
 		fcfg := cfg.WithMasterFailovers(failovers)
@@ -115,16 +108,13 @@ func TestMasterFailoverTransparency(t *testing.T) {
 		if len(res.Invariants) > 0 {
 			t.Errorf("%d failovers: invariant violations: %v", failovers, res.Invariants)
 		}
-		got := completedSet(res)
-		if len(got) != len(want) {
+		if res.CompletedApps != base.CompletedApps {
 			t.Fatalf("%d failovers: completed %d apps, want %d (sim %.1fs)",
-				failovers, len(got), len(want), res.SimSeconds)
+				failovers, res.CompletedApps, base.CompletedApps, res.SimSeconds)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%d failovers: completion set diverges at %d: %q vs %q",
-					failovers, i, got[i], want[i])
-			}
+		if res.CompletedHash != base.CompletedHash {
+			t.Fatalf("%d failovers: completion set hashes to %x, want %x",
+				failovers, res.CompletedHash, base.CompletedHash)
 		}
 		if res.MasterFailovers != failovers {
 			t.Errorf("reported %d failovers, want %d", res.MasterFailovers, failovers)

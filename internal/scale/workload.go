@@ -177,7 +177,7 @@ func (h *harness) finish(a *application) {
 	a.done = true
 	a.am.Unregister()
 	h.completed++
-	h.names = append(h.names, a.name)
+	h.completedHash += fnvString(fnvOffset, a.name)
 	if h.gw != nil {
 		h.gw.JobCompleted(a.name)
 	}
