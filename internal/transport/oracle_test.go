@@ -7,8 +7,9 @@ import (
 
 // oracleNet is the network as it was before slots were recycled: an endpoint
 // name keeps its dense ID forever and no ID is ever handed out twice. It keeps
-// that Net's routing — down set, isolation, link flaps, per-link rules, the
-// global loss, duplication and jitter knobs, batches — and draws its random
+// that Net's routing — down set, partitions and isolation, link flaps, delay
+// spikes, per-link rules, the global loss, duplication and jitter knobs,
+// batches — and draws its random
 // numbers in the same order, without the pooling and the per-link stats,
 // which route nothing. Retire is the one rule slot recycling adds, stated
 // without it: the ID is unregistered, its conditions are cleared, and a
@@ -16,22 +17,25 @@ import (
 // script on an engine of the same seed, Net must call every handler exactly
 // as this does (FuzzNetRetire).
 type oracleNet struct {
-	eng      *sim.Engine
-	tbl      ident.Table
-	eps      []Handler
-	dwn      []bool
-	retired  []bool
-	side     []int8
-	flapDown []bool
-	rules    map[linkKey]LinkRule
-	isolated bool
-	flapN    int
-	chaos    bool
-	stats    Stats
-	Latency  sim.Time
-	Jitter   sim.Time
-	DropRate float64
-	DupRate  float64
+	eng        *sim.Engine
+	tbl        ident.Table
+	eps        []Handler
+	dwn        []bool
+	retired    []bool
+	side       []int8
+	flapDown   []bool
+	linkDelay  []sim.Time
+	rules      map[linkKey]LinkRule
+	partActive bool
+	isolate    bool
+	flapN      int
+	delayN     int
+	chaos      bool
+	stats      Stats
+	Latency    sim.Time
+	Jitter     sim.Time
+	DropRate   float64
+	DupRate    float64
 }
 
 func newOracleNet(eng *sim.Engine) *oracleNet {
@@ -46,6 +50,7 @@ func (n *oracleNet) Endpoint(name string) EndpointID {
 		n.retired = append(n.retired, false)
 		n.side = append(n.side, 0)
 		n.flapDown = append(n.flapDown, false)
+		n.linkDelay = append(n.linkDelay, 0)
 	}
 	return id
 }
@@ -72,6 +77,22 @@ func (n *oracleNet) Retire(name string) {
 		n.flapDown[id] = false
 		n.flapN--
 	}
+	if n.linkDelay[id] > 0 {
+		n.linkDelay[id] = 0
+		n.delayN--
+	}
+	n.recomputeChaos()
+}
+
+func (n *oracleNet) Partition(a, b []string) {
+	clear(n.side)
+	for _, name := range a {
+		n.side[n.Endpoint(name)] = 1
+	}
+	for _, name := range b {
+		n.side[n.Endpoint(name)] = 2
+	}
+	n.partActive, n.isolate = true, false
 	n.recomputeChaos()
 }
 
@@ -80,13 +101,26 @@ func (n *oracleNet) Isolate(group []string) {
 	for _, name := range group {
 		n.side[n.Endpoint(name)] = 1
 	}
-	n.isolated = true
+	n.partActive, n.isolate = true, true
 	n.recomputeChaos()
 }
 
 func (n *oracleNet) Heal() {
 	clear(n.side)
-	n.isolated = false
+	n.partActive = false
+	n.recomputeChaos()
+}
+
+func (n *oracleNet) SetLinkDelay(name string, extra sim.Time) {
+	id := n.Endpoint(name)
+	if (n.linkDelay[id] > 0) != (extra > 0) {
+		if extra > 0 {
+			n.delayN++
+		} else {
+			n.delayN--
+		}
+	}
+	n.linkDelay[id] = extra
 	n.recomputeChaos()
 }
 
@@ -117,14 +151,23 @@ func (n *oracleNet) SetLinkRule(from, to string, r LinkRule) {
 	n.recomputeChaos()
 }
 
-func (n *oracleNet) recomputeChaos() { n.chaos = n.isolated || n.flapN > 0 || len(n.rules) > 0 }
+func (n *oracleNet) recomputeChaos() {
+	n.chaos = n.partActive || n.flapN > 0 || n.delayN > 0 || len(n.rules) > 0
+}
 
 func (n *oracleNet) cut(from, to EndpointID) bool {
 	if n.flapDown[from] || n.flapDown[to] {
 		return true
 	}
-	if n.isolated && (n.side[from] == 1) != (n.side[to] == 1) {
-		return true
+	if n.partActive {
+		a, b := n.side[from], n.side[to]
+		if n.isolate {
+			if (a == 1) != (b == 1) {
+				return true
+			}
+		} else if a != 0 && b != 0 && a != b {
+			return true
+		}
 	}
 	return len(n.rules) > 0 && n.rules[linkKey{from, to}].Cut
 }
@@ -133,6 +176,7 @@ func (n *oracleNet) linkCheck(from, to EndpointID) (drop, dup bool, extra sim.Ti
 	if n.cut(from, to) {
 		return true, false, 0
 	}
+	extra = n.linkDelay[from] + n.linkDelay[to]
 	if r, ok := n.rules[linkKey{from, to}]; ok {
 		if r.Drop > 0 && n.eng.Rand().Float64() < r.Drop {
 			return true, false, 0

@@ -38,8 +38,9 @@ type issuedID struct {
 
 // runNetScript drives a Net and the never-reusing oracleNet through one
 // byte-scripted sequence of Register, Unregister, Retire, Endpoint, SendID,
-// SendBatchID, SetDown, SetLinkDown, Isolate/Heal, SetLinkRule and run calls,
-// on engines of one seed. Sends pick any ID the script was ever handed,
+// SendBatchID, SetDown, SetLinkDown, Partition/Isolate/Heal, SetLinkRule,
+// SetLinkDelay and run calls, on engines of one seed. Sends pick any ID the
+// script was ever handed,
 // retired ones included, so late traffic to and from recycled slots is
 // common. After every step the two must have made the same handler calls —
 // (sender name, receiver name, message, instant) — and kept the same
@@ -88,7 +89,7 @@ func runNetScript(t *testing.T, data []byte) {
 	pick := func() issuedID { return ids[int(s.next())%len(ids)] }
 
 	for step := 0; len(s.b) > 0 && step < 200; step++ {
-		op := s.next() % 11
+		op := s.next() % 12
 		switch op {
 		case 0:
 			nm := name(s.next())
@@ -138,15 +139,20 @@ func runNetScript(t *testing.T, data []byte) {
 			}
 			issue(nm)
 		case 9:
-			if c := s.next(); c%3 == 0 {
+			switch a, b := name(s.next()), name(s.next()); s.next() % 3 {
+			case 0:
 				o.Heal()
 				n.Heal()
-			} else {
-				group := []string{name(c), name(s.next())}
-				o.Isolate(group)
-				n.Isolate(group)
-				issue(group[0])
-				issue(group[1])
+			case 1:
+				o.Isolate([]string{a, b})
+				n.Isolate([]string{a, b})
+				issue(a)
+				issue(b)
+			default:
+				o.Partition([]string{a}, []string{b})
+				n.Partition([]string{a}, []string{b})
+				issue(a)
+				issue(b)
 			}
 		case 10:
 			a, b := name(s.next()), name(s.next())
@@ -155,6 +161,11 @@ func runNetScript(t *testing.T, data []byte) {
 			n.SetLinkRule(a, b, r)
 			issue(a)
 			issue(b)
+		case 11:
+			nm, d := name(s.next()), sim.Time(s.next()%3)*250*sim.Microsecond
+			o.SetLinkDelay(nm, d)
+			n.SetLinkDelay(nm, d)
+			issue(nm)
 		}
 		compareNets(t, step, o, n, ids, oCalls, nCalls)
 	}
@@ -212,11 +223,13 @@ func FuzzNetRetire(f *testing.F) {
 	// Register e0 and e1; e0 sends to e1; e1 retires while it is in flight;
 	// e1's next incarnation registers on the recycled slot and sends back.
 	f.Add([]byte{0, 0, 0, 0, 1, 4, 0, 1, 2, 1, 0, 1, 4, 2, 0, 6, 50})
-	// The same with jitter, loss and duplication, a batch from the retired
-	// ID, a flap and an isolation on the slot's new owner.
-	f.Add([]byte{7, 0, 0, 0, 1, 4, 0, 1, 2, 1, 0, 1, 5, 1, 0, 1, 8, 1, 0, 9, 1, 0, 4, 1, 2, 6, 9, 6, 200})
-	// Rules on a retired pair, down endpoints, unregister and re-register.
-	f.Add([]byte{5, 0, 2, 0, 3, 10, 2, 3, 2, 7, 3, 0, 4, 0, 1, 2, 3, 0, 3, 1, 2, 0, 2, 4, 0, 1, 6, 255})
+	// The same with jitter, loss and duplication, then a batch from the
+	// retired ID, and a flap, an isolation and a delay spike on the slot's
+	// new owner while the retired ID keeps sending to it.
+	f.Add([]byte{7, 0, 0, 0, 1, 4, 0, 1, 2, 1, 0, 1, 5, 1, 0, 1, 8, 1, 0, 9, 1, 1, 1, 4, 1, 2, 11, 1, 2, 4, 0, 2, 6, 200})
+	// A lossy rule on a pair whose receiver retires, a partition and a down
+	// endpoint around the slot's new owner, an unregister and re-register.
+	f.Add([]byte{5, 0, 0, 0, 2, 10, 0, 2, 1, 2, 2, 0, 2, 9, 0, 2, 2, 7, 0, 0, 4, 0, 1, 4, 1, 0, 7, 0, 1, 1, 0, 0, 0, 9, 0, 0, 0, 4, 0, 2, 6, 255})
 	f.Fuzz(runNetScript)
 }
 
