@@ -166,11 +166,18 @@ func TestCapacitySyncForAnotherMachineIsDropped(t *testing.T) {
 // applied: wellFormed's check is "the network issued this ID", not "this ID
 // is live". With Known meaning live, the delta is dropped whole and the
 // finished job's capacity is stranded on the machine for good. The new
-// owner's row, on the same slot, is not touched.
+// owner's row, on the same slot, is not touched, and the finished job's
+// worker still running there is killed with its capacity: enforcement finds
+// it by endpoint ID, as the name is gone.
 func TestReleaseForRetiredAppIsApplied(t *testing.T) {
 	h := newHarness(t)
 	old := h.ep("app1")
 	h.sendDelta(1, protocol.CapacityEntry{App: old, UnitID: 1, Size: size, Count: 2})
+	h.sendPlan("app1", 1, "w1", size, 1)
+	h.eng.Run(h.eng.Now() + sim.Second)
+	if h.agent.Proc("w1") == nil {
+		t.Fatal("app1's worker did not start")
+	}
 	h.net.Retire("app1")
 	h.net.Register("app2", func(transport.EndpointID, transport.Message) {})
 	fresh := h.ep("app2")
@@ -193,6 +200,9 @@ func TestReleaseForRetiredAppIsApplied(t *testing.T) {
 	}
 	if got := h.agent.Capacity("app2", 1); got != 1 {
 		t.Fatalf("app2 holds %d, want 1", got)
+	}
+	if h.agent.Proc("w1") != nil || h.agent.KilledForCapacity != 1 {
+		t.Fatalf("app1's worker survived the release of its capacity (killed %d)", h.agent.KilledForCapacity)
 	}
 }
 
