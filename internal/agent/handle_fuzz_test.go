@@ -163,7 +163,7 @@ func TestCapacitySyncForAnotherMachineIsDropped(t *testing.T) {
 // endpoint at the unregister ack, and the master's release of its capacity can
 // reach an agent after that, or after a later application took the slot over.
 // The release names a generation the network has retired, and must still be
-// applied: wellFormed's check is "the network issued this ID", not "this ID
+// applied: wellFormed's check is "the network handed this ID out", not "this ID
 // is live". With Known meaning live, the delta is dropped whole and the
 // finished job's capacity is stranded on the machine for good. The new
 // owner's row, on the same slot, is not touched, and the finished job's

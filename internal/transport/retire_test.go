@@ -28,9 +28,9 @@ func (s *netScript) next() byte {
 // retired name never comes back, which is Retire's contract.
 const scriptNames = 5
 
-// issuedID is one endpoint the script interned: its name and the ID each
+// mintedID is one endpoint the script interned: its name and the ID each
 // network gave it.
-type issuedID struct {
+type mintedID struct {
 	name    string
 	o, n    EndpointID
 	retired bool
@@ -44,7 +44,7 @@ type issuedID struct {
 // retired ones included, so late traffic to and from recycled slots is
 // common. After every step the two must have made the same handler calls —
 // (sender name, receiver name, message, instant) — and kept the same
-// traffic counters, and Known, Name and Lookup must agree on every issued ID:
+// traffic counters, and Known, Name and Lookup must agree on every ID handed out:
 // a retired ID stays known, its name reads "" (never its slot's later
 // owner's) and its name looks up nothing.
 func runNetScript(t *testing.T, data []byte) {
@@ -67,9 +67,9 @@ func runNetScript(t *testing.T, data []byte) {
 		k %= scriptNames
 		return fmt.Sprintf("e%d.%d", k, incarnation[k])
 	}
-	var ids []issuedID
+	var ids []mintedID
 	byName := map[string]int{}
-	issue := func(nm string) {
+	intern := func(nm string) {
 		oid, nid := o.Endpoint(nm), n.Endpoint(nm)
 		if i, ok := byName[nm]; ok {
 			if ids[i].o != oid || ids[i].n != nid {
@@ -78,7 +78,7 @@ func runNetScript(t *testing.T, data []byte) {
 			return
 		}
 		byName[nm] = len(ids)
-		ids = append(ids, issuedID{name: nm, o: oid, n: nid})
+		ids = append(ids, mintedID{name: nm, o: oid, n: nid})
 	}
 	var oCalls, nCalls []string
 	record := func(calls *[]string, eng *sim.Engine, name func(EndpointID) string, to string) Handler {
@@ -86,7 +86,7 @@ func runNetScript(t *testing.T, data []byte) {
 			*calls = append(*calls, fmt.Sprintf("%s>%s:%v@%d", name(from), to, msg, eng.Now()))
 		}
 	}
-	pick := func() issuedID { return ids[int(s.next())%len(ids)] }
+	pick := func() mintedID { return ids[int(s.next())%len(ids)] }
 
 	for step := 0; len(s.b) > 0 && step < 200; step++ {
 		op := s.next() % 12
@@ -95,7 +95,7 @@ func runNetScript(t *testing.T, data []byte) {
 			nm := name(s.next())
 			o.Register(nm, record(&oCalls, oe, o.Name, nm))
 			n.Register(nm, record(&nCalls, ne, n.Name, nm))
-			issue(nm)
+			intern(nm)
 		case 1:
 			nm := name(s.next())
 			o.Unregister(nm)
@@ -110,7 +110,7 @@ func runNetScript(t *testing.T, data []byte) {
 			}
 			incarnation[k]++
 		case 3:
-			issue(name(s.next()))
+			intern(name(s.next()))
 		case 4, 5:
 			if len(ids) == 0 {
 				continue
@@ -137,7 +137,7 @@ func runNetScript(t *testing.T, data []byte) {
 				o.SetLinkDown(nm, down)
 				n.SetLinkDown(nm, down)
 			}
-			issue(nm)
+			intern(nm)
 		case 9:
 			switch a, b := name(s.next()), name(s.next()); s.next() % 3 {
 			case 0:
@@ -146,26 +146,26 @@ func runNetScript(t *testing.T, data []byte) {
 			case 1:
 				o.Isolate([]string{a, b})
 				n.Isolate([]string{a, b})
-				issue(a)
-				issue(b)
+				intern(a)
+				intern(b)
 			default:
 				o.Partition([]string{a}, []string{b})
 				n.Partition([]string{a}, []string{b})
-				issue(a)
-				issue(b)
+				intern(a)
+				intern(b)
 			}
 		case 10:
 			a, b := name(s.next()), name(s.next())
 			r := []LinkRule{{}, {Drop: 0.5}, {Dup: 0.5, Jitter: 100 * sim.Microsecond}, {Cut: true}}[s.next()%4]
 			o.SetLinkRule(a, b, r)
 			n.SetLinkRule(a, b, r)
-			issue(a)
-			issue(b)
+			intern(a)
+			intern(b)
 		case 11:
 			nm, d := name(s.next()), sim.Time(s.next()%3)*250*sim.Microsecond
 			o.SetLinkDelay(nm, d)
 			n.SetLinkDelay(nm, d)
-			issue(nm)
+			intern(nm)
 		}
 		compareNets(t, step, o, n, ids, oCalls, nCalls)
 	}
@@ -175,7 +175,7 @@ func runNetScript(t *testing.T, data []byte) {
 }
 
 // compareNets holds a Net to its oracle after one script step (-1: the end).
-func compareNets(t *testing.T, step int, o *oracleNet, n *Net, ids []issuedID, oCalls, nCalls []string) {
+func compareNets(t *testing.T, step int, o *oracleNet, n *Net, ids []mintedID, oCalls, nCalls []string) {
 	t.Helper()
 	if !slices.Equal(oCalls, nCalls) {
 		t.Fatalf("step %d: handler calls diverge:\n oracle %q\n net    %q", step, oCalls, nCalls)
@@ -206,11 +206,11 @@ func compareNets(t *testing.T, step int, o *oracleNet, n *Net, ids []issuedID, o
 			t.Fatalf("step %d: oracle Lookup(%s) = %d, want %d", step, e.name, got, e.o)
 		}
 	}
-	// A generation the network has not issued yet is not known.
+	// A generation the network has not handed out yet is not known.
 	for s := range n.gens {
 		if n.gens[s] < 1<<ident.GenBits-1 {
 			if id := EndpointID(ident.Tag(int32(s), n.gens[s]+1)); n.Known(id) {
-				t.Fatalf("step %d: unissued generation %d of slot %d is known", step, n.gens[s]+1, s)
+				t.Fatalf("step %d: generation %d, never handed out, of slot %d is known", step, n.gens[s]+1, s)
 			}
 		}
 	}

@@ -333,12 +333,12 @@ func (n *Net) Lookup(name string) EndpointID {
 	return None
 }
 
-// Known reports whether some earlier call issued id, live or since retired —
-// the check a receiver makes before trusting an endpoint ID that arrived
-// inside a message. A retired ID stays known: a capacity release that
+// Known reports whether some earlier call handed id out, live or since
+// retired — the check a receiver makes before trusting an endpoint ID that
+// arrived inside a message. A retired ID stays known: a capacity release that
 // names a finished application master must still be applied, or it strands
 // the capacity it releases. Once a slot's generation has wrapped, every
-// generation of the slot counts as issued.
+// generation of the slot counts as handed out.
 func (n *Net) Known(id EndpointID) bool {
 	s := id.Slot()
 	if id < 0 || int(s) >= len(n.gens) {
