@@ -278,10 +278,12 @@ func FuzzAgentHandle(f *testing.F) {
 	// job-m is granted two containers and finishes; job-m.1 takes its slot
 	// and is granted one; the release naming job-m's retired generation lands
 	// after that, then a sync carries both generations' rows.
-	f.Add([]byte{0, 1, 1, 0, 0, 2, 5, 0, 0, 1, 1, 0, 0, 1, 0, 1, 6, 0, 0xfe, 1, 0, 2, 6, 0, 2, 0, 0, 1, 4, 50})
-	// Two applications finish in turn while deltas and plans name the old
-	// generations and the new ones.
-	f.Add([]byte{0, 2, 1, 0, 0, 2, 8, 0, 0, 1, 5, 0, 5, 1, 0, 3, 6, 0, 0xff, 14, 0, 0xff, 3, 0, 0, 0, 0, 4, 20, 0, 1, 6, 0, 1, 4, 50})
+	f.Add([]byte{0, 4, 1, 0, 0, 2, 4, 0xfe, 0, 0, 4, 1, 0, 0, 1, 0, 4, 1, 6, 0, 0xf4, 1, 0, 4, 2, 0, 0, 1, 6, 0, 2, 4, 50})
+	// Two applications, each running a worker, finish in turn; one delta
+	// releases both old generations' capacity (killing the workers), and the
+	// new generation of the first is granted a container and plans a worker.
+	f.Add([]byte{0, 4, 2, 0, 0, 2, 8, 0, 1, 3, 0, 0, 0, 0, 4, 0xfe, 0, 3, 1, 0, 0, 0, 4, 0xfe, 1,
+		0, 4, 2, 6, 0, 0xf4, 14, 0, 0xf5, 0, 4, 1, 0, 0, 1, 3, 0, 0, 0, 0, 4, 50})
 	f.Fuzz(runAgentScript)
 }
 
@@ -313,7 +315,7 @@ func runAgentScript(t *testing.T, data []byte) {
 	epoch, seq, workers := 1, uint64(0), 0
 	var planSeq protocol.Sequencer
 	for ; len(s.b) > 0 && step < 256; step++ {
-		switch op := s.next() % 6; op {
+		switch op := s.next() % 5; op {
 		case 0:
 			what = "delta"
 			e, q := s.stamp(&epoch, &seq)
@@ -354,10 +356,15 @@ func runAgentScript(t *testing.T, data []byte) {
 				workers++
 			}
 			deliver(h.net.Endpoint(from), protocol.WorkPlan{App: app, UnitID: s.unit(), WorkerID: id, Size: size, Seq: planSeq.Next()})
-		case 4:
-			what = "time"
-			h.eng.Run(h.eng.Now() + sim.Time(s.next())*10*sim.Millisecond)
 		default:
+			what = "time"
+			c := s.next()
+			if c != 0xfe {
+				h.eng.Run(h.eng.Now() + sim.Time(c)*10*sim.Millisecond)
+				break
+			}
+			// An application finishes: a sub-choice of "time", so that the op
+			// bytes of older inputs keep their meaning.
 			what = "finish"
 			k := int(s.next()) % len(s.apps)
 			s.retired = append(s.retired, int32(h.net.Lookup(s.apps[k])))
