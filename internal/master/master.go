@@ -379,9 +379,15 @@ func (m *Master) appAt(ep tr) *appState {
 }
 
 // Footprint returns the lengths of the tables this process keeps per
-// application-master endpoint slot: the endpoint index and the dedup
-// tracker's by-sender rows.
-func (m *Master) Footprint() (byEP, dedupSenders int) { return len(m.byEP), m.dedup.Senders() }
+// application-master endpoint slot — the endpoint index and the dedup
+// tracker's by-sender rows — and of its scheduler's tables indexed by app ID
+// (0 while it holds no scheduler).
+func (m *Master) Footprint() (byEP, dedupSenders, appSlots int) {
+	if m.sched != nil {
+		appSlots = m.sched.appSlots()
+	}
+	return len(m.byEP), m.dedup.Senders(), appSlots
+}
 
 // appFrom resolves the app a message names by the endpoint it came from. A
 // sender other than the app's own endpoint (a scripted test client) falls

@@ -155,10 +155,10 @@ func (s *Scheduler) Apps() []string {
 	return out
 }
 
-// AppSlots returns the length of the scheduler's tables indexed by app ID —
+// appSlots returns the length of the scheduler's tables indexed by app ID —
 // the intern table, the app table and the locality tree's per-app rows —
 // whichever is longest: the most apps ever registered at once.
-func (s *Scheduler) AppSlots() int {
+func (s *Scheduler) appSlots() int {
 	n := max(s.appTbl.Len(), len(s.appByID))
 	if t, ok := s.tree.(*localityTree); ok {
 		n = max(n, len(t.byApp))

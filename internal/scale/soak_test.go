@@ -16,7 +16,8 @@ type slotTables struct {
 
 // replayTables runs the smoke replay for days compressed days and returns
 // its result, its slot tables and the most endpoints it had live at one
-// 10 ms sample.
+// 10 ms sample. The scheduler app tables are the primary's: a process that
+// holds no scheduler reports none.
 func replayTables(t *testing.T, days int) (*Result, slotTables, int) {
 	t.Helper()
 	cfg := SmokeReplayConfig()
@@ -27,16 +28,20 @@ func replayTables(t *testing.T, days int) (*Result, slotTables, int) {
 		t.Fatal(err)
 	}
 	peak := 0
-	h.eng.Every(10*sim.Millisecond, func() { peak = max(peak, h.net.Live()) })
+	h.eng.Every(10*sim.Millisecond, func() {
+		_, live := h.net.Footprint()
+		peak = max(peak, live)
+	})
 	res := h.run()
 	if res.Truncated || len(res.Invariants) > 0 {
 		t.Fatalf("%d days: truncated=%v invariants=%v", days, res.Truncated, res.Invariants)
 	}
-	tb := slotTables{Slots: h.net.Slots(), AppSlots: h.primarySched().AppSlots()}
+	var tb slotTables
+	tb.Slots, _ = h.net.Footprint()
 	for _, m := range h.cl.Masters {
 		if m != nil {
-			byEP, rows := m.Footprint()
-			tb.ByEP, tb.DedupRows = max(tb.ByEP, byEP), max(tb.DedupRows, rows)
+			byEP, rows, apps := m.Footprint()
+			tb.ByEP, tb.DedupRows, tb.AppSlots = max(tb.ByEP, byEP), max(tb.DedupRows, rows), max(tb.AppSlots, apps)
 		}
 	}
 	return res, tb, peak

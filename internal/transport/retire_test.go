@@ -272,16 +272,16 @@ func TestRetireRecyclesSlot(t *testing.T) {
 	if s := net.Stats(); s.Sent != 2 || s.Delivered != 1 || s.Dropped != 1 {
 		t.Fatalf("stats %v: the late message must count as sent and dropped", s)
 	}
-	if net.Slots() != 2 || net.Name(old) != "" || !net.Known(old) || net.Lookup("job-1") != None {
+	if len(net.eps) != 2 || net.Name(old) != "" || !net.Known(old) || net.Lookup("job-1") != None {
 		t.Fatalf("slots %d, Name(old) %q, Known(old) %v, Lookup(job-1) %d",
-			net.Slots(), net.Name(old), net.Known(old), net.Lookup("job-1"))
+			len(net.eps), net.Name(old), net.Known(old), net.Lookup("job-1"))
 	}
 	for i := 0; i < 1000; i++ {
 		name := fmt.Sprintf("job-%d", 3+i)
 		net.Register(name, func(EndpointID, Message) {})
 		net.Retire(name)
 	}
-	if net.Slots() != 3 {
-		t.Fatalf("%d slots after a thousand jobs one at a time, want 3", net.Slots())
+	if len(net.eps) != 3 {
+		t.Fatalf("%d slots after a thousand jobs one at a time, want 3", len(net.eps))
 	}
 }

@@ -348,12 +348,10 @@ func (n *Net) Known(id EndpointID) bool {
 	return g >= 1<<ident.GenBits || gen < g || (gen == g && n.tbl.Name(s) != "")
 }
 
-// Slots returns how many endpoint slots the network keeps: the most
-// endpoint names it ever held live at once.
-func (n *Net) Slots() int { return len(n.eps) }
-
-// Live returns how many endpoint names are interned and not retired.
-func (n *Net) Live() int { return n.tbl.Live() }
+// Footprint returns how many endpoint slots the network keeps — the most
+// endpoint names it ever held live at once — and how many names are interned
+// and not retired now.
+func (n *Net) Footprint() (slots, live int) { return len(n.eps), n.tbl.Live() }
 
 // Register installs (or replaces) the handler for endpoint name and returns
 // its EndpointID. Replacing is deliberate: a restarted component
@@ -694,7 +692,10 @@ func inspect(msg Message) (size int, recycled bool) {
 const nominalSize = 64
 
 // Send queues msg for asynchronous delivery between endpoint names — the
-// setup/test-path wrapper around SendID.
+// setup/test-path wrapper around SendID. It interns both names, so a retired
+// name comes back on a fresh slot: a sender that may outlive its peer's
+// endpoint (a report to a finished job, an order to a reaped worker) keeps
+// the peer's ID and uses SendID, which drops the message on arrival.
 func (n *Net) Send(from, to string, msg Message) {
 	n.SendID(n.Endpoint(from), n.Endpoint(to), msg)
 }
