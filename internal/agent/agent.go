@@ -515,7 +515,7 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 		}
 		a.sendAnchorBeat()
 	case protocol.WorkerListReply:
-		a.adoptWorkers(t)
+		a.adoptWorkers(from, t)
 	}
 }
 
@@ -716,9 +716,11 @@ func (a *Agent) RestartDaemon() {
 	a.net.SendID(a.epID, a.masterID, protocol.CapacityQuery{
 		Machine: a.id, Seq: a.seq.Next(),
 	})
-	apps := map[string]bool{}
+	// Each application is asked at the endpoint its processes were planned
+	// from: a finished one's is retired, and the request is dropped.
+	apps := map[string]transport.EndpointID{}
 	for _, p := range a.procs {
-		apps[p.App] = true
+		apps[p.App] = p.ep
 	}
 	names := make([]string, 0, len(apps))
 	for app := range apps {
@@ -726,7 +728,7 @@ func (a *Agent) RestartDaemon() {
 	}
 	sort.Strings(names)
 	for _, app := range names {
-		a.net.Send(a.endpoint(), app, protocol.WorkerListRequest{Machine: a.Machine, Seq: a.seq.Next()})
+		a.net.SendID(a.epID, apps[app], protocol.WorkerListRequest{Machine: a.Machine, Seq: a.seq.Next()})
 	}
 }
 
@@ -765,8 +767,9 @@ func (a *Agent) applyCapacitySync(t protocol.CapacitySync) {
 
 // adoptWorkers reconciles the process table against the application's
 // expected worker list: unknown processes are killed, expected-but-missing
-// workers are reported failed so the application can reschedule.
-func (a *Agent) adoptWorkers(t protocol.WorkerListReply) {
+// workers are reported failed, to the application that replied, so it can
+// reschedule.
+func (a *Agent) adoptWorkers(from transport.EndpointID, t protocol.WorkerListReply) {
 	expect := map[string]protocol.WorkPlan{}
 	for _, w := range t.Workers {
 		expect[w.WorkerID] = w
@@ -790,7 +793,7 @@ func (a *Agent) adoptWorkers(t protocol.WorkerListReply) {
 	}
 	sort.Strings(missing)
 	for _, id := range missing {
-		a.net.Send(a.endpoint(), t.App, protocol.WorkerStatus{
+		a.net.SendID(a.epID, from, protocol.WorkerStatus{
 			Machine: a.Machine, App: t.App, WorkerID: id,
 			State:         protocol.WorkerFailed,
 			FailureDetail: "lost during agent outage",

@@ -333,6 +333,43 @@ func TestDaemonRestartAdoptsAndResyncs(t *testing.T) {
 	}
 }
 
+// TestRestartAddressesFinishedAppByID: a daemon that restarts while a
+// finished application's worker still runs (its capacity release in flight)
+// asks that application for its worker list, and a reply that names the
+// finished application reports its missing workers. Both go to an endpoint
+// ID — the retired one the worker was planned from, and the replying
+// sender's — and the network drops what names a retired one. Sent by name,
+// each would intern the retired name again, on a fresh slot nothing ever
+// retires.
+func TestRestartAddressesFinishedAppByID(t *testing.T) {
+	h := newHarness(t)
+	h.grantCapacity("app1", 1, 1, size)
+	h.sendPlan("app1", 1, "w1", size, 1)
+	h.eng.Run(h.eng.Now() + 2*sim.Second)
+	if h.agent.Proc("w1") == nil {
+		t.Fatal("app1's worker did not start")
+	}
+	h.net.Retire("app1")
+	h.net.Register("app2", func(transport.EndpointID, transport.Message) {})
+	h.agent.CrashDaemon()
+	slots, live := h.net.Footprint()
+	h.agent.RestartDaemon()
+	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
+	h.net.Send("app2", protocol.AgentEndpoint(h.agent.Machine), protocol.WorkerListReply{
+		App:     "app1",
+		Workers: []protocol.WorkPlan{{App: "app1", UnitID: 1, WorkerID: "w9", Size: size}},
+		Seq:     1000,
+	})
+	h.eng.Run(h.eng.Now() + sim.Second)
+	if s, l := h.net.Footprint(); s != slots || l != live || h.net.Lookup("app1") != transport.None {
+		t.Fatalf("%d slots, %d live, Lookup(app1) = %d; want %d, %d and None: a retired name was interned again",
+			s, l, h.net.Lookup("app1"), slots, live)
+	}
+	if h.agent.Proc("w1") != nil {
+		t.Error("the worker the reply does not list survived adoption")
+	}
+}
+
 func TestAdoptKillsUnknownProcs(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 2, size)

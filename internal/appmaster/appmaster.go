@@ -691,6 +691,10 @@ func (a *AM) GrantWait() (wait sim.Time, ok bool) { return a.grantWait, a.grantT
 // App returns the application name.
 func (a *AM) App() string { return a.cfg.App }
 
+// ID returns the endpoint ID the application master listens at, which stays
+// its ID after the endpoint is retired at the unregister ack.
+func (a *AM) ID() transport.EndpointID { return a.epID }
+
 // Units returns the application's ScheduleUnit definitions.
 func (a *AM) Units() []resource.ScheduleUnit { return a.cfg.Units }
 

@@ -236,7 +236,7 @@ func (j *JobMaster) nextWorkerID() string {
 }
 
 func (j *JobMaster) sendToWorker(workerID string, msg transport.Message) {
-	j.net.Send(j.cfg.Desc.Name, WorkerEndpoint(j.cfg.Desc.Name, workerID), msg)
+	j.net.SendID(j.am.ID(), j.rt.endpoint(workerID), msg)
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,13 @@ type Runtime struct {
 	ReportEvery sim.Time
 
 	workers map[string]*WorkerSim
+	// appEP is the job's application-master endpoint, taken while it is live
+	// (None before the first worker). gone holds the retired endpoint of each
+	// worker the runtime removed. Late traffic is sent to these IDs, which the
+	// network drops on arrival; sent by name, it would intern the retired name
+	// again on a fresh slot that nothing retires.
+	appEP transport.EndpointID
+	gone  map[string]transport.EndpointID
 }
 
 // NewRuntime creates the worker-side runtime for app.
@@ -43,6 +50,7 @@ func NewRuntime(eng *sim.Engine, net *transport.Net, env Env, app string, report
 		eng: eng, net: net, env: env, app: app,
 		ReportEvery: reportEvery,
 		workers:     make(map[string]*WorkerSim),
+		appEP:       transport.None,
 	}
 }
 
@@ -52,9 +60,14 @@ func (r *Runtime) Ensure(workerID, machine string) *WorkerSim {
 	if w, ok := r.workers[workerID]; ok {
 		return w
 	}
+	if r.appEP == transport.None {
+		// A JobMaster creates workers only while its application master is
+		// registered.
+		r.appEP = r.net.Endpoint(r.app)
+	}
 	w := &WorkerSim{rt: r, ID: workerID, Machine: machine}
 	r.workers[workerID] = w
-	r.net.Register(WorkerEndpoint(r.app, workerID), w.handle)
+	w.ep = r.net.Register(WorkerEndpoint(r.app, workerID), w.handle)
 	w.reportTimer = r.eng.Every(r.ReportEvery, w.report)
 	return w
 }
@@ -74,6 +87,23 @@ func (r *Runtime) remove(w *WorkerSim) {
 	}
 	r.net.Retire(WorkerEndpoint(r.app, w.ID))
 	delete(r.workers, w.ID)
+	if r.gone == nil {
+		r.gone = make(map[string]transport.EndpointID)
+	}
+	r.gone[w.ID] = w.ep
+}
+
+// endpoint returns the ID to address workerID at: its live endpoint, the
+// retired one of a worker the runtime removed, or, for a worker not yet
+// started, the ID its name interns to.
+func (r *Runtime) endpoint(workerID string) transport.EndpointID {
+	if w := r.workers[workerID]; w != nil {
+		return w.ep
+	}
+	if ep, ok := r.gone[workerID]; ok {
+		return ep
+	}
+	return r.net.Endpoint(WorkerEndpoint(r.app, workerID))
 }
 
 // instanceRun is the worker's current assignment.
@@ -92,6 +122,7 @@ type instanceRun struct {
 // before acting — a killed process neither completes nor reports.
 type WorkerSim struct {
 	rt      *Runtime
+	ep      transport.EndpointID
 	ID      string
 	Machine string
 	// Task records which task owns this worker so that idle reports stay
@@ -187,5 +218,5 @@ func (w *WorkerSim) report() {
 }
 
 func (w *WorkerSim) send(msg transport.Message) {
-	w.rt.net.Send(WorkerEndpoint(w.rt.app, w.ID), w.rt.app, msg)
+	w.rt.net.SendID(w.ep, w.rt.appEP, msg)
 }

@@ -3,7 +3,9 @@ package job
 import (
 	"testing"
 
+	"repro/internal/resource"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
@@ -190,6 +192,45 @@ func TestReassignmentPreemptsCurrent(t *testing.T) {
 		if r.Instance == 1 {
 			t.Fatal("preempted instance still completed")
 		}
+	}
+}
+
+// TestLateTrafficInternsNoRetiredName: a worker keeps reporting after its
+// job's application master retired its endpoint at the unregister ack, and
+// the JobMaster can still address a worker the runtime already reaped (a kill
+// for a sibling, a resent assignment). Each message goes to the retired ID
+// and is dropped on arrival. Sent by name, it would intern the retired name
+// again, on a fresh slot that nothing ever retires.
+func TestLateTrafficInternsNoRetiredName(t *testing.T) {
+	h := newWSHarness(t)
+	top, err := topology.Build(topology.Spec{Racks: 1, MachinesPerRack: 2, MachineCapacity: resource.New(12000, 96*1024)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := &Description{Name: "jobx", Tasks: map[string]TaskSpec{
+		"T": {Instances: 1, CPUMilli: 500, MemoryMB: 512, DurationMS: 1000},
+	}}
+	jm, err := New(Config{Desc: desc, Rt: h.rt}, h.eng, h.net, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.rt.Ensure("w1", "m1")
+	h.rt.Ensure("w2", "m1")
+	h.env.dead["w2"] = true
+	h.eng.Run(h.eng.Now() + 1500*sim.Millisecond)
+	if h.rt.Worker("w2") != nil {
+		t.Fatal("the dead worker was not reaped")
+	}
+	slots, live := h.net.Footprint()
+	jm.sendToWorker("w2", KillInstance{Task: "T", Instance: 0})
+	h.net.Retire("jobx") // what the application master does at the unregister ack
+	jm.sendToWorker("w1", KillInstance{Task: "T", Instance: 0})
+	h.eng.Run(h.eng.Now() + 3*sim.Second)
+	s, l := h.net.Footprint()
+	if s != slots || l != live-1 || h.net.Lookup("jobx") != transport.None ||
+		h.net.Lookup(WorkerEndpoint("jobx", "w2")) != transport.None {
+		t.Fatalf("%d slots, %d live, Lookup(jobx) = %d, Lookup(w2) = %d; want %d, %d and None twice: a retired name was interned again",
+			s, l, h.net.Lookup("jobx"), h.net.Lookup(WorkerEndpoint("jobx", "w2")), slots, live-1)
 	}
 }
 
