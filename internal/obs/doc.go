@@ -31,8 +31,9 @@
 //
 //   - Dist is the exact distribution every run-level percentile comes from
 //     (demand-to-grant, admission, recovery, convergence, makespan, query
-//     latency): all samples kept, the same nearest-rank rule as a windowed
-//     query, and a mean that no quantile read can reorder.
+//     latency): one counted cell per distinct value, so memory follows the
+//     values seen and not the samples, the same nearest-rank rule as a
+//     windowed query, and a mean that no quantile read can reorder.
 //
 // Values are int64 throughout: gauges store the sampled level, monotone
 // counters store the cumulative count (consumers diff across the window).
