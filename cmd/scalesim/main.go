@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/scale"
-	"repro/internal/sim"
 )
 
 func main() { os.Exit(run()) }
@@ -36,12 +35,6 @@ func run() int {
 		laneName = flag.String("lane", "classic", "lane to run: "+laneNames())
 		smoke    = flag.Bool("smoke", false, "run the lane's CI-sized configuration (100 machines)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		racks    = flag.Int("racks", 0, "override rack count")
-		perRack  = flag.Int("machines-per-rack", 0, "override machines per rack")
-		apps     = flag.Int("apps", 0, "override application count")
-		units    = flag.Int("units-per-app", 0, "override schedule units per app")
-		horizonS = flag.Int("horizon-sec", 0, "override simulation horizon (seconds)")
-		roundMS  = flag.Int("round-window-ms", 0, "override scheduling-round width in virtual ms")
 		out      = flag.String("out", "BENCH_scale.json", "output JSON path (- for stdout only)")
 		merge    = flag.Bool("merge", false, "fold this run into an existing -out file under the lane's name instead of overwriting it")
 		gate     = flag.Bool("check-budgets", false, "exit non-zero when the run breaks one of its lane's budget gates (CI regression gate)")
@@ -90,31 +83,12 @@ func run() int {
 		}()
 	}
 
+	// A run is the named lane at one of its two sizes; only the seed varies.
 	cfg := lane.Full()
 	if *smoke {
 		cfg = lane.Smoke()
 	}
-	// The generic overrides apply to whichever lane was picked; 0 keeps the
-	// lane's own value.
 	cfg.Seed = *seed
-	if *racks > 0 {
-		cfg.Racks = *racks
-	}
-	if *perRack > 0 {
-		cfg.MachinesPerRack = *perRack
-	}
-	if *apps > 0 {
-		cfg.Apps = *apps
-	}
-	if *units > 0 {
-		cfg.UnitsPerApp = *units
-	}
-	if *horizonS > 0 {
-		cfg.Horizon = sim.Time(*horizonS) * sim.Second
-	}
-	if *roundMS > 0 {
-		cfg.RoundWindow = sim.Time(*roundMS) * sim.Millisecond
-	}
 	res, err := scale.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalesim:", err)

@@ -11,10 +11,12 @@
 //
 //   - internal/core: NewCluster, the one place a cluster is wired, and the
 //     Cluster facade (submit jobs, sample utilisation, kill things)
-//   - internal/experiments: regenerate every table and figure of §5
-//   - cmd/fuxisim, cmd/faultsim, cmd/graysort, cmd/tracestats: experiment CLIs
+//   - bench_test.go over internal/experiments: the one entry point that
+//     reproduces every table and figure of §5 (`go test -run NONE -bench .
+//     -benchtime 1x .`), one benchmark per run at its default size
 //   - cmd/scalesim: the 5,000-machine stress harness — one `-lane` per
-//     scenario in the internal/scale Lanes table, each with its budget gates
+//     scenario in the internal/scale Lanes table, at its full or smoke
+//     size, each with its budget gates
 //   - examples/: runnable walkthroughs of the public API
 //
 // # One assembler, one seam

@@ -62,8 +62,13 @@ func (release) WireSize() int { return 48 }
 type RM struct {
 	eng  *sim.Engine
 	net  *transport.Net
+	self transport.EndpointID
 	top  *topology.Topology
 	free map[string]resource.Vector
+	// sizes is each app's container size, taken from its full requests, so
+	// a release restores the right vector without carrying it (one size
+	// per baseline app).
+	sizes map[string]resource.Vector
 	// Decisions counts allocation scans, the RM's scheduling work.
 	Decisions int
 	cursor    int
@@ -71,30 +76,32 @@ type RM struct {
 
 // NewRM boots the resource manager.
 func NewRM(eng *sim.Engine, net *transport.Net, top *topology.Topology) *RM {
-	rm := &RM{eng: eng, net: net, top: top, free: make(map[string]resource.Vector, top.Size())}
+	rm := &RM{
+		eng: eng, net: net, top: top,
+		free:  make(map[string]resource.Vector, top.Size()),
+		sizes: map[string]resource.Vector{},
+	}
 	for _, m := range top.Machines() {
 		rm.free[m] = top.Machine(m).Capacity
 	}
-	net.Register(RMEndpoint, rm.handle)
+	rm.self = net.Register(RMEndpoint, rm.handle)
 	return rm
 }
 
 func (rm *RM) handle(from transport.EndpointID, msg transport.Message) {
 	switch t := msg.(type) {
 	case fullRequest:
-		rm.allocate(t)
+		rm.allocate(from, t)
 	case release:
-		rm.free[t.Machine] = rm.free[t.Machine].Add(appSizes[t.App])
+		rm.free[t.Machine] = rm.free[t.Machine].Add(rm.sizes[t.App])
 	}
 }
 
-// appSizes lets release messages restore the right vector without carrying
-// it; keyed by app (single container size per baseline app).
-var appSizes = map[string]resource.Vector{}
-
 // allocate scans the machine list for each outstanding container — the
-// linear resource model the paper attributes to Hadoop/YARN lineage.
-func (rm *RM) allocate(req fullRequest) {
+// linear resource model the paper attributes to Hadoop/YARN lineage — and
+// answers the requesting endpoint.
+func (rm *RM) allocate(to transport.EndpointID, req fullRequest) {
+	rm.sizes[req.App] = req.Size
 	machines := rm.top.Machines()
 	n := len(machines)
 	granted := 0
@@ -103,7 +110,7 @@ func (rm *RM) allocate(req fullRequest) {
 		rm.Decisions++
 		for granted < req.Outstanding && rm.free[m].Contains(req.Size) {
 			rm.free[m] = rm.free[m].Sub(req.Size)
-			rm.net.Send(RMEndpoint, req.App, allocation{App: req.App, Machine: m})
+			rm.net.SendID(rm.self, to, allocation{App: req.App, Machine: m})
 			granted++
 			rm.Decisions++
 			break // spread: at most one per machine per pass
@@ -118,8 +125,7 @@ func (rm *RM) allocate(req fullRequest) {
 // for microbenchmarks comparing the RM's per-heartbeat rescan against
 // Fuxi's locality-tree regrant.
 func (rm *RM) HandleForBench(app string, size resource.Vector, outstanding int) {
-	appSizes[app] = size
-	rm.allocate(fullRequest{App: app, Size: size, Outstanding: outstanding})
+	rm.allocate(rm.net.Endpoint(app), fullRequest{App: app, Size: size, Outstanding: outstanding})
 }
 
 // AMConfig describes one baseline application: Instances tasks of Duration
@@ -140,14 +146,15 @@ type AMConfig struct {
 
 // AM is the YARN-style application master.
 type AM struct {
-	cfg     AMConfig
-	eng     *sim.Engine
-	net     *transport.Net
-	pending int
-	running int
-	done    int
-	stopped bool
-	timer   sim.Cancel
+	cfg      AMConfig
+	eng      *sim.Engine
+	net      *transport.Net
+	self, rm transport.EndpointID
+	pending  int
+	running  int
+	done     int
+	stopped  bool
+	timer    sim.Cancel
 }
 
 // NewAM starts a baseline application master.
@@ -158,9 +165,8 @@ func NewAM(cfg AMConfig, eng *sim.Engine, net *transport.Net) *AM {
 	if cfg.MaxContainers <= 0 {
 		cfg.MaxContainers = cfg.Instances
 	}
-	a := &AM{cfg: cfg, eng: eng, net: net, pending: cfg.Instances}
-	appSizes[cfg.App] = cfg.Size
-	net.Register(cfg.App, a.handle)
+	a := &AM{cfg: cfg, eng: eng, net: net, pending: cfg.Instances, rm: net.Endpoint(RMEndpoint)}
+	a.self = net.Register(cfg.App, a.handle)
 	a.heartbeat()
 	a.timer = eng.Every(cfg.Heartbeat, a.heartbeat)
 	return a
@@ -179,7 +185,7 @@ func (a *AM) heartbeat() {
 	if want <= 0 {
 		return
 	}
-	a.net.Send(a.cfg.App, RMEndpoint, fullRequest{
+	a.net.SendID(a.self, a.rm, fullRequest{
 		App: a.cfg.App, Size: a.cfg.Size, Outstanding: want,
 	})
 }
@@ -195,7 +201,7 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 	if a.pending == 0 || a.running >= a.cfg.MaxContainers {
 		// Surplus container (RM allocated from a stale heartbeat): give it
 		// straight back.
-		a.net.Send(a.cfg.App, RMEndpoint, release{App: a.cfg.App, Machine: al.Machine})
+		a.net.SendID(a.self, a.rm, release{App: a.cfg.App, Machine: al.Machine})
 		return
 	}
 	a.pending--
@@ -205,7 +211,7 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 	a.eng.After(a.cfg.StartDelay+a.cfg.Duration, func() {
 		a.running--
 		a.done++
-		a.net.Send(a.cfg.App, RMEndpoint, release{App: a.cfg.App, Machine: al.Machine})
+		a.net.SendID(a.self, a.rm, release{App: a.cfg.App, Machine: al.Machine})
 		if a.done == a.cfg.Instances {
 			a.finish()
 			return

@@ -113,3 +113,38 @@ func TestSurplusAllocationReturned(t *testing.T) {
 		t.Error("did not complete")
 	}
 }
+
+// TestRMsKeepTheirOwnAppSizes: two resource managers in one process that
+// each host an app of the same name, at different sizes, keep separate
+// books. Every container RM 1 granted comes back at RM 1's size, so its
+// pool ends exactly at capacity.
+func TestRMsKeepTheirOwnAppSizes(t *testing.T) {
+	top := testTop(t)
+	eng1 := sim.NewEngine(6)
+	net1 := transport.NewNet(eng1)
+	rm1 := NewRM(eng1, net1, top)
+	am1 := NewAM(AMConfig{
+		App: "x", Size: resource.New(1000, 2048),
+		Instances: 8, Duration: 10 * sim.Second, Heartbeat: sim.Second,
+	}, eng1, net1)
+	eng1.Run(2 * sim.Second) // RM 1's containers are out
+
+	eng2 := sim.NewEngine(7)
+	net2 := transport.NewNet(eng2)
+	NewRM(eng2, net2, top)
+	NewAM(AMConfig{
+		App: "x", Size: resource.New(4000, 2048),
+		Instances: 1, Duration: sim.Second, Heartbeat: sim.Second,
+	}, eng2, net2)
+	eng2.Run(sim.Minute)
+
+	eng1.Run(sim.Hour)
+	if !am1.Done() {
+		t.Fatal("RM 1's workload incomplete")
+	}
+	for _, m := range top.Machines() {
+		if got, want := rm1.free[m], top.Machine(m).Capacity; !got.Equal(want) {
+			t.Errorf("RM 1 frees %v on %s after every task returned, want its capacity %v", got, m, want)
+		}
+	}
+}

@@ -1,22 +1,22 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§5) on the simulated cluster. Each experiment prints the same
-// rows or series the paper reports; EXPERIMENTS.md records paper-vs-measured
-// for all of them. The cmd/ tools and the root bench suite are thin wrappers
-// over this package.
+// Package experiments runs the paper's evaluation (§5) on the simulated
+// cluster: each function returns the numbers one table or figure reports.
+// The root bench suite (bench_test.go) is the one entry point that runs
+// them at the sizes below and reports every number; EXPERIMENTS.md records
+// paper-vs-measured for all of them.
 package experiments
 
 import (
 	"fmt"
-	"io"
-	"math/rand"
 
 	"repro/internal/agent"
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/graysort"
 	"repro/internal/job"
 	"repro/internal/resource"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -208,32 +208,6 @@ func RunSynthetic(opt SyntheticOptions) (*SyntheticResult, error) {
 	return res, nil
 }
 
-// PrintFig9 renders the Figure 9 summary.
-func (r *SyntheticResult) PrintFig9(w io.Writer) {
-	fmt.Fprintf(w, "Figure 9 — FuxiMaster request scheduling time (%d requests)\n", r.SchedCount)
-	fmt.Fprintf(w, "  mean %.3f ms   peak %.3f ms\n", r.SchedMeanMS, r.SchedMaxMS)
-	fmt.Fprintf(w, "  paper: mean 0.88 ms, peak < 3 ms\n")
-}
-
-// PrintFig10 renders the Figure 10 summary.
-func (r *SyntheticResult) PrintFig10(w io.Writer) {
-	fmt.Fprintln(w, "Figure 10 — planned/obtained utilization (steady state, fraction of FM_total)")
-	fmt.Fprintf(w, "  memory: FM_planned %.1f%%  AM_obtained %.1f%%  FA_planned %.1f%%   (paper: 97.1 / 95.9 / 95.2)\n",
-		100*r.MemPlannedFrac, 100*r.MemObtainedFrac, 100*r.MemFAFrac)
-	fmt.Fprintf(w, "  cpu:    FM_planned %.1f%%  AM_obtained %.1f%%  FA_planned %.1f%%   (paper: ~92.3 / 91.3 planned/obtained)\n",
-		100*r.CPUPlannedFrac, 100*r.CPUObtainedFrac, 100*r.CPUFAFrac)
-}
-
-// PrintTable2 renders the Table 2 rows.
-func (r *SyntheticResult) PrintTable2(w io.Writer) {
-	fmt.Fprintln(w, "Table 2 — scheduling overheads (averages, seconds)")
-	fmt.Fprintf(w, "  %-28s %8.2f   (paper 359.89)\n", "Job running time", r.AvgJobRunSec)
-	fmt.Fprintf(w, "  %-28s %8.2f   (paper 1.91)\n", "JobMaster start overhead", r.AvgJMStartSec)
-	fmt.Fprintf(w, "  %-28s %8.2f   (paper 11.84)\n", "Worker start overhead", r.AvgWorkerStartSec)
-	fmt.Fprintf(w, "  %-28s %8.2f   (paper 0.33)\n", "Instance running overhead", r.AvgInstanceOverhead)
-	fmt.Fprintf(w, "  completed jobs: %d\n", r.CompletedJobs)
-}
-
 // ---------------------------------------------------------------------------
 // Table 3 — fault injection
 // ---------------------------------------------------------------------------
@@ -372,19 +346,6 @@ func RunFaultMatrix(opt FaultOptions) ([]FaultRow, error) {
 	return rows, nil
 }
 
-// PrintTable3 renders the fault matrix.
-func PrintTable3(w io.Writer, rows []FaultRow) {
-	fmt.Fprintln(w, "Table 3 — fault injection (paper: 1437 s fault-free; +15.7% at 5%; +19.6% at 10%; +13 s for master kill)")
-	for _, r := range rows {
-		if r.Scenario == "fault-free" {
-			fmt.Fprintf(w, "  %-30s %8.0f s\n", r.Scenario, r.ElapsedSec)
-			continue
-		}
-		fmt.Fprintf(w, "  %-30s %8.0f s   +%.1f%%  (%d machines)\n",
-			r.Scenario, r.ElapsedSec, r.SlowdownPct, r.Machines)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Table 4 — GraySort
 // ---------------------------------------------------------------------------
@@ -408,7 +369,7 @@ type GraySortResult struct {
 // materializing between phases — cannot. The headline improvement is the
 // like-for-like comparison on the paper's 5000-node configuration.
 func MeasureGraySort(seed int64) (*GraySortResult, error) {
-	cfg := graysort.OverheadConfig{
+	cfg := OverheadConfig{
 		// GraySort on the paper's cluster runs ~4 waves of ~30 s tasks
 		// per worker; the baseline pays the 11.84 s worker start (Table 2)
 		// per task, Fuxi once per container.
@@ -416,11 +377,11 @@ func MeasureGraySort(seed int64) (*GraySortResult, error) {
 		TaskDurationMS: 30_000, WorkerStartDelayMS: 11_840,
 		Seed: seed,
 	}
-	fuxiOver, err := graysort.MeasureFuxi(cfg)
+	fuxiOver, err := MeasureFuxi(cfg)
 	if err != nil {
 		return nil, err
 	}
-	baseOver, err := graysort.MeasureBaseline(cfg)
+	baseOver, err := MeasureBaseline(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -450,42 +411,110 @@ func MeasureGraySort(seed int64) (*GraySortResult, error) {
 	return r, nil
 }
 
-// RunGraySort measures and prints the Table 4 reproduction.
-func RunGraySort(w io.Writer, seed int64) error {
-	r, err := MeasureGraySort(seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Table 4 — GraySort (measured framework overheads x hardware model)")
-	fmt.Fprintf(w, "  measured overhead factors: fuxi %.2f, yarn-style baseline %.2f\n",
-		r.FuxiOverhead, r.BaselineOverhead)
-	fmt.Fprintf(w, "  %v   (paper: 100 TB in 2538 s = 2.364 TB/min)\n", r.Fuxi)
-	fmt.Fprintf(w, "  %v   (same cluster, no reuse/queueing/pipeline)\n", r.Baseline)
-	fmt.Fprintf(w, "  improvement over same-cluster baseline: %.1f%%   (paper vs Yahoo: 66.5%%)\n", r.ImprovementPct)
-	fmt.Fprintf(w, "  %v   (published record context: 102.5 TB in 4328 s)\n", r.Yahoo)
-	fmt.Fprintf(w, "  %v   (paper: 1 PB in 6 h)\n", r.PetaSort)
-	return nil
+// OverheadConfig shapes the scaled sort-shaped run used to measure a
+// framework's scheduling overhead factor. The workload is Waves waves of
+// one instance per worker across the whole scaled cluster, for a map phase
+// and a reduce phase.
+type OverheadConfig struct {
+	// Nodes is the scaled cluster size (e.g. 50 standing in for 5000).
+	Nodes int
+	// WorkersPerNode concurrent containers per machine.
+	WorkersPerNode int
+	// Waves of instances each worker processes per phase.
+	Waves int
+	// TaskDurationMS is the per-instance execution time, derived from the
+	// hardware model's per-phase time.
+	TaskDurationMS int64
+	// WorkerStartDelayMS is the process launch cost (binary download +
+	// exec). Fuxi pays it once per worker; the baseline pays it once per
+	// instance because containers are never reused.
+	WorkerStartDelayMS int64
+	Seed               int64
 }
 
-// ---------------------------------------------------------------------------
-// Table 1 — trace statistics
-// ---------------------------------------------------------------------------
+// IdealSec is the perfect-scheduler makespan: both phases run their waves
+// back to back with zero scheduling cost (one worker start absorbed).
+func (c OverheadConfig) IdealSec() float64 {
+	return 2 * float64(c.Waves) * float64(c.TaskDurationMS) / 1000
+}
 
-// RunTable1 generates the production-shaped trace and prints its Table 1
-// statistics.
-func RunTable1(w io.Writer, jobs int, seed int64) trace.Stats {
-	cfg := trace.DefaultProductionConfig()
-	if jobs > 0 {
-		cfg.Jobs = jobs
+func (c OverheadConfig) instances() int { return c.Nodes * c.WorkersPerNode * c.Waves }
+
+// MeasureFuxi runs the sort-shaped DAG through the full Fuxi stack and
+// returns the measured overhead factor (makespan / ideal). Fuxi pays the
+// worker start cost once per container and reuses it across waves.
+func MeasureFuxi(cfg OverheadConfig) (float64, error) {
+	racks := (cfg.Nodes + 9) / 10
+	perRack := (cfg.Nodes + racks - 1) / racks
+	c, err := core.NewCluster(core.Config{
+		Racks: racks, MachinesPerRack: perRack, Seed: cfg.Seed,
+		Agent: agent.Config{
+			HeartbeatInterval: sim.Second,
+			WorkerStartDelay:  sim.Time(cfg.WorkerStartDelayMS) * sim.Millisecond,
+		},
+	})
+	if err != nil {
+		return 0, err
 	}
-	s := trace.Collect(cfg.Generate(rand.New(rand.NewSource(seed))))
-	fmt.Fprintf(w, "Table 1 — trace statistics (%d jobs, synthetic; paper trace: 91,990 jobs)\n", s.Jobs)
-	fmt.Fprintf(w, "  %-18s %10s %12s %14s\n", "", "avg", "max", "total")
-	fmt.Fprintf(w, "  %-18s %10.1f %12d %14d   (paper 228 / 99,937 / 42,266,899)\n",
-		"Instance number", s.AvgInstances, s.MaxInstances, s.Instances)
-	fmt.Fprintf(w, "  %-18s %10.1f %12d %14d   (paper 87.9 / 4,636 / 16,295,167)\n",
-		"Worker number", s.AvgWorkers, s.MaxWorkers, s.Workers)
-	fmt.Fprintf(w, "  %-18s %10.1f %12d %14d   (paper 2.0 / 150 / 185,444)\n",
-		"Task number", s.AvgTasksPerJob, s.MaxTasksPerJob, s.Tasks)
-	return s
+	n := cfg.instances()
+	workers := cfg.Nodes * cfg.WorkersPerNode
+	desc := &job.Description{
+		Name: "graysort",
+		Tasks: map[string]job.TaskSpec{
+			"map": {Instances: n, CPUMilli: 1000, MemoryMB: 4096,
+				DurationMS: cfg.TaskDurationMS, MaxWorkers: workers},
+			"reduce": {Instances: n, CPUMilli: 1000, MemoryMB: 4096,
+				DurationMS: cfg.TaskDurationMS, MaxWorkers: workers},
+		},
+		Pipes: []job.Pipe{{
+			Source:      job.AccessPoint{AccessPoint: "map:out"},
+			Destination: job.AccessPoint{AccessPoint: "reduce:in"},
+		}},
+	}
+	h, err := c.SubmitJob(desc, core.JobOptions{Config: job.Config{
+		Backup: job.BackupConfig{Enabled: true},
+	}})
+	if err != nil {
+		return 0, err
+	}
+	limit := sim.Time(float64(cfg.IdealSec())*20+600) * sim.Second
+	for !h.Done() && c.Now() < limit {
+		c.Run(sim.Second)
+	}
+	if !h.Done() {
+		return 0, fmt.Errorf("experiments: fuxi sort run incomplete after %v", limit)
+	}
+	return h.ElapsedSeconds() / cfg.IdealSec(), nil
+}
+
+// MeasureBaseline runs the same shape through the YARN-style baseline: map
+// then reduce as two sequential applications, each paying the per-instance
+// container-reallocation and process-start cost.
+func MeasureBaseline(cfg OverheadConfig) (float64, error) {
+	racks := (cfg.Nodes + 9) / 10
+	perRack := (cfg.Nodes + racks - 1) / racks
+	top, err := topology.Build(topology.Spec{
+		Racks: racks, MachinesPerRack: perRack,
+		MachineCapacity: topology.PaperTestbedMachine(),
+	})
+	if err != nil {
+		return 0, err
+	}
+	total := 0.0
+	for _, phase := range []string{"map", "reduce"} {
+		res, err := baseline.RunWorkload(top, baseline.AMConfig{
+			App:           "sort-" + phase,
+			Size:          resource.New(1000, 4096),
+			Instances:     cfg.instances(),
+			Duration:      sim.Time(cfg.TaskDurationMS) * sim.Millisecond,
+			MaxContainers: cfg.Nodes * cfg.WorkersPerNode,
+			Heartbeat:     sim.Second,
+			StartDelay:    sim.Time(cfg.WorkerStartDelayMS) * sim.Millisecond,
+		}, cfg.Seed+int64(len(phase)))
+		if err != nil {
+			return 0, err
+		}
+		total += res.MakespanSec
+	}
+	return total / cfg.IdealSec(), nil
 }

@@ -1,13 +1,10 @@
 package experiments
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
-// Small-scale smoke runs: the real experiments run via cmd/ and the bench
-// suite; these tests verify the harnesses produce sane numbers quickly.
+// Small-scale smoke runs: the real experiments run at their default sizes
+// in the root bench suite; these tests verify the harnesses produce sane
+// numbers quickly.
 
 func smallSynthetic() SyntheticOptions {
 	return SyntheticOptions{
@@ -46,17 +43,6 @@ func TestRunSyntheticProducesUtilization(t *testing.T) {
 	}
 	if res.AvgWorkerStartSec <= 0 {
 		t.Errorf("worker start overhead = %v", res.AvgWorkerStartSec)
-	}
-
-	var buf bytes.Buffer
-	res.PrintFig9(&buf)
-	res.PrintFig10(&buf)
-	res.PrintTable2(&buf)
-	out := buf.String()
-	for _, want := range []string{"Figure 9", "Figure 10", "Table 2", "FM_planned"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
 	}
 }
 
@@ -102,31 +88,61 @@ func TestRunFaultMatrixShape(t *testing.T) {
 			t.Errorf("%s slowdown = %.1f%%, implausible", r.Scenario, r.SlowdownPct)
 		}
 	}
-	var buf bytes.Buffer
-	PrintTable3(&buf, rows)
-	if !strings.Contains(buf.String(), "Table 3") {
-		t.Error("missing header")
-	}
 }
 
-func TestRunTable1(t *testing.T) {
-	var buf bytes.Buffer
-	s := RunTable1(&buf, 500, 7)
-	if s.Jobs != 500 {
-		t.Errorf("jobs = %d", s.Jobs)
-	}
-	if !strings.Contains(buf.String(), "Table 1") {
-		t.Error("missing header")
-	}
-}
-
-func TestRunGraySort(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunGraySort(&buf, 11); err != nil {
+func TestMeasureGraySort(t *testing.T) {
+	r, err := MeasureGraySort(11)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "Table 4") || !strings.Contains(out, "improvement") {
-		t.Errorf("output incomplete:\n%s", out)
+	if r.FuxiOverhead < 1 || r.BaselineOverhead <= r.FuxiOverhead {
+		t.Errorf("overhead factors fuxi %.2f, baseline %.2f: want 1 <= fuxi < baseline",
+			r.FuxiOverhead, r.BaselineOverhead)
+	}
+	if r.Fuxi.ThroughputTB <= r.Baseline.ThroughputTB || r.ImprovementPct <= 0 {
+		t.Errorf("fuxi %.3f TB/min vs baseline %.3f (improvement %.1f%%): want fuxi ahead",
+			r.Fuxi.ThroughputTB, r.Baseline.ThroughputTB, r.ImprovementPct)
+	}
+	for _, row := range []struct {
+		name string
+		sec  float64
+	}{{"Fuxi", r.Fuxi.ElapsedSec}, {"Yahoo", r.Yahoo.ElapsedSec}, {"PetaSort", r.PetaSort.ElapsedSec}} {
+		if row.sec <= 0 {
+			t.Errorf("%s elapsed = %v", row.name, row.sec)
+		}
+	}
+}
+
+func TestOverheadConfigIdeal(t *testing.T) {
+	cfg := OverheadConfig{Nodes: 10, WorkersPerNode: 2, Waves: 3, TaskDurationMS: 2000}
+	if got := cfg.IdealSec(); got != 12 {
+		t.Errorf("ideal = %v, want 12", got)
+	}
+	if cfg.instances() != 60 {
+		t.Errorf("instances = %d", cfg.instances())
+	}
+}
+
+func TestMeasuredOverheadsOrdering(t *testing.T) {
+	// The headline shape of Table 4: Fuxi's measured overhead factor must
+	// be materially below the YARN-style baseline's on the same workload.
+	cfg := OverheadConfig{
+		Nodes: 10, WorkersPerNode: 4, Waves: 4,
+		TaskDurationMS: 15_000, WorkerStartDelayMS: 2_000, Seed: 42,
+	}
+	fuxi, err := MeasureFuxi(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := MeasureBaseline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("overhead factors: fuxi=%.2f baseline=%.2f", fuxi, base)
+	if fuxi < 1 {
+		t.Errorf("fuxi factor %.2f below 1 (impossible)", fuxi)
+	}
+	if base <= fuxi {
+		t.Errorf("baseline factor %.2f not above fuxi %.2f", base, fuxi)
 	}
 }

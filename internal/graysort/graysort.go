@@ -8,7 +8,8 @@
 //     disk and NIC bandwidth) that is identical for every framework, and
 //   - a framework overhead factor measured by actually running a
 //     sort-shaped job through the real Fuxi stack (or the YARN-style
-//     baseline) on a scaled simulated cluster.
+//     baseline) on a scaled simulated cluster (internal/experiments'
+//     MeasureFuxi and MeasureBaseline; this package imports neither).
 //
 // The shape of Table 4 — Fuxi beating the Hadoop-style baseline by a large
 // factor — then follows from measured scheduling behaviour (container
@@ -101,11 +102,6 @@ type Result struct {
 	Overhead     float64 // measured framework factor (>= 1)
 	ElapsedSec   float64
 	ThroughputTB float64 // TB per minute
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("%-10s %6.0f TB in %6.0f s  (%.3f TB/min, hw %.0f s x overhead %.2f)",
-		r.System, r.DataTB, r.ElapsedSec, r.ThroughputTB, r.HardwareSec, r.Overhead)
 }
 
 // Estimate combines the hardware model with a measured framework overhead

@@ -210,40 +210,6 @@ func TestPartitionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOverheadConfigIdeal(t *testing.T) {
-	cfg := OverheadConfig{Nodes: 10, WorkersPerNode: 2, Waves: 3, TaskDurationMS: 2000}
-	if got := cfg.IdealSec(); got != 12 {
-		t.Errorf("ideal = %v, want 12", got)
-	}
-	if cfg.instances() != 60 {
-		t.Errorf("instances = %d", cfg.instances())
-	}
-}
-
-func TestMeasuredOverheadsOrdering(t *testing.T) {
-	// The headline shape of Table 4: Fuxi's measured overhead factor must
-	// be materially below the YARN-style baseline's on the same workload.
-	cfg := OverheadConfig{
-		Nodes: 10, WorkersPerNode: 4, Waves: 4,
-		TaskDurationMS: 15_000, WorkerStartDelayMS: 2_000, Seed: 42,
-	}
-	fuxi, err := MeasureFuxi(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := MeasureBaseline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("overhead factors: fuxi=%.2f baseline=%.2f", fuxi, base)
-	if fuxi < 1 {
-		t.Errorf("fuxi factor %.2f below 1 (impossible)", fuxi)
-	}
-	if base <= fuxi {
-		t.Errorf("baseline factor %.2f not above fuxi %.2f", base, fuxi)
-	}
-}
-
 // Kernel benchmarks: the per-partition sort and the k-way merge are the hot
 // loops of the data-plane verification pass (internal/scale dataplane mode);
 // CI runs them in the -benchtime 1x smoke lane.

@@ -1,8 +1,12 @@
 package scale
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -235,6 +239,70 @@ func TestBudgetsSectionIsConsistent(t *testing.T) {
 		for _, g := range l.Gates {
 			if b[g.Name] != g.Full {
 				t.Errorf("%s/%s: full bound %v, budgets section records %v", l.Name, g.Name, g.Full, b[g.Name])
+			}
+		}
+	}
+}
+
+// TestCheckedInSectionsAreTheirLanes: every section of the repository's
+// BENCH_scale.json records a run of the lane it is named after, at full
+// size. Its config is the lane's Full() at the recorded seed, normalised the
+// way Run records it (validated), so no section can come from a resized or
+// otherwise altered run and then be held to that lane's bounds.
+func TestCheckedInSectionsAreTheirLanes(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_scale.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sections map[string]json.RawMessage
+	if err := json.Unmarshal(data, &sections); err != nil {
+		t.Fatal(err)
+	}
+	// canonical decodes one JSON document generically, so two encodings of
+	// the same config compare equal field by field.
+	canonical := func(raw []byte) map[string]any {
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for name, raw := range sections {
+		if name == "budgets" {
+			continue
+		}
+		lane := LaneByName(name)
+		if lane == nil {
+			t.Errorf("section %q names no lane", name)
+			continue
+		}
+		var sec struct {
+			Config json.RawMessage `json:"config"`
+		}
+		var rec Config
+		if err := json.Unmarshal(raw, &sec); err != nil || json.Unmarshal(sec.Config, &rec) != nil {
+			t.Errorf("section %q has no readable config", name)
+			continue
+		}
+		want := lane.Full()
+		want.Seed = rec.Seed
+		if want, err = want.validated(); err != nil {
+			t.Errorf("lane %s: %v", name, err)
+			continue
+		}
+		wantRaw, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, exp := canonical(sec.Config), canonical(wantRaw)
+		for k := range exp {
+			if _, ok := got[k]; !ok {
+				got[k] = nil
+			}
+		}
+		for k, v := range got {
+			if !reflect.DeepEqual(v, exp[k]) {
+				t.Errorf("section %q: config %s = %v, but lane %s at full size records %v", name, k, v, name, exp[k])
 			}
 		}
 	}

@@ -215,7 +215,7 @@ func TestLinkStatsAttributeLoss(t *testing.T) {
 
 // TestOrderingContract pins the transport's documented ordering semantics:
 // separate Send calls on one link MAY reorder under jitter (each draws its
-// own delay), while a SendBatch is a single wire unit whose messages always
+// own delay), while a SendBatchID is a single wire unit whose messages always
 // arrive in order.
 func TestOrderingContract(t *testing.T) {
 	// Part 1: find a seed where two separate Sends reorder. If jitter could
@@ -252,7 +252,7 @@ func TestOrderingContract(t *testing.T) {
 		for i := range batch {
 			batch[i] = fmt.Sprintf("r%d-%d", round, i)
 		}
-		net.SendBatch("a", "b", batch)
+		net.SendBatchID(net.Endpoint("a"), net.Endpoint("b"), batch)
 		eng.RunUntilIdle()
 		for i := 0; i < 8; i++ {
 			want := fmt.Sprintf("r%d-%d", round, i)

@@ -150,7 +150,7 @@ func TestSharedOrQueuedMessagesAreNotRecycled(t *testing.T) {
 				perSend := 1
 				if batch {
 					perSend = 3
-					net.SendBatch("a", "b", []Message{newNote(net, 1, 0, 1), newNote(net, 2, 0, 2), newNote(net, 3, 0, 3)})
+					net.SendBatchID(net.Endpoint("a"), net.Endpoint("b"), []Message{newNote(net, 1, 0, 1), newNote(net, 2, 0, 2), newNote(net, 3, 0, 3)})
 				} else {
 					net.Send("a", "b", newNote(net, 1, 0, 1))
 				}

@@ -228,7 +228,7 @@ type Net struct {
 	linkStatsOn bool
 	linkStats   map[linkKey]*linkCnt
 
-	// batchPool recycles the in-flight []Message copies SendBatch makes:
+	// batchPool recycles the in-flight []Message copies SendBatchID makes:
 	// a batch's backing array returns to the pool after its delivery event
 	// hands the messages to the receiver, so a steady stream of batches
 	// reuses a small set of buffers instead of allocating one per batch.
@@ -762,11 +762,6 @@ func (n *Net) dropped(from, to EndpointID, count uint64) {
 	}
 }
 
-// SendBatch is the endpoint-name wrapper around SendBatchID.
-func (n *Net) SendBatch(from, to string, msgs []Message) {
-	n.SendBatchID(n.Endpoint(from), n.Endpoint(to), msgs)
-}
-
 // SendBatchID queues msgs for delivery from one endpoint to another as a
 // single wire unit: one scheduled delivery event, one latency/jitter draw,
 // and one loss/duplication draw for the whole batch, with the messages
@@ -877,7 +872,7 @@ func (n *Net) post(d sim.Time, fn func(any), from, to EndpointID, msg Message, b
 func (n *Net) deliver(a any)        { n.land(a.(*delivery), false) }
 func (n *Net) deliverRecycle(a any) { n.land(a.(*delivery), true) }
 
-// land is the arrival half of Send/SendBatch. The down and cut checks repeat
+// land is the arrival half of SendID/SendBatchID. The down and cut checks repeat
 // here — an endpoint that crashed, or a partition that started, after the
 // message was queued still loses it — and so does the generation fence: a
 // message to or from a retired ID is lost like one to an unregistered
