@@ -147,7 +147,8 @@ func BenchmarkInternLookup(b *testing.B) {
 // BenchmarkTreeWalk measures one free-up's candidate walk over a populated
 // cluster queue: the ID-indexed tree (slice-indexed queues, bitmap dead
 // skipping) against the legacy string-era baseline that re-scans and
-// re-sorts per free-up. Both walks stream the same candidates.
+// re-sorts per free-up. Both walks stream the same candidates. churn-shape
+// walks the indexed tree in the churn lane's steady state.
 func BenchmarkTreeWalk(b *testing.B) {
 	build := func(legacy bool) (*Scheduler, waitTree) {
 		s := newTestScheduler(benchTop(b, 125, 40), Options{}, legacy)
@@ -186,6 +187,17 @@ func BenchmarkTreeWalk(b *testing.B) {
 			_ = s
 		})
 	}
+	// One op is one free-up on the churn-shaped tree (see churnShape): what
+	// dead machine and rack queues and live buckets no fragment fits cost
+	// on top of the one grant.
+	b.Run("churn-shape", func(b *testing.B) {
+		cs := newChurnShape()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cs.freeUp(i)
+		}
+	})
 }
 
 // BenchmarkCheckpointEncodeRoundTrip measures the hard-state serialization

@@ -30,3 +30,69 @@ func BenchmarkTreeAdd(b *testing.B) {
 		t.add(k, 100, resource.LocalityCluster, 0, -1, 0, nil, nil)
 	}
 }
+
+// churnShape is a locality tree in the churn lane's steady state, at its
+// footprint: 5,000 machines in 125 racks and the scale harness's three unit
+// sizes. Every machine and rack queue holds machine- and rack-level hints
+// that were satisfied and never raised again — dead, kept for revival —
+// while the cluster queue holds live demand at four priorities, with the
+// small size drained everywhere but at the last. Its freed fragments fit
+// only the small size, the small and medium ones, or all three.
+type churnShape struct {
+	tree  *localityTree
+	frees [3]resource.Vector
+	take  func(*waitEntry) bool
+}
+
+func newChurnShape() *churnShape {
+	const machines, racks, apps = 5000, 125, 600
+	cs := &churnShape{
+		tree: newLocalityTree(),
+		frees: [3]resource.Vector{
+			resource.New(300, 1200), resource.New(600, 2500), resource.New(1000, 4096)},
+		// A free-up's one grant exhausts its fragment.
+		take: func(*waitEntry) bool { return false },
+	}
+	units := make([]unitState, apps*3)
+	prio := func(a, u int) int { return 1 + (a+u)%4 }
+	add := func(a, u int, level resource.LocalityType, node int32, n int) {
+		us := &units[a*3+u]
+		us.def = resource.ScheduleUnit{ID: u + 1, Priority: prio(a, u), Size: treeFuzzSizes[(a+u)%3]}
+		cs.tree.add(waitKey{app: int32(a), unit: int32(u)}, prio(a, u), level, node, n, 0, nil, us)
+	}
+	for u := 0; u < 3; u++ {
+		for m := 0; m < machines; m++ {
+			add(m%apps, u, resource.LocalityMachine, int32(m), 1)
+			add(m%apps, u, resource.LocalityMachine, int32(m), -1)
+		}
+		for r := 0; r < racks; r++ {
+			add(r*7%apps, u, resource.LocalityRack, int32(r), 1)
+			add(r*7%apps, u, resource.LocalityRack, int32(r), -1)
+		}
+		for a := 0; a < apps; a++ {
+			add(a, u, resource.LocalityCluster, 0, 2)
+			if (a+u)%3 == 2 && prio(a, u) != 4 {
+				add(a, u, resource.LocalityCluster, 0, -2)
+			}
+		}
+	}
+	return cs
+}
+
+// freeUp walks the candidates for the i-th free-up: machine i mod 5,000,
+// its rack, and one of the three fragments in rotation.
+func (cs *churnShape) freeUp(i int) {
+	m := int32(i % 5000)
+	free := cs.frees[i%3]
+	cs.tree.forEachCandidate(m, m/40, 0, 0, &free, cs.take)
+}
+
+// TestChurnShapeFreeUpAllocatesNothing: the free-up walk allocates nothing.
+func TestChurnShapeFreeUpAllocatesNothing(t *testing.T) {
+	cs := newChurnShape()
+	checkTreeSummaries(t, cs.tree)
+	i := 0
+	if n := testing.AllocsPerRun(300, func() { cs.freeUp(i); i++ }); n != 0 {
+		t.Fatalf("a free-up allocates %v times", n)
+	}
+}

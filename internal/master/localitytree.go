@@ -90,8 +90,9 @@ type treeIdx struct {
 // demand update, at the wire boundary).
 //
 // add and setCount accept the resolved (appState, unitState) of the key so
-// the indexed tree can maintain per-bucket minimum-size bounds; nil is
-// allowed (tests) and merely disables that pruning.
+// the indexed tree can file the entry under its unit's size class and keep
+// its fit summaries; a nil unit is allowed (tests) and files the entry as
+// opaque, which is never pruned.
 type waitTree interface {
 	add(key waitKey, priority int, level resource.LocalityType, node int32, delta int, now sim.Time, st *appState, u *unitState) int
 	get(key waitKey, level resource.LocalityType, node int32) int
@@ -134,6 +135,38 @@ func collectCandidates(t waitTree, machine, rack int32, now sim.Time, agingBoost
 // indexed implementation
 // ---------------------------------------------------------------------------
 
+// noFit is a fit bound's minimum when no live non-opaque class contributes.
+const noFit = 1<<63 - 1
+
+// fitSum summarises the live size classes under one priority bucket or one
+// whole queue: how many live entries they hold and the smallest unit any of
+// them wants — the minimum CPU and the minimum memory over the live
+// non-opaque classes (taken separately, so a bound, not an exact shape), and
+// whether a live opaque class, which is never pruned, is among them. A walk
+// reads it to drop a dead or unfit bucket or queue without dereferencing a
+// single bucket or class.
+type fitSum struct {
+	cpu, mem int64
+	live     int32
+	opaque   bool
+}
+
+var emptyFit = fitSum{cpu: noFit, mem: noFit}
+
+// mayFit reports whether a live class under the summary could fit free. A
+// nil free means "no pruning requested".
+func (f *fitSum) mayFit(free *resource.Vector) bool {
+	return f.live > 0 && (f.opaque || free == nil ||
+		free.CPUMilli() >= f.cpu && free.MemoryMB() >= f.mem)
+}
+
+// merge widens f's fit bound to cover o's (live counts are kept apart).
+func (f *fitSum) merge(o fitSum) {
+	f.cpu = min(f.cpu, o.cpu)
+	f.mem = min(f.mem, o.mem)
+	f.opaque = f.opaque || o.opaque
+}
+
 // sizeClass groups the members of one bucket that wait with the same
 // physical container size, FIFO by seq. Eligibility of a whole class
 // against the current free fragment is one pair of integer compares, so a
@@ -151,7 +184,8 @@ func collectCandidates(t waitTree, machine, rack int32, now sim.Time, agingBoost
 // re-insert. Walks skip dead spans with word-level bit scans
 // (64 entries per compare, 4096 per summary compare). Only entries of
 // unregistered apps (gone) are ever physically removed, by an amortized
-// tombstone rebuild.
+// tombstone rebuild. Every change of the live or physical count is
+// reported to the class's bucket slot and queue summaries (account).
 type sizeClass struct {
 	cpu, mem int64
 	opaque   bool
@@ -159,8 +193,10 @@ type sizeClass struct {
 	live     []uint64     // liveness bitmap, bit per position
 	sum      []uint64     // summary bitmap, bit per live word
 	nLive    int
-	tomb     int // gone tombstones awaiting rebuild
-	cur      int // walk cursor (valid during one walk)
+	tomb     int         // gone tombstones awaiting rebuild
+	cur      int         // walk cursor (valid during one walk)
+	q        *treeQueue  // the queue holding this class's bucket
+	b        *treeBucket // the bucket holding this class
 }
 
 // eligible reports whether one unit of this class could fit free. A nil
@@ -170,6 +206,37 @@ func (c *sizeClass) eligible(free *resource.Vector) bool {
 		return true
 	}
 	return free.CPUMilli() >= c.cpu && free.MemoryMB() >= c.mem
+}
+
+// bound is the class's contribution to a fit summary while it is live.
+func (c *sizeClass) bound() fitSum {
+	if c.opaque {
+		return fitSum{cpu: noFit, mem: noFit, opaque: true}
+	}
+	return fitSum{cpu: c.cpu, mem: c.mem}
+}
+
+// account moves c's live count by dLive and its physical count by dEntries,
+// keeping its bucket slot's and its queue's summaries exact: the counts
+// move in step, and the fit bounds widen when c turns live and are
+// recomputed when it turns dead. It returns the bucket's slot index.
+func (c *sizeClass) account(dLive, dEntries int) int {
+	was := c.nLive
+	c.nLive += dLive
+	q := c.q
+	i := q.slotOf(c.b)
+	s := &q.slots[i]
+	s.live += int32(dLive)
+	s.entries += int32(dEntries)
+	q.fit.live += int32(dLive)
+	switch {
+	case was == 0 && c.nLive > 0:
+		s.merge(c.bound())
+		q.fit.merge(c.bound())
+	case was > 0 && c.nLive == 0:
+		q.refit(s)
+	}
+	return i
 }
 
 // push appends a live entry (its seq exceeds every present entry's).
@@ -184,16 +251,13 @@ func (c *sizeClass) push(e *waitEntry) {
 	for i>>12 >= len(c.sum) {
 		c.sum = append(c.sum, 0)
 	}
-	c.setLive(i)
+	c.setBit(i)
+	c.account(1, 1)
 }
 
 func (c *sizeClass) setLive(i int) {
-	w := i >> 6
-	if c.live[w] == 0 {
-		c.sum[w>>6] |= 1 << uint(w&63)
-	}
-	c.live[w] |= 1 << uint(i&63)
-	c.nLive++
+	c.setBit(i)
+	c.account(1, 0)
 }
 
 func (c *sizeClass) clearLive(i int) {
@@ -202,7 +266,15 @@ func (c *sizeClass) clearLive(i int) {
 	if c.live[w] == 0 {
 		c.sum[w>>6] &^= 1 << uint(w&63)
 	}
-	c.nLive--
+	c.account(-1, 0)
+}
+
+func (c *sizeClass) setBit(i int) {
+	w := i >> 6
+	if c.live[w] == 0 {
+		c.sum[w>>6] |= 1 << uint(w&63)
+	}
+	c.live[w] |= 1 << uint(i&63)
 }
 
 // nextLive returns the first live position >= i (len(entries) when none):
@@ -232,8 +304,10 @@ func (c *sizeClass) nextLive(i int) int {
 }
 
 // rebuild physically drops gone tombstones, renumbering positions (order
-// is preserved, so seq order survives) and rebuilding the bitmaps.
+// is preserved, so seq order survives) and rebuilding the bitmaps. A
+// bucket left with no entry at all leaves its queue.
 func (c *sizeClass) rebuild() {
+	n0 := len(c.entries)
 	w := 0
 	for _, e := range c.entries {
 		if e.gone {
@@ -245,25 +319,29 @@ func (c *sizeClass) rebuild() {
 		c.entries[w] = e
 		w++
 	}
-	for i := w; i < len(c.entries); i++ {
+	for i := w; i < n0; i++ {
 		c.entries[i] = nil
 	}
 	c.entries = c.entries[:w]
 	c.live = c.live[:0]
 	c.sum = c.sum[:0]
-	c.nLive = 0
 	for i := (w + 63) >> 6; i > 0; i-- {
 		c.live = append(c.live, 0)
 	}
 	for i := (((w + 63) >> 6) + 63) >> 6; i > 0; i-- {
 		c.sum = append(c.sum, 0)
 	}
+	live := 0
 	for i, e := range c.entries {
 		if e.count > 0 && !e.parked {
-			c.setLive(i)
+			c.setBit(i)
+			live++
 		}
 	}
 	c.tomb = 0
+	if i := c.account(live-c.nLive, w-n0); c.q.slots[i].entries == 0 {
+		c.q.dropAt(i)
+	}
 }
 
 // maybeRebuild triggers the tombstone rebuild once gone entries dominate.
@@ -279,14 +357,14 @@ type treeBucket struct {
 	classes []*sizeClass
 }
 
-func (b *treeBucket) classFor(u *unitState) *sizeClass {
+func (b *treeBucket) classFor(q *treeQueue, u *unitState) *sizeClass {
 	if u == nil || u.def.Size.HasVirtual() {
 		for _, c := range b.classes {
 			if c.opaque {
 				return c
 			}
 		}
-		c := &sizeClass{opaque: true}
+		c := &sizeClass{opaque: true, q: q, b: b}
 		b.classes = append(b.classes, c)
 		return c
 	}
@@ -296,31 +374,9 @@ func (b *treeBucket) classFor(u *unitState) *sizeClass {
 			return c
 		}
 	}
-	c := &sizeClass{cpu: cpu, mem: mem}
+	c := &sizeClass{cpu: cpu, mem: mem, q: q, b: b}
 	b.classes = append(b.classes, c)
 	return c
-}
-
-// hasLive reports whether any class holds a live entry.
-func (b *treeBucket) hasLive() bool {
-	for _, c := range b.classes {
-		if c.nLive > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// empty reports whether the bucket holds no entries at all (live or dead);
-// only then may its priority slot be dropped — dead entries must stay
-// reachable for in-place revival.
-func (b *treeBucket) empty() bool {
-	for _, c := range b.classes {
-		if len(c.entries) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // noteKilled/noteRevived maintain the liveness bitmap as an in-place
@@ -342,13 +398,16 @@ func noteRevived(e *waitEntry) {
 // satisfy. It returns false when fn asked to stop. free is re-read between
 // entries: once grants shrink it below a class's size, that class drops
 // out of the merge mid-walk. Dead spans are crossed with bitmap scans;
-// nothing moves.
+// nothing moves. Only the classes live and eligible at the start get their
+// cursor reset: fn grants and parks but never revives, and free only
+// shrinks, so no other class can join the merge later.
 func (b *treeBucket) walk(free *resource.Vector, fn func(*waitEntry) bool) bool {
 	for _, c := range b.classes {
-		c.cur = 0
+		if c.nLive > 0 && c.eligible(free) {
+			c.cur = 0
+		}
 	}
-	stopped := false
-	for !stopped {
+	for {
 		var best *sizeClass
 		for _, c := range b.classes {
 			if c.nLive == 0 || !c.eligible(free) {
@@ -363,73 +422,116 @@ func (b *treeBucket) walk(free *resource.Vector, fn func(*waitEntry) bool) bool 
 			}
 		}
 		if best == nil {
-			break
+			return true
 		}
 		e := best.entries[best.cur]
 		best.cur++
-		stopped = !fn(e)
+		if !fn(e) {
+			return false
+		}
 	}
-	for _, c := range b.classes {
-		c.maybeRebuild()
-	}
-	return !stopped
 }
 
-// compactInto appends every live entry (all classes, seq-merged not
-// required: callers re-sort) to out. It reports whether the bucket could
-// be dropped (no entries at all).
-func (b *treeBucket) compactInto(out *[]*waitEntry) bool {
+// appendLive appends every live entry (all classes, seq-merged not
+// required: callers re-sort) to out.
+func (b *treeBucket) appendLive(out []*waitEntry) []*waitEntry {
 	for _, c := range b.classes {
 		for _, e := range c.entries {
 			if e.count > 0 && !e.parked {
-				*out = append(*out, e)
+				out = append(out, e)
 			}
 		}
-		c.maybeRebuild()
 	}
-	return b.empty()
+	return out
+}
+
+// prioSlot is one priority of a queue: its bucket and the bucket's
+// summary, inline in the queue's sorted array so that a walk drops a dead
+// or unfit bucket without loading it.
+type prioSlot struct {
+	fitSum
+	prio    int
+	entries int32 // physical entries, live and dead; never 0 while queued
+	b       *treeBucket
 }
 
 // treeQueue is the waiting queue of one locality node, bucketed by priority
 // so candidate collection walks entries already in scheduling order instead
-// of sorting the queue on every free-up. A queue has one to three priorities,
-// so the buckets sit in a slice beside their sorted priorities: a free-up
-// walks both in step and never looks a bucket up.
+// of sorting the queue on every free-up. A queue holds a handful of
+// priorities, so the slots sit in a small sorted array: a free-up walks it
+// in step with the other two queues and never looks a bucket up. fit
+// summarises the whole queue, so a queue with nothing live that fits costs
+// one read.
 type treeQueue struct {
-	prios   []int         // sorted priorities with a bucket
-	buckets []*treeBucket // buckets[i] holds priority prios[i]
+	fit   fitSum
+	slots []prioSlot // sorted by prio
 }
 
 func (q *treeQueue) bucket(prio int) *treeBucket {
-	i := sort.SearchInts(q.prios, prio)
-	if i < len(q.prios) && q.prios[i] == prio {
-		return q.buckets[i]
+	i := 0
+	for i < len(q.slots) && q.slots[i].prio < prio {
+		i++
+	}
+	if i < len(q.slots) && q.slots[i].prio == prio {
+		return q.slots[i].b
 	}
 	b := &treeBucket{}
-	q.prios = append(q.prios, 0)
-	copy(q.prios[i+1:], q.prios[i:])
-	q.prios[i] = prio
-	q.buckets = append(q.buckets, nil)
-	copy(q.buckets[i+1:], q.buckets[i:])
-	q.buckets[i] = b
+	q.slots = append(q.slots, prioSlot{})
+	copy(q.slots[i+1:], q.slots[i:])
+	q.slots[i] = prioSlot{fitSum: emptyFit, prio: prio, b: b}
 	return b
 }
 
-// dropAt removes the i-th priority and its bucket.
+// slotOf returns the index of b's slot (a scan of a handful of slots).
+func (q *treeQueue) slotOf(b *treeBucket) int {
+	i := 0
+	for q.slots[i].b != b {
+		i++
+	}
+	return i
+}
+
+// dropAt removes the i-th slot and its bucket, which holds no entry.
 func (q *treeQueue) dropAt(i int) {
-	q.prios = append(q.prios[:i], q.prios[i+1:]...)
-	copy(q.buckets[i:], q.buckets[i+1:])
-	q.buckets[len(q.buckets)-1] = nil
-	q.buckets = q.buckets[:len(q.buckets)-1]
+	copy(q.slots[i:], q.slots[i+1:])
+	q.slots[len(q.slots)-1] = prioSlot{}
+	q.slots = q.slots[:len(q.slots)-1]
+}
+
+// refit recomputes slot s's fit bound from its bucket's live classes and
+// the queue's from its live slots, after a class turned dead.
+func (q *treeQueue) refit(s *prioSlot) {
+	s.fitSum = fitSum{cpu: noFit, mem: noFit, live: s.live}
+	for _, c := range s.b.classes {
+		if c.nLive > 0 {
+			s.merge(c.bound())
+		}
+	}
+	q.fit = fitSum{cpu: noFit, mem: noFit, live: q.fit.live}
+	for i := range q.slots {
+		if q.slots[i].live > 0 {
+			q.fit.merge(q.slots[i].fitSum)
+		}
+	}
 }
 
 // nextPrio returns the smallest priority at the three queues' cursors (ok
-// false when all are exhausted): the step of a three-way merge over sorted
-// lists of one to three elements each.
-func nextPrio(qs *[3]*treeQueue, cur *[3]int) (prio int, ok bool) {
+// false when all are exhausted), first advancing each cursor past the slots
+// whose summary rules out free: the step of a three-way merge over short
+// sorted lists that skips, from the queues' own arrays, every bucket that
+// cannot yield.
+func nextPrio(qs *[3]*treeQueue, cur *[3]int, free *resource.Vector) (prio int, ok bool) {
 	for i, q := range qs {
-		if q != nil && cur[i] < len(q.prios) && (!ok || q.prios[cur[i]] < prio) {
-			prio, ok = q.prios[cur[i]], true
+		if q == nil {
+			continue
+		}
+		j := cur[i]
+		for j < len(q.slots) && !q.slots[j].mayFit(free) {
+			j++
+		}
+		cur[i] = j
+		if j < len(q.slots) && (!ok || q.slots[j].prio < prio) {
+			prio, ok = q.slots[j].prio, true
 		}
 	}
 	return prio, ok
@@ -443,23 +545,35 @@ func nextPrio(qs *[3]*treeQueue, cur *[3]int) (prio int, ok bool) {
 // queues with two slice indexes, no hashing — and an entry is found from its
 // key the same way: byApp[app ID][unit index] is that unit's own small table
 // of entries by locality node (one row for the usual cluster-level demand, a
-// few when the unit also waits on machines or racks). Queues are indexed per
-// priority and keep only entries with live demand, so a free-up touches
-// O(candidates) entries rather than every (app, unit) that ever waited there.
-// A satisfied entry keeps its index record (and original seq); re-raised
-// demand re-inserts it at its original queue position, preserving the legacy
-// FIFO semantics.
+// few when the unit also waits on machines or racks).
+//
+// A satisfied or parked entry stays queued in place, dead, so that re-raised
+// demand revives it at its original seq (the legacy FIFO semantics); only an
+// unregistered app's entries ever leave, at a tombstone rebuild. Queues
+// therefore hold dead entries and whole dead buckets — a machine hint that
+// was satisfied and never raised again stays behind for good. What keeps a
+// free-up from paying for them is the summaries: each queue carries, inline
+// beside its sorted priorities, every bucket's live and physical entry
+// counts and a fit bound over its live size classes, plus one fit summary
+// for the whole queue. A free-up reads a queue's summary, skips the queue
+// when nothing live in it fits, and merges the remaining queues' priorities
+// over those arrays alone, dropping every dead or unfit bucket without
+// loading it; it walks only buckets that hold a live class the freed
+// fragment may fit.
 type localityTree struct {
 	mq    []*treeQueue // machine ID (plus overflow nodes) -> queue
 	rq    []*treeQueue // rack ID (plus overflow nodes) -> queue
-	cq    *treeQueue   // the cluster queue
+	cq    treeQueue    // the cluster queue, inline: every free-up reads it
 	byApp [][]unitWait // app ID -> unit index -> entries
 	seq   uint64
 
 	// minCpu/minMem are monotone lower bounds over every size class that
 	// ever held an entry (see waitTree.minFit). Monotone-only maintenance
 	// keeps them O(1); going stale-low merely disables pruning for a
-	// machine, never skips a grantable one.
+	// machine, never skips a grantable one. The exact per-queue summaries
+	// do not replace them: the scheduler asks minFit before it resolves the
+	// machine's rack or loads a queue, and most of failover's assignment
+	// calls end there (EXPERIMENTS.md, "Where churn's free-up walk went").
 	minCpu, minMem int64
 
 	scratch []*waitEntry // reused candidate buffer (scheduler is single-threaded)
@@ -475,7 +589,7 @@ func nodeKey(level resource.LocalityType, node int32) uint64 {
 
 func newLocalityTree() *localityTree {
 	const maxInt64 = 1<<63 - 1
-	return &localityTree{minCpu: maxInt64, minMem: maxInt64}
+	return &localityTree{cq: treeQueue{fit: emptyFit}, minCpu: maxInt64, minMem: maxInt64}
 }
 
 // minFit implements waitTree (see the interface doc).
@@ -501,10 +615,10 @@ func (t *localityTree) queue(level resource.LocalityType, node int32) *treeQueue
 		}
 		slot = &t.rq[node]
 	default:
-		slot = &t.cq
+		return &t.cq
 	}
 	if *slot == nil {
-		*slot = &treeQueue{}
+		*slot = &treeQueue{fit: emptyFit}
 	}
 	return *slot
 }
@@ -523,7 +637,7 @@ func (t *localityTree) peek(level resource.LocalityType, node int32) *treeQueue 
 		}
 		return nil
 	default:
-		return t.cq
+		return &t.cq
 	}
 }
 
@@ -533,8 +647,8 @@ func (t *localityTree) peek(level resource.LocalityType, node int32) *treeQueue 
 // (gone) entries are physically dropped. The out-of-order branch keeps the
 // structure correct should a future path re-queue a dropped entry.
 func (t *localityTree) enqueue(e *waitEntry) {
-	b := t.queue(e.level, e.node).bucket(e.priority)
-	c := b.classFor(e.u)
+	q := t.queue(e.level, e.node)
+	c := q.bucket(e.priority).classFor(q, e.u)
 	e.queued = true
 	e.parked = false
 	if c.opaque {
@@ -557,7 +671,8 @@ func (t *localityTree) enqueue(e *waitEntry) {
 	copy(c.entries[i+1:], c.entries[i:])
 	c.entries[i] = e
 	e.cls = c
-	c.rebuild() // renumber positions and bitmaps
+	c.account(0, 1)
+	c.rebuild() // renumber positions and bitmaps, count e live
 }
 
 // entries returns key's entry table, nil when the key never waited anywhere.
@@ -684,7 +799,7 @@ func (t *localityTree) nodesFor(key waitKey, buf []treeIdx) []treeIdx {
 }
 
 // removeApp drops every entry belonging to app. Entries still sitting in
-// queue buckets become zero-count orphans that the next compaction pass
+// queue buckets become dead tombstones that a class's next rebuild
 // discards.
 func (t *localityTree) removeApp(app int32) {
 	if int(app) >= len(t.byApp) {
@@ -721,11 +836,17 @@ func (t *localityTree) removeApp(app int32) {
 // grants touches two entries plus the skipped prefix, not the whole queue.
 // With aging enabled the live entries are collected and re-ranked by
 // effective priority exactly like the legacy tree.
+//
+// Without aging, the queue and bucket summaries decide what is read: a
+// queue with nothing live that fits free is dropped on its summary, and the
+// priority merge advances past every dead or unfit bucket on the queue's
+// slot array, so only a bucket with a live class that may fit is loaded.
+// Skipped buckets would have yielded nothing, so the stream is unchanged.
 func (t *localityTree) forEachCandidate(machine, rack int32, now sim.Time, agingBoost float64, free *resource.Vector, fn func(*waitEntry) bool) {
 	qs := [3]*treeQueue{
 		t.peek(resource.LocalityMachine, machine),
 		t.peek(resource.LocalityRack, rack),
-		t.cq,
+		&t.cq,
 	}
 	if agingBoost > 0 {
 		out := t.scratch[:0]
@@ -733,9 +854,9 @@ func (t *localityTree) forEachCandidate(machine, rack int32, now sim.Time, aging
 			if q == nil {
 				continue
 			}
-			for i := len(q.buckets) - 1; i >= 0; i-- {
-				if q.buckets[i].compactInto(&out) {
-					q.dropAt(i)
+			for i := range q.slots {
+				if q.slots[i].live > 0 {
+					out = q.slots[i].b.appendLive(out)
 				}
 			}
 		}
@@ -760,25 +881,26 @@ func (t *localityTree) forEachCandidate(machine, rack int32, now sim.Time, aging
 	}
 	// Merge the three queues' sorted priority lists, walking buckets in
 	// (priority, level, seq) order — already the output order. fn grants and
-	// parks but never queues, so no bucket appears under the cursors.
+	// parks but never queues or rebuilds, so no slot moves under the
+	// cursors; free only shrinks, so a bucket skipped once stays unfit.
+	for i, q := range qs {
+		if q != nil && !q.fit.mayFit(free) {
+			qs[i] = nil
+		}
+	}
 	var cur [3]int
 	for {
-		p, ok := nextPrio(&qs, &cur)
+		p, ok := nextPrio(&qs, &cur, free)
 		if !ok {
 			return
 		}
 		for i, q := range qs {
-			if q == nil || cur[i] >= len(q.prios) || q.prios[cur[i]] != p {
+			if q == nil || cur[i] >= len(q.slots) || q.slots[cur[i]].prio != p {
 				continue
 			}
-			b := q.buckets[cur[i]]
-			cont := b.walk(free, fn)
-			if b.empty() {
-				q.dropAt(cur[i])
-			} else {
-				cur[i]++
-			}
-			if !cont {
+			s := &q.slots[cur[i]]
+			cur[i]++
+			if s.mayFit(free) && !s.b.walk(free, fn) {
 				return
 			}
 		}

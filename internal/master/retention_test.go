@@ -149,7 +149,7 @@ func TestTombstonesPinNoAppState(t *testing.T) {
 	}
 	w := []<-chan struct{}{watch(s.apps["b"])}
 	s.UnregisterApp("b")
-	if s.tree.(*localityTree).cq.buckets[0].classes[0].tomb == 0 {
+	if s.tree.(*localityTree).cq.slots[0].b.classes[0].tomb == 0 {
 		t.Fatal("setup: want b's tombstone still queued")
 	}
 	if pinned(w) != 0 {

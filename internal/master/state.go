@@ -259,15 +259,18 @@ func (s *Scheduler) ForEachRackFree(fn func(rack int32, free resource.Vector)) {
 // class: fn receives the class shape (CPU milli, memory MB, opaque for
 // virtual-dimension units) and the number of live waiting (app, unit)
 // entries of that shape. Only classes with live demand are reported. The
-// walk is O(priorities × classes), alloc-free, and a no-op on non-locality
-// tree implementations.
+// walk reads only the buckets whose summary counts live entries, is
+// alloc-free, and a no-op on non-locality tree implementations.
 func (s *Scheduler) ClusterQueueDepths(fn func(cpuMilli, memMB int64, opaque bool, depth int)) {
 	t, ok := s.tree.(*localityTree)
-	if !ok || t.cq == nil {
+	if !ok {
 		return
 	}
-	for _, b := range t.cq.buckets {
-		for _, c := range b.classes {
+	for i := range t.cq.slots {
+		if t.cq.slots[i].live == 0 {
+			continue
+		}
+		for _, c := range t.cq.slots[i].b.classes {
 			if c.nLive > 0 {
 				fn(c.cpu, c.mem, c.opaque, c.nLive)
 			}

@@ -83,9 +83,14 @@ type cancelCell struct {
 }
 
 // Calendar-queue geometry: 1024µs (~1ms) slots, 8192 slots — an 8.4s
-// horizon that comfortably covers delivery latencies, scheduling rounds,
-// heartbeats and container hold timers; longer-range timers (full syncs,
-// decay sweeps) wait in the far heap and migrate as the ring advances.
+// horizon that covers delivery latencies, scheduling rounds, heartbeats and
+// the churn lane's 5 s container holds. Longer timers wait in the far heap
+// and migrate as the ring advances: full syncs, decay sweeps, and the
+// container holds of the failover lane (15 s) and of the benchmark's replay
+// workload (up to 30 s). Those holds make the far heap a hot path: on the
+// benchmark's failover workload at seed 5 (2-core Xeon, Go 1.24), migrate,
+// with the farQueue.pop inside it, is 8.0 % of the CPU profile, and
+// farQueue.push allocates 16.8 MB of the 260 MB a run allocates.
 const (
 	slotShift = 10
 	ringSlots = 8192
