@@ -64,9 +64,13 @@
 // entries. In the other direction an application master says one thing per
 // instant: one DemandUpdate carries its same-instant container returns and
 // its demand for every unit it asked for, in call order, and the master
-// applies the returns first. With Config.BatchWindow the master batches demand
-// and returns into scheduling rounds, applying releases first, reassigning in
-// one sweep, then placing merged demand. The ten message types every job,
+// applies the returns first. Every DemandUpdate joins the master's one
+// scheduling round, which applies its releases first, reassigns the freed
+// machines in one sweep, then places the demand; Config.BatchWindow only sets
+// when the round flushes. A positive window coalesces the updates inside it
+// and places their demand merged per application and unit, a zero window
+// flushes each update as it arrives, and a promoted successor holds the round
+// until its soft state is rebuilt. The ten message types every job,
 // every decision, every safety sync and every agent beat sends — heartbeats
 // among them — are pointers recycled through the network's free lists
 // (internal/protocol's package comment lists them), so an agent keeps a

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/lockservice"
@@ -17,10 +18,22 @@ import (
 // The fan-out as it was before a step's releases waited for its dispatch:
 // applyReleases and unregister sent every touched agent a CapacityDelta of
 // release entries at once, and the regrant the freed capacity enabled went
-// to the same agents in a second CapacityDelta. The legacy* methods below are
-// that path, kept as the differential oracle of the shipped one; everything
-// they share with it (placeRound, deferRound, dispatch with nothing left
-// open) is the shipped code.
+// to the same agents in a second CapacityDelta. The legacy world's master
+// also keeps the demand paths from before every update joined one round
+// buffer: the immediate step of a zero-width window, the recovery's own
+// demand and return buffers, and deferRound, which moved a round flushed
+// during a recovery into them. The legacy* methods below are those paths,
+// kept as the differential oracle of the shipped ones; everything they
+// share with it (placeRound, applyRuns, dispatch with nothing left open) is
+// the shipped code.
+
+// legacyMaster is a master with the buffers the one-round path deleted:
+// the demand and returns that arrive during a recovery window.
+type legacyMaster struct {
+	*Master
+	recDem []demandRec
+	recRet []returnRec
+}
 
 // legacyApplyReleases is applyReleases sending its releases itself.
 func (m *Master) legacyApplyReleases(rets []returnRec) []int32 {
@@ -66,7 +79,7 @@ func (m *Master) legacySendCapacityDelta(ag *agentAcc) {
 	m.net.SendID(m.epID, m.agentEP[ag.machine], cd)
 }
 
-func (m *Master) legacyHandleReturns(rets []returnRec) {
+func (m *legacyMaster) legacyHandleReturns(rets []returnRec) {
 	if m.recovering {
 		m.recRet = append(m.recRet, rets...)
 		return
@@ -82,14 +95,37 @@ func (m *Master) legacyHandleReturns(rets []returnRec) {
 	m.dispatch(*ds)
 }
 
-func (m *Master) legacyArmFlush() {
+// legacyHandleDemand is handleDemand's three paths for an update without
+// returns: buffered apart during a recovery, into the round when batching,
+// and placed at once otherwise.
+func (m *legacyMaster) legacyHandleDemand(from tr, t *protocol.DemandUpdate) {
+	switch {
+	case m.recovering:
+		m.recDem = append(m.recDem, demandRec{from: from, upd: protocol.DemandUpdate{
+			App: t.App, Deltas: slices.Clone(t.Deltas), Seq: t.Seq}})
+	case m.cfg.BatchWindow > 0:
+		n := len(m.pendHints)
+		m.pendHints = append(m.pendHints, t.Deltas...)
+		m.pendDem = append(m.pendDem, demandRec{from: from, upd: protocol.DemandUpdate{
+			App: t.App, Deltas: m.pendHints[n:len(m.pendHints):len(m.pendHints)], Seq: t.Seq}})
+		m.legacyArmFlush()
+	default:
+		ds := m.decisions()
+		if st := m.appFrom(from, t.App); st != nil {
+			m.applyRuns(st, t.Deltas, ds)
+		}
+		m.dispatch(*ds)
+	}
+}
+
+func (m *legacyMaster) legacyArmFlush() {
 	if !m.flushArm {
 		m.flushArm = true
 		m.eng.PostFunc(m.cfg.BatchWindow, m.legacyFlushRound)
 	}
 }
 
-func (m *Master) legacyFlushRound() {
+func (m *legacyMaster) legacyFlushRound() {
 	m.flushArm = false
 	if !m.primary || m.crashed {
 		return
@@ -101,12 +137,25 @@ func (m *Master) legacyFlushRound() {
 	ds := m.decisions()
 	if len(m.pendRet) > 0 {
 		touched := m.legacyApplyReleases(m.pendRet)
-		m.pendRet = m.pendRet[:0]
 		m.sched.assignOnIDsInto(touched, ds)
 	}
 	m.placeRound(ds)
 	m.dropRound()
 	m.dispatch(*ds)
+}
+
+// deferRound reroutes a round flushed during a recovery through the
+// recovery buffers, the demand grouped by app in name order.
+func (m *legacyMaster) deferRound() {
+	n := len(m.recDem)
+	m.recDem = append(m.recDem, m.pendDem...)
+	moved := m.recDem[n:]
+	for i := range moved {
+		moved[i].upd.Deltas = slices.Clone(moved[i].upd.Deltas) // out of the round's arena
+	}
+	sort.SliceStable(moved, func(i, j int) bool { return moved[i].upd.App < moved[j].upd.App })
+	m.recRet = append(m.recRet, m.pendRet...)
+	m.dropRound()
 }
 
 func (m *Master) legacyUnregister(from tr, app string) {
@@ -143,7 +192,7 @@ func (m *Master) legacyUnregister(from tr, app string) {
 	m.net.SendID(m.epID, from, ack)
 }
 
-func (m *Master) legacyFinishRecovery() {
+func (m *legacyMaster) legacyFinishRecovery() {
 	m.recovering = false
 	dem, ret, unreg := m.recDem, m.recRet, m.recUnreg
 	m.recDem, m.recRet, m.recUnreg = nil, nil, nil
@@ -161,33 +210,24 @@ func (m *Master) legacyFinishRecovery() {
 	m.dispatch(m.sched.AssignOnAll())
 }
 
-// legacyHandle stands in front of the legacy world's master: the traffic
-// whose handling releases capacity takes the legacy path, the rest the
-// shipped handler. The script sends its returns in updates of their own.
-func (m *Master) legacyHandle(from tr, msg transport.Message) {
+// legacyHandle stands in front of the legacy world's master: demand updates
+// and unregisters take the legacy paths, the rest the shipped handler. The
+// script sends its returns in updates of their own.
+func (m *legacyMaster) legacyHandle(from tr, msg transport.Message) {
 	switch t := msg.(type) {
 	case protocol.DemandUpdate:
-		if len(t.Returns) > 0 {
-			if m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
-				return
-			}
-			m.legacyHandleReturns(appendReturns(nil, from, &t))
-			return
-		}
-		if m.cfg.BatchWindow == 0 || m.recovering {
-			m.handle(from, msg)
-			return
-		}
-		// The batch branch of handleDemand, arming the legacy round.
 		if !t.WellFormed() || m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
 			return
 		}
-		rec := demandRec{upd: t, from: from}
-		n := len(m.pendHints)
-		m.pendHints = append(m.pendHints, t.Deltas...)
-		rec.upd.Deltas = m.pendHints[n:len(m.pendHints):len(m.pendHints)]
-		m.pendDem = append(m.pendDem, rec)
-		m.legacyArmFlush()
+		if len(t.Returns) == 0 {
+			m.legacyHandleDemand(from, &t)
+			return
+		}
+		var rets []returnRec
+		for _, r := range t.Returns {
+			rets = append(rets, returnRec{ret: r, app: t.App, from: from})
+		}
+		m.legacyHandleReturns(rets)
 	case protocol.UnregisterApp:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanUnreg, t.Seq) == protocol.Duplicate {
 			return
@@ -211,6 +251,7 @@ type fanoutWorld struct {
 	eng    *sim.Engine
 	net    *transport.Net
 	m      *Master
+	legacy *legacyMaster          // the legacy world's master (nil in the shipped world)
 	caps   [][]capMsg             // by machine ID, every CapacityDelta in arrival order
 	grants []protocol.GrantUpdate // every GrantUpdate the apps received, in order
 }
@@ -247,7 +288,8 @@ func newFanoutWorld(t *testing.T, batch sim.Time, legacy bool) *fanoutWorld {
 	}
 	eng.Run(10 * sim.Millisecond)
 	if legacy {
-		w.net.Register(protocol.MasterEndpoint, w.m.legacyHandle)
+		w.legacy = &legacyMaster{Master: w.m}
+		w.net.Register(protocol.MasterEndpoint, w.legacy.legacyHandle)
 	}
 	for _, a := range fanoutApps {
 		w.net.Register(a.name, func(_ tr, msg transport.Message) {
@@ -259,8 +301,9 @@ func newFanoutWorld(t *testing.T, batch sim.Time, legacy bool) *fanoutWorld {
 	return w
 }
 
-// TestFanoutMatchesSendOnReleaseOracle drives the shipped fan-out and the
-// send-on-release one it replaced through one seeded script — demand
+// TestFanoutMatchesSendOnReleaseOracle drives the shipped fan-out and demand
+// path and the legacy world's — send-on-release, the immediate step and the
+// recovery's own buffers — through one seeded script — demand
 // updates, single and multi-machine returns, unregisters and
 // re-registrations, preemption across and inside quota groups, machine
 // deaths and recoveries that revoke, and recovery windows that buffer all of
@@ -362,7 +405,7 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 		}
 		if step == recovery {
 			ws[0].m.finishRecovery()
-			ws[1].m.legacyFinishRecovery()
+			ws[1].legacy.legacyFinishRecovery()
 			recovery = 0
 			replayAt[ws[0].eng.Now()+ws[0].net.Latency] = true
 		}

@@ -94,9 +94,6 @@ func (m *Master) mapHandleFullSync(from tr, t mapSync) {
 			m.dedup.ResetToCh(int32(from), ch, t.Seq)
 		}
 	}
-	if !stale && m.recovering {
-		m.recDem = dropSynced(m.recDem, synced)
-	}
 }
 
 type syncTarget struct {

@@ -3,7 +3,6 @@ package master
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -49,14 +48,15 @@ type Config struct {
 	// the hello when everyone is alive — and at this deadline when some
 	// party stays silent.
 	RecoveryWindow sim.Time
-	// BatchWindow, when positive, coalesces incoming DemandUpdates — their
-	// returns, and their demand merged per application and unit (the paper's
+	// BatchWindow is the width of a scheduling round. Every DemandUpdate —
+	// its returns and its demand — joins the round, and a round applies all
+	// its releases first, reassigns the freed machines to queued demand in
+	// one sweep, places the demand, and fans its decisions out as one batch.
+	// A positive window coalesces the updates that arrive inside it and
+	// places their demand merged per application and unit (the paper's
 	// batch-mode handling of "frequently changing resource requests from one
-	// application") — into scheduling rounds flushed once per window: all
-	// buffered releases are applied first, one wide assignment sweep
-	// reassigns the freed capacity to queued demand, then the merged demand
-	// is placed, and the round's decisions fan out as one batch. Zero
-	// processes every update immediately.
+	// application"). Zero flushes every update at once as a round of its
+	// own, its demand placed as the app asked for it.
 	BatchWindow sim.Time
 	// HealthScoreThreshold and HealthScoreStrikes drive score-based
 	// graylisting: an agent reporting below the threshold for this many
@@ -98,10 +98,11 @@ type Config struct {
 	// demand that was queued or re-sent during the interregnum.
 	OnRecovered func(epoch int, reissuedGrants int)
 	// Obs, when set, turns on the observability plane: the primary records
-	// one sample row into this store at the end of every scheduling round
-	// (BatchWindow mode) and answers obs.QueryRequest messages over the
-	// transport. Both hot-standby processes may share one store; series
-	// registration is idempotent across promotions.
+	// one sample row into this store at the end of every scheduling round it
+	// flushes (a zero-width round is one update) and answers
+	// obs.QueryRequest messages over the transport. Both hot-standby
+	// processes may share one store; series registration is idempotent
+	// across promotions.
 	Obs *obs.Store
 	// ObsSampler, when set alongside Obs, fires after each master sample
 	// row is recorded, letting the embedding harness add its own series
@@ -133,8 +134,8 @@ func DefaultConfig(process string) Config {
 
 // WithDefaults returns c with every zero name, period and threshold taken
 // from DefaultConfig. Everything the caller set stays — the callbacks, Sched,
-// BatchWindow (whose zero means no batching) and the obs plane have no
-// default to take. A zero that means "off" to NewMaster (FlapThreshold,
+// BatchWindow (whose zero means one update per round) and the obs plane have
+// no default to take. A zero that means "off" to NewMaster (FlapThreshold,
 // BlacklistCap, HealthScoreThreshold) means "default" here; pass a negative
 // value to switch the mechanism off. TestWithDefaultsCoversDefaultConfig
 // keeps this list and DefaultConfig's from drifting apart.
@@ -172,9 +173,9 @@ type Master struct {
 	lock *lockservice.Service
 	top  *topology.Topology
 	ckpt *CheckpointStore
-	// schedPasses counts the scheduling passes — immediate demand updates and
-	// batched rounds — this process ran, schedNS and schedMaxNS their total
-	// and largest wall time (paper Figure 9; see SchedStats).
+	// schedPasses counts the scheduling rounds this process flushed — one
+	// update each when BatchWindow is zero — and schedNS and schedMaxNS their
+	// total and largest wall time (paper Figure 9; see SchedStats).
 	schedPasses         int
 	schedNS, schedMaxNS int64
 
@@ -227,8 +228,10 @@ type Master struct {
 	flapBlack []bool
 	badVotes  []map[string]bool // machine ID -> set of reporting apps
 	// pendDem and pendRet buffer one scheduling round's demand and returns in
-	// arrival order (batch mode), each with its sender so the flush resolves
-	// the app by index; round stamps the apps the flush has seen.
+	// arrival order, each with its sender so the flush resolves the app by
+	// index; round stamps the apps a batched flush has seen. A recovery holds
+	// the round until finishRecovery, and a demoted process keeps it for the
+	// recovery of its re-promotion.
 	pendDem []demandRec
 	pendRet []returnRec
 	// pendHints owns the hint lists of the buffered round's demand updates: a
@@ -243,29 +246,22 @@ type Master struct {
 	touched   []int32         // pooled touched-machine list (release batches)
 	// Pooled round-merge buffers (placeApp): the units an app's round places
 	// (unitBuf), each unit's row in it by unitState.idx (unitSlot, -1 outside
-	// placeApp), the hints as the scheduler takes them (hintBuf), and the
-	// releases of an immediate step (retBuf).
+	// placeApp), and the hints as the scheduler takes them (hintBuf).
 	appBuf   []*appState
 	unitBuf  []roundUnit
 	unitSlot []int32
 	hintBuf  []resource.LocalityHint
-	retBuf   []returnRec
 	// Full-sync reconciliation scratch (one sync touches every unit of an
 	// app; pooled so the periodic safety syncs do not allocate per unit).
 	syncBuf []syncNode
 	idxBuf  []treeIdx
-	// dsBuf is the pooled decision accumulator of the round, immediate and
-	// unregister scheduling paths (see decisions).
+	// dsBuf is the pooled decision accumulator of the round and unregister
+	// scheduling paths (see decisions).
 	dsBuf []Decision
-	// recDem, recRet and recUnreg buffer demand, returns and unregisters
-	// that arrive during the recovery window: acting on them before
-	// every agent has re-reported its allocations would grant from a free
-	// pool that still over-counts (the successor starts from full capacity
-	// and subtracts as reports arrive), double-booking machines — and an
-	// early unregister would strand capacity on agents whose restore
-	// report had not landed yet.
-	recDem    []demandRec
-	recRet    []returnRec
+	// recUnreg buffers the unregisters that arrive during the recovery
+	// window: releasing an app's grants before every agent has re-reported
+	// its allocations would release only those restored so far, and strand
+	// the capacity on agents whose restore report had not landed yet.
 	recUnreg  []unregRec
 	timers    []sim.Cancel
 	lockAbort sim.Cancel
@@ -332,8 +328,7 @@ func NewMaster(cfg Config, eng *sim.Engine, net *transport.Net, lock *lockservic
 	return m
 }
 
-// schedTook records one scheduling pass — a demand update or a round — that
-// began at start.
+// schedTook records one scheduling round that began at start.
 func (m *Master) schedTook(start time.Time) {
 	ns := time.Since(start).Nanoseconds()
 	m.schedPasses++
@@ -341,10 +336,10 @@ func (m *Master) schedTook(start time.Time) {
 	m.schedMaxNS = max(m.schedMaxNS, ns)
 }
 
-// SchedStats returns the scheduling passes this process has run — one per
-// immediate demand update, one per batched round — and their total and
-// largest wall time in nanoseconds: the paper's Figure 9 (scheduling time
-// per request), and how many scheduler invocations batching saved.
+// SchedStats returns the scheduling rounds this process has flushed — one
+// per demand update when BatchWindow is zero — and their total and largest
+// wall time in nanoseconds: the paper's Figure 9 (scheduling time per
+// request), and how many scheduler invocations batching saved.
 func (m *Master) SchedStats() (passes int, totalNS, maxNS int64) {
 	return m.schedPasses, m.schedNS, m.schedMaxNS
 }
@@ -510,24 +505,20 @@ func (m *Master) finishRecovery() {
 		return
 	}
 	m.recovering = false
-	// Apply demand, returns and unregisters buffered during the window,
+	// Flush the held round in arrival order, then the buffered unregisters,
 	// then one full assignment pass over all machines places everything
-	// collected. The releases are applied as one batch and reach each agent
-	// in the same message as the buffered demand's grants there; the
-	// reassignment they enable is folded into the final full sweep.
-	dem, ret, unreg := m.recDem, m.recRet, m.recUnreg
-	m.recDem, m.recRet, m.recUnreg = nil, nil, nil
+	// collected. The round's releases reach each agent in the same message as
+	// its demand's grants there; the reassignment they enable is folded into
+	// the final full sweep.
 	var ds []Decision
-	m.applyReleases(ret)
-	for _, r := range dem {
-		if st := m.sched.apps[r.upd.App]; st != nil {
-			m.applyRuns(st, r.upd.Deltas, &ds)
-		}
-	}
+	m.applyReleases(m.pendRet)
+	m.placeInOrder(&ds)
+	m.dropRound()
 	m.dispatch(ds)
-	for _, r := range unreg {
+	for _, r := range m.recUnreg {
 		m.unregister(r.from, r.app) // a step of its own: releases and their reassignment
 	}
+	m.recUnreg = nil
 	final := m.sched.AssignOnAll()
 	m.dispatch(final)
 	ds = append(ds, final...)
@@ -597,8 +588,8 @@ func (m *Master) demote() {
 // promotion rebuilds all of it from the checkpoint and the re-reports (paper
 // §4.3.1), so the old term's copy could only ever be read by mistake. What
 // stays carries names and numbers only: the pooled scratch (dispatch leaves
-// no app in it), and a demoted process's buffered round, which a
-// re-promotion replays through recovery (deferRound).
+// no app in it), and a demoted process's buffered round, which the recovery
+// of a re-promotion holds and flushes with its own (finishRecovery).
 func (m *Master) standDown() {
 	m.primary = false
 	for _, c := range m.timers {
@@ -628,7 +619,7 @@ func (m *Master) Crash() {
 		m.net.Unregister(protocol.MasterEndpoint)
 	}
 	m.standDown()
-	m.recDem, m.recRet, m.recUnreg = nil, nil, nil
+	m.recUnreg = nil
 	m.pendDem, m.pendRet, m.pendHints = nil, nil, nil
 	m.flushArm = false
 }
@@ -745,47 +736,30 @@ func (m *Master) handleRegister(t *protocol.RegisterApp) {
 	m.ckpt.SaveApp(AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
 }
 
-// handleDemand applies one application master's update: its returns, then
-// its demand. t is pooled: what a buffer keeps, it copies.
+// handleDemand adds one application master's update — its returns, then its
+// demand — to the scheduling round. The round flushes at once when
+// BatchWindow is zero and at the end of the window otherwise; a recovery
+// holds it for finishRecovery. t is pooled: the round keeps copies.
 func (m *Master) handleDemand(from tr, t *protocol.DemandUpdate) {
-	if m.recovering {
+	for _, r := range t.Returns {
+		m.pendRet = append(m.pendRet, returnRec{ret: r, app: t.App, from: from})
+	}
+	n := len(m.pendHints)
+	m.pendHints = append(m.pendHints, t.Deltas...)
+	m.pendDem = append(m.pendDem, demandRec{from: from, upd: protocol.DemandUpdate{
+		App: t.App, Deltas: m.pendHints[n:len(m.pendHints):len(m.pendHints)], Seq: t.Seq}})
+	switch {
+	case m.recovering:
 		// The grants being returned may not have been restored yet (their
 		// agents' reports are still in flight), and granting before every
 		// agent re-reported would double-book machines whose allocations are
-		// not yet subtracted from the free pool: replay after the window.
-		m.recRet = appendReturns(m.recRet, from, t)
-		m.recDem = append(m.recDem, demandRec{from: from, upd: protocol.DemandUpdate{
-			App: t.App, Deltas: slices.Clone(t.Deltas), Seq: t.Seq}})
-		return
-	}
-	if m.cfg.BatchWindow > 0 {
-		m.pendRet = appendReturns(m.pendRet, from, t)
-		n := len(m.pendHints)
-		m.pendHints = append(m.pendHints, t.Deltas...)
-		m.pendDem = append(m.pendDem, demandRec{from: from, upd: protocol.DemandUpdate{
-			App: t.App, Deltas: m.pendHints[n:len(m.pendHints):len(m.pendHints)], Seq: t.Seq}})
+		// not yet subtracted from the free pool (the successor starts from
+		// full capacity and subtracts as reports arrive): the round waits.
+	case m.cfg.BatchWindow > 0:
 		m.armFlush()
-		return
+	default:
+		m.flushRound()
 	}
-	// One step: release the returns, reassign the freed machines, place the
-	// demand, and tell everyone in one dispatch.
-	start := time.Now()
-	ds := m.decisions()
-	m.retBuf = appendReturns(m.retBuf[:0], from, t)
-	m.sched.assignOnIDsInto(m.applyReleases(m.retBuf), ds)
-	if st := m.appFrom(from, t.App); st != nil {
-		m.applyRuns(st, t.Deltas, ds)
-	}
-	m.schedTook(start)
-	m.dispatch(*ds)
-}
-
-// appendReturns appends an update's returns to a release buffer.
-func appendReturns(buf []returnRec, from tr, t *protocol.DemandUpdate) []returnRec {
-	for _, r := range t.Returns {
-		buf = append(buf, returnRec{ret: r, app: t.App, from: from})
-	}
-	return buf
 }
 
 // applyRuns places a demand payload's unit runs for st into ds, run by run
@@ -828,27 +802,24 @@ func (m *Master) armFlush() {
 	}
 }
 
-// flushRound executes one batched scheduling round: apply every buffered
-// release, reassign the freed capacity to queued demand in one wide sweep,
-// place the merged demand, and fan the round's decisions out as a single
-// batch.
+// flushRound runs one scheduling round: apply every buffered release,
+// reassign the freed machines to queued demand, place the round's demand,
+// and fan the round's decisions out as a single batch. A batched round
+// places its demand merged per app and unit (placeRound), a zero-width one
+// in arrival order (placeInOrder). A recovery holds the round.
 func (m *Master) flushRound() {
 	m.flushArm = false
-	if !m.primary || m.crashed {
-		return
-	}
-	if m.recovering {
-		m.deferRound()
+	if !m.primary || m.crashed || m.recovering {
 		return
 	}
 	start := time.Now()
 	ds := m.decisions()
-	if len(m.pendRet) > 0 {
-		touched := m.applyReleases(m.pendRet)
-		m.pendRet = m.pendRet[:0]
-		m.sched.assignOnIDsInto(touched, ds)
+	m.sched.assignOnIDsInto(m.applyReleases(m.pendRet), ds)
+	if m.cfg.BatchWindow > 0 {
+		m.placeRound(ds)
+	} else {
+		m.placeInOrder(ds)
 	}
-	m.placeRound(ds)
 	m.dropRound()
 	m.schedTook(start)
 	m.dispatch(*ds)
@@ -857,21 +828,15 @@ func (m *Master) flushRound() {
 	}
 }
 
-// deferRound handles a round buffered before this process was deposed and
-// re-promoted: it reroutes the round through the recovery buffers — the
-// demand grouped by app in name order, as the round would have taken it — so
-// it replays once every agent has re-reported.
-func (m *Master) deferRound() {
-	n := len(m.recDem)
-	m.recDem = append(m.recDem, m.pendDem...)
-	moved := m.recDem[n:]
-	for i := range moved {
-		moved[i].upd.Deltas = slices.Clone(moved[i].upd.Deltas) // out of the round's arena
+// placeInOrder places the round's demand into ds update by update, in the
+// order the updates arrived.
+func (m *Master) placeInOrder(ds *[]Decision) {
+	for i := range m.pendDem {
+		p := &m.pendDem[i]
+		if st := m.appFrom(p.from, p.upd.App); st != nil {
+			m.applyRuns(st, p.upd.Deltas, ds)
+		}
 	}
-	sort.SliceStable(moved, func(i, j int) bool { return moved[i].upd.App < moved[j].upd.App })
-	m.recRet = append(m.recRet, m.pendRet...)
-	m.dropRound()
-	m.pendRet = m.pendRet[:0]
 }
 
 // placeRound schedules the round's buffered demand into ds, merged per app
@@ -986,11 +951,13 @@ func (m *Master) placeMerged(st *appState, u *unitState, hb []resource.LocalityH
 	m.sched.applyDemand(st, u, hb[:w], ds)
 }
 
-// dropRound empties the round's demand buffer and the arena behind its hint
-// lists, zeroed so the pooled storage pins no names.
+// dropRound empties the round's buffers and the arena behind its hint lists,
+// zeroed so the pooled storage pins no names.
 func (m *Master) dropRound() {
 	clear(m.pendDem)
 	m.pendDem = m.pendDem[:0]
+	clear(m.pendRet)
+	m.pendRet = m.pendRet[:0]
 	clear(m.pendHints)
 	m.pendHints = m.pendHints[:0]
 }
@@ -1126,11 +1093,13 @@ func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
 	stale := st.lastGrantSeq > t.SeenGrantSeq &&
 		m.eng.Now()-st.lastGrantAt < syncFenceWindow
 	if !stale {
-		// Deltas of this app still buffered in the current scheduling round
-		// are already folded into the sync's absolute counts; letting the
-		// round flush replay them would double-apply the demand (the same
-		// exactly-once rule the recovery buffer applies below). Later deltas
-		// (Seq beyond the sync) remain genuinely incremental.
+		// Deltas of this app still buffered in the round — a batched one, or
+		// one a recovery holds — are already folded into the sync's absolute
+		// counts; letting the flush replay them would double-apply the
+		// demand. Later deltas (Seq beyond the sync) remain genuinely
+		// incremental. Buffered returns are untouched: the agents' reports
+		// still carry the returned containers, so the flush is their
+		// exactly-once release.
 		m.pendDem = dropSynced(m.pendDem, t)
 		// Demand reconciliation: force tree counts to the app's view. When
 		// the sync surfaces demand the master had lost (a dropped delta),
@@ -1184,18 +1153,9 @@ func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
 			m.dedup.ResetToCh(int32(from), ch, t.Seq)
 		}
 	}
-	// Recovery-buffered deltas the app sent before this sync are already
-	// folded into its absolute counts above; replaying them at the end of
-	// the window would double-apply the demand. Later deltas (Seq beyond
-	// the sync) remain genuinely incremental and stay buffered. Buffered
-	// returns are untouched: the agents' reports still carry the returned
-	// containers, so the replay is their exactly-once release.
-	if !stale && m.recovering {
-		m.recDem = dropSynced(m.recDem, t)
-		if st.owesSync {
-			st.owesSync = false
-			m.reported(0, 1)
-		}
+	if !stale && m.recovering && st.owesSync {
+		st.owesSync = false
+		m.reported(0, 1)
 	}
 }
 

@@ -441,22 +441,13 @@ func (s *Scheduler) unregister(st *appState, out *[]Decision) {
 // queued in the locality tree otherwise; negative deltas cancel queued
 // demand (never granted containers — use Return for those).
 func (s *Scheduler) UpdateDemand(app string, unitID int, hints []resource.LocalityHint) ([]Decision, error) {
-	var out []Decision
-	if err := s.updateDemandInto(app, unitID, hints, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// updateDemandInto is UpdateDemand appending into a caller-pooled buffer
-// (the master's round paths reuse one accumulator across rounds).
-func (s *Scheduler) updateDemandInto(app string, unitID int, hints []resource.LocalityHint, out *[]Decision) error {
 	st, u, err := s.lookup(app, unitID)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.applyDemand(st, u, hints, out)
-	return nil
+	var out []Decision
+	s.applyDemand(st, u, hints, &out)
+	return out, nil
 }
 
 // applyDemand is UpdateDemand past the name lookups, for the master's
@@ -547,14 +538,10 @@ func (s *Scheduler) AssignOn(machines []string) []Decision {
 // free by construction, so the dedup pass of assignOnIDs is skipped.
 func (s *Scheduler) AssignOnAll() []Decision {
 	var out []Decision
-	s.assignOnAllInto(&out)
-	return out
-}
-
-func (s *Scheduler) assignOnAllInto(out *[]Decision) {
 	for _, m := range s.ids {
-		s.assignOnMachine(m, out)
+		s.assignOnMachine(m, &out)
 	}
+	return out
 }
 
 // MachineDown removes a dead machine from scheduling: all grants on it are
