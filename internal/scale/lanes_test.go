@@ -135,6 +135,27 @@ func smokeResults(t *testing.T) map[string]*Result {
 	return smokeRuns.res
 }
 
+// goldenOf reads a run's golden row.
+func goldenOf(r *Result) golden {
+	g := golden{
+		Decisions: r.Decisions, Grants: r.Grants, Revokes: r.Revokes,
+		MessagesSent: r.MessagesSent, EventsFired: r.EventsFired,
+		CompletedApps:      r.CompletedApps,
+		DecisionStreamHash: r.DecisionStreamHash,
+		LatencyMeanMS:      r.LatencyMeanMS, LatencyMaxMS: r.LatencyMaxMS,
+	}
+	if r.Gateway != nil {
+		g.GatewayHash = r.Gateway.DecisionHash
+	}
+	if r.Replay != nil {
+		g.ReplayHash = r.Replay.DecisionHash
+	}
+	if r.Obs != nil {
+		g.QueryChecksum = r.Obs.QueryChecksum
+	}
+	return g
+}
+
 func TestSmokeLanesMatchGolden(t *testing.T) {
 	for name, r := range smokeResults(t) {
 		want, ok := smokeGolden[name]
@@ -142,23 +163,7 @@ func TestSmokeLanesMatchGolden(t *testing.T) {
 			t.Errorf("lane %s has no golden row", name)
 			continue
 		}
-		got := golden{
-			Decisions: r.Decisions, Grants: r.Grants, Revokes: r.Revokes,
-			MessagesSent: r.MessagesSent, EventsFired: r.EventsFired,
-			CompletedApps:      r.CompletedApps,
-			DecisionStreamHash: r.DecisionStreamHash,
-			LatencyMeanMS:      r.LatencyMeanMS, LatencyMaxMS: r.LatencyMaxMS,
-		}
-		if r.Gateway != nil {
-			got.GatewayHash = r.Gateway.DecisionHash
-		}
-		if r.Replay != nil {
-			got.ReplayHash = r.Replay.DecisionHash
-		}
-		if r.Obs != nil {
-			got.QueryChecksum = r.Obs.QueryChecksum
-		}
-		if got != want {
+		if got := goldenOf(r); got != want {
 			t.Errorf("lane %s diverged from its golden row:\n got  %+v\n want %+v", name, got, want)
 		}
 		if l := LaneByName(name); l.Broken(r) {
