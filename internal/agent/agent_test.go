@@ -349,7 +349,7 @@ func TestRestartAddressesFinishedAppByID(t *testing.T) {
 	if h.agent.Proc("w1") == nil {
 		t.Fatal("app1's worker did not start")
 	}
-	h.net.Retire("app1")
+	h.net.Retire(h.net.Lookup("app1"))
 	h.net.Register("app2", func(transport.EndpointID, transport.Message) {})
 	h.agent.CrashDaemon()
 	slots, live := h.net.Footprint()

@@ -178,7 +178,7 @@ func TestReleaseForRetiredAppIsApplied(t *testing.T) {
 	if h.agent.Proc("w1") == nil {
 		t.Fatal("app1's worker did not start")
 	}
-	h.net.Retire("app1")
+	h.net.Retire(h.net.Lookup("app1"))
 	h.net.Register("app2", func(transport.EndpointID, transport.Message) {})
 	fresh := h.ep("app2")
 	if transport.EndpointID(fresh).Slot() != transport.EndpointID(old).Slot() {
@@ -368,7 +368,7 @@ func runAgentScript(t *testing.T, data []byte) {
 			what = "finish"
 			k := int(s.next()) % len(s.apps)
 			s.retired = append(s.retired, int32(h.net.Lookup(s.apps[k])))
-			h.net.Retire(s.apps[k])
+			h.net.Retire(h.net.Lookup(s.apps[k]))
 			s.apps[k] = fmt.Sprintf("%s.%d", scriptApps[k], len(s.retired))
 			register(s.apps[k])
 		}

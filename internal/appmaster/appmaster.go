@@ -606,7 +606,7 @@ func (a *AM) unregTick() {
 // may resume, only unregisters).
 func (a *AM) finishUnregister() {
 	a.unregDone = true
-	a.net.Retire(a.cfg.App)
+	a.net.Retire(a.epID)
 	a.units, a.unit0, a.slab = nil, [1]unitLedger{}, dense.Slab[int]{}
 }
 

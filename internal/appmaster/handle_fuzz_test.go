@@ -126,7 +126,7 @@ func runAMScript(t *testing.T, data []byte) {
 	// app0 finished before app1 started: its retired endpoint slot is app1's.
 	net.Register("app0", func(transport.EndpointID, transport.Message) {})
 	prev := net.Lookup("app0")
-	net.Retire("app0")
+	net.Retire(net.Lookup("app0"))
 	ref := &mapLedgers{app: "app1", units: scriptUnits, top: top}
 	var events []string
 	am := New(Config{App: "app1", Units: scriptUnits, FullSyncInterval: 2 * sim.Second}, eng, net, top, cbFuncs{

@@ -44,20 +44,62 @@ package ident
 // None is the sentinel returned by ID for unknown names.
 const None int32 = -1
 
+// Slots hands out dense IDs that have no names behind them: the oldest
+// released ID when there is one, else the next dense ID (starting at 0, in
+// call order) — exactly the IDs a Table would give the same sequence of
+// Intern and Release calls. An owner that keeps its own index from names to
+// what it files under the ID (or needs none) takes its IDs from here and
+// pays for one index, not two. The zero value is ready to use. Free of an ID
+// that is not in use corrupts the order: the owner knows which are.
+type Slots struct {
+	n int32 // IDs handed out ever: valid IDs are [0, n)
+	// free lists the released IDs in release order; free[head:] are the ones
+	// not yet reused.
+	free []int32
+	head int
+}
+
+// Alloc returns an ID not in use: the oldest released one, else a new one.
+func (s *Slots) Alloc() int32 {
+	if s.head < len(s.free) {
+		id := s.free[s.head]
+		s.head++
+		if s.head == len(s.free) {
+			s.free, s.head = s.free[:0], 0
+		}
+		return id
+	}
+	s.n++
+	return s.n - 1
+}
+
+// Free hands id, which must be in use, to a later Alloc.
+func (s *Slots) Free(id int32) {
+	if s.head > 0 && s.head >= len(s.free)/2 {
+		// The reused prefix is at least half the list: slide the rest down so
+		// the list stays as long as the IDs waiting in it.
+		n := copy(s.free, s.free[s.head:])
+		s.free, s.head = s.free[:n], 0
+	}
+	s.free = append(s.free, id)
+}
+
+// Len returns the number of IDs in use or released; valid IDs are [0, Len).
+// It is the most IDs ever in use at once.
+func (s *Slots) Len() int { return int(s.n) }
+
 // Table is a deterministic string↔dense-ID intern table. The zero value is
 // ready to use. Not safe for concurrent mutation; concurrent read-only use
 // (Name, ID, Len) is safe once no more Intern calls happen.
 //
 // Release gives a name's ID back: the name is forgotten and the ID goes to a
-// later Intern of another name, oldest release first. A table whose names
-// come and go therefore holds as many IDs as were ever live at once.
+// later Intern of another name, oldest release first (its IDs come from a
+// Slots). A table whose names come and go therefore holds as many IDs as
+// were ever live at once.
 type Table struct {
 	ids   map[string]int32
 	names []string // by ID; "" for a released ID not yet reused
-	// free lists the released IDs in release order; free[head:] are the ones
-	// not yet reused.
-	free []int32
-	head int
+	slots Slots
 }
 
 // Intern returns the ID for name, assigning one on first sight: the oldest
@@ -70,17 +112,11 @@ func (t *Table) Intern(name string) int32 {
 	if t.ids == nil {
 		t.ids = make(map[string]int32)
 	}
-	var id int32
-	if t.head < len(t.free) {
-		id = t.free[t.head]
-		t.head++
-		if t.head == len(t.free) {
-			t.free, t.head = t.free[:0], 0
-		}
-		t.names[id] = name
-	} else {
-		id = int32(len(t.names))
+	id := t.slots.Alloc()
+	if int(id) == len(t.names) {
 		t.names = append(t.names, name)
+	} else {
+		t.names[id] = name
 	}
 	t.ids[name] = id
 	return id
@@ -95,13 +131,7 @@ func (t *Table) Release(id int32) {
 	}
 	delete(t.ids, name)
 	t.names[id] = ""
-	if t.head > 0 && t.head >= len(t.free)/2 {
-		// The reused prefix is at least half the list: slide the rest down so
-		// the list stays as long as the IDs waiting in it.
-		n := copy(t.free, t.free[t.head:])
-		t.free, t.head = t.free[:n], 0
-	}
-	t.free = append(t.free, id)
+	t.slots.Free(id)
 }
 
 // ID returns the ID for name, or None if it is not interned (never, or no

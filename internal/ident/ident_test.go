@@ -64,8 +64,8 @@ func TestReleaseReusesOldestFirst(t *testing.T) {
 		n := string(rune('A'+i%26)) + string(rune('a'+i/26%26)) + string(rune('0'+i/676))
 		tb.Release(tb.Intern(n))
 	}
-	if tb.Len() != 6 || len(tb.free) > 2 {
-		t.Fatalf("Len %d, free list %d after 10,000 short-lived names", tb.Len(), len(tb.free))
+	if tb.Len() != 6 || len(tb.slots.free) > 2 {
+		t.Fatalf("Len %d, free list %d after 10,000 short-lived names", tb.Len(), len(tb.slots.free))
 	}
 }
 

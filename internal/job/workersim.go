@@ -85,7 +85,7 @@ func (r *Runtime) remove(w *WorkerSim) {
 	if w.doneTimer != nil {
 		w.doneTimer()
 	}
-	r.net.Retire(WorkerEndpoint(r.app, w.ID))
+	r.net.Retire(w.ep)
 	delete(r.workers, w.ID)
 	if r.gone == nil {
 		r.gone = make(map[string]transport.EndpointID)

@@ -223,7 +223,7 @@ func TestLateTrafficInternsNoRetiredName(t *testing.T) {
 	}
 	slots, live := h.net.Footprint()
 	jm.sendToWorker("w2", KillInstance{Task: "T", Instance: 0})
-	h.net.Retire("jobx") // what the application master does at the unregister ack
+	h.net.Retire(h.net.Lookup("jobx")) // what the application master does at the unregister ack
 	jm.sendToWorker("w1", KillInstance{Task: "T", Instance: 0})
 	h.eng.Run(h.eng.Now() + 3*sim.Second)
 	s, l := h.net.Footprint()

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"repro/internal/resource"
+	"repro/internal/transport"
 )
 
 // AppConfig is the hard-state record of one application: exactly the
@@ -50,14 +51,24 @@ const defaultCompactEvery = 256
 // so what a write costs does not depend on how many other applications are
 // live: RemoveApp tombstones its slot, and tombstones are squeezed out
 // (order-preserving) once they outnumber the live slots.
+//
+// The writer finds an application's slot by its key, the transport endpoint
+// ID of its application master, which FuxiMaster holds for every message it
+// handles: SaveAppAt binds the key, and at promotion Bind keys every loaded
+// application afresh. Durable bytes carry names only; the key never leaves
+// the process. SaveApp and RemoveApp, for a caller that holds no endpoint,
+// find an application by name with a scan.
 type CheckpointStore struct {
 	epoch int
 	// slots is the application table in insertion order, tombstones
-	// included; index maps a live application's name to its slot. dead
-	// counts tombstones.
-	slots []ckptSlot
-	index map[string]int
-	dead  int
+	// included; dead counts tombstones. bySlot finds a live application by
+	// its key's endpoint slot: bySlot[ep.Slot()] is its index in slots (-1
+	// for none), the key itself when slots[i].ep == ep. unkeyed counts the
+	// live slots saved by name only (ep None).
+	slots   []ckptSlot
+	bySlot  []int32
+	dead    int
+	unkeyed int
 	// arena holds the slots' encoded records; liveBytes is the part live
 	// slots reference (the rest is garbage left by removes and replaces,
 	// reclaimed by squeeze into spare).
@@ -106,16 +117,17 @@ type CheckpointStore struct {
 }
 
 // ckptSlot is one application's place in the writer's view: arena[off:off+n]
-// is its appendApp encoding. n == 0 marks a tombstone (an encoded record is
-// never empty).
+// is its appendApp encoding, ep its key. n == 0 marks a tombstone (an encoded
+// record is never empty).
 type ckptSlot struct {
 	name   string
+	ep     transport.EndpointID
 	off, n int
 }
 
 // NewCheckpointStore returns an empty store.
 func NewCheckpointStore() *CheckpointStore {
-	return &CheckpointStore{index: make(map[string]int), blk: []byte{0}}
+	return &CheckpointStore{blk: []byte{0}}
 }
 
 // Bytes returns the total bytes written to durable storage (deltas plus
@@ -183,9 +195,9 @@ func (c *CheckpointStore) squeeze() {
 		}
 		off := len(arena)
 		arena = append(arena, c.arena[s.off:s.off+s.n]...)
-		c.slots[w] = ckptSlot{name: s.name, off: off, n: s.n}
-		if w != i {
-			c.index[s.name] = w
+		c.slots[w] = ckptSlot{name: s.name, ep: s.ep, off: off, n: s.n}
+		if w != i && s.ep != transport.None {
+			c.bySlot[s.ep.Slot()] = int32(w)
 		}
 		w++
 	}
@@ -207,18 +219,36 @@ func (c *CheckpointStore) BumpEpoch() int {
 	return c.epoch
 }
 
-// SaveApp records an application's configuration. Only its encoding is
-// kept: the caller's AppConfig (and its Units slice) is not retained.
-func (c *CheckpointStore) SaveApp(a AppConfig) {
+// SaveAppAt records the configuration of the application whose master
+// listens at ep, replacing its record in place when ep already keys one.
+// Only its encoding is kept: the caller's AppConfig (and its Units slice) is
+// not retained.
+func (c *CheckpointStore) SaveAppAt(ep transport.EndpointID, a AppConfig) {
+	i := c.find(ep)
+	if i < 0 && c.unkeyed > 0 {
+		if i = c.named(a.Name); i >= 0 {
+			c.key(i, ep)
+		}
+	}
+	c.save(i, ep, a)
+}
+
+// SaveApp is SaveAppAt for a caller that holds no endpoint: the record is
+// found by name, in a scan, and a new one is unkeyed until a promotion binds
+// it.
+func (c *CheckpointStore) SaveApp(a AppConfig) { c.save(c.named(a.Name), transport.None, a) }
+
+// save writes a's record into slot i, or into a new slot keyed ep when i < 0.
+func (c *CheckpointStore) save(i int, ep transport.EndpointID, a AppConfig) {
 	start := len(c.log)
 	c.log = append(c.log, opSaveApp)
 	c.log = appendApp(c.log, a)
 	rec := c.log[start+1:]
-	i, ok := c.index[a.Name]
-	if !ok {
+	if i < 0 {
 		i = len(c.slots)
-		c.slots = append(c.slots, ckptSlot{name: a.Name})
-		c.index[a.Name] = i
+		c.slots = append(c.slots, ckptSlot{name: a.Name, ep: transport.None})
+		c.unkeyed++
+		c.key(i, ep)
 	}
 	s := &c.slots[i]
 	c.liveBytes += len(rec) - s.n
@@ -228,21 +258,109 @@ func (c *CheckpointStore) SaveApp(a AppConfig) {
 	c.wrote(start)
 }
 
-// RemoveApp deletes an application's record (job stopped).
-func (c *CheckpointStore) RemoveApp(name string) {
-	i, ok := c.index[name]
-	if !ok {
+// RemoveAppAt deletes the record of the application whose master listens at
+// ep (job stopped); name is the application's, for a record saved by name.
+func (c *CheckpointStore) RemoveAppAt(ep transport.EndpointID, name string) {
+	i := c.find(ep)
+	if i < 0 && c.unkeyed > 0 {
+		i = c.named(name)
+	}
+	c.remove(i)
+}
+
+// RemoveApp is RemoveAppAt for a caller that holds no endpoint: the record
+// is found by name, in a scan.
+func (c *CheckpointStore) RemoveApp(name string) { c.remove(c.named(name)) }
+
+// remove tombstones live slot i and logs its removal; i < 0 does nothing.
+func (c *CheckpointStore) remove(i int) {
+	if i < 0 {
 		return
 	}
-	delete(c.index, name)
-	c.liveBytes -= c.slots[i].n
-	c.slots[i] = ckptSlot{}
+	s := c.slots[i]
+	c.unkey(i)
+	c.unkeyed--
+	c.liveBytes -= s.n
+	c.slots[i] = ckptSlot{ep: transport.None}
 	c.dead++
 	c.reclaim()
 	start := len(c.log)
 	c.log = append(c.log, opRemoveApp)
-	c.log = appendString(c.log, name)
+	c.log = appendString(c.log, s.name)
 	c.wrote(start)
+}
+
+// find returns the live slot keyed ep, -1 when none is.
+func (c *CheckpointStore) find(ep transport.EndpointID) int {
+	if ep >= 0 && int(ep.Slot()) < len(c.bySlot) {
+		if i := c.bySlot[ep.Slot()]; i >= 0 && c.slots[i].ep == ep {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// named returns the live slot of the application called name, -1 when none
+// is: a scan, for the callers that hold no key.
+func (c *CheckpointStore) named(name string) int {
+	for i := range c.slots {
+		if s := &c.slots[i]; s.n > 0 && s.name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// key makes ep the key of live slot i; None leaves it unkeyed. A slot that
+// another generation of the endpoint keyed (its application master gave up,
+// and the endpoint slot went to another name) is left to the name scan.
+func (c *CheckpointStore) key(i int, ep transport.EndpointID) {
+	c.unkey(i)
+	if ep == transport.None {
+		return
+	}
+	k := ep.Slot()
+	for int(k) >= len(c.bySlot) {
+		c.bySlot = append(c.bySlot, -1)
+	}
+	if j := c.bySlot[k]; j >= 0 {
+		c.unkey(int(j))
+	}
+	c.bySlot[k] = int32(i)
+	c.slots[i].ep = ep
+	c.unkeyed--
+}
+
+// unkey drops live slot i's key, if it has one.
+func (c *CheckpointStore) unkey(i int) {
+	s := &c.slots[i]
+	if s.ep == transport.None {
+		return
+	}
+	c.bySlot[s.ep.Slot()] = -1
+	s.ep = transport.None
+	c.unkeyed++
+}
+
+// Bind keys the writer's view afresh after a promotion loaded it: the k-th
+// loaded application, apps[k], listens at eps[k]. The view holds the loaded
+// applications in load order, so it is one pass; it panics when the two
+// disagree, which only a bug can make them do.
+func (c *CheckpointStore) Bind(apps []AppConfig, eps []transport.EndpointID) {
+	k := 0
+	for i := range c.slots {
+		if c.slots[i].n == 0 {
+			continue
+		}
+		if k >= len(apps) || apps[k].Name != c.slots[i].name {
+			panic("master: checkpoint view does not match the snapshot loaded from it")
+		}
+		c.key(i, eps[k])
+		k++
+	}
+	if k != len(apps) {
+		panic("master: checkpoint view does not match the snapshot loaded from it")
+	}
 }
 
 // reclaim squeezes once tombstones outnumber live slots or garbage outweighs

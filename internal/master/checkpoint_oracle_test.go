@@ -7,7 +7,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ident"
 	"repro/internal/resource"
+	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // oracleStore is the CheckpointStore writer as it was before the slot table:
@@ -160,13 +163,19 @@ func (c *oracleStore) SetBlacklist(machines []string) {
 }
 
 // mirrored applies every mutation to the shipped store and to the oracle.
+// With keys set it drives the store the way FuxiMaster does, by each app's
+// endpoint ID: keys is the name index the store no longer keeps, a network
+// that mints an endpoint per name and retires it when its app is removed, so
+// endpoint slots are recycled under new generations as they are in a run.
+// Without it, the store is driven by name (SaveApp, RemoveApp).
 type mirrored struct {
 	*CheckpointStore
 	oracle *oracleStore
+	keys   *transport.Net
 }
 
 func newMirrored(compactEvery int, trackFull bool) mirrored {
-	m := mirrored{NewCheckpointStore(), newOracleStore()}
+	m := mirrored{NewCheckpointStore(), newOracleStore(), nil}
 	m.CompactEvery, m.oracle.CompactEvery = compactEvery, compactEvery
 	// The store always keeps FullBytes (arithmetic); the oracle re-encodes
 	// its whole view per write to get it, so it does so only when asked, and
@@ -182,13 +191,26 @@ func (m mirrored) BumpEpoch() int {
 
 func (m mirrored) SaveApp(a AppConfig) {
 	m.oracle.SaveApp(a)
-	m.CheckpointStore.SaveApp(a)
+	if m.keys == nil {
+		m.CheckpointStore.SaveApp(a)
+		return
+	}
+	m.CheckpointStore.SaveAppAt(m.keys.Endpoint(a.Name), a)
 }
 
 func (m mirrored) RemoveApp(name string) {
 	m.oracle.RemoveApp(name)
-	m.CheckpointStore.RemoveApp(name)
+	if m.keys == nil {
+		m.CheckpointStore.RemoveApp(name)
+		return
+	}
+	ep := m.keys.Lookup(name)
+	m.CheckpointStore.RemoveAppAt(ep, name)
+	m.keys.Retire(ep)
 }
+
+// keyed turns on driving the store by endpoint ID.
+func (m *mirrored) keyed() { m.keys = transport.NewNet(sim.NewEngine(1)) }
 
 func (m mirrored) SetBlacklist(machines []string) {
 	m.oracle.SetBlacklist(machines)
@@ -260,6 +282,11 @@ func TestCheckpointSlotTableMatchesOracle(t *testing.T) {
 			t.Run(fmt.Sprintf("every=%d/full=%v", every, track), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100*ci + len(t.Name()))))
 				m := newMirrored(every, track)
+				// The full-cost runs drive the store by name, the others by
+				// endpoint, on streams of the same shape.
+				if !track {
+					m.keyed()
+				}
 				n := ops
 				if every < 256 {
 					// An anchor every one to seven ops makes the oracle quadratic;
@@ -345,15 +372,20 @@ func TestCheckpointSaveAppDoesNotAliasUnits(t *testing.T) {
 // the slot table and the arena are sized by the live set.
 func TestCheckpointViewStaysProportionalToLive(t *testing.T) {
 	s := NewCheckpointStore()
+	net := transport.NewNet(sim.NewEngine(1))
 	const live = 100
 	for i := 0; i < 50*live; i++ {
-		s.SaveApp(AppConfig{Name: fmt.Sprintf("job-%05d", i), Group: "batch", Units: deltaUnits(1)})
+		name := fmt.Sprintf("job-%05d", i)
+		s.SaveAppAt(net.Endpoint(name), AppConfig{Name: name, Group: "batch", Units: deltaUnits(1)})
 		if i >= live {
-			s.RemoveApp(fmt.Sprintf("job-%05d", i-live))
+			old := fmt.Sprintf("job-%05d", i-live)
+			ep := net.Lookup(old)
+			s.RemoveAppAt(ep, old)
+			net.Retire(ep)
 		}
 	}
-	if s.live() != live || len(s.index) != live {
-		t.Fatalf("live=%d index=%d, want %d", s.live(), len(s.index), live)
+	if s.live() != live || s.unkeyed != 0 || len(s.bySlot) > live+1 {
+		t.Fatalf("live=%d unkeyed=%d key slots=%d, want %d, 0, at most %d", s.live(), s.unkeyed, len(s.bySlot), live, live+1)
 	}
 	if len(s.slots) > 2*live+1 {
 		t.Errorf("%d slots for %d live apps", len(s.slots), live)
@@ -373,13 +405,17 @@ func BenchmarkCheckpointLifecycle(b *testing.B) {
 	for i := range names {
 		names[i] = fmt.Sprintf("rp-%07d", i)
 	}
-	for _, n := range names[:live] {
-		s.SaveApp(AppConfig{Name: n, Group: "batch", Units: units})
+	// Job i's endpoint: live+1 slots, each recycled under a new generation.
+	ep := func(i int) transport.EndpointID {
+		return transport.EndpointID(ident.Tag(int32(i%(live+1)), uint32(i/(live+1))))
+	}
+	for i, n := range names[:live] {
+		s.SaveAppAt(ep(i), AppConfig{Name: n, Group: "batch", Units: units})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SaveApp(AppConfig{Name: names[live+i], Group: "batch", Units: units})
-		s.RemoveApp(names[i])
+		s.SaveAppAt(ep(live+i), AppConfig{Name: names[live+i], Group: "batch", Units: units})
+		s.RemoveAppAt(ep(i), names[i])
 	}
 }

@@ -49,8 +49,9 @@ func asMapSync(t *protocol.FullDemandSync) mapSync {
 // a lookup of the unit's view per registered unit, reconciled through maps.
 func (m *Master) mapHandleFullSync(from tr, t mapSync) {
 	if !m.sched.Registered(t.App) {
-		_, _ = m.registerApp(t.App, t.QuotaGroup, t.Units)
-		m.ckpt.SaveApp(AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
+		ep := m.appEP(from, t.App)
+		_, _ = m.registerApp(ep, t.App, t.QuotaGroup, t.Units)
+		m.ckpt.SaveAppAt(ep, AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
 	}
 	st := m.sched.apps[t.App]
 	if st == nil {

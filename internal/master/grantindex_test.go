@@ -42,7 +42,7 @@ func scanEvacuation(s *Scheduler, apps []string, machine int32, reason Reason) [
 		for i := range st.unitArr {
 			u := &st.unitArr[i]
 			if n := u.granted.Get(uint64(machine)); n > 0 {
-				out = append(out, Decision{App: app, UnitID: u.def.ID, Machine: s.top.MachineName(machine),
+				out = append(out, Decision{App: app, AppID: st.id, UnitID: u.def.ID, Machine: s.top.MachineName(machine),
 					MachineID: machine, Delta: -n, Reason: reason})
 			}
 		}

@@ -27,8 +27,7 @@ func registerSliced(s *Scheduler, app, group string, units []resource.ScheduleUn
 	if !ok {
 		return fmt.Errorf("master: unknown quota group %q", group)
 	}
-	id := s.appTbl.Intern(app)
-	st := &appState{id: id, name: app, group: group, quota: g, ep: transport.None}
+	st := &appState{name: app, group: group, quota: g, ep: transport.None}
 	st.unitArr = make([]unitState, 0, len(units))
 	for _, u := range units {
 		if err := u.Validate(); err != nil {
@@ -40,6 +39,8 @@ func registerSliced(s *Scheduler, app, group string, units []resource.ScheduleUn
 	for i := range st.unitArr {
 		st.unitArr[i].idx = int32(i)
 	}
+	id := s.appIDs.Alloc()
+	st.id = id
 	s.apps[app] = st
 	for int(id) >= len(s.appByID) {
 		s.appByID = append(s.appByID, nil)

@@ -345,15 +345,17 @@ func (m *Master) SchedStats() (passes int, totalNS, maxNS int64) {
 }
 
 // registerApp registers an application with the scheduler and binds it to
-// its transport endpoint — the endpoint named after the app, which is where
-// the application-master framework listens (grants and the unregister ack go
-// there) and what identifies the app in capacity and heartbeat messages.
-func (m *Master) registerApp(name, group string, units []resource.ScheduleUnit) (*appState, error) {
-	if err := m.sched.RegisterApp(name, group, units); err != nil {
+// its transport endpoint ep — the endpoint named after the app, which is
+// where the application-master framework listens (grants and the unregister
+// ack go there) and what identifies the app in capacity and heartbeat
+// messages. The caller resolved ep already (appEP, or a promotion's
+// checkpoint), so the name is not looked up again.
+func (m *Master) registerApp(ep tr, name, group string, units []resource.ScheduleUnit) (*appState, error) {
+	st, err := m.sched.registerApp(name, group, units)
+	if err != nil {
 		return nil, err
 	}
-	st := m.sched.apps[name]
-	st.ep = m.net.Endpoint(name)
+	st.ep = ep
 	for int(st.ep.Slot()) >= len(m.byEP) {
 		m.byEP = append(m.byEP, nil)
 	}
@@ -384,14 +386,28 @@ func (m *Master) Footprint() (byEP, dedupSenders, appSlots int) {
 	return len(m.byEP), m.dedup.Senders(), appSlots
 }
 
-// appFrom resolves the app a message names by the endpoint it came from. A
-// sender other than the app's own endpoint (a scripted test client) falls
-// back to the name.
+// appFrom resolves the app a message names by the endpoint it came from:
+// registration, demand, returns, unregister and full sync alike. The
+// sender's slot is authoritative when the sender is the app's own endpoint
+// — it is named after the app, an O(1) test — registered or not; only a
+// sender that is not (a scripted test client) is resolved by the name.
 func (m *Master) appFrom(from tr, name string) *appState {
 	if st := m.appAt(from); st != nil && st.name == name {
 		return st
 	}
+	if m.net.Name(from) == name {
+		return nil
+	}
 	return m.sched.apps[name]
+}
+
+// appEP returns the endpoint of the app a message from from names: from
+// itself when it is the app's own, else the endpoint named after the app.
+func (m *Master) appEP(from tr, name string) tr {
+	if m.net.Name(from) == name {
+		return from
+	}
+	return m.net.Endpoint(name)
 }
 
 // compete (re-)enters the election. While partitioned from the lock service
@@ -426,12 +442,19 @@ func (m *Master) promote() {
 	m.sched = NewScheduler(m.top, sched) // byEP is all nil: a new or stood-down process
 
 	// Hard state: application configurations and the cluster blacklist.
+	// Each app's name is resolved to its endpoint once, here, and the
+	// checkpoint's writer view is keyed by those endpoints from now on — the
+	// apps the scheduler refuses included, so their unregister still
+	// removes their record.
 	snap := m.ckpt.Load()
-	for _, app := range snap.Apps {
+	eps := make([]tr, len(snap.Apps))
+	for i, app := range snap.Apps {
 		// Hard-state apps re-register silently; their demand arrives via
 		// FullDemandSync during the recovery window.
-		_, _ = m.registerApp(app.Name, app.Group, app.Units)
+		eps[i] = m.net.Endpoint(app.Name)
+		_, _ = m.registerApp(eps[i], app.Name, app.Group, app.Units)
 	}
+	m.ckpt.Bind(snap.Apps, eps)
 	for _, b := range snap.Blacklist {
 		m.sched.SetBlacklisted(b, true, false)
 	}
@@ -470,8 +493,8 @@ func (m *Master) promote() {
 		for id := int32(0); id < int32(m.top.Size()); id++ {
 			m.net.SendID(m.epID, m.agentEP[id], hello)
 		}
-		for _, app := range snap.Apps {
-			if st := m.sched.apps[app.Name]; st != nil && !st.owesSync {
+		for i := range snap.Apps {
+			if st := m.appAt(eps[i]); st != nil && !st.owesSync {
 				st.owesSync = true
 				m.owedSyncs++
 				m.net.SendID(m.epID, st.ep, hello)
@@ -682,7 +705,7 @@ func (m *Master) handle(from tr, msg transport.Message) {
 		if m.dedup.ObserveCh(int32(from), protocol.ChanReg, t.Seq) == protocol.Duplicate {
 			return
 		}
-		m.handleRegister(t)
+		m.handleRegister(from, t)
 	case protocol.RegisterApp:
 		m.handle(from, &t)
 	case *protocol.DemandUpdate:
@@ -725,15 +748,16 @@ func (m *Master) handle(from tr, msg transport.Message) {
 	}
 }
 
-func (m *Master) handleRegister(t *protocol.RegisterApp) {
-	if m.sched.Registered(t.App) {
+func (m *Master) handleRegister(from tr, t *protocol.RegisterApp) {
+	if m.appFrom(from, t.App) != nil {
 		return // failover re-registration; config already restored
 	}
-	if _, err := m.registerApp(t.App, t.QuotaGroup, t.Units); err != nil {
+	st, err := m.registerApp(m.appEP(from, t.App), t.App, t.QuotaGroup, t.Units)
+	if err != nil {
 		return
 	}
 	// Hard state changes only on job submission/stop (paper §4.3.1).
-	m.ckpt.SaveApp(AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
+	m.ckpt.SaveAppAt(st.ep, AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
 }
 
 // handleDemand adds one application master's update — its returns, then its
@@ -1021,7 +1045,7 @@ func (m *Master) unregister(from tr, app string) {
 		// the master no longer knows, orphaning them forever. Replay once
 		// every restore has landed.
 		m.recUnreg = append(m.recUnreg, unregRec{app: app, from: from})
-		if st := m.sched.apps[app]; st != nil && st.owesSync {
+		if st := m.appFrom(from, app); st != nil && st.owesSync {
 			st.owesSync = false
 			m.reported(0, 1)
 		}
@@ -1032,7 +1056,7 @@ func (m *Master) unregister(from tr, app string) {
 	// into that agent's one message, which the dispatch below also carries
 	// the reassignment of the freed capacity in.
 	d := m.openReleases()
-	st := m.sched.apps[app]
+	st := m.appFrom(from, app)
 	if st != nil {
 		for i := range st.unitArr {
 			u := &st.unitArr[i]
@@ -1048,10 +1072,16 @@ func (m *Master) unregister(from tr, app string) {
 		}
 	}
 	ds := m.decisions()
+	ep := from
 	if st != nil {
 		m.sched.unregister(st, ds)
+		ep = st.ep
+	} else if m.net.Name(from) != app {
+		// Refused by the scheduler, and sent from an endpoint not named after
+		// the app: the checkpoint knows the app's own.
+		ep = m.net.Lookup(app)
 	}
-	m.ckpt.RemoveApp(app)
+	m.ckpt.RemoveAppAt(ep, app)
 	m.dispatch(*ds)
 	// Acknowledge — idempotently, so a re-sent unregister whose original
 	// (or whose ack) died with a deposed primary is confirmed too. Without
@@ -1070,13 +1100,20 @@ func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
 		// nothing applied — not the registration, not the dedup re-baseline.
 		return
 	}
-	if !m.sched.Registered(t.App) {
-		_, _ = m.registerApp(t.App, t.QuotaGroup, t.Units)
-		m.ckpt.SaveApp(AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
-	}
-	st := m.sched.apps[t.App]
+	st := m.appFrom(from, t.App)
 	if st == nil {
-		return
+		// The sync registers an app this process does not know, and its
+		// configuration is saved even when the scheduler refuses it.
+		ep := m.appEP(from, t.App)
+		var err error
+		if st, err = m.registerApp(ep, t.App, t.QuotaGroup, t.Units); err != nil {
+			if st = m.sched.apps[t.App]; st == nil {
+				m.ckpt.SaveAppAt(ep, AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
+				return
+			}
+		} else {
+			m.ckpt.SaveAppAt(ep, AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
+		}
 	}
 	// Fence against the sync/grant crossing race: when grants dispatched to
 	// this app are still in flight (the sync's SeenGrantSeq is behind the
@@ -1640,14 +1677,8 @@ func (m *Master) dispatch(ds []Decision) {
 		d.reset(m.top.Size())
 	}
 	d.open = false
-	var lastApp string
-	var lastSt *appState
 	for _, dec := range ds {
-		st := lastSt
-		if st == nil || dec.App != lastApp {
-			st = m.sched.apps[dec.App]
-			lastApp, lastSt = dec.App, st
-		}
+		st := m.sched.appStateByID(dec.AppID)
 		if st == nil {
 			continue
 		}

@@ -190,7 +190,7 @@ func (s *Scheduler) revokeAndReassign(victims []victimGrant, size resource.Vecto
 		}
 		s.releaseOn(v.app, v.unit, v.machine, k)
 		s.preempted += int64(k)
-		out = append(out, Decision{App: v.app.name, UnitID: v.unit.def.ID,
+		out = append(out, Decision{App: v.app.name, AppID: v.app.id, UnitID: v.unit.def.ID,
 			Machine: s.top.MachineName(v.machine), MachineID: v.machine, Delta: -k, Reason: reason})
 		touched = append(touched, v.machine)
 	}

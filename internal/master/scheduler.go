@@ -67,10 +67,13 @@ func (r Reason) String() string {
 
 // Decision is one scheduling outcome: Delta > 0 grants containers of the
 // app's unit on Machine; Delta < 0 revokes them. It is a boundary type
-// (consumed by callbacks, tests and logs), so it carries names; MachineID
-// carries the dense ID alongside so the protocol fan-out need not re-intern.
+// (consumed by callbacks, tests and logs), so it carries names; AppID and
+// MachineID carry the dense IDs alongside so the protocol fan-out need not
+// resolve either name again. AppID is the scheduler's own, valid until the
+// app unregisters: the fan-out of the step that decided reads it.
 type Decision struct {
 	App       string
+	AppID     int32
 	UnitID    int
 	Machine   string
 	MachineID int32
@@ -233,8 +236,10 @@ type Scheduler struct {
 	black  []bool            // machine ID -> blacklisted
 	grants grantIndex        // machine ID -> the grants on it (grantindex.go)
 
+	// apps is the one index by name; an app's dense ID comes from appIDs
+	// and files it in appByID, which the hot paths index instead.
 	apps    map[string]*appState
-	appTbl  ident.Table // app name -> dense app ID, released at unregister
+	appIDs  ident.Slots // dense app IDs, freed at unregister
 	appByID []*appState // app ID -> live state (nil after unregister)
 	groups  map[string]*groupState
 	tree    waitTree
@@ -335,21 +340,26 @@ func (s *Scheduler) hintNode(h resource.LocalityHint) int32 {
 // RegisterApp adds an application with its ScheduleUnit definitions. The
 // quota group must exist (empty means DefaultGroup).
 func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit) error {
+	_, err := s.registerApp(app, group, units)
+	return err
+}
+
+// registerApp is RegisterApp returning the new app's state.
+func (s *Scheduler) registerApp(app, group string, units []resource.ScheduleUnit) (*appState, error) {
 	if app == "" {
-		return fmt.Errorf("master: empty app name")
+		return nil, fmt.Errorf("master: empty app name")
 	}
 	if _, dup := s.apps[app]; dup {
-		return fmt.Errorf("master: app %q already registered", app)
+		return nil, fmt.Errorf("master: app %q already registered", app)
 	}
 	if group == "" {
 		group = DefaultGroup
 	}
 	g, ok := s.groups[group]
 	if !ok {
-		return fmt.Errorf("master: unknown quota group %q", group)
+		return nil, fmt.Errorf("master: unknown quota group %q", group)
 	}
-	id := s.appTbl.Intern(app)
-	st := &appState{id: id, name: app, group: group, quota: g, ep: transport.None}
+	st := &appState{name: app, group: group, quota: g, ep: transport.None}
 	if len(units) <= len(st.unit0) {
 		st.unitArr = st.unit0[:0]
 	} else {
@@ -357,11 +367,11 @@ func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit
 	}
 	for _, u := range units {
 		if err := u.Validate(); err != nil {
-			return fmt.Errorf("master: app %q: %w", app, err)
+			return nil, fmt.Errorf("master: app %q: %w", app, err)
 		}
 		for i := range st.unitArr {
 			if st.unitArr[i].def.ID == u.ID {
-				return fmt.Errorf("master: app %q: duplicate unit %d", app, u.ID)
+				return nil, fmt.Errorf("master: app %q: duplicate unit %d", app, u.ID)
 			}
 		}
 		st.unitArr = append(st.unitArr, unitState{def: u})
@@ -379,13 +389,17 @@ func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit
 	}
 	st.books.Expect(len(st.unitArr))
 	st.waits.Expect(len(st.unitArr))
+	// The ID is taken once the registration can no longer fail, so a refused
+	// one holds none.
+	id := s.appIDs.Alloc()
+	st.id = id
 	s.apps[app] = st
 	for int(id) >= len(s.appByID) {
 		s.appByID = append(s.appByID, nil)
 	}
 	s.appByID[id] = st
 	s.audit.growApps(len(s.appByID))
-	return nil
+	return st, nil
 }
 
 // Registered reports whether the app is known.
@@ -426,11 +440,11 @@ func (s *Scheduler) unregister(st *appState, out *[]Decision) {
 	s.tree.removeApp(st.id)
 	delete(s.apps, st.name)
 	s.appByID[st.id] = nil
-	// The ID goes to the next app registered: the tables indexed by it stay
-	// as long as the most apps ever registered at once. Nothing orders by it
-	// (ties break by name or by queue position), so the reuse moves no
-	// decision.
-	s.appTbl.Release(st.id)
+	// The ID goes to the next app registered, oldest freed first (the order
+	// ident.Table would give the name): the tables indexed by it stay as long
+	// as the most apps ever registered at once. Nothing orders by it (ties
+	// break by name or by queue position), so the reuse moves no decision.
+	s.appIDs.Free(st.id)
 	s.touchBuf = touched
 	s.assignOnIDsInto(touched, out)
 }
@@ -667,7 +681,7 @@ func (s *Scheduler) adjustFree(id int32, size resource.Vector, k int64) {
 // grantOn commits k containers of u on machine and records the decision.
 func (s *Scheduler) grantOn(st *appState, u *unitState, machine int32, k int, out *[]Decision) {
 	s.credit(st, u, machine, k)
-	*out = append(*out, Decision{App: st.name, UnitID: u.def.ID,
+	*out = append(*out, Decision{App: st.name, AppID: st.id, UnitID: u.def.ID,
 		Machine: s.top.MachineName(machine), MachineID: machine, Delta: k, Reason: ReasonGrant})
 }
 
@@ -972,7 +986,7 @@ func (s *Scheduler) evacuate(machine int32, reason Reason) []Decision {
 		u := &st.unitArr[c.unit]
 		dense.Take(&u.granted, uint64(machine), int(c.n))
 		s.debit(st, u, machine, int(c.n))
-		out = append(out, Decision{App: st.name, UnitID: u.def.ID,
+		out = append(out, Decision{App: st.name, AppID: st.id, UnitID: u.def.ID,
 			Machine: name, MachineID: machine, Delta: -int(c.n), Reason: reason})
 	}
 	if s.down[machine] {

@@ -159,7 +159,7 @@ func (s *Scheduler) Apps() []string {
 // the intern table, the app table and the locality tree's per-app rows —
 // whichever is longest: the most apps ever registered at once.
 func (s *Scheduler) appSlots() int {
-	n := max(s.appTbl.Len(), len(s.appByID))
+	n := max(s.appIDs.Len(), len(s.appByID))
 	if t, ok := s.tree.(*localityTree); ok {
 		n = max(n, len(t.byApp))
 	}

@@ -104,7 +104,7 @@ func runNetScript(t *testing.T, data []byte) {
 			k := s.next() % scriptNames
 			nm := name(k)
 			o.Retire(nm)
-			n.Retire(nm)
+			n.Retire(n.Lookup(nm))
 			if i, ok := byName[nm]; ok {
 				ids[i].retired = true
 			}
@@ -258,7 +258,7 @@ func TestRetireRecyclesSlot(t *testing.T) {
 	a := net.Register("a", func(EndpointID, Message) {})
 	old := net.Register("job-1", func(_ EndpointID, msg Message) { got = append(got, "job-1:"+msg.(string)) })
 	net.SendID(a, old, "late")
-	net.Retire("job-1")
+	net.Retire(net.Lookup("job-1"))
 	fresh := net.Register("job-2", func(_ EndpointID, msg Message) { got = append(got, "job-2:"+msg.(string)) })
 	if fresh.Slot() != old.Slot() || fresh == old {
 		t.Fatalf("job-2 got %d (slot %d), job-1 had %d (slot %d): want the slot, next generation",
@@ -279,7 +279,7 @@ func TestRetireRecyclesSlot(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		name := fmt.Sprintf("job-%d", 3+i)
 		net.Register(name, func(EndpointID, Message) {})
-		net.Retire(name)
+		net.Retire(net.Lookup(name))
 	}
 	if len(net.eps) != 3 {
 		t.Fatalf("%d slots after a thousand jobs one at a time, want 3", len(net.eps))

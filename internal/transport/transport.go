@@ -370,15 +370,21 @@ func (n *Net) Unregister(name string) {
 	}
 }
 
-// Retire ends an endpoint name that never comes back: its handler and its
-// conditions (down, partition group, flap, delay spike) are cleared, its
-// generation is bumped and its slot goes to a later new name. Messages in
-// flight to or from the retired ID are dropped on arrival, and the ID is
-// still Known. Per-link rules and per-link stats are keyed by the full ID and
-// stay as they are. Retiring an unknown name does nothing.
-func (n *Net) Retire(name string) {
-	s := n.tbl.ID(name)
-	if s < 0 {
+// Retire ends the endpoint id names, whose name never comes back: its
+// handler and its conditions (down, partition group, flap, delay spike) are
+// cleared, its generation is bumped and its slot goes to a later new name.
+// It takes the ID its caller already keeps — an application master its own,
+// a JobMaster's runtime each worker's — so retiring costs no lookup by name.
+// Messages in flight to or from the retired ID are dropped on arrival, and
+// the ID is still Known. Per-link rules and per-link stats are keyed by the
+// full ID and stay as they are. Retiring an ID that is not live — never
+// handed out, or retired already — does nothing.
+func (n *Net) Retire(id EndpointID) {
+	if id < 0 || int(id.Slot()) >= len(n.gens) {
+		return
+	}
+	s := n.at(id)
+	if s < 0 || n.tbl.Name(s) == "" {
 		return
 	}
 	n.eps[s], n.dwn[s], n.side[s] = nil, false, 0
