@@ -28,7 +28,7 @@ func TestGatewayAcrossMasterFailover(t *testing.T) {
 	registered := map[string]int{}
 	gcfg := &gateway.Config{
 		Limits: lim,
-		OnRegistered: func(j gateway.Job) {
+		OnRegistered: func(j gateway.Job, _ int32) {
 			registered[j.ID]++
 			am := c.NewAppMaster(appmaster.Config{
 				App:        j.ID,

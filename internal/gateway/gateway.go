@@ -24,6 +24,13 @@
 // across seeds of the scheduler's shard count (the stream hash in Stats
 // pins this).
 //
+// A job's ID is read once, at submission, for the duplicate check. The
+// submission files the job under a row, a dense index the gateway mints in
+// submission order, and from then on the job is that integer: the tenant
+// queues and the unacknowledged list hold rows, the JobAdmit carries the row
+// and its acknowledgement echoes it, OnRegistered hands it to the caller, and
+// JobCompleted takes it back.
+//
 // Failover: an admitted job is handed to FuxiMaster as an idempotent
 // JobAdmit that the gateway re-sends — immediately on a newly-promoted
 // primary's MasterHello, and on a slow retry timer as the safety net —
@@ -203,8 +210,8 @@ type Config struct {
 	Limits
 	// OnRegistered fires exactly once per job when the primary FuxiMaster
 	// acknowledges its admission; the caller starts the job's application
-	// master there.
-	OnRegistered func(Job)
+	// master there, and keeps row to complete the job with (JobCompleted).
+	OnRegistered func(j Job, row int32)
 	// RecordDecisions keeps the full decision stream in memory (parity
 	// tests); the stream hash is always maintained.
 	RecordDecisions bool
@@ -216,7 +223,7 @@ type tenant struct {
 	class  Class
 	tokens int64
 	last   sim.Time
-	q      []string
+	q      []int32 // job rows
 	qh     int
 	active bool // enqueued in its class's dequeue rotation
 
@@ -232,16 +239,15 @@ type tenant struct {
 
 func (t *tenant) qlen() int { return len(t.q) - t.qh }
 
-func (t *tenant) pushJob(id string) { t.q = append(t.q, id) }
+func (t *tenant) pushJob(row int32) { t.q = append(t.q, row) }
 
-func (t *tenant) popJob() string {
-	id := t.q[t.qh]
-	t.q[t.qh] = ""
+func (t *tenant) popJob() int32 {
+	row := t.q[t.qh]
 	t.qh++
 	if t.qh == len(t.q) {
 		t.q, t.qh = t.q[:0], 0
 	}
-	return id
+	return row
 }
 
 // rotation is a FIFO of tenant IDs with queued jobs — the fair-dequeue
@@ -293,17 +299,18 @@ type Gateway struct {
 	// 4-byte IDs.
 	tenantTbl ident.Table
 	tenants   []tenant
-	// Every job that kept a record has a dense index, issued in submission
-	// order and held for the whole run (conservation checking needs every
-	// row): jobs maps the ID to it, recs holds the records 256 to a slab
-	// (record i is recs[i/256][i%256], never moved), and states is the
-	// lifecycle column — the only home of a job's state, so the once-a-
-	// second audit and RegisteredOpen read one byte per job from a
-	// contiguous slice and never touch the map or the records. Nothing reads
-	// the record of a job that reached a terminal state (completed or shed):
-	// conservation counts the column and duplicate detection the map. So a
-	// full slab is dropped once its last job is terminal; unsettled counts,
-	// by slab, the records that are not.
+	// Every job that kept a record has a row, a dense index issued in
+	// submission order and held for the whole run (conservation checking
+	// needs every row): recs holds the records 256 to a slab (record i is
+	// recs[i/256][i%256], never moved), and states is the lifecycle column —
+	// the only home of a job's state, so the once-a-second audit and
+	// RegisteredOpen read one byte per job from a contiguous slice and never
+	// touch the records. jobs maps every job ID ever filed to its row, and is
+	// read once per submission, for the duplicate check: after that a job is
+	// its row. Nothing reads the record of a job that reached a terminal
+	// state (completed or shed): conservation counts the column and duplicate
+	// detection the map. So a full slab is dropped once its last job is
+	// terminal; unsettled counts, by slab, the records that are not.
 	jobs      map[string]int32
 	recs      [][]jobRec
 	unsettled []uint16
@@ -313,7 +320,7 @@ type Gateway struct {
 	queued   int // jobs in tenant queues
 	inflight int // admitted + registered, not completed
 
-	unacked []string // admitted job IDs awaiting JobAdmitAck, admit order
+	unacked []int32 // rows of admitted jobs awaiting JobAdmitAck, admit order
 	seq     protocol.Sequencer
 	epoch   int // highest master election epoch observed
 
@@ -436,8 +443,7 @@ func (g *Gateway) Submit(j Job) DecisionKind {
 		}
 		tn.tokens--
 	}
-	g.newRec(j, StateQueued, now)
-	tn.pushJob(j.ID)
+	tn.pushJob(g.newRec(j, StateQueued, now))
 	g.queued++
 	if !tn.active {
 		tn.active = true
@@ -462,9 +468,10 @@ func (g *Gateway) shedDecision(now sim.Time, j Job, kind DecisionKind, keep bool
 // recSlabSize is the number of lifecycle records per slab.
 const recSlabSize = 256
 
-// newRec files one job under the next dense index: a record carved out of
-// the current slab, a row in the state column, and the ID's table entry.
-func (g *Gateway) newRec(j Job, st State, now sim.Time) {
+// newRec files one job under the next row and returns it: a record carved
+// out of the current slab, a cell in the state column, and the ID's entry in
+// the duplicate table.
+func (g *Gateway) newRec(j Job, st State, now sim.Time) int32 {
 	i := len(g.states)
 	k := i / recSlabSize
 	if i%recSlabSize == 0 {
@@ -478,6 +485,7 @@ func (g *Gateway) newRec(j Job, st State, now sim.Time) {
 		g.unsettled[k]++
 	}
 	g.settle(k)
+	return int32(i)
 }
 
 // settle drops slab k once it is full and every job in it is terminal.
@@ -491,13 +499,13 @@ func (g *Gateway) settle(k int) {
 // move, and only a slab of terminal jobs is dropped).
 func (g *Gateway) rec(i int32) *jobRec { return &g.recs[i/recSlabSize][i%recSlabSize] }
 
-// lookup returns the dense index and state of a job ID, ok false when the
-// gateway keeps no record under it.
-func (g *Gateway) lookup(id string) (i int32, st State, ok bool) {
-	if i, ok = g.jobs[id]; ok {
-		st = g.states[i]
+// state returns the state of row i, ok false for a row the gateway never
+// issued: a row that arrives in a message is input.
+func (g *Gateway) state(i int32) (st State, ok bool) {
+	if i < 0 || int(i) >= len(g.states) {
+		return 0, false
 	}
-	return i, st, ok
+	return g.states[i], true
 }
 
 // refill advances a tenant's token bucket to now with integer arithmetic
@@ -562,22 +570,21 @@ func (g *Gateway) admitOneFrom(c Class) bool {
 			tn.active = false
 			continue
 		}
-		id := tn.popJob()
+		i := tn.popJob()
 		g.queued--
 		if tn.qlen() > 0 {
 			rot.push(tid)
 		} else {
 			tn.active = false
 		}
-		i := g.jobs[id]
 		g.states[i] = StateAdmitted
 		tn.admitted++
 		g.admitted++
 		g.cAdm[c]++
 		g.inflight++
-		g.unacked = append(g.unacked, id)
-		g.record(g.eng.Now(), id, DecisionAdmit)
-		g.sendAdmit(g.rec(i))
+		g.unacked = append(g.unacked, i)
+		g.record(g.eng.Now(), g.rec(i).job.ID, DecisionAdmit)
+		g.sendAdmit(i)
 		return true
 	}
 	return false
@@ -587,12 +594,13 @@ func (g *Gateway) admitOneFrom(c Class) bool {
 // RetryEvery (500 ms default base -> 4 s cap).
 const admitBackoffCap = 8
 
-// sendAdmit ships one JobAdmit and arms the job's next retry: exponential
-// backoff from RetryEvery, capped at admitBackoffCap multiples, plus up to
-// 25% jitter hashed from (job ID, attempt). The jitter must not come from
-// the engine's random stream — retry timing would then perturb every other
-// consumer's draws.
-func (g *Gateway) sendAdmit(rec *jobRec) {
+// sendAdmit ships row i's JobAdmit and arms the job's next retry:
+// exponential backoff from RetryEvery, capped at admitBackoffCap multiples,
+// plus up to 25% jitter hashed from (job ID, attempt). The jitter must not
+// come from the engine's random stream — retry timing would then perturb
+// every other consumer's draws.
+func (g *Gateway) sendAdmit(i int32) {
+	rec := g.rec(i)
 	if rec.attempts < 255 {
 		rec.attempts++
 	}
@@ -610,7 +618,7 @@ func (g *Gateway) sendAdmit(rec *jobRec) {
 	h = (h ^ uint64(rec.attempts)) * fnvPrime
 	rec.retryAt = g.eng.Now() + d + sim.Time(h%uint64(d/4+1))
 	adm := transport.Acquire[protocol.JobAdmit](g.net)
-	adm.JobID, adm.Tenant = rec.job.ID, rec.job.Tenant
+	adm.JobID, adm.Row, adm.Tenant = rec.job.ID, i, rec.job.Tenant
 	adm.Class, adm.QuotaGroup = uint8(rec.job.Class), rec.job.Class.QuotaGroup()
 	adm.Seq = g.seq.Next()
 	g.net.SendID(g.epID, g.masterID, adm)
@@ -625,13 +633,12 @@ func (g *Gateway) retrySweep() { g.flushUnacked(false) }
 func (g *Gateway) flushUnacked(replay bool) {
 	now := g.eng.Now()
 	w := 0
-	for _, id := range g.unacked {
-		i, st, ok := g.lookup(id)
-		if !ok || st != StateAdmitted {
+	for _, i := range g.unacked {
+		if g.states[i] != StateAdmitted {
 			continue
 		}
 		rec := g.rec(i)
-		g.unacked[w] = id
+		g.unacked[w] = i
 		w++
 		if replay {
 			// A freshly-promoted primary: send regardless of schedule and
@@ -645,10 +652,7 @@ func (g *Gateway) flushUnacked(replay bool) {
 			}
 			g.retries++
 		}
-		g.sendAdmit(rec)
-	}
-	for i := w; i < len(g.unacked); i++ {
-		g.unacked[i] = ""
+		g.sendAdmit(i)
 	}
 	g.unacked = g.unacked[:w]
 }
@@ -661,17 +665,22 @@ func (g *Gateway) handle(from transport.EndpointID, msg transport.Message) {
 		if t.Epoch > g.epoch {
 			g.epoch = t.Epoch
 		}
-		i, st, ok := g.lookup(t.JobID)
-		if !ok || st != StateAdmitted {
+		// The ack names its job by row and ID: the row finds the record, and
+		// the ID — the one the admit carried — proves the row is that job's.
+		i := t.Row
+		if st, ok := g.state(i); !ok || st != StateAdmitted {
 			return // duplicate ack (retry raced the original): already fired
 		}
-		g.states[i] = StateRegistered
 		rec := g.rec(i)
+		if rec.job.ID != t.JobID {
+			return // another job's row
+		}
+		g.states[i] = StateRegistered
 		g.registered++
 		g.cReg[rec.job.Class]++
 		g.admLat.Observe(float64(g.eng.Now()-rec.submittedAt) / float64(sim.Millisecond))
 		if g.cfg.OnRegistered != nil {
-			g.cfg.OnRegistered(rec.job)
+			g.cfg.OnRegistered(rec.job, i)
 		}
 	case protocol.JobAdmitAck:
 		g.handle(from, &t) // value form (tests, scripted masters)
@@ -687,12 +696,12 @@ func (g *Gateway) handle(from transport.EndpointID, msg transport.Message) {
 	}
 }
 
-// JobCompleted releases a registered job's in-flight slot; the caller
-// invokes it when the job's application master unregisters. It reports
-// whether the transition was valid.
-func (g *Gateway) JobCompleted(id string) bool {
-	i, st, ok := g.lookup(id)
-	if !ok || st != StateRegistered {
+// JobCompleted releases the in-flight slot of the registered job at row i,
+// the row OnRegistered handed out; the caller invokes it when the job's
+// application master unregisters. It reports whether the transition was
+// valid.
+func (g *Gateway) JobCompleted(i int32) bool {
+	if st, ok := g.state(i); !ok || st != StateRegistered {
 		return false
 	}
 	g.states[i] = StateCompleted

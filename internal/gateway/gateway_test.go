@@ -29,7 +29,7 @@ func (m *stubMaster) handle(from transport.EndpointID, msg transport.Message) {
 	if t, ok := msg.(*protocol.JobAdmit); ok {
 		m.acked++
 		m.net.Send(protocol.MasterEndpoint, protocol.GatewayEndpoint, protocol.JobAdmitAck{
-			JobID: t.JobID, Epoch: m.epoch, Seq: m.seq.Next(),
+			JobID: t.JobID, Row: t.Row, Epoch: m.epoch, Seq: m.seq.Next(),
 		})
 	}
 }
@@ -56,11 +56,33 @@ func newFixture(t *testing.T, lim Limits) *fixture {
 	f.net = transport.NewNet(f.eng)
 	f.master = newStubMaster(f.net)
 	f.gw = New(Config{
-		Limits:          lim,
-		OnRegistered:    func(j Job) { f.reg = append(f.reg, j) },
+		Limits: lim,
+		OnRegistered: func(j Job, row int32) {
+			if i, _, ok := f.gw.lookup(j.ID); !ok || i != row {
+				t.Errorf("job %s registered at row %d, but its ID files it at %d (known %v)", j.ID, row, i, ok)
+			}
+			f.reg = append(f.reg, j)
+		},
 		RecordDecisions: true,
 	}, f.eng, f.net)
 	return f
+}
+
+// lookup is the name-keyed path a job took through the gateway before it
+// became its row: the row and state filed under a job ID, ok false when the
+// gateway keeps no record under it. The tests keep it as the oracle the rows
+// must agree with.
+func (g *Gateway) lookup(id string) (i int32, st State, ok bool) {
+	if i, ok = g.jobs[id]; ok {
+		st = g.states[i]
+	}
+	return i, st, ok
+}
+
+// complete completes the job filed under id, found by the oracle's lookup.
+func (f *fixture) complete(id string) bool {
+	i, _, ok := f.gw.lookup(id)
+	return ok && f.gw.JobCompleted(i)
 }
 
 func (f *fixture) run(d sim.Time) { f.eng.Run(f.eng.Now() + d) }
@@ -196,7 +218,7 @@ func TestBackpressureMaxInFlight(t *testing.T) {
 	}
 	// Completions free slots.
 	for _, j := range append([]Job(nil), f.reg...) {
-		f.gw.JobCompleted(j.ID)
+		f.complete(j.ID)
 	}
 	f.run(sim.Second)
 	if st := f.gw.Snapshot(); st.Admitted != 6 {
@@ -250,7 +272,7 @@ func TestFailoverReplayExactlyOnce(t *testing.T) {
 		seen[j.ID] = true
 	}
 	for _, j := range f.reg {
-		f.gw.JobCompleted(j.ID)
+		f.complete(j.ID)
 	}
 	f.check(t, true)
 }
@@ -327,7 +349,7 @@ func tamperFixture(t *testing.T) *fixture {
 		f.gw.Submit(Job{ID: fmt.Sprintf("j%d", i), Tenant: fmt.Sprintf("t%d", i), Class: ClassService})
 	}
 	f.run(sim.Second)
-	if !f.gw.JobCompleted("j0") {
+	if !f.complete("j0") {
 		t.Fatal("j0 did not complete")
 	}
 	f.master.crash()

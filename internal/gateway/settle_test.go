@@ -28,7 +28,7 @@ func TestTerminalSlabsAreDropped(t *testing.T) {
 	const open = recSlabSize + 44 // one job of the second slab stays open
 	for i := 0; i < n; i++ {
 		if i != open {
-			f.gw.JobCompleted(fmt.Sprintf("j%d", i))
+			f.complete(fmt.Sprintf("j%d", i))
 		}
 	}
 	if f.gw.recs[0] != nil || f.gw.recs[1] == nil || f.gw.recs[2] == nil {
@@ -39,7 +39,7 @@ func TestTerminalSlabsAreDropped(t *testing.T) {
 		t.Errorf("RegisteredOpen = %v", got)
 	}
 	f.check(t, true)
-	f.gw.JobCompleted(fmt.Sprintf("j%d", open))
+	f.complete(fmt.Sprintf("j%d", open))
 	if f.gw.recs[1] != nil {
 		t.Error("a slab of completed jobs is still kept")
 	}

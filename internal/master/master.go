@@ -1398,7 +1398,7 @@ func (m *Master) handleHeartbeat(t *protocol.AgentHeartbeat) {
 // the gateway releases it.
 func (m *Master) handleJobAdmit(t *protocol.JobAdmit) {
 	ack := transport.Acquire[protocol.JobAdmitAck](m.net)
-	ack.JobID, ack.Epoch, ack.Seq = t.JobID, m.epoch, m.seq.Next()
+	ack.JobID, ack.Row, ack.Epoch, ack.Seq = t.JobID, t.Row, m.epoch, m.seq.Next()
 	m.net.SendID(m.epID, m.gwID, ack)
 }
 

@@ -362,12 +362,16 @@ func (m CapacitySync) WireSize() int {
 // JobAdmit hands one job the submission gateway dequeued over to the
 // primary FuxiMaster — the paper's "job submission" step (§3.1 step 1)
 // fronted by multi-tenant admission control. The message is idempotent by
-// JobID: the gateway re-sends it until an ack lands (the first attempt may
-// have died with a deposed primary), and the master answers every copy, so
-// admission survives master failover without being applied twice — the
-// gateway's job state machine fires the registration exactly once.
+// job, that is by Row plus JobID: the gateway re-sends it until an ack lands
+// (the first attempt may have died with a deposed primary), and the master
+// answers every copy, so admission survives master failover without being
+// applied twice — the gateway's job state machine fires the registration
+// exactly once.
 type JobAdmit struct {
-	JobID  string
+	JobID string
+	// Row is the job's row in the gateway, which the ack echoes so the
+	// gateway finds the job without looking its ID up.
+	Row    int32
 	Tenant string
 	// Class is the gateway priority class (0 service, 1 batch); QuotaGroup
 	// is the scheduler quota group the tenant maps onto.
@@ -376,10 +380,12 @@ type JobAdmit struct {
 	Seq        uint64
 }
 
-// JobAdmitAck confirms a JobAdmit. Epoch carries the answering primary's
-// election epoch so the gateway can observe successions.
+// JobAdmitAck confirms a JobAdmit: JobID and Row are the admit's. Epoch
+// carries the answering primary's election epoch so the gateway can observe
+// successions.
 type JobAdmitAck struct {
 	JobID string
+	Row   int32
 	Epoch int
 	Seq   uint64
 }
@@ -530,11 +536,11 @@ func (m AgentHeartbeat) WireSize() int {
 
 // WireSize implements transport.Sizer.
 func (m JobAdmit) WireSize() int {
-	return headerBytes + len(m.JobID) + len(m.Tenant) + len(m.QuotaGroup) + 1
+	return headerBytes + len(m.JobID) + 4 + len(m.Tenant) + len(m.QuotaGroup) + 1
 }
 
 // WireSize implements transport.Sizer.
-func (m JobAdmitAck) WireSize() int { return headerBytes + len(m.JobID) + 8 }
+func (m JobAdmitAck) WireSize() int { return headerBytes + len(m.JobID) + 4 + 8 }
 
 // WireSize implements transport.Sizer.
 func (m UnregisterAck) WireSize() int { return headerBytes + len(m.App) + 8 }

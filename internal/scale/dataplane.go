@@ -354,7 +354,7 @@ func (dp *dataplaneLoad) newJob(id string, kind dpKind, class gateway.Class, des
 
 // spawn is the gateway's OnRegistered callback: launch the job's JobMaster,
 // which registers its application master and releases the root tasks.
-func (dp *dataplaneLoad) spawn(gj gateway.Job) {
+func (dp *dataplaneLoad) spawn(gj gateway.Job, row int32) {
 	h := dp.h
 	j := dp.byID[gj.ID]
 	if j == nil {
@@ -369,7 +369,7 @@ func (dp *dataplaneLoad) spawn(gj gateway.Job) {
 	if err != nil {
 		return // planned descriptions validate
 	}
-	j.am = jh.JM.AM()
+	j.am, j.row = jh.JM.AM(), row
 	h.apps = append(h.apps, &j.application)
 	if j.kind == dpService && j.svcOps > 0 {
 		h.eng.PostFunc(h.cfg.ServiceOpEvery, j.svcTick)

@@ -70,7 +70,7 @@ type gatewayLoad struct {
 
 // gatewayConfig is the front door every gateway-fed workload deploys; onReg
 // starts the application master of a job the primary acknowledged.
-func (h *harness) gatewayConfig(onReg func(gateway.Job)) *gateway.Config {
+func (h *harness) gatewayConfig(onReg func(gateway.Job, int32)) *gateway.Config {
 	lim := gateway.DefaultLimits()
 	if h.cfg.GatewayLimits != nil {
 		lim = *h.cfg.GatewayLimits
@@ -81,8 +81,8 @@ func (h *harness) gatewayConfig(onReg func(gateway.Job)) *gateway.Config {
 // frontDoor: a registered job runs the same churn as the classic workload,
 // at the configured width and hold time.
 func (w *gatewayLoad) frontDoor() *gateway.Config {
-	return w.h.gatewayConfig(func(j gateway.Job) {
-		w.h.startGatewayJob(j, w.h.cfg.ContainersPerUnit, w.h.cfg.HoldTime)
+	return w.h.gatewayConfig(func(j gateway.Job, row int32) {
+		w.h.startGatewayJob(j, row, w.h.cfg.ContainersPerUnit, w.h.cfg.HoldTime)
 	})
 }
 
@@ -173,9 +173,9 @@ func jobMix(id string) uint64 {
 // containers held for hold, priority from the class, size from the job-ID
 // hash, first demand a registration round-trip later. From there the job
 // requests with a locality mix, holds, returns, re-requests on revocation and
-// unregisters when done (which completes it at the gateway and frees its
-// in-flight slot).
-func (h *harness) startGatewayJob(j gateway.Job, width int, hold sim.Time) {
+// unregisters when done (which completes it at the gateway, by its row, and
+// frees its in-flight slot).
+func (h *harness) startGatewayJob(j gateway.Job, row int32, width int, hold sim.Time) {
 	sizeIdx := int((jobMix(j.ID) >> 8) % 3)
 	unit := func(u int) resource.ScheduleUnit {
 		return resource.ScheduleUnit{ID: u + 1, Priority: classPriority(j.Class), Size: unitSize(sizeIdx + u), MaxCount: width}
@@ -190,7 +190,7 @@ func (h *harness) startGatewayJob(j gateway.Job, width int, hold sim.Time) {
 		}
 		app = h.startApp(j.ID, j.Class.QuotaGroup(), units, width, hold)
 	}
-	app.class = j.Class
+	app.class, app.row = j.Class, row
 	h.eng.Post(sim.Millisecond, hashedDemand, app)
 }
 

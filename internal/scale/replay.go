@@ -288,7 +288,7 @@ func hashU(bits uint64) float64 {
 // spawn is the gateway's OnRegistered callback: it observes per-class
 // admission latency and starts the job with hash-derived heavy-tailed width
 // and hold time.
-func (rp *replayLoad) spawn(j gateway.Job) {
+func (rp *replayLoad) spawn(j gateway.Job, row int32) {
 	h := rp.h
 	if seq := rpSeq(j.ID); seq >= 0 && seq < len(rp.subAt) {
 		h.classes.admission[j.Class].Observe(float64(h.eng.Now()-rp.subAt[seq]) / float64(sim.Millisecond))
@@ -296,7 +296,7 @@ func (rp *replayLoad) spawn(j gateway.Job) {
 	h.classes.jobs[j.Class]++
 	mix := jobMix(j.ID)
 	w := max(int(rp.width.Quantile(hashU(mix))), 1)
-	h.startGatewayJob(j, w, sim.Time(rp.holdD.Quantile(hashU(mix>>21))))
+	h.startGatewayJob(j, row, w, sim.Time(rp.holdD.Quantile(hashU(mix>>21))))
 }
 
 // dayPhase classifies an instant against the diurnal cycle alone: the

@@ -90,8 +90,10 @@ type application struct {
 	h    *harness
 	am   *appmaster.AM
 	name string
-	// class is the gateway service class the job was admitted under.
+	// class is the gateway service class the job was admitted under, and row
+	// its row in the gateway (see finish).
 	class gateway.Class
+	row   int32
 	done  bool
 }
 
@@ -179,7 +181,7 @@ func (h *harness) finish(a *application) {
 	h.completed++
 	h.completedHash += fnvString(fnvOffset, a.name)
 	if h.gw != nil {
-		h.gw.JobCompleted(a.name)
+		h.gw.JobCompleted(a.row)
 	}
 	h.appsDone++
 	if h.appsDone <= (len(h.apps)-h.appsDone)/4+appsSqueezeSlack {
