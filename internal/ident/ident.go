@@ -29,13 +29,22 @@
 //     fenced by the network, the way an epoch fences a deposed master, and a
 //     table indexed by the slot (SlotOf) stays as long as the live endpoints,
 //     not the endpoints ever named.
-//   - Scheduler app IDs (master.Scheduler's own Table) are process-local. A
-//     promoted master interns the checkpointed apps afresh, in a different
-//     order, and an unregistered app's ID goes to the next app registered;
-//     such an ID never leaves the scheduler that assigned it. The same goes
-//     for any other Table a single component owns.
+//   - Scheduler app IDs are process-local. master.Scheduler takes them from
+//     its own Slots, not a Table: it keeps one index by app name beside the
+//     ID, and a Slots hands out exactly the IDs a Table would (the oldest
+//     freed first), without a second map behind them. A promoted master
+//     registers the checkpointed apps afresh, in a different order, and an
+//     unregistered app's ID goes to the next app registered; such an ID never
+//     leaves the scheduler that assigned it, beyond the decisions it emits
+//     for its own master's fan-out. The same goes for any other Table or
+//     Slots a single component owns.
+//   - Gateway rows are process-local too: the gateway files each submission
+//     under the next row, and the JobAdmit to FuxiMaster and its ack carry
+//     it back, beside the job's name, to the gateway that issued it.
 //
-// No ID of any kind appears in durable state: checkpoints store names.
+// No ID of any kind appears in durable state: checkpoints store names. The
+// checkpoint writer keys its in-memory view by endpoint ID, and a promotion
+// binds those keys afresh from the names it loads.
 //
 // Determinism: ID assignment depends only on the order of Intern and Release
 // calls, never on map iteration, so a seeded run re-interns identically.

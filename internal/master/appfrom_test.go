@@ -1,10 +1,12 @@
 package master
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"repro/internal/ident"
+	"repro/internal/lockservice"
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -142,5 +144,60 @@ func TestAppIDsMatchInternTable(t *testing.T) {
 	}
 	if s.appIDs.Len() != tbl.Len() {
 		t.Fatalf("the scheduler handed out %d IDs, the table %d", s.appIDs.Len(), tbl.Len())
+	}
+}
+
+// TestRefusedAppsLeaveTheCheckpoint: the checkpoint keeps the record of an
+// app the scheduler refuses (a checkpointed app whose quota group this
+// master does not have, a full sync naming one), and the app's unregister
+// must still remove it, though no scheduler state carries its endpoint. The
+// durable bytes must be the name-keyed oracle store's, driven by the same
+// writes by name.
+func TestRefusedAppsLeaveTheCheckpoint(t *testing.T) {
+	eng := sim.NewEngine(9)
+	net := transport.NewNet(eng)
+	ckpt := NewCheckpointStore()
+	oracle := newOracleStore()
+	units := []resource.ScheduleUnit{{ID: 1, Priority: 1, MaxCount: 4, Size: resource.New(100, 128)}}
+	for _, a := range []AppConfig{{Name: "ghost", Group: "no-such-group", Units: units}, {Name: "app1", Units: units}} {
+		ckpt.SaveApp(a)
+		oracle.SaveApp(a)
+	}
+	for _, name := range []string{"ghost", "app1", "client"} {
+		net.Register(name, func(transport.EndpointID, transport.Message) {})
+	}
+	m := NewMaster(DefaultConfig("fm-1"), eng, net, lockservice.New(eng), testTop(t, 2, 2), ckpt)
+	oracle.BumpEpoch()
+	if !m.IsPrimary() || m.Scheduler().Registered("ghost") || !m.Scheduler().Registered("app1") {
+		t.Fatal("setup: the master should promote with app1 registered and ghost refused")
+	}
+	send := func(from string, msg transport.Message) {
+		net.Send(from, protocol.MasterEndpoint, msg)
+		eng.Run(eng.Now() + 10*sim.Millisecond)
+	}
+	same := func(step string) {
+		t.Helper()
+		if !bytes.Equal(ckpt.anchor, oracle.anchor) || !bytes.Equal(ckpt.log, oracle.log) {
+			t.Fatalf("%s: checkpoint bytes diverged from the name-keyed oracle's", step)
+		}
+	}
+	same("promotion")
+
+	send("ghost", protocol.UnregisterApp{App: "ghost", Seq: 1})
+	oracle.RemoveApp("ghost")
+	same("unregister of a refused checkpointed app")
+
+	send("client", protocol.FullDemandSync{App: "ghost2", QuotaGroup: "no-such-group", Units: units, Seq: 1})
+	oracle.SaveApp(AppConfig{Name: "ghost2", Group: "no-such-group", Units: units})
+	same("sync of a refused app")
+	send("client", protocol.UnregisterApp{App: "ghost2", Seq: 2})
+	oracle.RemoveApp("ghost2")
+	same("unregister of a refused synced app")
+
+	send("app1", protocol.UnregisterApp{App: "app1", Seq: 1})
+	oracle.RemoveApp("app1")
+	same("unregister of a registered app")
+	if got := ckpt.Load().Apps; len(got) != 0 {
+		t.Fatalf("%d apps left in the checkpoint", len(got))
 	}
 }

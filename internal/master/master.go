@@ -1102,17 +1102,13 @@ func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
 	}
 	st := m.appFrom(from, t.App)
 	if st == nil {
-		// The sync registers an app this process does not know, and its
-		// configuration is saved even when the scheduler refuses it.
+		// The sync registers an app this process does not know, and saves
+		// its configuration even when the scheduler refuses it.
 		ep := m.appEP(from, t.App)
-		var err error
-		if st, err = m.registerApp(ep, t.App, t.QuotaGroup, t.Units); err != nil {
-			if st = m.sched.apps[t.App]; st == nil {
-				m.ckpt.SaveAppAt(ep, AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
-				return
-			}
-		} else {
-			m.ckpt.SaveAppAt(ep, AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
+		st, _ = m.registerApp(ep, t.App, t.QuotaGroup, t.Units)
+		m.ckpt.SaveAppAt(ep, AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
+		if st == nil {
+			return
 		}
 	}
 	// Fence against the sync/grant crossing race: when grants dispatched to
