@@ -264,6 +264,15 @@ func TestRetireRecyclesSlot(t *testing.T) {
 		t.Fatalf("job-2 got %d (slot %d), job-1 had %d (slot %d): want the slot, next generation",
 			fresh, fresh.Slot(), old, old.Slot())
 	}
+	// Retire takes an ID, so a second retire of job-1's — or one of an ID
+	// never handed out — must leave the slot's new owner alone.
+	net.Retire(old)
+	net.Retire(EndpointID(ident.Tag(old.Slot(), ident.GenOf(int32(fresh))+1)))
+	net.Retire(EndpointID(ident.Tag(int32(len(net.eps)), 0)))
+	net.Retire(None)
+	if net.Lookup("job-2") != fresh || !net.Registered("job-2") {
+		t.Fatal("retiring a stale or unissued ID retired the slot's new owner")
+	}
 	net.SendID(a, fresh, "fresh")
 	eng.RunUntilIdle()
 	if !slices.Equal(got, []string{"job-2:fresh"}) {
