@@ -73,10 +73,10 @@ func (r Reason) String() string {
 // app unregisters: the fan-out of the step that decided reads it.
 type Decision struct {
 	App       string
-	AppID     int32
 	UnitID    int
 	Machine   string
 	MachineID int32
+	AppID     int32
 	Delta     int
 	Reason    Reason
 }
