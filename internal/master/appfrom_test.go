@@ -149,21 +149,25 @@ func TestAppIDsMatchInternTable(t *testing.T) {
 
 // TestRefusedAppsLeaveTheCheckpoint: the checkpoint keeps the record of an
 // app the scheduler refuses (a checkpointed app whose quota group this
-// master does not have, a full sync naming one), and the app's unregister
-// must still remove it, though no scheduler state carries its endpoint. The
-// durable bytes must be the name-keyed oracle store's, driven by the same
-// writes by name.
+// master does not have, a full sync naming one) unkeyed. The app's
+// unregister must still remove it, and a later registration that the
+// scheduler accepts must replace it in place, though no scheduler state
+// carried its endpoint. The durable bytes must be the name-keyed oracle
+// store's, driven by the same writes by name.
 func TestRefusedAppsLeaveTheCheckpoint(t *testing.T) {
 	eng := sim.NewEngine(9)
 	net := transport.NewNet(eng)
 	ckpt := NewCheckpointStore()
 	oracle := newOracleStore()
+	// An anchor after every write: the writer's view itself is compared.
+	ckpt.CompactEvery, oracle.CompactEvery = 1, 1
 	units := []resource.ScheduleUnit{{ID: 1, Priority: 1, MaxCount: 4, Size: resource.New(100, 128)}}
-	for _, a := range []AppConfig{{Name: "ghost", Group: "no-such-group", Units: units}, {Name: "app1", Units: units}} {
+	for _, a := range []AppConfig{{Name: "ghost", Group: "no-such-group", Units: units}, {Name: "app1", Units: units},
+		{Name: "ghost3", Group: "no-such-group", Units: units}} {
 		ckpt.SaveApp(a)
 		oracle.SaveApp(a)
 	}
-	for _, name := range []string{"ghost", "app1", "client"} {
+	for _, name := range []string{"ghost", "app1", "ghost3", "client"} {
 		net.Register(name, func(transport.EndpointID, transport.Message) {})
 	}
 	m := NewMaster(DefaultConfig("fm-1"), eng, net, lockservice.New(eng), testTop(t, 2, 2), ckpt)
@@ -183,9 +187,16 @@ func TestRefusedAppsLeaveTheCheckpoint(t *testing.T) {
 	}
 	same("promotion")
 
-	send("ghost", protocol.UnregisterApp{App: "ghost", Seq: 1})
-	oracle.RemoveApp("ghost")
+	send("ghost3", protocol.UnregisterApp{App: "ghost3", Seq: 1})
+	oracle.RemoveApp("ghost3")
 	same("unregister of a refused checkpointed app")
+
+	send("ghost", protocol.RegisterApp{App: "ghost", Units: units, Seq: 1})
+	oracle.SaveApp(AppConfig{Name: "ghost", Units: units})
+	same("registration of a refused checkpointed app")
+	send("ghost", protocol.UnregisterApp{App: "ghost", Seq: 2})
+	oracle.RemoveApp("ghost")
+	same("unregister of it")
 
 	send("client", protocol.FullDemandSync{App: "ghost2", QuotaGroup: "no-such-group", Units: units, Seq: 1})
 	oracle.SaveApp(AppConfig{Name: "ghost2", Group: "no-such-group", Units: units})

@@ -56,8 +56,10 @@ const defaultCompactEvery = 256
 // ID of its application master, which FuxiMaster holds for every message it
 // handles: SaveAppAt binds the key, and at promotion Bind keys every loaded
 // application afresh. Durable bytes carry names only; the key never leaves
-// the process. SaveApp and RemoveApp, for a caller that holds no endpoint,
-// find an application by name with a scan.
+// the process. A record FuxiMaster's scheduler refused (and one saved by a
+// caller that holds no endpoint, SaveApp) is unkeyed and found by name, in a
+// scan; the keyed calls fall back to that scan only while unkeyed records
+// exist, so a store whose every record is keyed never compares a name.
 type CheckpointStore struct {
 	epoch int
 	// slots is the application table in insertion order, tombstones
@@ -259,7 +261,8 @@ func (c *CheckpointStore) save(i int, ep transport.EndpointID, a AppConfig) {
 }
 
 // RemoveAppAt deletes the record of the application whose master listens at
-// ep (job stopped); name is the application's, for a record saved by name.
+// ep (job stopped); name is the application's, for an unkeyed record (ep
+// None: the app is not registered).
 func (c *CheckpointStore) RemoveAppAt(ep transport.EndpointID, name string) {
 	i := c.find(ep)
 	if i < 0 && c.unkeyed > 0 {
@@ -343,9 +346,9 @@ func (c *CheckpointStore) unkey(i int) {
 }
 
 // Bind keys the writer's view afresh after a promotion loaded it: the k-th
-// loaded application, apps[k], listens at eps[k]. The view holds the loaded
-// applications in load order, so it is one pass; it panics when the two
-// disagree, which only a bug can make them do.
+// loaded application, apps[k], listens at eps[k] (None leaves it unkeyed).
+// The view holds the loaded applications in load order, so it is one pass;
+// it panics when the two disagree, which only a bug can make them do.
 func (c *CheckpointStore) Bind(apps []AppConfig, eps []transport.EndpointID) {
 	k := 0
 	for i := range c.slots {

@@ -49,9 +49,12 @@ func asMapSync(t *protocol.FullDemandSync) mapSync {
 // a lookup of the unit's view per registered unit, reconciled through maps.
 func (m *Master) mapHandleFullSync(from tr, t mapSync) {
 	if !m.sched.Registered(t.App) {
-		ep := m.appEP(from, t.App)
-		_, _ = m.registerApp(ep, t.App, t.QuotaGroup, t.Units)
-		m.ckpt.SaveAppAt(ep, AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
+		cfg := AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units}
+		if st, err := m.registerApp(from, t.App, t.QuotaGroup, t.Units); err == nil {
+			m.ckpt.SaveAppAt(st.ep, cfg)
+		} else {
+			m.ckpt.SaveApp(cfg)
+		}
 	}
 	st := m.sched.apps[t.App]
 	if st == nil {

@@ -345,17 +345,20 @@ func (m *Master) SchedStats() (passes int, totalNS, maxNS int64) {
 }
 
 // registerApp registers an application with the scheduler and binds it to
-// its transport endpoint ep — the endpoint named after the app, which is
-// where the application-master framework listens (grants and the unregister
-// ack go there) and what identifies the app in capacity and heartbeat
-// messages. The caller resolved ep already (appEP, or a promotion's
-// checkpoint), so the name is not looked up again.
-func (m *Master) registerApp(ep tr, name, group string, units []resource.ScheduleUnit) (*appState, error) {
+// its transport endpoint — the endpoint named after the app, which is where
+// the application-master framework listens (grants and the unregister ack go
+// there) and what identifies the app in capacity and heartbeat messages. The
+// endpoint is from, the sender, when it is the app's own, so the name is not
+// looked up again; a promotion, which has no sender, passes None.
+func (m *Master) registerApp(from tr, name, group string, units []resource.ScheduleUnit) (*appState, error) {
 	st, err := m.sched.registerApp(name, group, units)
 	if err != nil {
 		return nil, err
 	}
-	st.ep = ep
+	st.ep = from
+	if from == transport.None || m.net.Name(from) != name {
+		st.ep = m.net.Endpoint(name)
+	}
 	for int(st.ep.Slot()) >= len(m.byEP) {
 		m.byEP = append(m.byEP, nil)
 	}
@@ -401,15 +404,6 @@ func (m *Master) appFrom(from tr, name string) *appState {
 	return m.sched.apps[name]
 }
 
-// appEP returns the endpoint of the app a message from from names: from
-// itself when it is the app's own, else the endpoint named after the app.
-func (m *Master) appEP(from tr, name string) tr {
-	if m.net.Name(from) == name {
-		return from
-	}
-	return m.net.Endpoint(name)
-}
-
 // compete (re-)enters the election. While partitioned from the lock service
 // the process cannot reach the election at all; it polls reachability at the
 // renewal period instead of queueing a waiter it could not have registered.
@@ -443,16 +437,18 @@ func (m *Master) promote() {
 
 	// Hard state: application configurations and the cluster blacklist.
 	// Each app's name is resolved to its endpoint once, here, and the
-	// checkpoint's writer view is keyed by those endpoints from now on — the
-	// apps the scheduler refuses included, so their unregister still
-	// removes their record.
+	// checkpoint's writer view is keyed by those endpoints from now on. An
+	// app the scheduler refuses has no endpoint in it and stays unkeyed, to
+	// be found by name.
 	snap := m.ckpt.Load()
 	eps := make([]tr, len(snap.Apps))
 	for i, app := range snap.Apps {
 		// Hard-state apps re-register silently; their demand arrives via
 		// FullDemandSync during the recovery window.
-		eps[i] = m.net.Endpoint(app.Name)
-		_, _ = m.registerApp(eps[i], app.Name, app.Group, app.Units)
+		eps[i] = transport.None
+		if st, err := m.registerApp(transport.None, app.Name, app.Group, app.Units); err == nil {
+			eps[i] = st.ep
+		}
 	}
 	m.ckpt.Bind(snap.Apps, eps)
 	for _, b := range snap.Blacklist {
@@ -752,7 +748,7 @@ func (m *Master) handleRegister(from tr, t *protocol.RegisterApp) {
 	if m.appFrom(from, t.App) != nil {
 		return // failover re-registration; config already restored
 	}
-	st, err := m.registerApp(m.appEP(from, t.App), t.App, t.QuotaGroup, t.Units)
+	st, err := m.registerApp(from, t.App, t.QuotaGroup, t.Units)
 	if err != nil {
 		return
 	}
@@ -1072,14 +1068,10 @@ func (m *Master) unregister(from tr, app string) {
 		}
 	}
 	ds := m.decisions()
-	ep := from
+	ep := transport.None // an app the scheduler refused: its record, if any, is unkeyed
 	if st != nil {
 		m.sched.unregister(st, ds)
 		ep = st.ep
-	} else if m.net.Name(from) != app {
-		// Refused by the scheduler, and sent from an endpoint not named after
-		// the app: the checkpoint knows the app's own.
-		ep = m.net.Lookup(app)
 	}
 	m.ckpt.RemoveAppAt(ep, app)
 	m.dispatch(*ds)
@@ -1102,12 +1094,15 @@ func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
 	}
 	st := m.appFrom(from, t.App)
 	if st == nil {
-		// The sync registers an app this process does not know, and saves
-		// its configuration even when the scheduler refuses it.
-		ep := m.appEP(from, t.App)
-		st, _ = m.registerApp(ep, t.App, t.QuotaGroup, t.Units)
-		m.ckpt.SaveAppAt(ep, AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units})
-		if st == nil {
+		// The sync registers an app this process does not know. When the
+		// scheduler refuses it, its configuration is saved all the same,
+		// unkeyed: no endpoint keys an app that is not registered.
+		cfg := AppConfig{Name: t.App, Group: t.QuotaGroup, Units: t.Units}
+		var err error
+		if st, err = m.registerApp(from, t.App, t.QuotaGroup, t.Units); err == nil {
+			m.ckpt.SaveAppAt(st.ep, cfg)
+		} else if st = m.sched.apps[t.App]; st == nil {
+			m.ckpt.SaveApp(cfg)
 			return
 		}
 	}
