@@ -476,8 +476,6 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 		for _, e := range t.Entries {
 			a.applyCapacity(makeCapKey(transport.EndpointID(e.App), e.UnitID), e.Count)
 		}
-	case protocol.CapacityDelta:
-		a.handle(from, &t) // value form (tests, scripted masters)
 	case protocol.CapacitySync:
 		// A sync carries one machine's whole table: another machine's would
 		// replace this ledger with a stranger's.
@@ -488,9 +486,8 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 		// stream: one that arrives behind the high-water mark (reordered
 		// under jitter past deltas sent after it, or a duplicate) is a stale
 		// snapshot, and replacing the table with it would erase the newer
-		// deltas for good. Seq 0 (direct test injection) bypasses the check.
-		if t.Seq != 0 &&
-			a.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) == protocol.Duplicate {
+		// deltas for good.
+		if a.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) == protocol.Duplicate {
 			return
 		}
 		a.applyCapacitySync(t)

@@ -46,7 +46,7 @@ func newHarness(t *testing.T) *harness {
 func (h *harness) ep(app string) int32 { return int32(h.net.Endpoint(app)) }
 
 func (h *harness) grantCapacity(app string, unitID, count int, size resource.Vector) {
-	h.net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(h.agent.Machine), protocol.CapacityDelta{
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), &protocol.CapacityDelta{
 		Entries: []protocol.CapacityEntry{{App: h.ep(app), UnitID: unitID, Size: size, Count: count}},
 		Seq:     uint64(h.eng.Fired() + 1e6),
 	})
@@ -54,7 +54,7 @@ func (h *harness) grantCapacity(app string, unitID, count int, size resource.Vec
 }
 
 func (h *harness) sendPlan(app string, unitID int, workerID string, size resource.Vector, seq uint64) {
-	h.net.Send(app, protocol.AgentEndpoint(h.agent.Machine), protocol.WorkPlan{
+	h.net.SendID(h.net.Endpoint(app), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.WorkPlan{
 		App: app, UnitID: unitID, WorkerID: workerID, Size: size, Seq: seq,
 	})
 }
@@ -156,7 +156,7 @@ func TestStopWorker(t *testing.T) {
 	h.grantCapacity("app1", 1, 1, size)
 	h.sendPlan("app1", 1, "w1", size, 1)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
-	h.net.Send("app1", protocol.AgentEndpoint(h.agent.Machine), protocol.StopWorker{App: "app1", WorkerID: "w1", Seq: 2})
+	h.net.SendID(h.net.Endpoint("app1"), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.StopWorker{App: "app1", WorkerID: "w1", Seq: 2})
 	h.eng.Run(h.eng.Now() + sim.Second)
 	if h.agent.Proc("w1") != nil {
 		t.Error("proc still present after stop")
@@ -313,12 +313,12 @@ func TestDaemonRestartAdoptsAndResyncs(t *testing.T) {
 
 	// Master replies with the capacity table; app replies with its list;
 	// the process is adopted, not killed.
-	h.net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(h.agent.Machine), protocol.CapacitySync{
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.CapacitySync{
 		Machine: h.agent.ID(),
 		Entries: []protocol.CapacityEntry{{App: h.ep("app1"), UnitID: 1, Size: size, Count: 1}},
 		Seq:     999,
 	})
-	h.net.Send("app1", protocol.AgentEndpoint(h.agent.Machine), protocol.WorkerListReply{
+	h.net.SendID(h.net.Endpoint("app1"), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.WorkerListReply{
 		App:     "app1",
 		Workers: []protocol.WorkPlan{{App: "app1", UnitID: 1, WorkerID: "w1", Size: size}},
 		Seq:     1000,
@@ -355,7 +355,7 @@ func TestRestartAddressesFinishedAppByID(t *testing.T) {
 	slots, live := h.net.Footprint()
 	h.agent.RestartDaemon()
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
-	h.net.Send("app2", protocol.AgentEndpoint(h.agent.Machine), protocol.WorkerListReply{
+	h.net.SendID(h.net.Endpoint("app2"), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.WorkerListReply{
 		App:     "app1",
 		Workers: []protocol.WorkPlan{{App: "app1", UnitID: 1, WorkerID: "w9", Size: size}},
 		Seq:     1000,
@@ -380,7 +380,7 @@ func TestAdoptKillsUnknownProcs(t *testing.T) {
 	h.agent.RestartDaemon()
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	// App only acknowledges w1.
-	h.net.Send("app1", protocol.AgentEndpoint(h.agent.Machine), protocol.WorkerListReply{
+	h.net.SendID(h.net.Endpoint("app1"), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.WorkerListReply{
 		App:     "app1",
 		Workers: []protocol.WorkPlan{{App: "app1", UnitID: 1, WorkerID: "w1", Size: size}},
 		Seq:     1000,

@@ -9,8 +9,8 @@ import (
 )
 
 func (h *harness) sendDelta(seq uint64, entries ...protocol.CapacityEntry) {
-	h.net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(h.agent.Machine),
-		protocol.CapacityDelta{Entries: entries, Seq: seq})
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)),
+		&protocol.CapacityDelta{Entries: entries, Seq: seq})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 }
 
@@ -75,7 +75,7 @@ func TestStaleSyncDropped(t *testing.T) {
 
 	// A sync stamped seq 1 (sent before delta 2, arriving after it) must
 	// not roll the ledger back to its snapshot.
-	h.net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(h.agent.Machine),
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)),
 		protocol.CapacitySync{
 			Machine: h.agent.ID(),
 			Entries: []protocol.CapacityEntry{{App: h.ep("app1"), UnitID: 1, Size: size, Count: 2}},
@@ -88,7 +88,7 @@ func TestStaleSyncDropped(t *testing.T) {
 
 	// A fresh sync (seq beyond the stream) replaces the table, and deltas
 	// it already folded in are deduplicated afterwards.
-	h.net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(h.agent.Machine),
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)),
 		protocol.CapacitySync{
 			Machine: h.agent.ID(),
 			Entries: []protocol.CapacityEntry{{App: h.ep("app1"), UnitID: 1, Size: size, Count: 4}},
@@ -101,5 +101,51 @@ func TestStaleSyncDropped(t *testing.T) {
 	h.sendDelta(4, protocol.CapacityEntry{App: h.ep("app1"), UnitID: 1, Size: size, Count: 9})
 	if got := h.agent.Capacity("app1", 1); got != 4 {
 		t.Errorf("pre-sync delta replayed after the sync: capacity = %d, want 4", got)
+	}
+}
+
+// Every primary stamps its election epoch, which starts at 1. Once the agent
+// has heard one, a CapacityDelta stamped 0 is as stale as a deposed
+// master's: it changes nothing and consumes no sequence number.
+func TestUnstampedDeltaAfterAnEpochDropped(t *testing.T) {
+	h := newHarness(t)
+	size := resource.New(1000, 2048)
+	delta := func(epoch int, seq uint64, count int) {
+		h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)),
+			&protocol.CapacityDelta{
+				Entries: []protocol.CapacityEntry{{App: h.ep("app1"), UnitID: 1, Size: size, Count: count}},
+				Epoch:   epoch, Seq: seq,
+			})
+		h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
+	}
+	delta(1, 1, 2)
+	delta(0, 2, 5)
+	if got := h.agent.Capacity("app1", 1); got != 2 {
+		t.Fatalf("an epoch-0 delta after epoch 1 was applied: capacity = %d, want 2", got)
+	}
+	delta(1, 2, 1)
+	if got := h.agent.Capacity("app1", 1); got != 3 {
+		t.Errorf("the epoch-1 delta after it: capacity = %d, want 3", got)
+	}
+	if n := len(h.repairQueries()); n != 0 {
+		t.Errorf("%d repair queries: the dropped delta moved the sequence mark", n)
+	}
+}
+
+// Every primary numbers an agent's capacity stream from 1, and a sync shares
+// that stream with the deltas. A CapacitySync numbered 0 is behind every
+// mark, so it is dropped like any stale sync and never replaces the ledger.
+func TestUnsequencedSyncDropped(t *testing.T) {
+	h := newHarness(t)
+	size := resource.New(1000, 2048)
+	h.sendDelta(1, protocol.CapacityEntry{App: h.ep("app1"), UnitID: 1, Size: size, Count: 2})
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)),
+		protocol.CapacitySync{
+			Machine: h.agent.ID(),
+			Entries: []protocol.CapacityEntry{{App: h.ep("app1"), UnitID: 2, Size: size, Count: 7}},
+		})
+	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
+	if a, b := h.agent.Capacity("app1", 1), h.agent.Capacity("app1", 2); a != 2 || b != 0 {
+		t.Fatalf("a seq-0 sync replaced the ledger: capacity (unit 1, unit 2) = (%d, %d), want (2, 0)", a, b)
 	}
 }

@@ -82,7 +82,7 @@ func (s *agentScript) stamp(epoch *int, seq *uint64) (int, uint64) {
 		*seq += 2 + uint64(c>>3)%4 // lost messages before this one
 		return *epoch, *seq
 	case 2:
-		return *epoch - 1, *seq + 1 // stale epoch (epoch 0 = unstamped: applied)
+		return *epoch - 1, *seq + 1 // stale epoch (epoch 0 = unstamped: stale too once one is seen)
 	case 3:
 		*epoch++
 		*seq = 1 // the successor's fresh sequencer
@@ -141,7 +141,7 @@ func TestMixedSignDeltaEqualsTwoMessages(t *testing.T) {
 func TestCapacitySyncForAnotherMachineIsDropped(t *testing.T) {
 	h := newHarness(t)
 	h.sendDelta(1, protocol.CapacityEntry{App: h.ep("app1"), UnitID: 1, Size: size, Count: 2})
-	h.net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(h.agent.Machine), protocol.CapacitySync{
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.CapacitySync{
 		Machine: h.agent.ID() + 1,
 		Entries: []protocol.CapacityEntry{{App: h.ep("app1"), UnitID: 2, Size: size, Count: 5}},
 		Seq:     2,
@@ -325,7 +325,7 @@ func runAgentScript(t *testing.T, data []byte) {
 			c := s.next()
 			e, q := s.stamp(&epoch, &seq)
 			if c&3 == 3 {
-				q = 0 // direct injection: bypasses the sequence check
+				q = 0 // unsequenced: at or behind every mark, so dropped
 			}
 			mc := a.id
 			if c&12 == 12 {

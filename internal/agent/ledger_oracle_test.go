@@ -147,8 +147,6 @@ func (l *mapLedger) handle(now sim.Time, from transport.EndpointID, msg transpor
 	}
 	switch t := msg.(type) {
 	case *protocol.CapacityDelta:
-		l.handle(now, from, *t, name)
-	case protocol.CapacityDelta:
 		if malformed(t.Entries) || stale(t.Epoch) {
 			return
 		}
@@ -169,7 +167,7 @@ func (l *mapLedger) handle(now sim.Time, from transport.EndpointID, msg transpor
 		if t.Machine != l.machine || malformed(t.Entries) || stale(t.Epoch) {
 			return
 		}
-		if t.Seq != 0 && l.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) == protocol.Duplicate {
+		if l.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) == protocol.Duplicate {
 			return
 		}
 		l.forceAnchor = true
@@ -295,7 +293,7 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 
 		epoch, seq := 1, uint64(0)
 		send := func(msg transport.Message) {
-			h.net.Send(protocol.MasterEndpoint, a.endpoint(), msg)
+			h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint(a.endpoint()), msg)
 			h.eng.Run(h.eng.Now() + sim.Millisecond)
 		}
 		// stamp picks the (epoch, seq) a message travels with: mostly the
@@ -309,7 +307,7 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 				seq += uint64(2 + rng.Intn(3)) // lost messages before this one
 				return epoch, seq
 			case 2:
-				return epoch - 1, seq + 1 // stale epoch (epoch 0 = unstamped: applied)
+				return epoch - 1, seq + 1 // stale epoch (epoch 0 = unstamped: stale too once one is seen)
 			case 3:
 				epoch++
 				seq = 1 // the successor's fresh sequencer
@@ -338,18 +336,18 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 55:
 				e, s := stamp()
-				send(protocol.CapacityDelta{Entries: entries(true), Epoch: e, Seq: s})
+				send(&protocol.CapacityDelta{Entries: entries(true), Epoch: e, Seq: s})
 			case r < 60:
 				e, s := stamp()
 				// A one-entry delta, as a scripted master sends one.
-				send(protocol.CapacityDelta{Entries: []protocol.CapacityEntry{{
+				send(&protocol.CapacityDelta{Entries: []protocol.CapacityEntry{{
 					App: int32(h.net.Endpoint(apps[rng.Intn(len(apps))])), UnitID: 1 + rng.Intn(3), Size: size,
 					Count: rng.Intn(5) - 2,
 				}}, Epoch: e, Seq: s})
 			case r < 68:
 				e, s := stamp()
 				if rng.Intn(6) == 0 {
-					s = 0 // direct injection: bypasses the sequence check
+					s = 0 // unsequenced: at or behind every mark, so dropped
 				}
 				send(protocol.CapacitySync{Machine: a.id, Entries: entries(false), Epoch: e, Seq: s})
 			case r < 72:
@@ -460,7 +458,7 @@ func TestCapacityDeltaAndBeatAllocateNothing(t *testing.T) {
 				for j := range es {
 					es[j].Count = 1 - 2*(i%2) // grant, release, grant, ...
 				}
-				msgs[i] = protocol.CapacityDelta{Entries: es, Epoch: 1, Seq: uint64(i + 1)}
+				msgs[i] = &protocol.CapacityDelta{Entries: es, Epoch: 1, Seq: uint64(i + 1)}
 			}
 			i := 0
 			step := func() {

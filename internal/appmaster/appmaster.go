@@ -734,7 +734,7 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 		// (whose hello means it may just have resurrected this app's grants
 		// from agent anchors), ignore everything else.
 		switch t := msg.(type) {
-		case *protocol.UnregisterAck, protocol.UnregisterAck:
+		case *protocol.UnregisterAck:
 			a.finishUnregister()
 		case protocol.MasterHello:
 			if !a.staleEpoch(t.Epoch) {
@@ -766,8 +766,6 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 			// on a lossy link that wait would dominate reconvergence.
 			a.requestGrantSync()
 		}
-	case protocol.GrantUpdate:
-		a.handle(from, &t) // value form (tests, scripted masters)
 	case protocol.WorkerStatus:
 		a.applyWorkerStatus(t)
 	case protocol.MasterHello:
@@ -784,7 +782,7 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 		a.fullSync()
 	case protocol.WorkerListRequest:
 		a.replyWorkerList(t.Machine)
-	case *protocol.UnregisterAck, protocol.UnregisterAck:
+	case *protocol.UnregisterAck:
 		// A stale ack for a previous application that reused this endpoint
 		// name; nothing to do.
 	default:

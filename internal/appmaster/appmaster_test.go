@@ -66,7 +66,7 @@ func newHarness(t *testing.T, fullSync sim.Time) *harness {
 }
 
 func (h *harness) grant(machine string, delta int, seq uint64) {
-	h.net.Send(protocol.MasterEndpoint, "app1", protocol.GrantUpdate{
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint("app1"), &protocol.GrantUpdate{
 		App:     "app1",
 		Changes: []protocol.UnitDelta{{UnitID: 1, Machine: h.top.MachineID(machine), Delta: delta}},
 		Seq:     seq,
@@ -291,7 +291,7 @@ func TestWorkerStatusTracksOverhead(t *testing.T) {
 	h := newHarness(t, 0)
 	h.am.StartWorkerOn(1, "r000m000", "w1")
 	h.eng.Run(5 * sim.Second)
-	h.net.Send(protocol.AgentEndpoint("r000m000"), "app1", protocol.WorkerStatus{
+	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint("r000m000")), h.net.Endpoint("app1"), protocol.WorkerStatus{
 		Machine: "r000m000", App: "app1", WorkerID: "w1", State: protocol.WorkerRunning, Seq: 1,
 	})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
@@ -312,7 +312,7 @@ func TestMasterHelloTriggersReRegisterAndFullSync(t *testing.T) {
 	h.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 10})
 	h.grant("r000m000", 4, 1)
 	h.toMaster = nil
-	h.net.Send(protocol.MasterEndpoint, "app1", protocol.MasterHello{Epoch: 2, Seq: 99})
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint("app1"), protocol.MasterHello{Epoch: 2, Seq: 99})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	var sawReg, sawSync bool
 	for _, m := range h.toMaster {
@@ -359,7 +359,7 @@ func TestWorkerListRequestReplied(t *testing.T) {
 	h.am.StartWorkerOn(1, "r000m000", "w1")
 	h.am.StartWorkerOn(1, "r000m000", "w2")
 	h.am.StartWorkerOn(1, "r000m001", "w3")
-	h.net.Send(protocol.AgentEndpoint("r000m000"), "app1", protocol.WorkerListRequest{Machine: "r000m000", Seq: 1})
+	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint("r000m000")), h.net.Endpoint("app1"), protocol.WorkerListRequest{Machine: "r000m000", Seq: 1})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	var reply *protocol.WorkerListReply
 	for _, m := range h.toAgent["r000m000"] {
@@ -398,7 +398,7 @@ func TestUnregisterStopsEverything(t *testing.T) {
 		t.Error("endpoint torn down before the unregister was acknowledged")
 	}
 	// The ack completes the teardown.
-	h.net.Send(protocol.MasterEndpoint, "app1", protocol.UnregisterAck{App: "app1", Seq: 1})
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint("app1"), &protocol.UnregisterAck{App: "app1", Seq: 1})
 	h.eng.Run(h.eng.Now() + sim.Second)
 	if h.net.Registered("app1") {
 		t.Error("endpoint still registered after ack")

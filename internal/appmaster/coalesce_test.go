@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/protocol"
@@ -51,11 +52,12 @@ func newWideWorld(t *testing.T, app string, n int) *wideWorld {
 }
 
 // grant delivers grant updates from the master endpoint back to back and
-// lets them land.
-func (w *wideWorld) grant(gus ...protocol.GrantUpdate) {
+// lets them land. The network clears each once it has landed, its Changes
+// included.
+func (w *wideWorld) grant(gus ...*protocol.GrantUpdate) {
 	for _, gu := range gus {
 		gu.App = w.am.App()
-		w.net.Send(protocol.MasterEndpoint, w.am.App(), gu)
+		w.net.SendID(w.net.Endpoint(protocol.MasterEndpoint), w.net.Endpoint(w.am.App()), gu)
 	}
 	w.eng.Run(w.eng.Now() + sim.Millisecond)
 }
@@ -66,7 +68,7 @@ func (w *wideWorld) grant(gus ...protocol.GrantUpdate) {
 // the demand, the hints in call order.
 func TestOneInstantSendsOneDemandUpdate(t *testing.T) {
 	w := newWideWorld(t, "app1", 3)
-	w.grant(protocol.GrantUpdate{Changes: []protocol.UnitDelta{{UnitID: 1, Machine: 0, Delta: 2}}, Seq: 1})
+	w.grant(&protocol.GrantUpdate{Changes: []protocol.UnitDelta{{UnitID: 1, Machine: 0, Delta: 2}}, Seq: 1})
 	w.toMaster = nil
 
 	cluster := func(n int) resource.LocalityHint {
@@ -139,13 +141,13 @@ func TestOneGrantUpdateEqualsPerUnitSplit(t *testing.T) {
 						}
 					}
 					seqs[0]++
-					ws[0].grant(protocol.GrantUpdate{Changes: changes, Epoch: 1, Seq: seqs[0]})
-					var split []protocol.GrantUpdate
+					ws[0].grant(&protocol.GrantUpdate{Changes: slices.Clone(changes), Epoch: 1, Seq: seqs[0]})
+					var split []*protocol.GrantUpdate
 					for rest := changes; len(rest) > 0; {
 						var run []protocol.UnitDelta
 						run, rest = protocol.NextRun(rest)
 						seqs[1]++
-						split = append(split, protocol.GrantUpdate{Changes: run, Epoch: 1, Seq: seqs[1]})
+						split = append(split, &protocol.GrantUpdate{Changes: run, Epoch: 1, Seq: seqs[1]})
 					}
 					ws[1].grant(split...)
 				}
@@ -187,7 +189,7 @@ func TestMalformedGrantUpdateIsDroppedWhole(t *testing.T) {
 		} {
 			w := newWideWorld(t, "app1", 2)
 			w.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3})
-			w.grant(protocol.GrantUpdate{Changes: changes, Epoch: 5, Seq: 1})
+			w.grant(&protocol.GrantUpdate{Changes: slices.Clone(changes), Epoch: 5, Seq: 1})
 			for u := 1; u <= 2; u++ {
 				got[i] = append(got[i], fmt.Sprint(w.am.HeldCells(u), w.am.Outstanding(u)))
 			}
@@ -210,12 +212,12 @@ func TestMalformedGrantUpdateIsDroppedWhole(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			w := newWideWorld(t, "app1", 2)
 			w.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3})
-			w.grant(protocol.GrantUpdate{Changes: c.bad, Epoch: 5, Seq: 1})
+			w.grant(&protocol.GrantUpdate{Changes: c.bad, Epoch: 5, Seq: 1})
 			if len(w.events) != 0 || w.am.HeldTotal(1) != 0 || w.am.HeldTotal(2) != 0 || w.am.MasterEpoch() != 0 {
 				t.Fatalf("after the malformed update: callbacks %v, held %d/%d, epoch %d; want none, 0/0, 0",
 					w.events, w.am.HeldTotal(1), w.am.HeldTotal(2), w.am.MasterEpoch())
 			}
-			w.grant(protocol.GrantUpdate{Changes: []protocol.UnitDelta{good}, Epoch: 1, Seq: 1})
+			w.grant(&protocol.GrantUpdate{Changes: []protocol.UnitDelta{good}, Epoch: 1, Seq: 1})
 			if w.am.Held(1, 2) != 1 || w.am.Outstanding(1) != 2 {
 				t.Fatalf("the well-formed update after it: held %d, outstanding %d; want 1, 2", w.am.Held(1, 2), w.am.Outstanding(1))
 			}
@@ -230,7 +232,7 @@ func TestMalformedGrantUpdateIsDroppedWhole(t *testing.T) {
 func TestGrantOnMachineOutsideTopologyIsDropped(t *testing.T) {
 	w := newWideWorld(t, "app1", 1)
 	w.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 2})
-	w.grant(protocol.GrantUpdate{Changes: []protocol.UnitDelta{{UnitID: 1, Machine: 1 << 20, Delta: 1}}, Seq: 1})
+	w.grant(&protocol.GrantUpdate{Changes: []protocol.UnitDelta{{UnitID: 1, Machine: 1 << 20, Delta: 1}}, Seq: 1})
 	if w.am.HeldTotal(1) != 0 || w.am.Outstanding(1) != 2 || len(w.events) != 0 {
 		t.Fatalf("held %d, outstanding %d, callbacks %v; want 0, 2, none", w.am.HeldTotal(1), w.am.Outstanding(1), w.events)
 	}
@@ -242,7 +244,7 @@ func TestGrantOnMachineOutsideTopologyIsDropped(t *testing.T) {
 // for — and the pooled update goes back to the network's free list.
 func TestUnregisterSendsAlone(t *testing.T) {
 	w := newWideWorld(t, "app1", 2)
-	w.grant(protocol.GrantUpdate{Changes: []protocol.UnitDelta{{UnitID: 1, Machine: 0, Delta: 2}}, Seq: 1})
+	w.grant(&protocol.GrantUpdate{Changes: []protocol.UnitDelta{{UnitID: 1, Machine: 0, Delta: 2}}, Seq: 1})
 	w.toMaster = nil
 	w.am.ReturnContainers(1, 0, 1)
 	w.am.Request(2, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3})

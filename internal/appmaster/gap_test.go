@@ -101,3 +101,31 @@ func TestUnregisterBackoff(t *testing.T) {
 		}
 	}
 }
+
+// Every primary stamps its election epoch, which starts at 1. Once the
+// application master has heard one, a GrantUpdate stamped 0 is as stale as a
+// deposed master's: no grant is booked and no sequence number is consumed.
+func TestUnstampedGrantAfterAnEpochDropped(t *testing.T) {
+	h := newHarness(t, 0)
+	h.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 10})
+	grant := func(machine string, epoch int, seq uint64) {
+		h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint("app1"), &protocol.GrantUpdate{
+			App:     "app1",
+			Changes: []protocol.UnitDelta{{UnitID: 1, Machine: h.top.MachineID(machine), Delta: 2}},
+			Epoch:   epoch, Seq: seq,
+		})
+		h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
+	}
+	grant("r000m000", 1, 1)
+	grant("r001m000", 0, 2)
+	if held := h.am.HeldOn(1, "r001m000"); held != 0 || len(h.grants) != 1 {
+		t.Fatalf("an epoch-0 grant after epoch 1 was booked: held %d, grant callbacks %v", held, h.grants)
+	}
+	grant("r001m001", 1, 2)
+	if held := h.am.HeldOn(1, "r001m001"); held != 2 {
+		t.Errorf("the epoch-1 grant after it: held %d, want 2", held)
+	}
+	if n := len(h.fullSyncs()); n != 0 {
+		t.Errorf("%d full syncs: the dropped grant moved the sequence mark", n)
+	}
+}

@@ -184,11 +184,8 @@ func runAMScript(t *testing.T, data []byte) {
 			deliver(protocol.MasterHello{Epoch: e})
 		case 3:
 			what = "unregister ack"
-			if s.next()&1 == 0 {
-				deliver(&protocol.UnregisterAck{App: "app1", Epoch: epoch})
-			} else {
-				deliver(protocol.UnregisterAck{App: "app1", Epoch: epoch})
-			}
+			s.next() // spare: op encodings only grow, so committed inputs keep their meaning
+			deliver(&protocol.UnregisterAck{App: "app1", Epoch: epoch})
 		case 4:
 			what = "job"
 			u, c := s.unit(), s.next()

@@ -446,7 +446,7 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 				case 1:
 					s = seq + uint64(2+rng.Intn(3)) // an update was lost
 				case 2:
-					e = epoch - 1 // deposed master's leftover (0 = unstamped: applied)
+					e = epoch - 1 // deposed master's leftover (0 = unstamped: stale too once one is seen)
 				case 3:
 					epoch++
 					e, s, seq = epoch, 1, 0 // the successor's fresh sequencer
@@ -454,7 +454,7 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 				if e == epoch && s > seq {
 					seq = s
 				}
-				net.Send(protocol.MasterEndpoint, "app1", protocol.GrantUpdate{
+				net.SendID(net.Endpoint(protocol.MasterEndpoint), net.Endpoint("app1"), &protocol.GrantUpdate{
 					App: "app1", Changes: changes, Epoch: e, Seq: s,
 				})
 			case r < 90:
@@ -470,7 +470,7 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 					epoch++
 					e, seq = epoch, 0
 				}
-				net.Send(protocol.MasterEndpoint, "app1", protocol.MasterHello{Epoch: e})
+				net.SendID(net.Endpoint(protocol.MasterEndpoint), net.Endpoint("app1"), protocol.MasterHello{Epoch: e})
 			default:
 				eng.Run(eng.Now() + sim.Time(rng.Intn(4000))*sim.Millisecond) // periodic syncs, the gap-sync throttle
 			}

@@ -30,7 +30,7 @@ func TestLateMessageToRecycledSlotIsDropped(t *testing.T) {
 	master := h.net.Lookup(protocol.MasterEndpoint)
 	h.net.SendID(master, aID, &protocol.UnregisterAck{App: "app1", Epoch: 1, Seq: 1})
 	h.net.SetLinkRule(protocol.MasterEndpoint, "app1", transport.LinkRule{Delay: 5 * sim.Millisecond})
-	h.net.SendID(master, aID, protocol.GrantUpdate{
+	h.net.SendID(master, aID, &protocol.GrantUpdate{
 		App: "app1", Epoch: 1, Seq: 1,
 		Changes: []protocol.UnitDelta{{UnitID: 1, Machine: h.top.MachineID(machine), Delta: 2}},
 	})

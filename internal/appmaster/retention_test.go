@@ -25,7 +25,7 @@ func TestTeardownReleasesBooks(t *testing.T) {
 	for _, u := range units {
 		am.Request(u.ID, resource.LocalityHint{Type: resource.LocalityCluster, Count: 2})
 	}
-	h.net.Send(protocol.MasterEndpoint, "wide", protocol.GrantUpdate{
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint("wide"), &protocol.GrantUpdate{
 		App: "wide", Changes: []protocol.UnitDelta{{UnitID: 1, Machine: 0, Delta: 1}}, Seq: 1,
 	})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
@@ -52,7 +52,7 @@ func TestTeardownReleasesBooks(t *testing.T) {
 	if gone() {
 		t.Fatal("books released before the master acknowledged the unregister")
 	}
-	h.net.Send(protocol.MasterEndpoint, "wide", protocol.UnregisterAck{App: "wide", Seq: 2})
+	h.net.SendID(h.net.Endpoint(protocol.MasterEndpoint), h.net.Endpoint("wide"), &protocol.UnregisterAck{App: "wide", Seq: 2})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	if !gone() {
 		t.Error("the ledger slice is still reachable after the ack")

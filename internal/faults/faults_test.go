@@ -157,7 +157,7 @@ func TestBrokenMachineRefusesWorkers(t *testing.T) {
 		}
 	})
 	launch := func(worker string) {
-		c.Net.Send("app", protocol.AgentEndpoint(a.Machine), protocol.WorkPlan{
+		c.Net.SendID(c.Net.Endpoint("app"), c.Net.Endpoint(protocol.AgentEndpoint(a.Machine)), protocol.WorkPlan{
 			App: "app", UnitID: 1, WorkerID: worker, Size: resource.New(100, 100), Seq: uint64(len(status) + 1),
 		})
 		c.Run(sim.Second)

@@ -30,7 +30,7 @@ func newLinkProbe(c *core.Cluster) *linkProbe {
 
 func (p *linkProbe) send(machine string) (arrived bool, took sim.Time) {
 	p.got, p.sent = false, p.c.Now()
-	p.c.Net.Send(protocol.AgentEndpoint(machine), "probe", "ping")
+	p.c.Net.SendID(p.c.Net.Endpoint(protocol.AgentEndpoint(machine)), p.c.Net.Endpoint("probe"), "ping")
 	p.c.Run(100 * sim.Millisecond)
 	return p.got, p.took
 }

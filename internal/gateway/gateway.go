@@ -682,8 +682,6 @@ func (g *Gateway) handle(from transport.EndpointID, msg transport.Message) {
 		if g.cfg.OnRegistered != nil {
 			g.cfg.OnRegistered(rec.job, i)
 		}
-	case protocol.JobAdmitAck:
-		g.handle(from, &t) // value form (tests, scripted masters)
 	case protocol.MasterHello:
 		if t.Epoch > g.epoch {
 			// A newly-promoted primary: replay every admitted-but-unacked

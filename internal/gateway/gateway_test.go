@@ -28,7 +28,7 @@ func newStubMaster(net *transport.Net) *stubMaster {
 func (m *stubMaster) handle(from transport.EndpointID, msg transport.Message) {
 	if t, ok := msg.(*protocol.JobAdmit); ok {
 		m.acked++
-		m.net.Send(protocol.MasterEndpoint, protocol.GatewayEndpoint, protocol.JobAdmitAck{
+		m.net.SendID(m.net.Endpoint(protocol.MasterEndpoint), m.net.Endpoint(protocol.GatewayEndpoint), &protocol.JobAdmitAck{
 			JobID: t.JobID, Row: t.Row, Epoch: m.epoch, Seq: m.seq.Next(),
 		})
 	}
@@ -39,7 +39,7 @@ func (m *stubMaster) crash() { m.net.Unregister(protocol.MasterEndpoint) }
 func (m *stubMaster) promote(epoch int) {
 	m.epoch = epoch
 	m.net.Register(protocol.MasterEndpoint, m.handle)
-	m.net.Send(protocol.MasterEndpoint, protocol.GatewayEndpoint, protocol.MasterHello{Epoch: epoch})
+	m.net.SendID(m.net.Endpoint(protocol.MasterEndpoint), m.net.Endpoint(protocol.GatewayEndpoint), protocol.MasterHello{Epoch: epoch})
 }
 
 type fixture struct {

@@ -39,10 +39,10 @@ func (s *gwScript) epoch(current int) int {
 
 // FuzzGatewayHandle drives one gateway through a byte-scripted sequence of
 // submissions and hostile master traffic — submissions with new and repeated
-// job IDs and tenants; admission acks, pooled-pointer and value forms, at any
-// epoch, for jobs the master was sent, jobs it was not, and jobs already
-// acknowledged, carrying the row the admit carried or a hostile one (a
-// stale row, one the gateway never issued, another job's); master hellos at
+// job IDs and tenants; admission acks at any epoch, for jobs the master was
+// sent, jobs it was not, and jobs already acknowledged, carrying the row the
+// admit carried or a hostile one (a stale row, one the gateway never issued,
+// another job's); master hellos at
 // any epoch; completions of any job; and time advancing, so the dequeue and
 // the retry backoff run — under tight limits or default ones. After every
 // step the gateway must not have panicked, its admission ledger must conserve
@@ -56,8 +56,8 @@ func FuzzGatewayHandle(f *testing.F) {
 	f.Add([]byte{0, 0, 7, 7, 0, 7, 7, 5, 1, 1, 0, 0, 2, 1, 5, 0, 2, 6, 1, 1, 1, 3, 0, 4, 0, 5, 250})
 	f.Add([]byte{1, 0, 16, 1, 0, 24, 2, 0, 33, 3, 5, 12, 1, 0, 0, 3, 4, 0, 2, 3, 0xff, 80, 5, 60, 4, 1})
 	// Hostile rows: submit three jobs, let them be admitted, then ack the
-	// first with a stale row, one out of range and another job's, each in
-	// both forms, before its own ack and a duplicate of it.
+	// first with a stale row, one out of range and another job's, each
+	// twice, before its own ack and a duplicate of it.
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 5, 20,
 		1, 0, 0, 0, 2, 1, 0, 0, 0, 3, 1, 0, 0, 0, 4, 1, 0, 0, 0, 5, 1, 0, 0, 0, 6, 1, 0, 0, 0, 7,
 		1, 0, 0, 0, 0, 1, 0, 0, 0, 2, 1, 0, 0, 0, 6, 3, 0, 0, 1, 0, 1, 0, 0, 6})
@@ -124,9 +124,9 @@ func runGatewayScript(t *testing.T, data []byte) {
 		case 1:
 			what = "ack"
 			id, row := target(s.next())
-			ack := protocol.JobAdmitAck{JobID: id, Row: row, Epoch: s.epoch(g.MasterEpoch())}
-			// The form byte's low bit picks pointer or value; the bits above
-			// it may replace the row with a hostile one.
+			ack := &protocol.JobAdmitAck{JobID: id, Row: row, Epoch: s.epoch(g.MasterEpoch())}
+			// The form byte's low bit is spare (op encodings only grow); the
+			// bits above it may replace the row with a hostile one.
 			form := s.next()
 			if h := form >> 1 % 4; h != 0 && len(g.states) > 0 {
 				hostile, what = true, "hostile ack"
@@ -161,11 +161,7 @@ func runGatewayScript(t *testing.T, data []byte) {
 					before, registered = append(before, g.states...), g.registered
 				}
 			}
-			if form&1 == 0 {
-				g.handle(master, &ack)
-			} else {
-				g.handle(master, ack)
-			}
+			g.handle(master, ack)
 		case 2:
 			what = "hello"
 			g.handle(master, protocol.MasterHello{Epoch: s.epoch(g.MasterEpoch())})

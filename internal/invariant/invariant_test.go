@@ -81,9 +81,9 @@ func TestCheckerSilentAcrossMasterFailover(t *testing.T) {
 
 // TestCheckerDetectsLedgerDivergence proves the checker can actually fail,
 // in both directions of the master/agent comparison: a rogue capacity update
-// (epoch 0, so it bypasses fencing — the legacy unstamped path) either
-// strips capacity the master granted on a machine or plants capacity the
-// master never granted there.
+// (stamped with the primary's epoch, from an endpoint the agent holds no
+// sequence mark for) either strips capacity the master granted on a machine
+// or plants capacity the master never granted there.
 func TestCheckerDetectsLedgerDivergence(t *testing.T) {
 	for _, tc := range []struct {
 		name, app string
@@ -105,11 +105,11 @@ func TestCheckerDetectsLedgerDivergence(t *testing.T) {
 			if machine == "" {
 				t.Fatal("setup: unit 1 granted nowhere")
 			}
-			cluster.Net.Send("rogue", protocol.AgentEndpoint(machine), protocol.CapacityDelta{
+			cluster.Net.SendID(cluster.Net.Endpoint("rogue"), cluster.Net.Endpoint(protocol.AgentEndpoint(machine)), &protocol.CapacityDelta{
 				Entries: []protocol.CapacityEntry{{
 					App: int32(cluster.Net.Endpoint(tc.app)), UnitID: 1, Size: resource.New(1000, 4096), Count: tc.delta,
 				}},
-				Seq: 1,
+				Epoch: cluster.Primary().Epoch(), Seq: 1,
 			})
 			cluster.Run(sim.Second)
 			bad := strings.Join(ck.CheckLedgers(), "\n")
@@ -186,13 +186,13 @@ func TestCheckerFencesStaleEpochMessages(t *testing.T) {
 	}
 	before := a.Capacity("app-inv", 1)
 	// Stale epoch-1 leftovers from the dead primary arrive late.
-	cluster.Net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(machine), protocol.CapacityDelta{
+	cluster.Net.SendID(cluster.Net.Endpoint(protocol.MasterEndpoint), cluster.Net.Endpoint(protocol.AgentEndpoint(machine)), &protocol.CapacityDelta{
 		Entries: []protocol.CapacityEntry{{
 			App: int32(cluster.Net.Endpoint("app-inv")), UnitID: 1, Size: resource.New(1000, 4096), Count: 3,
 		}},
 		Epoch: 1, Seq: 999,
 	})
-	cluster.Net.Send(protocol.MasterEndpoint, "app-inv", protocol.GrantUpdate{
+	cluster.Net.SendID(cluster.Net.Endpoint(protocol.MasterEndpoint), cluster.Net.Endpoint("app-inv"), &protocol.GrantUpdate{
 		App: "app-inv", Epoch: 1, Seq: 999,
 		Changes: []protocol.UnitDelta{{UnitID: 1, Machine: cluster.Top.MachineID(machine), Delta: 3}},
 	})

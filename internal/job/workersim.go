@@ -35,8 +35,7 @@ type Runtime struct {
 	// appEP is the job's application-master endpoint, taken while it is live
 	// (None before the first worker). gone holds the retired endpoint of each
 	// worker the runtime removed. Late traffic is sent to these IDs, which the
-	// network drops on arrival; sent by name, it would intern the retired name
-	// again on a fresh slot that nothing retires.
+	// network drops on arrival.
 	appEP transport.EndpointID
 	gone  map[string]transport.EndpointID
 }

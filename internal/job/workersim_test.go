@@ -50,7 +50,7 @@ func newWSHarness(t *testing.T) *wsHarness {
 }
 
 func (h *wsHarness) assign(workerID string, inst, attempt int, d sim.Time) {
-	h.net.Send("jobx", WorkerEndpoint("jobx", workerID), AssignInstance{
+	h.net.SendID(h.net.Endpoint("jobx"), h.net.Endpoint(WorkerEndpoint("jobx", workerID)), AssignInstance{
 		Task: "T", Instance: inst, Attempt: attempt, Duration: d,
 	})
 	h.eng.Run(h.eng.Now() + sim.Millisecond)
@@ -148,7 +148,7 @@ func TestKillInstanceCancelsExecution(t *testing.T) {
 	h := newWSHarness(t)
 	h.rt.Ensure("w1", "m1")
 	h.assign("w1", 1, 0, 2*sim.Second)
-	h.net.Send("jobx", WorkerEndpoint("jobx", "w1"), KillInstance{Task: "T", Instance: 1})
+	h.net.SendID(h.net.Endpoint("jobx"), h.net.Endpoint(WorkerEndpoint("jobx", "w1")), KillInstance{Task: "T", Instance: 1})
 	h.eng.Run(h.eng.Now() + 5*sim.Second)
 	if len(h.doneReports()) != 0 {
 		t.Fatal("killed instance completed")

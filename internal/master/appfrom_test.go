@@ -2,6 +2,7 @@ package master
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,97 +14,60 @@ import (
 	"repro/internal/transport"
 )
 
-// TestScriptedSenderResolvesByName covers the one fallback of appFrom: a
-// sender that is not named after the app it speaks for (a scripted client)
-// is resolved by the app's name. It registers an app, demands for it, syncs
-// it and unregisters it from an endpoint called "client"; every step must
-// land on the app, grants must go to the app's own endpoint, acks to the
-// client, and the checkpoint must gain and lose the app's record. A sync
-// from the client for an app the master does not know registers it, by name
-// as well.
-func TestScriptedSenderResolvesByName(t *testing.T) {
-	h := newMasterHarness(t, DefaultConfig("fm-1"))
-	var toClient []transport.Message
-	h.net.Register("client", func(_ transport.EndpointID, m transport.Message) {
-		toClient = append(toClient, protocol.Keep(m))
-	})
-	var seq protocol.Sequencer
-	send := func(msg transport.Message) {
-		h.net.Send("client", protocol.MasterEndpoint, msg)
-		h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
-	}
+// TestAppMessagesFromAnotherEndpointAreDropped: FuxiMaster takes the
+// messages that introduce, sync or end an application only from the endpoint
+// named after it, where its grants and acks go. From any other endpoint a
+// RegisterApp, a FullDemandSync or an UnregisterApp is dropped whole, for an
+// app the master does not know as for one it does: it registers nothing,
+// unregisters nothing, reconciles nothing, writes no checkpoint record, moves
+// no dedup mark of the sender's and is not acknowledged.
+func TestAppMessagesFromAnotherEndpointAreDropped(t *testing.T) {
 	units := []resource.ScheduleUnit{{ID: 1, Priority: 100, MaxCount: 8, Size: resource.New(1000, 2048)}}
-	saved := func(name string) bool {
-		for _, a := range h.ckpt.Load().Apps {
-			if a.Name == name {
-				return true
-			}
+	for _, msg := range []struct {
+		name string
+		make func() transport.Message
+	}{
+		{"register", func() transport.Message { return &protocol.RegisterApp{App: "app1", Units: units, Seq: 1} }},
+		{"sync", func() transport.Message { return &protocol.FullDemandSync{App: "app1", Units: units, Seq: 1} }},
+		{"unregister", func() transport.Message { return &protocol.UnregisterApp{App: "app1", Seq: 1} }},
+	} {
+		for _, known := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/registered=%v", msg.name, known), func(t *testing.T) {
+				h := newMasterHarness(t, DefaultConfig("fm-1"))
+				var toClient []transport.Message
+				client := h.net.Register("client", func(_ transport.EndpointID, m transport.Message) {
+					toClient = append(toClient, protocol.Keep(m))
+				})
+				s := h.m1.Scheduler()
+				if known {
+					h.registerApp(t)
+					h.send(&protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(),
+						Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3})})
+					// Past the fence window of the last grant, a sync from the
+					// app itself reporting nothing held would be reconciled:
+					// the master would re-announce the holdings.
+					h.eng.Run(h.eng.Now() + 2*syncFenceWindow)
+					h.toApp = nil
+				}
+				writes := h.ckpt.Writes
+				h.net.SendID(client, h.net.Endpoint(protocol.MasterEndpoint), msg.make())
+				h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
+				if s.Registered("app1") != known || h.ckpt.Writes != writes {
+					t.Fatalf("app1 registered %v, %d checkpoint writes; want %v, %d", s.Registered("app1"), h.ckpt.Writes, known, writes)
+				}
+				if known && s.Held("app1", 1) != 3 {
+					t.Fatalf("app1 holds %d, want 3", s.Held("app1", 1))
+				}
+				for ch := protocol.Chan(0); ch <= protocol.ChanGrant; ch++ {
+					if seq := h.m1.dedup.LastCh(int32(client), ch); seq != 0 {
+						t.Fatalf("the client's mark on channel %d moved to %d", ch, seq)
+					}
+				}
+				if len(toClient) != 0 || len(h.toApp) != 0 {
+					t.Fatalf("the client heard %v, the app %v; want nothing", toClient, h.toApp)
+				}
+			})
 		}
-		return false
-	}
-
-	send(protocol.RegisterApp{App: "app1", Units: units, Seq: seq.Next()})
-	s := h.m1.Scheduler()
-	if !s.Registered("app1") || !saved("app1") {
-		t.Fatalf("register from the client: registered %v, checkpointed %v", s.Registered("app1"), saved("app1"))
-	}
-	if ep := s.apps["app1"].ep; ep != h.net.Lookup("app1") {
-		t.Fatalf("app bound to endpoint %v, want the app's own %v", ep, h.net.Lookup("app1"))
-	}
-	writes := h.ckpt.Writes
-	send(protocol.RegisterApp{App: "app1", Units: units, Seq: seq.Next()})
-	if h.ckpt.Writes != writes {
-		t.Fatal("a re-registration from the client was taken for a new app")
-	}
-
-	send(protocol.DemandUpdate{App: "app1",
-		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3}), Seq: seq.Next()})
-	if held := s.Held("app1", 1); held != 3 {
-		t.Fatalf("demand from the client: held %d, want 3", held)
-	}
-	grants := 0
-	for _, m := range h.toApp {
-		if gu, ok := m.(protocol.GrantUpdate); ok && gu.App == "app1" {
-			grants++
-		}
-	}
-	if grants == 0 {
-		t.Fatal("no grant reached the app's own endpoint")
-	}
-
-	// A sync that reports nothing held, past the fence window of the last
-	// grant: the master's ledger wins, so it re-announces the holdings.
-	h.eng.Run(h.eng.Now() + 2*syncFenceWindow)
-	h.toApp = nil
-	send(protocol.FullDemandSync{App: "app1", Units: units, Seq: seq.Next()})
-	if h.ckpt.Writes != writes {
-		t.Fatal("a sync from the client was taken for a new app")
-	}
-	if len(h.toApp) == 0 {
-		t.Fatal("the sync was not reconciled against the app's ledger")
-	}
-
-	send(protocol.UnregisterApp{App: "app1", Seq: seq.Next()})
-	if s.Registered("app1") || saved("app1") {
-		t.Fatalf("unregister from the client: registered %v, checkpointed %v", s.Registered("app1"), saved("app1"))
-	}
-	acked := false
-	for _, m := range toClient {
-		if a, ok := m.(protocol.UnregisterAck); ok && a.App == "app1" {
-			acked = true
-		}
-	}
-	if !acked {
-		t.Fatal("the unregister was not acknowledged to the client")
-	}
-
-	h.net.Register("app2", func(transport.EndpointID, transport.Message) {})
-	send(protocol.FullDemandSync{App: "app2", Units: units, Seq: seq.Next()})
-	if !s.Registered("app2") || !saved("app2") || s.apps["app2"].ep != h.net.Lookup("app2") {
-		t.Fatalf("sync from the client for an unknown app: registered %v, checkpointed %v", s.Registered("app2"), saved("app2"))
-	}
-	if bad := s.CheckAllInvariants(); len(bad) > 0 {
-		t.Fatalf("invariants: %v", bad)
 	}
 }
 
@@ -167,7 +131,7 @@ func TestRefusedAppsLeaveTheCheckpoint(t *testing.T) {
 		ckpt.SaveApp(a)
 		oracle.SaveApp(a)
 	}
-	for _, name := range []string{"ghost", "app1", "ghost3", "client"} {
+	for _, name := range []string{"ghost", "app1", "ghost3", "ghost2"} {
 		net.Register(name, func(transport.EndpointID, transport.Message) {})
 	}
 	m := NewMaster(DefaultConfig("fm-1"), eng, net, lockservice.New(eng), testTop(t, 2, 2), ckpt)
@@ -176,7 +140,7 @@ func TestRefusedAppsLeaveTheCheckpoint(t *testing.T) {
 		t.Fatal("setup: the master should promote with app1 registered and ghost refused")
 	}
 	send := func(from string, msg transport.Message) {
-		net.Send(from, protocol.MasterEndpoint, msg)
+		net.SendID(net.Endpoint(from), net.Endpoint(protocol.MasterEndpoint), msg)
 		eng.Run(eng.Now() + 10*sim.Millisecond)
 	}
 	same := func(step string) {
@@ -187,25 +151,25 @@ func TestRefusedAppsLeaveTheCheckpoint(t *testing.T) {
 	}
 	same("promotion")
 
-	send("ghost3", protocol.UnregisterApp{App: "ghost3", Seq: 1})
+	send("ghost3", &protocol.UnregisterApp{App: "ghost3", Seq: 1})
 	oracle.RemoveApp("ghost3")
 	same("unregister of a refused checkpointed app")
 
-	send("ghost", protocol.RegisterApp{App: "ghost", Units: units, Seq: 1})
+	send("ghost", &protocol.RegisterApp{App: "ghost", Units: units, Seq: 1})
 	oracle.SaveApp(AppConfig{Name: "ghost", Units: units})
 	same("registration of a refused checkpointed app")
-	send("ghost", protocol.UnregisterApp{App: "ghost", Seq: 2})
+	send("ghost", &protocol.UnregisterApp{App: "ghost", Seq: 2})
 	oracle.RemoveApp("ghost")
 	same("unregister of it")
 
-	send("client", protocol.FullDemandSync{App: "ghost2", QuotaGroup: "no-such-group", Units: units, Seq: 1})
+	send("ghost2", &protocol.FullDemandSync{App: "ghost2", QuotaGroup: "no-such-group", Units: units, Seq: 1})
 	oracle.SaveApp(AppConfig{Name: "ghost2", Group: "no-such-group", Units: units})
 	same("sync of a refused app")
-	send("client", protocol.UnregisterApp{App: "ghost2", Seq: 2})
+	send("ghost2", &protocol.UnregisterApp{App: "ghost2", Seq: 2})
 	oracle.RemoveApp("ghost2")
 	same("unregister of a refused synced app")
 
-	send("app1", protocol.UnregisterApp{App: "app1", Seq: 1})
+	send("app1", &protocol.UnregisterApp{App: "app1", Seq: 1})
 	oracle.RemoveApp("app1")
 	same("unregister of a registered app")
 	if got := ckpt.Load().Apps; len(got) != 0 {

@@ -249,7 +249,7 @@ func BenchmarkHeartbeatDeltaEncode(b *testing.B) {
 			Size: resource.New(1000, 4096), Count: 2,
 		}
 	}
-	net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(a.Machine), protocol.CapacityDelta{
+	net.SendID(net.Endpoint(protocol.MasterEndpoint), net.Endpoint(protocol.AgentEndpoint(a.Machine)), &protocol.CapacityDelta{
 		Entries: entries, Epoch: 1, Seq: 1,
 	})
 	eng.Run(eng.Now() + 20*sim.Second) // consume the first anchors
@@ -285,9 +285,9 @@ func BenchmarkCapacityDeltaDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seq++
-		net.Send(protocol.MasterEndpoint, ep, protocol.CapacityDelta{Entries: grant, Epoch: 1, Seq: seq})
+		net.SendID(net.Endpoint(protocol.MasterEndpoint), net.Endpoint(ep), &protocol.CapacityDelta{Entries: grant, Epoch: 1, Seq: seq})
 		seq++
-		net.Send(protocol.MasterEndpoint, ep, protocol.CapacityDelta{Entries: revoke, Epoch: 1, Seq: seq})
+		net.SendID(net.Endpoint(protocol.MasterEndpoint), net.Endpoint(ep), &protocol.CapacityDelta{Entries: revoke, Epoch: 1, Seq: seq})
 		eng.Run(eng.Now() + sim.Millisecond)
 	}
 }

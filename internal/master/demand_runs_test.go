@@ -65,7 +65,9 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 		seqs[0][i].Next() // the registrations
 		seqs[1][i].Next()
 	}
-	send := func(w int, app string, msg transport.Message) { ws[w].net.Send(app, protocol.MasterEndpoint, msg) }
+	send := func(w int, app string, msg transport.Message) {
+		ws[w].net.SendID(ws[w].net.Endpoint(app), ws[w].net.Endpoint(protocol.MasterEndpoint), twin(msg))
+	}
 	multi := 0
 	for step := 0; step < 300; step++ {
 		ai := rng.Intn(len(syncApps))
@@ -95,7 +97,7 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 					deltas = append(deltas, protocol.UnitHint{UnitID: id, LocalityHint: h})
 				}
 			}
-			whole := protocol.DemandUpdate{App: a.name, Deltas: deltas, Seq: seqs[0][ai].Next()}
+			whole := &protocol.DemandUpdate{App: a.name, Deltas: deltas, Seq: seqs[0][ai].Next()}
 			if !whole.WellFormed() {
 				t.Fatalf("step %d: the script built a malformed update %+v", step, whole)
 			}
@@ -104,7 +106,7 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 			for rest := deltas; len(rest) > 0; runs++ {
 				var run []protocol.UnitHint
 				run, rest = protocol.NextRun(rest)
-				send(1, a.name, protocol.DemandUpdate{App: a.name, Deltas: run, Seq: seqs[1][ai].Next()})
+				send(1, a.name, &protocol.DemandUpdate{App: a.name, Deltas: run, Seq: seqs[1][ai].Next()})
 			}
 			if runs > 1 {
 				multi++
@@ -118,7 +120,7 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 			c := cells[rng.Intn(len(cells))]
 			ret := protocol.ReturnEntry{UnitID: u, Machine: int32(c.Key), Count: 1 + rng.Intn(c.Val)}
 			for w := range ws {
-				send(w, a.name, protocol.DemandUpdate{App: a.name, Seq: seqs[w][ai].Next(), Returns: []protocol.ReturnEntry{ret}})
+				send(w, a.name, &protocol.DemandUpdate{App: a.name, Seq: seqs[w][ai].Next(), Returns: []protocol.ReturnEntry{ret}})
 			}
 		case r < 80:
 			mc := int32(rng.Intn(len(machines)))
@@ -208,7 +210,9 @@ func combinedEqualsTwoMessages(t *testing.T, seed int64, batch sim.Time) {
 		seqs[0][i].Next() // the registrations
 		seqs[1][i].Next()
 	}
-	send := func(w int, app string, msg transport.Message) { ws[w].net.Send(app, protocol.MasterEndpoint, msg) }
+	send := func(w int, app string, msg transport.Message) {
+		ws[w].net.SendID(ws[w].net.Endpoint(app), ws[w].net.Endpoint(protocol.MasterEndpoint), twin(msg))
+	}
 	both, buffered, recovery := 0, 0, 0
 	for step := 0; step < 300; step++ {
 		ai := rng.Intn(len(syncApps))
@@ -244,12 +248,12 @@ func combinedEqualsTwoMessages(t *testing.T, seed int64, batch sim.Time) {
 			if len(rets) == 0 && len(deltas) == 0 {
 				break
 			}
-			send(0, a.name, protocol.DemandUpdate{App: a.name, Returns: rets, Deltas: deltas, Seq: seqs[0][ai].Next()})
+			send(0, a.name, &protocol.DemandUpdate{App: a.name, Returns: rets, Deltas: deltas, Seq: seqs[0][ai].Next()})
 			if len(rets) > 0 {
-				send(1, a.name, protocol.DemandUpdate{App: a.name, Returns: rets, Seq: seqs[1][ai].Next()})
+				send(1, a.name, &protocol.DemandUpdate{App: a.name, Returns: rets, Seq: seqs[1][ai].Next()})
 			}
 			if len(deltas) > 0 {
-				send(1, a.name, protocol.DemandUpdate{App: a.name, Deltas: deltas, Seq: seqs[1][ai].Next()})
+				send(1, a.name, &protocol.DemandUpdate{App: a.name, Deltas: deltas, Seq: seqs[1][ai].Next()})
 			}
 			if len(rets) > 0 && len(deltas) > 0 {
 				both++
@@ -354,12 +358,12 @@ func TestAppHearsOneGrantUpdatePerStep(t *testing.T) {
 		w.step = func(msgs ...transport.Message) []protocol.GrantUpdate {
 			n := len(w.got)
 			for _, msg := range msgs {
-				w.net.Send("w", protocol.MasterEndpoint, msg)
+				w.net.SendID(w.net.Endpoint("w"), w.net.Endpoint(protocol.MasterEndpoint), msg)
 			}
 			eng.Run(eng.Now() + 100*sim.Millisecond)
 			return w.got[n:]
 		}
-		w.step(protocol.RegisterApp{App: "w", Units: units, Seq: w.seq.Next()})
+		w.step(&protocol.RegisterApp{App: "w", Units: units, Seq: w.seq.Next()})
 		return w
 	}
 	unitRuns := func(gu protocol.GrantUpdate) []int {
@@ -374,7 +378,7 @@ func TestAppHearsOneGrantUpdatePerStep(t *testing.T) {
 
 	t.Run("spawn", func(t *testing.T) {
 		w := newWorld(0)
-		got := w.step(protocol.DemandUpdate{App: "w", Seq: w.seq.Next(),
+		got := w.step(&protocol.DemandUpdate{App: "w", Seq: w.seq.Next(),
 			Deltas: []protocol.UnitHint{cluster(3, 2), cluster(1, 3), cluster(4, 1), cluster(2, 2)}})
 		if len(got) != 1 || !slices.Equal(unitRuns(got[0]), []int{3, 1, 4, 2}) || !got[0].WellFormed() {
 			t.Fatalf("the spawn earned %+v, want one update with runs for units 3, 1, 4, 2", got)
@@ -382,12 +386,12 @@ func TestAppHearsOneGrantUpdatePerStep(t *testing.T) {
 	})
 	t.Run("round", func(t *testing.T) {
 		w := newWorld(20 * sim.Millisecond)
-		w.step(protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Deltas: []protocol.UnitHint{cluster(1, 2)}})
+		w.step(&protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Deltas: []protocol.UnitHint{cluster(1, 2)}})
 		mc := int32(w.m.sched.GrantedCells("w", 1)[0].Key)
 		got := w.step(
-			protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Deltas: []protocol.UnitHint{cluster(2, 1), cluster(3, 1)}},
-			protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}}},
-			protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Deltas: []protocol.UnitHint{cluster(4, 2), cluster(2, 1), cluster(1, 1)}})
+			&protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Deltas: []protocol.UnitHint{cluster(2, 1), cluster(3, 1)}},
+			&protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}}},
+			&protocol.DemandUpdate{App: "w", Seq: w.seq.Next(), Deltas: []protocol.UnitHint{cluster(4, 2), cluster(2, 1), cluster(1, 1)}})
 		// The round merges unit 2's hints from both updates and places the
 		// units in the order they were first asked for.
 		if len(got) != 1 || !slices.Equal(unitRuns(got[0]), []int{2, 3, 4, 1}) || !got[0].WellFormed() {
@@ -399,13 +403,13 @@ func TestAppHearsOneGrantUpdatePerStep(t *testing.T) {
 	})
 	t.Run("sync repair", func(t *testing.T) {
 		w := newWorld(0)
-		first := w.step(protocol.DemandUpdate{App: "w", Seq: w.seq.Next(),
+		first := w.step(&protocol.DemandUpdate{App: "w", Seq: w.seq.Next(),
 			Deltas: []protocol.UnitHint{cluster(1, 2), cluster(2, 1), cluster(3, 2), cluster(4, 1)}})
 		if len(first) != 1 {
 			t.Fatalf("setup: %d grant updates", len(first))
 		}
 		// The app's held view lost units 1 and 3.
-		sync := protocol.FullDemandSync{App: "w", Units: units, SeenGrantSeq: first[0].Seq, Seq: w.seq.Current()}
+		sync := &protocol.FullDemandSync{App: "w", Units: units, SeenGrantSeq: first[0].Seq, Seq: w.seq.Current()}
 		for _, u := range []int{2, 4} {
 			for _, c := range w.m.sched.GrantedCells("w", u) {
 				sync.Held = append(sync.Held, protocol.SyncHeld{UnitID: u, Machine: int32(c.Key), Count: c.Val})
@@ -436,9 +440,9 @@ func TestMalformedDemandIsDroppedWhole(t *testing.T) {
 		cfg := DefaultConfig("fm-1")
 		cfg.BatchWindow = batch
 		h := newMasterHarness(t, cfg)
-		h.send(protocol.RegisterApp{App: "app1", Seq: h.seq.Next(), Units: []resource.ScheduleUnit{
+		h.send(&protocol.RegisterApp{App: "app1", Seq: h.seq.Next(), Units: []resource.ScheduleUnit{
 			unit(1, 100, 10, 1000, 2048), unit(2, 100, 10, 1000, 2048)}})
-		h.send(protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Deltas: []protocol.UnitHint{h1(1, 1)}})
+		h.send(&protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Deltas: []protocol.UnitHint{h1(1, 1)}})
 		h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
 		cells := h.m1.Scheduler().GrantedCells("app1", 1)
 		if len(cells) != 1 {
@@ -449,18 +453,18 @@ func TestMalformedDemandIsDroppedWhole(t *testing.T) {
 	for _, batch := range []sim.Time{0, 20 * sim.Millisecond} {
 		for _, c := range []struct {
 			name string
-			bad  func(mc int32) protocol.DemandUpdate
+			bad  func(mc int32) *protocol.DemandUpdate
 		}{
-			{"zero count", func(mc int32) protocol.DemandUpdate {
-				return protocol.DemandUpdate{Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}},
+			{"zero count", func(mc int32) *protocol.DemandUpdate {
+				return &protocol.DemandUpdate{Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}},
 					Deltas: []protocol.UnitHint{h1(1, 2), h1(2, 0)}}
 			}},
-			{"zero return", func(mc int32) protocol.DemandUpdate {
-				return protocol.DemandUpdate{Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}, {UnitID: 1, Machine: mc, Count: 0}},
+			{"zero return", func(mc int32) *protocol.DemandUpdate {
+				return &protocol.DemandUpdate{Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}, {UnitID: 1, Machine: mc, Count: 0}},
 					Deltas: []protocol.UnitHint{h1(1, 2), h1(2, 1)}}
 			}},
-			{"negative return", func(mc int32) protocol.DemandUpdate {
-				return protocol.DemandUpdate{Returns: []protocol.ReturnEntry{{UnitID: 2, Machine: mc, Count: -1}, {UnitID: 1, Machine: mc, Count: 1}},
+			{"negative return", func(mc int32) *protocol.DemandUpdate {
+				return &protocol.DemandUpdate{Returns: []protocol.ReturnEntry{{UnitID: 2, Machine: mc, Count: -1}, {UnitID: 1, Machine: mc, Count: 1}},
 					Deltas: []protocol.UnitHint{h1(1, 2), h1(2, 1)}}
 			}},
 		} {
@@ -477,7 +481,7 @@ func TestMalformedDemandIsDroppedWhole(t *testing.T) {
 					t.Fatalf("after the malformed update: held %d/%d, waiting %d/%d; want 1/0, 0/0",
 						s.Held("app1", 1), s.Held("app1", 2), s.Waiting("app1", 1), s.Waiting("app1", 2))
 				}
-				h.send(protocol.DemandUpdate{App: "app1", Seq: seq,
+				h.send(&protocol.DemandUpdate{App: "app1", Seq: seq,
 					Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: mc, Count: 1}},
 					Deltas:  []protocol.UnitHint{h1(1, 2), h1(2, 1)}})
 				h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
@@ -493,7 +497,7 @@ func TestMalformedDemandIsDroppedWhole(t *testing.T) {
 				{h1(1, 2), h1(1, 1), h1(2, 1)},
 			} {
 				h, _ := setup(t, batch)
-				h.send(protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Deltas: deltas})
+				h.send(&protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Deltas: deltas})
 				h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
 				s := h.m1.Scheduler()
 				for u := 1; u <= 2; u++ {

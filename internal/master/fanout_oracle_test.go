@@ -215,12 +215,12 @@ func (m *legacyMaster) legacyFinishRecovery() {
 // script sends its returns in updates of their own.
 func (m *legacyMaster) legacyHandle(from tr, msg transport.Message) {
 	switch t := msg.(type) {
-	case protocol.DemandUpdate:
+	case *protocol.DemandUpdate:
 		if !t.WellFormed() || m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
 			return
 		}
 		if len(t.Returns) == 0 {
-			m.legacyHandleDemand(from, &t)
+			m.legacyHandleDemand(from, t)
 			return
 		}
 		var rets []returnRec
@@ -228,7 +228,7 @@ func (m *legacyMaster) legacyHandle(from tr, msg transport.Message) {
 			rets = append(rets, returnRec{ret: r, app: t.App, from: from})
 		}
 		m.legacyHandleReturns(rets)
-	case protocol.UnregisterApp:
+	case *protocol.UnregisterApp:
 		if m.dedup.ObserveCh(int32(from), protocol.ChanUnreg, t.Seq) == protocol.Duplicate {
 			return
 		}
@@ -301,6 +301,16 @@ func newFanoutWorld(t *testing.T, batch sim.Time, legacy bool) *fanoutWorld {
 	return w
 }
 
+// twin returns a copy of a pooled message, payloads included, for one of
+// several worlds a script speaks to: each network clears what it delivers,
+// and the script's payload slices may be shared.
+func twin(msg transport.Message) transport.Message {
+	k := reflect.ValueOf(protocol.Keep(msg))
+	p := reflect.New(k.Type())
+	p.Elem().Set(k)
+	return p.Interface()
+}
+
 // TestFanoutMatchesSendOnReleaseOracle drives the shipped fan-out and demand
 // path and the legacy world's — send-on-release, the immediate step and the
 // recovery's own buffers — through one seeded script — demand
@@ -331,12 +341,12 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 	registered := make([]bool, len(fanoutApps))
 	send := func(app string, msg transport.Message) {
 		for _, w := range ws {
-			w.net.Send(app, protocol.MasterEndpoint, msg)
+			w.net.SendID(w.net.Endpoint(app), w.net.Endpoint(protocol.MasterEndpoint), twin(msg))
 		}
 	}
 	register := func(i int) {
 		a := fanoutApps[i]
-		send(a.name, protocol.RegisterApp{App: a.name, QuotaGroup: a.group, Units: a.units, Seq: seqs[i].Next()})
+		send(a.name, &protocol.RegisterApp{App: a.name, QuotaGroup: a.group, Units: a.units, Seq: seqs[i].Next()})
 		registered[i] = true
 	}
 	for i := range fanoutApps {
@@ -370,13 +380,13 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 					hints[i].Count++ // a zero count makes the update malformed
 				}
 			}
-			send(a.name, protocol.DemandUpdate{App: a.name, Deltas: unitHints(unitID, hints...), Seq: seqs[ai].Next()})
+			send(a.name, &protocol.DemandUpdate{App: a.name, Deltas: unitHints(unitID, hints...), Seq: seqs[ai].Next()})
 		case r < 75:
 			cells := ws[0].m.sched.GrantedCells(a.name, unitID)
 			if len(cells) == 0 {
 				break
 			}
-			b := protocol.DemandUpdate{App: a.name, Seq: seqs[ai].Next()}
+			b := &protocol.DemandUpdate{App: a.name, Seq: seqs[ai].Next()}
 			for _, c := range cells {
 				if len(b.Returns) == 0 || rng.Intn(3) == 0 {
 					b.Returns = append(b.Returns, protocol.ReturnEntry{UnitID: unitID, Machine: int32(c.Key), Count: 1 + rng.Intn(c.Val)})
@@ -384,7 +394,7 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 			}
 			send(a.name, b)
 		case r < 82:
-			send(a.name, protocol.UnregisterApp{App: a.name, Seq: seqs[ai].Next()})
+			send(a.name, &protocol.UnregisterApp{App: a.name, Seq: seqs[ai].Next()})
 			registered[ai] = false
 		case r < 90:
 			mc := int32(rng.Intn(len(machines)))
@@ -492,9 +502,9 @@ func TestReturnAndRegrantShareOneCapacityDelta(t *testing.T) {
 	full := []resource.ScheduleUnit{unit(1, 100, 1, 12000, 8192)}
 	release := map[string]func(seq uint64) transport.Message{
 		"return": func(seq uint64) transport.Message {
-			return protocol.DemandUpdate{App: "A", Seq: seq, Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: 0, Count: 1}}}
+			return &protocol.DemandUpdate{App: "A", Seq: seq, Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: 0, Count: 1}}}
 		},
-		"unregister": func(seq uint64) transport.Message { return protocol.UnregisterApp{App: "A", Seq: seq} },
+		"unregister": func(seq uint64) transport.Message { return &protocol.UnregisterApp{App: "A", Seq: seq} },
 	}
 	for _, tc := range []struct {
 		name  string
@@ -516,7 +526,7 @@ func TestReturnAndRegrantShareOneCapacityDelta(t *testing.T) {
 			eng.Run(10 * sim.Millisecond)
 			var seqA, seqB protocol.Sequencer
 			step := func(from string, msg transport.Message) {
-				net.Send(from, protocol.MasterEndpoint, msg)
+				net.SendID(net.Endpoint(from), net.Endpoint(protocol.MasterEndpoint), msg)
 				eng.Run(eng.Now() + 50*sim.Millisecond)
 			}
 			cluster1 := []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 1}}
@@ -525,8 +535,8 @@ func TestReturnAndRegrantShareOneCapacityDelta(t *testing.T) {
 				seq  *protocol.Sequencer
 			}{{"A", &seqA}, {"B", &seqB}} {
 				net.Register(app.name, func(tr, transport.Message) {})
-				step(app.name, protocol.RegisterApp{App: app.name, Units: full, Seq: app.seq.Next()})
-				step(app.name, protocol.DemandUpdate{App: app.name, Deltas: unitHints(1, cluster1...), Seq: app.seq.Next()})
+				step(app.name, &protocol.RegisterApp{App: app.name, Units: full, Seq: app.seq.Next()})
+				step(app.name, &protocol.DemandUpdate{App: app.name, Deltas: unitHints(1, cluster1...), Seq: app.seq.Next()})
 			}
 			if m.sched.Held("A", 1) != 1 || m.sched.Held("B", 1) != 0 {
 				t.Fatalf("setup: A holds %d, B holds %d; want 1, 0", m.sched.Held("A", 1), m.sched.Held("B", 1))
@@ -555,8 +565,8 @@ func TestOpenReleasesFlushAndRefuseReset(t *testing.T) {
 	w := newFanoutWorld(t, 0, false)
 	m := w.m
 	a := fanoutApps[0]
-	w.net.Send(a.name, protocol.MasterEndpoint, protocol.RegisterApp{App: a.name, QuotaGroup: a.group, Units: a.units, Seq: 1})
-	w.net.Send(a.name, protocol.MasterEndpoint, protocol.DemandUpdate{App: a.name, Seq: 2,
+	w.net.SendID(w.net.Endpoint(a.name), w.net.Endpoint(protocol.MasterEndpoint), &protocol.RegisterApp{App: a.name, QuotaGroup: a.group, Units: a.units, Seq: 1})
+	w.net.SendID(w.net.Endpoint(a.name), w.net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{App: a.name, Seq: 2,
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityMachine, Value: m.top.MachineName(0), Count: 2})})
 	w.eng.Run(w.eng.Now() + 10*sim.Millisecond)
 	if m.sched.Held(a.name, 1) != 2 {

@@ -20,7 +20,7 @@ func flapConfig() Config {
 }
 
 func (h *masterHarness) beat(mc string) {
-	h.net.Send(protocol.AgentEndpoint(mc), protocol.MasterEndpoint, protocol.AgentHeartbeat{
+	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint(mc)), h.net.Endpoint(protocol.MasterEndpoint), &protocol.AgentHeartbeat{
 		Machine: h.top.MachineID(mc), HealthScore: 100, Seq: h.seq.Next(),
 	})
 }
@@ -90,7 +90,7 @@ func TestFlapBlacklistFromSurpriseRestarts(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		h.beat(mc)
 		h.eng.Run(h.eng.Now() + 200*sim.Millisecond)
-		h.net.Send(protocol.AgentEndpoint(mc), protocol.MasterEndpoint, protocol.CapacityQuery{
+		h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint(mc)), h.net.Endpoint(protocol.MasterEndpoint), protocol.CapacityQuery{
 			Machine: h.top.MachineID(mc), Seq: h.seq.Next(),
 		})
 		h.eng.Run(h.eng.Now() + 200*sim.Millisecond)
@@ -108,7 +108,7 @@ func TestFlapBlacklistFromSurpriseRestarts(t *testing.T) {
 	if !s.Down(mc2) {
 		t.Fatal("second machine not declared down")
 	}
-	h.net.Send(protocol.AgentEndpoint(mc2), protocol.MasterEndpoint, protocol.CapacityQuery{
+	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint(mc2)), h.net.Endpoint(protocol.MasterEndpoint), protocol.CapacityQuery{
 		Machine: h.top.MachineID(mc2), Seq: h.seq.Next(),
 	})
 	h.eng.Run(h.eng.Now() + 200*sim.Millisecond)

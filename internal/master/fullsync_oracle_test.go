@@ -211,7 +211,7 @@ func newSyncWorld(t *testing.T, cfg Config, legacy bool) *syncWorld {
 				w.got = append(w.got, gu)
 			}
 		})
-		w.net.Send(a.name, protocol.MasterEndpoint, protocol.RegisterApp{App: a.name, Units: a.units, Seq: 1})
+		w.net.SendID(w.net.Endpoint(a.name), w.net.Endpoint(protocol.MasterEndpoint), &protocol.RegisterApp{App: a.name, Units: a.units, Seq: 1})
 	}
 	eng.Run(eng.Now() + 10*sim.Millisecond)
 	return w
@@ -293,9 +293,9 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 					hints[i].Count++ // a zero count makes the update malformed
 				}
 			}
-			msg := protocol.DemandUpdate{App: a.name, Deltas: unitHints(unitID, hints...), Seq: v.seq.Next()}
+			msg := &protocol.DemandUpdate{App: a.name, Deltas: unitHints(unitID, hints...), Seq: v.seq.Next()}
 			for _, w := range ws {
-				w.net.Send(a.name, protocol.MasterEndpoint, msg)
+				w.net.SendID(w.net.Endpoint(a.name), w.net.Endpoint(protocol.MasterEndpoint), twin(msg))
 			}
 		case r < 55:
 			held := v.held[unitID]
@@ -312,9 +312,9 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 			if held[mc] -= k; held[mc] == 0 {
 				delete(held, mc)
 			}
-			msg := protocol.DemandUpdate{App: a.name, Returns: []protocol.ReturnEntry{{UnitID: unitID, Machine: mc, Count: k}}, Seq: v.seq.Next()}
+			msg := &protocol.DemandUpdate{App: a.name, Returns: []protocol.ReturnEntry{{UnitID: unitID, Machine: mc, Count: k}}, Seq: v.seq.Next()}
 			for _, w := range ws {
-				w.net.Send(a.name, protocol.MasterEndpoint, msg)
+				w.net.SendID(w.net.Endpoint(a.name), w.net.Endpoint(protocol.MasterEndpoint), twin(msg))
 			}
 		case r < 65:
 			mc := int32(rng.Intn(len(machines)))

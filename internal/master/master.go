@@ -347,16 +347,16 @@ func (m *Master) SchedStats() (passes int, totalNS, maxNS int64) {
 // registerApp registers an application with the scheduler and binds it to
 // its transport endpoint — the endpoint named after the app, which is where
 // the application-master framework listens (grants and the unregister ack go
-// there) and what identifies the app in capacity and heartbeat messages. The
-// endpoint is from, the sender, when it is the app's own, so the name is not
-// looked up again; a promotion, which has no sender, passes None.
+// there) and what identifies the app in capacity and heartbeat messages: the
+// sender, from, as handle takes a registration from no other endpoint. A
+// promotion, which has no sender, passes None and resolves the name once.
 func (m *Master) registerApp(from tr, name, group string, units []resource.ScheduleUnit) (*appState, error) {
 	st, err := m.sched.registerApp(name, group, units)
 	if err != nil {
 		return nil, err
 	}
 	st.ep = from
-	if from == transport.None || m.net.Name(from) != name {
+	if from == transport.None {
 		st.ep = m.net.Endpoint(name)
 	}
 	for int(st.ep.Slot()) >= len(m.byEP) {
@@ -390,18 +390,14 @@ func (m *Master) Footprint() (byEP, dedupSenders, appSlots int) {
 }
 
 // appFrom resolves the app a message names by the endpoint it came from:
-// registration, demand, returns, unregister and full sync alike. The
-// sender's slot is authoritative when the sender is the app's own endpoint
-// — it is named after the app, an O(1) test — registered or not; only a
-// sender that is not (a scripted test client) is resolved by the name.
+// registration, demand, returns, unregister and full sync alike. Only the
+// app's own endpoint speaks for it, so an app registered elsewhere, or a
+// message naming another app than its sender's, resolves to nil.
 func (m *Master) appFrom(from tr, name string) *appState {
 	if st := m.appAt(from); st != nil && st.name == name {
 		return st
 	}
-	if m.net.Name(from) == name {
-		return nil
-	}
-	return m.sched.apps[name]
+	return nil
 }
 
 // compete (re-)enters the election. While partitioned from the lock service
@@ -689,21 +685,20 @@ func (m *Master) Epoch() int { return m.epoch }
 // message handling
 // ---------------------------------------------------------------------------
 
+// handle receives the primary's traffic; a pooled message is the network's
+// again when it returns. A message that introduces, syncs or ends an app is
+// taken only from the endpoint named after that app: from any other it is
+// dropped whole, before a dedup mark moves.
 func (m *Master) handle(from tr, msg transport.Message) {
 	if !m.primary || m.crashed {
 		return
 	}
-	// The pooled types arrive as pointers the network takes back when this
-	// returns (what a handler keeps, it copies); their value forms — tests,
-	// scripted senders — are adapted to the pointer case.
 	switch t := msg.(type) {
 	case *protocol.RegisterApp:
-		if m.dedup.ObserveCh(int32(from), protocol.ChanReg, t.Seq) == protocol.Duplicate {
+		if m.net.Name(from) != t.App || m.dedup.ObserveCh(int32(from), protocol.ChanReg, t.Seq) == protocol.Duplicate {
 			return
 		}
 		m.handleRegister(from, t)
-	case protocol.RegisterApp:
-		m.handle(from, &t)
 	case *protocol.DemandUpdate:
 		// A malformed update (a zero count, a non-positive return) is dropped
 		// whole, before its sequence number is marked seen.
@@ -711,23 +706,17 @@ func (m *Master) handle(from tr, msg transport.Message) {
 			return
 		}
 		m.handleDemand(from, t)
-	case protocol.DemandUpdate:
-		m.handle(from, &t)
 	case *protocol.UnregisterApp:
-		if m.dedup.ObserveCh(int32(from), protocol.ChanUnreg, t.Seq) == protocol.Duplicate {
+		if m.net.Name(from) != t.App || m.dedup.ObserveCh(int32(from), protocol.ChanUnreg, t.Seq) == protocol.Duplicate {
 			return
 		}
 		m.unregister(from, t.App)
-	case protocol.UnregisterApp:
-		m.handle(from, &t)
 	case *protocol.FullDemandSync:
-		m.handleFullSync(from, t)
-	case protocol.FullDemandSync:
-		m.handle(from, &t)
+		if m.net.Name(from) == t.App {
+			m.handleFullSync(from, t)
+		}
 	case *protocol.AgentHeartbeat:
 		m.handleHeartbeat(t)
-	case protocol.AgentHeartbeat:
-		m.handleHeartbeat(&t) // value form (tests, scripted agents)
 	case protocol.CapacityQuery:
 		m.handleCapacityQuery(t)
 	case protocol.BadMachineReport:
@@ -737,8 +726,6 @@ func (m *Master) handle(from tr, msg transport.Message) {
 		m.handleBadReport(t)
 	case *protocol.JobAdmit:
 		m.handleJobAdmit(t)
-	case protocol.JobAdmit:
-		m.handle(from, &t)
 	case obs.QueryRequest:
 		m.handleObsQuery(from, t)
 	}

@@ -44,7 +44,7 @@ func newMasterHarness(t *testing.T, cfg Config) *masterHarness {
 }
 
 func (h *masterHarness) send(msg transport.Message) {
-	h.net.Send("app1", protocol.MasterEndpoint, msg)
+	h.net.SendID(h.net.Endpoint("app1"), h.net.Endpoint(protocol.MasterEndpoint), msg)
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 }
 
@@ -59,7 +59,7 @@ func unitHints(unitID int, hints ...resource.LocalityHint) []protocol.UnitHint {
 
 func (h *masterHarness) registerApp(t *testing.T) {
 	t.Helper()
-	h.send(protocol.RegisterApp{
+	h.send(&protocol.RegisterApp{
 		App: "app1",
 		Units: []resource.ScheduleUnit{
 			{ID: 1, Priority: 100, MaxCount: 100, Size: resource.New(1000, 2048)},
@@ -96,13 +96,13 @@ func TestUnregisterBufferedDuringRecovery(t *testing.T) {
 	}
 	var appSeq protocol.Sequencer
 	net.Register("app1", func(transport.EndpointID, transport.Message) {})
-	net.Send("app1", protocol.MasterEndpoint, protocol.RegisterApp{
+	net.SendID(net.Endpoint("app1"), net.Endpoint(protocol.MasterEndpoint), &protocol.RegisterApp{
 		App: "app1", Units: []resource.ScheduleUnit{
 			{ID: 1, Priority: 100, MaxCount: 8, Size: resource.New(1000, 2048)},
 		}, Seq: appSeq.Next(),
 	})
 	eng.Run(eng.Now() + 10*sim.Millisecond)
-	net.Send("app1", protocol.MasterEndpoint, protocol.DemandUpdate{
+	net.SendID(net.Endpoint("app1"), net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{
 		App:    "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 4}),
 		Seq:    appSeq.Next(),
@@ -121,11 +121,11 @@ func TestUnregisterBufferedDuringRecovery(t *testing.T) {
 		eng.Run(eng.Now() + 100*sim.Microsecond)
 	}
 	// The race: the unregister reaches the successor first ...
-	net.Send("app1", protocol.MasterEndpoint, protocol.UnregisterApp{App: "app1", Seq: appSeq.Next()})
+	net.SendID(net.Endpoint("app1"), net.Endpoint(protocol.MasterEndpoint), &protocol.UnregisterApp{App: "app1", Seq: appSeq.Next()})
 	eng.Run(eng.Now() + sim.Millisecond)
 	// ... and only then do the agents re-send their allocation reports.
 	for mc, n := range granted {
-		net.Send(protocol.AgentEndpoint(mc), protocol.MasterEndpoint, protocol.AgentHeartbeat{
+		net.SendID(net.Endpoint(protocol.AgentEndpoint(mc)), net.Endpoint(protocol.MasterEndpoint), &protocol.AgentHeartbeat{
 			Machine: top.MachineID(mc), Full: true,
 			Allocations: []protocol.AllocDelta{{App: int32(net.Endpoint("app1")), UnitID: 1, Count: n}},
 			HealthScore: 100, Seq: 1,
@@ -160,14 +160,14 @@ func TestMasterCheckpointOnlyOnJobBoundaries(t *testing.T) {
 	// The scheduling fast path — demand, grants, returns — must not touch
 	// the checkpoint store (paper §4.3.1's light-weighted checkpoint).
 	for i := 0; i < 10; i++ {
-		h.send(protocol.DemandUpdate{App: "app1",
+		h.send(&protocol.DemandUpdate{App: "app1",
 			Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 1}),
 			Seq:    h.seq.Next()})
 	}
 	if h.ckpt.Writes != w {
 		t.Errorf("fast path wrote %d checkpoints", h.ckpt.Writes-w)
 	}
-	h.send(protocol.UnregisterApp{App: "app1", Seq: h.seq.Next()})
+	h.send(&protocol.UnregisterApp{App: "app1", Seq: h.seq.Next()})
 	if h.ckpt.Writes == w {
 		t.Error("job stop did not checkpoint")
 	}
@@ -180,7 +180,7 @@ func TestMasterBatchWindowMergesDemand(t *testing.T) {
 	h.registerApp(t)
 	// A burst of 20 single-container updates inside one window.
 	for i := 0; i < 20; i++ {
-		h.net.Send("app1", protocol.MasterEndpoint, protocol.DemandUpdate{
+		h.net.SendID(h.net.Endpoint("app1"), h.net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{
 			App:    "app1",
 			Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 1}),
 			Seq:    h.seq.Next(),
@@ -208,21 +208,21 @@ func TestMasterBatchWindowCoalescesReturns(t *testing.T) {
 	h.net.Register("app2", func(transport.EndpointID, transport.Message) {})
 	// app1 takes the whole cluster (2×2 machines × 12 containers of
 	// 1000/4096 each = 48); app2 queues behind it.
-	h.send(protocol.RegisterApp{App: "app1", Units: []resource.ScheduleUnit{
+	h.send(&protocol.RegisterApp{App: "app1", Units: []resource.ScheduleUnit{
 		{ID: 1, Priority: 100, MaxCount: 100, Size: resource.New(1000, 4096)},
 	}, Seq: h.seq.Next()})
-	h.net.Send("app2", protocol.MasterEndpoint, protocol.RegisterApp{
+	h.net.SendID(h.net.Endpoint("app2"), h.net.Endpoint(protocol.MasterEndpoint), &protocol.RegisterApp{
 		App: "app2", Units: []resource.ScheduleUnit{
 			{ID: 1, Priority: 100, MaxCount: 100, Size: resource.New(1000, 4096)},
 		}, Seq: seq2.Next()})
-	h.send(protocol.DemandUpdate{App: "app1",
+	h.send(&protocol.DemandUpdate{App: "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 48}),
 		Seq:    h.seq.Next()})
 	h.eng.Run(h.eng.Now() + sim.Second)
 	if held := h.m1.Scheduler().Held("app1", 1); held != 48 {
 		t.Fatalf("app1 held = %d, want 48 (saturated)", held)
 	}
-	h.net.Send("app2", protocol.MasterEndpoint, protocol.DemandUpdate{
+	h.net.SendID(h.net.Endpoint("app2"), h.net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{
 		App:    "app2",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 20}),
 		Seq:    seq2.Next()})
@@ -234,7 +234,7 @@ func TestMasterBatchWindowCoalescesReturns(t *testing.T) {
 
 	// One update returns 5 containers on each of 4 machines.
 	granted := h.m1.Scheduler().Granted("app1", 1)
-	batch := protocol.DemandUpdate{App: "app1", Seq: h.seq.Next()}
+	batch := &protocol.DemandUpdate{App: "app1", Seq: h.seq.Next()}
 	machines := make([]string, 0, len(granted))
 	for mc := range granted {
 		machines = append(machines, mc)
@@ -264,7 +264,7 @@ func TestMasterBatchMergesCancellations(t *testing.T) {
 	h.registerApp(t)
 	// +5 then -5 inside one window: nothing should be scheduled.
 	for _, d := range []int{5, -5} {
-		h.net.Send("app1", protocol.MasterEndpoint, protocol.DemandUpdate{
+		h.net.SendID(h.net.Endpoint("app1"), h.net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{
 			App:    "app1",
 			Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: d}),
 			Seq:    h.seq.Next(),
@@ -279,7 +279,7 @@ func TestMasterBatchMergesCancellations(t *testing.T) {
 func TestMasterCapacityQueryAnswersFullTable(t *testing.T) {
 	h := newMasterHarness(t, DefaultConfig("fm-1"))
 	h.registerApp(t)
-	h.send(protocol.DemandUpdate{App: "app1",
+	h.send(&protocol.DemandUpdate{App: "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 8}),
 		Seq:    h.seq.Next()})
 
@@ -299,7 +299,7 @@ func TestMasterCapacityQueryAnswersFullTable(t *testing.T) {
 			sync = &s
 		}
 	})
-	h.net.Send(protocol.AgentEndpoint(machine), protocol.MasterEndpoint,
+	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint(machine)), h.net.Endpoint(protocol.MasterEndpoint),
 		protocol.CapacityQuery{Machine: h.top.MachineID(machine), Seq: 1})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	if sync == nil {
@@ -320,11 +320,15 @@ func TestMasterCapacityQueryAnswersFullTable(t *testing.T) {
 func TestMasterDuplicateDemandIgnored(t *testing.T) {
 	h := newMasterHarness(t, DefaultConfig("fm-1"))
 	h.registerApp(t)
-	msg := protocol.DemandUpdate{App: "app1",
-		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3}),
-		Seq:    h.seq.Next()}
-	h.send(msg)
-	h.send(msg) // replay
+	// A replay is a second message carrying the same Seq: the network clears
+	// each one it delivers.
+	seq := h.seq.Next()
+	demand := func() *protocol.DemandUpdate {
+		return &protocol.DemandUpdate{App: "app1",
+			Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3}), Seq: seq}
+	}
+	h.send(demand())
+	h.send(demand()) // replay
 	if held := h.m1.Scheduler().Held("app1", 1); held != 3 {
 		t.Errorf("held = %d after replay, want 3", held)
 	}
@@ -333,7 +337,7 @@ func TestMasterDuplicateDemandIgnored(t *testing.T) {
 func TestMasterDuplicateReturnIgnored(t *testing.T) {
 	h := newMasterHarness(t, DefaultConfig("fm-1"))
 	h.registerApp(t)
-	h.send(protocol.DemandUpdate{App: "app1",
+	h.send(&protocol.DemandUpdate{App: "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 4}),
 		Seq:    h.seq.Next()})
 	var machine string
@@ -341,10 +345,13 @@ func TestMasterDuplicateReturnIgnored(t *testing.T) {
 		machine = m
 		break
 	}
-	ret := protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(),
-		Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: h.top.MachineID(machine), Count: 1}}}
-	h.send(ret)
-	h.send(ret) // replayed by the network
+	seq := h.seq.Next()
+	ret := func() *protocol.DemandUpdate {
+		return &protocol.DemandUpdate{App: "app1", Seq: seq,
+			Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: h.top.MachineID(machine), Count: 1}}}
+	}
+	h.send(ret())
+	h.send(ret()) // replayed by the network
 	if held := h.m1.Scheduler().Held("app1", 1); held != 3 {
 		t.Errorf("held = %d after replayed return, want 3", held)
 	}

@@ -25,7 +25,7 @@ func newObsHarness(t *testing.T) (*masterHarness, *obs.Store) {
 
 func TestMasterRecordsPerRoundSamples(t *testing.T) {
 	h, store := newObsHarness(t)
-	h.send(protocol.DemandUpdate{
+	h.send(&protocol.DemandUpdate{
 		App:    "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3}),
 		Seq:    h.seq.Next(),
@@ -57,7 +57,7 @@ func TestQueueDepthSeriesAppearLazily(t *testing.T) {
 	h, store := newObsHarness(t)
 	// Demand beyond capacity: 4 machines x 12 fit of 1000m leaves overflow
 	// queued at cluster level, which must register a class series.
-	h.send(protocol.DemandUpdate{
+	h.send(&protocol.DemandUpdate{
 		App:    "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 60}),
 		Seq:    h.seq.Next(),
@@ -76,7 +76,7 @@ func TestQueueDepthSeriesAppearLazily(t *testing.T) {
 func TestObsQueryAnsweredOverTransport(t *testing.T) {
 	h, store := newObsHarness(t)
 	_ = store
-	h.send(protocol.DemandUpdate{
+	h.send(&protocol.DemandUpdate{
 		App:    "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 2}),
 		Seq:    h.seq.Next(),
@@ -89,7 +89,7 @@ func TestObsQueryAnsweredOverTransport(t *testing.T) {
 			got = append(got, r)
 		}
 	})
-	h.net.Send("obsclient", protocol.MasterEndpoint, obs.QueryRequest{
+	h.net.SendID(h.net.Endpoint("obsclient"), h.net.Endpoint(protocol.MasterEndpoint), obs.QueryRequest{
 		Metric: "rack.free_cpu", Seq: 42,
 	})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
@@ -109,7 +109,7 @@ func TestObsQueryAnsweredOverTransport(t *testing.T) {
 		}
 	}
 	// A query for a metric that was never registered stays well-formed.
-	h.net.Send("obsclient", protocol.MasterEndpoint, obs.QueryRequest{Metric: "nope", Seq: 43})
+	h.net.SendID(h.net.Endpoint("obsclient"), h.net.Endpoint(protocol.MasterEndpoint), obs.QueryRequest{Metric: "nope", Seq: 43})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	if len(got) != 2 || len(got[1].Results) != 0 {
 		t.Fatalf("unknown-metric query = %+v", got[len(got)-1])
@@ -121,7 +121,7 @@ func TestMasterSamplingIsAllocFree(t *testing.T) {
 	// Warm the path: demand both grants and queued overflow so the rack
 	// sweep, the queue-depth sweep and the class table are all exercised,
 	// then measure the steady-state sample.
-	h.send(protocol.DemandUpdate{
+	h.send(&protocol.DemandUpdate{
 		App:    "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 60}),
 		Seq:    h.seq.Next(),

@@ -44,7 +44,7 @@ func newRecoveryWorld(t *testing.T, silentMachine int32, silentApp bool) *recove
 		ep := protocol.AgentEndpoint(top.MachineName(id))
 		w.net.Register(ep, func(_ tr, msg transport.Message) {
 			if _, ok := msg.(protocol.MasterHello); ok && id != silentMachine {
-				w.net.Send(ep, protocol.MasterEndpoint, protocol.AgentHeartbeat{
+				w.net.SendID(w.net.Endpoint(ep), w.net.Endpoint(protocol.MasterEndpoint), &protocol.AgentHeartbeat{
 					Machine: id, Full: true, HealthScore: 100, Seq: seq.Next(),
 				})
 			}
@@ -54,12 +54,12 @@ func newRecoveryWorld(t *testing.T, silentMachine int32, silentApp bool) *recove
 	units := []resource.ScheduleUnit{unit(1, 100, 8, 1000, 2048)}
 	w.net.Register("app1", func(_ tr, msg transport.Message) {
 		if _, ok := msg.(protocol.MasterHello); ok && !silentApp {
-			w.net.Send("app1", protocol.MasterEndpoint, protocol.RegisterApp{App: "app1", Units: units, Seq: appSeq.Next()})
-			w.net.Send("app1", protocol.MasterEndpoint, protocol.FullDemandSync{App: "app1", Units: units, Seq: appSeq.Next()})
+			w.net.SendID(w.net.Endpoint("app1"), w.net.Endpoint(protocol.MasterEndpoint), &protocol.RegisterApp{App: "app1", Units: units, Seq: appSeq.Next()})
+			w.net.SendID(w.net.Endpoint("app1"), w.net.Endpoint(protocol.MasterEndpoint), &protocol.FullDemandSync{App: "app1", Units: units, Seq: appSeq.Next()})
 		}
 	})
 	eng.Run(10 * sim.Millisecond)
-	w.net.Send("app1", protocol.MasterEndpoint, protocol.RegisterApp{App: "app1", Units: units, Seq: appSeq.Next()})
+	w.net.SendID(w.net.Endpoint("app1"), w.net.Endpoint(protocol.MasterEndpoint), &protocol.RegisterApp{App: "app1", Units: units, Seq: appSeq.Next()})
 	eng.Run(eng.Now() + 10*sim.Millisecond)
 	primary.Crash()
 	for w.promotedAt == 0 {
@@ -146,7 +146,7 @@ func TestHeldRoundSurvivesRePromotion(t *testing.T) {
 				if ledger[id] > 0 {
 					allocs = []protocol.AllocDelta{{App: int32(app), UnitID: 1, Count: ledger[id]}}
 				}
-				net.Send(ep, protocol.MasterEndpoint, protocol.AgentHeartbeat{
+				net.SendID(net.Endpoint(ep), net.Endpoint(protocol.MasterEndpoint), &protocol.AgentHeartbeat{
 					Machine: id, Full: true, Allocations: allocs, HealthScore: 100, Seq: seq.Next(),
 				})
 			}
@@ -161,14 +161,14 @@ func TestHeldRoundSurvivesRePromotion(t *testing.T) {
 		if _, ok := msg.(protocol.MasterHello); ok {
 			// The app holds three containers on machine 0 and still wants the
 			// two it asked for in the lost round.
-			net.Send("app1", protocol.MasterEndpoint, protocol.RegisterApp{App: "app1", Units: units, Seq: appSeq.Next()})
-			net.Send("app1", protocol.MasterEndpoint, protocol.FullDemandSync{App: "app1", Units: units, Seq: appSeq.Next(),
+			net.SendID(net.Endpoint("app1"), net.Endpoint(protocol.MasterEndpoint), &protocol.RegisterApp{App: "app1", Units: units, Seq: appSeq.Next()})
+			net.SendID(net.Endpoint("app1"), net.Endpoint(protocol.MasterEndpoint), &protocol.FullDemandSync{App: "app1", Units: units, Seq: appSeq.Next(),
 				Demand: on0(2), Held: []protocol.SyncHeld{{UnitID: 1, Machine: 0, Count: 3}}})
 		}
 	})
 	eng.Run(10 * sim.Millisecond)
-	net.Send("app1", protocol.MasterEndpoint, protocol.RegisterApp{App: "app1", Units: units, Seq: appSeq.Next()})
-	net.Send("app1", protocol.MasterEndpoint, protocol.DemandUpdate{App: "app1", Deltas: on0(4), Seq: appSeq.Next()})
+	net.SendID(net.Endpoint("app1"), net.Endpoint(protocol.MasterEndpoint), &protocol.RegisterApp{App: "app1", Units: units, Seq: appSeq.Next()})
+	net.SendID(net.Endpoint("app1"), net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{App: "app1", Deltas: on0(4), Seq: appSeq.Next()})
 	eng.Run(eng.Now() + 100*sim.Millisecond)
 	if got := m.sched.Held("app1", 1); got != 4 || ledger[0] != 4 {
 		t.Fatalf("setup: app1 holds %d, machine 0's agent counts %d; want 4, 4", got, ledger[0])
@@ -180,7 +180,7 @@ func TestHeldRoundSurvivesRePromotion(t *testing.T) {
 	reach = false
 	eng.Run(eng.Now() + cfg.RenewEvery)
 	eng.Run(m.leaseDeadline - 5*sim.Millisecond)
-	net.Send("app1", protocol.MasterEndpoint, protocol.DemandUpdate{App: "app1", Seq: appSeq.Next(),
+	net.SendID(net.Endpoint("app1"), net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{App: "app1", Seq: appSeq.Next(),
 		Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: 0, Count: 1}}, Deltas: on0(2)})
 	eng.Run(eng.Now() + cfg.BatchWindow + sim.Millisecond)
 	if m.IsPrimary() || len(m.pendDem) != 1 || len(m.pendRet) != 1 {

@@ -63,16 +63,16 @@ func restoreFromAnchors(t *testing.T, shuffle int64) restoreOutcome {
 		})
 	}
 	send := func(i int, msg transport.Message) {
-		net.Send(apps[i], protocol.MasterEndpoint, msg)
+		net.SendID(net.Endpoint(apps[i]), net.Endpoint(protocol.MasterEndpoint), msg)
 		eng.Run(eng.Now() + 10*sim.Millisecond)
 	}
 	demand := func(i, unit, count int) {
-		send(i, protocol.DemandUpdate{App: apps[i], Seq: seqs[i].Next(),
+		send(i, &protocol.DemandUpdate{App: apps[i], Seq: seqs[i].Next(),
 			Deltas: unitHints(unit, resource.LocalityHint{Type: resource.LocalityCluster, Count: count})})
 	}
 	eng.Run(10 * sim.Millisecond)
 	for i, app := range apps {
-		send(i, protocol.RegisterApp{App: app, Seq: seqs[i].Next(), Units: []resource.ScheduleUnit{
+		send(i, &protocol.RegisterApp{App: app, Seq: seqs[i].Next(), Units: []resource.ScheduleUnit{
 			unit(1, 10+i, 20, 1000, 2048), unit(2, 20-i, 20, 500, 1024),
 		}})
 		demand(i, 1, 6+i)
@@ -92,7 +92,7 @@ func restoreFromAnchors(t *testing.T, shuffle int64) restoreOutcome {
 	}
 	rng := rand.New(rand.NewSource(shuffle))
 	beat := func(mc int, full bool) {
-		hb := protocol.AgentHeartbeat{Machine: int32(mc), HealthScore: 100, Full: full}
+		hb := &protocol.AgentHeartbeat{Machine: int32(mc), HealthScore: 100, Full: full}
 		if full {
 			hb.Allocations = slices.Clone(anchors[mc])
 			if shuffle != 0 {
@@ -101,7 +101,7 @@ func restoreFromAnchors(t *testing.T, shuffle int64) restoreOutcome {
 				})
 			}
 		}
-		net.Send(protocol.AgentEndpoint(top.Machines()[mc]), protocol.MasterEndpoint, hb)
+		net.SendID(net.Endpoint(protocol.AgentEndpoint(top.Machines()[mc])), net.Endpoint(protocol.MasterEndpoint), hb)
 	}
 
 	m1.Crash()
@@ -124,7 +124,7 @@ func restoreFromAnchors(t *testing.T, shuffle int64) restoreOutcome {
 	eng.Run(eng.Now() + 10*sim.Millisecond)
 
 	recording = true
-	send(0, protocol.DemandUpdate{App: apps[0], Seq: seqs[0].Next(), Returns: []protocol.ReturnEntry{
+	send(0, &protocol.DemandUpdate{App: apps[0], Seq: seqs[0].Next(), Returns: []protocol.ReturnEntry{
 		{UnitID: 1, Machine: top.MachineID(topMachineOf(t, m2, apps[0], 1)), Count: 1},
 	}})
 	demand(1, 2, 4)

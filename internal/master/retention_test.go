@@ -57,10 +57,10 @@ func busyMaster(t *testing.T) (*masterHarness, []<-chan struct{}) {
 	for i := 1; i <= 3; i++ {
 		app := fmt.Sprintf("wide-%d", i)
 		h.net.Register(app, func(transport.EndpointID, transport.Message) {})
-		h.net.Send(app, protocol.MasterEndpoint, protocol.RegisterApp{
+		h.net.SendID(h.net.Endpoint(app), h.net.Endpoint(protocol.MasterEndpoint), &protocol.RegisterApp{
 			App: app, Units: []resource.ScheduleUnit{unit(1, 1, 40, 1000, 2048), unit(2, 2, 40, 1000, 2048)}, Seq: 1,
 		})
-		h.net.Send(app, protocol.MasterEndpoint, protocol.DemandUpdate{
+		h.net.SendID(h.net.Endpoint(app), h.net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{
 			App: app, Deltas: append(unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 20}),
 				unitHints(2, resource.LocalityHint{Type: resource.LocalityRack, Value: "r000", Count: 20})...),
 			Seq: 2,
@@ -120,7 +120,7 @@ func TestUnregisteredAppPinsNothing(t *testing.T) {
 	h, ws := busyMaster(t)
 	for i := 1; i <= 2; i++ {
 		app := fmt.Sprintf("wide-%d", i)
-		h.net.Send(app, protocol.MasterEndpoint, protocol.UnregisterApp{App: app, Seq: 3})
+		h.net.SendID(h.net.Endpoint(app), h.net.Endpoint(protocol.MasterEndpoint), &protocol.UnregisterApp{App: app, Seq: 3})
 		h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	}
 	if n := pinned(ws[:2]); n != 0 {
@@ -169,13 +169,13 @@ func TestFanOutScratchPinsNoApp(t *testing.T) {
 	var ws []<-chan struct{}
 	for _, app := range []string{"a", "b"} {
 		h.net.Register(app, func(transport.EndpointID, transport.Message) {})
-		h.net.Send(app, protocol.MasterEndpoint, protocol.RegisterApp{
+		h.net.SendID(h.net.Endpoint(app), h.net.Endpoint(protocol.MasterEndpoint), &protocol.RegisterApp{
 			App: app, Units: []resource.ScheduleUnit{unit(1, 1, 4, 1000, 2048), unit(2, 1, 4, 1000, 2048)}, Seq: 1,
 		})
 	}
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	for _, app := range []string{"a", "b"} {
-		h.net.Send(app, protocol.MasterEndpoint, protocol.DemandUpdate{
+		h.net.SendID(h.net.Endpoint(app), h.net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{
 			App: app, Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 2}), Seq: 2,
 		})
 		ws = append(ws, watch(h.m1.sched.apps[app]))
@@ -184,7 +184,7 @@ func TestFanOutScratchPinsNoApp(t *testing.T) {
 	if len(h.m1.Scheduler().Granted("b", 1)) == 0 {
 		t.Fatal("setup: b was granted nothing")
 	}
-	h.net.Send("b", protocol.MasterEndpoint, protocol.UnregisterApp{App: "b", Seq: 3})
+	h.net.SendID(h.net.Endpoint("b"), h.net.Endpoint(protocol.MasterEndpoint), &protocol.UnregisterApp{App: "b", Seq: 3})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	if pinned(ws[1:]) != 0 {
 		t.Error("an unregistered app's state is reachable through the fan-out scratch")

@@ -100,17 +100,17 @@ func (s *syncScript) seq(sq *protocol.Sequencer) uint64 {
 func TestReturnOnUnknownMachineIsRefused(t *testing.T) {
 	h := newMasterHarness(t, DefaultConfig("fm-1"))
 	h.registerApp(t)
-	h.send(protocol.DemandUpdate{App: "app1",
+	h.send(&protocol.DemandUpdate{App: "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3}), Seq: h.seq.Next()})
 	s := h.m1.Scheduler()
 	if s.Held("app1", 1) != 3 {
 		t.Fatalf("setup: held %d, want 3", s.Held("app1", 1))
 	}
 	n := int32(h.top.Size())
-	h.send(protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Returns: []protocol.ReturnEntry{
+	h.send(&protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Returns: []protocol.ReturnEntry{
 		{UnitID: 1, Machine: n, Count: 1}, {UnitID: 1, Machine: -1, Count: 1},
 	}})
-	h.send(protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Returns: []protocol.ReturnEntry{
+	h.send(&protocol.DemandUpdate{App: "app1", Seq: h.seq.Next(), Returns: []protocol.ReturnEntry{
 		{UnitID: 1, Machine: n + 5, Count: 2},
 	}})
 	if !h.m1.IsPrimary() || s.Held("app1", 1) != 3 {

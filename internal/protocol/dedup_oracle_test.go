@@ -54,9 +54,6 @@ func (d *mapDedup) LastCh(sender int32, ch Chan) uint64 { return d.lastCh[chanKe
 
 // staleCh is EpochGate.StaleCh over the reference tracker.
 func (d *mapDedup) staleCh(g *EpochGate, epoch int, sender int32, ch Chan) bool {
-	if epoch == 0 {
-		return false
-	}
 	if epoch < g.epoch {
 		return true
 	}

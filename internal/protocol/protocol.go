@@ -43,10 +43,12 @@
 // into whatever capacity the last use left; the Units of RegisterApp and
 // FullDemandSync are the borrowed payloads — they alias the application
 // master's own configuration, as they always have, and are dropped, not
-// zeroed, on release. The value forms of all ten remain valid messages
-// (tests and scripted senders use them) and every receiver accepts both.
-// WireSize is declared on the value types, so a pointer and a value of one
-// message report the same size.
+// zeroed, on release. A receiver accepts only the pointer form, the one
+// every real sender sends: a test draws its message with Acquire or writes a
+// pointer literal, and the network clears that after delivery too, so a
+// duplicate is two messages carrying one Seq, never one pointer sent twice.
+// The value forms are what Keep returns for a recorder; WireSize is declared
+// on them, so a kept copy reports the size of the message it copies.
 package protocol
 
 import "repro/internal/resource"

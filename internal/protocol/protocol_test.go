@@ -81,16 +81,16 @@ func TestDedupSendersIndependent(t *testing.T) {
 
 func TestDedupReset(t *testing.T) {
 	d := NewDedup()
-	d.Observe("a", 10)
-	d.Reset("a")
-	if v := d.Observe("a", 1); v != Accept {
+	d.ObserveCh(7, ChanCap, 10)
+	d.ResetCh(7, ChanCap)
+	if v := d.ObserveCh(7, ChanCap, 1); v != Accept {
 		t.Errorf("after reset verdict = %v", v)
 	}
-	d.ResetTo("a", 50)
-	if v := d.Observe("a", 50); v != Duplicate {
+	d.ResetToCh(7, ChanCap, 50)
+	if v := d.ObserveCh(7, ChanCap, 50); v != Duplicate {
 		t.Errorf("at mark = %v", v)
 	}
-	if v := d.Observe("a", 51); v != Accept {
+	if v := d.ObserveCh(7, ChanCap, 51); v != Accept {
 		t.Errorf("past mark = %v", v)
 	}
 }
@@ -334,5 +334,27 @@ func TestNextRunSplitsByUnit(t *testing.T) {
 	}
 	if run, rest := NextRun[UnitHint](nil); run != nil || rest != nil {
 		t.Errorf("NextRun(nil) = %v, %v", run, rest)
+	}
+}
+
+// TestEpochGateFencesUnstampedAfterAnEpoch: before any epoch is seen an
+// unstamped message passes, as the receiver has nothing to fence it by; once
+// epoch 1 is seen, epoch 0 is older than the mark like any deposed epoch, and
+// it neither moves the mark nor resets the channel.
+func TestEpochGateFencesUnstampedAfterAnEpoch(t *testing.T) {
+	var g EpochGate
+	var d Dedup
+	if g.StaleCh(0, &d, 7, ChanGrant) {
+		t.Fatal("epoch 0 fenced before any epoch was seen")
+	}
+	if g.StaleCh(1, &d, 7, ChanGrant) || g.Current() != 1 {
+		t.Fatalf("epoch 1: current %d, want 1 and not stale", g.Current())
+	}
+	d.ObserveCh(7, ChanGrant, 5)
+	if !g.StaleCh(0, &d, 7, ChanGrant) {
+		t.Fatal("epoch 0 passed after epoch 1")
+	}
+	if g.Current() != 1 || d.LastCh(7, ChanGrant) != 5 {
+		t.Fatalf("the fenced message moved the gate to %d or the mark to %d", g.Current(), d.LastCh(7, ChanGrant))
 	}
 }

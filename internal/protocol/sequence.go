@@ -19,9 +19,9 @@ func (s *Sequencer) Next() uint64 {
 func (s *Sequencer) Current() uint64 { return s.next }
 
 // Chan enumerates the per-sender logical channels multiplexed over one
-// Dedup. Hot paths address a high-water mark by (sender endpoint ID, Chan)
-// instead of hashing sender name strings per message. Free-form string
-// channels (e.g. per-worker plan channels) remain available through Observe.
+// Dedup. Every sequenced control-plane message addresses its high-water mark
+// by (sender endpoint ID, Chan); only the agent's per-worker plan channels,
+// whose workers travel by name, go through Observe.
 type Chan uint8
 
 const (
@@ -192,27 +192,16 @@ func (d *Dedup) ObserveCh(sender int32, ch Chan, seq uint64) Verdict {
 	return Gap
 }
 
-// Reset forgets a sender, e.g. after a full-state sync re-baselines it or
-// the peer restarted with a fresh sequencer.
-func (d *Dedup) Reset(sender string) { delete(d.last, sender) }
-
-// ResetCh forgets one (sender, channel) high-water mark.
+// ResetCh forgets one (sender, channel) high-water mark, e.g. when the peer
+// restarted with a fresh sequencer.
 func (d *Dedup) ResetCh(sender int32, ch Chan) {
 	if m := d.mark(sender, ch, false); m != nil {
 		*m = 0
 	}
 }
 
-// ResetTo sets the high-water mark for a sender, used when a full sync
-// carries the sender's current sequence number.
-func (d *Dedup) ResetTo(sender string, seq uint64) {
-	if d.last == nil {
-		d.last = make(map[string]uint64)
-	}
-	d.last[sender] = seq
-}
-
-// ResetToCh sets the high-water mark for one (sender, channel).
+// ResetToCh sets the high-water mark for one (sender, channel), used when a
+// full sync carries the sender's current sequence number.
 func (d *Dedup) ResetToCh(sender int32, ch Chan, seq uint64) {
 	if m := d.mark(sender, ch, seq > 0); m != nil {
 		*m = seq
@@ -246,31 +235,13 @@ type EpochGate struct {
 // Current returns the highest epoch observed (0 before any stamped message).
 func (g *EpochGate) Current() int { return g.epoch }
 
-// Stale classifies a message's epoch stamp. Messages from a deposed master
-// (epoch below the high-water mark) report true and must be dropped. A
-// genuinely newer epoch advances the mark and resets channel in d — the
-// successor runs a fresh sequencer, and only a real promotion may reopen
-// the dedup window (a duplicated hello must not). Epoch 0 (unstamped, e.g.
-// direct test injection) is never fenced.
-func (g *EpochGate) Stale(epoch int, d *Dedup, channel string) bool {
-	if epoch == 0 {
-		return false
-	}
-	if epoch < g.epoch {
-		return true
-	}
-	if epoch > g.epoch {
-		g.epoch = epoch
-		d.Reset(channel)
-	}
-	return false
-}
-
-// StaleCh is Stale for a (sender endpoint ID, Chan)-keyed dedup channel.
+// StaleCh classifies a message's epoch stamp. One below the high-water mark —
+// a deposed master's, or an unstamped one (0) once any epoch is seen, as
+// every primary stamps its epoch from 1 — reports true and must be dropped. A
+// newer epoch advances the mark and resets the (sender, ch) dedup channel in
+// d: the successor runs a fresh sequencer, and only a real promotion may
+// reopen the dedup window (a duplicated hello must not).
 func (g *EpochGate) StaleCh(epoch int, d *Dedup, sender int32, ch Chan) bool {
-	if epoch == 0 {
-		return false
-	}
 	if epoch < g.epoch {
 		return true
 	}

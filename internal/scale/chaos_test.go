@@ -273,11 +273,11 @@ func TestOverlappingHealWindowsKeepCounting(t *testing.T) {
 	// Machine 4's agent holds capacity the master never granted, so a window
 	// over it stays open until the phantom is withdrawn.
 	phantom := func(delta int, seq uint64) {
-		h.net.Send("rogue", protocol.AgentEndpoint(h.top.MachineName(4)), protocol.CapacityDelta{
+		h.net.SendID(h.net.Endpoint("rogue"), h.net.Endpoint(protocol.AgentEndpoint(h.top.MachineName(4))), &protocol.CapacityDelta{
 			Entries: []protocol.CapacityEntry{{
 				App: int32(h.net.Endpoint("ghost")), UnitID: 1, Size: resource.New(250, 1024), Count: delta,
 			}},
-			Seq: seq,
+			Epoch: h.agents[4].MasterEpoch(), Seq: seq,
 		})
 		h.eng.Run(h.eng.Now() + sim.Millisecond)
 	}

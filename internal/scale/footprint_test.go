@@ -95,19 +95,22 @@ func TestPerProcessFootprint(t *testing.T) {
 			am.Request(1,
 				resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[home], Count: 1},
 				resource.LocalityHint{Type: resource.LocalityCluster, Count: 5})
-			changes := make([]protocol.UnitDelta, 6)
-			for k := range changes {
-				changes[k] = protocol.UnitDelta{UnitID: 1, Machine: (home + int32(7*k)) % int32(len(machines)), Delta: 1}
+			// The network clears the update once it has landed: the machines
+			// are read back from where they were drawn.
+			const grants = 6
+			granted := func(k int) int32 { return (home + int32(7*k)) % int32(len(machines)) }
+			gu := transport.Acquire[protocol.GrantUpdate](net)
+			gu.App, gu.Epoch, gu.Seq = name, 1, 1
+			for k := range grants {
+				gu.Changes = append(gu.Changes, protocol.UnitDelta{UnitID: 1, Machine: granted(k), Delta: 1})
 			}
-			net.Send(protocol.MasterEndpoint, name, protocol.GrantUpdate{
-				App: name, Changes: changes, Epoch: 1, Seq: 1,
-			})
+			net.SendID(net.Endpoint(protocol.MasterEndpoint), net.Endpoint(name), gu)
 			eng.Run(eng.Now() + sim.Millisecond)
-			for _, ch := range changes {
-				if am.Held(1, ch.Machine) != 1 {
-					t.Fatalf("%s: grant on machine %d not held", name, ch.Machine)
+			for k := range grants {
+				if am.Held(1, granted(k)) != 1 {
+					t.Fatalf("%s: grant on machine %d not held", name, granted(k))
 				}
-				am.ReturnContainers(1, ch.Machine, 1)
+				am.ReturnContainers(1, granted(k), 1)
 			}
 			am.Unregister()
 			eng.Run(eng.Now() + sim.Millisecond)

@@ -24,13 +24,13 @@ func TestPartitionCutsBothDirections(t *testing.T) {
 	gc := collect(net, "c")
 
 	net.Partition([]string{"a"}, []string{"b"})
-	net.Send("a", "b", "a->b")
-	net.Send("b", "a", "b->a")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "a->b")
+	net.SendID(net.Endpoint("b"), net.Endpoint("a"), "b->a")
 	// c is in neither group: it reaches both sides and both reach it.
-	net.Send("a", "c", "a->c")
-	net.Send("b", "c", "b->c")
-	net.Send("c", "a", "c->a")
-	net.Send("c", "b", "c->b")
+	net.SendID(net.Endpoint("a"), net.Endpoint("c"), "a->c")
+	net.SendID(net.Endpoint("b"), net.Endpoint("c"), "b->c")
+	net.SendID(net.Endpoint("c"), net.Endpoint("a"), "c->a")
+	net.SendID(net.Endpoint("c"), net.Endpoint("b"), "c->b")
 	eng.RunUntilIdle()
 
 	if len(*ga) != 1 || (*ga)[0] != "c->a" {
@@ -47,7 +47,7 @@ func TestPartitionCutsBothDirections(t *testing.T) {
 	}
 
 	net.Heal()
-	net.Send("a", "b", "after-heal")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "after-heal")
 	eng.RunUntilIdle()
 	if len(*gb) != 2 || (*gb)[1] != "after-heal" {
 		t.Errorf("after heal b got %v", *gb)
@@ -61,7 +61,7 @@ func TestPartitionDropsInFlightMessages(t *testing.T) {
 
 	// Queue a message, then cut the link before its delivery event fires:
 	// the in-flight message must be lost at arrival.
-	net.Send("a", "b", "doomed")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "doomed")
 	net.Partition([]string{"a"}, []string{"b"})
 	eng.RunUntilIdle()
 	if len(*gb) != 0 {
@@ -79,10 +79,10 @@ func TestIsolateCutsGroupFromRest(t *testing.T) {
 	gout := collect(net, "out")
 
 	net.Isolate([]string{"m1", "m2"})
-	net.Send("m1", "m2", "intra") // within the group: stays up
-	net.Send("m1", "out", "leak")
-	net.Send("out", "m1", "in")
-	net.Send("out", "m2", "in2")
+	net.SendID(net.Endpoint("m1"), net.Endpoint("m2"), "intra") // within the group: stays up
+	net.SendID(net.Endpoint("m1"), net.Endpoint("out"), "leak")
+	net.SendID(net.Endpoint("out"), net.Endpoint("m1"), "in")
+	net.SendID(net.Endpoint("out"), net.Endpoint("m2"), "in2")
 	eng.RunUntilIdle()
 
 	if len(*g2) != 1 || (*g2)[0] != "intra" {
@@ -98,7 +98,7 @@ func TestLinkFlapIndependentOfSetDown(t *testing.T) {
 	gb := collect(net, "b")
 
 	net.SetLinkDown("b", true)
-	net.Send("a", "b", "x")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "x")
 	eng.RunUntilIdle()
 	if len(*gb) != 0 {
 		t.Fatalf("b got %v through a flapped link", *gb)
@@ -110,13 +110,13 @@ func TestLinkFlapIndependentOfSetDown(t *testing.T) {
 	}
 	net.SetDown("b", true)
 	net.SetLinkDown("b", false)
-	net.Send("a", "b", "y")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "y")
 	eng.RunUntilIdle()
 	if len(*gb) != 0 {
 		t.Errorf("b got %v while SetDown", *gb)
 	}
 	net.SetDown("b", false)
-	net.Send("a", "b", "z")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "z")
 	eng.RunUntilIdle()
 	if len(*gb) != 1 || (*gb)[0] != "z" {
 		t.Errorf("after clearing both, b got %v", *gb)
@@ -129,7 +129,7 @@ func TestDelaySpikeStretchesLatency(t *testing.T) {
 	net.Register("b", func(EndpointID, Message) { at = eng.Now() })
 
 	net.SetLinkDelay("b", 5*sim.Millisecond)
-	net.Send("a", "b", "x")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "x")
 	eng.RunUntilIdle()
 	want := net.Latency + 5*sim.Millisecond
 	if at != want {
@@ -139,7 +139,7 @@ func TestDelaySpikeStretchesLatency(t *testing.T) {
 	net.SetLinkDelay("b", 0)
 	at = -1
 	base := eng.Now()
-	net.Send("a", "b", "y")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "y")
 	eng.RunUntilIdle()
 	if at != base+net.Latency {
 		t.Errorf("after clearing spike delivered at %d, want %d", at, base+net.Latency)
@@ -153,8 +153,8 @@ func TestLinkRuleDropAndDup(t *testing.T) {
 
 	net.SetLinkRule("a", "b", LinkRule{Drop: 1})
 	net.SetLinkRule("a", "c", LinkRule{Dup: 1})
-	net.Send("a", "b", "x")
-	net.Send("a", "c", "y")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "x")
+	net.SendID(net.Endpoint("a"), net.Endpoint("c"), "y")
 	eng.RunUntilIdle()
 	if len(*gb) != 0 {
 		t.Errorf("b got %v through Drop:1 rule", *gb)
@@ -164,7 +164,7 @@ func TestLinkRuleDropAndDup(t *testing.T) {
 	}
 	// Clearing with the zero rule restores the link.
 	net.SetLinkRule("a", "b", LinkRule{})
-	net.Send("a", "b", "x2")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "x2")
 	eng.RunUntilIdle()
 	if len(*gb) != 1 {
 		t.Errorf("after clearing rule b got %v", *gb)
@@ -178,10 +178,10 @@ func TestLinkStatsAttributeLoss(t *testing.T) {
 	net.EnableLinkStats()
 
 	net.Isolate([]string{"c"})
-	net.Send("a", "b", "ok")
-	net.Send("a", "c", "lost")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "ok")
+	net.SendID(net.Endpoint("a"), net.Endpoint("c"), "lost")
 	net.SetLinkDelay("b", sim.Millisecond)
-	net.Send("a", "b", "late")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "late")
 	eng.RunUntilIdle()
 
 	ls := net.LinkStats()
@@ -227,8 +227,8 @@ func TestOrderingContract(t *testing.T) {
 		net := NewNet(eng)
 		net.Jitter = 10 * sim.Millisecond
 		got := collect(net, "b")
-		net.Send("a", "b", "first")
-		net.Send("a", "b", "second")
+		net.SendID(net.Endpoint("a"), net.Endpoint("b"), "first")
+		net.SendID(net.Endpoint("a"), net.Endpoint("b"), "second")
 		eng.RunUntilIdle()
 		if len(*got) != 2 {
 			t.Fatalf("seed %d: got %v", seed, *got)

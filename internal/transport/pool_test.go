@@ -92,7 +92,7 @@ func TestKeptMessageReadsZero(t *testing.T) {
 			t.Errorf("delivered %+v, want the message as sent", *kept)
 		}
 	})
-	net.Send("a", "b", newNote(net, 42, 1, 2, 3))
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), newNote(net, 42, 1, 2, 3))
 	eng.RunUntilIdle()
 	if kept.ID != 0 || len(kept.Body) != 0 {
 		t.Errorf("kept message reads %+v after its handler returned, want a zero header and an empty payload", *kept)
@@ -152,7 +152,7 @@ func TestSharedOrQueuedMessagesAreNotRecycled(t *testing.T) {
 					perSend = 3
 					net.SendBatchID(net.Endpoint("a"), net.Endpoint("b"), []Message{newNote(net, 1, 0, 1), newNote(net, 2, 0, 2), newNote(net, 3, 0, 3)})
 				} else {
-					net.Send("a", "b", newNote(net, 1, 0, 1))
+					net.SendID(net.Endpoint("a"), net.Endpoint("b"), newNote(net, 1, 0, 1))
 				}
 				if len(freeNotes(net)) != 0 {
 					t.Fatalf("%d messages on the free list while their send is still queued or refused", len(freeNotes(net)))
@@ -212,7 +212,7 @@ func TestHeartbeatLifetime(t *testing.T) {
 			}
 		})
 		net.SetLinkRule("a", "b", LinkRule{Dup: 1})
-		net.Send("a", "b", beat(net))
+		net.SendID(net.Endpoint("a"), net.Endpoint("b"), beat(net))
 		eng.RunUntilIdle()
 		if delivered != 2 || freeBeats(net) != 0 {
 			t.Errorf("delivered %d, released %d; want 2 deliveries and no release", delivered, freeBeats(net))
@@ -229,7 +229,7 @@ func TestHeartbeatLifetime(t *testing.T) {
 			keptAllocs = kept.Allocations
 			copied = protocol.Keep(m).(protocol.AgentHeartbeat)
 		})
-		net.Send("a", "b", beat(net))
+		net.SendID(net.Endpoint("a"), net.Endpoint("b"), beat(net))
 		eng.RunUntilIdle()
 		if kept.Machine != 0 || kept.Full || kept.Seq != 0 || kept.HealthScore != 0 || len(kept.Allocations) != 0 {
 			t.Errorf("kept beat reads %+v after its handler returned, want zeros", *kept)

@@ -7,12 +7,13 @@
 // failure").
 //
 // Endpoints are interned: every endpoint name maps to a dense EndpointID at
-// first sight (registration, first send), and routing state — handlers, the
+// first sight (Register or Endpoint), and routing state — handlers, the
 // down set, in-flight delivery records — is indexed by ID, not hashed by
-// name. Hot senders resolve their peers once (at wiring/hello time) and use
-// the ID forms SendID/SendBatchID; the string forms remain as thin wrappers
-// for setup code and tests. Handlers receive the sender's EndpointID and
-// can recover the name with Name when they need it at a boundary.
+// name. Senders resolve their peers once (at wiring/hello time, with
+// Endpoint or Lookup) and send by ID with SendID/SendBatchID; nothing sends
+// by name, so no send can intern a retired name again. Handlers receive the
+// sender's EndpointID and can recover the name with Name when they need it at
+// a boundary.
 //
 // Slots are recycled under a generation. An EndpointID is a slot and the
 // slot's generation (ident.Tag). Unregister keeps a name's ID for a name
@@ -34,11 +35,11 @@
 // All of it is evaluated only while some condition is active, so the clean
 // hot path pays a single boolean check.
 //
-// Ordering contract: messages queued with separate Send/SendID calls on the
-// same (from,to) link deliver in send order ONLY when their delivery delays
-// are equal — with Jitter (global, per-link rule, or a delay spike raised
+// Ordering contract: messages queued with separate SendID calls on the same
+// (from,to) link deliver in send order ONLY when their delivery delays are
+// equal — with Jitter (global, per-link rule, or a delay spike raised
 // mid-flight) each message draws its own delay, so separate sends may
-// reorder. SendBatch/SendBatchID is the exception: one batch is one wire
+// reorder. SendBatchID is the exception: one batch is one wire
 // unit with a single delay draw and a single delivery event, and its
 // messages are handed to the receiver in order, always. Protocol code that
 // needs FIFO within one instant must batch; everything else must tolerate
@@ -197,7 +198,7 @@ type Net struct {
 	// DropRate and DupRate are probabilities in [0,1) applied per message.
 	DropRate float64
 	DupRate  float64
-	// Tap, when set, observes every Send before routing — for traffic
+	// Tap, when set, observes every send before routing — for traffic
 	// accounting in experiments. It must not mutate the message, nor keep a
 	// Recycled one past its own return (protocol.Keep copies).
 	Tap func(from, to string, msg Message)
@@ -235,7 +236,7 @@ type Net struct {
 	batchPool [][]Message
 	// Deliveries ride the engine's closure-free Post path: deliverFn and
 	// deliverRecycleFn are bound once and each in-flight message borrows a
-	// pooled delivery record, so a warm network allocates nothing per Send —
+	// pooled delivery record, so a warm network allocates nothing per send —
 	// beyond the boxing of a value message; a Recycled pointer costs nothing
 	// at all.
 	deliverFn, deliverRecycleFn func(any)
@@ -626,13 +627,6 @@ func (n *Net) EnableLinkStats() {
 	}
 }
 
-// ResetLinkStats zeroes the per-link counters.
-func (n *Net) ResetLinkStats() {
-	if n.linkStats != nil {
-		n.linkStats = make(map[linkKey]*linkCnt)
-	}
-}
-
 func (n *Net) linkCnt(from, to EndpointID) *linkCnt {
 	k := linkKey{from, to}
 	c := n.linkStats[k]
@@ -696,15 +690,6 @@ func inspect(msg Message) (size int, recycled bool) {
 
 // nominalSize is the header-ish size counted for messages without Sizer.
 const nominalSize = 64
-
-// Send queues msg for asynchronous delivery between endpoint names — the
-// setup/test-path wrapper around SendID. It interns both names, so a retired
-// name comes back on a fresh slot: a sender that may outlive its peer's
-// endpoint (a report to a finished job, an order to a reaped worker) keeps
-// the peer's ID and uses SendID, which drops the message on arrival.
-func (n *Net) Send(from, to string, msg Message) {
-	n.SendID(n.Endpoint(from), n.Endpoint(to), msg)
-}
 
 // SendID queues msg for asynchronous delivery from one interned endpoint to
 // another. Delivery is dropped when either side is down, when the link is

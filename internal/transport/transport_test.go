@@ -18,7 +18,7 @@ func TestDelivery(t *testing.T) {
 	net.Register("b", func(from EndpointID, msg Message) {
 		got = append(got, net.Name(from)+":"+msg.(string))
 	})
-	net.Send("a", "b", "hello")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "hello")
 	eng.RunUntilIdle()
 	if len(got) != 1 || got[0] != "a:hello" {
 		t.Errorf("got %v", got)
@@ -30,7 +30,7 @@ func TestLatencyApplied(t *testing.T) {
 	net.Latency = 500 * sim.Microsecond
 	var at sim.Time = -1
 	net.Register("b", func(EndpointID, Message) { at = eng.Now() })
-	net.Send("a", "b", "x")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "x")
 	eng.RunUntilIdle()
 	if at != 500 {
 		t.Errorf("delivered at %d, want 500", at)
@@ -39,7 +39,7 @@ func TestLatencyApplied(t *testing.T) {
 
 func TestUnregisteredDropped(t *testing.T) {
 	eng, net := newNet(t)
-	net.Send("a", "nobody", "x")
+	net.SendID(net.Endpoint("a"), net.Endpoint("nobody"), "x")
 	eng.RunUntilIdle()
 	if s := net.Stats(); s.Delivered != 0 || s.Dropped != 1 {
 		t.Errorf("stats = %v", s)
@@ -53,8 +53,8 @@ func TestDownEndpointDropsBothDirections(t *testing.T) {
 	net.Register("a", func(EndpointID, Message) { delivered++ })
 
 	net.SetDown("b", true)
-	net.Send("a", "b", "to-down")
-	net.Send("b", "a", "from-down")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "to-down")
+	net.SendID(net.Endpoint("b"), net.Endpoint("a"), "from-down")
 	eng.RunUntilIdle()
 	if delivered != 0 {
 		t.Errorf("delivered = %d, want 0", delivered)
@@ -64,7 +64,7 @@ func TestDownEndpointDropsBothDirections(t *testing.T) {
 	}
 
 	net.SetDown("b", false)
-	net.Send("a", "b", "up-again")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "up-again")
 	eng.RunUntilIdle()
 	if delivered != 1 {
 		t.Errorf("delivered after recovery = %d, want 1", delivered)
@@ -78,7 +78,7 @@ func TestDownAtArrivalDrops(t *testing.T) {
 	net.Latency = 1000
 	delivered := 0
 	net.Register("b", func(EndpointID, Message) { delivered++ })
-	net.Send("a", "b", "x")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "x")
 	eng.At(500, func() { net.SetDown("b", true) })
 	eng.RunUntilIdle()
 	if delivered != 0 {
@@ -93,7 +93,7 @@ func TestDropRate(t *testing.T) {
 	net.Register("b", func(EndpointID, Message) { delivered++ })
 	const n = 2000
 	for i := 0; i < n; i++ {
-		net.Send("a", "b", i)
+		net.SendID(net.Endpoint("a"), net.Endpoint("b"), i)
 	}
 	eng.RunUntilIdle()
 	if delivered < n/3 || delivered > 2*n/3 {
@@ -111,7 +111,7 @@ func TestDupRate(t *testing.T) {
 	delivered := 0
 	net.Register("b", func(EndpointID, Message) { delivered++ })
 	for i := 0; i < 10; i++ {
-		net.Send("a", "b", i)
+		net.SendID(net.Endpoint("a"), net.Endpoint("b"), i)
 	}
 	eng.RunUntilIdle()
 	if delivered != 20 {
@@ -126,8 +126,8 @@ func (s sized) WireSize() int { return s.n }
 func TestByteAccounting(t *testing.T) {
 	eng, net := newNet(t)
 	net.Register("b", func(EndpointID, Message) {})
-	net.Send("a", "b", sized{n: 100})
-	net.Send("a", "b", "unsized")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), sized{n: 100})
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "unsized")
 	eng.RunUntilIdle()
 	if got := net.Stats().Bytes; got != 164 {
 		t.Errorf("bytes = %d, want 164", got)
@@ -143,7 +143,7 @@ func TestReRegisterReplacesHandler(t *testing.T) {
 	var got string
 	net.Register("b", func(EndpointID, Message) { got = "old" })
 	net.Register("b", func(EndpointID, Message) { got = "new" })
-	net.Send("a", "b", "x")
+	net.SendID(net.Endpoint("a"), net.Endpoint("b"), "x")
 	eng.RunUntilIdle()
 	if got != "new" {
 		t.Errorf("handler = %q, want new", got)
@@ -170,7 +170,7 @@ func TestJitterStaysOrderedPerStats(t *testing.T) {
 	count := 0
 	net.Register("b", func(EndpointID, Message) { count++ })
 	for i := 0; i < 50; i++ {
-		net.Send("a", "b", i)
+		net.SendID(net.Endpoint("a"), net.Endpoint("b"), i)
 	}
 	eng.RunUntilIdle()
 	if count != 50 {
