@@ -418,10 +418,8 @@ func BenchmarkAblationBackupInstances(b *testing.B) {
 // window under a chatty application.
 func BenchmarkAblationBatchedRequests(b *testing.B) {
 	run := func(seed int64, window sim.Time) float64 {
-		mcfg := master.DefaultConfig("fm-1")
-		mcfg.BatchWindow = window
 		c, err := core.NewCluster(core.Config{
-			Racks: 2, MachinesPerRack: 5, Seed: seed, Master: mcfg,
+			Racks: 2, MachinesPerRack: 5, Seed: seed, Master: master.Config{BatchWindow: window},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -53,7 +53,7 @@
 // Control-plane traffic is delta-encoded with periodic full-state anchors
 // (paper §3.1 generalized to every channel): agent heartbeats carry only a
 // health score at steady state, a change list after capacity churn, and the
-// complete allocation table on anchor beats (every AnchorEvery-th, on a
+// complete allocation table on anchor beats (every tenth, on a
 // MasterHello from a freshly promoted primary — which restores soft state
 // only from anchors — and after restarts); the master's per-decision
 // capacity stream to each agent is rolled up into one CapacityDelta per

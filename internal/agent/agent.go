@@ -32,27 +32,25 @@ import (
 
 // Config tunes a FuxiAgent.
 type Config struct {
-	// HeartbeatInterval is the AgentHeartbeat period.
-	HeartbeatInterval sim.Time
-	// AnchorEvery is the full-sync anchor period of the delta-encoded
-	// heartbeat stream: every AnchorEvery-th beat carries the complete
-	// allocation table (Full), the beats between carry only changed
-	// entries (or nothing). 0 takes the default of 10 beats.
-	AnchorEvery int
 	// WorkerStartDelay models process start cost: package download plus
 	// exec (the paper's Table 2 attributes its 11.84 s worker-start
-	// overhead to downloading ~400 MB worker binaries).
+	// overhead to downloading ~400 MB worker binaries). Zero takes
+	// defaultWorkerStartDelay.
 	WorkerStartDelay sim.Time
 }
 
-// DefaultConfig returns production-flavoured defaults.
-func DefaultConfig() Config {
-	return Config{
-		HeartbeatInterval: sim.Second,
-		AnchorEvery:       10,
-		WorkerStartDelay:  500 * sim.Millisecond,
-	}
-}
+const (
+	// heartbeatInterval is the AgentHeartbeat period.
+	heartbeatInterval = sim.Second
+	// AnchorEvery is the full-sync anchor period of the delta-encoded
+	// heartbeat stream: every AnchorEvery-th beat carries the complete
+	// allocation table (Full), the beats between carry only changed
+	// entries (or nothing).
+	AnchorEvery = 10
+	// defaultWorkerStartDelay is the start cost of a worker process when
+	// the Config names none.
+	defaultWorkerStartDelay = 500 * sim.Millisecond
+)
 
 // capKey packs one (app, unit) capacity address into a single integer — the
 // application master's endpoint ID in the high half, the unit ID in the low
@@ -249,14 +247,14 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, m *topology.Machine) *
 		machineUp: true,
 		health:    100,
 	}
-	if a.cfg.AnchorEvery <= 0 {
-		a.cfg.AnchorEvery = 10
+	if a.cfg.WorkerStartDelay == 0 {
+		a.cfg.WorkerStartDelay = defaultWorkerStartDelay
 	}
 	a.forceAnchor = true // first beat announces the (empty) table in full
 	a.HealthCollector = func() int { return a.health }
 	a.epID = net.Register(a.endpoint(), a.handle)
 	a.masterID = net.Endpoint(protocol.MasterEndpoint)
-	a.timers = append(a.timers, eng.Every(cfg.HeartbeatInterval, a.tick))
+	a.timers = append(a.timers, eng.Every(heartbeatInterval, a.tick))
 	return a
 }
 
@@ -363,7 +361,7 @@ func (a *Agent) sendHeartbeat() {
 	hb := transport.Acquire[protocol.AgentHeartbeat](a.net)
 	hb.Machine, hb.HealthScore, hb.Seq = a.id, a.HealthCollector(), a.seq.Next()
 	a.sinceAnchor++
-	if a.forceAnchor || a.sinceAnchor >= a.cfg.AnchorEvery {
+	if a.forceAnchor || a.sinceAnchor >= AnchorEvery {
 		hb.Full = true
 		hb.Allocations = a.capacity.appendLive(hb.Allocations)
 		// Anchor time is also reaping time: zero-count rows are kept between
@@ -708,7 +706,7 @@ func (a *Agent) RestartDaemon() {
 	a.daemonUp = true
 	a.forceAnchor = true
 	a.net.Register(a.endpoint(), a.handle)
-	a.timers = append(a.timers, a.eng.Every(a.cfg.HeartbeatInterval, a.tick))
+	a.timers = append(a.timers, a.eng.Every(heartbeatInterval, a.tick))
 
 	a.net.SendID(a.epID, a.masterID, protocol.CapacityQuery{
 		Machine: a.id, Seq: a.seq.Next(),
@@ -834,5 +832,5 @@ func (a *Agent) RestartMachine() {
 	a.dedup = protocol.Dedup{}
 	a.net.SetDown(a.endpoint(), false)
 	a.net.Register(a.endpoint(), a.handle)
-	a.timers = append(a.timers, a.eng.Every(a.cfg.HeartbeatInterval, a.tick))
+	a.timers = append(a.timers, a.eng.Every(heartbeatInterval, a.tick))
 }

@@ -38,7 +38,7 @@ func newHarness(t *testing.T) *harness {
 		h.toMaster = append(h.toMaster, protocol.Keep(m))
 	})
 	net.Register("app1", func(_ transport.EndpointID, m transport.Message) { h.toApp = append(h.toApp, m) })
-	h.agent = New(DefaultConfig(), eng, net, top.Machine(top.Machines()[0]))
+	h.agent = New(Config{}, eng, net, top.Machine(top.Machines()[0]))
 	return h
 }
 

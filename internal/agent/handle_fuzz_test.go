@@ -299,7 +299,7 @@ func runAgentScript(t *testing.T, data []byte) {
 	for _, app := range s.apps {
 		register(app)
 	}
-	ref := newMapLedger(a.cfg.AnchorEvery, a.id)
+	ref := newMapLedger(AnchorEvery, a.id)
 	step, what := 0, "start"
 	label := func() string { return fmt.Sprintf("step %d (%s)", step, what) }
 	checkBeats(t, h, ref, label, name)

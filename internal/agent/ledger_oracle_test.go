@@ -279,7 +279,7 @@ func TestLedgerMatchesMapOracle(t *testing.T) {
 			h.net.Endpoint(app)
 		}
 		name := appName(h.net)
-		ref := newMapLedger(a.cfg.AnchorEvery, a.id)
+		ref := newMapLedger(AnchorEvery, a.id)
 		beats := checkBeats(t, h, ref, func() string { return fmt.Sprintf("seed %d", seed) }, name)
 		// The reference sees each message exactly when the agent's handler
 		// does; a restart re-registers the agent's own handler, so re-wrap.
@@ -427,7 +427,7 @@ func churnAgents(tb testing.TB, n, rows int) (*transport.Net, *sim.Engine, []*Ag
 	agents := make([]*Agent, n)
 	deltas := make([][]protocol.CapacityEntry, n)
 	for i, m := range top.Machines() {
-		a := New(DefaultConfig(), eng, net, top.Machine(m))
+		a := New(Config{}, eng, net, top.Machine(m))
 		agents[i] = a
 		for r := 0; r < rows; r++ {
 			a.applyCapacity(makeCapKey(transport.EndpointID(apps[(i*7+r*61)%len(apps)]), 1+r%40), 1)

@@ -189,7 +189,7 @@ func TestFullSyncAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm := master.NewMaster(master.DefaultConfig("fm-1"), eng, net, lockservice.New(eng), top, master.NewCheckpointStore())
+	fm := master.NewMaster(master.Config{ProcessName: "fm-1"}, eng, net, lockservice.New(eng), top, master.NewCheckpointStore())
 	units := make([]resource.ScheduleUnit, 40)
 	for i := range units {
 		units[i] = resource.ScheduleUnit{ID: i + 1, Priority: 100, MaxCount: 2, Size: resource.New(1000, 2048)}

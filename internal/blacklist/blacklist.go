@@ -7,34 +7,28 @@
 // escalate further to FuxiMaster via a BadMachineReport.
 //
 // The cluster-level half lives in internal/master: FuxiMaster aggregates
-// BadMachineReports across jobs (Config.BadReportThreshold), graylists on
-// low agent-reported health scores, and keeps a flap score fed by repeated
-// heartbeat timeouts and surprise agent restarts (Config.Flap*) that
+// BadMachineReports across jobs (two distinct applications disable a
+// machine), graylists on low agent-reported health scores, and keeps a flap
+// score fed by repeated heartbeat timeouts and surprise agent restarts that
 // blacklists a machine from the scheduler's sweep until the score decays —
 // the top-down complement to this package's bottom-up escalation.
 package blacklist
 
-// Config sets the escalation thresholds.
-type Config struct {
-	// InstanceThreshold is how many distinct instances of one task must
+// The escalation thresholds of the Fuxi job framework.
+const (
+	// instanceThreshold is how many distinct instances of one task must
 	// mark a machine before the task blacklists it.
-	InstanceThreshold int
-	// TaskThreshold is how many distinct tasks must blacklist a machine
+	instanceThreshold = 3
+	// taskThreshold is how many distinct tasks must blacklist a machine
 	// before the whole job does.
-	TaskThreshold int
-	// MaxPerTask bounds each task's blacklist size; 0 means unlimited
-	// (the paper's "upper bound limit can be configured" abuse guard).
-	MaxPerTask int
-}
-
-// DefaultConfig returns the thresholds used by the Fuxi job framework.
-func DefaultConfig() Config {
-	return Config{InstanceThreshold: 3, TaskThreshold: 2, MaxPerTask: 20}
-}
+	taskThreshold = 2
+	// maxPerTask bounds each task's blacklist size (the paper's "upper
+	// bound limit can be configured" abuse guard).
+	maxPerTask = 20
+)
 
 // MultiLevel tracks failure marks for one job.
 type MultiLevel struct {
-	cfg Config
 	// marks[task][machine] = set of instance IDs that failed there.
 	marks map[string]map[string]map[int]bool
 	// taskBlack[task] = machines the task refuses.
@@ -46,15 +40,8 @@ type MultiLevel struct {
 }
 
 // New returns an empty tracker.
-func New(cfg Config) *MultiLevel {
-	if cfg.InstanceThreshold <= 0 {
-		cfg.InstanceThreshold = 1
-	}
-	if cfg.TaskThreshold <= 0 {
-		cfg.TaskThreshold = 1
-	}
+func New() *MultiLevel {
 	return &MultiLevel{
-		cfg:       cfg,
 		marks:     make(map[string]map[string]map[int]bool),
 		taskBlack: make(map[string]map[string]bool),
 		jobBlack:  make(map[string]bool),
@@ -79,13 +66,13 @@ func (b *MultiLevel) RecordFailure(task string, instance int, machine string) bo
 	insts[instance] = true
 
 	// Instance -> task escalation.
-	if len(insts) >= b.cfg.InstanceThreshold && !b.taskBlack[task][machine] {
+	if len(insts) >= instanceThreshold && !b.taskBlack[task][machine] {
 		tb := b.taskBlack[task]
 		if tb == nil {
 			tb = make(map[string]bool)
 			b.taskBlack[task] = tb
 		}
-		if b.cfg.MaxPerTask == 0 || len(tb) < b.cfg.MaxPerTask {
+		if len(tb) < maxPerTask {
 			tb[machine] = true
 		}
 	}
@@ -98,7 +85,7 @@ func (b *MultiLevel) RecordFailure(task string, instance int, machine string) bo
 				tasksMarking++
 			}
 		}
-		if tasksMarking >= b.cfg.TaskThreshold {
+		if tasksMarking >= taskThreshold {
 			b.jobBlack[machine] = true
 			if !b.escalated[machine] {
 				b.escalated[machine] = true

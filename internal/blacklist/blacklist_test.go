@@ -1,9 +1,25 @@
 package blacklist
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
+
+// markTask records instanceThreshold distinct failures of task on machine,
+// numbered from first, and reports whether one of them escalated it to the
+// job level.
+func markTask(b *MultiLevel, task string, first int, machine string) bool {
+	escalated := false
+	for i := first; i < first+instanceThreshold; i++ {
+		if b.RecordFailure(task, i, machine) {
+			escalated = true
+		}
+	}
+	return escalated
+}
 
 func TestInstanceToTaskEscalation(t *testing.T) {
-	b := New(Config{InstanceThreshold: 3, TaskThreshold: 2})
+	b := New()
 	b.RecordFailure("t1", 1, "m1")
 	b.RecordFailure("t1", 2, "m1")
 	if b.TaskBlacklisted("t1", "m1") {
@@ -20,7 +36,7 @@ func TestInstanceToTaskEscalation(t *testing.T) {
 }
 
 func TestSameInstanceRepeatCountsOnce(t *testing.T) {
-	b := New(Config{InstanceThreshold: 3, TaskThreshold: 2})
+	b := New()
 	for i := 0; i < 10; i++ {
 		b.RecordFailure("t1", 7, "m1") // same instance repeatedly
 	}
@@ -30,24 +46,22 @@ func TestSameInstanceRepeatCountsOnce(t *testing.T) {
 }
 
 func TestTaskToJobEscalation(t *testing.T) {
-	b := New(Config{InstanceThreshold: 2, TaskThreshold: 2})
+	b := New()
 	escalations := 0
-	mark := func(task string, i1, i2 int) {
-		if b.RecordFailure(task, i1, "m1") {
-			escalations++
-		}
-		if b.RecordFailure(task, i2, "m1") {
+	mark := func(task string) {
+		if markTask(b, task, 1, "m1") {
 			escalations++
 		}
 	}
-	mark("t1", 1, 2)
-	if b.JobBlacklisted("m1") {
+	mark("t1")
+	if !b.TaskBlacklisted("t1", "m1") || b.JobBlacklisted("m1") {
 		t.Fatal("job-level too early")
 	}
-	mark("t2", 1, 2)
+	mark("t2")
 	if !b.JobBlacklisted("m1") {
 		t.Fatal("no job-level escalation")
 	}
+	mark("t3")
 	if escalations != 1 {
 		t.Errorf("escalation signals = %d, want exactly 1", escalations)
 	}
@@ -58,21 +72,22 @@ func TestTaskToJobEscalation(t *testing.T) {
 }
 
 func TestMaxPerTaskBound(t *testing.T) {
-	b := New(Config{InstanceThreshold: 1, TaskThreshold: 99, MaxPerTask: 2})
-	b.RecordFailure("t1", 1, "m1")
-	b.RecordFailure("t1", 2, "m2")
-	b.RecordFailure("t1", 3, "m3")
-	if b.TaskBlacklist("t1") != 2 {
-		t.Errorf("task blacklist = %d, want capped at 2", b.TaskBlacklist("t1"))
+	b := New()
+	for m := 0; m <= maxPerTask; m++ {
+		markTask(b, "t1", 1, fmt.Sprintf("m%d", m))
 	}
-	if b.TaskBlacklisted("t1", "m3") {
+	if b.TaskBlacklist("t1") != maxPerTask {
+		t.Errorf("task blacklist = %d, want capped at %d", b.TaskBlacklist("t1"), maxPerTask)
+	}
+	if b.TaskBlacklisted("t1", fmt.Sprintf("m%d", maxPerTask)) {
 		t.Error("cap exceeded")
 	}
 }
 
 func TestForgive(t *testing.T) {
-	b := New(Config{InstanceThreshold: 1, TaskThreshold: 1})
-	b.RecordFailure("t1", 1, "m1")
+	b := New()
+	markTask(b, "t1", 1, "m1")
+	markTask(b, "t2", 1, "m1")
 	if !b.JobBlacklisted("m1") {
 		t.Fatal("setup failed")
 	}
@@ -81,24 +96,39 @@ func TestForgive(t *testing.T) {
 		t.Error("machine not forgiven")
 	}
 	// Re-escalation after forgiveness signals again.
-	if !b.RecordFailure("t1", 2, "m1") {
+	markTask(b, "t1", 10, "m1")
+	if !markTask(b, "t2", 10, "m1") {
 		t.Error("no escalation signal after forgiveness")
 	}
 }
 
+// TestZeroConfigDefaultsSane: a fresh tracker waits for the framework's
+// thresholds. One failure escalates nothing (New once clamped zero
+// thresholds to one, which escalated a machine at its first failure).
 func TestZeroConfigDefaultsSane(t *testing.T) {
-	b := New(Config{})
-	if !b.RecordFailure("t1", 1, "m1") {
-		t.Error("thresholds of 0 should clamp to 1 and escalate immediately")
-	}
-	if b.JobBlacklist() != 1 {
-		t.Errorf("job blacklist = %d", b.JobBlacklist())
+	b := New()
+	if b.RecordFailure("t1", 1, "m1") || b.TaskBlacklisted("t1", "m1") || b.JobBlacklist() != 0 {
+		t.Error("a single failure escalated the machine")
 	}
 }
 
+// TestDefaultConfig pins the framework's thresholds at their edges: the
+// third distinct instance blacklists a machine for its task, the second
+// task for the job.
 func TestDefaultConfig(t *testing.T) {
-	c := DefaultConfig()
-	if c.InstanceThreshold <= 0 || c.TaskThreshold <= 0 {
-		t.Error("bad defaults")
+	b := New()
+	for i := 1; i < instanceThreshold; i++ {
+		b.RecordFailure("t1", i, "m1")
+	}
+	if b.TaskBlacklisted("t1", "m1") {
+		t.Fatalf("task blacklisted after %d instances, want %d", instanceThreshold-1, instanceThreshold)
+	}
+	b.RecordFailure("t1", instanceThreshold, "m1")
+	if !b.TaskBlacklisted("t1", "m1") || b.JobBlacklisted("m1") {
+		t.Fatalf("after %d instances of one task: task %v, job %v; want true, false",
+			instanceThreshold, b.TaskBlacklisted("t1", "m1"), b.JobBlacklisted("m1"))
+	}
+	if !markTask(b, "t2", 1, "m1") {
+		t.Error("the second task did not escalate the machine to the job")
 	}
 }

@@ -32,19 +32,16 @@ type Config struct {
 	MachineCapacity resource.Vector
 	// Seed drives all randomness (placement, jitter, faults).
 	Seed int64
-	// NetLatency is the one-way message latency (default 200µs).
-	NetLatency sim.Time
-	// NetJitter, DropRate and DupRate inject network imperfection. With all
-	// three zero, same-instant messages deliver in send order, which the
-	// incremental protocol's happy path assumes (an app's RegisterApp
-	// precedes its first DemandUpdate; reordering is legal but falls back to
-	// the slow full-sync repair path).
-	NetJitter sim.Time
-	DropRate  float64
-	DupRate   float64
-	// Master and Agent tune the daemons. Every field a caller sets is kept;
-	// zero names, periods and thresholds take the packages' defaults. The
-	// pair's process names are the assembler's: fm-1 and fm-2.
+	// DropRate and DupRate inject network loss and duplication on the
+	// network's 200µs one-way latency. With both zero, same-instant
+	// messages deliver in send order, which the incremental protocol's happy
+	// path assumes (an app's RegisterApp precedes its first DemandUpdate;
+	// reordering is legal but falls back to the slow full-sync repair path).
+	DropRate float64
+	DupRate  float64
+	// Master and Agent configure the daemons; their failure thresholds and
+	// periods are the packages' constants. The pair's process names are the
+	// assembler's: fm-1 and fm-2.
 	Master master.Config
 	Agent  agent.Config
 	// Standby controls whether a second (hot-standby) FuxiMaster runs.
@@ -109,10 +106,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 	eng := sim.NewEngine(cfg.Seed)
 	net := transport.NewNet(eng)
-	if cfg.NetLatency > 0 {
-		net.Latency = cfg.NetLatency
-	}
-	net.Jitter = cfg.NetJitter
 	net.DropRate = cfg.DropRate
 	net.DupRate = cfg.DupRate
 
@@ -131,7 +124,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.Gateway = gateway.New(*cfg.Gateway, eng, net)
 	}
 
-	mcfg := cfg.Master.WithDefaults()
+	mcfg := cfg.Master
 	if cfg.Gateway != nil {
 		// Gateway priority classes map onto scheduler quota groups; make
 		// sure they exist (zero minimum = usage accounting only) so
@@ -162,18 +155,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.Faults.Masters = c.Masters[:]
 	eng.Run(electionSettle)
 
-	acfg := cfg.Agent
-	if acfg.HeartbeatInterval == 0 {
-		// A caller tuning one knob keeps it; the rest take the defaults
-		// (AnchorEvery's zero is the agent's own default).
-		def := agent.DefaultConfig()
-		acfg.HeartbeatInterval = def.HeartbeatInterval
-		if acfg.WorkerStartDelay == 0 {
-			acfg.WorkerStartDelay = def.WorkerStartDelay
-		}
-	}
 	for _, name := range top.Machines() {
-		c.Agents = append(c.Agents, agent.New(acfg, eng, net, top.Machine(name)))
+		c.Agents = append(c.Agents, agent.New(cfg.Agent, eng, net, top.Machine(name)))
 	}
 	c.Faults.Agents = c.Agents
 	return c, nil

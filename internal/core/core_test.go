@@ -368,10 +368,10 @@ func TestUtilizationAccountingConsistent(t *testing.T) {
 	}
 }
 
-// TestCallerSetMasterFieldsSurvive: a caller that sets some Config.Master
-// fields and leaves the rest zero gets the defaults for the rest and keeps
-// what it set. (The assembler used to replace the whole master config with
-// the defaults unless LockName was set, keeping only Sched and BatchWindow.)
+// TestCallerSetMasterFieldsSurvive: the callbacks a caller sets in
+// Config.Master reach both processes of the pair. (The assembler used to
+// replace the whole master config with the defaults, keeping only Sched and
+// BatchWindow.)
 func TestCallerSetMasterFieldsSurvive(t *testing.T) {
 	var c *Cluster
 	epoch, promoted, at := 0, sim.Time(0), sim.Time(0)
@@ -383,8 +383,7 @@ func TestCallerSetMasterFieldsSurvive(t *testing.T) {
 					promoted = c.Now()
 				}
 			},
-			OnRecovered:    func(e, reissued int) { epoch, at = e, c.Now() },
-			RecoveryWindow: 500 * sim.Millisecond,
+			OnRecovered: func(e, reissued int) { epoch, at = e, c.Now() },
 		},
 	})
 	c.Run(sim.Second)
@@ -399,13 +398,13 @@ func TestCallerSetMasterFieldsSurvive(t *testing.T) {
 	if c.Primary() == nil || epoch != 2 {
 		t.Fatalf("caller-set OnRecovered saw epoch %d after the failover (a primary leads: %v), want 2", epoch, c.Primary() != nil)
 	}
-	// The lease (default TTL, the caller set none) expires within LockTTL of
-	// the crash; recovery then takes the caller's 500 ms, not the default 2 s.
-	if def := master.DefaultConfig(""); promoted-killed > def.LockTTL {
-		t.Errorf("promoted %v after the crash, want within LockTTL %v", promoted-killed, def.LockTTL)
+	// The lease expires within LockTTL of the crash; recovery then runs to
+	// the RecoveryWindow deadline.
+	if promoted-killed > master.LockTTL {
+		t.Errorf("promoted %v after the crash, want within LockTTL %v", promoted-killed, master.LockTTL)
 	}
-	if took := at - promoted; took != 500*sim.Millisecond {
-		t.Errorf("recovered %v after the promotion, want the caller's 500 ms window", took)
+	if took := at - promoted; took != master.RecoveryWindow {
+		t.Errorf("recovered %v after the promotion, want the %v window", took, master.RecoveryWindow)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/appmaster"
 	"repro/internal/gateway"
 	"repro/internal/invariant"
-	"repro/internal/master"
 	"repro/internal/resource"
 	"repro/internal/sim"
 )
@@ -41,11 +40,9 @@ func TestGatewayAcrossMasterFailover(t *testing.T) {
 		},
 	}
 
-	mcfg := master.DefaultConfig("fm-1")
 	c, err := NewCluster(Config{
 		Racks: 2, MachinesPerRack: 3, Seed: 7,
 		Standby: true,
-		Master:  mcfg,
 		Gateway: gcfg,
 	})
 	if err != nil {

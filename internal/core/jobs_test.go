@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/blacklist"
 	"repro/internal/faults"
 	"repro/internal/job"
 	"repro/internal/protocol"
@@ -202,20 +201,21 @@ func TestJobSurvivesNodeDeath(t *testing.T) {
 }
 
 func TestBackupInstancesRescueStraggler(t *testing.T) {
-	c := newCluster(t, Config{Racks: 2, MachinesPerRack: 2, Seed: 27})
+	c := newCluster(t, Config{Racks: 3, MachinesPerRack: 4, Seed: 27})
 	// Wide single-stage job: the paper's backup criteria need a meaningful
-	// population of finished instances (>= DoneFraction) to estimate the
-	// average duration from.
+	// population of finished instances (90 %) to estimate the average
+	// duration from, so the slow machine's share of the instances (two of
+	// 24, spread over 12 machines) must stay under a tenth.
 	desc := &job.Description{
 		Name: "mrslow",
 		Tasks: map[string]job.TaskSpec{
-			"map": {Instances: 16, CPUMilli: 500, MemoryMB: 2048, DurationMS: 1000, NormalDurationMS: 2000},
+			"map": {Instances: 24, CPUMilli: 500, MemoryMB: 2048, DurationMS: 1000, NormalDurationMS: 2000},
 		},
 	}
 	// Make one machine pathologically slow before the job starts.
 	c.Faults.Fire(faults.Fault{Kind: faults.SlowMachine, Targets: []int32{0}, Factor: 50})
 	h, err := c.SubmitJob(desc, JobOptions{Config: job.Config{
-		Backup: job.BackupConfig{Enabled: true, DoneFraction: 0.5, Factor: 2, ScanInterval: sim.Second},
+		Backup: job.BackupConfig{Enabled: true, ScanInterval: sim.Second},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -264,13 +264,18 @@ func TestWorkerCrashRescheduledAndBlacklisted(t *testing.T) {
 func TestJobLevelBlacklistEscalatesToMaster(t *testing.T) {
 	c := newCluster(t, Config{Racks: 2, MachinesPerRack: 2, Seed: 29})
 	// Two jobs, each experiencing failures on the same machine, must
-	// escalate it into the cluster blacklist (BadReportThreshold = 2).
+	// escalate it into the cluster blacklist (two reporting applications).
+	// A job escalates a machine once two of its tasks have blacklisted it,
+	// each after three distinct instances failed there: each job runs two
+	// tasks side by side, wide enough that three of each task's first wave
+	// land on the bad machine.
 	bad := "r000m000"
 	mk := func(name string) *JobHandle {
-		desc := mapReduceDesc(t, c, name, 8, 1, 5000)
-		h, err := c.SubmitJob(desc, JobOptions{Config: job.Config{
-			Blacklist: blacklist.Config{InstanceThreshold: 2, TaskThreshold: 1, MaxPerTask: 10},
-		}})
+		desc := &job.Description{Name: name, Tasks: map[string]job.TaskSpec{
+			"scan":  {Instances: 12, CPUMilli: 500, MemoryMB: 2048, DurationMS: 5000},
+			"index": {Instances: 12, CPUMilli: 500, MemoryMB: 2048, DurationMS: 5000},
+		}}
+		h, err := c.SubmitJob(desc, JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

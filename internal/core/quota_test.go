@@ -15,13 +15,12 @@ import (
 
 func quotaCluster(t *testing.T, seed int64) *Cluster {
 	t.Helper()
-	mcfg := master.DefaultConfig("fm-1")
 	// One machine: 12 cores, 96 GB. Each group is guaranteed half.
 	half := resource.New(6000, 48*1024)
-	mcfg.Sched = master.Options{
+	mcfg := master.Config{Sched: master.Options{
 		EnablePreemption: true,
 		Groups:           map[string]resource.Vector{"prod": half, "batch": half},
-	}
+	}}
 	return newCluster(t, Config{Racks: 1, MachinesPerRack: 1, Seed: seed, Master: mcfg})
 }
 
@@ -92,12 +91,11 @@ func TestQuotaUnknownGroupRejectedSilently(t *testing.T) {
 }
 
 func TestQuotaSurvivesMasterFailover(t *testing.T) {
-	mcfg := master.DefaultConfig("fm-1")
 	half := resource.New(6000, 48*1024)
-	mcfg.Sched = master.Options{
+	mcfg := master.Config{Sched: master.Options{
 		EnablePreemption: true,
 		Groups:           map[string]resource.Vector{"prod": half, "batch": half},
-	}
+	}}
 	c := newCluster(t, Config{Racks: 1, MachinesPerRack: 1, Seed: 73, Master: mcfg, Standby: true})
 	held := 0
 	am := c.NewAppMaster(appmaster.Config{

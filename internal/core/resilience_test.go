@@ -23,9 +23,8 @@ func TestJobCompletesUnderMessageLoss(t *testing.T) {
 			})
 			desc := mapReduceDesc(t, c, "lossy", 24, 6, 2000)
 			h, err := c.SubmitJob(desc, JobOptions{Config: job.Config{
-				FullSyncInterval:   2 * sim.Second,
-				WorkerStartTimeout: 5 * sim.Second,
-				Backup:             job.BackupConfig{Enabled: true, ScanInterval: 2 * sim.Second},
+				FullSyncInterval: 2 * sim.Second,
+				Backup:           job.BackupConfig{Enabled: true, ScanInterval: 2 * sim.Second},
 			}})
 			if err != nil {
 				t.Fatal(err)
@@ -55,9 +54,8 @@ func TestJobSurvivesRandomFaultSchedule(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			desc := mapReduceDesc(t, c, "chaos", 36, 12, 3000)
 			h, err := c.SubmitJob(desc, JobOptions{Config: job.Config{
-				FullSyncInterval:   3 * sim.Second,
-				WorkerStartTimeout: 10 * sim.Second,
-				Backup:             job.BackupConfig{Enabled: true, ScanInterval: 3 * sim.Second},
+				FullSyncInterval: 3 * sim.Second,
+				Backup:           job.BackupConfig{Enabled: true, ScanInterval: 3 * sim.Second},
 			}})
 			if err != nil {
 				t.Fatal(err)

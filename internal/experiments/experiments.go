@@ -81,7 +81,6 @@ func RunSynthetic(opt SyntheticOptions) (*SyntheticResult, error) {
 	c, err := core.NewCluster(core.Config{
 		Racks: opt.Racks, MachinesPerRack: opt.MachinesPerRack, Seed: opt.Seed,
 		Agent: agent.Config{
-			HeartbeatInterval: sim.Second,
 			// Table 2 attributes 11.84 s of worker start to downloading
 			// ~400 MB worker binaries; reproduce it.
 			WorkerStartDelay: 11_840 * sim.Millisecond,
@@ -274,7 +273,7 @@ func RunFaultMatrix(opt FaultOptions) ([]FaultRow, error) {
 			}},
 		}
 		h, err := c.SubmitJob(desc, core.JobOptions{Config: job.Config{
-			Backup:           job.BackupConfig{Enabled: true, ScanInterval: 5 * sim.Second},
+			Backup:           job.BackupConfig{Enabled: true},
 			FullSyncInterval: 10 * sim.Second,
 		}})
 		if err != nil {
@@ -449,8 +448,7 @@ func MeasureFuxi(cfg OverheadConfig) (float64, error) {
 	c, err := core.NewCluster(core.Config{
 		Racks: racks, MachinesPerRack: perRack, Seed: cfg.Seed,
 		Agent: agent.Config{
-			HeartbeatInterval: sim.Second,
-			WorkerStartDelay:  sim.Time(cfg.WorkerStartDelayMS) * sim.Millisecond,
+			WorkerStartDelay: sim.Time(cfg.WorkerStartDelayMS) * sim.Millisecond,
 		},
 	})
 	if err != nil {

@@ -16,16 +16,31 @@ import (
 // BackupConfig tunes the speculative-execution scheme of paper §4.3.2.
 type BackupConfig struct {
 	Enabled bool
-	// DoneFraction of instances that must be finished before stragglers
-	// are judged (default 0.9 — "the majority of total instances (e.g.,
-	// 90%) have finished").
-	DoneFraction float64
-	// Factor over the average instance duration that marks a straggler
-	// (default 2 — "run for several times longer than the average").
-	Factor float64
-	// ScanInterval is how often stragglers are re-evaluated.
+	// ScanInterval is how often stragglers are re-evaluated (default 5 s).
 	ScanInterval sim.Time
 }
+
+// The straggler criteria of paper §4.3.2.
+const (
+	// backupDoneFraction of instances must be finished before stragglers
+	// are judged ("the majority of total instances (e.g., 90%) have
+	// finished").
+	backupDoneFraction = 0.9
+	// backupFactor over the average instance duration marks a straggler
+	// ("run for several times longer than the average").
+	backupFactor = 2
+)
+
+// Worker and JobMaster failover timing.
+const (
+	// recoveryGrace is how long a restarted JobMaster waits for worker
+	// reports before requeueing unconfirmed instances.
+	recoveryGrace = 3 * sim.Second
+	// workerStartTimeout bounds how long a worker may stay "starting"
+	// before its work plan is retried (covers lost plans and lost Running
+	// reports) — comfortably above the worker binary download time.
+	workerStartTimeout = 60 * sim.Second
+)
 
 // Config assembles one JobMaster.
 type Config struct {
@@ -38,18 +53,9 @@ type Config struct {
 	Rt    *Runtime
 	// FS supplies input-chunk locality (nil disables locality hints).
 	FS *pangu.FS
-	// RecoveryGrace is how long a restarted JobMaster waits for worker
-	// reports before requeueing unconfirmed instances.
-	RecoveryGrace sim.Time
-	// WorkerStartTimeout bounds how long a worker may stay "starting"
-	// before its work plan is retried (covers lost plans and lost Running
-	// reports). Default 60 s — comfortably above the worker binary
-	// download time.
-	WorkerStartTimeout sim.Time
 	// FullSyncInterval passes through to the resource protocol.
 	FullSyncInterval sim.Time
 	Backup           BackupConfig
-	Blacklist        blacklist.Config
 	// Priority applies to all of the job's resource requests.
 	Priority int
 	// OnDone fires once when the last task completes.
@@ -130,17 +136,8 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology
 	if cfg.Rt == nil {
 		return nil, fmt.Errorf("job %q: nil runtime", cfg.Desc.Name)
 	}
-	if cfg.RecoveryGrace <= 0 {
-		cfg.RecoveryGrace = 3 * sim.Second
-	}
 	if cfg.Backup.ScanInterval <= 0 {
 		cfg.Backup.ScanInterval = 5 * sim.Second
-	}
-	if cfg.Blacklist == (blacklist.Config{}) {
-		cfg.Blacklist = blacklist.DefaultConfig()
-	}
-	if cfg.WorkerStartTimeout <= 0 {
-		cfg.WorkerStartTimeout = 60 * sim.Second
 	}
 	order, _ := cfg.Desc.TopologicalOrder()
 
@@ -148,7 +145,7 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology
 		cfg: cfg, eng: eng, net: net, rt: cfg.Rt,
 		store:      cfg.Store,
 		generation: cfg.Store.incarnations,
-		black:      blacklist.New(cfg.Blacklist),
+		black:      blacklist.New(),
 		order:      order,
 		unitOf:     make(map[string]int, len(order)),
 		taskOf:     make(map[int]string, len(order)),
@@ -437,7 +434,7 @@ func (j *JobMaster) scanBackups() {
 		}
 		tm.scanBackups()
 		if !j.recovering {
-			tm.reapStuckStarts(j.cfg.WorkerStartTimeout)
+			tm.reapStuckStarts()
 		}
 	}
 }
@@ -467,7 +464,7 @@ func (j *JobMaster) recover() {
 		j.tms[name] = tm
 		tm.restoreFromSnap(snap)
 	}
-	j.timers = append(j.timers, j.eng.After(j.cfg.RecoveryGrace, j.finishRecovery))
+	j.timers = append(j.timers, j.eng.After(recoveryGrace, j.finishRecovery))
 }
 
 func (j *JobMaster) finishRecovery() {

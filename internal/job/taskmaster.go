@@ -276,16 +276,16 @@ func (tm *taskMaster) grantArrived(machine string, count int) {
 	}
 }
 
-// reapStuckStarts retries workers stuck in workerStarting beyond the
-// timeout — a lost work plan (or lost Running status) would otherwise leak
-// the container forever.
-func (tm *taskMaster) reapStuckStarts(timeout sim.Time) {
+// reapStuckStarts retries workers stuck in workerStarting beyond
+// workerStartTimeout — a lost work plan (or lost Running status) would
+// otherwise leak the container forever.
+func (tm *taskMaster) reapStuckStarts() {
 	if tm.completed {
 		return
 	}
 	now := tm.jm.eng.Now()
 	for _, w := range tm.workersByID(func(w *tmWorker) bool {
-		return w.state == workerStarting && now-w.plannedAt > timeout
+		return w.state == workerStarting && now-w.plannedAt > workerStartTimeout
 	}) {
 		tm.workerFailed(w.id, w.machine, "worker start timed out")
 	}
@@ -521,11 +521,7 @@ func (tm *taskMaster) scanBackups() {
 	if tm.completed || !tm.jm.cfg.Backup.Enabled {
 		return
 	}
-	frac := tm.jm.cfg.Backup.DoneFraction
-	if frac <= 0 {
-		frac = 0.9
-	}
-	if float64(tm.doneCount) < frac*float64(len(tm.instances)) {
+	if float64(tm.doneCount) < backupDoneFraction*float64(len(tm.instances)) {
 		return
 	}
 	var avg float64
@@ -540,10 +536,6 @@ func (tm *taskMaster) scanBackups() {
 		return
 	}
 	avg /= float64(n)
-	factor := tm.jm.cfg.Backup.Factor
-	if factor <= 0 {
-		factor = 2
-	}
 	normal := sim.Time(tm.spec.NormalDurationMS) * sim.Millisecond
 	if normal == 0 {
 		normal = 4 * sim.Time(tm.spec.DurationMS) * sim.Millisecond
@@ -554,7 +546,7 @@ func (tm *taskMaster) scanBackups() {
 			continue
 		}
 		elapsed := now - in.startedAt
-		if float64(elapsed) < factor*avg || elapsed < normal {
+		if float64(elapsed) < backupFactor*avg || elapsed < normal {
 			continue
 		}
 		orig := tm.workers[in.worker]

@@ -33,7 +33,7 @@ func TestAppMessagesFromAnotherEndpointAreDropped(t *testing.T) {
 	} {
 		for _, known := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/registered=%v", msg.name, known), func(t *testing.T) {
-				h := newMasterHarness(t, DefaultConfig("fm-1"))
+				h := newMasterHarness(t, Config{ProcessName: "fm-1"})
 				var toClient []transport.Message
 				client := h.net.Register("client", func(_ transport.EndpointID, m transport.Message) {
 					toClient = append(toClient, protocol.Keep(m))
@@ -134,7 +134,7 @@ func TestRefusedAppsLeaveTheCheckpoint(t *testing.T) {
 	for _, name := range []string{"ghost", "app1", "ghost3", "ghost2"} {
 		net.Register(name, func(transport.EndpointID, transport.Message) {})
 	}
-	m := NewMaster(DefaultConfig("fm-1"), eng, net, lockservice.New(eng), testTop(t, 2, 2), ckpt)
+	m := NewMaster(Config{ProcessName: "fm-1"}, eng, net, lockservice.New(eng), testTop(t, 2, 2), ckpt)
 	oracle.BumpEpoch()
 	if !m.IsPrimary() || m.Scheduler().Registered("ghost") || !m.Scheduler().Registered("app1") {
 		t.Fatal("setup: the master should promote with app1 registered and ghost refused")

@@ -240,7 +240,7 @@ func BenchmarkHeartbeatDeltaEncode(b *testing.B) {
 	net := transport.NewNet(eng)
 	net.Register(protocol.MasterEndpoint, func(transport.EndpointID, transport.Message) {})
 	top := benchTop(b, 1, 1)
-	a := agent.New(agent.DefaultConfig(), eng, net, top.Machine(top.Machines()[0]))
+	a := agent.New(agent.Config{}, eng, net, top.Machine(top.Machines()[0]))
 	// Populate the capacity table the way the master would.
 	entries := make([]protocol.CapacityEntry, 40)
 	for i := range entries {
@@ -269,7 +269,7 @@ func BenchmarkCapacityDeltaDecode(b *testing.B) {
 	net := transport.NewNet(eng)
 	net.Register(protocol.MasterEndpoint, func(transport.EndpointID, transport.Message) {})
 	top := benchTop(b, 1, 1)
-	a := agent.New(agent.DefaultConfig(), eng, net, top.Machine(top.Machines()[0]))
+	a := agent.New(agent.Config{}, eng, net, top.Machine(top.Machines()[0]))
 	grant := make([]protocol.CapacityEntry, 16)
 	revoke := make([]protocol.CapacityEntry, 16)
 	for i := range grant {

@@ -54,7 +54,7 @@ func TestOneMessageEqualsPerUnitSplit(t *testing.T) {
 }
 
 func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	cfg.BatchWindow = batch
 	ws := [2]*syncWorld{newSyncWorld(t, cfg, false), newSyncWorld(t, cfg, false)}
 	rng := rand.New(rand.NewSource(seed))
@@ -199,7 +199,7 @@ func TestCombinedUpdateEqualsTwoMessageForm(t *testing.T) {
 }
 
 func combinedEqualsTwoMessages(t *testing.T, seed int64, batch sim.Time) {
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	cfg.BatchWindow = batch
 	ws := [2]*syncWorld{newSyncWorld(t, cfg, false), newSyncWorld(t, cfg, false)}
 	rng := rand.New(rand.NewSource(seed))
@@ -344,7 +344,7 @@ func TestAppHearsOneGrantUpdatePerStep(t *testing.T) {
 	newWorld := func(batch sim.Time) *world {
 		eng := sim.NewEngine(1)
 		w := &world{eng: eng, net: transport.NewNet(eng)}
-		cfg := DefaultConfig("fm-1")
+		cfg := Config{ProcessName: "fm-1"}
 		cfg.BatchWindow = batch
 		w.m = NewMaster(cfg, eng, w.net, lockservice.New(eng), testTop(t, 2, 3), NewCheckpointStore())
 		eng.Run(10 * sim.Millisecond)
@@ -437,7 +437,7 @@ func TestMalformedDemandIsDroppedWhole(t *testing.T) {
 	// setup registers app1's two units and has unit 1 hold one container,
 	// on the machine it returns.
 	setup := func(t *testing.T, batch sim.Time) (*masterHarness, int32) {
-		cfg := DefaultConfig("fm-1")
+		cfg := Config{ProcessName: "fm-1"}
 		cfg.BatchWindow = batch
 		h := newMasterHarness(t, cfg)
 		h.send(&protocol.RegisterApp{App: "app1", Seq: h.seq.Next(), Units: []resource.ScheduleUnit{

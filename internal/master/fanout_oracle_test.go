@@ -274,7 +274,7 @@ func newFanoutWorld(t *testing.T, batch sim.Time, legacy bool) *fanoutWorld {
 	w := &fanoutWorld{eng: eng, net: transport.NewNet(eng)}
 	top := testTop(t, 2, 3)
 	half := resource.New(6*12000/2, 6*96*1024/2)
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	cfg.BatchWindow = batch
 	cfg.Sched = Options{EnablePreemption: true, Groups: map[string]resource.Vector{"A": half, "B": half}}
 	w.m = NewMaster(cfg, eng, w.net, lockservice.New(eng), top, NewCheckpointStore())
@@ -514,7 +514,7 @@ func TestReturnAndRegrantShareOneCapacityDelta(t *testing.T) {
 			eng := sim.NewEngine(1)
 			net := transport.NewNet(eng)
 			top := testTop(t, 1, 1)
-			cfg := DefaultConfig("fm-1")
+			cfg := Config{ProcessName: "fm-1"}
 			cfg.BatchWindow = tc.batch
 			m := NewMaster(cfg, eng, net, lockservice.New(eng), top, NewCheckpointStore())
 			var caps []capMsg

@@ -7,18 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// flapHarness drives one master with manual heartbeats from a single
-// machine, so the test controls exactly when the dead-agent scan sees a
-// timeout.
-func flapConfig() Config {
-	cfg := DefaultConfig("fm-1")
-	cfg.FlapPenalty = 2
-	cfg.FlapThreshold = 4
-	cfg.FlapDecayEvery = 5 * sim.Second
-	cfg.FlapDecayStep = 2
-	return cfg
-}
-
 func (h *masterHarness) beat(mc string) {
 	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint(mc)), h.net.Endpoint(protocol.MasterEndpoint), &protocol.AgentHeartbeat{
 		Machine: h.top.MachineID(mc), HealthScore: 100, Seq: h.seq.Next(),
@@ -33,46 +21,57 @@ func (h *masterHarness) beatFor(mc string, d sim.Time) {
 	}
 }
 
+// die lets mc heartbeat for two seconds and then go silent past the
+// heartbeat timeout, so the dead-agent scan declares it dead once.
+func (h *masterHarness) die(t *testing.T, mc string) {
+	t.Helper()
+	h.beatFor(mc, 2*sim.Second)
+	if h.m1.Scheduler().Down(mc) {
+		t.Fatal("machine still down while heartbeating")
+	}
+	h.eng.Run(h.eng.Now() + 4*sim.Second)
+	if !h.m1.Scheduler().Down(mc) {
+		t.Fatal("machine not declared down after silence")
+	}
+}
+
 // TestFlapBlacklistFromRepeatedTimeouts pins the cluster-level half of the
-// multi-level blacklist: two heartbeat-timeout deaths inside the decay
-// window blacklist the machine; healthy heartbeats alone must NOT
+// multi-level blacklist: four heartbeat-timeout deaths inside one decay
+// period blacklist the machine; healthy heartbeats alone must NOT
 // rehabilitate it (a flapping node looks healthy between crashes); score
 // decay does, once no other signal pins the machine.
 func TestFlapBlacklistFromRepeatedTimeouts(t *testing.T) {
-	cfg := flapConfig()
-	cfg.FlapDecayEvery = 20 * sim.Second // slow decay: both deaths land inside the window
-	h := newMasterHarness(t, cfg)
+	h := newMasterHarness(t, Config{ProcessName: "fm-1"})
 	mc := "r000m000"
-	h.eng.Run(50 * sim.Millisecond) // promotion
+	h.eng.Run(50 * sim.Millisecond) // promotion; the first decay is at 30 s
 	s := h.m1.Scheduler()
 
-	h.beatFor(mc, 2*sim.Second)
-	h.eng.Run(h.eng.Now() + 5*sim.Second) // silence > timeout: death #1
-	if !s.Down(mc) {
-		t.Fatal("machine not declared down after silence")
+	for death := 1; death <= 3; death++ {
+		h.die(t, mc)
 	}
+	h.beat(mc)
+	h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
 	if s.Blacklisted(mc) {
-		t.Fatal("blacklisted after a single death (threshold is two)")
+		t.Fatal("blacklisted after three deaths (threshold is four)")
 	}
-	h.beatFor(mc, 2*sim.Second) // recovers...
-	if s.Down(mc) {
-		t.Fatal("machine still down while heartbeating")
-	}
-	h.eng.Run(h.eng.Now() + 5*sim.Second) // ...and dies again: death #2
+	h.die(t, mc) // death #4, before the first decay
 	h.beat(mc)
 	h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
 	if !s.Blacklisted(mc) {
-		t.Fatal("two deaths inside the decay window did not blacklist")
+		t.Fatal("four deaths inside the decay period did not blacklist")
 	}
 
 	// Healthy beats must not clear a flap blacklist.
 	h.beatFor(mc, 3*sim.Second)
+	if now := h.eng.Now(); now >= flapDecayEvery {
+		t.Fatalf("setup: healthy beats ran to %v, past the first decay", now)
+	}
 	if !s.Blacklisted(mc) {
 		t.Fatal("healthy heartbeats rehabilitated a flapping machine")
 	}
 
-	// Decay does: 2 points per 20s from a score of 4.
-	h.beatFor(mc, 25*sim.Second)
+	// Decay does: one point at 30 s takes the score of 8 below the threshold.
+	h.beatFor(mc, 5*sim.Second)
 	if s.Blacklisted(mc) {
 		t.Fatal("flap score decay did not rehabilitate the machine")
 	}
@@ -82,12 +81,12 @@ func TestFlapBlacklistFromRepeatedTimeouts(t *testing.T) {
 // restart announcing itself with a CapacityQuery while the master thought
 // the machine was up counts as a death too.
 func TestFlapBlacklistFromSurpriseRestarts(t *testing.T) {
-	h := newMasterHarness(t, flapConfig())
+	h := newMasterHarness(t, Config{ProcessName: "fm-1"})
 	mc := "r000m000"
 	h.eng.Run(50 * sim.Millisecond)
 	s := h.m1.Scheduler()
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 4; i++ {
 		h.beat(mc)
 		h.eng.Run(h.eng.Now() + 200*sim.Millisecond)
 		h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint(mc)), h.net.Endpoint(protocol.MasterEndpoint), protocol.CapacityQuery{
@@ -96,22 +95,24 @@ func TestFlapBlacklistFromSurpriseRestarts(t *testing.T) {
 		h.eng.Run(h.eng.Now() + 200*sim.Millisecond)
 	}
 	if !s.Blacklisted(mc) {
-		t.Fatal("two surprise restarts did not blacklist")
+		t.Fatal("four surprise restarts did not blacklist")
 	}
 
 	// The recovery query of a timeout-declared death must not double-count:
-	// a fresh machine that dies once (scored 2) and restarts with a query
-	// while still marked down stays under the threshold.
+	// a fresh machine that dies twice (scored 4) and restarts with a query
+	// each time while still marked down stays under the threshold, where
+	// counting the queries too would reach it.
 	mc2 := "r000m001"
-	h.beatFor(mc2, 2*sim.Second)
-	h.eng.Run(h.eng.Now() + 5*sim.Second) // timeout death (+2)
-	if !s.Down(mc2) {
-		t.Fatal("second machine not declared down")
+	for i := 0; i < 2; i++ {
+		h.die(t, mc2)
+		h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint(mc2)), h.net.Endpoint(protocol.MasterEndpoint), protocol.CapacityQuery{
+			Machine: h.top.MachineID(mc2), Seq: h.seq.Next(),
+		})
+		h.eng.Run(h.eng.Now() + 200*sim.Millisecond)
 	}
-	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint(mc2)), h.net.Endpoint(protocol.MasterEndpoint), protocol.CapacityQuery{
-		Machine: h.top.MachineID(mc2), Seq: h.seq.Next(),
-	})
-	h.eng.Run(h.eng.Now() + 200*sim.Millisecond)
+	if now := h.eng.Now(); now >= flapDecayEvery {
+		t.Fatalf("setup: deaths ran to %v, past the first decay", now)
+	}
 	if s.Blacklisted(mc2) {
 		t.Fatal("recovery CapacityQuery double-counted a timeout death")
 	}

@@ -247,7 +247,7 @@ func TestFullSyncMatchesMapOracle(t *testing.T) {
 }
 
 func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	cfg.BatchWindow = batch
 	ws := [2]*syncWorld{newSyncWorld(t, cfg, false), newSyncWorld(t, cfg, true)}
 	rng := rand.New(rand.NewSource(seed))

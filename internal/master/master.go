@@ -15,16 +15,13 @@ import (
 	"repro/internal/transport"
 )
 
-// Config tunes one FuxiMaster process.
+// Config tunes one FuxiMaster process. The failure thresholds and periods
+// every process shares are the constants below it.
 type Config struct {
 	// ProcessName uniquely names this master process (e.g. "fm-1"); the
-	// hot-standby pair shares LockName and the logical MasterEndpoint.
+	// hot-standby pair shares the election lock and the logical
+	// MasterEndpoint.
 	ProcessName string
-	// LockName is the election lock (default "fuximaster-lock").
-	LockName string
-	// LockTTL is the lease duration; RenewEvery the renewal period.
-	LockTTL    sim.Time
-	RenewEvery sim.Time
 	// LockReachable, when set, reports whether this process can currently
 	// reach the lock service — the hook a partition harness uses to model a
 	// master cut off from coordination. While unreachable the process cannot
@@ -35,19 +32,6 @@ type Config struct {
 	// master alongside its successor (split brain). Nil means always
 	// reachable.
 	LockReachable func() bool
-	// HeartbeatTimeout declares an agent dead when silent this long.
-	HeartbeatTimeout sim.Time
-	// HeartbeatScan is the period of the dead-agent scan (the paper's
-	// "heavy but not emergent requests ... captured at a fixed time
-	// interval ... in a roll-up manner").
-	HeartbeatScan sim.Time
-	// RecoveryWindow bounds how long a newly-promoted primary collects soft
-	// state before resuming normal scheduling. Recovery ends as soon as
-	// every machine has sent its anchor beat and every checkpointed
-	// application its full sync (or its unregister) — one round trip after
-	// the hello when everyone is alive — and at this deadline when some
-	// party stays silent.
-	RecoveryWindow sim.Time
 	// BatchWindow is the width of a scheduling round. Every DemandUpdate —
 	// its returns and its demand — joins the round, and a round applies all
 	// its releases first, reassigns the freed machines to queued demand in
@@ -58,34 +42,6 @@ type Config struct {
 	// application"). Zero flushes every update at once as a round of its
 	// own, its demand placed as the app asked for it.
 	BatchWindow sim.Time
-	// HealthScoreThreshold and HealthScoreStrikes drive score-based
-	// graylisting: an agent reporting below the threshold for this many
-	// consecutive heartbeats is blacklisted ("once the score is too low
-	// for a long time").
-	HealthScoreThreshold int
-	HealthScoreStrikes   int
-	// BadReportThreshold is how many distinct applications must report a
-	// machine bad before FuxiMaster disables it cluster-wide.
-	BadReportThreshold int
-	// FlapPenalty, FlapThreshold, FlapDecayEvery and FlapDecayStep drive
-	// the cluster-level half of the multi-level blacklist (paper §3.4; the
-	// job-level half lives in internal/blacklist): every master-observed
-	// machine death — a heartbeat-timeout declaration or an agent restart
-	// announcing itself with a CapacityQuery — adds FlapPenalty to the
-	// machine's flap score, and at FlapThreshold the machine is blacklisted
-	// so the scheduler's sweep skips it. The score decays by FlapDecayStep
-	// every FlapDecayEvery; once it falls back below the threshold (and no
-	// other signal pins the machine) it is rehabilitated — distinguishing a
-	// persistently flapping node from a one-off crash. FlapThreshold <= 0
-	// disables flap tracking; through WithDefaults (core.Config.Master) only
-	// a negative value does, because zero takes the default.
-	FlapPenalty    int
-	FlapThreshold  int
-	FlapDecayEvery sim.Time
-	FlapDecayStep  int
-	// BlacklistCap bounds the cluster blacklist ("to avoid abuse ... an
-	// upper bound limit can be configured").
-	BlacklistCap int
 	// Sched passes through scheduler options (quota groups, preemption).
 	Sched Options
 	// OnPromote, when set, fires as this process wins the election, after
@@ -111,52 +67,62 @@ type Config struct {
 	ObsSampler func(now sim.Time)
 }
 
-// DefaultConfig returns production-flavoured defaults for a process name.
-func DefaultConfig(process string) Config {
-	return Config{
-		ProcessName:          process,
-		LockName:             "fuximaster-lock",
-		LockTTL:              3 * sim.Second,
-		RenewEvery:           sim.Second,
-		HeartbeatTimeout:     3 * sim.Second,
-		HeartbeatScan:        sim.Second,
-		RecoveryWindow:       2 * sim.Second,
-		HealthScoreThreshold: 30,
-		HealthScoreStrikes:   3,
-		BadReportThreshold:   2,
-		BlacklistCap:         50,
-		FlapPenalty:          2,
-		FlapThreshold:        8,
-		FlapDecayEvery:       30 * sim.Second,
-		FlapDecayStep:        1,
-	}
-}
+// Election and lease (paper §4.3.1's hot-standby pair).
+const (
+	// lockName is the election lock.
+	lockName = "fuximaster-lock"
+	// LockTTL is the lease duration; renewEvery the renewal period.
+	LockTTL    = 3 * sim.Second
+	renewEvery = sim.Second
+)
 
-// WithDefaults returns c with every zero name, period and threshold taken
-// from DefaultConfig. Everything the caller set stays — the callbacks, Sched,
-// BatchWindow (whose zero means one update per round) and the obs plane have
-// no default to take. A zero that means "off" to NewMaster (FlapThreshold,
-// BlacklistCap, HealthScoreThreshold) means "default" here; pass a negative
-// value to switch the mechanism off. TestWithDefaultsCoversDefaultConfig
-// keeps this list and DefaultConfig's from drifting apart.
-func (c Config) WithDefaults() Config {
-	d := DefaultConfig(c.ProcessName)
-	c.LockName = cmp.Or(c.LockName, d.LockName)
-	c.LockTTL = cmp.Or(c.LockTTL, d.LockTTL)
-	c.RenewEvery = cmp.Or(c.RenewEvery, d.RenewEvery)
-	c.HeartbeatTimeout = cmp.Or(c.HeartbeatTimeout, d.HeartbeatTimeout)
-	c.HeartbeatScan = cmp.Or(c.HeartbeatScan, d.HeartbeatScan)
-	c.RecoveryWindow = cmp.Or(c.RecoveryWindow, d.RecoveryWindow)
-	c.HealthScoreThreshold = cmp.Or(c.HealthScoreThreshold, d.HealthScoreThreshold)
-	c.HealthScoreStrikes = cmp.Or(c.HealthScoreStrikes, d.HealthScoreStrikes)
-	c.BadReportThreshold = cmp.Or(c.BadReportThreshold, d.BadReportThreshold)
-	c.BlacklistCap = cmp.Or(c.BlacklistCap, d.BlacklistCap)
-	c.FlapPenalty = cmp.Or(c.FlapPenalty, d.FlapPenalty)
-	c.FlapThreshold = cmp.Or(c.FlapThreshold, d.FlapThreshold)
-	c.FlapDecayEvery = cmp.Or(c.FlapDecayEvery, d.FlapDecayEvery)
-	c.FlapDecayStep = cmp.Or(c.FlapDecayStep, d.FlapDecayStep)
-	return c
-}
+// Failure detection and recovery (paper §4.3).
+const (
+	// heartbeatTimeout declares an agent dead when silent this long.
+	heartbeatTimeout = 3 * sim.Second
+	// heartbeatScan is the period of the dead-agent scan (the paper's
+	// "heavy but not emergent requests ... captured at a fixed time
+	// interval ... in a roll-up manner").
+	heartbeatScan = sim.Second
+	// RecoveryWindow bounds how long a newly-promoted primary collects soft
+	// state before resuming normal scheduling. Recovery ends as soon as
+	// every machine has sent its anchor beat and every checkpointed
+	// application its full sync (or its unregister) — one round trip after
+	// the hello when everyone is alive — and at this deadline when some
+	// party stays silent.
+	RecoveryWindow = 2 * sim.Second
+)
+
+// The cluster-level half of the multi-level blacklist (paper §3.4 and
+// §4.3.2; the job-level half lives in internal/blacklist).
+const (
+	// healthScoreThreshold and healthScoreStrikes drive score-based
+	// graylisting: an agent reporting below the threshold for this many
+	// consecutive heartbeats is blacklisted ("once the score is too low
+	// for a long time").
+	healthScoreThreshold = 30
+	healthScoreStrikes   = 3
+	// badReportThreshold is how many distinct applications must report a
+	// machine bad before FuxiMaster disables it cluster-wide.
+	badReportThreshold = 2
+	// flapPenalty, flapThreshold, flapDecayEvery and flapDecayStep drive
+	// the flap score: every master-observed machine death — a
+	// heartbeat-timeout declaration or an agent restart announcing itself
+	// with a CapacityQuery — adds flapPenalty to the machine's flap score,
+	// and at flapThreshold the machine is blacklisted so the scheduler's
+	// sweep skips it. The score decays by flapDecayStep every
+	// flapDecayEvery; once it falls back below the threshold (and no other
+	// signal pins the machine) it is rehabilitated — distinguishing a
+	// persistently flapping node from a one-off crash. Four deaths inside
+	// the decay window blacklist a machine.
+	flapPenalty    = 2
+	flapThreshold  = 8
+	flapDecayEvery = 30 * sim.Second
+	flapDecayStep  = 1
+	// blacklistCap bounds the cluster blacklist ("to avoid abuse ... an
+	// upper bound limit can be configured").
+	blacklistCap = 50
+)
 
 // Master is one FuxiMaster process of the hot-standby pair. When it holds
 // the election lock it registers the logical MasterEndpoint, drives the
@@ -219,7 +185,7 @@ type Master struct {
 	lastBeat      []sim.Time // by machine ID
 	wheel         *beatWheel // lazy timer wheel over lastBeat (dead-agent scan)
 	strikes       []int      // by machine ID
-	// flap is the cluster-level machine health score (see Config.Flap*):
+	// flap is the cluster-level machine health score (see flapPenalty):
 	// master-observed deaths raise it, the decay timer lowers it, and
 	// flapBlack marks machines blacklisted by it (so heartbeat-score
 	// rehabilitation cannot un-blacklist a flapping node between crashes).
@@ -408,10 +374,10 @@ func (m *Master) compete() {
 		return
 	}
 	if m.cfg.LockReachable != nil && !m.cfg.LockReachable() {
-		m.eng.After(m.cfg.RenewEvery, m.compete)
+		m.eng.After(renewEvery, m.compete)
 		return
 	}
-	m.lockAbort = m.lock.AcquireOrWait(m.cfg.LockName, m.cfg.ProcessName, m.cfg.LockTTL, m.promote)
+	m.lockAbort = m.lock.AcquireOrWait(lockName, m.cfg.ProcessName, LockTTL, m.promote)
 }
 
 // promote turns this process into the primary: rebuild hard state from the
@@ -422,7 +388,7 @@ func (m *Master) promote() {
 		return
 	}
 	m.primary = true
-	m.leaseDeadline = m.eng.Now() + m.cfg.LockTTL
+	m.leaseDeadline = m.eng.Now() + LockTTL
 	m.capSeq = make([]protocol.Sequencer, m.top.Size())
 	m.epoch = m.ckpt.BumpEpoch()
 	sched := m.cfg.Sched
@@ -457,14 +423,12 @@ func (m *Master) promote() {
 		m.cfg.OnPromote(m.epoch)
 	}
 
-	m.wheel = newBeatWheel(m.cfg.HeartbeatScan, m.top.Size())
+	m.wheel = newBeatWheel(heartbeatScan, m.top.Size())
 	m.net.Register(protocol.MasterEndpoint, m.handle)
 	m.timers = append(m.timers,
-		m.eng.Every(m.cfg.RenewEvery, m.renew),
-		m.eng.Every(m.cfg.HeartbeatScan, m.scanHeartbeats))
-	if m.cfg.FlapThreshold > 0 && m.cfg.FlapDecayEvery > 0 {
-		m.timers = append(m.timers, m.eng.Every(m.cfg.FlapDecayEvery, m.decayFlapScores))
-	}
+		m.eng.Every(renewEvery, m.renew),
+		m.eng.Every(heartbeatScan, m.scanHeartbeats),
+		m.eng.Every(flapDecayEvery, m.decayFlapScores))
 
 	// Soft state: everyone re-sends. Fresh clusters (epoch 1) skip the
 	// recovery pause.
@@ -496,7 +460,7 @@ func (m *Master) promote() {
 		// admitted-but-unacknowledged jobs on this hello; without a gateway
 		// the endpoint is unregistered and the message is dropped on arrival.
 		m.net.SendID(m.epID, m.gwID, hello)
-		m.timers = append(m.timers, m.eng.After(m.cfg.RecoveryWindow, m.finishRecovery))
+		m.timers = append(m.timers, m.eng.After(RecoveryWindow, m.finishRecovery))
 	}
 }
 
@@ -569,12 +533,12 @@ func (m *Master) renew() {
 		}
 		return
 	}
-	if !m.lock.Renew(m.cfg.LockName, m.cfg.ProcessName) {
+	if !m.lock.Renew(lockName, m.cfg.ProcessName) {
 		// Deposed (e.g. a long GC pause let the lease lapse): stand down.
 		m.demote()
 		return
 	}
-	m.leaseDeadline = m.eng.Now() + m.cfg.LockTTL
+	m.leaseDeadline = m.eng.Now() + LockTTL
 }
 
 // fenceCheck fires at the lease deadline armed while the lock service was
@@ -686,9 +650,10 @@ func (m *Master) Epoch() int { return m.epoch }
 // ---------------------------------------------------------------------------
 
 // handle receives the primary's traffic; a pooled message is the network's
-// again when it returns. A message that introduces, syncs or ends an app is
-// taken only from the endpoint named after that app: from any other it is
-// dropped whole, before a dedup mark moves.
+// again when it returns. A message that introduces, syncs or ends an app, or
+// casts its vote against a machine, is taken only from the endpoint named
+// after that app: from any other it is dropped whole, before a dedup mark
+// moves.
 func (m *Master) handle(from tr, msg transport.Message) {
 	if !m.primary || m.crashed {
 		return
@@ -720,7 +685,7 @@ func (m *Master) handle(from tr, msg transport.Message) {
 	case protocol.CapacityQuery:
 		m.handleCapacityQuery(t)
 	case protocol.BadMachineReport:
-		if m.dedup.ObserveCh(int32(from), protocol.ChanBad, t.Seq) == protocol.Duplicate {
+		if m.net.Name(from) != t.App || m.dedup.ObserveCh(int32(from), protocol.ChanBad, t.Seq) == protocol.Duplicate {
 			return
 		}
 		m.handleBadReport(t)
@@ -1349,14 +1314,14 @@ func (m *Master) handleHeartbeat(t *protocol.AgentHeartbeat) {
 		}
 	}
 	// Health-score graylisting.
-	if t.HealthScore < m.cfg.HealthScoreThreshold {
+	if t.HealthScore < healthScoreThreshold {
 		m.strikes[mc]++
-		if m.strikes[mc] >= m.cfg.HealthScoreStrikes && !m.sched.blackID(mc) {
+		if m.strikes[mc] >= healthScoreStrikes && !m.sched.blackID(mc) {
 			m.blacklist(mc)
 		}
 	} else {
 		m.strikes[mc] = 0
-		if m.sched.blackID(mc) && len(m.badVotes[mc]) < m.cfg.BadReportThreshold &&
+		if m.sched.blackID(mc) && len(m.badVotes[mc]) < badReportThreshold &&
 			!m.flapBlack[mc] {
 			// Score recovered and neither job votes nor the flap score pin
 			// it: rehabilitate. Flap-blacklisted machines heartbeat healthily
@@ -1384,11 +1349,8 @@ func (m *Master) handleJobAdmit(t *protocol.JobAdmit) {
 // at the flap threshold — the cluster-level half of the multi-level
 // blacklist (the job-level, bottom-up half is internal/blacklist).
 func (m *Master) noteFlap(mc int32) {
-	if m.cfg.FlapThreshold <= 0 {
-		return
-	}
-	m.flap[mc] += m.cfg.FlapPenalty
-	if m.flap[mc] >= m.cfg.FlapThreshold {
+	m.flap[mc] += flapPenalty
+	if m.flap[mc] >= flapThreshold {
 		if !m.sched.blackID(mc) {
 			m.blacklist(mc)
 		}
@@ -1419,15 +1381,15 @@ func (m *Master) decayFlapScores() {
 			continue
 		}
 		if sc > 0 {
-			sc -= m.cfg.FlapDecayStep
+			sc -= flapDecayStep
 			if sc <= 0 {
 				sc = 0
 			}
 			m.flap[mc] = sc
 		}
-		if m.flapBlack[mc] && sc < m.cfg.FlapThreshold &&
-			m.strikes[mc] < m.cfg.HealthScoreStrikes &&
-			len(m.badVotes[mc]) < m.cfg.BadReportThreshold {
+		if m.flapBlack[mc] && sc < flapThreshold &&
+			m.strikes[mc] < healthScoreStrikes &&
+			len(m.badVotes[mc]) < badReportThreshold {
 			m.flapBlack[mc] = false
 			m.dispatch(m.sched.setBlacklistedID(mc, false, false))
 			m.ckpt.SetBlacklist(m.currentBlacklist())
@@ -1474,13 +1436,13 @@ func (m *Master) handleBadReport(t protocol.BadMachineReport) {
 		m.badVotes[mc] = votes
 	}
 	votes[t.App] = true
-	if len(votes) >= m.cfg.BadReportThreshold && !m.sched.blackID(mc) {
+	if len(votes) >= badReportThreshold && !m.sched.blackID(mc) {
 		m.blacklist(mc)
 	}
 }
 
 func (m *Master) blacklist(mc int32) {
-	if m.cfg.BlacklistCap > 0 && len(m.currentBlacklist()) >= m.cfg.BlacklistCap {
+	if len(m.currentBlacklist()) >= blacklistCap {
 		return // bounded, per the paper's abuse guard
 	}
 	m.dispatch(m.sched.setBlacklistedID(mc, true, false))
@@ -1509,7 +1471,7 @@ func (m *Master) scanHeartbeats() {
 		return
 	}
 	now := m.eng.Now()
-	dead := m.wheel.expire(now-m.cfg.HeartbeatTimeout,
+	dead := m.wheel.expire(now-heartbeatTimeout,
 		func(mc int32) sim.Time { return m.lastBeat[mc] },
 		m.sched.downID)
 	for _, mc := range dead {

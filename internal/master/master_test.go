@@ -1,7 +1,6 @@
 package master
 
 import (
-	"reflect"
 	"sort"
 	"testing"
 
@@ -28,6 +27,12 @@ type masterHarness struct {
 
 func newMasterHarness(t *testing.T, cfg Config) *masterHarness {
 	t.Helper()
+	return newMasterHarnessOn(t, cfg, testTop(t, 2, 2))
+}
+
+// newMasterHarnessOn is newMasterHarness over the topology top.
+func newMasterHarnessOn(t *testing.T, cfg Config, top *topology.Topology) *masterHarness {
+	t.Helper()
 	eng := sim.NewEngine(9)
 	h := &masterHarness{
 		eng:  eng,
@@ -35,7 +40,7 @@ func newMasterHarness(t *testing.T, cfg Config) *masterHarness {
 		lock: lockservice.New(eng),
 		ckpt: NewCheckpointStore(),
 	}
-	h.top = testTop(t, 2, 2)
+	h.top = top
 	h.m1 = NewMaster(cfg, eng, h.net, h.lock, h.top, h.ckpt)
 	h.net.Register("app1", func(_ transport.EndpointID, m transport.Message) {
 		h.toApp = append(h.toApp, protocol.Keep(m)) // pooled messages end with the handler
@@ -44,7 +49,12 @@ func newMasterHarness(t *testing.T, cfg Config) *masterHarness {
 }
 
 func (h *masterHarness) send(msg transport.Message) {
-	h.net.SendID(h.net.Endpoint("app1"), h.net.Endpoint(protocol.MasterEndpoint), msg)
+	h.sendFrom("app1", msg)
+}
+
+// sendFrom delivers msg to the master from the endpoint named from.
+func (h *masterHarness) sendFrom(from string, msg transport.Message) {
+	h.net.SendID(h.net.Endpoint(from), h.net.Endpoint(protocol.MasterEndpoint), msg)
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 }
 
@@ -80,8 +90,8 @@ func TestUnregisterBufferedDuringRecovery(t *testing.T) {
 	lock := lockservice.New(eng)
 	ckpt := NewCheckpointStore()
 	top := testTop(t, 2, 2)
-	m1 := NewMaster(DefaultConfig("fm-1"), eng, net, lock, top, ckpt)
-	m2 := NewMaster(DefaultConfig("fm-2"), eng, net, lock, top, ckpt)
+	m1 := NewMaster(Config{ProcessName: "fm-1"}, eng, net, lock, top, ckpt)
+	m2 := NewMaster(Config{ProcessName: "fm-2"}, eng, net, lock, top, ckpt)
 
 	// Scripted agent endpoints record every capacity change; no automatic
 	// heartbeats, so the test controls exactly when restore reports land.
@@ -154,7 +164,7 @@ func TestUnregisterBufferedDuringRecovery(t *testing.T) {
 }
 
 func TestMasterCheckpointOnlyOnJobBoundaries(t *testing.T) {
-	h := newMasterHarness(t, DefaultConfig("fm-1"))
+	h := newMasterHarness(t, Config{ProcessName: "fm-1"})
 	h.registerApp(t)
 	w := h.ckpt.Writes
 	// The scheduling fast path — demand, grants, returns — must not touch
@@ -174,7 +184,7 @@ func TestMasterCheckpointOnlyOnJobBoundaries(t *testing.T) {
 }
 
 func TestMasterBatchWindowMergesDemand(t *testing.T) {
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	cfg.BatchWindow = 50 * sim.Millisecond
 	h := newMasterHarness(t, cfg)
 	h.registerApp(t)
@@ -201,7 +211,7 @@ func TestMasterBatchWindowMergesDemand(t *testing.T) {
 // batch, the freed capacity reaches queued demand through a single wide
 // sweep, and the whole round costs one scheduler invocation.
 func TestMasterBatchWindowCoalescesReturns(t *testing.T) {
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	cfg.BatchWindow = 50 * sim.Millisecond
 	h := newMasterHarness(t, cfg)
 	var seq2 protocol.Sequencer
@@ -258,7 +268,7 @@ func TestMasterBatchWindowCoalescesReturns(t *testing.T) {
 }
 
 func TestMasterBatchMergesCancellations(t *testing.T) {
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	cfg.BatchWindow = 50 * sim.Millisecond
 	h := newMasterHarness(t, cfg)
 	h.registerApp(t)
@@ -277,7 +287,7 @@ func TestMasterBatchMergesCancellations(t *testing.T) {
 }
 
 func TestMasterCapacityQueryAnswersFullTable(t *testing.T) {
-	h := newMasterHarness(t, DefaultConfig("fm-1"))
+	h := newMasterHarness(t, Config{ProcessName: "fm-1"})
 	h.registerApp(t)
 	h.send(&protocol.DemandUpdate{App: "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 8}),
@@ -318,7 +328,7 @@ func TestMasterCapacityQueryAnswersFullTable(t *testing.T) {
 }
 
 func TestMasterDuplicateDemandIgnored(t *testing.T) {
-	h := newMasterHarness(t, DefaultConfig("fm-1"))
+	h := newMasterHarness(t, Config{ProcessName: "fm-1"})
 	h.registerApp(t)
 	// A replay is a second message carrying the same Seq: the network clears
 	// each one it delivers.
@@ -335,7 +345,7 @@ func TestMasterDuplicateDemandIgnored(t *testing.T) {
 }
 
 func TestMasterDuplicateReturnIgnored(t *testing.T) {
-	h := newMasterHarness(t, DefaultConfig("fm-1"))
+	h := newMasterHarness(t, Config{ProcessName: "fm-1"})
 	h.registerApp(t)
 	h.send(&protocol.DemandUpdate{App: "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 4}),
@@ -357,67 +367,77 @@ func TestMasterDuplicateReturnIgnored(t *testing.T) {
 	}
 }
 
+// TestMasterBlacklistCapBoundsList reports every machine of a cluster one
+// larger than the cap bad from two applications: the blacklist stops at the
+// cap.
 func TestMasterBlacklistCapBoundsList(t *testing.T) {
-	cfg := DefaultConfig("fm-1")
-	cfg.BlacklistCap = 1
-	cfg.BadReportThreshold = 1
-	h := newMasterHarness(t, cfg)
-	h.registerApp(t)
-	h.send(protocol.BadMachineReport{App: "app1", Machine: h.top.MachineID("r000m000"), Seq: h.seq.Next()})
-	h.send(protocol.BadMachineReport{App: "app1", Machine: h.top.MachineID("r000m001"), Seq: h.seq.Next()})
-	s := h.m1.Scheduler()
+	h := newMasterHarnessOn(t, Config{ProcessName: "fm-1"}, testTop(t, 3, (blacklistCap+3)/3))
+	if h.top.Size() <= blacklistCap {
+		t.Fatalf("setup: %d machines, want more than the cap of %d", h.top.Size(), blacklistCap)
+	}
+	var seqs [2]protocol.Sequencer
+	for i, app := range []string{"app1", "app2"} {
+		for id := int32(0); id < int32(h.top.Size()); id++ {
+			h.sendFrom(app, protocol.BadMachineReport{App: app, Machine: id, Seq: seqs[i].Next()})
+		}
+	}
 	count := 0
-	for _, m := range []string{"r000m000", "r000m001"} {
-		if s.Blacklisted(m) {
+	for _, m := range h.top.Machines() {
+		if h.m1.Scheduler().Blacklisted(m) {
 			count++
 		}
 	}
-	if count != 1 {
-		t.Errorf("blacklisted = %d, want capped at 1", count)
+	if count != blacklistCap {
+		t.Errorf("blacklisted = %d of %d, want capped at %d", count, h.top.Size(), blacklistCap)
+	}
+}
+
+// TestBadReportCountsOnlyFromItsApp pins that a bad-machine vote is taken
+// only from the endpoint named after the app it names: one application
+// master naming a second app is one vote, not the two distinct
+// applications the cluster blacklist waits for.
+func TestBadReportCountsOnlyFromItsApp(t *testing.T) {
+	h := newMasterHarness(t, Config{ProcessName: "fm-1"})
+	mc := h.top.MachineID("r000m000")
+	h.send(protocol.BadMachineReport{App: "app1", Machine: mc, Seq: h.seq.Next()})
+	h.send(protocol.BadMachineReport{App: "someone-else", Machine: mc, Seq: h.seq.Next()})
+	if h.m1.Scheduler().Blacklisted("r000m000") {
+		t.Fatal("one endpoint naming two apps blacklisted the machine")
+	}
+	var seq protocol.Sequencer
+	h.sendFrom("someone-else", protocol.BadMachineReport{App: "someone-else", Machine: mc, Seq: seq.Next()})
+	if !h.m1.Scheduler().Blacklisted("r000m000") {
+		t.Fatal("votes from two apps' own endpoints did not blacklist the machine")
 	}
 }
 
 func TestMasterDemotesWhenLeaseLost(t *testing.T) {
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	h := newMasterHarness(t, cfg)
 	if !h.m1.IsPrimary() {
 		t.Fatal("not primary at start")
 	}
 	// Steal the lock out from under it (models a lease lapse during a long
 	// pause); the next renewal must demote the master.
-	h.lock.Release(cfg.LockName, cfg.ProcessName)
-	h.lock.TryAcquire(cfg.LockName, "intruder", sim.Hour)
-	h.eng.Run(h.eng.Now() + 2*cfg.RenewEvery)
+	h.lock.Release(lockName, cfg.ProcessName)
+	h.lock.TryAcquire(lockName, "intruder", sim.Hour)
+	h.eng.Run(h.eng.Now() + 2*renewEvery)
 	if h.m1.IsPrimary() {
 		t.Error("master still primary after losing its lease")
 	}
 }
 
 func TestMasterCrashAndRestartRejoinsElection(t *testing.T) {
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	h := newMasterHarness(t, cfg)
 	h.m1.Crash()
 	if h.m1.IsPrimary() {
 		t.Fatal("crashed master still primary")
 	}
-	h.eng.Run(h.eng.Now() + 2*cfg.LockTTL)
+	h.eng.Run(h.eng.Now() + 2*LockTTL)
 	h.m1.Restart()
-	h.eng.Run(h.eng.Now() + 2*cfg.LockTTL)
+	h.eng.Run(h.eng.Now() + 2*LockTTL)
 	if !h.m1.IsPrimary() {
 		t.Error("restarted master did not re-win the vacant election")
-	}
-}
-
-// TestWithDefaultsCoversDefaultConfig keeps WithDefaults' hand-written field
-// list in step with DefaultConfig: a default added to one and not the other
-// fails here, and a value the caller set is never replaced.
-func TestWithDefaultsCoversDefaultConfig(t *testing.T) {
-	if got, want := (Config{ProcessName: "fm-x"}).WithDefaults(), DefaultConfig("fm-x"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("zero Config.WithDefaults() = %+v, want DefaultConfig %+v", got, want)
-	}
-	set := Config{ProcessName: "fm-x", LockTTL: 7 * sim.Second, FlapThreshold: -1, BatchWindow: sim.Millisecond}
-	got := set.WithDefaults()
-	if got.LockTTL != set.LockTTL || got.FlapThreshold != -1 || got.BatchWindow != set.BatchWindow {
-		t.Fatalf("WithDefaults replaced caller-set fields: %+v", got)
 	}
 }

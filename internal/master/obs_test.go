@@ -15,7 +15,7 @@ import (
 func newObsHarness(t *testing.T) (*masterHarness, *obs.Store) {
 	t.Helper()
 	store := obs.NewStore(256)
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	cfg.BatchWindow = 10 * sim.Millisecond
 	cfg.Obs = store
 	h := newMasterHarness(t, cfg)

@@ -28,7 +28,7 @@ func newRecoveryWorld(t *testing.T, silentMachine int32, silentApp bool) *recove
 	lock, ckpt := lockservice.New(eng), NewCheckpointStore()
 	top := testTop(t, 1, 3)
 	cfg := func(name string) Config {
-		c := DefaultConfig(name)
+		c := Config{ProcessName: name}
 		c.OnPromote = func(epoch int) {
 			if epoch == 2 {
 				w.promotedAt = eng.Now()
@@ -68,7 +68,7 @@ func newRecoveryWorld(t *testing.T, silentMachine int32, silentApp bool) *recove
 		}
 		eng.Run(eng.Now() + 100*sim.Microsecond)
 	}
-	eng.Run(w.promotedAt + 2*DefaultConfig("").RecoveryWindow)
+	eng.Run(w.promotedAt + 2*RecoveryWindow)
 	return w
 }
 
@@ -92,7 +92,7 @@ func TestSilentMachineHoldsRecoveryToItsDeadline(t *testing.T) {
 	if w.recoveries != 1 {
 		t.Fatalf("OnRecovered fired %d times, want 1", w.recoveries)
 	}
-	if took, want := w.recovered-w.promotedAt, DefaultConfig("").RecoveryWindow; took != want {
+	if took, want := w.recovered-w.promotedAt, RecoveryWindow; took != want {
 		t.Errorf("recovery took %v, want the whole window %v", took, want)
 	}
 }
@@ -105,7 +105,7 @@ func TestSilentAppHoldsRecoveryToItsDeadline(t *testing.T) {
 	if w.recoveries != 1 {
 		t.Fatalf("OnRecovered fired %d times, want 1", w.recoveries)
 	}
-	if took, want := w.recovered-w.promotedAt, DefaultConfig("").RecoveryWindow; took != want {
+	if took, want := w.recovered-w.promotedAt, RecoveryWindow; took != want {
 		t.Errorf("recovery took %v, want the whole window %v", took, want)
 	}
 }
@@ -122,7 +122,7 @@ func TestHeldRoundSurvivesRePromotion(t *testing.T) {
 	net := transport.NewNet(eng)
 	top := testTop(t, 2, 2)
 	reach := true
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	cfg.BatchWindow = 20 * sim.Millisecond
 	cfg.LockReachable = func() bool { return reach }
 	var m *Master
@@ -178,7 +178,7 @@ func TestHeldRoundSurvivesRePromotion(t *testing.T) {
 	// after the lease deadline: the process is deposed with the round
 	// buffered.
 	reach = false
-	eng.Run(eng.Now() + cfg.RenewEvery)
+	eng.Run(eng.Now() + renewEvery)
 	eng.Run(m.leaseDeadline - 5*sim.Millisecond)
 	net.SendID(net.Endpoint("app1"), net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{App: "app1", Seq: appSeq.Next(),
 		Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: 0, Count: 1}}, Deltas: on0(2)})
@@ -189,7 +189,7 @@ func TestHeldRoundSurvivesRePromotion(t *testing.T) {
 	}
 
 	reach = true
-	eng.Run(eng.Now() + 2*cfg.RenewEvery)
+	eng.Run(eng.Now() + 2*renewEvery)
 	if !m.IsPrimary() || m.Epoch() != 2 || heldAtRecovery < 0 {
 		t.Fatalf("re-promotion: primary %v at epoch %d, recovered %v; want true, 2, true",
 			m.IsPrimary(), m.Epoch(), heldAtRecovery >= 0)

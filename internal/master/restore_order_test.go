@@ -39,8 +39,8 @@ func restoreFromAnchors(t *testing.T, shuffle int64) restoreOutcome {
 	lock := lockservice.New(eng)
 	ckpt := NewCheckpointStore()
 	top := testTop(t, 2, 3)
-	m1 := NewMaster(DefaultConfig("fm-1"), eng, net, lock, top, ckpt)
-	m2 := NewMaster(DefaultConfig("fm-2"), eng, net, lock, top, ckpt)
+	m1 := NewMaster(Config{ProcessName: "fm-1"}, eng, net, lock, top, ckpt)
+	m2 := NewMaster(Config{ProcessName: "fm-2"}, eng, net, lock, top, ckpt)
 
 	var out restoreOutcome
 	recording := false

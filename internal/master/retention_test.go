@@ -52,7 +52,7 @@ func pinned(ws []<-chan struct{}) int {
 // locality tree, and each has been the target of a dispatch.
 func busyMaster(t *testing.T) (*masterHarness, []<-chan struct{}) {
 	t.Helper()
-	h := newMasterHarness(t, DefaultConfig("fm-1"))
+	h := newMasterHarness(t, Config{ProcessName: "fm-1"})
 	var ws []<-chan struct{}
 	for i := 1; i <= 3; i++ {
 		app := fmt.Sprintf("wide-%d", i)
@@ -81,9 +81,9 @@ func busyMaster(t *testing.T) (*masterHarness, []<-chan struct{}) {
 // until a promotion it may never win overwrites them.
 func TestCrashedMasterPinsNoAppState(t *testing.T) {
 	h, ws := busyMaster(t)
-	m2 := NewMaster(DefaultConfig("fm-2"), h.eng, h.net, h.lock, h.top, h.ckpt)
+	m2 := NewMaster(Config{ProcessName: "fm-2"}, h.eng, h.net, h.lock, h.top, h.ckpt)
 	h.m1.Crash()
-	h.eng.Run(h.eng.Now() + 2*h.m1.cfg.LockTTL)
+	h.eng.Run(h.eng.Now() + 2*LockTTL)
 	h.m1.Restart()
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	if !m2.IsPrimary() || h.m1.IsPrimary() {
@@ -100,9 +100,9 @@ func TestCrashedMasterPinsNoAppState(t *testing.T) {
 func TestDeposedMasterPinsNoAppState(t *testing.T) {
 	h, ws := busyMaster(t)
 	cfg := h.m1.cfg
-	h.lock.Release(cfg.LockName, cfg.ProcessName)
-	h.lock.TryAcquire(cfg.LockName, "intruder", sim.Hour)
-	h.eng.Run(h.eng.Now() + 2*cfg.RenewEvery)
+	h.lock.Release(lockName, cfg.ProcessName)
+	h.lock.TryAcquire(lockName, "intruder", sim.Hour)
+	h.eng.Run(h.eng.Now() + 2*renewEvery)
 	if h.m1.IsPrimary() {
 		t.Fatal("setup: master still primary after losing its lease")
 	}
@@ -163,7 +163,7 @@ func TestTombstonesPinNoAppState(t *testing.T) {
 // unregister, which frees capacity nobody waits for — leaves the rest of the
 // pool as it was. Those rows must not keep a departed app's state.
 func TestFanOutScratchPinsNoApp(t *testing.T) {
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	cfg.BatchWindow = 5 * sim.Millisecond
 	h := newMasterHarness(t, cfg)
 	var ws []<-chan struct{}

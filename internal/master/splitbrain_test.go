@@ -31,11 +31,11 @@ func newSplitBrainPair(t *testing.T) *splitBrainPair {
 	p.lock = lockservice.New(p.eng)
 	ckpt := NewCheckpointStore()
 	p.top = testTop(t, 2, 2)
-	cfgA := DefaultConfig("fm-a")
+	cfgA := Config{ProcessName: "fm-a"}
 	cfgA.LockReachable = func() bool { return p.aReach }
-	cfgB := DefaultConfig("fm-b")
+	cfgB := Config{ProcessName: "fm-b"}
 	cfgB.LockReachable = func() bool { return p.bReach }
-	p.lockName, p.ttl, p.renew = cfgA.LockName, cfgA.LockTTL, cfgA.RenewEvery
+	p.lockName, p.ttl, p.renew = lockName, LockTTL, renewEvery
 	p.mA = NewMaster(cfgA, p.eng, net, p.lock, p.top, ckpt)
 	p.mB = NewMaster(cfgB, p.eng, net, p.lock, p.top, ckpt)
 	return p

@@ -98,7 +98,7 @@ func (s *syncScript) seq(sq *protocol.Sequencer) uint64 {
 // the refusal's own error message looked the machine's name up by that ID.
 // It is refused like any other return of containers the app does not hold.
 func TestReturnOnUnknownMachineIsRefused(t *testing.T) {
-	h := newMasterHarness(t, DefaultConfig("fm-1"))
+	h := newMasterHarness(t, Config{ProcessName: "fm-1"})
 	h.registerApp(t)
 	h.send(&protocol.DemandUpdate{App: "app1",
 		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 3}), Seq: h.seq.Next()})
@@ -146,7 +146,7 @@ func runSyncScript(t *testing.T, data []byte) {
 	eng := sim.NewEngine(1)
 	net := transport.NewNet(eng)
 	top := testTop(t, 2, 3)
-	cfg := DefaultConfig("fm-1")
+	cfg := Config{ProcessName: "fm-1"}
 	if s.next()&1 == 1 {
 		cfg.BatchWindow = 20 * sim.Millisecond
 	}

@@ -362,13 +362,12 @@ func TestOverlappingFaultSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := master.DefaultConfig("")
 	h.inj.Apply(faults.Schedule{
 		{Kind: faults.NetworkPartition, At: 22 * sim.Second, For: 6 * sim.Second, Targets: []int32{3, 17, 42, 58, 91}},
 		{Kind: faults.LinkFlap, At: 25 * sim.Second, Targets: []int32{17}, Down: 500 * sim.Millisecond, Up: 500 * sim.Millisecond, Cycles: 5},
 		{Kind: faults.NetworkPartition, At: 26 * sim.Second, For: 2 * sim.Second, Targets: []int32{5, 17}},
 		{Kind: faults.LockPartition, At: 34 * sim.Second, For: 5 * sim.Second},
-		{Kind: faults.FuxiMasterFailure, At: 35 * sim.Second, For: mc.LockTTL + mc.RecoveryWindow + sim.Second},
+		{Kind: faults.FuxiMasterFailure, At: 35 * sim.Second, For: master.LockTTL + master.RecoveryWindow + sim.Second},
 	})
 	res := h.run()
 	if len(res.Invariants) > 0 {

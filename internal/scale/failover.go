@@ -45,10 +45,9 @@ func (p *failoverProbe) need(cc *core.Config) {
 // standby once its successor's recovery window has passed, so repeated
 // failovers alternate the pair.
 func (p *failoverProbe) arm() {
-	mc := master.DefaultConfig("")
 	for _, at := range p.h.cfg.MasterFailoverAt {
 		p.h.inj.Apply(faults.Schedule{{
-			Kind: faults.FuxiMasterFailure, At: at, For: mc.LockTTL + mc.RecoveryWindow + sim.Second,
+			Kind: faults.FuxiMasterFailure, At: at, For: master.LockTTL + master.RecoveryWindow + sim.Second,
 		}})
 	}
 }

@@ -60,9 +60,8 @@ func TestPerProcessFootprint(t *testing.T) {
 
 	var agents []*agent.Agent
 	mallocs, bytes := heapCost(func() {
-		acfg := agent.DefaultConfig()
 		for _, m := range machines {
-			agents = append(agents, agent.New(acfg, eng, net, top.Machine(m)))
+			agents = append(agents, agent.New(agent.Config{}, eng, net, top.Machine(m)))
 		}
 	})
 	perAgentMallocs := float64(mallocs) / float64(len(agents))
@@ -151,12 +150,11 @@ func agentSteadyBytes(t *testing.T) float64 {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 
-	acfg := agent.DefaultConfig()
 	agents := make([]*agent.Agent, n)
 	eps := make([]transport.EndpointID, n)
 	seqs := make([]protocol.Sequencer, n)
 	for i, m := range top.Machines() {
-		agents[i] = agent.New(acfg, eng, net, top.Machine(m))
+		agents[i] = agent.New(agent.Config{}, eng, net, top.Machine(m))
 		eps[i] = net.Endpoint(protocol.AgentEndpoint(m))
 	}
 	row := func(i, r int) protocol.CapacityEntry {
@@ -175,7 +173,7 @@ func agentSteadyBytes(t *testing.T) float64 {
 			}
 		})
 	}
-	for round := 0; round < 4*(acfg.AnchorEvery+2); round++ {
+	for round := 0; round < 4*(agent.AnchorEvery+2); round++ {
 		eng.Run(eng.Now() + 250*sim.Millisecond)
 		for i := range agents {
 			send(i, func(d *protocol.CapacityDelta) {
