@@ -927,6 +927,15 @@ func (a *AM) fullSync() {
 	s := transport.Acquire[protocol.FullDemandSync](a.net)
 	s.App, s.QuotaGroup, s.Units, s.Seq = a.cfg.App, a.cfg.QuotaGroup, a.cfg.Units, a.seq.Current()
 	s.SeenGrantSeq = a.dedup.LastCh(int32(a.masterID), protocol.ChanGrant)
+	// The payload grows once, to the ledgers' cell counts, whatever
+	// capacity the pooled message last had.
+	nDemand, nHeld := 0, 0
+	for ui := range a.units {
+		nDemand += a.units[ui].out.Len()
+		nHeld += a.units[ui].held.Len()
+	}
+	s.Demand = slices.Grow(s.Demand, nDemand)
+	s.Held = slices.Grow(s.Held, nHeld)
 	// Each unit's ledgers become its runs, copied straight out of the
 	// key-sorted tables: held cells are in machine order already; demand
 	// cells are in (level, node ID) order, which differs from the wire's

@@ -4,7 +4,9 @@
 // locality tree. Those populations are one to a handful of rows keyed by
 // integers that are already dense (machine IDs, rack IDs, packed (level, node)
 // pairs), touched once per message; a hash map spends more on hashing and
-// probing them than a scan of one cache line costs.
+// probing them than a scan of one cache line costs. Arena is the other shape
+// it provides: a chunked store of records that one owner creates and frees
+// by the thousand, such as the locality tree's wait entries.
 package dense
 
 // Cell is one key's row.

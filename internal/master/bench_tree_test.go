@@ -1,9 +1,14 @@
 package master
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/lockservice"
+	"repro/internal/protocol"
 	"repro/internal/resource"
+	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // BenchmarkTreeAdd measures finding an (app, unit)'s existing wait entry and
@@ -94,5 +99,67 @@ func TestChurnShapeFreeUpAllocatesNothing(t *testing.T) {
 	i := 0
 	if n := testing.AllocsPerRun(300, func() { cs.freeUp(i); i++ }); n != 0 {
 		t.Fatalf("a free-up allocates %v times", n)
+	}
+}
+
+// TestPromotionRebuildAllocatesPerChunk bounds what a promoted master pays to
+// rebuild the locality tree from full syncs: on a fresh scheduler, 200 apps
+// of 8 units re-register from the checkpoint and sync demand at the cluster
+// and on one machine per unit — 3,200 wait entries. The cost of the syncs'
+// demand (the same run with empty syncs subtracted) reads 0.49 allocations
+// an entry, 1.57 when every entry and queue node was its own object; the
+// bound sits ~15% above. What is left is each app's entry-table row and
+// windows and the queues' growing arrays.
+func TestPromotionRebuildAllocatesPerChunk(t *testing.T) {
+	const apps, units = 200, 8
+	eng := sim.NewEngine(1)
+	net := transport.NewNet(eng)
+	m := NewMaster(Config{ProcessName: "fm-1"}, eng, net, lockservice.New(eng), testTop(t, 4, 10), NewCheckpointStore())
+	eng.Run(10 * sim.Millisecond)
+	machines := m.top.Machines()
+	defs := make([]resource.ScheduleUnit, units)
+	for i := range defs {
+		defs[i] = resource.ScheduleUnit{ID: i + 1, Priority: 1 + i%3, MaxCount: 10, Size: resource.New(500, 2048)}
+	}
+	names := make([]string, apps)
+	syncs := make([]protocol.FullDemandSync, apps)
+	for a := range syncs {
+		names[a] = fmt.Sprintf("app-%03d", a)
+		s := &syncs[a]
+		s.App, s.Units, s.Seq = names[a], defs, 1
+		for i, d := range defs {
+			s.Demand = append(s.Demand,
+				protocol.UnitHint{UnitID: d.ID, LocalityHint: resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[(a+i)%len(machines)], Count: 1}},
+				protocol.UnitHint{UnitID: d.ID, LocalityHint: resource.LocalityHint{Type: resource.LocalityCluster, Count: 2}})
+		}
+	}
+	empty := make([]protocol.FullDemandSync, apps)
+	for a := range empty {
+		empty[a] = protocol.FullDemandSync{App: names[a], Units: defs, Seq: 1}
+	}
+	promote := func(syncs []protocol.FullDemandSync) {
+		opts := m.cfg.Sched
+		opts.Clock = eng.Now
+		m.sched = NewScheduler(m.top, opts)
+		m.recovering = true
+		for a := range syncs {
+			if _, err := m.registerApp(transport.None, names[a], "", defs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for a := range syncs {
+			m.handleFullSync(net.Lookup(names[a]), &syncs[a])
+		}
+	}
+	promote(syncs)
+	if n := m.sched.Waiting(names[0], 1); n != 3 {
+		t.Fatalf("after the rebuild app-000 unit 1 waits for %d, want 3", n)
+	}
+	base := testing.AllocsPerRun(5, func() { promote(empty) })
+	full := testing.AllocsPerRun(5, func() { promote(syncs) })
+	perEntry := (full - base) / (apps * units * 2)
+	t.Logf("rebuild: %.0f allocations with demand, %.0f without: %.3f an entry", full, base, perEntry)
+	if perEntry > 0.57 {
+		t.Fatalf("rebuilding the tree from full syncs costs %.3f allocations a wait entry, want at most 0.57", perEntry)
 	}
 }

@@ -594,6 +594,11 @@ func (r *snapshotReader) app() AppConfig {
 	a.Name = r.string()
 	a.Group = r.string()
 	nUnits := r.uvarint()
+	// A unit encodes to at least four bytes, so the bytes left bound what a
+	// count may reserve: a hostile count cannot allocate past its input.
+	if n := min(nUnits, uint64(len(r.b))/4); n > 0 {
+		a.Units = make([]resource.ScheduleUnit, 0, n)
+	}
 	for j := uint64(0); j < nUnits && r.err == nil; j++ {
 		var u resource.ScheduleUnit
 		u.ID = int(r.varint())

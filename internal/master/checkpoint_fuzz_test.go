@@ -121,6 +121,11 @@ func FuzzCheckpointSnapshotDecode(f *testing.F) {
 	f.Add(EncodeSnapshot(Snapshot{}))
 	f.Add([]byte{snapshotVersion, 0x00, 0x01, 0x02, 'a', 'b'})
 	f.Add([]byte{snapshotVersion, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	// One app named "a" claiming 2^63-1 units, followed by one unit's bytes:
+	// the decoder may reserve room for what the bytes left can hold, no more.
+	f.Add([]byte{snapshotVersion, 0x00, 0x01, 0x01, 'a', 0x00,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
+		0x02, 0x02, 0x02, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)
 		if err != nil {

@@ -304,15 +304,15 @@ func (c *sizeClass) nextLive(i int) int {
 }
 
 // rebuild physically drops gone tombstones, renumbering positions (order
-// is preserved, so seq order survives) and rebuilding the bitmaps. A
-// bucket left with no entry at all leaves its queue.
-func (c *sizeClass) rebuild() {
+// is preserved, so seq order survives) and rebuilding the bitmaps; each
+// dropped tombstone goes back to t's store. A bucket left with no entry at
+// all leaves its queue, and c with it.
+func (c *sizeClass) rebuild(t *localityTree) {
 	n0 := len(c.entries)
 	w := 0
 	for _, e := range c.entries {
 		if e.gone {
-			e.queued = false
-			e.cls = nil
+			t.entryRecs.Free(e)
 			continue
 		}
 		e.pos = int32(w)
@@ -340,14 +340,14 @@ func (c *sizeClass) rebuild() {
 	}
 	c.tomb = 0
 	if i := c.account(live-c.nLive, w-n0); c.q.slots[i].entries == 0 {
-		c.q.dropAt(i)
+		t.dropAt(c.q, i)
 	}
 }
 
 // maybeRebuild triggers the tombstone rebuild once gone entries dominate.
-func (c *sizeClass) maybeRebuild() {
+func (c *sizeClass) maybeRebuild(t *localityTree) {
 	if c.tomb > 256 && c.tomb*2 > len(c.entries) {
-		c.rebuild()
+		c.rebuild(t)
 	}
 }
 
@@ -357,24 +357,21 @@ type treeBucket struct {
 	classes []*sizeClass
 }
 
-func (b *treeBucket) classFor(q *treeQueue, u *unitState) *sizeClass {
-	if u == nil || u.def.Size.HasVirtual() {
-		for _, c := range b.classes {
-			if c.opaque {
-				return c
-			}
-		}
-		c := &sizeClass{opaque: true, q: q, b: b}
-		b.classes = append(b.classes, c)
-		return c
+// classFor returns b's class for u's size in q, taking a new one from t's
+// store when b has none yet.
+func (t *localityTree) classFor(q *treeQueue, b *treeBucket, u *unitState) *sizeClass {
+	var cpu, mem int64
+	opaque := u == nil || u.def.Size.HasVirtual()
+	if !opaque {
+		cpu, mem = u.def.Size.CPUMilli(), u.def.Size.MemoryMB()
 	}
-	cpu, mem := u.def.Size.CPUMilli(), u.def.Size.MemoryMB()
 	for _, c := range b.classes {
-		if !c.opaque && c.cpu == cpu && c.mem == mem {
+		if c.opaque == opaque && c.cpu == cpu && c.mem == mem {
 			return c
 		}
 	}
-	c := &sizeClass{cpu: cpu, mem: mem, q: q, b: b}
+	c := t.classRecs.New()
+	c.cpu, c.mem, c.opaque, c.q, c.b = cpu, mem, opaque, q, b
 	b.classes = append(b.classes, c)
 	return c
 }
@@ -467,7 +464,9 @@ type treeQueue struct {
 	slots []prioSlot // sorted by prio
 }
 
-func (q *treeQueue) bucket(prio int) *treeBucket {
+// bucket returns q's bucket of priority prio, taking a new one from t's
+// store and slotting it in order when q has none yet.
+func (t *localityTree) bucket(q *treeQueue, prio int) *treeBucket {
 	i := 0
 	for i < len(q.slots) && q.slots[i].prio < prio {
 		i++
@@ -475,7 +474,7 @@ func (q *treeQueue) bucket(prio int) *treeBucket {
 	if i < len(q.slots) && q.slots[i].prio == prio {
 		return q.slots[i].b
 	}
-	b := &treeBucket{}
+	b := t.bucketRecs.New()
 	q.slots = append(q.slots, prioSlot{})
 	copy(q.slots[i+1:], q.slots[i:])
 	q.slots[i] = prioSlot{fitSum: emptyFit, prio: prio, b: b}
@@ -491,8 +490,14 @@ func (q *treeQueue) slotOf(b *treeBucket) int {
 	return i
 }
 
-// dropAt removes the i-th slot and its bucket, which holds no entry.
-func (q *treeQueue) dropAt(i int) {
+// dropAt removes q's i-th slot, whose bucket holds no entry, and gives the
+// bucket and its classes back to t's store.
+func (t *localityTree) dropAt(q *treeQueue, i int) {
+	b := q.slots[i].b
+	for _, c := range b.classes {
+		t.classRecs.Free(c)
+	}
+	t.bucketRecs.Free(b)
 	copy(q.slots[i:], q.slots[i+1:])
 	q.slots[len(q.slots)-1] = prioSlot{}
 	q.slots = q.slots[:len(q.slots)-1]
@@ -560,6 +565,18 @@ func nextPrio(qs *[3]*treeQueue, cur *[3]int, free *resource.Vector) (prio int, 
 // over those arrays alone, dropping every dead or unfit bucket without
 // loading it; it walks only buckets that hold a live class the freed
 // fragment may fit.
+//
+// Every waitEntry, sizeClass, treeBucket and treeQueue is a record of the
+// tree's own stores (dense.Arena): they come by the chunk, so a promotion
+// that rebuilds tens of thousands of entries from full syncs pays a few
+// hundred allocations for them, and a record given back is the next one
+// handed out. A record lives until the tree gives it back, and nothing may
+// hold it after that: an entry until its app leaves — removeApp frees one
+// that is not queued at once, and a queued one is a tombstone until its
+// class's rebuild frees it — a bucket and its classes until the bucket holds
+// no entry (dropAt), a queue as long as the tree. A departed app's units
+// drop their parked lists at unregister, and the candidate scratch is
+// rewritten before it is read.
 type localityTree struct {
 	mq    []*treeQueue // machine ID (plus overflow nodes) -> queue
 	rq    []*treeQueue // rack ID (plus overflow nodes) -> queue
@@ -577,6 +594,12 @@ type localityTree struct {
 	minCpu, minMem int64
 
 	scratch []*waitEntry // reused candidate buffer (scheduler is single-threaded)
+
+	// The tree's records, each from its own store (see the type comment).
+	entryRecs  dense.Arena[waitEntry]
+	classRecs  dense.Arena[sizeClass]
+	bucketRecs dense.Arena[treeBucket]
+	queueRecs  dense.Arena[treeQueue]
 }
 
 // unitWait holds one (app, unit)'s entries, keyed by nodeKey(level, node).
@@ -618,7 +641,8 @@ func (t *localityTree) queue(level resource.LocalityType, node int32) *treeQueue
 		return &t.cq
 	}
 	if *slot == nil {
-		*slot = &treeQueue{fit: emptyFit}
+		*slot = t.queueRecs.New()
+		(*slot).fit = emptyFit
 	}
 	return *slot
 }
@@ -648,7 +672,7 @@ func (t *localityTree) peek(level resource.LocalityType, node int32) *treeQueue 
 // structure correct should a future path re-queue a dropped entry.
 func (t *localityTree) enqueue(e *waitEntry) {
 	q := t.queue(e.level, e.node)
-	c := q.bucket(e.priority).classFor(q, e.u)
+	c := t.classFor(q, t.bucket(q, e.priority), e.u)
 	e.queued = true
 	e.parked = false
 	if c.opaque {
@@ -672,7 +696,7 @@ func (t *localityTree) enqueue(e *waitEntry) {
 	c.entries[i] = e
 	e.cls = c
 	c.account(0, 1)
-	c.rebuild() // renumber positions and bitmaps, count e live
+	c.rebuild(t) // renumber positions and bitmaps, count e live
 }
 
 // entries returns key's entry table, nil when the key never waited anywhere.
@@ -725,7 +749,8 @@ func (t *localityTree) add(key waitKey, priority int, level resource.LocalityTyp
 			return 0
 		}
 		t.seq++
-		e = &waitEntry{key: key, priority: priority, seq: t.seq, level: level, node: node, enqueuedAt: now, st: st, u: u}
+		e = t.entryRecs.New()
+		e.key, e.priority, e.seq, e.level, e.node, e.enqueuedAt, e.st, e.u = key, priority, t.seq, level, node, now, st, u
 		var slab *dense.Slab[*waitEntry]
 		if st != nil {
 			slab = &st.waits
@@ -808,6 +833,10 @@ func (t *localityTree) removeApp(app int32) {
 	for ui := range t.byApp[app] {
 		for _, c := range t.byApp[app][ui].Cells() {
 			e := c.Val
+			if !e.queued {
+				t.entryRecs.Free(e)
+				continue
+			}
 			if e.count > 0 && !e.parked {
 				noteKilled(e)
 			}
@@ -817,10 +846,8 @@ func (t *localityTree) removeApp(app int32) {
 			// must not keep the app's state — every unit and table — alive
 			// that long.
 			e.st, e.u = nil, nil
-			if e.queued && e.cls != nil {
-				e.cls.tomb++
-				e.cls.maybeRebuild()
-			}
+			e.cls.tomb++
+			e.cls.maybeRebuild(t)
 		}
 	}
 	t.byApp[app] = nil

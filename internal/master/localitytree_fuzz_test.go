@@ -320,3 +320,92 @@ func TestOutOfOrderEnqueue(t *testing.T) {
 		t.Fatalf("candidates after an out-of-order enqueue: %d", len(got))
 	}
 }
+
+// TestRecycledRecordsKeepTheLegacyStream drives one size class past its
+// tombstone rebuild — more than 256 gone entries, which the fuzz's four
+// apps never reach — and a whole bucket out of its queue, then brings the
+// apps back at a new priority, so that their entries, bucket and class come
+// off the store's free lists. The candidate stream must equal the legacy
+// tree's after every step, the summaries must recount, and the re-added
+// apps must fit in the records the departures gave back: the stores must
+// not grow.
+func TestRecycledRecordsKeepTheLegacyStream(t *testing.T) {
+	idx, ref := newLocalityTree(), newLegacyTree()
+	u := &unitState{def: resource.ScheduleUnit{ID: 1, Size: resource.New(500, 2048)}}
+	type cand struct {
+		key   waitKey
+		level resource.LocalityType
+		node  int32
+		count int
+		seq   uint64
+	}
+	var got, want []cand
+	stream := func(tr waitTree, out []cand) []cand {
+		out = out[:0]
+		tr.forEachCandidate(0, 0, 0, 0, nil, func(e *waitEntry) bool {
+			out = append(out, cand{e.key, e.level, e.node, e.count, e.seq})
+			return true
+		})
+		return out
+	}
+	step := 0
+	check := func(what string) {
+		t.Helper()
+		step++
+		checkTreeSummaries(t, idx)
+		if got, want = stream(idx, got), stream(ref, want); !slices.Equal(got, want) {
+			t.Fatalf("step %d (%s): %d candidates, legacy %d, or they differ", step, what, len(got), len(want))
+		}
+	}
+	add := func(app int32, prio int, level resource.LocalityType, node int32, n int) {
+		k := waitKey{app: app}
+		idx.add(k, prio, level, node, n, 0, nil, u)
+		ref.add(k, prio, level, node, n, 0, nil, u)
+		check("add")
+	}
+	remove := func(app int32) {
+		idx.removeApp(app)
+		ref.removeApp(app)
+		check("removeApp")
+	}
+	carved := func() [4]int {
+		return [4]int{idx.entryRecs.Carved(), idx.classRecs.Carved(), idx.bucketRecs.Carved(), idx.queueRecs.Carved()}
+	}
+	// Apps 0–599 wait at the cluster at priority 5, every tenth also on
+	// machine 0; apps 600–856 are priority 9's whole bucket.
+	for a := int32(0); a < 600; a++ {
+		add(a, 5, resource.LocalityCluster, 0, 1+int(a%3))
+		if a%10 == 0 {
+			add(a, 5, resource.LocalityMachine, 0, 1)
+		}
+	}
+	for a := int32(600); a < 857; a++ {
+		add(a, 9, resource.LocalityCluster, 0, 1)
+	}
+	full := carved()
+	// 400 of priority 5's apps leave: its cluster class rebuilds at the
+	// 301st tombstone and frees 301 entries. Priority 9's apps all leave:
+	// the rebuild at the 257th empties the bucket, which leaves its queue
+	// with its class.
+	for a := int32(0); a < 400; a++ {
+		remove(a)
+	}
+	for a := int32(600); a < 857; a++ {
+		remove(a)
+	}
+	if len(idx.cq.slots) != 1 || idx.cq.slots[0].prio != 5 {
+		t.Fatalf("after the departures the cluster queue has %d buckets, want priority 5's alone", len(idx.cq.slots))
+	}
+	// The departed apps' IDs come back, as the scheduler reuses them, at a
+	// priority of their own: 440 entries, more than the current chunk's
+	// untouched tail, a new bucket and a new class.
+	for a := int32(0); a < 400; a++ {
+		add(a, 7, resource.LocalityCluster, 0, 2)
+		if a%10 == 0 {
+			add(a, 7, resource.LocalityMachine, 0, 1)
+		}
+	}
+	if now := carved(); now != full {
+		t.Fatalf("records carved (entries, classes, buckets, queues) grew from %v to %v: re-added apps did not reuse the freed ones", full, now)
+	}
+}

@@ -433,6 +433,8 @@ func (s *Scheduler) unregister(st *appState, out *[]Decision) {
 			touched = append(touched, m)
 		}
 		u.granted.Reset()
+		// Its wait entries go back to the tree's store below.
+		u.parked = nil
 		// The unit leaves the audit's books with what they last showed it
 		// holding, as the debits above took what it held out of usage.
 		(&st.quota.audited).AddScaledInPlace(u.def.Size, -int64(u.auditedHeld))

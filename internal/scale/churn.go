@@ -90,26 +90,11 @@ type holdRec struct {
 	count   int
 }
 
-func (h *harness) getHold() *holdRec {
-	if n := len(h.holdFree); n > 0 {
-		rec := h.holdFree[n-1]
-		h.holdFree[n-1] = nil
-		h.holdFree = h.holdFree[:n-1]
-		return rec
-	}
-	return &holdRec{}
-}
-
-func (h *harness) putHold(rec *holdRec) {
-	rec.app = nil
-	h.holdFree = append(h.holdFree, rec)
-}
-
 // postHold arms a closure-free timer that carries one grant to fn in a
 // pooled record. The timer bodies are plain functions — they reach the
 // harness through the record's application — so arming one binds nothing.
 func (h *harness) postHold(d sim.Time, fn func(any), a *scaleApp, unit int, machine int32, count int) {
-	rec := h.getHold()
+	rec := h.holds.New()
 	rec.app, rec.unit, rec.machine, rec.count = a, unit, machine, count
 	h.eng.Post(d, fn, rec)
 }
@@ -118,7 +103,7 @@ func (h *harness) postHold(d sim.Time, fn func(any), a *scaleApp, unit int, mach
 // count clamped to what the application still holds on that machine.
 func takeHold(rec *holdRec) (a *scaleApp, unit int, machine int32, n int) {
 	a, unit, machine, n = rec.app, rec.unit, rec.machine, rec.count
-	a.h.putHold(rec)
+	a.h.holds.Free(rec)
 	if held := a.am.Held(unit, machine); held < n {
 		n = held
 	}

@@ -33,6 +33,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/appmaster"
 	"repro/internal/core"
+	"repro/internal/dense"
 	"repro/internal/faults"
 	"repro/internal/gateway"
 	"repro/internal/invariant"
@@ -493,9 +494,9 @@ type harness struct {
 	// (Config.RecordDecisionHash); 0 means disabled.
 	decHash uint64
 
-	// Hold-expiry pool (see churn.go): every grant borrows a pooled record
-	// for its closure-free hold timer.
-	holdFree []*holdRec
+	// holds is the hold-expiry records' store (see churn.go): every grant
+	// borrows one for its closure-free hold timer.
+	holds dense.Arena[holdRec]
 
 	checker *invariant.Checker
 }
