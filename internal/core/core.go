@@ -23,7 +23,11 @@ import (
 	"repro/internal/transport"
 )
 
-// Config assembles a simulated Fuxi cluster.
+// Config assembles a simulated Fuxi cluster. Its network delivers every
+// message after a 200µs one-way latency, same-instant messages in send order,
+// which the incremental protocol's happy path assumes; loss and duplication
+// are the network's own instruments (DropRate, DupRate and link rules), set
+// on Cluster.Net after NewCluster.
 type Config struct {
 	// Racks and MachinesPerRack shape the topology; MachineCapacity
 	// defaults to the paper's testbed machine (12 cores, 96 GB).
@@ -32,13 +36,6 @@ type Config struct {
 	MachineCapacity resource.Vector
 	// Seed drives all randomness (placement, jitter, faults).
 	Seed int64
-	// DropRate and DupRate inject network loss and duplication on the
-	// network's 200µs one-way latency. With both zero, same-instant
-	// messages deliver in send order, which the incremental protocol's happy
-	// path assumes (an app's RegisterApp precedes its first DemandUpdate;
-	// reordering is legal but falls back to the slow full-sync repair path).
-	DropRate float64
-	DupRate  float64
 	// Master and Agent configure the daemons; their failure thresholds and
 	// periods are the packages' constants. The pair's process names are the
 	// assembler's: fm-1 and fm-2.
@@ -106,8 +103,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 	eng := sim.NewEngine(cfg.Seed)
 	net := transport.NewNet(eng)
-	net.DropRate = cfg.DropRate
-	net.DupRate = cfg.DupRate
 
 	c := &Cluster{
 		Eng:    eng,

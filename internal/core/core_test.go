@@ -10,6 +10,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 func newCluster(t *testing.T, cfg Config) *Cluster {
@@ -277,10 +278,8 @@ func TestBadMachineVotesBlacklist(t *testing.T) {
 func TestProtocolSurvivesLossAndDuplication(t *testing.T) {
 	// 5% loss, 5% duplication: the incremental protocol with periodic full
 	// sync must still converge to the correct allocation.
-	c := newCluster(t, Config{
-		Racks: 2, MachinesPerRack: 2, Seed: 9,
-		DropRate: 0.05, DupRate: 0.05,
-	})
+	c := newCluster(t, Config{Racks: 2, MachinesPerRack: 2, Seed: 9})
+	c.Net.DropRate, c.Net.DupRate = 0.05, 0.05
 	am := c.NewAppMaster(appmaster.Config{
 		App:              "app1",
 		Units:            []resource.ScheduleUnit{simpleUnit(1, 100, 30)},
@@ -378,14 +377,15 @@ func TestCallerSetMasterFieldsSurvive(t *testing.T) {
 	c = newCluster(t, Config{
 		Racks: 1, MachinesPerRack: 2, Seed: 5, Standby: true,
 		Master: master.Config{
-			OnPromote: func(e int) {
-				if e == 2 {
-					promoted = c.Now()
-				}
-			},
 			OnRecovered: func(e, reissued int) { epoch, at = e, c.Now() },
 		},
 	})
+	// The successor says hello to every agent as it promotes.
+	c.Net.Tap = func(_, _ string, msg transport.Message) {
+		if h, ok := msg.(protocol.MasterHello); ok && h.Epoch == 2 && promoted == 0 {
+			promoted = c.Now()
+		}
+	}
 	c.Run(sim.Second)
 	// A dead machine never anchors to the successor, so its recovery runs to
 	// the window's deadline instead of ending once everyone has reported.

@@ -18,15 +18,10 @@ import (
 // admission-conservation rule must hold at a settled barrier even though
 // the registered jobs are still running.
 func TestGatewayAcrossMasterFailover(t *testing.T) {
-	lim := gateway.DefaultLimits()
-	lim.RefillEvery = 0 // this test is about failover, not rate limiting
-	lim.AdmitPeriod = 5 * sim.Millisecond
-	lim.RetryEvery = 200 * sim.Millisecond
-
 	var c *Cluster
 	registered := map[string]int{}
 	gcfg := &gateway.Config{
-		Limits: lim,
+		Limits: gateway.DefaultLimits(),
 		OnRegistered: func(j gateway.Job, _ int32) {
 			registered[j.ID]++
 			am := c.NewAppMaster(appmaster.Config{

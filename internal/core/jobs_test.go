@@ -306,3 +306,44 @@ func TestJobLevelBlacklistEscalatesToMaster(t *testing.T) {
 		t.Error("machine not escalated to cluster blacklist")
 	}
 }
+
+// TestLastInstancesLeaveABadMachine: a task whose last instances keep
+// failing on one machine must finish elsewhere. The task blacklists a
+// machine only after three distinct instances failed there, so once fewer
+// than three are left that never happens; an instance must therefore not be
+// handed back to a machine it already failed on while the task can run it
+// elsewhere. (Reusing the container of the failed worker used to hand the
+// same two instances to the same machine forever.)
+func TestLastInstancesLeaveABadMachine(t *testing.T) {
+	c := newCluster(t, Config{Racks: 2, MachinesPerRack: 2, Seed: 29})
+	bad := "r000m000"
+	h, err := c.SubmitJob(&job.Description{Name: "last", Tasks: map[string]job.TaskSpec{
+		"scan": {Instances: 8, CPUMilli: 500, MemoryMB: 2048, DurationMS: 5000},
+	}}, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashes := 0
+	for i := 0; i < 600 && !h.Done(); i++ {
+		a := c.Agent(bad)
+		ids := make([]string, 0, len(a.Procs()))
+		for id := range a.Procs() {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			if a.Proc(id) != nil && a.Proc(id).State == protocol.WorkerRunning {
+				a.CrashWorker(id, "disk hang")
+				crashes++
+			}
+		}
+		c.Run(sim.Second)
+	}
+	if !h.Done() {
+		d, n := h.JM.TaskProgress("scan")
+		t.Fatalf("task still running after 600 s and %d crashes on %s: %d/%d instances done", crashes, bad, d, n)
+	}
+	if crashes == 0 {
+		t.Fatal("no worker ever ran on the bad machine: the scenario tested nothing")
+	}
+}

@@ -17,10 +17,8 @@ func TestJobCompletesUnderMessageLoss(t *testing.T) {
 	for _, rate := range []float64{0.02, 0.05} {
 		rate := rate
 		t.Run(fmt.Sprintf("drop=%v", rate), func(t *testing.T) {
-			c := newCluster(t, Config{
-				Racks: 2, MachinesPerRack: 3, Seed: 31,
-				DropRate: rate, DupRate: rate,
-			})
+			c := newCluster(t, Config{Racks: 2, MachinesPerRack: 3, Seed: 31})
+			c.Net.DropRate, c.Net.DupRate = rate, rate
 			desc := mapReduceDesc(t, c, "lossy", 24, 6, 2000)
 			h, err := c.SubmitJob(desc, JobOptions{Config: job.Config{
 				FullSyncInterval: 2 * sim.Second,

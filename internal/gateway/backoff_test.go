@@ -12,10 +12,7 @@ import (
 // whole unacked set in lockstep, and a long interregnum turns that into a
 // synchronized storm against the recovering primary.
 func TestAdmitRetryBackoff(t *testing.T) {
-	lim := DefaultLimits()
-	lim.RefillEvery = 0
-	lim.RetryEvery = 100 * sim.Millisecond
-	f := newFixture(t, lim)
+	f := newFixture(t, DefaultLimits())
 	f.master.crash()
 
 	// Watch the master endpoint without acking, so the admit stays
@@ -39,11 +36,11 @@ func TestAdmitRetryBackoff(t *testing.T) {
 	if gap1 <= gap0 {
 		t.Errorf("retry gaps not growing: %v then %v", gap0, gap1)
 	}
-	capD := admitBackoffCap * lim.RetryEvery
+	capD := admitBackoffCap * retryEvery
 	for i := 1; i < len(at); i++ {
 		g := at[i] - at[i-1]
-		if g < lim.RetryEvery || g > capD+capD/4+lim.RetryEvery {
-			t.Errorf("retry gap %d = %v outside [%v, ~%v]", i, g, lim.RetryEvery, capD+capD/4)
+		if g < retryEvery || g > capD+capD/4+retryEvery {
+			t.Errorf("retry gap %d = %v outside [%v, ~%v]", i, g, retryEvery, capD+capD/4)
 		}
 	}
 
@@ -64,10 +61,7 @@ func TestAdmitRetryBackoff(t *testing.T) {
 // Two jobs admitted at the same instant must not re-send at the same
 // instants forever: the per-job jitter desynchronizes them.
 func TestAdmitRetryJitterDesyncs(t *testing.T) {
-	lim := DefaultLimits()
-	lim.RefillEvery = 0
-	lim.RetryEvery = 100 * sim.Millisecond
-	f := newFixture(t, lim)
+	f := newFixture(t, DefaultLimits())
 	f.master.crash()
 
 	sendsBy := map[string][]sim.Time{}

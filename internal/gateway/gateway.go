@@ -16,7 +16,7 @@
 // credit), bounds each tenant's admission queue and the global backlog with
 // deterministic shedding, and releases queued jobs to FuxiMaster with a
 // weighted-fair round-robin across priority classes (service before batch,
-// by configured weights) that serves tenants within a class in FIFO
+// by fixed weights) that serves tenants within a class in FIFO
 // rotation. Every job moves through an explicit lifecycle — submitted →
 // queued → admitted → registered → completed, or shed with a reason — and
 // every transition is driven by the simulation clock and deterministic data
@@ -154,55 +154,60 @@ type Decision struct {
 	Kind  DecisionKind
 }
 
-// Limits are the gateway's wire-able tuning knobs, serialized into
-// benchmark configs.
+// Limits are the gateway's settable bounds. Every other admission bound is a
+// package constant (see refillEvery and below).
 type Limits struct {
-	// RefillEvery grants each tenant one token per period (sustained rate);
-	// Burst caps the bucket. 0 RefillEvery disables rate limiting.
-	RefillEvery sim.Time `json:"refill_every_us"`
-	Burst       int64    `json:"burst"`
-	// QueueCap bounds one tenant's admission queue; MaxQueued bounds the
-	// global backlog across tenants (0 = unlimited). Overflow sheds the
-	// incoming submission deterministically.
-	QueueCap  int `json:"queue_cap"`
-	MaxQueued int `json:"max_queued"`
-	// MaxInFlight bounds admitted-plus-registered jobs not yet completed —
-	// backpressure toward FuxiMaster (0 = unlimited): at the cap the
-	// dequeue pauses and jobs wait queued.
-	MaxInFlight int `json:"max_in_flight"`
-	// AdmitPeriod is the dequeue tick; AdmitPerRound the most jobs released
-	// per tick.
-	AdmitPeriod   sim.Time `json:"admit_period_us"`
-	AdmitPerRound int      `json:"admit_per_round"`
-	// ServiceWeight : BatchWeight is the weighted-fair dequeue ratio when
-	// both classes have backlog.
-	ServiceWeight int `json:"service_weight"`
-	BatchWeight   int `json:"batch_weight"`
-	// RetryEvery re-sends outstanding JobAdmits (the safety net behind the
-	// MasterHello-triggered replay).
-	RetryEvery sim.Time `json:"retry_every_us"`
+	// MaxQueued bounds the global backlog across tenants (0 = unlimited): a
+	// submission that finds it full is shed deterministically.
+	MaxQueued int
 	// SessionGap turns on burst-session tracking: a tenant's consecutive
 	// submissions at most SessionGap apart count as one session (the
 	// correlated-burst shape of a production trace, surfaced in Stats).
 	// 0 disables tracking.
-	SessionGap sim.Time `json:"session_gap_us,omitempty"`
+	SessionGap sim.Time
 }
 
-// DefaultLimits returns production-flavoured defaults: half a job per
-// second sustained per tenant with burst 5, 4:1 service:batch dequeue.
-func DefaultLimits() Limits {
-	return Limits{
-		RefillEvery:   2 * sim.Second,
-		Burst:         5,
-		QueueCap:      20,
-		MaxQueued:     50_000,
-		MaxInFlight:   10_000,
-		AdmitPeriod:   10 * sim.Millisecond,
-		AdmitPerRound: 40,
-		ServiceWeight: 4,
-		BatchWeight:   1,
-		RetryEvery:    500 * sim.Millisecond,
-	}
+// DefaultLimits returns the production backlog bound, 50,000 queued jobs,
+// with session tracking off.
+func DefaultLimits() Limits { return Limits{MaxQueued: 50_000} }
+
+// The admission posture every gateway runs: half a job per second sustained
+// per tenant with a burst of five, twenty queued jobs per tenant, 10,000 jobs
+// in flight toward FuxiMaster, forty admissions per 10 ms tick at 4:1
+// service:batch, and a 500 ms base for the admit re-send backoff.
+const (
+	// refillEvery grants each tenant one token per period (the sustained
+	// rate); burst caps the bucket.
+	refillEvery = 2 * sim.Second
+	burst       = 5
+	// queueCap bounds one tenant's admission queue; overflow sheds the
+	// incoming submission.
+	queueCap = 20
+	// maxInFlight bounds admitted-plus-registered jobs not yet completed —
+	// backpressure toward FuxiMaster: at the cap the dequeue pauses and jobs
+	// wait queued.
+	maxInFlight = 10_000
+	// admitPeriod is the dequeue tick; admitPerRound the most jobs released
+	// per tick.
+	admitPeriod   = 10 * sim.Millisecond
+	admitPerRound = 40
+	// serviceWeight : batchWeight is the weighted-fair dequeue ratio when
+	// both classes have backlog.
+	serviceWeight = 4
+	batchWeight   = 1
+	// retryEvery re-sends outstanding JobAdmits (the safety net behind the
+	// MasterHello-triggered replay) and is the backoff's base.
+	retryEvery = 500 * sim.Millisecond
+)
+
+// bounds are the per-tenant and in-flight bounds a gateway enforces. New's
+// are the constants above; only this package's message fuzz passes tighter
+// ones, to reach every shed reason and the in-flight cap within a few
+// submissions.
+type bounds struct {
+	refillEvery                          sim.Time
+	burst                                int64
+	queueCap, maxInFlight, admitPerRound int
 }
 
 // Config assembles one gateway.
@@ -287,6 +292,7 @@ type jobRec struct {
 // simulation goroutine.
 type Gateway struct {
 	cfg Config
+	lim bounds
 	eng *sim.Engine
 	net *transport.Net
 
@@ -348,38 +354,17 @@ const (
 )
 
 // New wires a gateway to the simulation: it registers the well-known
-// GatewayEndpoint and starts the dequeue and retry timers. Zero values of
-// the fields a gateway cannot function without — AdmitPeriod,
-// AdmitPerRound, the class weights, Burst, and RetryEvery — take their
-// DefaultLimits values. Zero RefillEvery, QueueCap, MaxQueued and
-// MaxInFlight deliberately mean "disabled/unbounded" (tests and
-// metamorphic harnesses rely on turning single limits off); start from
-// DefaultLimits to get the bounded production posture.
+// GatewayEndpoint and starts the dequeue and retry timers. The zero Limits
+// leave the backlog unbounded and session tracking off; DefaultLimits is the
+// production posture.
 func New(cfg Config, eng *sim.Engine, net *transport.Net) *Gateway {
-	def := DefaultLimits()
-	if cfg.AdmitPeriod <= 0 {
-		cfg.AdmitPeriod = def.AdmitPeriod
-	}
-	if cfg.AdmitPerRound <= 0 {
-		cfg.AdmitPerRound = def.AdmitPerRound
-	}
-	if cfg.ServiceWeight <= 0 {
-		cfg.ServiceWeight = def.ServiceWeight
-	}
-	if cfg.BatchWeight <= 0 {
-		cfg.BatchWeight = def.BatchWeight
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = def.Burst
-	}
-	if cfg.RetryEvery <= 0 {
-		// The retry sweep is the safety net behind the hello-triggered
-		// replay; running without one would strand an admit whose loss no
-		// promotion follows.
-		cfg.RetryEvery = def.RetryEvery
-	}
+	return newGateway(cfg, bounds{refillEvery, burst, queueCap, maxInFlight, admitPerRound}, eng, net)
+}
+
+func newGateway(cfg Config, lim bounds, eng *sim.Engine, net *transport.Net) *Gateway {
 	g := &Gateway{
 		cfg:  cfg,
+		lim:  lim,
 		eng:  eng,
 		net:  net,
 		jobs: make(map[string]int32),
@@ -387,8 +372,8 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net) *Gateway {
 	}
 	g.epID = net.Register(protocol.GatewayEndpoint, g.handle)
 	g.masterID = net.Endpoint(protocol.MasterEndpoint)
-	eng.Every(cfg.AdmitPeriod, g.admitRound)
-	eng.Every(cfg.RetryEvery, g.retrySweep)
+	eng.Every(admitPeriod, g.admitRound)
+	eng.Every(retryEvery, g.retrySweep)
 	return g
 }
 
@@ -408,7 +393,7 @@ func (g *Gateway) Submit(j Job) DecisionKind {
 	}
 	tn := &g.tenants[tid]
 	if tn.submitted == 0 && tn.last == 0 {
-		*tn = tenant{class: j.Class, tokens: g.cfg.Burst, last: now}
+		*tn = tenant{class: j.Class, tokens: g.lim.burst, last: now}
 	}
 	j.Class = tn.class
 	g.submitted++
@@ -433,16 +418,14 @@ func (g *Gateway) Submit(j Job) DecisionKind {
 	if g.cfg.MaxQueued > 0 && g.queued >= g.cfg.MaxQueued {
 		return g.shedDecision(now, j, DecisionShedBacklog, true)
 	}
-	if g.cfg.QueueCap > 0 && tn.qlen() >= g.cfg.QueueCap {
+	if tn.qlen() >= g.lim.queueCap {
 		return g.shedDecision(now, j, DecisionShedTenantQueue, true)
 	}
-	if g.cfg.RefillEvery > 0 {
-		g.refill(tn, now)
-		if tn.tokens <= 0 {
-			return g.shedDecision(now, j, DecisionShedRateLimit, true)
-		}
-		tn.tokens--
+	g.refill(tn, now)
+	if tn.tokens <= 0 {
+		return g.shedDecision(now, j, DecisionShedRateLimit, true)
 	}
+	tn.tokens--
 	tn.pushJob(g.newRec(j, StateQueued, now))
 	g.queued++
 	if !tn.active {
@@ -512,37 +495,37 @@ func (g *Gateway) state(i int32) (st State, ok bool) {
 // (whole refill periods only), so the bucket level is independent of how
 // often it is inspected.
 func (g *Gateway) refill(tn *tenant, now sim.Time) {
-	if tn.tokens >= g.cfg.Burst {
+	if tn.tokens >= g.lim.burst {
 		tn.last = now
 		return
 	}
-	k := int64((now - tn.last) / g.cfg.RefillEvery)
+	k := int64((now - tn.last) / g.lim.refillEvery)
 	if k <= 0 {
 		return
 	}
 	tn.tokens += k
-	tn.last += sim.Time(k) * g.cfg.RefillEvery
-	if tn.tokens >= g.cfg.Burst {
-		tn.tokens = g.cfg.Burst
+	tn.last += sim.Time(k) * g.lim.refillEvery
+	if tn.tokens >= g.lim.burst {
+		tn.tokens = g.lim.burst
 		tn.last = now
 	}
 }
 
-// admitRound is the dequeue tick: release up to AdmitPerRound jobs,
-// interleaving classes by weight (ServiceWeight pulls of service per
-// BatchWeight pulls of batch while both have backlog) and rotating FIFO
+// admitRound is the dequeue tick: release up to admitPerRound jobs,
+// interleaving classes by weight (serviceWeight pulls of service per
+// batchWeight pulls of batch while both have backlog) and rotating FIFO
 // across tenants within a class, respecting the in-flight cap.
 func (g *Gateway) admitRound() {
-	budget := g.cfg.AdmitPerRound
+	budget := g.lim.admitPerRound
 	for budget > 0 {
 		progressed := false
 		for c := Class(0); c < NumClasses; c++ {
-			w := g.cfg.ServiceWeight
+			w := serviceWeight
 			if c == ClassBatch {
-				w = g.cfg.BatchWeight
+				w = batchWeight
 			}
 			for k := 0; k < w && budget > 0; k++ {
-				if g.cfg.MaxInFlight > 0 && g.inflight >= g.cfg.MaxInFlight {
+				if g.inflight >= g.lim.maxInFlight {
 					return
 				}
 				if !g.admitOneFrom(c) {
@@ -591,11 +574,11 @@ func (g *Gateway) admitOneFrom(c Class) bool {
 }
 
 // admitBackoffCap bounds the exponential re-send backoff, in multiples of
-// RetryEvery (500 ms default base -> 4 s cap).
+// retryEvery (500 ms base -> 4 s cap).
 const admitBackoffCap = 8
 
 // sendAdmit ships row i's JobAdmit and arms the job's next retry:
-// exponential backoff from RetryEvery, capped at admitBackoffCap multiples,
+// exponential backoff from retryEvery, capped at admitBackoffCap multiples,
 // plus up to 25% jitter hashed from (job ID, attempt). The jitter must not
 // come from the engine's random stream — retry timing would then perturb
 // every other consumer's draws.
@@ -604,12 +587,12 @@ func (g *Gateway) sendAdmit(i int32) {
 	if rec.attempts < 255 {
 		rec.attempts++
 	}
-	d := g.cfg.RetryEvery
-	for i := uint8(1); i < rec.attempts && d < admitBackoffCap*g.cfg.RetryEvery; i++ {
+	d := retryEvery
+	for i := uint8(1); i < rec.attempts && d < admitBackoffCap*retryEvery; i++ {
 		d *= 2
 	}
-	if d > admitBackoffCap*g.cfg.RetryEvery {
-		d = admitBackoffCap * g.cfg.RetryEvery
+	if d > admitBackoffCap*retryEvery {
+		d = admitBackoffCap * retryEvery
 	}
 	h := uint64(fnvOffset)
 	for i := 0; i < len(rec.job.ID); i++ {

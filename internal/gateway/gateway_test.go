@@ -94,16 +94,28 @@ func (f *fixture) check(t *testing.T, settled bool) {
 	}
 }
 
-func TestTokenBucketRateLimit(t *testing.T) {
-	lim := DefaultLimits()
-	lim.Burst = 2
-	lim.RefillEvery = sim.Second
-	f := newFixture(t, lim)
+// fillInFlight submits maxInFlight jobs, a burst from each of
+// maxInFlight/burst tenants, and runs until the dequeue has admitted them
+// all: the stub master registers them and none completes, so the in-flight
+// cap is reached and further jobs stay queued.
+func (f *fixture) fillInFlight(t *testing.T) {
+	t.Helper()
+	for i := 0; i < maxInFlight; i++ {
+		f.gw.Submit(Job{ID: fmt.Sprintf("fill%d", i), Tenant: fmt.Sprintf("filler%d", i/burst), Class: Class(i / burst % 2)})
+	}
+	f.run(maxInFlight/admitPerRound*admitPeriod + sim.Second)
+	if st := f.gw.Snapshot(); st.Admitted != maxInFlight || st.Queued != 0 {
+		t.Fatalf("fill: admitted=%d queued=%d, want %d/0", st.Admitted, st.Queued, maxInFlight)
+	}
+}
 
-	for i := 0; i < 5; i++ {
+func TestTokenBucketRateLimit(t *testing.T) {
+	f := newFixture(t, DefaultLimits())
+
+	for i := 0; i < burst+3; i++ {
 		kind := f.gw.Submit(Job{ID: fmt.Sprintf("j%d", i), Tenant: "hot", Class: ClassBatch})
 		want := DecisionQueued
-		if i >= 2 {
+		if i >= burst {
 			want = DecisionShedRateLimit
 		}
 		if kind != want {
@@ -111,118 +123,127 @@ func TestTokenBucketRateLimit(t *testing.T) {
 		}
 	}
 	// One refill period later one more token is available.
-	f.run(sim.Second + sim.Millisecond)
-	if kind := f.gw.Submit(Job{ID: "j5", Tenant: "hot", Class: ClassBatch}); kind != DecisionQueued {
+	f.run(refillEvery + sim.Millisecond)
+	if kind := f.gw.Submit(Job{ID: "late", Tenant: "hot", Class: ClassBatch}); kind != DecisionQueued {
 		t.Errorf("post-refill submission: %v, want queued", kind)
+	}
+	if kind := f.gw.Submit(Job{ID: "later", Tenant: "hot", Class: ClassBatch}); kind != DecisionShedRateLimit {
+		t.Errorf("second post-refill submission: %v, want shed by the rate limit", kind)
 	}
 	f.run(2 * sim.Second)
 	f.check(t, false)
 	st := f.gw.Snapshot()
-	if st.ShedRateLimit != 3 || st.Admitted != 3 {
-		t.Errorf("shed=%d admitted=%d, want 3/3", st.ShedRateLimit, st.Admitted)
+	if st.ShedRateLimit != 4 || st.Admitted != burst+1 {
+		t.Errorf("shed=%d admitted=%d, want 4/%d", st.ShedRateLimit, st.Admitted, burst+1)
 	}
 }
 
+// TestTenantQueueBoundAndBacklogShed: one tenant's queue holds queueCap
+// jobs, and the global backlog MaxQueued; a submission past either is shed
+// with its reason, and a repeated ID as a duplicate.
 func TestTenantQueueBoundAndBacklogShed(t *testing.T) {
-	lim := DefaultLimits()
-	lim.RefillEvery = 0 // no rate limiting: isolate the queue bounds
-	lim.QueueCap = 3
-	lim.MaxQueued = 5
-	lim.AdmitPeriod = sim.Minute // effectively freeze the dequeue
-	f := newFixture(t, lim)
-
-	for i := 0; i < 5; i++ {
-		kind := f.gw.Submit(Job{ID: fmt.Sprintf("a%d", i), Tenant: "t1", Class: ClassBatch})
-		want := DecisionQueued
-		if i >= 3 {
-			want = DecisionShedTenantQueue
+	// The tenant bound: behind a full in-flight cap nothing dequeues, and a
+	// tenant queues its burst at once and one job per refill period after.
+	f := newFixture(t, Limits{})
+	f.fillInFlight(t)
+	for i := 0; i < queueCap; i++ {
+		if i >= burst {
+			f.run(refillEvery)
 		}
-		if kind != want {
-			t.Errorf("t1 submission %d: %v, want %v", i, kind, want)
+		if kind := f.gw.Submit(Job{ID: fmt.Sprintf("a%d", i), Tenant: "deep", Class: ClassBatch}); kind != DecisionQueued {
+			t.Fatalf("deep submission %d: %v, want queued", i, kind)
 		}
 	}
-	for i := 0; i < 4; i++ {
-		kind := f.gw.Submit(Job{ID: fmt.Sprintf("b%d", i), Tenant: fmt.Sprintf("t%d", 2+i), Class: ClassBatch})
+	f.run(refillEvery) // a token is there: only the queue bound can shed
+	if kind := f.gw.Submit(Job{ID: "a-over", Tenant: "deep", Class: ClassBatch}); kind != DecisionShedTenantQueue {
+		t.Errorf("submission past the tenant queue: %v, want shed-tenant-queue", kind)
+	}
+	if kind := f.gw.Submit(Job{ID: "b0", Tenant: "shallow", Class: ClassBatch}); kind != DecisionQueued {
+		t.Errorf("another tenant's submission: %v, want queued", kind)
+	}
+	f.check(t, false)
+
+	// The backlog bound: jobs queue until the next dequeue tick.
+	f = newFixture(t, Limits{MaxQueued: 5})
+	for i := 0; i < 7; i++ {
+		kind := f.gw.Submit(Job{ID: fmt.Sprintf("b%d", i), Tenant: fmt.Sprintf("t%d", i), Class: ClassBatch})
 		want := DecisionQueued
-		if i >= 2 { // global backlog cap of 5 reached after 3 + 2
+		if i >= 5 {
 			want = DecisionShedBacklog
 		}
 		if kind != want {
 			t.Errorf("spread submission %d: %v, want %v", i, kind, want)
 		}
 	}
-	if kind := f.gw.Submit(Job{ID: "a0", Tenant: "t9", Class: ClassBatch}); kind != DecisionShedDuplicate {
+	if kind := f.gw.Submit(Job{ID: "b0", Tenant: "t9", Class: ClassBatch}); kind != DecisionShedDuplicate {
 		t.Errorf("duplicate ID: %v, want shed-duplicate", kind)
 	}
 	f.check(t, false)
 }
 
-// TestWeightedFairDequeue pins the weighted round-robin: with deep backlog
-// in both classes and weights 4:1, each tick admits service and batch jobs
-// in that ratio, rotating fairly across the tenants inside each class.
+// TestWeightedFairDequeue pins the weighted round-robin: with backlog in
+// both classes and weights 4:1, a tick admits service and batch jobs in that
+// ratio, rotating fairly across the tenants inside each class.
 func TestWeightedFairDequeue(t *testing.T) {
-	lim := DefaultLimits()
-	lim.RefillEvery = 0
-	lim.QueueCap = 100
-	lim.MaxQueued = 0
-	lim.MaxInFlight = 0
-	lim.AdmitPeriod = 10 * sim.Millisecond
-	lim.AdmitPerRound = 5
-	lim.ServiceWeight, lim.BatchWeight = 4, 1
-	f := newFixture(t, lim)
-
-	for i := 0; i < 40; i++ {
-		f.gw.Submit(Job{ID: fmt.Sprintf("s%d", i), Tenant: fmt.Sprintf("svc%d", i%4), Class: ClassService})
-		f.gw.Submit(Job{ID: fmt.Sprintf("b%d", i), Tenant: fmt.Sprintf("bat%d", i%2), Class: ClassBatch})
+	f := newFixture(t, DefaultLimits())
+	// Each tenant queues its whole burst: 16 service tenants, 4 batch ones.
+	for i := 0; i < 16*burst; i++ {
+		f.gw.Submit(Job{ID: fmt.Sprintf("s%d", i), Tenant: fmt.Sprintf("svc%d", i%16), Class: ClassService})
 	}
-	// Two ticks = 10 admissions: 8 service, 2 batch.
-	f.run(2*lim.AdmitPeriod + sim.Millisecond)
+	for i := 0; i < 4*burst; i++ {
+		f.gw.Submit(Job{ID: fmt.Sprintf("b%d", i), Tenant: fmt.Sprintf("bat%d", i%4), Class: ClassBatch})
+	}
+	// One tick = 40 admissions: 32 service, 8 batch.
+	f.run(admitPeriod + sim.Millisecond)
 	st := f.gw.Snapshot()
-	if st.Service.Admitted != 8 || st.Batch.Admitted != 2 {
-		t.Errorf("admitted service=%d batch=%d, want 8/2", st.Service.Admitted, st.Batch.Admitted)
+	if st.Service.Admitted != 32 || st.Batch.Admitted != 8 {
+		t.Errorf("admitted service=%d batch=%d, want 32/8", st.Service.Admitted, st.Batch.Admitted)
 	}
-	// Tenant rotation within a class: the 8 service admissions cover all 4
-	// tenants twice (FIFO rotation), not one tenant 8 times.
+	// Tenant rotation within a class: the admissions cover every tenant of
+	// the class twice (FIFO rotation), not a few tenants' whole queues.
 	perTenant := map[string]int{}
 	for _, d := range f.gw.Decisions() {
 		if d.Kind == DecisionAdmit {
 			perTenant[f.gw.rec(f.gw.jobs[d.JobID]).job.Tenant]++
 		}
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 16; i++ {
 		if got := perTenant[fmt.Sprintf("svc%d", i)]; got != 2 {
 			t.Errorf("svc%d admitted %d jobs, want 2 (fair rotation)", i, got)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if got := perTenant[fmt.Sprintf("bat%d", i)]; got != 2 {
+			t.Errorf("bat%d admitted %d jobs, want 2 (fair rotation)", i, got)
 		}
 	}
 	// Drain everything; batch must not be starved to death by the weights.
 	f.run(sim.Second)
 	st = f.gw.Snapshot()
-	if st.Admitted != 80 || st.Registered != 80 {
-		t.Errorf("admitted=%d registered=%d, want 80/80", st.Admitted, st.Registered)
+	if st.Admitted != 20*burst || st.Registered != 20*burst {
+		t.Errorf("admitted=%d registered=%d, want %d/%d", st.Admitted, st.Registered, 20*burst, 20*burst)
 	}
 	f.check(t, false)
 }
 
 func TestBackpressureMaxInFlight(t *testing.T) {
-	lim := DefaultLimits()
-	lim.RefillEvery = 0
-	lim.MaxInFlight = 3
-	f := newFixture(t, lim)
-	for i := 0; i < 10; i++ {
+	f := newFixture(t, DefaultLimits())
+	f.fillInFlight(t)
+	for i := 0; i < 7; i++ {
 		f.gw.Submit(Job{ID: fmt.Sprintf("j%d", i), Tenant: fmt.Sprintf("t%d", i), Class: ClassBatch})
 	}
 	f.run(sim.Second)
 	st := f.gw.Snapshot()
-	if st.Admitted != 3 || st.Queued != 7 {
-		t.Errorf("admitted=%d queued=%d, want 3/7 under in-flight cap", st.Admitted, st.Queued)
+	if st.Admitted != maxInFlight || st.Queued != 7 {
+		t.Errorf("admitted=%d queued=%d, want %d/7 under in-flight cap", st.Admitted, st.Queued, maxInFlight)
 	}
 	// Completions free slots.
-	for _, j := range append([]Job(nil), f.reg...) {
+	for _, j := range f.reg[:3] {
 		f.complete(j.ID)
 	}
 	f.run(sim.Second)
-	if st := f.gw.Snapshot(); st.Admitted != 6 {
-		t.Errorf("admitted=%d after 3 completions, want 6", st.Admitted)
+	if st := f.gw.Snapshot(); st.Admitted != maxInFlight+3 || st.Queued != 4 {
+		t.Errorf("admitted=%d queued=%d after 3 completions, want %d/4", st.Admitted, st.Queued, maxInFlight+3)
 	}
 	f.check(t, false)
 }
@@ -232,16 +253,13 @@ func TestBackpressureMaxInFlight(t *testing.T) {
 // on its hello, and fire each registration exactly once even though retries
 // produce duplicate acks.
 func TestFailoverReplayExactlyOnce(t *testing.T) {
-	lim := DefaultLimits()
-	lim.RefillEvery = 0
-	lim.RetryEvery = 100 * sim.Millisecond
-	f := newFixture(t, lim)
+	f := newFixture(t, DefaultLimits())
 	f.master.crash() // no master: admits go into the void
 
 	for i := 0; i < 6; i++ {
 		f.gw.Submit(Job{ID: fmt.Sprintf("j%d", i), Tenant: fmt.Sprintf("t%d", i), Class: ClassService})
 	}
-	f.run(sim.Second)
+	f.run(3 * retryEvery)
 	if len(f.reg) != 0 {
 		t.Fatalf("%d registrations with no master alive", len(f.reg))
 	}
@@ -282,9 +300,7 @@ func TestFailoverReplayExactlyOnce(t *testing.T) {
 // hash different.
 func TestDecisionHashDeterminism(t *testing.T) {
 	run := func(perturb bool) uint64 {
-		lim := DefaultLimits()
-		lim.Burst = 2
-		f := newFixture(t, lim)
+		f := newFixture(t, DefaultLimits())
 		for i := 0; i < 30; i++ {
 			n := i
 			f.eng.At(sim.Time(i)*7*sim.Millisecond, func() {
@@ -314,9 +330,7 @@ func TestDecisionHashDeterminism(t *testing.T) {
 // is normalized onto the tenant's — it dequeues at the tenant's weight and
 // every per-class tally stays consistent across its whole lifecycle.
 func TestTenantClassIsSticky(t *testing.T) {
-	lim := DefaultLimits()
-	lim.RefillEvery = 0
-	f := newFixture(t, lim)
+	f := newFixture(t, DefaultLimits())
 	f.gw.Submit(Job{ID: "j0", Tenant: "t0", Class: ClassBatch})
 	f.gw.Submit(Job{ID: "j1", Tenant: "t0", Class: ClassService}) // normalized to batch
 	f.run(sim.Second)
@@ -337,14 +351,11 @@ func TestTenantClassIsSticky(t *testing.T) {
 
 // tamperFixture leaves a gateway with a record in every lifecycle state and
 // every tally non-zero: j0 completed, j1–j3 registered, j4 admitted into a
-// dead master (no ack), j5 queued behind the in-flight cap, h2 shed by the
-// hot tenant's rate limit, and one duplicate submission of j1.
+// dead master (no ack), j5 and h0–h4 queued for the next dequeue tick, h5
+// shed by the hot tenant's rate limit, and one duplicate submission of j1.
 func tamperFixture(t *testing.T) *fixture {
 	t.Helper()
-	lim := DefaultLimits()
-	lim.Burst = 2
-	lim.MaxInFlight = 4
-	f := newFixture(t, lim)
+	f := newFixture(t, DefaultLimits())
 	for i := 0; i < 4; i++ {
 		f.gw.Submit(Job{ID: fmt.Sprintf("j%d", i), Tenant: fmt.Sprintf("t%d", i), Class: ClassService})
 	}
@@ -354,14 +365,14 @@ func tamperFixture(t *testing.T) *fixture {
 	}
 	f.master.crash()
 	f.gw.Submit(Job{ID: "j4", Tenant: "t4", Class: ClassBatch})
+	f.run(admitPeriod + sim.Millisecond)
 	f.gw.Submit(Job{ID: "j5", Tenant: "t5", Class: ClassBatch})
 	f.gw.Submit(Job{ID: "j1", Tenant: "t1", Class: ClassService})
-	for i := 0; i < 3; i++ {
+	for i := 0; i <= burst; i++ {
 		f.gw.Submit(Job{ID: fmt.Sprintf("h%d", i), Tenant: "hot", Class: ClassBatch})
 	}
-	f.run(100 * sim.Millisecond)
 	want := map[string]State{"j0": StateCompleted, "j1": StateRegistered, "j4": StateAdmitted,
-		"j5": StateQueued, "h0": StateQueued, "h2": StateShed}
+		"j5": StateQueued, "h0": StateQueued, fmt.Sprintf("h%d", burst): StateShed}
 	for id, st := range want {
 		if _, got, ok := f.gw.lookup(id); !ok || got != st {
 			t.Fatalf("fixture: job %s in state %d (known %v), want %d", id, got, ok, st)
@@ -457,7 +468,6 @@ func BenchmarkCheckConservation(b *testing.B) {
 
 func TestBurstSessionTracking(t *testing.T) {
 	lim := DefaultLimits()
-	lim.RefillEvery = 0 // no rate limiting: every submission counts
 	lim.SessionGap = sim.Second
 	f := newFixture(t, lim)
 

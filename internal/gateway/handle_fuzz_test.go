@@ -44,7 +44,7 @@ func (s *gwScript) epoch(current int) int {
 // admit carried or a hostile one (a stale row, one the gateway never issued,
 // another job's); master hellos at
 // any epoch; completions of any job; and time advancing, so the dequeue and
-// the retry backoff run — under tight limits or default ones. After every
+// the retry backoff run — under tight bounds or the shipped ones. After every
 // step the gateway must not have panicked, its admission ledger must conserve
 // every submission, an ack with a hostile row must have changed no job's
 // state, and the row each admit carried must be the one the job's ID files
@@ -89,12 +89,12 @@ func runGatewayScript(t *testing.T, data []byte) {
 			sent = append(sent, sentAdmit{a.JobID, a.Row})
 		}
 	})
-	lim := DefaultLimits()
 	if s.next()&1 == 1 { // tight: every shed reason and the in-flight cap within reach
-		lim.RefillEvery, lim.Burst = 50*sim.Millisecond, 2
-		lim.QueueCap, lim.MaxQueued, lim.MaxInFlight, lim.AdmitPerRound = 2, 6, 3, 2
+		g = newGateway(Config{Limits: Limits{MaxQueued: 6}},
+			bounds{refillEvery: 50 * sim.Millisecond, burst: 2, queueCap: 2, maxInFlight: 3, admitPerRound: 2}, eng, net)
+	} else {
+		g = New(Config{Limits: DefaultLimits()}, eng, net)
 	}
-	g = New(Config{Limits: lim}, eng, net)
 	// job names one of a few dozen IDs, so they come back: submitted again,
 	// acknowledged twice, completed before they were admitted.
 	job := func(c byte) string { return fmt.Sprintf("job-%d", c%24) }

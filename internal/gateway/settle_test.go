@@ -13,13 +13,10 @@ import (
 // or shed, while conservation still counts every row and a resubmitted ID
 // is still a duplicate.
 func TestTerminalSlabsAreDropped(t *testing.T) {
-	lim := DefaultLimits()
-	lim.RefillEvery, lim.QueueCap, lim.MaxQueued, lim.MaxInFlight = 0, 0, 0, 0
-	lim.AdmitPerRound = 1000
-	f := newFixture(t, lim)
+	f := newFixture(t, Limits{})
 	const n = 2*recSlabSize + 10
 	for i := 0; i < n; i++ {
-		f.gw.Submit(Job{ID: fmt.Sprintf("j%d", i), Tenant: fmt.Sprintf("t%d", i%7), Class: ClassBatch})
+		f.gw.Submit(Job{ID: fmt.Sprintf("j%d", i), Tenant: fmt.Sprintf("t%d", i), Class: ClassBatch})
 	}
 	f.run(sim.Second)
 	if len(f.reg) != n {
@@ -49,8 +46,7 @@ func TestTerminalSlabsAreDropped(t *testing.T) {
 	f.check(t, true)
 
 	// Jobs shed at submission are terminal from birth.
-	lim.MaxQueued = 1
-	f = newFixture(t, lim)
+	f = newFixture(t, Limits{MaxQueued: 1})
 	for i := 0; i < 2*recSlabSize; i++ {
 		f.gw.Submit(Job{ID: fmt.Sprintf("s%d", i), Tenant: "hot", Class: ClassBatch})
 	}

@@ -2,6 +2,7 @@ package job
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/resource"
@@ -29,6 +30,10 @@ type instance struct {
 	// with the per-instance jitter applied once (it models the partition's
 	// data volume, so retries and backups use the same value).
 	duration sim.Time
+	// failedOn lists the machines this instance failed on: the bottom level
+	// of the multi-level blacklist, which keeps the instance off them while
+	// the task has a worker elsewhere (see avoids).
+	failedOn []string
 }
 
 // tmWorkerState tracks a worker from the TaskMaster's perspective.
@@ -201,8 +206,8 @@ func (tm *taskMaster) enqueue(in *instance) {
 }
 
 // nextFor pops the best pending instance for a worker: local input first,
-// then FIFO; instances on machines the task blacklisted are skipped for
-// that machine but stay eligible elsewhere.
+// then FIFO. An instance the worker's machine avoids is skipped for it and
+// stays queued for the others.
 func (tm *taskMaster) nextFor(w *tmWorker) *instance {
 	// Local preference.
 	local := tm.localIdx[w.machine]
@@ -210,22 +215,42 @@ func (tm *taskMaster) nextFor(w *tmWorker) *instance {
 		id := local[0]
 		local = local[1:]
 		in := tm.instances[id]
-		if in.state == InstancePending {
+		if in.state == InstancePending && !tm.avoids(in, w.machine) {
 			tm.localIdx[w.machine] = local
 			return in
 		}
 	}
 	tm.localIdx[w.machine] = local
-	// Global FIFO.
-	for len(tm.pendingQ) > 0 {
-		id := tm.pendingQ[0]
+	// Global FIFO: entries of instances no longer pending are dropped as
+	// they reach the head.
+	for len(tm.pendingQ) > 0 && tm.instances[tm.pendingQ[0]].state != InstancePending {
 		tm.pendingQ = tm.pendingQ[1:]
+	}
+	for i, id := range tm.pendingQ {
 		in := tm.instances[id]
-		if in.state == InstancePending {
+		if in.state == InstancePending && !tm.avoids(in, w.machine) {
+			tm.pendingQ = append(tm.pendingQ[:i], tm.pendingQ[i+1:]...)
 			return in
 		}
 	}
 	return nil
+}
+
+// avoids reports whether in should not run on machine: it failed there
+// before, and the task has a worker on a machine where it has not. A task
+// blacklists a machine only once three distinct instances failed on it, so
+// without this rule its last one or two instances could fail on the same
+// machine forever.
+func (tm *taskMaster) avoids(in *instance, machine string) bool {
+	if !slices.Contains(in.failedOn, machine) {
+		return false
+	}
+	for _, w := range tm.workers {
+		if !slices.Contains(in.failedOn, w.machine) {
+			return true
+		}
+	}
+	return false
 }
 
 // assignNext gives an idle worker its next instance (container — and
@@ -362,6 +387,9 @@ func (tm *taskMaster) workerFailed(id, machine, detail string) {
 func (tm *taskMaster) failureOn(in *instance, machine string) {
 	if machine == "" {
 		return
+	}
+	if !slices.Contains(in.failedOn, machine) {
+		in.failedOn = append(in.failedOn, machine)
 	}
 	if tm.jm.black.RecordFailure(tm.name, in.id, machine) {
 		tm.jm.am.ReportBadMachine(machine)

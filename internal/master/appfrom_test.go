@@ -124,7 +124,7 @@ func TestRefusedAppsLeaveTheCheckpoint(t *testing.T) {
 	ckpt := NewCheckpointStore()
 	oracle := newOracleStore()
 	// An anchor after every write: the writer's view itself is compared.
-	ckpt.CompactEvery, oracle.CompactEvery = 1, 1
+	ckpt.compactEvery, oracle.CompactEvery = 1, 1
 	units := []resource.ScheduleUnit{{ID: 1, Priority: 1, MaxCount: 4, Size: resource.New(100, 128)}}
 	for _, a := range []AppConfig{{Name: "ghost", Group: "no-such-group", Units: units}, {Name: "app1", Units: units},
 		{Name: "ghost3", Group: "no-such-group", Units: units}} {

@@ -37,8 +37,8 @@ const defaultCompactEvery = 256
 // on the scheduling fast path.
 //
 // Durably, the store is a delta log: every mutation appends one compact
-// delta record (encoding only what changed), and after CompactEvery records
-// the log is compacted into a full anchor snapshot. Checkpoint bytes
+// delta record (encoding only what changed), and after defaultCompactEvery
+// records the log is compacted into a full anchor snapshot. Checkpoint bytes
 // therefore scale with churn — jobs arriving and stopping — rather than
 // with the amount of state a full snapshot would re-encode on every write.
 // A promotion replays anchor+deltas (Load).
@@ -106,9 +106,10 @@ type CheckpointStore struct {
 	AnchorBytes int64
 	Compactions int
 
-	// CompactEvery overrides the anchor cadence (records between anchors);
-	// <= 0 uses defaultCompactEvery. Set before the first write.
-	CompactEvery int
+	// compactEvery is the anchor cadence (records between anchors):
+	// defaultCompactEvery, and lower only in this package's tests, which
+	// need anchors after a handful of writes.
+	compactEvery int
 
 	// FullBytes accumulates what the same write sequence would have cost
 	// under the pre-delta codec (a full EncodeSnapshot per write) — the
@@ -129,7 +130,7 @@ type ckptSlot struct {
 
 // NewCheckpointStore returns an empty store.
 func NewCheckpointStore() *CheckpointStore {
-	return &CheckpointStore{blk: []byte{0}}
+	return &CheckpointStore{blk: []byte{0}, compactEvery: defaultCompactEvery}
 }
 
 // Bytes returns the total bytes written to durable storage (deltas plus
@@ -140,14 +141,9 @@ func (c *CheckpointStore) Bytes() int64 { return c.DeltaBytes + c.AnchorBytes }
 // current anchor.
 func (c *CheckpointStore) PendingDeltas() int { return c.logRecs }
 
-// CompactionCadence returns the effective anchor cadence: CompactEvery when
-// set, the package default otherwise. Byte-budget formulas use it.
-func (c *CheckpointStore) CompactionCadence() int {
-	if c.CompactEvery > 0 {
-		return c.CompactEvery
-	}
-	return defaultCompactEvery
-}
+// CompactionCadence returns the anchor cadence, the records written between
+// anchors. Byte-budget formulas use it.
+func (c *CheckpointStore) CompactionCadence() int { return c.compactEvery }
 
 // wrote accounts one appended delta record and runs the compaction policy.
 func (c *CheckpointStore) wrote(recStart int) {

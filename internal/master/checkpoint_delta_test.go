@@ -51,13 +51,13 @@ func TestDeltaLogReplayMatchesWriterView(t *testing.T) {
 	s.BumpEpoch()
 	check()
 	if s.Compactions == 0 {
-		t.Fatal("sequence never compacted; CompactEvery not honoured")
+		t.Fatal("sequence never compacted; compactEvery not honoured")
 	}
 }
 
 func TestDeltaLogCompactionPolicy(t *testing.T) {
 	s := NewCheckpointStore()
-	s.CompactEvery = 3
+	s.compactEvery = 3
 	s.SaveApp(AppConfig{Name: "a"})
 	s.SaveApp(AppConfig{Name: "b"})
 	if s.Compactions != 0 || s.PendingDeltas() != 2 {

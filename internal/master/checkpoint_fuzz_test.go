@@ -13,7 +13,7 @@ import (
 // blacklist both grows and clears.
 func checkpointLogFixture() (anchor, log []byte) {
 	c := NewCheckpointStore()
-	c.CompactEvery = 4 // force one real anchor mid-history
+	c.compactEvery = 4 // force one real anchor mid-history
 	c.SaveApp(AppConfig{Name: "etl-1", Group: "gold", Units: []resource.ScheduleUnit{
 		{ID: 1, Priority: 100, MaxCount: 40, Size: resource.New(1000, 4096)},
 		{ID: 2, Priority: 80, MaxCount: 10, Size: resource.New(2000, 8192).With("gpu", 1)},

@@ -176,7 +176,7 @@ type mirrored struct {
 
 func newMirrored(compactEvery int, trackFull bool) mirrored {
 	m := mirrored{NewCheckpointStore(), newOracleStore(), nil}
-	m.CompactEvery, m.oracle.CompactEvery = compactEvery, compactEvery
+	m.compactEvery, m.oracle.CompactEvery = compactEvery, compactEvery
 	// The store always keeps FullBytes (arithmetic); the oracle re-encodes
 	// its whole view per write to get it, so it does so only when asked, and
 	// diverged compares the counter only then.
@@ -351,7 +351,7 @@ func TestCheckpointSlotTableMatchesOracle(t *testing.T) {
 // already logged, and Load before and after a compaction disagreed.
 func TestCheckpointSaveAppDoesNotAliasUnits(t *testing.T) {
 	s := NewCheckpointStore()
-	s.CompactEvery = 3
+	s.compactEvery = 3
 	units := deltaUnits(2)
 	s.SaveApp(AppConfig{Name: "a", Group: "g", Units: units})
 	saved := EncodeSnapshot(s.Load())

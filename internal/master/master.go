@@ -44,9 +44,6 @@ type Config struct {
 	BatchWindow sim.Time
 	// Sched passes through scheduler options (quota groups, preemption).
 	Sched Options
-	// OnPromote, when set, fires as this process wins the election, after
-	// hard state is reloaded but before soft-state collection begins.
-	OnPromote func(epoch int)
 	// OnRecovered fires when a promoted primary finishes soft-state
 	// recovery and resumes normal scheduling (failover promotions only;
 	// the epoch-1 fresh boot has no recovery phase). reissuedGrants is the
@@ -183,7 +180,6 @@ type Master struct {
 	leaseDeadline sim.Time
 	fenceArmed    bool
 	lastBeat      []sim.Time // by machine ID
-	wheel         *beatWheel // lazy timer wheel over lastBeat (dead-agent scan)
 	strikes       []int      // by machine ID
 	// flap is the cluster-level machine health score (see flapPenalty):
 	// master-observed deaths raise it, the decay timer lowers it, and
@@ -419,11 +415,7 @@ func (m *Master) promote() {
 	if m.cfg.Obs != nil {
 		m.initObs()
 	}
-	if m.cfg.OnPromote != nil {
-		m.cfg.OnPromote(m.epoch)
-	}
 
-	m.wheel = newBeatWheel(heartbeatScan, m.top.Size())
 	m.net.Register(protocol.MasterEndpoint, m.handle)
 	m.timers = append(m.timers,
 		m.eng.Every(renewEvery, m.renew),
@@ -443,7 +435,6 @@ func (m *Master) promote() {
 		now := m.eng.Now()
 		for id := int32(0); id < int32(m.top.Size()); id++ {
 			m.lastBeat[id] = now
-			m.wheel.track(id, now)
 		}
 		hello := protocol.MasterHello{Epoch: m.epoch, Seq: m.seq.Next()}
 		for id := int32(0); id < int32(m.top.Size()); id++ {
@@ -577,7 +568,6 @@ func (m *Master) standDown() {
 	m.timers = nil
 	m.sched = nil
 	clear(m.byEP) // its length is the endpoint slot count, kept for the next term
-	m.wheel = nil
 	m.recovering = false
 }
 
@@ -1278,7 +1268,6 @@ func (m *Master) handleHeartbeat(t *protocol.AgentHeartbeat) {
 		return
 	}
 	m.lastBeat[mc] = m.eng.Now()
-	m.wheel.track(mc, m.eng.Now())
 	if m.sched.downID(mc) {
 		// The node recovered (or its network partition healed).
 		m.dispatch(m.sched.machineUpID(mc))
@@ -1461,20 +1450,20 @@ func (m *Master) currentBlacklist() []string {
 	return out
 }
 
-// scanHeartbeats declares machines dead on heartbeat timeout. The timer
-// wheel restricts each scan to the slots that can actually hold an expired
-// machine, so the per-scan cost is O(expired + re-filed) rather than a full
-// O(machines) sweep of the cluster (machines never heard from are not in
-// the wheel, exactly as the old sweep skipped lastBeat == 0).
+// scanHeartbeats declares machines dead on heartbeat timeout: one pass over
+// lastBeat, in machine-ID order, revokes every machine that was heard from
+// (lastBeat 0 is never, as after a restart), is not already down, and has
+// been silent since before now - heartbeatTimeout.
 func (m *Master) scanHeartbeats() {
 	if !m.primary || m.crashed {
 		return
 	}
-	now := m.eng.Now()
-	dead := m.wheel.expire(now-heartbeatTimeout,
-		func(mc int32) sim.Time { return m.lastBeat[mc] },
-		m.sched.downID)
-	for _, mc := range dead {
+	cutoff := m.eng.Now() - heartbeatTimeout
+	for i, last := range m.lastBeat {
+		mc := int32(i)
+		if last == 0 || last >= cutoff || m.sched.downID(mc) {
+			continue
+		}
 		// Heartbeat timeout: remove from scheduling and revoke so job
 		// masters migrate instances (paper §4.3.2), and score the death for
 		// the cluster-level flap blacklist.

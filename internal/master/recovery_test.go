@@ -29,11 +29,6 @@ func newRecoveryWorld(t *testing.T, silentMachine int32, silentApp bool) *recove
 	top := testTop(t, 1, 3)
 	cfg := func(name string) Config {
 		c := Config{ProcessName: name}
-		c.OnPromote = func(epoch int) {
-			if epoch == 2 {
-				w.promotedAt = eng.Now()
-			}
-		}
 		c.OnRecovered = func(int, int) { w.recoveries, w.recovered = w.recoveries+1, eng.Now() }
 		return c
 	}
@@ -43,7 +38,11 @@ func newRecoveryWorld(t *testing.T, silentMachine int32, silentApp bool) *recove
 		var seq protocol.Sequencer
 		ep := protocol.AgentEndpoint(top.MachineName(id))
 		w.net.Register(ep, func(_ tr, msg transport.Message) {
-			if _, ok := msg.(protocol.MasterHello); ok && id != silentMachine {
+			hello, ok := msg.(protocol.MasterHello)
+			if ok && hello.Epoch == 2 && w.promotedAt == 0 {
+				w.promotedAt = eng.Now() - w.net.Latency // the successor says hello as it promotes
+			}
+			if ok && id != silentMachine {
 				w.net.SendID(w.net.Endpoint(ep), w.net.Endpoint(protocol.MasterEndpoint), &protocol.AgentHeartbeat{
 					Machine: id, Full: true, HealthScore: 100, Seq: seq.Next(),
 				})

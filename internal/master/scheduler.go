@@ -1012,8 +1012,3 @@ func (s *Scheduler) setFree(machine int32, v resource.Vector) {
 	(&s.totalFree).AddScaledInPlace(v, 1)
 	s.free[machine] = v.Clone()
 }
-
-// sortInt32s sorts an int32 slice ascending (machine-ID order == sorted
-// machine-name order, so replacing sort.Strings with this preserves every
-// historical ordering), without sort.Slice's reflective swapper.
-func sortInt32s(a []int32) { slices.Sort(a) }

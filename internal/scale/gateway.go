@@ -71,11 +71,7 @@ type gatewayLoad struct {
 // gatewayConfig is the front door every gateway-fed workload deploys; onReg
 // starts the application master of a job the primary acknowledged.
 func (h *harness) gatewayConfig(onReg func(gateway.Job, int32)) *gateway.Config {
-	lim := gateway.DefaultLimits()
-	if h.cfg.GatewayLimits != nil {
-		lim = *h.cfg.GatewayLimits
-	}
-	return &gateway.Config{Limits: lim, OnRegistered: onReg, RecordDecisions: h.cfg.RecordGatewayDecisions}
+	return &gateway.Config{Limits: gateway.DefaultLimits(), OnRegistered: onReg, RecordDecisions: h.cfg.RecordGatewayDecisions}
 }
 
 // frontDoor: a registered job runs the same churn as the classic workload,

@@ -169,8 +169,8 @@ func newReplayLoad(h *harness) *replayLoad {
 // intra-burst spacings separates sessions.
 func (rp *replayLoad) frontDoor() *gateway.Config {
 	gc := rp.h.gatewayConfig(rp.spawn)
-	if gc.Limits.SessionGap == 0 && rp.h.cfg.ReplayBurstGap > 0 {
-		gc.Limits.SessionGap = 5 * rp.h.cfg.ReplayBurstGap
+	if rp.h.cfg.ReplayBurstGap > 0 {
+		gc.SessionGap = 5 * rp.h.cfg.ReplayBurstGap
 	}
 	return gc
 }

@@ -140,8 +140,6 @@ type Config struct {
 	// GatewayServicePct is the percentage of tenant identities in the
 	// latency-sensitive service class (the rest are batch).
 	GatewayServicePct int `json:"gateway_service_pct,omitempty"`
-	// GatewayLimits tunes the gateway (nil takes gateway.DefaultLimits).
-	GatewayLimits *gateway.Limits `json:"gateway_limits,omitempty"`
 	// RecordGatewayDecisions keeps the full admit/shed decision stream in
 	// Result.GatewayDecisions (parity tests only — it is large).
 	RecordGatewayDecisions bool `json:"-"`
@@ -692,9 +690,10 @@ func (h *harness) run() *Result {
 		h.checker.CheckCheckpointWrites(writeBudget)
 		// Byte budget: each delta record is bounded by one app config (a
 		// small header plus UnitsPerApp unit records), and compaction adds
-		// one full anchor — at most saved+2 app records — every CompactEvery
-		// writes. A snapshot-per-write regression re-appears as O(apps) bytes
-		// per record and blows this line immediately.
+		// one full anchor — at most saved+2 app records — per
+		// CompactionCadence writes. A snapshot-per-write regression
+		// re-appears as O(apps) bytes per record and blows this line
+		// immediately.
 		perRec := int64(128 + 96*cfg.UnitsPerApp)
 		anchors := int64(writeBudget/h.cl.Ckpt.CompactionCadence() + 1)
 		anchorCap := int64(saved+2) * perRec
