@@ -82,8 +82,11 @@
 // (internal/ident is the interning primitive). Machines and racks carry
 // their topology index — assigned from the sorted name list, so every
 // process derives identical IDs and they are safe on the simulated wire:
-// GrantUpdate, DemandUpdate returns, CapacityQuery and heartbeat traffic all
-// speak machine IDs. Transport endpoints are interned by the Net (handlers receive sender
+// GrantUpdate, DemandUpdate returns and hints, FullDemandSync, CapacityQuery
+// and heartbeat traffic all speak machine and rack IDs. A locality hint is
+// (level, node ID, count), 0 at cluster level; FuxiMaster drops a demand
+// message with a hint the topology does not hold (topology.Holds) whole.
+// Transport endpoints are interned by the Net (handlers receive sender
 // EndpointIDs; dedup high-water marks are indexed by them), and an
 // application master's endpoint ID doubles as the application's identity
 // between FuxiMaster and the agents: capacity deltas, capacity syncs and
@@ -103,7 +106,8 @@
 // The boundary rule: names exist only at the edges. Messages from an
 // application master carry its name (RegisterApp introduces it, and it is
 // what the checkpoint stores), worker-management traffic carries machine
-// names for the job layer, checkpoint snapshots serialize names exclusively (the encoding
+// names for the job layer (whose input locations are names too; it states
+// demand at them by machine ID), checkpoint snapshots serialize names exclusively (the encoding
 // cannot express an interned ID, so none can leak into durable state), and
 // every public inspection API converts on the way out. Steady-state
 // scheduling — the `churn` section of BENCH_scale.json — runs allocation-

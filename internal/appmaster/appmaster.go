@@ -131,8 +131,6 @@ type AM struct {
 	// slab gives the ledgers' tables their first cells, two tables a unit,
 	// so a forty-unit job's books cost a few chunks, not eighty allocations.
 	slab dense.Slab[int]
-	// ext names requested locality targets outside the topology.
-	ext topology.Overflow
 	// workers tracks every worker this application asked agents to run
 	// (nil until the first StartWorker/AdoptWorker — gateway-scale job
 	// populations never start simulated workers).
@@ -264,24 +262,20 @@ func (a *AM) peekLedger(unitID int) *unitLedger {
 	return nil
 }
 
-// hintKey resolves a locality hint's target name to its table key — the one
-// place this side turns a name into an ID, once per stated hint.
-func (a *AM) hintKey(h resource.LocalityHint) uint64 {
-	if h.Type != resource.LocalityMachine && h.Type != resource.LocalityRack {
-		return nodeKey(resource.LocalityCluster, 0)
-	}
-	return nodeKey(h.Type, a.ext.Node(a.top, h.Type, h.Value))
-}
-
-// keyHint is the inverse of hintKey at the full-sync boundary.
-func (a *AM) keyHint(k uint64, count int) resource.LocalityHint {
-	level, node := resource.LocalityType(k>>32), int32(uint32(k))
-	return resource.LocalityHint{Type: level, Value: a.ext.Name(a.top, level, node), Count: count}
+// keyHint is the hint a demand table's row states, the inverse of nodeKey at
+// the full-sync boundary.
+func keyHint(k uint64, count int) resource.LocalityHint {
+	return resource.LocalityHint{Type: resource.LocalityType(k >> 32), Node: int32(uint32(k)), Count: count}
 }
 
 // MachineName converts a dense machine ID to its name (the job-layer
 // boundary conversion; a slice index, not a hash).
 func (a *AM) MachineName(id int32) string { return a.top.MachineName(id) }
+
+// MachineID converts a machine name to its dense ID, or ident.None for a
+// name the topology lacks: the job layer's input locations are names, and it
+// states demand at them by ID.
+func (a *AM) MachineID(name string) int32 { return a.top.MachineID(name) }
 
 // Request adds (or with negative counts, withdraws) demand for one unit. The
 // change joins the instant's DemandUpdate, appended in call order, which
@@ -311,7 +305,7 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 	deltas := hints
 	if clean {
 		for _, h := range hints {
-			*out.PutFrom(&a.slab, a.hintKey(h)) += h.Count
+			*out.PutFrom(&a.slab, nodeKey(h.Type, h.Node)) += h.Count
 		}
 		if len(deltas) == 0 {
 			return
@@ -322,7 +316,7 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 			if h.Count == 0 {
 				continue
 			}
-			k := a.hintKey(h)
+			k := nodeKey(h.Type, h.Node)
 			n := out.Get(k) + h.Count
 			if n < 0 {
 				h.Count -= n // clamp withdrawal at zero outstanding
@@ -937,18 +931,13 @@ func (a *AM) fullSync() {
 	s.Demand = slices.Grow(s.Demand, nDemand)
 	s.Held = slices.Grow(s.Held, nHeld)
 	// Each unit's ledgers become its runs, copied straight out of the
-	// key-sorted tables: held cells are in machine order already; demand
-	// cells are in (level, node ID) order, which differs from the wire's
-	// (level, name) only for names outside the topology.
+	// key-sorted tables: held cells are in machine order, demand cells in
+	// (level, node) order, each the wire's order.
 	for ui := range a.units {
 		l, unitID := &a.units[ui], a.cfg.Units[ui].ID
-		n := len(s.Demand)
 		for _, c := range l.out.Cells() {
-			s.Demand = append(s.Demand, protocol.UnitHint{UnitID: unitID, LocalityHint: a.keyHint(c.Key, c.Val)})
+			s.Demand = append(s.Demand, protocol.UnitHint{UnitID: unitID, LocalityHint: keyHint(c.Key, c.Val)})
 		}
-		slices.SortFunc(s.Demand[n:], func(x, y protocol.UnitHint) int {
-			return resource.CompareHints(x.LocalityHint, y.LocalityHint)
-		})
 		for _, c := range l.held.Cells() {
 			s.Held = append(s.Held, protocol.SyncHeld{UnitID: unitID, Machine: int32(c.Key), Count: c.Val})
 		}

@@ -131,8 +131,8 @@ func TestGrantUpdatesLedgerAndOutstanding(t *testing.T) {
 func TestGrantConsumesMachineDemandFirst(t *testing.T) {
 	h := newHarness(t, 0)
 	h.am.Request(1,
-		resource.LocalityHint{Type: resource.LocalityMachine, Value: "r000m000", Count: 2},
-		resource.LocalityHint{Type: resource.LocalityRack, Value: "r001", Count: 1},
+		resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 2}, // r000m000
+		resource.LocalityHint{Type: resource.LocalityRack, Node: 1, Count: 1},    // r001
 		resource.LocalityHint{Type: resource.LocalityCluster, Count: 3})
 	h.grant("r000m000", 2, 1)
 	// Machine-level demand must be consumed before cluster-level.

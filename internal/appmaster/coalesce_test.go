@@ -74,8 +74,8 @@ func TestOneInstantSendsOneDemandUpdate(t *testing.T) {
 	cluster := func(n int) resource.LocalityHint {
 		return resource.LocalityHint{Type: resource.LocalityCluster, Count: n}
 	}
-	onM1 := resource.LocalityHint{Type: resource.LocalityMachine, Value: w.top.MachineName(1), Count: 1}
-	onR1 := resource.LocalityHint{Type: resource.LocalityRack, Value: w.top.Racks()[1], Count: 1}
+	onM1 := resource.LocalityHint{Type: resource.LocalityMachine, Node: 1, Count: 1}
+	onR1 := resource.LocalityHint{Type: resource.LocalityRack, Node: 1, Count: 1}
 	w.am.Request(2, cluster(2))
 	w.am.Request(1, onM1)
 	w.am.ReturnContainers(1, 0, 1)
@@ -119,7 +119,7 @@ func TestOneGrantUpdateEqualsPerUnitSplit(t *testing.T) {
 					u := 1 + rng.Intn(5)
 					h := resource.LocalityHint{Type: resource.LocalityCluster, Count: 1 + rng.Intn(4)}
 					if rng.Intn(2) == 0 {
-						h = resource.LocalityHint{Type: resource.LocalityMachine, Value: ws[0].top.MachineName(int32(rng.Intn(machines))), Count: 1}
+						h = resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(rng.Intn(machines)), Count: 1}
 					}
 					for _, w := range ws {
 						w.am.Request(u, h)

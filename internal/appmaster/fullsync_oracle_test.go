@@ -37,7 +37,7 @@ func (a *AM) mapFullSync() mapSync {
 		if cells := l.out.Cells(); len(cells) > 0 {
 			hints := make([]resource.LocalityHint, 0, len(cells))
 			for _, c := range cells {
-				hints = append(hints, a.keyHint(c.Key, c.Val))
+				hints = append(hints, keyHint(c.Key, c.Val))
 			}
 			resource.SortHints(hints)
 			demand[unitID] = hints
@@ -76,11 +76,12 @@ func asMapSync(fs protocol.FullDemandSync) mapSync {
 }
 
 // TestFullSyncMatchesMapShape drives an AM through a seeded stream — demand
-// stated and withdrawn at machine, rack and cluster level (names outside the
-// topology included), grants, revocations and returns — and at random points
-// has it send the flat sync right after computing the map-shaped one it
+// stated and withdrawn at machine, rack and cluster level (IDs past the
+// topology's range included: the AM books them like any other, and only
+// FuxiMaster refuses them), grants, revocations and returns — and at random
+// points has it send the flat sync right after computing the map-shaped one it
 // replaced: read back, the two carry the same views, and the flat one is
-// well-formed with every demand run in (level, name) order. Jobs one, three
+// well-formed with every demand run strictly in (level, node) order. Jobs one, three
 // and forty units wide, and one that defines its units out of ID order.
 func TestFullSyncMatchesMapShape(t *testing.T) {
 	unit := func(id int) resource.ScheduleUnit {
@@ -122,17 +123,17 @@ func fullSyncMatchesMapShape(t *testing.T, seed int64, units []resource.Schedule
 	})
 	am := New(Config{App: "app1", Units: units}, eng, net, top, nil)
 	rng := rand.New(rand.NewSource(seed))
-	machines, racks := top.Machines(), top.Racks()
+	machines, racks := top.Machines(), top.NumRacks()
 	target := func() resource.LocalityHint {
 		switch rng.Intn(7) {
 		case 0, 1, 2:
-			return resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[rng.Intn(len(machines))]}
+			return resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(rng.Intn(len(machines)))}
 		case 3:
-			return resource.LocalityHint{Type: resource.LocalityRack, Value: racks[rng.Intn(len(racks))]}
+			return resource.LocalityHint{Type: resource.LocalityRack, Node: int32(rng.Intn(racks))}
 		case 4:
-			return resource.LocalityHint{Type: resource.LocalityMachine, Value: []string{"ghost-9", "ghost-2", "a-ghost"}[rng.Intn(3)]}
+			return resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(len(machines) + rng.Intn(3))}
 		case 5:
-			return resource.LocalityHint{Type: resource.LocalityRack, Value: "no-such-rack"}
+			return resource.LocalityHint{Type: resource.LocalityRack, Node: int32(racks)}
 		}
 		return resource.LocalityHint{Type: resource.LocalityCluster}
 	}
@@ -163,7 +164,7 @@ func fullSyncMatchesMapShape(t *testing.T, seed int64, units []resource.Schedule
 			}
 			for i := 1; i < len(fs.Demand); i++ {
 				if a, b := fs.Demand[i-1], fs.Demand[i]; a.UnitID == b.UnitID && resource.CompareHints(a.LocalityHint, b.LocalityHint) >= 0 {
-					t.Fatalf("seed %d op %d: demand run out of (level, name) order: %+v then %+v", seed, op, a, b)
+					t.Fatalf("seed %d op %d: demand run out of (level, node) order: %+v then %+v", seed, op, a, b)
 				}
 			}
 			if back := asMapSync(fs); !reflect.DeepEqual(back, want) {
@@ -199,7 +200,7 @@ func TestFullSyncAllocatesNothing(t *testing.T) {
 	eng.Run(eng.Now() + 10*sim.Millisecond)
 	for i, u := range units {
 		am.Request(u.ID,
-			resource.LocalityHint{Type: resource.LocalityMachine, Value: top.MachineName(int32(i)), Count: 1},
+			resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(i), Count: 1},
 			resource.LocalityHint{Type: resource.LocalityCluster, Count: 3})
 	}
 	eng.Run(eng.Now() + 100*sim.Millisecond)

@@ -195,7 +195,7 @@ func runAMScript(t *testing.T, data []byte) {
 			if c&1 == 0 {
 				h := resource.LocalityHint{Type: resource.LocalityCluster, Count: int(c>>1)%7 - 2}
 				if c&2 == 2 {
-					h = resource.LocalityHint{Type: resource.LocalityMachine, Value: top.MachineName(int32(int(c>>2) % n)), Count: 1}
+					h = resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(int(c>>2) % n), Count: 1}
 				}
 				am.Request(u, h)
 				ref.request(u, h)

@@ -17,8 +17,8 @@ import (
 
 // mapLedgers is the application master's container ledger and demand view as
 // they were before they became per-unit compact tables: one value map keyed by
-// packed (unit, machine), and a map of maps keyed by the locality target's
-// *name*. It is kept as the reference the differential test below drives the
+// packed (unit, machine), and a map of maps keyed by the locality target as a
+// (level, node) struct. It is kept as the reference the differential test below drives the
 // shipped AM against; the protocol around it (return and demand coalescing,
 // the grant stream's dedup and epoch fence, the gap-triggered early sync) is
 // the AM's, mirrored here so the reference is asked the same questions at the
@@ -43,8 +43,8 @@ type mapLedgers struct {
 }
 
 type locTarget struct {
-	typ   resource.LocalityType
-	value string
+	typ  resource.LocalityType
+	node int32
 }
 
 type heldKey uint64
@@ -103,7 +103,7 @@ func (o *mapLedgers) request(unitID int, hints ...resource.LocalityHint) {
 	deltas := hints
 	if clean {
 		for _, h := range hints {
-			out[locTarget{h.Type, h.Value}] += h.Count
+			out[locTarget{h.Type, h.Node}] += h.Count
 		}
 		if len(deltas) == 0 {
 			return
@@ -114,7 +114,7 @@ func (o *mapLedgers) request(unitID int, hints ...resource.LocalityHint) {
 			if h.Count == 0 {
 				continue
 			}
-			k := locTarget{h.Type, h.Value}
+			k := locTarget{h.Type, h.Node}
 			n := out[k] + h.Count
 			if n < 0 {
 				h.Count -= n
@@ -186,9 +186,9 @@ func (o *mapLedgers) grantUpdate(now sim.Time, from transport.EndpointID, t prot
 					delete(out, k)
 				}
 			}
-			take(locTarget{resource.LocalityMachine, o.top.MachineName(ch.Machine)})
-			take(locTarget{resource.LocalityRack, o.top.RackName(o.top.RackIDOf(ch.Machine))})
-			take(locTarget{resource.LocalityCluster, ""})
+			take(locTarget{resource.LocalityMachine, ch.Machine})
+			take(locTarget{resource.LocalityRack, o.top.RackIDOf(ch.Machine)})
+			take(locTarget{resource.LocalityCluster, 0})
 			o.events = append(o.events, fmt.Sprintf("grant u%d m%d x%d", ch.UnitID, ch.Machine, ch.Delta))
 		} else if ch.Delta < 0 {
 			k := makeHeldKey(ch.UnitID, ch.Machine)
@@ -222,7 +222,7 @@ func (o *mapLedgers) hello(from transport.EndpointID, t protocol.MasterHello) {
 }
 
 // fullSync is the old AM.fullSync, writing the flat wire shape from the maps:
-// the maps' keys sorted by unit, then (level, name) or machine.
+// the maps' keys sorted by unit, then (level, node) or machine.
 func (o *mapLedgers) fullSync(master transport.EndpointID) {
 	o.flush()
 	var demand []protocol.UnitHint
@@ -230,7 +230,7 @@ func (o *mapLedgers) fullSync(master transport.EndpointID) {
 		for k, c := range out {
 			if c > 0 {
 				demand = append(demand, protocol.UnitHint{UnitID: unitID,
-					LocalityHint: resource.LocalityHint{Type: k.typ, Value: k.value, Count: c}})
+					LocalityHint: resource.LocalityHint{Type: k.typ, Node: k.node, Count: c}})
 			}
 		}
 	}
@@ -242,7 +242,7 @@ func (o *mapLedgers) fullSync(master transport.EndpointID) {
 		if a.Type != b.Type {
 			return a.Type < b.Type
 		}
-		return a.Value < b.Value
+		return a.Node < b.Node
 	})
 	var held []protocol.SyncHeld
 	for k, c := range o.held {
@@ -286,8 +286,8 @@ func nilIfEmpty[E any](s []E) []E {
 
 // TestLedgersMatchMapOracle drives the shipped AM and the map-based ledgers it
 // replaced with the same seeded stream — demand stated and withdrawn at
-// machine, rack and cluster level (known names and names outside the
-// topology, withdrawals past zero, repeated targets in one call), grants and
+// machine, rack and cluster level (nodes of the topology and IDs past its
+// range, which the AM books like any other, withdrawals past zero, repeated targets in one call), grants and
 // revocations (in order, duplicated, after a gap, from stale and newer
 // epochs, revoking more than is held, several units in one update, units the
 // job never defined, malformed updates), container returns (valid, too large,
@@ -360,17 +360,17 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 		// armed first, so at each tick the reference's turn comes second.
 		eng.Every(7*sim.Second, func() { ref.fullSync(master) })
 
-		machines, racks := top.Machines(), top.Racks()
+		machines, racks := top.Machines(), top.NumRacks()
 		target := func() resource.LocalityHint {
 			switch rng.Intn(8) {
 			case 0, 1, 2:
-				return resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[rng.Intn(len(machines))]}
+				return resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(rng.Intn(len(machines)))}
 			case 3, 4:
-				return resource.LocalityHint{Type: resource.LocalityRack, Value: racks[rng.Intn(len(racks))]}
+				return resource.LocalityHint{Type: resource.LocalityRack, Node: int32(rng.Intn(racks))}
 			case 5:
-				return resource.LocalityHint{Type: resource.LocalityMachine, Value: []string{"ghost-9", "ghost-2"}[rng.Intn(2)]}
+				return resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(len(machines) + 7*rng.Intn(2))}
 			case 6:
-				return resource.LocalityHint{Type: resource.LocalityRack, Value: "no-such-rack"}
+				return resource.LocalityHint{Type: resource.LocalityRack, Node: int32(racks)}
 			}
 			return resource.LocalityHint{Type: resource.LocalityCluster}
 		}

@@ -168,7 +168,7 @@ func (tm *taskMaster) requestWorkers(n int) {
 	if n <= 0 {
 		return
 	}
-	perMachine := map[string]int{}
+	perMachine := map[int32]int{}
 	hinted := 0
 	for _, id := range tm.pendingQ {
 		if hinted >= n {
@@ -176,20 +176,24 @@ func (tm *taskMaster) requestWorkers(n int) {
 		}
 		in := tm.instances[id]
 		for _, m := range in.locations {
-			if tm.jm.black.TaskBlacklisted(tm.name, m) {
+			// Locations are machine names (input replicas, upstream outputs);
+			// demand names its machine by ID, and a name outside the topology
+			// is no preference at all.
+			mc := tm.jm.am.MachineID(m)
+			if mc < 0 || tm.jm.black.TaskBlacklisted(tm.name, m) {
 				continue
 			}
-			perMachine[m]++
+			perMachine[mc]++
 			hinted++
 			break
 		}
 	}
 	var hints []resource.LocalityHint
-	for m, c := range perMachine {
-		hints = append(hints, resource.LocalityHint{Type: resource.LocalityMachine, Value: m, Count: c})
+	for mc, c := range perMachine {
+		hints = append(hints, resource.LocalityHint{Type: resource.LocalityMachine, Node: mc, Count: c})
 	}
 	// The master satisfies hints in request order: keep it reproducible.
-	sort.Slice(hints, func(i, j int) bool { return hints[i].Value < hints[j].Value })
+	resource.SortHints(hints)
 	if rest := n - hinted; rest > 0 {
 		hints = append(hints, resource.LocalityHint{Type: resource.LocalityCluster, Count: rest})
 	}

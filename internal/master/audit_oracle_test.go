@@ -234,7 +234,7 @@ func (a *auditStream) step() {
 	case op < 6: // demand: grants now or queued, preemption when a group is short
 		h := resource.LocalityHint{Type: resource.LocalityCluster, Count: 1 + rng.Intn(12)}
 		if rng.Intn(2) == 0 {
-			h = resource.LocalityHint{Type: resource.LocalityMachine, Value: m, Count: 1 + rng.Intn(3)}
+			h = resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(mi), Count: 1 + rng.Intn(3)}
 		}
 		if _, err := s.UpdateDemand(app, unitID, []resource.LocalityHint{h}); err != nil {
 			a.t.Fatal(err)

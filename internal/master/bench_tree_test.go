@@ -129,7 +129,7 @@ func TestPromotionRebuildAllocatesPerChunk(t *testing.T) {
 		s.App, s.Units, s.Seq = names[a], defs, 1
 		for i, d := range defs {
 			s.Demand = append(s.Demand,
-				protocol.UnitHint{UnitID: d.ID, LocalityHint: resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[(a+i)%len(machines)], Count: 1}},
+				protocol.UnitHint{UnitID: d.ID, LocalityHint: resource.LocalityHint{Type: resource.LocalityMachine, Node: int32((a + i) % len(machines)), Count: 1}},
 				protocol.UnitHint{UnitID: d.ID, LocalityHint: resource.LocalityHint{Type: resource.LocalityCluster, Count: 2}})
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
@@ -34,12 +35,24 @@ func flatGrants(gus []protocol.GrantUpdate, app string) []protocol.UnitDelta {
 	return out
 }
 
+// holdsAll reports whether every hint names a node of top: FuxiMaster drops
+// an update or sync with any other hint whole.
+func holdsAll(top *topology.Topology, hints []protocol.UnitHint) bool {
+	for _, h := range hints {
+		if !top.Holds(h.Type, h.Node) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestOneMessageEqualsPerUnitSplit drives two masters through one seeded
 // script — multi-unit demand updates (additions and withdrawals at machine,
-// rack and cluster level, names outside the topology), returns, machine
+// rack and cluster level, machine IDs outside the topology), returns, machine
 // deaths and recoveries — where one master hears each demand update whole and
 // the other its per-unit split, the runs as messages of their own delivered
-// back to back. With and without batched rounds, every app must be told the
+// back to back. An update with a hint outside the topology is dropped whole,
+// so the split of one is not sent at all. With and without batched rounds, every app must be told the
 // same decisions in the same order, and every unit's grants and queued demand
 // must match after every step. In batched rounds the grant updates themselves
 // are equal: a round sends each app one.
@@ -59,7 +72,7 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 	ws := [2]*syncWorld{newSyncWorld(t, cfg, false), newSyncWorld(t, cfg, false)}
 	rng := rand.New(rand.NewSource(seed))
 	top := ws[0].m.top
-	machines, racks := top.Machines(), top.Racks()
+	machines, racks := top.Size(), top.NumRacks()
 	seqs := [2][]protocol.Sequencer{make([]protocol.Sequencer, len(syncApps)), make([]protocol.Sequencer, len(syncApps))}
 	for i := range syncApps {
 		seqs[0][i].Next() // the registrations
@@ -68,7 +81,7 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 	send := func(w int, app string, msg transport.Message) {
 		ws[w].net.SendID(ws[w].net.Endpoint(app), ws[w].net.Endpoint(protocol.MasterEndpoint), twin(msg))
 	}
-	multi := 0
+	multi, dropped := 0, 0
 	for step := 0; step < 300; step++ {
 		ai := rng.Intn(len(syncApps))
 		a := syncApps[ai]
@@ -85,11 +98,11 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 					h := resource.LocalityHint{Type: resource.LocalityCluster}
 					switch rng.Intn(6) {
 					case 0, 1:
-						h = resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[rng.Intn(len(machines))]}
+						h = resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(rng.Intn(machines))}
 					case 2:
-						h = resource.LocalityHint{Type: resource.LocalityRack, Value: racks[rng.Intn(len(racks))]}
+						h = resource.LocalityHint{Type: resource.LocalityRack, Node: int32(rng.Intn(racks))}
 					case 3:
-						h = resource.LocalityHint{Type: resource.LocalityMachine, Value: "ghost"}
+						h = resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(machines)}
 					}
 					if h.Count = rng.Intn(7) - 2; h.Count >= 0 {
 						h.Count++
@@ -102,6 +115,10 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 				t.Fatalf("step %d: the script built a malformed update %+v", step, whole)
 			}
 			send(0, a.name, whole)
+			if !holdsAll(top, deltas) {
+				dropped++
+				break
+			}
 			runs := 0
 			for rest := deltas; len(rest) > 0; runs++ {
 				var run []protocol.UnitHint
@@ -123,7 +140,7 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 				send(w, a.name, &protocol.DemandUpdate{App: a.name, Seq: seqs[w][ai].Next(), Returns: []protocol.ReturnEntry{ret}})
 			}
 		case r < 80:
-			mc := int32(rng.Intn(len(machines)))
+			mc := int32(rng.Intn(machines))
 			for _, w := range ws {
 				if w.m.sched.downID(mc) {
 					w.m.dispatch(w.m.sched.machineUpID(mc))
@@ -158,8 +175,9 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 			}
 		}
 	}
-	if multi == 0 || len(flatGrants(ws[0].got, "c")) == 0 {
-		t.Fatalf("vacuous script: %d multi-unit updates, %d entries told to the wide app", multi, len(flatGrants(ws[0].got, "c")))
+	if multi == 0 || dropped == 0 || len(flatGrants(ws[0].got, "c")) == 0 {
+		t.Fatalf("vacuous script: %d multi-unit updates, %d dropped, %d entries told to the wide app",
+			multi, dropped, len(flatGrants(ws[0].got, "c")))
 	}
 	if batch == 0 && len(ws[0].got) >= len(ws[1].got) {
 		t.Fatalf("the whole updates cost %d grant updates, the split %d: a step did not answer once", len(ws[0].got), len(ws[1].got))
@@ -204,7 +222,7 @@ func combinedEqualsTwoMessages(t *testing.T, seed int64, batch sim.Time) {
 	ws := [2]*syncWorld{newSyncWorld(t, cfg, false), newSyncWorld(t, cfg, false)}
 	rng := rand.New(rand.NewSource(seed))
 	top := ws[0].m.top
-	machines, racks := top.Machines(), top.Racks()
+	machines, racks := top.Size(), top.NumRacks()
 	seqs := [2][]protocol.Sequencer{make([]protocol.Sequencer, len(syncApps)), make([]protocol.Sequencer, len(syncApps))}
 	for i := range syncApps {
 		seqs[0][i].Next() // the registrations
@@ -222,7 +240,7 @@ func combinedEqualsTwoMessages(t *testing.T, seed int64, batch sim.Time) {
 			var rets []protocol.ReturnEntry
 			for n := rng.Intn(4); n > 0; n-- {
 				u := a.units[rng.Intn(len(a.units))].ID
-				mc := int32(rng.Intn(len(machines)))
+				mc := int32(rng.Intn(machines))
 				if cells := ws[0].m.sched.GrantedCells(a.name, u); len(cells) > 0 && rng.Intn(4) > 0 {
 					mc = int32(cells[rng.Intn(len(cells))].Key)
 				}
@@ -235,9 +253,9 @@ func combinedEqualsTwoMessages(t *testing.T, seed int64, batch sim.Time) {
 					h := resource.LocalityHint{Type: resource.LocalityCluster}
 					switch rng.Intn(5) {
 					case 0, 1:
-						h = resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[rng.Intn(len(machines))]}
+						h = resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(rng.Intn(machines))}
 					case 2:
-						h = resource.LocalityHint{Type: resource.LocalityRack, Value: racks[rng.Intn(len(racks))]}
+						h = resource.LocalityHint{Type: resource.LocalityRack, Node: int32(rng.Intn(racks))}
 					}
 					if h.Count = rng.Intn(6) - 1; h.Count >= 0 {
 						h.Count++
@@ -262,7 +280,7 @@ func combinedEqualsTwoMessages(t *testing.T, seed int64, batch sim.Time) {
 				}
 			}
 		case r < 85:
-			mc := int32(rng.Intn(len(machines)))
+			mc := int32(rng.Intn(machines))
 			for _, w := range ws {
 				if w.m.sched.downID(mc) {
 					w.m.dispatch(w.m.sched.machineUpID(mc))

@@ -336,7 +336,7 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 	ws := [2]*fanoutWorld{newFanoutWorld(t, batch, false), newFanoutWorld(t, batch, true)}
 	rng := rand.New(rand.NewSource(seed))
 	top := ws[0].m.top
-	machines, racks := top.Machines(), top.Racks()
+	machines, racks := top.Machines(), top.NumRacks()
 	seqs := make([]protocol.Sequencer, len(fanoutApps))
 	registered := make([]bool, len(fanoutApps))
 	send := func(app string, msg transport.Message) {
@@ -370,9 +370,9 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 			for i := range hints {
 				switch rng.Intn(4) {
 				case 0:
-					hints[i] = resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[rng.Intn(len(machines))]}
+					hints[i] = resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(rng.Intn(len(machines)))}
 				case 1:
-					hints[i] = resource.LocalityHint{Type: resource.LocalityRack, Value: racks[rng.Intn(len(racks))]}
+					hints[i] = resource.LocalityHint{Type: resource.LocalityRack, Node: int32(rng.Intn(racks))}
 				default:
 					hints[i] = resource.LocalityHint{Type: resource.LocalityCluster}
 				}
@@ -567,7 +567,7 @@ func TestOpenReleasesFlushAndRefuseReset(t *testing.T) {
 	a := fanoutApps[0]
 	w.net.SendID(w.net.Endpoint(a.name), w.net.Endpoint(protocol.MasterEndpoint), &protocol.RegisterApp{App: a.name, QuotaGroup: a.group, Units: a.units, Seq: 1})
 	w.net.SendID(w.net.Endpoint(a.name), w.net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{App: a.name, Seq: 2,
-		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityMachine, Value: m.top.MachineName(0), Count: 2})})
+		Deltas: unitHints(1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 2})})
 	w.eng.Run(w.eng.Now() + 10*sim.Millisecond)
 	if m.sched.Held(a.name, 1) != 2 {
 		t.Fatalf("setup: %s holds %d, want 2", a.name, m.sched.Held(a.name, 1))

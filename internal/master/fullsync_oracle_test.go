@@ -12,6 +12,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
@@ -115,7 +116,7 @@ func (m *Master) mapReconcileDemand(st *appState, unitID int, want []resource.Lo
 	key := waitKey{app: st.id, unit: u.idx}
 	target := map[syncTarget]int{}
 	for _, h := range want {
-		target[syncTarget{h.Type, m.sched.hintNode(h)}] += h.Count
+		target[syncTarget{h.Type, h.Node}] += h.Count
 	}
 	raised := false
 	for _, idx := range m.sched.tree.nodesFor(key, nil) {
@@ -228,14 +229,17 @@ func (w *syncWorld) sync(app string, s protocol.FullDemandSync) {
 
 // TestFullSyncMatchesMapOracle drives the shipped full-sync reconciliation
 // and the map-shaped one it replaced through the same seeded script — demand
-// updates (withdrawals, names outside the topology, units the app never
+// updates (withdrawals, machine IDs outside the topology, units the app never
 // defined), returns, machine deaths and recoveries that revoke, and full
 // syncs whose views disagree with the master's every way a lossy network can
 // make them (grants missing or phantom, wrong counts, demand dropped,
-// changed, split across repeated targets or added, runs of unknown units,
-// stale SeenGrantSeq) — with and without batched rounds. Every GrantUpdate
-// the applications receive must match, order included, and after every step
-// so must each unit's grants, queued demand and held count.
+// changed, split across repeated targets and summed again, or added, runs of
+// unknown units, stale SeenGrantSeq) — with and without batched rounds. One
+// sync in four is one no application master sends: its runs out of
+// (level, node) order, a target twice or outside the topology. The shipped
+// master drops such a sync whole, so the oracle is not given it. Every
+// GrantUpdate the applications receive must match, order included, and after
+// every step so must each unit's grants, queued demand and held count.
 func TestFullSyncMatchesMapOracle(t *testing.T) {
 	for _, batch := range []sim.Time{0, 20 * sim.Millisecond} {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -252,7 +256,7 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 	ws := [2]*syncWorld{newSyncWorld(t, cfg, false), newSyncWorld(t, cfg, true)}
 	rng := rand.New(rand.NewSource(seed))
 	top := ws[0].m.top
-	machines, racks := top.Machines(), top.Racks()
+	machines, racks := top.Machines(), top.NumRacks()
 	type appView struct {
 		seq  protocol.Sequencer
 		held map[int]map[int32]int // what the app believes it holds
@@ -268,15 +272,16 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 	target := func() resource.LocalityHint {
 		switch rng.Intn(7) {
 		case 0, 1, 2:
-			return resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[rng.Intn(len(machines))]}
+			return resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(rng.Intn(len(machines)))}
 		case 3:
-			return resource.LocalityHint{Type: resource.LocalityRack, Value: racks[rng.Intn(len(racks))]}
+			return resource.LocalityHint{Type: resource.LocalityRack, Node: int32(rng.Intn(racks))}
 		case 4:
-			return resource.LocalityHint{Type: resource.LocalityMachine, Value: []string{"ghost-1", "a-ghost"}[rng.Intn(2)]}
+			return resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(len(machines) + 5*rng.Intn(2))}
 		}
 		return resource.LocalityHint{Type: resource.LocalityCluster}
 	}
-	seen := 0 // grant updates compared so far
+	seen := 0                // grant updates compared so far
+	applied, dropped := 0, 0 // syncs the shipped master took and refused
 	for step := 0; step < 300; step++ {
 		ai := rng.Intn(len(syncApps))
 		a, v := syncApps[ai], &views[ai]
@@ -338,6 +343,7 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 				ids = append(ids, 0, 99) // runs of units the app never registered
 			}
 			slices.Sort(ids)
+			foreign := rng.Intn(4) == 0 // a sync no application master sends
 			for _, id := range ids {
 				var run []resource.LocalityHint
 				for _, h := range ws[0].m.sched.WaitingNodes(a.name, id) {
@@ -361,6 +367,9 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 					run = append(run, h)
 				}
 				rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+				if !foreign {
+					run = wireOrder(top, run)
+				}
 				for _, h := range run {
 					s.Demand = append(s.Demand, protocol.UnitHint{UnitID: id, LocalityHint: h})
 				}
@@ -386,11 +395,16 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 					s.Held = append(s.Held, protocol.SyncHeld{UnitID: id, Machine: mc, Count: held[mc]})
 				}
 			}
-			if !s.WellFormed() {
+			ok := s.WellFormed() && holdsAll(top, s.Demand)
+			if !foreign && !ok {
 				t.Fatalf("step %d: the script built a malformed sync %+v", step, s)
 			}
-			for _, w := range ws {
-				w.sync(a.name, s)
+			ws[0].sync(a.name, s)
+			if ok {
+				ws[1].sync(a.name, s)
+				applied++
+			} else {
+				dropped++
 			}
 		}
 		d := sim.Time(1+rng.Intn(150)) * sim.Millisecond
@@ -439,7 +453,25 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 			}
 		}
 	}
-	if seen == 0 {
-		t.Fatal("the script produced no grant updates")
+	if seen == 0 || applied == 0 || dropped == 0 {
+		t.Fatalf("vacuous script: %d grant updates, %d syncs applied, %d dropped", seen, applied, dropped)
 	}
+}
+
+// wireOrder is a sync run as an application master sends it: strictly
+// ascending by (level, node), a repeated target's counts summed, and only
+// nodes the topology holds.
+func wireOrder(top *topology.Topology, run []resource.LocalityHint) []resource.LocalityHint {
+	slices.SortStableFunc(run, resource.CompareHints)
+	out := run[:0]
+	for _, h := range run {
+		switch {
+		case !top.Holds(h.Type, h.Node):
+		case len(out) > 0 && resource.CompareHints(out[len(out)-1], h) == 0:
+			out[len(out)-1].Count += h.Count
+		default:
+			out = append(out, h)
+		}
+	}
+	return out
 }

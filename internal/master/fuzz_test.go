@@ -62,10 +62,10 @@ func TestSchedulerInvariantsUnderRandomOps(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					h = resource.LocalityHint{Type: resource.LocalityMachine,
-						Value: machines[rng.Intn(len(machines))], Count: rng.Intn(9) - 2}
+						Node: int32(rng.Intn(len(machines))), Count: rng.Intn(9) - 2}
 				case 1:
 					h = resource.LocalityHint{Type: resource.LocalityRack,
-						Value: top.Racks()[rng.Intn(len(top.Racks()))], Count: rng.Intn(9) - 2}
+						Node: int32(rng.Intn(top.NumRacks())), Count: rng.Intn(9) - 2}
 				default:
 					h = resource.LocalityHint{Type: resource.LocalityCluster, Count: rng.Intn(17) - 4}
 				}
@@ -169,8 +169,8 @@ func TestLegacyParityUnderFailovers(t *testing.T) {
 			}
 		}
 		// Soft state from application masters: waiting demand, re-added in
-		// a deterministic order (the full-sync path sorts the same way;
-		// WaitingNodes converts the tree's interned node IDs back to names).
+		// a deterministic order (WaitingNodes lists it in (level, node)
+		// order, as a full sync does).
 		var ds []Decision
 		for _, app := range apps {
 			for _, u := range s.Units(app) {
@@ -243,10 +243,10 @@ func TestLegacyParityUnderFailovers(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					h = resource.LocalityHint{Type: resource.LocalityMachine,
-						Value: machines[rng.Intn(len(machines))], Count: rng.Intn(9) - 2}
+						Node: int32(rng.Intn(len(machines))), Count: rng.Intn(9) - 2}
 				case 1:
 					h = resource.LocalityHint{Type: resource.LocalityRack,
-						Value: top.Racks()[rng.Intn(len(top.Racks()))], Count: rng.Intn(9) - 2}
+						Node: int32(rng.Intn(top.NumRacks())), Count: rng.Intn(9) - 2}
 				default:
 					h = resource.LocalityHint{Type: resource.LocalityCluster, Count: rng.Intn(17) - 4}
 				}

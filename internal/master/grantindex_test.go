@@ -110,7 +110,7 @@ func TestGrantIndexMatchesScanOracle(t *testing.T) {
 				}
 				h := resource.LocalityHint{Type: resource.LocalityCluster, Count: 1 + rng.Intn(6)}
 				if rng.Intn(2) == 0 {
-					h = resource.LocalityHint{Type: resource.LocalityMachine, Value: m, Count: 1 + rng.Intn(3)}
+					h = resource.LocalityHint{Type: resource.LocalityMachine, Node: int32(mi), Count: 1 + rng.Intn(3)}
 				}
 				if _, err := s.UpdateDemand(app, unitID, []resource.LocalityHint{h}); err != nil {
 					t.Fatal(err)

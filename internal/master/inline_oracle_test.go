@@ -118,9 +118,9 @@ func TestInlineUnitMatchesSlicedOracle(t *testing.T) {
 					h := resource.LocalityHint{Type: resource.LocalityType(rng.Intn(3)), Count: rng.Intn(6) - 1}
 					switch h.Type {
 					case resource.LocalityMachine:
-						h.Value = machines[rng.Intn(len(machines))]
+						h.Node = int32(rng.Intn(len(machines)))
 					case resource.LocalityRack:
-						h.Value = racks[rng.Intn(len(racks))]
+						h.Node = int32(rng.Intn(len(racks)))
 					}
 					hints = append(hints, h)
 				}

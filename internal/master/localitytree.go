@@ -578,8 +578,8 @@ func nextPrio(qs *[3]*treeQueue, cur *[3]int, free *resource.Vector) (prio int, 
 // drop their parked lists at unregister, and the candidate scratch is
 // rewritten before it is read.
 type localityTree struct {
-	mq    []*treeQueue // machine ID (plus overflow nodes) -> queue
-	rq    []*treeQueue // rack ID (plus overflow nodes) -> queue
+	mq    []*treeQueue // machine ID -> queue
+	rq    []*treeQueue // rack ID -> queue
 	cq    treeQueue    // the cluster queue, inline: every free-up reads it
 	byApp [][]unitWait // app ID -> unit index -> entries
 	seq   uint64

@@ -215,8 +215,7 @@ type Master struct {
 	hintBuf  []resource.LocalityHint
 	// Full-sync reconciliation scratch (one sync touches every unit of an
 	// app; pooled so the periodic safety syncs do not allocate per unit).
-	syncBuf []syncNode
-	idxBuf  []treeIdx
+	idxBuf []treeIdx
 	// dsBuf is the pooled decision accumulator of the round and unregister
 	// scheduling paths (see decisions).
 	dsBuf []Decision
@@ -655,9 +654,11 @@ func (m *Master) handle(from tr, msg transport.Message) {
 		}
 		m.handleRegister(from, t)
 	case *protocol.DemandUpdate:
-		// A malformed update (a zero count, a non-positive return) is dropped
-		// whole, before its sequence number is marked seen.
-		if !t.WellFormed() || m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
+		// A malformed update (a zero count, a non-positive return, a hint at
+		// a node the topology does not hold) is dropped whole, before its
+		// sequence number is marked seen.
+		if !t.WellFormed() || !m.holds(t.Deltas) ||
+			m.dedup.ObserveCh(int32(from), protocol.ChanDem, t.Seq) == protocol.Duplicate {
 			return
 		}
 		m.handleDemand(from, t)
@@ -894,18 +895,18 @@ func (m *Master) placeApp(st *appState, ds *[]Decision) {
 	m.hintBuf = hb
 }
 
-// placeMerged places one unit's hints for a round, sorted by (type, value)
+// placeMerged places one unit's hints for a round, sorted by (type, node)
 // with each target's counts summed: the map-and-sort result without the maps.
 func (m *Master) placeMerged(st *appState, u *unitState, hb []resource.LocalityHint, ds *[]Decision) {
 	resource.SortHints(hb)
 	w := 0
 	for i := 0; i < len(hb); {
 		j, total := i, 0
-		for ; j < len(hb) && hb[j].Type == hb[i].Type && hb[j].Value == hb[i].Value; j++ {
+		for ; j < len(hb) && hb[j].Type == hb[i].Type && hb[j].Node == hb[i].Node; j++ {
 			total += hb[j].Count
 		}
 		if total != 0 {
-			hb[w] = resource.LocalityHint{Type: hb[i].Type, Value: hb[i].Value, Count: total}
+			hb[w] = resource.LocalityHint{Type: hb[i].Type, Node: hb[i].Node, Count: total}
 			w++
 		}
 		i = j
@@ -1029,9 +1030,10 @@ func (m *Master) unregister(from tr, app string) {
 // handleFullSync reconciles the master's view of one app against the app's
 // full sync. t is pooled: nothing of it is kept past the return.
 func (m *Master) handleFullSync(from tr, t *protocol.FullDemandSync) {
-	if !t.WellFormed() {
-		// No application master sends a malformed sync; whatever did gets
-		// nothing applied — not the registration, not the dedup re-baseline.
+	if !t.WellFormed() || !m.holds(t.Demand) {
+		// No application master sends a malformed sync or one that asks for
+		// a node outside the topology; whatever did gets nothing applied —
+		// not the registration, not the dedup re-baseline.
 		return
 	}
 	st := m.appFrom(from, t.App)
@@ -1164,60 +1166,49 @@ func unitRun[E any](list []E, id int, unitOf func(*E) int) (run, rest []E) {
 	return list[i:j], list[j:]
 }
 
-// syncNode is one locality node of a full sync's demand run, in interned
-// node-ID space, with the count the app wants there; seen marks a node the
-// tree already has an entry at.
-type syncNode struct {
-	level resource.LocalityType
-	node  int32
-	count int
-	seen  bool
-}
-
-func compareSyncNodes(a, b syncNode) int {
-	return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.node, b.node))
-}
-
-// reconcileDemand forces the tree counts for (app, unit) to the app's view
-// and reports whether any count increased.
-func (m *Master) reconcileDemand(st *appState, u *unitState, want []protocol.UnitHint) bool {
-	key := waitKey{app: st.id, unit: u.idx}
-	// The view by (level, node ID), a repeated target summed.
-	tgt := m.syncBuf[:0]
-	for i := range want {
-		h := &want[i].LocalityHint
-		tgt = append(tgt, syncNode{level: h.Type, node: m.sched.hintNode(*h), count: h.Count})
-	}
-	slices.SortFunc(tgt, compareSyncNodes)
-	w := 0
-	for _, n := range tgt {
-		if w > 0 && compareSyncNodes(tgt[w-1], n) == 0 {
-			tgt[w-1].count += n.count
-		} else {
-			tgt[w] = n
-			w++
+// holds reports whether every hint names a node of the topology.
+func (m *Master) holds(hints []protocol.UnitHint) bool {
+	for i := range hints {
+		if !m.top.Holds(hints[i].Type, hints[i].Node) {
+			return false
 		}
 	}
-	tgt = tgt[:w]
-	m.syncBuf = tgt
+	return true
+}
+
+// compareWant orders a sync's demand entry against a tree node by
+// (level, node), the order of both.
+func compareWant(h protocol.UnitHint, idx treeIdx) int {
+	return cmp.Or(cmp.Compare(h.Type, idx.level), cmp.Compare(h.Node, idx.node))
+}
+
+// reconcileDemand forces the tree counts for (app, unit) to the app's view,
+// which the sync lists strictly ascending by (level, node), and reports
+// whether any count increased.
+func (m *Master) reconcileDemand(st *appState, u *unitState, want []protocol.UnitHint) bool {
+	key := waitKey{app: st.id, unit: u.idx}
+	tree, now := m.sched.tree, m.sched.now()
 	raised := false
 	// Zero out entries not in the app's view; set entries that are.
-	m.idxBuf = m.sched.tree.nodesFor(key, m.idxBuf[:0])
+	m.idxBuf = tree.nodesFor(key, m.idxBuf[:0])
 	for _, idx := range m.idxBuf {
 		tc := 0
-		if i, ok := slices.BinarySearchFunc(tgt, syncNode{level: idx.level, node: idx.node}, compareSyncNodes); ok {
-			tc, tgt[i].seen = tgt[i].count, true
-			if tc > m.sched.tree.get(key, idx.level, idx.node) {
+		if i, ok := slices.BinarySearchFunc(want, idx, compareWant); ok {
+			tc = want[i].Count
+			if tc > tree.get(key, idx.level, idx.node) {
 				raised = true
 			}
 		}
-		m.sched.tree.setCount(key, u.def.Priority, idx.level, idx.node, tc, m.sched.now(), st, u)
+		tree.setCount(key, u.def.Priority, idx.level, idx.node, tc, now, st, u)
 	}
 	// Insert missing entries in (level, node) order: new tree entries get
 	// queue positions (seq) at insertion, so the order is scheduling order.
-	for _, n := range tgt {
-		if !n.seen && n.count > 0 {
-			m.sched.tree.add(key, u.def.Priority, n.level, n.node, n.count, m.sched.now(), st, u)
+	// Every entry the app wants and the tree had now holds the wanted count,
+	// so a wanted node that reads zero has no entry.
+	for i := range want {
+		h := &want[i].LocalityHint
+		if h.Count > 0 && tree.get(key, h.Type, h.Node) == 0 {
+			tree.add(key, u.def.Priority, h.Type, h.Node, h.Count, now, st, u)
 			raised = true
 		}
 	}

@@ -162,10 +162,10 @@ func TestParallelParityFuzz(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					h = resource.LocalityHint{Type: resource.LocalityMachine,
-						Value: machines[rng.Intn(len(machines))], Count: rng.Intn(13) - 2}
+						Node: int32(rng.Intn(len(machines))), Count: rng.Intn(13) - 2}
 				case 1:
 					h = resource.LocalityHint{Type: resource.LocalityRack,
-						Value: top.Racks()[rng.Intn(len(top.Racks()))], Count: rng.Intn(13) - 2}
+						Node: int32(rng.Intn(top.NumRacks())), Count: rng.Intn(13) - 2}
 				default:
 					h = resource.LocalityHint{Type: resource.LocalityCluster, Count: rng.Intn(25) - 4}
 				}

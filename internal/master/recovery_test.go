@@ -154,7 +154,7 @@ func TestHeldRoundSurvivesRePromotion(t *testing.T) {
 	var appSeq protocol.Sequencer
 	units := []resource.ScheduleUnit{unit(1, 100, 20, 1000, 2048)}
 	on0 := func(n int) []protocol.UnitHint {
-		return unitHints(1, resource.LocalityHint{Type: resource.LocalityMachine, Value: top.MachineName(0), Count: n})
+		return unitHints(1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: n})
 	}
 	net.Register("app1", func(_ tr, msg transport.Message) {
 		if _, ok := msg.(protocol.MasterHello); ok {

@@ -62,7 +62,7 @@ func busyMaster(t *testing.T) (*masterHarness, []<-chan struct{}) {
 		})
 		h.net.SendID(h.net.Endpoint(app), h.net.Endpoint(protocol.MasterEndpoint), &protocol.DemandUpdate{
 			App: app, Deltas: append(unitHints(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 20}),
-				unitHints(2, resource.LocalityHint{Type: resource.LocalityRack, Value: "r000", Count: 20})...),
+				unitHints(2, resource.LocalityHint{Type: resource.LocalityRack, Node: 0, Count: 20})...),
 			Seq: 2,
 		})
 		h.eng.Run(h.eng.Now() + 10*sim.Millisecond)

@@ -261,11 +261,6 @@ type Scheduler struct {
 	planned resource.Vector
 	upCap   resource.Vector
 
-	// ext names locality-hint targets outside the topology. Their node IDs
-	// lie past the real ID range, so the demand queues in the tree (and is
-	// counted) like any other but is never walked by a free-up.
-	ext topology.Overflow
-
 	// preempted counts units revoked by quota preemption (obs time-series).
 	preempted int64
 	// clusterProbes counts the machines cluster-scope placement looked at.
@@ -330,11 +325,6 @@ func NewScheduler(top *topology.Topology, opts Options) *Scheduler {
 		s.groups[DefaultGroup] = &groupState{name: DefaultGroup}
 	}
 	return s
-}
-
-// hintNode resolves one locality hint's target name to a tree node ID.
-func (s *Scheduler) hintNode(h resource.LocalityHint) int32 {
-	return s.ext.Node(s.top, h.Type, h.Value)
 }
 
 // RegisterApp adds an application with its ScheduleUnit definitions. The
@@ -455,35 +445,41 @@ func (s *Scheduler) unregister(st *appState, out *[]Decision) {
 // (paper §3.2.2: "quantities can be either positive or negative"). Positive
 // deltas are satisfied from the free pool immediately where possible and
 // queued in the locality tree otherwise; negative deltas cancel queued
-// demand (never granted containers — use Return for those).
+// demand (never granted containers — use Return for those). A hint at a node
+// the topology does not hold fails the whole call, before anything changes.
 func (s *Scheduler) UpdateDemand(app string, unitID int, hints []resource.LocalityHint) ([]Decision, error) {
 	st, u, err := s.lookup(app, unitID)
 	if err != nil {
 		return nil, err
+	}
+	for _, h := range hints {
+		if !s.top.Holds(h.Type, h.Node) {
+			return nil, fmt.Errorf("master: app %q unit %d asks for %v, outside the topology", app, unitID, h)
+		}
 	}
 	var out []Decision
 	s.applyDemand(st, u, hints, &out)
 	return out, nil
 }
 
-// applyDemand is UpdateDemand past the name lookups, for the master's
-// message path, which resolves the app from the sender's endpoint ID.
+// applyDemand is UpdateDemand past the name lookup and the topology check,
+// for the master's message path, which resolves the app from the sender's
+// endpoint ID and checks each message's hints on arrival.
 func (s *Scheduler) applyDemand(st *appState, u *unitState, hints []resource.LocalityHint, out *[]Decision) {
 	key := waitKey{app: st.id, unit: u.idx}
 	for _, h := range hints {
 		if h.Count == 0 {
 			continue
 		}
-		node := s.hintNode(h)
 		if h.Count < 0 {
-			s.tree.add(key, u.def.Priority, h.Type, node, h.Count, s.now(), st, u)
+			s.tree.add(key, u.def.Priority, h.Type, h.Node, h.Count, s.now(), st, u)
 			continue
 		}
 		remaining := h.Count
-		granted := s.placeImmediate(st, u, h.Type, node, remaining, out)
+		granted := s.placeImmediate(st, u, h.Type, h.Node, remaining, out)
 		remaining -= granted
 		if remaining > 0 {
-			s.tree.add(key, u.def.Priority, h.Type, node, remaining, s.now(), st, u)
+			s.tree.add(key, u.def.Priority, h.Type, h.Node, remaining, s.now(), st, u)
 		}
 	}
 	if s.opts.EnablePreemption {
@@ -798,13 +794,8 @@ func (s *Scheduler) placeImmediate(st *appState, u *unitState, level resource.Lo
 	}
 	switch level {
 	case resource.LocalityMachine:
-		if node < s.nMach {
-			tryMachine(node, 0)
-		}
+		tryMachine(node, 0)
 	case resource.LocalityRack:
-		if node >= s.nRack {
-			break // unknown rack: nothing to place on
-		}
 		if s.rackFree[node].FitCount(u.def.Size) == 0 {
 			break // no machine in this rack can fit even one unit
 		}

@@ -26,10 +26,10 @@ func TestWaitingByLevelAcrossMachineDownUp(t *testing.T) {
 
 		// Fill r000m000 completely, then queue machine- and rack-level
 		// demand against it.
-		mustDemand(t, s, "filler", 1, resource.LocalityHint{Type: resource.LocalityMachine, Value: "r000m000", Count: 2})
+		mustDemand(t, s, "filler", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 2})
 		mustDemand(t, s, "app", 1,
-			resource.LocalityHint{Type: resource.LocalityMachine, Value: "r000m000", Count: 2},
-			resource.LocalityHint{Type: resource.LocalityRack, Value: "r000", Count: 2},
+			resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 2},
+			resource.LocalityHint{Type: resource.LocalityRack, Node: 0, Count: 2},
 			clusterHint(1),
 		)
 		// The rack and cluster portions fit on r000m001 and elsewhere; the
@@ -86,7 +86,7 @@ func TestBlacklistedMachineExcludedFromAssignment(t *testing.T) {
 		}
 		// Machine-pinned demand on the blacklisted machine must queue, not
 		// grant.
-		ds := mustDemand(t, s, "app", 1, resource.LocalityHint{Type: resource.LocalityMachine, Value: "r000m000", Count: 1})
+		ds := mustDemand(t, s, "app", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 1})
 		if len(ds) != 0 {
 			t.Fatalf("granted on blacklisted machine: %v", ds)
 		}
@@ -131,14 +131,14 @@ func TestRevokeExistingOnBlacklist(t *testing.T) {
 		top := testTop(t, 1, 2)
 		s := newTestScheduler(top, Options{}, legacy)
 		mustRegister(t, s, "app", "", unit(1, 1, 100, 6000, 8192))
-		mustDemand(t, s, "app", 1, resource.LocalityHint{Type: resource.LocalityMachine, Value: "r000m000", Count: 1})
+		mustDemand(t, s, "app", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 1})
 
 		ds := s.SetBlacklisted("r000m000", true, true)
 		if len(ds) != 1 || ds[0].Delta != -1 || ds[0].Reason != ReasonRevokeBlacklist {
 			t.Fatalf("expected one blacklist revocation, got %v", ds)
 		}
 		// Demand re-raised for the machine must wait despite free capacity.
-		ds = mustDemand(t, s, "app", 1, resource.LocalityHint{Type: resource.LocalityMachine, Value: "r000m000", Count: 1})
+		ds = mustDemand(t, s, "app", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 1})
 		if len(ds) != 0 {
 			t.Fatalf("granted on revoke-blacklisted machine: %v", ds)
 		}

@@ -101,7 +101,7 @@ func TestMachinePreferenceGrant(t *testing.T) {
 	s := NewScheduler(top, Options{})
 	m := top.Machines()[0]
 	mustRegister(t, s, "app1", "", unit(1, 100, 10, 1000, 2048))
-	ds := mustDemand(t, s, "app1", 1, resource.LocalityHint{Type: resource.LocalityMachine, Value: m, Count: 2})
+	ds := mustDemand(t, s, "app1", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 2})
 	if grantTotal(ds) != 2 {
 		t.Fatalf("granted %d, want 2", grantTotal(ds))
 	}
@@ -118,7 +118,7 @@ func TestRackPreferenceGrant(t *testing.T) {
 	s := NewScheduler(top, Options{})
 	rack := top.Racks()[1]
 	mustRegister(t, s, "app1", "", unit(1, 100, 50, 6000, 48*1024))
-	ds := mustDemand(t, s, "app1", 1, resource.LocalityHint{Type: resource.LocalityRack, Value: rack, Count: 5})
+	ds := mustDemand(t, s, "app1", 1, resource.LocalityHint{Type: resource.LocalityRack, Node: 1, Count: 5})
 	if grantTotal(ds) != 5 {
 		t.Fatalf("granted %d, want 5", grantTotal(ds))
 	}
@@ -295,7 +295,7 @@ func TestMachineQueuePrecedesClusterQueue(t *testing.T) {
 	// clusterwaiter queues FIRST at cluster level; machinewaiter queues
 	// second but at machine level on m0.
 	mustDemand(t, s, "clusterwaiter", 1, clusterHint(1))
-	mustDemand(t, s, "machinewaiter", 1, resource.LocalityHint{Type: resource.LocalityMachine, Value: m0, Count: 1})
+	mustDemand(t, s, "machinewaiter", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 1})
 	rds, _ := s.Return("holder", 1, m0, 1)
 	if len(rds) == 0 {
 		t.Fatal("no reassignment")
@@ -315,7 +315,7 @@ func TestHigherPriorityClusterBeatsLowerPriorityMachine(t *testing.T) {
 	mustRegister(t, s, "urgent", "", unit(1, 10, 12, 1000, 4096))
 	mustRegister(t, s, "casual", "", unit(1, 500, 12, 1000, 4096))
 	mustDemand(t, s, "holder", 1, clusterHint(24))
-	mustDemand(t, s, "casual", 1, resource.LocalityHint{Type: resource.LocalityMachine, Value: m0, Count: 1})
+	mustDemand(t, s, "casual", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 1})
 	mustDemand(t, s, "urgent", 1, clusterHint(1))
 	rds, _ := s.Return("holder", 1, m0, 1)
 	if len(rds) == 0 || rds[0].App != "urgent" {
@@ -327,14 +327,13 @@ func TestHigherPriorityClusterBeatsLowerPriorityMachine(t *testing.T) {
 func TestWaitingByLevelMirrorsFigure5(t *testing.T) {
 	top := testTop(t, 2, 2)
 	s := NewScheduler(top, Options{})
-	m := top.Machines()
 	mustRegister(t, s, "filler", "", unit(1, 1, 1000, 12000, 96*1024))
 	mustDemand(t, s, "filler", 1, clusterHint(4)) // consume entire cluster
 	mustRegister(t, s, "app1", "", unit(1, 100, 100, 1000, 2048))
 	mustDemand(t, s, "app1", 1,
-		resource.LocalityHint{Type: resource.LocalityMachine, Value: m[0], Count: 4},
-		resource.LocalityHint{Type: resource.LocalityMachine, Value: m[1], Count: 4},
-		resource.LocalityHint{Type: resource.LocalityRack, Value: top.RackOf(m[0]), Count: 1},
+		resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 4},
+		resource.LocalityHint{Type: resource.LocalityMachine, Node: 1, Count: 4},
+		resource.LocalityHint{Type: resource.LocalityRack, Node: top.RackIDOf(0), Count: 1},
 		clusterHint(1),
 	)
 	mc, rk, cl := s.WaitingByLevel("app1", 1)

@@ -111,8 +111,8 @@ func (s *Scheduler) WaitingByLevel(app string, unitID int) (machine, rack, clust
 }
 
 // WaitingNodes lists the locality nodes where (app, unit) currently has a
-// queued entry, as (level, node name, count) — the name-space view of the
-// tree used by tests and the failover rebuild helpers.
+// queued entry, as (level, node ID, count) in (level, node) order — the
+// tree's view of one unit, used by tests and the failover rebuild helpers.
 func (s *Scheduler) WaitingNodes(app string, unitID int) []resource.LocalityHint {
 	st, ok := s.apps[app]
 	if !ok {
@@ -129,9 +129,7 @@ func (s *Scheduler) WaitingNodes(app string, unitID int) []resource.LocalityHint
 		if c <= 0 {
 			continue
 		}
-		out = append(out, resource.LocalityHint{
-			Type: idx.level, Value: s.ext.Name(s.top, idx.level, idx.node), Count: c,
-		})
+		out = append(out, resource.LocalityHint{Type: idx.level, Node: idx.node, Count: c})
 	}
 	resource.SortHints(out)
 	return out

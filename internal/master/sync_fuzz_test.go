@@ -57,24 +57,24 @@ func (s *syncScript) machine(n int) int32 {
 	return int32(int(c) % n)
 }
 
-// hint picks a locality target — machine, rack or cluster, named inside or
+// hint picks a locality target — machine, rack or cluster, an ID inside or
 // outside the topology, or a level no hint has — and a count.
-func (s *syncScript) hint(machines, racks []string) resource.LocalityHint {
+func (s *syncScript) hint(machines, racks int) resource.LocalityHint {
 	c := s.next()
 	h := resource.LocalityHint{Count: s.count()}
 	switch c % 8 {
 	case 0, 1, 2:
-		h.Type, h.Value = resource.LocalityMachine, machines[int(c>>3)%len(machines)]
+		h.Type, h.Node = resource.LocalityMachine, int32(int(c>>3)%machines)
 	case 3:
-		h.Type, h.Value = resource.LocalityRack, racks[int(c>>3)%len(racks)]
+		h.Type, h.Node = resource.LocalityRack, int32(int(c>>3)%racks)
 	case 4:
-		h.Type, h.Value = resource.LocalityMachine, "ghost"
+		h.Type, h.Node = resource.LocalityMachine, int32(machines+int(c>>3))
 	case 5:
-		h.Type, h.Value = resource.LocalityRack, "no-such-rack"
+		h.Type, h.Node = resource.LocalityRack, int32(racks+int(c>>3))
 	case 6:
 		h.Type = resource.LocalityCluster
 	default:
-		h.Type, h.Value = resource.LocalityType(3+c>>3%4), machines[0]
+		h.Type = resource.LocalityType(3 + c>>3%4)
 	}
 	return h
 }
@@ -125,11 +125,11 @@ func TestReturnOnUnknownMachineIsRefused(t *testing.T) {
 // through a byte-scripted sequence of hostile application-master messages —
 // demand updates whose returns name machines outside the topology, units
 // never defined, counts of zero or less and more than is held, and whose
-// demand brings a unit back in a later run or carries a zero count; and full
-// syncs with unsorted, duplicated and negative entries, unknown unit IDs,
-// machine IDs out of range, levels no hint has, stale SeenGrantSeq and Seq
-// below the high-water marks (and, for contrast, well-formed syncs of the same
-// content). After every message the master must not have panicked and its
+// demand brings a unit back in a later run, carries a zero count or names a
+// node outside the topology; and full syncs with unsorted, duplicated and
+// negative entries, unknown unit IDs, machine and rack IDs out of range,
+// levels no hint has, stale SeenGrantSeq and Seq below the high-water marks
+// (and, for contrast, well-formed syncs of the same content). After every message the master must not have panicked and its
 // scheduler must pass the full audit.
 func FuzzFullDemandSync(f *testing.F) {
 	f.Add([]byte{})
@@ -158,7 +158,7 @@ func runSyncScript(t *testing.T, data []byte) {
 		net.Register(a.name, func(tr, transport.Message) {})
 		m.handle(net.Endpoint(a.name), &protocol.RegisterApp{App: a.name, Units: a.units, Seq: seqs[i].Next()})
 	}
-	machines, racks := top.Machines(), top.Racks()
+	machines, racks := top.Size(), top.NumRacks()
 	for step := 0; len(s.b) > 0 && step < 256; step++ {
 		ai := int(s.next()) % len(apps)
 		a, sq := apps[ai], &seqs[ai]
@@ -172,7 +172,7 @@ func runSyncScript(t *testing.T, data []byte) {
 			what = "update"
 			msg := &protocol.DemandUpdate{App: a.name, Seq: s.seq(sq)}
 			for n := s.next() % 4; n > 0; n-- {
-				r := protocol.ReturnEntry{UnitID: s.unit(a.units), Machine: s.machine(len(machines)), Count: s.count()}
+				r := protocol.ReturnEntry{UnitID: s.unit(a.units), Machine: s.machine(machines), Count: s.count()}
 				if op == 0 && r.Count <= 0 {
 					r.Count = 1 - r.Count // well-formed, for the receiver to refuse or honour one by one
 				}
@@ -202,11 +202,16 @@ func runSyncScript(t *testing.T, data []byte) {
 			}
 			for n := s.next() % 6; n > 0; n-- {
 				msg.Held = append(msg.Held, protocol.SyncHeld{
-					UnitID: s.unit(a.units), Machine: s.machine(len(machines)), Count: s.count(),
+					UnitID: s.unit(a.units), Machine: s.machine(machines), Count: s.count(),
 				})
 			}
 			if shape&1 == 1 { // the same content, put in the wire's order
-				slices.SortStableFunc(msg.Demand, func(x, y protocol.UnitHint) int { return cmp.Compare(x.UnitID, y.UnitID) })
+				slices.SortStableFunc(msg.Demand, func(x, y protocol.UnitHint) int {
+					return cmp.Or(cmp.Compare(x.UnitID, y.UnitID), resource.CompareHints(x.LocalityHint, y.LocalityHint))
+				})
+				msg.Demand = slices.CompactFunc(msg.Demand, func(x, y protocol.UnitHint) bool {
+					return x.UnitID == y.UnitID && resource.CompareHints(x.LocalityHint, y.LocalityHint) == 0
+				})
 				slices.SortFunc(msg.Held, func(x, y protocol.SyncHeld) int {
 					return cmp.Or(cmp.Compare(x.UnitID, y.UnitID), cmp.Compare(x.Machine, y.Machine))
 				})

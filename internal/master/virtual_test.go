@@ -65,7 +65,7 @@ func TestLoweringVirtualResourceOversubscribesWithoutRevoking(t *testing.T) {
 	if s.Held("asort", 1) != 8 {
 		t.Errorf("held changed to %d", s.Held("asort", 1))
 	}
-	ds = mustDemand(t, s, "asort", 1, resource.LocalityHint{Type: resource.LocalityMachine, Value: "m1", Count: 1})
+	ds = mustDemand(t, s, "asort", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: s.top.MachineID("m1"), Count: 1})
 	if grantTotal(ds) != 0 {
 		t.Errorf("oversubscribed machine granted %d", grantTotal(ds))
 	}

@@ -11,11 +11,12 @@
 // withdraws — in one DemandUpdate, and FuxiMaster answers each step with one
 // GrantUpdate per application and one CapacityDelta per agent.
 //
-// Identifier convention: messages on the per-decision hot paths (grants,
-// returns, capacity deltas, heartbeats) carry machines as dense int32 IDs —
-// the topology-derived index every process computes identically from the
-// shared sorted machine list — so receivers index slices instead of hashing
-// names. Applications travel two ways. Messages an application master sends
+// Identifier convention: messages on the per-decision hot paths (demand
+// hints, grants, returns, capacity deltas, heartbeats) carry machines and
+// racks as dense int32 IDs — the topology-derived index every process
+// computes identically from the shared sorted name lists — so receivers
+// index slices instead of hashing names, and a hint is a fixed-width record
+// that FuxiMaster checks with one topology.Holds. Applications travel two ways. Messages an application master sends
 // keep its name (RegisterApp must introduce it, and the name is what the
 // checkpoint stores), but the receiver does not hash it: the sender's
 // transport endpoint ID arrives with every message and the master indexes
@@ -80,7 +81,8 @@ type RegisterApp struct {
 // everything of one instant into one DemandUpdate, so a job that returns a
 // container and asks again, however many units and machines that spans,
 // costs one message. A zero count or a non-positive return makes the update
-// not WellFormed, and the receiver drops it whole.
+// not WellFormed, and the receiver drops it whole, as it does an update with
+// a hint at a node the topology does not hold (topology.Holds).
 type DemandUpdate struct {
 	App     string
 	Returns []ReturnEntry
@@ -192,8 +194,8 @@ func noZeroCount[E UnitEntry](list []E) bool {
 // Both payloads are flat lists sorted by unit ID, so the receiver reconciles
 // them in one pass beside its own ID-sorted units; a unit with nothing
 // outstanding (held) has no run in Demand (Held). A sync that breaks the
-// order, repeats a (unit, machine) pair or carries a negative count is not
-// WellFormed, and the receiver drops it whole.
+// order, repeats a (unit, level, node) or (unit, machine) target or carries
+// a negative count is not WellFormed, and the receiver drops it whole.
 type FullDemandSync struct {
 	App        string
 	QuotaGroup string
@@ -201,8 +203,8 @@ type FullDemandSync struct {
 	// SeenGrantSeq is the highest GrantUpdate sequence number the app has
 	// observed from the current primary (0 before the first grant).
 	SeenGrantSeq uint64
-	// Demand lists the full (not delta) per-locality wanted counts, grouped
-	// by ascending unit ID, each unit's run in (level, name) order.
+	// Demand lists the full (not delta) per-locality wanted counts, strictly
+	// ascending by (unit, level, node).
 	Demand []UnitHint
 	// Held is the application's view of current grants, strictly ascending
 	// by (unit, machine).
@@ -219,12 +221,18 @@ type SyncHeld struct {
 }
 
 // WellFormed reports whether the sync keeps the shape its receiver merges
-// by: demand runs in ascending unit order, held entries strictly ascending by
-// (unit, machine), and no negative count in either.
+// by: demand entries strictly ascending by (unit, level, node), held entries
+// strictly ascending by (unit, machine), and no negative count in either.
 func (m *FullDemandSync) WellFormed() bool {
 	for i, h := range m.Demand {
-		if h.Count < 0 || i > 0 && h.UnitID < m.Demand[i-1].UnitID {
+		if h.Count < 0 {
 			return false
+		}
+		if i > 0 {
+			p := m.Demand[i-1]
+			if h.UnitID < p.UnitID || h.UnitID == p.UnitID && resource.CompareHints(h.LocalityHint, p.LocalityHint) <= 0 {
+				return false
+			}
 		}
 	}
 	for i, h := range m.Held {

@@ -180,12 +180,16 @@ func TestWireSizesPositiveAndProportional(t *testing.T) {
 }
 
 // TestFullDemandSyncWellFormed pins what a receiver may merge by: demand
-// runs in unit order (any order inside a run), held entries strictly
-// ascending by (unit, machine), no negative count.
+// strictly ascending by (unit, level, node), held entries strictly ascending
+// by (unit, machine), no negative count.
 func TestFullDemandSyncWellFormed(t *testing.T) {
 	hint := func(unit, count int) UnitHint {
 		return UnitHint{UnitID: unit, LocalityHint: resource.LocalityHint{Type: resource.LocalityCluster, Count: count}}
 	}
+	at := func(unit int, level resource.LocalityType, node int32) UnitHint {
+		return UnitHint{UnitID: unit, LocalityHint: resource.LocalityHint{Type: level, Node: node, Count: 1}}
+	}
+	m, r := resource.LocalityMachine, resource.LocalityRack
 	for _, c := range []struct {
 		name   string
 		demand []UnitHint
@@ -193,9 +197,12 @@ func TestFullDemandSyncWellFormed(t *testing.T) {
 		ok     bool
 	}{
 		{"empty", nil, nil, true},
-		{"sorted", []UnitHint{hint(1, 2), hint(1, 0), hint(3, 1)},
+		{"sorted", []UnitHint{at(1, m, 2), at(1, m, 5), at(1, r, 0), hint(1, 0), hint(3, 1)},
 			[]SyncHeld{{1, 0, 2}, {1, 4, 1}, {2, 0, 3}}, true},
 		{"demand runs out of order", []UnitHint{hint(3, 1), hint(1, 2)}, nil, false},
+		{"nodes out of order", []UnitHint{at(1, m, 5), at(1, m, 2)}, nil, false},
+		{"levels out of order", []UnitHint{at(1, r, 0), at(1, m, 2)}, nil, false},
+		{"a target twice", []UnitHint{hint(1, 2), hint(1, 0)}, nil, false},
 		{"negative demand", []UnitHint{hint(1, -1)}, nil, false},
 		{"held units out of order", nil, []SyncHeld{{2, 0, 1}, {1, 5, 1}}, false},
 		{"held machines out of order", nil, []SyncHeld{{1, 5, 1}, {1, 0, 1}}, false},
@@ -214,7 +221,7 @@ func TestFullDemandSyncWellFormed(t *testing.T) {
 func TestFullDemandSyncRecycles(t *testing.T) {
 	s := &FullDemandSync{
 		App: "a", Units: []resource.ScheduleUnit{{ID: 1}}, SeenGrantSeq: 3, Seq: 9,
-		Demand: []UnitHint{{UnitID: 1, LocalityHint: resource.LocalityHint{Type: resource.LocalityMachine, Value: "m", Count: 2}}},
+		Demand: []UnitHint{{UnitID: 1, LocalityHint: resource.LocalityHint{Type: resource.LocalityMachine, Node: 5, Count: 2}}},
 		Held:   []SyncHeld{{UnitID: 1, Machine: 4, Count: 2}},
 	}
 	kept := Keep(s).(FullDemandSync)
@@ -229,7 +236,7 @@ func TestFullDemandSyncRecycles(t *testing.T) {
 	if demand[0] != (UnitHint{}) || held[0] != (SyncHeld{}) {
 		t.Errorf("payload elements not zeroed: %+v %+v", demand[0], held[0])
 	}
-	if kept.App != "a" || kept.Demand[0].Value != "m" || kept.Held[0].Machine != 4 {
+	if kept.App != "a" || kept.Demand[0].Node != 5 || kept.Held[0].Machine != 4 {
 		t.Errorf("Keep's copy did not survive the Clear: %+v", kept)
 	}
 }
@@ -298,7 +305,7 @@ func TestDemandUpdateReturnsWellFormed(t *testing.T) {
 func TestDemandUpdateRecycles(t *testing.T) {
 	u := &DemandUpdate{App: "a", Seq: 4,
 		Returns: []ReturnEntry{{UnitID: 1, Machine: 2, Count: 3}},
-		Deltas:  []UnitHint{{UnitID: 1, LocalityHint: resource.LocalityHint{Type: resource.LocalityMachine, Value: "m", Count: 2}}},
+		Deltas:  []UnitHint{{UnitID: 1, LocalityHint: resource.LocalityHint{Type: resource.LocalityMachine, Node: 5, Count: 2}}},
 	}
 	kept := Keep(u).(DemandUpdate)
 	rs, ds := u.Returns[:1], u.Deltas[:1]
@@ -312,7 +319,7 @@ func TestDemandUpdateRecycles(t *testing.T) {
 	if rs[0] != (ReturnEntry{}) || ds[0] != (UnitHint{}) {
 		t.Errorf("payload elements not zeroed: %+v %+v", rs[0], ds[0])
 	}
-	if kept.App != "a" || kept.Returns[0].Count != 3 || kept.Deltas[0].Value != "m" {
+	if kept.App != "a" || kept.Returns[0].Count != 3 || kept.Deltas[0].Node != 5 {
 		t.Errorf("Keep's copy did not survive the Clear: %+v", kept)
 	}
 }

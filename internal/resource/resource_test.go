@@ -262,8 +262,8 @@ func TestLocalityStrings(t *testing.T) {
 	if LocalityMachine.String() != "machine" || LocalityRack.String() != "rack" || LocalityCluster.String() != "cluster" {
 		t.Error("locality String mismatch")
 	}
-	h := LocalityHint{Type: LocalityMachine, Value: "m1", Count: 2}
-	if h.String() != "machine(m1)*2" {
+	h := LocalityHint{Type: LocalityMachine, Node: 7, Count: 2}
+	if h.String() != "machine(7)*2" {
 		t.Errorf("hint string = %q", h.String())
 	}
 	if (LocalityHint{Type: LocalityCluster, Count: 5}).String() != "cluster*5" {

@@ -1,9 +1,9 @@
 package resource
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // ScheduleUnit is the unit-size resource description an application master
@@ -66,12 +66,14 @@ func (t LocalityType) String() string {
 	}
 }
 
-// LocalityHint is one (level, value, count) preference inside a request:
-// "count units preferably at value" where value names a machine or rack (and
-// is empty at cluster level).
+// LocalityHint is one (level, node, count) preference inside a request:
+// "count units preferably at node", where node is the dense topology ID of a
+// machine or rack (its index in the topology's sorted machine or rack names)
+// and 0 at cluster level. A hint is fixed-width: names stay at the edges, and
+// (level, node) order is (level, name) order for every node a topology holds.
 type LocalityHint struct {
 	Type  LocalityType
-	Value string // machine or rack name; "" for cluster
+	Node  int32 // machine or rack ID; 0 for cluster
 	Count int
 }
 
@@ -79,20 +81,17 @@ func (h LocalityHint) String() string {
 	if h.Type == LocalityCluster {
 		return fmt.Sprintf("cluster*%d", h.Count)
 	}
-	return fmt.Sprintf("%s(%s)*%d", h.Type, h.Value, h.Count)
+	return fmt.Sprintf("%s(%d)*%d", h.Type, h.Node, h.Count)
 }
 
-// SortHints orders hints by (Type, Value) in place, allocation-free (the
+// SortHints orders hints by (Type, Node) in place, allocation-free (the
 // batched-round merge path must not pay sort.Slice's reflective swapper per
 // (app, unit) per round). Equal keys may be reordered; every caller either
 // has unique keys or merges equal keys by summing, so stability is moot.
 func SortHints(hints []LocalityHint) { slices.SortFunc(hints, CompareHints) }
 
-// CompareHints orders two hints by (Type, Value), the wire order of hint
+// CompareHints orders two hints by (Type, Node), the wire order of hint
 // lists.
 func CompareHints(a, b LocalityHint) int {
-	if a.Type != b.Type {
-		return int(a.Type) - int(b.Type)
-	}
-	return strings.Compare(a.Value, b.Value)
+	return cmp.Or(cmp.Compare(a.Type, b.Type), cmp.Compare(a.Node, b.Node))
 }

@@ -92,7 +92,7 @@ func TestPerProcessFootprint(t *testing.T) {
 			}, eng, net, top, appmaster.NoCallbacks{})
 			home := int32(i % len(machines))
 			am.Request(1,
-				resource.LocalityHint{Type: resource.LocalityMachine, Value: machines[home], Count: 1},
+				resource.LocalityHint{Type: resource.LocalityMachine, Node: home, Count: 1},
 				resource.LocalityHint{Type: resource.LocalityCluster, Count: 5})
 			// The network clears the update once it has landed: the machines
 			// are read back from where they were drawn.

@@ -199,8 +199,7 @@ func hashedDemand(x any) {
 	app := x.(*scaleApp)
 	h := app.h
 	mix := jobMix(app.name)
-	machines := h.top.Machines()
-	racks := h.top.Racks()
+	machines, racks := uint64(h.top.Size()), uint64(h.top.NumRacks())
 	for u := 1; u <= len(app.am.Units()); u++ {
 		hints := make([]resource.LocalityHint, 0, 2)
 		rest := app.width
@@ -208,12 +207,12 @@ func hashedDemand(x any) {
 		switch pick % 8 {
 		case 0:
 			hints = append(hints, resource.LocalityHint{
-				Type: resource.LocalityMachine, Value: machines[pick>>16%uint64(len(machines))], Count: 1,
+				Type: resource.LocalityMachine, Node: int32(pick >> 16 % machines), Count: 1,
 			})
 			rest--
 		case 1:
 			hints = append(hints, resource.LocalityHint{
-				Type: resource.LocalityRack, Value: racks[pick>>16%uint64(len(racks))], Count: 1,
+				Type: resource.LocalityRack, Node: int32(pick >> 16 % racks), Count: 1,
 			})
 			rest--
 		}

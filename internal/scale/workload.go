@@ -419,8 +419,7 @@ func (h *harness) spawnApp(idx int) {
 	// rack, the rest are cluster-wide — exercising all three tree levels.
 	// The demand follows registration after a registration round-trip's
 	// worth of delay, mirroring how the example application masters behave.
-	machines := h.top.Machines()
-	racks := h.top.Racks()
+	machines, racks := h.top.Size(), h.top.NumRacks()
 	h.eng.After(sim.Millisecond, func() {
 		for u := 1; u <= cfg.UnitsPerApp; u++ {
 			// At most a pinned hint and the cluster remainder: on the stack,
@@ -431,12 +430,12 @@ func (h *harness) spawnApp(idx int) {
 			switch u % 10 {
 			case 0:
 				hints = append(hints, resource.LocalityHint{
-					Type: resource.LocalityMachine, Value: machines[h.rng.Intn(len(machines))], Count: 1,
+					Type: resource.LocalityMachine, Node: int32(h.rng.Intn(machines)), Count: 1,
 				})
 				rest--
 			case 1:
 				hints = append(hints, resource.LocalityHint{
-					Type: resource.LocalityRack, Value: racks[h.rng.Intn(len(racks))], Count: 1,
+					Type: resource.LocalityRack, Node: int32(h.rng.Intn(racks)), Count: 1,
 				})
 				rest--
 			}

@@ -219,5 +219,20 @@ func (t *Topology) MachineIDsInRack(rack int32) []int32 { return t.rackIDs[rack]
 // NumRacks returns the rack count; valid rack IDs are [0, NumRacks).
 func (t *Topology) NumRacks() int { return len(t.rackNames) }
 
+// Holds reports whether node names a locality node of the topology at level:
+// a machine ID in [0, Size), a rack ID in [0, NumRacks), or 0 at cluster
+// level. It is the one check a demand hint from the wire must pass.
+func (t *Topology) Holds(level resource.LocalityType, node int32) bool {
+	switch level {
+	case resource.LocalityMachine:
+		return node >= 0 && int(node) < len(t.names)
+	case resource.LocalityRack:
+		return node >= 0 && int(node) < len(t.rackNames)
+	case resource.LocalityCluster:
+		return node == 0
+	}
+	return false
+}
+
 // TotalCapacity returns the summed capacity of all machines.
 func (t *Topology) TotalCapacity() resource.Vector { return t.total }

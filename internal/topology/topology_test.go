@@ -93,3 +93,28 @@ func TestPaperTestbedMachine(t *testing.T) {
 		t.Errorf("Memory = %d, want 96 GB", v.MemoryMB())
 	}
 }
+
+// TestHolds: the last ID of each level is held and the next one is not;
+// the cluster level has the one node 0, and no level holds a negative ID.
+func TestHolds(t *testing.T) {
+	top, err := Build(Spec{Racks: 2, MachinesPerRack: 3, MachineCapacity: PaperTestbedMachine()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, r, c := resource.LocalityMachine, resource.LocalityRack, resource.LocalityCluster
+	size, racks := int32(top.Size()), int32(top.NumRacks())
+	for _, tc := range []struct {
+		level resource.LocalityType
+		node  int32
+		want  bool
+	}{
+		{m, size - 1, true}, {m, size, false}, {m, -1, false},
+		{r, racks - 1, true}, {r, racks, false}, {r, -1, false},
+		{c, 0, true}, {c, 1, false}, {c, -1, false},
+		{resource.LocalityType(3), 0, false}, {resource.LocalityType(-1), 0, false},
+	} {
+		if got := top.Holds(tc.level, tc.node); got != tc.want {
+			t.Errorf("Holds(%v, %d) = %v, want %v", tc.level, tc.node, got, tc.want)
+		}
+	}
+}
