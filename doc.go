@@ -82,8 +82,10 @@
 // (internal/ident is the interning primitive). Machines and racks carry
 // their topology index — assigned from the sorted name list, so every
 // process derives identical IDs and they are safe on the simulated wire:
-// GrantUpdate, DemandUpdate returns and hints, FullDemandSync, CapacityQuery
-// and heartbeat traffic all speak machine and rack IDs. A locality hint is
+// GrantUpdate, DemandUpdate returns and hints, FullDemandSync, CapacityQuery,
+// heartbeat traffic and the worker plane's WorkerStatus and WorkerListRequest
+// all speak machine and rack IDs, and so does the job layer above it (task
+// masters, job blacklists, worker runtimes, Pangu's replica lists). A locality hint is
 // (level, node ID, count), 0 at cluster level; FuxiMaster drops a demand
 // message with a hint the topology does not hold (topology.Holds) whole.
 // Transport endpoints are interned by the Net (handlers receive sender
@@ -105,11 +107,14 @@
 //
 // The boundary rule: names exist only at the edges. Messages from an
 // application master carry its name (RegisterApp introduces it, and it is
-// what the checkpoint stores), worker-management traffic carries machine
-// names for the job layer (whose input locations are names too; it states
-// demand at them by machine ID), checkpoint snapshots serialize names exclusively (the encoding
+// what the checkpoint stores), worker-management traffic carries worker IDs,
+// task names and the application's name but names its machine by ID — the
+// application master drops a worker message about a machine the topology
+// does not hold and reaches an agent only through an endpoint the network
+// already knows — checkpoint snapshots serialize names exclusively (the encoding
 // cannot express an interned ID, so none can leak into durable state), and
-// every public inspection API converts on the way out. Steady-state
+// every public inspection API converts on the way out; only tests, examples
+// and core.Cluster's fault helpers take machine names. Steady-state
 // scheduling — the `churn` section of BENCH_scale.json — runs allocation-
 // lean (CI-gated allocs/decision budget) with no string hashing per
 // decision.

@@ -28,7 +28,7 @@ type service struct {
 	appmaster.NoCallbacks
 	am      *appmaster.AM
 	seq     int
-	running map[string]string // worker -> machine
+	running map[string]int32 // worker -> machine ID
 }
 
 func (s *service) nextID() string {
@@ -57,8 +57,8 @@ func (s *service) OnWorker(st protocol.WorkerStatus) {
 		s.running[st.WorkerID] = st.Machine
 	case protocol.WorkerFailed:
 		delete(s.running, st.WorkerID)
-		if s.am.HeldOn(1, st.Machine) > 0 {
-			s.am.StartWorkerOn(1, st.Machine, s.nextID())
+		if s.am.Held(1, st.Machine) > 0 {
+			s.am.StartWorker(1, st.Machine, s.nextID())
 		}
 	case protocol.WorkerFinished:
 		delete(s.running, st.WorkerID)
@@ -81,7 +81,7 @@ func main() {
 		Size: resource.New(2000, 8192).With(slotDim, 1),
 	}
 
-	svc := &service{running: map[string]string{}}
+	svc := &service{running: map[string]int32{}}
 	svc.am = cluster.NewAppMaster(appmaster.Config{
 		App: "frontend", Units: []resource.ScheduleUnit{unit},
 		FullSyncInterval: 10 * sim.Second,
@@ -92,7 +92,7 @@ func main() {
 	cluster.Run(5 * sim.Second)
 
 	report := func(when string) {
-		perMachine := map[string]int{}
+		perMachine := map[int32]int{}
 		for _, m := range running {
 			perMachine[m]++
 		}
@@ -100,21 +100,22 @@ func main() {
 			cluster.Now().Seconds(), when, len(running), len(perMachine))
 		for m, n := range perMachine {
 			if n > 1 {
-				fmt.Printf("  anti-affinity violated on %s (%d replicas)\n", m, n)
+				fmt.Printf("  anti-affinity violated on %s (%d replicas)\n", cluster.Top.MachineName(m), n)
 			}
 		}
 	}
 	report("service up")
 
-	// A replica's machine dies; the master revokes, the service re-requests
-	// and is back to full strength.
-	var victim string
+	// A replica's machine dies (the lowest-numbered one, so every run prints
+	// the same); the master revokes, the service re-requests and is back to
+	// full strength.
+	victim := int32(cluster.Top.Size())
 	for _, m := range running {
-		victim = m
-		break
+		victim = min(victim, m)
 	}
-	fmt.Printf("t=%4.0fs  killing machine %s\n", cluster.Now().Seconds(), victim)
-	cluster.KillMachine(victim)
+	name := cluster.Top.MachineName(victim)
+	fmt.Printf("t=%4.0fs  killing machine %s\n", cluster.Now().Seconds(), name)
+	cluster.KillMachine(name)
 	cluster.Run(15 * sim.Second)
 	report("after node death")
 

@@ -31,8 +31,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var replicas []string
+	for _, m := range input.Chunks[0].Replicas {
+		replicas = append(replicas, cluster.Top.MachineName(m))
+	}
 	fmt.Printf("input: %d chunks on the DFS; first chunk's replicas: %v\n",
-		len(input.Chunks), input.Chunks[0].Replicas)
+		len(input.Chunks), replicas)
 
 	desc := &job.Description{
 		Name: "wordcount",

@@ -10,12 +10,13 @@
 // §4.3.1), while a machine crash kills everything.
 //
 // Hot-path identifiers: the agent speaks its dense machine ID on the wire
-// (heartbeats, capacity queries) and keys its capacity ledger by the
-// application master's transport endpoint ID — the integer the master's
-// capacity messages carry and the heartbeat tables send back, the same in
-// every master epoch — so neither the per-round capacity-delta decode nor the
-// beat resolves a name. Names appear at the boundaries: the public accessors
-// and the worker-management messages of the job layer.
+// (heartbeats, capacity queries, worker statuses, worker-list requests) and
+// keys its capacity ledger by the application master's transport endpoint ID
+// — the integer the master's capacity messages carry and the heartbeat tables
+// send back, the same in every master epoch — so neither the per-round
+// capacity-delta decode nor the beat resolves a name. Names appear at the
+// boundaries: the public accessors and the worker and application names of
+// the worker-management messages.
 package agent
 
 import (
@@ -584,7 +585,7 @@ func (a *Agent) startWorker(from transport.EndpointID, t protocol.WorkPlan) {
 	}
 	if a.broken {
 		a.net.SendID(a.epID, from, protocol.WorkerStatus{
-			Machine: a.Machine, App: t.App, WorkerID: t.WorkerID,
+			Machine: a.id, App: t.App, WorkerID: t.WorkerID,
 			State:         protocol.WorkerFailed,
 			FailureDetail: "disk corrupted: process cannot be launched",
 			Seq:           a.seq.Next(),
@@ -601,7 +602,7 @@ func (a *Agent) startWorker(from transport.EndpointID, t protocol.WorkPlan) {
 	if running >= capCount {
 		// No granted capacity: refuse (isolation rule one).
 		a.net.SendID(a.epID, from, protocol.WorkerStatus{
-			Machine: a.Machine, App: t.App, WorkerID: t.WorkerID,
+			Machine: a.id, App: t.App, WorkerID: t.WorkerID,
 			State:         protocol.WorkerFailed,
 			FailureDetail: fmt.Sprintf("no capacity for app %s unit %d on %s", t.App, t.UnitID, a.Machine),
 			Seq:           a.seq.Next(),
@@ -618,7 +619,7 @@ func (a *Agent) startWorker(from transport.EndpointID, t protocol.WorkPlan) {
 		// First status report: the AM measures worker-start overhead from
 		// plan to this message (Table 2).
 		a.net.SendID(a.epID, p.ep, protocol.WorkerStatus{
-			Machine: a.Machine, App: p.App, WorkerID: p.ID,
+			Machine: a.id, App: p.App, WorkerID: p.ID,
 			State: protocol.WorkerRunning, Seq: a.seq.Next(),
 		})
 	})
@@ -635,7 +636,7 @@ func (a *Agent) stopWorker(t protocol.StopWorker) {
 	delete(a.procs, t.WorkerID)
 	p.State = protocol.WorkerFinished
 	a.net.SendID(a.epID, p.ep, protocol.WorkerStatus{
-		Machine: a.Machine, App: p.App, WorkerID: p.ID,
+		Machine: a.id, App: p.App, WorkerID: p.ID,
 		State: protocol.WorkerFinished, Seq: a.seq.Next(),
 	})
 }
@@ -649,7 +650,7 @@ func (a *Agent) killProc(p *Proc, detail string) {
 	p.State = protocol.WorkerFailed
 	if a.Up() {
 		a.net.SendID(a.epID, p.ep, protocol.WorkerStatus{
-			Machine: a.Machine, App: p.App, WorkerID: p.ID,
+			Machine: a.id, App: p.App, WorkerID: p.ID,
 			State: protocol.WorkerFailed, FailureDetail: detail, Seq: a.seq.Next(),
 		})
 	}
@@ -723,7 +724,7 @@ func (a *Agent) RestartDaemon() {
 	}
 	sort.Strings(names)
 	for _, app := range names {
-		a.net.SendID(a.epID, apps[app], protocol.WorkerListRequest{Machine: a.Machine, Seq: a.seq.Next()})
+		a.net.SendID(a.epID, apps[app], protocol.WorkerListRequest{Machine: a.id, Seq: a.seq.Next()})
 	}
 }
 
@@ -789,7 +790,7 @@ func (a *Agent) adoptWorkers(from transport.EndpointID, t protocol.WorkerListRep
 	sort.Strings(missing)
 	for _, id := range missing {
 		a.net.SendID(a.epID, from, protocol.WorkerStatus{
-			Machine: a.Machine, App: t.App, WorkerID: id,
+			Machine: a.id, App: t.App, WorkerID: id,
 			State:         protocol.WorkerFailed,
 			FailureDetail: "lost during agent outage",
 			Seq:           a.seq.Next(),

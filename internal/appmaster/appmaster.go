@@ -5,10 +5,13 @@
 // instances instead of being reclaimed per task as in YARN), worker
 // lifecycle via FuxiAgents, and the periodic full-state safety sync.
 //
-// The container ledger and the grant/return protocol speak dense machine
-// IDs (the topology index carried on the wire); resource callbacks hand the
-// ID through, and MachineName converts at the job-layer boundary where
-// names are needed (work plans, status reports, logs).
+// Every machine reference speaks the dense machine ID (the topology index
+// carried on the wire): the container ledger, the grant/return protocol, the
+// resource callbacks, the worker table and the worker-status messages. A
+// WorkerStatus or WorkerListRequest naming a machine the topology does not
+// hold is dropped whole, and the AM reaches a machine's agent only through a
+// name the network already knows (Net.Lookup), so no message from another
+// process can make it intern an endpoint.
 //
 // The computation layer receives resource and worker events through the
 // Callbacks interface, which the job's owner implements itself — a
@@ -55,12 +58,13 @@ type Config struct {
 // implement only the events of interest.
 type Callbacks interface {
 	// OnGrant fires when count containers of a unit arrive on a machine
-	// (identified by its dense ID; MachineName converts when needed).
+	// (identified by its dense ID).
 	OnGrant(unitID int, machine int32, count int)
 	// OnRevoke fires when count containers of a unit are revoked from a
 	// machine (preemption, node death, blacklisting).
 	OnRevoke(unitID int, machine int32, count int)
-	// OnWorker fires for every WorkerStatus report.
+	// OnWorker fires for every WorkerStatus report about a machine of the
+	// topology.
 	OnWorker(protocol.WorkerStatus)
 	// OnMessage receives application-level messages addressed to the app
 	// endpoint that are not part of the resource protocol (e.g. worker →
@@ -172,7 +176,7 @@ type AM struct {
 // Worker is the application's view of one worker process.
 type Worker struct {
 	ID      string
-	Machine string
+	Machine int32 // dense machine ID
 	UnitID  int
 	State   protocol.WorkerState
 	// PlannedAt is when the work plan was sent; the first Running report
@@ -211,7 +215,17 @@ func (a *AM) sendRegister() {
 	a.sendToMaster(r)
 }
 
-func (a *AM) send(to string, msg transport.Message) { a.net.SendID(a.epID, a.net.Endpoint(to), msg) }
+// toAgent sends msg to a machine's agent, which the caller has checked the
+// topology holds. Lookup never interns: an agent endpoint the network does not
+// know drops the send.
+func (a *AM) toAgent(machine int32, msg transport.Message) {
+	if ep := a.net.Lookup(protocol.AgentEndpoint(a.top.MachineName(machine))); ep != transport.None {
+		a.net.SendID(a.epID, ep, msg)
+	}
+}
+
+// holds reports whether machine is one of the topology's.
+func (a *AM) holds(machine int32) bool { return a.top.Holds(resource.LocalityMachine, machine) }
 
 func (a *AM) sendToMaster(msg transport.Message) { a.net.SendID(a.epID, a.masterID, msg) }
 
@@ -267,15 +281,6 @@ func (a *AM) peekLedger(unitID int) *unitLedger {
 func keyHint(k uint64, count int) resource.LocalityHint {
 	return resource.LocalityHint{Type: resource.LocalityType(k >> 32), Node: int32(uint32(k)), Count: count}
 }
-
-// MachineName converts a dense machine ID to its name (the job-layer
-// boundary conversion; a slice index, not a hash).
-func (a *AM) MachineName(id int32) string { return a.top.MachineName(id) }
-
-// MachineID converts a machine name to its dense ID, or ident.None for a
-// name the topology lacks: the job layer's input locations are names, and it
-// states demand at them by ID.
-func (a *AM) MachineID(name string) int32 { return a.top.MachineID(name) }
 
 // Request adds (or with negative counts, withdraws) demand for one unit. The
 // change joins the instant's DemandUpdate, appended in call order, which
@@ -382,14 +387,6 @@ func (a *AM) ReturnContainers(unitID int, machine int32, count int) {
 	u.Returns = append(u.Returns, protocol.ReturnEntry{UnitID: unitID, Machine: machine, Count: count})
 }
 
-// ReturnContainersOn is the name-keyed wrapper of ReturnContainers for
-// boundary callers that track machines by name.
-func (a *AM) ReturnContainersOn(unitID int, machine string, count int) {
-	if id := a.top.MachineID(machine); id >= 0 {
-		a.ReturnContainers(unitID, id, count)
-	}
-}
-
 // flush sends the instant's coalesced traffic as the pooled DemandUpdate it
 // accumulated in. The field is cleared first, so the eager flushes and the
 // end-of-instant tick can never send one message twice; the next instant
@@ -420,34 +417,25 @@ func (a *AM) drop() {
 // StartWorker sends a work plan to a machine's agent for one held container.
 func (a *AM) StartWorker(unitID int, machine int32, workerID string) {
 	u, ok := a.unit(unitID)
-	if !ok {
+	if !ok || !a.holds(machine) {
 		return
 	}
-	name := a.top.MachineName(machine)
 	if a.workers == nil {
 		a.workers = make(map[string]*Worker)
 	}
 	a.workers[workerID] = &Worker{
-		ID: workerID, Machine: name, UnitID: unitID,
+		ID: workerID, Machine: machine, UnitID: unitID,
 		State: protocol.WorkerStarting, PlannedAt: a.eng.Now(),
 	}
-	a.send(protocol.AgentEndpoint(name), protocol.WorkPlan{
+	a.toAgent(machine, protocol.WorkPlan{
 		App: a.cfg.App, UnitID: unitID, WorkerID: workerID, Size: u.Size, Seq: a.seq.Next(),
 	})
 }
 
-// StartWorkerOn is the name-keyed wrapper of StartWorker for job-layer
-// callers that track machines by name.
-func (a *AM) StartWorkerOn(unitID int, machine string, workerID string) {
-	if id := a.top.MachineID(machine); id >= 0 {
-		a.StartWorker(unitID, id, workerID)
-	}
-}
-
 // AdoptWorker records a worker that is already running (discovered through
 // failover status reports) without sending a new work plan.
-func (a *AM) AdoptWorker(unitID int, machine, workerID string) {
-	if _, ok := a.workers[workerID]; ok {
+func (a *AM) AdoptWorker(unitID int, machine int32, workerID string) {
+	if _, ok := a.workers[workerID]; ok || !a.holds(machine) {
 		return
 	}
 	if a.workers == nil {
@@ -478,7 +466,7 @@ func (a *AM) StopWorker(workerID string) {
 		return
 	}
 	delete(a.workers, workerID)
-	a.send(protocol.AgentEndpoint(w.Machine), protocol.StopWorker{
+	a.toAgent(w.Machine, protocol.StopWorker{
 		App: a.cfg.App, WorkerID: workerID, Seq: a.seq.Next(),
 	})
 }
@@ -486,21 +474,23 @@ func (a *AM) StopWorker(workerID string) {
 // StopWorkerOn sends a stop directly to a machine's agent for a worker the
 // application no longer tracks (e.g. reaping an agent-auto-restarted copy
 // of a worker the application already replaced).
-func (a *AM) StopWorkerOn(machine, workerID string) {
-	a.send(protocol.AgentEndpoint(machine), protocol.StopWorker{
+func (a *AM) StopWorkerOn(machine int32, workerID string) {
+	if !a.holds(machine) {
+		return
+	}
+	a.toAgent(machine, protocol.StopWorker{
 		App: a.cfg.App, WorkerID: workerID, Seq: a.seq.Next(),
 	})
 }
 
 // ReportBadMachine escalates a job-level blacklist verdict to FuxiMaster.
-func (a *AM) ReportBadMachine(machine string) {
-	id := a.top.MachineID(machine)
-	if id < 0 {
+func (a *AM) ReportBadMachine(machine int32) {
+	if !a.holds(machine) {
 		return
 	}
 	a.flush()
 	a.sendToMaster(protocol.BadMachineReport{
-		App: a.cfg.App, Machine: id, Seq: a.seq.Next(),
+		App: a.cfg.App, Machine: machine, Seq: a.seq.Next(),
 	})
 }
 
@@ -612,15 +602,6 @@ func (a *AM) Held(unitID int, machine int32) int {
 	return 0
 }
 
-// HeldOn returns the container count held for unit on a machine by name.
-func (a *AM) HeldOn(unitID int, machine string) int {
-	id := a.top.MachineID(machine)
-	if id < 0 {
-		return 0
-	}
-	return a.Held(unitID, id)
-}
-
 // HeldTotal returns all containers held for a unit.
 func (a *AM) HeldTotal(unitID int) int {
 	n := 0
@@ -630,20 +611,6 @@ func (a *AM) HeldTotal(unitID int) int {
 		}
 	}
 	return n
-}
-
-// HeldMachines returns the machine names holding containers for a unit, in
-// machine-ID (= sorted-name) order.
-func (a *AM) HeldMachines(unitID int) []string {
-	l := a.peekLedger(unitID)
-	if l == nil || l.held.Len() == 0 {
-		return nil
-	}
-	out := make([]string, 0, l.held.Len())
-	for _, c := range l.held.Cells() {
-		out = append(out, a.top.MachineName(int32(c.Key)))
-	}
-	return out
 }
 
 // ObtainedTotal sums the resource vectors of all held containers (the
@@ -761,7 +728,11 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 			a.requestGrantSync()
 		}
 	case protocol.WorkerStatus:
-		a.applyWorkerStatus(t)
+		// A status about a machine outside the topology is dropped whole:
+		// no worker row changes and no callback fires.
+		if a.holds(t.Machine) {
+			a.applyWorkerStatus(t)
+		}
 	case protocol.MasterHello:
 		// New primary rebuilding soft state: re-send configuration and the
 		// full resource picture (paper Figure 7). Already-assigned
@@ -775,7 +746,9 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 		a.sendRegister()
 		a.fullSync()
 	case protocol.WorkerListRequest:
-		a.replyWorkerList(t.Machine)
+		if a.holds(t.Machine) {
+			a.replyWorkerList(t.Machine)
+		}
 	case *protocol.UnregisterAck:
 		// A stale ack for a previous application that reused this endpoint
 		// name; nothing to do.
@@ -791,9 +764,8 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 // machines. A grant on a machine outside it would index the
 // rack table out of range while booking the demand it consumed.
 func (a *AM) wellFormed(t *protocol.GrantUpdate) bool {
-	n := int32(a.top.Size())
 	for _, ch := range t.Changes {
-		if ch.Machine < 0 || ch.Machine >= n {
+		if !a.holds(ch.Machine) {
 			return false
 		}
 	}
@@ -873,7 +845,7 @@ func (a *AM) applyWorkerStatus(t protocol.WorkerStatus) {
 	a.cb.OnWorker(t)
 }
 
-func (a *AM) replyWorkerList(machine string) {
+func (a *AM) replyWorkerList(machine int32) {
 	var plans []protocol.WorkPlan
 	ids := make([]string, 0)
 	for id, w := range a.workers {
@@ -889,7 +861,7 @@ func (a *AM) replyWorkerList(machine string) {
 			App: a.cfg.App, UnitID: w.UnitID, WorkerID: w.ID, Size: u.Size,
 		})
 	}
-	a.send(protocol.AgentEndpoint(machine), protocol.WorkerListReply{
+	a.toAgent(machine, protocol.WorkerListReply{
 		App: a.cfg.App, Workers: plans, Seq: a.seq.Next(),
 	})
 }

@@ -117,8 +117,8 @@ func TestGrantUpdatesLedgerAndOutstanding(t *testing.T) {
 	h := newHarness(t, 0)
 	h.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 10})
 	h.grant("r000m000", 4, 1)
-	if h.am.HeldOn(1, "r000m000") != 4 {
-		t.Errorf("held = %d", h.am.HeldOn(1, "r000m000"))
+	if h.am.Held(1, h.top.MachineID("r000m000")) != 4 {
+		t.Errorf("held = %d", h.am.Held(1, h.top.MachineID("r000m000")))
 	}
 	if h.am.Outstanding(1) != 6 {
 		t.Errorf("outstanding = %d, want 6", h.am.Outstanding(1))
@@ -184,16 +184,16 @@ func TestRevocationCallbackAndClamp(t *testing.T) {
 	h.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 4})
 	h.grant("r000m000", 4, 1)
 	h.grant("r000m000", -2, 2)
-	if h.am.HeldOn(1, "r000m000") != 2 {
-		t.Errorf("held = %d", h.am.HeldOn(1, "r000m000"))
+	if h.am.Held(1, h.top.MachineID("r000m000")) != 2 {
+		t.Errorf("held = %d", h.am.Held(1, h.top.MachineID("r000m000")))
 	}
 	if len(h.revokes) != 1 {
 		t.Errorf("revoke callbacks = %d", len(h.revokes))
 	}
 	// Over-revocation clamps instead of going negative.
 	h.grant("r000m000", -99, 3)
-	if h.am.HeldOn(1, "r000m000") != 0 {
-		t.Errorf("held = %d, want 0", h.am.HeldOn(1, "r000m000"))
+	if h.am.Held(1, h.top.MachineID("r000m000")) != 0 {
+		t.Errorf("held = %d, want 0", h.am.Held(1, h.top.MachineID("r000m000")))
 	}
 }
 
@@ -202,8 +202,8 @@ func TestDuplicateGrantIgnored(t *testing.T) {
 	h.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 10})
 	h.grant("r000m000", 4, 7)
 	h.grant("r000m000", 4, 7) // replay
-	if h.am.HeldOn(1, "r000m000") != 4 {
-		t.Errorf("held = %d after replay, want 4", h.am.HeldOn(1, "r000m000"))
+	if h.am.Held(1, h.top.MachineID("r000m000")) != 4 {
+		t.Errorf("held = %d after replay, want 4", h.am.Held(1, h.top.MachineID("r000m000")))
 	}
 }
 
@@ -238,10 +238,10 @@ func TestReturnContainersSendsAndDecrements(t *testing.T) {
 	h := newHarness(t, 0)
 	h.am.Request(1, resource.LocalityHint{Type: resource.LocalityCluster, Count: 5})
 	h.grant("r000m000", 5, 1)
-	h.am.ReturnContainersOn(1, "r000m000", 2)
+	h.am.ReturnContainers(1, h.top.MachineID("r000m000"), 2)
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
-	if h.am.HeldOn(1, "r000m000") != 3 {
-		t.Errorf("held = %d", h.am.HeldOn(1, "r000m000"))
+	if h.am.Held(1, h.top.MachineID("r000m000")) != 3 {
+		t.Errorf("held = %d", h.am.Held(1, h.top.MachineID("r000m000")))
 	}
 	found := false
 	for _, m := range h.toMaster {
@@ -257,15 +257,15 @@ func TestReturnContainersSendsAndDecrements(t *testing.T) {
 		t.Error("no DemandUpdate carrying the return sent")
 	}
 	// Over-return is refused locally.
-	h.am.ReturnContainersOn(1, "r000m000", 99)
-	if h.am.HeldOn(1, "r000m000") != 3 {
+	h.am.ReturnContainers(1, h.top.MachineID("r000m000"), 99)
+	if h.am.Held(1, h.top.MachineID("r000m000")) != 3 {
 		t.Error("over-return changed ledger")
 	}
 }
 
 func TestStartStopWorkerMessages(t *testing.T) {
 	h := newHarness(t, 0)
-	h.am.StartWorkerOn(1, "r000m000", "w1")
+	h.am.StartWorker(1, h.top.MachineID("r000m000"), "w1")
 	h.eng.Run(10 * sim.Millisecond)
 	msgs := h.toAgent["r000m000"]
 	if len(msgs) != 1 {
@@ -289,10 +289,10 @@ func TestStartStopWorkerMessages(t *testing.T) {
 
 func TestWorkerStatusTracksOverhead(t *testing.T) {
 	h := newHarness(t, 0)
-	h.am.StartWorkerOn(1, "r000m000", "w1")
+	h.am.StartWorker(1, h.top.MachineID("r000m000"), "w1")
 	h.eng.Run(5 * sim.Second)
 	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint("r000m000")), h.net.Endpoint("app1"), protocol.WorkerStatus{
-		Machine: "r000m000", App: "app1", WorkerID: "w1", State: protocol.WorkerRunning, Seq: 1,
+		Machine: h.top.MachineID("r000m000"), App: "app1", WorkerID: "w1", State: protocol.WorkerRunning, Seq: 1,
 	})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	w := h.am.Worker("w1")
@@ -356,10 +356,10 @@ func TestPeriodicFullSync(t *testing.T) {
 
 func TestWorkerListRequestReplied(t *testing.T) {
 	h := newHarness(t, 0)
-	h.am.StartWorkerOn(1, "r000m000", "w1")
-	h.am.StartWorkerOn(1, "r000m000", "w2")
-	h.am.StartWorkerOn(1, "r000m001", "w3")
-	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint("r000m000")), h.net.Endpoint("app1"), protocol.WorkerListRequest{Machine: "r000m000", Seq: 1})
+	h.am.StartWorker(1, h.top.MachineID("r000m000"), "w1")
+	h.am.StartWorker(1, h.top.MachineID("r000m000"), "w2")
+	h.am.StartWorker(1, h.top.MachineID("r000m001"), "w3")
+	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint("r000m000")), h.net.Endpoint("app1"), protocol.WorkerListRequest{Machine: h.top.MachineID("r000m000"), Seq: 1})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	var reply *protocol.WorkerListReply
 	for _, m := range h.toAgent["r000m000"] {
@@ -426,8 +426,17 @@ func TestObtainedTotal(t *testing.T) {
 	if !h.am.ObtainedTotal().Equal(want) {
 		t.Errorf("obtained = %v, want %v", h.am.ObtainedTotal(), want)
 	}
-	ms := h.am.HeldMachines(1)
-	if len(ms) != 2 || ms[0] != "r000m000" || ms[1] != "r001m000" {
+	ms := heldMachines(h.am, 1)
+	if len(ms) != 2 || ms[0] != h.top.MachineID("r000m000") || ms[1] != h.top.MachineID("r001m000") {
 		t.Errorf("machines = %v", ms)
 	}
+}
+
+// heldMachines lists the machines HeldCells has rows for, in ledger order.
+func heldMachines(am *AM, unitID int) []int32 {
+	var out []int32
+	for _, c := range am.HeldCells(unitID) {
+		out = append(out, int32(c.Key))
+	}
+	return out
 }

@@ -43,8 +43,8 @@ func TestGrantGapTriggersEarlySync(t *testing.T) {
 	// Seq 2 is lost; seq 3 arrives. Its changes still apply, and a full sync
 	// goes out with the ledger already including them.
 	h.grant("r001m000", 3, 3)
-	if h.am.HeldOn(1, "r001m000") != 3 {
-		t.Errorf("gap-carrying grant not applied: held = %d, want 3", h.am.HeldOn(1, "r001m000"))
+	if h.am.Held(1, h.top.MachineID("r001m000")) != 3 {
+		t.Errorf("gap-carrying grant not applied: held = %d, want 3", h.am.Held(1, h.top.MachineID("r001m000")))
 	}
 	syncs := h.fullSyncs()
 	if len(syncs) != 1 {
@@ -118,11 +118,11 @@ func TestUnstampedGrantAfterAnEpochDropped(t *testing.T) {
 	}
 	grant("r000m000", 1, 1)
 	grant("r001m000", 0, 2)
-	if held := h.am.HeldOn(1, "r001m000"); held != 0 || len(h.grants) != 1 {
+	if held := h.am.Held(1, h.top.MachineID("r001m000")); held != 0 || len(h.grants) != 1 {
 		t.Fatalf("an epoch-0 grant after epoch 1 was booked: held %d, grant callbacks %v", held, h.grants)
 	}
 	grant("r001m001", 1, 2)
-	if held := h.am.HeldOn(1, "r001m001"); held != 2 {
+	if held := h.am.Held(1, h.top.MachineID("r001m001")); held != 2 {
 		t.Errorf("the epoch-1 grant after it: held %d, want 2", held)
 	}
 	if n := len(h.fullSyncs()); n != 0 {

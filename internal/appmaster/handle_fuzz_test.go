@@ -90,14 +90,18 @@ func (s *amScript) stamp(epoch *int, seq *uint64) (int, uint64) {
 // units come back in later runs, with zero and huge deltas, units the job never defined and machines
 // outside the topology, stamped in order, duplicated, past a gap, from a
 // deposed epoch or a promoted one; master hellos; unregister acks, before and
-// after the job unregistered; grant updates and acks sent, through the
+// after the job unregistered; worker statuses and worker-list requests from an
+// agent, and the job's own worker calls, about machines in and outside the
+// topology; grant updates and acks sent, through the
 // network, to the finished job whose endpoint slot this one reuses, which the
 // network must drop — interleaved with the job's own demand and returns and
 // idle stretches for its syncs and retries. The map-based
 // ledgers of the differential test (ledger_oracle_test.go) hear the same
 // traffic. After every step the AM must not have panicked, hold no negative
 // count, and hold the reference's containers and demand and have fired its
-// callbacks.
+// callbacks; the network must keep the endpoint slots it had at the start,
+// and a worker message about a machine outside the topology must fire no
+// callback and send no reply.
 func FuzzAMHandle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 3, 4, 0, 1, 2, 8, 5, 2, 0, 0, 2, 0x10, 3, 1, 0x31, 2})
@@ -108,6 +112,10 @@ func FuzzAMHandle(f *testing.F) {
 	// for app0 land while app1 demands, app1 is granted one container and
 	// unregisters, and the two land again.
 	f.Add([]byte{4, 0, 8, 5, 0xfe, 0, 0, 0, 0, 5, 0xfe, 1, 0, 4, 0, 0, 0, 0, 1, 5, 0xff, 5, 0xfe, 0, 0, 0, 0, 5, 0xfe, 1, 5, 10})
+	// Worker traffic: a worker started on machine 2, statuses and list
+	// requests about it and about machines -1 and 12 (outside), a stop by ID
+	// and by machine, before and after the job unregistered.
+	f.Add([]byte{3, 0xf2, 2, 1, 3, 0xf4, 2, 1, 3, 0xf1, 2, 0, 3, 0xf0, 0x0f, 1, 3, 0xf1, 0x1f, 0, 3, 0xf3, 2, 1, 3, 0xf3, 0x2f, 2, 5, 0xff, 3, 0xf1, 2, 0, 3, 0xf0, 2, 1})
 	f.Fuzz(runAMScript)
 }
 
@@ -123,17 +131,24 @@ func runAMScript(t *testing.T, data []byte) {
 	}
 	n := top.Size()
 	master := net.Register(protocol.MasterEndpoint, func(transport.EndpointID, transport.Message) {})
+	agents := make([]transport.EndpointID, n)
+	for m := range agents {
+		agents[m] = net.Register(protocol.AgentEndpoint(top.MachineName(int32(m))), func(transport.EndpointID, transport.Message) {})
+	}
 	// app0 finished before app1 started: its retired endpoint slot is app1's.
 	net.Register("app0", func(transport.EndpointID, transport.Message) {})
 	prev := net.Lookup("app0")
 	net.Retire(net.Lookup("app0"))
 	ref := &mapLedgers{app: "app1", units: scriptUnits, top: top}
 	var events []string
+	statuses := 0
 	am := New(Config{App: "app1", Units: scriptUnits, FullSyncInterval: 2 * sim.Second}, eng, net, top, cbFuncs{
 		Grant:  func(u int, m int32, c int) { events = append(events, fmt.Sprintf("grant u%d m%d x%d", u, m, c)) },
 		Revoke: func(u int, m int32, c int) { events = append(events, fmt.Sprintf("revoke u%d m%d x%d", u, m, c)) },
+		Worker: func(protocol.WorkerStatus) { statuses++ },
 	})
 	eng.Run(sim.Millisecond)
+	slots, _ := net.Footprint()
 	if net.Lookup("app1").Slot() != prev.Slot() {
 		t.Fatalf("app1 on slot %d, app0 had %d", net.Lookup("app1").Slot(), prev.Slot())
 	}
@@ -183,9 +198,43 @@ func runAMScript(t *testing.T, data []byte) {
 			}
 			deliver(protocol.MasterHello{Epoch: e})
 		case 3:
-			what = "unregister ack"
-			s.next() // spare: op encodings only grow, so committed inputs keep their meaning
-			deliver(&protocol.UnregisterAck{App: "app1", Epoch: epoch})
+			c := s.next()
+			if c < 0xf0 {
+				what = "unregister ack"
+				deliver(&protocol.UnregisterAck{App: "app1", Epoch: epoch})
+				break
+			}
+			// Worker-plane traffic about a machine in or outside the topology
+			// (a sub-choice of the ack's spare byte, so that the op bytes of
+			// older inputs keep their meaning).
+			mc, w := s.machine(n), fmt.Sprintf("w%d", s.next()%4)
+			held := mc >= 0 && int(mc) < n
+			sent, before := net.Stats().Sent, statuses
+			switch c & 3 {
+			case 0:
+				what = "worker status"
+				am.handle(agents[0], protocol.WorkerStatus{Machine: mc, App: "app1", WorkerID: w, State: protocol.WorkerState(c >> 2 & 3)})
+				if fired := statuses > before; fired != (held && !am.Stopped()) {
+					t.Fatalf("step %d: status about machine %d fired OnWorker %v", step, mc, fired)
+				}
+			case 1:
+				what = "worker list request"
+				am.handle(agents[0], protocol.WorkerListRequest{Machine: mc})
+				if replied := net.Stats().Sent > sent; replied != (held && !am.Stopped()) {
+					t.Fatalf("step %d: request about machine %d replied %v", step, mc, replied)
+				}
+			case 2:
+				what = "start worker"
+				am.StartWorker(scriptUnits[0].ID, mc, w)
+			default:
+				what = "stop worker"
+				am.StopWorker(w) // the worker's own machine, if it is tracked
+				sent = net.Stats().Sent
+				am.StopWorkerOn(mc, w)
+			}
+			if !held && net.Stats().Sent != sent {
+				t.Fatalf("step %d (%s): machine %d outside the topology sent a message", step, what, mc)
+			}
 		case 4:
 			what = "job"
 			u, c := s.unit(), s.next()
@@ -235,6 +284,9 @@ func runAMScript(t *testing.T, data []byte) {
 			ref.held, ref.outstanding = nil, nil
 		}
 		label := fmt.Sprintf("step %d (%s)", step, what)
+		if now, _ := net.Footprint(); now != slots {
+			t.Fatalf("%s: endpoint slots %d -> %d", label, slots, now)
+		}
 		if fmt.Sprint(events) != fmt.Sprint(ref.events) {
 			t.Fatalf("%s: callbacks %v, reference %v", label, events, ref.events)
 		}

@@ -497,14 +497,14 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 			var obtained resource.Vector
 			for _, u := range units {
 				heldTotal, outTotal := 0, 0
-				var on []string
+				var on []int32
 				for id := int32(0); id < int32(len(machines)); id++ {
 					want := ref.held[makeHeldKey(u.ID, id)]
-					if h := am.Held(u.ID, id); h != want || am.HeldOn(u.ID, machines[id]) != want {
+					if h := am.Held(u.ID, id); h != want {
 						t.Fatalf("seed %d op %d: Held(%d, %d) = %d, oracle %d", seed, op, u.ID, id, h, want)
 					}
 					if want > 0 {
-						on = append(on, machines[id])
+						on = append(on, id)
 					}
 					heldTotal += want
 				}
@@ -515,8 +515,8 @@ func ledgersMatchMapOracle(t *testing.T, units []resource.ScheduleUnit) {
 					t.Fatalf("seed %d op %d unit %d: HeldTotal %d Outstanding %d, oracle %d %d",
 						seed, op, u.ID, am.HeldTotal(u.ID), am.Outstanding(u.ID), heldTotal, outTotal)
 				}
-				if hm := am.HeldMachines(u.ID); !reflect.DeepEqual(hm, on) {
-					t.Fatalf("seed %d op %d unit %d: HeldMachines %v, oracle %v", seed, op, u.ID, hm, on)
+				if hm := heldMachines(am, u.ID); !reflect.DeepEqual(hm, on) {
+					t.Fatalf("seed %d op %d unit %d: held machines %v, oracle %v", seed, op, u.ID, hm, on)
 				}
 				obtained = obtained.Add(u.Size.Scale(int64(heldTotal)))
 			}

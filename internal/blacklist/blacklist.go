@@ -27,35 +27,36 @@ const (
 	maxPerTask = 20
 )
 
-// MultiLevel tracks failure marks for one job.
+// MultiLevel tracks failure marks for one job. Machines are dense topology
+// IDs.
 type MultiLevel struct {
 	// marks[task][machine] = set of instance IDs that failed there.
-	marks map[string]map[string]map[int]bool
+	marks map[string]map[int32]map[int]bool
 	// taskBlack[task] = machines the task refuses.
-	taskBlack map[string]map[string]bool
+	taskBlack map[string]map[int32]bool
 	// jobBlack = machines the whole job refuses.
-	jobBlack map[string]bool
+	jobBlack map[int32]bool
 	// escalated marks job-level machines already reported upstream.
-	escalated map[string]bool
+	escalated map[int32]bool
 }
 
 // New returns an empty tracker.
 func New() *MultiLevel {
 	return &MultiLevel{
-		marks:     make(map[string]map[string]map[int]bool),
-		taskBlack: make(map[string]map[string]bool),
-		jobBlack:  make(map[string]bool),
-		escalated: make(map[string]bool),
+		marks:     make(map[string]map[int32]map[int]bool),
+		taskBlack: make(map[string]map[int32]bool),
+		jobBlack:  make(map[int32]bool),
+		escalated: make(map[int32]bool),
 	}
 }
 
 // RecordFailure notes that instance of task failed on machine. It returns
 // true when this record newly escalated the machine to the job level (the
 // caller should consider reporting it to FuxiMaster).
-func (b *MultiLevel) RecordFailure(task string, instance int, machine string) bool {
+func (b *MultiLevel) RecordFailure(task string, instance int, machine int32) bool {
 	byMachine := b.marks[task]
 	if byMachine == nil {
-		byMachine = make(map[string]map[int]bool)
+		byMachine = make(map[int32]map[int]bool)
 		b.marks[task] = byMachine
 	}
 	insts := byMachine[machine]
@@ -69,7 +70,7 @@ func (b *MultiLevel) RecordFailure(task string, instance int, machine string) bo
 	if len(insts) >= instanceThreshold && !b.taskBlack[task][machine] {
 		tb := b.taskBlack[task]
 		if tb == nil {
-			tb = make(map[string]bool)
+			tb = make(map[int32]bool)
 			b.taskBlack[task] = tb
 		}
 		if len(tb) < maxPerTask {
@@ -98,12 +99,12 @@ func (b *MultiLevel) RecordFailure(task string, instance int, machine string) bo
 
 // TaskBlacklisted reports whether task refuses machine (job-level bans
 // apply to every task).
-func (b *MultiLevel) TaskBlacklisted(task, machine string) bool {
+func (b *MultiLevel) TaskBlacklisted(task string, machine int32) bool {
 	return b.jobBlack[machine] || b.taskBlack[task][machine]
 }
 
 // JobBlacklisted reports whether the whole job refuses machine.
-func (b *MultiLevel) JobBlacklisted(machine string) bool { return b.jobBlack[machine] }
+func (b *MultiLevel) JobBlacklisted(machine int32) bool { return b.jobBlack[machine] }
 
 // TaskBlacklist returns the number of machines task refuses (excluding
 // job-level entries).
@@ -114,7 +115,7 @@ func (b *MultiLevel) JobBlacklist() int { return len(b.jobBlack) }
 
 // Forgive clears a machine everywhere — used when an administrator repairs
 // a node or detection proved temporary.
-func (b *MultiLevel) Forgive(machine string) {
+func (b *MultiLevel) Forgive(machine int32) {
 	delete(b.jobBlack, machine)
 	delete(b.escalated, machine)
 	for _, tb := range b.taskBlack {

@@ -105,7 +105,7 @@ func TestReturnTriggersReassignment(t *testing.T) {
 	if got2 != 0 {
 		t.Fatalf("app2 granted %d from a full cluster", got2)
 	}
-	am1.ReturnContainersOn(1, "r000m000", 3)
+	am1.ReturnContainers(1, c.Top.MachineID("r000m000"), 3)
 	c.Run(sim.Second)
 	if got2 != 3 {
 		t.Fatalf("app2 granted %d after return, want 3", got2)
@@ -183,7 +183,7 @@ func TestMasterFailoverServesQueuedDemand(t *testing.T) {
 	c.KillPrimaryMaster()
 	c.Run(10 * sim.Second)
 	// Free the machine: the new master must grant the queued remainder.
-	am.ReturnContainersOn(1, "r000m000", 12)
+	am.ReturnContainers(1, c.Top.MachineID("r000m000"), 12)
 	c.Run(5 * sim.Second)
 	if am.HeldTotal(1) != 8 {
 		t.Errorf("held = %d after failover+return, want 8 (queued remainder)", am.HeldTotal(1))
@@ -193,11 +193,10 @@ func TestMasterFailoverServesQueuedDemand(t *testing.T) {
 func TestNodeDownDetectedAndRevoked(t *testing.T) {
 	c := newCluster(t, Config{Racks: 1, MachinesPerRack: 2, Seed: 6})
 	revoked := map[string]int{}
-	var am *appmaster.AM
-	am = c.NewAppMaster(appmaster.Config{
+	am := c.NewAppMaster(appmaster.Config{
 		App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 24)},
 	}, cbFuncs{
-		Revoke: func(_ int, machine int32, n int) { revoked[am.MachineName(machine)] += n },
+		Revoke: func(_ int, machine int32, n int) { revoked[c.Top.MachineName(machine)] += n },
 	})
 	c.Run(100 * sim.Millisecond)
 	am.Request(1, clusterHint(24))
@@ -241,7 +240,7 @@ func TestHealthScoreBlacklisting(t *testing.T) {
 	c.Run(100 * sim.Millisecond)
 	am.Request(1, clusterHint(24))
 	c.Run(sim.Second)
-	if am.HeldOn(1, "r000m000") != 0 {
+	if am.Held(1, c.Top.MachineID("r000m000")) != 0 {
 		t.Error("grant on blacklisted machine")
 	}
 	if am.HeldTotal(1) != 12 {
@@ -263,12 +262,12 @@ func TestBadMachineVotesBlacklist(t *testing.T) {
 	am1 := c.NewAppMaster(appmaster.Config{App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 1)}}, appmaster.NoCallbacks{})
 	am2 := c.NewAppMaster(appmaster.Config{App: "app2", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 1)}}, appmaster.NoCallbacks{})
 	c.Run(100 * sim.Millisecond)
-	am1.ReportBadMachine("r000m001")
+	am1.ReportBadMachine(c.Top.MachineID("r000m001"))
 	c.Run(sim.Second)
 	if c.Scheduler().Blacklisted("r000m001") {
 		t.Fatal("single vote blacklisted the machine")
 	}
-	am2.ReportBadMachine("r000m001")
+	am2.ReportBadMachine(c.Top.MachineID("r000m001"))
 	c.Run(sim.Second)
 	if !c.Scheduler().Blacklisted("r000m001") {
 		t.Fatal("two distinct app votes did not blacklist")

@@ -182,21 +182,23 @@ func TestJobMasterIncarnationsMintDistinctWorkerIDs(t *testing.T) {
 
 func TestSlowdownHelpers(t *testing.T) {
 	c := newCluster(t, Config{Racks: 1, MachinesPerRack: 1, Seed: 65})
-	if c.Slowdown("r000m000") != 1 {
+	if c.Slowdown(0) != 1 {
 		t.Error("default slowdown != 1")
 	}
 	c.Faults.Fire(faults.Fault{Kind: faults.SlowMachine, Targets: []int32{0}, Factor: 4, For: sim.Second})
-	if c.Slowdown("r000m000") != 4 {
+	if c.Slowdown(0) != 4 {
 		t.Error("slowdown not applied")
 	}
 	c.Run(2 * sim.Second) // the window closes
-	if c.Slowdown("r000m000") != 1 {
+	if c.Slowdown(0) != 1 {
 		t.Error("slowdown not cleared")
 	}
-	if c.Slowdown("ghost-machine") != 1 {
-		t.Error("unknown machine slowed")
-	}
-	if c.ProcAlive("ghost-machine", "w") {
-		t.Error("unknown machine alive")
+	for _, ghost := range []int32{-1, int32(c.Top.Size())} {
+		if c.Slowdown(ghost) != 1 {
+			t.Errorf("machine %d outside the topology slowed", ghost)
+		}
+		if c.ProcAlive(ghost, "w") {
+			t.Errorf("machine %d outside the topology alive", ghost)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/job"
+	"repro/internal/resource"
 	"repro/internal/sim"
 )
 
@@ -13,18 +14,19 @@ import (
 // ProcAlive reports whether a worker process is running on machine. A
 // daemon-down machine still runs its processes, a machine-down one does not:
 // the agent's process table tracks the distinction.
-func (c *Cluster) ProcAlive(machine, workerID string) bool {
-	a := c.Agent(machine)
-	return a != nil && a.Proc(workerID) != nil
+func (c *Cluster) ProcAlive(machine int32, workerID string) bool {
+	return c.holds(machine) && c.Agents[machine].Proc(workerID) != nil
 }
 
 // Slowdown returns machine's execution-time multiplier (SlowMachine fault).
-func (c *Cluster) Slowdown(machine string) float64 {
-	if id := c.Top.MachineID(machine); id >= 0 {
-		return c.Faults.Slowdown(id)
+func (c *Cluster) Slowdown(machine int32) float64 {
+	if c.holds(machine) {
+		return c.Faults.Slowdown(machine)
 	}
 	return 1
 }
+
+func (c *Cluster) holds(machine int32) bool { return c.Top.Holds(resource.LocalityMachine, machine) }
 
 // JobHandle tracks one submitted job across JobMaster incarnations.
 type JobHandle struct {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/protocol"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // mapReduceDesc builds a two-stage map/reduce-shaped job description with an
@@ -345,5 +346,45 @@ func TestLastInstancesLeaveABadMachine(t *testing.T) {
 	}
 	if crashes == 0 {
 		t.Fatal("no worker ever ran on the bad machine: the scenario tested nothing")
+	}
+}
+
+// TestInstanceReportOutsideTopologyDroppedWhole: the JobMaster drops a
+// worker's report naming a machine the topology does not hold before it
+// touches a task: a completion completes no instance, and an idle report from
+// a worker it does not know reaps nothing and interns no agent endpoint. The
+// same reports about a machine of the topology are applied.
+func TestInstanceReportOutsideTopologyDroppedWhole(t *testing.T) {
+	c := newCluster(t, Config{Racks: 1, MachinesPerRack: 2, Seed: 31})
+	h, err := c.SubmitJob(mapReduceDesc(t, c, "mr", 2, 1, 60_000), JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(5 * sim.Second)
+	app, from := c.Net.Lookup("mr"), c.Net.Endpoint("probe")
+	slots, _ := c.Net.Footprint()
+	stops := 0
+	c.Net.Tap = func(from, _ string, msg transport.Message) {
+		if _, ok := msg.(protocol.StopWorker); ok && from == "mr" {
+			stops++
+		}
+	}
+	report := func(m int32) {
+		c.Net.SendID(from, app, job.InstanceReport{Worker: "mr-g0-w00001", Machine: m, Task: "map", Instance: 0, Done: true})
+		c.Net.SendID(from, app, job.InstanceReport{Worker: "orphan", Machine: m, Task: "map", Idle: true})
+		c.Run(10 * sim.Millisecond)
+	}
+	for _, m := range []int32{-1, int32(c.Top.Size()), 1 << 20} {
+		report(m)
+	}
+	if done, _ := h.JM.TaskProgress("map"); done != 0 || stops != 0 {
+		t.Errorf("reports outside the topology: %d instances done, %d stops sent", done, stops)
+	}
+	if after, _ := c.Net.Footprint(); after != slots {
+		t.Errorf("endpoint slots %d -> %d", slots, after)
+	}
+	report(0)
+	if done, _ := h.JM.TaskProgress("map"); done != 1 || stops != 1 {
+		t.Errorf("reports about machine 0: %d instances done, %d stops sent, want 1 and 1", done, stops)
 	}
 }

@@ -83,8 +83,8 @@ func TestApplyInjectsAllKinds(t *testing.T) {
 				t.Errorf("%s not broken", name)
 			}
 		case faults.SlowMachine:
-			if c.Slowdown(name) != 5 {
-				t.Errorf("%s slowdown = %v", name, c.Slowdown(name))
+			if c.Slowdown(f.Targets[0]) != 5 {
+				t.Errorf("%s slowdown = %v", name, c.Slowdown(f.Targets[0]))
 			}
 		}
 	}

@@ -101,7 +101,7 @@ func TestInjectorTable(t *testing.T) {
 			}
 			observe := func() state {
 				s := state{
-					up: c.Agent(m).Up(), broken: in.Broken(1), slow: c.Slowdown(m),
+					up: c.Agent(m).Up(), broken: in.Broken(1), slow: c.Slowdown(1),
 					partitioned: c.Net.Partitioned(), primary: -1,
 					lock: [2]bool{in.LockReachable(0), in.LockReachable(1)},
 				}

@@ -79,6 +79,7 @@ type JobMaster struct {
 	cfg Config
 	eng *sim.Engine
 	net *transport.Net
+	top *topology.Topology
 	am  *appmaster.AM
 	rt  *Runtime
 
@@ -142,7 +143,7 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology
 	order, _ := cfg.Desc.TopologicalOrder()
 
 	j := &JobMaster{
-		cfg: cfg, eng: eng, net: net, rt: cfg.Rt,
+		cfg: cfg, eng: eng, net: net, top: top, rt: cfg.Rt,
 		store:      cfg.Store,
 		generation: cfg.Store.incarnations,
 		black:      blacklist.New(),
@@ -295,9 +296,8 @@ func (j *JobMaster) finish() {
 
 // amEvents is the JobMaster as its application master sees it: the
 // appmaster.Callbacks implementation, kept off JobMaster's own method set.
-// The resource protocol carries dense machine IDs; the job layer (blacklists,
-// locality indexes, worker runtime) speaks names, so convert once at this
-// boundary.
+// The job layer names machines by the same dense IDs the resource protocol
+// carries, so the events pass straight through.
 type amEvents JobMaster
 
 func (e *amEvents) OnGrant(unitID int, machine int32, count int) {
@@ -305,7 +305,7 @@ func (e *amEvents) OnGrant(unitID int, machine int32, count int) {
 	if j.cfg.Observer != nil {
 		j.cfg.Observer.OnGrant(unitID, machine, count)
 	}
-	j.onGrant(unitID, j.am.MachineName(machine), count)
+	j.onGrant(unitID, machine, count)
 }
 
 func (e *amEvents) OnRevoke(unitID int, machine int32, count int) {
@@ -313,13 +313,13 @@ func (e *amEvents) OnRevoke(unitID int, machine int32, count int) {
 	if j.cfg.Observer != nil {
 		j.cfg.Observer.OnRevoke(unitID, machine, count)
 	}
-	j.onRevoke(unitID, j.am.MachineName(machine), count)
+	j.onRevoke(unitID, machine, count)
 }
 
 func (e *amEvents) OnWorker(s protocol.WorkerStatus) { (*JobMaster)(e).onWorker(s) }
 func (e *amEvents) OnMessage(from string, msg any)   { (*JobMaster)(e).onMessage(from, msg) }
 
-func (j *JobMaster) onGrant(unitID int, machine string, count int) {
+func (j *JobMaster) onGrant(unitID int, machine int32, count int) {
 	if j.recovering {
 		return // ledger only; workers reconciled at finishRecovery
 	}
@@ -328,11 +328,11 @@ func (j *JobMaster) onGrant(unitID int, machine string, count int) {
 		tm.grantArrived(machine, count)
 	} else {
 		// Grant for a task no longer running.
-		j.am.ReturnContainersOn(unitID, machine, count)
+		j.am.ReturnContainers(unitID, machine, count)
 	}
 }
 
-func (j *JobMaster) onRevoke(unitID int, machine string, count int) {
+func (j *JobMaster) onRevoke(unitID int, machine int32, count int) {
 	if tm := j.tms[j.taskOf[unitID]]; tm != nil {
 		tm.revoked(machine, count)
 	}
@@ -363,7 +363,9 @@ func (j *JobMaster) onWorker(s protocol.WorkerStatus) {
 
 func (j *JobMaster) onMessage(from string, msg any) {
 	r, ok := msg.(InstanceReport)
-	if !ok {
+	// A report from a machine outside the topology is dropped whole, before
+	// any task, worker or snapshot state changes.
+	if !ok || !j.top.Holds(resource.LocalityMachine, r.Machine) {
 		return
 	}
 	if r.Idle {

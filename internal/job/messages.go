@@ -31,7 +31,7 @@ type KillInstance struct {
 // including execution progresses to the TaskMasters" (paper §4.2).
 type InstanceReport struct {
 	Worker   string
-	Machine  string
+	Machine  int32 // dense machine ID
 	Task     string
 	Instance int
 	Attempt  int

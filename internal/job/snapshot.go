@@ -32,9 +32,10 @@ type InstanceSnap struct {
 	State   InstanceState
 	Worker  string
 	Attempt int
-	// Machine is where a done instance finished: its output, which
-	// downstream tasks read, is there.
-	Machine string
+	// Machine is the dense ID of the machine a done instance finished on: its
+	// output, which downstream tasks read, is there. It is read only when
+	// State is InstanceDone.
+	Machine int32
 }
 
 // TaskSnap is one task's snapshot.

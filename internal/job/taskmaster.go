@@ -23,9 +23,9 @@ type instance struct {
 	// confirmed distinguishes snapshot-restored "running" instances whose
 	// worker has not reported yet during JobMaster failover.
 	confirmed bool
-	// locations are machines holding the instance's input chunk (locality
-	// preference a) of the paper's instance scheduler).
-	locations []string
+	// locations are the machines (dense IDs) holding the instance's input
+	// chunk (locality preference a) of the paper's instance scheduler).
+	locations []int32
 	// duration is this instance's execution time: the task's DurationMS
 	// with the per-instance jitter applied once (it models the partition's
 	// data volume, so retries and backups use the same value).
@@ -33,7 +33,7 @@ type instance struct {
 	// failedOn lists the machines this instance failed on: the bottom level
 	// of the multi-level blacklist, which keeps the instance off them while
 	// the task has a worker elsewhere (see avoids).
-	failedOn []string
+	failedOn []int32
 }
 
 // tmWorkerState tracks a worker from the TaskMaster's perspective.
@@ -47,7 +47,7 @@ const (
 
 type tmWorker struct {
 	id       string
-	machine  string
+	machine  int32
 	state    tmWorkerState
 	instance int // busy: which instance (primary or backup); else -1
 	// plannedAt bounds how long a worker may stay in workerStarting: a
@@ -70,7 +70,7 @@ type taskMaster struct {
 	// "will be scheduled to the worker with the most local input data"
 	// in O(1) (scheduling scans only unassigned instances, §4.4 point c).
 	pendingQ []int
-	localIdx map[string][]int
+	localIdx map[int32][]int
 
 	workers   map[string]*tmWorker
 	doneCount int
@@ -87,7 +87,7 @@ func newTaskMaster(jm *JobMaster, name string, unitID int, spec TaskSpec) *taskM
 	tm := &taskMaster{
 		jm: jm, name: name, spec: spec, unitID: unitID,
 		workers:  make(map[string]*tmWorker),
-		localIdx: make(map[string][]int),
+		localIdx: make(map[int32][]int),
 		started:  jm.eng.Now(),
 	}
 	tm.instances = make([]*instance, spec.Instances)
@@ -136,8 +136,8 @@ func (tm *taskMaster) computeLocality() {
 			continue
 		}
 		for i, in := range tm.instances {
-			if m := snap.Instances[i%len(snap.Instances)].Machine; m != "" {
-				in.locations = append(in.locations, m)
+			if s := snap.Instances[i%len(snap.Instances)]; s.State == InstanceDone {
+				in.locations = append(in.locations, s.Machine)
 			}
 		}
 	}
@@ -176,14 +176,10 @@ func (tm *taskMaster) requestWorkers(n int) {
 		}
 		in := tm.instances[id]
 		for _, m := range in.locations {
-			// Locations are machine names (input replicas, upstream outputs);
-			// demand names its machine by ID, and a name outside the topology
-			// is no preference at all.
-			mc := tm.jm.am.MachineID(m)
-			if mc < 0 || tm.jm.black.TaskBlacklisted(tm.name, m) {
+			if tm.jm.black.TaskBlacklisted(tm.name, m) {
 				continue
 			}
-			perMachine[mc]++
+			perMachine[m]++
 			hinted++
 			break
 		}
@@ -245,7 +241,7 @@ func (tm *taskMaster) nextFor(w *tmWorker) *instance {
 // blacklists a machine only once three distinct instances failed on it, so
 // without this rule its last one or two instances could fail on the same
 // machine forever.
-func (tm *taskMaster) avoids(in *instance, machine string) bool {
+func (tm *taskMaster) avoids(in *instance, machine int32) bool {
 	if !slices.Contains(in.failedOn, machine) {
 		return false
 	}
@@ -268,7 +264,7 @@ func (tm *taskMaster) assignNext(w *tmWorker) {
 		// backup races): retire the container and ask for one elsewhere.
 		delete(tm.workers, w.id)
 		tm.jm.am.StopWorker(w.id)
-		tm.jm.am.ReturnContainersOn(tm.unitID, w.machine, 1)
+		tm.jm.am.ReturnContainers(tm.unitID, w.machine, 1)
 		if tm.remainingWork() > 0 {
 			tm.requestWorkers(1)
 		}
@@ -292,16 +288,16 @@ func (tm *taskMaster) assignNext(w *tmWorker) {
 }
 
 // grantArrived reacts to count new containers on machine.
-func (tm *taskMaster) grantArrived(machine string, count int) {
+func (tm *taskMaster) grantArrived(machine int32, count int) {
 	if tm.completed {
 		// Late grant for a finished task: hand it straight back.
-		tm.jm.am.ReturnContainersOn(tm.unitID, machine, count)
+		tm.jm.am.ReturnContainers(tm.unitID, machine, count)
 		return
 	}
 	for i := 0; i < count; i++ {
 		id := tm.jm.nextWorkerID()
 		tm.workers[id] = &tmWorker{id: id, machine: machine, state: workerStarting, instance: -1, plannedAt: tm.jm.eng.Now()}
-		tm.jm.am.StartWorkerOn(tm.unitID, machine, id)
+		tm.jm.am.StartWorker(tm.unitID, machine, id)
 	}
 }
 
@@ -334,7 +330,7 @@ func (tm *taskMaster) workersByID(keep func(*tmWorker) bool) []*tmWorker {
 }
 
 // workerRunning handles the first Running status of a worker.
-func (tm *taskMaster) workerRunning(id, machine string) {
+func (tm *taskMaster) workerRunning(id string, machine int32) {
 	w := tm.workers[id]
 	if w == nil {
 		return
@@ -348,7 +344,7 @@ func (tm *taskMaster) workerRunning(id, machine string) {
 
 // workerFailed handles a worker death: requeue its instance, record the
 // failure for blacklisting, and recover the container.
-func (tm *taskMaster) workerFailed(id, machine, detail string) {
+func (tm *taskMaster) workerFailed(id string, machine int32, detail string) {
 	w := tm.workers[id]
 	if w == nil {
 		return
@@ -376,9 +372,9 @@ func (tm *taskMaster) workerFailed(id, machine, detail string) {
 	// Container recovery: the master's ledger may still hold the container
 	// on that machine (process death does not revoke a grant). Reuse it
 	// unless the machine is now blacklisted for this task.
-	if tm.jm.am.HeldOn(tm.unitID, machine) > tm.workersOn(machine) {
+	if tm.jm.am.Held(tm.unitID, machine) > tm.workersOn(machine) {
 		if tm.jm.black.TaskBlacklisted(tm.name, machine) {
-			tm.jm.am.ReturnContainersOn(tm.unitID, machine, 1)
+			tm.jm.am.ReturnContainers(tm.unitID, machine, 1)
 			tm.requestWorkers(1)
 		} else {
 			tm.grantArrived(machine, 1)
@@ -388,10 +384,7 @@ func (tm *taskMaster) workerFailed(id, machine, detail string) {
 
 // failureOn records an instance failure on machine, escalating through the
 // multi-level blacklist; a job-level escalation is reported to FuxiMaster.
-func (tm *taskMaster) failureOn(in *instance, machine string) {
-	if machine == "" {
-		return
-	}
+func (tm *taskMaster) failureOn(in *instance, machine int32) {
 	if !slices.Contains(in.failedOn, machine) {
 		in.failedOn = append(in.failedOn, machine)
 	}
@@ -402,7 +395,7 @@ func (tm *taskMaster) failureOn(in *instance, machine string) {
 
 // revoked handles the master revoking count containers on machine (node
 // down, preemption, blacklist): workers there are lost.
-func (tm *taskMaster) revoked(machine string, count int) {
+func (tm *taskMaster) revoked(machine int32, count int) {
 	// Lose the highest IDs first — the most recently planned — mirroring
 	// the agent's capacity enforcement.
 	on := tm.workersByID(func(w *tmWorker) bool { return w.machine == machine })
@@ -435,7 +428,7 @@ func (tm *taskMaster) release(w *tmWorker) {
 	}
 }
 
-func (tm *taskMaster) workersOn(machine string) int {
+func (tm *taskMaster) workersOn(machine int32) int {
 	n := 0
 	for _, w := range tm.workers {
 		if w.machine == machine {
@@ -615,19 +608,19 @@ func (tm *taskMaster) scanBackups() {
 // leftover demand, unblock downstream tasks.
 func (tm *taskMaster) complete() {
 	tm.completed = true
-	perMachine := map[string]int{}
+	perMachine := map[int32]int{}
 	for _, w := range tm.workersByID(func(*tmWorker) bool { return true }) {
 		tm.jm.am.StopWorker(w.id)
 		perMachine[w.machine]++
 		delete(tm.workers, w.id)
 	}
-	machines := make([]string, 0, len(perMachine))
+	machines := make([]int32, 0, len(perMachine))
 	for m := range perMachine {
 		machines = append(machines, m)
 	}
-	sort.Strings(machines)
+	slices.Sort(machines)
 	for _, m := range machines {
-		tm.jm.am.ReturnContainersOn(tm.unitID, m, perMachine[m])
+		tm.jm.am.ReturnContainers(tm.unitID, m, perMachine[m])
 	}
 	if out := tm.jm.am.Outstanding(tm.unitID); out > 0 {
 		tm.jm.am.Request(tm.unitID, resource.LocalityHint{Type: resource.LocalityCluster, Count: -out})
@@ -676,8 +669,11 @@ func (tm *taskMaster) finishRecovery() {
 		}
 	}
 	// Top up workers to the container ledger and demand to the target.
-	for _, m := range tm.jm.am.HeldMachines(tm.unitID) {
-		if extra := tm.jm.am.HeldOn(tm.unitID, m) - tm.workersOn(m); extra > 0 {
+	// Starting workers leaves the ledger as it is, so its rows are read in
+	// place.
+	for _, c := range tm.jm.am.HeldCells(tm.unitID) {
+		m := int32(c.Key)
+		if extra := c.Val - tm.workersOn(m); extra > 0 {
 			tm.grantArrived(m, extra)
 		}
 	}
@@ -692,7 +688,7 @@ func (tm *taskMaster) finishRecovery() {
 }
 
 // adoptWorker registers a worker discovered through failover reports.
-func (tm *taskMaster) adoptWorker(id, machine string) *tmWorker {
+func (tm *taskMaster) adoptWorker(id string, machine int32) *tmWorker {
 	w := tm.workers[id]
 	if w == nil {
 		w = &tmWorker{id: id, machine: machine, state: workerIdle, instance: -1}

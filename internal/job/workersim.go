@@ -7,13 +7,14 @@ import (
 
 // Env abstracts the cluster ground truth TaskWorkers execute against: which
 // processes are actually alive (the agents' process tables) and how slow
-// each machine currently is (SlowMachine fault injection).
+// each machine currently is (SlowMachine fault injection). Machines are
+// dense topology IDs.
 type Env interface {
 	// ProcAlive reports whether workerID's process is running on machine.
-	ProcAlive(machine, workerID string) bool
+	ProcAlive(machine int32, workerID string) bool
 	// Slowdown returns the execution-time multiplier of machine (1 =
 	// healthy).
-	Slowdown(machine string) float64
+	Slowdown(machine int32) float64
 }
 
 // WorkerEndpoint names a TaskWorker's transport endpoint.
@@ -55,7 +56,7 @@ func NewRuntime(eng *sim.Engine, net *transport.Net, env Env, app string, report
 
 // Ensure returns the WorkerSim for workerID, creating (and wiring) it on
 // first sight.
-func (r *Runtime) Ensure(workerID, machine string) *WorkerSim {
+func (r *Runtime) Ensure(workerID string, machine int32) *WorkerSim {
 	if w, ok := r.workers[workerID]; ok {
 		return w
 	}
@@ -123,7 +124,7 @@ type WorkerSim struct {
 	rt      *Runtime
 	ep      transport.EndpointID
 	ID      string
-	Machine string
+	Machine int32 // dense machine ID
 	// Task records which task owns this worker so that idle reports stay
 	// attributable after a JobMaster failover.
 	Task string

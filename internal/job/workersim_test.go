@@ -12,15 +12,18 @@ import (
 // fakeEnv is a scriptable cluster ground truth.
 type fakeEnv struct {
 	dead map[string]bool
-	slow map[string]float64
+	slow map[int32]float64
 }
 
 func newFakeEnv() *fakeEnv {
-	return &fakeEnv{dead: map[string]bool{}, slow: map[string]float64{}}
+	return &fakeEnv{dead: map[string]bool{}, slow: map[int32]float64{}}
 }
 
-func (e *fakeEnv) ProcAlive(machine, workerID string) bool { return !e.dead[workerID] }
-func (e *fakeEnv) Slowdown(machine string) float64 {
+// m1 is the machine the tests' workers run on.
+const m1 int32 = 1
+
+func (e *fakeEnv) ProcAlive(machine int32, workerID string) bool { return !e.dead[workerID] }
+func (e *fakeEnv) Slowdown(machine int32) float64 {
 	if f, ok := e.slow[machine]; ok {
 		return f
 	}
@@ -68,7 +71,7 @@ func (h *wsHarness) doneReports() []InstanceReport {
 
 func TestWorkerExecutesAndReports(t *testing.T) {
 	h := newWSHarness(t)
-	h.rt.Ensure("w1", "m1")
+	h.rt.Ensure("w1", m1)
 	h.assign("w1", 7, 0, 2*sim.Second)
 	h.eng.Run(h.eng.Now() + 3*sim.Second)
 	done := h.doneReports()
@@ -79,8 +82,8 @@ func TestWorkerExecutesAndReports(t *testing.T) {
 
 func TestWorkerSlowdownStretchesExecution(t *testing.T) {
 	h := newWSHarness(t)
-	h.env.slow["m1"] = 5
-	h.rt.Ensure("w1", "m1")
+	h.env.slow[m1] = 5
+	h.rt.Ensure("w1", m1)
 	h.assign("w1", 1, 0, 2*sim.Second)
 	h.eng.Run(h.eng.Now() + 3*sim.Second)
 	if len(h.doneReports()) != 0 {
@@ -94,7 +97,7 @@ func TestWorkerSlowdownStretchesExecution(t *testing.T) {
 
 func TestWorkerPeriodicProgressAndIdleReports(t *testing.T) {
 	h := newWSHarness(t)
-	w := h.rt.Ensure("w1", "m1")
+	w := h.rt.Ensure("w1", m1)
 	w.Task = "T"
 	h.eng.Run(h.eng.Now() + 2500*sim.Millisecond)
 	idle := 0
@@ -131,7 +134,7 @@ func TestWorkerPeriodicProgressAndIdleReports(t *testing.T) {
 
 func TestDeadWorkerNeitherCompletesNorReports(t *testing.T) {
 	h := newWSHarness(t)
-	h.rt.Ensure("w1", "m1")
+	h.rt.Ensure("w1", m1)
 	h.assign("w1", 1, 0, 2*sim.Second)
 	h.env.dead["w1"] = true // process killed mid-run
 	h.reports = nil
@@ -146,7 +149,7 @@ func TestDeadWorkerNeitherCompletesNorReports(t *testing.T) {
 
 func TestKillInstanceCancelsExecution(t *testing.T) {
 	h := newWSHarness(t)
-	h.rt.Ensure("w1", "m1")
+	h.rt.Ensure("w1", m1)
 	h.assign("w1", 1, 0, 2*sim.Second)
 	h.net.SendID(h.net.Endpoint("jobx"), h.net.Endpoint(WorkerEndpoint("jobx", "w1")), KillInstance{Task: "T", Instance: 1})
 	h.eng.Run(h.eng.Now() + 5*sim.Second)
@@ -167,7 +170,7 @@ func TestKillInstanceCancelsExecution(t *testing.T) {
 
 func TestDuplicateAssignmentIgnored(t *testing.T) {
 	h := newWSHarness(t)
-	h.rt.Ensure("w1", "m1")
+	h.rt.Ensure("w1", m1)
 	h.assign("w1", 1, 0, 2*sim.Second)
 	h.eng.Run(h.eng.Now() + sim.Second)
 	h.assign("w1", 1, 0, 2*sim.Second) // duplicate mid-run: must not restart the clock
@@ -179,7 +182,7 @@ func TestDuplicateAssignmentIgnored(t *testing.T) {
 
 func TestReassignmentPreemptsCurrent(t *testing.T) {
 	h := newWSHarness(t)
-	h.rt.Ensure("w1", "m1")
+	h.rt.Ensure("w1", m1)
 	h.assign("w1", 1, 0, 10*sim.Second)
 	h.assign("w1", 2, 0, sim.Second) // new assignment replaces the old
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
@@ -214,8 +217,8 @@ func TestLateTrafficInternsNoRetiredName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.rt.Ensure("w1", "m1")
-	h.rt.Ensure("w2", "m1")
+	h.rt.Ensure("w1", m1)
+	h.rt.Ensure("w2", m1)
 	h.env.dead["w2"] = true
 	h.eng.Run(h.eng.Now() + 1500*sim.Millisecond)
 	if h.rt.Worker("w2") != nil {
@@ -236,8 +239,8 @@ func TestLateTrafficInternsNoRetiredName(t *testing.T) {
 
 func TestEnsureIdempotent(t *testing.T) {
 	h := newWSHarness(t)
-	a := h.rt.Ensure("w1", "m1")
-	b := h.rt.Ensure("w1", "m1")
+	a := h.rt.Ensure("w1", m1)
+	b := h.rt.Ensure("w1", m1)
 	if a != b {
 		t.Error("Ensure created a duplicate worker")
 	}

@@ -3,12 +3,14 @@
 // "pangu://" file patterns). Files are split into fixed-size chunks and each
 // chunk is replicated on distinct machines across at least two racks; the
 // replica locations are the data-locality signal the JobMaster's instance
-// scheduler and the FuxiMaster locality tree consume.
+// scheduler and the FuxiMaster locality tree consume. Machines are dense
+// topology IDs throughout.
 package pangu
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -20,12 +22,14 @@ const DefaultChunkSizeMB = 256
 // DefaultReplicas is the standard replication factor.
 const DefaultReplicas = 3
 
-// Chunk is one replicated piece of a file.
+// Chunk is one replicated piece of a file. Replicas are the dense IDs of
+// the machines holding it, the IDs demand hints carry: a JobMaster states
+// locality at them as they are.
 type Chunk struct {
 	File     string
 	Index    int
 	SizeMB   int64
-	Replicas []string // machine names
+	Replicas []int32
 }
 
 // File is a stored file with its chunk list.
@@ -40,7 +44,7 @@ type FS struct {
 	top         *topology.Topology
 	rng         *rand.Rand
 	files       map[string]*File
-	usagePerMac map[string]int64 // MB stored per machine
+	usagePerMac []int64 // MB stored per machine, by machine ID
 	ChunkSizeMB int64
 	Replicas    int
 }
@@ -52,7 +56,7 @@ func New(top *topology.Topology, rng *rand.Rand) *FS {
 		top:         top,
 		rng:         rng,
 		files:       make(map[string]*File),
-		usagePerMac: make(map[string]int64),
+		usagePerMac: make([]int64, top.Size()),
 		ChunkSizeMB: DefaultChunkSizeMB,
 		Replicas:    DefaultReplicas,
 	}
@@ -87,48 +91,40 @@ func (fs *FS) Create(name string, sizeMB int64) (*File, error) {
 
 // placeReplicas picks min(Replicas, #machines) distinct machines, the first
 // two on different racks when possible (rack-aware placement).
-func (fs *FS) placeReplicas() []string {
-	machines := fs.top.Machines()
-	n := fs.Replicas
-	if n > len(machines) {
-		n = len(machines)
-	}
-	chosen := make([]string, 0, n)
-	used := make(map[string]bool, n)
-	first := machines[fs.rng.Intn(len(machines))]
+func (fs *FS) placeReplicas() []int32 {
+	size := fs.top.Size()
+	n := min(fs.Replicas, size)
+	chosen := make([]int32, 0, n)
+	first := int32(fs.rng.Intn(size))
 	chosen = append(chosen, first)
-	used[first] = true
-	firstRack := fs.top.RackOf(first)
+	firstRack := fs.top.RackIDOf(first)
 
 	// Second replica: prefer a different rack.
 	if n >= 2 {
-		m := fs.pickDistinct(machines, used, func(c string) bool { return fs.top.RackOf(c) != firstRack })
-		chosen = append(chosen, m)
-		used[m] = true
+		chosen = append(chosen, fs.pickDistinct(chosen, func(c int32) bool { return fs.top.RackIDOf(c) != firstRack }))
 	}
 	for len(chosen) < n {
-		m := fs.pickDistinct(machines, used, nil)
-		chosen = append(chosen, m)
-		used[m] = true
+		chosen = append(chosen, fs.pickDistinct(chosen, nil))
 	}
 	return chosen
 }
 
-// pickDistinct samples an unused machine, preferring those satisfying pref;
-// it falls back to any unused machine when the preference can't be met.
-func (fs *FS) pickDistinct(machines []string, used map[string]bool, pref func(string) bool) string {
+// pickDistinct samples a machine not in used, preferring those satisfying
+// pref; it falls back to any unused machine when the preference can't be met.
+func (fs *FS) pickDistinct(used []int32, pref func(int32) bool) int32 {
 	const attempts = 16
+	size := fs.top.Size()
 	if pref != nil {
 		for i := 0; i < attempts; i++ {
-			c := machines[fs.rng.Intn(len(machines))]
-			if !used[c] && pref(c) {
+			c := int32(fs.rng.Intn(size))
+			if !slices.Contains(used, c) && pref(c) {
 				return c
 			}
 		}
 	}
 	for {
-		c := machines[fs.rng.Intn(len(machines))]
-		if !used[c] {
+		c := int32(fs.rng.Intn(size))
+		if !slices.Contains(used, c) {
 			return c
 		}
 	}
@@ -157,11 +153,17 @@ func (fs *FS) Delete(name string) {
 	delete(fs.files, name)
 }
 
-// UsageMB reports the bytes stored on one machine.
-func (fs *FS) UsageMB(machine string) int64 { return fs.usagePerMac[machine] }
+// UsageMB reports the bytes stored on one machine (0 for a machine outside
+// the topology).
+func (fs *FS) UsageMB(machine int32) int64 {
+	if machine < 0 || int(machine) >= len(fs.usagePerMac) {
+		return 0
+	}
+	return fs.usagePerMac[machine]
+}
 
 // ChunkLocations returns the replica machines of chunk idx of file name.
-func (fs *FS) ChunkLocations(name string, idx int) []string {
+func (fs *FS) ChunkLocations(name string, idx int) []int32 {
 	f, ok := fs.files[name]
 	if !ok || idx < 0 || idx >= len(f.Chunks) {
 		return nil
@@ -172,7 +174,7 @@ func (fs *FS) ChunkLocations(name string, idx int) []string {
 // LoseMachine removes the machine from every chunk's replica set, simulating
 // permanent disk loss; chunks keep their remaining replicas. It returns the
 // number of chunks that lost a replica.
-func (fs *FS) LoseMachine(machine string) int {
+func (fs *FS) LoseMachine(machine int32) int {
 	lost := 0
 	for _, f := range fs.files {
 		for i := range f.Chunks {

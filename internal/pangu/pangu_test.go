@@ -2,6 +2,7 @@ package pangu
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/resource"
@@ -52,14 +53,14 @@ func TestReplicasDistinctMachinesAndRackAware(t *testing.T) {
 		if len(c.Replicas) != 3 {
 			t.Fatalf("chunk %d has %d replicas", c.Index, len(c.Replicas))
 		}
-		seen := map[string]bool{}
+		seen := map[int32]bool{}
 		for _, m := range c.Replicas {
 			if seen[m] {
-				t.Fatalf("chunk %d: duplicate replica machine %s", c.Index, m)
+				t.Fatalf("chunk %d: duplicate replica machine %d", c.Index, m)
 			}
 			seen[m] = true
 		}
-		if top.RackOf(c.Replicas[0]) == top.RackOf(c.Replicas[1]) {
+		if top.RackIDOf(c.Replicas[0]) == top.RackIDOf(c.Replicas[1]) {
 			t.Fatalf("chunk %d: first two replicas on same rack", c.Index)
 		}
 	}
@@ -122,8 +123,8 @@ func TestOpenAndDelete(t *testing.T) {
 		t.Error("open after delete succeeded")
 	}
 	var totalUsage int64
-	for _, name := range fs.top.Machines() {
-		totalUsage += fs.UsageMB(name)
+	for m := range int32(fs.top.Size()) {
+		totalUsage += fs.UsageMB(m)
 	}
 	if totalUsage != 0 {
 		t.Errorf("usage after delete = %d, want 0", totalUsage)
@@ -174,12 +175,87 @@ func TestPlacementUsesAllMachinesEventually(t *testing.T) {
 		t.Fatal(err)
 	}
 	unused := 0
-	for _, m := range top.Machines() {
+	for m := range int32(top.Size()) {
 		if fs.UsageMB(m) == 0 {
 			unused++
 		}
 	}
 	if unused > 2 {
 		t.Errorf("%d of %d machines unused after 200 chunks", unused, top.Size())
+	}
+}
+
+func TestUsageOutsideTopologyIsZero(t *testing.T) {
+	fs := New(testTop(t, 1, 2), rand.New(rand.NewSource(10)))
+	if _, err := fs.Create("f", 10); err != nil {
+		t.Fatal(err)
+	}
+	if fs.UsageMB(-1) != 0 || fs.UsageMB(2) != 0 {
+		t.Error("a machine outside the topology stores data")
+	}
+}
+
+// legacyPlace is the name-keyed placement the ID-keyed one replaced: it draws
+// a machine as top.Machines()[rng.Intn(n)] and compares racks by name.
+func legacyPlace(top *topology.Topology, rng *rand.Rand, replicas int) []string {
+	machines := top.Machines()
+	n := min(replicas, len(machines))
+	used := map[string]bool{}
+	pick := func(pref func(string) bool) string {
+		if pref != nil {
+			for i := 0; i < 16; i++ {
+				c := machines[rng.Intn(len(machines))]
+				if !used[c] && pref(c) {
+					return c
+				}
+			}
+		}
+		for {
+			c := machines[rng.Intn(len(machines))]
+			if !used[c] {
+				return c
+			}
+		}
+	}
+	first := machines[rng.Intn(len(machines))]
+	chosen := []string{first}
+	used[first] = true
+	if n >= 2 {
+		m := pick(func(c string) bool { return top.RackOf(c) != top.RackOf(first) })
+		chosen = append(chosen, m)
+		used[m] = true
+	}
+	for len(chosen) < n {
+		m := pick(nil)
+		chosen = append(chosen, m)
+		used[m] = true
+	}
+	return chosen
+}
+
+// TestPlacementMatchesNameKeyedOracle: a machine ID is its index in the
+// sorted name list, so every draw lands on the machine the name-keyed
+// placement chose, chunk by chunk, on one rack and on several.
+func TestPlacementMatchesNameKeyedOracle(t *testing.T) {
+	for _, shape := range [][2]int{{1, 2}, {1, 5}, {3, 4}, {7, 13}} {
+		for seed := int64(1); seed <= 20; seed++ {
+			top := testTop(t, shape[0], shape[1])
+			fs := New(top, rand.New(rand.NewSource(seed)))
+			ref := rand.New(rand.NewSource(seed))
+			f, err := fs.Create("f", 256*30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range f.Chunks {
+				want := legacyPlace(top, ref, DefaultReplicas)
+				got := make([]string, len(c.Replicas))
+				for i, m := range c.Replicas {
+					got[i] = top.MachineName(m)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("racks %v seed %d chunk %d: replicas %v, name-keyed %v", shape, seed, c.Index, got, want)
+				}
+			}
+		}
 	}
 }

@@ -28,8 +28,11 @@
 // network recycles a finished application's endpoint slot, but under a new
 // generation: the old ID never names the slot's next owner, and a message
 // still carrying it is fenced on arrival. Worker-management
-// messages (WorkPlan, WorkerStatus) keep names: they cross into the job
-// layer, which speaks names.
+// messages name their machine by the same dense ID (WorkerStatus,
+// WorkerListRequest): the application master drops one whose machine the
+// topology does not hold, and addresses an agent only through a name the
+// network already knows, so no hostile ID grows the endpoint table. Only
+// worker IDs, task names and the App name are still strings on them.
 //
 // Pooled messages: the ten types every job, every scheduling decision, every
 // safety sync or every agent beat sends — RegisterApp, DemandUpdate,
@@ -447,7 +450,7 @@ type StopWorker struct {
 
 // WorkerStatus reports a worker's state to its application master.
 type WorkerStatus struct {
-	Machine  string
+	Machine  int32 // dense machine ID
 	App      string
 	WorkerID string
 	State    WorkerState
@@ -461,7 +464,7 @@ type WorkerStatus struct {
 // WorkerListRequest is sent by a restarting FuxiAgent to application masters
 // to learn the full worker list it should be running (agent failover).
 type WorkerListRequest struct {
-	Machine string
+	Machine int32 // dense machine ID
 	Seq     uint64
 }
 
