@@ -299,18 +299,21 @@ func BenchmarkAblationLocalityTreeVsRescan(b *testing.B) {
 				b.Fatal(err)
 			}
 			names := top.Machines()
+			on := make([]string, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m := names[i%len(names)]
 				// waiter gives one back; the tree regrants it immediately —
 				// one machine's queues consulted, no full rescan.
-				if _, err := s.Return("waiter", 1, m, 1); err != nil {
+				if err := s.Release("waiter", 1, m, 1); err != nil {
 					// First pass: waiter holds nothing on m yet; free one of
 					// holder's so waiter gets it.
-					if _, err2 := s.Return("holder", 1, m, 1); err2 != nil {
+					if err2 := s.Release("holder", 1, m, 1); err2 != nil {
 						b.Fatal(err, err2)
 					}
 				}
+				on[0] = m
+				s.AssignOn(on)
 			}
 		})
 		b.Run("full-rescan/"+itoa(machines), func(b *testing.B) {

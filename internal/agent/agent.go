@@ -822,7 +822,8 @@ func (a *Agent) CrashMachine() {
 }
 
 // RestartMachine boots the node fresh: empty process table, daemon up,
-// heartbeats resume (the master will MachineUp it).
+// heartbeats resume (and the master's first one back calls
+// Scheduler.MachineUp on it).
 func (a *Agent) RestartMachine() {
 	if a.machineUp {
 		return

@@ -213,14 +213,14 @@ func TestNodeDownDetectedAndRevoked(t *testing.T) {
 	if am.HeldTotal(1) != 12 {
 		t.Errorf("held = %d after node death, want 12", am.HeldTotal(1))
 	}
-	if !c.Scheduler().Down("r000m000") {
+	if !c.Scheduler().Down(c.Top.MachineID("r000m000")) {
 		t.Error("master does not consider machine down")
 	}
 
 	// Node recovers: heartbeats resume, machine returns to the pool.
 	c.RestartMachine("r000m000")
 	c.Run(5 * sim.Second)
-	if c.Scheduler().Down("r000m000") {
+	if c.Scheduler().Down(c.Top.MachineID("r000m000")) {
 		t.Error("machine still down after recovery")
 	}
 }
@@ -230,7 +230,7 @@ func TestHealthScoreBlacklisting(t *testing.T) {
 	c.Run(sim.Second)
 	c.Agent("r000m000").SetHealth(5) // sick but alive
 	c.Run(10 * sim.Second)
-	if !c.Scheduler().Blacklisted("r000m000") {
+	if !c.Scheduler().Blacklisted(c.Top.MachineID("r000m000")) {
 		t.Fatal("sick machine not blacklisted")
 	}
 	// New demand avoids it.
@@ -249,7 +249,7 @@ func TestHealthScoreBlacklisting(t *testing.T) {
 	// Recovery rehabilitates it.
 	c.Agent("r000m000").SetHealth(100)
 	c.Run(10 * sim.Second)
-	if c.Scheduler().Blacklisted("r000m000") {
+	if c.Scheduler().Blacklisted(c.Top.MachineID("r000m000")) {
 		t.Error("recovered machine still blacklisted")
 	}
 	if am.HeldTotal(1) != 24 {
@@ -264,12 +264,12 @@ func TestBadMachineVotesBlacklist(t *testing.T) {
 	c.Run(100 * sim.Millisecond)
 	am1.ReportBadMachine(c.Top.MachineID("r000m001"))
 	c.Run(sim.Second)
-	if c.Scheduler().Blacklisted("r000m001") {
+	if c.Scheduler().Blacklisted(c.Top.MachineID("r000m001")) {
 		t.Fatal("single vote blacklisted the machine")
 	}
 	am2.ReportBadMachine(c.Top.MachineID("r000m001"))
 	c.Run(sim.Second)
-	if !c.Scheduler().Blacklisted("r000m001") {
+	if !c.Scheduler().Blacklisted(c.Top.MachineID("r000m001")) {
 		t.Fatal("two distinct app votes did not blacklist")
 	}
 }

@@ -303,7 +303,7 @@ func TestJobLevelBlacklistEscalatesToMaster(t *testing.T) {
 	}
 	runToCompletion(t, c, h1, 15*sim.Minute)
 	runToCompletion(t, c, h2, 15*sim.Minute)
-	if !c.Scheduler().Blacklisted(bad) {
+	if !c.Scheduler().Blacklisted(c.Top.MachineID(bad)) {
 		t.Error("machine not escalated to cluster blacklist")
 	}
 }

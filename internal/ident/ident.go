@@ -164,10 +164,6 @@ func (t *Table) Len() int { return len(t.names) }
 // Live returns the number of names interned now.
 func (t *Table) Live() int { return len(t.ids) }
 
-// Names returns the names in ID order, "" at released IDs. The caller must
-// not modify the returned slice.
-func (t *Table) Names() []string { return t.names }
-
 // Generational IDs: an owner that hands a Table's IDs to parties it cannot
 // call back (the network's endpoint IDs travel inside messages) tags each
 // with its slot's generation, which it bumps whenever it releases the slot.

@@ -23,9 +23,6 @@ func TestTableDenseRegistrationOrder(t *testing.T) {
 	if got := tb.Name(3); got != "agent:x" {
 		t.Fatalf("Name(3) = %q", got)
 	}
-	if got := tb.Names(); len(got) != 4 || got[0] != "r000m000" {
-		t.Fatalf("Names() = %v", got)
-	}
 }
 
 func TestTableZeroValue(t *testing.T) {

@@ -160,18 +160,6 @@ func (d *Description) InputFiles(task string) []string {
 	return out
 }
 
-// OutputFiles returns the DFS file patterns task writes.
-func (d *Description) OutputFiles(task string) []string {
-	var out []string
-	for _, p := range d.Pipes {
-		if p.Source.Task() == task && p.Destination.FilePattern != "" {
-			out = append(out, p.Destination.FilePattern)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TopologicalOrder returns task names so that every task appears after all
 // its upstream tasks; it fails on cycles ("the framework ... analyzes the
 // shuffle pipes to figure out the task topological order", paper §4.4).

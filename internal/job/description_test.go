@@ -41,9 +41,6 @@ func TestParseFigure6(t *testing.T) {
 	if got := d.InputFiles("T1"); len(got) != 1 || got[0] != "pangu://input" {
 		t.Errorf("InputFiles(T1) = %v", got)
 	}
-	if got := d.OutputFiles("T4"); len(got) != 1 || got[0] != "pangu://output" {
-		t.Errorf("OutputFiles(T4) = %v", got)
-	}
 	if d.TotalInstances() != 9 {
 		t.Errorf("total instances = %d", d.TotalInstances())
 	}

@@ -61,18 +61,6 @@ func (s *Service) TryAcquire(name, holder string, ttl sim.Time) bool {
 	return true
 }
 
-// Token returns the fencing token of the current ownership of name. The
-// token increases every time the lock changes hands, so a holder that was
-// partitioned away and lost its lease can never present a current token
-// again: downstream state stores should record the token at acquire time and
-// reject writes carrying a stale one (see Validate).
-func (s *Service) Token(name string) uint64 {
-	if l := s.locks[name]; l != nil {
-		return l.token
-	}
-	return 0
-}
-
 // Validate reports whether holder still owns name under fencing token token.
 // A store guarding writes with Validate rejects a deposed holder's writes
 // even after the network heals: its token predates the successor's.

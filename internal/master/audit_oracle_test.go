@@ -241,25 +241,26 @@ func (a *auditStream) step() {
 		}
 	case op < 9: // release part of a holding and reassign
 		for gm, n := range s.Granted(app, unitID) {
-			if _, err := s.Return(app, unitID, gm, 1+rng.Intn(n)); err != nil {
+			if _, err := giveBack(s, app, unitID, s.top.MachineID(gm), 1+rng.Intn(n)); err != nil {
 				a.t.Fatal(err)
 			}
 			break
 		}
 	case op < 10: // restore (a recovering master replaying an agent report)
-		if !s.Down(m) && s.free[mi].FitCount(resource.New(500, 1024).With(auditVirtual, 1)) > 0 && s.Held(app, unitID) < 30 {
-			s.RestoreGrant(app, unitID, m, 1)
+		if !s.Down(mi) && s.free[mi].FitCount(resource.New(500, 1024).With(auditVirtual, 1)) > 0 && s.Held(app, unitID) < 30 {
+			restore(s, app, unitID, mi, 1)
 		}
 	case op < 11:
 		s.UnregisterApp(app)
 		a.live[app] = false
 	case op < 12:
-		s.SetBlacklisted(m, !s.Blacklisted(m), rng.Intn(2) == 0)
+		s.SetBlacklisted(mi, !s.Blacklisted(mi))
+		_ = rng.Intn(2) // the draw of the deleted revoke flag: each seed keeps its op sequence
 	case op < 14:
-		if s.Down(m) {
-			s.MachineUp(m)
+		if s.Down(mi) {
+			s.MachineUp(mi)
 		} else {
-			s.MachineDown(m)
+			s.MachineDown(mi)
 		}
 	default: // capacity change, on machines up and down
 		s.SetVirtualResource(m, auditVirtual, int64(2+rng.Intn(8)))
@@ -500,7 +501,7 @@ func TestAuditAllocatesNothing(t *testing.T) {
 		if err := s.Release("b", 1, machine, 1); err != nil {
 			t.Fatal(err)
 		}
-		s.RestoreGrant("b", 1, machine, 1)
+		restore(s, "b", 1, s.top.MachineID(machine), 1)
 		if bad := s.CheckInvariants(); len(bad) > 0 {
 			t.Fatal(bad)
 		}

@@ -47,7 +47,7 @@ func BenchmarkSchedulerSingleDecision(b *testing.B) {
 		if err != nil || len(ds) != 1 {
 			b.Fatalf("demand: %v (%d decisions)", err, len(ds))
 		}
-		if _, err := s.Return("app", 1, ds[0].Machine, 1); err != nil {
+		if _, err := giveBack(s, "app", 1, ds[0].MachineID, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func BenchmarkCheckpointEncodeRoundTrip(b *testing.B) {
 		s.Apps = append(s.Apps, app)
 	}
 	for i := 0; i < 50; i++ {
-		s.Blacklist = append(s.Blacklist, fmt.Sprintf("r%03dm%03d", i, i))
+		s.Blacklist = append(s.Blacklist, BlacklistEntry{Machine: fmt.Sprintf("r%03dm%03d", i, i), Pins: uint8(i % 4)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -343,7 +343,7 @@ func BenchmarkEvacuate(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m := int32(i*37) % s.nMach
-			ds := s.machineDownID(m)
+			ds := s.MachineDown(m)
 			b.StopTimer()
 			if len(ds) == 0 {
 				b.Fatal("nothing evacuated")
@@ -358,7 +358,7 @@ func BenchmarkEvacuate(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m := int32(i*37) % s.nMach
-			ds := scanEvacuation(s, apps, m, ReasonRevokeNodeDown)
+			ds := scanEvacuation(s, apps, m)
 			if len(ds) == 0 {
 				b.Fatal("nothing to evacuate")
 			}

@@ -23,7 +23,15 @@ type AppConfig struct {
 type Snapshot struct {
 	Epoch     int
 	Apps      []AppConfig
-	Blacklist []string
+	Blacklist []BlacklistEntry
+}
+
+// BlacklistEntry is one machine on the cluster blacklist: its name and the
+// pins (pinVotes, pinFlap) that hold it there, none when its health score
+// alone listed it.
+type BlacklistEntry struct {
+	Machine string
+	Pins    uint8
 }
 
 // defaultCompactEvery bounds the delta log between anchors. Promotion
@@ -76,7 +84,7 @@ type CheckpointStore struct {
 	// reclaimed by squeeze into spare).
 	arena, spare []byte
 	liveBytes    int
-	// blk is the encoded blacklist section (count, then names) — the
+	// blk is the encoded blacklist section (count, then entries) — the
 	// payload of the last opSetBlacklist record, which is also exactly the
 	// anchor's blacklist section.
 	blk []byte
@@ -136,10 +144,6 @@ func NewCheckpointStore() *CheckpointStore {
 // Bytes returns the total bytes written to durable storage (deltas plus
 // anchors) — the quantity the CheckCheckpointBytes invariant budgets.
 func (c *CheckpointStore) Bytes() int64 { return c.DeltaBytes + c.AnchorBytes }
-
-// PendingDeltas returns the records a promotion would replay on top of the
-// current anchor.
-func (c *CheckpointStore) PendingDeltas() int { return c.logRecs }
 
 // CompactionCadence returns the anchor cadence, the records written between
 // anchors. Byte-budget formulas use it.
@@ -375,13 +379,10 @@ func (c *CheckpointStore) reclaim() {
 const ckptArenaSlack = 4096
 
 // SetBlacklist replaces the persisted cluster blacklist.
-func (c *CheckpointStore) SetBlacklist(machines []string) {
+func (c *CheckpointStore) SetBlacklist(machines []BlacklistEntry) {
 	start := len(c.log)
 	c.log = append(c.log, opSetBlacklist)
-	c.log = binary.AppendUvarint(c.log, uint64(len(machines)))
-	for _, m := range machines {
-		c.log = appendString(c.log, m)
-	}
+	c.log = appendBlacklist(c.log, machines)
 	c.blk = append(c.blk[:0], c.log[start+1:]...)
 	c.wrote(start)
 	c.BlacklistWrites++
@@ -416,7 +417,8 @@ func (c *CheckpointStore) Load() Snapshot {
 // ---------------------------------------------------------------------------
 
 // snapshotVersion tags the encoding; bump on incompatible format changes.
-const snapshotVersion = 1
+// Version 2 added each blacklist entry's pin byte.
+const snapshotVersion = 2
 
 // Delta record opcodes. Each record is self-delimiting: an opcode byte
 // followed by the fields that changed.
@@ -487,6 +489,16 @@ func appendApp(b []byte, a AppConfig) []byte {
 	return b
 }
 
+// appendBlacklist encodes a blacklist section: the count, then each entry's
+// name and pin byte (shared by full snapshots and opSetBlacklist records).
+func appendBlacklist(b []byte, black []BlacklistEntry) []byte {
+	b = binary.AppendUvarint(b, uint64(len(black)))
+	for _, e := range black {
+		b = append(appendString(b, e.Machine), e.Pins)
+	}
+	return b
+}
+
 // EncodeSnapshot serializes a checkpoint snapshot into a compact, fully
 // deterministic byte form: names and amounts only, dimensions in sorted
 // order. This is the name↔ID boundary — the in-memory control plane keys
@@ -501,11 +513,7 @@ func EncodeSnapshot(s Snapshot) []byte {
 	for _, a := range s.Apps {
 		b = appendApp(b, a)
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.Blacklist)))
-	for _, m := range s.Blacklist {
-		b = appendString(b, m)
-	}
-	return b
+	return appendBlacklist(b, s.Blacklist)
 }
 
 // snapshotReader is a cursor over an encoded snapshot.
@@ -556,6 +564,37 @@ func (r *snapshotReader) bytes() []byte {
 }
 
 func (r *snapshotReader) string() string { return string(r.bytes()) }
+
+// blacklist decodes a blacklist section (the appendBlacklist inverse). Every
+// entry costs at least two bytes, its name's length prefix and its pins, so
+// a count past half the bytes left is corruption, rejected before it sizes
+// an allocation; so is a pin byte that names no pin.
+func (r *snapshotReader) blacklist() []BlacklistEntry {
+	n := r.uvarint()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	if n > uint64(len(r.b))/2 {
+		r.err = fmt.Errorf("master: corrupt snapshot (blacklist count %d exceeds %d remaining bytes)", n, len(r.b))
+		return nil
+	}
+	black := make([]BlacklistEntry, 0, n)
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		e := BlacklistEntry{Machine: r.string()}
+		switch {
+		case r.err != nil:
+		case len(r.b) == 0:
+			r.err = fmt.Errorf("master: truncated snapshot (blacklist pins)")
+		case r.b[0]&^(pinVotes|pinFlap) != 0:
+			r.err = fmt.Errorf("master: corrupt snapshot (blacklist pins %#x)", r.b[0])
+		default:
+			e.Pins = r.b[0]
+			r.b = r.b[1:]
+			black = append(black, e)
+		}
+	}
+	return black
+}
 
 func (r *snapshotReader) vector() resource.Vector {
 	n := r.uvarint()
@@ -618,10 +657,7 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 	for i := uint64(0); i < nApps && r.err == nil; i++ {
 		s.Apps = append(s.Apps, r.app())
 	}
-	nBlack := r.uvarint()
-	for i := uint64(0); i < nBlack && r.err == nil; i++ {
-		s.Blacklist = append(s.Blacklist, r.string())
-	}
+	s.Blacklist = r.blacklist()
 	return s, r.err
 }
 
@@ -662,23 +698,7 @@ func replayDeltas(s *Snapshot, log []byte) error {
 				}
 			}
 		case opSetBlacklist:
-			n := r.uvarint()
-			if uint64(len(r.b)) < n {
-				// Every machine name costs at least its one-byte length
-				// prefix, so a count past the remaining log is corruption;
-				// reject it before the preallocation below turns an
-				// attacker-controlled size into a makeslice panic.
-				r.err = fmt.Errorf("master: corrupt snapshot (blacklist count %d exceeds %d remaining bytes)", n, len(r.b))
-				break
-			}
-			black := make([]string, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				black = append(black, r.string())
-			}
-			if r.err == nil {
-				if len(black) == 0 {
-					black = nil // match the anchor codec: empty decodes as nil
-				}
+			if black := r.blacklist(); r.err == nil {
 				s.Blacklist = black
 			}
 		case opBumpEpoch:

@@ -44,7 +44,7 @@ func TestDeltaLogReplayMatchesWriterView(t *testing.T) {
 	}
 	s.SaveApp(AppConfig{Name: "app-2", Group: "g2", Units: deltaUnits(1)}) // replace in place
 	s.RemoveApp("app-0")
-	s.SetBlacklist([]string{"m-00-01", "m-00-02"})
+	s.SetBlacklist([]BlacklistEntry{{Machine: "m-00-01", Pins: pinFlap}, {Machine: "m-00-02"}})
 	check()
 	s.RemoveApp("app-5")
 	s.SetBlacklist(nil)
@@ -109,7 +109,7 @@ func TestDeltaLogWriteCountsUnchanged(t *testing.T) {
 	if s.DeltaBytes != before {
 		t.Fatal("no-op remove appended a delta record")
 	}
-	s.SetBlacklist([]string{"m"})
+	s.SetBlacklist([]BlacklistEntry{{Machine: "m"}})
 	if s.Writes != 5 || s.BlacklistWrites != 1 {
 		t.Fatalf("writes=%d blacklistWrites=%d, want 5/1", s.Writes, s.BlacklistWrites)
 	}
@@ -127,7 +127,7 @@ func TestAnchorEncodingUnchangedByRefactor(t *testing.T) {
 	// codec is versioned durable state).
 	s := Snapshot{Epoch: 3,
 		Apps:      []AppConfig{{Name: "a", Group: "g", Units: deltaUnits(2)}},
-		Blacklist: []string{"m1"}}
+		Blacklist: []BlacklistEntry{{Machine: "m1", Pins: pinVotes}}}
 	b := EncodeSnapshot(s)
 	if b[0] != snapshotVersion {
 		t.Fatal("version byte moved")

@@ -22,7 +22,7 @@ func checkpointLogFixture() (anchor, log []byte) {
 		{ID: 1, Priority: 220, MaxCount: 3, Size: resource.New(500, 1024)},
 	}})
 	c.BumpEpoch()
-	c.SetBlacklist([]string{"r3m7", "r12m1", "r0m4"})
+	c.SetBlacklist([]BlacklistEntry{{Machine: "r3m7", Pins: pinVotes}, {Machine: "r12m1", Pins: pinFlap}, {Machine: "r0m4"}})
 	c.SaveApp(AppConfig{Name: "etl-1", Group: "gold", Units: []resource.ScheduleUnit{
 		{ID: 1, Priority: 110, MaxCount: 60, Size: resource.New(1000, 4096)},
 	}})
@@ -32,6 +32,13 @@ func checkpointLogFixture() (anchor, log []byte) {
 	c.SaveApp(AppConfig{Name: "svc-b", Group: "", Units: nil})
 	return c.anchor, c.log
 }
+
+// hostilePinRecord and hostilePinAnchor each list one machine, "m", with a
+// pin byte (0x04, 0xff) that names no pin.
+var (
+	hostilePinRecord = []byte{opSetBlacklist, 0x01, 0x01, 'm', 0x04}
+	hostilePinAnchor = []byte{snapshotVersion, 0x00, 0x00, 0x01, 0x01, 'm', 0xff}
+)
 
 // TestCheckpointDeltaCorruptionNeverPanics sweeps the fixture's delta log
 // with every truncation point and a set of byte flips at every offset: the
@@ -58,7 +65,7 @@ func TestCheckpointDeltaCorruptionNeverPanics(t *testing.T) {
 		}()
 		s := base // Snapshot is value-copied; slices are only appended/replaced
 		s.Apps = append([]AppConfig(nil), base.Apps...)
-		s.Blacklist = append([]string(nil), base.Blacklist...)
+		s.Blacklist = append([]BlacklistEntry(nil), base.Blacklist...)
 		_ = replayDeltas(&s, b)
 	}
 	for i := 0; i <= len(log); i++ {
@@ -80,6 +87,14 @@ func TestCheckpointDeltaCorruptionNeverPanics(t *testing.T) {
 	if err := replayDeltas(&s, poison); err == nil {
 		t.Fatal("oversized blacklist count replayed without error")
 	}
+	// A pin byte that names no pin is corruption, in a delta record and in
+	// an anchor alike.
+	if err := replayDeltas(&s, hostilePinRecord); err == nil {
+		t.Fatal("blacklist record with a hostile pin byte replayed without error")
+	}
+	if _, err := DecodeSnapshot(hostilePinAnchor); err == nil {
+		t.Fatal("anchor with a hostile pin byte decoded without error")
+	}
 	// Mid-record truncation cannot silently succeed: chopping the final
 	// record's last byte must produce an error, not a shorter history.
 	if err := replayDeltas(&s, log[:len(log)-1]); err == nil {
@@ -97,6 +112,7 @@ func FuzzCheckpointDeltaReplay(f *testing.F) {
 	f.Add([]byte{opSetBlacklist, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{opSaveApp, 0x02, 'h', 'i'})
 	f.Add([]byte{opBumpEpoch})
+	f.Add(hostilePinRecord)
 	f.Add([]byte{0x00})
 	base, err := DecodeSnapshot(anchor)
 	if err != nil {
@@ -105,7 +121,7 @@ func FuzzCheckpointDeltaReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := base
 		s.Apps = append([]AppConfig(nil), base.Apps...)
-		s.Blacklist = append([]string(nil), base.Blacklist...)
+		s.Blacklist = append([]BlacklistEntry(nil), base.Blacklist...)
 		_ = replayDeltas(&s, data) // must not panic
 	})
 }
@@ -121,6 +137,7 @@ func FuzzCheckpointSnapshotDecode(f *testing.F) {
 	f.Add(EncodeSnapshot(Snapshot{}))
 	f.Add([]byte{snapshotVersion, 0x00, 0x01, 0x02, 'a', 'b'})
 	f.Add([]byte{snapshotVersion, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add(hostilePinAnchor)
 	// One app named "a" claiming 2^63-1 units, followed by one unit's bytes:
 	// the decoder may reserve room for what the bytes left can hold, no more.
 	f.Add([]byte{snapshotVersion, 0x00, 0x01, 0x01, 'a', 0x00,

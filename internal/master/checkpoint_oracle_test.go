@@ -24,7 +24,7 @@ type oracleStore struct {
 	epoch     int
 	apps      map[string]AppConfig
 	order     []string
-	blacklist []string
+	blacklist []BlacklistEntry
 
 	anchor  []byte
 	log     []byte
@@ -65,8 +65,9 @@ func oracleEncodeSnapshot(s Snapshot) []byte {
 		b = oracleAppendApp(b, a)
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Blacklist)))
-	for _, m := range s.Blacklist {
-		b = appendString(b, m)
+	for _, e := range s.Blacklist {
+		b = appendString(b, e.Machine)
+		b = append(b, e.Pins)
 	}
 	return b
 }
@@ -109,7 +110,7 @@ func (c *oracleStore) materialize() Snapshot {
 	for _, name := range c.order {
 		s.Apps = append(s.Apps, c.apps[name])
 	}
-	s.Blacklist = append([]string(nil), c.blacklist...)
+	s.Blacklist = append([]BlacklistEntry(nil), c.blacklist...)
 	return s
 }
 
@@ -150,13 +151,14 @@ func (c *oracleStore) RemoveApp(name string) {
 	c.wrote(start)
 }
 
-func (c *oracleStore) SetBlacklist(machines []string) {
-	c.blacklist = append([]string(nil), machines...)
+func (c *oracleStore) SetBlacklist(machines []BlacklistEntry) {
+	c.blacklist = append([]BlacklistEntry(nil), machines...)
 	start := len(c.log)
 	c.log = append(c.log, opSetBlacklist)
 	c.log = binary.AppendUvarint(c.log, uint64(len(machines)))
-	for _, m := range machines {
-		c.log = appendString(c.log, m)
+	for _, e := range machines {
+		c.log = appendString(c.log, e.Machine)
+		c.log = append(c.log, e.Pins)
 	}
 	c.wrote(start)
 	c.BlacklistWrites++
@@ -212,7 +214,7 @@ func (m mirrored) RemoveApp(name string) {
 // keyed turns on driving the store by endpoint ID.
 func (m *mirrored) keyed() { m.keys = transport.NewNet(sim.NewEngine(1)) }
 
-func (m mirrored) SetBlacklist(machines []string) {
+func (m mirrored) SetBlacklist(machines []BlacklistEntry) {
 	m.oracle.SetBlacklist(machines)
 	m.CheckpointStore.SetBlacklist(machines)
 }
@@ -314,9 +316,9 @@ func TestCheckpointSlotTableMatchesOracle(t *testing.T) {
 					case r < 92:
 						m.SaveApp(AppConfig{Name: name, Group: []string{"", "batch", "service"}[rng.Intn(3)], Units: oracleUnits(rng)})
 					case r < 97:
-						var bl []string
+						var bl []BlacklistEntry
 						for k := rng.Intn(4); k > 0; k-- {
-							bl = append(bl, fmt.Sprintf("r%dm%d", rng.Intn(50), rng.Intn(40)))
+							bl = append(bl, BlacklistEntry{Machine: fmt.Sprintf("r%dm%d", rng.Intn(50), rng.Intn(40)), Pins: uint8(k % 4)})
 						}
 						m.SetBlacklist(bl) // empty one time in four
 					default:

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/resource"
@@ -12,13 +13,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	b := AppConfig{Name: "b"}
 	s.SaveApp(a)
 	s.SaveApp(b)
-	s.SetBlacklist([]string{"m1", "m2"})
+	black := []BlacklistEntry{{Machine: "m1"}, {Machine: "m2", Pins: pinVotes | pinFlap}}
+	s.SetBlacklist(black)
 	snap := s.Load()
 	if len(snap.Apps) != 2 || snap.Apps[0].Name != "a" || snap.Apps[1].Name != "b" {
 		t.Fatalf("apps = %v", snap.Apps)
 	}
-	if len(snap.Blacklist) != 2 {
-		t.Fatalf("blacklist = %v", snap.Blacklist)
+	if !reflect.DeepEqual(snap.Blacklist, black) {
+		t.Fatalf("blacklist = %v, want %v", snap.Blacklist, black)
 	}
 }
 
@@ -64,10 +66,10 @@ func TestCheckpointEpochs(t *testing.T) {
 
 func TestCheckpointLoadReturnsCopies(t *testing.T) {
 	s := NewCheckpointStore()
-	s.SetBlacklist([]string{"m1"})
+	s.SetBlacklist([]BlacklistEntry{{Machine: "m1"}})
 	snap := s.Load()
-	snap.Blacklist[0] = "tampered"
-	if s.Load().Blacklist[0] != "m1" {
+	snap.Blacklist[0].Machine = "tampered"
+	if s.Load().Blacklist[0].Machine != "m1" {
 		t.Error("Load aliases internal state")
 	}
 }

@@ -142,10 +142,10 @@ func oneMessageEqualsSplit(t *testing.T, seed int64, batch sim.Time) {
 		case r < 80:
 			mc := int32(rng.Intn(machines))
 			for _, w := range ws {
-				if w.m.sched.downID(mc) {
-					w.m.dispatch(w.m.sched.machineUpID(mc))
+				if w.m.sched.Down(mc) {
+					w.m.dispatch(w.m.sched.MachineUp(mc))
 				} else {
-					w.m.dispatch(w.m.sched.machineDownID(mc))
+					w.m.dispatch(w.m.sched.MachineDown(mc))
 				}
 			}
 		}
@@ -282,10 +282,10 @@ func combinedEqualsTwoMessages(t *testing.T, seed int64, batch sim.Time) {
 		case r < 85:
 			mc := int32(rng.Intn(machines))
 			for _, w := range ws {
-				if w.m.sched.downID(mc) {
-					w.m.dispatch(w.m.sched.machineUpID(mc))
+				if w.m.sched.Down(mc) {
+					w.m.dispatch(w.m.sched.MachineUp(mc))
 				} else {
-					w.m.dispatch(w.m.sched.machineDownID(mc))
+					w.m.dispatch(w.m.sched.MachineDown(mc))
 				}
 			}
 		case r < 90 && recovery == 0:

@@ -324,10 +324,10 @@ func fullSyncMatchesMapOracle(t *testing.T, seed int64, batch sim.Time) {
 		case r < 65:
 			mc := int32(rng.Intn(len(machines)))
 			for _, w := range ws {
-				if w.m.sched.downID(mc) {
-					w.m.dispatch(w.m.sched.machineUpID(mc))
+				if w.m.sched.Down(mc) {
+					w.m.dispatch(w.m.sched.MachineUp(mc))
 				} else {
-					w.m.dispatch(w.m.sched.machineDownID(mc))
+					w.m.dispatch(w.m.sched.MachineDown(mc))
 				}
 			}
 		default:

@@ -79,21 +79,22 @@ func TestSchedulerInvariantsUnderRandomOps(t *testing.T) {
 				granted := s.Granted(app, unitID)
 				for m, n := range granted {
 					k := 1 + rng.Intn(n)
-					if _, err := s.Return(app, unitID, m, k); err != nil {
+					if _, err := giveBack(s, app, unitID, top.MachineID(m), k); err != nil {
 						t.Fatalf("seed %d step %d: return: %v", seed, step, err)
 					}
 					break
 				}
 			case op < 7: // machine down/up
-				m := machines[rng.Intn(len(machines))]
+				m := int32(rng.Intn(len(machines)))
 				if s.Down(m) {
 					s.MachineUp(m)
 				} else {
 					s.MachineDown(m)
 				}
 			case op < 8: // blacklist toggle
-				m := machines[rng.Intn(len(machines))]
-				s.SetBlacklisted(m, !s.Blacklisted(m), rng.Intn(2) == 0)
+				m := int32(rng.Intn(len(machines)))
+				s.SetBlacklisted(m, !s.Blacklisted(m))
+				_ = rng.Intn(2) // the draw of the deleted revoke flag: each seed keeps its op sequence
 			default: // app churn
 				if registered[app] && rng.Intn(3) == 0 {
 					s.UnregisterApp(app)
@@ -141,9 +142,9 @@ func TestLegacyParityUnderFailovers(t *testing.T) {
 				t.Fatalf("rebuild register %s: %v", app, err)
 			}
 		}
-		for _, m := range s.top.Machines() {
+		for m := int32(0); m < int32(s.top.Size()); m++ {
 			if s.Blacklisted(m) {
-				n.SetBlacklisted(m, true, false)
+				n.SetBlacklisted(m, true)
 			}
 		}
 		// Soft state from agents: live machines re-report allocations; dead
@@ -157,13 +158,13 @@ func TestLegacyParityUnderFailovers(t *testing.T) {
 				}
 				sort.Strings(machines)
 				for _, m := range machines {
-					if !s.Down(m) {
-						n.RestoreGrant(app, u.ID, m, granted[m])
+					if id := s.top.MachineID(m); !s.Down(id) {
+						restore(n, app, u.ID, id, granted[m])
 					}
 				}
 			}
 		}
-		for _, m := range s.top.Machines() {
+		for m := int32(0); m < int32(s.top.Size()); m++ {
 			if s.Down(m) {
 				n.MachineDown(m)
 			}
@@ -271,25 +272,25 @@ func TestLegacyParityUnderFailovers(t *testing.T) {
 				}
 				m := ms[rng.Intn(len(ms))]
 				k := 1 + rng.Intn(granted[m])
-				a0, err0 := pair[0].Return(app, unitID, m, k)
-				a1, err1 := pair[1].Return(app, unitID, m, k)
+				a0, err0 := giveBack(pair[0], app, unitID, top.MachineID(m), k)
+				a1, err1 := giveBack(pair[1], app, unitID, top.MachineID(m), k)
 				if err0 != nil || err1 != nil {
 					t.Fatalf("seed %d step %d: return: %v / %v", seed, step, err0, err1)
 				}
 				compare(seed, step, "return", a0, a1)
 			case op < 8: // agent failover: machine down / up
-				m := machines[rng.Intn(len(machines))]
+				m := int32(rng.Intn(len(machines)))
 				if pair[0].Down(m) {
 					compare(seed, step, "machine-up", pair[0].MachineUp(m), pair[1].MachineUp(m))
 				} else {
 					compare(seed, step, "machine-down", pair[0].MachineDown(m), pair[1].MachineDown(m))
 				}
 			case op < 9: // blacklist toggle
-				m := machines[rng.Intn(len(machines))]
+				m := int32(rng.Intn(len(machines)))
 				black := !pair[0].Blacklisted(m)
-				revoke := rng.Intn(2) == 0
+				_ = rng.Intn(2) // the draw of the deleted revoke flag: each seed keeps its op sequence
 				compare(seed, step, "blacklist",
-					pair[0].SetBlacklisted(m, black, revoke), pair[1].SetBlacklisted(m, black, revoke))
+					pair[0].SetBlacklisted(m, black), pair[1].SetBlacklisted(m, black))
 			case op < 10: // master failover: promote fresh schedulers
 				var d0, d1 []Decision
 				pair[0], d0 = rebuild(pair[0], false, groupOf, unitsOf)
@@ -344,14 +345,14 @@ func TestSchedulerDeterministic(t *testing.T) {
 				sort.Strings(ms)
 				if len(ms) > 0 {
 					m := ms[rng.Intn(len(ms))]
-					ds, err := s.Return(app, 1, m, 1+rng.Intn(granted[m]))
+					ds, err := giveBack(s, app, 1, top.MachineID(m), 1+rng.Intn(granted[m]))
 					if err != nil {
 						t.Fatal(err)
 					}
 					log = append(log, ds...)
 				}
 			default:
-				m := machines[rng.Intn(len(machines))]
+				m := int32(rng.Intn(len(machines)))
 				if s.Down(m) {
 					log = append(log, s.MachineUp(m)...)
 				} else {
@@ -381,8 +382,8 @@ func TestSchedulerDrainToEmpty(t *testing.T) {
 		mustRegister(t, s, app, "", unit(1, 100, 30, 1000, 2048))
 		mustDemand(t, s, app, 1, clusterHint(30))
 	}
-	s.MachineDown(top.Machines()[0])
-	s.MachineUp(top.Machines()[0])
+	s.MachineDown(0)
+	s.MachineUp(0)
 	for _, app := range []string{"x", "y", "z"} {
 		s.UnregisterApp(app)
 	}

@@ -34,8 +34,8 @@ func scanGrantsOn(s *Scheduler, apps []string, machine int32) []protocol.Capacit
 	return out
 }
 
-// scanEvacuation is the revocation stream evacuate(machine, reason) must emit.
-func scanEvacuation(s *Scheduler, apps []string, machine int32, reason Reason) []Decision {
+// scanEvacuation is the revocation stream evacuate(machine) must emit.
+func scanEvacuation(s *Scheduler, apps []string, machine int32) []Decision {
 	var out []Decision
 	for _, app := range apps {
 		st := s.apps[app]
@@ -43,7 +43,7 @@ func scanEvacuation(s *Scheduler, apps []string, machine int32, reason Reason) [
 			u := &st.unitArr[i]
 			if n := u.granted.Get(uint64(machine)); n > 0 {
 				out = append(out, Decision{App: app, AppID: st.id, UnitID: u.def.ID, Machine: s.top.MachineName(machine),
-					MachineID: machine, Delta: -n, Reason: reason})
+					MachineID: machine, Delta: -n, Reason: ReasonRevokeNodeDown})
 			}
 		}
 	}
@@ -117,37 +117,34 @@ func TestGrantIndexMatchesScanOracle(t *testing.T) {
 				}
 			case op < 7: // release part of a holding
 				for gm, n := range s.Granted(app, unitID) {
-					if _, err := s.Return(app, unitID, gm, 1+rng.Intn(n)); err != nil {
+					if _, err := giveBack(s, app, unitID, s.top.MachineID(gm), 1+rng.Intn(n)); err != nil {
 						t.Fatal(err)
 					}
 					break
 				}
 			case op < 8: // restore (a recovering master replaying an agent report)
-				if registered[app] && !s.Down(m) && s.free[mi].FitCount(resource.New(500, 1024)) > 0 &&
+				if registered[app] && !s.Down(mi) && s.free[mi].FitCount(resource.New(500, 1024)) > 0 &&
 					s.Held(app, unitID) < 30 {
-					s.RestoreGrant(app, unitID, m, 1)
+					restore(s, app, unitID, mi, 1)
 				}
 			case op < 9: // unregister
 				if registered[app] {
 					s.UnregisterApp(app)
 					registered[app] = false
 				}
-			case op < 10: // blacklist with revocation, or rehabilitate
-				if s.Blacklisted(m) {
-					s.SetBlacklisted(m, false, false)
-					break
-				}
-				want := scanEvacuation(s, s.Apps(), mi, ReasonRevokeBlacklist)
-				if got := s.SetBlacklisted(m, true, true); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: blacklist evacuation\n got %v\nwant %v", seed, step, got, want)
+			case op < 10: // blacklist (running work stays), or rehabilitate
+				if s.Blacklisted(mi) {
+					s.SetBlacklisted(mi, false)
+				} else if ds := s.SetBlacklisted(mi, true); len(ds) != 0 {
+					t.Fatalf("seed %d step %d: blacklisting %s decided %v", seed, step, m, ds)
 				}
 			default: // machine down / up
-				if s.Down(m) {
-					s.MachineUp(m)
+				if s.Down(mi) {
+					s.MachineUp(mi)
 					break
 				}
-				want := scanEvacuation(s, s.Apps(), mi, ReasonRevokeNodeDown)
-				if got := revocations(s.MachineDown(m), mi); !reflect.DeepEqual(got, want) {
+				want := scanEvacuation(s, s.Apps(), mi)
+				if got := revocations(s.MachineDown(mi), mi); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: machine-down evacuation\n got %v\nwant %v", seed, step, got, want)
 				}
 			}

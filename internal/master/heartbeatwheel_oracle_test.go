@@ -167,12 +167,12 @@ func (w *beatWorld) beat(mc int32) {
 	now := w.eng.Now()
 	w.m.lastBeat[mc] = now
 	w.wheel.track(mc, now)
-	if w.m.sched.downID(mc) {
-		w.m.sched.machineUpID(mc)
+	if w.m.sched.Down(mc) {
+		w.m.sched.MachineUp(mc)
 	}
 }
 
-func (w *beatWorld) down(mc int32) { w.m.sched.machineDownID(mc) }
+func (w *beatWorld) down(mc int32) { w.m.sched.MachineDown(mc) }
 
 // promote is a successor's baseline: every machine stamped at the promotion
 // instant, a fresh scheduler's every machine up, a fresh wheel holding every
@@ -183,8 +183,8 @@ func (w *beatWorld) promote() {
 	for mc := int32(0); mc < w.machines(); mc++ {
 		w.m.lastBeat[mc] = now
 		w.wheel.track(mc, now)
-		if w.m.sched.downID(mc) {
-			w.m.sched.machineUpID(mc)
+		if w.m.sched.Down(mc) {
+			w.m.sched.MachineUp(mc)
 		}
 	}
 	w.next = now + heartbeatScan
@@ -199,15 +199,15 @@ func (w *beatWorld) scan() {
 	w.next += heartbeatScan
 	now := w.eng.Now()
 	want := w.wheel.expire(now-heartbeatTimeout,
-		func(mc int32) sim.Time { return w.m.lastBeat[mc] }, w.m.sched.downID)
+		func(mc int32) sim.Time { return w.m.lastBeat[mc] }, w.m.sched.Down)
 	wasDown := make([]bool, w.machines())
 	for mc := range wasDown {
-		wasDown[mc] = w.m.sched.downID(int32(mc))
+		wasDown[mc] = w.m.sched.Down(int32(mc))
 	}
 	w.m.scanHeartbeats()
 	var got []int32
 	for mc, was := range wasDown {
-		if !was && w.m.sched.downID(int32(mc)) {
+		if !was && w.m.sched.Down(int32(mc)) {
 			got = append(got, int32(mc))
 			w.log = append(w.log, death{now, int32(mc)})
 		}

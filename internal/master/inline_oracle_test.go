@@ -140,7 +140,7 @@ func TestInlineUnitMatchesSlicedOracle(t *testing.T) {
 				m := on[rng.Intn(len(on))]
 				n := 1 + rng.Intn(held[m])
 				both("return "+app, func(sd *side) []Decision {
-					ds, err := sd.s.Return(app, unitID, m, n)
+					ds, err := giveBack(sd.s, app, unitID, sd.s.top.MachineID(m), n)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,10 +148,11 @@ func TestInlineUnitMatchesSlicedOracle(t *testing.T) {
 				})
 			case r < 86:
 				m := machines[rng.Intn(len(machines))]
-				if sides[0].s.Down(m) {
-					both("up "+m, func(sd *side) []Decision { return sd.s.MachineUp(m) })
+				id := sides[0].s.top.MachineID(m)
+				if sides[0].s.Down(id) {
+					both("up "+m, func(sd *side) []Decision { return sd.s.MachineUp(id) })
 				} else {
-					both("down "+m, func(sd *side) []Decision { return sd.s.MachineDown(m) })
+					both("down "+m, func(sd *side) []Decision { return sd.s.MachineDown(id) })
 				}
 			default:
 				i := rng.Intn(len(names))

@@ -121,6 +121,21 @@ const (
 	blacklistCap = 50
 )
 
+// Blacklist pins are the signals that keep a listed machine on the cluster
+// blacklist through a healthy heartbeat. A machine with no pin was listed by
+// its health score alone, and its first healthy heartbeat clears it. The
+// pins are hard state with the list itself: the checkpoint records each
+// listed machine's pins, and a promoted successor restores them.
+const (
+	// pinVotes: badReportThreshold applications reported the machine. Votes
+	// never expire, so neither does the pin; it is set at the threshold even
+	// when the blacklist cap keeps the machine off the list.
+	pinVotes uint8 = 1 << iota
+	// pinFlap: the flap score reached flapThreshold while the machine was
+	// listed; only the decay path (decayFlapScores) clears it.
+	pinFlap
+)
+
 // Master is one FuxiMaster process of the hot-standby pair. When it holds
 // the election lock it registers the logical MasterEndpoint, drives the
 // Scheduler, and dispatches grant/revoke messages; otherwise it waits.
@@ -182,13 +197,13 @@ type Master struct {
 	lastBeat      []sim.Time // by machine ID
 	strikes       []int      // by machine ID
 	// flap is the cluster-level machine health score (see flapPenalty):
-	// master-observed deaths raise it, the decay timer lowers it, and
-	// flapBlack marks machines blacklisted by it (so heartbeat-score
-	// rehabilitation cannot un-blacklist a flapping node between crashes).
-	// Both are soft state: a promoted successor starts them fresh.
-	flap      []int
-	flapBlack []bool
-	badVotes  []map[string]bool // machine ID -> set of reporting apps
+	// master-observed deaths raise it and the decay timer lowers it. It is
+	// soft state, like strikes and badVotes: a promoted successor starts
+	// them fresh, and restores only the pins (pinVotes, pinFlap) the
+	// checkpoint recorded for each listed machine.
+	flap     []int
+	pins     []uint8           // by machine ID
+	badVotes []map[string]bool // machine ID -> set of reporting apps
 	// pendDem and pendRet buffer one scheduling round's demand and returns in
 	// arrival order, each with its sender so the flush resolves the app by
 	// index; round stamps the apps a batched flush has seen. A recovery holds
@@ -273,14 +288,14 @@ func NewMaster(cfg Config, eng *sim.Engine, net *transport.Net, lock *lockservic
 	n := top.Size()
 	m := &Master{
 		cfg: cfg, eng: eng, net: net, lock: lock, top: top, ckpt: ckpt,
-		lastBeat:  make([]sim.Time, n),
-		strikes:   make([]int, n),
-		flap:      make([]int, n),
-		flapBlack: make([]bool, n),
-		badVotes:  make([]map[string]bool, n),
-		agentEP:   make([]tr, n),
-		epID:      net.Endpoint(protocol.MasterEndpoint),
-		gwID:      net.Endpoint(protocol.GatewayEndpoint),
+		lastBeat: make([]sim.Time, n),
+		strikes:  make([]int, n),
+		flap:     make([]int, n),
+		pins:     make([]uint8, n),
+		badVotes: make([]map[string]bool, n),
+		agentEP:  make([]tr, n),
+		epID:     net.Endpoint(protocol.MasterEndpoint),
+		gwID:     net.Endpoint(protocol.GatewayEndpoint),
 	}
 	for id := int32(0); id < int32(n); id++ {
 		m.agentEP[id] = net.Endpoint(protocol.AgentEndpoint(top.MachineName(id)))
@@ -409,7 +424,18 @@ func (m *Master) promote() {
 	}
 	m.ckpt.Bind(snap.Apps, eps)
 	for _, b := range snap.Blacklist {
-		m.sched.SetBlacklisted(b, true, false)
+		id := m.top.MachineID(b.Machine)
+		if id < 0 {
+			continue // a machine the topology no longer holds
+		}
+		m.sched.SetBlacklisted(id, true)
+		m.pins[id] |= b.Pins
+		if b.Pins&pinFlap != 0 {
+			// The score stood at least at the threshold when the pin was
+			// set; the decay path ages it from there, as it would have on
+			// the predecessor.
+			m.flap[id] = max(m.flap[id], flapThreshold)
+		}
 	}
 	if m.cfg.Obs != nil {
 		m.initObs()
@@ -603,7 +629,7 @@ func (m *Master) Restart() {
 	m.lastBeat = make([]sim.Time, n)
 	m.strikes = make([]int, n)
 	m.flap = make([]int, n)
-	m.flapBlack = make([]bool, n)
+	m.pins = make([]uint8, n)
 	m.badVotes = make([]map[string]bool, n)
 	m.compete()
 }
@@ -1259,9 +1285,9 @@ func (m *Master) handleHeartbeat(t *protocol.AgentHeartbeat) {
 		return
 	}
 	m.lastBeat[mc] = m.eng.Now()
-	if m.sched.downID(mc) {
+	if m.sched.Down(mc) {
 		// The node recovered (or its network partition healed).
-		m.dispatch(m.sched.machineUpID(mc))
+		m.dispatch(m.sched.MachineUp(mc))
 		// A machine declared dead across a partition never restarted: its
 		// agent still carries every pre-partition grant, including ones the
 		// master has since revoked and reissued elsewhere. Re-baseline its
@@ -1296,18 +1322,17 @@ func (m *Master) handleHeartbeat(t *protocol.AgentHeartbeat) {
 	// Health-score graylisting.
 	if t.HealthScore < healthScoreThreshold {
 		m.strikes[mc]++
-		if m.strikes[mc] >= healthScoreStrikes && !m.sched.blackID(mc) {
-			m.blacklist(mc)
+		if m.strikes[mc] >= healthScoreStrikes && !m.sched.Blacklisted(mc) {
+			m.blacklist(mc, 0)
 		}
 	} else {
 		m.strikes[mc] = 0
-		if m.sched.blackID(mc) && len(m.badVotes[mc]) < badReportThreshold &&
-			!m.flapBlack[mc] {
+		if m.sched.Blacklisted(mc) && m.pins[mc] == 0 {
 			// Score recovered and neither job votes nor the flap score pin
 			// it: rehabilitate. Flap-blacklisted machines heartbeat healthily
 			// between crashes, so only the decay path may clear them.
-			m.dispatch(m.sched.setBlacklistedID(mc, false, false))
-			m.ckpt.SetBlacklist(m.currentBlacklist())
+			m.dispatch(m.sched.SetBlacklisted(mc, false))
+			m.saveBlacklist()
 		}
 	}
 }
@@ -1331,14 +1356,14 @@ func (m *Master) handleJobAdmit(t *protocol.JobAdmit) {
 func (m *Master) noteFlap(mc int32) {
 	m.flap[mc] += flapPenalty
 	if m.flap[mc] >= flapThreshold {
-		if !m.sched.blackID(mc) {
-			m.blacklist(mc)
-		}
-		if m.sched.blackID(mc) { // not suppressed by the blacklist cap
+		if !m.sched.Blacklisted(mc) {
+			m.blacklist(mc, pinFlap)
+		} else if m.pins[mc]&pinFlap == 0 {
 			// Pin the machine even when another signal blacklisted it first:
 			// otherwise one healthy heartbeat (resetting the strikes) would
 			// rehabilitate a node whose flap score still sits at threshold.
-			m.flapBlack[mc] = true
+			m.pins[mc] |= pinFlap
+			m.saveBlacklist()
 		}
 	}
 }
@@ -1353,7 +1378,7 @@ func (m *Master) decayFlapScores() {
 	}
 	for mc := int32(0); int(mc) < len(m.flap); mc++ {
 		sc := m.flap[mc]
-		if sc == 0 && !m.flapBlack[mc] {
+		if sc == 0 && m.pins[mc]&pinFlap == 0 {
 			// Neither a live score nor a pin — nothing to age. (A pinned
 			// machine must keep being visited even after its score decayed
 			// away while strikes or bad votes blocked rehabilitation, or
@@ -1367,12 +1392,11 @@ func (m *Master) decayFlapScores() {
 			}
 			m.flap[mc] = sc
 		}
-		if m.flapBlack[mc] && sc < flapThreshold &&
-			m.strikes[mc] < healthScoreStrikes &&
-			len(m.badVotes[mc]) < badReportThreshold {
-			m.flapBlack[mc] = false
-			m.dispatch(m.sched.setBlacklistedID(mc, false, false))
-			m.ckpt.SetBlacklist(m.currentBlacklist())
+		if m.pins[mc] == pinFlap && sc < flapThreshold &&
+			m.strikes[mc] < healthScoreStrikes {
+			m.pins[mc] = 0
+			m.dispatch(m.sched.SetBlacklisted(mc, false))
+			m.saveBlacklist()
 		}
 	}
 }
@@ -1390,7 +1414,7 @@ func (m *Master) handleCapacityQuery(t protocol.CapacityQuery) {
 	// found it, and its recovery query must not count twice). Gap-repair
 	// queries are explicitly exempt: a lossy link is the transport's fault,
 	// and scoring it would blacklist healthy machines under chaos.
-	if !t.Repair && !m.sched.downID(mc) {
+	if !t.Repair && !m.sched.Down(mc) {
 		m.noteFlap(mc)
 	}
 	m.sendCapacitySync(mc)
@@ -1416,26 +1440,39 @@ func (m *Master) handleBadReport(t protocol.BadMachineReport) {
 		m.badVotes[mc] = votes
 	}
 	votes[t.App] = true
-	if len(votes) >= badReportThreshold && !m.sched.blackID(mc) {
-		m.blacklist(mc)
+	if len(votes) < badReportThreshold {
+		return
+	}
+	pinned := m.pins[mc]&pinVotes != 0
+	m.pins[mc] |= pinVotes
+	if !m.sched.Blacklisted(mc) {
+		m.blacklist(mc, 0)
+	} else if !pinned {
+		m.saveBlacklist() // a listed machine's pins are hard state too
 	}
 }
 
-func (m *Master) blacklist(mc int32) {
+// blacklist lists machine mc, held by pin (0 when its health score alone
+// lists it), unless the list is at its cap.
+func (m *Master) blacklist(mc int32, pin uint8) {
 	if len(m.currentBlacklist()) >= blacklistCap {
 		return // bounded, per the paper's abuse guard
 	}
-	m.dispatch(m.sched.setBlacklistedID(mc, true, false))
-	// The cluster blacklist is hard state (paper §4.3.1); it serializes as
-	// names — IDs never reach durable state.
-	m.ckpt.SetBlacklist(m.currentBlacklist())
+	m.pins[mc] |= pin
+	m.dispatch(m.sched.SetBlacklisted(mc, true))
+	m.saveBlacklist()
 }
 
-func (m *Master) currentBlacklist() []string {
-	var out []string
+// saveBlacklist writes the cluster blacklist and its pins to the
+// checkpoint. The list is hard state (paper §4.3.1); it serializes as
+// names — IDs never reach durable state.
+func (m *Master) saveBlacklist() { m.ckpt.SetBlacklist(m.currentBlacklist()) }
+
+func (m *Master) currentBlacklist() []BlacklistEntry {
+	var out []BlacklistEntry
 	for id := int32(0); int(id) < m.top.Size(); id++ {
-		if m.sched.blackID(id) {
-			out = append(out, m.top.MachineName(id))
+		if m.sched.Blacklisted(id) {
+			out = append(out, BlacklistEntry{Machine: m.top.MachineName(id), Pins: m.pins[id]})
 		}
 	}
 	return out
@@ -1452,13 +1489,13 @@ func (m *Master) scanHeartbeats() {
 	cutoff := m.eng.Now() - heartbeatTimeout
 	for i, last := range m.lastBeat {
 		mc := int32(i)
-		if last == 0 || last >= cutoff || m.sched.downID(mc) {
+		if last == 0 || last >= cutoff || m.sched.Down(mc) {
 			continue
 		}
 		// Heartbeat timeout: remove from scheduling and revoke so job
 		// masters migrate instances (paper §4.3.2), and score the death for
 		// the cluster-level flap blacklist.
-		m.dispatch(m.sched.machineDownID(mc))
+		m.dispatch(m.sched.MachineDown(mc))
 		m.noteFlap(mc)
 	}
 }

@@ -382,8 +382,8 @@ func TestMasterBlacklistCapBoundsList(t *testing.T) {
 		}
 	}
 	count := 0
-	for _, m := range h.top.Machines() {
-		if h.m1.Scheduler().Blacklisted(m) {
+	for id := int32(0); id < int32(h.top.Size()); id++ {
+		if h.m1.Scheduler().Blacklisted(id) {
 			count++
 		}
 	}
@@ -401,12 +401,12 @@ func TestBadReportCountsOnlyFromItsApp(t *testing.T) {
 	mc := h.top.MachineID("r000m000")
 	h.send(protocol.BadMachineReport{App: "app1", Machine: mc, Seq: h.seq.Next()})
 	h.send(protocol.BadMachineReport{App: "someone-else", Machine: mc, Seq: h.seq.Next()})
-	if h.m1.Scheduler().Blacklisted("r000m000") {
+	if h.m1.Scheduler().Blacklisted(mc) {
 		t.Fatal("one endpoint naming two apps blacklisted the machine")
 	}
 	var seq protocol.Sequencer
 	h.sendFrom("someone-else", protocol.BadMachineReport{App: "someone-else", Machine: mc, Seq: seq.Next()})
-	if !h.m1.Scheduler().Blacklisted("r000m000") {
+	if !h.m1.Scheduler().Blacklisted(mc) {
 		t.Fatal("votes from two apps' own endpoints did not blacklist the machine")
 	}
 }

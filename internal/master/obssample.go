@@ -134,7 +134,7 @@ func (m *Master) sampleObs() {
 	var flaps, black int64
 	for id := range m.flap {
 		flaps += int64(m.flap[id])
-		if m.flapBlack[id] {
+		if m.pins[id]&pinFlap != 0 {
 			black++
 		}
 	}

@@ -77,9 +77,9 @@ func TestParallelParityFuzz(t *testing.T) {
 				t.Fatalf("rebuild register %s: %v", app, err)
 			}
 		}
-		for _, m := range s.top.Machines() {
+		for m := int32(0); m < int32(s.top.Size()); m++ {
 			if s.Blacklisted(m) {
-				n.SetBlacklisted(m, true, false)
+				n.SetBlacklisted(m, true)
 			}
 		}
 		for _, app := range apps {
@@ -91,13 +91,13 @@ func TestParallelParityFuzz(t *testing.T) {
 				}
 				sort.Strings(machines)
 				for _, m := range machines {
-					if !s.Down(m) {
-						n.RestoreGrant(app, u.ID, m, granted[m])
+					if id := s.top.MachineID(m); !s.Down(id) {
+						restore(n, app, u.ID, id, granted[m])
 					}
 				}
 			}
 		}
-		for _, m := range s.top.Machines() {
+		for m := int32(0); m < int32(s.top.Size()); m++ {
 			if s.Down(m) {
 				n.MachineDown(m)
 			}
@@ -206,7 +206,7 @@ func TestParallelParityFuzz(t *testing.T) {
 					return s.AssignOn(machines)
 				}))
 			case op < 10: // agent failover: machine down / up
-				m := machines[rng.Intn(len(machines))]
+				m := f.scheds[0].top.MachineID(machines[rng.Intn(len(machines))])
 				if f.scheds[0].Down(m) {
 					f.compare(seed, step, "machine-up", f.each(func(s *Scheduler) []Decision {
 						return s.MachineUp(m)
@@ -217,11 +217,11 @@ func TestParallelParityFuzz(t *testing.T) {
 					}))
 				}
 			case op < 11: // blacklist toggle
-				m := machines[rng.Intn(len(machines))]
+				m := f.scheds[0].top.MachineID(machines[rng.Intn(len(machines))])
 				black := !f.scheds[0].Blacklisted(m)
-				revoke := rng.Intn(2) == 0
+				_ = rng.Intn(2) // the draw of the deleted revoke flag: each seed keeps its op sequence
 				f.compare(seed, step, "blacklist", f.each(func(s *Scheduler) []Decision {
-					return s.SetBlacklisted(m, black, revoke)
+					return s.SetBlacklisted(m, black)
 				}))
 			case op < 12: // master failover: promote fresh schedulers
 				outs := make([][]Decision, len(f.scheds))

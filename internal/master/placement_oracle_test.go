@@ -136,14 +136,15 @@ func TestClusterPlacementOracle(t *testing.T) {
 			case op < 9:
 				m := int32(rng.Intn(top.Size()))
 				if got.down[m] {
-					gotOut, wantOut = got.machineUpID(m), want.machineUpID(m)
+					gotOut, wantOut = got.MachineUp(m), want.MachineUp(m)
 				} else {
-					gotOut, wantOut = got.machineDownID(m), want.machineDownID(m)
+					gotOut, wantOut = got.MachineDown(m), want.MachineDown(m)
 				}
 			default:
-				m, revoke := int32(rng.Intn(top.Size())), rng.Intn(2) == 0
-				gotOut = got.setBlacklistedID(m, !got.black[m], revoke)
-				wantOut = want.setBlacklistedID(m, !want.black[m], revoke)
+				m := int32(rng.Intn(top.Size()))
+				_ = rng.Intn(2) // the draw of the deleted revoke flag: each seed keeps its op sequence
+				gotOut = got.SetBlacklisted(m, !got.black[m])
+				wantOut = want.SetBlacklisted(m, !want.black[m])
 			}
 			if !slices.Equal(gotOut, wantOut) {
 				t.Fatalf("seed %d step %d: decisions %v, oracle %v", seed, step, gotOut, wantOut)

@@ -82,9 +82,9 @@ func TestQuotaPreemptionEdges(t *testing.T) {
 				// filling the whole cluster; gold holding nothing).
 				mustRegister(t, s, "bz", "bronze", unit(1, 100, 24, 1000, 8*1024))
 				mustRegister(t, s, "au", "gold", unit(1, 10, 6, 2000, 16*1024))
-				for _, m := range s.top.Machines() {
-					if !s.RestoreGrant("bz", 1, m, 12) {
-						t.Fatalf("restore failed on %s", m)
+				for m := int32(0); m < int32(s.top.Size()); m++ {
+					if !restore(s, "bz", 1, m, 12) {
+						t.Fatalf("restore failed on %s", s.top.MachineName(m))
 					}
 				}
 				checkInv(t, s)
@@ -121,7 +121,7 @@ func TestQuotaPreemptionEdges(t *testing.T) {
 				"bronze": resource.New(6_000, 48*1024),
 			},
 			run: func(t *testing.T, s *Scheduler) {
-				m0, m1 := s.top.Machines()[0], s.top.Machines()[1]
+				m0, m1 := int32(0), int32(1)
 				mustRegister(t, s, "bz", "bronze", unit(1, 100, 24, 1000, 8*1024))
 				if got := grantTotal(mustDemand(t, s, "bz", 1, clusterHint(24))); got != 24 {
 					t.Fatalf("bronze seeded %d of 24", got)
@@ -148,9 +148,9 @@ func TestQuotaPreemptionEdges(t *testing.T) {
 					t.Errorf("gold granted %d of 16", got)
 				}
 				for _, d := range ds {
-					if d.Delta < 0 && d.Machine != m1 {
+					if d.Delta < 0 && d.MachineID != m1 {
 						t.Errorf("revocation on %s, want only %s (m0 grants were already released): %+v",
-							d.Machine, m1, d)
+							d.Machine, s.top.MachineName(m1), d)
 					}
 				}
 				if held := s.Held("bz", 1); held != 24-12-revokeTotal(ds) {

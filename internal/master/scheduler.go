@@ -9,12 +9,15 @@
 // IDs — machines and racks by their topology index, applications by a
 // scheduler-assigned intern ID — with per-machine hot state (free vectors,
 // down/blacklist marks, wait queues) in slices indexed by those IDs.
-// Names appear only at the edges: the public string-keyed methods used by
-// tests and inspection convert once on entry, and Decision carries names
-// because it is consumed by boundary code (checkpoints, app callbacks,
-// logs). Because machine IDs are the indexes of the sorted machine list,
-// iterating IDs in order is identical to iterating sorted names, so the
-// refactor preserves every decision stream bit-for-bit.
+// The exported machine operations take a machine's topology ID, the form
+// FuxiMaster calls; an application is named by string and converted once on
+// entry. Three methods still take a machine name — Release and AssignOn for
+// bench/'s probe, SetVirtualResource for the operator call in
+// examples/service — and Decision carries names because it is consumed by
+// boundary code (checkpoints, app callbacks, logs). Because machine IDs are
+// the indexes of the sorted machine list, iterating IDs in order is
+// identical to iterating sorted names, so the refactor preserves every
+// decision stream bit-for-bit.
 package master
 
 import (
@@ -43,9 +46,6 @@ const (
 	ReasonRevokeQuota
 	// ReasonRevokeNodeDown is a revocation because the machine died.
 	ReasonRevokeNodeDown
-	// ReasonRevokeBlacklist is a revocation because the machine was
-	// blacklisted.
-	ReasonRevokeBlacklist
 )
 
 func (r Reason) String() string {
@@ -58,8 +58,6 @@ func (r Reason) String() string {
 		return "revoke-quota"
 	case ReasonRevokeNodeDown:
 		return "revoke-nodedown"
-	case ReasonRevokeBlacklist:
-		return "revoke-blacklist"
 	default:
 		return "unknown"
 	}
@@ -445,8 +443,9 @@ func (s *Scheduler) unregister(st *appState, out *[]Decision) {
 // (paper §3.2.2: "quantities can be either positive or negative"). Positive
 // deltas are satisfied from the free pool immediately where possible and
 // queued in the locality tree otherwise; negative deltas cancel queued
-// demand (never granted containers — use Return for those). A hint at a node
-// the topology does not hold fails the whole call, before anything changes.
+// demand (never granted containers, which an application returns). A hint
+// at a node the topology does not hold fails the whole call, before anything
+// changes.
 func (s *Scheduler) UpdateDemand(app string, unitID int, hints []resource.LocalityHint) ([]Decision, error) {
 	st, u, err := s.lookup(app, unitID)
 	if err != nil {
@@ -487,20 +486,9 @@ func (s *Scheduler) applyDemand(st *appState, u *unitState, hints []resource.Loc
 	}
 }
 
-// Return releases count granted containers on machine back to the pool and
-// immediately reschedules the freed resources (paper §3.1 steps 3–4: a
-// return triggers event-driven reassignment).
-func (s *Scheduler) Return(app string, unitID int, machine string, count int) ([]Decision, error) {
-	if err := s.Release(app, unitID, machine, count); err != nil {
-		return nil, err
-	}
-	id := s.top.MachineID(machine)
-	return s.assignOnIDs([]int32{id}), nil
-}
-
 // Release gives count granted containers on machine back to the pool
-// without triggering reassignment — the name-keyed wrapper of releaseChecked
-// (tests and inspection callers).
+// without triggering reassignment. It is the name-keyed form of
+// releaseChecked, kept for bench/'s scheduler probe.
 func (s *Scheduler) Release(app string, unitID int, machine string, count int) error {
 	st, u, err := s.lookup(app, unitID)
 	if err != nil {
@@ -556,38 +544,22 @@ func (s *Scheduler) AssignOnAll() []Decision {
 	return out
 }
 
-// MachineDown removes a dead machine from scheduling: all grants on it are
+// MachineDown removes dead machine id from scheduling: all grants on it are
 // revoked (the paper's "resource revocation is sent to JobMaster so that the
 // JobMaster could migrate running instances").
-func (s *Scheduler) MachineDown(machine string) []Decision {
-	id := s.top.MachineID(machine)
-	if id < 0 {
-		return nil
-	}
-	return s.machineDownID(id)
-}
-
-func (s *Scheduler) machineDownID(id int32) []Decision {
+func (s *Scheduler) MachineDown(id int32) []Decision {
 	if s.down[id] {
 		return nil
 	}
 	s.down[id] = true
 	(&s.upCap).AddScaledInPlace(s.top.MachineByID(id).Capacity, -1)
-	return s.evacuate(id, ReasonRevokeNodeDown)
+	return s.evacuate(id)
 }
 
-// MachineUp restores a recovered machine to the pool with the given
-// allocations already running on it (from the agent's report; empty for a
-// fresh machine) and schedules its free remainder.
-func (s *Scheduler) MachineUp(machine string) []Decision {
-	id := s.top.MachineID(machine)
-	if id < 0 {
-		return nil
-	}
-	return s.machineUpID(id)
-}
-
-func (s *Scheduler) machineUpID(id int32) []Decision {
+// MachineUp restores recovered machine id to the pool with its full
+// capacity free and schedules it. Allocations still running on it come
+// back through the agent's reports, not through this call.
+func (s *Scheduler) MachineUp(id int32) []Decision {
 	if !s.down[id] {
 		return nil
 	}
@@ -597,48 +569,26 @@ func (s *Scheduler) machineUpID(id int32) []Decision {
 	return s.assignOnIDs([]int32{id})
 }
 
-// SetBlacklisted marks a machine unschedulable (or clears the mark). When
-// revokeExisting is true, current grants are revoked too — FuxiMaster's
-// behaviour for heartbeat-timeout machines; score-based graylisting keeps
-// running work.
-func (s *Scheduler) SetBlacklisted(machine string, blacklisted, revokeExisting bool) []Decision {
-	id := s.top.MachineID(machine)
-	if id < 0 {
+// SetBlacklisted marks machine id unschedulable (on) or clears the mark.
+// Marking keeps the work already running there; clearing schedules the
+// machine at once.
+func (s *Scheduler) SetBlacklisted(id int32, on bool) []Decision {
+	if on {
+		s.black[id] = true
 		return nil
 	}
-	return s.setBlacklistedID(id, blacklisted, revokeExisting)
-}
-
-func (s *Scheduler) setBlacklistedID(id int32, blacklisted, revokeExisting bool) []Decision {
-	if !blacklisted {
-		if !s.black[id] {
-			return nil
-		}
-		s.black[id] = false
-		return s.assignOnIDs([]int32{id})
+	if !s.black[id] {
+		return nil
 	}
-	s.black[id] = true
-	if revokeExisting {
-		return s.evacuate(id, ReasonRevokeBlacklist)
-	}
-	return nil
+	s.black[id] = false
+	return s.assignOnIDs([]int32{id})
 }
 
-// Blacklisted reports whether machine is currently blacklisted.
-func (s *Scheduler) Blacklisted(machine string) bool {
-	id := s.top.MachineID(machine)
-	return id >= 0 && s.black[id]
-}
+// Blacklisted reports whether machine id is blacklisted.
+func (s *Scheduler) Blacklisted(id int32) bool { return s.black[id] }
 
-// Down reports whether machine is marked down.
-func (s *Scheduler) Down(machine string) bool {
-	id := s.top.MachineID(machine)
-	return id >= 0 && s.down[id]
-}
-
-// downID/blackID are the hot-path forms of Down/Blacklisted.
-func (s *Scheduler) downID(id int32) bool  { return s.down[id] }
-func (s *Scheduler) blackID(id int32) bool { return s.black[id] }
+// Down reports whether machine id is marked down.
+func (s *Scheduler) Down(id int32) bool { return s.down[id] }
 
 // ---------------------------------------------------------------------------
 // internals
@@ -966,10 +916,10 @@ func (s *Scheduler) appStateByID(id int32) *appState {
 	return s.appByID[id]
 }
 
-// evacuate revokes every grant on machine; rescheduling the demand
-// elsewhere is left to the apps (they re-request); the freed pool entry is
-// zeroed for down machines and restored for blacklisted ones.
-func (s *Scheduler) evacuate(machine int32, reason Reason) []Decision {
+// evacuate revokes every grant on down machine and empties its free pool
+// entry; rescheduling the demand elsewhere is left to the apps (they
+// re-request).
+func (s *Scheduler) evacuate(machine int32) []Decision {
 	var out []Decision
 	name := s.top.MachineName(machine)
 	cells := s.cellsInOrder(machine)
@@ -980,14 +930,9 @@ func (s *Scheduler) evacuate(machine int32, reason Reason) []Decision {
 		dense.Take(&u.granted, uint64(machine), int(c.n))
 		s.debit(st, u, machine, int(c.n))
 		out = append(out, Decision{App: st.name, AppID: st.id, UnitID: u.def.ID,
-			Machine: name, MachineID: machine, Delta: -int(c.n), Reason: reason})
+			Machine: name, MachineID: machine, Delta: -int(c.n), Reason: ReasonRevokeNodeDown})
 	}
-	if s.down[machine] {
-		s.setFree(machine, resource.Vector{})
-	} else {
-		// Blacklisted but alive: capacity exists yet is unschedulable.
-		s.setFree(machine, s.top.MachineByID(machine).Capacity)
-	}
+	s.setFree(machine, resource.Vector{})
 	return out
 }
 

@@ -39,7 +39,7 @@ func TestWaitingByLevelAcrossMachineDownUp(t *testing.T) {
 		}
 		checkInv(t, s)
 
-		ds := s.MachineDown("r000m000")
+		ds := s.MachineDown(top.MachineID("r000m000"))
 		for _, d := range ds {
 			if d.Delta >= 0 {
 				t.Fatalf("machine down must only revoke, got %+v", d)
@@ -54,7 +54,7 @@ func TestWaitingByLevelAcrossMachineDownUp(t *testing.T) {
 
 		// The machine comes back: its full capacity is free again and the
 		// pinned demand must be granted ahead of nothing else waiting.
-		ds = s.MachineUp("r000m000")
+		ds = s.MachineUp(top.MachineID("r000m000"))
 		got := 0
 		for _, d := range ds {
 			if d.Machine != "r000m000" || d.Delta <= 0 {
@@ -81,7 +81,7 @@ func TestBlacklistedMachineExcludedFromAssignment(t *testing.T) {
 		s := newTestScheduler(top, Options{}, legacy)
 		mustRegister(t, s, "app", "", unit(1, 1, 100, 6000, 8192))
 
-		if ds := s.SetBlacklisted("r000m000", true, false); len(ds) != 0 {
+		if ds := s.SetBlacklisted(top.MachineID("r000m000"), true); len(ds) != 0 {
 			t.Fatalf("blacklisting an idle machine emitted %v", ds)
 		}
 		// Machine-pinned demand on the blacklisted machine must queue, not
@@ -107,7 +107,7 @@ func TestBlacklistedMachineExcludedFromAssignment(t *testing.T) {
 
 		// Clearing the blacklist triggers assignment on the machine: the
 		// pinned waiter and the queued cluster remainder both land there.
-		ds = s.SetBlacklisted("r000m000", false, false)
+		ds = s.SetBlacklisted(top.MachineID("r000m000"), false)
 		for _, d := range ds {
 			if d.Machine != "r000m000" || d.Delta <= 0 {
 				t.Fatalf("unexpected decision %+v", d)
@@ -123,24 +123,26 @@ func TestBlacklistedMachineExcludedFromAssignment(t *testing.T) {
 	})
 }
 
-// TestRevokeExistingOnBlacklist covers the heartbeat-timeout flavour of
-// blacklisting: existing grants are revoked and the freed capacity is not
-// reusable while the mark stands.
-func TestRevokeExistingOnBlacklist(t *testing.T) {
+// TestBlacklistKeepsRunningGrants: blacklisting a machine revokes nothing
+// (its running work stays, paper §4.3.2's graylisting), and the capacity
+// its grants leave free is not reused while the mark stands.
+func TestBlacklistKeepsRunningGrants(t *testing.T) {
 	schedVariants(t, func(t *testing.T, legacy bool) {
 		top := testTop(t, 1, 2)
 		s := newTestScheduler(top, Options{}, legacy)
 		mustRegister(t, s, "app", "", unit(1, 1, 100, 6000, 8192))
 		mustDemand(t, s, "app", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 1})
 
-		ds := s.SetBlacklisted("r000m000", true, true)
-		if len(ds) != 1 || ds[0].Delta != -1 || ds[0].Reason != ReasonRevokeBlacklist {
-			t.Fatalf("expected one blacklist revocation, got %v", ds)
+		if ds := s.SetBlacklisted(top.MachineID("r000m000"), true); len(ds) != 0 {
+			t.Fatalf("blacklisting decided %v, want nothing", ds)
+		}
+		if held := s.Held("app", 1); held != 1 {
+			t.Fatalf("held %d after blacklisting, want the running 1", held)
 		}
 		// Demand re-raised for the machine must wait despite free capacity.
-		ds = mustDemand(t, s, "app", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 1})
+		ds := mustDemand(t, s, "app", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 1})
 		if len(ds) != 0 {
-			t.Fatalf("granted on revoke-blacklisted machine: %v", ds)
+			t.Fatalf("granted on a blacklisted machine: %v", ds)
 		}
 		checkInv(t, s)
 	})

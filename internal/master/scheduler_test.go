@@ -49,6 +49,26 @@ func grantTotal(ds []Decision) int {
 	return n
 }
 
+// giveBack is one container return the way FuxiMaster applies it: the
+// release (releaseChecked), then an assignment pass over the freed machine.
+func giveBack(s *Scheduler, app string, unitID int, machine int32, count int) ([]Decision, error) {
+	st, u, err := s.lookup(app, unitID)
+	if err == nil {
+		err = s.releaseChecked(st, u, machine, count)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.assignOnIDs([]int32{machine}), nil
+}
+
+// restore is the recovery-time restoreGrant for the app named app, false
+// when the scheduler does not know the app (FuxiMaster skips those).
+func restore(s *Scheduler, app string, unitID int, machine int32, count int) bool {
+	st, ok := s.apps[app]
+	return ok && s.restoreGrant(st, unitID, machine, count)
+}
+
 func checkInv(t *testing.T, s *Scheduler) {
 	t.Helper()
 	if bad := s.CheckInvariants(); len(bad) > 0 {
@@ -116,15 +136,14 @@ func TestMachinePreferenceGrant(t *testing.T) {
 func TestRackPreferenceGrant(t *testing.T) {
 	top := testTop(t, 2, 3)
 	s := NewScheduler(top, Options{})
-	rack := top.Racks()[1]
 	mustRegister(t, s, "app1", "", unit(1, 100, 50, 6000, 48*1024))
 	ds := mustDemand(t, s, "app1", 1, resource.LocalityHint{Type: resource.LocalityRack, Node: 1, Count: 5})
 	if grantTotal(ds) != 5 {
 		t.Fatalf("granted %d, want 5", grantTotal(ds))
 	}
 	for _, d := range ds {
-		if top.RackOf(d.Machine) != rack {
-			t.Errorf("grant on rack %s, want %s", top.RackOf(d.Machine), rack)
+		if rack := top.RackIDOf(d.MachineID); rack != 1 {
+			t.Errorf("grant on rack %s, want %s", top.RackName(rack), top.RackName(1))
 		}
 	}
 	checkInv(t, s)
@@ -150,7 +169,7 @@ func TestQueueWhenInsufficientThenGrantOnReturn(t *testing.T) {
 		t.Fatalf("app2 waiting = %d, want 4", s.Waiting("app2", 1))
 	}
 
-	rds, err := s.Return("app1", 1, m, 3)
+	rds, err := giveBack(s, "app1", 1, s.top.MachineID(m), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +199,7 @@ func TestSmallerUnitFitsWhereBigCannot(t *testing.T) {
 		t.Fatalf("small granted %d on full machine", grantTotal(ds))
 	}
 	// big returns one unit: 2000 CPU, 5 GB free. small's 1-core units fit.
-	rds, err := s.Return("big", 1, "r000m000", 1)
+	rds, err := giveBack(s, "big", 1, s.top.MachineID("r000m000"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +230,7 @@ func TestMaxCountFreesAfterReturn(t *testing.T) {
 	if s.Held("a", 1) != 2 {
 		t.Fatalf("held = %d", s.Held("a", 1))
 	}
-	rds, err := s.Return("a", 1, "r000m000", 1)
+	rds, err := giveBack(s, "a", 1, s.top.MachineID("r000m000"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +269,7 @@ func TestPriorityOrderOnFreeUp(t *testing.T) {
 	mustDemand(t, s, "holder", 1, clusterHint(12))
 	mustDemand(t, s, "low", 1, clusterHint(2))  // queued first
 	mustDemand(t, s, "high", 1, clusterHint(2)) // queued second, higher priority
-	rds, err := s.Return("holder", 1, "r000m000", 2)
+	rds, err := giveBack(s, "holder", 1, s.top.MachineID("r000m000"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +292,7 @@ func TestFIFOAtEqualPriority(t *testing.T) {
 	mustDemand(t, s, "holder", 1, clusterHint(12))
 	mustDemand(t, s, "first", 1, clusterHint(2))
 	mustDemand(t, s, "second", 1, clusterHint(2))
-	rds, _ := s.Return("holder", 1, "r000m000", 2)
+	rds, _ := giveBack(s, "holder", 1, s.top.MachineID("r000m000"), 2)
 	for _, d := range rds {
 		if d.Delta > 0 && d.App != "first" {
 			t.Errorf("grant to %s, want first (FIFO)", d.App)
@@ -296,7 +315,7 @@ func TestMachineQueuePrecedesClusterQueue(t *testing.T) {
 	// second but at machine level on m0.
 	mustDemand(t, s, "clusterwaiter", 1, clusterHint(1))
 	mustDemand(t, s, "machinewaiter", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 1})
-	rds, _ := s.Return("holder", 1, m0, 1)
+	rds, _ := giveBack(s, "holder", 1, top.MachineID(m0), 1)
 	if len(rds) == 0 {
 		t.Fatal("no reassignment")
 	}
@@ -317,7 +336,7 @@ func TestHigherPriorityClusterBeatsLowerPriorityMachine(t *testing.T) {
 	mustDemand(t, s, "holder", 1, clusterHint(24))
 	mustDemand(t, s, "casual", 1, resource.LocalityHint{Type: resource.LocalityMachine, Node: 0, Count: 1})
 	mustDemand(t, s, "urgent", 1, clusterHint(1))
-	rds, _ := s.Return("holder", 1, m0, 1)
+	rds, _ := giveBack(s, "holder", 1, top.MachineID(m0), 1)
 	if len(rds) == 0 || rds[0].App != "urgent" {
 		t.Errorf("grant order = %v, want urgent first", rds)
 	}
@@ -347,16 +366,16 @@ func TestReturnValidation(t *testing.T) {
 	s := NewScheduler(testTop(t, 1, 1), Options{})
 	mustRegister(t, s, "a", "", unit(1, 100, 5, 1000, 2048))
 	mustDemand(t, s, "a", 1, clusterHint(2))
-	if _, err := s.Return("a", 1, "r000m000", 5); err == nil {
+	if _, err := giveBack(s, "a", 1, s.top.MachineID("r000m000"), 5); err == nil {
 		t.Error("over-return accepted")
 	}
-	if _, err := s.Return("a", 1, "r000m000", 0); err == nil {
+	if _, err := giveBack(s, "a", 1, s.top.MachineID("r000m000"), 0); err == nil {
 		t.Error("zero return accepted")
 	}
-	if _, err := s.Return("nope", 1, "r000m000", 1); err == nil {
+	if _, err := giveBack(s, "nope", 1, s.top.MachineID("r000m000"), 1); err == nil {
 		t.Error("unknown app accepted")
 	}
-	if _, err := s.Return("a", 9, "r000m000", 1); err == nil {
+	if _, err := giveBack(s, "a", 9, s.top.MachineID("r000m000"), 1); err == nil {
 		t.Error("unknown unit accepted")
 	}
 }
@@ -390,14 +409,14 @@ func TestMachineDownRevokesAndUpRestores(t *testing.T) {
 	if held[m0] != 12 || held[m1] != 12 {
 		t.Fatalf("granted = %v", held)
 	}
-	ds := s.MachineDown(m0)
+	ds := s.MachineDown(top.MachineID(m0))
 	if len(ds) != 1 || ds[0].Delta != -12 || ds[0].Reason != ReasonRevokeNodeDown {
 		t.Fatalf("down decisions = %v", ds)
 	}
 	if s.Held("a", 1) != 12 {
 		t.Errorf("held after down = %d", s.Held("a", 1))
 	}
-	if s.MachineDown(m0) != nil {
+	if s.MachineDown(top.MachineID(m0)) != nil {
 		t.Error("double down returned decisions")
 	}
 	checkInv(t, s)
@@ -405,7 +424,7 @@ func TestMachineDownRevokesAndUpRestores(t *testing.T) {
 	// App re-requests (its AM reacts to revocation); demand queues since m1
 	// is full, then machine recovery satisfies it.
 	mustDemand(t, s, "a", 1, clusterHint(12))
-	ds = s.MachineUp(m0)
+	ds = s.MachineUp(top.MachineID(m0))
 	if grantTotal(ds) != 12 {
 		t.Errorf("regrant after up = %d, want 12", grantTotal(ds))
 	}
@@ -426,7 +445,7 @@ func TestTotalsAndPlanned(t *testing.T) {
 	if !free.Add(wantPlanned).Equal(total) {
 		t.Errorf("free %v + planned %v != total %v", free, wantPlanned, total)
 	}
-	s.MachineDown(top.Machines()[0])
+	s.MachineDown(0)
 	if !s.TotalCapacity().Equal(resource.New(12000, 96*1024)) {
 		t.Errorf("capacity after down = %v", s.TotalCapacity())
 	}
@@ -437,7 +456,7 @@ func TestBlacklistStopsNewGrants(t *testing.T) {
 	s := NewScheduler(top, Options{})
 	m0 := top.Machines()[0]
 	mustRegister(t, s, "a", "", unit(1, 100, 24, 1000, 4096))
-	s.SetBlacklisted(m0, true, false)
+	s.SetBlacklisted(top.MachineID(m0), true)
 	ds := mustDemand(t, s, "a", 1, clusterHint(24))
 	for _, d := range ds {
 		if d.Machine == m0 {
@@ -448,25 +467,9 @@ func TestBlacklistStopsNewGrants(t *testing.T) {
 		t.Errorf("granted %d, want 12 (one machine usable)", grantTotal(ds))
 	}
 	// Unblacklist: queued demand flows onto m0.
-	ds = s.SetBlacklisted(m0, false, false)
+	ds = s.SetBlacklisted(top.MachineID(m0), false)
 	if grantTotal(ds) != 12 {
 		t.Errorf("granted %d after unblacklist, want 12", grantTotal(ds))
-	}
-	checkInv(t, s)
-}
-
-func TestBlacklistWithRevocation(t *testing.T) {
-	top := testTop(t, 1, 2)
-	s := NewScheduler(top, Options{})
-	m0 := top.Machines()[0]
-	mustRegister(t, s, "a", "", unit(1, 100, 24, 1000, 4096))
-	mustDemand(t, s, "a", 1, clusterHint(24))
-	ds := s.SetBlacklisted(m0, true, true)
-	if len(ds) != 1 || ds[0].Delta != -12 || ds[0].Reason != ReasonRevokeBlacklist {
-		t.Fatalf("decisions = %v", ds)
-	}
-	if !s.Blacklisted(m0) {
-		t.Error("not blacklisted")
 	}
 	checkInv(t, s)
 }
@@ -474,19 +477,19 @@ func TestBlacklistWithRevocation(t *testing.T) {
 func TestRestoreGrantRebuildsState(t *testing.T) {
 	top := testTop(t, 1, 2)
 	s := NewScheduler(top, Options{})
-	m0 := top.Machines()[0]
 	mustRegister(t, s, "a", "", unit(1, 100, 10, 1000, 4096))
-	if !s.RestoreGrant("a", 1, m0, 3) {
+	st := s.apps["a"]
+	if !s.restoreGrant(st, 1, 0, 3) {
 		t.Fatal("restore failed")
 	}
 	if s.Held("a", 1) != 3 {
 		t.Errorf("held = %d", s.Held("a", 1))
 	}
-	if s.RestoreGrant("ghost", 1, m0, 1) {
-		t.Error("restore for unknown app succeeded")
-	}
-	if s.RestoreGrant("a", 9, m0, 1) {
+	if s.restoreGrant(st, 9, 0, 1) {
 		t.Error("restore for unknown unit succeeded")
+	}
+	if s.restoreGrant(st, 1, 0, 0) {
+		t.Error("restore of zero containers succeeded")
 	}
 	checkInv(t, s)
 }

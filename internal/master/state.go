@@ -8,19 +8,8 @@ import (
 )
 
 // Inspection and state-transfer methods used by metrics, tests, and the
-// failover path. These are boundary APIs: they speak machine names and
-// return copies, converting from the ID-indexed hot state on the way out.
-
-// TotalFree sums the free pool over schedulable machines.
-func (s *Scheduler) TotalFree() resource.Vector {
-	var t resource.Vector
-	for id := int32(0); id < s.nMach; id++ {
-		if s.schedulable(id) {
-			t = t.Add(s.free[id])
-		}
-	}
-	return t
-}
+// failover path. They name applications by string and return copies,
+// converting from the ID-indexed hot state on the way out.
 
 // TotalCapacity is the capacity of the machines that are up (the paper's
 // FM_total), a running total (a copy).
@@ -96,45 +85,6 @@ func (s *Scheduler) Waiting(app string, unitID int) int {
 	return s.tree.totalWaiting(waitKey{app: st.id, unit: u.idx})
 }
 
-// WaitingByLevel reports queued counts per locality level for (app, unit),
-// mirroring the paper's Figure 5 scheduling-tree view.
-func (s *Scheduler) WaitingByLevel(app string, unitID int) (machine, rack, cluster int) {
-	st, ok := s.apps[app]
-	if !ok {
-		return 0, 0, 0
-	}
-	u := st.unit(unitID)
-	if u == nil {
-		return 0, 0, 0
-	}
-	return s.tree.waitingByLevel(waitKey{app: st.id, unit: u.idx})
-}
-
-// WaitingNodes lists the locality nodes where (app, unit) currently has a
-// queued entry, as (level, node ID, count) in (level, node) order — the
-// tree's view of one unit, used by tests and the failover rebuild helpers.
-func (s *Scheduler) WaitingNodes(app string, unitID int) []resource.LocalityHint {
-	st, ok := s.apps[app]
-	if !ok {
-		return nil
-	}
-	u := st.unit(unitID)
-	if u == nil {
-		return nil
-	}
-	key := waitKey{app: st.id, unit: u.idx}
-	var out []resource.LocalityHint
-	for _, idx := range s.tree.nodesFor(key, nil) {
-		c := s.tree.get(key, idx.level, idx.node)
-		if c <= 0 {
-			continue
-		}
-		out = append(out, resource.LocalityHint{Type: idx.level, Node: idx.node, Count: c})
-	}
-	resource.SortHints(out)
-	return out
-}
-
 // GroupUsage returns a quota group's current usage vector (a copy).
 func (s *Scheduler) GroupUsage(group string) resource.Vector {
 	if g, ok := s.groups[group]; ok {
@@ -177,20 +127,12 @@ func (s *Scheduler) Units(app string) []resource.ScheduleUnit {
 	return out
 }
 
-// RestoreGrant force-installs a grant without emitting decisions — the
-// failover path uses it to rebuild soft state from FuxiAgent allocation
+// restoreGrant force-installs a grant without emitting decisions — the
+// failover path rebuilds soft state with it from FuxiAgent allocation
 // reports ("each FuxiAgent re-sends the resource allocation on this machine
-// for each application master", Figure 7). Unknown apps or units are
-// ignored: their agents' processes will be reconciled once the app
-// re-registers.
-func (s *Scheduler) RestoreGrant(app string, unitID int, machine string, count int) bool {
-	st, ok := s.apps[app]
-	id := s.top.MachineID(machine)
-	return ok && id >= 0 && s.restoreGrant(st, unitID, id, count)
-}
-
-// restoreGrant is the hot-path form of RestoreGrant, fed straight from
-// anchor-heartbeat allocation tables during recovery.
+// for each application master", Figure 7), fed straight from anchor
+// heartbeats. An unknown unit is ignored: its agents' processes are
+// reconciled once the app re-registers.
 func (s *Scheduler) restoreGrant(st *appState, unitID int, machine int32, count int) bool {
 	u := st.unit(unitID)
 	if u == nil || count <= 0 {
@@ -228,14 +170,6 @@ func (s *Scheduler) SetVirtualResource(machine, dim string, amount int64) []Deci
 		return s.assignOnIDs([]int32{id})
 	}
 	return nil
-}
-
-// GroupMin returns a quota group's guaranteed minimum (zero when none).
-func (s *Scheduler) GroupMin(group string) resource.Vector {
-	if g, ok := s.groups[group]; ok {
-		return g.min.Clone()
-	}
-	return resource.Vector{}
 }
 
 // Preemptions returns the cumulative count of resource units revoked by the

@@ -71,7 +71,7 @@ func TestLoweringVirtualResourceOversubscribesWithoutRevoking(t *testing.T) {
 	}
 	// Returning containers drains the oversubscription; only then do new
 	// grants flow.
-	if _, err := s.Return("asort", 1, "m1", 4); err != nil {
+	if _, err := giveBack(s, "asort", 1, s.top.MachineID("m1"), 4); err != nil {
 		t.Fatal(err)
 	}
 	// 4 returned against capacity 1: free is 1 now; queued single lands.
@@ -101,7 +101,7 @@ func TestStarvationAgingPromotesOldWaiters(t *testing.T) {
 		now = 120 * sim.Second
 		mustDemand(t, s, "stream", 1, clusterHint(5))
 		// One container frees up: who gets it?
-		ds, err := s.Return("holder", 1, "r000m000", 1)
+		ds, err := giveBack(s, "holder", 1, s.top.MachineID("r000m000"), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

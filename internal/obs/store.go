@@ -125,21 +125,6 @@ func (s *Store) Total() uint64 { return s.total }
 // the shared timestamp.
 func (s *Store) BytesPerSample() int { return 8 * (len(s.vals) + 1) }
 
-// OldestTime and NewestTime bound the retained window (zero when empty).
-func (s *Store) OldestTime() sim.Time {
-	if s.count == 0 {
-		return 0
-	}
-	return s.times[s.rowIndex(0)]
-}
-
-func (s *Store) NewestTime() sim.Time {
-	if s.count == 0 {
-		return 0
-	}
-	return s.times[s.head]
-}
-
 // rowIndex maps chronological position i (0 = oldest retained) to its ring
 // slot, straddling the wrap point.
 func (s *Store) rowIndex(i int) int {

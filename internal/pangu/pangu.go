@@ -153,24 +153,6 @@ func (fs *FS) Delete(name string) {
 	delete(fs.files, name)
 }
 
-// UsageMB reports the bytes stored on one machine (0 for a machine outside
-// the topology).
-func (fs *FS) UsageMB(machine int32) int64 {
-	if machine < 0 || int(machine) >= len(fs.usagePerMac) {
-		return 0
-	}
-	return fs.usagePerMac[machine]
-}
-
-// ChunkLocations returns the replica machines of chunk idx of file name.
-func (fs *FS) ChunkLocations(name string, idx int) []int32 {
-	f, ok := fs.files[name]
-	if !ok || idx < 0 || idx >= len(f.Chunks) {
-		return nil
-	}
-	return f.Chunks[idx].Replicas
-}
-
 // LoseMachine removes the machine from every chunk's replica set, simulating
 // permanent disk loss; chunks keep their remaining replicas. It returns the
 // number of chunks that lost a replica.

@@ -221,7 +221,8 @@ func legacyPlace(top *topology.Topology, rng *rand.Rand, replicas int) []string 
 	chosen := []string{first}
 	used[first] = true
 	if n >= 2 {
-		m := pick(func(c string) bool { return top.RackOf(c) != top.RackOf(first) })
+		rackOf := func(name string) int32 { return top.RackIDOf(top.MachineID(name)) }
+		m := pick(func(c string) bool { return rackOf(c) != rackOf(first) })
 		chosen = append(chosen, m)
 		used[m] = true
 	}

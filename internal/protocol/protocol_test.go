@@ -27,7 +27,7 @@ func TestSequencerMonotone(t *testing.T) {
 }
 
 func TestDedupInOrder(t *testing.T) {
-	d := NewDedup()
+	d := &Dedup{}
 	for i := uint64(1); i <= 5; i++ {
 		if v := d.Observe("a", i); v != Accept {
 			t.Fatalf("seq %d: verdict %v, want Accept", i, v)
@@ -39,7 +39,7 @@ func TestDedupInOrder(t *testing.T) {
 }
 
 func TestDedupDuplicates(t *testing.T) {
-	d := NewDedup()
+	d := &Dedup{}
 	d.Observe("a", 1)
 	d.Observe("a", 2)
 	if v := d.Observe("a", 2); v != Duplicate {
@@ -54,7 +54,7 @@ func TestDedupDuplicates(t *testing.T) {
 }
 
 func TestDedupGap(t *testing.T) {
-	d := NewDedup()
+	d := &Dedup{}
 	d.Observe("a", 1)
 	if v := d.Observe("a", 5); v != Gap {
 		t.Errorf("gap verdict = %v", v)
@@ -72,7 +72,7 @@ func TestDedupGap(t *testing.T) {
 }
 
 func TestDedupSendersIndependent(t *testing.T) {
-	d := NewDedup()
+	d := &Dedup{}
 	d.Observe("a", 1)
 	if v := d.Observe("b", 1); v != Accept {
 		t.Errorf("other sender verdict = %v", v)
@@ -80,7 +80,7 @@ func TestDedupSendersIndependent(t *testing.T) {
 }
 
 func TestDedupReset(t *testing.T) {
-	d := NewDedup()
+	d := &Dedup{}
 	d.ObserveCh(7, ChanCap, 10)
 	d.ResetCh(7, ChanCap)
 	if v := d.ObserveCh(7, ChanCap, 1); v != Accept {
@@ -100,7 +100,7 @@ func TestPropDedupExactlyOnce(t *testing.T) {
 	// + Gaps combined never more than n, and never accepts the same seq
 	// twice.
 	f := func(perm []uint8) bool {
-		d := NewDedup()
+		d := &Dedup{}
 		applied := map[uint64]bool{}
 		for _, p := range perm {
 			seq := uint64(p%32) + 1

@@ -80,13 +80,6 @@ type Dedup struct {
 	gaps uint64
 }
 
-// NewDedup returns an empty tracker (tables are created on first use, so an
-// idle receiver — e.g. one of a hundred thousand short-lived application
-// masters — costs nothing).
-func NewDedup() *Dedup {
-	return &Dedup{}
-}
-
 // Verdict classifies an incoming sequence number.
 type Verdict int
 
@@ -218,9 +211,6 @@ func (d *Dedup) LastCh(sender int32, ch Chan) uint64 {
 	}
 	return 0
 }
-
-// Gaps returns the number of gaps observed since construction.
-func (d *Dedup) Gaps() uint64 { return d.gaps }
 
 // EpochGate tracks the highest FuxiMaster election epoch a receiver has
 // observed and fences messages stamped with an older one — in-flight

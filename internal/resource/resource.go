@@ -210,11 +210,6 @@ func (v Vector) Sub(o Vector) Vector {
 	return out
 }
 
-// Neg returns -v.
-func (v Vector) Neg() Vector {
-	return Vector{}.Sub(v)
-}
-
 // Scale returns v * n.
 func (v Vector) Scale(n int64) Vector {
 	if n == 0 {
@@ -349,21 +344,6 @@ func min64(a, b int64) int64 {
 		return b
 	}
 	return a
-}
-
-// ToMap returns a copy of the dimension map.
-func (v Vector) ToMap() map[string]int64 {
-	out := make(map[string]int64, len(v.extras)+2)
-	if v.cpu != 0 {
-		out[CPU] = v.cpu
-	}
-	if v.mem != 0 {
-		out[Memory] = v.mem
-	}
-	for k, a := range v.extras {
-		out[k] = a
-	}
-	return out
 }
 
 // DominantShare returns the maximum over dimensions of v[d]/total[d], the

@@ -123,8 +123,8 @@ func TestScale(t *testing.T) {
 	if got := v.Scale(0); !got.IsZero() {
 		t.Errorf("Scale(0) = %v, want zero", got)
 	}
-	if got := v.Scale(-1); !got.Equal(v.Neg()) {
-		t.Errorf("Scale(-1) = %v, want %v", got, v.Neg())
+	if got, neg := v.Scale(-1), (Vector{}).Sub(v); !got.Equal(neg) {
+		t.Errorf("Scale(-1) = %v, want %v", got, neg)
 	}
 }
 

@@ -75,7 +75,7 @@ type Config struct {
 	// FailoverEvery crashes a random machine at this period (0 disables);
 	// the machine restarts after FailoverDowntime. Downtime must exceed
 	// the master's heartbeat timeout for the crash to surface as a
-	// MachineDown revocation wave.
+	// revocation wave (Scheduler.MachineDown).
 	FailoverEvery    sim.Time `json:"failover_every_us"`
 	FailoverDowntime sim.Time `json:"failover_downtime_us"`
 

@@ -550,13 +550,6 @@ func (e *Engine) run(until Time) uint64 {
 	return e.fired - start
 }
 
-// Halt stops Run after the current event completes. Periodic timers stop
-// rescheduling.
-func (e *Engine) Halt() { e.halted = true }
-
-// Pending returns the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return e.inRing + len(e.far) }
-
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 

@@ -39,9 +39,8 @@ type Machine struct {
 // is what makes machine IDs safe to carry on the control-plane wire).
 type Topology struct {
 	machines map[string]*Machine
-	racks    map[string][]string // rack -> sorted machine names
-	names    []string            // sorted machine names
-	rackList []string            // sorted rack names
+	names    []string // sorted machine names
+	rackList []string // sorted rack names
 	total    resource.Vector
 
 	machTbl   ident.Table // machine name -> dense ID (sorted order)
@@ -55,10 +54,8 @@ type Topology struct {
 
 // New builds a topology from a machine list. Machine names must be unique.
 func New(machines []Machine) (*Topology, error) {
-	t := &Topology{
-		machines: make(map[string]*Machine, len(machines)),
-		racks:    make(map[string][]string),
-	}
+	t := &Topology{machines: make(map[string]*Machine, len(machines))}
+	racks := make(map[string]bool)
 	for i := range machines {
 		m := machines[i]
 		if m.Name == "" {
@@ -72,13 +69,12 @@ func New(machines []Machine) (*Topology, error) {
 		}
 		mc := m
 		t.machines[m.Name] = &mc
-		t.racks[m.Rack] = append(t.racks[m.Rack], m.Name)
+		racks[m.Rack] = true
 		t.names = append(t.names, m.Name)
 		t.total = t.total.Add(m.Capacity)
 	}
 	sort.Strings(t.names)
-	for r := range t.racks {
-		sort.Strings(t.racks[r])
+	for r := range racks {
 		t.rackList = append(t.rackList, r)
 	}
 	sort.Strings(t.rackList)
@@ -159,14 +155,6 @@ func (t *Topology) Machine(name string) *Machine {
 // through New — only topology-owned Machine values carry a real ID).
 func (m *Machine) ID() int32 { return m.id }
 
-// RackOf returns the rack of machine name ("" if unknown).
-func (t *Topology) RackOf(name string) string {
-	if m := t.machines[name]; m != nil {
-		return m.Rack
-	}
-	return ""
-}
-
 // Machines returns all machine names in sorted order. The caller must not
 // modify the returned slice.
 func (t *Topology) Machines() []string { return t.names }
@@ -174,10 +162,6 @@ func (t *Topology) Machines() []string { return t.names }
 // Racks returns all rack names in sorted order. The caller must not modify
 // the returned slice.
 func (t *Topology) Racks() []string { return t.rackList }
-
-// MachinesInRack returns the sorted machine names of a rack. The caller
-// must not modify the returned slice.
-func (t *Topology) MachinesInRack(rack string) []string { return t.racks[rack] }
 
 // Size returns the machine count.
 func (t *Topology) Size() int { return len(t.names) }
@@ -196,9 +180,6 @@ func (t *Topology) MachineName(id int32) string { return t.names[id] }
 
 // MachineByID returns the machine for a dense ID.
 func (t *Topology) MachineByID(id int32) *Machine { return t.byID[id] }
-
-// RackID returns the dense ID of a rack name, or ident.None when unknown.
-func (t *Topology) RackID(name string) int32 { return t.rackTbl.ID(name) }
 
 // RackName returns the name of a rack ID.
 func (t *Topology) RackName(id int32) string { return t.rackNames[id] }

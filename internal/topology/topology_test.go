@@ -17,9 +17,9 @@ func TestBuildShape(t *testing.T) {
 	if len(top.Racks()) != 3 {
 		t.Errorf("racks = %d, want 3", len(top.Racks()))
 	}
-	for _, r := range top.Racks() {
-		if n := len(top.MachinesInRack(r)); n != 4 {
-			t.Errorf("rack %s has %d machines, want 4", r, n)
+	for r := int32(0); r < int32(top.NumRacks()); r++ {
+		if n := len(top.MachineIDsInRack(r)); n != 4 {
+			t.Errorf("rack %s has %d machines, want 4", top.RackName(r), n)
 		}
 	}
 	want := resource.New(12000, 96*1024).Scale(12)
@@ -38,14 +38,14 @@ func TestRackOfAndMachineLookup(t *testing.T) {
 	if m == nil {
 		t.Fatalf("Machine(%q) = nil", name)
 	}
-	if top.RackOf(name) != m.Rack {
-		t.Errorf("RackOf = %q, want %q", top.RackOf(name), m.Rack)
+	if rack := top.RackName(top.RackIDOf(m.ID())); rack != m.Rack {
+		t.Errorf("rack of %s = %q, want %q", name, rack, m.Rack)
 	}
 	if top.Machine("nope") != nil {
 		t.Error("unknown machine should be nil")
 	}
-	if top.RackOf("nope") != "" {
-		t.Error("unknown rack should be empty")
+	if top.MachineID("nope") >= 0 {
+		t.Error("unknown machine should have no ID")
 	}
 }
 

@@ -429,9 +429,6 @@ func (n *Net) down(id EndpointID) bool {
 // Stats returns a copy of the traffic counters.
 func (n *Net) Stats() Stats { return n.stats }
 
-// ResetStats zeroes the traffic counters.
-func (n *Net) ResetStats() { n.stats = Stats{} }
-
 // ---------------------------------------------------------------------------
 // Scheduled network conditions
 // ---------------------------------------------------------------------------
