@@ -107,11 +107,13 @@
 //
 // The boundary rule: names exist only at the edges. Messages from an
 // application master carry its name (RegisterApp introduces it, and it is
-// what the checkpoint stores), worker-management traffic carries worker IDs,
-// task names and the application's name but names its machine by ID — the
-// application master drops a worker message about a machine the topology
-// does not hold and reaches an agent only through an endpoint the network
-// already knows — checkpoint snapshots serialize names exclusively (the encoding
+// what the checkpoint stores); worker-management traffic carries no name but
+// the job layer's task names: a worker is (application endpoint ID, worker
+// number), the application is the sender of a plan, stop or list reply, and
+// a machine is its ID — the application master takes a worker message only
+// from the agent of a machine the topology holds and reaches an agent only
+// through an endpoint the network already knows, and a JobMaster takes an
+// instance report only from the worker it names — checkpoint snapshots serialize names exclusively (the encoding
 // cannot express an interned ID, so none can leak into durable state), and
 // every public inspection API converts on the way out; only tests, examples
 // and core.Cluster's fault helpers take machine names. Steady-state

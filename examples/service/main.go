@@ -27,13 +27,13 @@ const (
 type service struct {
 	appmaster.NoCallbacks
 	am      *appmaster.AM
-	seq     int
-	running map[string]int32 // worker -> machine ID
+	last    uint32           // the last worker number started
+	running map[uint32]int32 // worker -> machine ID
 }
 
-func (s *service) nextID() string {
-	s.seq++
-	return fmt.Sprintf("fe-%03d", s.seq)
+func (s *service) nextID() uint32 {
+	s.last++
+	return s.last
 }
 
 // OnGrant starts one replica in every granted container.
@@ -54,14 +54,14 @@ func (s *service) OnRevoke(unitID int, machine int32, count int) {
 func (s *service) OnWorker(st protocol.WorkerStatus) {
 	switch st.State {
 	case protocol.WorkerRunning:
-		s.running[st.WorkerID] = st.Machine
+		s.running[st.Worker] = st.Machine
 	case protocol.WorkerFailed:
-		delete(s.running, st.WorkerID)
+		delete(s.running, st.Worker)
 		if s.am.Held(1, st.Machine) > 0 {
 			s.am.StartWorker(1, st.Machine, s.nextID())
 		}
 	case protocol.WorkerFinished:
-		delete(s.running, st.WorkerID)
+		delete(s.running, st.Worker)
 	}
 }
 
@@ -81,7 +81,7 @@ func main() {
 		Size: resource.New(2000, 8192).With(slotDim, 1),
 	}
 
-	svc := &service{running: map[string]int32{}}
+	svc := &service{running: map[uint32]int32{}}
 	svc.am = cluster.NewAppMaster(appmaster.Config{
 		App: "frontend", Units: []resource.ScheduleUnit{unit},
 		FullSyncInterval: 10 * sim.Second,

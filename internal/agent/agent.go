@@ -14,15 +14,19 @@
 // keys its capacity ledger by the application master's transport endpoint ID
 // — the integer the master's capacity messages carry and the heartbeat tables
 // send back, the same in every master epoch — so neither the per-round
-// capacity-delta decode nor the beat resolves a name. Names appear at the
-// boundaries: the public accessors and the worker and application names of
-// the worker-management messages.
+// capacity-delta decode nor the beat resolves a name. The process table keys
+// a worker the same way: (application master endpoint ID, worker number),
+// where the endpoint is the work plan's sender. A stop or a worker-list reply
+// reaches only its sender's own processes, and a plan runs only inside its
+// sender's capacity, so an application cannot act on another's workers by
+// naming them. A name appears only at the boundary: Capacity's application.
 package agent
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -66,6 +70,18 @@ func makeCapKey(app transport.EndpointID, unitID int) capKey {
 
 func (k capKey) app() transport.EndpointID { return transport.EndpointID(int32(uint32(k >> 32))) }
 func (k capKey) unitID() int               { return int(int32(uint32(k))) }
+
+// procKey packs one worker process's identity — the application master's
+// endpoint ID in the high half, its worker number in the low half — the way
+// capKey packs a capacity row, so keys order by (application, worker).
+type procKey uint64
+
+func makeProcKey(app transport.EndpointID, worker uint32) procKey {
+	return procKey(uint64(uint32(app))<<32 | uint64(worker))
+}
+
+func (k procKey) app() transport.EndpointID { return transport.EndpointID(int32(uint32(k >> 32))) }
+func (k procKey) worker() uint32            { return uint32(k) }
 
 // capTable is the machine's capacity ledger: the packed keys in one
 // contiguous array, each key's granted container count at the same index
@@ -159,15 +175,14 @@ func (t *capTable) reset() {
 	t.clean()
 }
 
-// Proc is one supervised worker process.
+// Proc is one supervised worker process. Its key is (the endpoint ID of the
+// application master whose plan started it, the worker number the plan
+// carried): capacity enforcement matches the process to its ledger rows by
+// that endpoint, status reports go to it, and only its stops and worker-list
+// replies reach the process.
 type Proc struct {
-	App string
-	// ep is the application master's endpoint ID the capacity was granted to:
-	// enforcement matches rows by it and status reports go to it, so a
-	// finished application's name is never looked up again.
-	ep     transport.EndpointID
+	key    procKey
 	UnitID int
-	ID     string
 	Size   resource.Vector
 	State  protocol.WorkerState
 	// Usage is the measured consumption; fault injection inflates it to
@@ -191,7 +206,11 @@ type Agent struct {
 
 	// procs is the machine's OS process table: it belongs to the machine,
 	// not the daemon, so it survives daemon crashes.
-	procs map[string]*Proc
+	procs map[procKey]*Proc
+	// planSeen holds the highest work-plan sequence number seen for each
+	// worker, keyed like procs. It is daemon memory, reset with dedup, and is
+	// made at the first plan: an agent that never runs a worker keeps none.
+	planSeen map[procKey]uint64
 
 	// capacity is the granted-capacity ledger (daemon memory: lost on a
 	// daemon crash and rebuilt from the master's CapacitySync).
@@ -243,7 +262,7 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, m *topology.Machine) *
 		net:       net,
 		cap:       m.Capacity,
 		id:        m.ID(),
-		procs:     make(map[string]*Proc),
+		procs:     make(map[procKey]*Proc),
 		daemonUp:  true,
 		machineUp: true,
 		health:    100,
@@ -270,11 +289,33 @@ func (a *Agent) SetHealth(score int) { a.health = score }
 // Up reports whether both the machine and the daemon are running.
 func (a *Agent) Up() bool { return a.machineUp && a.daemonUp }
 
-// Procs returns the live process table (authoritative machine state).
-func (a *Agent) Procs() map[string]*Proc { return a.procs }
+// Procs returns the live processes (authoritative machine state) in
+// (application endpoint, worker) order.
+func (a *Agent) Procs() []*Proc {
+	ps := make([]*Proc, 0, len(a.procs))
+	for _, p := range a.procs {
+		ps = append(ps, p)
+	}
+	slices.SortFunc(ps, func(x, y *Proc) int { return cmp.Compare(x.key, y.key) })
+	return ps
+}
 
-// Proc returns one process by worker ID (nil when absent).
-func (a *Agent) Proc(workerID string) *Proc { return a.procs[workerID] }
+// Planned sums the sizes of the machine's processes, starting ones included
+// (their resources are committed while the worker binary downloads): the
+// table holds only processes that have not ended.
+func (a *Agent) Planned() resource.Vector {
+	var t resource.Vector
+	for _, p := range a.procs {
+		t = t.Add(p.Size)
+	}
+	return t
+}
+
+// Proc returns the process of worker number worker of the application master
+// at endpoint app (nil when absent).
+func (a *Agent) Proc(app transport.EndpointID, worker uint32) *Proc {
+	return a.procs[makeProcKey(app, worker)]
+}
 
 // Capacity returns the granted container count for (app, unit).
 func (a *Agent) Capacity(app string, unitID int) int {
@@ -431,7 +472,7 @@ func (a *Agent) enforceOverload() {
 				continue
 			}
 			over := p.Usage.Sub(p.Size).DominantShare(a.cap)
-			if over > worst || (over == worst && (victim == nil || p.ID < victim.ID)) {
+			if over > worst || (over == worst && (victim == nil || p.key < victim.key)) {
 				worst = over
 				victim = p
 			}
@@ -491,14 +532,15 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 		}
 		a.applyCapacitySync(t)
 	case protocol.WorkPlan:
-		// from is a live endpoint (the network fences retired ones), so its
-		// name is the sender's own.
-		if a.dedup.Observe(a.net.Name(from)+"/plan/"+t.WorkerID, t.Seq) == protocol.Duplicate {
+		// The worker is from's, and runs in from's capacity. A unit ID wider
+		// than the wire's 32 bits would read a small unit's ledger row: the
+		// plan is dropped whole, before its mark.
+		if int(int32(t.UnitID)) != t.UnitID || a.seenPlan(makeProcKey(from, t.Worker), t.Seq) {
 			return
 		}
 		a.startWorker(from, t)
 	case protocol.StopWorker:
-		a.stopWorker(t)
+		a.stopWorker(makeProcKey(from, t.Worker))
 	case protocol.MasterHello:
 		// New primary collecting soft state: report the full table
 		// immediately (an anchor beat — the successor rebuilds its free
@@ -555,15 +597,15 @@ func (a *Agent) ensureCapacity(k capKey, count int) {
 	}
 	var owned []*Proc
 	for _, p := range a.procs {
-		if p.ep == k.app() && p.UnitID == k.unitID() {
+		if p.key.app() == k.app() && p.UnitID == k.unitID() {
 			owned = append(owned, p)
 		}
 	}
 	for len(owned) > count {
-		// Kill deterministically: highest worker ID (most recent) first.
+		// Kill deterministically: highest worker number (most recent) first.
 		idx := 0
 		for i := 1; i < len(owned); i++ {
-			if owned[i].ID > owned[idx].ID {
+			if owned[i].key > owned[idx].key {
 				idx = i
 			}
 		}
@@ -574,71 +616,75 @@ func (a *Agent) ensureCapacity(k capKey, count int) {
 	}
 }
 
+// seenPlan reports whether worker k's plan numbered seq, or a later one, was
+// seen before, and marks seq seen otherwise.
+func (a *Agent) seenPlan(k procKey, seq uint64) bool {
+	if seq <= a.planSeen[k] {
+		return true
+	}
+	if a.planSeen == nil {
+		a.planSeen = make(map[procKey]uint64)
+	}
+	a.planSeen[k] = seq
+	return false
+}
+
+// report sends a worker's status to its application master.
+func (a *Agent) report(k procKey, state protocol.WorkerState, detail string) {
+	a.net.SendID(a.epID, k.app(), protocol.WorkerStatus{
+		Machine: a.id, Worker: k.worker(), State: state, FailureDetail: detail, Seq: a.seq.Next(),
+	})
+}
+
 // SetBroken simulates the PartialWorkerFailure fault of the paper's §5.4:
 // "Disk I/O hang or unstable network connection ... we can then simulate it
 // by making disk corrupted. The processes thus can not be launched."
 func (a *Agent) SetBroken(broken bool) { a.broken = broken }
 
 func (a *Agent) startWorker(from transport.EndpointID, t protocol.WorkPlan) {
-	if _, dup := a.procs[t.WorkerID]; dup {
+	k := makeProcKey(from, t.Worker)
+	if _, dup := a.procs[k]; dup {
 		return
 	}
 	if a.broken {
-		a.net.SendID(a.epID, from, protocol.WorkerStatus{
-			Machine: a.id, App: t.App, WorkerID: t.WorkerID,
-			State:         protocol.WorkerFailed,
-			FailureDetail: "disk corrupted: process cannot be launched",
-			Seq:           a.seq.Next(),
-		})
+		a.report(k, protocol.WorkerFailed, "disk corrupted: process cannot be launched")
 		return
 	}
-	capCount := a.Capacity(t.App, t.UnitID)
 	running := 0
 	for _, p := range a.procs {
-		if p.App == t.App && p.UnitID == t.UnitID {
+		if p.key.app() == from && p.UnitID == t.UnitID {
 			running++
 		}
 	}
-	if running >= capCount {
+	if running >= a.capacity.count(makeCapKey(from, t.UnitID)) {
 		// No granted capacity: refuse (isolation rule one).
-		a.net.SendID(a.epID, from, protocol.WorkerStatus{
-			Machine: a.id, App: t.App, WorkerID: t.WorkerID,
-			State:         protocol.WorkerFailed,
-			FailureDetail: fmt.Sprintf("no capacity for app %s unit %d on %s", t.App, t.UnitID, a.Machine),
-			Seq:           a.seq.Next(),
-		})
+		a.report(k, protocol.WorkerFailed, fmt.Sprintf("no capacity for unit %d on %s", t.UnitID, a.Machine))
 		return
 	}
-	p := &Proc{App: t.App, ep: a.net.Lookup(t.App), UnitID: t.UnitID, ID: t.WorkerID, Size: t.Size, Usage: t.Size, State: protocol.WorkerStarting}
-	a.procs[t.WorkerID] = p
+	p := &Proc{key: k, UnitID: t.UnitID, Size: t.Size, Usage: t.Size, State: protocol.WorkerStarting}
+	a.procs[k] = p
 	p.startTimer = a.eng.After(a.cfg.WorkerStartDelay, func() {
-		if a.procs[t.WorkerID] != p || !a.machineUp {
+		if a.procs[k] != p || !a.machineUp {
 			return
 		}
 		p.State = protocol.WorkerRunning
 		// First status report: the AM measures worker-start overhead from
 		// plan to this message (Table 2).
-		a.net.SendID(a.epID, p.ep, protocol.WorkerStatus{
-			Machine: a.id, App: p.App, WorkerID: p.ID,
-			State: protocol.WorkerRunning, Seq: a.seq.Next(),
-		})
+		a.report(k, protocol.WorkerRunning, "")
 	})
 }
 
-func (a *Agent) stopWorker(t protocol.StopWorker) {
-	p := a.procs[t.WorkerID]
-	if p == nil || p.App != t.App {
+func (a *Agent) stopWorker(k procKey) {
+	p := a.procs[k]
+	if p == nil {
 		return
 	}
 	if p.startTimer != nil {
 		p.startTimer()
 	}
-	delete(a.procs, t.WorkerID)
+	delete(a.procs, k)
 	p.State = protocol.WorkerFinished
-	a.net.SendID(a.epID, p.ep, protocol.WorkerStatus{
-		Machine: a.id, App: p.App, WorkerID: p.ID,
-		State: protocol.WorkerFinished, Seq: a.seq.Next(),
-	})
+	a.report(k, protocol.WorkerFinished, "")
 }
 
 // killProc force-terminates a process and notifies its application master.
@@ -646,13 +692,10 @@ func (a *Agent) killProc(p *Proc, detail string) {
 	if p.startTimer != nil {
 		p.startTimer()
 	}
-	delete(a.procs, p.ID)
+	delete(a.procs, p.key)
 	p.State = protocol.WorkerFailed
 	if a.Up() {
-		a.net.SendID(a.epID, p.ep, protocol.WorkerStatus{
-			Machine: a.id, App: p.App, WorkerID: p.ID,
-			State: protocol.WorkerFailed, FailureDetail: detail, Seq: a.seq.Next(),
-		})
+		a.report(p.key, protocol.WorkerFailed, detail)
 	}
 }
 
@@ -660,9 +703,8 @@ func (a *Agent) killProc(p *Proc, detail string) {
 // §2.2, "FuxiAgent watches the worker's status and restarts it if it
 // crashes" — the agent restarts the process after the start delay and the
 // application master is told about the failure.
-func (a *Agent) CrashWorker(workerID, detail string) {
-	p := a.procs[workerID]
-	if p == nil {
+func (a *Agent) CrashWorker(p *Proc, detail string) {
+	if p == nil || a.procs[p.key] != p {
 		return
 	}
 	a.killProc(p, detail)
@@ -670,8 +712,8 @@ func (a *Agent) CrashWorker(workerID, detail string) {
 		return
 	}
 	// Auto-restart inside the still-granted container.
-	a.startWorker(p.ep, protocol.WorkPlan{
-		App: p.App, UnitID: p.UnitID, WorkerID: p.ID, Size: p.Size, Seq: a.seq.Next(),
+	a.startWorker(p.key.app(), protocol.WorkPlan{
+		UnitID: p.UnitID, Worker: p.key.worker(), Size: p.Size, Seq: a.seq.Next(),
 	})
 }
 
@@ -693,7 +735,7 @@ func (a *Agent) CrashDaemon() {
 	a.net.Unregister(a.endpoint())
 	// In-memory daemon state is lost.
 	a.capacity.reset()
-	a.dedup = protocol.Dedup{}
+	a.dedup, a.planSeen = protocol.Dedup{}, nil
 }
 
 // RestartDaemon brings the daemon back: it adopts the running processes it
@@ -712,19 +754,15 @@ func (a *Agent) RestartDaemon() {
 	a.net.SendID(a.epID, a.masterID, protocol.CapacityQuery{
 		Machine: a.id, Seq: a.seq.Next(),
 	})
-	// Each application is asked at the endpoint its processes were planned
-	// from: a finished one's is retired, and the request is dropped.
-	apps := map[string]transport.EndpointID{}
-	for _, p := range a.procs {
-		apps[p.App] = p.ep
-	}
-	names := make([]string, 0, len(apps))
-	for app := range apps {
-		names = append(names, app)
-	}
-	sort.Strings(names)
-	for _, app := range names {
-		a.net.SendID(a.epID, apps[app], protocol.WorkerListRequest{Machine: a.id, Seq: a.seq.Next()})
+	// Each application is asked once, in endpoint order, at the endpoint its
+	// processes were planned from: a finished one's is retired, and the
+	// request is dropped.
+	last := transport.None
+	for _, p := range a.Procs() {
+		if app := p.key.app(); app != last {
+			a.net.SendID(a.epID, app, protocol.WorkerListRequest{Machine: a.id, Seq: a.seq.Next()})
+			last = app
+		}
 	}
 }
 
@@ -747,54 +785,39 @@ func (a *Agent) applyCapacitySync(t protocol.CapacitySync) {
 	for i, k := range a.capacity.keys {
 		a.ensureCapacity(k, a.capacity.counts[i])
 	}
-	// Processes whose capacity vanished entirely while the daemon was down:
-	var orphans []*Proc
-	for _, p := range a.procs {
-		if a.Capacity(p.App, p.UnitID) == 0 {
-			orphans = append(orphans, p)
+	// Processes whose capacity vanished entirely while the daemon was down,
+	// in (application endpoint, worker) order:
+	for _, p := range a.Procs() {
+		if a.capacity.count(makeCapKey(p.key.app(), p.UnitID)) == 0 {
+			a.KilledForCapacity++
+			a.killProc(p, "killed: capacity revoked during daemon outage")
 		}
-	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i].ID < orphans[j].ID })
-	for _, p := range orphans {
-		a.KilledForCapacity++
-		a.killProc(p, "killed: capacity revoked during daemon outage")
 	}
 }
 
-// adoptWorkers reconciles the process table against the application's
-// expected worker list: unknown processes are killed, expected-but-missing
-// workers are reported failed, to the application that replied, so it can
-// reschedule.
+// adoptWorkers reconciles the replying application's processes against the
+// worker list it sent: its processes the list does not name are killed, and
+// the listed workers it has no process for are reported failed, so it can
+// reschedule. Other applications' processes are not its to list.
 func (a *Agent) adoptWorkers(from transport.EndpointID, t protocol.WorkerListReply) {
-	expect := map[string]protocol.WorkPlan{}
+	expect := make([]uint32, 0, len(t.Workers))
 	for _, w := range t.Workers {
-		expect[w.WorkerID] = w
+		expect = append(expect, w.Worker)
 	}
-	ids := make([]string, 0, len(a.procs))
-	for id, p := range a.procs {
-		if p.App == t.App {
-			ids = append(ids, id)
+	slices.Sort(expect)
+	expect = slices.Compact(expect)
+	for _, p := range a.Procs() {
+		if p.key.app() != from {
+			continue
+		}
+		if i, ok := slices.BinarySearch(expect, p.key.worker()); ok {
+			expect = slices.Delete(expect, i, i+1)
+		} else {
+			a.killProc(p, "killed: not in application worker list")
 		}
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if _, ok := expect[id]; !ok {
-			a.killProc(a.procs[id], "killed: not in application worker list")
-		}
-		delete(expect, id)
-	}
-	missing := make([]string, 0, len(expect))
-	for id := range expect {
-		missing = append(missing, id)
-	}
-	sort.Strings(missing)
-	for _, id := range missing {
-		a.net.SendID(a.epID, from, protocol.WorkerStatus{
-			Machine: a.id, App: t.App, WorkerID: id,
-			State:         protocol.WorkerFailed,
-			FailureDetail: "lost during agent outage",
-			Seq:           a.seq.Next(),
-		})
+	for _, w := range expect {
+		a.report(makeProcKey(from, w), protocol.WorkerFailed, "lost during agent outage")
 	}
 }
 
@@ -831,7 +854,7 @@ func (a *Agent) RestartMachine() {
 	a.machineUp = true
 	a.daemonUp = true
 	a.forceAnchor = true
-	a.dedup = protocol.Dedup{}
+	a.dedup, a.planSeen = protocol.Dedup{}, nil
 	a.net.SetDown(a.endpoint(), false)
 	a.net.Register(a.endpoint(), a.handle)
 	a.timers = append(a.timers, a.eng.Every(heartbeatInterval, a.tick))

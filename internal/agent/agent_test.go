@@ -53,10 +53,15 @@ func (h *harness) grantCapacity(app string, unitID, count int, size resource.Vec
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 }
 
-func (h *harness) sendPlan(app string, unitID int, workerID string, size resource.Vector, seq uint64) {
+func (h *harness) sendPlan(app string, unitID int, worker uint32, size resource.Vector, seq uint64) {
 	h.net.SendID(h.net.Endpoint(app), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.WorkPlan{
-		App: app, UnitID: unitID, WorkerID: workerID, Size: size, Seq: seq,
+		UnitID: unitID, Worker: worker, Size: size, Seq: seq,
 	})
+}
+
+// proc returns app's process of worker (nil when absent).
+func (h *harness) proc(app string, worker uint32) *Proc {
+	return h.agent.Proc(h.net.Lookup(app), worker)
 }
 
 func (h *harness) lastAppStatus(t *testing.T) protocol.WorkerStatus {
@@ -116,20 +121,20 @@ func TestHeartbeatCarriesAllocations(t *testing.T) {
 func TestWorkerStartWithinCapacity(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 2, size)
-	h.sendPlan("app1", 1, "w1", size, 1)
+	h.sendPlan("app1", 1, 1, size, 1)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	s := h.lastAppStatus(t)
-	if s.WorkerID != "w1" || s.State != protocol.WorkerRunning {
+	if s.Worker != 1 || s.State != protocol.WorkerRunning {
 		t.Errorf("status = %+v", s)
 	}
-	if h.agent.Proc("w1") == nil || h.agent.Proc("w1").State != protocol.WorkerRunning {
+	if h.proc("app1", 1) == nil || h.proc("app1", 1).State != protocol.WorkerRunning {
 		t.Error("proc not running")
 	}
 }
 
 func TestWorkerRefusedWithoutCapacity(t *testing.T) {
 	h := newHarness(t)
-	h.sendPlan("app1", 1, "w1", size, 1)
+	h.sendPlan("app1", 1, 1, size, 1)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	s := h.lastAppStatus(t)
 	if s.State != protocol.WorkerFailed || !strings.Contains(s.FailureDetail, "no capacity") {
@@ -140,13 +145,13 @@ func TestWorkerRefusedWithoutCapacity(t *testing.T) {
 func TestWorkerRefusedBeyondCapacity(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 1, size)
-	h.sendPlan("app1", 1, "w1", size, 1)
-	h.sendPlan("app1", 1, "w2", size, 2)
+	h.sendPlan("app1", 1, 1, size, 1)
+	h.sendPlan("app1", 1, 2, size, 2)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
-	if h.agent.Proc("w1") == nil {
+	if h.proc("app1", 1) == nil {
 		t.Error("first worker missing")
 	}
-	if h.agent.Proc("w2") != nil {
+	if h.proc("app1", 2) != nil {
 		t.Error("second worker started beyond capacity")
 	}
 }
@@ -154,11 +159,11 @@ func TestWorkerRefusedBeyondCapacity(t *testing.T) {
 func TestStopWorker(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 1, size)
-	h.sendPlan("app1", 1, "w1", size, 1)
+	h.sendPlan("app1", 1, 1, size, 1)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
-	h.net.SendID(h.net.Endpoint("app1"), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.StopWorker{App: "app1", WorkerID: "w1", Seq: 2})
+	h.net.SendID(h.net.Endpoint("app1"), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.StopWorker{Worker: 1, Seq: 2})
 	h.eng.Run(h.eng.Now() + sim.Second)
-	if h.agent.Proc("w1") != nil {
+	if h.proc("app1", 1) != nil {
 		t.Error("proc still present after stop")
 	}
 	if s := h.lastAppStatus(t); s.State != protocol.WorkerFinished {
@@ -172,14 +177,14 @@ func TestCapacityEnsuranceKillsExcess(t *testing.T) {
 	// process of this application compulsorily".
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 2, size)
-	h.sendPlan("app1", 1, "w1", size, 1)
-	h.sendPlan("app1", 1, "w2", size, 2)
+	h.sendPlan("app1", 1, 1, size, 1)
+	h.sendPlan("app1", 1, 2, size, 2)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	h.grantCapacity("app1", 1, -1, size) // revoke one container
 	h.eng.Run(h.eng.Now() + sim.Second)
 	alive := 0
 	for _, p := range h.agent.Procs() {
-		if p.App == "app1" {
+		if p.key.app() == h.net.Lookup("app1") {
 			alive++
 		}
 	}
@@ -190,7 +195,7 @@ func TestCapacityEnsuranceKillsExcess(t *testing.T) {
 		t.Errorf("KilledForCapacity = %d", h.agent.KilledForCapacity)
 	}
 	// Most recent worker dies first.
-	if h.agent.Proc("w1") == nil || h.agent.Proc("w2") != nil {
+	if h.proc("app1", 1) == nil || h.proc("app1", 2) != nil {
 		t.Error("wrong victim")
 	}
 }
@@ -198,16 +203,16 @@ func TestCapacityEnsuranceKillsExcess(t *testing.T) {
 func TestOverloadKillsWorstOffender(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 2, size)
-	h.sendPlan("app1", 1, "w1", size, 1)
-	h.sendPlan("app1", 1, "w2", size, 2)
+	h.sendPlan("app1", 1, 1, size, 1)
+	h.sendPlan("app1", 1, 2, size, 2)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	// w2's real usage explodes beyond machine capacity.
-	h.agent.Proc("w2").Usage = resource.New(1000, 100*1024)
+	h.proc("app1", 2).Usage = resource.New(1000, 100*1024)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
-	if h.agent.Proc("w2") != nil {
+	if h.proc("app1", 2) != nil {
 		t.Error("over-user survived")
 	}
-	if h.agent.Proc("w1") == nil {
+	if h.proc("app1", 1) == nil {
 		t.Error("well-behaved worker killed")
 	}
 	if h.agent.KilledForOverload != 1 {
@@ -225,9 +230,9 @@ func TestOverloadIgnoresVirtualDimensions(t *testing.T) {
 	h := newHarness(t)
 	vsize := resource.New(1000, 2048).With("FrontendSlot", 1)
 	h.grantCapacity("app1", 1, 1, vsize)
-	h.sendPlan("app1", 1, "w1", vsize, 1)
+	h.sendPlan("app1", 1, 1, vsize, 1)
 	h.eng.Run(h.eng.Now() + 3*sim.Second)
-	if h.agent.Proc("w1") == nil {
+	if h.proc("app1", 1) == nil {
 		t.Fatal("worker with virtual-dim size was killed")
 	}
 	if h.agent.KilledForOverload != 0 {
@@ -238,10 +243,10 @@ func TestOverloadIgnoresVirtualDimensions(t *testing.T) {
 func TestCrashWorkerAutoRestarts(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 1, size)
-	h.sendPlan("app1", 1, "w1", size, 1)
+	h.sendPlan("app1", 1, 1, size, 1)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	h.toApp = nil
-	h.agent.CrashWorker("w1", "segfault")
+	h.agent.CrashWorker(h.proc("app1", 1), "segfault")
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	// Failure was reported AND the process is running again.
 	sawFail := false
@@ -253,7 +258,7 @@ func TestCrashWorkerAutoRestarts(t *testing.T) {
 	if !sawFail {
 		t.Error("crash not reported")
 	}
-	p := h.agent.Proc("w1")
+	p := h.proc("app1", 1)
 	if p == nil || p.State != protocol.WorkerRunning {
 		t.Error("worker not restarted")
 	}
@@ -262,14 +267,14 @@ func TestCrashWorkerAutoRestarts(t *testing.T) {
 func TestDaemonCrashKeepsProcesses(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 1, size)
-	h.sendPlan("app1", 1, "w1", size, 1)
+	h.sendPlan("app1", 1, 1, size, 1)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	h.agent.CrashDaemon()
 	if h.agent.Up() {
 		t.Fatal("agent still up")
 	}
 	// Paper §4.3.1: processes survive the daemon.
-	if h.agent.Proc("w1") == nil {
+	if h.proc("app1", 1) == nil {
 		t.Fatal("process killed by daemon crash")
 	}
 	h.toMaster = nil
@@ -282,7 +287,7 @@ func TestDaemonCrashKeepsProcesses(t *testing.T) {
 func TestDaemonRestartAdoptsAndResyncs(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 1, size)
-	h.sendPlan("app1", 1, "w1", size, 1)
+	h.sendPlan("app1", 1, 1, size, 1)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	h.agent.CrashDaemon()
 	h.eng.Run(h.eng.Now() + sim.Second)
@@ -319,12 +324,11 @@ func TestDaemonRestartAdoptsAndResyncs(t *testing.T) {
 		Seq:     999,
 	})
 	h.net.SendID(h.net.Endpoint("app1"), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.WorkerListReply{
-		App:     "app1",
-		Workers: []protocol.WorkPlan{{App: "app1", UnitID: 1, WorkerID: "w1", Size: size}},
+		Workers: []protocol.WorkPlan{{UnitID: 1, Worker: 1, Size: size}},
 		Seq:     1000,
 	})
 	h.eng.Run(h.eng.Now() + sim.Second)
-	p := h.agent.Proc("w1")
+	p := h.proc("app1", 1)
 	if p == nil || p.State != protocol.WorkerRunning {
 		t.Error("worker not adopted after daemon restart")
 	}
@@ -335,29 +339,38 @@ func TestDaemonRestartAdoptsAndResyncs(t *testing.T) {
 
 // TestRestartAddressesFinishedAppByID: a daemon that restarts while a
 // finished application's worker still runs (its capacity release in flight)
-// asks that application for its worker list, and a reply that names the
-// finished application reports its missing workers. Both go to an endpoint
-// ID — the retired one the worker was planned from, and the replying
-// sender's — and the network drops what names a retired one. Sent by name,
-// each would intern the retired name again, on a fresh slot nothing ever
-// retires.
+// asks that application for its worker list at the retired endpoint ID the
+// worker was planned from, and the network drops the request. Sent by name, it
+// would intern the retired name again, on a fresh slot nothing ever retires.
+// The application that took the retired slot over replies with a list of its
+// own: the reply speaks for its sender's full ID, so it reports the sender's
+// missing worker to the sender and leaves the finished application's process
+// alone.
 func TestRestartAddressesFinishedAppByID(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 1, size)
-	h.sendPlan("app1", 1, "w1", size, 1)
+	h.sendPlan("app1", 1, 1, size, 1)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
-	if h.agent.Proc("w1") == nil {
+	app1 := h.net.Lookup("app1")
+	if h.agent.Proc(app1, 1) == nil {
 		t.Fatal("app1's worker did not start")
 	}
-	h.net.Retire(h.net.Lookup("app1"))
-	h.net.Register("app2", func(transport.EndpointID, transport.Message) {})
+	h.net.Retire(app1)
+	var got []protocol.WorkerStatus
+	app2 := h.net.Register("app2", func(_ transport.EndpointID, m transport.Message) {
+		if s, ok := m.(protocol.WorkerStatus); ok {
+			got = append(got, s)
+		}
+	})
+	if app2.Slot() != app1.Slot() {
+		t.Fatalf("app2 got slot %d, app1 had %d: the test needs the slot reused", app2.Slot(), app1.Slot())
+	}
 	h.agent.CrashDaemon()
 	slots, live := h.net.Footprint()
 	h.agent.RestartDaemon()
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
-	h.net.SendID(h.net.Endpoint("app2"), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.WorkerListReply{
-		App:     "app1",
-		Workers: []protocol.WorkPlan{{App: "app1", UnitID: 1, WorkerID: "w9", Size: size}},
+	h.net.SendID(app2, h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.WorkerListReply{
+		Workers: []protocol.WorkPlan{{UnitID: 1, Worker: 9, Size: size}},
 		Seq:     1000,
 	})
 	h.eng.Run(h.eng.Now() + sim.Second)
@@ -365,31 +378,33 @@ func TestRestartAddressesFinishedAppByID(t *testing.T) {
 		t.Fatalf("%d slots, %d live, Lookup(app1) = %d; want %d, %d and None: a retired name was interned again",
 			s, l, h.net.Lookup("app1"), slots, live)
 	}
-	if h.agent.Proc("w1") != nil {
-		t.Error("the worker the reply does not list survived adoption")
+	if len(got) != 1 || got[0].Worker != 9 || got[0].State != protocol.WorkerFailed {
+		t.Errorf("app2 heard %+v, want worker 9 reported failed", got)
+	}
+	if h.agent.Proc(app1, 1) == nil {
+		t.Error("app2's reply killed the finished application's worker")
 	}
 }
 
 func TestAdoptKillsUnknownProcs(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 2, size)
-	h.sendPlan("app1", 1, "w1", size, 1)
-	h.sendPlan("app1", 1, "w2", size, 2)
+	h.sendPlan("app1", 1, 1, size, 1)
+	h.sendPlan("app1", 1, 2, size, 2)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	h.agent.CrashDaemon()
 	h.agent.RestartDaemon()
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	// App only acknowledges w1.
 	h.net.SendID(h.net.Endpoint("app1"), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), protocol.WorkerListReply{
-		App:     "app1",
-		Workers: []protocol.WorkPlan{{App: "app1", UnitID: 1, WorkerID: "w1", Size: size}},
+		Workers: []protocol.WorkPlan{{UnitID: 1, Worker: 1, Size: size}},
 		Seq:     1000,
 	})
 	h.eng.Run(h.eng.Now() + sim.Second)
-	if h.agent.Proc("w2") != nil {
+	if h.proc("app1", 2) != nil {
 		t.Error("unacknowledged process survived adoption")
 	}
-	if h.agent.Proc("w1") == nil {
+	if h.proc("app1", 1) == nil {
 		t.Error("acknowledged process killed")
 	}
 }
@@ -397,7 +412,7 @@ func TestAdoptKillsUnknownProcs(t *testing.T) {
 func TestMachineCrashKillsEverything(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 1, size)
-	h.sendPlan("app1", 1, "w1", size, 1)
+	h.sendPlan("app1", 1, 1, size, 1)
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	h.toApp = nil
 	h.agent.CrashMachine()
@@ -444,10 +459,83 @@ func TestHealthScoreInHeartbeat(t *testing.T) {
 func TestDuplicateWorkPlanIgnored(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 2, size)
-	h.sendPlan("app1", 1, "w1", size, 7)
-	h.sendPlan("app1", 1, "w1", size, 7) // duplicate delivery
+	h.sendPlan("app1", 1, 1, size, 7)
+	h.sendPlan("app1", 1, 1, size, 7) // duplicate delivery
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	if len(h.agent.Procs()) != 1 {
 		t.Errorf("procs = %d, want 1", len(h.agent.Procs()))
+	}
+}
+
+// TestAnotherApplicationCannotTouchWorkers: a work plan, a stop and a
+// worker-list reply act for their sender's endpoint, and only for it. While
+// these messages named their application, the agent believed the name: app2
+// could stop app1's worker, start a process charged to app1's capacity, and
+// kill app1's workers with an empty list reply.
+func TestAnotherApplicationCannotTouchWorkers(t *testing.T) {
+	for _, forged := range []struct {
+		name string
+		msg  transport.Message
+	}{
+		{"stop", protocol.StopWorker{Worker: 1, Seq: 1}},
+		{"plan", protocol.WorkPlan{UnitID: 1, Worker: 2, Size: size, Seq: 1}},
+		{"list reply", protocol.WorkerListReply{Seq: 1}},
+	} {
+		t.Run(forged.name, func(t *testing.T) {
+			h := newHarness(t)
+			var toApp2 []protocol.WorkerStatus
+			app2 := h.net.Register("app2", func(_ transport.EndpointID, m transport.Message) {
+				if s, ok := m.(protocol.WorkerStatus); ok {
+					toApp2 = append(toApp2, s)
+				}
+			})
+			h.grantCapacity("app1", 1, 2, size)
+			h.sendPlan("app1", 1, 1, size, 1)
+			h.eng.Run(h.eng.Now() + 2*sim.Second)
+			h.toApp = nil
+			h.net.SendID(app2, h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine)), forged.msg)
+			h.eng.Run(h.eng.Now() + 2*sim.Second)
+			if p := h.proc("app1", 1); p == nil || p.State != protocol.WorkerRunning {
+				t.Fatalf("app1's worker is %+v after app2's %s", p, forged.name)
+			}
+			if len(h.toApp) != 0 {
+				t.Fatalf("app1 heard %v after app2's %s", h.toApp, forged.name)
+			}
+			for _, p := range h.agent.Procs() {
+				if p.key.app() != h.net.Lookup("app1") || p.key.worker() != 1 {
+					t.Fatalf("a process of app %d worker %d runs after app2's %s", p.key.app(), p.key.worker(), forged.name)
+				}
+			}
+			if forged.name == "plan" && (len(toApp2) != 1 || !strings.Contains(toApp2[0].FailureDetail, "no capacity")) {
+				t.Fatalf("app2 heard %+v, want its plan refused: it holds no capacity", toApp2)
+			}
+			// app1's second container is still its own.
+			h.sendPlan("app1", 1, 2, size, 2)
+			h.eng.Run(h.eng.Now() + 2*sim.Second)
+			if p := h.proc("app1", 2); p == nil || p.State != protocol.WorkerRunning {
+				t.Fatalf("app1's second worker did not start in its second container")
+			}
+		})
+	}
+}
+
+// TestPlanForUnitWiderThanTheWireIsDropped: the ledger keys a capacity row by
+// the low 32 bits of its unit ID, so a plan naming a unit wider than that read
+// the row of the small unit it aliases and started a process there, each
+// alias with its own running count: past the small unit's capacity. The plan
+// is dropped whole now, and its worker's mark is not taken.
+func TestPlanForUnitWiderThanTheWireIsDropped(t *testing.T) {
+	h := newHarness(t)
+	h.grantCapacity("app1", 1, 1, size)
+	h.sendPlan("app1", 1<<32|1, 1, size, 1)
+	h.sendPlan("app1", 2<<32|1, 2, size, 2)
+	h.eng.Run(h.eng.Now() + 2*sim.Second)
+	if n := len(h.agent.Procs()); n != 0 || len(h.toApp) != 0 {
+		t.Fatalf("%d processes and %d statuses after plans for units wider than the wire", n, len(h.toApp))
+	}
+	h.sendPlan("app1", 1, 1, size, 3)
+	h.eng.Run(h.eng.Now() + 2*sim.Second)
+	if p := h.proc("app1", 1); p == nil || p.State != protocol.WorkerRunning {
+		t.Fatal("worker 1 did not start in unit 1's container")
 	}
 }

@@ -2,6 +2,8 @@ package agent
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/protocol"
@@ -173,9 +175,9 @@ func TestReleaseForRetiredAppIsApplied(t *testing.T) {
 	h := newHarness(t)
 	old := h.ep("app1")
 	h.sendDelta(1, protocol.CapacityEntry{App: old, UnitID: 1, Size: size, Count: 2})
-	h.sendPlan("app1", 1, "w1", size, 1)
+	h.sendPlan("app1", 1, 1, size, 1)
 	h.eng.Run(h.eng.Now() + sim.Second)
-	if h.agent.Proc("w1") == nil {
+	if h.proc("app1", 1) == nil {
 		t.Fatal("app1's worker did not start")
 	}
 	h.net.Retire(h.net.Lookup("app1"))
@@ -201,7 +203,7 @@ func TestReleaseForRetiredAppIsApplied(t *testing.T) {
 	if got := h.agent.Capacity("app2", 1); got != 1 {
 		t.Fatalf("app2 holds %d, want 1", got)
 	}
-	if h.agent.Proc("w1") != nil || h.agent.KilledForCapacity != 1 {
+	if h.agent.Proc(transport.EndpointID(old), 1) != nil || h.agent.KilledForCapacity != 1 {
 		t.Fatalf("app1's worker survived the release of its capacity (killed %d)", h.agent.KilledForCapacity)
 	}
 }
@@ -230,7 +232,7 @@ func TestMalformedCapacityEntriesAreDropped(t *testing.T) {
 		t.Run(bad.name, func(t *testing.T) {
 			h := newHarness(t)
 			h.sendDelta(1, protocol.CapacityEntry{App: h.ep("app1"), UnitID: 1, Size: size, Count: 2})
-			h.sendPlan("app1", 1, "w1", size, 1)
+			h.sendPlan("app1", 1, 1, size, 1)
 			h.eng.Run(h.eng.Now() + sim.Second)
 			// A well-formed entry rides beside the bad one: the message is
 			// dropped whole, not entry by entry.
@@ -243,8 +245,8 @@ func TestMalformedCapacityEntriesAreDropped(t *testing.T) {
 			}
 			rows := 0
 			h.agent.ForEachAllocation(func(string, int, int) { rows++ })
-			if rows != 1 || h.agent.Proc("w1") == nil {
-				t.Errorf("%d rows and worker present %v, want 1 row and the worker running", rows, h.agent.Proc("w1") != nil)
+			if rows != 1 || h.proc("app1", 1) == nil {
+				t.Errorf("%d rows and worker present %v, want 1 row and the worker running", rows, h.proc("app1", 1) != nil)
 			}
 		})
 	}
@@ -254,15 +256,21 @@ func TestMalformedCapacityEntriesAreDropped(t *testing.T) {
 // hostile messages — capacity deltas and syncs with unknown applications,
 // units wider than the wire, over-releases and huge counts; syncs naming
 // another machine; master hellos; work plans, some beyond the granted
-// capacity; applications that finish (their endpoints retire and later ones
-// reuse the slots) and capacity entries that still name them; and every
-// capacity message stamped in order, duplicated, past a gap, from a deposed
-// epoch or from a promoted one — with idle stretches for beats, anchors and
-// the reap. The map-based reference ledger sees the same messages, keyed by
-// the name each endpoint had. After every message the agent must not have panicked, hold no
-// negative row, have clamped exactly the releases the reference clamped, sent
-// the repair queries the reference counts and hold the reference's ledger;
-// every beat it sends must be the reference's.
+// capacity, stops and worker-list replies; plans, stops and empty list replies
+// an application sends for another application's worker; applications that
+// finish (their endpoints retire and later ones reuse the slots) and capacity
+// entries that still name them; daemon restarts; and every capacity message
+// stamped in order, duplicated, past a gap, from a deposed epoch or from a
+// promoted one — with idle stretches for beats, anchors, worker starts, the
+// overload killer and the reap. The map-based reference ledger and the
+// name-keyed process table see the same messages, keyed by the name each
+// endpoint had. After every message the agent must not have panicked, hold
+// no negative row, have clamped exactly the releases the reference clamped,
+// sent the repair queries the reference counts, hold the reference's ledger
+// and processes, and have sent the reference's statuses and list requests in
+// its order; every beat it sends must be the reference's. A message one
+// application sends for another's worker must change none of the other's
+// processes, capacity rows or statuses.
 func FuzzAgentHandle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 4, 2, 8, 1, 0x10, 9, 3, 1, 24, 2, 0, 2, 4, 3, 1, 8, 3, 1})
@@ -284,7 +292,54 @@ func FuzzAgentHandle(f *testing.F) {
 	// new generation of the first is granted a container and plans a worker.
 	f.Add([]byte{0, 4, 2, 0, 0, 2, 8, 0, 1, 3, 0, 0, 0, 0, 4, 0xfe, 0, 3, 1, 0, 0, 0, 4, 0xfe, 1,
 		0, 4, 2, 6, 0, 0xf4, 14, 0, 0xf5, 0, 4, 1, 0, 0, 1, 3, 0, 0, 0, 0, 4, 50})
+	// job-m and job-c each run a worker; job-c sends a plan, a stop and an
+	// empty list reply for job-m's worker, which the agent takes as job-c's
+	// own (starting, stopping and killing job-c's workers); job-m stops its
+	// worker and then lists one it has no process for.
+	f.Add([]byte{0, 4, 2, 0, 0, 2, 8, 0, 2, 3, 0, 0, 0, 0, 3, 1, 0, 0, 0, 4, 60,
+		3, 1, 0x03, 0, 0, 3, 1, 0x13, 0, 0, 3, 1, 0x23, 0, 0, 4, 60,
+		4, 0xfd, 0, 0, 4, 0xfc, 0, 0x80, 4, 60})
+	// Two applications run two workers each through a daemon restart: the
+	// restart asks both for their lists, job-m's reply names one of its two,
+	// and a sync that leaves job-c no capacity kills its orphans.
+	f.Add([]byte{0, 4, 2, 0, 0, 2, 8, 0, 2, 3, 0, 0, 0, 0, 3, 0, 0, 0, 0, 3, 1, 0, 0, 0, 3, 1, 0, 0, 0, 4, 60,
+		4, 0xfb, 4, 0xfc, 0, 0x01, 1, 0, 4, 1, 0, 0, 2, 4, 60})
 	f.Fuzz(runAgentScript)
+}
+
+// procsOf returns the agent's processes of the application at app, in worker
+// order.
+func procsOf(a *Agent, app transport.EndpointID) []*Proc {
+	var out []*Proc
+	for _, p := range a.Procs() {
+		if p.key.app() == app {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// appState prints everything of the application at app that another
+// application's message must not touch: its processes, its capacity rows and
+// the number of statuses the agent sent it.
+func appState(a *Agent, ref *mapLedger, app transport.EndpointID) string {
+	var st string
+	for _, p := range procsOf(a, app) {
+		st += fmt.Sprintf("%d/%d %v ", p.key.worker(), p.UnitID, p.State)
+	}
+	for i, k := range a.capacity.keys {
+		if k.app() == app {
+			st += fmt.Sprintf(" %d=%d", k.unitID(), a.capacity.counts[i])
+		}
+	}
+	prefix := fmt.Sprintf("status to %q:", a.net.Name(app))
+	n := 0
+	for _, line := range ref.procs.got {
+		if strings.HasPrefix(line, prefix) {
+			n++
+		}
+	}
+	return fmt.Sprintf("%s; %d statuses", st, n)
 }
 
 // runAgentScript is FuzzAgentHandle's body: one fresh agent, one script.
@@ -300,15 +355,19 @@ func runAgentScript(t *testing.T, data []byte) {
 		register(app)
 	}
 	ref := newMapLedger(AnchorEvery, a.id)
+	procs := newNameProcs(a, ref)
 	step, what := 0, "start"
 	label := func() string { return fmt.Sprintf("step %d (%s)", step, what) }
 	checkBeats(t, h, ref, label, name)
 	master := h.net.Endpoint(protocol.MasterEndpoint)
-	// Each message is handed to both ledgers at once, then the agent's replies
-	// are given a millisecond to land.
-	deliver := func(from transport.EndpointID, msg transport.Message) {
+	// Each message is handed to both sides at once; deliver then gives the
+	// agent's replies a millisecond to land.
+	hand := func(from transport.EndpointID, msg transport.Message) {
 		ref.handle(h.eng.Now(), from, msg, name)
 		a.handle(from, msg)
+	}
+	deliver := func(from transport.EndpointID, msg transport.Message) {
+		hand(from, msg)
 		h.eng.Run(h.eng.Now() + sim.Millisecond)
 	}
 
@@ -345,34 +404,103 @@ func runAgentScript(t *testing.T, data []byte) {
 			}
 			deliver(master, protocol.MasterHello{Epoch: e})
 		case 3:
-			what = "plan"
 			from := s.apps[int(s.next())%len(s.apps)]
-			app := from
-			if c := s.next(); c&3 == 3 {
-				app = s.apps[int(c>>2)%len(s.apps)] // a plan naming another application
+			victim := from
+			c := s.next()
+			if c&3 == 3 {
+				victim = s.apps[int(c>>2)%len(s.apps)]
 			}
-			id := fmt.Sprintf("w%d", workers)
+			plan := protocol.WorkPlan{Worker: uint32(workers) + 1, Size: size}
 			if c := s.next(); c&1 == 0 {
 				workers++
 			}
-			deliver(h.net.Endpoint(from), protocol.WorkPlan{App: app, UnitID: s.unit(), WorkerID: id, Size: size, Seq: planSeq.Next()})
-		default:
-			what = "time"
-			c := s.next()
-			if c != 0xfe {
-				h.eng.Run(h.eng.Now() + sim.Time(c)*10*sim.Millisecond)
+			plan.UnitID = s.unit()
+			if victim == from {
+				what = "plan"
+				plan.Seq = planSeq.Next()
+				deliver(h.net.Endpoint(from), plan)
 				break
 			}
-			// An application finishes: a sub-choice of "time", so that the op
-			// bytes of older inputs keep their meaning.
-			what = "finish"
-			k := int(s.next()) % len(s.apps)
-			s.retired = append(s.retired, int32(h.net.Lookup(s.apps[k])))
-			h.net.Retire(h.net.Lookup(s.apps[k]))
-			s.apps[k] = fmt.Sprintf("%s.%d", scriptApps[k], len(s.retired))
-			register(s.apps[k])
+			// The message names one of victim's workers, one it runs if it
+			// runs any; the agent takes it as from's own.
+			vep := h.net.Lookup(victim)
+			if mine := procsOf(a, vep); len(mine) > 0 {
+				plan.Worker = mine[0].key.worker()
+			}
+			var msg transport.Message
+			switch kind := (c >> 4) % 3; kind {
+			case 0:
+				what = "plan for another application's worker"
+				plan.Seq = planSeq.Next()
+				msg = plan
+			case 1:
+				what = "stop for another application's worker"
+				msg = protocol.StopWorker{Worker: plan.Worker, Seq: planSeq.Next()}
+			default:
+				what = "empty list reply from another application"
+				msg = protocol.WorkerListReply{Seq: planSeq.Next()}
+			}
+			before := appState(a, ref, vep)
+			hand(h.net.Endpoint(from), msg)
+			if after := appState(a, ref, vep); after != before {
+				t.Fatalf("%s: %s's state went from %s to %s", label(), victim, before, after)
+			}
+			h.eng.Run(h.eng.Now() + sim.Millisecond)
+		default:
+			what = "time"
+			switch c := s.next(); c {
+			case 0xfe:
+				// An application finishes: a sub-choice of "time", so that the
+				// op bytes of older inputs keep their meaning; so are the
+				// three below.
+				what = "finish"
+				k := int(s.next()) % len(s.apps)
+				s.retired = append(s.retired, int32(h.net.Lookup(s.apps[k])))
+				h.net.Retire(h.net.Lookup(s.apps[k]))
+				s.apps[k] = fmt.Sprintf("%s.%d", scriptApps[k], len(s.retired))
+				register(s.apps[k])
+			case 0xfd:
+				what = "stop"
+				from := h.net.Endpoint(s.apps[int(s.next())%len(s.apps)])
+				worker := uint32(s.next())
+				if mine := procsOf(a, from); len(mine) > 0 {
+					worker = mine[int(worker)%len(mine)].key.worker()
+				}
+				deliver(from, protocol.StopWorker{Worker: worker, Seq: planSeq.Next()})
+			case 0xfc:
+				// A list reply naming the processes the mask picks, now and
+				// then one twice, and now and then a worker that has none.
+				what = "list reply"
+				from := h.net.Endpoint(s.apps[int(s.next())%len(s.apps)])
+				mask := s.next()
+				var ws []protocol.WorkPlan
+				for i, p := range procsOf(a, from) {
+					if mask>>(i%6)&1 == 1 {
+						ws = append(ws, protocol.WorkPlan{UnitID: p.UnitID, Worker: p.key.worker(), Size: p.Size})
+					}
+				}
+				if mask&0x40 != 0 && len(ws) > 0 {
+					ws = append(ws, ws[0])
+				}
+				if mask&0x80 != 0 {
+					ws = append(ws, protocol.WorkPlan{UnitID: 1, Worker: uint32(workers) + 1, Size: size})
+				}
+				deliver(from, protocol.WorkerListReply{Workers: ws, Seq: planSeq.Next()})
+			case 0xfb:
+				what = "daemon restart"
+				a.CrashDaemon()
+				ref.crashDaemon()
+				procs.crashDaemon()
+				a.RestartDaemon()
+				ref.restartDaemon()
+				procs.restartDaemon()
+				h.eng.Run(h.eng.Now() + sim.Millisecond)
+			default:
+				h.eng.Run(h.eng.Now() + sim.Time(c)*10*sim.Millisecond)
+			}
 		}
 		checkLedger(t, label(), a, ref, name)
+		checkProcs(t, label(), a, procs, name)
 		if got := len(h.repairQueries()); got != ref.repairQueries {
 			t.Fatalf("%s: %d repair queries sent, reference %d", label(), got, ref.repairQueries)
 		}
@@ -380,6 +508,24 @@ func runAgentScript(t *testing.T, data []byte) {
 	what = "settle"
 	h.eng.Run(h.eng.Now() + 3*sim.Second)
 	checkLedger(t, label(), a, ref, name)
+	checkProcs(t, label(), a, procs, name)
+}
+
+// checkProcs holds the agent's process table, kill counts and worker-plane
+// messages to the name-keyed reference's.
+func checkProcs(t *testing.T, label string, a *Agent, ref *nameProcs, name func(int32) string) {
+	t.Helper()
+	if got, want := procTable(a, name), ref.table(); !slices.Equal(got, want) {
+		t.Fatalf("%s: processes %v, reference %v", label, got, want)
+	}
+	if a.KilledForCapacity != ref.killedForCapacity || a.KilledForOverload != ref.killedForOverload {
+		t.Fatalf("%s: killed %d for capacity and %d for overload, reference %d and %d", label,
+			a.KilledForCapacity, a.KilledForOverload, ref.killedForCapacity, ref.killedForOverload)
+	}
+	if !slices.Equal(ref.got, ref.sent) {
+		t.Fatalf("%s: the agent sent\n  %s\nthe reference\n  %s", label,
+			strings.Join(ref.got, "\n  "), strings.Join(ref.sent, "\n  "))
+	}
 }
 
 // checkLedger holds the agent's ledger to the reference: no negative row, the

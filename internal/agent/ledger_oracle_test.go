@@ -40,6 +40,10 @@ type mapLedger struct {
 	seq           protocol.Sequencer
 	nextAnchorReq sim.Time
 	repairQueries int
+
+	// procs, when set, is the process table the ledger's changes enforce on
+	// and the worker-plane messages go to.
+	procs *nameProcs
 }
 
 type oracleKey struct {
@@ -128,6 +132,9 @@ func (l *mapLedger) apply(app string, unitID int, size resource.Vector, delta in
 		l.clamped++
 	}
 	l.capacity[k] = e
+	if l.procs != nil && len(l.procs.procs) > 0 {
+		l.procs.ensure(app, unitID, e.count)
+	}
 }
 
 // handle mirrors Agent.handle for the capacity messages. name resolves a wire
@@ -173,14 +180,34 @@ func (l *mapLedger) handle(now sim.Time, from transport.EndpointID, msg transpor
 		l.forceAnchor = true
 		clear(l.dirty)
 		l.capacity = make(map[oracleKey]oracleEntry, len(t.Entries))
+		var rows []oracleKey
 		for _, e := range t.Entries {
 			if e.Count > 0 {
-				l.capacity[oracleKey{l.appTbl.Intern(name(e.App)), e.UnitID}] = oracleEntry{size: e.Size, count: e.Count}
+				k := oracleKey{l.appTbl.Intern(name(e.App)), e.UnitID}
+				if _, ok := l.capacity[k]; !ok {
+					rows = append(rows, k)
+				}
+				l.capacity[k] = oracleEntry{size: e.Size, count: e.Count}
 			}
+		}
+		if l.procs != nil && len(l.procs.procs) > 0 {
+			l.procs.afterSync(rows)
 		}
 	case protocol.MasterHello:
 		if !stale(t.Epoch) {
 			l.forceAnchor = true // the agent beats at once; the tap calls beat()
+		}
+	case protocol.WorkPlan:
+		if l.procs != nil {
+			l.procs.plan(from, name(int32(from)), t)
+		}
+	case protocol.StopWorker:
+		if l.procs != nil {
+			l.procs.stop(name(int32(from)), t.Worker)
+		}
+	case protocol.WorkerListReply:
+		if l.procs != nil {
+			l.procs.adopt(from, name(int32(from)), t)
 		}
 	}
 }
@@ -231,10 +258,21 @@ func appName(net *transport.Net) func(int32) string {
 func checkBeats(t *testing.T, h *harness, ref *mapLedger, label func() string, name func(int32) string) *int {
 	beats := new(int)
 	h.net.Tap = func(from, to string, msg transport.Message) {
-		if _, ok := msg.(protocol.WorkerStatus); ok {
-			// Worker reports draw from the agent's one sequencer; the
-			// reference keeps no process table, so it only counts them.
+		// Worker reports and list requests draw from the agent's one
+		// sequencer; the ledger only counts them, and a process reference
+		// records them for its comparison.
+		switch t := msg.(type) {
+		case protocol.WorkerStatus:
 			ref.seq.Next()
+			if ref.procs != nil {
+				ref.procs.got = append(ref.procs.got, statusLine(to, t.Worker, t.State, t.FailureDetail))
+			}
+			return
+		case protocol.WorkerListRequest:
+			ref.seq.Next()
+			if ref.procs != nil {
+				ref.procs.got = append(ref.procs.got, requestLine(to))
+			}
 			return
 		}
 		hb, ok := msg.(*protocol.AgentHeartbeat)

@@ -8,10 +8,13 @@
 // Every machine reference speaks the dense machine ID (the topology index
 // carried on the wire): the container ledger, the grant/return protocol, the
 // resource callbacks, the worker table and the worker-status messages. A
-// WorkerStatus or WorkerListRequest naming a machine the topology does not
-// hold is dropped whole, and the AM reaches a machine's agent only through a
-// name the network already knows (Net.Lookup), so no message from another
-// process can make it intern an endpoint.
+// worker is a number the AM's owner picks, unique within the application: the
+// agents key it under the AM's endpoint, so no worker message carries the
+// application. A WorkerStatus or WorkerListRequest is taken only from the
+// agent endpoint of the machine it names, and one naming a machine the
+// topology does not hold is dropped whole; the AM reaches a machine's agent
+// only through a name the network already knows (Net.Lookup), so no message
+// from another process can make it intern an endpoint.
 //
 // The computation layer receives resource and worker events through the
 // Callbacks interface, which the job's owner implements itself — a
@@ -32,7 +35,6 @@ package appmaster
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/dense"
 	"repro/internal/protocol"
@@ -68,8 +70,8 @@ type Callbacks interface {
 	OnWorker(protocol.WorkerStatus)
 	// OnMessage receives application-level messages addressed to the app
 	// endpoint that are not part of the resource protocol (e.g. worker →
-	// job-master task reports).
-	OnMessage(from string, msg any)
+	// job-master task reports), with the sender's endpoint ID.
+	OnMessage(from transport.EndpointID, msg any)
 }
 
 // NoCallbacks ignores every event. It is what New uses for a nil Callbacks
@@ -86,7 +88,7 @@ func (NoCallbacks) OnRevoke(int, int32, int) {}
 func (NoCallbacks) OnWorker(protocol.WorkerStatus) {}
 
 // OnMessage implements Callbacks.
-func (NoCallbacks) OnMessage(string, any) {}
+func (NoCallbacks) OnMessage(transport.EndpointID, any) {}
 
 // unitLedger is one ScheduleUnit's books: the containers it holds and the
 // demand it has stated that no grant has answered yet. Both are compact
@@ -138,7 +140,7 @@ type AM struct {
 	// workers tracks every worker this application asked agents to run
 	// (nil until the first StartWorker/AdoptWorker — gateway-scale job
 	// populations never start simulated workers).
-	workers map[string]*Worker
+	workers map[uint32]*Worker
 
 	seq   protocol.Sequencer
 	dedup protocol.Dedup
@@ -175,7 +177,7 @@ type AM struct {
 
 // Worker is the application's view of one worker process.
 type Worker struct {
-	ID      string
+	ID      uint32
 	Machine int32 // dense machine ID
 	UnitID  int
 	State   protocol.WorkerState
@@ -215,11 +217,17 @@ func (a *AM) sendRegister() {
 	a.sendToMaster(r)
 }
 
-// toAgent sends msg to a machine's agent, which the caller has checked the
-// topology holds. Lookup never interns: an agent endpoint the network does not
-// know drops the send.
+// agentOf returns the endpoint of a machine's agent, which the caller has
+// checked the topology holds, or None when the network does not know it.
+// Lookup never interns.
+func (a *AM) agentOf(machine int32) transport.EndpointID {
+	return a.net.Lookup(protocol.AgentEndpoint(a.top.MachineName(machine)))
+}
+
+// toAgent sends msg to a machine's agent; an agent endpoint the network does
+// not know drops the send.
 func (a *AM) toAgent(machine int32, msg transport.Message) {
-	if ep := a.net.Lookup(protocol.AgentEndpoint(a.top.MachineName(machine))); ep != transport.None {
+	if ep := a.agentOf(machine); ep != transport.None {
 		a.net.SendID(a.epID, ep, msg)
 	}
 }
@@ -415,34 +423,36 @@ func (a *AM) drop() {
 }
 
 // StartWorker sends a work plan to a machine's agent for one held container.
-func (a *AM) StartWorker(unitID int, machine int32, workerID string) {
+// The caller numbers the worker: a number the application never used before,
+// from 1.
+func (a *AM) StartWorker(unitID int, machine int32, worker uint32) {
 	u, ok := a.unit(unitID)
 	if !ok || !a.holds(machine) {
 		return
 	}
 	if a.workers == nil {
-		a.workers = make(map[string]*Worker)
+		a.workers = make(map[uint32]*Worker)
 	}
-	a.workers[workerID] = &Worker{
-		ID: workerID, Machine: machine, UnitID: unitID,
+	a.workers[worker] = &Worker{
+		ID: worker, Machine: machine, UnitID: unitID,
 		State: protocol.WorkerStarting, PlannedAt: a.eng.Now(),
 	}
 	a.toAgent(machine, protocol.WorkPlan{
-		App: a.cfg.App, UnitID: unitID, WorkerID: workerID, Size: u.Size, Seq: a.seq.Next(),
+		UnitID: unitID, Worker: worker, Size: u.Size, Seq: a.seq.Next(),
 	})
 }
 
 // AdoptWorker records a worker that is already running (discovered through
 // failover status reports) without sending a new work plan.
-func (a *AM) AdoptWorker(unitID int, machine int32, workerID string) {
-	if _, ok := a.workers[workerID]; ok || !a.holds(machine) {
+func (a *AM) AdoptWorker(unitID int, machine int32, worker uint32) {
+	if _, ok := a.workers[worker]; ok || !a.holds(machine) {
 		return
 	}
 	if a.workers == nil {
-		a.workers = make(map[string]*Worker)
+		a.workers = make(map[uint32]*Worker)
 	}
-	a.workers[workerID] = &Worker{
-		ID: workerID, Machine: machine, UnitID: unitID,
+	a.workers[worker] = &Worker{
+		ID: worker, Machine: machine, UnitID: unitID,
 		State: protocol.WorkerRunning, PlannedAt: a.eng.Now(), RunningAt: a.eng.Now(),
 	}
 }
@@ -460,27 +470,23 @@ func (a *AM) Crash() {
 }
 
 // StopWorker terminates a worker (the container stays held for reuse).
-func (a *AM) StopWorker(workerID string) {
-	w := a.workers[workerID]
+func (a *AM) StopWorker(worker uint32) {
+	w := a.workers[worker]
 	if w == nil {
 		return
 	}
-	delete(a.workers, workerID)
-	a.toAgent(w.Machine, protocol.StopWorker{
-		App: a.cfg.App, WorkerID: workerID, Seq: a.seq.Next(),
-	})
+	delete(a.workers, worker)
+	a.toAgent(w.Machine, protocol.StopWorker{Worker: worker, Seq: a.seq.Next()})
 }
 
 // StopWorkerOn sends a stop directly to a machine's agent for a worker the
 // application no longer tracks (e.g. reaping an agent-auto-restarted copy
 // of a worker the application already replaced).
-func (a *AM) StopWorkerOn(machine int32, workerID string) {
+func (a *AM) StopWorkerOn(machine int32, worker uint32) {
 	if !a.holds(machine) {
 		return
 	}
-	a.toAgent(machine, protocol.StopWorker{
-		App: a.cfg.App, WorkerID: workerID, Seq: a.seq.Next(),
-	})
+	a.toAgent(machine, protocol.StopWorker{Worker: worker, Seq: a.seq.Next()})
 }
 
 // ReportBadMachine escalates a job-level blacklist verdict to FuxiMaster.
@@ -637,7 +643,7 @@ func (a *AM) Outstanding(unitID int) int {
 }
 
 // Worker returns the application's view of a worker (nil when unknown).
-func (a *AM) Worker(id string) *Worker { return a.workers[id] }
+func (a *AM) Worker(id uint32) *Worker { return a.workers[id] }
 
 // GrantLevel is the narrowest locality level — machine, rack or cluster —
 // at which the grant OnGrant is handling consumed this application's
@@ -728,9 +734,10 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 			a.requestGrantSync()
 		}
 	case protocol.WorkerStatus:
-		// A status about a machine outside the topology is dropped whole:
-		// no worker row changes and no callback fires.
-		if a.holds(t.Machine) {
+		// A status about a machine outside the topology, or not from that
+		// machine's agent, is dropped whole: no worker row changes and no
+		// callback fires.
+		if a.fromAgent(from, t.Machine) {
 			a.applyWorkerStatus(t)
 		}
 	case protocol.MasterHello:
@@ -746,17 +753,21 @@ func (a *AM) handle(from transport.EndpointID, msg transport.Message) {
 		a.sendRegister()
 		a.fullSync()
 	case protocol.WorkerListRequest:
-		if a.holds(t.Machine) {
+		if a.fromAgent(from, t.Machine) {
 			a.replyWorkerList(t.Machine)
 		}
 	case *protocol.UnregisterAck:
 		// A stale ack for a previous application that reused this endpoint
 		// name; nothing to do.
 	default:
-		// from is live (the network fences retired senders): its name is the
-		// sender's own, never a later owner's of its slot.
-		a.cb.OnMessage(a.net.Name(from), msg)
+		a.cb.OnMessage(from, msg)
 	}
+}
+
+// fromAgent reports whether from is the agent of machine, one of the
+// topology's: only that agent speaks for the machine's workers.
+func (a *AM) fromAgent(from transport.EndpointID, machine int32) bool {
+	return a.holds(machine) && from == a.agentOf(machine)
 }
 
 // wellFormed is GrantUpdate.WellFormed — no zero delta — plus what only a
@@ -832,14 +843,14 @@ func (a *AM) consumeOutstanding(l *unitLedger, machine int32, count int) resourc
 }
 
 func (a *AM) applyWorkerStatus(t protocol.WorkerStatus) {
-	w := a.workers[t.WorkerID]
+	w := a.workers[t.Worker]
 	if w != nil {
 		w.State = t.State
 		if t.State == protocol.WorkerRunning && w.RunningAt == 0 {
 			w.RunningAt = a.eng.Now()
 		}
 		if t.State == protocol.WorkerFailed || t.State == protocol.WorkerFinished {
-			delete(a.workers, t.WorkerID)
+			delete(a.workers, t.Worker)
 		}
 	}
 	a.cb.OnWorker(t)
@@ -847,23 +858,14 @@ func (a *AM) applyWorkerStatus(t protocol.WorkerStatus) {
 
 func (a *AM) replyWorkerList(machine int32) {
 	var plans []protocol.WorkPlan
-	ids := make([]string, 0)
-	for id, w := range a.workers {
+	for _, w := range a.workers {
 		if w.Machine == machine {
-			ids = append(ids, id)
+			u, _ := a.unit(w.UnitID)
+			plans = append(plans, protocol.WorkPlan{UnitID: w.UnitID, Worker: w.ID, Size: u.Size})
 		}
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		w := a.workers[id]
-		u, _ := a.unit(w.UnitID)
-		plans = append(plans, protocol.WorkPlan{
-			App: a.cfg.App, UnitID: w.UnitID, WorkerID: w.ID, Size: u.Size,
-		})
-	}
-	a.toAgent(machine, protocol.WorkerListReply{
-		App: a.cfg.App, Workers: plans, Seq: a.seq.Next(),
-	})
+	slices.SortFunc(plans, func(x, y protocol.WorkPlan) int { return cmp.Compare(x.Worker, y.Worker) })
+	a.toAgent(machine, protocol.WorkerListReply{Workers: plans, Seq: a.seq.Next()})
 }
 
 // grantSyncMin throttles gap-triggered early syncs: one full sync per window

@@ -265,21 +265,21 @@ func TestReturnContainersSendsAndDecrements(t *testing.T) {
 
 func TestStartStopWorkerMessages(t *testing.T) {
 	h := newHarness(t, 0)
-	h.am.StartWorker(1, h.top.MachineID("r000m000"), "w1")
+	h.am.StartWorker(1, h.top.MachineID("r000m000"), 1)
 	h.eng.Run(10 * sim.Millisecond)
 	msgs := h.toAgent["r000m000"]
 	if len(msgs) != 1 {
 		t.Fatalf("agent messages = %d", len(msgs))
 	}
-	if wp, ok := msgs[0].(protocol.WorkPlan); !ok || wp.WorkerID != "w1" {
+	if wp, ok := msgs[0].(protocol.WorkPlan); !ok || wp.Worker != 1 {
 		t.Errorf("plan = %+v", msgs[0])
 	}
-	if h.am.Worker("w1") == nil {
+	if h.am.Worker(1) == nil {
 		t.Fatal("worker not tracked")
 	}
-	h.am.StopWorker("w1")
+	h.am.StopWorker(1)
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
-	if h.am.Worker("w1") != nil {
+	if h.am.Worker(1) != nil {
 		t.Error("worker still tracked after stop")
 	}
 	if _, ok := h.toAgent["r000m000"][1].(protocol.StopWorker); !ok {
@@ -289,13 +289,13 @@ func TestStartStopWorkerMessages(t *testing.T) {
 
 func TestWorkerStatusTracksOverhead(t *testing.T) {
 	h := newHarness(t, 0)
-	h.am.StartWorker(1, h.top.MachineID("r000m000"), "w1")
+	h.am.StartWorker(1, h.top.MachineID("r000m000"), 1)
 	h.eng.Run(5 * sim.Second)
 	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint("r000m000")), h.net.Endpoint("app1"), protocol.WorkerStatus{
-		Machine: h.top.MachineID("r000m000"), App: "app1", WorkerID: "w1", State: protocol.WorkerRunning, Seq: 1,
+		Machine: h.top.MachineID("r000m000"), Worker: 1, State: protocol.WorkerRunning, Seq: 1,
 	})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
-	w := h.am.Worker("w1")
+	w := h.am.Worker(1)
 	if w == nil || w.State != protocol.WorkerRunning {
 		t.Fatalf("worker = %+v", w)
 	}
@@ -356,9 +356,9 @@ func TestPeriodicFullSync(t *testing.T) {
 
 func TestWorkerListRequestReplied(t *testing.T) {
 	h := newHarness(t, 0)
-	h.am.StartWorker(1, h.top.MachineID("r000m000"), "w1")
-	h.am.StartWorker(1, h.top.MachineID("r000m000"), "w2")
-	h.am.StartWorker(1, h.top.MachineID("r000m001"), "w3")
+	h.am.StartWorker(1, h.top.MachineID("r000m000"), 1)
+	h.am.StartWorker(1, h.top.MachineID("r000m000"), 2)
+	h.am.StartWorker(1, h.top.MachineID("r000m001"), 3)
 	h.net.SendID(h.net.Endpoint(protocol.AgentEndpoint("r000m000")), h.net.Endpoint("app1"), protocol.WorkerListRequest{Machine: h.top.MachineID("r000m000"), Seq: 1})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	var reply *protocol.WorkerListReply

@@ -1,6 +1,9 @@
 package appmaster
 
-import "repro/internal/protocol"
+import (
+	"repro/internal/protocol"
+	"repro/internal/transport"
+)
 
 // cbFuncs adapts func literals to Callbacks for tests that react to an event
 // or two; nil fields ignore theirs.
@@ -8,7 +11,7 @@ type cbFuncs struct {
 	Grant   func(unitID int, machine int32, count int)
 	Revoke  func(unitID int, machine int32, count int)
 	Worker  func(protocol.WorkerStatus)
-	Message func(from string, msg any)
+	Message func(from transport.EndpointID, msg any)
 }
 
 func (c cbFuncs) OnGrant(unitID int, machine int32, count int) {
@@ -29,7 +32,7 @@ func (c cbFuncs) OnWorker(s protocol.WorkerStatus) {
 	}
 }
 
-func (c cbFuncs) OnMessage(from string, msg any) {
+func (c cbFuncs) OnMessage(from transport.EndpointID, msg any) {
 	if c.Message != nil {
 		c.Message(from, msg)
 	}

@@ -90,8 +90,9 @@ func (s *amScript) stamp(epoch *int, seq *uint64) (int, uint64) {
 // units come back in later runs, with zero and huge deltas, units the job never defined and machines
 // outside the topology, stamped in order, duplicated, past a gap, from a
 // deposed epoch or a promoted one; master hellos; unregister acks, before and
-// after the job unregistered; worker statuses and worker-list requests from an
-// agent, and the job's own worker calls, about machines in and outside the
+// after the job unregistered; worker statuses and worker-list requests from
+// the agent of the machine they name, another agent or the job's own worker
+// endpoint, and the job's own worker calls, about machines in and outside the
 // topology; grant updates and acks sent, through the
 // network, to the finished job whose endpoint slot this one reuses, which the
 // network must drop — interleaved with the job's own demand and returns and
@@ -100,8 +101,8 @@ func (s *amScript) stamp(epoch *int, seq *uint64) (int, uint64) {
 // traffic. After every step the AM must not have panicked, hold no negative
 // count, and hold the reference's containers and demand and have fired its
 // callbacks; the network must keep the endpoint slots it had at the start,
-// and a worker message about a machine outside the topology must fire no
-// callback and send no reply.
+// and a worker message about a machine outside the topology, or not from
+// that machine's agent, must fire no callback and send no reply.
 func FuzzAMHandle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 3, 4, 0, 1, 2, 8, 5, 2, 0, 0, 2, 0x10, 3, 1, 0x31, 2})
@@ -116,8 +117,15 @@ func FuzzAMHandle(f *testing.F) {
 	// requests about it and about machines -1 and 12 (outside), a stop by ID
 	// and by machine, before and after the job unregistered.
 	f.Add([]byte{3, 0xf2, 2, 1, 3, 0xf4, 2, 1, 3, 0xf1, 2, 0, 3, 0xf0, 0x0f, 1, 3, 0xf1, 0x1f, 0, 3, 0xf3, 2, 1, 3, 0xf3, 0x2f, 2, 5, 0xff, 3, 0xf1, 2, 0, 3, 0xf0, 2, 1})
+	// A worker started on machine 2; statuses and list requests about it
+	// from another machine's agent and from the application's worker
+	// endpoint, then from machine 2's own agent.
+	f.Add([]byte{3, 0xf2, 2, 0, 3, 0xf4, 2, 0x08, 3, 0xf4, 2, 0x0c, 3, 0xf1, 2, 0x08, 3, 0xf1, 2, 0x0c, 3, 0xf1, 2, 0, 3, 0xf4, 2, 0})
 	f.Fuzz(runAMScript)
 }
+
+// job1Worker is the endpoint name of the fuzzed application's worker 1.
+const job1Worker = "wkr:app1:1"
 
 // runAMScript is FuzzAMHandle's body: one fresh application master, one
 // script.
@@ -147,6 +155,8 @@ func runAMScript(t *testing.T, data []byte) {
 		Revoke: func(u int, m int32, c int) { events = append(events, fmt.Sprintf("revoke u%d m%d x%d", u, m, c)) },
 		Worker: func(protocol.WorkerStatus) { statuses++ },
 	})
+	// The application's worker endpoint, which is no agent.
+	worker := net.Register(job1Worker, func(transport.EndpointID, transport.Message) {})
 	eng.Run(sim.Millisecond)
 	slots, _ := net.Footprint()
 	if net.Lookup("app1").Slot() != prev.Slot() {
@@ -206,22 +216,36 @@ func runAMScript(t *testing.T, data []byte) {
 			}
 			// Worker-plane traffic about a machine in or outside the topology
 			// (a sub-choice of the ack's spare byte, so that the op bytes of
-			// older inputs keep their meaning).
-			mc, w := s.machine(n), fmt.Sprintf("w%d", s.next()%4)
+			// older inputs keep their meaning), sent by the machine's agent
+			// (agent 0 for a machine outside) or, a sub-choice of the worker
+			// byte, by another machine's agent or the application's worker
+			// endpoint.
+			mc, wb := s.machine(n), s.next()
+			w := uint32(wb%4) + 1
 			held := mc >= 0 && int(mc) < n
+			from, forged := agents[0], wb>>3&1 == 1
+			switch {
+			case forged && wb>>2&1 == 1:
+				from = worker
+			case forged && held:
+				from = agents[(int(mc)+1)%n]
+			case held:
+				from = agents[mc]
+			}
+			taken := held && !forged && !am.Stopped()
 			sent, before := net.Stats().Sent, statuses
 			switch c & 3 {
 			case 0:
 				what = "worker status"
-				am.handle(agents[0], protocol.WorkerStatus{Machine: mc, App: "app1", WorkerID: w, State: protocol.WorkerState(c >> 2 & 3)})
-				if fired := statuses > before; fired != (held && !am.Stopped()) {
-					t.Fatalf("step %d: status about machine %d fired OnWorker %v", step, mc, fired)
+				am.handle(from, protocol.WorkerStatus{Machine: mc, Worker: w, State: protocol.WorkerState(c >> 2 & 3)})
+				if fired := statuses > before; fired != taken {
+					t.Fatalf("step %d: status about machine %d from %d fired OnWorker %v", step, mc, from, fired)
 				}
 			case 1:
 				what = "worker list request"
-				am.handle(agents[0], protocol.WorkerListRequest{Machine: mc})
-				if replied := net.Stats().Sent > sent; replied != (held && !am.Stopped()) {
-					t.Fatalf("step %d: request about machine %d replied %v", step, mc, replied)
+				am.handle(from, protocol.WorkerListRequest{Machine: mc})
+				if replied := net.Stats().Sent > sent; replied != taken {
+					t.Fatalf("step %d: request about machine %d from %d replied %v", step, mc, from, replied)
 				}
 			case 2:
 				what = "start worker"

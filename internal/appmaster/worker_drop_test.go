@@ -28,20 +28,20 @@ func (h *harness) agentTraffic() int {
 // for a worker the application tracks.
 func TestWorkerStatusOutsideTopologyDroppedWhole(t *testing.T) {
 	h := newHarness(t, 0)
-	h.am.StartWorker(1, h.top.MachineID("r000m000"), "w1")
+	h.am.StartWorker(1, h.top.MachineID("r000m000"), 1)
 	h.eng.Run(10 * sim.Millisecond)
 	slots, _ := h.net.Footprint()
 	from := h.net.Lookup(protocol.AgentEndpoint("r000m000"))
 	for i, m := range ghostMachines {
 		h.net.SendID(from, h.am.ID(), protocol.WorkerStatus{
-			Machine: m, App: "app1", WorkerID: "w1", State: protocol.WorkerFailed, Seq: uint64(i + 1),
+			Machine: m, Worker: 1, State: protocol.WorkerFailed, Seq: uint64(i + 1),
 		})
 	}
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
 	if len(h.statuses) != 0 {
 		t.Errorf("OnWorker fired %d times for machines outside the topology", len(h.statuses))
 	}
-	if w := h.am.Worker("w1"); w == nil || w.State != protocol.WorkerStarting {
+	if w := h.am.Worker(1); w == nil || w.State != protocol.WorkerStarting {
 		t.Errorf("worker row changed: %+v", w)
 	}
 	if after, _ := h.net.Footprint(); after != slots {
@@ -49,11 +49,11 @@ func TestWorkerStatusOutsideTopologyDroppedWhole(t *testing.T) {
 	}
 	// The same status about the worker's own machine is applied.
 	h.net.SendID(from, h.am.ID(), protocol.WorkerStatus{
-		Machine: h.top.MachineID("r000m000"), App: "app1", WorkerID: "w1", State: protocol.WorkerFailed, Seq: 9,
+		Machine: h.top.MachineID("r000m000"), Worker: 1, State: protocol.WorkerFailed, Seq: 9,
 	})
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
-	if len(h.statuses) != 1 || h.am.Worker("w1") != nil {
-		t.Errorf("in-topology status: %d callbacks, worker %+v", len(h.statuses), h.am.Worker("w1"))
+	if len(h.statuses) != 1 || h.am.Worker(1) != nil {
+		t.Errorf("in-topology status: %d callbacks, worker %+v", len(h.statuses), h.am.Worker(1))
 	}
 }
 
@@ -62,7 +62,7 @@ func TestWorkerStatusOutsideTopologyDroppedWhole(t *testing.T) {
 // interns no endpoint (the name-keyed AM interned "agent:<name>" for one).
 func TestWorkerListRequestOutsideTopologyGetsNoReply(t *testing.T) {
 	h := newHarness(t, 0)
-	h.am.StartWorker(1, h.top.MachineID("r000m000"), "w1")
+	h.am.StartWorker(1, h.top.MachineID("r000m000"), 1)
 	h.eng.Run(10 * sim.Millisecond)
 	slots, _ := h.net.Footprint()
 	sent, seen := h.net.Stats().Sent, h.agentTraffic()
@@ -91,13 +91,13 @@ func TestWorkerCallsOutsideTopologySendNothing(t *testing.T) {
 	slots, _ := h.net.Footprint()
 	sent := h.net.Stats().Sent
 	for _, m := range ghostMachines {
-		h.am.StartWorker(1, m, "w1")
-		h.am.AdoptWorker(1, m, "w2")
-		h.am.StopWorkerOn(m, "w3")
+		h.am.StartWorker(1, m, 1)
+		h.am.AdoptWorker(1, m, 2)
+		h.am.StopWorkerOn(m, 3)
 		h.am.ReportBadMachine(m)
 	}
 	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
-	if h.am.Worker("w1") != nil || h.am.Worker("w2") != nil {
+	if h.am.Worker(1) != nil || h.am.Worker(2) != nil {
 		t.Error("a worker outside the topology is tracked")
 	}
 	if got := h.net.Stats().Sent - sent; got != 0 {
@@ -123,14 +123,54 @@ func TestAgentSendNeverInterns(t *testing.T) {
 	eng.Run(10 * sim.Millisecond)
 	slots, _ := net.Footprint()
 	sent := net.Stats().Sent
-	am.StartWorker(1, 1, "w1")
-	am.StopWorker("w1")
-	am.StopWorkerOn(0, "w2")
+	am.StartWorker(1, 1, 1)
+	am.StopWorker(1)
+	am.StopWorkerOn(0, 2)
 	eng.Run(eng.Now() + 10*sim.Millisecond)
 	if got := net.Stats().Sent - sent; got != 0 {
 		t.Errorf("%d messages sent to agents the network does not know", got)
 	}
 	if after, _ := net.Footprint(); after != slots {
 		t.Errorf("endpoint slots %d -> %d", slots, after)
+	}
+}
+
+// TestWorkerMessagesOnlyFromTheMachinesAgent: a worker status or a worker-list
+// request speaks for one machine's workers, and only that machine's agent may
+// send it. While any endpoint could, another machine's agent, another
+// application or a worker process could report the application's worker
+// failed, and be answered with its worker list.
+func TestWorkerMessagesOnlyFromTheMachinesAgent(t *testing.T) {
+	h := newHarness(t, 0)
+	h.net.Register("app2", func(transport.EndpointID, transport.Message) {})
+	h.am.StartWorker(1, h.top.MachineID("r000m000"), 1)
+	h.eng.Run(10 * sim.Millisecond)
+	seen := h.agentTraffic()
+	for i, from := range []string{protocol.AgentEndpoint("r000m001"), "app2", "wkr:app1:1", protocol.MasterEndpoint} {
+		ep := h.net.Endpoint(from)
+		h.net.SendID(ep, h.am.ID(), protocol.WorkerStatus{
+			Machine: h.top.MachineID("r000m000"), Worker: 1, State: protocol.WorkerFailed, Seq: uint64(i + 1),
+		})
+		h.net.SendID(ep, h.am.ID(), protocol.WorkerListRequest{Machine: h.top.MachineID("r000m000"), Seq: uint64(i + 1)})
+	}
+	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
+	if len(h.statuses) != 0 {
+		t.Errorf("OnWorker fired %d times for statuses not from the machine's agent", len(h.statuses))
+	}
+	if w := h.am.Worker(1); w == nil || w.State != protocol.WorkerStarting {
+		t.Errorf("worker row changed: %+v", w)
+	}
+	if h.agentTraffic() != seen {
+		t.Error("a worker-list request not from the machine's agent was answered")
+	}
+	// From the machine's own agent, both are taken.
+	agent := h.net.Lookup(protocol.AgentEndpoint("r000m000"))
+	h.net.SendID(agent, h.am.ID(), protocol.WorkerListRequest{Machine: h.top.MachineID("r000m000"), Seq: 9})
+	h.net.SendID(agent, h.am.ID(), protocol.WorkerStatus{
+		Machine: h.top.MachineID("r000m000"), Worker: 1, State: protocol.WorkerFailed, Seq: 10,
+	})
+	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
+	if len(h.statuses) != 1 || h.am.Worker(1) != nil || h.agentTraffic() != seen+1 {
+		t.Errorf("from the agent: %d callbacks, worker %+v, %d replies", len(h.statuses), h.am.Worker(1), h.agentTraffic()-seen)
 	}
 }

@@ -84,24 +84,6 @@ func TestMaxPerTaskBound(t *testing.T) {
 	}
 }
 
-func TestForgive(t *testing.T) {
-	b := New()
-	markTask(b, "t1", 1, m1)
-	markTask(b, "t2", 1, m1)
-	if !b.JobBlacklisted(m1) {
-		t.Fatal("setup failed")
-	}
-	b.Forgive(m1)
-	if b.JobBlacklisted(m1) || b.TaskBlacklisted("t1", m1) {
-		t.Error("machine not forgiven")
-	}
-	// Re-escalation after forgiveness signals again.
-	markTask(b, "t1", 10, m1)
-	if !markTask(b, "t2", 10, m1) {
-		t.Error("no escalation signal after forgiveness")
-	}
-}
-
 // TestZeroConfigDefaultsSane: a fresh tracker waits for the framework's
 // thresholds. One failure escalates nothing (New once clamped zero
 // thresholds to one, which escalated a machine at its first failure).

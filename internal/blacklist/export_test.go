@@ -1,6 +1,6 @@
 package blacklist
 
-// This file holds job-level probes and Forgive: exported for this package's tests, which read
+// This file holds job-level probes: exported for this package's tests, which read
 // them, and called by no shipped code.
 
 // JobBlacklisted reports whether the whole job refuses machine.
@@ -12,16 +12,3 @@ func (b *MultiLevel) TaskBlacklist(task string) int { return len(b.taskBlack[tas
 
 // JobBlacklist returns the job-level blacklist size.
 func (b *MultiLevel) JobBlacklist() int { return len(b.jobBlack) }
-
-// Forgive clears a machine everywhere — used when an administrator repairs
-// a node or detection proved temporary.
-func (b *MultiLevel) Forgive(machine int32) {
-	delete(b.jobBlack, machine)
-	delete(b.escalated, machine)
-	for _, tb := range b.taskBlack {
-		delete(tb, machine)
-	}
-	for _, byMachine := range b.marks {
-		delete(byMachine, machine)
-	}
-}

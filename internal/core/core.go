@@ -16,7 +16,6 @@ import (
 	"repro/internal/lockservice"
 	"repro/internal/master"
 	"repro/internal/pangu"
-	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -206,13 +205,6 @@ func (c *Cluster) KillMachine(name string) {
 	}
 }
 
-// RestartMachine reboots a halted node.
-func (c *Cluster) RestartMachine(name string) {
-	if a := c.Agent(name); a != nil {
-		a.RestartMachine()
-	}
-}
-
 // FMPlanned returns the scheduler's planned (granted) total, or zero during
 // failover — the paper's FM_planned curve.
 func (c *Cluster) FMPlanned() resource.Vector {
@@ -241,11 +233,7 @@ func (c *Cluster) FAPlanned() resource.Vector {
 		if !a.Up() {
 			continue
 		}
-		for _, p := range a.Procs() {
-			if p.State == protocol.WorkerRunning || p.State == protocol.WorkerStarting {
-				t = t.Add(p.Size)
-			}
-		}
+		t = t.Add(a.Planned())
 	}
 	return t
 }

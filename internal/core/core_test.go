@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/appmaster"
@@ -55,18 +54,20 @@ func TestEndToEndGrantFlow(t *testing.T) {
 func TestEndToEndWorkerLifecycle(t *testing.T) {
 	c := newCluster(t, Config{Racks: 1, MachinesPerRack: 2, Seed: 2})
 	var am *appmaster.AM
-	running := map[string]bool{}
+	running := map[uint32]bool{}
+	started := uint32(0)
 	am = c.NewAppMaster(appmaster.Config{
 		App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 4)},
 	}, cbFuncs{
 		Grant: func(unitID int, machine int32, count int) {
 			for i := 0; i < count; i++ {
-				am.StartWorker(unitID, machine, fmt.Sprintf("w-%d-%d", machine, i))
+				started++
+				am.StartWorker(unitID, machine, started)
 			}
 		},
 		Worker: func(s protocol.WorkerStatus) {
 			if s.State == protocol.WorkerRunning {
-				running[s.WorkerID] = true
+				running[s.Worker] = true
 			}
 		},
 	})
@@ -225,6 +226,37 @@ func TestNodeDownDetectedAndRevoked(t *testing.T) {
 	}
 }
 
+// TestMachineDeadBeforeFirstBeatIsMarkedDown: a machine that dies before its
+// first heartbeat reaches the primary is declared dead by the heartbeat
+// timeout like any other, and no grant lands on it. The scan used to skip a
+// machine never heard from, and only a promotion at epoch > 1 stamped a
+// baseline, so on a fresh cluster such a machine stayed schedulable forever.
+func TestMachineDeadBeforeFirstBeatIsMarkedDown(t *testing.T) {
+	c := newCluster(t, Config{Racks: 1, MachinesPerRack: 2, Seed: 22})
+	dead := c.Top.MachineID("r000m000")
+	c.KillMachine("r000m000")
+	c.Run(5 * sim.Second)
+	if !c.Scheduler().Down(dead) {
+		t.Fatalf("the machine that never beat is not down at %v", c.Now())
+	}
+	there := 0
+	am := c.NewAppMaster(appmaster.Config{
+		App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 24)},
+	}, cbFuncs{
+		Grant: func(_ int, machine int32, n int) {
+			if machine == dead {
+				there += n
+			}
+		},
+	})
+	c.Run(100 * sim.Millisecond)
+	am.Request(1, clusterHint(24))
+	c.Run(2 * sim.Second)
+	if there != 0 || am.HeldTotal(1) != 12 {
+		t.Errorf("%d containers granted on the dead machine, %d held; want 0 and 12", there, am.HeldTotal(1))
+	}
+}
+
 func TestHealthScoreBlacklisting(t *testing.T) {
 	c := newCluster(t, Config{Racks: 1, MachinesPerRack: 2, Seed: 7})
 	c.Run(sim.Second)
@@ -307,7 +339,7 @@ func TestAgentDaemonFailoverEndToEnd(t *testing.T) {
 	}, cbFuncs{
 		Grant: func(unitID int, machine int32, count int) {
 			for i := 0; i < count; i++ {
-				am.StartWorker(unitID, machine, fmt.Sprintf("w%d", am.HeldTotal(unitID)*10+i))
+				am.StartWorker(unitID, machine, uint32(am.HeldTotal(unitID)*10+i))
 			}
 		},
 	})
@@ -337,14 +369,14 @@ func TestAgentDaemonFailoverEndToEnd(t *testing.T) {
 func TestUtilizationAccountingConsistent(t *testing.T) {
 	c := newCluster(t, Config{Racks: 2, MachinesPerRack: 3, Seed: 11})
 	var am *appmaster.AM
-	started := 0
+	started := uint32(0)
 	am = c.NewAppMaster(appmaster.Config{
 		App: "app1", Units: []resource.ScheduleUnit{simpleUnit(1, 100, 50)},
 	}, cbFuncs{
 		Grant: func(unitID int, machine int32, count int) {
 			for i := 0; i < count; i++ {
 				started++
-				am.StartWorker(unitID, machine, fmt.Sprintf("w%d", started))
+				am.StartWorker(unitID, machine, started)
 			}
 		},
 	})
@@ -419,7 +451,7 @@ type cbFuncs struct {
 	Grant   func(unitID int, machine int32, count int)
 	Revoke  func(unitID int, machine int32, count int)
 	Worker  func(protocol.WorkerStatus)
-	Message func(from string, msg any)
+	Message func(from transport.EndpointID, msg any)
 }
 
 func (c cbFuncs) OnGrant(unitID int, machine int32, count int) {
@@ -440,7 +472,7 @@ func (c cbFuncs) OnWorker(s protocol.WorkerStatus) {
 	}
 }
 
-func (c cbFuncs) OnMessage(from string, msg any) {
+func (c cbFuncs) OnMessage(from transport.EndpointID, msg any) {
 	if c.Message != nil {
 		c.Message(from, msg)
 	}

@@ -138,15 +138,16 @@ func TestJobMasterRecoveryAssignsDeterministically(t *testing.T) {
 }
 
 // TestJobMasterIncarnationsMintDistinctWorkerIDs: two successors that come up
-// with the same number of live workers still name their workers apart, so a
-// successor's work plan never reaches a worker an earlier incarnation minted.
+// with the same number of live workers still number their workers apart (the
+// job's snapshot store keeps the last number), so a successor's work plan
+// never reaches a worker an earlier incarnation minted.
 func TestJobMasterIncarnationsMintDistinctWorkerIDs(t *testing.T) {
 	c := newCluster(t, Config{Racks: 2, MachinesPerRack: 2, Seed: 67})
 	desc := mapReduceDesc(t, c, "gens", 4, 1, 1000)
-	minted := map[string]int{}
+	minted := map[uint32]int{}
 	c.Net.Tap = func(_, _ string, msg transport.Message) {
 		if p, ok := msg.(protocol.WorkPlan); ok {
-			minted[p.WorkerID]++
+			minted[p.Worker]++
 		}
 	}
 	h, err := c.SubmitJob(desc, JobOptions{Config: job.Config{FullSyncInterval: sim.Second}})
@@ -172,7 +173,7 @@ func TestJobMasterIncarnationsMintDistinctWorkerIDs(t *testing.T) {
 	}
 	for id, n := range minted {
 		if n > 1 {
-			t.Errorf("worker %s minted %d times", id, n)
+			t.Errorf("worker %d minted %d times", id, n)
 		}
 	}
 	if len(minted) == 0 {
@@ -197,7 +198,7 @@ func TestSlowdownHelpers(t *testing.T) {
 		if c.Slowdown(ghost) != 1 {
 			t.Errorf("machine %d outside the topology slowed", ghost)
 		}
-		if c.ProcAlive(ghost, "w") {
+		if c.ProcAlive(ghost, 0, 1) {
 			t.Errorf("machine %d outside the topology alive", ghost)
 		}
 	}

@@ -6,16 +6,17 @@ import (
 	"repro/internal/job"
 	"repro/internal/resource"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // The Cluster implements job.Env: worker liveness comes from the agents'
 // authoritative process tables and slowdown factors from fault injection.
 
-// ProcAlive reports whether a worker process is running on machine. A
-// daemon-down machine still runs its processes, a machine-down one does not:
-// the agent's process table tracks the distinction.
-func (c *Cluster) ProcAlive(machine int32, workerID string) bool {
-	return c.holds(machine) && c.Agents[machine].Proc(workerID) != nil
+// ProcAlive reports whether the process of an application's worker is running
+// on machine. A daemon-down machine still runs its processes, a machine-down
+// one does not: the agent's process table tracks the distinction.
+func (c *Cluster) ProcAlive(machine int32, app transport.EndpointID, worker uint32) bool {
+	return c.holds(machine) && c.Agents[machine].Proc(app, worker) != nil
 }
 
 // Slowdown returns machine's execution-time multiplier (SlowMachine fault).

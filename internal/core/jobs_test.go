@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/faults"
@@ -249,8 +248,8 @@ func TestWorkerCrashRescheduledAndBlacklisted(t *testing.T) {
 	crashes := 0
 	for i := 0; i < 40 && !h.Done(); i++ {
 		if a := c.Agent(bad); a != nil {
-			for id := range a.Procs() {
-				a.CrashWorker(id, "disk error")
+			for _, p := range a.Procs() {
+				a.CrashWorker(p, "disk error")
 				crashes++
 			}
 		}
@@ -286,16 +285,11 @@ func TestJobLevelBlacklistEscalatesToMaster(t *testing.T) {
 	h2 := mk("blj2")
 	for i := 0; i < 200 && !(h1.Done() && h2.Done()); i++ {
 		if a := c.Agent(bad); a != nil {
-			ids := make([]string, 0, len(a.Procs()))
-			for id := range a.Procs() {
-				ids = append(ids, id)
-			}
-			sort.Strings(ids)
-			for _, id := range ids {
+			for _, p := range a.Procs() {
 				// Crash only busy workers: instance failures are what the
 				// multi-level blacklist counts.
-				if a.Proc(id) != nil && a.Proc(id).State == protocol.WorkerRunning {
-					a.CrashWorker(id, "disk hang")
+				if p.State == protocol.WorkerRunning {
+					a.CrashWorker(p, "disk hang")
 				}
 			}
 		}
@@ -327,14 +321,9 @@ func TestLastInstancesLeaveABadMachine(t *testing.T) {
 	crashes := 0
 	for i := 0; i < 600 && !h.Done(); i++ {
 		a := c.Agent(bad)
-		ids := make([]string, 0, len(a.Procs()))
-		for id := range a.Procs() {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			if a.Proc(id) != nil && a.Proc(id).State == protocol.WorkerRunning {
-				a.CrashWorker(id, "disk hang")
+		for _, p := range a.Procs() {
+			if p.State == protocol.WorkerRunning {
+				a.CrashWorker(p, "disk hang")
 				crashes++
 			}
 		}
@@ -361,7 +350,13 @@ func TestInstanceReportOutsideTopologyDroppedWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(5 * sim.Second)
-	app, from := c.Net.Lookup("mr"), c.Net.Endpoint("probe")
+	// Worker 99 runs no process the job's application master knows of: an
+	// orphan, which an idle report gets reaped.
+	h.Rt.Ensure(99, 0)
+	app, w1, orphan := c.Net.Lookup("mr"), c.Net.Lookup(job.WorkerEndpoint("mr", 1)), c.Net.Lookup(job.WorkerEndpoint("mr", 99))
+	if w1 == transport.None {
+		t.Fatal("worker 1 is not running")
+	}
 	slots, _ := c.Net.Footprint()
 	stops := 0
 	c.Net.Tap = func(from, _ string, msg transport.Message) {
@@ -370,8 +365,8 @@ func TestInstanceReportOutsideTopologyDroppedWhole(t *testing.T) {
 		}
 	}
 	report := func(m int32) {
-		c.Net.SendID(from, app, job.InstanceReport{Worker: "mr-g0-w00001", Machine: m, Task: "map", Instance: 0, Done: true})
-		c.Net.SendID(from, app, job.InstanceReport{Worker: "orphan", Machine: m, Task: "map", Idle: true})
+		c.Net.SendID(w1, app, job.InstanceReport{Worker: 1, Machine: m, Task: "map", Instance: 0, Done: true})
+		c.Net.SendID(orphan, app, job.InstanceReport{Worker: 99, Machine: m, Task: "map", Idle: true})
 		c.Run(10 * sim.Millisecond)
 	}
 	for _, m := range []int32{-1, int32(c.Top.Size()), 1 << 20} {
@@ -386,5 +381,35 @@ func TestInstanceReportOutsideTopologyDroppedWhole(t *testing.T) {
 	report(0)
 	if done, _ := h.JM.TaskProgress("map"); done != 1 || stops != 1 {
 		t.Errorf("reports about machine 0: %d instances done, %d stops sent, want 1 and 1", done, stops)
+	}
+}
+
+// TestInstanceReportOnlyFromItsWorker: a report speaks for the worker it
+// names, and the JobMaster takes it only from that worker's endpoint. While
+// any sender was believed, any endpoint could complete an instance in another
+// worker's name.
+func TestInstanceReportOnlyFromItsWorker(t *testing.T) {
+	c := newCluster(t, Config{Racks: 1, MachinesPerRack: 2, Seed: 31})
+	h, err := c.SubmitJob(mapReduceDesc(t, c, "mr", 2, 1, 60_000), JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(5 * sim.Second)
+	app, w1, w2 := c.Net.Lookup("mr"), c.Net.Lookup(job.WorkerEndpoint("mr", 1)), c.Net.Lookup(job.WorkerEndpoint("mr", 2))
+	if w1 == transport.None || w2 == transport.None {
+		t.Fatal("workers 1 and 2 are not both running")
+	}
+	done := job.InstanceReport{Worker: 1, Machine: 0, Task: "map", Instance: 0, Done: true}
+	for _, from := range []transport.EndpointID{c.Net.Endpoint("probe"), w2, c.Net.Lookup(protocol.AgentEndpoint("r000m000"))} {
+		c.Net.SendID(from, app, done)
+	}
+	c.Run(10 * sim.Millisecond)
+	if n, _ := h.JM.TaskProgress("map"); n != 0 {
+		t.Fatalf("%d instances done by reports not from worker 1", n)
+	}
+	c.Net.SendID(w1, app, done)
+	c.Run(10 * sim.Millisecond)
+	if n, _ := h.JM.TaskProgress("map"); n != 1 {
+		t.Fatalf("%d instances done by worker 1's own report, want 1", n)
 	}
 }

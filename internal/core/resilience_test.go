@@ -83,9 +83,8 @@ func TestJobSurvivesRandomFaultSchedule(t *testing.T) {
 				case 2: // a worker process crashes
 					m := machines[rng.Intn(len(machines))]
 					if a := c.Agent(m); a != nil {
-						for id := range a.Procs() {
-							a.CrashWorker(id, "fuzz crash")
-							break
+						if ps := a.Procs(); len(ps) > 0 {
+							a.CrashWorker(ps[0], "fuzz crash")
 						}
 					}
 				case 3: // agent daemon bounces

@@ -179,10 +179,3 @@ func orDefault(v, def sim.Time) sim.Time {
 	}
 	return v
 }
-
-// Shuffle is a tiny helper for deterministic victim sampling in tests.
-func Shuffle(rng *rand.Rand, items []string) []string {
-	out := append([]string(nil), items...)
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}

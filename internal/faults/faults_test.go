@@ -156,14 +156,14 @@ func TestBrokenMachineRefusesWorkers(t *testing.T) {
 			status = append(status, s)
 		}
 	})
-	launch := func(worker string) {
+	launch := func(worker uint32) {
 		c.Net.SendID(c.Net.Endpoint("app"), c.Net.Endpoint(protocol.AgentEndpoint(a.Machine)), protocol.WorkPlan{
-			App: "app", UnitID: 1, WorkerID: worker, Size: resource.New(100, 100), Seq: uint64(len(status) + 1),
+			UnitID: 1, Worker: worker, Size: resource.New(100, 100), Seq: uint64(len(status) + 1),
 		})
 		c.Run(sim.Second)
 	}
 	c.Faults.Fire(faults.Fault{Kind: faults.PartialWorkerFailure, Targets: []int32{0}, For: 5 * sim.Second})
-	launch("w1")
+	launch(1)
 	if len(a.Procs()) != 0 {
 		t.Error("broken machine started a process")
 	}
@@ -172,7 +172,7 @@ func TestBrokenMachineRefusesWorkers(t *testing.T) {
 	}
 	broken := status[0].FailureDetail
 	c.Run(5 * sim.Second)
-	launch("w2")
+	launch(2)
 	if c.Faults.Broken(0) || (len(status) > 1 && status[1].FailureDetail == broken) {
 		t.Errorf("machine still refuses launches after its window closed: %+v", status)
 	}

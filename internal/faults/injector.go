@@ -3,7 +3,6 @@ package faults
 import (
 	"math/rand"
 	"slices"
-	"sort"
 
 	"repro/internal/agent"
 	"repro/internal/master"
@@ -210,17 +209,12 @@ func (in *Injector) hit(f Fault) {
 		in.open(f, a.RestartMachine)
 	case PartialWorkerFailure:
 		// Corrupted disks: no new process launches, and the ones running hang.
-		// Crash those in a fixed order, so map order never reaches the
-		// simulation schedule.
+		// Crash those in (application endpoint, worker) order, so map order
+		// never reaches the simulation schedule.
 		in.broken[id]++
 		a.SetBroken(true)
-		procs := make([]string, 0, len(a.Procs()))
-		for w := range a.Procs() {
-			procs = append(procs, w)
-		}
-		sort.Strings(procs)
-		for _, w := range procs {
-			a.CrashWorker(w, "disk I/O hang")
+		for _, p := range a.Procs() {
+			a.CrashWorker(p, "disk I/O hang")
 		}
 		in.open(f, func() {
 			if in.broken[id]--; in.broken[id] == 0 {

@@ -142,11 +142,6 @@ func (k DecisionKind) String() string {
 	}
 }
 
-// Shed reports whether the decision rejected the submission.
-func (k DecisionKind) Shed() bool {
-	return k >= DecisionShedRateLimit && k <= DecisionShedDuplicate
-}
-
 // Decision is one entry of the deterministic decision stream.
 type Decision struct {
 	At    sim.Time
@@ -716,9 +711,6 @@ func (g *Gateway) Drained() bool {
 	return g.queued == 0 && g.inflight == 0 && g.completed+shed == g.submitted
 }
 
-// MasterEpoch returns the highest election epoch observed in acks/hellos.
-func (g *Gateway) MasterEpoch() int { return g.epoch }
-
 // record appends one decision to the stream hash (FNV-1a over job ID,
 // kind, and virtual time) and, when configured, to the in-memory stream.
 func (g *Gateway) record(at sim.Time, jobID string, kind DecisionKind) {
@@ -741,10 +733,6 @@ func (g *Gateway) record(at sim.Time, jobID string, kind DecisionKind) {
 // Decisions returns the recorded decision stream (nil unless
 // Config.RecordDecisions).
 func (g *Gateway) Decisions() []Decision { return g.decisions }
-
-// DecisionHash returns the stream hash: byte-identical decision streams —
-// same decisions, same order, same virtual times — have equal hashes.
-func (g *Gateway) DecisionHash() uint64 { return g.hash }
 
 // RegisteredOpen returns the sorted IDs of registered-but-uncompleted jobs,
 // for the invariant checker's settled cross-check against the master.

@@ -186,10 +186,10 @@ func TestSnapshotStore(t *testing.T) {
 		t.Error("write to unknown task counted")
 	}
 	s.SaveTask("T1", true, false, 3)
-	s.SaveInstance("T1", 1, InstanceSnap{State: InstanceRunning, Worker: "w1", Attempt: 2})
+	s.SaveInstance("T1", 1, InstanceSnap{State: InstanceRunning, Worker: 1, Attempt: 2})
 	s.SaveInstance("T1", 99, InstanceSnap{}) // out of range: dropped
 	snap := s.Task("T1")
-	if snap == nil || snap.Instances[1].Worker != "w1" || snap.Instances[1].Attempt != 2 {
+	if snap == nil || snap.Instances[1].Worker != 1 || snap.Instances[1].Attempt != 2 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	if snap.Completed {

@@ -92,12 +92,9 @@ type JobMaster struct {
 	done     map[string]bool
 	finished bool
 
-	startedAt  sim.Time
 	FinishedAt sim.Time
 
 	recovering bool
-	generation int
-	workerSeq  int
 	timers     []sim.Cancel
 
 	// Counters for experiments.
@@ -144,14 +141,13 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology
 
 	j := &JobMaster{
 		cfg: cfg, eng: eng, net: net, top: top, rt: cfg.Rt,
-		store:      cfg.Store,
-		generation: cfg.Store.incarnations,
-		black:      blacklist.New(),
-		order:      order,
-		unitOf:     make(map[string]int, len(order)),
-		taskOf:     make(map[int]string, len(order)),
-		tms:        make(map[string]*taskMaster),
-		done:       make(map[string]bool),
+		store:  cfg.Store,
+		black:  blacklist.New(),
+		order:  order,
+		unitOf: make(map[string]int, len(order)),
+		taskOf: make(map[int]string, len(order)),
+		tms:    make(map[string]*taskMaster),
+		done:   make(map[string]bool),
 	}
 	var units []resource.ScheduleUnit
 	for i, name := range order {
@@ -169,13 +165,11 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology
 		})
 	}
 
-	j.store.incarnations++
 	recovery := !j.store.Empty()
 	j.am = appmaster.New(appmaster.Config{
 		App: cfg.Desc.Name, QuotaGroup: cfg.QuotaGroup, Units: units,
 		FullSyncInterval: cfg.FullSyncInterval,
 	}, eng, net, top, (*amEvents)(j))
-	j.startedAt = eng.Now()
 	j.timers = append(j.timers, eng.Every(cfg.Backup.ScanInterval, j.scanBackups))
 
 	if recovery {
@@ -186,17 +180,8 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, top *topology.Topology
 	return j, nil
 }
 
-// Name returns the job name.
-func (j *JobMaster) Name() string { return j.cfg.Desc.Name }
-
-// Done reports whether every task completed.
-func (j *JobMaster) Done() bool { return j.finished }
-
 // AM exposes the underlying application master (for experiment metrics).
 func (j *JobMaster) AM() *appmaster.AM { return j.am }
-
-// StartedAt returns when this JobMaster incarnation came up.
-func (j *JobMaster) StartedAt() sim.Time { return j.startedAt }
 
 // BackupStats returns (launched, wins) counters of the speculative scheme.
 func (j *JobMaster) BackupStats() (int, int) { return j.backupLaunched, j.backupWins }
@@ -224,17 +209,8 @@ func (j *JobMaster) Crash() {
 	j.am.Crash()
 }
 
-// nextWorkerID mints a cluster-unique worker name: job-scoped (agents key
-// their process tables by worker ID) and generation-scoped (each JobMaster
-// incarnation gets a fresh namespace so a failover successor's work plans
-// are not mistaken for duplicates).
-func (j *JobMaster) nextWorkerID() string {
-	j.workerSeq++
-	return fmt.Sprintf("%s-g%d-w%05d", j.cfg.Desc.Name, j.generation, j.workerSeq)
-}
-
-func (j *JobMaster) sendToWorker(workerID string, msg transport.Message) {
-	j.net.SendID(j.am.ID(), j.rt.endpoint(workerID), msg)
+func (j *JobMaster) sendToWorker(worker uint32, msg transport.Message) {
+	j.net.SendID(j.am.ID(), j.rt.endpoint(worker), msg)
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +293,9 @@ func (e *amEvents) OnRevoke(unitID int, machine int32, count int) {
 }
 
 func (e *amEvents) OnWorker(s protocol.WorkerStatus) { (*JobMaster)(e).onWorker(s) }
-func (e *amEvents) OnMessage(from string, msg any)   { (*JobMaster)(e).onMessage(from, msg) }
+func (e *amEvents) OnMessage(from transport.EndpointID, msg any) {
+	(*JobMaster)(e).onMessage(from, msg)
+}
 
 func (j *JobMaster) onGrant(unitID int, machine int32, count int) {
 	if j.recovering {
@@ -339,7 +317,7 @@ func (j *JobMaster) onRevoke(unitID int, machine int32, count int) {
 }
 
 func (j *JobMaster) onWorker(s protocol.WorkerStatus) {
-	w := j.am.Worker(s.WorkerID)
+	w := j.am.Worker(s.Worker)
 	switch s.State {
 	case protocol.WorkerRunning:
 		if w != nil {
@@ -348,24 +326,25 @@ func (j *JobMaster) onWorker(s protocol.WorkerStatus) {
 				j.workerStartCount++
 			}
 			if tm := j.tms[j.taskOf[w.UnitID]]; tm != nil {
-				tm.workerRunning(s.WorkerID, s.Machine)
+				tm.workerRunning(s.Worker, s.Machine)
 			}
 		}
 	case protocol.WorkerFailed:
 		for _, tm := range j.tms {
-			if _, ok := tm.workers[s.WorkerID]; ok {
-				tm.workerFailed(s.WorkerID, s.Machine, s.FailureDetail)
+			if _, ok := tm.workers[s.Worker]; ok {
+				tm.workerFailed(s.Worker, s.Machine, s.FailureDetail)
 				break
 			}
 		}
 	}
 }
 
-func (j *JobMaster) onMessage(from string, msg any) {
+func (j *JobMaster) onMessage(from transport.EndpointID, msg any) {
 	r, ok := msg.(InstanceReport)
-	// A report from a machine outside the topology is dropped whole, before
-	// any task, worker or snapshot state changes.
-	if !ok || !j.top.Holds(resource.LocalityMachine, r.Machine) {
+	// A report from a machine outside the topology, or not sent by the worker
+	// it names, is dropped whole, before any task, worker or snapshot state
+	// changes.
+	if !ok || !j.top.Holds(resource.LocalityMachine, r.Machine) || !j.rt.sentBy(r.Worker, from) {
 		return
 	}
 	if r.Idle {

@@ -30,7 +30,7 @@ type KillInstance struct {
 // the JobMaster: "All TaskWorkers will periodically report their status
 // including execution progresses to the TaskMasters" (paper §4.2).
 type InstanceReport struct {
-	Worker   string
+	Worker   uint32
 	Machine  int32 // dense machine ID
 	Task     string
 	Instance int

@@ -30,7 +30,7 @@ func (s InstanceState) String() string {
 // the status like 'Running' is recorded" (paper §4.3.1).
 type InstanceSnap struct {
 	State   InstanceState
-	Worker  string
+	Worker  uint32 // 0 when no worker runs it
 	Attempt int
 	// Machine is the dense ID of the machine a done instance finished on: its
 	// output, which downstream tasks read, is there. It is read only when
@@ -52,9 +52,10 @@ type TaskSnap struct {
 type SnapshotStore struct {
 	tasks  map[string]*TaskSnap
 	Writes int
-	// incarnations counts the JobMasters that ran the job; each names the
-	// workers it mints after its own number (see JobMaster.nextWorkerID).
-	incarnations int
+	// lastWorker is the highest worker number any JobMaster of the job has
+	// handed out. It lives here, not in a JobMaster, so a failover successor
+	// never reuses a number an agent may still run a process under.
+	lastWorker uint32
 }
 
 // NewSnapshotStore returns an empty store.
@@ -85,6 +86,12 @@ func (s *SnapshotStore) SaveTask(task string, started, completed bool, instances
 	t.Started = started
 	t.Completed = completed
 	s.Writes++
+}
+
+// nextWorker hands out the job's next worker number, from 1.
+func (s *SnapshotStore) nextWorker() uint32 {
+	s.lastWorker++
+	return s.lastWorker
 }
 
 // Task returns a task's snapshot (nil when never started).

@@ -14,10 +14,10 @@ type instance struct {
 	id      int
 	state   InstanceState
 	attempt int
-	worker  string
-	// backupWorker runs the speculative copy, "" when none (paper §4.3.2
+	worker  uint32 // 0 when none
+	// backupWorker runs the speculative copy, 0 when none (paper §4.3.2
 	// backup instance scheme).
-	backupWorker string
+	backupWorker uint32
 	startedAt    sim.Time
 	finishedAt   sim.Time
 	// confirmed distinguishes snapshot-restored "running" instances whose
@@ -46,7 +46,7 @@ const (
 )
 
 type tmWorker struct {
-	id       string
+	id       uint32
 	machine  int32
 	state    tmWorkerState
 	instance int // busy: which instance (primary or backup); else -1
@@ -72,7 +72,7 @@ type taskMaster struct {
 	pendingQ []int
 	localIdx map[int32][]int
 
-	workers   map[string]*tmWorker
+	workers   map[uint32]*tmWorker
 	doneCount int
 	started   sim.Time
 	completed bool
@@ -86,7 +86,7 @@ type taskMaster struct {
 func newTaskMaster(jm *JobMaster, name string, unitID int, spec TaskSpec) *taskMaster {
 	tm := &taskMaster{
 		jm: jm, name: name, spec: spec, unitID: unitID,
-		workers:  make(map[string]*tmWorker),
+		workers:  make(map[uint32]*tmWorker),
 		localIdx: make(map[int32][]int),
 		started:  jm.eng.Now(),
 	}
@@ -198,7 +198,7 @@ func (tm *taskMaster) requestWorkers(n int) {
 
 func (tm *taskMaster) enqueue(in *instance) {
 	in.state = InstancePending
-	in.worker = ""
+	in.worker = 0
 	tm.pendingQ = append(tm.pendingQ, in.id)
 	for _, m := range in.locations {
 		tm.localIdx[m] = append(tm.localIdx[m], in.id)
@@ -295,7 +295,7 @@ func (tm *taskMaster) grantArrived(machine int32, count int) {
 		return
 	}
 	for i := 0; i < count; i++ {
-		id := tm.jm.nextWorkerID()
+		id := tm.jm.store.nextWorker()
 		tm.workers[id] = &tmWorker{id: id, machine: machine, state: workerStarting, instance: -1, plannedAt: tm.jm.eng.Now()}
 		tm.jm.am.StartWorker(tm.unitID, machine, id)
 	}
@@ -316,8 +316,8 @@ func (tm *taskMaster) reapStuckStarts() {
 	}
 }
 
-// workersByID returns the workers keep accepts in worker-ID order: what the
-// task master sends them must be seed-reproducible, never in map order.
+// workersByID returns the workers keep accepts in worker-number order: what
+// the task master sends them must be seed-reproducible, never in map order.
 func (tm *taskMaster) workersByID(keep func(*tmWorker) bool) []*tmWorker {
 	var out []*tmWorker
 	for _, w := range tm.workers {
@@ -330,7 +330,7 @@ func (tm *taskMaster) workersByID(keep func(*tmWorker) bool) []*tmWorker {
 }
 
 // workerRunning handles the first Running status of a worker.
-func (tm *taskMaster) workerRunning(id string, machine int32) {
+func (tm *taskMaster) workerRunning(id uint32, machine int32) {
 	w := tm.workers[id]
 	if w == nil {
 		return
@@ -344,7 +344,7 @@ func (tm *taskMaster) workerRunning(id string, machine int32) {
 
 // workerFailed handles a worker death: requeue its instance, record the
 // failure for blacklisting, and recover the container.
-func (tm *taskMaster) workerFailed(id string, machine int32, detail string) {
+func (tm *taskMaster) workerFailed(id uint32, machine int32, detail string) {
 	w := tm.workers[id]
 	if w == nil {
 		return
@@ -417,14 +417,14 @@ func (tm *taskMaster) release(w *tmWorker) {
 	}
 	in := tm.instances[w.instance]
 	switch {
-	case in.state == InstanceRunning && in.worker == w.id && in.backupWorker != "":
-		in.worker, in.backupWorker = in.backupWorker, ""
+	case in.state == InstanceRunning && in.worker == w.id && in.backupWorker != 0:
+		in.worker, in.backupWorker = in.backupWorker, 0
 	case in.state == InstanceRunning && in.worker == w.id:
 		in.attempt++
 		tm.enqueue(in)
 		tm.jm.store.SaveInstance(tm.name, in.id, InstanceSnap{State: InstancePending, Attempt: in.attempt})
 	case in.backupWorker == w.id:
-		in.backupWorker = ""
+		in.backupWorker = 0
 	}
 }
 
@@ -490,9 +490,9 @@ func (tm *taskMaster) instanceDone(in *instance, r InstanceReport) {
 			tm.failureOn(in, sw.machine)
 		}
 	}
-	in.backupWorker = ""
+	in.backupWorker = 0
 	in.worker = r.Worker
-	if sibling != "" && sibling != r.Worker {
+	if sibling != 0 && sibling != r.Worker {
 		tm.jm.sendToWorker(sibling, KillInstance{Task: tm.name, Instance: in.id})
 		if sw := tm.workers[sibling]; sw != nil && sw.instance == in.id {
 			sw.state = workerIdle
@@ -567,7 +567,7 @@ func (tm *taskMaster) scanBackups() {
 	}
 	now := tm.jm.eng.Now()
 	for _, in := range tm.instances {
-		if in.state != InstanceRunning || in.backupWorker != "" || !in.confirmed {
+		if in.state != InstanceRunning || in.backupWorker != 0 || !in.confirmed {
 			continue
 		}
 		elapsed := now - in.startedAt
@@ -575,7 +575,7 @@ func (tm *taskMaster) scanBackups() {
 			continue
 		}
 		orig := tm.workers[in.worker]
-		// Pick the eligible idle worker with the smallest ID — never by
+		// Pick the eligible idle worker with the smallest number — never by
 		// map order, which would make backup placement (and thus whole
 		// fault-injection runs) irreproducible.
 		var backup *tmWorker
@@ -688,7 +688,7 @@ func (tm *taskMaster) finishRecovery() {
 }
 
 // adoptWorker registers a worker discovered through failover reports.
-func (tm *taskMaster) adoptWorker(id string, machine int32) *tmWorker {
+func (tm *taskMaster) adoptWorker(id uint32, machine int32) *tmWorker {
 	w := tm.workers[id]
 	if w == nil {
 		w = &tmWorker{id: id, machine: machine, state: workerIdle, instance: -1}

@@ -1,6 +1,8 @@
 package job
 
 import (
+	"strconv"
+
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -8,17 +10,21 @@ import (
 // Env abstracts the cluster ground truth TaskWorkers execute against: which
 // processes are actually alive (the agents' process tables) and how slow
 // each machine currently is (SlowMachine fault injection). Machines are
-// dense topology IDs.
+// dense topology IDs, and a worker is its number under its application
+// master's endpoint.
 type Env interface {
-	// ProcAlive reports whether workerID's process is running on machine.
-	ProcAlive(machine int32, workerID string) bool
+	// ProcAlive reports whether the process of worker number worker of the
+	// application at endpoint app is running on machine.
+	ProcAlive(machine int32, app transport.EndpointID, worker uint32) bool
 	// Slowdown returns the execution-time multiplier of machine (1 =
 	// healthy).
 	Slowdown(machine int32) float64
 }
 
 // WorkerEndpoint names a TaskWorker's transport endpoint.
-func WorkerEndpoint(app, workerID string) string { return "wkr:" + app + ":" + workerID }
+func WorkerEndpoint(app string, worker uint32) string {
+	return "wkr:" + app + ":" + strconv.FormatUint(uint64(worker), 10)
+}
 
 // Runtime owns the TaskWorker processes of one job. It deliberately lives
 // outside the JobMaster object: a JobMaster crash must leave workers
@@ -32,13 +38,13 @@ type Runtime struct {
 	// ReportEvery is the TaskWorker status-report period.
 	ReportEvery sim.Time
 
-	workers map[string]*WorkerSim
+	workers map[uint32]*WorkerSim
 	// appEP is the job's application-master endpoint, taken while it is live
 	// (None before the first worker). gone holds the retired endpoint of each
 	// worker the runtime removed. Late traffic is sent to these IDs, which the
 	// network drops on arrival.
 	appEP transport.EndpointID
-	gone  map[string]transport.EndpointID
+	gone  map[uint32]transport.EndpointID
 }
 
 // NewRuntime creates the worker-side runtime for app.
@@ -49,15 +55,15 @@ func NewRuntime(eng *sim.Engine, net *transport.Net, env Env, app string, report
 	return &Runtime{
 		eng: eng, net: net, env: env, app: app,
 		ReportEvery: reportEvery,
-		workers:     make(map[string]*WorkerSim),
+		workers:     make(map[uint32]*WorkerSim),
 		appEP:       transport.None,
 	}
 }
 
-// Ensure returns the WorkerSim for workerID, creating (and wiring) it on
-// first sight.
-func (r *Runtime) Ensure(workerID string, machine int32) *WorkerSim {
-	if w, ok := r.workers[workerID]; ok {
+// Ensure returns the WorkerSim for worker, creating (and wiring) it on first
+// sight.
+func (r *Runtime) Ensure(worker uint32, machine int32) *WorkerSim {
+	if w, ok := r.workers[worker]; ok {
 		return w
 	}
 	if r.appEP == transport.None {
@@ -65,15 +71,19 @@ func (r *Runtime) Ensure(workerID string, machine int32) *WorkerSim {
 		// registered.
 		r.appEP = r.net.Endpoint(r.app)
 	}
-	w := &WorkerSim{rt: r, ID: workerID, Machine: machine}
-	r.workers[workerID] = w
-	w.ep = r.net.Register(WorkerEndpoint(r.app, workerID), w.handle)
+	w := &WorkerSim{rt: r, ID: worker, Machine: machine}
+	r.workers[worker] = w
+	w.ep = r.net.Register(WorkerEndpoint(r.app, worker), w.handle)
 	w.reportTimer = r.eng.Every(r.ReportEvery, w.report)
 	return w
 }
 
-// Worker returns a live WorkerSim (nil when absent).
-func (r *Runtime) Worker(workerID string) *WorkerSim { return r.workers[workerID] }
+// sentBy reports whether from is the endpoint of the live worker numbered
+// worker.
+func (r *Runtime) sentBy(worker uint32, from transport.EndpointID) bool {
+	w := r.workers[worker]
+	return w != nil && w.ep == from
+}
 
 // Live returns the number of live worker sims.
 func (r *Runtime) Live() int { return len(r.workers) }
@@ -88,22 +98,22 @@ func (r *Runtime) remove(w *WorkerSim) {
 	r.net.Retire(w.ep)
 	delete(r.workers, w.ID)
 	if r.gone == nil {
-		r.gone = make(map[string]transport.EndpointID)
+		r.gone = make(map[uint32]transport.EndpointID)
 	}
 	r.gone[w.ID] = w.ep
 }
 
-// endpoint returns the ID to address workerID at: its live endpoint, the
+// endpoint returns the ID to address worker at: its live endpoint, the
 // retired one of a worker the runtime removed, or, for a worker not yet
 // started, the ID its name interns to.
-func (r *Runtime) endpoint(workerID string) transport.EndpointID {
-	if w := r.workers[workerID]; w != nil {
+func (r *Runtime) endpoint(worker uint32) transport.EndpointID {
+	if w := r.workers[worker]; w != nil {
 		return w.ep
 	}
-	if ep, ok := r.gone[workerID]; ok {
+	if ep, ok := r.gone[worker]; ok {
 		return ep
 	}
-	return r.net.Endpoint(WorkerEndpoint(r.app, workerID))
+	return r.net.Endpoint(WorkerEndpoint(r.app, worker))
 }
 
 // instanceRun is the worker's current assignment.
@@ -123,7 +133,7 @@ type instanceRun struct {
 type WorkerSim struct {
 	rt      *Runtime
 	ep      transport.EndpointID
-	ID      string
+	ID      uint32
 	Machine int32 // dense machine ID
 	// Task records which task owns this worker so that idle reports stay
 	// attributable after a JobMaster failover.
@@ -134,7 +144,7 @@ type WorkerSim struct {
 	reportTimer sim.Cancel
 }
 
-func (w *WorkerSim) alive() bool { return w.rt.env.ProcAlive(w.Machine, w.ID) }
+func (w *WorkerSim) alive() bool { return w.rt.env.ProcAlive(w.Machine, w.rt.appEP, w.ID) }
 
 func (w *WorkerSim) handle(from transport.EndpointID, msg transport.Message) {
 	if !w.alive() {

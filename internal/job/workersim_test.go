@@ -11,18 +11,20 @@ import (
 
 // fakeEnv is a scriptable cluster ground truth.
 type fakeEnv struct {
-	dead map[string]bool
+	dead map[uint32]bool
 	slow map[int32]float64
 }
 
 func newFakeEnv() *fakeEnv {
-	return &fakeEnv{dead: map[string]bool{}, slow: map[int32]float64{}}
+	return &fakeEnv{dead: map[uint32]bool{}, slow: map[int32]float64{}}
 }
 
 // m1 is the machine the tests' workers run on.
 const m1 int32 = 1
 
-func (e *fakeEnv) ProcAlive(machine int32, workerID string) bool { return !e.dead[workerID] }
+func (e *fakeEnv) ProcAlive(machine int32, app transport.EndpointID, worker uint32) bool {
+	return !e.dead[worker]
+}
 func (e *fakeEnv) Slowdown(machine int32) float64 {
 	if f, ok := e.slow[machine]; ok {
 		return f
@@ -52,8 +54,8 @@ func newWSHarness(t *testing.T) *wsHarness {
 	return h
 }
 
-func (h *wsHarness) assign(workerID string, inst, attempt int, d sim.Time) {
-	h.net.SendID(h.net.Endpoint("jobx"), h.net.Endpoint(WorkerEndpoint("jobx", workerID)), AssignInstance{
+func (h *wsHarness) assign(worker uint32, inst, attempt int, d sim.Time) {
+	h.net.SendID(h.net.Endpoint("jobx"), h.net.Endpoint(WorkerEndpoint("jobx", worker)), AssignInstance{
 		Task: "T", Instance: inst, Attempt: attempt, Duration: d,
 	})
 	h.eng.Run(h.eng.Now() + sim.Millisecond)
@@ -71,8 +73,8 @@ func (h *wsHarness) doneReports() []InstanceReport {
 
 func TestWorkerExecutesAndReports(t *testing.T) {
 	h := newWSHarness(t)
-	h.rt.Ensure("w1", m1)
-	h.assign("w1", 7, 0, 2*sim.Second)
+	h.rt.Ensure(1, m1)
+	h.assign(1, 7, 0, 2*sim.Second)
 	h.eng.Run(h.eng.Now() + 3*sim.Second)
 	done := h.doneReports()
 	if len(done) != 1 || done[0].Instance != 7 || done[0].Attempt != 0 {
@@ -83,8 +85,8 @@ func TestWorkerExecutesAndReports(t *testing.T) {
 func TestWorkerSlowdownStretchesExecution(t *testing.T) {
 	h := newWSHarness(t)
 	h.env.slow[m1] = 5
-	h.rt.Ensure("w1", m1)
-	h.assign("w1", 1, 0, 2*sim.Second)
+	h.rt.Ensure(1, m1)
+	h.assign(1, 1, 0, 2*sim.Second)
 	h.eng.Run(h.eng.Now() + 3*sim.Second)
 	if len(h.doneReports()) != 0 {
 		t.Fatal("slow worker finished at normal speed")
@@ -97,7 +99,7 @@ func TestWorkerSlowdownStretchesExecution(t *testing.T) {
 
 func TestWorkerPeriodicProgressAndIdleReports(t *testing.T) {
 	h := newWSHarness(t)
-	w := h.rt.Ensure("w1", m1)
+	w := h.rt.Ensure(1, m1)
 	w.Task = "T"
 	h.eng.Run(h.eng.Now() + 2500*sim.Millisecond)
 	idle := 0
@@ -113,7 +115,7 @@ func TestWorkerPeriodicProgressAndIdleReports(t *testing.T) {
 		t.Fatalf("idle reports = %d, want >= 2", idle)
 	}
 	h.reports = nil
-	h.assign("w1", 3, 1, 10*sim.Second)
+	h.assign(1, 3, 1, 10*sim.Second)
 	h.eng.Run(h.eng.Now() + 3*sim.Second)
 	prog := 0
 	for _, r := range h.reports {
@@ -134,9 +136,9 @@ func TestWorkerPeriodicProgressAndIdleReports(t *testing.T) {
 
 func TestDeadWorkerNeitherCompletesNorReports(t *testing.T) {
 	h := newWSHarness(t)
-	h.rt.Ensure("w1", m1)
-	h.assign("w1", 1, 0, 2*sim.Second)
-	h.env.dead["w1"] = true // process killed mid-run
+	h.rt.Ensure(1, m1)
+	h.assign(1, 1, 0, 2*sim.Second)
+	h.env.dead[1] = true // process killed mid-run
 	h.reports = nil
 	h.eng.Run(h.eng.Now() + 5*sim.Second)
 	if len(h.reports) != 0 {
@@ -149,9 +151,9 @@ func TestDeadWorkerNeitherCompletesNorReports(t *testing.T) {
 
 func TestKillInstanceCancelsExecution(t *testing.T) {
 	h := newWSHarness(t)
-	h.rt.Ensure("w1", m1)
-	h.assign("w1", 1, 0, 2*sim.Second)
-	h.net.SendID(h.net.Endpoint("jobx"), h.net.Endpoint(WorkerEndpoint("jobx", "w1")), KillInstance{Task: "T", Instance: 1})
+	h.rt.Ensure(1, m1)
+	h.assign(1, 1, 0, 2*sim.Second)
+	h.net.SendID(h.net.Endpoint("jobx"), h.net.Endpoint(WorkerEndpoint("jobx", 1)), KillInstance{Task: "T", Instance: 1})
 	h.eng.Run(h.eng.Now() + 5*sim.Second)
 	if len(h.doneReports()) != 0 {
 		t.Fatal("killed instance completed")
@@ -170,10 +172,10 @@ func TestKillInstanceCancelsExecution(t *testing.T) {
 
 func TestDuplicateAssignmentIgnored(t *testing.T) {
 	h := newWSHarness(t)
-	h.rt.Ensure("w1", m1)
-	h.assign("w1", 1, 0, 2*sim.Second)
+	h.rt.Ensure(1, m1)
+	h.assign(1, 1, 0, 2*sim.Second)
 	h.eng.Run(h.eng.Now() + sim.Second)
-	h.assign("w1", 1, 0, 2*sim.Second) // duplicate mid-run: must not restart the clock
+	h.assign(1, 1, 0, 2*sim.Second) // duplicate mid-run: must not restart the clock
 	h.eng.Run(h.eng.Now() + 1500*sim.Millisecond)
 	if len(h.doneReports()) != 1 {
 		t.Fatalf("done = %d, want 1 (original timing preserved)", len(h.doneReports()))
@@ -182,9 +184,9 @@ func TestDuplicateAssignmentIgnored(t *testing.T) {
 
 func TestReassignmentPreemptsCurrent(t *testing.T) {
 	h := newWSHarness(t)
-	h.rt.Ensure("w1", m1)
-	h.assign("w1", 1, 0, 10*sim.Second)
-	h.assign("w1", 2, 0, sim.Second) // new assignment replaces the old
+	h.rt.Ensure(1, m1)
+	h.assign(1, 1, 0, 10*sim.Second)
+	h.assign(1, 2, 0, sim.Second) // new assignment replaces the old
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	done := h.doneReports()
 	if len(done) != 1 || done[0].Instance != 2 {
@@ -217,37 +219,37 @@ func TestLateTrafficInternsNoRetiredName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.rt.Ensure("w1", m1)
-	h.rt.Ensure("w2", m1)
-	h.env.dead["w2"] = true
+	h.rt.Ensure(1, m1)
+	h.rt.Ensure(2, m1)
+	h.env.dead[2] = true
 	h.eng.Run(h.eng.Now() + 1500*sim.Millisecond)
-	if h.rt.Worker("w2") != nil {
+	if h.rt.Worker(2) != nil {
 		t.Fatal("the dead worker was not reaped")
 	}
 	slots, live := h.net.Footprint()
-	jm.sendToWorker("w2", KillInstance{Task: "T", Instance: 0})
+	jm.sendToWorker(2, KillInstance{Task: "T", Instance: 0})
 	h.net.Retire(h.net.Lookup("jobx")) // what the application master does at the unregister ack
-	jm.sendToWorker("w1", KillInstance{Task: "T", Instance: 0})
+	jm.sendToWorker(1, KillInstance{Task: "T", Instance: 0})
 	h.eng.Run(h.eng.Now() + 3*sim.Second)
 	s, l := h.net.Footprint()
 	if s != slots || l != live-1 || h.net.Lookup("jobx") != transport.None ||
-		h.net.Lookup(WorkerEndpoint("jobx", "w2")) != transport.None {
+		h.net.Lookup(WorkerEndpoint("jobx", 2)) != transport.None {
 		t.Fatalf("%d slots, %d live, Lookup(jobx) = %d, Lookup(w2) = %d; want %d, %d and None twice: a retired name was interned again",
-			s, l, h.net.Lookup("jobx"), h.net.Lookup(WorkerEndpoint("jobx", "w2")), slots, live-1)
+			s, l, h.net.Lookup("jobx"), h.net.Lookup(WorkerEndpoint("jobx", 2)), slots, live-1)
 	}
 }
 
 func TestEnsureIdempotent(t *testing.T) {
 	h := newWSHarness(t)
-	a := h.rt.Ensure("w1", m1)
-	b := h.rt.Ensure("w1", m1)
+	a := h.rt.Ensure(1, m1)
+	b := h.rt.Ensure(1, m1)
 	if a != b {
 		t.Error("Ensure created a duplicate worker")
 	}
-	if h.rt.Worker("w1") != a {
+	if h.rt.Worker(1) != a {
 		t.Error("Worker lookup mismatch")
 	}
-	if h.rt.Worker("ghost") != nil {
+	if h.rt.Worker(99) != nil {
 		t.Error("unknown worker non-nil")
 	}
 }

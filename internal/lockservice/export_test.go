@@ -1,6 +1,6 @@
 package lockservice
 
-// This file holds the fencing-token probe: exported for this package's tests, which read
+// This file holds the fencing-token probe and the ownership check: exported for this package's tests, which read
 // them, and called by no shipped code.
 
 // Token returns the fencing token of the current ownership of name. The
@@ -13,4 +13,12 @@ func (s *Service) Token(name string) uint64 {
 		return l.token
 	}
 	return 0
+}
+
+// Validate reports whether holder still owns name under fencing token token.
+// A store guarding writes with Validate rejects a deposed holder's writes
+// even after the network heals: its token predates the successor's.
+func (s *Service) Validate(name, holder string, token uint64) bool {
+	l := s.locks[name]
+	return l != nil && l.holder == holder && l.token == token
 }

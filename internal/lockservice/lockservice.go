@@ -61,14 +61,6 @@ func (s *Service) TryAcquire(name, holder string, ttl sim.Time) bool {
 	return true
 }
 
-// Validate reports whether holder still owns name under fencing token token.
-// A store guarding writes with Validate rejects a deposed holder's writes
-// even after the network heals: its token predates the successor's.
-func (s *Service) Validate(name, holder string, token uint64) bool {
-	l := s.locks[name]
-	return l != nil && l.holder == holder && l.token == token
-}
-
 // AcquireOrWait grabs the lock now if free, otherwise queues acquired to be
 // invoked when the lock becomes available to this holder (release or lease
 // expiry). This is the standby master's "grasp the lock" path. The returned

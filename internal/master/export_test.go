@@ -1,6 +1,10 @@
 package master
 
-import "repro/internal/resource"
+import (
+	"sort"
+
+	"repro/internal/resource"
+)
 
 // This file holds scheduler and checkpoint probes: exported for this package's tests, which read
 // them, and called by no shipped code.
@@ -65,4 +69,27 @@ func (s *Scheduler) GroupMin(group string) resource.Vector {
 		return g.min.Clone()
 	}
 	return resource.Vector{}
+}
+
+// Apps returns the sorted registered application names.
+func (s *Scheduler) Apps() []string {
+	out := make([]string, 0, len(s.apps))
+	for app := range s.apps {
+		out = append(out, app)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Units returns the app's ScheduleUnit definitions sorted by ID.
+func (s *Scheduler) Units(app string) []resource.ScheduleUnit {
+	st, ok := s.apps[app]
+	if !ok {
+		return nil
+	}
+	out := make([]resource.ScheduleUnit, 0, len(st.unitArr))
+	for i := range st.unitArr {
+		out = append(out, st.unitArr[i].def)
+	}
+	return out
 }

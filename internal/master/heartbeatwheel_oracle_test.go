@@ -144,10 +144,11 @@ func newBeatWorld(t *testing.T, racks, perRack int) *beatWorld {
 		c()
 	}
 	h.m1.timers = nil
-	// The epoch-1 term: nothing heard from, the first scan one period in.
-	return &beatWorld{t: t, m: h.m1, eng: h.eng,
-		wheel: newBeatWheel(heartbeatScan, h.top.Size()),
-		next:  h.eng.Now() + heartbeatScan}
+	// The epoch-1 term starts as every term does: every machine stamped at
+	// the promotion, the first scan one period in.
+	w := &beatWorld{t: t, m: h.m1, eng: h.eng}
+	w.promote()
+	return w
 }
 
 func (w *beatWorld) machines() int32 { return int32(len(w.m.lastBeat)) }
@@ -279,9 +280,20 @@ func FuzzHeartbeatWheelOracle(f *testing.F) {
 // TestHeartbeatSweepCases pins the detection rule on a four-machine world,
 // each case run through the sweep and the wheel: a machine is declared dead
 // at the first scan whose cutoff (now - heartbeatTimeout) is later than its
-// last beat, once, and never if it was never heard from or is already down.
+// last beat — for a machine never heard from, the promotion's baseline — once,
+// and not while it is already down. Every case's world starts with the
+// promotion one scan period before s0, so a machine the case never beats dies
+// at s0 + heartbeatTimeout.
 func TestHeartbeatSweepCases(t *testing.T) {
 	const s = heartbeatScan
+	// unheard is the declarations of the machines a case never beats.
+	unheard := func(s0 sim.Time, mcs ...int32) []death {
+		var out []death
+		for _, mc := range mcs {
+			out = append(out, death{s0 + heartbeatTimeout, mc})
+		}
+		return out
+	}
 	for _, tc := range []struct {
 		name string
 		// script runs on a fresh world from a scan instant s0 and returns
@@ -292,7 +304,7 @@ func TestHeartbeatSweepCases(t *testing.T) {
 		script: func(w *beatWorld, s0 sim.Time) []death {
 			w.beat(1) // at s0: the scan at s0+3s has cutoff == last
 			w.at(s0 + 10*s)
-			return []death{{s0 + heartbeatTimeout + s, 1}}
+			return append(unheard(s0, 0, 2, 3), death{s0 + heartbeatTimeout + s, 1})
 		},
 	}, {
 		name: "last beat just inside the timeout",
@@ -300,7 +312,7 @@ func TestHeartbeatSweepCases(t *testing.T) {
 			w.at(s0 + 1)
 			w.beat(1)
 			w.at(s0 + 10*s)
-			return []death{{s0 + heartbeatTimeout + s, 1}}
+			return append(unheard(s0, 0, 2, 3), death{s0 + heartbeatTimeout + s, 1})
 		},
 	}, {
 		name: "last beat just past the timeout",
@@ -308,9 +320,11 @@ func TestHeartbeatSweepCases(t *testing.T) {
 			w.at(s0 + s - 1) // 1 ns before the scan at s0+s
 			w.beat(1)
 			w.at(s0 + 10*s)
-			return []death{{s0 + s + heartbeatTimeout, 1}}
+			return append(unheard(s0, 0, 2, 3), death{s0 + s + heartbeatTimeout, 1})
 		},
 	}, {
+		// A machine that dies before its first beat used to be
+		// schedulable forever: the sweep skipped a machine never heard from.
 		name: "never heard from",
 		script: func(w *beatWorld, s0 sim.Time) []death {
 			for i := sim.Time(0); i < 10; i++ {
@@ -318,7 +332,7 @@ func TestHeartbeatSweepCases(t *testing.T) {
 				w.beat(0)
 			}
 			w.at(s0 + 20*s)
-			return []death{{s0 + 9*s + heartbeatTimeout + s, 0}}
+			return append(unheard(s0, 1, 2, 3), death{s0 + 9*s + heartbeatTimeout + s, 0})
 		},
 	}, {
 		name: "already down",
@@ -328,7 +342,7 @@ func TestHeartbeatSweepCases(t *testing.T) {
 			w.at(s0 + 10*s)
 			w.beat(3) // back up, then silent
 			w.at(s0 + 20*s)
-			return []death{{s0 + 10*s + heartbeatTimeout + s, 3}}
+			return append(unheard(s0, 0, 1, 2), death{s0 + 10*s + heartbeatTimeout + s, 3})
 		},
 	}, {
 		name: "dead before a promotion's baseline",
@@ -342,7 +356,7 @@ func TestHeartbeatSweepCases(t *testing.T) {
 			w.promote()
 			w.at(p + 10*s)
 			dead := p + heartbeatTimeout + s
-			return []death{{s0 + heartbeatTimeout + s, 2}, {dead, 0}, {dead, 1}, {dead, 2}, {dead, 3}}
+			return append(unheard(s0, 0, 1, 3), []death{{s0 + heartbeatTimeout + s, 2}, {dead, 0}, {dead, 1}, {dead, 2}, {dead, 3}}...)
 		},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -447,20 +447,22 @@ func (m *Master) promote() {
 		m.eng.Every(heartbeatScan, m.scanHeartbeats),
 		m.eng.Every(flapDecayEvery, m.decayFlapScores))
 
+	// Baseline every machine's heartbeat clock at the promotion: a machine
+	// that dies before its first beat to this primary — one already dead when
+	// a predecessor crashed, or one that dies while a fresh cluster boots —
+	// never reports, and with no baseline it would never trip the timeout
+	// scan and would keep absorbing grants forever.
+	now := m.eng.Now()
+	for id := range m.lastBeat {
+		m.lastBeat[id] = now
+	}
+
 	// Soft state: everyone re-sends. Fresh clusters (epoch 1) skip the
 	// recovery pause.
 	if m.epoch > 1 {
 		m.recovering = true
 		m.restored = make([]bool, m.top.Size())
 		m.owedAnchors, m.owedSyncs = m.top.Size(), 0
-		// Baseline every machine's heartbeat clock: a machine that was
-		// already dead when the predecessor crashed never reports to the
-		// successor, and with no baseline it would never trip the timeout
-		// scan and would keep absorbing grants forever.
-		now := m.eng.Now()
-		for id := int32(0); id < int32(m.top.Size()); id++ {
-			m.lastBeat[id] = now
-		}
 		hello := protocol.MasterHello{Epoch: m.epoch, Seq: m.seq.Next()}
 		for id := int32(0); id < int32(m.top.Size()); id++ {
 			m.net.SendID(m.epID, m.agentEP[id], hello)
@@ -1479,9 +1481,9 @@ func (m *Master) currentBlacklist() []BlacklistEntry {
 }
 
 // scanHeartbeats declares machines dead on heartbeat timeout: one pass over
-// lastBeat, in machine-ID order, revokes every machine that was heard from
-// (lastBeat 0 is never, as after a restart), is not already down, and has
-// been silent since before now - heartbeatTimeout.
+// lastBeat, in machine-ID order, revokes every machine that is not already
+// down and has been silent since before now - heartbeatTimeout (a machine
+// never heard from counts from the promotion).
 func (m *Master) scanHeartbeats() {
 	if !m.primary || m.crashed {
 		return
@@ -1489,7 +1491,7 @@ func (m *Master) scanHeartbeats() {
 	cutoff := m.eng.Now() - heartbeatTimeout
 	for i, last := range m.lastBeat {
 		mc := int32(i)
-		if last == 0 || last >= cutoff || m.sched.Down(mc) {
+		if last >= cutoff || m.sched.Down(mc) {
 			continue
 		}
 		// Heartbeat timeout: remove from scheduling and revoke so job

@@ -1,8 +1,6 @@
 package master
 
 import (
-	"sort"
-
 	"repro/internal/dense"
 	"repro/internal/resource"
 )
@@ -93,16 +91,6 @@ func (s *Scheduler) GroupUsage(group string) resource.Vector {
 	return resource.Vector{}
 }
 
-// Apps returns the sorted registered application names.
-func (s *Scheduler) Apps() []string {
-	out := make([]string, 0, len(s.apps))
-	for app := range s.apps {
-		out = append(out, app)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // appSlots returns the length of the scheduler's tables indexed by app ID —
 // the intern table, the app table and the locality tree's per-app rows —
 // whichever is longest: the most apps ever registered at once.
@@ -112,19 +100,6 @@ func (s *Scheduler) appSlots() int {
 		n = max(n, len(t.byApp))
 	}
 	return n
-}
-
-// Units returns the app's ScheduleUnit definitions sorted by ID.
-func (s *Scheduler) Units(app string) []resource.ScheduleUnit {
-	st, ok := s.apps[app]
-	if !ok {
-		return nil
-	}
-	out := make([]resource.ScheduleUnit, 0, len(st.unitArr))
-	for i := range st.unitArr {
-		out = append(out, st.unitArr[i].def)
-	}
-	return out
 }
 
 // restoreGrant force-installs a grant without emitting decisions — the

@@ -100,20 +100,11 @@ func (s *Store) Advance(now sim.Time) {
 // Set writes a series' value in the open row (gauges). Alloc-free.
 func (s *Store) Set(id SeriesID, v int64) { s.vals[id][s.head] = v }
 
-// Add accumulates into a series' cell in the open row — the form used when
-// several sources fold into one series (per-class depths across priority
-// buckets). Alloc-free.
-func (s *Store) Add(id SeriesID, v int64) { s.vals[id][s.head] += v }
-
 // Get reads a series' value in the open row.
 func (s *Store) Get(id SeriesID) int64 { return s.vals[id][s.head] }
 
 // SeriesCount returns the number of registered series.
 func (s *Store) SeriesCount() int { return len(s.vals) }
-
-// Metric and Group return a series' identity.
-func (s *Store) Metric(id SeriesID) string { return s.metric[id] }
-func (s *Store) Group(id SeriesID) string  { return s.group[id] }
 
 // Cap returns the ring capacity in samples; Len the live samples retained;
 // Total the samples ever recorded (Total - Len were evicted, exactly).

@@ -1,6 +1,6 @@
 package pangu
 
-// This file holds per-machine usage and replica lookups: exported for this package's tests, which read
+// This file holds per-machine usage and file deletion: exported for this package's tests, which read
 // them, and called by no shipped code.
 
 // UsageMB reports the bytes stored on one machine (0 for a machine outside
@@ -12,11 +12,16 @@ func (fs *FS) UsageMB(machine int32) int64 {
 	return fs.usagePerMac[machine]
 }
 
-// ChunkLocations returns the replica machines of chunk idx of file name.
-func (fs *FS) ChunkLocations(name string, idx int) []int32 {
+// Delete removes a file and releases its storage accounting.
+func (fs *FS) Delete(name string) {
 	f, ok := fs.files[name]
-	if !ok || idx < 0 || idx >= len(f.Chunks) {
-		return nil
+	if !ok {
+		return
 	}
-	return f.Chunks[idx].Replicas
+	for _, c := range f.Chunks {
+		for _, m := range c.Replicas {
+			fs.usagePerMac[m] -= c.SizeMB
+		}
+	}
+	delete(fs.files, name)
 }

@@ -139,20 +139,6 @@ func (fs *FS) Open(name string) (*File, error) {
 	return f, nil
 }
 
-// Delete removes a file and releases its storage accounting.
-func (fs *FS) Delete(name string) {
-	f, ok := fs.files[name]
-	if !ok {
-		return
-	}
-	for _, c := range f.Chunks {
-		for _, m := range c.Replicas {
-			fs.usagePerMac[m] -= c.SizeMB
-		}
-	}
-	delete(fs.files, name)
-}
-
 // LoseMachine removes the machine from every chunk's replica set, simulating
 // permanent disk loss; chunks keep their remaining replicas. It returns the
 // number of chunks that lost a replica.

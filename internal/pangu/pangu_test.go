@@ -132,22 +132,6 @@ func TestOpenAndDelete(t *testing.T) {
 	fs.Delete("f") // idempotent
 }
 
-func TestChunkLocations(t *testing.T) {
-	fs := New(testTop(t, 2, 4), rand.New(rand.NewSource(7)))
-	f, _ := fs.Create("f", 600)
-	locs := fs.ChunkLocations("f", 1)
-	if len(locs) != 3 {
-		t.Fatalf("locations = %v", locs)
-	}
-	if fs.ChunkLocations("f", 99) != nil {
-		t.Error("out-of-range index returned locations")
-	}
-	if fs.ChunkLocations("nope", 0) != nil {
-		t.Error("missing file returned locations")
-	}
-	_ = f
-}
-
 func TestLoseMachine(t *testing.T) {
 	fs := New(testTop(t, 3, 5), rand.New(rand.NewSource(8)))
 	f, _ := fs.Create("f", 256*10)

@@ -31,8 +31,11 @@
 // messages name their machine by the same dense ID (WorkerStatus,
 // WorkerListRequest): the application master drops one whose machine the
 // topology does not hold, and addresses an agent only through a name the
-// network already knows, so no hostile ID grows the endpoint table. Only
-// worker IDs, task names and the App name are still strings on them.
+// network already knows, so no hostile ID grows the endpoint table. They
+// carry no application at all: a worker is the pair (application endpoint
+// ID, worker number), the application is the sender of a plan, stop or list
+// reply and the receiver of a status, and each receiver acts for the endpoint
+// the network says sent the message, never for one the message names.
 //
 // Pooled messages: the ten types every job, every scheduling decision, every
 // safety sync or every agent beat sends — RegisterApp, DemandUpdate,
@@ -432,28 +435,27 @@ func AgentEndpoint(machine string) string { return "agent:" + machine }
 
 // WorkPlan asks an agent to start one worker process inside a granted
 // container: binary package, limits and startup parameters in the paper; we
-// carry the identifiers the simulation needs.
+// carry the identifiers the simulation needs. The application is the plan's
+// sender, and Worker numbers the worker within it, from 1.
 type WorkPlan struct {
-	App      string
-	UnitID   int
-	WorkerID string
-	Size     resource.Vector
-	Seq      uint64
+	UnitID int
+	Worker uint32
+	Size   resource.Vector
+	Seq    uint64
 }
 
-// StopWorker asks an agent to terminate a worker.
+// StopWorker asks an agent to terminate one of the sender's workers.
 type StopWorker struct {
-	App      string
-	WorkerID string
-	Seq      uint64
+	Worker uint32
+	Seq    uint64
 }
 
-// WorkerStatus reports a worker's state to its application master.
+// WorkerStatus reports a worker's state to its application master, the
+// receiver.
 type WorkerStatus struct {
-	Machine  int32 // dense machine ID
-	App      string
-	WorkerID string
-	State    WorkerState
+	Machine int32 // dense machine ID
+	Worker  uint32
+	State   WorkerState
 	// FailureDetail is set for failed workers (paper: "instance failure
 	// details are encapsulated in the reported status for the sake of easy
 	// fault diagnosis").
@@ -468,10 +470,9 @@ type WorkerListRequest struct {
 	Seq     uint64
 }
 
-// WorkerListReply answers with all workers the application expects on the
-// machine.
+// WorkerListReply answers with all workers the sending application expects
+// on the machine.
 type WorkerListReply struct {
-	App     string
 	Workers []WorkPlan
 	Seq     uint64
 }
@@ -559,11 +560,7 @@ func (m JobAdmitAck) WireSize() int { return headerBytes + len(m.JobID) + 4 + 8 
 func (m UnregisterAck) WireSize() int { return headerBytes + len(m.App) + 8 }
 
 // WireSize implements transport.Sizer.
-func (m WorkPlan) WireSize() int {
-	return headerBytes + len(m.App) + len(m.WorkerID) + 2*perEntryBytes
-}
+func (m WorkPlan) WireSize() int { return headerBytes + 4 + 2*perEntryBytes }
 
 // WireSize implements transport.Sizer.
-func (m WorkerStatus) WireSize() int {
-	return headerBytes + len(m.App) + len(m.WorkerID) + len(m.FailureDetail)
-}
+func (m WorkerStatus) WireSize() int { return headerBytes + 4 + len(m.FailureDetail) }

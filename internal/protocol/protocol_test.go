@@ -29,7 +29,7 @@ func TestSequencerMonotone(t *testing.T) {
 func TestDedupInOrder(t *testing.T) {
 	d := &Dedup{}
 	for i := uint64(1); i <= 5; i++ {
-		if v := d.Observe("a", i); v != Accept {
+		if v := d.ObserveCh(1, ChanDem, i); v != Accept {
 			t.Fatalf("seq %d: verdict %v, want Accept", i, v)
 		}
 	}
@@ -40,42 +40,45 @@ func TestDedupInOrder(t *testing.T) {
 
 func TestDedupDuplicates(t *testing.T) {
 	d := &Dedup{}
-	d.Observe("a", 1)
-	d.Observe("a", 2)
-	if v := d.Observe("a", 2); v != Duplicate {
+	d.ObserveCh(1, ChanDem, 1)
+	d.ObserveCh(1, ChanDem, 2)
+	if v := d.ObserveCh(1, ChanDem, 2); v != Duplicate {
 		t.Errorf("replay verdict = %v", v)
 	}
-	if v := d.Observe("a", 1); v != Duplicate {
+	if v := d.ObserveCh(1, ChanDem, 1); v != Duplicate {
 		t.Errorf("old replay verdict = %v", v)
 	}
-	if v := d.Observe("a", 3); v != Accept {
+	if v := d.ObserveCh(1, ChanDem, 3); v != Accept {
 		t.Errorf("next after replays = %v", v)
 	}
 }
 
 func TestDedupGap(t *testing.T) {
 	d := &Dedup{}
-	d.Observe("a", 1)
-	if v := d.Observe("a", 5); v != Gap {
+	d.ObserveCh(1, ChanDem, 1)
+	if v := d.ObserveCh(1, ChanDem, 5); v != Gap {
 		t.Errorf("gap verdict = %v", v)
 	}
 	if d.Gaps() != 1 {
 		t.Errorf("gaps = %d", d.Gaps())
 	}
 	// 2..4 arrive late: they're now duplicates (already superseded).
-	if v := d.Observe("a", 3); v != Duplicate {
+	if v := d.ObserveCh(1, ChanDem, 3); v != Duplicate {
 		t.Errorf("late verdict = %v", v)
 	}
-	if v := d.Observe("a", 6); v != Accept {
+	if v := d.ObserveCh(1, ChanDem, 6); v != Accept {
 		t.Errorf("resume verdict = %v", v)
 	}
 }
 
 func TestDedupSendersIndependent(t *testing.T) {
 	d := &Dedup{}
-	d.Observe("a", 1)
-	if v := d.Observe("b", 1); v != Accept {
+	d.ObserveCh(1, ChanDem, 1)
+	if v := d.ObserveCh(2, ChanDem, 1); v != Accept {
 		t.Errorf("other sender verdict = %v", v)
+	}
+	if v := d.ObserveCh(1, ChanCap, 1); v != Accept {
+		t.Errorf("other channel verdict = %v", v)
 	}
 }
 
@@ -104,7 +107,7 @@ func TestPropDedupExactlyOnce(t *testing.T) {
 		applied := map[uint64]bool{}
 		for _, p := range perm {
 			seq := uint64(p%32) + 1
-			v := d.Observe("s", seq)
+			v := d.ObserveCh(3, ChanCap, seq)
 			if v == Accept || v == Gap {
 				if applied[seq] {
 					return false // double-apply
@@ -169,8 +172,8 @@ func TestWireSizesPositiveAndProportional(t *testing.T) {
 		GrantUpdate{App: "a", Changes: []UnitDelta{{UnitID: 1, Machine: 0, Delta: 1}}},
 		AgentHeartbeat{Machine: 0, Allocations: []AllocDelta{{App: 3, UnitID: 1, Count: 2}}},
 		CapacityDelta{Entries: []CapacityEntry{{App: 3, UnitID: 1, Count: 1}}},
-		WorkPlan{App: "a", WorkerID: "w"},
-		WorkerStatus{App: "a", WorkerID: "w"},
+		WorkPlan{Worker: 1},
+		WorkerStatus{Worker: 1},
 	}
 	for i, m := range msgs {
 		if m.WireSize() <= 0 {

@@ -19,9 +19,10 @@ func (s *Sequencer) Next() uint64 {
 func (s *Sequencer) Current() uint64 { return s.next }
 
 // Chan enumerates the per-sender logical channels multiplexed over one
-// Dedup. Every sequenced control-plane message addresses its high-water mark
-// by (sender endpoint ID, Chan); only the agent's per-worker plan channels,
-// whose workers travel by name, go through Observe.
+// Dedup. Every sequenced message addresses its high-water mark by (sender
+// endpoint ID, Chan). The agent's per-worker plan marks are not channels: a
+// worker is (application endpoint ID, worker number), and the agent keeps
+// those marks beside its process table.
 type Chan uint8
 
 const (
@@ -69,8 +70,6 @@ type senderMarks struct {
 // send nothing more, as the transport fences its traffic. The table is as
 // long as the endpoints live at once, not the endpoints ever named.
 type Dedup struct {
-	last map[string]uint64 // free-form channels, by name
-
 	peer    int32 // sender of the inline stream; meaningful once peerSet
 	peerCh  Chan
 	peerSet bool
@@ -89,33 +88,10 @@ const (
 	// Duplicate means the message was already applied: drop it.
 	Duplicate
 	// Gap means at least one earlier message was lost. The message itself
-	// is still fresh; Observe applies it and records the gap, relying on
+	// is still fresh; ObserveCh applies it and records the gap, relying on
 	// the periodic full sync to repair the missed delta.
 	Gap
 )
-
-// Observe classifies seq from sender and advances the high-water mark for
-// fresh messages.
-func (d *Dedup) Observe(sender string, seq uint64) Verdict {
-	last := d.last[sender]
-	switch {
-	case seq <= last:
-		return Duplicate
-	case seq == last+1:
-		if d.last == nil {
-			d.last = make(map[string]uint64)
-		}
-		d.last[sender] = seq
-		return Accept
-	default:
-		if d.last == nil {
-			d.last = make(map[string]uint64)
-		}
-		d.last[sender] = seq
-		d.gaps++
-		return Gap
-	}
-}
 
 // mark returns the high-water mark cell of (sender, ch). With grow false it
 // returns nil for a stream never written; with grow true it makes room,
@@ -168,9 +144,9 @@ func (d *Dedup) mark(sender int32, ch Chan, grow bool) *uint64 {
 // a hub has marks for, plus one (0 for a receiver with one inline stream).
 func (d *Dedup) Senders() int { return len(d.many) }
 
-// ObserveCh is Observe addressed by (sender endpoint ID, channel) — the
-// hashing-free form for the protocol's fixed channels. The sender is the
-// transport-layer EndpointID of the peer (cast to int32).
+// ObserveCh classifies seq from (sender endpoint ID, channel) and advances
+// the high-water mark for fresh messages. The sender is the transport-layer
+// EndpointID of the peer (cast to int32).
 func (d *Dedup) ObserveCh(sender int32, ch Chan, seq uint64) Verdict {
 	m := d.mark(sender, ch, seq > 0)
 	if m == nil || seq <= *m {

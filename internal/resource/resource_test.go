@@ -166,15 +166,6 @@ func TestFromMapDropsZeros(t *testing.T) {
 	}
 }
 
-func TestToMapIsCopy(t *testing.T) {
-	v := New(10, 20)
-	m := v.ToMap()
-	m[CPU] = 999
-	if v.CPUMilli() != 10 {
-		t.Error("ToMap aliases internal state")
-	}
-}
-
 // Property-based tests on vector algebra.
 
 func smallVec(a, b, c int16) Vector {

@@ -41,7 +41,6 @@ type Topology struct {
 	machines map[string]*Machine
 	names    []string // sorted machine names
 	rackList []string // sorted rack names
-	total    resource.Vector
 
 	machTbl   ident.Table // machine name -> dense ID (sorted order)
 	rackTbl   ident.Table // rack name -> dense ID (sorted order)
@@ -71,7 +70,6 @@ func New(machines []Machine) (*Topology, error) {
 		t.machines[m.Name] = &mc
 		racks[m.Rack] = true
 		t.names = append(t.names, m.Name)
-		t.total = t.total.Add(m.Capacity)
 	}
 	sort.Strings(t.names)
 	for r := range racks {
@@ -214,6 +212,3 @@ func (t *Topology) Holds(level resource.LocalityType, node int32) bool {
 	}
 	return false
 }
-
-// TotalCapacity returns the summed capacity of all machines.
-func (t *Topology) TotalCapacity() resource.Vector { return t.total }

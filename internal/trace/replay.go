@@ -50,20 +50,6 @@ func (p BoundedPareto) Quantile(u float64) float64 {
 // Sample draws one value from rng.
 func (p BoundedPareto) Sample(rng *rand.Rand) float64 { return p.Quantile(rng.Float64()) }
 
-// Mean returns the analytic mean (Alpha ≠ 1; the truncation makes it finite
-// for every Alpha > 0).
-func (p BoundedPareto) Mean() float64 {
-	if p.Max <= p.Min {
-		return p.Min
-	}
-	if p.Alpha == 1 {
-		return p.Min * math.Log(p.Max/p.Min) / (1 - p.Min/p.Max)
-	}
-	r := math.Pow(p.Min/p.Max, p.Alpha)
-	return p.Min / (1 - r) * p.Alpha / (p.Alpha - 1) *
-		(1 - math.Pow(p.Min/p.Max, p.Alpha-1))
-}
-
 // DiurnalRate modulates a base arrival rate sinusoidally over a simulated
 // day — the diurnal cycle of a production trace compressed to Day of
 // virtual time. Rate(t) = Base × (1 + A·sin(2πt/Day)): the peak lands at
