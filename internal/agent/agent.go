@@ -25,7 +25,6 @@ package agent
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/protocol"
@@ -47,10 +46,9 @@ type Config struct {
 const (
 	// heartbeatInterval is the AgentHeartbeat period.
 	heartbeatInterval = sim.Second
-	// AnchorEvery is the full-sync anchor period of the delta-encoded
-	// heartbeat stream: every AnchorEvery-th beat carries the complete
-	// allocation table (Full), the beats between carry only changed
-	// entries (or nothing).
+	// AnchorEvery is the anchor period of the heartbeat stream: every
+	// AnchorEvery-th beat carries the complete allocation table (Full), and
+	// the beats between carry liveness and health only.
 	AnchorEvery = 10
 	// defaultWorkerStartDelay is the start cost of a worker process when
 	// the Config names none.
@@ -85,20 +83,14 @@ func (k procKey) worker() uint32            { return uint32(k) }
 
 // capTable is the machine's capacity ledger: the packed keys in one
 // contiguous array, each key's granted container count at the same index
-// beside it, in arrival order, and one bit per row marking a count that
-// changed since the last heartbeat. A row is the count alone — enforcement
-// and the heartbeat read nothing else — so the table holds no pointers and
-// the collector never scans it. A machine holds a few dozen (app, unit) rows,
-// so finding one is a scan of a handful of cache lines of integers, and the
-// delta beat's "what changed" is a word of bits next to the rows the deltas
-// just wrote rather than a second table to insert into, iterate and look up
-// again. Zero-count rows stay until the next anchor so a returning grant
-// reuses its row.
+// beside it, in arrival order. A row is the count alone — enforcement and the
+// anchor beat read nothing else — so the table holds no pointers and the
+// collector never scans it. A machine holds a few dozen (app, unit) rows, so
+// finding one is a scan of a handful of cache lines of integers. Zero-count
+// rows stay until the next anchor so a returning grant reuses its row.
 type capTable struct {
 	keys   []capKey
 	counts []int
-	dirty  []uint64 // bit i: counts[i] changed since the last beat
-	nDirty int
 }
 
 // find returns k's index, or -1.
@@ -125,9 +117,6 @@ func (t *capTable) slot(k capKey) int {
 		}
 		t.keys = append(t.keys, k)
 		t.counts = append(t.counts, 0)
-		if i>>6 >= len(t.dirty) {
-			t.dirty = append(t.dirty, 0)
-		}
 	}
 	return i
 }
@@ -140,23 +129,7 @@ func (t *capTable) count(k capKey) int {
 	return 0
 }
 
-// mark flags row i as changed since the last beat.
-func (t *capTable) mark(i int) {
-	if bit := uint64(1) << (i & 63); t.dirty[i>>6]&bit == 0 {
-		t.dirty[i>>6] |= bit
-		t.nDirty++
-	}
-}
-
-// clean clears every changed mark.
-func (t *capTable) clean() {
-	clear(t.dirty)
-	t.nDirty = 0
-}
-
-// reap drops the zero-count rows, keeping the others in order. Rows move, so
-// the changed marks are cleared with them: reaping is part of an anchor, and
-// an anchor supersedes every pending change.
+// reap drops the zero-count rows, keeping the others in order.
 func (t *capTable) reap() {
 	w := 0
 	for i, n := range t.counts {
@@ -166,14 +139,10 @@ func (t *capTable) reap() {
 		}
 	}
 	t.keys, t.counts = t.keys[:w], t.counts[:w]
-	t.clean()
 }
 
 // reset empties the table, keeping its storage.
-func (t *capTable) reset() {
-	t.keys, t.counts = t.keys[:0], t.counts[:0]
-	t.clean()
-}
+func (t *capTable) reset() { t.keys, t.counts = t.keys[:0], t.counts[:0] }
 
 // Proc is one supervised worker process. Its key is (the endpoint ID of the
 // application master whose plan started it, the worker number the plan
@@ -235,8 +204,7 @@ type Agent struct {
 	// not one per surviving delta.
 	nextAnchorReq sim.Time
 
-	// Delta-heartbeat state (the changed-since-last-beat marks live in the
-	// capacity rows): sinceAnchor counts beats since the last full-table
+	// Anchor state: sinceAnchor counts beats since the last full-table
 	// anchor, and forceAnchor requests an immediate anchor (a restart, a
 	// capacity sync replacing the whole table, or a MasterHello from a
 	// promoted primary collecting soft state).
@@ -341,30 +309,14 @@ func (a *Agent) ForEachAllocation(fn func(app string, unitID, count int)) {
 	}
 }
 
-// emit appends row i in heartbeat form.
-func (t *capTable) emit(out []protocol.AllocDelta, i int) []protocol.AllocDelta {
-	k := t.keys[i]
-	return append(out, protocol.AllocDelta{App: int32(k.app()), UnitID: k.unitID(), Count: t.counts[i]})
-}
-
 // appendLive appends the live rows in the wire form an anchor heartbeat
 // carries, in ledger order: the one reader, a recovering master, restores
 // each entry on its own.
 func (t *capTable) appendLive(out []protocol.AllocDelta) []protocol.AllocDelta {
 	for i, n := range t.counts {
 		if n > 0 {
-			out = t.emit(out, i)
-		}
-	}
-	return out
-}
-
-// appendChanged is appendLive for a delta beat: the rows whose count changed
-// since the last beat, zero counts (removals) included.
-func (t *capTable) appendChanged(out []protocol.AllocDelta) []protocol.AllocDelta {
-	for w, word := range t.dirty {
-		for ; word != 0; word &= word - 1 {
-			out = t.emit(out, w<<6+bits.TrailingZeros64(word))
+			k := t.keys[i]
+			out = append(out, protocol.AllocDelta{App: int32(k.app()), UnitID: k.unitID(), Count: n})
 		}
 	}
 	return out
@@ -392,13 +344,13 @@ func (a *Agent) tick() {
 	a.sendHeartbeat()
 }
 
-// sendHeartbeat emits the next beat of the delta-encoded stream: an anchor
-// (full allocation table) when due or forced, a change list when capacity
-// moved since the last beat, and a bare liveness/health beat otherwise —
-// the common case at steady state, which builds no maps at all. The beat is
-// drawn from the network's free list and filled into the payload capacity
-// its last use left, so the cluster's beats share the buffers of the few in
-// flight at once instead of each agent keeping its own.
+// sendHeartbeat emits the next beat: an anchor (full allocation table) when
+// due or forced, and a bare liveness/health beat otherwise. The master reads
+// allocations only from an anchor — to rebuild its free pool after a
+// promotion — so a beat between anchors carries none. The beat is drawn from
+// the network's free list and filled into the payload capacity its last use
+// left, so the cluster's beats share the buffers of the few in flight at once
+// instead of each agent keeping its own.
 func (a *Agent) sendHeartbeat() {
 	hb := transport.Acquire[protocol.AgentHeartbeat](a.net)
 	hb.Machine, hb.HealthScore, hb.Seq = a.id, a.HealthCollector(), a.seq.Next()
@@ -411,11 +363,9 @@ func (a *Agent) sendHeartbeat() {
 		// row, but rows dead for a whole anchor period (typically unregistered
 		// apps) would otherwise accumulate forever.
 		a.capacity.reap()
+		a.reapPlans()
 		a.forceAnchor = false
 		a.sinceAnchor = 0
-	} else if a.capacity.nDirty > 0 {
-		hb.Changes = a.capacity.appendChanged(hb.Changes)
-		a.capacity.clean()
 	}
 	a.net.SendID(a.epID, a.masterID, hb)
 }
@@ -544,7 +494,7 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 	case protocol.MasterHello:
 		// New primary collecting soft state: report the full table
 		// immediately (an anchor beat — the successor rebuilds its free
-		// pool from it, so a delta beat would not do). The epoch gate
+		// pool from it, so a bare beat would not do). The epoch gate
 		// forgets the dead master's sequence numbers only for a genuinely
 		// newer epoch — a duplicated hello must not reopen the door to
 		// replaying the new master's own messages.
@@ -574,12 +524,9 @@ func (a *Agent) wellFormed(es []protocol.CapacityEntry) bool {
 	return true
 }
 
-// applyCapacity applies one signed capacity change to the ledger and marks
-// the row for the next delta beat.
+// applyCapacity applies one signed capacity change to the ledger.
 func (a *Agent) applyCapacity(k capKey, delta int) {
-	i := a.capacity.slot(k)
-	a.capacity.mark(i)
-	n := &a.capacity.counts[i]
+	n := &a.capacity.counts[a.capacity.slot(k)]
 	*n += delta
 	if *n < 0 {
 		*n = 0
@@ -627,6 +574,20 @@ func (a *Agent) seenPlan(k procKey, seq uint64) bool {
 	}
 	a.planSeen[k] = seq
 	return false
+}
+
+// reapPlans drops, at an anchor, the plan marks of applications whose
+// endpoint was retired: a finished application plans nothing more, and a
+// delayed plan from its retired endpoint is dropped on landing by the
+// network's generation fence, so no mark is needed to refuse it. Marks of
+// live applications stay, finished workers' included, so a duplicate plan
+// cannot restart one.
+func (a *Agent) reapPlans() {
+	for k := range a.planSeen {
+		if a.net.Name(k.app()) == "" {
+			delete(a.planSeen, k)
+		}
+	}
 }
 
 // report sends a worker's status to its application master.

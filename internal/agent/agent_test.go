@@ -91,15 +91,24 @@ func TestHeartbeatsFlow(t *testing.T) {
 	}
 }
 
+// TestHeartbeatCarriesAllocations: the next anchor carries a grant, and the
+// beats between anchors carry no allocations at all.
 func TestHeartbeatCarriesAllocations(t *testing.T) {
 	h := newHarness(t)
 	h.grantCapacity("app1", 1, 3, size)
 	h.toMaster = nil
-	h.eng.Run(h.eng.Now() + 2*sim.Second)
-	found := false
+	h.eng.Run(h.eng.Now() + AnchorEvery*sim.Second)
+	found, bare := false, 0
 	for _, m := range h.toMaster {
 		hb, ok := m.(protocol.AgentHeartbeat)
 		if !ok {
+			continue
+		}
+		if !hb.Full {
+			if len(hb.Allocations) != 0 {
+				t.Errorf("bare beat %d carries allocations %+v", hb.Seq, hb.Allocations)
+			}
+			bare++
 			continue
 		}
 		for _, d := range hb.Allocations {
@@ -107,14 +116,9 @@ func TestHeartbeatCarriesAllocations(t *testing.T) {
 				found = true
 			}
 		}
-		for _, d := range hb.Changes {
-			if d.App == h.ep("app1") && d.UnitID == 1 && d.Count == 3 {
-				found = true
-			}
-		}
 	}
-	if !found {
-		t.Error("heartbeat missing allocations")
+	if !found || bare == 0 {
+		t.Errorf("anchor found %v, %d bare beats: want the anchor to carry the grant", found, bare)
 	}
 }
 
@@ -537,5 +541,45 @@ func TestPlanForUnitWiderThanTheWireIsDropped(t *testing.T) {
 	h.eng.Run(h.eng.Now() + 2*sim.Second)
 	if p := h.proc("app1", 1); p == nil || p.State != protocol.WorkerRunning {
 		t.Fatal("worker 1 did not start in unit 1's container")
+	}
+}
+
+// TestDuplicatePlanFromRetiredAppStartsNothing: a duplicate of a work plan,
+// delayed past its application's retirement and past the anchor that reaps
+// the plan's mark, lands from a retired endpoint and starts nothing — though
+// the capacity it was planned in is still on the ledger. The network's
+// generation fence, not the mark, refuses it.
+func TestDuplicatePlanFromRetiredAppStartsNothing(t *testing.T) {
+	h := newHarness(t)
+	h.grantCapacity("app1", 1, 1, size)
+	app, agentEP := h.net.Endpoint("app1"), h.net.Endpoint(protocol.AgentEndpoint(h.agent.Machine))
+	h.sendPlan("app1", 1, 1, size, 1)
+	h.net.SetLinkRule("app1", protocol.AgentEndpoint(h.agent.Machine), transport.LinkRule{Delay: 2 * AnchorEvery * sim.Second})
+	h.sendPlan("app1", 1, 1, size, 1)
+	h.net.SetLinkRule("app1", protocol.AgentEndpoint(h.agent.Machine), transport.LinkRule{})
+	h.eng.Run(h.eng.Now() + sim.Second)
+	if h.agent.Proc(app, 1) == nil {
+		t.Fatal("the plan started no worker")
+	}
+	h.net.SendID(app, agentEP, protocol.StopWorker{Worker: 1, Seq: 2})
+	h.eng.Run(h.eng.Now() + 10*sim.Millisecond)
+	if h.agent.Proc(app, 1) != nil || h.agent.PlanMarks() != 1 {
+		t.Fatalf("after the stop: worker %v, %d plan marks; want none, 1", h.agent.Proc(app, 1), h.agent.PlanMarks())
+	}
+	h.net.Retire(app)
+	h.eng.Run(h.eng.Now() + AnchorEvery*sim.Second)
+	if h.agent.PlanMarks() != 0 {
+		t.Fatalf("%d plan marks after the retirement and an anchor, want 0", h.agent.PlanMarks())
+	}
+	dropped := h.net.Stats().Dropped
+	h.eng.Run(h.eng.Now() + 2*AnchorEvery*sim.Second)
+	if h.net.Stats().Dropped == dropped {
+		t.Fatal("the delayed duplicate never landed")
+	}
+	if len(h.agent.Procs()) != 0 {
+		t.Fatalf("the duplicate started %+v", h.agent.Procs())
+	}
+	if n := h.agent.capacity.count(makeCapKey(app, 1)); n != 1 {
+		t.Fatalf("the retired app's ledger row reads %d, want its grant of 1 still there", n)
 	}
 }

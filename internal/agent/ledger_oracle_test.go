@@ -15,10 +15,10 @@ import (
 	"repro/internal/transport"
 )
 
-// mapLedger is the agent's capacity ledger and heartbeat encoder as they were
+// mapLedger is the agent's capacity ledger and anchor encoder as they were
 // before the ledger became a compact table: a value map keyed by (locally
-// interned app ID, unit), a second map of changed keys, and the agent's own
-// ident.Table of application names, re-interned from every message. It is
+// interned app ID, unit) and the agent's own ident.Table of application
+// names, re-interned from every message. It is
 // kept as the reference the differential tests drive the shipped agent
 // against; the message fencing around it (malformed-message drop, epoch gate,
 // dedup, repair throttle) is the agent's, mirrored here so the reference sees
@@ -26,7 +26,6 @@ import (
 type mapLedger struct {
 	appTbl   ident.Table
 	capacity map[oracleKey]oracleEntry
-	dirty    map[oracleKey]struct{}
 	// machine is the agent's own machine ID: a sync naming another is not
 	// this ledger's. clamped counts the releases clamped at zero.
 	machine int32
@@ -67,14 +66,12 @@ type namedAlloc struct {
 type oracleBeat struct {
 	Full        bool
 	Allocations []namedAlloc
-	Changes     []namedAlloc
 	Seq         uint64
 }
 
 func newMapLedger(anchorEvery int, machine int32) *mapLedger {
 	return &mapLedger{
 		capacity:    map[oracleKey]oracleEntry{},
-		dirty:       map[oracleKey]struct{}{},
 		machine:     machine,
 		anchorEvery: anchorEvery,
 		forceAnchor: true,
@@ -90,7 +87,8 @@ func sortNamed(ds []namedAlloc) {
 	})
 }
 
-// beat is the old sendHeartbeat.
+// beat is the old sendHeartbeat, which reported allocations only in an
+// anchor.
 func (l *mapLedger) beat() oracleBeat {
 	b := oracleBeat{Seq: l.seq.Next()}
 	l.sinceAnchor++
@@ -109,13 +107,6 @@ func (l *mapLedger) beat() oracleBeat {
 		}
 		l.forceAnchor = false
 		l.sinceAnchor = 0
-		clear(l.dirty)
-	} else if len(l.dirty) > 0 {
-		for k := range l.dirty {
-			b.Changes = append(b.Changes, namedAlloc{l.appTbl.Name(k.app), k.unitID, l.capacity[k].count})
-		}
-		sortNamed(b.Changes)
-		clear(l.dirty)
 	}
 	return b
 }
@@ -123,7 +114,6 @@ func (l *mapLedger) beat() oracleBeat {
 // apply is the old applyCapacityID behind its Intern.
 func (l *mapLedger) apply(app string, unitID int, size resource.Vector, delta int) {
 	k := oracleKey{l.appTbl.Intern(app), unitID}
-	l.dirty[k] = struct{}{}
 	e := l.capacity[k]
 	e.size = size
 	e.count += delta
@@ -178,7 +168,6 @@ func (l *mapLedger) handle(now sim.Time, from transport.EndpointID, msg transpor
 			return
 		}
 		l.forceAnchor = true
-		clear(l.dirty)
 		l.capacity = make(map[oracleKey]oracleEntry, len(t.Entries))
 		var rows []oracleKey
 		for _, e := range t.Entries {
@@ -226,7 +215,6 @@ func (l *mapLedger) crashMachine() { l.capacity = map[oracleKey]oracleEntry{} }
 
 func (l *mapLedger) restartMachine() {
 	l.forceAnchor = true
-	clear(l.dirty)
 	l.dedup = protocol.Dedup{}
 }
 
@@ -249,10 +237,11 @@ func appName(net *transport.Net) func(int32) string {
 }
 
 // checkBeats compares every heartbeat h's agent sends, at the instant it sends
-// it, with the one ref would have sent: anchor flag, sequence number, and the
-// allocation and change tables entry by entry. The agent's tables leave in
-// ledger order, which no receiver depends on, so each is compared as a copy
-// sorted into the reference's (name, unit) order, with name naming the apps.
+// it, with the one ref would have sent: anchor flag, sequence number, and an
+// anchor's allocation table entry by entry (a bare beat carries none). The
+// agent's table leaves in ledger order, which no receiver depends on, so it
+// is compared as a copy sorted into the reference's (name, unit) order, with
+// name naming the apps.
 // It returns the running count of beats compared; label names the run in a
 // failure.
 func checkBeats(t *testing.T, h *harness, ref *mapLedger, label func() string, name func(int32) string) *int {
@@ -285,11 +274,7 @@ func checkBeats(t *testing.T, h *harness, ref *mapLedger, label func() string, n
 		for _, d := range hb.Allocations {
 			got.Allocations = append(got.Allocations, namedAlloc{name(d.App), d.UnitID, d.Count})
 		}
-		for _, d := range hb.Changes {
-			got.Changes = append(got.Changes, namedAlloc{name(d.App), d.UnitID, d.Count})
-		}
 		sortNamed(got.Allocations)
-		sortNamed(got.Changes)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s beat %d at %v:\n agent  %+v\n oracle %+v", label(), *beats, h.eng.Now(), got, want)
 		}
@@ -302,7 +287,7 @@ func checkBeats(t *testing.T, h *harness, ref *mapLedger, label func() string, n
 // duplicated, with gaps, from stale and newer epochs, over-releasing), named
 // single updates, full syncs (current, stale, unsequenced, with zero rows),
 // master hellos, daemon and machine crashes with restarts, and idle stretches
-// long enough for delta beats, anchors and the zero-count reap — and compares
+// long enough for bare beats, anchors and the zero-count reap — and compares
 // every heartbeat the agent sends with the one the reference would have sent
 // (checkBeats).
 func TestLedgerMatchesMapOracle(t *testing.T) {
@@ -481,8 +466,8 @@ func churnAgents(tb testing.TB, n, rows int) (*transport.Net, *sim.Engine, []*Ag
 
 // TestCapacityDeltaAndBeatAllocateNothing is the agent's share of "a delta
 // costs O(delta)": a warmed agent applies a four-entry CapacityDelta and sends
-// the beat that reports it — a delta beat, or an anchor carrying the whole
-// table — without allocating. Both beats are drawn from the network's pool.
+// the next beat — a bare one, or an anchor carrying the whole table — without
+// allocating. Both beats are drawn from the network's pool.
 func TestCapacityDeltaAndBeatAllocateNothing(t *testing.T) {
 	for _, anchor := range []bool{false, true} {
 		t.Run(map[bool]string{false: "delta", true: "anchor"}[anchor], func(t *testing.T) {

@@ -15,17 +15,17 @@ import (
 	"repro/internal/transport"
 )
 
-// The fan-out as it was before a step's releases waited for its dispatch:
-// applyReleases and unregister sent every touched agent a CapacityDelta of
-// release entries at once, and the regrant the freed capacity enabled went
-// to the same agents in a second CapacityDelta. The legacy world's master
-// also keeps the demand paths from before every update joined one round
-// buffer: the immediate step of a zero-width window, the recovery's own
-// demand and return buffers, and deferRound, which moved a round flushed
-// during a recovery into them. The legacy* methods below are those paths,
-// kept as the differential oracle of the shipped ones; everything they
-// share with it (placeRound, applyRuns, dispatch with nothing left open) is
-// the shipped code.
+// The fan-out as it was before an instant's capacity changes waited for the
+// instant's end: applyReleases and unregister sent every touched agent a
+// CapacityDelta of release entries at once, the regrant the freed capacity
+// enabled went to the same agents in a second CapacityDelta, and every step's
+// dispatch sent its own. The legacy world's master also keeps the demand
+// paths from before every update joined one round buffer: the immediate step
+// of a zero-width window, the recovery's own demand and return buffers, and
+// deferRound, which moved a round flushed during a recovery into them. The
+// legacy* methods below are those paths, kept as the differential oracle of
+// the shipped ones; everything they share with it (placeRound, applyRuns,
+// dispatch followed at once by flushCapacity) is the shipped code.
 
 // legacyMaster is a master with the buffers the one-round path deleted:
 // the demand and returns that arrive during a recovery window.
@@ -37,46 +37,15 @@ type legacyMaster struct {
 
 // legacyApplyReleases is applyReleases sending its releases itself.
 func (m *Master) legacyApplyReleases(rets []returnRec) []int32 {
-	if len(rets) == 0 {
-		return nil
-	}
-	d := &m.dsp
-	d.reset(m.top.Size())
-	m.touched = m.touched[:0]
-	for i := range rets {
-		t := &rets[i].ret
-		st := m.appFrom(rets[i].from, rets[i].app)
-		if st == nil {
-			continue
-		}
-		u := st.unit(t.UnitID)
-		if u == nil {
-			continue
-		}
-		if err := m.sched.releaseChecked(st, u, t.Machine, t.Count); err != nil {
-			continue
-		}
-		ag := d.agentFor(t.Machine)
-		if len(ag.entries) == 0 {
-			m.touched = append(m.touched, t.Machine)
-		}
-		ag.entries = append(ag.entries, protocol.CapacityEntry{
-			App: int32(st.ep), UnitID: t.UnitID, Size: u.def.Size, Count: -t.Count,
-		})
-	}
-	for i := range d.agents {
-		if ag := &d.agents[i]; len(ag.entries) > 0 {
-			m.legacySendCapacityDelta(ag)
-		}
-	}
-	return m.touched
+	touched := m.applyReleases(rets)
+	m.flushCapacity()
+	return touched
 }
 
-func (m *Master) legacySendCapacityDelta(ag *agentAcc) {
-	cd := transport.Acquire[protocol.CapacityDelta](m.net)
-	cd.Entries = append(cd.Entries, ag.entries...)
-	cd.Epoch, cd.Seq = m.epoch, m.capSeq[ag.machine].Next()
-	m.net.SendID(m.epID, m.agentEP[ag.machine], cd)
+// legacyDispatch is dispatch sending the step's capacity changes at once.
+func (m *Master) legacyDispatch(ds []Decision) {
+	m.dispatch(ds)
+	m.flushCapacity()
 }
 
 func (m *legacyMaster) legacyHandleReturns(rets []returnRec) {
@@ -92,7 +61,7 @@ func (m *legacyMaster) legacyHandleReturns(rets []returnRec) {
 	touched := m.legacyApplyReleases(rets)
 	ds := m.decisions()
 	m.sched.assignOnIDsInto(touched, ds)
-	m.dispatch(*ds)
+	m.legacyDispatch(*ds)
 }
 
 // legacyHandleDemand is handleDemand's three paths for an update without
@@ -114,7 +83,7 @@ func (m *legacyMaster) legacyHandleDemand(from tr, t *protocol.DemandUpdate) {
 		if st := m.appFrom(from, t.App); st != nil {
 			m.applyRuns(st, t.Deltas, ds)
 		}
-		m.dispatch(*ds)
+		m.legacyDispatch(*ds)
 	}
 }
 
@@ -141,7 +110,7 @@ func (m *legacyMaster) legacyFlushRound() {
 	}
 	m.placeRound(ds)
 	m.dropRound()
-	m.dispatch(*ds)
+	m.legacyDispatch(*ds)
 }
 
 // deferRound reroutes a round flushed during a recovery through the
@@ -163,30 +132,25 @@ func (m *Master) legacyUnregister(from tr, app string) {
 		m.recUnreg = append(m.recUnreg, unregRec{app: app, from: from})
 		return
 	}
-	d := &m.dsp
-	d.reset(m.top.Size())
 	st := m.sched.apps[app]
 	if st != nil {
 		for i := range st.unitArr {
 			u := &st.unitArr[i]
 			for _, c := range u.granted.Cells() {
-				ag := d.agentFor(int32(c.Key))
-				ag.entries = append(ag.entries, protocol.CapacityEntry{
+				m.openCapacity(int32(c.Key), protocol.CapacityEntry{
 					App: int32(st.ep), UnitID: u.def.ID, Size: u.def.Size, Count: -c.Val,
 				})
 			}
 		}
 		m.byEP[st.ep] = nil
 	}
-	for i := range d.agents {
-		m.legacySendCapacityDelta(&d.agents[i])
-	}
+	m.flushCapacity()
 	ds := m.decisions()
 	if st != nil {
 		m.sched.unregister(st, ds)
 	}
 	m.ckpt.RemoveApp(app)
-	m.dispatch(*ds)
+	m.legacyDispatch(*ds)
 	ack := transport.Acquire[protocol.UnregisterAck](m.net)
 	ack.App, ack.Epoch, ack.Seq = app, m.epoch, m.seq.Next()
 	m.net.SendID(m.epID, from, ack)
@@ -203,11 +167,11 @@ func (m *legacyMaster) legacyFinishRecovery() {
 			m.applyRuns(st, r.upd.Deltas, &ds)
 		}
 	}
-	m.dispatch(ds)
+	m.legacyDispatch(ds)
 	for _, r := range unreg {
 		m.legacyUnregister(r.from, r.app)
 	}
-	m.dispatch(m.sched.AssignOnAll())
+	m.legacyDispatch(m.sched.AssignOnAll())
 }
 
 // legacyHandle stands in front of the legacy world's master: demand updates
@@ -319,9 +283,10 @@ func twin(msg transport.Message) transport.Message {
 // deaths and recoveries that revoke, and recovery windows that buffer all of
 // it and replay it at their end — with and without batched rounds. At every
 // instant an agent hears the master, the entries it receives must be the
-// oracle's, in the oracle's order; outside a recovery's replay it receives
-// at most one CapacityDelta, and its capacity sequence has no gap. The grant
-// updates and the scheduler's state must match after every step.
+// oracle's, in the oracle's order, in one CapacityDelta — a recovery's
+// replay, several steps at one instant, included — and its capacity sequence
+// has no gap. The grant updates and the scheduler's state must match after
+// every step.
 func TestFanoutMatchesSendOnReleaseOracle(t *testing.T) {
 	for _, batch := range []sim.Time{0, 20 * sim.Millisecond} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -353,10 +318,10 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 		register(i)
 	}
 	// recovery is the step at which an open recovery window replays (0: no
-	// window open); replay instants are excused from the one-message rule,
-	// as a replay is several steps (the buffered batch, each unregister,
-	// the final sweep) at one instant.
-	recovery, replayAt := 0, map[sim.Time]bool{}
+	// window open). The script's own steps — a machine's death or return, a
+	// replay — run as engine events, as the master's timers and handlers do,
+	// so the shipped world's instant ends after them.
+	recovery := 0
 	var doubles, shippedMsgs, legacyMsgs int
 	for step := 0; step < 400; step++ {
 		ai := rng.Intn(len(fanoutApps))
@@ -399,11 +364,19 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 		case r < 90:
 			mc := int32(rng.Intn(len(machines)))
 			for _, w := range ws {
-				if w.m.sched.Down(mc) {
-					w.m.dispatch(w.m.sched.MachineUp(mc))
-				} else {
-					w.m.dispatch(w.m.sched.MachineDown(mc))
-				}
+				w.eng.PostFunc(0, func() {
+					var ds []Decision
+					if w.m.sched.Down(mc) {
+						ds = w.m.sched.MachineUp(mc)
+					} else {
+						ds = w.m.sched.MachineDown(mc)
+					}
+					if w.legacy != nil {
+						w.m.legacyDispatch(ds)
+					} else {
+						w.m.dispatch(ds)
+					}
+				})
 			}
 		case r < 93 && recovery == 0:
 			// A recovery window opens: what arrives until it closes is
@@ -414,10 +387,9 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 			recovery = step + 3 + rng.Intn(6)
 		}
 		if step == recovery {
-			ws[0].m.finishRecovery()
-			ws[1].legacy.legacyFinishRecovery()
+			ws[0].eng.PostFunc(0, ws[0].m.finishRecovery)
+			ws[1].eng.PostFunc(0, ws[1].legacy.legacyFinishRecovery)
 			recovery = 0
-			replayAt[ws[0].eng.Now()+ws[0].net.Latency] = true
 		}
 		// Steps are whole milliseconds plus an odd offset, so an action never
 		// lands on the instant a batched round flushes.
@@ -435,7 +407,7 @@ func fanoutMatchesOracle(t *testing.T, seed int64, batch sim.Time) {
 				if c.seq != uint64(i+1) {
 					t.Fatalf("step %d: machine %d's CapacityDelta %d has seq %d", step, mc, i, c.seq)
 				}
-				if i > 0 && got[i-1].at == c.at && !replayAt[c.at] {
+				if i > 0 && got[i-1].at == c.at {
 					t.Fatalf("step %d: machine %d got two CapacityDeltas at %v: %+v / %+v", step, mc, c.at, got[i-1], c)
 				}
 			}
@@ -558,10 +530,67 @@ func TestReturnAndRegrantShareOneCapacityDelta(t *testing.T) {
 	}
 }
 
-// TestOpenReleasesFlushAndRefuseReset: release entries left open by a step
-// go out with its dispatch even when the step made no decision, and the
-// fan-out accumulators refuse to be reset (dropping them unsent) before.
-func TestOpenReleasesFlushAndRefuseReset(t *testing.T) {
+// TestOneCapacityDeltaPerAgentPerInstant: two zero-width rounds that land at
+// one instant, each releasing a container on the one machine and regranting
+// it, reach the agent as one CapacityDelta: the first round's release and
+// regrant, then the second's — the entries the two per-round messages
+// carried, in their order.
+func TestOneCapacityDeltaPerAgentPerInstant(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := transport.NewNet(eng)
+	top := testTop(t, 1, 1)
+	m := NewMaster(Config{ProcessName: "fm-1"}, eng, net, lockservice.New(eng), top, NewCheckpointStore())
+	var caps []capMsg
+	net.Register(protocol.AgentEndpoint(top.MachineName(0)), func(_ tr, msg transport.Message) {
+		if cd, ok := msg.(*protocol.CapacityDelta); ok {
+			caps = append(caps, capMsg{at: eng.Now(), seq: cd.Seq, entries: slices.Clone(cd.Entries)})
+		}
+	})
+	eng.Run(10 * sim.Millisecond)
+	half := []resource.ScheduleUnit{unit(1, 100, 2, 6000, 8192)}
+	var seqA, seqB protocol.Sequencer
+	send := func(from string, msg transport.Message) {
+		net.SendID(net.Endpoint(from), net.Endpoint(protocol.MasterEndpoint), msg)
+	}
+	cluster2 := []resource.LocalityHint{{Type: resource.LocalityCluster, Count: 2}}
+	for _, app := range []struct {
+		name string
+		seq  *protocol.Sequencer
+	}{{"A", &seqA}, {"B", &seqB}} {
+		net.Register(app.name, func(tr, transport.Message) {})
+		send(app.name, &protocol.RegisterApp{App: app.name, Units: half, Seq: app.seq.Next()})
+		send(app.name, &protocol.DemandUpdate{App: app.name, Deltas: unitHints(1, cluster2...), Seq: app.seq.Next()})
+		eng.Run(eng.Now() + 50*sim.Millisecond)
+	}
+	if m.sched.Held("A", 1) != 2 || m.sched.Held("B", 1) != 0 {
+		t.Fatalf("setup: A holds %d, B holds %d; want 2, 0", m.sched.Held("A", 1), m.sched.Held("B", 1))
+	}
+	before := len(caps)
+	for range 2 {
+		send("A", &protocol.DemandUpdate{App: "A", Seq: seqA.Next(), Returns: []protocol.ReturnEntry{{UnitID: 1, Machine: 0, Count: 1}}})
+	}
+	eng.Run(eng.Now() + 50*sim.Millisecond)
+	if passes, _, _ := m.SchedStats(); passes < 2 {
+		t.Fatalf("%d scheduling rounds, want the two updates flushed as rounds of their own", passes)
+	}
+	a, b, size := int32(net.Endpoint("A")), int32(net.Endpoint("B")), half[0].Size
+	want := []protocol.CapacityEntry{
+		{App: a, UnitID: 1, Size: size, Count: -1}, {App: b, UnitID: 1, Size: size, Count: 1},
+		{App: a, UnitID: 1, Size: size, Count: -1}, {App: b, UnitID: 1, Size: size, Count: 1},
+	}
+	if got := caps[before:]; len(got) != 1 || !reflect.DeepEqual(got[0].entries, want) {
+		t.Fatalf("agent received %+v, want one CapacityDelta %+v", got, want)
+	}
+	if m.sched.Held("A", 1) != 0 || m.sched.Held("B", 1) != 2 {
+		t.Fatalf("after the returns A holds %d, B holds %d; want 0, 2", m.sched.Held("A", 1), m.sched.Held("B", 1))
+	}
+}
+
+// TestStandDownFlushesOpenFanout: capacity changes a term made in its last
+// instant leave with its epoch when it stands down in that instant, before
+// the end-of-instant flush would have sent them, and the flush that then
+// fires sends nothing more.
+func TestStandDownFlushesOpenFanout(t *testing.T) {
 	w := newFanoutWorld(t, 0, false)
 	m := w.m
 	a := fanoutApps[0]
@@ -572,26 +601,65 @@ func TestOpenReleasesFlushAndRefuseReset(t *testing.T) {
 	if m.sched.Held(a.name, 1) != 2 {
 		t.Fatalf("setup: %s holds %d, want 2", a.name, m.sched.Held(a.name, 1))
 	}
-	before := len(w.caps[0])
-	touched := m.applyReleases([]returnRec{{from: m.net.Endpoint(a.name), app: a.name, ret: protocol.ReturnEntry{UnitID: 1, Machine: 0, Count: 1}}})
-	if !slices.Equal(touched, []int32{0}) || !m.dsp.open {
-		t.Fatalf("applyReleases touched %v, open %v; want [0], true", touched, m.dsp.open)
+	before, epoch := len(w.caps[0]), m.Epoch()
+	var cds []protocol.CapacityDelta
+	w.net.Tap = func(_, _ string, msg transport.Message) {
+		if cd, ok := protocol.Keep(msg).(protocol.CapacityDelta); ok {
+			cds = append(cds, cd)
+		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("reset over open release entries did not panic")
-			}
-		}()
-		m.dsp.reset(m.top.Size())
-	}()
-	m.dispatch(nil)
+	w.eng.PostFunc(0, func() {
+		m.applyReleases([]returnRec{{from: m.net.Endpoint(a.name), app: a.name, ret: protocol.ReturnEntry{UnitID: 1, Machine: 0, Count: 1}}})
+		if len(cds) != 0 || len(m.dsp.opened) != 1 {
+			t.Errorf("release sent %d messages and left %d open; want 0 sent, 1 open", len(cds), len(m.dsp.opened))
+		}
+		m.Crash()
+		if len(cds) != 1 || len(m.dsp.opened) != 0 {
+			t.Errorf("stand-down sent %d messages and left %d open; want 1 sent, 0 open", len(cds), len(m.dsp.opened))
+		}
+	})
 	w.eng.Run(w.eng.Now() + 10*sim.Millisecond)
-	if m.dsp.open {
-		t.Error("dispatch left the release entries open")
+	if len(cds) != 1 || cds[0].Epoch != epoch {
+		t.Fatalf("sent %+v, want one CapacityDelta of epoch %d", cds, epoch)
 	}
 	got := w.caps[0][before:]
 	if len(got) != 1 || len(got[0].entries) != 1 || got[0].entries[0].Count != -1 {
 		t.Fatalf("agent received %+v, want one CapacityDelta releasing 1", got)
+	}
+}
+
+// TestCapacitySyncSendsItsAgentsOpenDeltaFirst: a capacity sync taken while
+// its agent's CapacityDelta of the instant is still open sends that delta
+// first, numbered below the sync — the sync's table already holds the
+// delta's entries, and a delta numbered after it would apply them twice.
+// Another agent's open delta waits for the instant's end.
+func TestCapacitySyncSendsItsAgentsOpenDeltaFirst(t *testing.T) {
+	w := newFanoutWorld(t, 0, false)
+	m := w.m
+	type sent struct {
+		to   string
+		kind string
+		seq  uint64
+	}
+	var got []sent
+	w.net.Tap = func(_, to string, msg transport.Message) {
+		switch c := msg.(type) {
+		case *protocol.CapacityDelta:
+			got = append(got, sent{to, "delta", c.Seq})
+		case protocol.CapacitySync:
+			got = append(got, sent{to, "sync", c.Seq})
+		}
+	}
+	ep := int32(w.net.Endpoint(fanoutApps[0].name))
+	w.eng.PostFunc(0, func() {
+		m.openCapacity(0, protocol.CapacityEntry{App: ep, UnitID: 1, Count: 1})
+		m.openCapacity(1, protocol.CapacityEntry{App: ep, UnitID: 1, Count: 1})
+		m.sendCapacitySync(0)
+	})
+	w.eng.Run(w.eng.Now() + 10*sim.Millisecond)
+	a0, a1 := protocol.AgentEndpoint(m.top.MachineName(0)), protocol.AgentEndpoint(m.top.MachineName(1))
+	want := []sent{{a0, "delta", 1}, {a0, "sync", 2}, {a1, "delta", 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sent %+v, want %+v", got, want)
 	}
 }

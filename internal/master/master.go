@@ -294,6 +294,7 @@ func NewMaster(cfg Config, eng *sim.Engine, net *transport.Net, lock *lockservic
 		pins:     make([]uint8, n),
 		badVotes: make([]map[string]bool, n),
 		agentEP:  make([]tr, n),
+		dsp:      dispatchScratch{open: make([]*protocol.CapacityDelta, n), released: make([]uint32, n)},
 		epID:     net.Endpoint(protocol.MasterEndpoint),
 		gwID:     net.Endpoint(protocol.GatewayEndpoint),
 	}
@@ -463,7 +464,8 @@ func (m *Master) promote() {
 		m.recovering = true
 		m.restored = make([]bool, m.top.Size())
 		m.owedAnchors, m.owedSyncs = m.top.Size(), 0
-		hello := protocol.MasterHello{Epoch: m.epoch, Seq: m.seq.Next()}
+		// Boxed once: every receiver reads the same value.
+		var hello transport.Message = protocol.MasterHello{Epoch: m.epoch, Seq: m.seq.Next()}
 		for id := int32(0); id < int32(m.top.Size()); id++ {
 			m.net.SendID(m.epID, m.agentEP[id], hello)
 		}
@@ -579,8 +581,9 @@ func (m *Master) demote() {
 	}
 }
 
-// standDown ends a term as primary, deposed or crashed: the timers stop, and
-// the scheduler goes together with the endpoint index that points into it.
+// standDown ends a term as primary, deposed or crashed: the instant's open
+// capacity messages leave under the term's epoch, the timers stop, and the
+// scheduler goes together with the endpoint index that points into it.
 // A process that no longer leads then keeps no application state alive: a
 // promotion rebuilds all of it from the checkpoint and the re-reports (paper
 // §4.3.1), so the old term's copy could only ever be read by mistake. What
@@ -588,6 +591,7 @@ func (m *Master) demote() {
 // no app in it), and a demoted process's buffered round, which the recovery
 // of a re-promotion holds and flushes with its own (finishRecovery).
 func (m *Master) standDown() {
+	m.flushCapacity()
 	m.primary = false
 	for _, c := range m.timers {
 		c()
@@ -815,6 +819,9 @@ func (m *Master) flushRound() {
 	m.schedTook(start)
 	m.dispatch(*ds)
 	if m.cfg.Obs != nil {
+		// The row counts the round's capacity messages as sent, so they
+		// leave before it is taken rather than at the instant's end.
+		m.flushCapacity()
 		m.sampleObs()
 	}
 }
@@ -956,17 +963,20 @@ func (m *Master) dropRound() {
 // applyReleases gives the returned containers back to the pool (without
 // reassigning) and returns the touched machines in first-seen order. The
 // agents must release the capacity even though the apps initiated it, but
-// the releases are not sent here: they stay open in m.dsp, one accumulator
-// per touched agent, and the dispatch that ends the step appends the grants
-// the freed capacity enables to the same accumulators — so an agent whose
-// capacity is released and regranted in one step hears it in one
-// CapacityDelta, releases first (paper §3.1's incremental roll-up). Every
-// caller ends its step with a dispatch, with or without decisions.
+// the releases are not sent here: they join each touched agent's open
+// CapacityDelta (openCapacity), and the grants the freed capacity enables
+// join the same message behind them — so an agent whose capacity is released
+// and regranted in one instant hears it in one CapacityDelta, releases first
+// (paper §3.1's incremental roll-up).
 func (m *Master) applyReleases(rets []returnRec) []int32 {
 	if len(rets) == 0 {
 		return nil
 	}
-	d := m.openReleases()
+	d := &m.dsp
+	if d.step++; d.step == 0 { // wrapped: every stale stamp would look current
+		clear(d.released)
+		d.step = 1
+	}
 	m.touched = m.touched[:0]
 	for i := range rets {
 		t := &rets[i].ret
@@ -981,26 +991,15 @@ func (m *Master) applyReleases(rets []returnRec) []int32 {
 		if err := m.sched.releaseChecked(st, u, t.Machine, t.Count); err != nil {
 			continue
 		}
-		ag := d.agentFor(t.Machine)
-		if len(ag.entries) == 0 {
+		if d.released[t.Machine] != d.step {
+			d.released[t.Machine] = d.step
 			m.touched = append(m.touched, t.Machine)
 		}
-		ag.entries = append(ag.entries, protocol.CapacityEntry{
+		m.openCapacity(t.Machine, protocol.CapacityEntry{
 			App: int32(st.ep), UnitID: t.UnitID, Size: u.def.Size, Count: -t.Count,
 		})
 	}
 	return m.touched
-}
-
-// openReleases returns the fan-out accumulators with release entries open:
-// started afresh unless a release of the same step is already open.
-func (m *Master) openReleases() *dispatchScratch {
-	d := &m.dsp
-	if !d.open {
-		d.reset(m.top.Size())
-		d.open = true
-	}
-	return d
 }
 
 // unregister applies an UnregisterApp for app and acknowledges it to from,
@@ -1020,16 +1019,14 @@ func (m *Master) unregister(from tr, app string) {
 	}
 	// Collect the agents' releases of the app's capacity before the
 	// scheduler state disappears: all of the app's units on one agent go
-	// into that agent's one message, which the dispatch below also carries
+	// into that agent's open message, which the dispatch below also carries
 	// the reassignment of the freed capacity in.
-	d := m.openReleases()
 	st := m.appFrom(from, app)
 	if st != nil {
 		for i := range st.unitArr {
 			u := &st.unitArr[i]
 			for _, c := range u.granted.Cells() {
-				ag := d.agentFor(int32(c.Key))
-				ag.entries = append(ag.entries, protocol.CapacityEntry{
+				m.openCapacity(int32(c.Key), protocol.CapacityEntry{
 					App: int32(st.ep), UnitID: u.def.ID, Size: u.def.Size, Count: -c.Val,
 				})
 			}
@@ -1301,9 +1298,8 @@ func (m *Master) handleHeartbeat(t *protocol.AgentHeartbeat) {
 	if m.recovering && !m.restored[mc] {
 		if t.Full {
 			// Restore exactly once per machine per recovery, and only from
-			// an anchor beat: a delta beat carries an incomplete table, and
-			// a second heartbeat inside the window must not double the
-			// allocations.
+			// an anchor beat: a bare beat carries no table, and a second
+			// heartbeat inside the window must not double the allocations.
 			m.restored[mc] = true
 			for _, d := range t.Allocations {
 				// Allocations of apps the checkpoint did not name are left to
@@ -1314,9 +1310,12 @@ func (m *Master) handleHeartbeat(t *protocol.AgentHeartbeat) {
 			}
 			m.reported(1, 0)
 		} else {
-			// A delta beat from a machine whose anchor has not landed (the
+			// A bare beat from a machine whose anchor has not landed (the
 			// hello or its reply was lost): nudge the agent to re-anchor
-			// before the recovery window closes.
+			// before the recovery window closes. The agent's open capacity
+			// message goes first, so the anchor the nudge asks for holds its
+			// changes.
+			m.flushCapacityTo(mc)
 			m.net.SendID(m.epID, m.agentEP[mc],
 				protocol.MasterHello{Epoch: m.epoch, Seq: m.seq.Next()})
 		}
@@ -1424,8 +1423,11 @@ func (m *Master) handleCapacityQuery(t protocol.CapacityQuery) {
 
 // sendCapacitySync replies to mc with its full granted capacity table — the
 // anchor that re-baselines an agent's ledger after a restart, a detected
-// delta gap, or a healed partition.
+// delta gap, or a healed partition. The agent's open capacity message goes
+// first: the table already holds its changes, and a delta numbered after the
+// sync would apply them a second time.
 func (m *Master) sendCapacitySync(mc int32) {
+	m.flushCapacityTo(mc)
 	m.net.SendID(m.epID, m.agentEP[mc], protocol.CapacitySync{
 		Machine: mc, Entries: m.sched.capacityTable(mc), Epoch: m.epoch, Seq: m.capSeq[mc].Next(),
 	})
@@ -1503,28 +1505,30 @@ func (m *Master) scanHeartbeats() {
 }
 
 // dispatchScratch holds the reusable fan-out accumulators behind dispatch,
-// applyReleases and the unregister fan-out. The accumulators grow in place
-// and are truncated (never freed) between uses, and the messages they are
-// copied into are pooled with their payload buffers, so a steady stream of
-// scheduling rounds allocates nothing to fan out.
+// applyReleases and the unregister fan-out. The app half lives for one step:
+// dispatch collects each app's grants and revocations and sends them as one
+// GrantUpdate. The agent half lives for one instant: an agent's
+// CapacityDelta is drawn from the network's pool at its first touch in the
+// instant, every step of the instant appends its entries to it, and
+// flushCapacity stamps and sends it at the instant's end — so zero-width
+// rounds landing at one instant cost each agent one message, not one per
+// round. The accumulators grow in place and are truncated (never freed)
+// between uses, so a steady stream of scheduling rounds allocates nothing to
+// fan out.
 type dispatchScratch struct {
-	apps   []appAcc
-	agents []agentAcc
-	// slot finds a machine's accumulator without searching: slot[machine]
-	// is its index in agents if stamped with the current use's gen, stale
-	// otherwise — a wide round touches hundreds of machines, and a scan per
-	// decision was quadratic in them.
-	slot []agentSlot
-	gen  uint32
-	// open marks release entries accumulated in agents that the step's
-	// dispatch has not sent yet; until it has, the accumulators must not be
-	// reset.
-	open bool
-}
-
-type agentSlot struct {
-	gen uint32
-	idx int32
+	apps []appAcc
+	// open is each agent's open CapacityDelta by machine ID, nil for an agent
+	// not touched since the last flush; opened lists the touched agents in
+	// first-touch order, and armed marks the end-of-instant flush scheduled.
+	open   []*protocol.CapacityDelta
+	opened []int32
+	armed  bool
+	// released stamps, by machine ID, the applyReleases call (step) that last
+	// released on a machine, so each call lists a machine once — a wide round
+	// touches hundreds of machines, and a scan per return was quadratic in
+	// them.
+	released []uint32
+	step     uint32
 }
 
 type unitAcc struct {
@@ -1535,29 +1539,6 @@ type unitAcc struct {
 type appAcc struct {
 	st    *appState
 	units []unitAcc
-}
-
-type agentAcc struct {
-	machine int32
-	entries []protocol.CapacityEntry
-}
-
-// reset starts a new use over a cluster of the given size. Resetting over
-// open release entries would drop them unsent, and an agent's ledger would
-// keep capacity its master has taken back.
-func (d *dispatchScratch) reset(machines int) {
-	if d.open {
-		panic("master: fan-out reset over unsent release entries")
-	}
-	d.apps = d.apps[:0]
-	d.agents = d.agents[:0]
-	if d.slot == nil {
-		d.slot = make([]agentSlot, machines)
-	}
-	if d.gen++; d.gen == 0 { // wrapped: every stale stamp would look current
-		clear(d.slot)
-		d.gen = 1
-	}
 }
 
 // appFor returns the accumulator for an app, creating (or reviving a
@@ -1598,44 +1579,70 @@ func (a *appAcc) unitFor(unit int) *unitAcc {
 	return &a.units[len(a.units)-1]
 }
 
-func (d *dispatchScratch) agentFor(machine int32) *agentAcc {
-	if sl := &d.slot[machine]; sl.gen == d.gen {
-		return &d.agents[sl.idx]
+// openCapacity appends e to machine mc's open CapacityDelta, drawing the
+// message at the agent's first touch in the instant and, at the first touch
+// of any agent, scheduling the flush that ends the instant.
+func (m *Master) openCapacity(mc int32, e protocol.CapacityEntry) {
+	d := &m.dsp
+	cd := d.open[mc]
+	if cd == nil {
+		cd = transport.Acquire[protocol.CapacityDelta](m.net)
+		d.open[mc] = cd
+		d.opened = append(d.opened, mc)
+		if !d.armed {
+			d.armed = true
+			m.eng.Post(0, flushCapacityTick, m)
+		}
 	}
-	d.slot[machine] = agentSlot{gen: d.gen, idx: int32(len(d.agents))}
-	if len(d.agents) < cap(d.agents) {
-		d.agents = d.agents[:len(d.agents)+1]
-		a := &d.agents[len(d.agents)-1]
-		a.machine = machine
-		a.entries = a.entries[:0]
-		return a
+	cd.Entries = append(cd.Entries, e)
+}
+
+// flushCapacityTick is the end-of-instant event openCapacity schedules.
+func flushCapacityTick(a any) {
+	m := a.(*Master)
+	m.dsp.armed = false
+	m.flushCapacity()
+}
+
+// flushCapacity sends every open CapacityDelta, in first-touch order.
+func (m *Master) flushCapacity() {
+	d := &m.dsp
+	for _, mc := range d.opened {
+		m.flushCapacityTo(mc)
 	}
-	d.agents = append(d.agents, agentAcc{machine: machine})
-	return &d.agents[len(d.agents)-1]
+	d.opened = d.opened[:0]
+}
+
+// flushCapacityTo stamps machine mc's open CapacityDelta, if any, with the
+// epoch and the agent's next capacity sequence number and sends it. Its
+// entries are in the order the instant's steps made them. The machine stays
+// listed in opened, and flushCapacity passes over it.
+func (m *Master) flushCapacityTo(mc int32) {
+	d := &m.dsp
+	if cd := d.open[mc]; cd != nil {
+		d.open[mc] = nil
+		cd.Epoch, cd.Seq = m.epoch, m.capSeq[mc].Next()
+		m.net.SendID(m.epID, m.agentEP[mc], cd)
+	}
 }
 
 // dispatch fans scheduling decisions out as GrantUpdates to application
-// masters and capacity deltas to the affected agents, and ends the step:
-// release entries left open by applyReleases or unregister go out with it,
-// even when the step made no decision. Both sides are delta-encoded and
-// coalesced to one message per receiver: all of an app's grants and
-// revocations in one GrantUpdate, each unit's a run of (machine, ±count)
-// entries — the paper's "(M1,3), (M2,4)" multi-machine response form, for
-// every unit of the app at once — and all of an agent's capacity changes,
-// the step's releases ahead of its grants and revocations, in one
-// CapacityDelta, so a wide scheduling round costs one message per app and
-// one per machine instead of one per decision. The decisions carry interned
-// app/machine state, so the fan-out hashes one app name per app run, not one
-// per decision.
+// masters and capacity changes to the affected agents. Both sides are
+// delta-encoded and coalesced to one message per receiver: all of an app's
+// grants and revocations of the step in one GrantUpdate, each unit's a run of
+// (machine, ±count) entries — the paper's "(M1,3), (M2,4)" multi-machine
+// response form, for every unit of the app at once — and all of an agent's
+// capacity changes of the instant, releases and decisions in the order the
+// steps made them, in one CapacityDelta (openCapacity), so a wide scheduling
+// round costs one message per app and one per machine instead of one per
+// decision. The decisions carry interned app/machine state, so the fan-out
+// hashes one app name per app run, not one per decision.
 func (m *Master) dispatch(ds []Decision) {
-	d := &m.dsp
-	if !d.open {
-		if len(ds) == 0 {
-			return
-		}
-		d.reset(m.top.Size())
+	if len(ds) == 0 {
+		return
 	}
-	d.open = false
+	d := &m.dsp
+	d.apps = d.apps[:0]
 	for _, dec := range ds {
 		st := m.sched.appStateByID(dec.AppID)
 		if st == nil {
@@ -1644,19 +1651,10 @@ func (m *Master) dispatch(ds []Decision) {
 		ua := d.appFor(st).unitFor(dec.UnitID)
 		ua.deltas = append(ua.deltas, protocol.UnitDelta{UnitID: dec.UnitID, Machine: dec.MachineID, Delta: dec.Delta})
 		if u := st.unit(dec.UnitID); u != nil {
-			ag := d.agentFor(dec.MachineID)
-			ag.entries = append(ag.entries, protocol.CapacityEntry{
+			m.openCapacity(dec.MachineID, protocol.CapacityEntry{
 				App: int32(st.ep), UnitID: dec.UnitID, Size: u.def.Size, Count: dec.Delta,
 			})
 		}
-	}
-	for i := range d.agents {
-		// A pooled CapacityDelta owns its copy of the entries.
-		ag := &d.agents[i]
-		cd := transport.Acquire[protocol.CapacityDelta](m.net)
-		cd.Entries = append(cd.Entries, ag.entries...)
-		cd.Epoch, cd.Seq = m.epoch, m.capSeq[ag.machine].Next()
-		m.net.SendID(m.epID, m.agentEP[ag.machine], cd)
 	}
 	for i := range d.apps {
 		// A pooled GrantUpdate owns its copy of the app's unit runs, in the

@@ -96,8 +96,7 @@ func (*AgentHeartbeat) Pool() int { return poolAgentHeartbeat }
 // Clear implements transport.Recycled.
 func (m *AgentHeartbeat) Clear() {
 	clear(m.Allocations)
-	clear(m.Changes)
-	*m = AgentHeartbeat{Allocations: m.Allocations[:0], Changes: m.Changes[:0]}
+	*m = AgentHeartbeat{Allocations: m.Allocations[:0]}
 }
 
 // Keep returns msg in a form that outlives the handler (or Tap) it was
@@ -137,7 +136,6 @@ func Keep(msg any) any {
 	case *AgentHeartbeat:
 		c := *t
 		c.Allocations = slices.Clone(t.Allocations)
-		c.Changes = slices.Clone(t.Changes)
 		return c
 	}
 	return msg

@@ -278,15 +278,15 @@ type UnregisterAck struct {
 // FuxiAgent <-> FuxiMaster
 // ---------------------------------------------------------------------------
 
-// AgentHeartbeat reports a node's health and its current per-application
-// allocations. Heartbeats are delta-encoded: most beats carry only liveness
-// and the health score (Full false, no entries), a beat after local capacity
-// churn carries the changed entries in Changes, and periodic anchor beats
-// (plus the reply to a MasterHello and the first beat after a restart) carry
-// the complete Allocations table with Full true. The anchor is what the
-// failover master uses to rebuild the free pool ("each FuxiAgent re-sends
-// the resource allocation on this machine for each application master");
-// the deltas keep the steady-state beat allocation-free at 5,000 machines.
+// AgentHeartbeat reports a node's health and, periodically, its
+// per-application allocations: most beats carry only liveness and the health
+// score (Full false, no entries), and periodic anchor beats (plus the reply
+// to a MasterHello and the first beat after a restart) carry the complete
+// Allocations table with Full true. The anchor is what the failover master
+// uses to rebuild the free pool ("each FuxiAgent re-sends the resource
+// allocation on this machine for each application master"), and the only
+// beat whose allocations anyone reads; the bare beats keep the steady-state
+// beat allocation-free at 5,000 machines.
 type AgentHeartbeat struct {
 	Machine int32 // dense machine ID
 	// Full marks an anchor beat: Allocations is the complete table and a
@@ -296,10 +296,6 @@ type AgentHeartbeat struct {
 	// Allocations is the complete table, one entry per (App, UnitID) with a
 	// positive count, in no particular order — anchor beats only.
 	Allocations []AllocDelta
-	// Changes lists entries whose count changed since the previous beat
-	// (absolute new counts, zero meaning removed), in no particular order;
-	// empty when nothing changed or on anchor beats.
-	Changes []AllocDelta
 	// HealthScore in [0,100]; derived from the agent's plugin collectors
 	// (disk statistics, machine load, network I/O). 100 is healthy.
 	HealthScore int
@@ -545,7 +541,7 @@ func (m FullDemandSync) WireSize() int {
 
 // WireSize implements transport.Sizer.
 func (m AgentHeartbeat) WireSize() int {
-	return headerBytes + 4 + (len(m.Allocations)+len(m.Changes))*perEntryBytes
+	return headerBytes + 4 + len(m.Allocations)*perEntryBytes
 }
 
 // WireSize implements transport.Sizer.

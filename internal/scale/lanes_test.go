@@ -72,14 +72,30 @@ type golden struct {
 // lanes that batch into rounds: the round took the returns and the demand
 // together either way. The rows say why beside each moved cell.
 //
+// Then the master came to send each agent one CapacityDelta per instant
+// instead of one per step: the entries of every step of an instant join the
+// agent's one open message, which an end-of-instant event sends. Lanes whose
+// zero-width rounds land several at one instant (classic, failover, gateway,
+// replay) lose the merged messages and their deliveries; every lane gains one
+// flush event per instant in which the master touched an agent, inside the
+// counted window. No decision, hash, checksum or latency moved. The rows say
+// what moved beside each.
+//
 // The latency columns were recorded at the commit before the application
 // master came to clock demand-to-grant itself, and did not move with it.
 var smokeGolden = map[string]golden{
-	"classic":  {6808, 6404, 404, 16165, 31455, 100, "", "", 0x0, "21baea0118bb30a5", 10605.432647922551, 35300.2},
-	"failover": {6828, 6414, 414, 14239, 27672, 100, "", "", 0x0, "2a97d21b65a7f6c6", 10097.651176983241, 29289.6},
+	// One capacity message per agent per instant: messages 16,165 → 14,107,
+	// events 31,455 → 29,628.
+	"classic": {6808, 6404, 404, 14107, 29628, 100, "", "", 0x0, "21baea0118bb30a5", 10605.432647922551, 35300.2},
+	// One capacity message per agent per instant: messages 14,239 → 12,346,
+	// events 27,672 → 25,910.
+	"failover": {6828, 6414, 414, 12346, 25910, 100, "", "", 0x0, "2a97d21b65a7f6c6", 10097.651176983241, 29289.6},
 	// 2,639 instants returned and asked: messages 15,980 and events 33,896 each fall by that.
-	"churn":   {12701, 12701, 0, 13341, 31257, 0, "", "", 0x0, "49a852947b28de7d", 253.56915887850465, 41454},
-	"gateway": {14516, 14223, 293, 83894, 148615, 6965, "f7cf980f895a0dc8", "", 0x0, "f95f141fb5ad0122", 3493.168812904933, 16320},
+	// One flush event per instant that touched an agent: events 31,257 → 31,467.
+	"churn": {12701, 12701, 0, 13341, 31467, 0, "", "", 0x0, "49a852947b28de7d", 253.56915887850465, 41454},
+	// One capacity message per agent per instant: messages 83,894 → 73,440,
+	// events 148,615 → 139,120.
+	"gateway": {14516, 14223, 293, 73440, 139120, 6965, "f7cf980f895a0dc8", "", 0x0, "f95f141fb5ad0122", 3493.168812904933, 16320},
 	// Immediate mode: 16 merged instants, and each one's two dispatches became
 	// one, so 46 capacity deltas to the agents merged too — messages 3,307 and
 	// events 9,252 each fall by 62; the decisions do not move.
@@ -92,14 +108,23 @@ var smokeGolden = map[string]golden{
 	// while that machine is down: one T4 instance waited 6 s for its
 	// upstream's crashed machine to return, where dpJob asked at rack level
 	// (latency mean 0.4 ms, max 0.4 ms). Admission, and its hash, did not move.
-	"dataplane": {218, 215, 3, 6514, 16580, 14, "ebea3147a48d748a", "", 0x0, "110d43206f76d86c", 162.82702702702701, 6010.2},
+	//
+	// One flush event per instant that touched an agent: events 16,580 → 16,634.
+	"dataplane": {218, 215, 3, 6514, 16634, 14, "ebea3147a48d748a", "", 0x0, "110d43206f76d86c", 162.82702702702701, 6010.2},
 	// 18 instants returned and asked: messages 63,027 and events 121,553 each fall by that.
-	"replay": {11470, 11463, 7, 63009, 121535, 4110, "b6e4f88a5389ab74", "b6e4f88a5389ab74", 0x0, "8198ae00d57dd4a8", 1.460962273276889, 1146.442},
+	// One capacity message per agent per instant: messages 63,009 → 60,977;
+	// its rounds mostly touch agents at instants of their own, so the flush
+	// events outnumber the merged deliveries: events 121,535 → 126,388.
+	"replay": {11470, 11463, 7, 60977, 126388, 4110, "b6e4f88a5389ab74", "b6e4f88a5389ab74", 0x0, "8198ae00d57dd4a8", 1.460962273276889, 1146.442},
 	// 2,758 instants returned and asked: messages 16,969 and events 34,965 each fall by that.
-	"chaos": {12842, 12688, 154, 14211, 32207, 0, "", "", 0x0, "b0db56e70a254402", 1756.9008835341501, 42954},
+	// One flush event per instant that touched an agent: events 32,207 → 32,425.
+	"chaos": {12842, 12688, 154, 14211, 32425, 0, "", "", 0x0, "b0db56e70a254402", 1756.9008835341501, 42954},
 	// 2,639 instants, as churn: messages 16,012 and events 33,974 each fall by
-	// that; the query checksum did not move.
-	"obs": {12701, 12701, 0, 13373, 31335, 0, "", "", 0x3f6b06b8ef229535, "49a852947b28de7d", 253.56915887850465, 41454},
+	// that; the query checksum did not move. As churn, one flush event per
+	// instant that touched an agent: events 31,335 → 31,545. A round flushes
+	// its capacity messages before it samples, so net.sent and the query
+	// checksum read what they read when the round sent them itself.
+	"obs": {12701, 12701, 0, 13373, 31545, 0, "", "", 0x3f6b06b8ef229535, "49a852947b28de7d", 253.56915887850465, 41454},
 }
 
 var smokeRuns struct {

@@ -112,7 +112,8 @@ func TestKeptMessageReadsZero(t *testing.T) {
 // TestSharedOrQueuedMessagesAreNotRecycled walks every way a send can end
 // other than one clean delivery. A message with two deliveries is never
 // recycled (both handlers read it whole); one lost on arrival is released
-// once, and only then; one refused at send time is left to the collector.
+// once, and only then; one refused at send time is released once, at once,
+// and comes back cleared.
 func TestSharedOrQueuedMessagesAreNotRecycled(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -120,6 +121,7 @@ func TestSharedOrQueuedMessagesAreNotRecycled(t *testing.T) {
 		inFlight  func(n *Net) // conditions raised while the message is queued
 		delivered int
 		released  int
+		refused   bool // released by the send itself
 	}{
 		{name: "clean", delivered: 1, released: 1},
 		{name: "dup rule", before: func(n *Net) { n.SetLinkRule("a", "b", LinkRule{Dup: 1}) }, delivered: 2},
@@ -128,8 +130,9 @@ func TestSharedOrQueuedMessagesAreNotRecycled(t *testing.T) {
 		{name: "flapped at arrival", inFlight: func(n *Net) { n.SetLinkDown("b", true) }, released: 1},
 		{name: "down at arrival", inFlight: func(n *Net) { n.SetDown("b", true) }, released: 1},
 		{name: "unregistered at arrival", inFlight: func(n *Net) { n.Unregister("b") }, released: 1},
-		{name: "down at send", before: func(n *Net) { n.SetDown("b", true) }},
-		{name: "cut at send", before: func(n *Net) { n.Partition([]string{"a"}, []string{"b"}) }},
+		{name: "down at send", before: func(n *Net) { n.SetDown("b", true) }, released: 1, refused: true},
+		{name: "cut at send", before: func(n *Net) { n.Partition([]string{"a"}, []string{"b"}) }, released: 1, refused: true},
+		{name: "lost at send", before: func(n *Net) { n.DropRate = 0.999999 }, released: 1, refused: true},
 		{name: "dup rule then cut at arrival", before: func(n *Net) { n.SetLinkRule("a", "b", LinkRule{Dup: 1}) },
 			inFlight: func(n *Net) { n.SetLinkDown("a", true) }},
 	}
@@ -154,8 +157,18 @@ func TestSharedOrQueuedMessagesAreNotRecycled(t *testing.T) {
 				} else {
 					net.SendID(net.Endpoint("a"), net.Endpoint("b"), newNote(net, 1, 0, 1))
 				}
-				if len(freeNotes(net)) != 0 {
-					t.Fatalf("%d messages on the free list while their send is still queued or refused", len(freeNotes(net)))
+				if c.refused {
+					free := freeNotes(net)
+					if len(free) != perSend {
+						t.Fatalf("%d messages on the free list after their send was refused, want %d", len(free), perSend)
+					}
+					for _, m := range free {
+						if n := m.(*note); n.ID != 0 || len(n.Body) != 0 {
+							t.Errorf("refused message back on the free list uncleared: %+v", *n)
+						}
+					}
+				} else if len(freeNotes(net)) != 0 {
+					t.Fatalf("%d messages on the free list while their send is still queued", len(freeNotes(net)))
 				}
 				if c.inFlight != nil {
 					c.inFlight(net)

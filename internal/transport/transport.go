@@ -57,11 +57,12 @@
 // it: a kept pointer or slice reads zeros at once instead of another message's
 // contents later. The sender must not touch the message after the send either;
 // a sender that drew a message and decides not to send it hands it back with
-// Release. A message the network duplicated, or dropped at send time, is
-// simply never recycled — the collector takes it — so nothing is released
-// twice and nothing still queued is reused. Value messages are untouched by
-// all of this: they are copied into the interface by the sender and shared by
-// nobody.
+// Release. A message refused at send time — an endpoint down, a cut link,
+// random loss — is recycled at once, as nobody will ever read it. A message
+// the network duplicated is never recycled — the collector takes it — so
+// nothing is released twice and nothing still queued is reused. Value
+// messages are untouched by all of this: they are copied into the interface
+// by the sender and shared by nobody.
 package transport
 
 import (
@@ -672,7 +673,8 @@ const nominalSize = 64
 // another. Delivery is dropped when either side is down, when the link is
 // cut by an active partition/flap condition (at send or at arrival), when
 // the destination is unregistered at arrival time, or by random loss
-// injection (global or per-link rule).
+// injection (global or per-link rule). A Recycled message refused at send is
+// back on its free list when SendID returns.
 func (n *Net) SendID(from, to EndpointID, msg Message) {
 	if n.Tap != nil {
 		n.Tap(n.Name(from), n.Name(to), msg)
@@ -684,7 +686,7 @@ func (n *Net) SendID(from, to EndpointID, msg Message) {
 		n.linkCnt(from, to).sent++
 	}
 	if n.down(from) || n.down(to) {
-		n.dropped(from, to, 1)
+		n.refuse(from, to, msg)
 		return
 	}
 	var extra sim.Time
@@ -693,12 +695,12 @@ func (n *Net) SendID(from, to EndpointID, msg Message) {
 		var drop bool
 		drop, ruleDup, extra = n.linkCheck(from, to)
 		if drop {
-			n.dropped(from, to, 1)
+			n.refuse(from, to, msg)
 			return
 		}
 	}
 	if n.DropRate > 0 && n.eng.Rand().Float64() < n.DropRate {
-		n.dropped(from, to, 1)
+		n.refuse(from, to, msg)
 		return
 	}
 	d := n.wireDelay(from, to, extra, 1)
@@ -727,6 +729,17 @@ func (n *Net) dropped(from, to EndpointID, count uint64) {
 	n.stats.Dropped += count
 	if n.linkStatsOn {
 		n.linkCnt(from, to).dropped += count
+	}
+}
+
+// refuse accounts msgs lost at send time and files each Recycled one for
+// reuse: no delivery will ever read it.
+func (n *Net) refuse(from, to EndpointID, msgs ...Message) {
+	n.dropped(from, to, uint64(len(msgs)))
+	for _, msg := range msgs {
+		if m, ok := msg.(Recycled); ok {
+			n.recycle(m)
+		}
 	}
 }
 
@@ -762,7 +775,7 @@ func (n *Net) SendBatchID(from, to EndpointID, msgs []Message) {
 		n.linkCnt(from, to).sent += uint64(len(msgs))
 	}
 	if n.down(from) || n.down(to) {
-		n.dropped(from, to, uint64(len(msgs)))
+		n.refuse(from, to, msgs...)
 		return
 	}
 	var extra sim.Time
@@ -773,12 +786,12 @@ func (n *Net) SendBatchID(from, to EndpointID, msgs []Message) {
 		var drop bool
 		drop, ruleDup, extra = n.linkCheck(from, to)
 		if drop {
-			n.dropped(from, to, uint64(len(msgs)))
+			n.refuse(from, to, msgs...)
 			return
 		}
 	}
 	if n.DropRate > 0 && n.eng.Rand().Float64() < n.DropRate {
-		n.dropped(from, to, uint64(len(msgs)))
+		n.refuse(from, to, msgs...)
 		return
 	}
 	// Senders may reuse msgs, so each delivery gets its own pooled copy
