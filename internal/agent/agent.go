@@ -81,22 +81,28 @@ func makeProcKey(app transport.EndpointID, worker uint32) procKey {
 func (k procKey) app() transport.EndpointID { return transport.EndpointID(int32(uint32(k >> 32))) }
 func (k procKey) worker() uint32            { return uint32(k) }
 
-// capTable is the machine's capacity ledger: the packed keys in one
-// contiguous array, each key's granted container count at the same index
-// beside it, in arrival order. A row is the count alone — enforcement and the
-// anchor beat read nothing else — so the table holds no pointers and the
-// collector never scans it. A machine holds a few dozen (app, unit) rows, so
-// finding one is a scan of a handful of cache lines of integers. Zero-count
-// rows stay until the next anchor so a returning grant reuses its row.
+// capTable is the machine's capacity ledger: one row per packed (app, unit)
+// key with its granted container count, in arrival order, in one contiguous
+// array. A row is the key and the count alone — enforcement and the anchor
+// beat read nothing else — so the table holds no pointers and the collector
+// never scans it, and a growth is one allocation. A machine holds a few
+// dozen (app, unit) rows, so finding one is a scan of a handful of cache
+// lines of integers. Zero-count rows stay until the next anchor so a
+// returning grant reuses its row.
 type capTable struct {
-	keys   []capKey
-	counts []int
+	rows []capRow
+}
+
+// capRow is one ledger row: a key and its granted container count.
+type capRow struct {
+	key   capKey
+	count int
 }
 
 // find returns k's index, or -1.
 func (t *capTable) find(k capKey) int {
-	for i, have := range t.keys {
-		if have == k {
+	for i := range t.rows {
+		if t.rows[i].key == k {
 			return i
 		}
 	}
@@ -107,16 +113,12 @@ func (t *capTable) find(k capKey) int {
 func (t *capTable) slot(k capKey) int {
 	i := t.find(k)
 	if i < 0 {
-		i = len(t.keys)
-		if i == cap(t.keys) {
-			// Both arrays grow together, from a size most machines never
-			// outgrow twice.
-			n := max(16, 2*i)
-			t.keys = append(make([]capKey, 0, n), t.keys...)
-			t.counts = append(make([]int, 0, n), t.counts...)
+		i = len(t.rows)
+		if i == cap(t.rows) {
+			// Grow from a size most machines never outgrow twice.
+			t.rows = append(make([]capRow, 0, max(16, 2*i)), t.rows...)
 		}
-		t.keys = append(t.keys, k)
-		t.counts = append(t.counts, 0)
+		t.rows = append(t.rows, capRow{key: k})
 	}
 	return i
 }
@@ -124,7 +126,7 @@ func (t *capTable) slot(k capKey) int {
 // count returns k's granted container count (0 when absent).
 func (t *capTable) count(k capKey) int {
 	if i := t.find(k); i >= 0 {
-		return t.counts[i]
+		return t.rows[i].count
 	}
 	return 0
 }
@@ -132,17 +134,17 @@ func (t *capTable) count(k capKey) int {
 // reap drops the zero-count rows, keeping the others in order.
 func (t *capTable) reap() {
 	w := 0
-	for i, n := range t.counts {
-		if n > 0 {
-			t.keys[w], t.counts[w] = t.keys[i], n
+	for _, r := range t.rows {
+		if r.count > 0 {
+			t.rows[w] = r
 			w++
 		}
 	}
-	t.keys, t.counts = t.keys[:w], t.counts[:w]
+	t.rows = t.rows[:w]
 }
 
 // reset empties the table, keeping its storage.
-func (t *capTable) reset() { t.keys, t.counts = t.keys[:0], t.counts[:0] }
+func (t *capTable) reset() { t.rows = t.rows[:0] }
 
 // Proc is one supervised worker process. Its key is (the endpoint ID of the
 // application master whose plan started it, the worker number the plan
@@ -301,10 +303,9 @@ func (a *Agent) Capacity(app string, unitID int) int {
 // application master (its release still in flight) is visited under the
 // name "": the name is gone with the endpoint, and no other app's is given.
 func (a *Agent) ForEachAllocation(fn func(app string, unitID, count int)) {
-	t := &a.capacity
-	for i, k := range t.keys {
-		if n := t.counts[i]; n > 0 {
-			fn(a.net.Name(k.app()), k.unitID(), n)
+	for _, r := range a.capacity.rows {
+		if r.count > 0 {
+			fn(a.net.Name(r.key.app()), r.key.unitID(), r.count)
 		}
 	}
 }
@@ -313,10 +314,9 @@ func (a *Agent) ForEachAllocation(fn func(app string, unitID, count int)) {
 // carries, in ledger order: the one reader, a recovering master, restores
 // each entry on its own.
 func (t *capTable) appendLive(out []protocol.AllocDelta) []protocol.AllocDelta {
-	for i, n := range t.counts {
-		if n > 0 {
-			k := t.keys[i]
-			out = append(out, protocol.AllocDelta{App: int32(k.app()), UnitID: k.unitID(), Count: n})
+	for _, r := range t.rows {
+		if r.count > 0 {
+			out = append(out, protocol.AllocDelta{App: int32(r.key.app()), UnitID: r.key.unitID(), Count: r.count})
 		}
 	}
 	return out
@@ -526,7 +526,7 @@ func (a *Agent) wellFormed(es []protocol.CapacityEntry) bool {
 
 // applyCapacity applies one signed capacity change to the ledger.
 func (a *Agent) applyCapacity(k capKey, delta int) {
-	n := &a.capacity.counts[a.capacity.slot(k)]
+	n := &a.capacity.rows[a.capacity.slot(k)].count
 	*n += delta
 	if *n < 0 {
 		*n = 0
@@ -734,7 +734,7 @@ func (a *Agent) applyCapacitySync(t protocol.CapacitySync) {
 	a.capacity.reset()
 	for _, e := range t.Entries {
 		if e.Count > 0 {
-			a.capacity.counts[a.capacity.slot(makeCapKey(transport.EndpointID(e.App), e.UnitID))] = e.Count
+			a.capacity.rows[a.capacity.slot(makeCapKey(transport.EndpointID(e.App), e.UnitID))].count = e.Count
 		}
 	}
 	if len(a.procs) == 0 {
@@ -743,8 +743,8 @@ func (a *Agent) applyCapacitySync(t protocol.CapacitySync) {
 	// Enforce in the sync's own order — the master sends its table in
 	// (application name, unit) order — so the enforcement kills and their
 	// failure reports are seed-reproducible.
-	for i, k := range a.capacity.keys {
-		a.ensureCapacity(k, a.capacity.counts[i])
+	for _, r := range a.capacity.rows {
+		a.ensureCapacity(r.key, r.count)
 	}
 	// Processes whose capacity vanished entirely while the daemon was down,
 	// in (application endpoint, worker) order:

@@ -190,9 +190,9 @@ func TestReleaseForRetiredAppIsApplied(t *testing.T) {
 	h.sendDelta(2, protocol.CapacityEntry{App: fresh, UnitID: 1, Size: size, Count: 1})
 	h.sendDelta(3, protocol.CapacityEntry{App: old, UnitID: 1, Size: size, Count: -2})
 	rows := map[capKey]int{}
-	for i, k := range h.agent.capacity.keys {
-		if n := h.agent.capacity.counts[i]; n > 0 {
-			rows[k] = n
+	for _, r := range h.agent.capacity.rows {
+		if r.count > 0 {
+			rows[r.key] = r.count
 		}
 	}
 	want := map[capKey]int{makeCapKey(transport.EndpointID(fresh), 1): 1}
@@ -327,9 +327,9 @@ func appState(a *Agent, ref *mapLedger, app transport.EndpointID) string {
 	for _, p := range procsOf(a, app) {
 		st += fmt.Sprintf("%d/%d %v ", p.key.worker(), p.UnitID, p.State)
 	}
-	for i, k := range a.capacity.keys {
-		if k.app() == app {
-			st += fmt.Sprintf(" %d=%d", k.unitID(), a.capacity.counts[i])
+	for _, r := range a.capacity.rows {
+		if r.key.app() == app {
+			st += fmt.Sprintf(" %d=%d", r.key.unitID(), r.count)
 		}
 	}
 	prefix := fmt.Sprintf("status to %q:", a.net.Name(app))
@@ -533,18 +533,18 @@ func checkProcs(t *testing.T, label string, a *Agent, ref *nameProcs, name func(
 // the app named as name names it (a retired endpoint by the name it had).
 func checkLedger(t *testing.T, label string, a *Agent, ref *mapLedger, name func(int32) string) {
 	t.Helper()
-	for i, n := range a.capacity.counts {
-		if n < 0 {
-			t.Fatalf("%s: row %d (%v) holds %d", label, i, a.capacity.keys[i], n)
+	for i, r := range a.capacity.rows {
+		if r.count < 0 {
+			t.Fatalf("%s: row %d (%v) holds %d", label, i, r.key, r.count)
 		}
 	}
 	if a.ClampedNegative != ref.clamped {
 		t.Fatalf("%s: ClampedNegative = %d, reference clamped %d", label, a.ClampedNegative, ref.clamped)
 	}
 	got := map[string]int{}
-	for i, k := range a.capacity.keys {
-		if n := a.capacity.counts[i]; n > 0 {
-			got[fmt.Sprintf("%s/%d", name(int32(k.app())), k.unitID())] = n
+	for _, r := range a.capacity.rows {
+		if r.count > 0 {
+			got[fmt.Sprintf("%s/%d", name(int32(r.key.app())), r.key.unitID())] = r.count
 		}
 	}
 	want := map[string]int{}

@@ -456,7 +456,7 @@ func churnAgents(tb testing.TB, n, rows int) (*transport.Net, *sim.Engine, []*Ag
 			a.applyCapacity(makeCapKey(transport.EndpointID(apps[(i*7+r*61)%len(apps)]), 1+r%40), 1)
 		}
 		for r := 0; r < 4; r++ {
-			k := a.capacity.keys[(r*11+3)%rows]
+			k := a.capacity.rows[(r*11+3)%rows].key
 			deltas[i] = append(deltas[i], protocol.CapacityEntry{App: int32(k.app()), UnitID: k.unitID(), Size: size})
 		}
 	}

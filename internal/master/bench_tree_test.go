@@ -3,7 +3,9 @@ package master
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
+	"repro/internal/dense"
 	"repro/internal/lockservice"
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -106,10 +108,12 @@ func TestChurnShapeFreeUpAllocatesNothing(t *testing.T) {
 // rebuild the locality tree from full syncs: on a fresh scheduler, 200 apps
 // of 8 units re-register from the checkpoint and sync demand at the cluster
 // and on one machine per unit — 3,200 wait entries. The cost of the syncs'
-// demand (the same run with empty syncs subtracted) reads 0.49 allocations
-// an entry, 1.57 when every entry and queue node was its own object; the
+// demand (the same run with empty syncs subtracted) reads 0.22 allocations
+// an entry, 0.49 while the classes, buckets and queues grew their arrays
+// from nil and 1.57 when every entry and queue node was its own object; the
 // bound sits ~15% above. What is left is each app's entry-table row and
-// windows and the queues' growing arrays.
+// windows and the arrays of the classes that outgrow their inline entries
+// (this shape queues 40 entries a machine).
 func TestPromotionRebuildAllocatesPerChunk(t *testing.T) {
 	const apps, units = 200, 8
 	eng := sim.NewEngine(1)
@@ -159,7 +163,115 @@ func TestPromotionRebuildAllocatesPerChunk(t *testing.T) {
 	full := testing.AllocsPerRun(5, func() { promote(syncs) })
 	perEntry := (full - base) / (apps * units * 2)
 	t.Logf("rebuild: %.0f allocations with demand, %.0f without: %.3f an entry", full, base, perEntry)
-	if perEntry > 0.57 {
-		t.Fatalf("rebuilding the tree from full syncs costs %.3f allocations a wait entry, want at most 0.57", perEntry)
+	if perEntry > 0.26 {
+		t.Fatalf("rebuilding the tree from full syncs costs %.3f allocations a wait entry, want at most 0.26", perEntry)
+	}
+}
+
+// promotionTree is the locality tree a promoted master rebuilds from full
+// syncs, at the shape the inline record arrays are sized for: 4,000
+// one-unit apps each waiting on four of 2,000 machines, so that every
+// machine queue holds eight entries. A machine's apps spread over one to
+// four priorities and two of the harness's three unit sizes, so its classes
+// hold one to four entries and its buckets one or two classes. No class,
+// bucket or queue outgrows its inline array.
+type promotionTree struct {
+	apps []appState
+}
+
+const promotionMachines, promotionApps = 2000, 4000
+
+func newPromotionTree() *promotionTree {
+	p := &promotionTree{apps: make([]appState, promotionApps)}
+	for a := range p.apps {
+		st := &p.apps[a]
+		st.id = int32(a)
+		i, k := a/500, 1+a%500%4 // the app's place on its machines, their priority count
+		st.unitArr = st.unit0[:1]
+		st.unitArr[0].def = resource.ScheduleUnit{ID: 1, Priority: 1 + i%k, Size: treeFuzzSizes[(i/4+a%500)%3]}
+	}
+	return p
+}
+
+// build rebuilds the tree from the apps' demand, as their full syncs do.
+func (p *promotionTree) build() *localityTree {
+	t := newLocalityTree()
+	for a := range p.apps {
+		st := &p.apps[a]
+		st.waits = dense.Slab[*waitEntry]{}
+		st.waits.Expect(len(st.unitArr))
+		u := &st.unitArr[0]
+		for k := 0; k < 4; k++ {
+			t.add(waitKey{app: st.id}, u.def.Priority, resource.LocalityMachine, int32((a+500*k)%promotionMachines), 1, 0, st, u)
+		}
+	}
+	return t
+}
+
+// arenaChunks is how many chunks a dense.Arena of records of recBytes each
+// cuts to carve n records: dense's rule, chunks doubling from 8 records up
+// to the most records that fit in 64 KiB.
+func arenaChunks(n int, recBytes uintptr) int {
+	most := max(int(64<<10/recBytes), 1)
+	chunks := 0
+	for carved := 0; carved < n; chunks++ {
+		carved += min(max(carved, 8), most)
+	}
+	return chunks
+}
+
+// appendGrowths is how many arrays appending n elements one at a time
+// allocates, as the tree's app and machine indexes grow.
+func appendGrowths[T any](n int) int {
+	var s []T
+	grows := 0
+	for range n {
+		if len(s) == cap(s) {
+			grows++
+		}
+		s = append(s, *new(T))
+	}
+	return grows
+}
+
+// TestPromotionTreeAllocatesPerChunkAndApp bounds a promotion-shaped tree
+// rebuild's allocations by what it cannot avoid: its four stores' chunks,
+// one entry-table row and one table window per app, and the growths of
+// the tree's app and machine indexes. Classes, buckets and queues that grew
+// their arrays from nil paid about five objects a class on top of that.
+func TestPromotionTreeAllocatesPerChunkAndApp(t *testing.T) {
+	p := newPromotionTree()
+	tr := p.build()
+	checkTreeSummaries(t, tr)
+	var shape [5]int // queues by priority count
+	for _, q := range tr.mq {
+		if n := len(q.slots); n < len(shape) {
+			shape[n]++
+		}
+	}
+	if shape[1] != 500 || shape[2] != 500 || shape[3] != 500 || shape[4] != 500 {
+		t.Fatalf("machine queues by priority count %v, want 500 each of 1–4", shape[1:])
+	}
+	chunks := arenaChunks(tr.entryRecs.Carved(), unsafe.Sizeof(waitEntry{})) +
+		arenaChunks(tr.classRecs.Carved(), unsafe.Sizeof(sizeClass{})) +
+		arenaChunks(tr.bucketRecs.Carved(), unsafe.Sizeof(treeBucket{})) +
+		arenaChunks(tr.queueRecs.Carved(), unsafe.Sizeof(treeQueue{}))
+	bound := float64(1 + chunks + 2*promotionApps + appendGrowths[[]unitWait](promotionApps) + appendGrowths[*treeQueue](promotionMachines))
+	n := testing.AllocsPerRun(3, func() { p.build() })
+	t.Logf("rebuild: %.0f allocations, bound %.0f (%d store chunks, %d classes)", n, bound, chunks, tr.classRecs.Carved())
+	if n > bound {
+		t.Fatalf("rebuilding a promotion-shaped tree costs %.0f allocations, want at most %.0f: the stores' chunks, two per app and the index growths", n, bound)
+	}
+}
+
+// BenchmarkPromotionTreeRebuild rebuilds the promotion-shaped tree of
+// TestPromotionTreeAllocatesPerChunkAndApp once per iteration: 16,000 wait
+// entries on 2,000 machine queues.
+func BenchmarkPromotionTreeRebuild(b *testing.B) {
+	p := newPromotionTree()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.build()
 	}
 }

@@ -186,6 +186,13 @@ func (f *fitSum) merge(o fitSum) {
 // unregistered apps (gone) are ever physically removed, by an amortized
 // tombstone rebuild. Every change of the live or physical count is
 // reported to the class's bucket slot and queue summaries (account).
+//
+// A class's first classInline entries and its first bitmap words live in
+// the record itself: the first push points the slices at inl, liveInl and
+// sumInl, so a class carved from its store's chunk comes with its storage,
+// and only one that outgrows them pays for a heap array (EXPERIMENTS.md,
+// "What a promotion's tree records cost"). The slices then point into the
+// record, so a sizeClass must never be copied by value.
 type sizeClass struct {
 	cpu, mem int64
 	opaque   bool
@@ -197,7 +204,21 @@ type sizeClass struct {
 	cur      int         // walk cursor (valid during one walk)
 	q        *treeQueue  // the queue holding this class's bucket
 	b        *treeBucket // the bucket holding this class
+	inl      [classInline]*waitEntry
+	liveInl  [1]uint64
+	sumInl   [1]uint64
 }
+
+// The inline capacities of a tree record's arrays, sized for what the
+// workloads build (EXPERIMENTS.md, "What a promotion's tree records cost"):
+// on failover 97 % of classes never hold a fifth entry, a bucket holds at
+// most the harness's three unit sizes (×1, ×2, ×4) and a queue its four
+// priorities.
+const (
+	classInline  = 4
+	bucketInline = 3
+	queueInline  = 4
+)
 
 // eligible reports whether one unit of this class could fit free. A nil
 // free means "no pruning requested".
@@ -241,6 +262,9 @@ func (c *sizeClass) account(dLive, dEntries int) int {
 
 // push appends a live entry (its seq exceeds every present entry's).
 func (c *sizeClass) push(e *waitEntry) {
+	if c.entries == nil {
+		c.entries, c.live, c.sum = c.inl[:0], c.liveInl[:0], c.sumInl[:0]
+	}
 	i := len(c.entries)
 	e.cls = c
 	e.pos = int32(i)
@@ -352,9 +376,12 @@ func (c *sizeClass) maybeRebuild(t *localityTree) {
 }
 
 // treeBucket holds one priority class of one queue, partitioned into size
-// classes; walks merge the classes back into seq (FIFO) order.
+// classes; walks merge the classes back into seq (FIFO) order. Its first
+// bucketInline classes are listed in the record (inl), so a bucket must
+// never be copied by value.
 type treeBucket struct {
 	classes []*sizeClass
+	inl     [bucketInline]*sizeClass
 }
 
 // classFor returns b's class for u's size in q, taking a new one from t's
@@ -372,6 +399,9 @@ func (t *localityTree) classFor(q *treeQueue, b *treeBucket, u *unitState) *size
 	}
 	c := t.classRecs.New()
 	c.cpu, c.mem, c.opaque, c.q, c.b = cpu, mem, opaque, q, b
+	if b.classes == nil {
+		b.classes = b.inl[:0]
+	}
 	b.classes = append(b.classes, c)
 	return c
 }
@@ -458,10 +488,12 @@ type prioSlot struct {
 // priorities, so the slots sit in a small sorted array: a free-up walks it
 // in step with the other two queues and never looks a bucket up. fit
 // summarises the whole queue, so a queue with nothing live that fits costs
-// one read.
+// one read. Its first queueInline slots sit in the record (inl), so a queue
+// must never be copied by value.
 type treeQueue struct {
 	fit   fitSum
 	slots []prioSlot // sorted by prio
+	inl   [queueInline]prioSlot
 }
 
 // bucket returns q's bucket of priority prio, taking a new one from t's
@@ -475,6 +507,9 @@ func (t *localityTree) bucket(q *treeQueue, prio int) *treeBucket {
 		return q.slots[i].b
 	}
 	b := t.bucketRecs.New()
+	if q.slots == nil {
+		q.slots = q.inl[:0]
+	}
 	q.slots = append(q.slots, prioSlot{})
 	copy(q.slots[i+1:], q.slots[i:])
 	q.slots[i] = prioSlot{fitSum: emptyFit, prio: prio, b: b}
@@ -570,13 +605,18 @@ func nextPrio(qs *[3]*treeQueue, cur *[3]int, free *resource.Vector) (prio int, 
 // tree's own stores (dense.Arena): they come by the chunk, so a promotion
 // that rebuilds tens of thousands of entries from full syncs pays a few
 // hundred allocations for them, and a record given back is the next one
-// handed out. A record lives until the tree gives it back, and nothing may
-// hold it after that: an entry until its app leaves — removeApp frees one
-// that is not queued at once, and a queued one is a tombstone until its
-// class's rebuild frees it — a bucket and its classes until the bucket holds
-// no entry (dropAt), a queue as long as the tree. A departed app's units
-// drop their parked lists at unregister, and the candidate scratch is
-// rewritten before it is read.
+// handed out. A class, bucket or queue carries the first few cells of its
+// arrays inline, so the chunk pays for those too: a rebuild allocates per
+// chunk and per app, not per size class, and only a record that outgrows
+// its inline cells pays for a heap array. Those slices point into their
+// records (the cluster queue's into the tree), so no record and no tree is
+// ever copied by value. A record lives until the tree gives it back, and
+// nothing may hold it after that: an entry until its app leaves — removeApp
+// frees one that is not queued at once, and a queued one is a tombstone
+// until its class's rebuild frees it — a bucket and its classes until the
+// bucket holds no entry (dropAt), a queue as long as the tree. A departed
+// app's units drop their parked lists at unregister, and the candidate
+// scratch is rewritten before it is read.
 type localityTree struct {
 	mq    []*treeQueue // machine ID -> queue
 	rq    []*treeQueue // rack ID -> queue

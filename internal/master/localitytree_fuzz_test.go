@@ -112,7 +112,8 @@ func (f *treeFuzz) candidates(machine, rack int32, free *resource.Vector, aging 
 
 // run applies one script. Each op is a byte whose low two bits pick add,
 // setCount, removeApp or a free-up and whose high bits advance the clock,
-// followed by its operands.
+// followed by its operands. Priorities run 1–5, one more than a queue's
+// inline slots.
 func (f *treeFuzz) run(data []byte) {
 	s := &syncScript{b: data}
 	for f.step = 0; len(s.b) > 0; f.step++ {
@@ -122,7 +123,7 @@ func (f *treeFuzz) run(data []byte) {
 		case 0, 1:
 			a, u := int32(s.next()%4), int32(s.next()%3)
 			lvl, node := treeFuzzNode(s.next())
-			prio := 1 + int(s.next()%3)
+			prio := 1 + int(s.next()%5)
 			n := int(int8(s.next())) % 4
 			us := &f.units[a][u]
 			k := waitKey{app: a, unit: u}
@@ -200,9 +201,46 @@ func FuzzLocalityTree(f *testing.F) {
 		2, 3, // removeApp 3
 		3, 2, 1, 1, 6, // tiny free-up, granting, stop after one
 	})
+	f.Add(treeSpillScript())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		newTreeFuzz(t).run(data)
 	})
+}
+
+// treeSpillScript drives a class, a bucket and a queue past their inline
+// arrays, rebuilds the spilled class and a whole bucket on tombstones, and
+// hands the freed entry, class and bucket records out again.
+func treeSpillScript() []byte {
+	s := []byte{
+		// Cluster priority 1 gets a fourth size class, the opaque one.
+		0, 0, 0, 2, 0, 1, // app 0 unit 0 (500 mCPU)
+		0, 0, 1, 2, 0, 1, // app 0 unit 1 (1000 mCPU)
+		0, 0, 2, 2, 0, 1, // app 0 unit 2 (250 mCPU)
+		0, 3, 0, 2, 0, 1, // app 3 unit 0 (opaque)
+		// The cluster queue gets a fifth priority.
+		0, 2, 0, 2, 1, 1, // app 2 unit 0 at priority 2
+		0, 2, 1, 2, 2, 1, // app 2 unit 1 at priority 3
+		0, 2, 2, 2, 3, 1, // app 2 unit 2 at priority 4
+		0, 3, 1, 2, 4, 1, // app 3 unit 1 at priority 5
+		3, 0, 0, 0, 0, // free-up, no pruning
+		3, 0, 0, 6, 1, // huge free-up, aging on
+	}
+	// App 1 comes and goes 264 times, each time at the cluster beside app 0
+	// unit 1's class (past four entries and one bitmap word, then rebuilt at
+	// the 257th tombstone around app 0's survivor) and alone in machine 0's
+	// priority 2 (rebuilt empty at the 257th, so its bucket leaves the queue
+	// and the next visit takes the freed records back).
+	for range 264 {
+		s = append(s,
+			0, 1, 0, 2, 0, 1, // app 1 unit 0 (1000 mCPU) at the cluster, priority 1
+			0, 1, 1, 0, 1, 1, // app 1 unit 1 on machine 0, priority 2
+			2, 1) // removeApp 1
+	}
+	return append(s,
+		0, 1, 0, 2, 0, 2, // app 1 returns at the cluster
+		3, 0, 0, 4, 2, // medium free-up, granting
+		3, 0, 1, 2, 5, // small free-up, granting, stop after one
+	)
 }
 
 // checkTreeSummaries recounts every queue's and bucket's summary from its

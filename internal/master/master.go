@@ -790,12 +790,18 @@ func (m *Master) decisions() *[]Decision {
 	return &m.dsBuf
 }
 
+// armFlush schedules the round's flush once. It posts a package-level func
+// with m as its argument, as openCapacity does: a method value would be a
+// heap object per round.
 func (m *Master) armFlush() {
 	if !m.flushArm {
 		m.flushArm = true
-		m.eng.PostFunc(m.cfg.BatchWindow, m.flushRound)
+		m.eng.Post(m.cfg.BatchWindow, flushRoundTick, m)
 	}
 }
+
+// flushRoundTick is the event armFlush schedules.
+func flushRoundTick(a any) { a.(*Master).flushRound() }
 
 // flushRound runs one scheduling round: apply every buffered release,
 // reassign the freed machines to queued demand, place the round's demand,
